@@ -463,11 +463,16 @@ pub fn run(_scale: Scale) -> Vec<MacroRow> {
 
     // Leg 6: the HTTP edge. The full three-cell batch served in-process
     // and again through a real loopback socket (`EdgeServer` +
-    // `EdgeClient`). A single-worker pool pins the batch's execution
-    // order, so both runs are deterministic and must agree bit for bit —
-    // hits, scores, and every ledger number; the two rows record what the
-    // wire hop costs in wall-clock. The tenant ledger must equal the
-    // summed session spend exactly.
+    // `EdgeClient`). Both runs execute the three requests one after the
+    // other in request order, so they are deterministic and must agree bit
+    // for bit — hits, scores, and every ledger number; the two rows record
+    // what the wire hop costs in wall-clock. On the wire side the edge's
+    // single-worker pool does it: only the connection handler, running on
+    // that sole worker, can steal the batch's queued jobs. The in-process
+    // reference is called from this thread, where `TaskHandle::join` on a
+    // pool would steal jobs and race the worker over the shared history —
+    // so it runs on an immediate executor, where join order is request
+    // order. The tenant ledger must equal the summed session spend exactly.
     let exec = Arc::new(qrs_exec::Executor::pool(1));
     let wire_dir = qrs_types::Direction::Asc;
     let wire_ranks: Vec<Vec<(usize, qrs_types::Direction, f64)>> = vec![
@@ -479,7 +484,7 @@ pub fn run(_scale: Scale) -> Vec<MacroRow> {
     let local = build_service(&profile, None);
     let t0 = Instant::now();
     let want = local.serve_batch(
-        &exec,
+        &qrs_exec::Executor::immediate(0),
         workloads()
             .iter()
             .map(|w| qrs_service::BatchRequest::new(w.sel.clone(), Arc::clone(&w.rank), TOP_H))

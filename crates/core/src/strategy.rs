@@ -531,7 +531,7 @@ impl PageDownStrategy {
 
 impl RerankStrategy for PageDownStrategy {
     fn name(&self) -> &str {
-        "page-down"
+        names::PAGE_DOWN
     }
 
     fn estimate(&self, ctx: &PlanContext) -> CostEstimate {

@@ -44,7 +44,7 @@ pub use event::{BudgetScope, Event, EventKind, QueryClass};
 pub use export::JsonLinesExporter;
 pub use handle::{ObsBuilder, ObsHandle};
 pub use metrics::{
-    log2_bucket, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS,
+    log2_bucket, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, StripedU64, HISTOGRAM_BUCKETS,
 };
 pub use monitor::{Divergence, Monitor, MonitorReport, MonitorRow};
 pub use recorder::{Recorder, DEFAULT_BUFFER};

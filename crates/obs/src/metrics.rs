@@ -1,13 +1,15 @@
 //! Lock-striped metrics: monotonic counters plus fixed-bucket log2
 //! histograms, folded from the event stream (and a direct latency hook).
 //!
-//! The striping scheme mirrors `qrs_service::ServiceStats`: each logical
-//! counter is an array of cache-line-padded atomic cells, every thread
-//! picks one cell round-robin at first touch, and reads sum the cells.
-//! Totals are exact — every increment lands in exactly one cell — so the
-//! reconciliation tests can demand equality, not approximation, against
-//! the session ledgers. Only the *snapshot* is racy-but-monotonic, which
-//! a single atomic would be too.
+//! The striping scheme ([`StripedU64`], also the cell behind
+//! `qrs_service::ServiceStats`): each logical counter is an array of
+//! cache-line-padded atomic cells, every thread picks one cell round-robin
+//! at first touch, and reads sum the cells. Workers on different cores
+//! therefore stop bouncing one cache line per bookkeeping call — the
+//! classic false-sharing fix. Totals are exact — every increment lands in
+//! exactly one cell — so the reconciliation tests can demand equality, not
+//! approximation, against the session ledgers. Only the *snapshot* is
+//! racy-but-monotonic, which a single atomic would be too.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -40,22 +42,25 @@ thread_local! {
 /// A monotonic counter sharded across padded cells: lock-free, exact under
 /// concurrency, contention-free across threads in different slots.
 #[derive(Debug, Default)]
-struct StripedU64 {
+pub struct StripedU64 {
     cells: [PaddedCell; STRIPES],
 }
 
 impl StripedU64 {
+    /// Add `v` to the calling thread's cell.
     #[inline]
-    fn add(&self, v: u64) {
+    pub fn add(&self, v: u64) {
         STRIPE.with(|s| self.cells[*s].0.fetch_add(v, Ordering::Relaxed));
     }
 
+    /// Add one.
     #[inline]
-    fn incr(&self) {
+    pub fn incr(&self) {
         self.add(1);
     }
 
-    fn sum(&self) -> u64 {
+    /// The exact total so far: the sum over the cells.
+    pub fn sum(&self) -> u64 {
         self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
     }
 }
@@ -442,6 +447,13 @@ mod tests {
         assert_eq!(s.pull_latency_ms.count(), 2);
         assert_eq!(s.pull_latency_ms.buckets[log2_bucket(3)], 1);
         assert_eq!(s.pull_latency_ms.buckets[log2_bucket(900)], 1);
+    }
+
+    #[test]
+    fn padded_cells_do_not_share_cache_lines() {
+        // The de-contention argument rests on cell alignment; pin it.
+        assert_eq!(std::mem::align_of::<PaddedCell>(), 64);
+        assert!(std::mem::size_of::<StripedU64>() >= STRIPES * 64);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! *(service, request)* pair — for multi-tenant drivers like the
 //! `qrs-bench` scaling experiment.
 
-use crate::service::{Algorithm, RerankService};
+use crate::service::{Algorithm, RerankService, SessionSpec};
 use crate::session::{RankedTuple, SessionStats};
 use qrs_core::TiePolicy;
 use qrs_exec::{CancelToken, Executor, TaskHandle};
@@ -31,26 +31,16 @@ use qrs_types::{Query, RerankError, RetryPolicy};
 use std::sync::Arc;
 
 /// One user request inside a batch: a selection, a ranking function, and
-/// how many top answers to fetch, plus optional per-request knobs.
+/// how many top answers to fetch, plus optional per-request knobs (the same
+/// settings [`crate::SessionBuilder`] takes; unset ones keep its defaults).
 pub struct BatchRequest {
     /// The selection query (the `q` of `R(q)`).
     pub sel: Query,
     /// The user's ranking function.
     pub rank: Arc<dyn RankFn>,
-    /// Algorithm choice (default [`Algorithm::Auto`]: the planner picks).
-    pub algo: Algorithm,
     /// How many top tuples to fetch (the `h` of `Session::top`).
     pub top: usize,
-    /// Per-session query cap (the service-wide budget still applies).
-    pub budget: Option<u64>,
-    /// Per-session retry override (else the service default).
-    pub retry: Option<RetryPolicy>,
-    /// Tie-handling override for 1-D rank functions (else the session
-    /// default, [`qrs_core::TiePolicy::Exact`]).
-    pub tie: Option<TiePolicy>,
-    /// Plan horizon override: how many answers the planner prices for
-    /// (else it prices for `top`).
-    pub horizon: Option<usize>,
+    spec: SessionSpec,
 }
 
 impl BatchRequest {
@@ -59,42 +49,42 @@ impl BatchRequest {
         BatchRequest {
             sel,
             rank,
-            algo: Algorithm::Auto,
             top,
-            budget: None,
-            retry: None,
-            tie: None,
-            horizon: None,
+            spec: SessionSpec::default(),
         }
     }
 
-    /// Builder: pick the algorithm.
+    /// Builder: pick the algorithm (default [`Algorithm::Auto`]: the
+    /// planner picks).
     pub fn algorithm(mut self, algo: Algorithm) -> Self {
-        self.algo = algo;
+        self.spec.algo = algo;
         self
     }
 
-    /// Builder: cap this request's query spend.
+    /// Builder: cap this request's query spend (the service-wide budget
+    /// still applies).
     pub fn budget(mut self, limit: u64) -> Self {
-        self.budget = Some(limit);
+        self.spec.budget = Some(limit);
         self
     }
 
-    /// Builder: override the retry policy for this request.
+    /// Builder: override the retry policy for this request (else the
+    /// service default).
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
+        self.spec.retry = Some(policy);
         self
     }
 
-    /// Builder: override the tie policy for this request.
+    /// Builder: override the tie policy for this request (else
+    /// [`qrs_core::TiePolicy::Exact`]).
     pub fn tie(mut self, policy: TiePolicy) -> Self {
-        self.tie = Some(policy);
+        self.spec.tie = policy;
         self
     }
 
-    /// Builder: override the plan horizon for this request.
+    /// Builder: how many answers the planner prices for (else one page).
     pub fn horizon(mut self, h: usize) -> Self {
-        self.horizon = Some(h);
+        self.spec.horizon = Some(h);
         self
     }
 }
@@ -132,49 +122,21 @@ fn run_one(svc: &RerankService, req: BatchRequest, cancel: &CancelToken) -> Batc
     let t0 = svc.clock().now_ms();
     let wall_ms = |t0: u64| svc.clock().now_ms().saturating_sub(t0) as f64;
     svc.stats_ref().on_request();
-    let empty = SessionStats {
-        emitted: 0,
-        queries_spent: 0,
-        cost_units_spent: 0,
-        queries_saved: 0,
-        cost_units_saved: 0,
-        attempts_made: 0,
-        retries_spent: 0,
-        strategy_switches: 0,
-        budget_limit: req.budget,
+    // A request that never got a session: nothing fetched, nothing spent.
+    let budget = req.spec.budget;
+    let refused = |error| BatchOutcome {
+        hits: Vec::new(),
+        error: Some(error),
+        stats: SessionStats::zero(budget),
+        wall_ms: wall_ms(t0),
     };
     if cancel.is_cancelled() {
         svc.stats_ref().on_cancel();
-        return BatchOutcome {
-            hits: Vec::new(),
-            error: Some(RerankError::Cancelled),
-            stats: empty,
-            wall_ms: wall_ms(t0),
-        };
+        return refused(RerankError::Cancelled);
     }
-    let mut builder = svc.session(req.sel, req.rank).algorithm(req.algo);
-    if let Some(limit) = req.budget {
-        builder = builder.budget(limit);
-    }
-    if let Some(policy) = req.retry {
-        builder = builder.retry(policy);
-    }
-    if let Some(policy) = req.tie {
-        builder = builder.tie_policy(policy);
-    }
-    if let Some(h) = req.horizon {
-        builder = builder.horizon(h);
-    }
-    let mut sess = match builder.open() {
+    let mut sess = match svc.session_with(req.sel, req.rank, req.spec).open() {
         Ok(s) => s,
-        Err(e) => {
-            return BatchOutcome {
-                hits: Vec::new(),
-                error: Some(e),
-                stats: empty,
-                wall_ms: wall_ms(t0),
-            }
-        }
+        Err(e) => return refused(e),
     };
     let mut hits = Vec::with_capacity(req.top);
     let mut error = None;

@@ -70,7 +70,7 @@
 //! [`FederatedSession::session_stats`] as `queries_saved` /
 //! `cost_units_saved`.
 
-use crate::service::{Algorithm, RerankService};
+use crate::service::{Algorithm, RerankService, SessionSpec};
 use crate::session::{RankedTuple, Session, SessionStats};
 use qrs_exec::Executor;
 use qrs_ranking::RankFn;
@@ -251,15 +251,16 @@ impl<'a> FederationBuilder<'a> {
             .iter()
             .enumerate()
             .map(|(i, svc)| {
-                let mut b = svc
-                    .session(self.sel.clone(), Arc::clone(&self.rank))
-                    .algorithm(self.algo);
                 // .rev(): the LAST override for an index wins, as builder
                 // conventions promise.
-                if let Some((_, p)) = self.source_retries.iter().rev().find(|(j, _)| *j == i) {
-                    b = b.retry(p.clone());
-                }
-                b.open()
+                let retry = self.source_retries.iter().rev().find(|(j, _)| *j == i);
+                let spec = SessionSpec {
+                    algo: self.algo,
+                    retry: retry.map(|(_, p)| p.clone()),
+                    ..SessionSpec::default()
+                };
+                svc.session_with(self.sel.clone(), Arc::clone(&self.rank), spec)
+                    .open()
             })
             .collect::<Result<_, _>>()?;
         let heads = (0..sessions.len()).map(|_| None).collect();

@@ -29,30 +29,14 @@
 //! plane and the shared state, so the new drive answers against the new
 //! snapshot by construction.
 
-use crate::service::{Algorithm, RerankService};
+use crate::service::{Algorithm, RerankService, SessionSpec};
 use crate::session::{RankedTuple, Session};
-use qrs_core::TiePolicy;
 use qrs_ranking::RankFn;
 use qrs_types::value::cmp_f64;
-use qrs_types::{MutationKind, Query, RerankError, RetryPolicy, Tuple, TupleId};
+use qrs_types::{MutationKind, Query, RerankError, Tuple, TupleId};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
-
-/// The session settings a [`MaintainedSession`] re-applies when it must
-/// open a fresh inner session for a full re-drive.
-pub(crate) struct MaintainedConfig {
-    /// The algorithm as the caller configured it (`Auto` stays `Auto`, so
-    /// a re-drive re-runs the same planner decision, relaxation included).
-    pub(crate) algo: Algorithm,
-    /// The concrete algorithm the initial plan resolved to — drives the
-    /// positional-hazard classification.
-    pub(crate) concrete: Algorithm,
-    pub(crate) budget: Option<u64>,
-    pub(crate) retry: Option<RetryPolicy>,
-    pub(crate) retry_limit: Option<u64>,
-    pub(crate) use_knowledge: bool,
-}
 
 /// What one [`MaintainedSession::refresh`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,7 +79,12 @@ pub struct MaintainedSession<'a> {
     svc: &'a RerankService,
     sel: Query,
     rank: Arc<dyn RankFn>,
-    cfg: MaintainedConfig,
+    /// The settings every inner session (the initial drive and each full
+    /// re-drive) is opened with.
+    spec: SessionSpec,
+    /// The concrete algorithm the initial plan resolved to — drives the
+    /// positional-hazard classification.
+    concrete: Algorithm,
     horizon: usize,
     session: Session<'a>,
     /// One-slot lookahead: the next live emission, pulled but not yet
@@ -124,19 +113,23 @@ impl<'a> MaintainedSession<'a> {
         svc: &'a RerankService,
         sel: Query,
         rank: Arc<dyn RankFn>,
-        cfg: MaintainedConfig,
+        spec: SessionSpec,
+        concrete: Algorithm,
         horizon: usize,
     ) -> Result<Self, RerankError> {
         // Read the watermark *before* the initial drive: a mutation landing
         // mid-drive is then re-applied by the next refresh, and every
         // absorb is idempotent, so nothing is lost to the race.
         let watermark = svc.server().mutation_seq();
-        let session = Self::build_session(svc, &sel, &rank, &cfg, horizon)?;
+        let session = svc
+            .session_with(sel.clone(), Arc::clone(&rank), spec.clone())
+            .open()?;
         let mut s = MaintainedSession {
             svc,
             sel,
             rank,
-            cfg,
+            spec,
+            concrete,
             horizon,
             session,
             peeked: None,
@@ -153,40 +146,12 @@ impl<'a> MaintainedSession<'a> {
         Ok(s)
     }
 
-    fn build_session(
-        svc: &'a RerankService,
-        sel: &Query,
-        rank: &Arc<dyn RankFn>,
-        cfg: &MaintainedConfig,
-        horizon: usize,
-    ) -> Result<Session<'a>, RerankError> {
-        let mut b = svc
-            .session(sel.clone(), Arc::clone(rank))
-            .algorithm(cfg.algo)
-            .tie_policy(TiePolicy::Exact)
-            .horizon(horizon)
-            .knowledge(cfg.use_knowledge);
-        if let Some(limit) = cfg.budget {
-            b = b.budget(limit);
-        }
-        if let Some(policy) = &cfg.retry {
-            b = b.retry(policy.clone());
-        }
-        if let Some(limit) = cfg.retry_limit {
-            b = b.retry_limit(limit);
-        }
-        b.open()
-    }
-
     /// Positional strategies address tuples by rank position (sorted-access
     /// depth, page number), which every mutation shifts — their untouched
     /// emissions can skip or duplicate under data change, so the
     /// suppressed-overlay argument does not cover them.
     fn positional(&self) -> bool {
-        matches!(
-            self.cfg.concrete,
-            Algorithm::Ta(_) | Algorithm::PageDown { .. }
-        )
+        matches!(self.concrete, Algorithm::Ta(_) | Algorithm::PageDown { .. })
     }
 
     /// Apply one delta to the overlay. Idempotent: re-applying a delta the
@@ -268,8 +233,10 @@ impl<'a> MaintainedSession<'a> {
         self.peeked = None;
         self.live_exhausted = false;
         self.watermark = self.svc.server().mutation_seq();
-        self.session =
-            Self::build_session(self.svc, &self.sel, &self.rank, &self.cfg, self.horizon)?;
+        self.session = self
+            .svc
+            .session_with(self.sel.clone(), Arc::clone(&self.rank), self.spec.clone())
+            .open()?;
         self.redrives += 1;
         self.refill()?;
         Ok(())

@@ -113,6 +113,46 @@ pub struct Plan {
     pub rationale: String,
 }
 
+impl Plan {
+    /// A plan over its feasible candidates, ranked cheapest-first: the
+    /// first one is chosen.
+    fn cheapest_of(candidates: Vec<RankedCandidate>, rationale: String) -> Plan {
+        let chosen = &candidates[0];
+        Plan {
+            algorithm: chosen.algorithm,
+            server_query: chosen.server_query.clone(),
+            residual: chosen.residual.clone(),
+            estimate: chosen.estimate,
+            calibrated_estimate: chosen.calibrated,
+            candidates,
+            rationale,
+        }
+    }
+
+    /// The single-candidate plan of a session that bypasses the planner (an
+    /// explicit algorithm choice or a registered custom strategy): the full
+    /// selection goes server-side, nothing is relaxed, and calibration has
+    /// no say.
+    pub(crate) fn single(
+        name: &str,
+        algorithm: Algorithm,
+        estimate: CostEstimate,
+        sel: &Query,
+        rationale: String,
+    ) -> Plan {
+        let only = RankedCandidate {
+            name: name.to_string(),
+            algorithm,
+            estimate,
+            calibrated: estimate,
+            server_query: sel.clone(),
+            residual: None,
+            relaxed: false,
+        };
+        Plan::cheapest_of(vec![only], rationale)
+    }
+}
+
 /// Preflights query shapes against a site's advertised [`Capabilities`].
 ///
 /// Obtain one from [`crate::RerankService::planner`], or construct it
@@ -271,15 +311,7 @@ impl Planner {
         rank: &dyn RankFn,
         tie: TiePolicy,
     ) -> Result<Plan, RerankError> {
-        struct Feasible {
-            name: &'static str,
-            algorithm: Algorithm,
-            server_query: Query,
-            residual: Option<Query>,
-            estimate: CostEstimate,
-            calibrated: CostEstimate,
-        }
-        let mut feasible: Vec<Feasible> = Vec::new();
+        let mut feasible: Vec<RankedCandidate> = Vec::new();
         let mut rejections: Vec<Rejection> = Vec::new();
 
         for candidate in self.candidates(rank, tie) {
@@ -291,13 +323,14 @@ impl Planner {
                         Some(store) => store.calibrate(candidate.name, estimate),
                         None => estimate,
                     };
-                    feasible.push(Feasible {
-                        name: candidate.name,
+                    feasible.push(RankedCandidate {
+                        name: candidate.name.to_string(),
                         algorithm: candidate.algorithm,
-                        server_query,
-                        residual,
                         estimate,
                         calibrated,
+                        server_query,
+                        relaxed: residual.is_some(),
+                        residual,
                     });
                 }
                 Err(missing) => rejections.push(Rejection {
@@ -361,28 +394,7 @@ impl Planner {
             push_caps(&mut rationale, &r.missing);
         }
 
-        let candidates = feasible
-            .iter()
-            .map(|f| RankedCandidate {
-                name: f.name.to_string(),
-                algorithm: f.algorithm,
-                estimate: f.estimate,
-                calibrated: f.calibrated,
-                server_query: f.server_query.clone(),
-                residual: f.residual.clone(),
-                relaxed: f.residual.is_some(),
-            })
-            .collect();
-        let chosen = feasible.swap_remove(0);
-        Ok(Plan {
-            algorithm: chosen.algorithm,
-            server_query: chosen.server_query,
-            residual: chosen.residual,
-            estimate: chosen.estimate,
-            calibrated_estimate: chosen.calibrated,
-            candidates,
-            rationale,
-        })
+        Ok(Plan::cheapest_of(feasible, rationale))
     }
 
     /// The candidate algorithms for this ranking arity, most query-efficient

@@ -9,8 +9,8 @@
 
 use crate::budget::QueryBudget;
 use crate::calibration::Calibration;
-use crate::maintained::{MaintainedConfig, MaintainedSession};
-use crate::planner::{Plan, Planner, RankedCandidate};
+use crate::maintained::MaintainedSession;
+use crate::planner::{Plan, Planner};
 use crate::retry::{RetryBudget, RetryRunner};
 use crate::session::{AdaptiveState, Session, SessionKnowledge};
 use crate::stats::ServiceStats;
@@ -294,18 +294,24 @@ impl RerankService {
     /// typed [`RerankError`] for misuse (wrong algorithm arity, missing
     /// server capability) instead of panicking later.
     pub fn session(&self, sel: Query, rank: Arc<dyn RankFn>) -> SessionBuilder<'_> {
+        self.session_with(sel, rank, SessionSpec::default())
+    }
+
+    /// [`RerankService::session`] with the settings already decided — how
+    /// the batch, federation and maintenance front ends open (and re-open)
+    /// sessions without replaying the builder calls one by one.
+    pub(crate) fn session_with(
+        &self,
+        sel: Query,
+        rank: Arc<dyn RankFn>,
+        spec: SessionSpec,
+    ) -> SessionBuilder<'_> {
         SessionBuilder {
             svc: self,
             sel,
             rank,
-            algo: Algorithm::Auto,
-            tie: TiePolicy::Exact,
-            budget: None,
-            retry: None,
-            retry_limit: None,
-            horizon: None,
+            spec,
             custom: None,
-            use_knowledge: true,
         }
     }
 
@@ -421,6 +427,41 @@ impl std::fmt::Debug for RerankService {
     }
 }
 
+/// The per-session settings — the one definition every front end
+/// ([`SessionBuilder`], `BatchRequest`, federation sources,
+/// `MaintainedSession` re-drives) carries and hands back to
+/// `RerankService::session_with`.
+#[derive(Clone)]
+pub(crate) struct SessionSpec {
+    pub(crate) algo: Algorithm,
+    pub(crate) tie: TiePolicy,
+    /// Per-session query cap (the service-wide budget still applies).
+    pub(crate) budget: Option<u64>,
+    /// Retry policy override (`None` = the service default).
+    pub(crate) retry: Option<RetryPolicy>,
+    /// Per-session retry cap (the service-wide retry budget still applies).
+    pub(crate) retry_limit: Option<u64>,
+    /// Pull-horizon hint for cost estimation (`None` = one page, `k`).
+    pub(crate) horizon: Option<usize>,
+    /// Consult the service's knowledge plane, when it has one (a no-op on
+    /// plane-less services).
+    pub(crate) use_knowledge: bool,
+}
+
+impl Default for SessionSpec {
+    fn default() -> Self {
+        SessionSpec {
+            algo: Algorithm::Auto,
+            tie: TiePolicy::Exact,
+            budget: None,
+            retry: None,
+            retry_limit: None,
+            horizon: None,
+            use_knowledge: true,
+        }
+    }
+}
+
 /// Configures and preflights one Get-Next session.
 ///
 /// Defaults: [`Algorithm::Auto`], [`TiePolicy::Exact`], no per-session
@@ -458,25 +499,16 @@ pub struct SessionBuilder<'a> {
     svc: &'a RerankService,
     sel: Query,
     rank: Arc<dyn RankFn>,
-    algo: Algorithm,
-    tie: TiePolicy,
-    budget: Option<u64>,
-    retry: Option<RetryPolicy>,
-    retry_limit: Option<u64>,
-    /// Pull-horizon hint for cost estimation (`None` = one page, `k`).
-    horizon: Option<usize>,
+    spec: SessionSpec,
     /// A user-registered strategy object; when set, the session drives it
     /// instead of a planner- or caller-chosen built-in algorithm.
     custom: Option<Box<dyn RerankStrategy>>,
-    /// Consult the service's knowledge plane, when it has one (default
-    /// true; a no-op on plane-less services).
-    use_knowledge: bool,
 }
 
 impl<'a> SessionBuilder<'a> {
     /// Pick the reranking algorithm (default [`Algorithm::Auto`]).
     pub fn algorithm(mut self, algo: Algorithm) -> Self {
-        self.algo = algo;
+        self.spec.algo = algo;
         self
     }
 
@@ -488,7 +520,7 @@ impl<'a> SessionBuilder<'a> {
     /// horizon it runs, so sessions that state theirs get the validated
     /// choice.
     pub fn horizon(mut self, h: usize) -> Self {
-        self.horizon = Some(h);
+        self.spec.horizon = Some(h);
         self
     }
 
@@ -512,14 +544,14 @@ impl<'a> SessionBuilder<'a> {
     /// the caller suspects the plane is stale but cannot afford an
     /// invalidation that would evict other tenants' knowledge.
     pub fn knowledge(mut self, on: bool) -> Self {
-        self.use_knowledge = on;
+        self.spec.use_knowledge = on;
         self
     }
 
     /// Pick how equal ranking values are treated (default
     /// [`TiePolicy::Exact`]).
     pub fn tie_policy(mut self, tie: TiePolicy) -> Self {
-        self.tie = tie;
+        self.spec.tie = tie;
         self
     }
 
@@ -527,7 +559,7 @@ impl<'a> SessionBuilder<'a> {
     /// budget). Exceeding it returns [`RerankError::BudgetExhausted`] from
     /// `Session::next`, with the partial batch preserved by `Session::top`.
     pub fn budget(mut self, limit: u64) -> Self {
-        self.budget = Some(limit);
+        self.spec.budget = Some(limit);
         self
     }
 
@@ -536,7 +568,7 @@ impl<'a> SessionBuilder<'a> {
     /// retried with exponential backoff + jitter, honoring the server's
     /// `retry_after_ms` hint; non-retryable errors surface immediately.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
+        self.spec.retry = Some(policy);
         self
     }
 
@@ -544,7 +576,7 @@ impl<'a> SessionBuilder<'a> {
     /// service-wide retry budget). Exceeding it surfaces
     /// [`RerankError::RetryBudgetExhausted`].
     pub fn retry_limit(mut self, limit: u64) -> Self {
-        self.retry_limit = Some(limit);
+        self.spec.retry_limit = Some(limit);
         self
     }
 
@@ -558,7 +590,7 @@ impl<'a> SessionBuilder<'a> {
             schema: Arc::clone(server.schema()),
             k: server.k(),
             n_estimate: self.svc.n_estimate(),
-            horizon: self.horizon.unwrap_or(server.k()).max(1),
+            horizon: self.spec.horizon.unwrap_or(server.k()).max(1),
             server_query: self.sel.clone(),
             rank_attrs: self.rank.attrs().to_vec(),
         }
@@ -582,59 +614,37 @@ impl<'a> SessionBuilder<'a> {
         // converges) — refuse them here, typed, before anything is spent.
         self.sel.validate()?;
         if let Some(custom) = &self.custom {
-            let estimate = custom.estimate(&self.plan_context());
-            return Ok(Plan {
-                algorithm: Algorithm::Custom,
-                server_query: self.sel.clone(),
-                residual: None,
-                estimate,
-                calibrated_estimate: estimate,
-                candidates: vec![RankedCandidate {
-                    name: custom.name().to_string(),
-                    algorithm: Algorithm::Custom,
-                    estimate,
-                    calibrated: estimate,
-                    server_query: self.sel.clone(),
-                    residual: None,
-                    relaxed: false,
-                }],
-                rationale: format!(
+            return Ok(Plan::single(
+                custom.name(),
+                Algorithm::Custom,
+                custom.estimate(&self.plan_context()),
+                &self.sel,
+                format!(
                     "user-registered strategy `{}`: planner bypassed, the caller \
                      takes responsibility for exactness",
                     custom.name()
                 ),
-            });
+            ));
         }
-        match self.algo {
+        match self.spec.algo {
             Algorithm::Auto => {
                 let mut planner = self.svc.planner();
-                if let Some(h) = self.horizon {
+                if let Some(h) = self.spec.horizon {
                     planner = planner.with_horizon(h);
                 }
-                planner.plan(&self.sel, self.rank.as_ref(), self.tie)
+                planner.plan(&self.sel, self.rank.as_ref(), self.spec.tie)
             }
             explicit => {
                 self.preflight(explicit)?;
-                let estimate = Planner::estimate_for(&explicit, &self.plan_context());
-                Ok(Plan {
-                    algorithm: explicit,
-                    server_query: self.sel.clone(),
-                    residual: None,
-                    estimate,
-                    calibrated_estimate: estimate,
-                    candidates: vec![RankedCandidate {
-                        name: algorithm_name(&explicit).to_string(),
-                        algorithm: explicit,
-                        estimate,
-                        calibrated: estimate,
-                        server_query: self.sel.clone(),
-                        residual: None,
-                        relaxed: false,
-                    }],
-                    rationale: "explicit algorithm choice: planner bypassed, the caller \
-                                takes responsibility; hard requirements preflighted"
+                Ok(Plan::single(
+                    algorithm_name(&explicit),
+                    explicit,
+                    Planner::estimate_for(&explicit, &self.plan_context()),
+                    &self.sel,
+                    "explicit algorithm choice: planner bypassed, the caller \
+                     takes responsibility; hard requirements preflighted"
                         .to_string(),
-                })
+                ))
             }
         }
     }
@@ -676,7 +686,7 @@ impl<'a> SessionBuilder<'a> {
         build_strategy_for(
             self.svc,
             Arc::clone(&self.rank),
-            self.tie,
+            self.spec.tie,
             &plan.algorithm,
             plan.server_query.clone(),
         )
@@ -719,6 +729,7 @@ impl<'a> SessionBuilder<'a> {
         };
         self.svc.stats_ref().on_session();
         let mut retry = self
+            .spec
             .retry
             .unwrap_or_else(|| self.svc.default_retry_policy().clone());
         // Decorrelate jitter across sessions: every session cloning the
@@ -728,7 +739,7 @@ impl<'a> SessionBuilder<'a> {
         // deterministic for replayable tests (same open order, same seeds).
         let nonce = self.svc.stats_ref().snapshot().sessions_started;
         retry.seed ^= nonce.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let knowledge = if self.use_knowledge {
+        let knowledge = if self.spec.use_knowledge {
             self.svc.knowledge_gate().map(|gate| {
                 // The stale-replay fix: observe the feed *before* looking
                 // up a sealed stream, so a post-mutation open bumps the
@@ -743,13 +754,13 @@ impl<'a> SessionBuilder<'a> {
                     (!matches!(plan.algorithm, Algorithm::Custom)).then(|| ResultKey {
                         sel: query_key(&self.sel),
                         rank: self.rank.fingerprint(),
-                        tie: match self.tie {
+                        tie: match self.spec.tie {
                             TiePolicy::Exact => 0,
                             TiePolicy::AssumeDistinct => 1,
                         },
                         strategy: strategy.name().to_string(),
                     });
-                let (replay, exhausted, ledger) = match result_key
+                let (replay, replay_exhausted, full_ledger) = match result_key
                     .as_ref()
                     .and_then(|key| gate.shard().lookup_result(key))
                 {
@@ -760,7 +771,14 @@ impl<'a> SessionBuilder<'a> {
                     ),
                     None => (VecDeque::new(), false, (0, 0)),
                 };
-                SessionKnowledge::new(Arc::clone(gate), result_key, replay, exhausted, ledger)
+                SessionKnowledge {
+                    gate: Arc::clone(gate),
+                    result_key,
+                    replay,
+                    replay_exhausted,
+                    full_ledger,
+                    credited: false,
+                }
             })
         } else {
             None
@@ -803,9 +821,12 @@ impl<'a> SessionBuilder<'a> {
                     strategy.name().to_string(),
                     plan.estimate,
                     plan.calibrated_estimate,
-                    self.horizon.unwrap_or_else(|| self.svc.server().k()).max(1),
+                    self.spec
+                        .horizon
+                        .unwrap_or_else(|| self.svc.server().k())
+                        .max(1),
                     plan.candidates.get(1..).unwrap_or_default().to_vec(),
-                    self.tie,
+                    self.spec.tie,
                 ))
             } else {
                 None
@@ -814,8 +835,8 @@ impl<'a> SessionBuilder<'a> {
             self.svc,
             self.rank,
             strategy,
-            self.budget,
-            RetryRunner::new(retry, self.retry_limit),
+            self.spec.budget,
+            RetryRunner::new(retry, self.spec.retry_limit),
             plan.residual,
             knowledge,
             obs_id,
@@ -853,23 +874,24 @@ impl<'a> SessionBuilder<'a> {
                  exactness contract it does not know",
             ));
         }
-        if self.tie != TiePolicy::Exact {
+        if self.spec.tie != TiePolicy::Exact {
             return Err(RerankError::invalid_algorithm(
                 "maintained sessions require TiePolicy::Exact: delta repair \
                  splices tuples into the stream by (score, id), which is \
                  the emission order only under exact tie-breaking",
             ));
         }
+        // The concrete algorithm the plan resolves to drives the
+        // positional-hazard classification; the spec keeps the algorithm as
+        // the caller configured it (`Auto` stays `Auto`), so a re-drive
+        // re-runs the same planner decision, relaxation included.
         let concrete = self.plan()?.algorithm;
-        let cfg = MaintainedConfig {
-            algo: self.algo,
-            concrete,
-            budget: self.budget,
-            retry: self.retry.clone(),
-            retry_limit: self.retry_limit,
-            use_knowledge: self.use_knowledge,
+        let horizon = horizon.max(1);
+        let spec = SessionSpec {
+            horizon: Some(horizon),
+            ..self.spec
         };
-        MaintainedSession::open(self.svc, self.sel, self.rank, cfg, horizon.max(1))
+        MaintainedSession::open(self.svc, self.sel, self.rank, spec, concrete, horizon)
     }
 }
 

@@ -28,7 +28,7 @@ use crate::retry::RetryRunner;
 use crate::service::{build_strategy_for, query_class, RerankService};
 use qrs_core::strategy::{CostEstimate, RerankStrategy, StrategyIo, StrategyStep};
 use qrs_core::{KnowledgeGate, TiePolicy};
-use qrs_knowledge::ResultKey;
+use qrs_knowledge::{ResultKey, SourceShard};
 use qrs_obs::{BudgetScope, EventKind, QueryClass};
 use qrs_ranking::RankFn;
 use qrs_server::SearchInterface;
@@ -47,21 +47,19 @@ use std::sync::Arc;
 ///   gate's saved-ledger deltas in-lock, exactly like paid spend;
 /// * the **result replay** — a cached exact output stream for this
 ///   `(selection, rank, tie, strategy)` is emitted directly (`replay`),
-///   after which the strategy resumes from scratch skipping the first
-///   `skip` emissions; its replayed requests hit the response cache, so
-///   resumption costs zero server queries.
+///   after which the strategy resumes from scratch with the session
+///   swallowing its re-derivation of that prefix (`Session::skip`); its
+///   replayed requests hit the response cache, so resumption costs zero
+///   server queries.
 pub(crate) struct SessionKnowledge {
     pub(crate) gate: Arc<KnowledgeGate>,
     /// Key of this session's exact output stream in the shard's result
     /// cache; `None` for custom strategies (their exactness is the
-    /// author's promise, so their streams are never cached or replayed).
+    /// author's promise, so their streams are never cached or replayed)
+    /// and after a mid-flight switch.
     pub(crate) result_key: Option<ResultKey>,
     /// Cached `(tuple, score bits)` prefix still to emit.
     pub(crate) replay: VecDeque<(Arc<Tuple>, u64)>,
-    /// Length of the cached prefix: strategy emissions `0..skip` were
-    /// already replayed and are swallowed when the strategy re-derives
-    /// them.
-    pub(crate) skip: usize,
     /// The cached stream is known complete: once `replay` drains, the
     /// session is exhausted without ever driving the strategy.
     pub(crate) replay_exhausted: bool,
@@ -69,32 +67,7 @@ pub(crate) struct SessionKnowledge {
     /// to the saved ledger when a complete replay finishes.
     pub(crate) full_ledger: (u64, u64),
     /// One-shot latch for that credit.
-    credited: bool,
-    /// Post-residual emissions the strategy itself has produced — the
-    /// 0-based stream index used for recording and for `skip`.
-    strategy_emitted: usize,
-}
-
-impl SessionKnowledge {
-    pub(crate) fn new(
-        gate: Arc<KnowledgeGate>,
-        result_key: Option<ResultKey>,
-        replay: VecDeque<(Arc<Tuple>, u64)>,
-        replay_exhausted: bool,
-        full_ledger: (u64, u64),
-    ) -> Self {
-        let skip = replay.len();
-        SessionKnowledge {
-            gate,
-            result_key,
-            replay,
-            skip,
-            replay_exhausted,
-            full_ledger,
-            credited: false,
-            strategy_emitted: 0,
-        }
-    }
+    pub(crate) credited: bool,
 }
 
 /// Mid-flight re-planning state, armed at open time for built-in-strategy
@@ -199,6 +172,24 @@ pub struct SessionStats {
     pub budget_limit: Option<u64>,
 }
 
+impl SessionStats {
+    /// All zeros beside the cap: the ledger every session starts from, and
+    /// all that a batch request which never opened one has to report.
+    pub(crate) fn zero(budget_limit: Option<u64>) -> Self {
+        SessionStats {
+            emitted: 0,
+            queries_spent: 0,
+            cost_units_spent: 0,
+            queries_saved: 0,
+            cost_units_saved: 0,
+            attempts_made: 0,
+            retries_spent: 0,
+            strategy_switches: 0,
+            budget_limit,
+        }
+    }
+}
+
 /// A user's incremental reranked query. Built by
 /// [`crate::service::SessionBuilder::open`].
 pub struct Session<'a> {
@@ -208,27 +199,11 @@ pub struct Session<'a> {
     /// wrapper or a user-registered custom strategy; the session loop is
     /// oblivious to which.
     strategy: Box<dyn RerankStrategy>,
-    emitted: usize,
-    /// Queries issued inside this session's own strategy steps. Counted
-    /// under the shared-state lock, so interleaved queries from concurrent
-    /// sessions are never misattributed.
-    spent: u64,
-    /// Weighted cost units charged by those same steps, metered in-lock
-    /// alongside `spent` from the server's weighted ledger.
-    cost_spent: u64,
-    /// Queries answered from knowledge instead of the server, attributed
-    /// in-lock from the gate's saved ledger (plus the one-shot full-replay
-    /// credit).
-    saved: u64,
-    /// Cost units those knowledge hits would have been billed.
-    cost_saved: u64,
-    /// Per-session cap on `spent` (the service-wide budget still applies).
-    budget_limit: Option<u64>,
-    /// Cursor-step attempts, counted in-lock alongside `spent` so failed
-    /// attempts' query spend stays attributed to this session.
-    attempts: u64,
-    /// Retries spent across all steps of this session.
-    retries: u64,
+    /// The running ledger [`Session::stats`] reports. Every spend counter
+    /// in it moves under the shared-state lock around this session's own
+    /// strategy steps, so interleaved queries from concurrent sessions are
+    /// never misattributed, and a failed attempt's spend still lands here.
+    ledger: SessionStats,
     /// Retry policy + jitter RNG + per-session retry cap.
     retry: RetryRunner,
     /// Predicates the planner relaxed out of the server-side query (the
@@ -248,12 +223,13 @@ pub struct Session<'a> {
     /// Mid-flight re-planning state (`None` on non-adaptive services and
     /// custom-strategy sessions).
     adaptive: Option<AdaptiveState>,
-    /// After a plane-less switch: user-visible emissions the replacement
-    /// strategy will re-derive and the session must swallow. (With a
-    /// knowledge plane attached, its `skip` machinery does this instead.)
-    switch_skip: usize,
-    /// Divergence-triggered switches performed (0 or 1).
-    switches: u64,
+    /// Post-residual emissions the *current* strategy has produced — the
+    /// 0-based stream index used for recording and for `skip`.
+    derived: usize,
+    /// How many of those emissions the user has already seen and the
+    /// session therefore swallows: the replayed prefix after a warm open,
+    /// everything emitted so far after a mid-flight switch.
+    skip: usize,
 }
 
 impl<'a> Session<'a> {
@@ -270,26 +246,20 @@ impl<'a> Session<'a> {
         class: QueryClass,
         adaptive: Option<AdaptiveState>,
     ) -> Self {
+        let skip = knowledge.as_ref().map_or(0, |k| k.replay.len());
         Session {
             svc,
             rank,
             strategy,
-            emitted: 0,
-            spent: 0,
-            cost_spent: 0,
-            saved: 0,
-            cost_saved: 0,
-            budget_limit,
-            attempts: 0,
-            retries: 0,
+            ledger: SessionStats::zero(budget_limit),
             retry,
             residual,
             knowledge,
             obs_id,
             class,
             adaptive,
-            switch_skip: 0,
-            switches: 0,
+            derived: 0,
+            skip,
         }
     }
 
@@ -337,223 +307,142 @@ impl<'a> Session<'a> {
         out
     }
 
-    /// The actual pull loop behind [`Session::next`].
+    /// The actual pull behind [`Session::next`]: replay → replan check →
+    /// drive → admit, sealing the result stream when the strategy runs dry.
     fn next_pull(&mut self) -> Result<Option<RankedTuple>, RerankError> {
-        // Serve the cached result stream first: zero server traffic, no
-        // shared-state lock. Scores replay from their recorded bit
-        // patterns, so a warm stream is byte-identical to the cold one.
-        if let Some(k) = &mut self.knowledge {
-            if let Some((tuple, bits)) = k.replay.pop_front() {
-                self.emitted += 1;
-                self.svc.stats_ref().on_emit();
-                let mut credit = None;
-                if k.replay.is_empty() && k.replay_exhausted && !k.credited {
-                    k.credited = true;
-                    let (q, c) = k.full_ledger;
-                    self.saved += q;
-                    self.cost_saved += c;
-                    self.svc.stats_ref().on_saved(q, c);
-                    credit = Some((q, c));
-                }
-                if let Some((q, c)) = credit {
-                    // The one-shot full-replay credit is a knowledge hit
-                    // like any other: the sealing run's whole ledger lands
-                    // on the saved column at once.
-                    self.emit_obs(|| EventKind::KnowledgeHit {
-                        queries: q,
-                        cost_units: c,
-                    });
-                }
-                return Ok(Some(RankedTuple {
-                    rank: self.emitted,
-                    score: f64::from_bits(bits),
-                    tuple,
-                }));
-            }
-            if k.replay_exhausted {
-                // The cached stream was complete (possibly empty): the
-                // session is exhausted without ever driving the strategy.
-                let mut credit = None;
-                if !k.credited {
-                    k.credited = true;
-                    let (q, c) = k.full_ledger;
-                    self.saved += q;
-                    self.cost_saved += c;
-                    self.svc.stats_ref().on_saved(q, c);
-                    credit = Some((q, c));
-                }
-                if let Some((q, c)) = credit {
-                    self.emit_obs(|| EventKind::KnowledgeHit {
-                        queries: q,
-                        cost_units: c,
-                    });
-                }
-                return Ok(None);
-            }
+        if let Some(out) = self.replay_next() {
+            return Ok(out);
         }
         // Divergence check before paying for more: past this point the
         // replay (which costs nothing) is drained, so everything spent so
         // far was measured against the calibrated prediction.
         self.maybe_replan();
-        let mut retries_this_step: u32 = 0;
+        loop {
+            match self.drive_step()? {
+                StrategyStep::Emit(tuple) => {
+                    if let Some(hit) = self.admit(tuple) {
+                        return Ok(Some(hit));
+                    }
+                }
+                // Partial work (one page fetched): drive again, which
+                // re-checks the budget gates before paying for more.
+                StrategyStep::Progress => {}
+                StrategyStep::Exhausted => {
+                    self.seal();
+                    return Ok(None);
+                }
+            }
+        }
+    }
+
+    /// Stage 1 — serve the cached result stream: zero server traffic, no
+    /// shared-state lock. Scores replay from their recorded bit patterns,
+    /// so a warm stream is byte-identical to the cold one. `None` hands
+    /// over to the strategy; `Some(None)` means the cached stream was
+    /// complete (possibly empty), so the session is exhausted without ever
+    /// driving it.
+    fn replay_next(&mut self) -> Option<Option<RankedTuple>> {
+        let k = self.knowledge.as_mut()?;
+        let hit = match k.replay.pop_front() {
+            Some((tuple, bits)) => {
+                self.ledger.emitted += 1;
+                self.svc.stats_ref().on_emit();
+                Some(RankedTuple {
+                    rank: self.ledger.emitted,
+                    score: f64::from_bits(bits),
+                    tuple,
+                })
+            }
+            None if k.replay_exhausted => None,
+            None => return None,
+        };
+        self.credit_full_replay();
+        Some(hit)
+    }
+
+    /// The one-shot full-replay credit: the moment a *complete* cached
+    /// stream has nothing left to replay — with its last tuple, or at once
+    /// when it is empty — the sealing run's whole ledger lands on the saved
+    /// column, a knowledge hit like any other.
+    fn credit_full_replay(&mut self) {
+        let Some(k) = &mut self.knowledge else { return };
+        if k.credited || !k.replay_exhausted || !k.replay.is_empty() {
+            return;
+        }
+        k.credited = true;
+        let (queries, cost_units) = k.full_ledger;
+        self.ledger.queries_saved += queries;
+        self.ledger.cost_units_saved += cost_units;
+        self.svc.stats_ref().on_saved(queries, cost_units);
+        self.emit_obs(|| EventKind::KnowledgeHit {
+            queries,
+            cost_units,
+        });
+    }
+
+    /// Stage 2 — one successful strategy step: budget gates, then
+    /// [`Session::step`], then retry admission and backoff until the step
+    /// succeeds or a typed error ends the pull.
+    fn drive_step(&mut self) -> Result<StrategyStep, RerankError> {
+        // Retries of *this* step; every `Ok` returns, so the next step
+        // starts from zero.
+        let mut retries: u32 = 0;
         loop {
             // Budget gates re-checked before every attempt: a retry must
             // not sneak past a cap that tripped mid-recovery.
             if let Err(e) = self.svc.budget().check(self.svc.server().queries_issued()) {
                 if let RerankError::BudgetExhausted { spent, limit } = e {
-                    self.emit_obs(|| EventKind::BudgetTrip {
-                        scope: BudgetScope::Service,
-                        spent,
-                        limit,
-                    });
+                    self.budget_trip(BudgetScope::Service, spent, limit);
                 }
                 return Err(e);
             }
-            if let Some(limit) = self.budget_limit {
-                if self.spent >= limit {
-                    let spent = self.spent;
-                    self.emit_obs(|| EventKind::BudgetTrip {
-                        scope: BudgetScope::Session,
-                        spent,
-                        limit,
-                    });
-                    return Err(RerankError::BudgetExhausted { spent, limit });
-                }
+            let spent = self.ledger.queries_spent;
+            if let Some(limit) = self.ledger.budget_limit.filter(|&l| spent >= l) {
+                self.budget_trip(BudgetScope::Session, spent, limit);
+                return Err(RerankError::BudgetExhausted { spent, limit });
             }
             let err = match self.step() {
-                Ok(StrategyStep::Emit(tuple)) => {
+                Ok(step) => {
                     // A successful step re-anchors the decorrelated
                     // backoff chain: escalation from an earlier storm
                     // must not inflate sleeps for later, unrelated
                     // failures.
                     self.retry.reset_backoff();
-                    if let Some(r) = &self.residual {
-                        if !r.matches(&tuple) {
-                            // Paid for but filtered client-side: the
-                            // planner relaxed a predicate the site could
-                            // not evaluate, and this tuple fails it. Rank
-                            // order is unaffected — keep pulling.
-                            retries_this_step = 0;
-                            continue;
-                        }
-                    }
-                    if let Some(k) = &mut self.knowledge {
-                        // Post-residual stream index: the cache stores the
-                        // user-visible stream, so residual-filtered tuples
-                        // never count.
-                        let idx = k.strategy_emitted;
-                        k.strategy_emitted += 1;
-                        if let Some(key) = &k.result_key {
-                            k.gate.shard().extend_result(
-                                key,
-                                idx,
-                                Arc::clone(&tuple),
-                                self.rank.score(&tuple).to_bits(),
-                            );
-                        }
-                        if idx < k.skip {
-                            // Already emitted from the replayed prefix;
-                            // the strategy is just catching up (its
-                            // requests hit the response cache, so this
-                            // costs nothing).
-                            retries_this_step = 0;
-                            continue;
-                        }
-                    } else if self.switch_skip > 0 {
-                        // Plane-less mid-flight switch: the replacement
-                        // strategy re-derives the rows the abandoned one
-                        // already emitted; swallow them so the
-                        // user-visible stream stays exact.
-                        self.switch_skip -= 1;
-                        retries_this_step = 0;
-                        continue;
-                    }
-                    self.emitted += 1;
-                    self.svc.stats_ref().on_emit();
-                    return Ok(Some(RankedTuple {
-                        rank: self.emitted,
-                        score: self.rank.score(&tuple),
-                        tuple,
-                    }));
-                }
-                Ok(StrategyStep::Progress) => {
-                    // Partial work (one page fetched): loop to re-check
-                    // the budget gates before paying for more.
-                    self.retry.reset_backoff();
-                    retries_this_step = 0;
-                    continue;
-                }
-                Ok(StrategyStep::Exhausted) => {
-                    if let Some(k) = &self.knowledge {
-                        if let Some(key) = &k.result_key {
-                            // Seal the cache entry: the stream is complete
-                            // at exactly `strategy_emitted` tuples, and the
-                            // whole run cost `spent + saved` (what a future
-                            // full replay deserves credit for).
-                            let items = k.strategy_emitted;
-                            let queries_full = self.spent + self.saved;
-                            let cost_units_full = self.cost_spent + self.cost_saved;
-                            k.gate.shard().mark_result_exhausted(
-                                key,
-                                items,
-                                queries_full,
-                                cost_units_full,
-                            );
-                            self.emit_obs(|| EventKind::KnowledgeSeal {
-                                items: items as u64,
-                                queries_full,
-                                cost_units_full,
-                            });
-                        }
-                    }
-                    return Ok(None);
+                    return Ok(step);
                 }
                 Err(e) => e,
             };
             if !err.is_retryable() || !self.retry.policy().retries_enabled() {
                 return Err(err);
             }
-            let attempts_this_step = retries_this_step + 1;
-            if attempts_this_step >= self.retry.policy().max_attempts {
+            if retries + 1 >= self.retry.policy().max_attempts {
                 return Err(RerankError::RetriesExhausted {
-                    attempts: attempts_this_step,
+                    attempts: retries + 1,
                     last: Box::new(err),
                 });
             }
-            if let Some(limit) = self.retry.session_limit() {
-                if self.retries >= limit {
-                    let spent = self.retries;
-                    self.emit_obs(|| EventKind::BudgetTrip {
-                        scope: BudgetScope::Retry,
-                        spent,
-                        limit,
-                    });
-                    return Err(RerankError::RetryBudgetExhausted {
-                        retries_spent: spent,
-                        limit,
-                        last: Box::new(err),
-                    });
+            // The per-session retry cap, then the service-wide one.
+            let refused = match self.retry.session_limit() {
+                Some(limit) if self.ledger.retries_spent >= limit => {
+                    Err((self.ledger.retries_spent, limit))
                 }
-            }
-            if let Err((spent, limit)) = self.svc.retry_budget().try_spend() {
-                self.emit_obs(|| EventKind::BudgetTrip {
-                    scope: BudgetScope::Retry,
-                    spent,
-                    limit,
-                });
+                _ => self.svc.retry_budget().try_spend(),
+            };
+            if let Err((retries_spent, limit)) = refused {
+                self.budget_trip(BudgetScope::Retry, retries_spent, limit);
                 return Err(RerankError::RetryBudgetExhausted {
-                    retries_spent: spent,
+                    retries_spent,
                     limit,
                     last: Box::new(err),
                 });
             }
-            retries_this_step += 1;
-            self.retries += 1;
+            retries += 1;
+            self.ledger.retries_spent += 1;
             self.svc.stats_ref().on_retry();
             self.emit_obs(|| EventKind::RetryAttempt {
-                retry_index: retries_this_step,
+                retry_index: retries,
             });
-            let delay = self.retry.delay_ms(retries_this_step, &err);
+            let delay = self.retry.delay_ms(retries, &err);
             if delay > 0 {
                 self.emit_obs(|| EventKind::BackoffSleep {
                     ms: delay,
@@ -564,6 +453,71 @@ impl<'a> Session<'a> {
                 self.svc.clock().sleep_ms(delay);
             }
         }
+    }
+
+    fn budget_trip(&self, scope: BudgetScope, spent: u64, limit: u64) {
+        self.emit_obs(|| EventKind::BudgetTrip {
+            scope,
+            spent,
+            limit,
+        });
+    }
+
+    /// Stage 3 — residual → record → skip. `None` means the tuple was paid
+    /// for but is not the user's next answer; rank order is unaffected, so
+    /// the caller just keeps pulling.
+    fn admit(&mut self, tuple: Arc<Tuple>) -> Option<RankedTuple> {
+        // The planner relaxed a predicate the site could not evaluate, and
+        // this tuple fails it client-side.
+        if self.residual.as_ref().is_some_and(|r| !r.matches(&tuple)) {
+            return None;
+        }
+        // Post-residual stream index: the cache stores the user-visible
+        // stream, so residual-filtered tuples never count.
+        let idx = self.derived;
+        self.derived += 1;
+        let score = self.rank.score(&tuple);
+        if let Some((shard, key)) = self.result_stream() {
+            shard.extend_result(key, idx, Arc::clone(&tuple), score.to_bits());
+        }
+        if idx < self.skip {
+            // Already emitted — from the replayed prefix, or by the
+            // strategy a mid-flight switch abandoned; the current strategy
+            // is just catching up (with a plane its requests hit the
+            // response cache, so this costs nothing).
+            return None;
+        }
+        self.ledger.emitted += 1;
+        self.svc.stats_ref().on_emit();
+        Some(RankedTuple {
+            rank: self.ledger.emitted,
+            score,
+            tuple,
+        })
+    }
+
+    /// Stage 4 — the strategy ran dry: seal the cache entry. The stream is
+    /// complete at exactly `derived` tuples, and the whole run cost
+    /// `spent + saved` (what a future full replay deserves credit for).
+    fn seal(&self) {
+        let Some((shard, key)) = self.result_stream() else {
+            return;
+        };
+        let items = self.derived;
+        let queries_full = self.ledger.queries_spent + self.ledger.queries_saved;
+        let cost_units_full = self.ledger.cost_units_spent + self.ledger.cost_units_saved;
+        shard.mark_result_exhausted(key, items, queries_full, cost_units_full);
+        self.emit_obs(|| EventKind::KnowledgeSeal {
+            items: items as u64,
+            queries_full,
+            cost_units_full,
+        });
+    }
+
+    /// Where this session records its exact output stream, if anywhere.
+    fn result_stream(&self) -> Option<(&SourceShard, &ResultKey)> {
+        let k = self.knowledge.as_ref()?;
+        Some((k.gate.shard().as_ref(), k.result_key.as_ref()?))
     }
 
     /// The mid-flight divergence check: when this session's weighted spend
@@ -580,13 +534,13 @@ impl<'a> Session<'a> {
         if ad.switched
             || !ad.cfg.replan
             || ad.alternates.is_empty()
-            || self.emitted >= ad.horizon
-            || self.cost_spent < ad.cfg.min_spend
+            || self.ledger.emitted >= ad.horizon
+            || self.ledger.cost_units_spent < ad.cfg.min_spend
         {
             return;
         }
         let threshold = ad.cfg.divergence_ratio * ad.calibrated.cost_units.max(1) as f64;
-        if self.cost_spent as f64 <= threshold {
+        if self.ledger.cost_units_spent as f64 <= threshold {
             return;
         }
         // Re-rank the alternates under what calibration knows *now* — the
@@ -623,32 +577,26 @@ impl<'a> Session<'a> {
         );
         self.residual = chosen.residual.clone();
         self.class = query_class(&chosen.algorithm);
-        match &mut self.knowledge {
-            Some(k) => {
-                // The switched session's stream no longer matches the
-                // planned strategy's cache key — stop recording (a blended
-                // ledger would poison a future replay's credit), and let
-                // the skip machinery swallow the re-derived prefix. The
-                // response-level gate still serves the replacement's
-                // requests, which is where "without losing paid-for
-                // knowledge" comes from: probes the abandoned strategy
-                // paid for replay free.
-                k.result_key = None;
-                k.strategy_emitted = 0;
-                k.skip = self.emitted;
-            }
-            None => self.switch_skip = self.emitted,
+        // The switched session's stream no longer matches the planned
+        // strategy's cache key — stop recording (a blended ledger would
+        // poison a future replay's credit) and swallow the replacement's
+        // re-derivation of everything already emitted. With a plane the
+        // response-level gate still serves the replacement's requests,
+        // which is where "without losing paid-for knowledge" comes from:
+        // probes the abandoned strategy paid for replay free.
+        if let Some(k) = &mut self.knowledge {
+            k.result_key = None;
         }
-        self.switches += 1;
+        self.derived = 0;
+        self.skip = self.ledger.emitted;
+        self.ledger.strategy_switches += 1;
         self.svc.stats_ref().on_switch();
-        let (at, q, c) = (self.emitted as u64, self.spent, self.cost_spent);
-        let to = self.strategy.name().to_string();
         self.emit_obs(|| EventKind::Replanned {
             from_strategy: from,
-            to_strategy: to,
-            at_emitted: at,
-            queries_spent: q,
-            cost_units_spent: c,
+            to_strategy: self.strategy.name().to_string(),
+            at_emitted: self.ledger.emitted as u64,
+            queries_spent: self.ledger.queries_spent,
+            cost_units_spent: self.ledger.cost_units_spent,
         });
     }
 
@@ -682,11 +630,11 @@ impl<'a> Session<'a> {
             let mut io = StrategyIo::new(server.as_ref(), &mut st);
             self.strategy.next_step(&mut io)
         };
-        self.attempts += 1;
+        self.ledger.attempts_made += 1;
         let dq = server.queries_issued() - before;
         let dc = server.cost_units_issued() - before_cost;
-        self.spent += dq;
-        self.cost_spent += dc;
+        self.ledger.queries_spent += dq;
+        self.ledger.cost_units_spent += dc;
         self.svc.stats_ref().on_spend(dq, dc);
         let (dsq, dsc) = match (&self.knowledge, before_saved) {
             (Some(k), Some((bq, bc))) => {
@@ -695,8 +643,8 @@ impl<'a> Session<'a> {
             _ => (0, 0),
         };
         if dsq > 0 || dsc > 0 {
-            self.saved += dsq;
-            self.cost_saved += dsc;
+            self.ledger.queries_saved += dsq;
+            self.ledger.cost_units_saved += dsc;
             self.svc.stats_ref().on_saved(dsq, dsc);
         }
         drop(st);
@@ -771,7 +719,7 @@ impl<'a> Session<'a> {
 
     /// Tuples emitted so far.
     pub fn emitted(&self) -> usize {
-        self.emitted
+        self.ledger.emitted
     }
 
     /// Queries this session has caused against the database — exact even
@@ -779,7 +727,7 @@ impl<'a> Session<'a> {
     /// around this session's own cursor calls, so interleaved queries from
     /// other sessions are never attributed here.
     pub fn queries_spent(&self) -> u64 {
-        self.spent
+        self.ledger.queries_spent
     }
 
     /// Weighted cost units this session has been charged under the
@@ -787,7 +735,7 @@ impl<'a> Session<'a> {
     /// as [`Session::queries_spent`]. On flat-model sites this equals the
     /// query count.
     pub fn cost_units_spent(&self) -> u64 {
-        self.cost_spent
+        self.ledger.cost_units_spent
     }
 
     /// Queries this session answered from the knowledge plane instead of
@@ -797,34 +745,34 @@ impl<'a> Session<'a> {
     /// `queries_spent + queries_saved` equals what a cold session would
     /// have spent on the same request.
     pub fn queries_saved(&self) -> u64 {
-        self.saved
+        self.ledger.queries_saved
     }
 
     /// Cost units those knowledge hits would have been billed, under the
     /// server's advertised cost model.
     pub fn cost_units_saved(&self) -> u64 {
-        self.cost_saved
+        self.ledger.cost_units_saved
     }
 
     /// This session's query cap, if one was set at build time.
     pub fn budget_limit(&self) -> Option<u64> {
-        self.budget_limit
+        self.ledger.budget_limit
     }
 
     /// Cursor-step attempts made so far, failed attempts included.
     pub fn attempts_made(&self) -> u64 {
-        self.attempts
+        self.ledger.attempts_made
     }
 
     /// Retries spent so far (attempts beyond the first for a given step).
     pub fn retries_spent(&self) -> u64 {
-        self.retries
+        self.ledger.retries_spent
     }
 
     /// Divergence-triggered mid-flight strategy switches (0 or 1). Nonzero
     /// only on services opted into the adaptive planner.
     pub fn strategy_switches(&self) -> u64 {
-        self.switches
+        self.ledger.strategy_switches
     }
 
     /// The strategy currently driving this session — the planned one, or
@@ -837,17 +785,7 @@ impl<'a> Session<'a> {
     /// `(hits, Some(err))`: attempts and spend are counted in-lock per
     /// cursor call, so failed and retried steps are attributed too.
     pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            emitted: self.emitted,
-            queries_spent: self.spent,
-            cost_units_spent: self.cost_spent,
-            queries_saved: self.saved,
-            cost_units_saved: self.cost_saved,
-            attempts_made: self.attempts,
-            retries_spent: self.retries,
-            strategy_switches: self.switches,
-            budget_limit: self.budget_limit,
-        }
+        self.ledger
     }
 }
 
@@ -860,13 +798,17 @@ impl Drop for Session<'_> {
         // (a fully knowledge-replayed run says nothing about the site's
         // prices).
         if let Some(ad) = &self.adaptive {
-            if ad.cfg.calibrate && !ad.switched && self.emitted > 0 && self.spent > 0 {
+            if ad.cfg.calibrate
+                && !ad.switched
+                && self.ledger.emitted > 0
+                && self.ledger.queries_spent > 0
+            {
                 self.svc.calibration().observe_session(
                     &ad.planned_name,
                     ad.predicted,
-                    self.spent,
-                    self.cost_spent,
-                    self.emitted as u64,
+                    self.ledger.queries_spent,
+                    self.ledger.cost_units_spent,
+                    self.ledger.emitted as u64,
                 );
             }
         }
@@ -874,11 +816,11 @@ impl Drop for Session<'_> {
         // need not track running sums; the monitor also unregisters the
         // session ordinal here. One branch and nothing else when disabled.
         self.emit_obs(|| EventKind::SessionClose {
-            emitted: self.emitted as u64,
-            queries_spent: self.spent,
-            cost_units_spent: self.cost_spent,
-            queries_saved: self.saved,
-            cost_units_saved: self.cost_saved,
+            emitted: self.ledger.emitted as u64,
+            queries_spent: self.ledger.queries_spent,
+            cost_units_spent: self.ledger.cost_units_spent,
+            queries_saved: self.ledger.queries_saved,
+            cost_units_saved: self.ledger.cost_units_saved,
         });
     }
 }
@@ -887,15 +829,7 @@ impl std::fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("strategy", &self.strategy.name())
-            .field("emitted", &self.emitted)
-            .field("queries_spent", &self.spent)
-            .field("cost_units_spent", &self.cost_spent)
-            .field("queries_saved", &self.saved)
-            .field("cost_units_saved", &self.cost_saved)
-            .field("attempts_made", &self.attempts)
-            .field("retries_spent", &self.retries)
-            .field("strategy_switches", &self.switches)
-            .field("budget_limit", &self.budget_limit)
+            .field("ledger", &self.ledger)
             .finish()
     }
 }

@@ -1,57 +1,13 @@
 //! Service-level counters.
 //!
-//! The hot counters are **striped**: each logical counter is a small array
-//! of cache-line-padded atomic cells, and every thread picks one cell
-//! (round-robin at first touch) for all its increments. `serve_batch`
-//! workers on different cores therefore stop bouncing one cache line per
-//! bookkeeping call — the classic false-sharing fix — while reads simply
-//! sum the cells. Totals are exact (every increment lands in exactly one
-//! cell); only the read is a racy-but-monotonic snapshot, which it already
-//! was with a single atomic.
+//! The hot counters are [`StripedU64`]s — the lock-striped cell `qrs-obs`
+//! defines for its metrics plane — so `serve_batch` workers on different
+//! cores do not bounce one cache line per bookkeeping call. Totals are
+//! exact (every increment lands in exactly one cell); only the read is a
+//! racy-but-monotonic snapshot, which it already was with a single atomic.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// Number of cells per striped counter. A small power of two is enough:
-/// the executor defaults to one worker per core and threads spread
-/// round-robin, so contention drops ~linearly with cells.
-const STRIPES: usize = 8;
-
-/// One cache line worth of counter: the alignment keeps two cells from
-/// ever sharing a line, which is the whole point of striping.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedCell(AtomicU64);
-
-/// Round-robin assignment of threads to stripe slots, fixed at a thread's
-/// first increment.
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
-}
-
-/// A monotonic counter sharded across padded cells. Lock-free, exact under
-/// concurrency, contention-free across threads in different slots.
-#[derive(Debug, Default)]
-struct StripedU64 {
-    cells: [PaddedCell; STRIPES],
-}
-
-impl StripedU64 {
-    #[inline]
-    fn add(&self, v: u64) {
-        STRIPE.with(|s| self.cells[*s].0.fetch_add(v, Ordering::Relaxed));
-    }
-
-    #[inline]
-    fn incr(&self) {
-        self.add(1);
-    }
-
-    fn sum(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
-    }
-}
+use qrs_obs::StripedU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic counters describing service activity. All methods are lock-free
 /// and safe to call from concurrent sessions; the hot ones are striped (see
@@ -172,7 +128,6 @@ impl ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn counters_accumulate() {
@@ -203,35 +158,5 @@ mod tests {
         assert_eq!(snap.batches_served, 1);
         assert_eq!(snap.requests_served, 2);
         assert_eq!(snap.requests_cancelled, 1);
-    }
-
-    #[test]
-    fn striped_totals_are_exact_across_threads() {
-        let s = Arc::new(ServiceStats::default());
-        let handles: Vec<_> = (0..16)
-            .map(|_| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        s.on_spend(1, 2);
-                        s.on_emit();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let snap = s.snapshot();
-        assert_eq!(snap.queries_spent, 16_000);
-        assert_eq!(snap.cost_units_spent, 32_000);
-        assert_eq!(snap.tuples_emitted, 16_000);
-    }
-
-    #[test]
-    fn padded_cells_do_not_share_cache_lines() {
-        // The de-contention argument rests on cell alignment; pin it.
-        assert_eq!(std::mem::align_of::<PaddedCell>(), 64);
-        assert!(std::mem::size_of::<StripedU64>() >= STRIPES * 64);
     }
 }

@@ -114,9 +114,15 @@ fn pull(session: &mut Session<'_>, h: usize) -> Vec<(u32, u64)> {
 #[test]
 fn warm_streams_and_ledgers_match_cold_exactly() {
     let mut rng = StdRng::seed_from_u64(seeded(0x6B01));
-    for case in 0..CASES {
+    for case in 0..=CASES {
         let site = Site::random(&mut rng);
-        let (sel, rank) = random_request(&mut rng);
+        let (mut sel, rank) = random_request(&mut rng);
+        if case == CASES {
+            // One more input: a sliver of the domain no tuple falls in, so
+            // the sealed stream the second session replays is empty (and
+            // the sealing run had to pay to learn that).
+            sel = Query::all().and_range(AttrId(0), Interval::closed(0.123456789, 0.123456790));
+        }
         let h = site.data.len() + 1; // to exhaustion
 
         // Cold: no plane at all.
@@ -158,7 +164,23 @@ fn warm_streams_and_ledgers_match_cold_exactly() {
             .session(sel.clone(), Arc::clone(&rank))
             .open()
             .unwrap();
-        let warm2_stream = pull(&mut warm2, h);
+        // Pull exactly the sealed stream's length — the terminating `None`
+        // is still owed. The credit lands with the last replayed tuple (a
+        // caller that stops at `top(h)` never sees the `None`), or, for an
+        // empty stream, with the first `None`.
+        let mut warm2_stream = pull(&mut warm2, cold_stream.len());
+        if cold_stream.is_empty() {
+            assert!(cold_spent.0 > 0, "proving emptiness costs the sealing run");
+            assert!(warm2.next().unwrap().is_none());
+        }
+        assert_eq!(
+            (warm2.queries_saved(), warm2.cost_units_saved()),
+            cold_spent,
+            "case {case}: the credit must land with the last replayed tuple"
+        );
+        // ...and exactly once: the `None`s after it add nothing.
+        warm2_stream.extend(pull(&mut warm2, h));
+        assert!(warm2.next().unwrap().is_none());
         assert_eq!(
             warm2_stream, cold_stream,
             "case {case}: replayed stream diverged"
