@@ -21,7 +21,7 @@
 use crate::Scale;
 use qrs_ranking::{LinearRank, RankFn};
 use qrs_server::{SearchInterface, SiteProfile, SystemRank};
-use qrs_service::{Algorithm, RerankService};
+use qrs_service::RerankService;
 use qrs_types::{AttrId, Interval, Query, RerankError};
 use std::sync::Arc;
 
@@ -38,8 +38,8 @@ pub enum CellOutcome {
     /// The planner chose `algorithm`; the run was verified exact against
     /// the dense oracle at cost `queries_spent`.
     Planned {
-        /// Planner-chosen algorithm label.
-        algorithm: &'static str,
+        /// Planner-chosen strategy, by the name its plan row carries.
+        algorithm: String,
         /// Queries charged to the session.
         queries_spent: u64,
         /// Whether the planner relaxed predicates server-side.
@@ -113,19 +113,6 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
-fn algorithm_label(a: &Algorithm) -> &'static str {
-    use qrs_core::strategy::names;
-    match a {
-        Algorithm::Auto => names::AUTO,
-        Algorithm::OneD(_) => names::ONE_D,
-        Algorithm::Md(_) => names::MD,
-        Algorithm::Ta(qrs_core::md::ta::SortedAccess::PublicOrderBy) => names::TA_ORDER_BY,
-        Algorithm::Ta(qrs_core::md::ta::SortedAccess::OneD(_)) => names::TA_OVER_1D,
-        Algorithm::PageDown { .. } => names::PAGE_DOWN,
-        Algorithm::Custom => names::CUSTOM,
-    }
-}
-
 /// Run one cell: plan, execute, verify against the oracle.
 fn run_cell(p: &Params, profile: &SiteProfile, n: usize, w: &Workload) -> MatrixCell {
     let seed = 9_000 + n as u64;
@@ -166,16 +153,14 @@ fn run_cell(p: &Params, profile: &SiteProfile, n: usize, w: &Workload) -> Matrix
     assert!(
         exact,
         "planner-chosen {} must be exact on {}/{} (got {got:?}, want {truth:?})",
-        algorithm_label(&plan.algorithm),
-        profile.name,
-        w.name
+        plan.candidates[0].name, profile.name, w.name
     );
     MatrixCell {
         profile: profile.name,
         n,
         workload: w.name,
         outcome: CellOutcome::Planned {
-            algorithm: algorithm_label(&plan.algorithm),
+            algorithm: plan.candidates[0].name.clone(),
             queries_spent: session.queries_spent(),
             relaxed: plan.residual.is_some(),
             exact,
@@ -256,7 +241,7 @@ mod tests {
         let planned: Vec<_> = cells
             .iter()
             .filter_map(|c| match &c.outcome {
-                CellOutcome::Planned { algorithm, .. } => Some(*algorithm),
+                CellOutcome::Planned { algorithm, .. } => Some(algorithm.as_str()),
                 CellOutcome::Unplannable { .. } => None,
             })
             .collect();

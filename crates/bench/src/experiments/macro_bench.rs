@@ -128,13 +128,18 @@ fn json_row(row: &MacroRow) -> String {
             o.queries_saved,
             o.wall_ms,
         ),
-        None => format!(
-            "    {{\"profile\":\"{}\",\"workload\":\"{}\",\"unplannable\":true,\
-             \"reason\":{:?}}}",
-            row.profile,
-            row.workload,
-            row.unplannable_reason.as_deref().unwrap_or("unknown"),
-        ),
+        None => {
+            // The reason is free text (capability display strings): JSON
+            // escaping, not Rust `Debug` escaping (`\u{1f}` is not JSON).
+            let mut reason = String::new();
+            let why = row.unplannable_reason.as_deref().unwrap_or("unknown");
+            qrs_obs::escape_json_into(&mut reason, why);
+            format!(
+                "    {{\"profile\":\"{}\",\"workload\":\"{}\",\"unplannable\":true,\
+                 \"reason\":\"{reason}\"}}",
+                row.profile, row.workload,
+            )
+        }
     }
 }
 

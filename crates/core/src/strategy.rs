@@ -27,6 +27,14 @@
 //! The planner ranks feasible candidates by these estimates — prediction
 //! and billing share the site's price list, so the comparison is in the
 //! currency the ledger will actually charge.
+//!
+//! Two more questions are answered by the object itself, with defaults a
+//! custom strategy may leave alone: which request class it issues
+//! ([`RerankStrategy::request_kind`], the bucket its charges are filed
+//! under) and whether it addresses tuples by rank position
+//! ([`RerankStrategy::positional`], the hazard maintained sessions re-drive
+//! around). The driver asks the object it is running, so the answer is
+//! still right after a mid-flight strategy switch.
 
 use crate::baselines::PageDownCursor;
 use crate::ctx::SharedState;
@@ -57,10 +65,6 @@ pub mod names {
     pub const TA_OVER_1D: &str = "ta-over-1d";
     /// The strict page-down drain.
     pub const PAGE_DOWN: &str = "page-down";
-    /// A user-registered custom strategy object.
-    pub const CUSTOM: &str = "custom";
-    /// Automatic (planner) choice — not a runnable strategy itself.
-    pub const AUTO: &str = "auto";
 }
 
 /// What one [`RerankStrategy::next_step`] call produced.
@@ -290,6 +294,23 @@ pub trait RerankStrategy: Send {
 
     /// Advance the state machine by one bounded step.
     fn next_step(&mut self, io: &mut StrategyIo<'_>) -> Result<StrategyStep, RerankError>;
+
+    /// The one request class this strategy issues against the site — the
+    /// bucket its charges land in on the metrics plane. `None` (the
+    /// default) means a mix the driver cannot attribute to one class.
+    fn request_kind(&self) -> Option<RequestKind> {
+        None
+    }
+
+    /// Whether this strategy addresses tuples by rank *position*
+    /// (sorted-access depth, page number) rather than by value. Every
+    /// mutation of the hidden database shifts positions, so a positional
+    /// strategy's pre-mutation state can skip or duplicate tuples it never
+    /// saw change; maintained sessions re-drive it instead of pulling from
+    /// it across a data change. Default `false`: value-addressed.
+    fn positional(&self) -> bool {
+        false
+    }
 }
 
 fn step_from(t: Option<Arc<Tuple>>) -> StrategyStep {
@@ -362,6 +383,10 @@ impl RerankStrategy for OneDCursorStrategy {
         let (server, st) = io.raw();
         self.cursor.next(server, st).map(step_from)
     }
+
+    fn request_kind(&self) -> Option<RequestKind> {
+        Some(RequestKind::TopK)
+    }
 }
 
 /// The §4 MD box-partitioning cursor ([`MdCursor`]) as a strategy object.
@@ -406,6 +431,10 @@ impl RerankStrategy for MdCursorStrategy {
     fn next_step(&mut self, io: &mut StrategyIo<'_>) -> Result<StrategyStep, RerankError> {
         let (server, st) = io.raw();
         self.cursor.next(server, st).map(step_from)
+    }
+
+    fn request_kind(&self) -> Option<RequestKind> {
+        Some(RequestKind::TopK)
     }
 }
 
@@ -497,6 +526,21 @@ impl RerankStrategy for TaCursorStrategy {
         let (server, st) = io.raw();
         self.cursor.next(server, st).map(step_from)
     }
+
+    /// `ORDER BY` pages under public sorted access; under 1D-RERANK sorted
+    /// access the server only ever sees range-filtered top-`k` probes.
+    fn request_kind(&self) -> Option<RequestKind> {
+        Some(if self.public {
+            RequestKind::Ordered
+        } else {
+            RequestKind::TopK
+        })
+    }
+
+    /// Either way the streams are consumed by sorted-access depth.
+    fn positional(&self) -> bool {
+        true
+    }
 }
 
 /// The strict page-down fallback ([`PageDownCursor`]) as a strategy
@@ -547,6 +591,14 @@ impl RerankStrategy for PageDownStrategy {
                 .fetch_next_page(server, st)
                 .map(|_| StrategyStep::Progress)
         }
+    }
+
+    fn request_kind(&self) -> Option<RequestKind> {
+        Some(RequestKind::Page)
+    }
+
+    fn positional(&self) -> bool {
+        true
     }
 }
 

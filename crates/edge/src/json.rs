@@ -2,7 +2,8 @@
 //! deterministic encoder.
 //!
 //! The workspace carries no serde (the build environment is offline), so
-//! the wire layer hand-rolls the little JSON it needs. Two properties
+//! the wire layer hand-rolls the little JSON it needs (string escaping is
+//! the workspace's one escaper, [`qrs_obs::escape_json_into`]). Two properties
 //! matter more than generality:
 //!
 //! * **round-trip exactness for `f64`** — numbers encode via Rust's `{}`
@@ -16,6 +17,7 @@
 //! Non-finite numbers have no JSON spelling; the encoder writes `null` and
 //! the domain layer (`crate::wire`) keeps them out of the protocol.
 
+use qrs_obs::escape_json_into;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -139,7 +141,7 @@ impl Json {
             }
             Json::Str(s) => {
                 out.push('"');
-                escape_into(out, s);
+                escape_json_into(out, s);
                 out.push('"');
             }
             Json::Arr(items) => {
@@ -159,28 +161,12 @@ impl Json {
                         out.push(',');
                     }
                     out.push('"');
-                    escape_into(out, k);
+                    escape_json_into(out, k);
                     out.push_str("\":");
                     v.encode_into(out);
                 }
                 out.push('}');
             }
-        }
-    }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
         }
     }
 }

@@ -18,9 +18,6 @@
 //!   `std::thread::scope`: tasks may borrow from the enclosing frame
 //!   (including disjoint `&mut`s), and the scope does not return until
 //!   every spawned task finished — even when the closure panics.
-//! * [`channel::bounded`] — a bounded MPMC channel (blocking `send`/`recv`
-//!   plus `try_` variants) with disconnect semantics on both sides, for
-//!   pipelines that must exert backpressure on producers.
 //! * [`CancelToken`] — cooperative, hierarchical cancellation: cancelling
 //!   a parent cancels every child token, never the reverse.
 //!
@@ -29,9 +26,7 @@
 //! the property the equivalence tests in the service layer are built on.
 
 pub mod cancel;
-pub mod channel;
 pub mod executor;
 
 pub use cancel::CancelToken;
-pub use channel::{bounded, Receiver, RecvError, SendError, Sender, TryRecvError, TrySendError};
 pub use executor::{Executor, Scope, TaskHandle};

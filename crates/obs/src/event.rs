@@ -285,10 +285,13 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars) —
-/// site and strategy names are plain identifiers in practice, but the
-/// exporter must never emit malformed lines.
-fn escape_into(out: &mut String, s: &str) {
+/// Append `s` to `out` escaped as the *contents* of a JSON string (quotes,
+/// backslashes, control chars; the caller writes the surrounding `"`).
+/// Site and strategy names are plain identifiers in practice, but nothing
+/// that writes JSON by hand — this crate's exporter, the edge's codec, the
+/// bench's rows — may ever emit a malformed line, so all of them call this
+/// one.
+pub fn escape_json_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -314,7 +317,7 @@ impl Event {
         s.push_str("{\"at_ms\":");
         s.push_str(&self.at_ms.to_string());
         s.push_str(",\"site\":\"");
-        escape_into(&mut s, &self.site);
+        escape_json_into(&mut s, &self.site);
         s.push_str("\",\"session\":");
         s.push_str(&self.session.to_string());
         s.push_str(",\"event\":\"");
@@ -329,7 +332,7 @@ impl Event {
         match &self.kind {
             EventKind::SessionOpen { strategy } => {
                 s.push_str(",\"strategy\":\"");
-                escape_into(&mut s, strategy);
+                escape_json_into(&mut s, strategy);
                 s.push('"');
             }
             EventKind::PlanChosen {
@@ -340,7 +343,7 @@ impl Event {
                 calibrated_cost_units,
             } => {
                 s.push_str(",\"strategy\":\"");
-                escape_into(&mut s, strategy);
+                escape_json_into(&mut s, strategy);
                 s.push('"');
                 field_u64(&mut s, "predicted_queries", *predicted_queries);
                 field_u64(&mut s, "predicted_cost_units", *predicted_cost_units);
@@ -355,9 +358,9 @@ impl Event {
                 cost_units_spent,
             } => {
                 s.push_str(",\"from_strategy\":\"");
-                escape_into(&mut s, from_strategy);
+                escape_json_into(&mut s, from_strategy);
                 s.push_str("\",\"to_strategy\":\"");
-                escape_into(&mut s, to_strategy);
+                escape_json_into(&mut s, to_strategy);
                 s.push('"');
                 field_u64(&mut s, "at_emitted", *at_emitted);
                 field_u64(&mut s, "queries_spent", *queries_spent);
@@ -455,7 +458,7 @@ impl Event {
             }
             EventKind::EdgeRejected { reason } => {
                 s.push_str(",\"reason\":\"");
-                escape_into(&mut s, reason);
+                escape_json_into(&mut s, reason);
                 s.push('"');
             }
         }

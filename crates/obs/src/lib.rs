@@ -40,7 +40,7 @@ mod metrics;
 mod monitor;
 mod recorder;
 
-pub use event::{BudgetScope, Event, EventKind, QueryClass};
+pub use event::{escape_json_into, BudgetScope, Event, EventKind, QueryClass};
 pub use export::JsonLinesExporter;
 pub use handle::{ObsBuilder, ObsHandle};
 pub use metrics::{

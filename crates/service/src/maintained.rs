@@ -23,13 +23,16 @@
 //! argument and force a full re-drive instead: the server compacted its
 //! delta log past our watermark ([`qrs_types::MutationLog::gap`] — replay
 //! is incomplete), or the strategy is *positional*
-//! ([`Algorithm::Ta`]/[`Algorithm::PageDown`] page by rank position, which
-//! every mutation shifts) and the repair needs live pulls. Re-drives open a
+//! ([`qrs_core::RerankStrategy::positional`]: TA and page-down page by rank
+//! position, which every mutation shifts) and the repair needs live pulls.
+//! The hazard is read from the strategy the inner session is running at
+//! each refresh — not from the plan it was opened with — so it stays right
+//! after a mid-flight switch or a re-drive that re-planned. Re-drives open a
 //! fresh session — [`crate::SessionBuilder::open`] re-syncs the knowledge
 //! plane and the shared state, so the new drive answers against the new
 //! snapshot by construction.
 
-use crate::service::{Algorithm, RerankService, SessionSpec};
+use crate::service::{RerankService, SessionSpec};
 use crate::session::{RankedTuple, Session};
 use qrs_ranking::RankFn;
 use qrs_types::value::cmp_f64;
@@ -82,9 +85,6 @@ pub struct MaintainedSession<'a> {
     /// The settings every inner session (the initial drive and each full
     /// re-drive) is opened with.
     spec: SessionSpec,
-    /// The concrete algorithm the initial plan resolved to — drives the
-    /// positional-hazard classification.
-    concrete: Algorithm,
     horizon: usize,
     session: Session<'a>,
     /// One-slot lookahead: the next live emission, pulled but not yet
@@ -114,7 +114,6 @@ impl<'a> MaintainedSession<'a> {
         sel: Query,
         rank: Arc<dyn RankFn>,
         spec: SessionSpec,
-        concrete: Algorithm,
         horizon: usize,
     ) -> Result<Self, RerankError> {
         // Read the watermark *before* the initial drive: a mutation landing
@@ -129,7 +128,6 @@ impl<'a> MaintainedSession<'a> {
             sel,
             rank,
             spec,
-            concrete,
             horizon,
             session,
             peeked: None,
@@ -144,14 +142,6 @@ impl<'a> MaintainedSession<'a> {
         };
         s.refill()?;
         Ok(s)
-    }
-
-    /// Positional strategies address tuples by rank position (sorted-access
-    /// depth, page number), which every mutation shifts — their untouched
-    /// emissions can skip or duplicate under data change, so the
-    /// suppressed-overlay argument does not cover them.
-    fn positional(&self) -> bool {
-        matches!(self.concrete, Algorithm::Ta(_) | Algorithm::PageDown { .. })
     }
 
     /// Apply one delta to the overlay. Idempotent: re-applying a delta the
@@ -284,20 +274,23 @@ impl<'a> MaintainedSession<'a> {
             self.absorb(&m.kind);
         }
         self.watermark = log.max_seq().expect("deltas is non-empty");
-        if self.positional() && self.result.len() < self.horizon && !self.live_exhausted {
+        // Positional strategies address tuples by rank position, which
+        // every mutation shifts — their untouched emissions can skip or
+        // duplicate under data change, so the suppressed-overlay argument
+        // does not cover them: when the repair needs live pulls, re-drive
+        // instead. Ask the strategy running *now*.
+        let redrove =
+            self.session.positional() && self.result.len() < self.horizon && !self.live_exhausted;
+        let replacement_pulls = if redrove {
             self.redrive()?;
-            return Ok(RefreshOutcome {
-                applied,
-                replacement_pulls: 0,
-                redrove: true,
-                queries_spent: self.queries_spent() - spent_before,
-            });
-        }
-        let replacement_pulls = self.refill()?;
+            0
+        } else {
+            self.refill()?
+        };
         Ok(RefreshOutcome {
             applied,
             replacement_pulls,
-            redrove: false,
+            redrove,
             queries_spent: self.queries_spent() - spent_before,
         })
     }

@@ -42,7 +42,7 @@ use crate::service::Algorithm;
 use qrs_core::md::ta::SortedAccess;
 use qrs_core::strategy::{
     names, CostEstimate, MdCursorStrategy, OneDCursorStrategy, PageDownStrategy, PlanContext,
-    TaCursorStrategy,
+    RerankStrategy, TaCursorStrategy,
 };
 use qrs_core::{MdOptions, OneDStrategy, TiePolicy};
 use qrs_ranking::RankFn;
@@ -130,22 +130,23 @@ impl Plan {
     }
 
     /// The single-candidate plan of a session that bypasses the planner (an
-    /// explicit algorithm choice or a registered custom strategy): the full
-    /// selection goes server-side, nothing is relaxed, and calibration has
-    /// no say.
+    /// explicit algorithm choice or a registered custom strategy), written
+    /// by asking the strategy object it will drive: its own name, its own
+    /// estimate in `ctx`. The full selection (`ctx.server_query`) goes
+    /// server-side, nothing is relaxed, and calibration has no say.
     pub(crate) fn single(
-        name: &str,
         algorithm: Algorithm,
-        estimate: CostEstimate,
-        sel: &Query,
+        strategy: &dyn RerankStrategy,
+        ctx: PlanContext,
         rationale: String,
     ) -> Plan {
+        let estimate = strategy.estimate(&ctx);
         let only = RankedCandidate {
-            name: name.to_string(),
+            name: strategy.name().to_string(),
             algorithm,
             estimate,
             calibrated: estimate,
-            server_query: sel.clone(),
+            server_query: ctx.server_query,
             residual: None,
             relaxed: false,
         };
@@ -263,9 +264,16 @@ impl Planner {
         self.n_estimate.div_ceil(self.k)
     }
 
+    /// Tuples the caller expects to pull: the horizon estimates are priced
+    /// at, and the point past which overspending is no longer divergence.
+    pub(crate) fn horizon(&self) -> usize {
+        self.horizon
+    }
+
     /// The [`PlanContext`] cost estimates run in, for the given (possibly
-    /// relaxed) server-side query shape.
-    fn plan_context(&self, server_query: Query, rank_attrs: Vec<AttrId>) -> PlanContext {
+    /// relaxed) server-side query shape — the planner's own candidates and
+    /// the objects of sessions that bypass it are priced in the same one.
+    pub(crate) fn plan_context(&self, server_query: Query, rank_attrs: Vec<AttrId>) -> PlanContext {
         PlanContext {
             caps: self.caps.clone(),
             schema: Arc::clone(&self.schema),
@@ -274,25 +282,6 @@ impl Planner {
             horizon: self.horizon,
             server_query,
             rank_attrs,
-        }
-    }
-
-    /// Predicted spend of running `algo` in `ctx` — the built-in
-    /// strategies' own estimators, the same ones
-    /// [`qrs_core::RerankStrategy::estimate`] exposes on the constructed
-    /// objects.
-    pub(crate) fn estimate_for(algo: &Algorithm, ctx: &PlanContext) -> CostEstimate {
-        match algo {
-            Algorithm::OneD(_) => OneDCursorStrategy::estimate_in(ctx),
-            Algorithm::Md(_) => MdCursorStrategy::estimate_in(ctx),
-            Algorithm::Ta(access) => TaCursorStrategy::estimate_with_access(
-                ctx,
-                matches!(access, SortedAccess::PublicOrderBy),
-            ),
-            Algorithm::PageDown { .. } => PageDownStrategy::estimate_in(ctx),
-            Algorithm::Auto | Algorithm::Custom => {
-                unreachable!("estimate_for is only called on concrete built-in algorithms")
-            }
         }
     }
 
@@ -318,7 +307,7 @@ impl Planner {
             match self.try_candidate(&candidate, sel) {
                 Ok((server_query, residual)) => {
                     let ctx = self.plan_context(server_query.clone(), rank.attrs().to_vec());
-                    let estimate = Self::estimate_for(&candidate.algorithm, &ctx);
+                    let estimate = (candidate.estimate)(&ctx);
                     let calibrated = match &self.calibration {
                         Some(store) => store.calibrate(candidate.name, estimate),
                         None => estimate,
@@ -415,8 +404,11 @@ impl Planner {
             out.push(Candidate {
                 name: names::ONE_D,
                 algorithm: Algorithm::OneD(OneDStrategy::Rerank),
+                estimate: OneDCursorStrategy::estimate_in,
                 constrained,
                 order_by: Vec::new(),
+                paging: false,
+                drains: false,
             });
         } else {
             // The MD cursor box-partitions the ranking space and, for
@@ -425,23 +417,35 @@ impl Planner {
             out.push(Candidate {
                 name: names::MD,
                 algorithm: Algorithm::Md(MdOptions::rerank()),
+                estimate: MdCursorStrategy::estimate_in,
                 constrained: all_attrs,
                 order_by: Vec::new(),
+                paging: false,
+                drains: false,
             });
         }
+        // TA pages via public ORDER BY, which the depth cap also governs
+        // (the `paging` flag itself does not: ORDER BY paging is a separate
+        // site feature).
         out.push(Candidate {
             name: names::TA_ORDER_BY,
             algorithm: Algorithm::Ta(SortedAccess::PublicOrderBy),
+            estimate: TaCursorStrategy::estimate_in,
             constrained: BTreeSet::new(),
             order_by: rank_attrs,
+            paging: false,
+            drains: true,
         });
         out.push(Candidate {
             name: names::PAGE_DOWN,
             algorithm: Algorithm::PageDown {
                 max_pages: self.caps.max_pages.unwrap_or(usize::MAX),
             },
+            estimate: PageDownStrategy::estimate_in,
             constrained: BTreeSet::new(),
             order_by: Vec::new(),
+            paging: true,
+            drains: true,
         });
         out
     }
@@ -460,25 +464,11 @@ impl Planner {
         // Paging-driven candidates (TA streams, page-down) must be able to
         // drain a worst-case result within the advertised page depth —
         // otherwise they would fail (typed, but mid-stream) or go inexact.
-        match c.algorithm {
-            Algorithm::PageDown { .. } => {
-                let depth = self.depth_to_drain();
-                if !self.caps.paging {
-                    missing.push(Capability::Paging);
-                } else if !self.caps.supports(Capability::PageDepth(depth)) {
-                    missing.push(Capability::PageDepth(depth));
-                }
-            }
-            Algorithm::Ta(_) => {
-                // TA pages via public ORDER BY, which the depth cap also
-                // governs (the `paging` flag itself does not: ORDER BY
-                // paging is a separate site feature).
-                let depth = self.depth_to_drain();
-                if self.caps.max_pages.is_some_and(|m| depth > m) {
-                    missing.push(Capability::PageDepth(depth));
-                }
-            }
-            _ => {}
+        let depth = self.depth_to_drain();
+        if c.paging && !self.caps.paging {
+            missing.push(Capability::Paging);
+        } else if c.drains && self.caps.max_pages.is_some_and(|m| depth > m) {
+            missing.push(Capability::PageDepth(depth));
         }
         for &a in &c.order_by {
             if !self.caps.supports(Capability::OrderBy(a)) {
@@ -571,10 +561,19 @@ impl Planner {
 struct Candidate {
     name: &'static str,
     algorithm: Algorithm,
+    /// The family's plan-time cost heuristic — the one
+    /// [`qrs_core::RerankStrategy::estimate`] answers with on the
+    /// constructed object.
+    estimate: fn(&PlanContext) -> CostEstimate,
     /// Ordinal attributes the cursor itself will put predicates on.
     constrained: BTreeSet<AttrId>,
     /// Attributes that must be publicly `ORDER BY`-able.
     order_by: Vec<AttrId>,
+    /// Turns pages of the *system* ranking, so the site must page at all.
+    paging: bool,
+    /// Pages to the end of a worst-case result, so the advertised page
+    /// depth must cover [`Planner::depth_to_drain`].
+    drains: bool,
 }
 
 /// Rebuild `q` without its range predicate on `attr`.

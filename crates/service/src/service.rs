@@ -23,7 +23,7 @@ use qrs_core::{
     KnowledgeGate, MdOptions, OneDSpec, OneDStrategy, RerankParams, SharedState, TiePolicy,
 };
 use qrs_knowledge::{query_key, KnowledgePlane, ResultKey};
-use qrs_obs::{EventKind, MonitorReport, ObsHandle, QueryClass};
+use qrs_obs::{EventKind, MonitorReport, ObsHandle};
 use qrs_ranking::RankFn;
 use qrs_server::{Clock, SearchInterface, SystemClock};
 use qrs_types::{AdaptiveConfig, Capability, Query, RerankError, RetryPolicy};
@@ -343,19 +343,14 @@ impl RerankService {
             self.server.capabilities(),
             Arc::clone(self.server.schema()),
             self.server.k(),
-            self.n_estimate(),
+            // The size estimate the service was built with.
+            self.state.lock().params.n as usize,
         );
         if self.adaptive.calibrate {
             planner.with_calibration(Arc::clone(&self.calibration))
         } else {
             planner
         }
-    }
-
-    /// The database-size estimate the service was built with (drives the
-    /// planner's drain proofs and cost estimates).
-    pub(crate) fn n_estimate(&self) -> usize {
-        self.state.lock().params.n as usize
     }
 
     /// The service-wide query budget — inspect spend or open a new
@@ -580,19 +575,13 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// The cost-estimation context for this request: the server's
-    /// advertised site model, the service's size estimate, a one-page
-    /// horizon.
-    fn plan_context(&self) -> qrs_core::strategy::PlanContext {
-        let server = self.svc.server();
-        qrs_core::strategy::PlanContext {
-            caps: server.capabilities(),
-            schema: Arc::clone(server.schema()),
-            k: server.k(),
-            n_estimate: self.svc.n_estimate(),
-            horizon: self.spec.horizon.unwrap_or(server.k()).max(1),
-            server_query: self.sel.clone(),
-            rank_attrs: self.rank.attrs().to_vec(),
+    /// The service's planner at this request's horizon (one page, `k`,
+    /// unless [`SessionBuilder::horizon`] stated another).
+    fn planner(&self) -> Planner {
+        let planner = self.svc.planner();
+        match self.spec.horizon {
+            Some(h) => planner.with_horizon(h),
+            None => planner,
         }
     }
 
@@ -609,42 +598,46 @@ impl<'a> SessionBuilder<'a> {
     /// [`SessionBuilder::strategy`] reports [`Algorithm::Custom`] with the
     /// strategy's own estimate.
     pub fn plan(&self) -> Result<Plan, RerankError> {
+        Ok(self.resolve(&self.planner())?.0)
+    }
+
+    /// Behind [`SessionBuilder::plan`] and [`SessionBuilder::open`]: the
+    /// plan, and the strategy object when one had to be built to write it
+    /// (`open` then drives that very object).
+    ///
+    /// A session that bypasses the planner — an explicit algorithm or a
+    /// registered custom strategy — is planned by asking its object: the
+    /// name and estimate in the plan are the running strategy's own.
+    fn resolve(
+        &self,
+        planner: &Planner,
+    ) -> Result<(Plan, Option<Box<dyn RerankStrategy>>), RerankError> {
         // NaN range endpoints poison every comparison downstream (a
         // predicate that matches nothing, region arithmetic that never
         // converges) — refuse them here, typed, before anything is spent.
         self.sel.validate()?;
+        let ctx = || planner.plan_context(self.sel.clone(), self.rank.attrs().to_vec());
         if let Some(custom) = &self.custom {
-            return Ok(Plan::single(
-                custom.name(),
-                Algorithm::Custom,
-                custom.estimate(&self.plan_context()),
-                &self.sel,
-                format!(
-                    "user-registered strategy `{}`: planner bypassed, the caller \
-                     takes responsibility for exactness",
-                    custom.name()
-                ),
-            ));
+            let why = format!(
+                "user-registered strategy `{}`: planner bypassed, the caller \
+                 takes responsibility for exactness",
+                custom.name()
+            );
+            let plan = Plan::single(Algorithm::Custom, custom.as_ref(), ctx(), why);
+            return Ok((plan, None));
         }
         match self.spec.algo {
             Algorithm::Auto => {
-                let mut planner = self.svc.planner();
-                if let Some(h) = self.spec.horizon {
-                    planner = planner.with_horizon(h);
-                }
-                planner.plan(&self.sel, self.rank.as_ref(), self.spec.tie)
+                let plan = planner.plan(&self.sel, self.rank.as_ref(), self.spec.tie)?;
+                Ok((plan, None))
             }
             explicit => {
                 self.preflight(explicit)?;
-                Ok(Plan::single(
-                    algorithm_name(&explicit),
-                    explicit,
-                    Planner::estimate_for(&explicit, &self.plan_context()),
-                    &self.sel,
-                    "explicit algorithm choice: planner bypassed, the caller \
-                     takes responsibility; hard requirements preflighted"
-                        .to_string(),
-                ))
+                let built = self.build_strategy(explicit, self.sel.clone());
+                let why = "explicit algorithm choice: planner bypassed, the caller \
+                           takes responsibility; hard requirements preflighted";
+                let plan = Plan::single(explicit, built.as_ref(), ctx(), why.to_string());
+                Ok((plan, Some(built)))
             }
         }
     }
@@ -680,16 +673,11 @@ impl<'a> SessionBuilder<'a> {
         Ok(())
     }
 
-    /// Construct the strategy object the session will drive, from a plan's
-    /// algorithm and (possibly relaxed) server-side query.
-    fn build_strategy(&self, plan: &Plan) -> Box<dyn RerankStrategy> {
-        build_strategy_for(
-            self.svc,
-            Arc::clone(&self.rank),
-            self.spec.tie,
-            &plan.algorithm,
-            plan.server_query.clone(),
-        )
+    /// Construct the strategy object driving `algorithm` over `sel`, the
+    /// (possibly relaxed) server-side query.
+    fn build_strategy(&self, algorithm: Algorithm, sel: Query) -> Box<dyn RerankStrategy> {
+        let rank = Arc::clone(&self.rank);
+        build_strategy_for(self.svc, rank, self.spec.tie, algorithm, sel)
     }
 
     /// Validate the request and open the session.
@@ -718,14 +706,16 @@ impl<'a> SessionBuilder<'a> {
         // the knowledge gate below re-syncs its shard's watermark so sealed
         // result streams recorded before a data change can never replay.
         self.svc.sync_state();
-        let plan = self.plan()?;
+        let planner = self.planner();
+        let (plan, built) = self.resolve(&planner)?;
         // Defense in depth: planner-produced algorithms satisfy these by
         // construction, but the check is cheap and keeps the invariant
         // local.
         self.preflight(plan.algorithm)?;
-        let strategy = match self.custom.take() {
-            Some(custom) => custom,
-            None => self.build_strategy(&plan),
+        // The object the plan was read from, or the planner's choice.
+        let strategy = match self.custom.take().or(built) {
+            Some(obj) => obj,
+            None => self.build_strategy(plan.algorithm, plan.server_query.clone()),
         };
         self.svc.stats_ref().on_session();
         let mut retry = self
@@ -811,21 +801,13 @@ impl<'a> SessionBuilder<'a> {
         }
         // Arm the adaptive loops for this session: built-in strategies
         // only (a custom strategy's spend describes nothing the planner
-        // priced). The alternates come from the plan's cost ranking —
-        // empty under an explicit algorithm choice or a custom strategy,
-        // which therefore never switch.
+        // priced).
         let adaptive =
             if self.svc.adaptive().is_active() && !matches!(plan.algorithm, Algorithm::Custom) {
                 Some(AdaptiveState::new(
                     self.svc.adaptive().clone(),
-                    strategy.name().to_string(),
-                    plan.estimate,
-                    plan.calibrated_estimate,
-                    self.spec
-                        .horizon
-                        .unwrap_or_else(|| self.svc.server().k())
-                        .max(1),
-                    plan.candidates.get(1..).unwrap_or_default().to_vec(),
+                    &plan,
+                    planner.horizon(),
                     self.spec.tie,
                 ))
             } else {
@@ -840,7 +822,6 @@ impl<'a> SessionBuilder<'a> {
             plan.residual,
             knowledge,
             obs_id,
-            query_class(&plan.algorithm),
             adaptive,
         ))
     }
@@ -881,34 +862,35 @@ impl<'a> SessionBuilder<'a> {
                  the emission order only under exact tie-breaking",
             ));
         }
-        // The concrete algorithm the plan resolves to drives the
-        // positional-hazard classification; the spec keeps the algorithm as
-        // the caller configured it (`Auto` stays `Auto`), so a re-drive
-        // re-runs the same planner decision, relaxation included.
-        let concrete = self.plan()?.algorithm;
+        // The spec keeps the algorithm as the caller configured it (`Auto`
+        // stays `Auto`), so a re-drive re-runs the same planner decision,
+        // relaxation included — always at the maintained horizon, the one
+        // the inner sessions are actually driven to.
         let horizon = horizon.max(1);
         let spec = SessionSpec {
             horizon: Some(horizon),
             ..self.spec
         };
-        MaintainedSession::open(self.svc, self.sel, self.rank, spec, concrete, horizon)
+        MaintainedSession::open(self.svc, self.sel, self.rank, spec, horizon)
     }
 }
 
-/// Construct the strategy object driving `algorithm` over `server_query`
-/// for a session on `svc` — shared between [`SessionBuilder::open`] and
-/// the mid-flight re-planner, which rebuilds a strategy for an alternate
-/// candidate while the session is already running.
+/// Construct the strategy object driving `algorithm` over `sel` (the
+/// possibly relaxed server-side query) for a session on `svc` — the one place an [`Algorithm`] value becomes an
+/// object, shared between [`SessionBuilder`] and the mid-flight re-planner
+/// (which builds an alternate candidate's strategy while the session is
+/// already running). Everything else about the algorithm — its name, its
+/// estimate, its request class, whether it is positional — is then asked
+/// of the object.
 pub(crate) fn build_strategy_for(
     svc: &RerankService,
     rank: Arc<dyn RankFn>,
     tie: TiePolicy,
-    algorithm: &Algorithm,
-    server_query: Query,
+    algorithm: Algorithm,
+    sel: Query,
 ) -> Box<dyn RerankStrategy> {
     let server = svc.server();
-    let sel = server_query;
-    match *algorithm {
+    match algorithm {
         Algorithm::OneD(strategy) => Box::new(OneDCursorStrategy::new(
             OneDSpec::new(rank.attrs()[0], rank.directions()[0], sel),
             strategy,
@@ -925,38 +907,5 @@ pub(crate) fn build_strategy_for(
         Algorithm::PageDown { max_pages } => Box::new(PageDownStrategy::new(sel, rank, max_pages)),
         Algorithm::Auto => unreachable!("resolved by the planner"),
         Algorithm::Custom => unreachable!("custom strategies are supplied, not built"),
-    }
-}
-
-/// Stable display name of a built-in algorithm — the shared
-/// [`qrs_core::strategy::names`] vocabulary, so plans, strategy objects
-/// and experiment rows can never drift apart.
-pub(crate) fn algorithm_name(algo: &Algorithm) -> &'static str {
-    use qrs_core::strategy::names;
-    match algo {
-        Algorithm::Auto => names::AUTO,
-        Algorithm::OneD(_) => names::ONE_D,
-        Algorithm::Md(_) => names::MD,
-        Algorithm::Ta(SortedAccess::PublicOrderBy) => names::TA_ORDER_BY,
-        Algorithm::Ta(SortedAccess::OneD(_)) => names::TA_OVER_1D,
-        Algorithm::PageDown { .. } => names::PAGE_DOWN,
-        Algorithm::Custom => names::CUSTOM,
-    }
-}
-
-/// The request class a resolved algorithm issues against the hidden
-/// database — the bucket its charges land in on the metrics plane. The
-/// cursor families probe the top-`k` interface, TA over public order
-/// issues `ORDER BY` scans, page-down pages; a custom strategy's mix is
-/// unknowable, so it gets its own bucket.
-pub(crate) fn query_class(algo: &Algorithm) -> QueryClass {
-    match algo {
-        Algorithm::OneD(_) | Algorithm::Md(_) | Algorithm::Ta(SortedAccess::OneD(_)) => {
-            QueryClass::TopK
-        }
-        Algorithm::Ta(SortedAccess::PublicOrderBy) => QueryClass::Ordered,
-        Algorithm::PageDown { .. } => QueryClass::Page,
-        // `Auto` is resolved by the planner before any event is emitted.
-        Algorithm::Auto | Algorithm::Custom => QueryClass::Mixed,
     }
 }

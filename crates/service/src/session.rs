@@ -23,16 +23,16 @@
 //! Attempt counts and retries are tracked in [`SessionStats`] so budget
 //! attribution stays exact even for steps that ultimately fail.
 
-use crate::planner::RankedCandidate;
+use crate::planner::{Plan, RankedCandidate};
 use crate::retry::RetryRunner;
-use crate::service::{build_strategy_for, query_class, RerankService};
+use crate::service::{build_strategy_for, RerankService};
 use qrs_core::strategy::{CostEstimate, RerankStrategy, StrategyIo, StrategyStep};
 use qrs_core::{KnowledgeGate, TiePolicy};
 use qrs_knowledge::{ResultKey, SourceShard};
 use qrs_obs::{BudgetScope, EventKind, QueryClass};
 use qrs_ranking::RankFn;
 use qrs_server::SearchInterface;
-use qrs_types::{AdaptiveConfig, Query, RerankError, Tuple};
+use qrs_types::{AdaptiveConfig, Query, RequestKind, RerankError, Tuple};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -82,9 +82,6 @@ pub(crate) struct SessionKnowledge {
 /// of the already-emitted prefix so the user-visible stream stays exact.
 pub(crate) struct AdaptiveState {
     cfg: AdaptiveConfig,
-    /// Strategy name the session was planned with — the calibration key
-    /// its end-of-life actual/predicted ratios are filed under.
-    planned_name: String,
     /// The static plan-time estimate.
     predicted: CostEstimate,
     /// The calibration-scaled plan-time estimate the divergence trigger
@@ -104,22 +101,17 @@ pub(crate) struct AdaptiveState {
 }
 
 impl AdaptiveState {
-    pub(crate) fn new(
-        cfg: AdaptiveConfig,
-        planned_name: String,
-        predicted: CostEstimate,
-        calibrated: CostEstimate,
-        horizon: usize,
-        alternates: Vec<RankedCandidate>,
-        tie: TiePolicy,
-    ) -> Self {
+    /// Arm the loops for a session executing `plan`, priced at `horizon`:
+    /// the alternates are the plan's cost ranking below the chosen
+    /// candidate — empty under an explicit algorithm choice, which
+    /// therefore never switches.
+    pub(crate) fn new(cfg: AdaptiveConfig, plan: &Plan, horizon: usize, tie: TiePolicy) -> Self {
         AdaptiveState {
             cfg,
-            planned_name,
-            predicted,
-            calibrated,
+            predicted: plan.estimate,
+            calibrated: plan.calibrated_estimate,
             horizon,
-            alternates,
+            alternates: plan.candidates.get(1..).unwrap_or_default().to_vec(),
             tie,
             switched: false,
         }
@@ -216,10 +208,6 @@ pub struct Session<'a> {
     /// This session's ordinal on the observability plane (0 when the
     /// service has no observer attached).
     obs_id: u64,
-    /// The request class this session's charges are bucketed under on the
-    /// metrics plane. Re-pointed by a mid-flight switch so post-switch
-    /// charges land in the new strategy's bucket.
-    class: QueryClass,
     /// Mid-flight re-planning state (`None` on non-adaptive services and
     /// custom-strategy sessions).
     adaptive: Option<AdaptiveState>,
@@ -243,7 +231,6 @@ impl<'a> Session<'a> {
         residual: Option<Query>,
         knowledge: Option<SessionKnowledge>,
         obs_id: u64,
-        class: QueryClass,
         adaptive: Option<AdaptiveState>,
     ) -> Self {
         let skip = knowledge.as_ref().map_or(0, |k| k.replay.len());
@@ -256,7 +243,6 @@ impl<'a> Session<'a> {
             residual,
             knowledge,
             obs_id,
-            class,
             adaptive,
             derived: 0,
             skip,
@@ -273,6 +259,25 @@ impl<'a> Session<'a> {
         if obs.enabled() {
             obs.emit(self.svc.clock().now_ms(), self.obs_id, f());
         }
+    }
+
+    /// The bucket this session's charges land in on the metrics plane: the
+    /// request class the strategy running *now* says it issues, so charges
+    /// after a mid-flight switch land in the replacement's bucket. A mix
+    /// (a custom strategy that does not say) gets its own.
+    fn class(&self) -> QueryClass {
+        match self.strategy.request_kind() {
+            Some(RequestKind::TopK) => QueryClass::TopK,
+            Some(RequestKind::Page) => QueryClass::Page,
+            Some(RequestKind::Ordered) => QueryClass::Ordered,
+            None => QueryClass::Mixed,
+        }
+    }
+
+    /// Whether the strategy running now is positional
+    /// ([`RerankStrategy::positional`]).
+    pub(crate) fn positional(&self) -> bool {
+        self.strategy.positional()
     }
 
     /// The next tuple under the user ranking, or `Ok(None)` when exhausted.
@@ -299,7 +304,9 @@ impl<'a> Session<'a> {
         if !self.svc.obs().enabled() {
             return self.next_pull();
         }
-        self.emit_obs(|| EventKind::RequestIssued { class: self.class });
+        self.emit_obs(|| EventKind::RequestIssued {
+            class: self.class(),
+        });
         let t0 = self.svc.clock().now_ms();
         let out = self.next_pull();
         let dt = self.svc.clock().now_ms().saturating_sub(t0);
@@ -572,11 +579,10 @@ impl<'a> Session<'a> {
             self.svc,
             Arc::clone(&self.rank),
             tie,
-            &chosen.algorithm,
-            chosen.server_query.clone(),
+            chosen.algorithm,
+            chosen.server_query,
         );
-        self.residual = chosen.residual.clone();
-        self.class = query_class(&chosen.algorithm);
+        self.residual = chosen.residual;
         // The switched session's stream no longer matches the planned
         // strategy's cache key — stop recording (a blended ledger would
         // poison a future replay's credit) and swallow the replacement's
@@ -659,11 +665,11 @@ impl<'a> Session<'a> {
                 if ad.cfg.calibrate {
                     self.svc
                         .calibration()
-                        .on_charge(self.strategy.name(), self.class, dq, dc);
+                        .on_charge(self.strategy.name(), self.class(), dq, dc);
                 }
             }
             self.emit_obs(|| EventKind::RequestCharged {
-                class: self.class,
+                class: self.class(),
                 queries: dq,
                 cost_units: dc,
             });
@@ -792,11 +798,11 @@ impl<'a> Session<'a> {
 impl Drop for Session<'_> {
     fn drop(&mut self) {
         // Close the calibration loop: file this session's actual-vs-
-        // predicted spend under the strategy it was planned with. Switched
-        // sessions are excluded (their blended ledger describes neither
-        // strategy), as are sessions that emitted nothing or paid nothing
-        // (a fully knowledge-replayed run says nothing about the site's
-        // prices).
+        // predicted spend under the strategy it was planned with — still
+        // the one running, since switched sessions are excluded (their
+        // blended ledger describes neither strategy), as are sessions that
+        // emitted nothing or paid nothing (a fully knowledge-replayed run
+        // says nothing about the site's prices).
         if let Some(ad) = &self.adaptive {
             if ad.cfg.calibrate
                 && !ad.switched
@@ -804,7 +810,7 @@ impl Drop for Session<'_> {
                 && self.ledger.queries_spent > 0
             {
                 self.svc.calibration().observe_session(
-                    &ad.planned_name,
+                    self.strategy.name(),
                     ad.predicted,
                     self.ledger.queries_spent,
                     self.ledger.cost_units_spent,

@@ -13,7 +13,7 @@
 
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::knowledge::{query_key, ResultKey};
-use query_reranking::obs::{EventKind, ObsHandle, Recorder};
+use query_reranking::obs::{EventKind, ObsHandle, QueryClass, Recorder};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{SearchInterface, SimServer, SystemRank};
 use query_reranking::service::{AdaptiveConfig, Algorithm, KnowledgePlane, RerankService};
@@ -286,15 +286,19 @@ fn replanned_event_conserves_the_ledger_across_the_switch() {
         for e in recorder.events() {
             match &e.kind {
                 EventKind::RequestCharged {
+                    class,
                     queries,
                     cost_units,
-                    ..
                 } => {
-                    let side = if switch.is_none() {
-                        &mut pre
+                    // Charges are filed under the class the strategy
+                    // running at that moment issues: `ORDER BY` pages
+                    // until the switch, the md cursor's top-k probes after.
+                    let (side, want) = if switch.is_none() {
+                        (&mut pre, QueryClass::Ordered)
                     } else {
-                        &mut post
+                        (&mut post, QueryClass::TopK)
                     };
+                    assert_eq!(*class, want, "{input:?}: charge filed under {class:?}");
                     side.0 += queries;
                     side.1 += cost_units;
                 }

@@ -316,6 +316,45 @@ fn repair_costs_are_proportional_to_the_change() {
          re-drive ({full_cost} queries)",
         outcome.queries_spent
     );
+    // The repair is chosen by what runs at the *maintained* horizon, not by
+    // what a plan at the builder's horizon hint would have run. On a paging
+    // site the hint flips the cost ranking: the 1D cursor is cheapest for 4
+    // tuples (and delta-repairs a delete with a probe or two), the drain is
+    // cheapest for 30 (and is positional, so it must re-drive).
+    let rank1: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0)]));
+    // A fixed world (no seed): distinct ranking values, so the cursor's
+    // next tuple after a delete is one probe away whatever CI's seed.
+    let spread = (0..40u32)
+        .map(|i| {
+            Tuple::new(
+                TupleId(i),
+                vec![f64::from(i) * 0.2, f64::from(i % 7)],
+                vec![],
+            )
+        })
+        .collect();
+    let paged = Dataset::new(schema(2), spread).unwrap();
+    for (hint, h, redrives) in [(30, 4, false), (4, 30, true)] {
+        let server =
+            Arc::new(SimServer::new(paged.clone(), SystemRank::pseudo_random(5), 4).with_paging());
+        let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, 40);
+        let mut maintained = svc
+            .session(Query::all(), Arc::clone(&rank1))
+            .horizon(hint)
+            .open_maintained(h)
+            .expect("open_maintained");
+        server.delete(maintained.top()[0].tuple.id).unwrap();
+        let outcome = maintained.refresh().expect("refresh");
+        assert_eq!(outcome.redrove, redrives, "hint {hint}, maintained {h}");
+        assert!(
+            redrives || outcome.queries_spent <= 2,
+            "a one-tuple delete under the 1D cursor is a probe or two, not \
+             {} queries",
+            outcome.queries_spent
+        );
+        let (truth, _) = oracle(&server, &Query::all(), &rank1, h);
+        assert_eq!(fingerprint(&maintained.top()), truth);
+    }
 }
 
 /// A compacted delta log reports a gap, and the gap forces a re-drive that
@@ -345,34 +384,108 @@ fn log_gap_forces_a_redrive_that_stays_exact() {
     assert_eq!(fingerprint(&maintained.top()), truth);
 }
 
-/// Positional strategies (page-down addresses tuples by page slot) cannot
-/// be overlay-repaired once a delete needs live pulls: the session must
-/// re-drive — and the re-drive is exact.
+/// Positional strategies (page-down addresses tuples by page slot, TA by
+/// sorted-access depth) cannot be overlay-repaired once a delete needs live
+/// pulls: the session must re-drive — and the re-drive is exact. Three
+/// inputs: the two positional families chosen explicitly, and an adaptive
+/// `Auto` session on a site whose price list drifted, which *plans* the
+/// (value-addressed) md cursor and switches to `ta-order-by` during the
+/// opening drive — the hazard has to be read from the strategy that is
+/// running, not from the plan.
 #[test]
 fn positional_strategy_redrives_instead_of_trusting_shifted_pages() {
+    use query_reranking::core::md::ta::SortedAccess;
+    use query_reranking::datagen::synthetic::uniform;
+    use query_reranking::service::AdaptiveConfig;
+    use query_reranking::types::CostModel;
+
     let mut rng = StdRng::seed_from_u64(seeded(0xCDC5));
-    let n = 40usize;
-    let server = Arc::new(
-        SimServer::new(dataset(&mut rng, n, 2), SystemRank::pseudo_random(13), 4).with_paging(),
-    );
     let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
-    let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, n);
-    let mut maintained = svc
-        .session(Query::all(), Arc::clone(&rank))
-        .algorithm(Algorithm::PageDown {
-            max_pages: usize::MAX,
-        })
-        .open_maintained(4)
-        .expect("open_maintained");
-    // PageDown drains the whole result client-side, so the live stream is
-    // never exhausted at horizon 4 of 40 — a delete inside the horizon
-    // must trigger the conservative re-drive.
-    let victim = maintained.top()[0].tuple.id;
-    server.delete(victim).unwrap();
-    let outcome = maintained.refresh().expect("refresh");
-    assert!(outcome.redrove, "positional strategies must re-drive");
-    let (truth, _) = oracle(&server, &Query::all(), &rank, 4);
-    assert_eq!(fingerprint(&maintained.top()), truth);
+    let small = |rng: &mut StdRng| {
+        SimServer::new(dataset(rng, 40, 2), SystemRank::pseudo_random(13), 4)
+            .with_paging()
+            .with_order_by(vec![AttrId(0), AttrId(1)])
+    };
+    // `ORDER BY` advertised as ruinous, ranges as free; billed the other
+    // way round. No paging, so the md cursor's only alternate is TA.
+    let drifted = SimServer::new(
+        uniform(300, 2, 1, seeded(0xCDC5) | 1),
+        SystemRank::pseudo_random(0x33),
+        5,
+    )
+    .with_order_by(vec![AttrId(0), AttrId(1)])
+    .with_advertised_cost(CostModel::flat().with_ordered_cost(500))
+    .with_cost_model(CostModel::flat().with_range_cost(60));
+    let page_down = Algorithm::PageDown {
+        max_pages: usize::MAX,
+    };
+    let inputs = [
+        ("page-down", small(&mut rng), page_down, 4),
+        (
+            "ta-order-by",
+            small(&mut rng),
+            Algorithm::Ta(SortedAccess::PublicOrderBy),
+            4,
+        ),
+        ("md-rerank → ta-order-by", drifted, Algorithm::Auto, 40),
+    ];
+    for (label, server, algo, h) in inputs {
+        let server = Arc::new(server);
+        let n = server.dataset().len();
+        let adaptive = algo == Algorithm::Auto;
+        let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, n)
+            .with_adaptive(if adaptive {
+                AdaptiveConfig::enabled()
+            } else {
+                AdaptiveConfig::disabled()
+            });
+        let mut maintained = svc
+            .session(Query::all(), Arc::clone(&rank))
+            .algorithm(algo)
+            .open_maintained(h)
+            .expect("open_maintained");
+        // An explicit choice never switches; the drifted plan must, once,
+        // before the opening drive reaches the horizon.
+        assert_eq!(
+            svc.stats().strategy_switches,
+            u64::from(adaptive),
+            "{label}"
+        );
+        // Whether the inner session is running a positional strategy: the
+        // explicit choices always are; a (re-)planned md cursor is only
+        // after its drive switched to TA.
+        let mut positional = true;
+        for round in 0..10 {
+            // The result is drained client-side (page-down) or far shorter
+            // than the relation, so the live stream is never exhausted and
+            // deleting inside the horizon always needs live pulls.
+            for hit in maintained.top().iter().take(3) {
+                server.delete(hit.tuple.id).expect("victim is live");
+            }
+            let switches = svc.stats().strategy_switches;
+            let outcome = maintained.refresh().expect("refresh");
+            assert_eq!(
+                outcome.redrove, positional,
+                "{label} round {round}: positional strategies must re-drive"
+            );
+            if adaptive && outcome.redrove {
+                positional = svc.stats().strategy_switches > switches;
+            }
+            let scorer = Arc::clone(&rank);
+            let truth: Vec<(u32, u64)> = server
+                .dataset()
+                .rank_by(&Query::all(), move |t| scorer.score(t))
+                .iter()
+                .take(h)
+                .map(|t| (t.id.0, rank.score(t).to_bits()))
+                .collect();
+            assert_eq!(
+                fingerprint(&maintained.top()),
+                truth,
+                "{label} round {round} diverged from the dense oracle"
+            );
+        }
+    }
 }
 
 /// A server without the feed capability is refused, typed, at open.

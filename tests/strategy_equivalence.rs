@@ -9,11 +9,20 @@
 //! pre-refactor dispatch — reproduced here by hand-driving the underlying
 //! cursors exactly the way `Session::step` used to inline them.
 //!
+//! Beside each session the same object is built by hand, and what it says
+//! about itself — name, estimate, request class, positional — is pinned
+//! against what `SessionBuilder::plan` reports and against the values the
+//! service used to keep in `Algorithm`-keyed tables.
+//!
 //! Datasets and rankings derive from `QRS_TEST_SEED`, so CI replays the
 //! equivalence under multiple seeds.
 
 use query_reranking::core::baselines::PageDownCursor;
 use query_reranking::core::md::ta::{SortedAccess, TaCursor};
+use query_reranking::core::strategy::{
+    MdCursorStrategy, OneDCursorStrategy, PageDownStrategy, PlanContext, RerankStrategy,
+    TaCursorStrategy,
+};
 use query_reranking::core::{
     MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, RerankParams, SharedState, TiePolicy,
 };
@@ -21,7 +30,7 @@ use query_reranking::datagen::synthetic::uniform;
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{SearchInterface, SimServer, SystemRank};
 use query_reranking::service::{Algorithm, RerankService};
-use query_reranking::types::{AttrId, CostModel, Query, Tuple};
+use query_reranking::types::{AttrId, CostModel, Query, RequestKind, Tuple};
 use std::sync::Arc;
 
 fn seed() -> u64 {
@@ -65,12 +74,17 @@ fn twin_servers(n: usize, k: usize, s: u64, configure: impl Fn(SimServer) -> Sim
 }
 
 /// Drive the session side and the legacy closure in lock-step, asserting
-/// stream and ledger equality after every pull.
+/// stream and ledger equality after every pull. `object` is the strategy
+/// the session runs, built by hand: the plan beside the session must carry
+/// its name and estimate, and it must describe itself as `want`.
+#[allow(clippy::too_many_arguments)]
 fn assert_equivalent(
     pair: Pair,
     n: usize,
     rank: Arc<dyn RankFn>,
     algo: Algorithm,
+    object: &dyn RerankStrategy,
+    want: (RequestKind, bool),
     mut legacy_next: impl FnMut(&SimServer, &mut SharedState) -> Option<Arc<Tuple>>,
     pulls: usize,
 ) {
@@ -81,11 +95,37 @@ fn assert_equivalent(
     );
     let session_server = Arc::new(pair.session);
     let svc = RerankService::new(Arc::clone(&session_server) as Arc<dyn SearchInterface>, n);
+    let plan = svc
+        .session(Query::all(), Arc::clone(&rank))
+        .algorithm(algo)
+        .plan()
+        .unwrap();
     let mut sess = svc
         .session(Query::all(), Arc::clone(&rank))
         .algorithm(algo)
         .open()
         .unwrap();
+    // One page of answers on the site as advertised: what an explicit
+    // choice without a horizon hint is priced in.
+    let ctx = PlanContext {
+        caps: session_server.capabilities(),
+        schema: Arc::clone(session_server.schema()),
+        k: session_server.k(),
+        n_estimate: n,
+        horizon: session_server.k(),
+        server_query: Query::all(),
+        rank_attrs: rank.attrs().to_vec(),
+    };
+    assert_eq!(sess.strategy_name(), object.name());
+    assert_eq!(plan.candidates[0].name, object.name());
+    assert_eq!(plan.algorithm, algo);
+    assert_eq!(plan.estimate, object.estimate(&ctx));
+    assert_eq!(
+        (object.request_kind(), object.positional()),
+        (Some(want.0), want.1),
+        "{} describes itself differently",
+        object.name()
+    );
     for i in 0..pulls {
         let want = legacy_next(&legacy_server, &mut st).map(|t| t.id);
         let got = sess.next().unwrap().map(|r| r.tuple.id);
@@ -114,16 +154,15 @@ fn one_d_strategy_is_byte_identical_to_the_cursor() {
     for (n, k) in [(60, 3), (150, 5)] {
         let pair = twin_servers(n, k, seed() ^ n as u64, |s| s.with_cost_model(metered()));
         let rank = rank1();
-        let mut cursor = OneDCursor::new(
-            OneDSpec::new(rank.attrs()[0], rank.directions()[0], Query::all()),
-            OneDStrategy::Rerank,
-            TiePolicy::Exact,
-        );
+        let spec = OneDSpec::new(rank.attrs()[0], rank.directions()[0], Query::all());
+        let mut cursor = OneDCursor::new(spec.clone(), OneDStrategy::Rerank, TiePolicy::Exact);
         assert_equivalent(
             pair,
             n,
             Arc::clone(&rank),
             Algorithm::OneD(OneDStrategy::Rerank),
+            &OneDCursorStrategy::new(spec, OneDStrategy::Rerank, TiePolicy::Exact),
+            (RequestKind::TopK, false),
             move |server, st| cursor.next(server, st).unwrap(),
             n + 1,
         );
@@ -143,11 +182,19 @@ fn md_strategy_is_byte_identical_to_the_cursor() {
             MdOptions::rerank(),
             pair.legacy.schema(),
         );
+        let object = MdCursorStrategy::new(
+            Arc::clone(&rank),
+            Query::all(),
+            MdOptions::rerank(),
+            pair.legacy.schema(),
+        );
         assert_equivalent(
             pair,
             n,
             Arc::clone(&rank),
             Algorithm::Md(MdOptions::rerank()),
+            &object,
+            (RequestKind::TopK, false),
             move |server, st| cursor.next(server, st).unwrap(),
             20,
         );
@@ -156,27 +203,35 @@ fn md_strategy_is_byte_identical_to_the_cursor() {
 
 #[test]
 fn ta_strategy_is_byte_identical_to_the_cursor() {
-    for (n, k) in [(60, 3), (150, 5)] {
-        let pair = twin_servers(n, k, seed() ^ (n as u64) << 2, |s| {
-            s.with_order_by(vec![AttrId(0), AttrId(1)])
-                .with_cost_model(metered())
-        });
-        let rank = rank2();
-        let mut cursor = TaCursor::with_server_caps(
-            Arc::clone(&rank),
-            Query::all(),
-            SortedAccess::PublicOrderBy,
-            pair.legacy.schema(),
-            &pair.legacy.capabilities(),
-        );
-        assert_equivalent(
-            pair,
-            n,
-            Arc::clone(&rank),
-            Algorithm::Ta(SortedAccess::PublicOrderBy),
-            move |server, st| cursor.next(server, st).unwrap(),
-            20,
-        );
+    // Public `ORDER BY` sorted access pages ordered views; 1D-RERANK sorted
+    // access probes the top-k interface. Both consume streams by depth.
+    let accesses = [
+        (SortedAccess::PublicOrderBy, RequestKind::Ordered),
+        (SortedAccess::OneD(OneDStrategy::Rerank), RequestKind::TopK),
+    ];
+    for (access, kind) in accesses {
+        for (n, k) in [(60, 3), (150, 5)] {
+            let pair = twin_servers(n, k, seed() ^ (n as u64) << 2, |s| {
+                s.with_order_by(vec![AttrId(0), AttrId(1)])
+                    .with_cost_model(metered())
+            });
+            let rank = rank2();
+            let (schema, caps) = (pair.legacy.schema(), pair.legacy.capabilities());
+            let mut cursor =
+                TaCursor::with_server_caps(Arc::clone(&rank), Query::all(), access, schema, &caps);
+            let object =
+                TaCursorStrategy::new(Arc::clone(&rank), Query::all(), access, schema, &caps);
+            assert_equivalent(
+                pair,
+                n,
+                Arc::clone(&rank),
+                Algorithm::Ta(access),
+                &object,
+                (kind, true),
+                move |server, st| cursor.next(server, st).unwrap(),
+                20,
+            );
+        }
     }
 }
 
@@ -198,6 +253,8 @@ fn page_down_strategy_is_byte_identical_to_the_cursor() {
             Algorithm::PageDown {
                 max_pages: usize::MAX,
             },
+            &PageDownStrategy::new(Query::all(), Arc::clone(&rank), usize::MAX),
+            (RequestKind::Page, true),
             move |server, st| {
                 while !cursor.drained() {
                     cursor.fetch_next_page(server, st).unwrap();
