@@ -103,7 +103,7 @@ pub fn crawl_region(
     }
 
     if !truncated {
-        st.complete.register(q.clone());
+        st.complete.register(q);
     }
     let mut tuples: Vec<Arc<Tuple>> = found.into_values().collect();
     tuples.sort_by_key(|t| t.id);

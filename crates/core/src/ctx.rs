@@ -44,7 +44,7 @@ impl SharedState {
     pub fn absorb(&mut self, q: &Query, resp: &QueryResponse) {
         self.history.record_response(resp);
         if !resp.is_overflow() {
-            self.complete.register(q.clone());
+            self.complete.register(q);
         }
     }
 

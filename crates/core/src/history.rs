@@ -8,10 +8,15 @@
 //! The companion [`CompleteRegions`] registry remembers queries whose answer
 //! was *complete* (valid or underflow responses, and fully crawled regions):
 //! if a new query is subsumed by a registered region, its entire answer is
-//! already in history and costs zero server queries.
+//! already in history and costs zero server queries. Neither half walks
+//! what it has learned on the hot path: the registry is a
+//! [`RegionIndex`], and a covered query reaches its tuples through the
+//! tightest `by_attr` range it offers ([`History::candidates`]).
 
 use qrs_types::value::OrdF64;
-use qrs_types::{AttrId, Direction, Interval, Query, QueryResponse, Tuple, TupleId};
+use qrs_types::{
+    AttrId, Direction, Interval, Query, QueryResponse, RangePredicate, RegionIndex, Tuple, TupleId,
+};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -124,12 +129,42 @@ impl History {
         }
     }
 
-    /// All observed tuples matching `q`, sorted by id (full scan — used when
-    /// a complete region makes the local answer authoritative).
+    /// The share of `p.attr`'s observed span that `p` admits: 0 for a point
+    /// or an empty range, 1 for one wider than everything seen.
+    fn share(&self, p: &RangePredicate) -> f64 {
+        let idx = &self.by_attr[p.attr.0];
+        let (Some((&(OrdF64(min), _), _)), Some((&(OrdF64(max), _), _))) =
+            (idx.first_key_value(), idx.last_key_value())
+        else {
+            return 0.0;
+        };
+        let lo = p.interval.lo.value().map_or(min, |v| v.max(min));
+        let hi = p.interval.hi.value().map_or(max, |v| v.min(max));
+        ((hi - lo) / (max - min)).max(0.0)
+    }
+
+    /// A superset of the observed tuples matching `q`, in no particular
+    /// order: the `by_attr` range of `q`'s tightest range predicate (a point,
+    /// else the one admitting the smallest share of its attribute's observed
+    /// span), or every tuple when `q` has none — a categorical-only query.
+    pub fn candidates<'a>(&'a self, q: &Query) -> Box<dyn Iterator<Item = &'a Arc<Tuple>> + 'a> {
+        let tightest = q
+            .ranges()
+            .iter()
+            .filter(|p| p.attr.0 < self.by_attr.len() && !p.interval.is_all())
+            .min_by_key(|p| OrdF64(self.share(p)));
+        match tightest {
+            Some(p) if p.interval.is_empty() => Box::new(std::iter::empty()),
+            Some(p) => Box::new(self.in_range(p.attr, p.interval)),
+            None => Box::new(self.tuples.values()),
+        }
+    }
+
+    /// All observed tuples matching `q`, sorted by id — authoritative when a
+    /// complete region covers `q`.
     pub fn matching(&self, q: &Query) -> Vec<Arc<Tuple>> {
         let mut v: Vec<Arc<Tuple>> = self
-            .tuples
-            .values()
+            .candidates(q)
             .filter(|t| q.matches(t))
             .cloned()
             .collect();
@@ -149,16 +184,14 @@ impl History {
     }
 }
 
-/// Registry of queries with fully known answers.
+/// Registry of queries with fully known answers: a [`RegionIndex`] of their
+/// selection boxes.
 ///
 /// A query lands here when the server's response was valid/underflow, or the
 /// crawler exhausted it. Capped FIFO — dropping an entry only costs future
 /// queries, never correctness.
 #[derive(Debug)]
-pub struct CompleteRegions {
-    regions: std::collections::VecDeque<Query>,
-    cap: usize,
-}
+pub struct CompleteRegions(RegionIndex<()>);
 
 impl Default for CompleteRegions {
     fn default() -> Self {
@@ -169,33 +202,28 @@ impl Default for CompleteRegions {
 impl CompleteRegions {
     /// An empty registry remembering at most `cap` regions (FIFO).
     pub fn new(cap: usize) -> Self {
-        CompleteRegions {
-            regions: std::collections::VecDeque::new(),
-            cap: cap.max(1),
-        }
+        CompleteRegions(RegionIndex::new(cap))
     }
 
     /// Regions currently remembered.
     pub fn len(&self) -> usize {
-        self.regions.len()
+        self.0.len()
     }
 
     /// True when no region has been registered yet.
     pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
+        self.0.is_empty()
     }
 
     /// Register a query whose full answer is now in history.
-    pub fn register(&mut self, q: Query) {
-        if self.regions.len() == self.cap {
-            self.regions.pop_front();
-        }
-        self.regions.push_back(q);
+    pub fn register(&mut self, q: &Query) {
+        self.0.insert(q, ());
     }
 
-    /// Is every tuple matching `q` guaranteed to be in history already?
+    /// Is every tuple matching `q` guaranteed to be in history already —
+    /// does a remembered region subsume it?
     pub fn covers(&self, q: &Query) -> bool {
-        self.regions.iter().any(|r| q.is_subsumed_by(r))
+        self.0.find(q).is_some()
     }
 }
 
@@ -294,11 +322,75 @@ mod tests {
         assert_eq!(ids, vec![1, 2]);
     }
 
+    /// `matching`, `at_value` and `history_best` reach tuples through one
+    /// `by_attr` range; each must return what one pass over every tuple
+    /// returns, in the same order.
+    #[test]
+    fn by_attr_paths_agree_with_a_pass_over_every_tuple() {
+        use crate::{ctx::SharedState, md::top1::history_best, norm::NormView};
+        use qrs_types::{CatId, CatPredicate};
+        let data = qrs_datagen::synthetic::discrete_grid(300, 3, 6, 11);
+        let params = crate::params::RerankParams::paper_defaults(300, 5);
+        let mut st = SharedState::new(data.schema(), params);
+        data.tuples().iter().for_each(|t| st.history.record(t));
+        let scan = |q: &Query| {
+            let mut all: Vec<_> = st.history.tuples.values().collect();
+            all.sort_by_key(|t| t.id);
+            all.retain(|t| q.matches(t));
+            all.into_iter().cloned().collect::<Vec<_>>()
+        };
+        // Descending first ranking dimension: its box side is negated.
+        let rank = qrs_ranking::LinearRank::new(vec![
+            (AttrId(2), Direction::Desc, 1.0),
+            (AttrId(0), Direction::Asc, 0.5),
+        ]);
+        let view = NormView::new(Arc::new(rank), data.schema());
+        let cat = CatPredicate::one_of(CatId(0), vec![1, 3]);
+        let several = Query::all()
+            .and_range(AttrId(0), Interval::open(0.0, 4.0))
+            .and_range(AttrId(1), Interval::at_most(3.0))
+            .and_range(AttrId(2), Interval::closed(2.0, 3.0));
+        for (name, q) in [
+            ("no range predicate", Query::all()),
+            ("categorical only", Query::all().and_cat(cat.clone())),
+            (
+                "one point",
+                Query::all().and_range(AttrId(1), Interval::point(2.0)),
+            ),
+            ("several ranges", several.clone()),
+            ("ranges and a category", several.and_cat(cat)),
+            (
+                "an empty range",
+                Query::all().and_range(AttrId(2), Interval::open(1.0, 1.0)),
+            ),
+        ] {
+            let want = scan(&q);
+            assert_eq!(st.history.matching(&q), want, "matching: {name}");
+            assert!(
+                name == "an empty range" || !want.is_empty(),
+                "vacuous: {name}"
+            );
+            let at = scan(&q.clone().and_range(AttrId(0), Interval::point(3.0)));
+            assert_eq!(
+                st.history.at_value(AttrId(0), 3.0, &q),
+                at,
+                "at_value: {name}"
+            );
+            let boxed = view.to_query(&view.initial_box(&q), &q);
+            let best = scan(&boxed)
+                .into_iter()
+                .map(|t| (view.score(&t), t))
+                .min_by_key(|(s, t)| (OrdF64(*s), t.id));
+            let got = history_best(&st, &view, &boxed);
+            assert_eq!(got.map(|(t, s)| (s, t)), best, "history_best: {name}");
+        }
+    }
+
     #[test]
     fn complete_regions_subsumption() {
         let mut c = CompleteRegions::default();
         let big = Query::all().and_range(AttrId(0), Interval::open(0.0, 10.0));
-        c.register(big);
+        c.register(&big);
         let small = Query::all().and_range(AttrId(0), Interval::closed(2.0, 5.0));
         assert!(c.covers(&small));
         let other = Query::all().and_range(AttrId(0), Interval::closed(2.0, 15.0));
@@ -309,7 +401,7 @@ mod tests {
     fn complete_regions_cap_evicts() {
         let mut c = CompleteRegions::new(2);
         for i in 0..3 {
-            c.register(Query::all().and_range(AttrId(0), Interval::point(f64::from(i))));
+            c.register(&Query::all().and_range(AttrId(0), Interval::point(f64::from(i))));
         }
         assert_eq!(c.len(), 2);
         assert!(!c.covers(&Query::all().and_range(AttrId(0), Interval::point(0.0))));

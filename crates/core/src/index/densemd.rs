@@ -4,7 +4,8 @@
 //! box is crawled **completely and selection-free** (the paper strips
 //! `Sel(q)` so one crawl serves all future user queries) and stored. Future
 //! oracle hits on a contained box answer from the stored tuples at zero
-//! query cost.
+//! query cost; "contained" is asked of a [`RegionIndex`] per ranking frame
+//! (the attributes and their directions), over the boxes' raw predicates.
 //!
 //! Deviation from the paper noted in DESIGN.md: Algorithm 6 crawls in score
 //! order and may stop early at the first tuple satisfying `Sel(q)`; we crawl
@@ -18,24 +19,29 @@ use crate::ctx::SharedState;
 use crate::norm::{NormBox, NormView};
 use qrs_server::SearchInterface;
 use qrs_types::value::cmp_f64;
-use qrs_types::{AttrId, Direction, Query, RerankError, Tuple};
+use qrs_types::{AttrId, Direction, Query, RegionIndex, RerankError, Tuple};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One fully crawled box.
 #[derive(Debug)]
 pub struct DenseBox {
-    attrs: Vec<AttrId>,
-    dirs: Vec<Direction>,
-    bbox: NormBox,
     tuples: Vec<Arc<Tuple>>,
     /// True when the crawl hit an indistinguishable >k duplicate group.
     pub truncated: bool,
 }
 
+/// The attributes a box was crawled along and their directions: a box only
+/// answers for boxes cut in the same frame.
+type Frame = (Vec<AttrId>, Vec<Direction>);
+
 /// Registry of crawled boxes.
 #[derive(Debug, Default)]
 pub struct DenseMd {
     boxes: Vec<DenseBox>,
+    /// Per frame, each box's raw predicates (`NormView::to_query`: negation
+    /// preserves containment side by side) → its place in `boxes`.
+    regions: HashMap<Frame, RegionIndex<usize>>,
     /// Crawl queries spent building the index (experiment metric).
     pub build_cost: u64,
 }
@@ -51,15 +57,15 @@ impl DenseMd {
         self.boxes.iter().map(|b| b.tuples.len()).sum()
     }
 
-    fn find(&self, view: &NormView, b: &NormBox) -> Option<&DenseBox> {
-        self.boxes.iter().find(|d| {
-            d.attrs == view.rank().attrs()
-                && d.dirs == view.rank().directions()
-                && b.dims
-                    .iter()
-                    .zip(&d.bbox.dims)
-                    .all(|(inner, outer)| inner.is_subset_of(outer))
-        })
+    fn frame(view: &NormView) -> Frame {
+        let rank = view.rank();
+        (rank.attrs().to_vec(), rank.directions().to_vec())
+    }
+
+    /// The place in `boxes` of one cut in `frame` whose region contains
+    /// `region`.
+    fn find(&self, frame: &Frame, region: &Query) -> Option<usize> {
+        self.regions.get(frame)?.find(region).copied()
     }
 }
 
@@ -74,10 +80,12 @@ pub fn md_oracle(
     b: &NormBox,
     sel: &Query,
 ) -> Result<Option<(Arc<Tuple>, f64)>, RerankError> {
-    if st.densemd.find(view, b).is_none() {
+    let (frame, region) = (DenseMd::frame(view), view.to_query(b, &Query::all()));
+    let at = if let Some(at) = st.densemd.find(&frame, &region) {
+        at
+    } else {
         let before = server.queries_issued();
-        let box_query = view.to_query(b, &Query::all());
-        let r = match crawl_region(server, st, &box_query) {
+        let r = match crawl_region(server, st, &region) {
             Ok(r) => r,
             Err(e) => {
                 st.densemd.build_cost += server.queries_issued() - before;
@@ -85,16 +93,17 @@ pub fn md_oracle(
             }
         };
         st.densemd.build_cost += server.queries_issued() - before;
-        st.densemd.boxes.push(DenseBox {
-            attrs: view.rank().attrs().to_vec(),
-            dirs: view.rank().directions().to_vec(),
-            bbox: b.clone(),
+        let dense = &mut st.densemd;
+        let at = dense.boxes.len();
+        dense.regions.entry(frame).or_default().insert(&region, at);
+        dense.boxes.push(DenseBox {
             tuples: r.tuples,
             truncated: r.truncated,
         });
-    }
-    let d = st.densemd.find(view, b).expect("just inserted");
-    Ok(d.tuples
+        at
+    };
+    Ok(st.densemd.boxes[at]
+        .tuples
         .iter()
         .filter(|t| sel.matches(t) && b.contains(&view.norm_coords(t)))
         .map(|t| (Arc::clone(t), view.score(t)))

@@ -67,8 +67,8 @@ impl KnowledgeGate {
     }
 
     /// Poll the inner server's mutation sequence number, report it to the
-    /// shard (advancing the shard's watermark bumps its epoch, lazily
-    /// invalidating every entry recorded against the older snapshot), and
+    /// shard (advancing the shard's watermark bumps its epoch, invalidating
+    /// at once every entry recorded against the older snapshot), and
     /// remember it locally. Called at construction and before every request
     /// so a gate can never serve knowledge recorded before a mutation it
     /// has already observed. Servers without a mutation feed report 0

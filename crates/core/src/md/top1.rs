@@ -91,7 +91,7 @@ pub fn md_top1(
     b0: &NormBox,
     opts: MdOptions,
 ) -> Result<Option<(Arc<Tuple>, f64)>, RerankError> {
-    let mut best: Best = history_best(st, view, b0, sel);
+    let mut best: Best = history_best(st, view, &view.to_query(b0, sel));
     let mut queue: VecDeque<NormBox> = VecDeque::new();
     queue.push_back(b0.clone());
 
@@ -116,7 +116,7 @@ pub fn md_top1(
             continue;
         }
         if st.complete.covers(&q) {
-            if let Some((t, s)) = history_best(st, view, &b, sel) {
+            if let Some((t, s)) = history_best(st, view, &q) {
                 consider(&mut best, &t, s);
             }
             continue;
@@ -198,7 +198,7 @@ fn probe_dominated(
         return Ok(());
     }
     if st.complete.covers(&q) {
-        if let Some((t, s)) = history_best(st, view, &probe, sel) {
+        if let Some((t, s)) = history_best(st, view, &q) {
             consider(best, &t, s);
         }
         return Ok(());
@@ -211,19 +211,12 @@ fn probe_dominated(
     Ok(())
 }
 
-/// Best known tuple inside a box from history alone.
-pub(crate) fn history_best(st: &SharedState, view: &NormView, b: &NormBox, sel: &Query) -> Best {
-    let attr0 = view.rank().attrs()[0];
-    let raw_iv = match view.rank().directions()[0] {
-        qrs_types::Direction::Asc => b.dims[0],
-        qrs_types::Direction::Desc => b.dims[0].negate(),
-    };
+/// Best known tuple matching `q` — a box's `NormView::to_query` — from
+/// history alone.
+pub(crate) fn history_best(st: &SharedState, view: &NormView, q: &Query) -> Best {
     let mut best: Best = None;
-    for t in st.history.in_range(attr0, raw_iv) {
-        if sel.matches(t) && b.contains(&view.norm_coords(t)) {
-            let s = view.score(t);
-            consider(&mut best, t, s);
-        }
+    for t in st.history.candidates(q).filter(|t| q.matches(t)) {
+        consider(&mut best, t, view.score(t));
     }
     best
 }

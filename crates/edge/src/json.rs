@@ -188,11 +188,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse one JSON document; trailing non-whitespace is an error.
+/// Arrays and objects may nest this deep. The parser recurses once per
+/// level, so an unbounded `[[[[…` inside the body cap would overflow the
+/// stack and abort the process; `/v1/rerank` bodies nest 4 deep.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parse one JSON document; trailing non-whitespace and nesting beyond
+/// [`MAX_DEPTH`] are errors.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -206,6 +213,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -250,8 +259,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -475,6 +495,24 @@ mod tests {
         }
         let e = parse("[1, @]").unwrap_err();
         assert_eq!(e.at, 4);
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"a\":", "}", MAX_DEPTH).replace(":}", ":1}")).is_ok());
+        let e = parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            (e.at, e.message.as_str()),
+            (MAX_DEPTH, "nesting deeper than 64")
+        );
+        // What used to overflow the stack: a megabyte of unclosed brackets.
+        for open in ["[", "{\"a\":", "[{\"a\":"] {
+            assert!(parse(&open.repeat(1 << 20)).is_err(), "{open}");
+        }
+        // Depth is how deep, not how many: siblings do not add up.
+        assert!(parse(&format!("[{}]", vec!["[[1]]"; 1000].join(","))).is_ok());
     }
 
     #[test]

@@ -11,15 +11,18 @@
 //! * a **result cache** — exact top-k output streams keyed by
 //!   `(selection, rank, tie, strategy)`, replayed to warm sessions.
 //!
-//! Every store is guarded by the shard's **epoch**: entries remember the
-//! epoch they were recorded under, and lookups reject entries born under
-//! an older epoch. [`SourceShard::invalidate`] is therefore a single atomic
-//! increment — O(1), no scanning — and stale entries are reclaimed lazily
-//! by [`SourceShard::purge_stale`] or overwritten by fresh recordings.
+//! The stores are guarded as one by the shard's **epoch**: they remember the
+//! single epoch their contents were recorded under, and every lookup misses
+//! while that is older than the current one. [`SourceShard::invalidate`] is
+//! therefore a single atomic increment — O(1), no lock, no scanning — and
+//! the first write under the new epoch (or [`SourceShard::purge_stale`])
+//! clears the dead epoch wholesale, so the shard never holds more than one
+//! epoch's worth and the drained regions' [`RegionIndex`] only ever indexes
+//! live runs.
 
 use crate::key::{RequestKey, ResultKey};
-use parking_lot::RwLock;
-use qrs_types::{Query, Tuple, TupleId};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use qrs_types::{Query, RegionIndex, Tuple, TupleId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,12 +45,9 @@ pub struct CachedResponse {
     pub synthesized: bool,
 }
 
-/// One fully-drained selection: the complete match set in system order.
-#[derive(Debug, Clone)]
-struct DrainedRun {
-    query: Query,
-    tuples: Vec<Arc<Tuple>>,
-}
+/// One fully-drained selection's complete match set, in system order. Any
+/// two runs subsuming a request synthesize the same answer to it.
+type DrainedRun = Vec<Arc<Tuple>>;
 
 /// A selection being drained page by page. Pages must arrive contiguously
 /// from 0; the run is promoted to a [`DrainedRun`] when a page reports no
@@ -77,20 +77,27 @@ pub struct ResultEntry {
     pub cost_units_full: u64,
 }
 
-/// Epoch-stamped store entry.
-#[derive(Debug, Clone)]
-struct Stamped<T> {
-    epoch: u64,
-    value: T,
-}
-
 #[derive(Debug, Default)]
 struct ShardInner {
-    responses: HashMap<RequestKey, Stamped<CachedResponse>>,
-    drained: HashMap<String, Stamped<DrainedRun>>,
-    page_runs: HashMap<String, Stamped<PageRun>>,
-    results: HashMap<ResultKey, Stamped<ResultEntry>>,
+    /// The epoch everything below was recorded under.
+    epoch: u64,
+    responses: HashMap<RequestKey, CachedResponse>,
+    drained: RegionIndex<DrainedRun>,
+    /// Canonical selection → its run's handle in `drained`, so draining a
+    /// selection again replaces its run.
+    drained_ids: HashMap<String, u64>,
+    page_runs: HashMap<String, PageRun>,
+    results: HashMap<ResultKey, ResultEntry>,
     observed: HashMap<TupleId, Arc<Tuple>>,
+}
+
+impl ShardInner {
+    fn drain(&mut self, sel: &str, q: &Query, tuples: DrainedRun) {
+        let id = self.drained.insert(q, tuples);
+        if let Some(old) = self.drained_ids.insert(sel.to_string(), id) {
+            self.drained.remove(old);
+        }
+    }
 }
 
 /// Point-in-time statistics for one shard.
@@ -153,10 +160,31 @@ impl SourceShard {
     }
 
     /// Bump the epoch, atomically invalidating every entry recorded so far.
-    /// O(1): stale entries are rejected lazily on lookup and reclaimed by
-    /// [`purge_stale`](SourceShard::purge_stale).
+    /// O(1): lookups miss from now on, and the next write reclaims the lot.
     pub fn invalidate(&self) -> u64 {
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
+    }
+
+    /// The stores as of the current epoch, or `None` while they still hold
+    /// a dead one. The epoch is read under the lock, so it is never older
+    /// than the stores'.
+    fn live(&self) -> Option<RwLockReadGuard<'_, ShardInner>> {
+        let inner = self.inner.read();
+        (inner.epoch == self.epoch()).then_some(inner)
+    }
+
+    /// The stores for writing under the current epoch, a dead epoch's
+    /// contents dropped first.
+    fn current(&self) -> RwLockWriteGuard<'_, ShardInner> {
+        let mut inner = self.inner.write();
+        let now = self.epoch();
+        if inner.epoch != now {
+            *inner = ShardInner {
+                epoch: now,
+                ..ShardInner::default()
+            };
+        }
+        inner
     }
 
     /// The highest source mutation sequence number observed so far.
@@ -169,8 +197,9 @@ impl SourceShard {
     /// advances the recorded watermark, everything in the shard describes
     /// an older snapshot and the epoch is bumped — by exactly one thread,
     /// however many gates race the same advance (the CAS loser observes
-    /// the new watermark and does nothing). Returns whether this call
-    /// advanced it.
+    /// the new watermark and does nothing) — and whoever records first
+    /// under the new epoch drops the old snapshot's entries. Returns
+    /// whether this call advanced it.
     pub fn observe_watermark(&self, seq: u64) -> bool {
         let advanced = self
             .watermark
@@ -194,54 +223,30 @@ impl SourceShard {
     /// site's own semantics (skip `page·k` matches, return up to `k`, set
     /// the more-bit iff a further match exists).
     pub fn lookup_response(&self, key: &RequestKey, q: &Query, k: usize) -> Option<CachedResponse> {
-        let now = self.epoch();
-        let inner = self.inner.read();
-        if let Some(e) = inner.responses.get(key) {
-            if e.epoch == now {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(e.value.clone());
+        let found = self.live().and_then(|inner| {
+            if let Some(exact) = inner.responses.get(key) {
+                return Some(exact.clone());
             }
-        }
-        let page = match key {
-            RequestKey::TopK { .. } => 0,
-            RequestKey::Page { page, .. } => *page,
-            RequestKey::Ordered { .. } => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+            let page = match key {
+                RequestKey::TopK { .. } => 0,
+                RequestKey::Page { page, .. } => *page,
+                RequestKey::Ordered { .. } => return None,
+            };
+            let run = inner.drained.find(q).filter(|_| k > 0)?;
+            let mut matches = run.iter().filter(|t| q.matches(t)).skip(page * k);
+            Some(CachedResponse {
+                tuples: matches.by_ref().take(k).cloned().collect(),
+                more: matches.next().is_some(),
+                synthesized: true,
+            })
+        });
+        let counter = match &found {
+            Some(r) if r.synthesized => &self.synthesized,
+            Some(_) => &self.hits,
+            None => &self.misses,
         };
-        if k > 0 {
-            for run in inner.drained.values() {
-                if run.epoch != now || !q.is_subsumed_by(&run.value.query) {
-                    continue;
-                }
-                let skip = page * k;
-                let mut out = Vec::with_capacity(k);
-                let mut seen = 0usize;
-                let mut more = false;
-                for t in &run.value.tuples {
-                    if !q.matches(t) {
-                        continue;
-                    }
-                    if seen >= skip {
-                        if out.len() == k {
-                            more = true;
-                            break;
-                        }
-                        out.push(Arc::clone(t));
-                    }
-                    seen += 1;
-                }
-                self.synthesized.fetch_add(1, Ordering::Relaxed);
-                return Some(CachedResponse {
-                    tuples: out,
-                    more,
-                    synthesized: true,
-                });
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Record the site's answer to one paid request. Observes every
@@ -257,64 +262,34 @@ impl SourceShard {
         tuples: &[Arc<Tuple>],
         more: bool,
     ) {
-        let now = self.epoch();
-        let mut inner = self.inner.write();
+        let mut inner = self.current();
         for t in tuples {
             inner.observed.entry(t.id).or_insert_with(|| Arc::clone(t));
         }
         match &key {
             RequestKey::TopK { sel } => {
                 if !more {
-                    inner.drained.insert(
-                        sel.clone(),
-                        Stamped {
-                            epoch: now,
-                            value: DrainedRun {
-                                query: q.clone(),
-                                tuples: tuples.to_vec(),
-                            },
-                        },
-                    );
+                    inner.drain(sel, q, tuples.to_vec());
                 }
             }
             RequestKey::Page { sel, page } => {
-                let run = inner
-                    .page_runs
-                    .entry(sel.clone())
-                    .or_insert_with(|| Stamped {
-                        epoch: now,
-                        value: PageRun {
-                            query: q.clone(),
-                            k,
-                            tuples: Vec::new(),
-                            pages_seen: 0,
-                        },
-                    });
-                if run.epoch != now || run.value.k != k {
-                    // Stale or re-keyed run: restart from scratch.
-                    run.epoch = now;
-                    run.value = PageRun {
-                        query: q.clone(),
-                        k,
-                        tuples: Vec::new(),
-                        pages_seen: 0,
-                    };
+                let fresh = || PageRun {
+                    query: q.clone(),
+                    k,
+                    tuples: Vec::new(),
+                    pages_seen: 0,
+                };
+                let run = inner.page_runs.entry(sel.clone()).or_insert_with(fresh);
+                if run.k != k {
+                    // Re-keyed run: restart from scratch.
+                    *run = fresh();
                 }
-                if *page == run.value.pages_seen {
-                    run.value.tuples.extend(tuples.iter().cloned());
-                    run.value.pages_seen += 1;
+                if *page == run.pages_seen {
+                    run.tuples.extend(tuples.iter().cloned());
+                    run.pages_seen += 1;
                     if !more {
                         let done = inner.page_runs.remove(sel).expect("run just touched");
-                        inner.drained.insert(
-                            sel.clone(),
-                            Stamped {
-                                epoch: now,
-                                value: DrainedRun {
-                                    query: done.value.query,
-                                    tuples: done.value.tuples,
-                                },
-                            },
-                        );
+                        inner.drain(sel, &done.query, done.tuples);
                     }
                 }
             }
@@ -322,13 +297,10 @@ impl SourceShard {
         }
         inner.responses.insert(
             key,
-            Stamped {
-                epoch: now,
-                value: CachedResponse {
-                    tuples: tuples.to_vec(),
-                    more,
-                    synthesized: false,
-                },
+            CachedResponse {
+                tuples: tuples.to_vec(),
+                more,
+                synthesized: false,
             },
         );
     }
@@ -336,14 +308,13 @@ impl SourceShard {
     /// Look up a cached exact result stream recorded under the current
     /// epoch. Returns a clone (tuples are `Arc`-shared, so this is cheap).
     pub fn lookup_result(&self, key: &ResultKey) -> Option<ResultEntry> {
-        let now = self.epoch();
-        let inner = self.inner.read();
+        let inner = self.live()?;
         let e = inner.results.get(key)?;
-        if e.epoch != now || (e.value.items.is_empty() && !e.value.exhausted) {
+        if e.items.is_empty() && !e.exhausted {
             return None;
         }
         self.result_hits.fetch_add(1, Ordering::Relaxed);
-        Some(e.value.clone())
+        Some(e.clone())
     }
 
     /// Append the `index`-th emission of a result stream. The append is
@@ -352,21 +323,10 @@ impl SourceShard {
     /// on the same stream therefore converge on one consistent prefix
     /// instead of interleaving.
     pub fn extend_result(&self, key: &ResultKey, index: usize, tuple: Arc<Tuple>, score_bits: u64) {
-        let now = self.epoch();
-        let mut inner = self.inner.write();
-        let e = inner.results.entry(key.clone()).or_insert_with(|| Stamped {
-            epoch: now,
-            value: ResultEntry::default(),
-        });
-        if e.epoch != now {
-            e.epoch = now;
-            e.value = ResultEntry::default();
-        }
-        if e.value.exhausted {
-            return;
-        }
-        if e.value.items.len() == index {
-            e.value.items.push((tuple, score_bits));
+        let mut inner = self.current();
+        let e = inner.results.entry(key.clone()).or_default();
+        if !e.exhausted && e.items.len() == index {
+            e.items.push((tuple, score_bits));
         }
     }
 
@@ -383,32 +343,20 @@ impl SourceShard {
         queries_full: u64,
         cost_units_full: u64,
     ) {
-        let now = self.epoch();
-        let mut inner = self.inner.write();
-        let e = inner.results.entry(key.clone()).or_insert_with(|| Stamped {
-            epoch: now,
-            value: ResultEntry::default(),
-        });
-        if e.epoch != now {
-            e.epoch = now;
-            e.value = ResultEntry::default();
-        }
-        if e.value.items.len() == len {
-            e.value.exhausted = true;
-            e.value.queries_full = queries_full;
-            e.value.cost_units_full = cost_units_full;
+        let mut inner = self.current();
+        let e = inner.results.entry(key.clone()).or_default();
+        if e.items.len() == len {
+            e.exhausted = true;
+            e.queries_full = queries_full;
+            e.cost_units_full = cost_units_full;
         }
     }
 
     /// Does a live drained region subsume `q` (i.e. could the shard answer
     /// any top-k/page request over `q` without spending)?
     pub fn covers(&self, q: &Query) -> bool {
-        let now = self.epoch();
-        let inner = self.inner.read();
-        inner
-            .drained
-            .values()
-            .any(|r| r.epoch == now && q.is_subsumed_by(&r.value.query))
+        self.live()
+            .is_some_and(|inner| inner.drained.find(q).is_some())
     }
 
     /// A tuple previously observed from this source, by id.
@@ -416,34 +364,20 @@ impl SourceShard {
         self.inner.read().observed.get(&id).cloned()
     }
 
-    /// Reclaim entries recorded under older epochs. Observed tuples are
-    /// facts about the old snapshot too, so they are dropped as well when
-    /// anything else was stale.
+    /// Reclaim what was recorded under an older epoch now, instead of at
+    /// the next write. Observed tuples are facts about the old snapshot
+    /// too, so they go with the rest.
     pub fn purge_stale(&self) {
-        let now = self.epoch();
-        let mut inner = self.inner.write();
-        let before = inner.responses.len()
-            + inner.drained.len()
-            + inner.page_runs.len()
-            + inner.results.len();
-        inner.responses.retain(|_, e| e.epoch == now);
-        inner.drained.retain(|_, e| e.epoch == now);
-        inner.page_runs.retain(|_, e| e.epoch == now);
-        inner.results.retain(|_, e| e.epoch == now);
-        let after = inner.responses.len()
-            + inner.drained.len()
-            + inner.page_runs.len()
-            + inner.results.len();
-        if after < before {
-            inner.observed.clear();
-        }
+        drop(self.current());
     }
 
-    /// Point-in-time statistics (live-entry counts are computed under the
-    /// read lock; hit/miss counters are relaxed atomics).
+    /// Point-in-time statistics (live-entry counts are read under the read
+    /// lock and are 0 while the stores hold a dead epoch; hit/miss counters
+    /// are relaxed atomics).
     pub fn stats(&self) -> ShardStats {
-        let now = self.epoch();
         let inner = self.inner.read();
+        let now = self.epoch();
+        let live = |n: usize| if inner.epoch == now { n as u64 } else { 0 };
         ShardStats {
             epoch: now,
             watermark: self.watermark(),
@@ -451,9 +385,9 @@ impl SourceShard {
             synthesized: self.synthesized.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             result_hits: self.result_hits.load(Ordering::Relaxed),
-            responses: inner.responses.values().filter(|e| e.epoch == now).count() as u64,
-            drained: inner.drained.values().filter(|e| e.epoch == now).count() as u64,
-            results: inner.results.values().filter(|e| e.epoch == now).count() as u64,
+            responses: live(inner.responses.len()),
+            drained: live(inner.drained.len()),
+            results: live(inner.results.len()),
             observed: inner.observed.len() as u64,
         }
     }
@@ -514,6 +448,52 @@ mod tests {
         assert!(s
             .lookup_response(&RequestKey::top_k(&sel(2.0, 20.0)), &sel(2.0, 20.0), 1)
             .is_none());
+    }
+
+    #[test]
+    fn overlapping_drained_runs_synthesize_identically() {
+        // Two drained selections in one system order, each subsuming the
+        // probes: the index may answer from either, so a shard holding only
+        // the first, only the second, or both must give the same bytes.
+        let system = [t(4, 6.0), t(1, 2.0), t(3, 9.0), t(2, 5.0), t(5, 3.0)];
+        let wides = [sel(0.0, 7.0), sel(1.0, 10.0)];
+        let shards = [&wides[..1], &wides[1..], &wides[..]].map(|drained| {
+            let s = SourceShard::new();
+            for wide in drained {
+                let run: Vec<_> = system.iter().filter(|t| wide.matches(t)).cloned().collect();
+                s.record_response(RequestKey::top_k(wide), wide, 9, &run, false);
+            }
+            s
+        });
+        assert_eq!(shards[2].stats().drained, 2);
+        for (narrow, page) in [(sel(1.5, 6.5), 0), (sel(1.5, 6.5), 1), (sel(2.0, 3.0), 0)] {
+            let key = RequestKey::page(&narrow, page);
+            let [a, b, c] = shards.each_ref().map(|s| {
+                let r = s.lookup_response(&key, &narrow, 2).expect("subsumed");
+                assert!(r.synthesized);
+                (r.tuples.iter().map(|t| t.id).collect::<Vec<_>>(), r.more)
+            });
+            assert!(a == b && b == c, "{narrow} page {page}: {a:?} {b:?} {c:?}");
+        }
+    }
+
+    #[test]
+    fn first_write_under_a_new_epoch_reclaims_the_dead_one() {
+        let s = SourceShard::new();
+        for round in 0..5u32 {
+            let q = sel(0.0, f64::from(round) + 1.0);
+            s.record_response(RequestKey::top_k(&q), &q, 2, &[t(round, 0.5)], false);
+            // Draining the same selection again replaces its run.
+            s.record_response(RequestKey::top_k(&q), &q, 2, &[t(round, 0.5)], false);
+            let st = s.stats();
+            assert_eq!(
+                (st.responses, st.drained, st.observed),
+                (1, 1, 1),
+                "round {round}"
+            );
+            s.invalidate();
+            assert_eq!(s.stats().drained, 0);
+        }
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //!   paper discusses why open ranges are the primitive),
 //! * [`Query`] — conjunctions of range predicates on ordinal attributes and
 //!   membership predicates on categorical attributes,
+//! * [`RegionIndex`] — the one containment index over selection boxes: "is
+//!   `q` subsumed by a region already known in full?" for the core's
+//!   complete-region registry and dense boxes and the knowledge plane's
+//!   drained regions,
 //! * [`QueryOutcome`], [`QueryResponse`] — the trichotomy *underflow / valid /
 //!   overflow* that every reranking algorithm branches on,
 //! * [`RerankError`], [`ServerError`], [`Capability`] — the workspace-wide
@@ -44,6 +48,7 @@ pub mod interval;
 pub mod mutation;
 pub mod predicate;
 pub mod query;
+pub mod region;
 pub mod response;
 pub mod retry;
 pub mod schema;
@@ -61,6 +66,7 @@ pub use interval::{Endpoint, Interval};
 pub use mutation::{Mutation, MutationKind, MutationLog};
 pub use predicate::{CatPredicate, RangePredicate};
 pub use query::Query;
+pub use region::RegionIndex;
 pub use response::{QueryOutcome, QueryResponse};
 pub use retry::RetryPolicy;
 pub use schema::{AttrId, CatAttr, CatId, OrdinalAttr, Schema};

@@ -1,5 +1,6 @@
 //! Randomized property tests for the interval algebra — every reranking
-//! algorithm's pruning correctness reduces to these identities.
+//! algorithm's pruning correctness reduces to these identities — and for
+//! [`RegionIndex`] against the linear `any(is_subsumed_by)` scan it replaces.
 //!
 //! Written against the local `rand` stand-in (no registry access for
 //! `proptest`): each property is checked over a deterministic seeded sweep,
@@ -8,8 +9,10 @@
 #![cfg(test)]
 
 use crate::interval::{Endpoint, Interval};
+use crate::predicate::CatPredicate;
 use crate::query::Query;
-use crate::schema::AttrId;
+use crate::region::RegionIndex;
+use crate::schema::{AttrId, CatId};
 use crate::tuple::{Tuple, TupleId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -122,4 +125,128 @@ fn query_subsumption_implies_match_implication() {
             assert!(outer.matches(&t), "inner matches {t:?} but outer does not");
         }
     }
+}
+
+fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// An endpoint value from a grid small enough that boxes nest often, with
+/// both zeros and both infinities on it.
+fn grid(rng: &mut StdRng) -> f64 {
+    const GRID: [f64; 9] = [
+        f64::NEG_INFINITY,
+        -2.0,
+        -0.5,
+        -0.0,
+        0.0,
+        0.5,
+        1.0,
+        3.0,
+        f64::INFINITY,
+    ];
+    GRID[rng.random_range(0..GRID.len())]
+}
+
+/// Unbounded / open / closed sides in any combination: reversed and
+/// degenerate-open pairs give the empty intervals, equal closed ones points.
+fn grid_interval(rng: &mut StdRng) -> Interval {
+    let (a, b, shape) = (grid(rng), grid(rng), rng.random_range(0..8u32));
+    let mut side = |v: f64| match rng.random_range(0..4u32) {
+        0 => Endpoint::Unbounded,
+        1 => Endpoint::Open(v),
+        _ => Endpoint::Closed(v),
+    };
+    match shape {
+        0 => Interval::point(a),
+        1 => Interval {
+            lo: side(a),
+            hi: side(b),
+        },
+        _ => Interval {
+            lo: side(a.min(b)),
+            hi: side(a.max(b)),
+        },
+    }
+}
+
+/// A box over up to `dims` attributes; each is left out with chance
+/// `skip`/8, and one in four boxes carries a categorical predicate.
+fn grid_box(rng: &mut StdRng, dims: usize, skip: u32) -> Query {
+    let mut q = Query::all();
+    for a in 0..dims {
+        if rng.random_range(0..8u32) >= skip {
+            q.add_range(AttrId(a), grid_interval(rng));
+        }
+    }
+    for c in 0..2 {
+        if rng.random_range(0..8u32) == 0 {
+            let codes = (0..4).filter(|_| rng.random_range(0..2u32) == 0).collect();
+            q.add_cat(CatPredicate::one_of(CatId(c), codes));
+        }
+    }
+    q
+}
+
+/// `RegionIndex` ≡ the linear scan, after every step of random insert /
+/// FIFO-evict / replace-by-key / clear schedules. `QRS_TEST_SEED` picks the
+/// schedules, `QRS_FUZZ_ITERS` how many; a failure prints its schedule.
+#[test]
+fn region_index_matches_the_linear_scan() {
+    let seed = 0x4E61_0DE5 ^ env_u64("QRS_TEST_SEED", 0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let (mut hits, mut misses) = (0u32, 0u32);
+    for schedule in 0..env_u64("QRS_FUZZ_ITERS", 48) {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(schedule));
+        let dims = rng.random_range(1..7usize);
+        let cap = [3, 20, 150, usize::MAX][rng.random_range(0..4usize)];
+        let mut index: RegionIndex<Query> = RegionIndex::new(cap);
+        // The oracle: live regions oldest-first, with handle and key.
+        let mut live: Vec<(u64, Option<u32>, Query)> = Vec::new();
+        let mut log = vec![format!("dims {dims} cap {cap}")];
+        for _ in 0..400 {
+            let key = match rng.random_range(0..100u32) {
+                0 => {
+                    log.push("clear".into());
+                    index.clear();
+                    live.clear();
+                    continue;
+                }
+                1..=20 => Some(rng.random_range(0..6u32)),
+                _ => None,
+            };
+            let region = grid_box(&mut rng, dims, 5);
+            log.push(format!("insert {key:?} {region}"));
+            if let Some(at) = live.iter().position(|e| key.is_some() && e.1 == key) {
+                let (id, _, old) = live.remove(at);
+                assert_eq!(index.remove(id), Some(old), "{}", log.join("\n"));
+            }
+            if live.len() == cap {
+                live.remove(0);
+            }
+            live.push((index.insert(&region, region.clone()), key, region));
+            assert_eq!(index.len(), live.len(), "{}", log.join("\n"));
+            for _ in 0..4 {
+                let q = grid_box(&mut rng, dims + 1, 7);
+                let want = live.iter().any(|(_, _, r)| q.is_subsumed_by(r));
+                let got = index.find(&q);
+                assert_eq!(got.is_some(), want, "probe {q}\n{}", log.join("\n"));
+                if let Some(r) = got {
+                    assert!(q.is_subsumed_by(r), "probe {q} got {r}\n{}", log.join("\n"));
+                    assert!(
+                        live.iter().any(|e| e.2 == *r),
+                        "{r} is dead\n{}",
+                        log.join("\n")
+                    );
+                }
+                *(if want { &mut hits } else { &mut misses }) += 1;
+            }
+        }
+    }
+    assert!(
+        hits > 100 && misses > 100,
+        "one-sided sweep: {hits} hits, {misses} misses"
+    );
 }

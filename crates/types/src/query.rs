@@ -132,19 +132,22 @@ impl Query {
                 return false;
             }
         }
-        for p in &outer.cats {
-            let Some(mine) = self.cats.iter().find(|c| c.attr == p.attr) else {
-                return false;
-            };
-            if !mine
-                .codes()
+        self.cats_within(&outer.cats)
+    }
+
+    /// The categorical half of [`Query::is_subsumed_by`]: does `self` carry,
+    /// for every predicate in `outer`, one on the same attribute accepting
+    /// no code `outer`'s rejects?
+    pub(crate) fn cats_within(&self, outer: &[CatPredicate]) -> bool {
+        outer.iter().all(|p| {
+            self.cats
                 .iter()
-                .all(|c| p.codes().binary_search(c).is_ok())
-            {
-                return false;
-            }
-        }
-        true
+                .find(|c| c.attr == p.attr)
+                .is_some_and(|mine| {
+                    let inside = |c| p.codes().binary_search(c).is_ok();
+                    mine.codes().iter().all(inside)
+                })
+        })
     }
 
     /// Number of predicates (for workload statistics).

@@ -577,3 +577,49 @@ fn wire_knobs_reach_the_session_and_bad_requests_are_uncharged_400s() {
     );
     handle.shutdown();
 }
+
+/// A body of 100 000 `[` sits inside the 1 MiB cap and used to recurse the
+/// JSON parser off the stack, aborting the process. It must end in a typed,
+/// uncharged 400, and the slot it held must be free again: the server
+/// admits one request at a time, so a leaked slot would refuse the next.
+#[test]
+fn deeply_nested_body_is_a_typed_uncharged_400_and_frees_its_slot() {
+    let data = uniform(80, 2, 1, test_seed() ^ 0xDEE9);
+    let remote = Arc::new(anti_server(&data, 3));
+    let svc = Arc::new(RerankService::new(
+        Arc::clone(&remote) as Arc<dyn SearchInterface>,
+        data.len(),
+    ));
+    let config = EdgeConfig::default().with_max_inflight(1);
+    let handle = EdgeServer::serve(svc, Arc::new(Executor::from_env()), config).unwrap();
+
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let headers = [("x-tenant".to_string(), "tenant-a".to_string())];
+    write_request(
+        &mut stream,
+        "POST",
+        "/v1/rerank",
+        &headers,
+        &[b'['; 100_000],
+    )
+    .unwrap();
+    let refused = read_response(&mut stream).unwrap();
+    let body = String::from_utf8_lossy(&refused.body);
+    assert_eq!(refused.status, 400, "{body}");
+    assert!(
+        body.contains("invalid_request") && body.contains("nesting"),
+        "{body}"
+    );
+    assert_eq!(remote.queries_issued(), 0, "a refused body charges nothing");
+
+    let rank = [(0usize, Direction::Asc, 1.0)];
+    let request = EdgeClient::request(&Query::all(), &rank, 3, None, None, None);
+    let reply = EdgeClient::new(handle.addr(), "tenant-a")
+        .rerank(vec![request])
+        .expect("the same server answers normally afterwards");
+    assert_eq!(reply.outcomes[0].error_code, None);
+    assert_eq!(reply.outcomes[0].hits.len(), 3);
+    // One batch served, and no admission refusal: the gate was back at zero.
+    assert_eq!((handle.admitted(), handle.rejected()), (1, 0));
+    handle.shutdown();
+}
