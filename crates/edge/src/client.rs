@@ -3,7 +3,7 @@
 //!
 //! [`HttpSiteAdapter`] makes a remote edge look exactly like an in-process
 //! server to everything above it — sessions, planners, the knowledge
-//! plane. Three behaviours carry the contract:
+//! plane. Four behaviours carry the contract:
 //!
 //! * **capabilities are fetched once** at connect (schema, `k`, the full
 //!   capability set with its cost model, the mutation watermark) and
@@ -21,32 +21,85 @@
 //!   [`ServerError::Unavailable`] — the existing `RetryPolicy` machinery
 //!   handles them like any other 5xx, while typed protocol errors
 //!   (`429`/`501`/`400`) decode back into the exact [`ServerError`] the
-//!   far side raised, `retry_after_ms` hints included.
+//!   far side raised, `retry_after_ms` hints included;
+//! * **connections are reused, requests are never re-sent**: each client
+//!   keeps a few idle connections to its one peer. A call takes one (so
+//!   concurrent sessions over one adapter each get their own socket),
+//!   checks that the server has not closed it while it sat idle, and dials
+//!   only if none is usable; the connection goes back only after a
+//!   complete response that did not say `close`. Any failure on the way
+//!   discards it and is the caller's `Unavailable` — nothing is retried
+//!   beneath `RetryPolicy`, which cannot tell a request the server never
+//!   saw from one it charged for, and need not: the cumulative ledgers
+//!   settle either.
 
-use crate::http::{read_response, write_request, Response};
+use crate::http::{request_frame, response_from, says_close, Conn, Response};
 use crate::json::{parse, Json};
 use crate::wire;
+use parking_lot::Mutex;
 use qrs_server::{Capabilities, OrderedPage, SearchInterface};
 use qrs_types::{AttrId, Direction, MutationLog, Query, QueryResponse, Schema, ServerError};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Idle connections a client keeps; more than this many concurrent callers
+/// still each get a socket, the surplus is closed after use.
+const MAX_IDLE: usize = 4;
+/// How long a call waits for its request to leave and its response to
+/// arrive before it is `Unavailable`.
+const RESPONSE_WAIT: Duration = Duration::from_secs(30);
 
 fn transport_err(what: impl std::fmt::Display) -> ServerError {
     ServerError::unavailable(format!("transport: {what}"))
 }
 
-/// POST (or GET, for an empty target-only request) one round trip.
-fn round_trip(
+/// The connections a client holds to its one peer.
+struct Peer {
     addr: SocketAddr,
-    method: &str,
-    target: &str,
-    headers: &[(String, String)],
-    body: &[u8],
-) -> Result<Response, ServerError> {
-    let stream = TcpStream::connect(addr).map_err(transport_err)?;
-    write_request(&stream, method, target, headers, body).map_err(transport_err)?;
-    read_response(&stream).map_err(transport_err)
+    idle: Mutex<Vec<Conn>>,
+}
+
+impl Peer {
+    fn new(addr: SocketAddr) -> Peer {
+        let idle = Mutex::new(Vec::new());
+        Peer { addr, idle }
+    }
+
+    /// An idle connection the server has not closed, else a new one.
+    fn take(&self) -> Result<Conn, ServerError> {
+        loop {
+            let Some(conn) = self.idle.lock().pop() else {
+                let stream = TcpStream::connect(self.addr).map_err(transport_err)?;
+                return Conn::new(stream).map_err(transport_err);
+            };
+            if conn.quiet() {
+                return Ok(conn);
+            }
+        }
+    }
+
+    /// POST (or GET, for an empty target-only request) one round trip.
+    fn round_trip(
+        &self,
+        method: &str,
+        target: &str,
+        headers: &[(String, String)],
+        body: &[u8],
+    ) -> Result<Response, ServerError> {
+        let mut conn = self.take()?;
+        let request = request_frame(method, target, headers, body, false);
+        conn.send(RESPONSE_WAIT, &request).map_err(transport_err)?;
+        let response = response_from(conn.within(RESPONSE_WAIT)).map_err(transport_err)?;
+        if !says_close(&response.headers) {
+            let mut idle = self.idle.lock();
+            if idle.len() < MAX_IDLE {
+                idle.push(conn);
+            }
+        }
+        Ok(response)
+    }
 }
 
 fn parse_json_body(resp: &Response) -> Result<Json, ServerError> {
@@ -58,7 +111,7 @@ fn parse_json_body(resp: &Response) -> Result<Json, ServerError> {
 /// A remote site served by an [`crate::EdgeServer`], adapted back into a
 /// [`SearchInterface`]. See the module docs for the contract.
 pub struct HttpSiteAdapter {
-    addr: SocketAddr,
+    peer: Peer,
     schema: Arc<Schema>,
     k: usize,
     capabilities: Capabilities,
@@ -72,7 +125,8 @@ impl HttpSiteAdapter {
     /// advertises. Fails with a *transient* error if the edge is
     /// unreachable, so callers may retry the connect itself.
     pub fn connect(addr: SocketAddr) -> Result<HttpSiteAdapter, ServerError> {
-        let resp = round_trip(addr, "GET", "/site/capabilities", &[], b"")?;
+        let peer = Peer::new(addr);
+        let resp = peer.round_trip("GET", "/site/capabilities", &[], b"")?;
         if resp.status != 200 {
             return Err(decode_error(&resp));
         }
@@ -91,7 +145,7 @@ impl HttpSiteAdapter {
             .and_then(|c| wire::capabilities_from_json(c).map_err(transport_err))?;
         let seq_at_connect = body.get("seq").and_then(Json::as_u64).unwrap_or(0);
         let adapter = HttpSiteAdapter {
-            addr,
+            peer,
             schema: Arc::new(schema),
             k,
             capabilities,
@@ -105,7 +159,7 @@ impl HttpSiteAdapter {
 
     /// The edge address this adapter talks to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.peer.addr
     }
 
     /// The mutation watermark advertised at connect time.
@@ -128,7 +182,7 @@ impl HttpSiteAdapter {
     /// One `/site/*` call: round trip, mirror the ledger (success and
     /// typed failure alike), decode or surface the typed error.
     fn site_call(&self, method: &str, target: &str, body: &[u8]) -> Result<Json, ServerError> {
-        let resp = round_trip(self.addr, method, target, &[], body)?;
+        let resp = self.peer.round_trip(method, target, &[], body)?;
         let json = parse_json_body(&resp)?;
         // Typed error responses carry the ledger too — a charged failure
         // (e.g. a truncated page the server already paid for) still
@@ -292,7 +346,7 @@ pub struct WireBatchReply {
 /// A front-door client for `/v1/rerank` and `/stats` — what a remote user
 /// of the reranking service holds.
 pub struct EdgeClient {
-    addr: SocketAddr,
+    peer: Peer,
     tenant: String,
 }
 
@@ -330,7 +384,7 @@ impl EdgeClient {
     /// A client for the edge at `addr`, identifying as `tenant`.
     pub fn new(addr: SocketAddr, tenant: impl Into<String>) -> Self {
         EdgeClient {
-            addr,
+            peer: Peer::new(addr),
             tenant: tenant.into(),
         }
     }
@@ -340,7 +394,9 @@ impl EdgeClient {
     pub fn rerank(&self, requests: Vec<Json>) -> Result<WireBatchReply, EdgeClientError> {
         let body = Json::obj(vec![("requests", Json::Arr(requests))]).encode();
         let headers = vec![("x-tenant".to_string(), self.tenant.clone())];
-        let resp = round_trip(self.addr, "POST", "/v1/rerank", &headers, body.as_bytes())
+        let resp = self
+            .peer
+            .round_trip("POST", "/v1/rerank", &headers, body.as_bytes())
             .map_err(|e| EdgeClientError::Failed(e.to_string()))?;
         let json = parse_json_body(&resp).map_err(|e| EdgeClientError::Failed(e.to_string()))?;
         if resp.status == 429 {
@@ -422,7 +478,9 @@ impl EdgeClient {
 
     /// Fetch `/stats` as parsed JSON.
     pub fn stats(&self) -> Result<Json, EdgeClientError> {
-        let resp = round_trip(self.addr, "GET", "/stats", &[], b"")
+        let resp = self
+            .peer
+            .round_trip("GET", "/stats", &[], b"")
             .map_err(|e| EdgeClientError::Failed(e.to_string()))?;
         if resp.status != 200 {
             return Err(EdgeClientError::Failed(format!("status {}", resp.status)));

@@ -1,15 +1,28 @@
 //! Minimal HTTP/1.1 framing over a byte stream — just enough for the wire
 //! protocol, shared by both halves.
 //!
-//! One request per connection (`Connection: close`), bodies framed by
-//! `Content-Length` only. No chunked encoding, no keep-alive, no TLS:
-//! the edge is a protocol boundary, not a web server, and the simplest
-//! framing is the easiest to prove byte-identical under fault injection —
-//! a truncated body is detected by `read_exact`, not by a parser
-//! heuristic.
+//! Bodies are framed by `Content-Length` only. No chunked encoding, no
+//! pipelining, no TLS: the edge is a protocol boundary, not a web server,
+//! and the simplest framing is the easiest to prove byte-identical under
+//! fault injection — a truncated body is detected by `read_exact`, not by a
+//! parser heuristic.
+//!
+//! A connection carries one exchange after another (`Conn`). It ends
+//! when either side says `connection: close` (after the exchange that said
+//! so), when the peer hangs up between exchanges, and on any framing error
+//! or missed deadline — a stream that may be out of step is never read
+//! again. Every message leaves as **one** `write_all` of one buffer on a
+//! `TCP_NODELAY` socket: a head and a body written separately are two small
+//! segments, and on a reused connection Nagle holds the second until the
+//! peer's delayed ACK of the first, ~40 ms a call. The four one-shot
+//! functions ([`read_request`], [`write_request`], [`read_response`],
+//! [`write_response`]) are the same framing over any `Read`/`Write`, and
+//! always announce `connection: close`.
 
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Largest accepted header block and body (1 MiB each) — a wire-level
 /// guard so a malformed peer cannot make the edge allocate unboundedly.
@@ -89,8 +102,8 @@ impl Request {
 pub struct Response {
     /// The HTTP status code.
     pub status: u16,
-    /// Extra headers as `(name, value)` pairs (`Content-Length` and
-    /// `Connection: close` are added by [`write_response`]).
+    /// Extra headers as `(name, value)` pairs (`Content-Length`, and
+    /// `Connection: close` where it applies, are added when it is framed).
     pub headers: Vec<(String, String)>,
     /// The response body.
     pub body: Vec<u8>,
@@ -128,6 +141,7 @@ fn status_text(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
@@ -137,13 +151,34 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
+/// `read_line` that stops buffering at the size guard: a line with no end
+/// is refused at 1 MiB, not when memory runs out.
+fn read_line<R: BufRead>(reader: &mut R, line: &mut String) -> Result<usize, HttpError> {
+    let n = reader.take(MAX_BYTES as u64 + 1).read_line(line)?;
+    if n > MAX_BYTES {
+        return Err(HttpError::new("line too long"));
+    }
+    Ok(n)
+}
+
+/// Whether a header block ends its connection after this exchange.
+pub(crate) fn says_close(headers: &[(String, String)]) -> bool {
+    let close = |(name, value): &(String, String)| {
+        name == "connection" && value.eq_ignore_ascii_case("close")
+    };
+    headers.iter().any(close)
+}
+
 /// Read one request from the stream. A clean EOF before any byte returns
 /// `Ok(None)` (the peer connected and went away — the accept loop's
 /// shutdown nudge does exactly this).
 pub fn read_request<R: Read>(stream: R) -> Result<Option<Request>, HttpError> {
-    let mut reader = BufReader::new(stream);
+    request_from(&mut BufReader::new(stream))
+}
+
+pub(crate) fn request_from<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpError> {
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_line(reader, &mut line)? == 0 {
         return Ok(None);
     }
     let mut parts = line.trim_end().splitn(3, ' ');
@@ -156,8 +191,8 @@ pub fn read_request<R: Read>(stream: R) -> Result<Option<Request>, HttpError> {
         .next()
         .ok_or_else(|| HttpError::new("request line missing target"))?
         .to_string();
-    let (headers, content_length) = read_headers(&mut reader)?;
-    let body = read_body(&mut reader, content_length)?;
+    let (headers, content_length) = read_headers(reader)?;
+    let body = read_body(reader, content_length)?;
     Ok(Some(Request {
         method,
         target,
@@ -170,9 +205,12 @@ pub fn read_request<R: Read>(stream: R) -> Result<Option<Request>, HttpError> {
 /// body shorter than its `Content-Length` — is a framing error: the
 /// client half maps it to a *transient* server failure.
 pub fn read_response<R: Read>(stream: R) -> Result<Response, HttpError> {
-    let mut reader = BufReader::new(stream);
+    response_from(&mut BufReader::new(stream))
+}
+
+pub(crate) fn response_from<R: BufRead>(reader: &mut R) -> Result<Response, HttpError> {
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_line(reader, &mut line)? == 0 {
         return Err(HttpError::new("connection closed before status line"));
     }
     let mut parts = line.trim_end().splitn(3, ' ');
@@ -184,8 +222,8 @@ pub fn read_response<R: Read>(stream: R) -> Result<Response, HttpError> {
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| HttpError::new("bad status code"))?;
-    let (headers, content_length) = read_headers(&mut reader)?;
-    let body = read_body(&mut reader, content_length)?;
+    let (headers, content_length) = read_headers(reader)?;
+    let body = read_body(reader, content_length)?;
     Ok(Response {
         status,
         headers,
@@ -201,7 +239,7 @@ fn read_headers<R: BufRead>(reader: &mut R) -> Result<(Headers, usize), HttpErro
     let mut total = 0usize;
     loop {
         let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        if read_line(reader, &mut line)? == 0 {
             return Err(HttpError::new("connection closed inside headers"));
         }
         total += line.len();
@@ -237,6 +275,40 @@ fn read_body<R: Read>(reader: &mut R, len: usize) -> Result<Vec<u8>, HttpError> 
     Ok(body)
 }
 
+/// One message as the bytes that go on the wire: start line, headers,
+/// `Content-Length`, `Connection: close` if this exchange is the last, body.
+fn frame(mut head: String, headers: &[(String, String)], body: &[u8], close: bool) -> Vec<u8> {
+    use fmt::Write as _;
+    for (name, value) in headers {
+        let _ = write!(head, "{name}: {value}\r\n");
+    }
+    let _ = write!(head, "content-length: {}\r\n", body.len());
+    if close {
+        head.push_str("connection: close\r\n");
+    }
+    head.push_str("\r\n");
+    let mut frame = head.into_bytes();
+    frame.extend_from_slice(body);
+    frame
+}
+
+pub(crate) fn request_frame(
+    method: &str,
+    target: &str,
+    headers: &[(String, String)],
+    body: &[u8],
+    close: bool,
+) -> Vec<u8> {
+    let start = format!("{method} {target} HTTP/1.1\r\n");
+    frame(start, headers, body, close)
+}
+
+pub(crate) fn response_frame(response: &Response, close: bool) -> Vec<u8> {
+    let (status, text) = (response.status, status_text(response.status));
+    let start = format!("HTTP/1.1 {status} {text}\r\n");
+    frame(start, &response.headers, &response.body, close)
+}
+
 /// Write one request (with `Connection: close` and `Content-Length`).
 pub fn write_request<W: Write>(
     mut stream: W,
@@ -245,38 +317,95 @@ pub fn write_request<W: Write>(
     headers: &[(String, String)],
     body: &[u8],
 ) -> Result<(), HttpError> {
-    let mut head = format!("{method} {target} HTTP/1.1\r\n");
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str(&format!(
-        "content-length: {}\r\nconnection: close\r\n\r\n",
-        body.len()
-    ));
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()?;
-    Ok(())
+    stream.write_all(&request_frame(method, target, headers, body, true))?;
+    Ok(stream.flush()?)
 }
 
 /// Write one response (with `Connection: close` and `Content-Length`).
 pub fn write_response<W: Write>(mut stream: W, response: &Response) -> Result<(), HttpError> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\n",
-        response.status,
-        status_text(response.status)
-    );
-    for (name, value) in &response.headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+    stream.write_all(&response_frame(response, true))?;
+    Ok(stream.flush()?)
+}
+
+/// A socket whose reads and writes all draw on one budget. A timeout set
+/// once on the socket bounds each `read`, so a peer sending a byte just
+/// inside it holds the reader for as long as it likes; here what is left
+/// of the budget is worked out again before every call.
+pub(crate) struct Timed {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Timed {
+    fn left(&self) -> io::Result<Duration> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        Ok(left)
     }
-    head.push_str(&format!(
-        "content-length: {}\r\nconnection: close\r\n\r\n",
-        response.body.len()
-    ));
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
-    stream.flush()?;
-    Ok(())
+}
+
+impl Read for Timed {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.left()?))?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Timed {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One end of a connection that outlives a request: the socket, and the
+/// one buffered reader that lives as long as it does (a reader per message
+/// would throw away whatever it had read ahead).
+pub(crate) struct Conn(BufReader<Timed>);
+
+impl Conn {
+    pub(crate) fn new(stream: TcpStream) -> io::Result<Conn> {
+        stream.set_nodelay(true)?;
+        let deadline = Instant::now();
+        Ok(Conn(BufReader::new(Timed { stream, deadline })))
+    }
+
+    /// The reader, with `budget` to spend on everything read through it
+    /// until the next budget is set.
+    pub(crate) fn within(&mut self, budget: Duration) -> &mut BufReader<Timed> {
+        self.0.get_mut().deadline = Instant::now() + budget;
+        &mut self.0
+    }
+
+    /// Whether the current budget has run out.
+    pub(crate) fn expired(&self) -> bool {
+        self.0.get_ref().left().is_err()
+    }
+
+    /// Send one framed message, as one write, with `budget` to leave in.
+    pub(crate) fn send(&mut self, budget: Duration, frame: &[u8]) -> io::Result<()> {
+        self.within(budget).get_mut().write_all(frame)
+    }
+
+    /// Whether the connection is open with nothing waiting to be read — what
+    /// an idle connection must look like to be used again. A non-blocking
+    /// `peek` that would block is the healthy answer; EOF (the peer hung up
+    /// while it sat idle), an error, or bytes nobody asked for are not.
+    pub(crate) fn quiet(&self) -> bool {
+        let socket = &self.0.get_ref().stream;
+        if !self.0.buffer().is_empty() || socket.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let probe = socket.peek(&mut [0u8; 1]);
+        let would_block = matches!(probe, Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+        socket.set_nonblocking(false).is_ok() && would_block
+    }
 }
 
 #[cfg(test)]
@@ -326,11 +455,96 @@ mod tests {
     }
 
     #[test]
+    fn only_the_one_shot_writers_and_a_last_exchange_say_close() {
+        let said = |frame: &[u8]| says_close(&read_request(frame).unwrap().unwrap().headers);
+        assert!(!said(&request_frame("GET", "/", &[], b"", false)));
+        assert!(said(&request_frame("GET", "/", &[], b"", true)));
+        assert!(said(b"GET / HTTP/1.1\r\nConnection: Close\r\n\r\n"));
+        let mut one_shot = Vec::new();
+        write_request(&mut one_shot, "GET", "/", &[], b"").unwrap();
+        assert!(said(&one_shot));
+        let resp = Response::json(200, "{}".into());
+        let kept = read_response(&response_frame(&resp, false)[..]).unwrap();
+        assert!(!says_close(&kept.headers));
+        assert_eq!(kept.body, b"{}");
+    }
+
+    /// A connected pair over loopback: our end as a [`Conn`], the peer raw.
+    fn pair() -> (Conn, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (Conn::new(listener.accept().unwrap().0).unwrap(), peer)
+    }
+
+    /// Loopback delivers within the sender's syscall or very soon after.
+    fn soon(mut holds: impl FnMut() -> bool) -> bool {
+        let t0 = Instant::now();
+        while !holds() && t0.elapsed() < Duration::from_secs(2) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        holds()
+    }
+
+    #[test]
+    fn a_conn_carries_exchanges_back_to_back_and_knows_when_it_is_quiet() {
+        let second = Duration::from_secs(1);
+        let (mut conn, mut peer) = pair();
+        assert!(conn.quiet(), "open, nothing to read");
+        // Two requests in one segment: the second sits in the reader, which
+        // therefore has to outlive the first.
+        let a = request_frame("GET", "/a", &[], b"", false);
+        let b = request_frame("POST", "/b", &[], b"xy", false);
+        peer.write_all(&[a, b].concat()).unwrap();
+        let a = request_from(conn.within(second)).unwrap().unwrap();
+        assert!(!conn.quiet(), "a buffered request is not quiet");
+        let b = request_from(conn.within(second)).unwrap().unwrap();
+        assert_eq!((a.target.as_str(), &b.body[..]), ("/a", &b"xy"[..]));
+        assert!(conn.quiet());
+        let reply = response_frame(&Response::json(200, "{}".into()), false);
+        conn.send(second, &reply).unwrap();
+        assert_eq!(read_response(&peer).unwrap().body, b"{}");
+        // Bytes nobody asked for, and a hang-up, both spoil it.
+        peer.write_all(b"!").unwrap();
+        assert!(soon(|| !conn.quiet()));
+        let (conn, peer) = pair();
+        drop(peer);
+        assert!(soon(|| !conn.quiet()));
+    }
+
+    /// Sixty-odd bytes 10 ms apart: every read returns well inside the
+    /// budget, the message as a whole does not.
+    #[test]
+    fn a_budget_covers_the_whole_message_not_each_read() {
+        let (mut conn, mut peer) = pair();
+        let frame = request_frame("POST", "/slow", &[], &[b'x'; 40], false);
+        let drip = std::thread::spawn(move || {
+            for byte in frame {
+                if peer.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
+        let t0 = Instant::now();
+        let cut = request_from(conn.within(Duration::from_millis(200)));
+        assert!(cut.is_err() && conn.expired(), "{cut:?}");
+        assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+        drop(conn);
+        drip.join().unwrap();
+    }
+
+    #[test]
     fn size_guards_refuse_oversized_frames() {
         let text = format!(
             "GET / HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
             MAX_BYTES + 1
         );
         assert!(read_request(text.as_bytes()).is_err());
+        // A line that never ends is refused at the guard, wherever it is.
+        let endless = "x".repeat(MAX_BYTES + 2);
+        let e = read_request(endless.as_bytes()).unwrap_err();
+        assert!(e.reason.contains("line too long"), "{e}");
+        let e = read_response(format!("HTTP/1.1 200 OK\r\n{endless}").as_bytes());
+        assert!(e.unwrap_err().reason.contains("line too long"));
     }
 }

@@ -197,6 +197,7 @@ pub const MAX_DEPTH: usize = 64;
 /// [`MAX_DEPTH`] are errors.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -211,6 +212,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text`, as the bytes the parser steps through.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
@@ -383,13 +386,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
+                    // Everything up to the next quote or backslash is one
+                    // run. Both are ASCII, so the run starts and ends on a
+                    // character boundary of the `&str` being parsed, and a
+                    // string costs its own length, not the input's.
                     let rest = &self.bytes[self.pos..];
-                    let s_rest = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let c = s_rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    let stop = rest.iter().position(|b| matches!(b, b'"' | b'\\'));
+                    let end = self.pos + stop.unwrap_or(rest.len());
+                    let run = self.text.get(self.pos..end);
+                    s.push_str(run.ok_or_else(|| self.err("bad utf-8"))?);
+                    self.pos = end;
                 }
             }
         }
@@ -486,6 +492,24 @@ mod tests {
         let s = Json::Str("\u{1}".into()).encode();
         assert_eq!(s, "\"\\u0001\"");
         assert_eq!(parse(&s).unwrap(), Json::Str("\u{1}".into()));
+    }
+
+    /// Parsing a string used to re-validate the rest of the input per
+    /// character; at that cost this test runs for minutes.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let unit = "plain é ‰ 😀 \"quoted\" back\\slash \n\t\u{1} / ";
+        let long = unit.repeat((512 << 10) / unit.len() + 1);
+        assert!(long.len() >= 512 << 10);
+        let value = Json::Arr(vec![Json::str(long.clone()), Json::str("tail")]);
+        assert_eq!(parse(&value.encode()).unwrap(), value);
+        // Escapes the encoder never writes, between runs of every width.
+        let text = r#""a\/é\u00e9‰😀\ud83d\ude00\b""#;
+        assert_eq!(parse(text).unwrap(), Json::str("a/éé‰😀😀\u{8}"));
+        let mib = format!("\"{}\"", "x".repeat(1 << 20));
+        assert_eq!(parse(&mib).unwrap().as_str().map(str::len), Some(1 << 20));
+        // A run that meets the end of input is still an unterminated string.
+        assert!(parse("\"abc é").is_err());
     }
 
     #[test]

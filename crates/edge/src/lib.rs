@@ -7,8 +7,9 @@
 //! users — and this crate is that wire, std-only, both halves:
 //!
 //! * **Server half** ([`EdgeServer`]): a thin front door that accepts
-//!   plain HTTP/1.1 on a loopback socket, parses requests on `qrs-exec`
-//!   pool workers, and maps a JSON protocol onto
+//!   plain HTTP/1.1 on a loopback socket, serves each persistent
+//!   connection on a `qrs-exec` pool worker under whole-request
+//!   deadlines, and maps a JSON protocol onto
 //!   `RerankService::serve_batch_cancellable`. Admission control runs
 //!   *before* any query is issued: a bounded in-flight gate and per-tenant
 //!   query/cost budgets refuse with a typed `429` + `Retry-After`, charging
@@ -23,7 +24,8 @@
 //!   (cost model included) are fetched once at connect and cached; every
 //!   response carries the server's *cumulative* ledgers, which the adapter
 //!   mirrors into atomics — so ledger reads stay cheap and reconcile
-//!   exactly even across dropped connections.
+//!   exactly even across dropped connections. Connections are reused,
+//!   requests never re-sent.
 //!
 //! The proof of the layer is the loopback round-trip (see
 //! `tests/edge_loopback.rs` at the workspace root): a `SimServer` served

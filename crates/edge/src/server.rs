@@ -1,10 +1,45 @@
 //! The server half: a loopback HTTP front door over a [`RerankService`].
 //!
 //! One [`EdgeServer::serve`] call binds `127.0.0.1:0`, spawns an accept
-//! thread, and dispatches every connection onto the shared `qrs-exec`
-//! pool (inline on the accept thread under an immediate executor, whose
-//! deferred-spawn semantics would otherwise never run a handler). The
-//! routes:
+//! thread, and hands every connection to a worker of the shared `qrs-exec`
+//! pool, which keeps it for the connection's whole life:
+//!
+//! 1. **read** a request — from its first byte to its last inside
+//!    `EXCHANGE` (2 s), however the bytes are spaced, else `408` and close.
+//!    A new connection is a request under way (its client dialled in order
+//!    to speak): its clock starts when a worker picks it up;
+//! 2. **route** it and **write** the response, again inside `EXCHANGE`;
+//! 3. **park** until the first byte of the next request (`IDLE`, 30 s) and
+//!    go back to 1 — unless either side said `connection: close`, the peer
+//!    hung up, or the stream can no longer be trusted: a framing error is
+//!    answered `400` and the connection closed, because nobody knows where
+//!    the next request would start (a well-framed body that is bad JSON is
+//!    an ordinary `400` and keeps its connection).
+//!
+//! **The shed rule.** An idle connection must never own a worker somebody
+//! else needs. Every live connection is registered with a second handle to
+//! its socket and a `parked` flag. When the accept loop takes a connection
+//! the pool has no worker left for, it shuts down the oldest parked one,
+//! which wakes that worker; and a worker does not park while connections
+//! outnumber workers (its response says `close` if it can tell in time).
+//! One atomic swap of the flag — by the worker that saw a first byte, or
+//! by whoever wants the worker back — decides who owns the connection, so
+//! a request whose first byte has been consumed is never interrupted. A
+//! shed client finds EOF where it expected an idle connection and dials
+//! again; one whose next request was already on its way sees that request
+//! fail, as a transient error.
+//!
+//! **Shutdown** sets the stop flag and *then* sheds every parked
+//! connection; a worker parks and *then* reads the flag, so neither can
+//! miss the other. A connection inside an exchange finishes it, says
+//! `close`, and ends.
+//!
+//! Under an immediate executor, whose deferred-spawn semantics would never
+//! run a handler, the accept thread serves each connection itself. Nothing
+//! could shed it there, so every response says `close`: one request per
+//! connection, same loop.
+//!
+//! The routes:
 //!
 //! | route                          | serves                               |
 //! |--------------------------------|--------------------------------------|
@@ -25,17 +60,20 @@
 //!
 //! `/v1/rerank` gates run strictly before any query is issued:
 //!
-//! 1. **tenant budgets** — if the tenant's cumulative query or cost spend
-//!    has reached the configured cap, refuse: `429`, body code
-//!    `"admission"`, reason `"tenant_budget"`, `Retry-After` set, nothing
-//!    charged anywhere;
+//! 1. **tenant** — the `x-tenant` header names the ledger: over
+//!    64 bytes or outside visible ASCII is a `400`, and an unseen name
+//!    when `MAX_TENANTS` (4096) are already on the books is a `429`
+//!    with reason `"tenant_table_full"`. If the tenant's cumulative query
+//!    or cost spend has reached the configured cap, refuse: `429`, body
+//!    code `"admission"`, reason `"tenant_budget"`, `Retry-After` set,
+//!    nothing charged anywhere;
 //! 2. **in-flight cap** — a lock-free gate on concurrent batches; past it,
 //!    refuse with reason `"capacity"`, again uncharged;
 //! 3. **parse** — malformed bodies are a `400`, still uncharged;
 //! 4. **serve** — `RerankService::serve_batch_cancellable` runs the batch;
 //! 5. **charge** — the summed per-session ledgers land on the tenant.
 
-use crate::http::{read_request, write_response, Request, Response};
+use crate::http::{request_from, response_frame, says_close, Conn, Request, Response};
 use crate::json::{parse, Json};
 use crate::wire;
 use parking_lot::Mutex;
@@ -46,10 +84,23 @@ use qrs_ranking::LinearRank;
 use qrs_service::{BatchOutcome, BatchRequest, RerankService};
 use qrs_types::{AttrId, Direction, ServerError};
 use std::collections::BTreeMap;
-use std::net::{TcpListener, TcpStream};
+use std::io::BufRead;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
+
+/// How long a request may take from its first byte to its last, and a
+/// response to leave. Past it the connection is cut.
+const EXCHANGE: Duration = Duration::from_secs(2);
+/// How long a connection may sit between requests. Generous: the shed rule,
+/// not this, is what frees a worker under pressure.
+const IDLE: Duration = Duration::from_secs(30);
+/// Distinct tenants the edge keeps a ledger for.
+const MAX_TENANTS: usize = 4096;
+/// Longest accepted `x-tenant` value.
+const MAX_TENANT_BYTES: usize = 64;
 
 /// Knobs for the edge's admission control, read from `QRS_EDGE_*`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,6 +178,28 @@ struct TenantLedger {
     cost_units: u64,
 }
 
+/// A live connection as everyone but its worker sees it.
+struct Live {
+    /// A second handle to the socket, to shut it down with.
+    socket: TcpStream,
+    /// Served at least once and waiting for its next request. Whoever
+    /// swaps this back to false owns the connection: its worker, to serve
+    /// the request whose first byte it saw, or someone shedding it.
+    parked: AtomicBool,
+}
+
+/// Shed the oldest parked connection of `conns`, or every one of them.
+fn shed(conns: &[Arc<Live>], all: bool) {
+    for live in conns {
+        if live.parked.swap(false, Ordering::SeqCst) {
+            let _ = live.socket.shutdown(Shutdown::Both);
+            if !all {
+                return;
+            }
+        }
+    }
+}
+
 struct Shared {
     svc: Arc<RerankService>,
     exec: Arc<Executor>,
@@ -135,7 +208,23 @@ struct Shared {
     tenants: Mutex<BTreeMap<String, TenantLedger>>,
     admitted: AtomicU64,
     rejected: AtomicU64,
+    /// Connections accepted and requests read off them, since birth.
+    connections: AtomicU64,
+    requests: AtomicU64,
+    /// Every connection accepted and not yet ended, oldest first.
+    live: Mutex<Vec<Arc<Live>>>,
     stop: AtomicBool,
+}
+
+impl Shared {
+    /// Whether some connection has no worker while this one holds one.
+    fn crowded(&self) -> bool {
+        self.live.lock().len() > self.exec.workers()
+    }
+
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
 }
 
 /// The HTTP edge. See the module docs for the protocol and admission
@@ -161,6 +250,9 @@ impl EdgeServer {
             tenants: Mutex::new(BTreeMap::new()),
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            connections: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+            live: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
         });
         let accept_shared = Arc::clone(&shared);
@@ -198,12 +290,26 @@ impl EdgeHandle {
         self.shared.rejected.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting, drain in-flight handlers, join the accept thread.
-    /// Idempotent.
+    /// Connections accepted so far. With [`EdgeHandle::requests`] this is
+    /// what shows reuse: a client that keeps its connection moves only the
+    /// other counter.
+    pub fn connections(&self) -> u64 {
+        self.shared.connections.load(Ordering::Relaxed)
+    }
+
+    /// Well-framed requests read off those connections so far.
+    pub fn requests(&self) -> u64 {
+        self.shared.requests.load(Ordering::Relaxed)
+    }
+
+    /// Stop accepting, end idle connections, let exchanges under way
+    /// finish, join the accept thread. Idempotent.
     pub fn shutdown(&self) {
+        // Flag first, scan second; workers park first and read the flag
+        // second.
         self.shared.stop.store(true, Ordering::SeqCst);
-        // Nudge the blocking accept() awake; the no-op connection reads
-        // as a clean EOF and is ignored by the handler.
+        shed(&self.shared.live.lock(), true);
+        // Nudge the blocking accept() awake; it sees the flag and stops.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.lock().take() {
             let _ = h.join();
@@ -217,52 +323,98 @@ impl Drop for EdgeHandle {
     }
 }
 
+/// Accept and register the next connection, making room for it if every
+/// worker is taken; `None` once the edge is stopping.
+fn next_conn(listener: &TcpListener, shared: &Shared) -> Option<(Conn, Arc<Live>)> {
+    loop {
+        let (stream, _) = listener.accept().ok()?;
+        if shared.stopping() {
+            return None;
+        }
+        // A socket that cannot be registered cannot be shed: drop it.
+        let (Ok(socket), Ok(conn)) = (stream.try_clone(), Conn::new(stream)) else {
+            continue;
+        };
+        let parked = AtomicBool::new(false);
+        let live = Arc::new(Live { socket, parked });
+        shared.connections.fetch_add(1, Ordering::Relaxed);
+        let mut all = shared.live.lock();
+        all.push(Arc::clone(&live));
+        if all.len() > shared.exec.workers() {
+            shed(&all, false);
+        }
+        return Some((conn, live));
+    }
+}
+
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let exec = Arc::clone(&shared.exec);
     // An immediate executor defers spawned tasks until join or scope
     // close — a live server would never answer. Handle inline instead;
     // the protocol is identical, only the concurrency goes away.
     if exec.is_immediate() {
-        while let Ok((stream, _)) = listener.accept() {
-            if shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            handle_conn(stream, &shared);
+        while let Some((conn, live)) = next_conn(&listener, &shared) {
+            handle_conn(conn, &live, &shared);
         }
         return;
     }
     exec.scope(|s| {
-        while let Ok((stream, _)) = listener.accept() {
-            if shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
+        while let Some((conn, live)) = next_conn(&listener, &shared) {
             let shared = Arc::clone(&shared);
-            let _ = s.spawn(move || handle_conn(stream, &shared));
+            let _ = s.spawn(move || handle_conn(conn, &live, &shared));
         }
         // Scope close waits for every in-flight handler before the accept
         // thread exits, so shutdown() returning means the edge is quiet.
     });
 }
 
-fn handle_conn(stream: TcpStream, shared: &Shared) {
-    let request = match read_request(&stream) {
-        Ok(Some(r)) => r,
-        // Clean EOF (e.g. the shutdown nudge): nothing to answer.
-        Ok(None) => return,
-        Err(e) => {
-            let body = Json::obj(vec![(
-                "error",
-                Json::obj(vec![
-                    ("code", Json::str("malformed_request")),
-                    ("message", Json::str(e.to_string())),
-                ]),
-            )]);
-            let _ = write_response(&stream, &Response::json(400, body.encode()));
+fn handle_conn(mut conn: Conn, live: &Arc<Live>, shared: &Shared) {
+    serve_conn(&mut conn, live, shared);
+    shared.live.lock().retain(|l| !Arc::ptr_eq(l, live));
+}
+
+/// The connection loop of the module docs.
+fn serve_conn(conn: &mut Conn, live: &Live, shared: &Shared) {
+    let one_shot = shared.exec.is_immediate();
+    // A new connection is a request under way: no park, no shedding.
+    let mut begun = !shared.stopping();
+    while begun {
+        let (response, close) = match request_from(conn.within(EXCHANGE)) {
+            Ok(Some(request)) => {
+                shared.requests.fetch_add(1, Ordering::Relaxed);
+                let response = route(&request, shared);
+                let last = one_shot || says_close(&request.headers);
+                (response, last || shared.stopping() || shared.crowded())
+            }
+            Ok(None) => return,
+            Err(_) if conn.expired() => {
+                let late = format!("request not complete within {EXCHANGE:?}");
+                (error_response(408, "request_timeout", late), true)
+            }
+            Err(e) => (
+                error_response(400, "malformed_request", e.to_string()),
+                true,
+            ),
+        };
+        let sent = conn.send(EXCHANGE, &response_frame(&response, close));
+        if sent.is_err() || close {
             return;
         }
-    };
-    let response = route(&request, shared);
-    let _ = write_response(&stream, &response);
+        begun = park(conn, live, shared);
+    }
+}
+
+/// Offer the connection up until the first byte of its next request.
+/// True if that byte came and this worker still owns the connection.
+fn park(conn: &mut Conn, live: &Live, shared: &Shared) -> bool {
+    // Park first, look second: whoever sheds sets their reason first and
+    // scans for parked connections second.
+    live.parked.store(true, Ordering::SeqCst);
+    if shared.stopping() || shared.crowded() {
+        return false;
+    }
+    let first_byte = matches!(conn.within(IDLE).fill_buf(), Ok(bytes) if !bytes.is_empty());
+    live.parked.swap(false, Ordering::SeqCst) && first_byte
 }
 
 fn route(req: &Request, shared: &Shared) -> Response {
@@ -578,13 +730,21 @@ fn outcome_to_json(o: &BatchOutcome) -> Json {
 }
 
 fn rerank(req: &Request, shared: &Shared) -> Response {
-    let tenant = req.header("x-tenant").unwrap_or("anonymous").to_string();
-    let spend = shared
-        .tenants
-        .lock()
-        .get(&tenant)
-        .copied()
-        .unwrap_or_default();
+    let tenant = req.header("x-tenant").unwrap_or("anonymous");
+    // The header is a map key chosen by the caller: bound it, and the map.
+    let visible = !tenant.is_empty() && tenant.bytes().all(|b| b.is_ascii_graphic());
+    if tenant.len() > MAX_TENANT_BYTES || !visible {
+        let rule = format!("x-tenant must be 1..={MAX_TENANT_BYTES} visible ASCII bytes");
+        return error_response(400, "invalid_request", rule);
+    }
+    let spend = {
+        let mut tenants = shared.tenants.lock();
+        if !tenants.contains_key(tenant) && tenants.len() >= MAX_TENANTS {
+            drop(tenants);
+            return admission_reject(shared, TenantLedger::default(), "tenant_table_full");
+        }
+        *tenants.entry(tenant.to_string()).or_default()
+    };
     // Gate 1: tenant budgets — checked against *cumulative* spend, so a
     // tenant over either cap is refused before any query is issued.
     let over_queries = shared
@@ -611,7 +771,7 @@ fn rerank(req: &Request, shared: &Shared) -> Response {
         return admission_reject(shared, spend, "capacity");
     }
     // From here on the slot must be released on every path.
-    let response = rerank_admitted(req, shared, &tenant);
+    let response = rerank_admitted(req, shared, tenant);
     shared.inflight.fetch_sub(1, Ordering::SeqCst);
     response
 }
@@ -689,22 +849,14 @@ fn stats(shared: &Shared) -> Response {
         ("requests_served", Json::u64(s.requests_served)),
         ("requests_cancelled", Json::u64(s.requests_cancelled)),
     ]);
-    let mut members = vec![
-        ("service", service),
-        (
-            "edge",
-            Json::obj(vec![
-                (
-                    "admitted",
-                    Json::u64(shared.admitted.load(Ordering::Relaxed)),
-                ),
-                (
-                    "rejected",
-                    Json::u64(shared.rejected.load(Ordering::Relaxed)),
-                ),
-            ]),
-        ),
-    ];
+    let count = |counter: &AtomicU64| Json::u64(counter.load(Ordering::Relaxed));
+    let edge = Json::obj(vec![
+        ("admitted", count(&shared.admitted)),
+        ("rejected", count(&shared.rejected)),
+        ("connections", count(&shared.connections)),
+        ("requests", count(&shared.requests)),
+    ]);
+    let mut members = vec![("service", service), ("edge", edge)];
     if let Some(plane) = shared.svc.knowledge_plane() {
         let p = plane.stats();
         members.push((

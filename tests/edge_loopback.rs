@@ -13,9 +13,15 @@
 //!   (query/page routes),
 //! * a 429 storm injected *behind* the edge, absorbed by the client-side
 //!   `RetryPolicy` on a mock clock — refusals charge nothing,
-//! * a deterministic TCP fault proxy dropping and truncating whole
-//!   responses — transport loss is transient, and cumulative ledgers
-//!   absorb every missed charge,
+//! * a deterministic, persistent TCP fault proxy dropping and truncating
+//!   whole responses on *reused* connections — transport loss is
+//!   transient, and cumulative ledgers absorb every missed charge,
+//! * the connection's life: reuse counted at the server, an idle
+//!   connection shed for a client that needs its worker, shutdown under
+//!   idle connections, stalled and dripped requests cut at the whole-request
+//!   deadline, one request per connection under an immediate executor,
+//! * the tenant table: unchecked names and a full table are typed,
+//!   uncharged refusals,
 //! * admission control: capacity and tenant-budget refusals are typed
 //!   `429`s with `Retry-After` that charge **neither** ledger,
 //! * the front door: `/v1/rerank` via [`EdgeClient`] versus an in-process
@@ -25,7 +31,7 @@
 //! matrix sweeps pool shapes over the same wire.
 
 use query_reranking::datagen::synthetic::uniform;
-use query_reranking::edge::http::{read_request, read_response, write_request, write_response};
+use query_reranking::edge::http::{read_request, read_response, write_request};
 use query_reranking::edge::{EdgeClient, EdgeClientError, EdgeConfig, EdgeServer, HttpSiteAdapter};
 use query_reranking::exec::Executor;
 use query_reranking::ranking::{LinearRank, RankFn};
@@ -34,10 +40,12 @@ use query_reranking::server::{
 };
 use query_reranking::service::{BatchRequest, RerankService};
 use query_reranking::types::{AttrId, Dataset, Direction, Query, RerankError, RetryPolicy};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// Mix the CI-provided seed into the workload, so the matrix proves the
 /// wire is transparent for more than one dataset.
@@ -62,6 +70,10 @@ fn fingerprint(hits: &[query_reranking::service::RankedTuple]) -> Vec<(u32, u64)
     hits.iter()
         .map(|r| (r.tuple.id.0, r.score.to_bits()))
         .collect()
+}
+
+fn ids(r: &query_reranking::types::QueryResponse) -> Vec<u32> {
+    r.tuples.iter().map(|t| t.id.0).collect()
 }
 
 /// Serve `remote` behind an edge and return (handle, adapter): the same
@@ -189,60 +201,173 @@ fn rate_limit_storm_crosses_the_wire_as_typed_hints() {
     handle.shutdown();
 }
 
-/// What the TCP fault proxy does to one proxied connection.
+/// One message as wire bytes, headers as given: unlike the crate's one-shot
+/// writers this adds no `connection: close`, so a raw client or the proxy
+/// can hold a connection open. `headers` must carry the content length.
+fn raw_frame(start: String, headers: &[(String, String)], body: &[u8]) -> Vec<u8> {
+    let mut head = start + "\r\n";
+    for (name, value) in headers {
+        head += &format!("{name}: {value}\r\n");
+    }
+    [head.as_bytes(), b"\r\n", body].concat()
+}
+
+fn raw_request(method: &str, target: &str, tenant: Option<&str>, body: &[u8]) -> Vec<u8> {
+    let mut headers = vec![("content-length".to_string(), body.len().to_string())];
+    if let Some(t) = tenant {
+        headers.push(("x-tenant".to_string(), t.to_string()));
+    }
+    raw_frame(format!("{method} {target} HTTP/1.1"), &headers, body)
+}
+
+fn says_close(resp: &query_reranking::edge::Response) -> bool {
+    resp.header("connection") == Some("close")
+}
+
+/// A client that frames by hand and keeps its socket until a response says
+/// `close` — a persistent peer that shares no code with `EdgeClient`.
+struct RawClient {
+    addr: SocketAddr,
+    stream: Option<TcpStream>,
+}
+
+impl RawClient {
+    fn new(addr: SocketAddr) -> RawClient {
+        RawClient { addr, stream: None }
+    }
+
+    fn call(
+        &mut self,
+        method: &str,
+        target: &str,
+        tenant: Option<&str>,
+        body: &[u8],
+    ) -> query_reranking::edge::Response {
+        let stream = self
+            .stream
+            .take()
+            .unwrap_or_else(|| TcpStream::connect(self.addr).expect("raw connect"));
+        (&stream)
+            .write_all(&raw_request(method, target, tenant, body))
+            .expect("raw send");
+        let resp = read_response(&stream).expect("raw reply");
+        if !says_close(&resp) {
+            self.stream = Some(stream);
+        }
+        resp
+    }
+}
+
+/// A `/v1/rerank` body of one small request that costs real queries.
+fn one_request_body() -> Vec<u8> {
+    let req = EdgeClient::request(
+        &Query::all(),
+        &[(0, Direction::Asc, 1.0)],
+        3,
+        None,
+        None,
+        None,
+    );
+    let body = query_reranking::edge::Json::obj(vec![(
+        "requests",
+        query_reranking::edge::Json::Arr(vec![req]),
+    )]);
+    body.encode().into_bytes()
+}
+
+/// What the TCP fault proxy does to one proxied request.
 #[derive(Clone, Copy, PartialEq)]
 enum ProxyFault {
     /// Shuttle request and response through untouched.
     Pass,
-    /// Accept, then hang up before contacting the edge: the request is
-    /// lost *before* the server sees it — an uncharged transport fault.
+    /// Hang up on the client without forwarding: the request is lost
+    /// *before* the server sees it — an uncharged transport fault.
     Drop,
-    /// Forward the request, then send only half the response bytes: the
-    /// server answered (and charged), the client never saw it.
+    /// Forward the request, then send only half the response bytes and
+    /// hang up: the server answered (and charged), the client never saw it.
     Truncate,
+    /// Forward the first half of the request and go quiet.
+    Stall,
+    /// Forward the request one byte at a time, this far apart, for as long
+    /// as the edge has nothing to say.
+    Drip(Duration),
 }
 
-/// A deterministic person-in-the-middle: connection `i` gets `faults[i]`
-/// (`Pass` past the end of the schedule). Returns its listen address and
-/// a counter of injected faults.
+/// A deterministic person-in-the-middle. Every downstream connection gets
+/// one upstream connection of its own, dialled at its first request and
+/// kept as long as both ends keep theirs; request `i` (counted across all
+/// connections, retries included) gets `faults[i]`, `Pass` past the end of
+/// the schedule. Returns its listen address and a counter of injected
+/// drops and truncations.
 fn fault_proxy(upstream: SocketAddr, faults: Vec<ProxyFault>) -> (SocketAddr, Arc<AtomicUsize>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("proxy bind");
     let addr = listener.local_addr().unwrap();
     let injected = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&injected);
+    let faults = Arc::new(faults);
+    let requests = Arc::new(AtomicUsize::new(0));
     thread::spawn(move || {
-        for (i, conn) in listener.incoming().enumerate() {
-            let Ok(client) = conn else { break };
-            let fault = faults.get(i).copied().unwrap_or(ProxyFault::Pass);
-            match fault {
-                ProxyFault::Drop => {
-                    seen.fetch_add(1, Ordering::SeqCst);
-                    drop(client); // hang up: the edge never hears of it
-                }
-                ProxyFault::Pass | ProxyFault::Truncate => {
-                    let Ok(Some(req)) = read_request(&client) else {
-                        continue;
-                    };
-                    let up = TcpStream::connect(upstream).expect("proxy upstream");
-                    write_request(&up, &req.method, &req.target, &req.headers, &req.body)
-                        .expect("proxy forward");
-                    let resp = read_response(&up).expect("proxy upstream response");
-                    if fault == ProxyFault::Truncate {
-                        seen.fetch_add(1, Ordering::SeqCst);
-                        let mut buf = Vec::new();
-                        write_response(&mut buf, &resp).unwrap();
-                        let half = buf.len() / 2;
-                        use std::io::Write;
-                        let _ = (&client).write_all(&buf[..half]);
-                        // hang up mid-body
-                    } else {
-                        write_response(&client, &resp).expect("proxy reply");
-                    }
-                }
-            }
+        for client in listener.incoming() {
+            let Ok(client) = client else { break };
+            let (seen, faults, requests) = (
+                Arc::clone(&seen),
+                Arc::clone(&faults),
+                Arc::clone(&requests),
+            );
+            thread::spawn(move || proxy_conn(client, upstream, &faults, &requests, &seen));
         }
     });
     (addr, injected)
+}
+
+fn proxy_conn(
+    client: TcpStream,
+    upstream: SocketAddr,
+    faults: &[ProxyFault],
+    requests: &AtomicUsize,
+    injected: &AtomicUsize,
+) {
+    let mut up: Option<TcpStream> = None;
+    // Neither side pipelines, so a reader per message loses nothing.
+    while let Ok(Some(req)) = read_request(&client) {
+        let i = requests.fetch_add(1, Ordering::SeqCst);
+        let fault = faults.get(i).copied().unwrap_or(ProxyFault::Pass);
+        if fault == ProxyFault::Drop {
+            injected.fetch_add(1, Ordering::SeqCst);
+            return; // hang up: the edge never hears of it
+        }
+        let up = up.get_or_insert_with(|| TcpStream::connect(upstream).expect("proxy dial"));
+        let start = format!("{} {} HTTP/1.1", req.method, req.target);
+        let bytes = raw_frame(start, &req.headers, &req.body);
+        match fault {
+            ProxyFault::Stall => up.write_all(&bytes[..bytes.len() / 2]).expect("forward"),
+            ProxyFault::Drip(gap) => {
+                up.set_read_timeout(Some(gap)).unwrap();
+                for byte in &bytes {
+                    // The wait between bytes doubles as the check that the
+                    // edge is still listening: it ends early on a reply.
+                    if up.write_all(&[*byte]).is_err() || up.peek(&mut [0u8; 1]).is_ok() {
+                        break;
+                    }
+                }
+                up.set_read_timeout(None).unwrap();
+            }
+            _ => up.write_all(&bytes).expect("forward"),
+        }
+        let Ok(resp) = read_response(&*up) else {
+            return;
+        };
+        let status = format!("HTTP/1.1 {} Relayed", resp.status);
+        let bytes = raw_frame(status, &resp.headers, &resp.body);
+        if fault == ProxyFault::Truncate {
+            injected.fetch_add(1, Ordering::SeqCst);
+            let _ = (&client).write_all(&bytes[..bytes.len() / 2]);
+            return; // hang up mid-body
+        }
+        if (&client).write_all(&bytes).is_err() || says_close(&resp) {
+            return;
+        }
+    }
 }
 
 /// Drops and truncations between adapter and edge: both are transient,
@@ -263,8 +388,10 @@ fn transport_faults_retry_transparently_and_ledgers_absorb_the_loss() {
     ));
     let handle = EdgeServer::serve(svc, Arc::clone(&exec), EdgeConfig::default()).expect("bind");
 
-    // Connection 0 is the capabilities fetch (must pass); 3 is destroyed
-    // before the edge hears it; 6 is answered (charged) then truncated.
+    // Request 0 is the capabilities fetch (must pass); 3 is destroyed
+    // before the edge hears it, on the connection that carried 0–2; its
+    // retry dials a second connection, whose third request, 6, is answered
+    // (charged) then truncated; a third connection carries the rest.
     let mut faults = vec![ProxyFault::Pass; 7];
     faults[3] = ProxyFault::Drop;
     faults[6] = ProxyFault::Truncate;
@@ -304,6 +431,275 @@ fn transport_faults_retry_transparently_and_ledgers_absorb_the_loss() {
     // for and lost, so the remote ledger runs ahead of the fault-free one
     // by exactly that re-issued query.
     assert_eq!(remote.queries_issued(), local.queries_issued() + 1);
+    // Both faults hit a connection that had already been reused: three
+    // connections for the whole conversation (a one-shot edge, the
+    // immediate executor, opens one per request the proxy forwarded).
+    let want = if exec.is_immediate() {
+        handle.requests()
+    } else {
+        3
+    };
+    assert_eq!(handle.connections(), want);
+    assert!(handle.requests() > 8, "{} requests", handle.requests());
+    handle.shutdown();
+}
+
+/// Reuse is counted where it cannot be faked — at the server's `accept`:
+/// 64 site calls after the capabilities fetch ride the adapter's one
+/// connection, 16 front-door calls ride the client's one, answers and
+/// three-way ledgers as in the clean loopback.
+#[test]
+fn many_calls_ride_one_connection_each() {
+    let exec = Arc::new(Executor::from_env());
+    let data = uniform(150, 2, 1, test_seed() ^ 0x0C01);
+    let local = anti_server(&data, 3);
+    let remote = Arc::new(anti_server(&data, 3));
+    let (handle, adapter) = loopback(
+        Arc::clone(&remote) as Arc<dyn SearchInterface>,
+        data.len(),
+        &exec,
+    );
+    // Under an immediate executor every response says `close`.
+    let conns = |persistent: u64| {
+        if exec.is_immediate() {
+            handle.requests()
+        } else {
+            persistent
+        }
+    };
+    for i in 0..64 {
+        let lo = i as f64 / 128.0;
+        let q = Query::all().and_range(
+            AttrId(0),
+            query_reranking::types::Interval::closed(lo, lo + 0.5),
+        );
+        let (got, want) = (adapter.query(&q).unwrap(), local.query(&q).unwrap());
+        assert_eq!(
+            (ids(&got), got.is_overflow()),
+            (ids(&want), want.is_overflow())
+        );
+    }
+    assert_eq!(remote.queries_issued(), local.queries_issued());
+    assert_eq!(adapter.queries_issued(), remote.queries_issued());
+    assert_eq!(adapter.cost_units_issued(), remote.cost_units_issued());
+    assert_eq!((handle.requests(), handle.connections()), (65, conns(1)));
+
+    let client = EdgeClient::new(handle.addr(), "tenant-a");
+    let rank = [(0usize, Direction::Asc, 1.0)];
+    for _ in 0..15 {
+        let request = EdgeClient::request(&Query::all(), &rank, 3, None, None, None);
+        let reply = client.rerank(vec![request]).expect("front door");
+        assert_eq!(reply.outcomes[0].hits.len(), 3);
+    }
+    let stats = client.stats().expect("stats");
+    let edge = stats.get("edge").expect("edge block");
+    let counter = |name: &str| edge.get(name).and_then(|v| v.as_u64());
+    assert_eq!(counter("requests"), Some(81), "the /stats call included");
+    assert_eq!(counter("connections"), Some(conns(2)));
+    assert_eq!((handle.requests(), handle.connections()), (81, conns(2)));
+    handle.shutdown();
+}
+
+/// An idle connection never owns a worker somebody else needs: on a
+/// one-worker edge, A is answered and idles on the only worker; B connects
+/// and is answered at once, because A was shed; A's next call finds its
+/// connection closed *before* sending anything and dials again. Nothing
+/// fails and every book agrees.
+#[test]
+fn an_idle_connection_is_shed_for_a_client_that_needs_its_worker() {
+    let exec = Arc::new(Executor::pool(1));
+    let data = uniform(150, 2, 1, test_seed() ^ 0x5ED);
+    let remote = Arc::new(anti_server(&data, 3));
+    let (handle, a) = loopback(
+        Arc::clone(&remote) as Arc<dyn SearchInterface>,
+        data.len(),
+        &exec,
+    );
+    a.query(&Query::all()).expect("A, first call");
+    let t0 = Instant::now();
+    let b = HttpSiteAdapter::connect(handle.addr()).expect("B connects while A idles");
+    b.query(&Query::all()).expect("B");
+    assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+    a.query(&Query::all())
+        .expect("A again, on a fresh connection");
+    assert_eq!(handle.connections(), 3, "A, B, A again");
+    assert_eq!(
+        handle.requests(),
+        5,
+        "two capability fetches, three queries"
+    );
+    assert_eq!(remote.queries_issued(), 3);
+    assert_eq!(a.queries_issued(), 3);
+    assert_eq!(
+        b.queries_issued(),
+        2,
+        "B's mirror is as of its last response"
+    );
+    handle.shutdown();
+}
+
+/// `shutdown()` is called while clients still hold connections. It must
+/// wake them, not wait out their idle deadline, and the edge must then be
+/// gone: later calls are transient transport failures.
+#[test]
+fn shutdown_ends_idle_connections_promptly() {
+    let exec = Arc::new(Executor::pool(2));
+    let data = uniform(60, 2, 1, test_seed() ^ 0x0FF);
+    let remote = Arc::new(anti_server(&data, 3));
+    let (handle, a) = loopback(remote as Arc<dyn SearchInterface>, data.len(), &exec);
+    let b = EdgeClient::new(handle.addr(), "tenant-b");
+    b.stats().expect("B");
+    a.query(&Query::all()).expect("A");
+    assert_eq!(handle.connections(), 2, "two connections, both idle");
+    let t0 = Instant::now();
+    handle.shutdown();
+    assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    let gone = a.query(&Query::all()).unwrap_err();
+    assert!(gone.is_transient(), "{gone:?}");
+    assert!(matches!(b.stats(), Err(EdgeClientError::Failed(_))));
+}
+
+/// Half a request, then silence: the sender is cut at the whole-request
+/// deadline with a typed `408` + close, nothing is charged, no admission
+/// slot was taken, and the one worker it held answers the next client as
+/// soon as the deadline has passed — not after an idle timeout.
+#[test]
+fn a_stalled_request_is_cut_at_the_deadline_and_frees_its_worker() {
+    let data = uniform(80, 2, 1, test_seed() ^ 0x57A1);
+    let remote = Arc::new(anti_server(&data, 3));
+    let svc = Arc::new(RerankService::new(
+        Arc::clone(&remote) as Arc<dyn SearchInterface>,
+        data.len(),
+    ));
+    let config = EdgeConfig::default().with_max_inflight(1);
+    let handle = EdgeServer::serve(svc, Arc::new(Executor::pool(1)), config).unwrap();
+
+    let t0 = Instant::now();
+    let bytes = raw_request("POST", "/v1/rerank", Some("tenant-a"), &one_request_body());
+    let stalled = TcpStream::connect(handle.addr()).unwrap();
+    (&stalled).write_all(&bytes[..bytes.len() / 2]).unwrap();
+    // Queued behind the stalled request: there is nothing parked to shed.
+    let next = thread::spawn({
+        let addr = handle.addr();
+        move || {
+            let resp = RawClient::new(addr).call(
+                "POST",
+                "/v1/rerank",
+                Some("tenant-b"),
+                &one_request_body(),
+            );
+            (resp.status, Instant::now())
+        }
+    });
+    let cut = read_response(&stalled).expect("the edge answers before hanging up");
+    let cut_after = t0.elapsed();
+    assert_eq!(cut.status, 408);
+    assert!(says_close(&cut));
+    assert!(String::from_utf8_lossy(&cut.body).contains("request_timeout"));
+    assert!(cut_after >= Duration::from_millis(1900), "{cut_after:?}");
+    assert!(cut_after < Duration::from_secs(4), "{cut_after:?}");
+    let (status, answered) = next.join().unwrap();
+    assert_eq!(status, 200);
+    let waited = answered.duration_since(t0);
+    assert!(waited < cut_after + Duration::from_secs(1), "{waited:?}");
+    // The cut request charged nobody and held no slot.
+    assert_eq!((handle.admitted(), handle.rejected()), (1, 0));
+    assert_eq!(handle.requests(), 1, "half a request is not a request");
+    assert!(remote.queries_issued() > 0);
+    handle.shutdown();
+}
+
+/// The deadline is per request, not per `read`. A request dripped a byte
+/// at a time *inside* the deadline is an ordinary request; one dripped
+/// slower is cut at the deadline — a per-read timeout would let it run for
+/// bytes × gap (7 s here) and then answer it.
+#[test]
+fn a_dripped_request_has_one_deadline_for_all_its_bytes() {
+    let exec = Arc::new(Executor::from_env());
+    let data = uniform(80, 2, 1, test_seed() ^ 0xD219);
+    let local = anti_server(&data, 3);
+    let remote = Arc::new(anti_server(&data, 3));
+    let svc = Arc::new(RerankService::new(
+        Arc::clone(&remote) as Arc<dyn SearchInterface>,
+        data.len(),
+    ));
+    let handle = EdgeServer::serve(svc, exec, EdgeConfig::default()).expect("bind");
+    let faults = vec![
+        ProxyFault::Pass,
+        ProxyFault::Drip(Duration::from_millis(1)),
+        ProxyFault::Drip(Duration::from_millis(50)),
+        ProxyFault::Stall,
+    ];
+    let (proxy_addr, _) = fault_proxy(handle.addr(), faults);
+    let adapter = HttpSiteAdapter::connect(proxy_addr).expect("connect via proxy");
+
+    let got = adapter
+        .query(&Query::all())
+        .expect("a patient drip is served");
+    let want = local.query(&Query::all()).unwrap();
+    assert_eq!(ids(&got), ids(&want));
+    assert_eq!(remote.queries_issued(), 1);
+
+    for schedule in ["drip", "stall"] {
+        let t0 = Instant::now();
+        let cut = adapter.query(&Query::all()).unwrap_err();
+        let after = t0.elapsed();
+        assert!(cut.is_transient(), "{schedule}: {cut:?}");
+        assert!(cut.to_string().contains("408"), "{schedule}: {cut}");
+        assert!(
+            after >= Duration::from_millis(1900),
+            "{schedule}: {after:?}"
+        );
+        assert!(after < Duration::from_secs(4), "{schedule}: {after:?}");
+        assert_eq!(
+            remote.queries_issued(),
+            1,
+            "{schedule}: a cut request is uncharged"
+        );
+    }
+    // The same adapter, through the same proxy, is served again.
+    adapter.query(&Query::all()).expect("served after the cuts");
+    assert_eq!(adapter.queries_issued(), remote.queries_issued());
+    assert_eq!(handle.requests(), 3, "capabilities and two queries");
+    handle.shutdown();
+}
+
+/// The accept thread of an immediate executor serves connections itself,
+/// where nothing could shed it: every response says `close`, one request
+/// per connection, and a persistent client simply dials each time.
+#[test]
+fn an_immediate_executor_serves_one_request_per_connection() {
+    let data = uniform(60, 2, 1, test_seed() ^ 0x133D);
+    let remote = Arc::new(anti_server(&data, 3));
+    let (handle, adapter) = loopback(
+        remote as Arc<dyn SearchInterface>,
+        data.len(),
+        &Arc::new(Executor::immediate(7)),
+    );
+    let mut raw = RawClient::new(handle.addr());
+    for _ in 0..3 {
+        let resp = raw.call("GET", "/site/seq", None, b"");
+        assert_eq!(resp.status, 200);
+        assert!(says_close(&resp), "asked to persist, told to close");
+        adapter
+            .query(&Query::all())
+            .expect("the adapter dials again");
+    }
+    assert_eq!((handle.requests(), handle.connections()), (7, 7));
+    // A pooled edge keeps the same raw client's connection.
+    let pooled = Arc::new(Executor::pool(1));
+    let remote = Arc::new(anti_server(&data, 3));
+    let (pooled_handle, _adapter) = loopback(remote as Arc<dyn SearchInterface>, 60, &pooled);
+    let mut raw = RawClient::new(pooled_handle.addr());
+    for _ in 0..3 {
+        assert!(!says_close(&raw.call("GET", "/site/seq", None, b"")));
+    }
+    assert_eq!(
+        pooled_handle.connections(),
+        2,
+        "the adapter's and the raw one"
+    );
+    pooled_handle.shutdown();
     handle.shutdown();
 }
 
@@ -621,5 +1017,67 @@ fn deeply_nested_body_is_a_typed_uncharged_400_and_frees_its_slot() {
     assert_eq!(reply.outcomes[0].hits.len(), 3);
     // One batch served, and no admission refusal: the gate was back at zero.
     assert_eq!((handle.admitted(), handle.rejected()), (1, 0));
+    handle.shutdown();
+}
+
+/// `x-tenant` is a map key chosen by whoever connects. A name that is too
+/// long or not visible ASCII is a typed `400`; once the table holds its
+/// 4096 ledgers an *unseen* name is a typed `429` while known tenants are
+/// served as before — and neither refusal moves the site ledger.
+#[test]
+fn tenant_names_are_checked_and_the_tenant_table_is_bounded() {
+    let exec = Arc::new(Executor::from_env());
+    let data = uniform(60, 2, 1, test_seed() ^ 0x7E4A);
+    let remote = Arc::new(anti_server(&data, 3));
+    let svc = Arc::new(RerankService::new(
+        Arc::clone(&remote) as Arc<dyn SearchInterface>,
+        data.len(),
+    ));
+    let immediate = exec.is_immediate();
+    let handle = EdgeServer::serve(svc, exec, EdgeConfig::default()).expect("bind");
+    let mut raw = RawClient::new(handle.addr());
+    let body = one_request_body();
+
+    let long = "x".repeat(65);
+    for bad in [long.as_str(), "two words", "tab\there", "caf\u{e9}", ""] {
+        let resp = raw.call("POST", "/v1/rerank", Some(bad), &body);
+        let text = String::from_utf8_lossy(&resp.body).into_owned();
+        assert_eq!(resp.status, 400, "{bad:?}: {text}");
+        assert!(
+            text.contains("invalid_request") && text.contains("x-tenant"),
+            "{text}"
+        );
+    }
+    // Well framed and refused is still well framed: the connection stays.
+    assert_eq!(handle.connections(), if immediate { 5 } else { 1 });
+    assert_eq!((handle.admitted(), handle.rejected()), (0, 0));
+    assert_eq!(remote.queries_issued(), 0, "a refused name charges nothing");
+
+    // 4096 tenants, each with a batch of nothing: on the books, uncharged.
+    for i in 0..4096 {
+        let resp = raw.call(
+            "POST",
+            "/v1/rerank",
+            Some(&format!("t{i}")),
+            b"{\"requests\":[]}",
+        );
+        assert_eq!(resp.status, 200, "tenant {i}");
+    }
+    assert_eq!(remote.queries_issued(), 0);
+    let resp = raw.call("POST", "/v1/rerank", Some("one-too-many"), &body);
+    assert_eq!(resp.status, 429);
+    assert_eq!(resp.header("retry-after"), Some("1"));
+    let parsed = query_reranking::edge::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+    let error = parsed.get("error").expect("typed body");
+    let field = |name: &str| error.get(name).and_then(|v| v.as_str());
+    assert_eq!(field("code"), Some("admission"));
+    assert_eq!(field("reason"), Some("tenant_table_full"));
+    assert_eq!((handle.admitted(), handle.rejected()), (4096, 1));
+    assert_eq!(remote.queries_issued(), 0, "a full table charges nothing");
+    // A tenant already on the books is served, and charged, as ever.
+    let resp = raw.call("POST", "/v1/rerank", Some("t7"), &body);
+    assert_eq!(resp.status, 200);
+    assert!(remote.queries_issued() > 0);
+    assert_eq!((handle.admitted(), handle.rejected()), (4097, 1));
     handle.shutdown();
 }
