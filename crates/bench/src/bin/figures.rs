@@ -4,10 +4,10 @@
 //! cargo run --release -p qrs-bench --bin figures -- [--scale quick|paper] <ids…|all>
 //! ```
 //!
-//! Ids: fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17
-//! thm1 ablation. Default scale: quick.
+//! Run without arguments to list the ids (the rows of
+//! [`qrs_bench::experiments::EXPERIMENTS`]). Default scale: quick.
 
-use qrs_bench::experiments::{run, ALL_IDS};
+use qrs_bench::experiments::{ids, run};
 use qrs_bench::Scale;
 use std::time::Instant;
 
@@ -25,17 +25,17 @@ fn main() {
     if args.is_empty() {
         eprintln!(
             "usage: figures [--scale quick|paper] <{}|all>",
-            ALL_IDS.join("|")
+            ids().collect::<Vec<_>>().join("|")
         );
         std::process::exit(2);
     }
-    let ids: Vec<String> = if args.iter().any(|a| a == "all") {
-        ALL_IDS.iter().map(|s| s.to_string()).collect()
+    let wanted: Vec<String> = if args.iter().any(|a| a == "all") {
+        ids().map(str::to_string).collect()
     } else {
         args
     };
     println!("scale: {scale:?}");
-    for id in &ids {
+    for id in &wanted {
         let t0 = Instant::now();
         if !run(id, scale) {
             eprintln!("unknown experiment id '{id}'");

@@ -4,109 +4,63 @@
 pub mod ablation;
 pub mod capability_matrix;
 pub mod knowledge_reuse;
-pub mod macro_bench;
 pub mod md;
-pub mod obs_overhead;
 pub mod one_d;
 pub mod online;
 pub mod planner_cost;
-pub mod scaling;
 pub mod thm1;
 
 use crate::Scale;
 
-/// All experiment ids, in paper order (plus the post-paper `scaling`,
-/// `capability_matrix`, `planner_cost`, `knowledge_reuse`, `macro_bench`
-/// and `obs_overhead` experiments for the concurrent service layer, the
-/// cost-aware capability planner, the cross-session knowledge plane and
-/// the observability plane).
-pub const ALL_IDS: [&str; 20] = [
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "thm1",
-    "ablation",
-    "scaling",
-    "capability_matrix",
-    "planner_cost",
-    "knowledge_reuse",
-    "macro_bench",
-    "obs_overhead",
+/// One experiment: its id and its entry point.
+pub type Experiment = (&'static str, fn(Scale));
+
+/// Every experiment, in paper order, then the post-paper ones for the
+/// cost-aware capability planner and the cross-session knowledge plane.
+/// The one list [`run`], `figures all` and the `figures` usage line read.
+pub const EXPERIMENTS: [Experiment; 17] = [
+    ("fig6", |s| drop(one_d::fig6(s))),
+    ("fig7", |s| drop(one_d::fig7(s))),
+    ("fig8", |s| drop(one_d::fig8(s))),
+    ("fig9", |s| drop(one_d::fig9(s))),
+    ("fig10", |s| drop(one_d::fig10(s))),
+    ("fig11", |s| drop(online::fig11(s))),
+    ("fig12", |s| drop(online::fig12(s))),
+    ("fig13", |s| drop(md::fig13(s))),
+    ("fig14", |s| drop(md::fig14(s))),
+    ("fig15", |s| drop(md::fig15(s))),
+    ("fig16", |s| drop(online::fig16(s))),
+    ("fig17", |s| drop(online::fig17(s))),
+    ("thm1", |s| drop(thm1::run(s))),
+    ("ablation", ablation::run),
+    ("capability_matrix", |s| drop(capability_matrix::run(s))),
+    ("planner_cost", |s| drop(planner_cost::run(s))),
+    ("knowledge_reuse", |s| drop(knowledge_reuse::run(s))),
 ];
+
+/// The ids of [`EXPERIMENTS`], in order.
+pub fn ids() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().map(|&(id, _)| id)
+}
 
 /// Run one experiment by id; `false` if the id is unknown.
 pub fn run(id: &str, scale: Scale) -> bool {
-    match id {
-        "fig6" => {
-            one_d::fig6(scale);
+    match EXPERIMENTS.iter().find(|(name, _)| *name == id) {
+        Some((_, experiment)) => {
+            experiment(scale);
+            true
         }
-        "fig7" => {
-            one_d::fig7(scale);
-        }
-        "fig8" => {
-            one_d::fig8(scale);
-        }
-        "fig9" => {
-            one_d::fig9(scale);
-        }
-        "fig10" => {
-            one_d::fig10(scale);
-        }
-        "fig11" => {
-            online::fig11(scale);
-        }
-        "fig12" => {
-            online::fig12(scale);
-        }
-        "fig13" => {
-            md::fig13(scale);
-        }
-        "fig14" => {
-            md::fig14(scale);
-        }
-        "fig15" => {
-            md::fig15(scale);
-        }
-        "fig16" => {
-            online::fig16(scale);
-        }
-        "fig17" => {
-            online::fig17(scale);
-        }
-        "thm1" => {
-            thm1::run(scale);
-        }
-        "ablation" => {
-            ablation::run(scale);
-        }
-        "scaling" => {
-            scaling::run(scale);
-        }
-        "capability_matrix" => {
-            capability_matrix::run(scale);
-        }
-        "planner_cost" => {
-            planner_cost::run(scale);
-        }
-        "knowledge_reuse" => {
-            knowledge_reuse::run(scale);
-        }
-        "macro_bench" => {
-            macro_bench::run(scale);
-        }
-        "obs_overhead" => {
-            obs_overhead::run(scale);
-        }
-        _ => return false,
+        None => false,
     }
-    true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn experiment_ids_are_unique() {
+        let unique: std::collections::BTreeSet<&str> = ids().collect();
+        assert_eq!(unique.len(), EXPERIMENTS.len());
+    }
 }

@@ -5,10 +5,11 @@
 //! Theorem 1 lower bound which we make executable). Binary:
 //!
 //! ```text
-//! cargo run --release -p qrs-bench --bin figures -- [--scale quick|paper] <fig6|fig7|…|fig17|thm1|ablation|all>
+//! cargo run --release -p qrs-bench --bin figures -- [--scale quick|paper] <ids…|all>
 //! ```
 //!
-//! Output is CSV-ish series per figure, recorded in `EXPERIMENTS.md`.
+//! The ids are the rows of [`experiments::EXPERIMENTS`]. Output is CSV-ish
+//! series per figure on standard output; nothing is written to disk.
 
 pub mod experiments;
 pub mod runner;

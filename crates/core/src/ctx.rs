@@ -56,7 +56,7 @@ impl SharedState {
     /// indexes add. Persisting the registry is a strict improvement this
     /// library makes by default, but the figure experiments call this
     /// between user queries to reproduce the paper's cost model — see
-    /// EXPERIMENTS.md.
+    /// the `qrs-bench` rustdocs.
     pub fn forget_complete_regions(&mut self) {
         self.complete = CompleteRegions::default();
     }

@@ -35,7 +35,6 @@ pub mod adversary;
 pub mod clock;
 pub mod faulty;
 pub mod interface;
-pub mod latency;
 pub mod profiles;
 pub mod sim;
 pub mod system_rank;
@@ -44,7 +43,6 @@ pub use adversary::AdversaryServer;
 pub use clock::{Clock, MockClock, SystemClock};
 pub use faulty::{Fault, FaultyServer};
 pub use interface::{Capabilities, OrderedPage, SearchInterface};
-pub use latency::LatencyServer;
 pub use profiles::SiteProfile;
 pub use sim::SimServer;
 pub use system_rank::SystemRank;

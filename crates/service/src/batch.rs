@@ -19,8 +19,7 @@
 //! already paid for (error [`RerankError::Cancelled`]).
 //!
 //! [`drive`] is the multi-service generalization — one task per
-//! *(service, request)* pair — for multi-tenant drivers like the
-//! `qrs-bench` scaling experiment.
+//! *(service, request)* pair — for multi-tenant drivers.
 
 use crate::service::{Algorithm, RerankService, SessionSpec};
 use crate::session::{RankedTuple, SessionStats};

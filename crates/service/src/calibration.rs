@@ -190,7 +190,7 @@ impl Calibration {
     }
 
     /// Snapshot every trained strategy, sorted by name — the inspection
-    /// surface the calibration tests and `macro_bench` report against.
+    /// surface the calibration tests report against.
     pub fn snapshot(&self) -> Vec<StrategyCalibration> {
         let cells = self.cells.lock();
         let mut out: Vec<StrategyCalibration> = cells

@@ -49,8 +49,7 @@
 //! the same sequence of pulls it would serially (its own session/circuit
 //! state advances under its own service's locks), and the winner-refill
 //! step stays single-source. Against slow (network-latency) backends the
-//! fan-out overlaps the waits — see the `scaling` experiment in
-//! `qrs-bench`.
+//! fan-out overlaps the waits.
 //!
 //! Per-source *retry policies* are configured up front via
 //! [`FederatedSession::builder`]: a fast dealer can afford aggressive

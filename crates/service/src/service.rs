@@ -79,6 +79,10 @@ pub enum Algorithm {
 /// at Get-Next granularity.
 pub struct RerankService {
     server: Arc<dyn SearchInterface>,
+    /// The dense-index parameters every (re)built [`SharedState`] gets.
+    /// Fixed at construction and kept outside the mutex, so planning reads
+    /// the size estimate without queueing behind a session's site calls.
+    params: RerankParams,
     state: Mutex<SharedState>,
     stats: ServiceStats,
     budget: QueryBudget,
@@ -121,6 +125,7 @@ impl RerankService {
         let state_watermark = AtomicU64::new(server.mutation_seq());
         RerankService {
             server,
+            params,
             state: Mutex::new(state),
             stats: ServiceStats::default(),
             budget: QueryBudget::unlimited(),
@@ -149,7 +154,7 @@ impl RerankService {
             let mut st = self.state.lock();
             // Re-check under the lock: a racing open may have rebuilt.
             if seq > self.state_watermark.load(Ordering::Acquire) {
-                *st = SharedState::new(self.server.schema(), st.params);
+                *st = SharedState::new(self.server.schema(), self.params);
                 self.state_watermark.store(seq, Ordering::Release);
             }
         }
@@ -344,7 +349,7 @@ impl RerankService {
             Arc::clone(self.server.schema()),
             self.server.k(),
             // The size estimate the service was built with.
-            self.state.lock().params.n as usize,
+            self.params.n as usize,
         );
         if self.adaptive.calibrate {
             planner.with_calibration(Arc::clone(&self.calibration))
@@ -907,5 +912,35 @@ pub(crate) fn build_strategy_for(
         Algorithm::PageDown { max_pages } => Box::new(PageDownStrategy::new(sel, rank, max_pages)),
         Algorithm::Auto => unreachable!("resolved by the planner"),
         Algorithm::Custom => unreachable!("custom strategies are supplied, not built"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qrs_datagen::synthetic::uniform;
+    use qrs_ranking::LinearRank;
+    use qrs_server::{SimServer, SystemRank};
+    use qrs_types::AttrId;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// `Session::step` holds the state lock across site round trips; a dry
+    /// run must answer while it is held.
+    #[test]
+    fn plan_does_not_wait_for_the_state_lock() {
+        let server = SimServer::new(uniform(100, 2, 1, 11), SystemRank::pseudo_random(7), 5);
+        let svc = &RerankService::new(Arc::new(server), 100);
+        let rank: Arc<dyn RankFn> =
+            Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
+        let held = svc.state().lock();
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            scope.spawn(move || tx.send(svc.session(Query::all(), rank).plan().is_ok()));
+            let planned = rx.recv_timeout(Duration::from_secs(1));
+            // Release before asserting, or a blocked planner never joins.
+            drop(held);
+            assert_eq!(planned, Ok(true), "plan() queued behind the state lock");
+        });
     }
 }

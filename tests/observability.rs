@@ -2,8 +2,8 @@
 //! with the ledgers they narrate, striped counters must sum to the same
 //! totals the per-session accounting reports under contention, the bounded
 //! recorder must drop oldest without tearing, and — critically — a service
-//! with no observer attached must behave byte-identically to one that was
-//! never wired for observability at all.
+//! with no observer attached, or with a full one, must behave
+//! byte-identically to one that was never wired for observability at all.
 //!
 //! Seeds honor `QRS_TEST_SEED`; the batch leg drives `qrs-exec` pools via
 //! `Executor::from_env`, so CI's seed × `QRS_EXEC_THREADS` matrix sweeps
@@ -284,11 +284,14 @@ fn recorder_drops_oldest_without_tearing() {
     assert_eq!(metrics.events, THREADS * PER_THREAD);
 }
 
-/// A service with `ObsHandle::disabled()` (the default) must produce the
-/// same results and the same ledgers as one never configured — the
-/// no-subscriber hot path adds one branch, nothing else.
+/// An observer narrates, it never changes the answer: a service with
+/// `ObsHandle::disabled()` (the default — the no-subscriber hot path adds
+/// one branch, nothing else) and one under a full handle (metrics +
+/// monitor + a `Recorder`) must both produce the same results and the same
+/// ledgers as one never configured, and the full handle's counters must
+/// equal that ledger.
 #[test]
-fn disabled_observer_is_byte_identical() {
+fn an_observer_never_changes_the_answer() {
     let seed = seeded(0xB03) | 1;
     let data = uniform(260, 2, 1, seed);
 
@@ -312,10 +315,31 @@ fn disabled_observer_is_byte_identical() {
 
     let plain = service(&data);
     let wired = service(&data).with_observer(ObsHandle::disabled());
+    let recorder = Arc::new(Recorder::with_capacity(1 << 16));
+    let observed = service(&data).with_observer(
+        ObsHandle::builder("site-c")
+            .subscriber(Arc::clone(&recorder) as _)
+            .build(),
+    );
     let a = run(&plain);
     let b = run(&wired);
+    let c = run(&observed);
     assert_eq!(a, b, "disabled observer changed behavior");
+    assert_eq!(a, c, "enabled observer changed behavior");
     assert_eq!(plain.queries_issued(), wired.queries_issued());
+    assert_eq!(plain.queries_issued(), observed.queries_issued());
     assert!(wired.observer().metrics().is_none());
     assert!(wired.monitor_report().rows.is_empty());
+    let (_, queries_spent, ..) = c;
+    let metrics = observed.observer().metrics().unwrap();
+    assert_eq!(
+        metrics.queries_total(),
+        queries_spent,
+        "metrics drifted from ledger"
+    );
+    assert_eq!(
+        observed.monitor_report().actual_queries_total(),
+        queries_spent
+    );
+    assert_eq!(recorder.dropped(), 0, "a 64Ki ring cannot overflow here");
 }
