@@ -53,14 +53,7 @@ pub fn crawl_region(
         if cq.is_unsatisfiable() {
             continue;
         }
-        if st.complete.covers(&cq) {
-            for t in st.history.matching(&cq) {
-                found.insert(t.id, t);
-            }
-            continue;
-        }
-        let resp = server.query(&cq)?;
-        st.absorb(&cq, &resp);
+        let resp = st.ask(server, &cq)?;
         for t in &resp.tuples {
             found.insert(t.id, Arc::clone(t));
         }

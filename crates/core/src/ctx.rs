@@ -3,13 +3,17 @@
 //! One [`SharedState`] lives for the lifetime of the reranking service and is
 //! threaded through every algorithm invocation: the history and the dense
 //! indexes are deliberately *cross-user-query* structures (the amortization
-//! arguments of §3.2.2 and §4.4 depend on it).
+//! arguments of §3.2.2 and §4.4 depend on it). Tuples live in the history
+//! and nowhere else; the other three members are registries of regions
+//! whose tuples are known in full, and [`SharedState::ask`] is where a
+//! top-k query is either answered from them or paid for.
 
 use crate::history::{CompleteRegions, History};
 use crate::index::dense1d::Dense1D;
 use crate::index::densemd::DenseMd;
 use crate::params::RerankParams;
-use qrs_types::{Query, QueryResponse, Schema};
+use qrs_server::SearchInterface;
+use qrs_types::{Query, QueryResponse, RerankError, Schema};
 
 /// History + complete-region registry + dense indexes + parameters.
 #[derive(Debug)]
@@ -17,11 +21,12 @@ pub struct SharedState {
     /// Every tuple ever observed in a server response, indexed per
     /// ordinal attribute.
     pub history: History,
-    /// Regions proven complete (query answered without overflow).
+    /// Regions proven complete (query answered without overflow, or
+    /// crawled to the end). Capped FIFO.
     pub complete: CompleteRegions,
-    /// The §3.2.2 on-the-fly dense index (1D).
+    /// The §3.2.2 on-the-fly dense index: 1D crawl frontiers.
     pub dense1d: Dense1D,
-    /// The §4.4 on-the-fly dense index (MD boxes).
+    /// The §4.4 on-the-fly dense index: fully crawled MD boxes.
     pub densemd: DenseMd,
     /// The tuning parameters everything above was built with.
     pub params: RerankParams,
@@ -48,6 +53,26 @@ impl SharedState {
         }
     }
 
+    /// The one way a built-in algorithm asks the site a top-k query: consult
+    /// what is already known in full before paying (§3.1.1). When a complete
+    /// region covers `q`, every match is in history and comes back free as a
+    /// response that did not overflow — possibly more than `k` tuples, in no
+    /// particular order; otherwise the site is paid and its response
+    /// absorbed.
+    pub fn ask(
+        &mut self,
+        server: &dyn SearchInterface,
+        q: &Query,
+    ) -> Result<QueryResponse, RerankError> {
+        if self.complete.covers(q) {
+            let known = self.history.candidates(q).filter(|t| q.matches(t));
+            return Ok(QueryResponse::new(known.cloned().collect(), false));
+        }
+        let resp = server.query(q)?;
+        self.absorb(q, &resp);
+        Ok(resp)
+    }
+
     /// Drop the complete-region registry (emptiness proofs), keeping tuples
     /// and the dense indexes.
     ///
@@ -59,5 +84,67 @@ impl SharedState {
     /// the `qrs-bench` rustdocs.
     pub fn forget_complete_regions(&mut self) {
         self.complete = CompleteRegions::default();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::crawl::crawl_region;
+    use qrs_datagen::synthetic::uniform;
+    use qrs_server::{SimServer, SystemRank};
+    use qrs_types::{AttrId, Interval, TupleId};
+
+    fn setup() -> (SimServer, SharedState) {
+        let data = uniform(200, 2, 1, 4242);
+        let st = SharedState::new(data.schema(), RerankParams::paper_defaults(200, 5));
+        (SimServer::new(data, SystemRank::pseudo_random(9), 5), st)
+    }
+
+    fn slice(lo: f64, hi: f64) -> Query {
+        Query::all().and_range(AttrId(0), Interval::closed(lo, hi))
+    }
+
+    fn ids(resp: &QueryResponse) -> std::collections::BTreeSet<TupleId> {
+        resp.tuples.iter().map(|t| t.id).collect()
+    }
+
+    #[test]
+    fn a_covered_query_is_free_and_answers_like_the_site() {
+        let (server, mut st) = setup();
+        let wide = slice(0.30, 0.32);
+        assert!(
+            st.ask(&server, &wide).unwrap().is_valid(),
+            "pick a valid slice"
+        );
+        let (fresh, _) = setup();
+        for q in [wide, slice(0.305, 0.315), slice(0.4, 0.3)] {
+            let (known, truth) = (st.ask(&server, &q).unwrap(), fresh.query(&q).unwrap());
+            assert_eq!(ids(&known), ids(&truth), "{q}");
+            assert_eq!(known.outcome, truth.outcome, "{q}");
+        }
+        assert_eq!(server.queries_issued(), 1, "covered: nothing more paid");
+    }
+
+    #[test]
+    fn only_a_region_known_in_full_is_free_however_many_tuples_it_holds() {
+        let (server, mut st) = setup();
+        let q = slice(0.0, 0.5);
+        assert!(st.ask(&server, &q).unwrap().is_overflow());
+        assert!(st.complete.is_empty(), "an overflow registers no region");
+        st.ask(&server, &q).unwrap();
+        assert_eq!(server.queries_issued(), 2, "asked again, paid again");
+        let crawled = crawl_region(&server, &mut st, &q).unwrap();
+        assert!(crawled.tuples.len() > 5 && !crawled.truncated);
+        let paid = server.queries_issued();
+        let known = st.ask(&server, &q).unwrap();
+        assert_eq!(server.queries_issued(), paid);
+        assert!(
+            known.is_valid(),
+            "every match came back, so not an overflow"
+        );
+        assert!(ids(&known)
+            .into_iter()
+            .eq(crawled.tuples.iter().map(|t| t.id)));
     }
 }

@@ -15,7 +15,8 @@
 
 use qrs_types::value::OrdF64;
 use qrs_types::{
-    AttrId, Direction, Interval, Query, QueryResponse, RangePredicate, RegionIndex, Tuple, TupleId,
+    AttrId, Direction, Endpoint, Interval, Query, QueryResponse, RangePredicate, RegionIndex,
+    Tuple, TupleId,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -80,7 +81,6 @@ impl History {
         attr: AttrId,
         iv: Interval,
     ) -> impl Iterator<Item = &'a Arc<Tuple>> + 'a {
-        use qrs_types::Endpoint;
         use std::ops::Bound;
         let lo = match iv.lo {
             Endpoint::Unbounded => Bound::Unbounded,
@@ -109,15 +109,28 @@ impl History {
     ) -> Option<&Arc<Tuple>> {
         let norm_iv = Interval {
             lo: if after_norm == f64::NEG_INFINITY {
-                qrs_types::Endpoint::Unbounded
+                Endpoint::Unbounded
             } else {
-                qrs_types::Endpoint::Open(after_norm)
+                Endpoint::Open(after_norm)
             },
-            hi: match upto_norm {
-                None => qrs_types::Endpoint::Unbounded,
-                Some(v) => qrs_types::Endpoint::Open(v),
-            },
+            hi: upto_norm.map_or(Endpoint::Unbounded, Endpoint::Open),
         };
+        self.first_norm_in(attr, dir, norm_iv, q)
+    }
+
+    /// The tuple matching `q` with the least (normalized value, id) along
+    /// `attr` in direction `dir` among those whose normalized value lies in
+    /// `norm_iv`; `None` for an empty interval.
+    pub fn first_norm_in(
+        &self,
+        attr: AttrId,
+        dir: Direction,
+        norm_iv: Interval,
+        q: &Query,
+    ) -> Option<&Arc<Tuple>> {
+        if norm_iv.is_empty() {
+            return None; // `BTreeMap::range` panics on inverted bounds
+        }
         let raw_iv = match dir {
             Direction::Asc => norm_iv,
             Direction::Desc => norm_iv.negate(),
@@ -165,17 +178,6 @@ impl History {
     pub fn matching(&self, q: &Query) -> Vec<Arc<Tuple>> {
         let mut v: Vec<Arc<Tuple>> = self
             .candidates(q)
-            .filter(|t| q.matches(t))
-            .cloned()
-            .collect();
-        v.sort_by_key(|t| t.id);
-        v
-    }
-
-    /// All matching tuples at exactly `attr = raw_value`, sorted by id.
-    pub fn at_value(&self, attr: AttrId, raw_value: f64, q: &Query) -> Vec<Arc<Tuple>> {
-        let mut v: Vec<Arc<Tuple>> = self
-            .in_range(attr, Interval::point(raw_value))
             .filter(|t| q.matches(t))
             .cloned()
             .collect();
@@ -230,7 +232,7 @@ impl CompleteRegions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrs_types::{Endpoint, QueryOutcome};
+    use qrs_types::QueryOutcome;
 
     fn t(id: u32, vals: Vec<f64>) -> Arc<Tuple> {
         Arc::new(Tuple::new(TupleId(id), vals, vec![]))
@@ -314,17 +316,23 @@ mod tests {
             .is_none());
     }
 
+    /// Inverted and equal-and-excluded bounds are empty ranges, not panics
+    /// out of `BTreeMap::range`.
     #[test]
-    fn at_value_collects_ties_sorted() {
+    fn next_norm_above_finds_an_empty_range_empty() {
         let h = hist();
-        let ties = h.at_value(AttrId(0), 2.0, &Query::all());
-        let ids: Vec<u32> = ties.iter().map(|t| t.id.0).collect();
-        assert_eq!(ids, vec![1, 2]);
+        let q = Query::all();
+        for dir in [Direction::Asc, Direction::Desc] {
+            for (after, upto) in [(2.0, 2.0), (5.0, 1.0), (-2.0, -2.0), (-1.0, -5.0)] {
+                let found = h.next_norm_above(AttrId(0), dir, after, Some(upto), &q);
+                assert!(found.is_none(), "{dir:?} ({after}, {upto})");
+            }
+        }
     }
 
-    /// `matching`, `at_value` and `history_best` reach tuples through one
-    /// `by_attr` range; each must return what one pass over every tuple
-    /// returns, in the same order.
+    /// `matching` and `history_best` reach tuples through one `by_attr`
+    /// range; each must return what one pass over every tuple returns, in
+    /// the same order.
     #[test]
     fn by_attr_paths_agree_with_a_pass_over_every_tuple() {
         use crate::{ctx::SharedState, md::top1::history_best, norm::NormView};
@@ -369,12 +377,6 @@ mod tests {
             assert!(
                 name == "an empty range" || !want.is_empty(),
                 "vacuous: {name}"
-            );
-            let at = scan(&q.clone().and_range(AttrId(0), Interval::point(3.0)));
-            assert_eq!(
-                st.history.at_value(AttrId(0), 3.0, &q),
-                at,
-                "at_value: {name}"
             );
             let boxed = view.to_query(&view.initial_box(&q), &q);
             let best = scan(&boxed)

@@ -1,120 +1,43 @@
 //! The 1D on-the-fly dense-region index (Algorithm 4).
 //!
-//! An indexed interval `⟨Ai, dir, (x, y)⟩` stores the tuples discovered inside
-//! it together with a *crawl frontier*: every tuple whose normalized value
-//! lies in `[x, frontier]` is known. The [`oracle`] extends the frontier with
+//! An indexed interval `⟨Ai, dir, [x, y)⟩` is a *crawl frontier* and nothing
+//! else: every tuple whose normalized value lies in `[x, frontier]` is in
+//! the shared [`History`](crate::history::History), which is where the
+//! certain answer is read from. The [`oracle`] extends the frontier with
 //! 1D-BASELINE steps **without the user's selection condition** — the paper's
 //! deliberate choice (§3.2.2) that makes one crawl serve every future user
 //! query touching the region. Tie slabs are collected exactly, so the
 //! frontier invariant survives duplicate attribute values.
 
 use crate::ctx::SharedState;
-use crate::one_d::primitives::{baseline_next_above, OneDSpec};
+use crate::one_d::cursor::gather_slab;
+use crate::one_d::primitives::{baseline, OneDSpec};
 use qrs_server::SearchInterface;
-use qrs_types::value::OrdF64;
-use qrs_types::{AttrId, Direction, Query, RerankError, Tuple, TupleId};
-use std::collections::{BTreeMap, HashMap};
+use qrs_types::Endpoint::{Closed, Open};
+use qrs_types::{AttrId, Direction, Interval, Query, RerankError, Tuple};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One indexed dense region on a (attribute, direction) axis.
+/// One indexed dense region on a (attribute, direction) axis: the normalized
+/// range `[x, y)`, of which every value in `[x, frontier]` is fully crawled
+/// (`None` = nothing crawled yet, `Some(y)` = the whole range).
 #[derive(Debug)]
-pub struct DenseInterval {
-    /// Normalized range `[x, y)` this entry covers: the lower end.
-    pub x: f64,
-    /// The (exclusive) upper end of the covered range.
-    pub y: f64,
-    /// All values `v ∈ [x, frontier]` are fully crawled (`None` = nothing
-    /// crawled yet).
+struct DenseInterval {
+    x: f64,
+    y: f64,
     frontier: Option<f64>,
-    /// The whole range is fully crawled.
-    complete: bool,
-    /// Discovered tuples keyed by (normalized value, id).
-    tuples: BTreeMap<(OrdF64, TupleId), Arc<Tuple>>,
-}
-
-impl DenseInterval {
-    fn new(x: f64, y: f64) -> Self {
-        DenseInterval {
-            x,
-            y,
-            frontier: None,
-            complete: false,
-            tuples: BTreeMap::new(),
-        }
-    }
-
-    /// Number of tuples discovered in the region so far.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// True when nothing has been discovered in the region yet.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-
-    /// True when the whole range `[x, y)` has been crawled.
-    pub fn is_complete(&self) -> bool {
-        self.complete
-    }
-
-    /// Smallest (value, id) tuple in `[lo, hi)` matching `sel` *provably*:
-    /// only certain if its value is within the crawled frontier.
-    fn certain_min(&self, lo: f64, hi: f64, sel: &Query, spec: &OneDSpec) -> Option<Arc<Tuple>> {
-        let limit = if self.complete {
-            f64::INFINITY
-        } else {
-            self.frontier?
-        };
-        self.tuples
-            .range((OrdF64(lo), TupleId(0))..)
-            .map(|(_, t)| t)
-            .take_while(|t| {
-                let v = spec.nval(t);
-                v < hi && v <= limit
-            })
-            .find(|t| sel.matches(t))
-            .cloned()
-    }
 }
 
 /// The per-axis index: a list of intervals per (attribute, direction).
 #[derive(Debug, Default)]
 pub struct Dense1D {
     map: HashMap<(AttrId, Direction), Vec<DenseInterval>>,
-    /// Total crawl queries spent building the index (for experiments).
-    pub build_cost: u64,
 }
 
 impl Dense1D {
     /// Number of indexed intervals across all axes.
     pub fn num_intervals(&self) -> usize {
         self.map.values().map(Vec::len).sum()
-    }
-
-    /// Total tuples stored.
-    pub fn num_tuples(&self) -> usize {
-        self.map
-            .values()
-            .flat_map(|v| v.iter())
-            .map(DenseInterval::len)
-            .sum()
-    }
-
-    fn entry_covering(
-        &mut self,
-        attr: AttrId,
-        dir: Direction,
-        x: f64,
-        y: f64,
-    ) -> &mut DenseInterval {
-        let list = self.map.entry((attr, dir)).or_default();
-        if let Some(i) = list.iter().position(|d| d.x <= x && y <= d.y) {
-            &mut list[i]
-        } else {
-            list.push(DenseInterval::new(x, y));
-            list.last_mut().unwrap()
-        }
     }
 }
 
@@ -133,79 +56,52 @@ pub fn oracle(
     if x >= y {
         return Ok(None);
     }
-    // Split the borrow: the crawl steps need &mut SharedState, so the entry
-    // is looked up by key each round.
     let key = (spec.attr, spec.dir);
     let generic = OneDSpec::new(spec.attr, spec.dir, Query::all());
-    {
-        st.dense1d.entry_covering(spec.attr, spec.dir, x, y);
-    }
+    // The first inserted interval covering `[x, y)`, else a new one: which
+    // frontier a range extends decides what later ranges cost.
+    let list = st.dense1d.map.entry(key).or_default();
+    let at = match list.iter().position(|d| d.x <= x && y <= d.y) {
+        Some(at) => at,
+        None => {
+            list.push(DenseInterval {
+                x,
+                y,
+                frontier: None,
+            });
+            list.len() - 1
+        }
+    };
+    let (dx, dy, mut frontier) = (list[at].x, list[at].y, list[at].frontier);
     loop {
-        // Phase 1: certain answer from the stored tuples?
-        {
-            let list = st.dense1d.map.get(&key).unwrap();
-            let d = list.iter().find(|d| d.x <= x && y <= d.y).unwrap();
-            if let Some(t) = d.certain_min(x, y, &spec.sel, spec) {
-                return Ok(Some(t));
-            }
-            let limit = if d.complete {
-                f64::INFINITY
-            } else {
-                d.frontier.unwrap_or(f64::NEG_INFINITY)
-            };
-            if d.complete || limit >= y {
-                return Ok(None); // fully crawled, no match in [x, y)
+        if let Some(f) = frontier {
+            // Certain answer: everything in `[x, min(y, f)]` is in history.
+            let hi = if f < y { Closed(f) } else { Open(y) };
+            let known = Interval { lo: Closed(x), hi };
+            let found = st
+                .history
+                .first_norm_in(spec.attr, spec.dir, known, &spec.sel);
+            if found.is_some() || f >= y {
+                return Ok(found.cloned()); // `None`: crawled past y, no match
             }
         }
-        // Phase 2: extend the frontier one slab.
-        let (dx, dy, after) = {
-            let list = st.dense1d.map.get(&key).unwrap();
-            let d = list.iter().find(|d| d.x <= x && y <= d.y).unwrap();
-            let after = match d.frontier {
-                Some(f) => f,
-                // Include the boundary x itself: start one ULP below.
-                None => d.x.next_down(),
-            };
-            (d.x, d.y, after)
-        };
-        let before = server.queries_issued();
-        let found = match baseline_next_above(server, st, &generic, after, Some(dy)) {
-            Ok(f) => f,
-            Err(e) => {
-                st.dense1d.build_cost += server.queries_issued() - before;
-                return Err(e);
-            }
-        };
-        match found {
-            None => {
-                st.dense1d.build_cost += server.queries_issued() - before;
-                let list = st.dense1d.map.get_mut(&key).unwrap();
-                let d = list.iter_mut().find(|d| d.x <= x && y <= d.y).unwrap();
-                d.complete = true;
-                d.frontier = Some(dy);
-            }
+        // Extend the frontier one slab; with nothing crawled yet, start one
+        // ULP below x so the boundary itself is included.
+        let after = frontier.unwrap_or(dx.next_down());
+        let reached = match baseline(server, st, &generic, after, Some(dy))? {
+            None => dy,
             Some(t) => {
                 let v = spec.nval(&t);
+                debug_assert!(v > after && v < dy, "crawl step left ({after}, {dy})");
                 // Collect the whole tie slab at v (selection-free) so the
                 // frontier invariant holds with duplicates.
-                let slab = match crate::one_d::cursor::gather_slab(server, st, &generic, v) {
-                    Ok(slab) => slab,
-                    Err(e) => {
-                        st.dense1d.build_cost += server.queries_issued() - before;
-                        return Err(e);
-                    }
-                };
-                st.dense1d.build_cost += server.queries_issued() - before;
-                let list = st.dense1d.map.get_mut(&key).unwrap();
-                let d = list.iter_mut().find(|d| d.x <= x && y <= d.y).unwrap();
-                debug_assert!(v > after && v < dy, "crawl step left ({after}, {dy})");
-                let _ = dx;
-                for s in slab {
-                    d.tuples.insert((OrdF64(spec.nval(&s)), s.id), s);
-                }
-                d.frontier = Some(v);
+                gather_slab(server, st, &generic, v)?;
+                v
             }
-        }
+        };
+        // Written through each turn: a failed step keeps what came before.
+        frontier = Some(reached);
+        st.dense1d.map.get_mut(&key).expect("entered above")[at].frontier = frontier;
     }
 }
 
@@ -270,14 +166,55 @@ mod tests {
         assert!(oracle(&server, &mut st, &spec, 0.5, 0.5).unwrap().is_none());
     }
 
+    /// A descending axis over grid data — duplicate values, several ids per
+    /// value — under a categorical selection: every answer is the dataset's
+    /// `(normalized value, id)` minimum, and a frontier is paid for once.
     #[test]
-    fn index_tracks_build_cost_and_sizes() {
-        let (server, mut st) = setup(5);
-        let spec = OneDSpec::new(AttrId(0), Direction::Asc, Query::all());
-        oracle(&server, &mut st, &spec, 0.0, 0.3).unwrap();
-        assert!(st.dense1d.num_intervals() >= 1);
-        assert!(st.dense1d.num_tuples() >= 1);
-        assert!(st.dense1d.build_cost > 0);
-        assert!(st.dense1d.build_cost <= server.queries_issued());
+    fn descending_axis_with_ties_and_a_selection() {
+        use qrs_types::{CatId, CatPredicate, Interval};
+        let data = qrs_datagen::synthetic::discrete_grid(400, 2, 12, 31);
+        let fresh = || {
+            let st = SharedState::new(data.schema(), RerankParams::paper_defaults(400, 5));
+            (
+                SimServer::new(data.clone(), SystemRank::pseudo_random(2), 5),
+                st,
+            )
+        };
+        let some = Query::all().and_cat(CatPredicate::one_of(CatId(0), vec![1, 3]));
+        let none = Query::all().and_range(AttrId(1), Interval::closed(50.0, 60.0));
+        let [some, none] = [some, none].map(|sel| OneDSpec::new(AttrId(0), Direction::Desc, sel));
+        // Asks, checks the answer against the dataset, returns its value.
+        let ask = |server: &SimServer, st: &mut SharedState, spec: &OneDSpec, x: f64, y: f64| {
+            let got = oracle(server, st, spec, x, y).unwrap();
+            let got = got.map(|t| (spec.nval(&t), t.id));
+            let hits = data.tuples().iter().filter(|t| spec.sel.matches(t));
+            let in_range = hits
+                .map(|t| (spec.nval(t), t.id))
+                .filter(|&(v, _)| v >= x && v < y);
+            let truth = in_range.min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            assert_eq!(got, truth, "[{x}, {y})");
+            got.map(|(v, _)| v)
+        };
+        // Raw values 0..=11 normalize to -11..=0: [-9.5, -6.5) holds -9, -8, -7.
+        let (x, y) = (-9.5, -6.5);
+        let (server, mut st) = fresh();
+        let v = ask(&server, &mut st, &some, x, y).expect("matches at every grid value");
+        let paid = server.queries_issued();
+        assert!(paid > 0);
+        // Contained and inside the frontier: free.
+        assert_eq!(ask(&server, &mut st, &some, x + 0.25, v.next_up()), Some(v));
+        assert_eq!(server.queries_issued(), paid);
+        // Contained but past the frontier: pays for the extension and no
+        // more — stopping at `v`, then crawling on to `y`, costs what
+        // crawling `[x, y)` in one go costs.
+        ask(&server, &mut st, &some, v.next_up(), y);
+        assert!(server.queries_issued() > paid);
+        ask(&server, &mut st, &none, x, y);
+        let (one_go, mut st2) = fresh();
+        ask(&one_go, &mut st2, &none, x, y);
+        assert_eq!(server.queries_issued(), one_go.queries_issued());
+        assert_eq!(st.dense1d.num_intervals(), 1, "all inside the first range");
+        ask(&server, &mut st, &some, y, y + 1.0);
+        assert_eq!(st.dense1d.num_intervals(), 2, "not covered: its own entry");
     }
 }

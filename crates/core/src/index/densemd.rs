@@ -2,70 +2,44 @@
 //!
 //! When MD search narrows to a box with relative volume below `(s/n)/c`, the
 //! box is crawled **completely and selection-free** (the paper strips
-//! `Sel(q)` so one crawl serves all future user queries) and stored. Future
-//! oracle hits on a contained box answer from the stored tuples at zero
-//! query cost; "contained" is asked of a [`RegionIndex`] per ranking frame
-//! (the attributes and their directions), over the boxes' raw predicates.
+//! `Sel(q)` so one crawl serves all future user queries) and registered.
+//! The index holds regions and nothing else: the crawl's tuples are in the
+//! shared [`History`](crate::history::History), so a future oracle hit on a
+//! contained box answers from there at zero query cost; "contained" is asked
+//! of a [`RegionIndex`] per ranking frame (the attributes and their
+//! directions), over the boxes' raw predicates.
 //!
 //! Deviation from the paper noted in DESIGN.md: Algorithm 6 crawls in score
 //! order and may stop early at the first tuple satisfying `Sel(q)`; we crawl
 //! the box to completion instead. The cost is the same order (the box holds
-//! `O(s)` tuples by construction), and completeness makes the stored entry
+//! `O(s)` tuples by construction), and completeness makes the registered box
 //! reusable by *any* ranking function over the same attributes, not just the
 //! one that triggered the crawl.
 
 use crate::crawl::crawl_region;
 use crate::ctx::SharedState;
+use crate::md::top1::history_best;
 use crate::norm::{NormBox, NormView};
 use qrs_server::SearchInterface;
-use qrs_types::value::cmp_f64;
 use qrs_types::{AttrId, Direction, Query, RegionIndex, RerankError, Tuple};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// One fully crawled box.
-#[derive(Debug)]
-pub struct DenseBox {
-    tuples: Vec<Arc<Tuple>>,
-    /// True when the crawl hit an indistinguishable >k duplicate group.
-    pub truncated: bool,
-}
 
 /// The attributes a box was crawled along and their directions: a box only
 /// answers for boxes cut in the same frame.
 type Frame = (Vec<AttrId>, Vec<Direction>);
 
-/// Registry of crawled boxes.
+/// Registry of crawled boxes: per frame, each box's raw predicates
+/// (`NormView::to_query`: negation preserves containment side by side).
 #[derive(Debug, Default)]
 pub struct DenseMd {
-    boxes: Vec<DenseBox>,
-    /// Per frame, each box's raw predicates (`NormView::to_query`: negation
-    /// preserves containment side by side) → its place in `boxes`.
-    regions: HashMap<Frame, RegionIndex<usize>>,
-    /// Crawl queries spent building the index (experiment metric).
-    pub build_cost: u64,
+    regions: HashMap<Frame, RegionIndex<()>>,
 }
 
 impl DenseMd {
     /// Crawled boxes registered so far.
     pub fn num_boxes(&self) -> usize {
-        self.boxes.len()
-    }
-
-    /// Tuples discovered across all boxes.
-    pub fn num_tuples(&self) -> usize {
-        self.boxes.iter().map(|b| b.tuples.len()).sum()
-    }
-
-    fn frame(view: &NormView) -> Frame {
-        let rank = view.rank();
-        (rank.attrs().to_vec(), rank.directions().to_vec())
-    }
-
-    /// The place in `boxes` of one cut in `frame` whose region contains
-    /// `region`.
-    fn find(&self, frame: &Frame, region: &Query) -> Option<usize> {
-        self.regions.get(frame)?.find(region).copied()
+        self.regions.values().map(RegionIndex::len).sum()
     }
 }
 
@@ -80,34 +54,16 @@ pub fn md_oracle(
     b: &NormBox,
     sel: &Query,
 ) -> Result<Option<(Arc<Tuple>, f64)>, RerankError> {
-    let (frame, region) = (DenseMd::frame(view), view.to_query(b, &Query::all()));
-    let at = if let Some(at) = st.densemd.find(&frame, &region) {
-        at
-    } else {
-        let before = server.queries_issued();
-        let r = match crawl_region(server, st, &region) {
-            Ok(r) => r,
-            Err(e) => {
-                st.densemd.build_cost += server.queries_issued() - before;
-                return Err(e);
-            }
-        };
-        st.densemd.build_cost += server.queries_issued() - before;
-        let dense = &mut st.densemd;
-        let at = dense.boxes.len();
-        dense.regions.entry(frame).or_default().insert(&region, at);
-        dense.boxes.push(DenseBox {
-            tuples: r.tuples,
-            truncated: r.truncated,
-        });
-        at
-    };
-    Ok(st.densemd.boxes[at]
-        .tuples
-        .iter()
-        .filter(|t| sel.matches(t) && b.contains(&view.norm_coords(t)))
-        .map(|t| (Arc::clone(t), view.score(t)))
-        .min_by(|a, b| cmp_f64(a.1, b.1).then(a.0.id.cmp(&b.0.id))))
+    let rank = view.rank();
+    let frame = (rank.attrs().to_vec(), rank.directions().to_vec());
+    let region = view.to_query(b, &Query::all());
+    let registered = st.densemd.regions.get(&frame);
+    if registered.is_none_or(|boxes| boxes.find(&region).is_none()) {
+        crawl_region(server, st, &region)?;
+        let boxes = st.densemd.regions.entry(frame).or_default();
+        boxes.insert(&region, ());
+    }
+    Ok(history_best(st, view, &view.to_query(b, sel)))
 }
 
 #[cfg(test)]
@@ -149,7 +105,7 @@ mod tests {
             .unwrap();
         assert_eq!(got.1, truth);
         assert!(st.densemd.num_boxes() == 1);
-        assert!(st.densemd.build_cost > 0);
+        assert!(server.queries_issued() > 0);
         // Contained box afterwards: free.
         let cost = server.queries_issued();
         let mut inner = b.clone();
@@ -184,5 +140,52 @@ mod tests {
         assert!(md_oracle(&server, &mut st, &view, &b, &Query::all())
             .unwrap()
             .is_none());
+    }
+
+    /// Seeded data × selections × mixed directions over one shared state:
+    /// the oracle is brute force over the dataset by (score, id), and a box
+    /// inside one already asked for is free.
+    #[test]
+    fn oracle_is_brute_force_and_contained_boxes_are_free() {
+        use qrs_datagen::workload::{md_workload, DirectionPolicy, WorkloadConfig};
+        let seed = std::env::var("QRS_TEST_SEED").ok();
+        let seed: u64 = seed.and_then(|s| s.parse().ok()).unwrap_or(0);
+        let data = uniform(400, 3, 2, 77 ^ seed);
+        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(400, 5));
+        let server = SimServer::new(data.clone(), SystemRank::pseudo_random(4), 5);
+        let cfg = WorkloadConfig {
+            num_queries: 50,
+            directions: DirectionPolicy::Random,
+            seed,
+            ..WorkloadConfig::default()
+        };
+        let mut found = 0;
+        for (i, user) in md_workload(&data, &cfg).into_iter().enumerate() {
+            let view = NormView::new(Arc::new(user.rank), server.schema());
+            // A box around a tuple — another one, another size, each turn —
+            // and one strictly inside it.
+            let centre = view.norm_coords(&data.tuples()[i * 7]);
+            let [mut outer, mut inner] = [(); 2].map(|()| NormBox::full(view.bounds()));
+            for (d, &c) in centre.iter().enumerate() {
+                let width = view.bounds().hi[d] - view.bounds().lo[d];
+                let half = width * (0.04 + 0.02 * (i % 5) as f64);
+                outer.dims[d] = Interval::closed(c - half, c + half);
+                inner.dims[d] = Interval::open(c - half / 2.0, c + half / 3.0);
+            }
+            let mut ask = |b: &NormBox| {
+                let got = md_oracle(&server, &mut st, &view, b, &user.query).unwrap();
+                let inside = |t: &&Arc<Tuple>| b.contains(&view.norm_coords(t));
+                let hits = data.tuples().iter().filter(|t| user.query.matches(t));
+                let scored = hits.filter(inside).map(|t| (view.score(t), t.id));
+                let truth = scored.min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                assert_eq!(got.map(|(t, s)| (s, t.id)), truth, "turn {i}: {b:?}");
+                truth.is_some()
+            };
+            found += usize::from(ask(&outer));
+            let paid = server.queries_issued();
+            ask(&inner);
+            assert_eq!(server.queries_issued(), paid, "turn {i}: contained box");
+        }
+        assert!(found >= 10, "vacuous: {found} of 50 boxes held a match");
     }
 }

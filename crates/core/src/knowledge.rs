@@ -1,11 +1,13 @@
 //! Consult-before-spend: the [`KnowledgeGate`] server decorator.
 //!
 //! The knowledge plane (`qrs-knowledge`) must intercept **every** request a
-//! strategy makes, and the built-in cursors issue some of theirs through
-//! [`crate::strategy::StrategyIo::raw`] rather than the typed helpers — so
-//! the interception point is beneath `StrategyIo`: a [`KnowledgeGate`]
+//! strategy makes, and the built-in cursors issue theirs through the raw
+//! server of [`crate::strategy::StrategyIo::raw`] (their top-k queries by
+//! way of [`crate::ctx::SharedState::ask`]) rather than the typed helpers —
+//! so the interception point is beneath `StrategyIo`: a [`KnowledgeGate`]
 //! wraps the real [`SearchInterface`] and is handed to `StrategyIo` in its
-//! place. Order per request:
+//! place. Order per request, whatever its kind (top-k, page or `ORDER BY`
+//! page — one body, `KnowledgeGate::consult`):
 //!
 //! 1. build the request's canonical [`RequestKey`],
 //! 2. consult the source's [`SourceShard`] — an exact replay or an answer
@@ -42,10 +44,6 @@ pub struct KnowledgeGate {
     k: usize,
     queries_saved: AtomicU64,
     cost_units_saved: AtomicU64,
-    /// The inner server's mutation sequence number as of this gate's last
-    /// [`sync`](KnowledgeGate::sync) — the watermark everything this gate
-    /// cached into the shard was recorded under.
-    watermark: AtomicU64,
 }
 
 impl KnowledgeGate {
@@ -60,32 +58,22 @@ impl KnowledgeGate {
             k,
             queries_saved: AtomicU64::new(0),
             cost_units_saved: AtomicU64::new(0),
-            watermark: AtomicU64::new(0),
         };
         gate.sync();
         gate
     }
 
-    /// Poll the inner server's mutation sequence number, report it to the
+    /// Poll the inner server's mutation sequence number and report it to the
     /// shard (advancing the shard's watermark bumps its epoch, invalidating
-    /// at once every entry recorded against the older snapshot), and
-    /// remember it locally. Called at construction and before every request
-    /// so a gate can never serve knowledge recorded before a mutation it
-    /// has already observed. Servers without a mutation feed report 0
-    /// forever, making this a no-op. Returns the sequence number seen.
-    pub fn sync(&self) -> u64 {
+    /// at once every entry recorded against the older snapshot). Called at
+    /// construction and before every request so a gate can never serve
+    /// knowledge recorded before a mutation it has already observed. Servers
+    /// without a mutation feed report 0 forever, making this a no-op.
+    pub fn sync(&self) {
         let seq = self.inner.mutation_seq();
         if seq > 0 {
             self.shard.observe_watermark(seq);
         }
-        self.watermark.store(seq, Ordering::Release);
-        seq
-    }
-
-    /// The inner server's mutation sequence number as of the last
-    /// [`sync`](KnowledgeGate::sync).
-    pub fn watermark(&self) -> u64 {
-        self.watermark.load(Ordering::Acquire)
     }
 
     /// The shard this gate consults.
@@ -112,10 +100,27 @@ impl KnowledgeGate {
         self.cost_units_saved.load(Ordering::Relaxed)
     }
 
-    fn credit(&self, q: &Query, kind: RequestKind) {
-        self.queries_saved.fetch_add(1, Ordering::Relaxed);
-        self.cost_units_saved
-            .fetch_add(self.cost.charge(q, kind), Ordering::Relaxed);
+    /// The consult-before-spend order of the module docs, for every request
+    /// kind: sync, look `key` up and credit a hit; on a miss `pay` the inner
+    /// server and record what it said.
+    fn consult(
+        &self,
+        key: RequestKey,
+        kind: RequestKind,
+        q: &Query,
+        pay: impl FnOnce() -> Result<QueryResponse, ServerError>,
+    ) -> Result<QueryResponse, ServerError> {
+        self.sync();
+        if let Some(hit) = self.shard.lookup_response(&key, q, self.k) {
+            self.queries_saved.fetch_add(1, Ordering::Relaxed);
+            self.cost_units_saved
+                .fetch_add(self.cost.charge(q, kind), Ordering::Relaxed);
+            return Ok(QueryResponse::new(hit.tuples, hit.more));
+        }
+        let resp = pay()?;
+        self.shard
+            .record_response(key, q, self.k, &resp.tuples, resp.is_overflow());
+        Ok(resp)
     }
 }
 
@@ -133,16 +138,8 @@ impl SearchInterface for KnowledgeGate {
     }
 
     fn query(&self, q: &Query) -> Result<QueryResponse, ServerError> {
-        self.sync();
-        let key = RequestKey::top_k(q);
-        if let Some(hit) = self.shard.lookup_response(&key, q, self.k) {
-            self.credit(q, RequestKind::TopK);
-            return Ok(QueryResponse::new(hit.tuples, hit.more));
-        }
-        let resp = self.inner.query(q)?;
-        self.shard
-            .record_response(key, q, self.k, &resp.tuples, resp.is_overflow());
-        Ok(resp)
+        let pay = || self.inner.query(q);
+        self.consult(RequestKey::top_k(q), RequestKind::TopK, q, pay)
     }
 
     fn queries_issued(&self) -> u64 {
@@ -154,18 +151,12 @@ impl SearchInterface for KnowledgeGate {
     }
 
     fn query_page(&self, q: &Query, page: usize) -> Result<QueryResponse, ServerError> {
-        self.sync();
-        let key = RequestKey::page(q, page);
-        if let Some(hit) = self.shard.lookup_response(&key, q, self.k) {
-            self.credit(q, RequestKind::Page);
-            return Ok(QueryResponse::new(hit.tuples, hit.more));
-        }
-        let resp = self.inner.query_page(q, page)?;
-        self.shard
-            .record_response(key, q, self.k, &resp.tuples, resp.is_overflow());
-        Ok(resp)
+        let pay = || self.inner.query_page(q, page);
+        self.consult(RequestKey::page(q, page), RequestKind::Page, q, pay)
     }
 
+    /// An `ORDER BY` page goes through the same body as a response whose
+    /// overflow flag is the page's `has_more`.
     fn query_ordered(
         &self,
         q: &Query,
@@ -173,19 +164,17 @@ impl SearchInterface for KnowledgeGate {
         dir: Direction,
         page: usize,
     ) -> Result<OrderedPage, ServerError> {
-        self.sync();
         let key = RequestKey::ordered(q, attr, dir, page);
-        if let Some(hit) = self.shard.lookup_response(&key, q, self.k) {
-            self.credit(q, RequestKind::Ordered);
-            return Ok(OrderedPage {
-                tuples: hit.tuples,
-                has_more: hit.more,
-            });
-        }
-        let resp = self.inner.query_ordered(q, attr, dir, page)?;
-        self.shard
-            .record_response(key, q, self.k, &resp.tuples, resp.has_more);
-        Ok(resp)
+        let pay = || {
+            let paid = self.inner.query_ordered(q, attr, dir, page)?;
+            Ok(QueryResponse::new(paid.tuples, paid.has_more))
+        };
+        let resp = self.consult(key, RequestKind::Ordered, q, pay)?;
+        let has_more = resp.is_overflow();
+        Ok(OrderedPage {
+            tuples: resp.tuples,
+            has_more,
+        })
     }
 
     fn mutation_seq(&self) -> u64 {
@@ -291,7 +280,7 @@ mod tests {
         );
         let q = narrow();
         let cold = g.query(&q).unwrap();
-        assert_eq!(g.watermark(), 0);
+        assert_eq!(shard.stats().watermark, 0);
         // Delete a tuple the cached answer contains: the next query through
         // the gate must notice the feed moved and re-pay the server — no
         // manual invalidate() call anywhere.
@@ -301,7 +290,6 @@ mod tests {
         let fresh = g.query(&q).unwrap();
         assert!(g.queries_issued() > paid, "stale replay must be re-paid");
         assert_eq!(g.queries_saved(), 0);
-        assert_eq!(g.watermark(), 1);
         assert_eq!(shard.stats().watermark, 1);
         assert!(fresh.tuples.iter().all(|t| t.id != victim));
         // And the re-recorded answer replays free at the new watermark.

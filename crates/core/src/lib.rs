@@ -19,10 +19,13 @@
 //! | §4.4 Algorithm 6 (MD-RERANK) | [`md::MdOptions::rerank`], [`index::densemd`] |
 //! | §5 extensions (ties, ORDER BY, point predicates) | [`one_d::TiePolicy`], [`md::ta::SortedAccess`], crawler |
 //! | §1 baselines (crawl, page-down) | [`baselines`] |
+//! | §3.1.1 leveraging history | [`ctx::SharedState::ask`], [`history`] |
 //!
-//! All algorithms share a [`ctx::SharedState`] — query history, complete
-//! -region registry and the on-the-fly dense indexes — so cost amortizes
-//! across user queries, which is the paper's central systems idea.
+//! All algorithms share a [`ctx::SharedState`] — the history of every tuple
+//! seen, and three registries of regions known in full (complete regions
+//! and the two on-the-fly dense indexes) — and ask the site through its
+//! `ask`, so cost amortizes across user queries, which is the paper's
+//! central systems idea.
 //!
 //! ### Known deviations from the paper (documented in DESIGN.md)
 //!

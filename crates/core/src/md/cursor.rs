@@ -252,14 +252,10 @@ fn cell_top(
     if q.is_unsatisfiable() {
         return Ok(TopState::Empty);
     }
-    if !st.complete.covers(&q) {
-        let resp = server.query(&q)?;
-        st.absorb(&q, &resp);
-        if resp.is_overflow() {
-            // >k tuples at one ranking-coordinate point: crawl by the
-            // remaining (non-ranking / categorical) attributes.
-            crawl_region(server, st, &q)?;
-        }
+    if st.ask(server, &q)?.is_overflow() {
+        // >k tuples at one ranking-coordinate point: crawl by the
+        // remaining (non-ranking / categorical) attributes.
+        crawl_region(server, st, &q)?;
     }
     let known = st.history.matching(&q);
     Ok(match known.into_iter().find(|t| !emitted.contains(&t.id)) {

@@ -115,14 +115,7 @@ pub fn md_top1(
         if q.is_unsatisfiable() {
             continue;
         }
-        if st.complete.covers(&q) {
-            if let Some((t, s)) = history_best(st, view, &q) {
-                consider(&mut best, &t, s);
-            }
-            continue;
-        }
-        let resp = server.query(&q)?;
-        st.absorb(&q, &resp);
+        let resp = st.ask(server, &q)?;
         match resp.outcome {
             qrs_types::QueryOutcome::Underflow => continue,
             qrs_types::QueryOutcome::Valid => {
@@ -197,15 +190,7 @@ fn probe_dominated(
     if q.is_unsatisfiable() {
         return Ok(());
     }
-    if st.complete.covers(&q) {
-        if let Some((t, s)) = history_best(st, view, &q) {
-            consider(best, &t, s);
-        }
-        return Ok(());
-    }
-    let resp = server.query(&q)?;
-    st.absorb(&q, &resp);
-    for t in &resp.tuples {
+    for t in &st.ask(server, &q)?.tuples {
         consider(best, t, view.score(t));
     }
     Ok(())

@@ -195,18 +195,13 @@ pub(crate) fn gather_slab(
 ) -> Result<Vec<Arc<Tuple>>, RerankError> {
     let raw = spec.dir.denormalize(nval);
     let q = spec.sel.clone().and_range(spec.attr, Interval::point(raw));
-    if st.complete.covers(&q) {
-        return Ok(st.history.at_value(spec.attr, raw, &q));
-    }
-    let resp = server.query(&q)?;
-    st.absorb(&q, &resp);
-    if resp.is_overflow() {
+    if st.ask(server, &q)?.is_overflow() {
         // More than k ties at one value: crawl the slab by the other
         // attributes.
         let r = crawl_region(server, st, &q)?;
         return Ok(r.tuples);
     }
-    Ok(st.history.at_value(spec.attr, raw, &q))
+    Ok(st.history.matching(&q))
 }
 
 #[cfg(test)]

@@ -112,7 +112,7 @@ pub fn next_above(
 }
 
 /// Algorithm 1 (1D-BASELINE) on normalized values, leveraging history and
-/// complete regions.
+/// complete regions ([`SharedState::ask`]).
 pub(crate) fn baseline(
     server: &dyn SearchInterface,
     st: &mut SharedState,
@@ -130,15 +130,10 @@ pub(crate) fn baseline(
         if iv.is_empty() {
             return Ok(cur);
         }
-        let q = spec.query_for(iv);
-        if st.complete.covers(&q) {
-            // Every tuple in the interval is already known — and history had
-            // none below `cur` (cur is the history minimum).
-            return Ok(cur);
-        }
-        let resp = server.query(&q)?;
-        st.absorb(&q, &resp);
+        let resp = st.ask(server, &spec.query_for(iv))?;
         match resp.outcome {
+            // Nothing below `cur` (a covered interval lands here: `cur` is
+            // the history minimum).
             qrs_types::QueryOutcome::Underflow => return Ok(cur),
             qrs_types::QueryOutcome::Valid => return Ok(spec.min_tuple(&resp.tuples).cloned()),
             qrs_types::QueryOutcome::Overflow => {
@@ -189,12 +184,7 @@ pub fn narrow(
             if iv.is_empty() {
                 return Ok(NarrowResult::Exhausted(None));
             }
-            let q = spec.query_for(iv);
-            if st.complete.covers(&q) {
-                return Ok(NarrowResult::Exhausted(None));
-            }
-            let resp = server.query(&q)?;
-            st.absorb(&q, &resp);
+            let resp = st.ask(server, &spec.query_for(iv))?;
             match resp.outcome {
                 qrs_types::QueryOutcome::Underflow => return Ok(NarrowResult::Exhausted(None)),
                 qrs_types::QueryOutcome::Valid => {
@@ -271,22 +261,7 @@ fn probe(
     if iv.is_empty() {
         return Ok(Probe::Empty);
     }
-    let q = spec.query_for(iv);
-    if st.complete.covers(&q) {
-        return Ok(
-            match st
-                .history
-                .matching(&q)
-                .into_iter()
-                .min_by_key(|t| (OrdF64(spec.nval(t)), t.id))
-            {
-                Some(t) => Probe::All(t),
-                None => Probe::Empty,
-            },
-        );
-    }
-    let resp = server.query(&q)?;
-    st.absorb(&q, &resp);
+    let resp = st.ask(server, &spec.query_for(iv))?;
     Ok(match resp.outcome {
         qrs_types::QueryOutcome::Underflow => Probe::Empty,
         qrs_types::QueryOutcome::Valid => {
@@ -347,9 +322,6 @@ fn half_open(lo: f64, hi: f64) -> Interval {
         },
     }
 }
-
-// Alias for the dense-region oracle, which crawls with 1D-BASELINE.
-pub(crate) use self::baseline as baseline_next_above;
 
 #[cfg(test)]
 mod tests {

@@ -102,7 +102,7 @@ const MAX_TENANTS: usize = 4096;
 /// Longest accepted `x-tenant` value.
 const MAX_TENANT_BYTES: usize = 64;
 
-/// Knobs for the edge's admission control, read from `QRS_EDGE_*`.
+/// Knobs for the edge's admission control.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeConfig {
     /// Maximum concurrently served `/v1/rerank` batches; the gate past
@@ -130,21 +130,6 @@ impl Default for EdgeConfig {
 }
 
 impl EdgeConfig {
-    /// Read the knobs from the environment: `QRS_EDGE_INFLIGHT` (default
-    /// 64), `QRS_EDGE_TENANT_QUERY_BUDGET` / `QRS_EDGE_TENANT_COST_BUDGET`
-    /// (default unmetered), `QRS_EDGE_RETRY_AFTER_MS` (default 1000).
-    /// Unparsable values fall back to the defaults.
-    pub fn from_env() -> Self {
-        let read = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-        let defaults = EdgeConfig::default();
-        EdgeConfig {
-            max_inflight: read("QRS_EDGE_INFLIGHT").unwrap_or(defaults.max_inflight),
-            tenant_query_budget: read("QRS_EDGE_TENANT_QUERY_BUDGET"),
-            tenant_cost_budget: read("QRS_EDGE_TENANT_COST_BUDGET"),
-            retry_after_ms: read("QRS_EDGE_RETRY_AFTER_MS").unwrap_or(defaults.retry_after_ms),
-        }
-    }
-
     /// Builder: cap concurrent batches.
     pub fn with_max_inflight(mut self, n: u64) -> Self {
         self.max_inflight = n;

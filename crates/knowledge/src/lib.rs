@@ -9,17 +9,16 @@
 //! them across users by remembering query history. This crate is that
 //! memory, organized for many concurrent tenants:
 //!
-//! * [`KnowledgePlane`] — the top-level handle. Source names hash to one of
-//!   a fixed set of **stripes**, each an independently-locked map of
-//!   shards, so shard lookup never funnels through a global lock and the
-//!   hot path (existing shard, read-mode) takes exactly one striped read
-//!   lock plus the shard's own read lock.
+//! * [`KnowledgePlane`] — the top-level handle: one lock around a source
+//!   name → shard map. A service resolves its shard once, when it is built,
+//!   and every request reaches the shard through that `Arc`, so the map is
+//!   off the request path.
 //! * [`SourceShard`] — per-source knowledge: an exact **response cache**,
 //!   **drained regions** (selections whose complete match set in system
 //!   order is known, from which subsumed requests are synthesized for
-//!   free), **page runs** (drains in progress), **learned result streams**
-//!   (exact top-k outputs keyed by `(selection, rank, tie, strategy)`), and
-//!   the set of observed tuples.
+//!   free), **page runs** (drains in progress) and **learned result
+//!   streams** (exact top-k outputs keyed by
+//!   `(selection, rank, tie, strategy)`).
 //! * **Epoch invalidation** — every shard carries a generation counter;
 //!   entries are stamped with the epoch they were recorded under and
 //!   lookups reject older stamps. Invalidation is one atomic increment:
@@ -39,15 +38,8 @@ pub use key::{query_key, RequestKey, ResultKey};
 pub use shard::{CachedResponse, ResultEntry, ShardStats, SourceShard};
 
 use parking_lot::RwLock;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-/// Number of independently-locked stripes in the plane's shard map. Shard
-/// *contents* have their own locks; these stripes only guard name → shard
-/// resolution, so a small fixed power of two is plenty.
-const STRIPES: usize = 16;
 
 /// Aggregated statistics across every shard in the plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,58 +56,33 @@ pub struct PlaneStats {
     pub result_hits: u64,
 }
 
-/// The service-wide knowledge plane: one shard per source, striped so
-/// concurrent sessions over different sources never contend on a global
-/// lock.
+/// The service-wide knowledge plane: one shard per source.
 ///
 /// Cloneable by `Arc`: `RerankService` instances and `FederatedSession`s
 /// share one plane by cloning the same `Arc<KnowledgePlane>`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct KnowledgePlane {
-    stripes: Box<[Stripe]>,
-}
-
-/// One lock stripe of the source map.
-type Stripe = RwLock<HashMap<String, Arc<SourceShard>>>;
-
-impl Default for KnowledgePlane {
-    fn default() -> Self {
-        KnowledgePlane::new()
-    }
+    shards: RwLock<HashMap<String, Arc<SourceShard>>>,
 }
 
 impl KnowledgePlane {
     /// An empty plane.
     pub fn new() -> Self {
-        let stripes = (0..STRIPES)
-            .map(|_| RwLock::new(HashMap::new()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        KnowledgePlane { stripes }
-    }
-
-    fn stripe(&self, source: &str) -> &Stripe {
-        let mut h = DefaultHasher::new();
-        source.hash(&mut h);
-        &self.stripes[(h.finish() as usize) % STRIPES]
+        KnowledgePlane::default()
     }
 
     /// The shard for `source`, created empty on first use.
     pub fn shard(&self, source: &str) -> Arc<SourceShard> {
-        let stripe = self.stripe(source);
-        if let Some(s) = stripe.read().get(source) {
-            return Arc::clone(s);
+        if let Some(s) = self.get(source) {
+            return s;
         }
-        let mut w = stripe.write();
-        Arc::clone(
-            w.entry(source.to_string())
-                .or_insert_with(|| Arc::new(SourceShard::new())),
-        )
+        let mut w = self.shards.write();
+        Arc::clone(w.entry(source.to_string()).or_default())
     }
 
     /// The shard for `source`, if one exists.
     pub fn get(&self, source: &str) -> Option<Arc<SourceShard>> {
-        self.stripe(source).read().get(source).cloned()
+        self.shards.read().get(source).cloned()
     }
 
     /// Bump `source`'s epoch, invalidating all knowledge recorded about it.
@@ -126,20 +93,14 @@ impl KnowledgePlane {
 
     /// Invalidate every source in the plane.
     pub fn invalidate_all(&self) {
-        for stripe in self.stripes.iter() {
-            for shard in stripe.read().values() {
-                shard.invalidate();
-            }
+        for shard in self.shards.read().values() {
+            shard.invalidate();
         }
     }
 
     /// Names of every source with a shard, sorted for determinism.
     pub fn sources(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .stripes
-            .iter()
-            .flat_map(|s| s.read().keys().cloned().collect::<Vec<_>>())
-            .collect();
+        let mut out: Vec<String> = self.shards.read().keys().cloned().collect();
         out.sort();
         out
     }
@@ -147,15 +108,13 @@ impl KnowledgePlane {
     /// Aggregated hit/miss statistics across all shards.
     pub fn stats(&self) -> PlaneStats {
         let mut out = PlaneStats::default();
-        for stripe in self.stripes.iter() {
-            for shard in stripe.read().values() {
-                let s = shard.stats();
-                out.sources += 1;
-                out.hits += s.hits;
-                out.synthesized += s.synthesized;
-                out.misses += s.misses;
-                out.result_hits += s.result_hits;
-            }
+        for shard in self.shards.read().values() {
+            let s = shard.stats();
+            out.sources += 1;
+            out.hits += s.hits;
+            out.synthesized += s.synthesized;
+            out.misses += s.misses;
+            out.result_hits += s.result_hits;
         }
         out
     }

@@ -22,7 +22,7 @@
 
 use crate::key::{RequestKey, ResultKey};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use qrs_types::{Query, RegionIndex, Tuple, TupleId};
+use qrs_types::{Query, RegionIndex, Tuple};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -88,7 +88,6 @@ struct ShardInner {
     drained_ids: HashMap<String, u64>,
     page_runs: HashMap<String, PageRun>,
     results: HashMap<ResultKey, ResultEntry>,
-    observed: HashMap<TupleId, Arc<Tuple>>,
 }
 
 impl ShardInner {
@@ -123,8 +122,6 @@ pub struct ShardStats {
     pub drained: u64,
     /// Live cached result streams.
     pub results: u64,
-    /// Distinct tuples observed from this source.
-    pub observed: u64,
 }
 
 /// Everything learned about one source, behind one lock + one epoch.
@@ -249,11 +246,10 @@ impl SourceShard {
         found
     }
 
-    /// Record the site's answer to one paid request. Observes every
-    /// returned tuple, caches the exact response, and grows the drained
-    /// map: a non-overflowing top-k answer *is* the full match set of its
-    /// selection, and a contiguous page run is promoted once its final
-    /// page arrives.
+    /// Record the site's answer to one paid request. Caches the exact
+    /// response and grows the drained map: a non-overflowing top-k answer
+    /// *is* the full match set of its selection, and a contiguous page run
+    /// is promoted once its final page arrives.
     pub fn record_response(
         &self,
         key: RequestKey,
@@ -263,9 +259,6 @@ impl SourceShard {
         more: bool,
     ) {
         let mut inner = self.current();
-        for t in tuples {
-            inner.observed.entry(t.id).or_insert_with(|| Arc::clone(t));
-        }
         match &key {
             RequestKey::TopK { sel } => {
                 if !more {
@@ -359,14 +352,8 @@ impl SourceShard {
             .is_some_and(|inner| inner.drained.find(q).is_some())
     }
 
-    /// A tuple previously observed from this source, by id.
-    pub fn observed(&self, id: TupleId) -> Option<Arc<Tuple>> {
-        self.inner.read().observed.get(&id).cloned()
-    }
-
     /// Reclaim what was recorded under an older epoch now, instead of at
-    /// the next write. Observed tuples are facts about the old snapshot
-    /// too, so they go with the rest.
+    /// the next write.
     pub fn purge_stale(&self) {
         drop(self.current());
     }
@@ -388,7 +375,6 @@ impl SourceShard {
             responses: live(inner.responses.len()),
             drained: live(inner.drained.len()),
             results: live(inner.results.len()),
-            observed: inner.observed.len() as u64,
         }
     }
 }
@@ -396,7 +382,7 @@ impl SourceShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrs_types::{AttrId, Interval};
+    use qrs_types::{AttrId, Interval, TupleId};
 
     fn t(id: u32, v: f64) -> Arc<Tuple> {
         Arc::new(Tuple::new(TupleId(id), vec![v], vec![]))
@@ -486,11 +472,7 @@ mod tests {
             // Draining the same selection again replaces its run.
             s.record_response(RequestKey::top_k(&q), &q, 2, &[t(round, 0.5)], false);
             let st = s.stats();
-            assert_eq!(
-                (st.responses, st.drained, st.observed),
-                (1, 1, 1),
-                "round {round}"
-            );
+            assert_eq!((st.responses, st.drained), (1, 1), "round {round}");
             s.invalidate();
             assert_eq!(s.stats().drained, 0);
         }
@@ -568,7 +550,6 @@ mod tests {
         assert_eq!(st.responses, 0);
         assert_eq!(st.drained, 0);
         assert_eq!(st.results, 0);
-        assert_eq!(st.observed, 0);
     }
 
     #[test]

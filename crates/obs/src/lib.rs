@@ -6,8 +6,8 @@
 //! ([`Event`]/[`EventKind`]) covering the whole session lifecycle (plan
 //! chosen, requests issued/charged, retries and backoff, circuit
 //! trips/probes, knowledge hits/misses/seals, mutation repairs, budget
-//! trips, open/close), a lock-striped [`MetricsRegistry`] (exact
-//! sum-on-read counters plus log2 latency histograms), and a fleet
+//! trips, open/close), a lock-free [`MetricsRegistry`] (exact counters
+//! plus log2 latency histograms), and a fleet
 //! [`Monitor`] folding the stream into per-(site, strategy)
 //! predicted-vs-actual spend tables with divergence ratios — the data
 //! layer a mid-flight re-planning loop consumes.
@@ -44,7 +44,7 @@ pub use event::{escape_json_into, BudgetScope, Event, EventKind, QueryClass};
 pub use export::JsonLinesExporter;
 pub use handle::{ObsBuilder, ObsHandle};
 pub use metrics::{
-    log2_bucket, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, StripedU64, HISTOGRAM_BUCKETS,
+    log2_bucket, Counter, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
 pub use monitor::{Divergence, Monitor, MonitorReport, MonitorRow};
 pub use recorder::{Recorder, DEFAULT_BUFFER};

@@ -1,23 +1,17 @@
-//! Lock-striped metrics: monotonic counters plus fixed-bucket log2
-//! histograms, folded from the event stream (and a direct latency hook).
+//! Metrics: monotonic counters plus fixed-bucket log2 histograms, folded
+//! from the event stream (and a direct latency hook).
 //!
-//! The striping scheme ([`StripedU64`], also the cell behind
-//! `qrs_service::ServiceStats`): each logical counter is an array of
-//! cache-line-padded atomic cells, every thread picks one cell round-robin
-//! at first touch, and reads sum the cells. Workers on different cores
-//! therefore stop bouncing one cache line per bookkeeping call — the
-//! classic false-sharing fix. Totals are exact — every increment lands in
-//! exactly one cell — so the reconciliation tests can demand equality, not
-//! approximation, against the session ledgers. Only the *snapshot* is
-//! racy-but-monotonic, which a single atomic would be too.
+//! Every counter and every histogram bucket is one relaxed atomic
+//! ([`Counter`], also the cell behind `qrs_service::ServiceStats`). Totals
+//! are exact — every increment lands — so the reconciliation tests can
+//! demand equality, not approximation, against the session ledgers; only a
+//! *snapshot* taken while writers run is racy-but-monotonic. Nothing is
+//! sharded per thread: every event is next folded into the monitor under
+//! one mutex, so there is no contention here for sharding to remove.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::event::{Event, EventKind};
-
-/// Cells per striped counter; a small power of two (the executor defaults
-/// to one worker per core and threads spread round-robin).
-const STRIPES: usize = 8;
 
 /// Buckets per log2 histogram: bucket `i` holds values whose bit length is
 /// `i` (bucket 0 = value 0, bucket 1 = value 1, bucket 2 = 2..=3, ...).
@@ -25,32 +19,15 @@ const STRIPES: usize = 8;
 /// is ~24 days).
 pub const HISTOGRAM_BUCKETS: usize = 32;
 
-/// One cache line worth of counter; the alignment keeps two cells from
-/// sharing a line, which is the whole point of striping.
-#[repr(align(64))]
+/// A monotonic counter: lock-free and exact under concurrency.
 #[derive(Debug, Default)]
-struct PaddedCell(AtomicU64);
+pub struct Counter(AtomicU64);
 
-/// Round-robin assignment of threads to stripe slots, fixed at a thread's
-/// first increment.
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
-}
-
-/// A monotonic counter sharded across padded cells: lock-free, exact under
-/// concurrency, contention-free across threads in different slots.
-#[derive(Debug, Default)]
-pub struct StripedU64 {
-    cells: [PaddedCell; STRIPES],
-}
-
-impl StripedU64 {
-    /// Add `v` to the calling thread's cell.
+impl Counter {
+    /// Add `v`.
     #[inline]
     pub fn add(&self, v: u64) {
-        STRIPE.with(|s| self.cells[*s].0.fetch_add(v, Ordering::Relaxed));
+        self.0.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Add one.
@@ -59,31 +36,15 @@ impl StripedU64 {
         self.add(1);
     }
 
-    /// The exact total so far: the sum over the cells.
-    pub fn sum(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
+    /// The exact total so far.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-/// A fixed-bucket log2 histogram, striped the same way as the counters:
-/// each stripe owns a full row of buckets (padded rows, so two threads in
-/// different slots never touch the same line), and a snapshot sums rows
-/// bucket-wise.
+/// A fixed-bucket log2 histogram: one [`Counter`] per bucket.
 #[derive(Debug, Default)]
-struct StripedHistogram {
-    rows: [PaddedRow; STRIPES],
-}
-
-/// One stripe's bucket row, padded out to its own cache-line region.
-#[repr(align(64))]
-#[derive(Debug)]
-struct PaddedRow([AtomicU64; HISTOGRAM_BUCKETS]);
-
-impl Default for PaddedRow {
-    fn default() -> Self {
-        PaddedRow(std::array::from_fn(|_| AtomicU64::new(0)))
-    }
-}
+struct Histogram([Counter; HISTOGRAM_BUCKETS]);
 
 /// Bucket index for a value: its bit length, clamped to the top bucket.
 #[inline]
@@ -91,21 +52,16 @@ pub fn log2_bucket(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
 }
 
-impl StripedHistogram {
+impl Histogram {
     #[inline]
     fn record(&self, v: u64) {
-        let b = log2_bucket(v);
-        STRIPE.with(|s| self.rows[*s].0[b].fetch_add(1, Ordering::Relaxed));
+        self.0[log2_bucket(v)].incr();
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        for row in &self.rows {
-            for (acc, cell) in buckets.iter_mut().zip(row.0.iter()) {
-                *acc += cell.load(Ordering::Relaxed);
-            }
+        HistogramSnapshot {
+            buckets: std::array::from_fn(|i| self.0[i].get()),
         }
-        HistogramSnapshot { buckets }
     }
 }
 
@@ -136,42 +92,42 @@ impl HistogramSnapshot {
     }
 }
 
-/// The metrics plane: striped monotonic counters and histograms, updated by
+/// The metrics plane: monotonic counters and histograms, updated by
 /// folding [`Event`]s (plus one direct hook for per-pull latency, which is
 /// measured at the `Session::next` wrapper rather than carried in an
 /// event). All update paths are lock-free.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    events: StripedU64,
-    sessions_opened: StripedU64,
-    sessions_closed: StripedU64,
-    pulls: StripedU64,
-    queries_by_class: [StripedU64; 4],
-    cost_units_by_class: [StripedU64; 4],
-    replans: StripedU64,
-    retries: StripedU64,
-    backoff_sleeps: StripedU64,
-    backoff_slept_ms: StripedU64,
-    circuit_trips: StripedU64,
-    circuit_probes: StripedU64,
-    knowledge_hits: StripedU64,
-    knowledge_misses: StripedU64,
-    knowledge_seals: StripedU64,
-    queries_saved: StripedU64,
-    cost_units_saved: StripedU64,
-    mutation_repairs: StripedU64,
-    replacement_pulls: StripedU64,
-    redrives: StripedU64,
-    budget_trips: StripedU64,
-    batches: StripedU64,
-    edge_admitted: StripedU64,
-    edge_rejected: StripedU64,
-    pull_latency_ms: StripedHistogram,
-    backoff_ms: StripedHistogram,
+    events: Counter,
+    sessions_opened: Counter,
+    sessions_closed: Counter,
+    pulls: Counter,
+    queries_by_class: [Counter; 4],
+    cost_units_by_class: [Counter; 4],
+    replans: Counter,
+    retries: Counter,
+    backoff_sleeps: Counter,
+    backoff_slept_ms: Counter,
+    circuit_trips: Counter,
+    circuit_probes: Counter,
+    knowledge_hits: Counter,
+    knowledge_misses: Counter,
+    knowledge_seals: Counter,
+    queries_saved: Counter,
+    cost_units_saved: Counter,
+    mutation_repairs: Counter,
+    replacement_pulls: Counter,
+    redrives: Counter,
+    budget_trips: Counter,
+    batches: Counter,
+    edge_admitted: Counter,
+    edge_rejected: Counter,
+    pull_latency_ms: Histogram,
+    backoff_ms: Histogram,
 }
 
 /// Point-in-time snapshot of every counter and histogram in the registry.
-/// Sum-on-read totals are exact (see the module docs).
+/// Totals are exact (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Events folded into the registry, all kinds.
@@ -307,30 +263,30 @@ impl MetricsRegistry {
     /// racy-but-monotonic caveat on concurrent snapshots).
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            events: self.events.sum(),
-            sessions_opened: self.sessions_opened.sum(),
-            sessions_closed: self.sessions_closed.sum(),
-            pulls: self.pulls.sum(),
-            queries_by_class: std::array::from_fn(|i| self.queries_by_class[i].sum()),
-            cost_units_by_class: std::array::from_fn(|i| self.cost_units_by_class[i].sum()),
-            replans: self.replans.sum(),
-            retries: self.retries.sum(),
-            backoff_sleeps: self.backoff_sleeps.sum(),
-            backoff_slept_ms: self.backoff_slept_ms.sum(),
-            circuit_trips: self.circuit_trips.sum(),
-            circuit_probes: self.circuit_probes.sum(),
-            knowledge_hits: self.knowledge_hits.sum(),
-            knowledge_misses: self.knowledge_misses.sum(),
-            knowledge_seals: self.knowledge_seals.sum(),
-            queries_saved: self.queries_saved.sum(),
-            cost_units_saved: self.cost_units_saved.sum(),
-            mutation_repairs: self.mutation_repairs.sum(),
-            replacement_pulls: self.replacement_pulls.sum(),
-            redrives: self.redrives.sum(),
-            budget_trips: self.budget_trips.sum(),
-            batches: self.batches.sum(),
-            edge_admitted: self.edge_admitted.sum(),
-            edge_rejected: self.edge_rejected.sum(),
+            events: self.events.get(),
+            sessions_opened: self.sessions_opened.get(),
+            sessions_closed: self.sessions_closed.get(),
+            pulls: self.pulls.get(),
+            queries_by_class: std::array::from_fn(|i| self.queries_by_class[i].get()),
+            cost_units_by_class: std::array::from_fn(|i| self.cost_units_by_class[i].get()),
+            replans: self.replans.get(),
+            retries: self.retries.get(),
+            backoff_sleeps: self.backoff_sleeps.get(),
+            backoff_slept_ms: self.backoff_slept_ms.get(),
+            circuit_trips: self.circuit_trips.get(),
+            circuit_probes: self.circuit_probes.get(),
+            knowledge_hits: self.knowledge_hits.get(),
+            knowledge_misses: self.knowledge_misses.get(),
+            knowledge_seals: self.knowledge_seals.get(),
+            queries_saved: self.queries_saved.get(),
+            cost_units_saved: self.cost_units_saved.get(),
+            mutation_repairs: self.mutation_repairs.get(),
+            replacement_pulls: self.replacement_pulls.get(),
+            redrives: self.redrives.get(),
+            budget_trips: self.budget_trips.get(),
+            batches: self.batches.get(),
+            edge_admitted: self.edge_admitted.get(),
+            edge_rejected: self.edge_rejected.get(),
             pull_latency_ms: self.pull_latency_ms.snapshot(),
             backoff_ms: self.backoff_ms.snapshot(),
         }
@@ -450,14 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn padded_cells_do_not_share_cache_lines() {
-        // The de-contention argument rests on cell alignment; pin it.
-        assert_eq!(std::mem::align_of::<PaddedCell>(), 64);
-        assert!(std::mem::size_of::<StripedU64>() >= STRIPES * 64);
-    }
-
-    #[test]
-    fn striped_totals_are_exact_across_threads() {
+    fn totals_are_exact_across_threads() {
         let m = Arc::new(MetricsRegistry::default());
         let site: Arc<str> = Arc::from("s");
         let handles: Vec<_> = (0..16)

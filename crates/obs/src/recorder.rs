@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 use crate::event::Event;
 use crate::Subscriber;
 
-/// Default ring capacity when `QRS_OBS_BUFFER` is unset or unparsable.
+/// The ring capacity of `Recorder::default()`.
 pub const DEFAULT_BUFFER: usize = 1024;
 
 #[derive(Debug, Default)]
@@ -37,16 +37,6 @@ impl Recorder {
                 dropped: 0,
             }),
         }
-    }
-
-    /// Capacity from the `QRS_OBS_BUFFER` environment variable, falling
-    /// back to [`DEFAULT_BUFFER`].
-    pub fn from_env() -> Self {
-        let capacity = std::env::var("QRS_OBS_BUFFER")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_BUFFER);
-        Recorder::with_capacity(capacity)
     }
 
     /// The ring's configured capacity.

@@ -1,33 +1,25 @@
-//! Service-level counters.
-//!
-//! The hot counters are [`StripedU64`]s — the lock-striped cell `qrs-obs`
-//! defines for its metrics plane — so `serve_batch` workers on different
-//! cores do not bounce one cache line per bookkeeping call. Totals are
-//! exact (every increment lands in exactly one cell); only the read is a
-//! racy-but-monotonic snapshot, which it already was with a single atomic.
+//! Service-level counters: one [`Counter`] — the relaxed atomic `qrs-obs`
+//! defines for its metrics plane — per fact. Totals are exact; only a read
+//! taken while sessions run is a racy-but-monotonic snapshot.
 
-use qrs_obs::StripedU64;
-use std::sync::atomic::{AtomicU64, Ordering};
+use qrs_obs::Counter;
 
 /// Monotonic counters describing service activity. All methods are lock-free
-/// and safe to call from concurrent sessions; the hot ones are striped (see
-/// the module docs).
+/// and safe to call from concurrent sessions.
 #[derive(Debug, Default)]
 pub struct ServiceStats {
-    /// Plain atomic on purpose: `SessionBuilder::open` reads it as a
-    /// retry-jitter nonce, and opens are rare enough that striping would
-    /// only complicate that use.
-    sessions_started: AtomicU64,
-    tuples_emitted: StripedU64,
-    queries_spent: StripedU64,
-    cost_units_spent: StripedU64,
-    queries_saved: StripedU64,
-    cost_units_saved: StripedU64,
-    retries_spent: StripedU64,
-    strategy_switches: StripedU64,
-    batches_served: StripedU64,
-    requests_served: StripedU64,
-    requests_cancelled: StripedU64,
+    /// Also read by `SessionBuilder::open` as a retry-jitter nonce.
+    sessions_started: Counter,
+    tuples_emitted: Counter,
+    queries_spent: Counter,
+    cost_units_spent: Counter,
+    queries_saved: Counter,
+    cost_units_saved: Counter,
+    retries_spent: Counter,
+    strategy_switches: Counter,
+    batches_served: Counter,
+    requests_served: Counter,
+    requests_cancelled: Counter,
 }
 
 /// Point-in-time snapshot.
@@ -69,7 +61,7 @@ pub struct StatsSnapshot {
 
 impl ServiceStats {
     pub(crate) fn on_session(&self) {
-        self.sessions_started.fetch_add(1, Ordering::Relaxed);
+        self.sessions_started.incr();
     }
 
     pub(crate) fn on_emit(&self) {
@@ -106,21 +98,21 @@ impl ServiceStats {
         self.requests_cancelled.incr();
     }
 
-    /// Exact point-in-time totals (sum over the stripes; the read itself
-    /// is a racy-but-monotonic snapshot, as with any concurrent counter).
+    /// Exact point-in-time totals (the read itself is a racy-but-monotonic
+    /// snapshot, as with any concurrent counter).
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            sessions_started: self.sessions_started.load(Ordering::Relaxed),
-            tuples_emitted: self.tuples_emitted.sum(),
-            queries_spent: self.queries_spent.sum(),
-            cost_units_spent: self.cost_units_spent.sum(),
-            queries_saved: self.queries_saved.sum(),
-            cost_units_saved: self.cost_units_saved.sum(),
-            retries_spent: self.retries_spent.sum(),
-            strategy_switches: self.strategy_switches.sum(),
-            batches_served: self.batches_served.sum(),
-            requests_served: self.requests_served.sum(),
-            requests_cancelled: self.requests_cancelled.sum(),
+            sessions_started: self.sessions_started.get(),
+            tuples_emitted: self.tuples_emitted.get(),
+            queries_spent: self.queries_spent.get(),
+            cost_units_spent: self.cost_units_spent.get(),
+            queries_saved: self.queries_saved.get(),
+            cost_units_saved: self.cost_units_saved.get(),
+            retries_spent: self.retries_spent.get(),
+            strategy_switches: self.strategy_switches.get(),
+            batches_served: self.batches_served.get(),
+            requests_served: self.requests_served.get(),
+            requests_cancelled: self.requests_cancelled.get(),
         }
     }
 }
