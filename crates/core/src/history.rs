@@ -75,12 +75,13 @@ impl History {
         }
     }
 
-    /// Tuples whose raw `attr` value lies in `iv`, in ascending value order.
+    /// Tuples whose raw `attr` value lies in `iv`, in ascending
+    /// `(value, id)` order — from either end.
     pub fn in_range<'a>(
         &'a self,
         attr: AttrId,
         iv: Interval,
-    ) -> impl Iterator<Item = &'a Arc<Tuple>> + 'a {
+    ) -> impl DoubleEndedIterator<Item = &'a Arc<Tuple>> + 'a {
         use std::ops::Bound;
         let lo = match iv.lo {
             Endpoint::Unbounded => Bound::Unbounded,
@@ -135,10 +136,23 @@ impl History {
             Direction::Asc => norm_iv,
             Direction::Desc => norm_iv.negate(),
         };
-        let it = self.in_range(attr, raw_iv).filter(|t| q.matches(t));
+        let mut range = self.in_range(attr, raw_iv);
         match dir {
-            Direction::Asc => it.min_by_key(|t| (OrdF64(t.ord(attr)), t.id)),
-            Direction::Desc => it.max_by_key(|t| (OrdF64(t.ord(attr)), std::cmp::Reverse(t.id))),
+            Direction::Asc => range.find(|t| q.matches(t)),
+            // From the top, ids descend within a value: the answer is the
+            // last match before the value changes under the first one.
+            Direction::Desc => {
+                let mut best: Option<&Arc<Tuple>> = None;
+                for t in range.rev() {
+                    if best.is_some_and(|b| OrdF64(b.ord(attr)) > OrdF64(t.ord(attr))) {
+                        break;
+                    }
+                    if q.matches(t) {
+                        best = Some(t);
+                    }
+                }
+                best
+            }
         }
     }
 
@@ -328,6 +342,67 @@ mod tests {
                 assert!(found.is_none(), "{dir:?} ({after}, {upto})");
             }
         }
+    }
+
+    /// `first_norm_in` stops at the first match it walks to; its answer must
+    /// stay the `(value, id)` minimum — descending, the `(value,
+    /// Reverse(id))` maximum — of every match in range, over a history
+    /// with many ids per value.
+    #[test]
+    fn first_norm_in_is_the_extreme_of_all_matches_in_range() {
+        use qrs_types::{CatId, CatPredicate};
+        use std::cmp::Reverse;
+        let seed = std::env::var("QRS_TEST_SEED").ok();
+        let seed: u64 = seed.and_then(|s| s.parse().ok()).unwrap_or(0);
+        let data = qrs_datagen::synthetic::discrete_grid(300, 2, 8, 23 ^ seed);
+        let mut h = History::new(2);
+        data.tuples().iter().for_each(|t| h.record(t));
+        let attr = AttrId(0);
+        let (mut found, mut asked) = (0, 0);
+        for codes in [vec![0, 1, 2, 3], vec![2], vec![0, 3]] {
+            let q = Query::all()
+                .and_cat(CatPredicate::one_of(CatId(0), codes))
+                .and_range(AttrId(1), Interval::closed(1.0, 5.0));
+            for dir in [Direction::Asc, Direction::Desc] {
+                // Normalized values are 0..=7 ascending, -7..=0 descending.
+                for a in -9..=8 {
+                    let (a, b) = (f64::from(a), f64::from(a + (a & 3)));
+                    for norm_iv in [
+                        Interval::open(a, b),
+                        Interval::closed(a, b),
+                        Interval::closed_open(a, b),
+                        Interval::open_closed(a, b + 0.5),
+                        Interval::greater_than(a),
+                        Interval::at_most(b),
+                        Interval::all(),
+                        Interval::closed(b + 1.0, a),
+                    ] {
+                        let raw_iv = match dir {
+                            Direction::Asc => norm_iv,
+                            Direction::Desc => norm_iv.negate(),
+                        };
+                        let matches = data
+                            .tuples()
+                            .iter()
+                            .filter(|t| raw_iv.contains(t.ord(attr)) && q.matches(t));
+                        let want = match dir {
+                            Direction::Asc => matches.min_by_key(|t| (OrdF64(t.ord(attr)), t.id)),
+                            Direction::Desc => {
+                                matches.max_by_key(|t| (OrdF64(t.ord(attr)), Reverse(t.id)))
+                            }
+                        };
+                        let got = h.first_norm_in(attr, dir, norm_iv, &q);
+                        assert_eq!(got, want, "{dir:?} {norm_iv} under {q}");
+                        found += usize::from(want.is_some());
+                        asked += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            found * 3 >= asked,
+            "vacuous: {found} of {asked} found a tuple"
+        );
     }
 
     /// `matching` and `history_best` reach tuples through one `by_attr`

@@ -34,6 +34,11 @@
 //! miss the other. A connection inside an exchange finishes it, says
 //! `close`, and ends.
 //!
+//! **A handler that panics** costs its own request and nothing else: the
+//! panic is caught where the request is routed, the client gets a `500` +
+//! close, and the connection comes off the books by a drop guard — however
+//! its worker leaves it — as does a batch's in-flight slot.
+//!
 //! Under an immediate executor, whose deferred-spawn semantics would never
 //! run a handler, the accept thread serves each connection itself. Nothing
 //! could shed it there, so every response says `close`: one request per
@@ -69,7 +74,10 @@
 //!    nothing charged anywhere;
 //! 2. **in-flight cap** — a lock-free gate on concurrent batches; past it,
 //!    refuse with reason `"capacity"`, again uncharged;
-//! 3. **parse** — malformed bodies are a `400`, still uncharged;
+//! 3. **parse** — malformed bodies are a `400`, still uncharged; so is a
+//!    selection that fails `Query::validate` against the site's schema (a
+//!    `NaN` endpoint, an attribute index the schema does not have). The
+//!    `/site/*` decoders run the same check: `400 invalid_query`;
 //! 4. **serve** — `RerankService::serve_batch_cancellable` runs the batch;
 //! 5. **charge** — the summed per-session ledgers land on the tenant.
 
@@ -82,10 +90,11 @@ use qrs_exec::{CancelToken, Executor};
 use qrs_obs::EventKind;
 use qrs_ranking::LinearRank;
 use qrs_service::{BatchOutcome, BatchRequest, RerankService};
-use qrs_types::{AttrId, Direction, ServerError};
+use qrs_types::{AttrId, Direction, Query, ServerError};
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -353,9 +362,21 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     });
 }
 
+/// Runs its closure when dropped — on return and on unwind alike.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)()
+    }
+}
+
 fn handle_conn(mut conn: Conn, live: &Arc<Live>, shared: &Shared) {
+    // However its worker leaves it: a registered socket that outlived its
+    // worker would stay open, and keep the edge `crowded`, for the life of
+    // the server.
+    let _deregister = OnDrop(|| shared.live.lock().retain(|l| !Arc::ptr_eq(l, live)));
     serve_conn(&mut conn, live, shared);
-    shared.live.lock().retain(|l| !Arc::ptr_eq(l, live));
 }
 
 /// The connection loop of the module docs.
@@ -367,9 +388,20 @@ fn serve_conn(conn: &mut Conn, live: &Live, shared: &Shared) {
         let (response, close) = match request_from(conn.within(EXCHANGE)) {
             Ok(Some(request)) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
-                let response = route(&request, shared);
-                let last = one_shot || says_close(&request.headers);
-                (response, last || shared.stopping() || shared.crowded())
+                // A panic out of a handler is this request's failure and
+                // nobody else's: the client is told, the connection — whose
+                // handler may have left anything half-done — is closed, and
+                // the worker and the edge carry on.
+                match catch_unwind(AssertUnwindSafe(|| route(&request, shared))) {
+                    Ok(response) => {
+                        let last = one_shot || says_close(&request.headers);
+                        (response, last || shared.stopping() || shared.crowded())
+                    }
+                    Err(_) => {
+                        let what = format!("the handler of {} panicked", request.path());
+                        (error_response(500, "internal_error", what), true)
+                    }
+                }
             }
             Ok(None) => return,
             Err(_) if conn.expired() => {
@@ -475,16 +507,25 @@ fn parse_body(req: &Request) -> Result<Json, Response> {
     parse(text).map_err(|e| error_response(400, "invalid_request", format!("bad json: {e}")))
 }
 
+/// Decode the `query` member of a request and check it against the site's
+/// schema, so that no attribute index from the wire reaches a tuple or an
+/// index unchecked — whatever [`SearchInterface`](qrs_server::SearchInterface)
+/// sits behind the edge.
+fn decode_query(body: &Json, shared: &Shared) -> Result<Query, String> {
+    let q = wire::query_from_json(body.get("query").ok_or("missing 'query'")?)?;
+    match q.validate(shared.svc.server().schema()) {
+        Ok(()) => Ok(q),
+        Err(ServerError::InvalidQuery { reason }) => Err(reason),
+        Err(other) => Err(other.to_string()),
+    }
+}
+
 fn site_query(req: &Request, shared: &Shared) -> Response {
     let body = match parse_body(req) {
         Ok(b) => b,
         Err(r) => return r,
     };
-    let q = match body
-        .get("query")
-        .ok_or("missing 'query'".to_string())
-        .and_then(wire::query_from_json)
-    {
+    let q = match decode_query(&body, shared) {
         Ok(q) => q,
         Err(e) => return site_err(shared, &ServerError::invalid_query(e)),
     };
@@ -500,7 +541,7 @@ fn site_page(req: &Request, shared: &Shared) -> Response {
         Err(r) => return r,
     };
     let decoded = (|| -> Result<_, String> {
-        let q = wire::query_from_json(body.get("query").ok_or("missing 'query'")?)?;
+        let q = decode_query(&body, shared)?;
         let page = body
             .get("page")
             .and_then(Json::as_usize)
@@ -523,7 +564,7 @@ fn site_ordered(req: &Request, shared: &Shared) -> Response {
         Err(r) => return r,
     };
     let decoded = (|| -> Result<_, String> {
-        let q = wire::query_from_json(body.get("query").ok_or("missing 'query'")?)?;
+        let q = decode_query(&body, shared)?;
         let attr = body
             .get("attr")
             .and_then(Json::as_usize)
@@ -611,8 +652,7 @@ fn admission_reject(shared: &Shared, tenant_spend: TenantLedger, reason: &str) -
 }
 
 fn decode_batch_request(v: &Json, shared: &Shared) -> Result<BatchRequest, String> {
-    let q = wire::query_from_json(v.get("query").ok_or("missing 'query'")?)?;
-    q.validate().map_err(|e| e.to_string())?;
+    let q = decode_query(v, shared)?;
     let num_ordinal = shared.svc.server().schema().num_ordinal();
     let terms = v
         .get("rank")
@@ -755,10 +795,11 @@ fn rerank(req: &Request, shared: &Shared) -> Response {
     if !admitted {
         return admission_reject(shared, spend, "capacity");
     }
-    // From here on the slot must be released on every path.
-    let response = rerank_admitted(req, shared, tenant);
-    shared.inflight.fetch_sub(1, Ordering::SeqCst);
-    response
+    // From here on the slot must be released on every path, a panic's too.
+    let _slot = OnDrop(|| {
+        shared.inflight.fetch_sub(1, Ordering::SeqCst);
+    });
+    rerank_admitted(req, shared, tenant)
 }
 
 fn rerank_admitted(req: &Request, shared: &Shared, tenant: &str) -> Response {

@@ -687,7 +687,6 @@ pub fn rerank_error_code(e: &RerankError) -> &'static str {
         RerankError::RetriesExhausted { .. } => "retries_exhausted",
         RerankError::RetryBudgetExhausted { .. } => "retry_budget_exhausted",
         RerankError::Cancelled => "cancelled",
-        RerankError::NanPredicate { .. } => "nan_predicate",
         RerankError::Unplannable { .. } => "unplannable",
     }
 }

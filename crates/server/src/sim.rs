@@ -1,11 +1,24 @@
 //! The simulated hidden web database (the paper's §6.1 offline setup).
 //!
 //! [`SimServer`] owns a [`Dataset`], a proprietary [`SystemRank`] and the
-//! interface constant `k`. A query is answered by walking the tuples in
-//! system-rank order and returning the first `k` matches — exactly how a
-//! ranked-retrieval backend behaves — and the response is flagged *overflow*
-//! iff a `(k+1)`-th match exists. Every query bumps an atomic counter; the
-//! counter is the experiment metric.
+//! interface constant `k`. The answer to a query is its first `k` matches in
+//! system-rank order — exactly what a ranked-retrieval backend returns — and
+//! the response is flagged *overflow* iff a `(k+1)`-th match exists. Every
+//! query bumps an atomic counter; the counter is the experiment metric.
+//!
+//! How the answer is found depends on how narrow the query is, because the
+//! paper's algorithms are built out of narrow ones (1D-BINARY's probes, MD's
+//! shrinking boxes, the dense crawls) and its §6.1 sites hold up to 457 013
+//! tuples. The store keeps each ordinal attribute's sorted order, so the
+//! tuples one range predicate admits are a slice of it, found by two binary
+//! searches. With `c` the shortest such slice, `n` tuples and `k + 1`
+//! matches to find: when `c² ≤ (k+1)·n` the slice is filtered by the whole
+//! query and its `k + 1` best system ranks are the answer; otherwise — a
+//! wide query, or one with no range predicate — the server walks the system
+//! order and stops at the `(k+1)`-th match, which a wide query reaches after
+//! a few tuples and which no slice of `n/2` tuples could beat. Both sides
+//! return the same tuples in the same order with the same flag; the rule
+//! reads `c`, `k` and `n` and nothing else.
 //!
 //! Failure realism: [`SimServer::with_rate_limit`] makes the server refuse
 //! queries past a hard cap with [`ServerError::RateLimited`] — the same
@@ -25,9 +38,9 @@
 use crate::interface::{Capabilities, OrderedPage, SearchInterface};
 use crate::system_rank::SystemRank;
 use parking_lot::{Mutex, RwLock};
-use qrs_types::value::cmp_f64;
+use qrs_types::value::OrdF64;
 use qrs_types::{
-    AttrId, Capability, CostModel, Dataset, Direction, Endpoint, FilterSupport, Mutation,
+    AttrId, Capability, CostModel, Dataset, Direction, Endpoint, FilterSupport, Interval, Mutation,
     MutationKind, MutationLog, Query, QueryResponse, RequestKind, Schema, ServerError, Tuple,
     TupleId, TypeError,
 };
@@ -43,34 +56,47 @@ struct Store {
     tuples: Vec<Arc<Tuple>>,
     /// Tuple indices sorted by ascending system score (ties by id).
     system_order: Vec<u32>,
-    /// Per-ordinal-attribute index sorted ascending by value (for ORDER BY).
+    /// The inverse of `system_order`: tuple index → its system rank.
+    rank_of: Vec<u32>,
+    /// Per-ordinal-attribute index sorted ascending by value (ties by id):
+    /// the order `ORDER BY` pages walk and [`Store::span`] searches.
     attr_order: Vec<Vec<u32>>,
     /// Sequence-stamped change log, oldest first, contiguous in `seq`.
     deltas: VecDeque<Mutation>,
 }
 
 impl Store {
-    /// Recompute both rank indexes from the current tuple set. The
-    /// simulator favors obviousness over speed here: a full O(n log n)
-    /// rebuild per mutation, exactly mirroring `SimServer::new`.
+    /// Derive `system_order`, `rank_of` and `attr_order` from the current
+    /// tuple set: m + 1 sorts and one O(n) pass for the inverse. A mutation
+    /// rebuilds all of it, exactly as `SimServer::new` does: that is measured
+    /// (`server.mutate_us`) but on no request's clock, so nothing patches the
+    /// orders in place.
     fn rebuild_orders(&mut self, schema: &Schema, system_rank: &SystemRank) {
-        let mut system_order: Vec<u32> = (0..self.tuples.len() as u32).collect();
-        system_order.sort_by(|&a, &b| {
-            let (ta, tb) = (&self.tuples[a as usize], &self.tuples[b as usize]);
-            cmp_f64(system_rank.score(ta), system_rank.score(tb)).then(ta.id.cmp(&tb.id))
-        });
-        self.system_order = system_order;
+        self.system_order = order_by(&self.tuples, |t| system_rank.score(t));
+        self.rank_of = vec![0; self.tuples.len()];
+        for (rank, &i) in self.system_order.iter().enumerate() {
+            self.rank_of[i as usize] = rank as u32;
+        }
         self.attr_order = schema
             .attr_ids()
-            .map(|attr| {
-                let mut idx: Vec<u32> = (0..self.tuples.len() as u32).collect();
-                idx.sort_by(|&a, &b| {
-                    let (ta, tb) = (&self.tuples[a as usize], &self.tuples[b as usize]);
-                    cmp_f64(ta.ord(attr), tb.ord(attr)).then(ta.id.cmp(&tb.id))
-                });
-                idx
-            })
+            .map(|attr| order_by(&self.tuples, |t| t.ord(attr)))
             .collect();
+    }
+
+    /// The tuples whose `attr` value lies in `iv`, as a slice of that
+    /// attribute's order: exactly what the one predicate admits, because
+    /// both ends are found with [`Interval::contains`] itself. An empty or
+    /// inverted interval gives an empty slice.
+    fn span(&self, attr: AttrId, iv: &Interval) -> &[u32] {
+        let order = &self.attr_order[attr.0];
+        let value = |i: &u32| self.tuples[*i as usize].ord(attr);
+        // `iv` one bound at a time: values below `from` come first, then
+        // those inside, then those above `upto`.
+        let (mut from, mut upto) = (*iv, *iv);
+        (from.hi, upto.lo) = (Endpoint::Unbounded, Endpoint::Unbounded);
+        let start = order.partition_point(|i| !from.contains(value(i)));
+        let end = order.partition_point(|i| upto.contains(value(i)));
+        &order[start..end.max(start)]
     }
 
     /// Matching tuples in system-rank order, lazily.
@@ -83,6 +109,73 @@ impl Store {
             .map(move |&i| &self.tuples[i as usize])
             .filter(move |t| q.matches(t))
     }
+
+    /// The matches of `q` at positions `skip..skip + limit` of its answer in
+    /// system-rank order, and whether one more follows them.
+    ///
+    /// With `c` the shortest [`Store::span`] over `q`'s range predicates and
+    /// `want = skip + limit + 1` matches to find: when `c² ≤ want · n`, filter
+    /// that span and keep its `want` best system ranks; otherwise — a wide
+    /// query, or one with no range predicate — walk the system order, which
+    /// such a query leaves after a few tuples (about `want · n / c` when its
+    /// matches lie evenly, which is where the two sides cross). The span side
+    /// checks at most `√(want · n)` tuples, so the rule can never cost a
+    /// query more than that over the scan.
+    fn top(&self, q: &Query, skip: usize, limit: usize) -> (Vec<Arc<Tuple>>, bool) {
+        let want = skip.saturating_add(limit).saturating_add(1);
+        let tightest = q
+            .ranges()
+            .iter()
+            .filter(|p| !p.interval.is_all())
+            .map(|p| self.span(p.attr, &p.interval))
+            .min_by_key(|span| span.len());
+        match tightest {
+            Some(span)
+                if span.len().saturating_mul(span.len())
+                    <= want.saturating_mul(self.tuples.len()) =>
+            {
+                let mut ranks: Vec<u32> = span
+                    .iter()
+                    .filter(|&&i| q.matches(&self.tuples[i as usize]))
+                    .map(|&i| self.rank_of[i as usize])
+                    .collect();
+                if ranks.len() > want {
+                    ranks.select_nth_unstable(want - 1);
+                    ranks.truncate(want);
+                }
+                ranks.sort_unstable();
+                let ranked = ranks
+                    .iter()
+                    .map(|&r| &self.tuples[self.system_order[r as usize] as usize]);
+                window(ranked, skip, limit)
+            }
+            _ => window(self.matches_in_system_order(q), skip, limit),
+        }
+    }
+}
+
+/// Tuple indices sorted ascending by `key`, ties by id; each key is computed
+/// once.
+fn order_by(tuples: &[Arc<Tuple>], key: impl Fn(&Tuple) -> f64) -> Vec<u32> {
+    let mut idx: Vec<u32> = (0..tuples.len() as u32).collect();
+    idx.sort_by_cached_key(|&i| {
+        let t = &tuples[i as usize];
+        (OrdF64(key(t)), t.id)
+    });
+    idx
+}
+
+/// Cut `skip..skip + limit` out of `matches`, and say whether one more
+/// followed.
+fn window<'a>(
+    matches: impl Iterator<Item = &'a Arc<Tuple>>,
+    skip: usize,
+    limit: usize,
+) -> (Vec<Arc<Tuple>>, bool) {
+    let mut out: Vec<_> = matches.skip(skip).take(limit + 1).cloned().collect();
+    let more = out.len() > limit;
+    out.truncate(limit);
+    (out, more)
 }
 
 /// Builder-configured simulated server.
@@ -133,6 +226,7 @@ impl SimServer {
         let mut store = Store {
             tuples: dataset.tuples().to_vec(),
             system_order: Vec::new(),
+            rank_of: Vec::new(),
             attr_order: Vec::new(),
             deltas: VecDeque::new(),
         };
@@ -326,11 +420,11 @@ impl SimServer {
     /// any work. Admitted ones charge the raw counter by 1 and the
     /// weighted ledger by the cost model's price for `(q, kind)`.
     fn charge(&self, q: &Query, kind: RequestKind) -> Result<(), ServerError> {
-        // NaN endpoints violate the interface contract outright (they
-        // compare as after-every-real, matching a surprising set); refuse
-        // them uncharged before any site-model negotiation.
-        q.validate()
-            .map_err(|e| ServerError::invalid_query(e.to_string()))?;
+        // NaN endpoints and attributes outside the schema violate the
+        // interface contract outright (the first matches a surprising set,
+        // the second would index past every per-attribute structure below);
+        // refuse them uncharged before any site-model negotiation.
+        q.validate(&self.schema)?;
         self.validate_point_only(q)?;
         self.validate_site_model(q)?;
         match self.rate_limit {
@@ -430,8 +524,9 @@ impl SimServer {
     /// Refuse page turns past the configured depth cap, uncharged.
     fn validate_page_depth(&self, page: usize) -> Result<(), ServerError> {
         if let Some(cap) = self.max_pages {
-            if page + 1 > cap {
-                return Err(ServerError::Unsupported(Capability::PageDepth(page + 1)));
+            if page >= cap {
+                let depth = page.saturating_add(1);
+                return Err(ServerError::Unsupported(Capability::PageDepth(depth)));
             }
         }
         Ok(())
@@ -477,15 +572,8 @@ impl SearchInterface for SimServer {
 
     fn query(&self, q: &Query) -> Result<QueryResponse, ServerError> {
         self.charge(q, RequestKind::TopK)?;
-        let store = self.store.read();
-        let mut out = Vec::with_capacity(self.k.min(16));
-        for t in store.matches_in_system_order(q) {
-            if out.len() == self.k {
-                return Ok(QueryResponse::new(out, true));
-            }
-            out.push(Arc::clone(t));
-        }
-        Ok(QueryResponse::new(out, false))
+        let (tuples, overflow) = self.store.read().top(q, 0, self.k);
+        Ok(QueryResponse::new(tuples, overflow))
     }
 
     fn queries_issued(&self) -> u64 {
@@ -502,19 +590,9 @@ impl SearchInterface for SimServer {
         }
         self.validate_page_depth(page)?;
         self.charge(q, RequestKind::Page)?;
-        let store = self.store.read();
-        let skip = page * self.k;
-        let mut out = Vec::with_capacity(self.k.min(16));
-        for (i, t) in store.matches_in_system_order(q).enumerate() {
-            if i < skip {
-                continue;
-            }
-            if out.len() == self.k {
-                return Ok(QueryResponse::new(out, true));
-            }
-            out.push(Arc::clone(t));
-        }
-        Ok(QueryResponse::new(out, false))
+        let skip = page.saturating_mul(self.k);
+        let (tuples, overflow) = self.store.read().top(q, skip, self.k);
+        Ok(QueryResponse::new(tuples, overflow))
     }
 
     fn query_ordered(
@@ -530,33 +608,17 @@ impl SearchInterface for SimServer {
         self.validate_page_depth(page)?;
         self.charge(q, RequestKind::Ordered)?;
         let store = self.store.read();
-        let idx = &store.attr_order[attr.0];
-        let skip = page * self.k;
-        let mut out = Vec::with_capacity(self.k.min(16));
-        let mut seen = 0usize;
-        let mut has_more = false;
-        let iter: Box<dyn Iterator<Item = &u32>> = match dir {
-            Direction::Asc => Box::new(idx.iter()),
-            Direction::Desc => Box::new(idx.iter().rev()),
-        };
-        for &i in iter {
-            let t = &store.tuples[i as usize];
-            if !q.matches(t) {
-                continue;
-            }
-            if seen >= skip {
-                if out.len() == self.k {
-                    has_more = true;
-                    break;
-                }
-                out.push(Arc::clone(t));
-            }
-            seen += 1;
-        }
-        Ok(OrderedPage {
-            tuples: out,
-            has_more,
-        })
+        // Only what `q` admits on `attr` can match; walk that, either way.
+        let span = store.span(attr, &q.interval(attr));
+        let matches = (0..span.len())
+            .map(|j| match dir {
+                Direction::Asc => span[j],
+                Direction::Desc => span[span.len() - 1 - j],
+            })
+            .map(|i| &store.tuples[i as usize])
+            .filter(|t| q.matches(t));
+        let (tuples, has_more) = window(matches, page.saturating_mul(self.k), self.k);
+        Ok(OrderedPage { tuples, has_more })
     }
 
     fn mutation_seq(&self) -> u64 {
@@ -921,6 +983,185 @@ mod tests {
         assert!(s.query_page(&bad, 0).is_err());
         assert!(s.query_ordered(&bad, AttrId(0), Direction::Asc, 0).is_err());
         assert_eq!(s.queries_issued(), 0);
+    }
+
+    /// An attribute index outside the schema would reach `Tuple::ord` /
+    /// `Tuple::cat` and `attr_order` as an out-of-bounds panic — the
+    /// categorical one *after* the query was charged. All of them are
+    /// typed, uncharged refusals on every entry point.
+    #[test]
+    fn attributes_outside_the_schema_are_refused_uncharged() {
+        use qrs_types::{CatId, CatPredicate};
+        let s = server(3).with_paging().with_order_by(vec![AttrId(0)]);
+        for bad in [
+            Query::all().and_range(AttrId(9), Interval::open(0.0, 1.0)),
+            Query::all().and_range(AttrId(1), Interval::all()),
+            Query::all().and_cat(CatPredicate::eq(CatId(9), 1)),
+            Query::all().and_cat(CatPredicate::eq(CatId(0), 1)),
+        ] {
+            let errs = [
+                s.query(&bad).unwrap_err(),
+                s.query_page(&bad, 1).unwrap_err(),
+                s.query_ordered(&bad, AttrId(0), Direction::Desc, 0)
+                    .unwrap_err(),
+            ];
+            for err in errs {
+                assert!(matches!(err, ServerError::InvalidQuery { .. }), "{bad}");
+                assert!(err.to_string().contains("the schema has"), "{err}");
+            }
+        }
+        assert_eq!((s.queries_issued(), s.cost_units_issued()), (0, 0));
+    }
+
+    /// The site against brute force. Every answer — `query`, `query_page`
+    /// (pages 0–3 and one far past the end), `query_ordered` (both
+    /// directions, two pages) — equals the dataset sorted, filtered, skipped
+    /// and cut at `k`, over seeded random queries that land on both sides of
+    /// [`Store::top`]'s rule, before and after each kind of mutation.
+    #[test]
+    fn answers_equal_brute_force_on_both_sides_of_the_rule() {
+        use qrs_datagen::synthetic::{discrete_grid, uniform};
+        use qrs_types::{CatId, CatPredicate};
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        use std::cmp::Ordering;
+
+        let seed = std::env::var("QRS_TEST_SEED").ok();
+        let seed: u64 = seed.and_then(|s| s.parse().ok()).unwrap_or(0);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x51DE);
+        let (mut asked, mut calls) = (0, 0);
+        // [span side, scan side] of `c² ≤ (k+1)·n`, over every query drawn.
+        let mut sides = [0usize; 2];
+        let tied = SystemRank::linear("tied", vec![(AttrId(0), 1.0), (AttrId(1), -0.5)]);
+        for (data, rank, k) in [
+            (discrete_grid(600, 3, 40, seed ^ 5), tied, 3),
+            (
+                uniform(900, 3, 1, seed ^ 9),
+                SystemRank::pseudo_random(seed),
+                5,
+            ),
+        ] {
+            let attrs: Vec<AttrId> = data.schema().attr_ids().collect();
+            let s = SimServer::new(data, rank.clone(), k)
+                .with_paging()
+                .with_order_by(attrs.clone());
+            for round in 0..4 {
+                // Rounds 1–3 follow five inserts, deletes, updates: a stale
+                // `rank_of` or `attr_order` answers from the old tuple set.
+                for j in 0..5 {
+                    let now = s.dataset();
+                    let pick = |rng: &mut StdRng| &now.tuples()[rng.random_range(0..now.len())];
+                    let (from, victim) = (pick(&mut rng), pick(&mut rng).id);
+                    let copy = |id| Tuple::new(id, from.ords().to_vec(), from.cats().to_vec());
+                    match round {
+                        1 => drop(s.insert(copy(TupleId(10_000 + j))).unwrap()),
+                        2 => drop(s.delete(victim).unwrap()),
+                        3 => drop(s.update(copy(victim)).unwrap()),
+                        _ => {}
+                    }
+                }
+                let data = s.dataset();
+                let n = data.len();
+                let sorted_by = |key: &dyn Fn(&Tuple) -> f64| {
+                    let mut v: Vec<&Arc<Tuple>> = data.tuples().iter().collect();
+                    v.sort_by(|a, b| match key(a).total_cmp(&key(b)) {
+                        Ordering::Equal => a.id.cmp(&b.id),
+                        unequal => unequal,
+                    });
+                    v
+                };
+                let by_system = sorted_by(&|t| rank.score(t));
+                // What a page of `order`'s matches must be: ids and the flag.
+                let page_of = |order: &[&Arc<Tuple>], q: &Query, page: usize| {
+                    let hits: Vec<TupleId> = order
+                        .iter()
+                        .filter(|t| q.matches(t))
+                        .map(|t| t.id)
+                        .collect();
+                    let skip = page.saturating_mul(k).min(hits.len());
+                    let cut = (skip + k).min(hits.len());
+                    (hits[skip..cut].to_vec(), hits.len() > cut)
+                };
+                let ids = |ts: &[Arc<Tuple>]| ts.iter().map(|t| t.id).collect::<Vec<_>>();
+                for _ in 0..30 {
+                    // 0–3 range predicates on distinct attributes, each cut
+                    // out of the attribute's sorted values: from one value
+                    // to the whole domain, log-uniformly.
+                    let mut q = Query::all();
+                    let first = rng.random_range(0..attrs.len());
+                    for j in 0..rng.random_range(0..=3usize) {
+                        let attr = attrs[(first + j) % attrs.len()];
+                        let values = sorted_by(&|t| t.ord(attr));
+                        let len = (n as f64).powf(rng.random::<f64>()) as usize;
+                        let at = rng.random_range(0..n);
+                        let lo = values[at].ord(attr);
+                        let hi = values[(at + len).min(n - 1)].ord(attr);
+                        q.add_range(
+                            attr,
+                            match rng.random_range(0..10u32) {
+                                0 => Interval::open(lo, hi),
+                                1 => Interval::closed(lo, hi),
+                                2 => Interval::closed_open(lo, hi),
+                                3 => Interval::open_closed(lo, hi),
+                                4 => Interval::greater_than(hi),
+                                5 => Interval::at_most(lo),
+                                6 => Interval::point(lo),
+                                7 => Interval::open(lo, lo),
+                                8 => Interval::closed(hi + 1.0, lo),
+                                _ => Interval::all(),
+                            },
+                        );
+                    }
+                    if rng.random::<f64>() < 0.4 {
+                        let codes = vec![rng.random_range(0..4u32), rng.random_range(0..4u32)];
+                        q.add_cat(CatPredicate::one_of(CatId(0), codes));
+                    }
+                    let tightest = q
+                        .ranges()
+                        .iter()
+                        .filter(|p| !p.interval.is_all())
+                        .map(|p| data.tuples().iter().filter(|t| p.matches(t)).count())
+                        .min();
+                    sides[usize::from(tightest.is_none_or(|c| c * c > (k + 1) * n))] += 1;
+
+                    let got = s.query(&q).unwrap();
+                    let want = page_of(&by_system, &q, 0);
+                    assert_eq!((ids(&got.tuples), got.is_overflow()), want, "{q}");
+                    for page in [0, 1, 2, 3, usize::MAX / 2] {
+                        let got = s.query_page(&q, page).unwrap();
+                        let want = page_of(&by_system, &q, page);
+                        assert_eq!(
+                            (ids(&got.tuples), got.is_overflow()),
+                            want,
+                            "{q} page {page}"
+                        );
+                    }
+                    let attr = attrs[rng.random_range(0..attrs.len())];
+                    let mut by_value = sorted_by(&|t| t.ord(attr));
+                    for dir in [Direction::Asc, Direction::Desc] {
+                        for page in [0, 1] {
+                            let got = s.query_ordered(&q, attr, dir, page).unwrap();
+                            let want = page_of(&by_value, &q, page);
+                            assert_eq!(
+                                (ids(&got.tuples), got.has_more),
+                                want,
+                                "{q} by {attr} {dir:?} page {page}"
+                            );
+                        }
+                        by_value.reverse();
+                    }
+                    asked += 1;
+                    calls += 10;
+                }
+            }
+            // Every call was charged, the far page's empty answer included.
+            assert_eq!(s.queries_issued(), calls);
+            calls = 0;
+        }
+        assert!(asked >= 200);
+        assert!(
+            sides.iter().all(|&side| side * 5 >= asked),
+            "[span, scan] = {sides:?} of {asked}: retune the generator"
+        );
     }
 
     #[test]

@@ -619,8 +619,9 @@ impl<'a> SessionBuilder<'a> {
     ) -> Result<(Plan, Option<Box<dyn RerankStrategy>>), RerankError> {
         // NaN range endpoints poison every comparison downstream (a
         // predicate that matches nothing, region arithmetic that never
-        // converges) — refuse them here, typed, before anything is spent.
-        self.sel.validate()?;
+        // converges) and an attribute outside the schema indexes past every
+        // tuple — refuse both here, typed, before anything is spent.
+        self.sel.validate(self.svc.server().schema())?;
         let ctx = || planner.plan_context(self.sel.clone(), self.rank.attrs().to_vec());
         if let Some(custom) = &self.custom {
             let why = format!(
@@ -705,6 +706,10 @@ impl<'a> SessionBuilder<'a> {
     ///   against a server whose [`qrs_server::Capabilities`] lack `ORDER
     ///   BY` on a ranking attribute, or `PageDown` against one that does
     ///   not page.
+    /// * [`RerankError::Server`]`(`[`qrs_types::ServerError::InvalidQuery`]`)` — the
+    ///   selection fails [`Query::validate`] against the site's schema (a
+    ///   `NaN` endpoint, an attribute the schema does not have); nothing
+    ///   was sent or charged.
     pub fn open(mut self) -> Result<Session<'a>, RerankError> {
         // Catch up with the server's mutation feed before anything trusts
         // cached knowledge: a stale shared state is rebuilt empty here, and

@@ -162,8 +162,9 @@ pub enum ServerError {
     },
     /// The interface does not offer the requested capability.
     Unsupported(Capability),
-    /// The query violates the interface contract (e.g. a range predicate on
-    /// an attribute that only accepts point predicates, §5).
+    /// The query violates the interface contract: a range predicate on an
+    /// attribute that only accepts point predicates (§5), a `NaN` endpoint,
+    /// an attribute the schema does not have (`Query::validate`).
     InvalidQuery {
         /// Human-readable contract-violation description.
         reason: String,
@@ -268,14 +269,6 @@ pub enum RerankError {
     /// it completed. Partial results fetched before the cancellation are
     /// preserved by batch drivers, mirroring the budget-trip contract.
     Cancelled,
-    /// A range predicate carries a `NaN` endpoint. NaN compares as *after
-    /// every real* under the workspace's total order, so such a predicate
-    /// silently matches a surprising set and corrupts canonical cache keys;
-    /// sessions and the simulator reject it up front instead.
-    NanPredicate {
-        /// Attribute whose range predicate carries the NaN endpoint.
-        attr: AttrId,
-    },
     /// No reranking algorithm fits the site's advertised capabilities for
     /// this query shape. `missing` names the capabilities that would have
     /// unblocked a candidate algorithm; `reason` narrates the planner's
@@ -320,7 +313,6 @@ impl RerankError {
             RerankError::Cancelled => true,
             RerankError::UnsupportedCapability(_)
             | RerankError::InvalidAlgorithm { .. }
-            | RerankError::NanPredicate { .. }
             | RerankError::Unplannable { .. } => false,
         }
     }
@@ -380,9 +372,6 @@ impl fmt::Display for RerankError {
                 )
             }
             RerankError::Cancelled => write!(f, "request cancelled by the caller"),
-            RerankError::NanPredicate { attr } => {
-                write!(f, "range predicate on attribute {attr} has a NaN endpoint")
-            }
             RerankError::Unplannable { missing, reason } => {
                 write!(f, "no algorithm fits the site's capabilities: {reason}")?;
                 if !missing.is_empty() {

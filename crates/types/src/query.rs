@@ -6,12 +6,12 @@
 //! predicates. The reranking algorithms build thousands of these per user
 //! request, so construction and `matches` are allocation-light.
 
-use crate::error::RerankError;
+use crate::error::ServerError;
 use crate::interval::Interval;
 use crate::predicate::{CatPredicate, RangePredicate};
-use crate::schema::AttrId;
 #[cfg(test)]
 use crate::schema::CatId;
+use crate::schema::{AttrId, Schema};
 use crate::tuple::Tuple;
 use std::fmt;
 
@@ -155,16 +155,37 @@ impl Query {
         self.ranges.len() + self.cats.len()
     }
 
-    /// Reject queries whose range predicates carry `NaN` endpoints.
+    /// Reject a query the interface over `schema` cannot mean: a range
+    /// predicate with a `NaN` endpoint, or any predicate on an attribute
+    /// the schema does not have.
     ///
     /// Interval construction is deliberately infallible (the algorithms
-    /// build thousands on hot paths), so the check lives here and runs at
-    /// the session and simulator boundaries: a NaN endpoint sorts after
-    /// every real under the workspace total order, matching a surprising
-    /// set and corrupting canonical cache-key ordering.
-    pub fn validate(&self) -> Result<(), RerankError> {
-        match self.ranges.iter().find(|p| p.interval.has_nan()) {
-            Some(p) => Err(RerankError::NanPredicate { attr: p.attr }),
+    /// build thousands on hot paths), so the check lives here and runs
+    /// wherever a query arrives from outside — the session builder, the
+    /// simulator, the edge's decoders. A NaN endpoint sorts after every
+    /// real under the workspace total order, matching a surprising set and
+    /// corrupting canonical cache-key ordering; an attribute index past the
+    /// schema would reach `Tuple::ord` / `Tuple::cat` and every
+    /// per-attribute index as an out-of-bounds panic.
+    pub fn validate(&self, schema: &Schema) -> Result<(), ServerError> {
+        let outside = |kind: &str, index: usize, have: usize| {
+            ServerError::invalid_query(format!(
+                "predicate on {kind} attribute index {index}, but the schema has {have}"
+            ))
+        };
+        for p in &self.ranges {
+            if p.attr.0 >= schema.num_ordinal() {
+                return Err(outside("ordinal", p.attr.0, schema.num_ordinal()));
+            }
+            if p.interval.has_nan() {
+                let attr = p.attr;
+                let reason = format!("range predicate on {attr} has a NaN endpoint");
+                return Err(ServerError::invalid_query(reason));
+            }
+        }
+        let m = schema.num_categorical();
+        match self.cats.iter().find(|p| p.attr.0 >= m) {
+            Some(p) => Err(outside("categorical", p.attr.0, m)),
             None => Ok(()),
         }
     }
@@ -255,24 +276,37 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_nan_endpoints() {
-        assert_eq!(Query::all().validate(), Ok(()));
-        let clean = Query::all().and_range(AttrId(0), Interval::open(0.0, 1.0));
-        assert_eq!(clean.validate(), Ok(()));
-        let q = clean
-            .clone()
-            .and_range(AttrId(3), Interval::at_most(f64::NAN));
-        assert_eq!(
-            q.validate(),
-            Err(RerankError::NanPredicate { attr: AttrId(3) })
+    fn validate_rejects_nan_endpoints_and_attributes_outside_the_schema() {
+        use crate::schema::{CatAttr, OrdinalAttr};
+        let ordinal = |name| OrdinalAttr::new(name, 0.0, 1.0);
+        let schema = Schema::new(
+            vec![ordinal("x"), ordinal("y")],
+            vec![CatAttr::new("kind", 3)],
         );
-        // Either side trips it; the offending attribute is named.
-        let q = Query::all().and_range(AttrId(1), Interval::open(f64::NAN, 5.0));
-        assert_eq!(
-            q.validate(),
-            Err(RerankError::NanPredicate { attr: AttrId(1) })
-        );
-        assert!(q.validate().unwrap_err().to_string().contains("NaN"));
+        assert_eq!(Query::all().validate(&schema), Ok(()));
+        let clean = Query::all()
+            .and_range(AttrId(1), Interval::open(0.0, 1.0))
+            .and_cat(CatPredicate::eq(CatId(0), 2));
+        assert_eq!(clean.validate(&schema), Ok(()));
+        // Either side trips the NaN test; the offending attribute is named.
+        for nan in [Interval::at_most(f64::NAN), Interval::open(f64::NAN, 5.0)] {
+            let err = clean.clone().and_range(AttrId(0), nan).validate(&schema);
+            let reason = err.unwrap_err().to_string();
+            assert!(reason.contains("A1") && reason.contains("NaN"), "{reason}");
+        }
+        // The first index past each attribute list is already outside.
+        let err = clean.clone().and_range(AttrId(2), Interval::all());
+        let reason = err.validate(&schema).unwrap_err().to_string();
+        assert!(reason.contains("ordinal attribute index 2"), "{reason}");
+        let err = clean.and_cat(CatPredicate::eq(CatId(1), 0));
+        let reason = err.validate(&schema).unwrap_err().to_string();
+        assert!(reason.contains("categorical attribute index 1"), "{reason}");
+        assert!(matches!(
+            Query::all()
+                .and_range(AttrId(usize::MAX), Interval::all())
+                .validate(&schema),
+            Err(ServerError::InvalidQuery { .. })
+        ));
     }
 
     #[test]

@@ -33,7 +33,9 @@ use query_reranking::edge::{Json, ParseError};
 use query_reranking::exec::Executor;
 use query_reranking::server::{SearchInterface, SimServer, SystemRank};
 use query_reranking::service::RerankService;
-use query_reranking::types::{AttrId, Direction, Interval, Query, QueryResponse, ServerError};
+use query_reranking::types::{
+    AttrId, CatId, CatPredicate, Direction, Interval, Query, QueryResponse, ServerError,
+};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
@@ -134,9 +136,17 @@ fn rerank_body(sel: &Query) -> Vec<u8> {
 }
 
 /// A valid request of one of the three fuzzed kinds, as `(target, body)`.
+/// One in twenty is valid on the wire only: it names an attribute the
+/// site's schema (two ordinal, one categorical) does not have, which the
+/// in-process reference refuses and the edge therefore must.
 fn valid_request(rng: &mut Rng) -> (&'static str, Vec<u8>) {
     let lo = rng.below(50) as f64 / 100.0;
-    let sel = Query::all().and_range(AttrId(0), Interval::closed(lo, lo + 0.4));
+    let range = Interval::closed(lo, lo + 0.4);
+    let sel = match rng.below(40) {
+        0 => Query::all().and_range(AttrId(2 + rng.below(98)), range),
+        1 => Query::all().and_cat(CatPredicate::eq(CatId(1 + rng.below(99)), 1)),
+        _ => Query::all().and_range(AttrId(0), range),
+    };
     let query = ("query", wire::query_to_json(&sel));
     match rng.below(3) {
         0 => ("/v1/rerank", rerank_body(&sel)),

@@ -22,6 +22,10 @@
 //!   deadline, one request per connection under an immediate executor,
 //! * the tenant table: unchecked names and a full table are typed,
 //!   uncharged refusals,
+//! * what the edge did not foresee: an attribute index outside the schema
+//!   is a typed, uncharged `400` on every route that carries a query, and
+//!   a handler that panics is a `500` + close — after either, the same
+//!   edge keeps serving,
 //! * admission control: capacity and tenant-budget refusals are typed
 //!   `429`s with `Retry-After` that charge **neither** ledger,
 //! * the front door: `/v1/rerank` via [`EdgeClient`] versus an in-process
@@ -701,6 +705,151 @@ fn an_immediate_executor_serves_one_request_per_connection() {
     );
     pooled_handle.shutdown();
     handle.shutdown();
+}
+
+/// One hostile request in its three wire shapes: a predicate on an
+/// attribute the schema does not have, sent to `/site/query`, `/site/page`
+/// and `/v1/rerank`. Each used to panic the worker — the categorical one
+/// with the query already charged — leaving the client without a byte on a
+/// connection nobody would ever deregister, and the accept thread to die
+/// at shutdown (at once, under an immediate executor). Each is a typed
+/// `400` that moves no ledger, after which the same connection (the next
+/// one, under an immediate executor) is served as ever; and the session
+/// builder refuses the same selections before anything is planned.
+#[test]
+fn attributes_outside_the_schema_are_uncharged_400s_and_the_edge_keeps_serving() {
+    use query_reranking::edge::{wire, Json};
+    use query_reranking::types::{CatId, CatPredicate, Interval, ServerError};
+    let data = uniform(60, 2, 1, test_seed() ^ 0x0A77);
+    let hostile = [
+        Query::all().and_cat(CatPredicate::eq(CatId(9), 1)),
+        Query::all().and_range(AttrId(9), Interval::open(0.0, 1.0)),
+    ];
+    for exec in [Executor::pool(1), Executor::immediate(3)] {
+        let one_shot = exec.is_immediate();
+        let remote = Arc::new(anti_server(&data, 3).with_paging());
+        let svc = Arc::new(RerankService::new(
+            Arc::clone(&remote) as Arc<dyn SearchInterface>,
+            data.len(),
+        ));
+        let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0)]));
+        for bad in &hostile {
+            let refused = svc.session(bad.clone(), Arc::clone(&rank)).open().err();
+            assert!(
+                matches!(
+                    refused,
+                    Some(RerankError::Server(ServerError::InvalidQuery { .. }))
+                ),
+                "{bad}: {refused:?}"
+            );
+        }
+
+        let handle = EdgeServer::serve(svc, Arc::new(exec), EdgeConfig::default()).unwrap();
+        let mut raw = RawClient::new(handle.addr());
+        let mut sent = 0;
+        for bad in &hostile {
+            let query = wire::query_to_json(bad);
+            let rank = [(0, Direction::Asc, 1.0)];
+            let request = EdgeClient::request(bad, &rank, 3, None, None, None);
+            for (target, code, body) in [
+                (
+                    "/site/query",
+                    "invalid_query",
+                    vec![("query", query.clone())],
+                ),
+                (
+                    "/site/page",
+                    "invalid_query",
+                    vec![("query", query.clone()), ("page", Json::u64(1))],
+                ),
+                (
+                    "/v1/rerank",
+                    "invalid_request",
+                    vec![("requests", Json::Arr(vec![request]))],
+                ),
+            ] {
+                let body = Json::obj(body).encode();
+                let resp = raw.call("POST", target, Some("tenant-a"), body.as_bytes());
+                let text = String::from_utf8_lossy(&resp.body).into_owned();
+                assert_eq!(resp.status, 400, "{target}: {text}");
+                assert!(
+                    text.contains(code) && text.contains("the schema has"),
+                    "{target}: {text}"
+                );
+                assert_eq!(says_close(&resp), one_shot, "{target}");
+                sent += 1;
+            }
+        }
+        assert_eq!(remote.queries_issued(), 0, "a refusal charges nothing");
+
+        let resp = raw.call("POST", "/v1/rerank", Some("tenant-a"), &one_request_body());
+        assert_eq!(resp.status, 200);
+        // Everything on the tenant's ledger is what that one batch spent.
+        let body = query_reranking::edge::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let tenant = wire::ledger_from_json(body.get("tenant").unwrap()).unwrap();
+        assert!(tenant.0 > 0);
+        assert_eq!(
+            tenant,
+            (remote.queries_issued(), remote.cost_units_issued())
+        );
+        assert_eq!(handle.requests(), sent + 1);
+        assert_eq!(handle.connections(), if one_shot { sent + 1 } else { 1 });
+        handle.shutdown();
+    }
+}
+
+/// A site whose `query` panics: the input no check foresaw.
+struct PanickingSite(Arc<query_reranking::types::Schema>);
+
+impl SearchInterface for PanickingSite {
+    fn schema(&self) -> &Arc<query_reranking::types::Schema> {
+        &self.0
+    }
+    fn k(&self) -> usize {
+        3
+    }
+    fn query(
+        &self,
+        _q: &Query,
+    ) -> Result<query_reranking::types::QueryResponse, query_reranking::types::ServerError> {
+        panic!("a bug behind /site/query")
+    }
+    fn queries_issued(&self) -> u64 {
+        0
+    }
+}
+
+/// A panic out of a handler costs its own request and nothing else: the
+/// client gets a typed `500` + close, the connection comes off the books
+/// (so the next client's keep-alive exchanges are not told `close` by an
+/// edge that believes itself crowded), the worker and the accept thread
+/// live on, and shutdown is quiet.
+#[test]
+fn a_panicking_handler_is_a_500_that_costs_only_its_own_request() {
+    let data = uniform(10, 2, 1, 1);
+    for exec in [Executor::pool(1), Executor::immediate(3)] {
+        let one_shot = exec.is_immediate();
+        let site = Arc::new(PanickingSite(Arc::clone(data.schema())));
+        let svc = Arc::new(RerankService::new(site as Arc<dyn SearchInterface>, 10));
+        let handle = EdgeServer::serve(svc, Arc::new(exec), EdgeConfig::default()).unwrap();
+
+        let body = br#"{"query":{"ranges":[],"cats":[]}}"#;
+        let resp = RawClient::new(handle.addr()).call("POST", "/site/query", None, body);
+        let text = String::from_utf8_lossy(&resp.body).into_owned();
+        assert_eq!(resp.status, 500, "{text}");
+        assert!(text.contains("internal_error"), "{text}");
+        assert!(says_close(&resp));
+
+        let mut next = RawClient::new(handle.addr());
+        for _ in 0..3 {
+            let resp = next.call("GET", "/site/seq", None, b"");
+            assert_eq!(resp.status, 200);
+            assert_eq!(says_close(&resp), one_shot);
+        }
+        let connections = if one_shot { 4 } else { 2 };
+        assert_eq!((handle.requests(), handle.connections()), (4, connections));
+        handle.shutdown();
+    }
 }
 
 /// Admission refusals are typed, carry `Retry-After`, and charge neither
