@@ -930,7 +930,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_env_parsing_and_builders() {
+    fn config_defaults_and_builders() {
         let d = EdgeConfig::default();
         assert_eq!(d.max_inflight, 64);
         assert_eq!(d.retry_after_ms, 1000);

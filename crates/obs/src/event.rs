@@ -29,14 +29,6 @@ pub enum QueryClass {
 }
 
 impl QueryClass {
-    /// Every class, in the order the per-class metric arrays use.
-    pub const ALL: [QueryClass; 4] = [
-        QueryClass::TopK,
-        QueryClass::Page,
-        QueryClass::Ordered,
-        QueryClass::Mixed,
-    ];
-
     /// Stable index into per-class metric arrays.
     pub fn index(self) -> usize {
         match self {

@@ -3,16 +3,11 @@
 //! Static plan-time estimates are priced under the site's *advertised*
 //! [`qrs_types::CostModel`]. Real sites drift: the public price list goes
 //! stale, or a strategy family's estimator is systematically off for a
-//! particular data distribution. [`Calibration`] closes that loop with
-//! observed-cost statistics per (strategy family):
-//!
-//! * **per-request** — [`Calibration::on_charge`] folds the same in-lock
-//!   `(queries, cost_units)` deltas the session and service ledgers
-//!   accumulate into a cost-units-per-query [`Ewma`] keyed by
-//!   [`QueryClass`],
-//! * **per-session** — [`Calibration::observe_session`] folds each
-//!   finished session's *actual / predicted* spend ratios (and actual
-//!   cost-per-emitted-row) into per-strategy [`Ewma`]s.
+//! particular data distribution. [`Calibration`] closes that loop with one
+//! signal per strategy family: [`Calibration::observe_session`] folds each
+//! finished session's *actual / predicted* query and cost-unit ratios into
+//! two [`Ewma`]s (α = 0.3: a handful of drifted sessions visibly moves the
+//! scale, one outlier does not dominate it).
 //!
 //! `Planner::plan` consults [`Calibration::scale`] to multiply each
 //! candidate's static [`CostEstimate`] by the learned ratio before
@@ -20,11 +15,11 @@
 //! race even while the advertised model still flatters it. The store is
 //! deliberately service-shaped, not session-shaped: share one across
 //! services (via `RerankService::with_calibration`) and every tenant's
-//! charged deltas train the same model, the same amortization argument as
-//! the knowledge plane.
+//! finished sessions train the same model, the same amortization argument
+//! as the knowledge plane.
 //!
-//! Determinism: everything is [`Ewma`]s fed in ledger order under one
-//! mutex — identical charge sequences produce bit-identical scales.
+//! Determinism: everything is [`Ewma`]s fed in session-close order under
+//! one mutex — identical session sequences produce bit-identical scales.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -32,108 +27,44 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use qrs_core::strategy::CostEstimate;
-use qrs_obs::QueryClass;
 use qrs_types::Ewma;
 
-/// Default EWMA smoothing factor: heavy enough that a handful of drifted
-/// sessions visibly moves the scale, light enough that one outlier
-/// session does not dominate it.
-pub const DEFAULT_ALPHA: f64 = 0.3;
+/// EWMA smoothing factor of both ratios.
+const ALPHA: f64 = 0.3;
 
-/// Observed-cost statistics for one strategy family.
+/// Session-level `actual / predicted` ratios for one strategy family.
 #[derive(Debug, Clone)]
 struct CalCell {
-    /// Session-level `actual_queries / predicted_queries`.
     query_ratio: Ewma,
-    /// Session-level `actual_cost_units / predicted_cost_units`.
     cost_ratio: Ewma,
-    /// Session-level `actual_cost_units / rows emitted`.
-    cost_per_row: Ewma,
-    /// Request-level `cost_units / queries`, per [`QueryClass`].
-    per_class: [Ewma; 4],
 }
 
-impl CalCell {
-    fn new(alpha: f64) -> Self {
-        CalCell {
-            query_ratio: Ewma::new(alpha),
-            cost_ratio: Ewma::new(alpha),
-            cost_per_row: Ewma::new(alpha),
-            per_class: [Ewma::new(alpha); 4],
-        }
-    }
-}
-
-/// Per-(strategy family) observed-cost statistics, fed from charged
-/// ledger deltas and finished sessions; consulted by `Planner::plan` to
-/// scale static estimates. See the module docs.
+/// Per-(strategy family) observed-cost ratios, fed from finished sessions;
+/// consulted by `Planner::plan` to scale static estimates. See the module
+/// docs.
+#[derive(Default)]
 pub struct Calibration {
-    alpha: f64,
     cells: Mutex<HashMap<String, CalCell>>,
 }
 
 impl fmt::Debug for Calibration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let cells = self.cells.lock();
         f.debug_struct("Calibration")
-            .field("alpha", &self.alpha)
-            .field("strategies", &cells.len())
+            .field("strategies", &self.cells.lock().len())
             .finish()
     }
 }
 
-impl Default for Calibration {
-    fn default() -> Self {
-        Calibration::new()
-    }
-}
-
 impl Calibration {
-    /// An empty store with the stock smoothing factor
-    /// ([`DEFAULT_ALPHA`]).
+    /// An empty store.
     pub fn new() -> Self {
-        Calibration::with_alpha(DEFAULT_ALPHA)
-    }
-
-    /// An empty store with smoothing factor `alpha` (clamped into
-    /// `(0, 1]` by [`Ewma::new`]).
-    pub fn with_alpha(alpha: f64) -> Self {
-        Calibration {
-            alpha,
-            cells: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// An empty store whose decay is expressed as a **half-life in
-    /// sessions** ([`Ewma::with_half_life`]): after `half_life` further
-    /// observed sessions, an old drift's weight has decayed to one half.
-    /// The windowing knob for sites whose prices drift and then drift
-    /// *back* — the calibrated estimate re-converges toward the advertised
-    /// model at a guaranteed geometric rate instead of lingering on stale
-    /// history.
-    pub fn with_half_life(half_life: f64) -> Self {
-        Calibration::with_alpha(Ewma::with_half_life(half_life).alpha())
+        Calibration::default()
     }
 
     /// An empty store behind an [`Arc`], ready for
     /// `RerankService::with_calibration`.
     pub fn shared() -> Arc<Self> {
         Arc::new(Calibration::new())
-    }
-
-    /// Fold one charged request's ledger delta in: `dq` raw queries were
-    /// billed `dc` weighted cost units as request class `class` by a
-    /// session running `strategy`. Zero-query deltas (knowledge replays,
-    /// uncharged refusals) carry no price signal and are ignored.
-    pub fn on_charge(&self, strategy: &str, class: QueryClass, dq: u64, dc: u64) {
-        if dq == 0 {
-            return;
-        }
-        let mut cells = self.cells.lock();
-        let cell = cells
-            .entry(strategy.to_string())
-            .or_insert_with(|| CalCell::new(self.alpha));
-        cell.per_class[class.index()].observe(dc as f64 / dq as f64);
     }
 
     /// Fold one finished session in: it was planned at `predicted`, spent
@@ -156,13 +87,14 @@ impl Calibration {
         let mut cells = self.cells.lock();
         let cell = cells
             .entry(strategy.to_string())
-            .or_insert_with(|| CalCell::new(self.alpha));
+            .or_insert_with(|| CalCell {
+                query_ratio: Ewma::new(ALPHA),
+                cost_ratio: Ewma::new(ALPHA),
+            });
         cell.query_ratio
             .observe(actual_queries as f64 / predicted.queries as f64);
         cell.cost_ratio
             .observe(actual_cost_units as f64 / predicted.cost_units as f64);
-        cell.cost_per_row
-            .observe(actual_cost_units as f64 / emitted as f64);
     }
 
     /// The learned `(query_ratio, cost_ratio)` scale for `strategy`, or
@@ -199,9 +131,7 @@ impl Calibration {
                 strategy: name.clone(),
                 query_ratio: cell.query_ratio.value(),
                 cost_ratio: cell.cost_ratio.value(),
-                cost_per_row: cell.cost_per_row.value(),
                 sessions: cell.cost_ratio.samples(),
-                class_cost_per_query: QueryClass::ALL.map(|c| cell.per_class[c.index()].value()),
             })
             .collect();
         out.sort_by(|a, b| a.strategy.cmp(&b.strategy));
@@ -232,13 +162,8 @@ pub struct StrategyCalibration {
     pub query_ratio: Option<f64>,
     /// EWMA of session-level `actual_cost_units / predicted_cost_units`.
     pub cost_ratio: Option<f64>,
-    /// EWMA of actual weighted cost per emitted row.
-    pub cost_per_row: Option<f64>,
     /// Finished sessions folded into the ratios.
     pub sessions: u64,
-    /// EWMA of per-request `cost_units / queries`, indexed by
-    /// [`QueryClass::ALL`] order.
-    pub class_cost_per_query: [Option<f64>; 4],
 }
 
 #[cfg(test)]
@@ -284,7 +209,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_signal_sessions_and_charges_are_ignored() {
+    fn zero_signal_sessions_are_ignored() {
         let c = Calibration::new();
         let p = CostEstimate {
             queries: 10,
@@ -301,68 +226,7 @@ mod tests {
             5,
             5,
         ); // predicted free
-        c.on_charge("1d-rerank", QueryClass::TopK, 0, 0); // zero-query delta
         assert_eq!(c.scale("1d-rerank"), None);
-    }
-
-    #[test]
-    fn per_class_cost_per_query_tracks_charged_deltas() {
-        let c = Calibration::new();
-        c.on_charge("page-down", QueryClass::Page, 2, 4);
-        c.on_charge("page-down", QueryClass::Page, 1, 2);
-        let snap = c.snapshot();
-        assert_eq!(snap.len(), 1);
-        let s = &snap[0];
-        assert_eq!(s.strategy, "page-down");
-        assert_eq!(s.class_cost_per_query[QueryClass::Page.index()], Some(2.0));
-        assert_eq!(s.class_cost_per_query[QueryClass::TopK.index()], None);
-        assert_eq!(s.sessions, 0);
-    }
-
-    #[test]
-    fn reverted_drift_reconverges_within_the_half_life_window() {
-        // A site drifts to 3× the advertised cost, trains the store, then
-        // reverts to honest billing. With a half-life of 4 sessions the
-        // residual bias must halve every 4 honest sessions — so two windows
-        // shrink the drift bias to a quarter of its peak.
-        let half_life = 4.0;
-        let c = Calibration::with_half_life(half_life);
-        let predicted = CostEstimate {
-            queries: 10,
-            cost_units: 20,
-        };
-        // Long drifted phase: the scale converges to (1.0, 3.0).
-        for _ in 0..64 {
-            c.observe_session("ta-order-by", predicted, 10, 60, 5);
-        }
-        let (_, drifted) = c.scale("ta-order-by").unwrap();
-        assert!((drifted - 3.0).abs() < 1e-6, "drifted scale: {drifted}");
-        // The site reverts: honest sessions, one half-life's worth.
-        for _ in 0..4 {
-            c.observe_session("ta-order-by", predicted, 10, 20, 5);
-        }
-        let (_, after_one) = c.scale("ta-order-by").unwrap();
-        let bias_one = after_one - 1.0;
-        assert!(
-            (bias_one - (drifted - 1.0) / 2.0).abs() < 1e-9,
-            "one window must halve the bias: {after_one}"
-        );
-        // A second window halves it again — a quarter of the peak bias.
-        for _ in 0..4 {
-            c.observe_session("ta-order-by", predicted, 10, 20, 5);
-        }
-        let (_, after_two) = c.scale("ta-order-by").unwrap();
-        assert!(
-            (after_two - 1.0).abs() <= 0.5 + 1e-9,
-            "two windows must shrink the bias to a quarter: {after_two}"
-        );
-        // And the scaled estimate has actually moved back toward advertised.
-        let cal = c.calibrate("ta-order-by", predicted);
-        assert!(
-            cal.cost_units < 40,
-            "a reverted site must shed its stale 3x estimate, got {}",
-            cal.cost_units
-        );
     }
 
     #[test]

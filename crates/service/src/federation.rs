@@ -14,8 +14,7 @@
 //!
 //! By default an error from any source propagates (and the merge resumes
 //! exactly on retry). With a circuit policy set
-//! ([`FederatedSession::with_failure_threshold`] /
-//! [`FederatedSession::with_circuit`]), each source carries
+//! ([`FederatedSession::with_circuit`]), each source carries
 //! consecutive-failure circuit state instead: a source that keeps failing
 //! **trips** and silently leaves the merge, which completes over the
 //! healthy sources and reports the casualty in a typed per-source
@@ -72,6 +71,7 @@
 use crate::service::{Algorithm, RerankService, SessionSpec};
 use crate::session::{RankedTuple, Session, SessionStats};
 use qrs_exec::Executor;
+use qrs_obs::EventKind;
 use qrs_ranking::RankFn;
 use qrs_types::{CircuitPolicy, Query, RerankError, RetryPolicy};
 use std::sync::Arc;
@@ -121,6 +121,27 @@ struct SourceHealth {
     probes_admitted: u64,
 }
 
+impl SourceHealth {
+    /// Whether a tripped source's cool-down has elapsed at `now` on its
+    /// service clock. Never, without a cool-down.
+    fn probe_due(&self, circuit: Option<CircuitPolicy>, now: u64) -> bool {
+        match (circuit.and_then(|c| c.cooldown_ms), self.tripped_at_ms) {
+            (Some(cd), Some(at)) => now >= at.saturating_add(cd),
+            _ => false,
+        }
+    }
+
+    /// Open the circuit at `now` (again, after a failed probe), restarting
+    /// the cool-down.
+    fn trip(&mut self, sess: &Session<'_>, now: u64) {
+        self.tripped = true;
+        self.trips += 1;
+        self.tripped_at_ms = Some(now);
+        let trips = self.trips;
+        sess.emit_obs(|| EventKind::CircuitTrip { trips });
+    }
+}
+
 /// Pull the next tuple from one source, tracking its circuit state.
 ///
 /// A free function over *disjoint* per-source state so the parallel
@@ -149,58 +170,35 @@ fn pull_source(
     circuit: Option<CircuitPolicy>,
 ) -> Result<Option<RankedTuple>, RerankError> {
     loop {
-        if h.tripped {
-            let probe_due = match (circuit.and_then(|c| c.cooldown_ms), h.tripped_at_ms) {
-                (Some(cd), Some(at)) => sess.svc().clock().now_ms() >= at.saturating_add(cd),
-                _ => false,
-            };
-            if !probe_due {
+        let probe = h.tripped;
+        if probe {
+            if !h.probe_due(circuit, sess.svc().clock().now_ms()) {
                 return Ok(None);
             }
             h.probes_admitted += 1;
-            match sess.next() {
-                Ok(t) => {
-                    h.tripped = false;
-                    h.tripped_at_ms = None;
-                    h.consecutive_failures = 0;
-                    sess.emit_obs(|| qrs_obs::EventKind::CircuitProbe { reopened: true });
-                    return Ok(t);
-                }
-                Err(e) => {
-                    h.consecutive_failures += 1;
-                    h.last_error = Some(e);
-                    h.trips += 1;
-                    h.tripped_at_ms = Some(sess.svc().clock().now_ms());
-                    sess.emit_obs(|| qrs_obs::EventKind::CircuitProbe { reopened: false });
-                    let trips = h.trips;
-                    sess.emit_obs(|| qrs_obs::EventKind::CircuitTrip { trips });
-                    return Ok(None);
-                }
-            }
         }
-        match sess.next() {
+        let e = match sess.next() {
             Ok(t) => {
                 h.consecutive_failures = 0;
+                if probe {
+                    h.tripped = false;
+                    h.tripped_at_ms = None;
+                    sess.emit_obs(|| EventKind::CircuitProbe { reopened: true });
+                }
                 return Ok(t);
             }
-            Err(e) => {
-                let terminal = !e.is_retryable();
-                h.consecutive_failures += 1;
-                h.last_error = Some(e.clone());
-                match circuit {
-                    None => return Err(e),
-                    Some(c) => {
-                        if terminal || h.consecutive_failures >= c.failure_threshold {
-                            h.tripped = true;
-                            h.trips += 1;
-                            h.tripped_at_ms = Some(sess.svc().clock().now_ms());
-                            let trips = h.trips;
-                            sess.emit_obs(|| qrs_obs::EventKind::CircuitTrip { trips });
-                            return Ok(None);
-                        }
-                    }
-                }
-            }
+            Err(e) => e,
+        };
+        h.consecutive_failures += 1;
+        h.last_error = Some(e.clone());
+        // Only a tripped source probes, and only a circuit trips one.
+        let Some(c) = circuit else { return Err(e) };
+        if probe {
+            sess.emit_obs(|| EventKind::CircuitProbe { reopened: false });
+        }
+        if probe || !e.is_retryable() || h.consecutive_failures >= c.failure_threshold {
+            h.trip(sess, sess.svc().clock().now_ms());
+            return Ok(None);
         }
     }
 }
@@ -325,24 +323,14 @@ impl<'a> FederatedSession<'a> {
         }
     }
 
-    /// Degrade instead of dying: a source whose pulls fail `threshold`
-    /// times in a row (or fail non-retryably even once) trips its
-    /// circuit and leaves the merge; the remaining sources' exact merged
-    /// stream continues and [`FederatedSession::report`] carries the typed
-    /// per-source post-mortem. `threshold` is clamped to at least 1.
-    /// Adjusts only the trip threshold: a cool-down already configured via
-    /// [`FederatedSession::with_circuit`] is kept (and absent one, sources
-    /// never probe). Use `with_circuit` directly for full control.
-    pub fn with_failure_threshold(self, threshold: u32) -> Self {
-        let cooldown = self.circuit.and_then(|c| c.cooldown_ms);
-        let mut policy = CircuitPolicy::trip_after(threshold);
-        policy.cooldown_ms = cooldown;
-        self.with_circuit(policy)
-    }
-
-    /// Full circuit-breaker control, including the half-open cool-down
-    /// ([`CircuitPolicy::cooldown`]): a tripped source admits one probe
-    /// pull per elapsed cool-down window and rejoins the merge on success.
+    /// Degrade instead of dying: a source whose pulls fail
+    /// `policy.failure_threshold` times in a row (or fail non-retryably
+    /// even once) trips its circuit and leaves the merge; the remaining
+    /// sources' exact merged stream continues and
+    /// [`FederatedSession::report`] carries the typed per-source
+    /// post-mortem. With a cool-down ([`CircuitPolicy::cooldown`]) a
+    /// tripped source admits one probe pull per elapsed window and rejoins
+    /// the merge on success.
     pub fn with_circuit(mut self, policy: CircuitPolicy) -> Self {
         self.circuit = Some(policy);
         self
@@ -367,24 +355,13 @@ impl<'a> FederatedSession<'a> {
     /// on its service clock. Tripped sources that can never rejoin (no
     /// cool-down) or are still cooling must not defeat the steady-state
     /// fast path — one clock read here is far cheaper than a fan-out task
-    /// per merge step. (`pull_source` re-checks the clock; this test only
-    /// gates whether a pull is attempted at all.)
+    /// per merge step.
     fn needs_pull(&self, i: usize) -> bool {
-        if !self.primed[i] {
-            return true;
-        }
-        if self.heads[i].is_some() || !self.health[i].tripped {
-            return false;
-        }
-        match (
-            self.circuit.and_then(|c| c.cooldown_ms),
-            self.health[i].tripped_at_ms,
-        ) {
-            (Some(cd), Some(at)) => {
-                self.sessions[i].svc().clock().now_ms() >= at.saturating_add(cd)
-            }
-            _ => false,
-        }
+        let h = &self.health[i];
+        !self.primed[i]
+            || (self.heads[i].is_none()
+                && h.tripped
+                && h.probe_due(self.circuit, self.sessions[i].svc().clock().now_ms()))
     }
 
     /// Fill every head that needs filling — the initial prime and any due
@@ -471,7 +448,7 @@ impl<'a> FederatedSession<'a> {
     /// after a transient failure resumes the merge without skipping or
     /// dropping any source's tuples.
     ///
-    /// With [`FederatedSession::with_failure_threshold`] set, source
+    /// With [`FederatedSession::with_circuit`] set, source
     /// failures are absorbed into circuit state instead of surfacing here:
     /// a persistently failing source trips and leaves the merge, and this
     /// method keeps returning the remaining sources' exact merged stream.
@@ -758,7 +735,7 @@ mod tests {
         let services = [&a, &dead_svc, &c];
         let mut fed = FederatedSession::open(&services, Query::all(), rank(), Algorithm::Auto)
             .unwrap()
-            .with_failure_threshold(3);
+            .with_circuit(CircuitPolicy::trip_after(3));
         let (got, err) = fed.top(25);
         assert!(err.is_none(), "degraded merge must complete: {err:?}");
         assert_eq!(got.len(), 25);
@@ -821,7 +798,7 @@ mod tests {
         let services = [&a, &point_only];
         let mut fed = FederatedSession::open(&services, Query::all(), rank(), Algorithm::Auto)
             .unwrap()
-            .with_failure_threshold(10);
+            .with_circuit(CircuitPolicy::trip_after(10));
         let (got, err) = fed.top(10);
         assert!(err.is_none(), "{err:?}");
         assert_eq!(got.len(), 10);
@@ -858,7 +835,7 @@ mod tests {
         let services = [&a, &b];
         let mut fed = FederatedSession::open(&services, Query::all(), rank(), Algorithm::Auto)
             .unwrap()
-            .with_failure_threshold(2);
+            .with_circuit(CircuitPolicy::trip_after(2));
         let (got, err) = fed.top(5);
         assert!(got.is_empty());
         let err = err.expect("a fully-dead federation must surface an error");
@@ -888,7 +865,7 @@ mod tests {
         let services = [&constrained, &free];
         let mut fed = FederatedSession::open(&services, Query::all(), rank(), Algorithm::Auto)
             .unwrap()
-            .with_failure_threshold(100);
+            .with_circuit(CircuitPolicy::trip_after(100));
         let (got, err) = fed.top(20);
         assert!(err.is_none(), "{err:?}");
         assert_eq!(got.len(), 20, "the free source carries the merge");
@@ -923,7 +900,7 @@ mod tests {
         let services = [&flaky_svc, &b];
         let mut fed = FederatedSession::open(&services, Query::all(), rank(), Algorithm::Auto)
             .unwrap()
-            .with_failure_threshold(3);
+            .with_circuit(CircuitPolicy::trip_after(3));
         let (got, err) = fed.top(30);
         assert!(err.is_none(), "{err:?}");
         assert_eq!(got.len(), 30);
@@ -936,6 +913,7 @@ mod tests {
 
     #[test]
     fn half_open_circuit_readmits_a_recovered_source() {
+        use qrs_obs::{ObsHandle, Recorder};
         use qrs_server::{Clock, FaultyServer, MockClock, SearchInterface};
         // Source 1's backend is down for its first 3 calls, then healthy.
         // With threshold 2 it trips on the first two; after a cool-down a
@@ -956,12 +934,32 @@ mod tests {
             ),
         );
         let data_b = uniform(30, 2, 1, 72);
+        let recorder = Arc::new(Recorder::with_capacity(4096));
         let flaky_svc = RerankService::new(flaky as Arc<dyn SearchInterface>, 30)
-            .with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
+            .with_clock(Arc::clone(&clock) as Arc<dyn Clock>)
+            .with_observer(
+                ObsHandle::builder("flaky")
+                    .subscriber(Arc::clone(&recorder) as _)
+                    .build(),
+            );
+        // The circuit events the flaky source emitted since the last call.
+        let circuit_events = || -> Vec<EventKind> {
+            recorder
+                .drain()
+                .into_iter()
+                .map(|e| e.kind)
+                .filter(|k| {
+                    matches!(
+                        k,
+                        EventKind::CircuitTrip { .. } | EventKind::CircuitProbe { .. }
+                    )
+                })
+                .collect()
+        };
         let services = [&a, &flaky_svc];
         let mut fed = FederatedSession::open(&services, Query::all(), rank(), Algorithm::Auto)
             .unwrap()
-            .with_circuit(qrs_types::CircuitPolicy::trip_after(2).cooldown(1_000));
+            .with_circuit(CircuitPolicy::trip_after(2).cooldown(1_000));
         // Priming trips source 1 (2 consecutive outages, fail-fast retries).
         let (first, err) = fed.top(5);
         assert!(err.is_none(), "{err:?}");
@@ -969,6 +967,7 @@ mod tests {
         assert!(first.iter().all(|f| f.source == 0), "source 1 must be out");
         assert!(fed.report()[1].tripped);
         assert_eq!(fed.report()[1].trips, 1);
+        assert_eq!(circuit_events(), [EventKind::CircuitTrip { trips: 1 }]);
         // Cool-down passes; the next merge step admits ONE probe. The
         // storm has 1 fault left, so the first probe fails and re-trips…
         clock.advance(1_000);
@@ -979,6 +978,13 @@ mod tests {
         assert!(r1.tripped, "probe hit the storm tail: must re-trip");
         assert_eq!(r1.probes_admitted, 1);
         assert_eq!(r1.trips, 2);
+        assert_eq!(
+            circuit_events(),
+            [
+                EventKind::CircuitProbe { reopened: false },
+                EventKind::CircuitTrip { trips: 2 },
+            ]
+        );
         // …and only after another full cool-down does the next probe land
         // on a healthy backend and close the circuit for good.
         clock.advance(1_000);
@@ -988,6 +994,10 @@ mod tests {
         assert!(!r1.tripped, "recovered source must close its circuit");
         assert_eq!(r1.probes_admitted, 2);
         assert_eq!(r1.consecutive_failures, 0);
+        assert_eq!(
+            circuit_events(),
+            [EventKind::CircuitProbe { reopened: true }]
+        );
         assert!(
             rest.iter().any(|f| f.source == 1),
             "the recovered source must contribute tuples again"
@@ -1031,7 +1041,7 @@ mod tests {
         let services = [&a, &dead_svc];
         let mut fed = FederatedSession::open(&services, Query::all(), rank(), Algorithm::Auto)
             .unwrap()
-            .with_failure_threshold(2);
+            .with_circuit(CircuitPolicy::trip_after(2));
         let (got, err) = fed.top(30);
         assert!(err.is_none(), "{err:?}");
         assert_eq!(got.len(), 30);

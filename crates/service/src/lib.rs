@@ -46,9 +46,9 @@
 //!   every emission site is a single branch that constructs nothing.
 //! * adaptive planning — [`RerankService::with_adaptive`] closes the
 //!   predict-observe loop: a [`calibration::Calibration`] store learns
-//!   per-strategy actual/predicted spend ratios from the charged ledger
-//!   deltas and scales future plan-time estimates, and a running `Auto`
-//!   session whose spend diverges past the configured ratio re-plans
+//!   per-strategy actual/predicted spend ratios from finished sessions
+//!   and scales future plan-time estimates, and a running `Auto`
+//!   session whose spend exceeds twice its calibrated prediction re-plans
 //!   mid-flight and switches strategies without losing paid-for rows
 //!   (emitting a typed [`EventKind::Replanned`]). Off by default —
 //!   [`qrs_types::AdaptiveConfig::disabled`] keeps the static planner bit
@@ -82,7 +82,7 @@ pub use stats::ServiceStats;
 // The strategy vocabulary sessions are driven by — re-exported so callers
 // registering a custom strategy need only this crate.
 pub use qrs_core::strategy::{CostEstimate, PlanContext, RerankStrategy, StrategyIo, StrategyStep};
-// The adaptive-planner knobs — re-exported so opting a service in needs
+// The adaptive-planner switch — re-exported so opting a service in needs
 // only this crate.
 pub use qrs_types::AdaptiveConfig;
 // The knowledge plane: build one, share it across services (and processes'

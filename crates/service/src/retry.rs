@@ -6,24 +6,18 @@
 //! *service-wide* so
 //! a storm of failing sessions cannot burn unbounded backoff time.
 //!
-//! Delay selection, in priority order:
+//! One schedule, in priority order:
 //!
 //! 1. **The server's hint dominates.** A [`ServerError::RateLimited`] with
 //!    `retry_after_ms` set is slept *exactly*: the backend said precisely
 //!    when capacity returns, so neither the exponential schedule nor jitter
 //!    applies.
-//! 2. Otherwise the policy's [`BackoffKind`] decides:
-//!    [`BackoffKind::Exponential`] computes `base * 2^(i-1)` (capped) plus
-//!    a uniform jitter draw from `[0, jitter_ms]`;
-//!    [`BackoffKind::DecorrelatedJitter`] draws each sleep uniformly from
-//!    `[base, 3 · previous]` (capped) — the "full jitter" schedule that
-//!    never re-synchronizes a fleet of clients that failed together. Both
-//!    draw from the seeded `rand` shim — deterministic, so tests assert
-//!    exact sleep sequences on a [`qrs_server::MockClock`].
+//! 2. Otherwise `base * 2^(i-1)` (capped) plus a uniform jitter draw from
+//!    `[0, jitter_ms]`, drawn from the seeded `rand` shim — deterministic,
+//!    so tests assert exact sleep sequences on a [`qrs_server::MockClock`].
 //!
 //! [`ServerError::RateLimited`]: qrs_types::ServerError::RateLimited
 
-use qrs_types::retry::BackoffKind;
 use qrs_types::{RerankError, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -36,9 +30,6 @@ pub(crate) struct RetryRunner {
     policy: RetryPolicy,
     session_limit: Option<u64>,
     rng: StdRng,
-    /// The previous decorrelated-jitter sleep (the distribution's upper
-    /// bound is `3 ·` this). `None` until the first computed sleep.
-    prev_ms: Option<u64>,
 }
 
 impl RetryRunner {
@@ -48,20 +39,11 @@ impl RetryRunner {
             policy,
             session_limit,
             rng,
-            prev_ms: None,
         }
     }
 
     pub(crate) fn policy(&self) -> &RetryPolicy {
         &self.policy
-    }
-
-    /// Re-anchor the decorrelated-jitter chain after a successful step:
-    /// escalation from one step's storm must not inflate the sleeps of a
-    /// later, unrelated failure (the exponential schedule gets the same
-    /// reset for free from the per-step retry index).
-    pub(crate) fn reset_backoff(&mut self) {
-        self.prev_ms = None;
     }
 
     pub(crate) fn session_limit(&self) -> Option<u64> {
@@ -70,42 +52,18 @@ impl RetryRunner {
 
     /// The sleep before retry `retry_index` (1-based) of a step that just
     /// failed with `err`. The server's `retry_after_ms` hint dominates the
-    /// computed backoff (and leaves the decorrelated state untouched — the
-    /// server's window says nothing about our own schedule); jitter only
-    /// applies to the computed path.
+    /// computed backoff; jitter only applies to the computed path.
     pub(crate) fn delay_ms(&mut self, retry_index: u32, err: &RerankError) -> u64 {
         if let Some(hint) = err.retry_after_hint() {
             return hint;
         }
-        match self.policy.kind {
-            BackoffKind::Exponential => {
-                let base = self.policy.base_delay_ms(retry_index);
-                let jitter = if self.policy.jitter_ms == 0 {
-                    0
-                } else {
-                    self.rng.random_range(0..=self.policy.jitter_ms)
-                };
-                base.saturating_add(jitter)
-            }
-            BackoffKind::DecorrelatedJitter => {
-                // sleep_i ~ U[base, 3 · sleep_{i-1}], capped — always at
-                // least `base` and never above `max_backoff_ms`, so the
-                // sequence is bounded no matter how the draws fall.
-                let base = self.policy.base_backoff_ms;
-                let hi = self
-                    .prev_ms
-                    .unwrap_or(base)
-                    .saturating_mul(3)
-                    .clamp(base, self.policy.max_backoff_ms.max(base));
-                let sleep = if hi <= base {
-                    base
-                } else {
-                    self.rng.random_range(base..=hi)
-                };
-                self.prev_ms = Some(sleep);
-                sleep
-            }
-        }
+        let base = self.policy.base_delay_ms(retry_index);
+        let jitter = if self.policy.jitter_ms == 0 {
+            0
+        } else {
+            self.rng.random_range(0..=self.policy.jitter_ms)
+        };
+        base.saturating_add(jitter)
     }
 }
 
@@ -243,105 +201,6 @@ mod tests {
         // No hint: back to the computed schedule.
         let d = r.delay_ms(1, &rate_limited(None));
         assert!((1_000..=1_500).contains(&d));
-    }
-
-    #[test]
-    fn decorrelated_jitter_is_bounded_and_seeded() {
-        let policy = RetryPolicy::decorrelated_jitter(17)
-            .attempts(16)
-            .backoff(100, 2_000);
-        let delays: Vec<u64> = {
-            let mut r = RetryRunner::new(policy.clone(), None);
-            (1..=12).map(|i| r.delay_ms(i, &outage())).collect()
-        };
-        // Bounded: every sleep in [base, cap]; chained: each at most 3× the
-        // previous draw (the distribution's upper bound).
-        let mut prev = 100u64;
-        for &d in &delays {
-            assert!((100..=2_000).contains(&d), "sleep {d} out of [100, 2000]");
-            assert!(
-                d <= prev.saturating_mul(3).min(2_000),
-                "sleep {d} exceeds 3·{prev}"
-            );
-            prev = d;
-        }
-        // Seeded: same seed replays the exact sequence…
-        let mut r2 = RetryRunner::new(policy, None);
-        let replay: Vec<u64> = (1..=12).map(|i| r2.delay_ms(i, &outage())).collect();
-        assert_eq!(delays, replay);
-        // …and a different seed decorrelates it.
-        let mut r3 = RetryRunner::new(
-            RetryPolicy::decorrelated_jitter(18)
-                .attempts(16)
-                .backoff(100, 2_000),
-            None,
-        );
-        let other: Vec<u64> = (1..=12).map(|i| r3.delay_ms(i, &outage())).collect();
-        assert_ne!(delays, other);
-    }
-
-    #[test]
-    fn reset_backoff_reanchors_the_decorrelated_chain() {
-        let mut r = RetryRunner::new(
-            RetryPolicy::decorrelated_jitter(5)
-                .attempts(32)
-                .backoff(100, 100_000),
-            None,
-        );
-        // Escalate through a storm toward large sleeps…
-        let mut last = 0;
-        for i in 1..=12 {
-            last = r.delay_ms(i, &outage());
-        }
-        assert!(last > 300, "chain should have escalated, got {last}");
-        // …then a successful step resets the anchor: the next failure's
-        // sleep is drawn from [base, 3·base] again, not [base, 3·last].
-        r.reset_backoff();
-        let after = r.delay_ms(1, &outage());
-        assert!(
-            (100..=300).contains(&after),
-            "post-reset sleep {after} not re-anchored to [100, 300]"
-        );
-    }
-
-    #[test]
-    fn decorrelated_jitter_honors_the_server_hint_without_corrupting_state() {
-        let mut r = RetryRunner::new(
-            RetryPolicy::decorrelated_jitter(7)
-                .attempts(10)
-                .backoff(50, 10_000),
-            None,
-        );
-        let first = r.delay_ms(1, &outage());
-        assert!((50..=150).contains(&first));
-        // A hint dominates exactly and does not feed the chain: the next
-        // computed sleep is still bounded by 3× the last *computed* one.
-        assert_eq!(r.delay_ms(2, &rate_limited(Some(99_999))), 99_999);
-        let next = r.delay_ms(3, &outage());
-        assert!(next <= first.saturating_mul(3), "{next} > 3·{first}");
-    }
-
-    #[test]
-    fn degenerate_decorrelated_bounds_never_panic() {
-        // base == cap: every sleep is exactly the base.
-        let mut r = RetryRunner::new(
-            RetryPolicy::decorrelated_jitter(1)
-                .attempts(10)
-                .backoff(500, 500),
-            None,
-        );
-        assert_eq!(r.delay_ms(1, &outage()), 500);
-        assert_eq!(r.delay_ms(2, &outage()), 500);
-        // Zero base: sleeps collapse to zero rather than panicking on an
-        // empty range.
-        let mut r = RetryRunner::new(
-            RetryPolicy::decorrelated_jitter(1)
-                .attempts(10)
-                .backoff(0, 100),
-            None,
-        );
-        let d = r.delay_ms(1, &outage());
-        assert!(d <= 100);
     }
 
     #[test]

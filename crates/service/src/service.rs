@@ -97,17 +97,19 @@ pub struct RerankService {
     /// The observability plane (disabled by default: one branch per
     /// emission site, nothing constructed).
     obs: ObsHandle,
-    /// The adaptive-planner knobs: calibration + mid-flight re-planning.
+    /// Which adaptive loops run: calibration, mid-flight re-planning.
     /// [`AdaptiveConfig::disabled`] by default — the static planner, bit
     /// for bit.
     adaptive: AdaptiveConfig,
     /// Observed-cost store the adaptive loops train and consult. Always
-    /// present (it is inert until `adaptive.calibrate` turns it on) so
+    /// present (it is inert until `adaptive` turns calibration on) so
     /// callers can pre-train or share one across services.
     calibration: Arc<Calibration>,
-    /// The server's mutation sequence number the shared state was built
-    /// against. When the feed moves past it, the history and dense indexes
-    /// describe an older snapshot and are rebuilt empty at the next open.
+    /// The staleness stamp the shared state was built against: the
+    /// knowledge shard's epoch with a plane attached, else the server's
+    /// mutation sequence number. When the stamp moves past it, the history
+    /// and dense indexes describe an older snapshot and are rebuilt empty
+    /// at the next open.
     state_watermark: AtomicU64,
 }
 
@@ -140,25 +142,33 @@ impl RerankService {
         }
     }
 
-    /// Poll the server's mutation feed and, if it moved past the watermark
-    /// the shared state was built against, rebuild the state empty: the
-    /// history tuples, completeness proofs and dense indexes all describe
-    /// the pre-mutation snapshot, and an algorithm trusting them after a
-    /// delete would emit vanished tuples. Called by every
-    /// [`SessionBuilder::open`]; a no-op on servers without a mutation
-    /// feed (their sequence number is 0 forever). Returns the sequence
-    /// number seen.
-    pub(crate) fn sync_state(&self) -> u64 {
-        let seq = self.server.mutation_seq();
-        if seq > self.state_watermark.load(Ordering::Acquire) {
+    /// Rebuild the shared state empty if the site changed since it was
+    /// built: the history tuples, completeness proofs and dense indexes
+    /// all describe the older snapshot, and an algorithm trusting them
+    /// after a delete would emit vanished tuples. The staleness stamp is
+    /// the knowledge shard's epoch when a plane is attached — the gate's
+    /// `sync` turns a feed advance into an epoch bump first, so a manual
+    /// [`KnowledgePlane::invalidate`] on a feed-less site forgets here too
+    /// — and the server's mutation sequence number otherwise (0 forever on
+    /// a feed-less site). Stamps only ever advance the state: a reading
+    /// that goes backwards (an HTTP adapter's transport fault) is ignored.
+    /// Called by every [`SessionBuilder::open`].
+    pub(crate) fn sync_state(&self) {
+        let stamp = match self.knowledge_gate() {
+            Some(gate) => {
+                gate.sync();
+                gate.shard().epoch()
+            }
+            None => self.server.mutation_seq(),
+        };
+        if stamp > self.state_watermark.load(Ordering::Acquire) {
             let mut st = self.state.lock();
             // Re-check under the lock: a racing open may have rebuilt.
-            if seq > self.state_watermark.load(Ordering::Acquire) {
+            if stamp > self.state_watermark.load(Ordering::Acquire) {
                 *st = SharedState::new(self.server.schema(), self.params);
-                self.state_watermark.store(seq, Ordering::Release);
+                self.state_watermark.store(stamp, Ordering::Release);
             }
         }
-        seq
     }
 
     /// Attach a cross-session [`KnowledgePlane`], registering this
@@ -170,7 +180,8 @@ impl RerankService {
     /// federation amortizes across tenants (§3.1.1's cross-session
     /// amortization, lifted out of one process-wide `SharedState`).
     ///
-    /// Staleness has two regimes. Servers advertising
+    /// Staleness has two regimes, and both reach this service's own
+    /// shared state as well as the plane. Servers advertising
     /// [`Capability::MutationFeed`] handle it automatically: the gate polls
     /// the feed's sequence number before every request and at session open,
     /// and the shard's epoch bumps the moment the watermark advances — no
@@ -178,13 +189,16 @@ impl RerankService {
     /// data change. For servers *without* a feed the old contract stands:
     /// when the underlying site is known to have changed, call
     /// [`KnowledgePlane::invalidate`] for the source (one atomic epoch
-    /// bump) and every cached fact is re-earned.
+    /// bump) and every cached fact is re-earned — the next session on any
+    /// service attached to the source starts from an empty history.
     pub fn with_knowledge(mut self, plane: Arc<KnowledgePlane>, source: impl Into<String>) -> Self {
         let source = source.into();
         let gate = Arc::new(KnowledgeGate::new(
             Arc::clone(&self.server),
             plane.shard(&source),
         ));
+        // From here on the shard's epoch is the staleness stamp.
+        self.state_watermark = AtomicU64::new(gate.shard().epoch());
         self.kplane = Some(KnowledgeHandle {
             plane,
             source,
@@ -241,15 +255,14 @@ impl RerankService {
     }
 
     /// Opt into the closed-loop adaptive planner: with
-    /// [`AdaptiveConfig::enabled`] (or any config whose
-    /// [`AdaptiveConfig::is_active`] holds), the service's
-    /// [`Calibration`] store learns per-strategy actual/predicted spend
-    /// ratios from the charged ledger deltas, [`RerankService::planner`]
-    /// scales candidate estimates by them before ranking, and a running
-    /// [`Algorithm::Auto`] session whose weighted spend exceeds
-    /// `divergence_ratio ×` its calibrated prediction re-plans among the
-    /// remaining feasible candidates and switches strategies mid-flight
-    /// (at most once, keeping every paid-for row). The default is
+    /// [`AdaptiveConfig::enabled`], the service's [`Calibration`] store
+    /// learns per-strategy actual/predicted spend ratios from finished
+    /// sessions, [`RerankService::planner`] scales candidate estimates by
+    /// them before ranking, and a running [`Algorithm::Auto`] session whose
+    /// weighted spend exceeds twice its calibrated prediction re-plans
+    /// among the remaining feasible candidates and switches strategies
+    /// mid-flight (at most once, keeping every paid-for row);
+    /// `enabled().without_replan()` keeps only the learning. The default is
     /// [`AdaptiveConfig::disabled`]: static planning, bit for bit.
     pub fn with_adaptive(mut self, cfg: AdaptiveConfig) -> Self {
         self.adaptive = cfg;
@@ -272,7 +285,7 @@ impl RerankService {
         &self.calibration
     }
 
-    /// The adaptive-planner knobs this service runs under.
+    /// The adaptive loops this service runs.
     pub fn adaptive(&self) -> &AdaptiveConfig {
         &self.adaptive
     }
@@ -351,7 +364,7 @@ impl RerankService {
             // The size estimate the service was built with.
             self.params.n as usize,
         );
-        if self.adaptive.calibrate {
+        if self.adaptive.is_active() {
             planner.with_calibration(Arc::clone(&self.calibration))
         } else {
             planner
@@ -711,10 +724,10 @@ impl<'a> SessionBuilder<'a> {
     ///   `NaN` endpoint, an attribute the schema does not have); nothing
     ///   was sent or charged.
     pub fn open(mut self) -> Result<Session<'a>, RerankError> {
-        // Catch up with the server's mutation feed before anything trusts
-        // cached knowledge: a stale shared state is rebuilt empty here, and
-        // the knowledge gate below re-syncs its shard's watermark so sealed
-        // result streams recorded before a data change can never replay.
+        // Catch up with the site before anything trusts cached knowledge:
+        // a stale shared state is rebuilt empty here, and the gate's shard
+        // has observed the feed first, so the sealed-stream lookup below
+        // rejects anything recorded against an older snapshot.
         self.svc.sync_state();
         let planner = self.planner();
         let (plan, built) = self.resolve(&planner)?;
@@ -741,11 +754,6 @@ impl<'a> SessionBuilder<'a> {
         retry.seed ^= nonce.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let knowledge = if self.spec.use_knowledge {
             self.svc.knowledge_gate().map(|gate| {
-                // The stale-replay fix: observe the feed *before* looking
-                // up a sealed stream, so a post-mutation open bumps the
-                // shard epoch first and the lookup below rejects anything
-                // recorded against the older snapshot.
-                gate.sync();
                 // Custom strategies never key the result cache: their
                 // exactness is the author's promise, so their streams are
                 // neither recorded nor replayed (the request-level gate
@@ -815,7 +823,7 @@ impl<'a> SessionBuilder<'a> {
         let adaptive =
             if self.svc.adaptive().is_active() && !matches!(plan.algorithm, Algorithm::Custom) {
                 Some(AdaptiveState::new(
-                    self.svc.adaptive().clone(),
+                    self.svc.adaptive().replans(),
                     &plan,
                     planner.horizon(),
                     self.spec.tie,

@@ -32,7 +32,7 @@ use qrs_knowledge::{ResultKey, SourceShard};
 use qrs_obs::{BudgetScope, EventKind, QueryClass};
 use qrs_ranking::RankFn;
 use qrs_server::SearchInterface;
-use qrs_types::{AdaptiveConfig, Query, RequestKind, RerankError, Tuple};
+use qrs_types::{Query, RequestKind, RerankError, Tuple};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -70,18 +70,26 @@ pub(crate) struct SessionKnowledge {
     pub(crate) credited: bool,
 }
 
-/// Mid-flight re-planning state, armed at open time for built-in-strategy
+/// The mid-flight switch trigger: re-plan once a session's weighted spend
+/// exceeds this multiple of its calibrated prediction…
+const DIVERGENCE_RATIO: f64 = 2.0;
+/// …and at least this many cost units were paid — a guard against
+/// switching on the first page of a front-loaded strategy.
+const MIN_SPEND: u64 = 8;
+
+/// Adaptive-planner state, armed at open time for built-in-strategy
 /// sessions on a service opted into the adaptive planner
 /// (`RerankService::with_adaptive`).
 ///
-/// The session watches its own weighted spend against the calibrated
-/// plan-time prediction; past the configured divergence ratio it re-ranks
-/// the plan's remaining feasible candidates under the *current*
-/// calibration, rebuilds the cheapest one's strategy, and swaps it in —
-/// at most once per session, swallowing the new strategy's re-derivation
-/// of the already-emitted prefix so the user-visible stream stays exact.
+/// The session files its actual-vs-predicted spend with the calibration
+/// store when it closes. With re-planning on, it also watches its own
+/// weighted spend against the calibrated plan-time prediction; past
+/// [`DIVERGENCE_RATIO`] it re-ranks the plan's remaining feasible
+/// candidates under the *current* calibration, rebuilds the cheapest one's
+/// strategy, and swaps it in — at most once per session, swallowing the
+/// new strategy's re-derivation of the already-emitted prefix so the
+/// user-visible stream stays exact.
 pub(crate) struct AdaptiveState {
-    cfg: AdaptiveConfig,
     /// The static plan-time estimate.
     predicted: CostEstimate,
     /// The calibration-scaled plan-time estimate the divergence trigger
@@ -91,9 +99,9 @@ pub(crate) struct AdaptiveState {
     /// more than predicted is expected, not divergence.
     horizon: usize,
     /// The plan's remaining feasible candidates (cheapest-first at plan
-    /// time), each carrying its own server query and residual. Empty for
-    /// explicit-algorithm and custom sessions — which therefore never
-    /// switch.
+    /// time), each carrying its own server query and residual. Empty when
+    /// re-planning is off and for explicit-algorithm sessions — which
+    /// therefore never switch.
     alternates: Vec<RankedCandidate>,
     tie: TiePolicy,
     /// Latch: one switch max per session.
@@ -102,16 +110,18 @@ pub(crate) struct AdaptiveState {
 
 impl AdaptiveState {
     /// Arm the loops for a session executing `plan`, priced at `horizon`:
-    /// the alternates are the plan's cost ranking below the chosen
-    /// candidate — empty under an explicit algorithm choice, which
-    /// therefore never switches.
-    pub(crate) fn new(cfg: AdaptiveConfig, plan: &Plan, horizon: usize, tie: TiePolicy) -> Self {
+    /// with `replan` on, the alternates are the plan's cost ranking below
+    /// the chosen candidate — empty under an explicit algorithm choice.
+    pub(crate) fn new(replan: bool, plan: &Plan, horizon: usize, tie: TiePolicy) -> Self {
+        let alternates = match plan.candidates.get(1..) {
+            Some(rest) if replan => rest.to_vec(),
+            _ => Vec::new(),
+        };
         AdaptiveState {
-            cfg,
             predicted: plan.estimate,
             calibrated: plan.calibrated_estimate,
             horizon,
-            alternates: plan.candidates.get(1..).unwrap_or_default().to_vec(),
+            alternates,
             tie,
             switched: false,
         }
@@ -409,14 +419,7 @@ impl<'a> Session<'a> {
                 return Err(RerankError::BudgetExhausted { spent, limit });
             }
             let err = match self.step() {
-                Ok(step) => {
-                    // A successful step re-anchors the decorrelated
-                    // backoff chain: escalation from an earlier storm
-                    // must not inflate sleeps for later, unrelated
-                    // failures.
-                    self.retry.reset_backoff();
-                    return Ok(step);
-                }
+                Ok(step) => return Ok(step),
                 Err(e) => e,
             };
             if !err.is_retryable() || !self.retry.policy().retries_enabled() {
@@ -528,8 +531,8 @@ impl<'a> Session<'a> {
     }
 
     /// The mid-flight divergence check: when this session's weighted spend
-    /// exceeds `divergence_ratio ×` its calibrated prediction while rows
-    /// remain to the horizon (and at least `min_spend` units were paid —
+    /// exceeds [`DIVERGENCE_RATIO`] × its calibrated prediction while rows
+    /// remain to the horizon (and at least [`MIN_SPEND`] units were paid —
     /// front-loaded strategies pay for their whole drain up front), re-rank
     /// the plan's remaining feasible candidates under the *current*
     /// calibration and switch to the cheapest. At most once per session;
@@ -539,14 +542,13 @@ impl<'a> Session<'a> {
     fn maybe_replan(&mut self) {
         let Some(ad) = &self.adaptive else { return };
         if ad.switched
-            || !ad.cfg.replan
             || ad.alternates.is_empty()
             || self.ledger.emitted >= ad.horizon
-            || self.ledger.cost_units_spent < ad.cfg.min_spend
+            || self.ledger.cost_units_spent < MIN_SPEND
         {
             return;
         }
-        let threshold = ad.cfg.divergence_ratio * ad.calibrated.cost_units.max(1) as f64;
+        let threshold = DIVERGENCE_RATIO * ad.calibrated.cost_units.max(1) as f64;
         if self.ledger.cost_units_spent as f64 <= threshold {
             return;
         }
@@ -555,18 +557,11 @@ impl<'a> Session<'a> {
         // re-ordered them. Ties keep plan order (min_by_key returns the
         // first minimum).
         let store = self.svc.calibration();
-        let calibrating = ad.cfg.calibrate;
         let pick = ad
             .alternates
             .iter()
             .enumerate()
-            .min_by_key(|(_, c)| {
-                if calibrating {
-                    store.calibrate(&c.name, c.estimate).cost_units
-                } else {
-                    c.estimate.cost_units
-                }
-            })
+            .min_by_key(|(_, c)| store.calibrate(&c.name, c.estimate).cost_units)
             .map(|(i, _)| i)
             .expect("alternates is non-empty");
         let (chosen, tie) = {
@@ -659,15 +654,6 @@ impl<'a> Session<'a> {
         // carries the very numbers the ledgers above accumulated — the
         // monitor's actual column reconciles exactly by construction.
         if dq > 0 || dc > 0 {
-            // Train the calibration store with the same in-lock delta the
-            // ledgers just accumulated — outside the lock, like obs.
-            if let Some(ad) = &self.adaptive {
-                if ad.cfg.calibrate {
-                    self.svc
-                        .calibration()
-                        .on_charge(self.strategy.name(), self.class(), dq, dc);
-                }
-            }
             self.emit_obs(|| EventKind::RequestCharged {
                 class: self.class(),
                 queries: dq,
@@ -804,11 +790,7 @@ impl Drop for Session<'_> {
         // emitted nothing or paid nothing (a fully knowledge-replayed run
         // says nothing about the site's prices).
         if let Some(ad) = &self.adaptive {
-            if ad.cfg.calibrate
-                && !ad.switched
-                && self.ledger.emitted > 0
-                && self.ledger.queries_spent > 0
-            {
+            if !ad.switched && self.ledger.emitted > 0 && self.ledger.queries_spent > 0 {
                 self.svc.calibration().observe_session(
                     self.strategy.name(),
                     ad.predicted,
@@ -1224,51 +1206,6 @@ mod tests {
         assert_eq!(stats.queries_spent, s.queries_spent());
         assert_eq!(stats.retries_spent, 2);
         assert!(stats.attempts_made >= 2 + hits.len() as u64);
-    }
-
-    #[test]
-    fn decorrelated_jitter_sleeps_are_bounded_and_seeded_on_the_mock_clock() {
-        use qrs_server::{Clock, Fault, FaultyServer, MockClock, SearchInterface};
-        use qrs_types::RetryPolicy;
-        let run = |policy_seed: u64| -> Vec<u64> {
-            let data = uniform(200, 2, 1, 619);
-            let inner = Arc::new(SimServer::new(
-                data,
-                SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]),
-                3,
-            ));
-            // Five consecutive outages: five decorrelated sleeps.
-            let faulty = FaultyServer::new(Arc::clone(&inner) as Arc<dyn SearchInterface>)
-                .with_storm(1, 5, Fault::Outage);
-            let clock = Arc::new(MockClock::new());
-            let svc = RerankService::new(Arc::new(faulty), 200)
-                .with_retry_policy(
-                    RetryPolicy::decorrelated_jitter(policy_seed)
-                        .attempts(10)
-                        .backoff(100, 1_500),
-                )
-                .with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
-            let mut s = svc.session(Query::all(), rank2()).open().unwrap();
-            let (hits, err) = s.top(3);
-            assert!(err.is_none(), "storm should be absorbed: {err:?}");
-            assert_eq!(hits.len(), 3);
-            assert_eq!(s.retries_spent(), 5);
-            clock.sleeps()
-        };
-        let sleeps = run(42);
-        assert_eq!(sleeps.len(), 5);
-        // Bounded: every sleep within [base, cap], and chained below 3x
-        // the previous draw (the decorrelated distribution's support).
-        let mut prev = 100u64;
-        for &ms in &sleeps {
-            assert!((100..=1_500).contains(&ms), "sleep {ms} out of bounds");
-            assert!(ms <= prev.saturating_mul(3).min(1_500));
-            prev = ms;
-        }
-        // Seeded: an identical service replays the identical sequence; a
-        // different policy seed draws a different one.
-        assert_eq!(sleeps, run(42));
-        assert_ne!(sleeps, run(43));
     }
 
     #[test]

@@ -4,51 +4,37 @@
 //! [`crate::CostModel`]. Real sites drift: the advertised prices go stale,
 //! or the per-family estimators are systematically off for a particular
 //! data distribution. The adaptive layer (`qrs-service`'s `Calibration`)
-//! closes that loop by folding *observed* charges into exponentially
-//! weighted moving averages and scaling future predictions by them; this
-//! module holds the knobs ([`AdaptiveConfig`]) and the deterministic
-//! [`Ewma`] accumulator both sides share.
+//! closes that loop by folding each finished session's actual/predicted
+//! spend into exponentially weighted moving averages and scaling future
+//! predictions by them; this module holds the switch ([`AdaptiveConfig`])
+//! and the deterministic [`Ewma`] accumulator.
 
-/// Knobs for the closed-loop adaptive planner.
+/// Which of the closed-loop adaptive planner's two loops run.
 ///
-/// Two independently switchable behaviours:
+/// * **calibration** — each finished session's actual/predicted spend
+///   ratios train the service's `Calibration` store, and `Planner::plan`
+///   scales every candidate's static estimate by them before ranking;
+/// * **re-planning** — a running `Auto` session whose actual weighted
+///   spend exceeds twice its calibrated prediction (once at least 8 units
+///   were paid, and only before the plan horizon is reached) re-plans
+///   among the remaining feasible candidates, ranked by calibrated
+///   estimates, and switches strategies mid-flight without losing
+///   paid-for knowledge. The 2× / 8-unit trigger is fixed.
 ///
-/// * **calibration** (`calibrate`) — observed-cost statistics are fed from
-///   the same in-lock ledger deltas the session stats use, and
-///   `Planner::plan` scales each candidate's static estimate by the
-///   learned actual/predicted ratio before ranking;
-/// * **re-planning** (`replan`) — a running `Auto` session whose actual
-///   weighted spend exceeds `divergence_ratio ×` its calibrated prediction
-///   (once at least `min_spend` units were paid, and only before the plan
-///   horizon is reached) re-plans among the remaining feasible candidates
-///   and switches strategies mid-flight, without losing paid-for
-///   knowledge.
-///
-/// The default is [`AdaptiveConfig::disabled`]: the service behaves
-/// exactly like the static planner unless explicitly opted in.
-#[derive(Debug, Clone, PartialEq)]
+/// Three configurations exist: [`AdaptiveConfig::disabled`] (the default:
+/// the service behaves exactly like the static planner),
+/// [`AdaptiveConfig::enabled`] (both loops), and
+/// `enabled().without_replan()` (learn costs, never switch).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdaptiveConfig {
-    /// Mid-flight switch trigger: re-plan when
-    /// `cost_units_spent > divergence_ratio × calibrated prediction`.
-    pub divergence_ratio: f64,
-    /// Weighted cost units a session must have paid before the divergence
-    /// trigger may fire — guards against switching on the first page of a
-    /// front-loaded strategy.
-    pub min_spend: u64,
-    /// Feed and consult the calibration store at plan time.
-    pub calibrate: bool,
-    /// Allow divergence-triggered mid-flight strategy switches (at most
-    /// one per session, `Auto` sessions only).
-    pub replan: bool,
+    calibrate: bool,
+    replan: bool,
 }
 
 impl AdaptiveConfig {
-    /// Both loops on, with the stock trigger: switch past 2× the
-    /// calibrated prediction, once at least 8 cost units were paid.
+    /// Both loops on.
     pub fn enabled() -> Self {
         AdaptiveConfig {
-            divergence_ratio: 2.0,
-            min_spend: 8,
             calibrate: true,
             replan: true,
         }
@@ -57,31 +43,9 @@ impl AdaptiveConfig {
     /// Everything off — the static planner, bit for bit. The default.
     pub fn disabled() -> Self {
         AdaptiveConfig {
-            divergence_ratio: 2.0,
-            min_spend: 8,
             calibrate: false,
             replan: false,
         }
-    }
-
-    /// Builder: override the divergence trigger ratio (values ≤ 1.0 make
-    /// any deviation a trigger; NaN is clamped to the default 2.0).
-    pub fn with_divergence_ratio(mut self, ratio: f64) -> Self {
-        self.divergence_ratio = if ratio.is_nan() { 2.0 } else { ratio };
-        self
-    }
-
-    /// Builder: override the minimum paid spend before a switch may fire.
-    pub fn with_min_spend(mut self, units: u64) -> Self {
-        self.min_spend = units;
-        self
-    }
-
-    /// Builder: calibration opt-out — keep re-planning (against static
-    /// predictions) but never scale plan-time estimates.
-    pub fn without_calibration(mut self) -> Self {
-        self.calibrate = false;
-        self
     }
 
     /// Builder: re-planning opt-out — keep learning costs but never switch
@@ -91,10 +55,15 @@ impl AdaptiveConfig {
         self
     }
 
-    /// True when either loop is on (the service only pays any adaptive
-    /// bookkeeping at all in that case).
+    /// True when the calibration loop runs (the service only pays any
+    /// adaptive bookkeeping at all in that case).
     pub fn is_active(&self) -> bool {
-        self.calibrate || self.replan
+        self.calibrate
+    }
+
+    /// True when a running session may switch strategies mid-flight.
+    pub fn replans(&self) -> bool {
+        self.replan
     }
 }
 
@@ -135,30 +104,6 @@ impl Ewma {
         }
     }
 
-    /// An empty average whose smoothing factor is expressed as a
-    /// **half-life in observations**: after `half_life` further samples, an
-    /// old value's weight has decayed to one half (`(1 − α)^h = 1/2`, so
-    /// `α = 1 − 2^(−1/h)`). The windowed way to say "forget drift that
-    /// reverted": a site whose prices drift and then drift *back* halves
-    /// its residual bias every `half_life` sessions. Non-positive or NaN
-    /// half-lives collapse to `α = 1` (only the newest sample counts); an
-    /// infinite one clamps to the smallest positive weight.
-    pub fn with_half_life(half_life: f64) -> Self {
-        let alpha = if half_life > 0.0 {
-            // An infinite half-life drives α to 0, which `Ewma::new` clamps
-            // to the smallest positive weight — "effectively never forget".
-            1.0 - 2f64.powf(-1.0 / half_life)
-        } else {
-            1.0
-        };
-        Ewma::new(alpha)
-    }
-
-    /// The smoothing factor α ∈ (0, 1].
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Fold one observation in. Non-finite observations are ignored — a
     /// poisoned sample must never poison every later prediction.
     pub fn observe(&mut self, x: f64) {
@@ -191,23 +136,12 @@ mod tests {
     #[test]
     fn defaults_are_off_and_builders_toggle() {
         let d = AdaptiveConfig::default();
-        assert!(!d.is_active());
+        assert!(!d.is_active() && !d.replans());
         assert_eq!(d, AdaptiveConfig::disabled());
         let e = AdaptiveConfig::enabled();
-        assert!(e.is_active() && e.calibrate && e.replan);
-        assert!(!AdaptiveConfig::enabled().without_replan().replan);
-        assert!(!AdaptiveConfig::enabled().without_calibration().calibrate);
-        assert!(AdaptiveConfig::enabled().without_replan().is_active());
-        let r = AdaptiveConfig::enabled()
-            .with_divergence_ratio(3.5)
-            .with_min_spend(100);
-        assert_eq!((r.divergence_ratio, r.min_spend), (3.5, 100));
-        assert_eq!(
-            AdaptiveConfig::enabled()
-                .with_divergence_ratio(f64::NAN)
-                .divergence_ratio,
-            2.0
-        );
+        assert!(e.is_active() && e.replans());
+        let learn_only = AdaptiveConfig::enabled().without_replan();
+        assert!(learn_only.is_active() && !learn_only.replans());
     }
 
     #[test]
@@ -243,49 +177,5 @@ mod tests {
         g.observe(1.0);
         g.observe(7.0);
         assert_eq!(g.value(), Some(7.0));
-    }
-
-    #[test]
-    fn half_life_halves_residual_bias_per_window() {
-        // Seed at 3.0, then observe 1.0 forever: the deviation from 1.0
-        // must halve every `half_life` observations, exactly.
-        let h = 4.0;
-        let mut e = Ewma::with_half_life(h);
-        e.observe(3.0);
-        for _ in 0..4 {
-            e.observe(1.0);
-        }
-        let dev_after_one_window = e.value().unwrap() - 1.0;
-        assert!(
-            (dev_after_one_window - 1.0).abs() < 1e-12,
-            "deviation 2.0 must halve to 1.0 after one half-life, got {dev_after_one_window}"
-        );
-        for _ in 0..4 {
-            e.observe(1.0);
-        }
-        let dev_after_two = e.value().unwrap() - 1.0;
-        assert!(
-            (dev_after_two - 0.5).abs() < 1e-12,
-            "deviation must halve again to 0.5, got {dev_after_two}"
-        );
-    }
-
-    #[test]
-    fn degenerate_half_lives_track_the_newest_sample() {
-        for h in [0.0, -3.0, f64::NAN, f64::INFINITY] {
-            let mut e = Ewma::with_half_life(h);
-            e.observe(10.0);
-            e.observe(2.0);
-            // Infinity gives alpha → 0, clamped to MIN_POSITIVE: ~keeps
-            // the seed; all others collapse to alpha = 1.
-            if h.is_infinite() {
-                assert!((e.value().unwrap() - 10.0).abs() < 1e-9);
-            } else {
-                assert_eq!(e.value(), Some(2.0), "half_life {h}");
-            }
-        }
-        // A sane half-life sits strictly inside (0, 1).
-        let a = Ewma::with_half_life(4.0).alpha();
-        assert!(a > 0.0 && a < 1.0);
     }
 }

@@ -29,7 +29,7 @@
 //!   the `qrs-service` retry loop,
 //! * [`CostModel`] — per-query-class unit costs a metered site advertises
 //!   and charges by; the currency of the cost-based planner,
-//! * [`AdaptiveConfig`], [`Ewma`] — knobs and the deterministic moving
+//! * [`AdaptiveConfig`], [`Ewma`] — the switch and the deterministic moving
 //!   average behind the `qrs-service` calibration/re-planning loop.
 //!
 //! Everything downstream (`qrs-server`, `qrs-core`, …) is written against

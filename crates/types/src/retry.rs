@@ -19,23 +19,6 @@
 //! [`RerankError::is_retryable`]: crate::RerankError::is_retryable
 //! [`RerankError::BudgetExhausted`]: crate::RerankError::BudgetExhausted
 
-/// Which backoff schedule a [`RetryPolicy`] computes between attempts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum BackoffKind {
-    /// Exponential doubling from `base_backoff_ms`, capped, plus a uniform
-    /// jitter draw from `[0, jitter_ms]` — the classic schedule and the
-    /// default.
-    #[default]
-    Exponential,
-    /// Decorrelated "full jitter" (the AWS architecture-blog variant): each
-    /// sleep is drawn uniformly from `[base_backoff_ms, 3 · previous]` and
-    /// capped at `max_backoff_ms`. Consecutive sleeps are decorrelated from
-    /// the retry index, so a fleet of clients that failed together does not
-    /// re-converge on the same retry instants the way a shared exponential
-    /// schedule does. `jitter_ms` is ignored: the whole draw is jitter.
-    DecorrelatedJitter,
-}
-
 /// How a session retries transient server failures.
 ///
 /// An exhausted policy surfaces [`RetriesExhausted`] carrying the attempt
@@ -83,9 +66,6 @@ pub struct RetryPolicy {
     /// Seed for the deterministic jitter draw (tests replay exact backoff
     /// sequences; production picks any seed).
     pub seed: u64,
-    /// Which backoff schedule the sleeps follow (default
-    /// [`BackoffKind::Exponential`]).
-    pub kind: BackoffKind,
 }
 
 impl Default for RetryPolicy {
@@ -104,7 +84,6 @@ impl RetryPolicy {
             max_backoff_ms: 0,
             jitter_ms: 0,
             seed: 0,
-            kind: BackoffKind::Exponential,
         }
     }
 
@@ -117,39 +96,7 @@ impl RetryPolicy {
             max_backoff_ms: 10_000,
             jitter_ms: 100,
             seed: 0x9E37_79B9_7F4A_7C15,
-            kind: BackoffKind::Exponential,
         }
-    }
-
-    /// Decorrelated "full jitter" backoff: 4 attempts, sleeps drawn
-    /// uniformly from `[100 ms, 3 · previous]` capped at 10 s, seeded for
-    /// replayable tests. Prefer this over [`RetryPolicy::standard`] when
-    /// many clients share one backend: the schedule never re-synchronizes
-    /// a failed fleet (see [`BackoffKind::DecorrelatedJitter`]).
-    ///
-    /// ```
-    /// use qrs_types::{retry::BackoffKind, RetryPolicy};
-    ///
-    /// let p = RetryPolicy::decorrelated_jitter(42);
-    /// assert_eq!(p.kind, BackoffKind::DecorrelatedJitter);
-    /// assert_eq!(p.seed, 42);
-    /// assert!(p.retries_enabled());
-    /// ```
-    pub fn decorrelated_jitter(seed: u64) -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff_ms: 100,
-            max_backoff_ms: 10_000,
-            jitter_ms: 0,
-            seed,
-            kind: BackoffKind::DecorrelatedJitter,
-        }
-    }
-
-    /// Builder: switch the backoff schedule.
-    pub fn backoff_kind(mut self, kind: BackoffKind) -> Self {
-        self.kind = kind;
-        self
     }
 
     /// Builder: total attempts per step (clamped to at least 1).

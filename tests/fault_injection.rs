@@ -21,7 +21,7 @@ use query_reranking::server::{
 };
 use query_reranking::service::{Algorithm, FederatedSession, RerankService};
 use query_reranking::types::value::cmp_f64;
-use query_reranking::types::{AttrId, Dataset, Query, RerankError, RetryPolicy};
+use query_reranking::types::{AttrId, CircuitPolicy, Dataset, Query, RerankError, RetryPolicy};
 use std::sync::Arc;
 
 /// Base seed for fault schedules; override with `QRS_TEST_SEED` to prove
@@ -256,7 +256,7 @@ fn federated_merge_degrades_around_a_dead_source_with_typed_report() {
     let services = [&svc_a, &svc_dead, &svc_b];
     let mut fed = FederatedSession::open(&services, Query::all(), rank2(), Algorithm::Auto)
         .unwrap()
-        .with_failure_threshold(2);
+        .with_circuit(CircuitPolicy::trip_after(2));
     let (got, err) = fed.top(40);
     assert!(err.is_none(), "degraded merge must complete: {err:?}");
     assert_eq!(got.len(), 40);

@@ -310,6 +310,26 @@ fn invalidation_restores_cold_cost_and_exactness() {
             cold_cost,
             "case {case}: re-paying must cost cold price"
         );
+        drop(b);
+
+        // The same holds for the service that learned it all: its own
+        // history and completeness proofs are part of what went stale.
+        plane.invalidate("site");
+        let mut a = svc_a
+            .session(sel.clone(), Arc::clone(&rank))
+            .open()
+            .unwrap();
+        assert_eq!(
+            pull(&mut a, h),
+            stream_a,
+            "case {case}: stream diverged on the invalidated service"
+        );
+        assert_eq!(a.queries_saved(), 0, "case {case}: stale knowledge used");
+        assert_eq!(
+            a.queries_spent(),
+            cold_cost,
+            "case {case}: the invalidated service kept its stale history"
+        );
     }
 }
 

@@ -11,10 +11,12 @@
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::exec::Executor;
 use query_reranking::ranking::{LinearRank, RankFn};
-use query_reranking::server::{SimServer, SystemRank};
+use query_reranking::server::{SearchInterface, SimServer, SystemRank};
 use query_reranking::service::batch::BatchRequest;
 use query_reranking::service::{Algorithm, FederatedSession, KnowledgePlane, RerankService};
-use query_reranking::types::{AttrId, Dataset, Interval, Query};
+use query_reranking::types::{
+    AttrId, Dataset, Interval, Query, QueryResponse, Schema, ServerError, TupleId,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -307,4 +309,65 @@ fn concurrent_invalidation_never_resurrects_sealed_streams_wrongly() {
             });
         }
     });
+}
+
+/// A bare top-k site without a mutation feed: searches are forwarded, but
+/// `mutation_seq` keeps the trait default — 0 forever.
+struct FeedLess(Arc<SimServer>);
+
+impl SearchInterface for FeedLess {
+    fn schema(&self) -> &Arc<Schema> {
+        self.0.schema()
+    }
+    fn k(&self) -> usize {
+        self.0.k()
+    }
+    fn query(&self, q: &Query) -> Result<QueryResponse, ServerError> {
+        self.0.query(q)
+    }
+    fn queries_issued(&self) -> u64 {
+        self.0.queries_issued()
+    }
+}
+
+#[test]
+fn manual_invalidation_reaches_the_services_own_state_on_a_feedless_site() {
+    // The documented discipline for a site without a feed: when it is
+    // known to have changed, invalidate its source. The next session on
+    // the *same* service must then see the change — not answer from the
+    // history it learned before, which still holds the deleted tuple.
+    let inner = Arc::new(SimServer::new(
+        uniform(300, 2, 1, seeded(3) | 1),
+        SystemRank::pseudo_random(3),
+        5,
+    ));
+    let plane = Arc::new(KnowledgePlane::new());
+    let svc = RerankService::new(Arc::new(FeedLess(Arc::clone(&inner))), 300)
+        .with_knowledge(Arc::clone(&plane), "site");
+    let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0)]));
+    let ids = |svc: &RerankService| -> Vec<u32> {
+        let mut s = svc.session(Query::all(), Arc::clone(&rank)).open().unwrap();
+        let (hits, err) = s.top(5);
+        assert!(err.is_none(), "{err:?}");
+        hits.iter().map(|h| h.tuple.id.0).collect()
+    };
+    let before = ids(&svc);
+    let top = before[0];
+    inner.delete(TupleId(top)).expect("the top tuple is live");
+    plane.invalidate("site");
+
+    let after = ids(&svc);
+    assert!(
+        !after.contains(&top),
+        "deleted tuple {top} served after invalidation: {after:?}"
+    );
+    let scorer = Arc::clone(&rank);
+    let truth: Vec<u32> = inner
+        .dataset()
+        .rank_by(&Query::all(), move |t| scorer.score(t))
+        .iter()
+        .take(5)
+        .map(|t| t.id.0)
+        .collect();
+    assert_eq!(after, truth, "post-invalidation stream is not the oracle's");
 }

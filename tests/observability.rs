@@ -1,5 +1,5 @@
 //! The observability plane end to end: events must *reconcile exactly*
-//! with the ledgers they narrate, striped counters must sum to the same
+//! with the ledgers they narrate, the shared counters must sum to the same
 //! totals the per-session accounting reports under contention, the bounded
 //! recorder must drop oldest without tearing, and — critically — a service
 //! with no observer attached, or with a full one, must behave
@@ -100,7 +100,7 @@ fn monitor_reconciles_exactly_with_ledgers() {
     assert_eq!(report.saved_queries_total(), session_totals.2);
     assert_eq!(report.saved_cost_units_total(), session_totals.3);
 
-    // ... and == the service-wide striped ledgers, exactly (summed over
+    // ... and == the service-wide ledgers, exactly (summed over
     // the two services sharing the handle).
     let spent_q: u64 = services.iter().map(|s| s.stats().queries_spent).sum();
     let spent_c: u64 = services.iter().map(|s| s.stats().cost_units_spent).sum();
@@ -162,7 +162,7 @@ fn monitor_reconciles_exactly_with_ledgers() {
 /// leg runs on `Executor::from_env`, so `QRS_EXEC_THREADS={0,1,8}` sweeps
 /// inline, single-threaded and wide schedules.
 #[test]
-fn striped_counters_match_ledger_sums_under_threads() {
+fn shared_counters_match_ledger_sums_under_threads() {
     let data = uniform(240, 2, 1, seeded(0xB02) | 1);
     let svc = Arc::new(service(&data).with_observer(ObsHandle::for_site("site-b")));
 

@@ -152,16 +152,11 @@ fn random_world(rng: &mut Rng, case: u64) -> World {
     };
 
     let adaptive = rng.chance(50).then(|| {
-        let mut cfg = AdaptiveConfig::enabled()
-            .with_divergence_ratio(1.0 + rng.unit() * 3.0)
-            .with_min_spend(rng.range(1, 16));
         if rng.chance(25) {
-            cfg = cfg.without_calibration();
+            AdaptiveConfig::enabled().without_replan()
+        } else {
+            AdaptiveConfig::enabled()
         }
-        if rng.chance(25) {
-            cfg = cfg.without_replan();
-        }
-        cfg
     });
 
     World {
