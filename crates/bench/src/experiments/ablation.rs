@@ -12,7 +12,7 @@ use qrs_core::{MdCursor, MdOptions, RerankParams, SharedState};
 use qrs_datagen::synthetic::correlated;
 use qrs_datagen::{md_workload, WorkloadConfig};
 use qrs_ranking::{LinearRank, RankFn};
-use qrs_server::{SearchInterface, SimServer, SystemRank};
+use qrs_server::{Capabilities, SearchInterface, SimServer, SystemRank};
 use qrs_types::{AttrId, Query};
 use std::sync::Arc;
 
@@ -207,7 +207,8 @@ fn baselines(scale: Scale) {
     let truth = data.rank_by(&Query::all(), |t| rank.score(t));
 
     // Exact MD-RERANK for the top-10.
-    let server = SimServer::new(data.clone(), sys.clone(), 10).with_paging();
+    let server = SimServer::new(data.clone(), sys.clone(), 10)
+        .with_capabilities(Capabilities::none().with_paging());
     let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
     let mut cur = MdCursor::new(
         Arc::new(rank.clone()) as Arc<dyn RankFn>,
@@ -247,7 +248,8 @@ fn baselines(scale: Scale) {
 
     // Page-down with various page budgets.
     for pages in [1usize, 5, 20, 100] {
-        let server3 = SimServer::new(data.clone(), sys.clone(), 10).with_paging();
+        let server3 = SimServer::new(data.clone(), sys.clone(), 10)
+            .with_capabilities(Capabilities::none().with_paging());
         let mut st3 = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
         let p = page_down_rerank(&server3, &mut st3, &Query::all(), |t| rank.score(t), pages)
             .expect("offline sim server does not fail");

@@ -10,7 +10,7 @@ use crate::runner::{md_cost_curve, one_d_cost_curve};
 use crate::{print_figure, Scale, Series};
 use qrs_core::{MdAlgo, OneDStrategy, RerankParams, SharedState, TiePolicy};
 use qrs_datagen::{autos, diamonds, md_workload, one_d_workload, WorkloadConfig};
-use qrs_server::{SimServer, SystemRank};
+use qrs_server::{Capabilities, SimServer, SystemRank};
 use qrs_types::Dataset;
 
 struct Site {
@@ -105,7 +105,7 @@ fn md_site_curves(site: &Site, scale: Scale, queries: usize, unfiltered: f64) ->
         // Both live sites publicly offer per-attribute ORDER BY (§6.1); the
         // third series measures the §5 extension that exploits it.
         let server = SimServer::new(site.data.clone(), site.system.clone(), site.k)
-            .with_order_by(order_by_all(&site.data));
+            .with_capabilities(Capabilities::none().with_order_by(order_by_all(&site.data)));
         let mut st = SharedState::new(
             site.data.schema(),
             RerankParams::paper_defaults(site.data.len(), site.k),

@@ -250,13 +250,7 @@ pub fn run(scale: Scale) -> Vec<CostRow> {
             cost_units: r.predicted_cost,
         };
         let store = Calibration::new();
-        store.observe_session(
-            &r.candidate,
-            predicted,
-            r.actual_queries,
-            r.actual_cost,
-            p.top_h as u64,
-        );
+        store.observe_session(&r.candidate, predicted, r.actual_queries, r.actual_cost);
         let calibrated = store.calibrate(&r.candidate, predicted);
         let static_err = r.predicted_cost.abs_diff(r.actual_cost);
         let calibrated_err = calibrated.cost_units.abs_diff(r.actual_cost);

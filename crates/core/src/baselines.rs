@@ -211,7 +211,7 @@ mod tests {
     use super::*;
     use crate::params::RerankParams;
     use qrs_datagen::synthetic::uniform;
-    use qrs_server::{SimServer, SystemRank};
+    use qrs_server::{Capabilities, SimServer, SystemRank};
     use qrs_types::AttrId;
 
     fn score(t: &Tuple) -> f64 {
@@ -225,7 +225,8 @@ mod tests {
         // System ranks by the *opposite* of the user's preference.
         let sys = SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(300, 10));
-        let server = SimServer::new(data, sys, 10).with_paging();
+        let server =
+            SimServer::new(data, sys, 10).with_capabilities(Capabilities::none().with_paging());
         let r = page_down_rerank(&server, &mut st, &Query::all(), score, 3).unwrap();
         assert!(!r.exact);
         // With anti-correlated system ranking, 3 pages of 10 should miss
@@ -238,7 +239,8 @@ mod tests {
         let data = uniform(25, 2, 1, 403);
         let truth = data.rank_by(&Query::all(), score);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(25, 10));
-        let server = SimServer::new(data, SystemRank::pseudo_random(41), 10).with_paging();
+        let server = SimServer::new(data, SystemRank::pseudo_random(41), 10)
+            .with_capabilities(Capabilities::none().with_paging());
         let r = page_down_rerank(&server, &mut st, &Query::all(), score, 100).unwrap();
         assert!(r.exact);
         assert_eq!(r.pages, 3); // 25 tuples / k=10
@@ -266,7 +268,8 @@ mod tests {
         let data = uniform(25, 2, 1, 409);
         let truth = data.rank_by(&Query::all(), score);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(25, 10));
-        let server = SimServer::new(data, SystemRank::pseudo_random(47), 10).with_paging();
+        let server = SimServer::new(data, SystemRank::pseudo_random(47), 10)
+            .with_capabilities(Capabilities::none().with_paging());
         let rank: Arc<dyn qrs_ranking::RankFn> =
             Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
         let mut c = PageDownCursor::new(Query::all(), rank, usize::MAX);
@@ -287,7 +290,8 @@ mod tests {
         let data = uniform(50, 2, 1, 411);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(50, 5));
         // 50 tuples at k=5 need 10 pages; the cursor is capped at 3.
-        let server = SimServer::new(data, SystemRank::pseudo_random(53), 5).with_paging();
+        let server = SimServer::new(data, SystemRank::pseudo_random(53), 5)
+            .with_capabilities(Capabilities::none().with_paging());
         let rank: Arc<dyn qrs_ranking::RankFn> =
             Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
         let mut c = PageDownCursor::new(Query::all(), rank, 3);

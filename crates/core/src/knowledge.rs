@@ -302,8 +302,9 @@ mod tests {
     #[test]
     fn saved_cost_units_use_the_advertised_model() {
         let data = uniform(120, 2, 1, 2103);
-        let server = SimServer::new(data, SystemRank::pseudo_random(3), 5)
-            .with_cost_model(CostModel::flat().with_base(3).with_range_cost(2));
+        let server = SimServer::new(data, SystemRank::pseudo_random(3), 5).with_capabilities(
+            Capabilities::none().with_cost_model(CostModel::flat().with_base(3).with_range_cost(2)),
+        );
         let shard = Arc::new(SourceShard::new());
         let g = KnowledgeGate::new(Arc::new(server), shard);
         let q = narrow(); // one range predicate: 3 + 2 = 5 units

@@ -306,7 +306,7 @@ mod tests {
         let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(250, 5));
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(31), 5)
-            .with_order_by(vec![AttrId(0), AttrId(1)]);
+            .with_capabilities(Capabilities::none().with_order_by(vec![AttrId(0), AttrId(1)]));
         let mut ta = TaCursor::with_server_caps(
             Arc::new(rank.clone()),
             Query::all(),

@@ -722,7 +722,8 @@ mod tests {
     fn strategy_io_typed_helpers_record_history() {
         let n = 30;
         let data = uniform(n, 2, 1, 79);
-        let server = SimServer::new(data.clone(), SystemRank::pseudo_random(5), 5).with_paging();
+        let server = SimServer::new(data.clone(), SystemRank::pseudo_random(5), 5)
+            .with_capabilities(Capabilities::none().with_paging());
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 5));
         let mut io = StrategyIo::new(&server, &mut st);
         assert_eq!(io.k(), 5);

@@ -260,7 +260,7 @@ pub fn schema_from_json(v: &Json) -> WireResult<Schema> {
     let ordinal = want_arr(v, "ordinal")?
         .iter()
         .map(|a| {
-            Ok(OrdinalAttr {
+            let attr = OrdinalAttr {
                 name: want_str(a, "name")?.to_string(),
                 min: want_f64(a, "min")?,
                 max: want_f64(a, "max")?,
@@ -278,7 +278,18 @@ pub fn schema_from_json(v: &Json) -> WireResult<Schema> {
                             .collect::<WireResult<Vec<f64>>>()?,
                     ),
                 },
-            })
+            };
+            // What `OrdinalAttr::point_only` asserts: the cursors and the
+            // crawler can reach a point-only attribute only by walking
+            // its value list.
+            let walkable = |v: &Vec<f64>| !v.is_empty() && v.windows(2).all(|w| w[0] < w[1]);
+            if attr.point_only && !attr.values.as_ref().is_some_and(walkable) {
+                return Err(format!(
+                    "point-only attribute '{}' needs a non-empty, strictly ascending value list",
+                    attr.name
+                ));
+            }
+            Ok(attr)
         })
         .collect::<WireResult<Vec<OrdinalAttr>>>()?;
     let categorical = want_arr(v, "categorical")?
@@ -382,7 +393,6 @@ pub fn capabilities_to_json(c: &Capabilities) -> Json {
             Json::Arr(c.order_by.iter().map(|a| Json::u64(a.0 as u64)).collect()),
         ),
         ("max_pages", opt_usize_json(c.max_pages)),
-        ("max_page_size", opt_usize_json(c.max_page_size)),
         ("max_predicates", opt_usize_json(c.max_predicates)),
         (
             "filters",
@@ -427,7 +437,6 @@ pub fn capabilities_from_json(v: &Json) -> WireResult<Capabilities> {
         paging: want_bool(v, "paging")?,
         order_by,
         max_pages: opt_usize_from_json(v, "max_pages")?,
-        max_page_size: opt_usize_from_json(v, "max_page_size")?,
         max_predicates: opt_usize_from_json(v, "max_predicates")?,
         filters,
         cost: cost_model_from_json(want(v, "cost")?)?,
@@ -757,7 +766,6 @@ mod tests {
             .with_paging()
             .with_order_by(vec![AttrId(1)])
             .with_max_pages(20)
-            .with_max_page_size(10)
             .with_max_predicates(3)
             .with_filter(AttrId(0), FilterSupport::Point)
             .with_cost_model(CostModel::flat().with_base(2).with_point_cost(1))
@@ -770,6 +778,33 @@ mod tests {
             capabilities_from_json(&capabilities_to_json(&bare)).unwrap(),
             bare
         );
+    }
+
+    /// A point-only attribute is reachable only through its value list: a
+    /// site schema without one (or with an empty or unsorted one) is
+    /// refused at decode, not trusted until a cursor's `expect` panics
+    /// inside the service.
+    #[test]
+    fn point_only_attributes_need_a_walkable_value_list() {
+        let mut bad = Vec::new();
+        for values in [
+            None,
+            Some(vec![]),
+            Some(vec![2.0, 1.0]),
+            Some(vec![1.0, 1.0]),
+        ] {
+            let mut attr = OrdinalAttr::new("stops", 0.0, 2.0);
+            attr.point_only = true;
+            attr.values = values;
+            let body = schema_to_json(&Schema::new(vec![attr], vec![]));
+            bad.push(schema_from_json(&body).unwrap_err());
+        }
+        assert!(bad.iter().all(|e| e.contains("'stops'")), "{bad:?}");
+        // Value lists on range attributes stay advisory.
+        let mut ranged = OrdinalAttr::new("price", 0.0, 2.0);
+        ranged.values = Some(vec![2.0, 1.0]);
+        let body = schema_to_json(&Schema::new(vec![ranged], vec![]));
+        assert!(schema_from_json(&body).is_ok());
     }
 
     #[test]

@@ -70,8 +70,6 @@ struct Plan {
     p_rate_limit: f64,
     p_outage: f64,
     p_truncated: f64,
-    /// `retry_after_ms` attached to randomly drawn rate limits.
-    default_retry_after_ms: Option<u64>,
     /// Enforcement window: refuse until the attached clock reaches this.
     not_before_ms: Option<u64>,
     /// Next call index.
@@ -84,7 +82,7 @@ impl Plan {
         let u: f64 = rng.random();
         if u < self.p_rate_limit {
             Some(Fault::RateLimit {
-                retry_after_ms: self.default_retry_after_ms,
+                retry_after_ms: None,
             })
         } else if u < self.p_rate_limit + self.p_outage {
             Some(Fault::Outage)
@@ -120,7 +118,6 @@ impl FaultyServer {
                 p_rate_limit: 0.0,
                 p_outage: 0.0,
                 p_truncated: 0.0,
-                default_retry_after_ms: None,
                 not_before_ms: None,
                 calls: 0,
             }),
@@ -157,7 +154,8 @@ impl FaultyServer {
 
     /// Seeded random schedule: each unscripted call independently faults
     /// with the given probabilities (in order: rate limit, outage,
-    /// truncated page). Deterministic per seed; replayable.
+    /// truncated page; drawn rate limits carry no `Retry-After` hint).
+    /// Deterministic per seed; replayable.
     pub fn with_random_faults(
         self,
         seed: u64,
@@ -173,12 +171,6 @@ impl FaultyServer {
             plan.p_outage = p_outage;
             plan.p_truncated = p_truncated;
         }
-        self
-    }
-
-    /// Attach `retry_after_ms` to randomly drawn rate-limit faults.
-    pub fn with_retry_after(self, ms: u64) -> Self {
-        self.plan.lock().default_retry_after_ms = Some(ms);
         self
     }
 

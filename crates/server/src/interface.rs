@@ -32,7 +32,8 @@ pub struct OrderedPage {
 /// The site model: what a search interface offers beyond one-shot top-k
 /// queries, and where it is *more* restricted than the paper's baseline.
 /// Returned by [`SearchInterface::capabilities`]; the single source of
-/// truth for capability negotiation and for the `qrs-service` planner.
+/// truth for capability negotiation and for the `qrs-service` planner,
+/// and the whole of [`crate::SimServer`]'s restrictions.
 ///
 /// The default ([`Capabilities::none`]) is the paper's §2.1 interface:
 /// no paging, no public `ORDER BY`, range predicates on every attribute,
@@ -47,10 +48,6 @@ pub struct Capabilities {
     /// [`Capabilities::paging`]). Real sites commonly stop at a fixed
     /// depth — "showing results 1–1000".
     pub max_pages: Option<usize>,
-    /// Largest page size (the interface `k`) the site serves, when it
-    /// advertises one. Advisory: planners use it to bound how many tuples
-    /// paging can ever surface (`max_pages · max_page_size`).
-    pub max_page_size: Option<usize>,
     /// Cap on the number of predicates one conjunctive query may carry
     /// (`None` = unlimited). Flight sites typically allow only a few
     /// simultaneous search criteria.
@@ -92,12 +89,6 @@ impl Capabilities {
     /// Builder: cap paging at `pages` result pages per query.
     pub fn with_max_pages(mut self, pages: usize) -> Self {
         self.max_pages = Some(pages);
-        self
-    }
-
-    /// Builder: advertise the interface page size.
-    pub fn with_max_page_size(mut self, k: usize) -> Self {
-        self.max_page_size = Some(k);
         self
     }
 
@@ -145,7 +136,7 @@ impl Capabilities {
             Capability::RangeFilter(a) => self.filter_support(a).allows_range(),
             Capability::PointFilter(a) => self.filter_support(a).allows_point(),
             Capability::PredicateArity(n) => self.max_predicates.is_none_or(|cap| n <= cap),
-            Capability::PageDepth(p) => self.paging && self.max_pages.is_none_or(|cap| p <= cap),
+            Capability::PageDepth(p) => self.paging && self.admit_depth(p).is_ok(),
             Capability::MutationFeed => self.mutation_feed,
         }
     }
@@ -156,6 +147,35 @@ impl Capabilities {
             Ok(())
         } else {
             Err(ServerError::Unsupported(cap))
+        }
+    }
+
+    /// Admit one query, or name what it lacks: the conjunct cap
+    /// ([`Capability::PredicateArity`]), then [`FilterSupport::admits`] on
+    /// each range predicate — [`Capability::RangeFilter`] where the
+    /// attribute takes points only, else [`Capability::PointFilter`].
+    pub fn admit(&self, q: &Query) -> Result<(), ServerError> {
+        self.require(Capability::PredicateArity(q.num_predicates()))?;
+        for p in q.ranges() {
+            let support = self.filter_support(p.attr);
+            if !support.admits(&p.interval) {
+                return Err(ServerError::Unsupported(if support.allows_point() {
+                    Capability::RangeFilter(p.attr)
+                } else {
+                    Capability::PointFilter(p.attr)
+                }));
+            }
+        }
+        Ok(())
+    }
+
+    /// The depth rule: one query's results page `depth` pages deep only
+    /// within [`Capabilities::max_pages`]. System-ranking pages also need
+    /// [`Capabilities::paging`]; public `ORDER BY` pages do not.
+    pub fn admit_depth(&self, depth: usize) -> Result<(), ServerError> {
+        match self.max_pages {
+            Some(cap) if depth > cap => Err(ServerError::Unsupported(Capability::PageDepth(depth))),
+            _ => Ok(()),
         }
     }
 }
@@ -306,7 +326,6 @@ mod tests {
         let caps = Capabilities::none()
             .with_paging()
             .with_max_pages(20)
-            .with_max_page_size(10)
             .with_max_predicates(3)
             .with_filter(AttrId(0), FilterSupport::Point)
             .with_filter(AttrId(1), FilterSupport::None);
@@ -330,6 +349,47 @@ mod tests {
         let caps = caps.with_filter(AttrId(0), FilterSupport::Range);
         assert!(caps.supports(Capability::RangeFilter(AttrId(0))));
         assert_eq!(caps.filters.iter().filter(|(a, _)| a.0 == 0).count(), 1);
+    }
+
+    #[test]
+    fn admit_applies_the_arity_cap_and_the_filter_rule() {
+        use qrs_types::Interval;
+        let caps = Capabilities::none()
+            .with_max_predicates(2)
+            .with_max_pages(3)
+            .with_filter(AttrId(0), FilterSupport::Point)
+            .with_filter(AttrId(1), FilterSupport::None);
+        let unsupported = |q: &Query| match caps.admit(q) {
+            Err(ServerError::Unsupported(cap)) => Some(cap),
+            Err(other) => panic!("admit refuses only Unsupported, got {other}"),
+            Ok(()) => None,
+        };
+        let point = Query::all().and_range(AttrId(0), Interval::point(1.0));
+        assert_eq!(unsupported(&point), None);
+        assert_eq!(
+            unsupported(&Query::all().and_range(AttrId(1), Interval::all())),
+            None
+        );
+        assert_eq!(
+            unsupported(&Query::all().and_range(AttrId(0), Interval::closed(1.0, 2.0))),
+            Some(Capability::RangeFilter(AttrId(0)))
+        );
+        assert_eq!(
+            unsupported(&Query::all().and_range(AttrId(1), Interval::point(1.0))),
+            Some(Capability::PointFilter(AttrId(1)))
+        );
+        let wide = point
+            .and_range(AttrId(2), Interval::open(0.0, 1.0))
+            .and_range(AttrId(3), Interval::open(0.0, 1.0));
+        assert_eq!(unsupported(&wide), Some(Capability::PredicateArity(3)));
+        // The depth rule caps pages whether or not system paging exists.
+        assert!(caps.admit_depth(3).is_ok());
+        assert_eq!(
+            caps.admit_depth(4),
+            Err(ServerError::Unsupported(Capability::PageDepth(4)))
+        );
+        assert!(!caps.supports(Capability::PageDepth(3)), "no paging");
+        assert!(Capabilities::none().admit_depth(usize::MAX).is_ok());
     }
 
     #[test]

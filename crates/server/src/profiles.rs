@@ -14,6 +14,7 @@
 //! profile the `qrs-service` planner should either find a working algorithm
 //! or fail fast with `RerankError::Unplannable` naming what is missing.
 
+use crate::interface::Capabilities;
 use crate::sim::SimServer;
 use crate::system_rank::SystemRank;
 use qrs_types::{CostModel, Dataset, FilterSupport};
@@ -23,8 +24,8 @@ use qrs_types::{CostModel, Dataset, FilterSupport};
 /// Build one with a constructor ([`SiteProfile::open_site`],
 /// [`SiteProfile::classifieds`], …), then [`SiteProfile::build`] a
 /// [`SimServer`] over any dataset. The profile's restrictions apply to
-/// *every* ordinal attribute uniformly (per-attribute mixes are built
-/// directly via [`SimServer::with_filter_support`]).
+/// *every* ordinal attribute uniformly (per-attribute mixes are a
+/// [`Capabilities`] handed to [`SimServer::with_capabilities`] directly).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteProfile {
     /// Stable identifier, used as the experiment row label.
@@ -146,33 +147,20 @@ impl SiteProfile {
     }
 
     /// Materialize the profile over `dataset` with the given proprietary
-    /// ranking: a [`SimServer`] that both *advertises* and *enforces* the
-    /// profile's restrictions.
+    /// ranking: a [`SimServer`] serving the profile as its one site model,
+    /// so it advertises exactly the restrictions it enforces.
     pub fn build(&self, dataset: Dataset, system_rank: SystemRank) -> SimServer {
-        let order_by = if self.order_by_all {
-            dataset.schema().attr_ids().collect()
-        } else {
-            Vec::new()
+        let attrs = || dataset.schema().attr_ids();
+        let site = Capabilities {
+            paging: self.paging,
+            order_by: attrs().filter(|_| self.order_by_all).collect(),
+            max_pages: self.max_pages,
+            max_predicates: self.max_predicates,
+            filters: attrs().map(|a| (a, self.filter)).collect(),
+            cost: self.cost.clone(),
+            mutation_feed: true,
         };
-        let attrs: Vec<_> = dataset.schema().attr_ids().collect();
-        let mut server = SimServer::new(dataset, system_rank, self.k);
-        if self.paging {
-            server = server.with_paging();
-        }
-        if let Some(p) = self.max_pages {
-            server = server.with_max_pages(p);
-        }
-        if let Some(n) = self.max_predicates {
-            server = server.with_max_predicates(n);
-        }
-        if self.filter != FilterSupport::Range {
-            for a in attrs {
-                server = server.with_filter_support(a, self.filter);
-            }
-        }
-        server
-            .with_order_by(order_by)
-            .with_cost_model(self.cost.clone())
+        SimServer::new(dataset, system_rank, self.k).with_capabilities(site)
     }
 }
 

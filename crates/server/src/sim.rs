@@ -20,6 +20,11 @@
 //! return the same tuples in the same order with the same flag; the rule
 //! reads `c`, `k` and `n` and nothing else.
 //!
+//! Restriction realism: the server holds one [`Capabilities`]
+//! ([`SimServer::with_capabilities`]; a bare §2.1 interface by default),
+//! advertises it and admits every request by it, so it refuses — uncharged
+//! and typed — exactly what it does not advertise.
+//!
 //! Failure realism: [`SimServer::with_rate_limit`] makes the server refuse
 //! queries past a hard cap with [`ServerError::RateLimited`] — the same
 //! refusal a real metered API sends — so integration tests can exercise the
@@ -192,26 +197,18 @@ pub struct SimServer {
     mutation_log_cap: Option<usize>,
     k: usize,
     counter: AtomicU64,
-    paging: bool,
-    order_by: Vec<AttrId>,
-    /// Deepest page served per query (None = unlimited, given `paging`).
-    max_pages: Option<usize>,
-    /// Conjunct arity cap per query (None = unlimited).
-    max_predicates: Option<usize>,
-    /// Explicit per-attribute filter-support overrides (sparse; schema
-    /// `point_only` attributes implicitly degrade to `Point`).
-    filters: Vec<(AttrId, FilterSupport)>,
+    /// The site model, advertised and enforced as one value: what
+    /// `capabilities()` reports is what `charge` admits, and `site.cost`
+    /// is what the weighted ledger bills by.
+    site: Capabilities,
     /// Refuse queries once the counter reaches this (None = unmetered).
     rate_limit: Option<u64>,
-    /// How charged queries are priced; the weighted ledger accumulates in
-    /// `cost_counter`. Flat by default (cost ≡ query count).
-    cost_model: CostModel,
     /// What `capabilities()` *advertises* when it differs from what
-    /// `cost_model` actually bills (None = honest site). The drift hook
+    /// `site.cost` actually bills (None = honest site). The drift hook
     /// the adaptive-planner tests lean on: a stale public price list over
     /// live metered billing.
     advertised_cost: Option<CostModel>,
-    /// Weighted cost units charged so far, under `cost_model`.
+    /// Weighted cost units charged so far, under `site.cost`.
     cost_counter: AtomicU64,
     system_rank: SystemRank,
     /// Log of issued queries (enabled in tests/debug experiments only).
@@ -238,77 +235,63 @@ impl SimServer {
             mutation_log_cap: None,
             k,
             counter: AtomicU64::new(0),
-            paging: false,
-            order_by: Vec::new(),
-            max_pages: None,
-            max_predicates: None,
-            filters: Vec::new(),
+            site: Capabilities::none(),
             rate_limit: None,
-            cost_model: CostModel::flat(),
             advertised_cost: None,
             cost_counter: AtomicU64::new(0),
             system_rank,
             log: None,
         }
+        .with_capabilities(Capabilities::none())
     }
 
-    /// Meter queries by `model`: the server advertises it through
-    /// [`SearchInterface::capabilities`] and charges its weighted ledger
-    /// ([`SearchInterface::cost_units_issued`]) by it — prediction and
-    /// billing share one price list.
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
+    /// Serve the site model `caps` — paging, `ORDER BY`, depth and arity
+    /// caps, filter support, the cost model the ledger bills by — and
+    /// refuse, uncharged, whatever [`Capabilities::admit`] and
+    /// [`Capabilities::admit_depth`] refuse. Fitted to the schema once,
+    /// here: a `point_only` attribute takes at most
+    /// [`FilterSupport::Point`] (the §5 contract binds regardless), filters
+    /// keep attribute order, and the mutation feed is always on.
+    ///
+    /// # Panics
+    /// If `caps` caps pages or predicates at zero.
+    pub fn with_capabilities(mut self, caps: Capabilities) -> Self {
+        assert_ne!(
+            caps.max_pages,
+            Some(0),
+            "a paging site serves at least one page"
+        );
+        assert_ne!(
+            caps.max_predicates,
+            Some(0),
+            "a searchable site accepts at least one predicate"
+        );
+        let filters = self
+            .schema
+            .attr_ids()
+            .filter_map(|attr| {
+                let mut support = caps.filter_support(attr);
+                if self.schema.ordinal(attr).point_only {
+                    support = support.min(FilterSupport::Point);
+                }
+                (support != FilterSupport::Range).then_some((attr, support))
+            })
+            .collect();
+        self.site = Capabilities {
+            filters,
+            mutation_feed: true,
+            ..caps
+        };
         self
     }
 
     /// Advertise `model` through [`SearchInterface::capabilities`] while
-    /// the billing model set by [`SimServer::with_cost_model`] keeps
-    /// charging the ledger — a site whose public price list went stale.
-    /// Static planning prices candidates under the advertised lie; the
+    /// the cost model of [`SimServer::with_capabilities`] keeps charging
+    /// the ledger — a site whose public price list went stale. Static
+    /// planning prices candidates under the advertised lie; the
     /// calibration layer learns the real ratio from charged deltas.
     pub fn with_advertised_cost(mut self, model: CostModel) -> Self {
         self.advertised_cost = Some(model);
-        self
-    }
-
-    /// Enable page turns on the system ranking (real sites' "next page").
-    pub fn with_paging(mut self) -> Self {
-        self.paging = true;
-        self
-    }
-
-    /// Advertise public `ORDER BY` support on the given attributes (§5).
-    pub fn with_order_by(mut self, attrs: Vec<AttrId>) -> Self {
-        self.order_by = attrs;
-        self
-    }
-
-    /// Stop serving result pages past `pages` per query ("showing results
-    /// 1–1000"). Deeper page turns are refused, uncharged, with
-    /// [`ServerError::Unsupported`]`(`[`Capability::PageDepth`]`)`.
-    pub fn with_max_pages(mut self, pages: usize) -> Self {
-        assert!(pages >= 1, "a paging site serves at least one page");
-        self.max_pages = Some(pages);
-        self
-    }
-
-    /// Refuse queries carrying more than `n` predicates — the typical
-    /// flight-site cap on simultaneous search criteria. Refusals are
-    /// uncharged and typed ([`Capability::PredicateArity`]).
-    pub fn with_max_predicates(mut self, n: usize) -> Self {
-        assert!(n >= 1, "a searchable site accepts at least one predicate");
-        self.max_predicates = Some(n);
-        self
-    }
-
-    /// Restrict filter support on one attribute: [`FilterSupport::Point`]
-    /// models a dropdown (point predicates only), [`FilterSupport::None`] a
-    /// browse-only column. Violations are refused, uncharged, with
-    /// [`Capability::RangeFilter`]/[`Capability::PointFilter`] named in the
-    /// error.
-    pub fn with_filter_support(mut self, attr: AttrId, support: FilterSupport) -> Self {
-        self.filters.retain(|(a, _)| *a != attr);
-        self.filters.push((attr, support));
         self
     }
 
@@ -425,8 +408,7 @@ impl SimServer {
         // the second would index past every per-attribute structure below);
         // refuse them uncharged before any site-model negotiation.
         q.validate(&self.schema)?;
-        self.validate_point_only(q)?;
-        self.validate_site_model(q)?;
+        self.site.admit(q)?;
         match self.rate_limit {
             // Atomic check-and-increment so concurrent queries can never
             // exceed the advertised hard cap.
@@ -444,90 +426,9 @@ impl SimServer {
             }
         }
         self.cost_counter
-            .fetch_add(self.cost_model.charge(q, kind), Ordering::Relaxed);
+            .fetch_add(self.site.cost.charge(q, kind), Ordering::Relaxed);
         if let Some(log) = &self.log {
             log.lock().push(q.clone());
-        }
-        Ok(())
-    }
-
-    /// Enforce the §5 point-predicate contract: a `point_only` attribute may
-    /// only carry point or unbounded predicates.
-    fn validate_point_only(&self, q: &Query) -> Result<(), ServerError> {
-        for p in q.ranges() {
-            if self.schema.ordinal(p.attr).point_only {
-                let iv = p.interval;
-                let is_point = match (iv.lo, iv.hi) {
-                    (Endpoint::Closed(a), Endpoint::Closed(b)) => a == b,
-                    (Endpoint::Unbounded, Endpoint::Unbounded) => true,
-                    _ => false,
-                };
-                if !is_point {
-                    return Err(ServerError::invalid_query(format!(
-                        "attribute {} only supports point predicates, got {}",
-                        p.attr, iv
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Enforce the configured site model: conjunct arity cap and explicit
-    /// per-attribute filter restrictions. Violations are typed capability
-    /// refusals (never charged), so a planner that preflighted correctly
-    /// never sees them.
-    fn validate_site_model(&self, q: &Query) -> Result<(), ServerError> {
-        if let Some(cap) = self.max_predicates {
-            if q.num_predicates() > cap {
-                return Err(ServerError::Unsupported(Capability::PredicateArity(
-                    q.num_predicates(),
-                )));
-            }
-        }
-        for p in q.ranges() {
-            if p.interval.is_all() {
-                continue;
-            }
-            let support = self.effective_filter_support(p.attr);
-            if !support.allows_point() {
-                return Err(ServerError::Unsupported(Capability::PointFilter(p.attr)));
-            }
-            if !support.allows_range() && !p.interval.is_point() {
-                return Err(ServerError::Unsupported(Capability::RangeFilter(p.attr)));
-            }
-        }
-        Ok(())
-    }
-
-    /// The filter support this server actually enforces on `attr`: the
-    /// explicit override (default: full ranges), clamped to at most
-    /// [`FilterSupport::Point`] for schema `point_only` attributes — the
-    /// §5 contract binds regardless of configuration. Both the
-    /// advertisement ([`SearchInterface::capabilities`]) and the
-    /// enforcement ([`SimServer::validate_site_model`]) read this one
-    /// definition, so the server can never advertise what it would refuse.
-    fn effective_filter_support(&self, attr: AttrId) -> FilterSupport {
-        let configured = self
-            .filters
-            .iter()
-            .find(|(a, _)| *a == attr)
-            .map(|(_, s)| *s)
-            .unwrap_or_default();
-        if self.schema.ordinal(attr).point_only {
-            configured.min(FilterSupport::Point)
-        } else {
-            configured
-        }
-    }
-
-    /// Refuse page turns past the configured depth cap, uncharged.
-    fn validate_page_depth(&self, page: usize) -> Result<(), ServerError> {
-        if let Some(cap) = self.max_pages {
-            if page >= cap {
-                let depth = page.saturating_add(1);
-                return Err(ServerError::Unsupported(Capability::PageDepth(depth)));
-            }
         }
         Ok(())
     }
@@ -543,31 +444,11 @@ impl SearchInterface for SimServer {
     }
 
     fn capabilities(&self) -> Capabilities {
-        // Advertise exactly what `validate_site_model` enforces — the
-        // shared `effective_filter_support` definition, which clamps
-        // schema `point_only` attributes to Point even past an explicit
-        // override.
-        let filters = self
-            .schema
-            .attr_ids()
-            .filter_map(|attr| {
-                let support = self.effective_filter_support(attr);
-                (support != FilterSupport::Range).then_some((attr, support))
-            })
-            .collect();
-        Capabilities {
-            paging: self.paging,
-            order_by: self.order_by.clone(),
-            max_pages: self.max_pages,
-            max_page_size: Some(self.k),
-            max_predicates: self.max_predicates,
-            filters,
-            cost: self
-                .advertised_cost
-                .clone()
-                .unwrap_or_else(|| self.cost_model.clone()),
-            mutation_feed: true,
+        let mut site = self.site.clone();
+        if let Some(cost) = &self.advertised_cost {
+            site.cost = cost.clone();
         }
+        site
     }
 
     fn query(&self, q: &Query) -> Result<QueryResponse, ServerError> {
@@ -585,10 +466,8 @@ impl SearchInterface for SimServer {
     }
 
     fn query_page(&self, q: &Query, page: usize) -> Result<QueryResponse, ServerError> {
-        if !self.paging {
-            return Err(ServerError::Unsupported(Capability::Paging));
-        }
-        self.validate_page_depth(page)?;
+        self.site.require(Capability::Paging)?;
+        self.site.admit_depth(page.saturating_add(1))?;
         self.charge(q, RequestKind::Page)?;
         let skip = page.saturating_mul(self.k);
         let (tuples, overflow) = self.store.read().top(q, skip, self.k);
@@ -602,10 +481,8 @@ impl SearchInterface for SimServer {
         dir: Direction,
         page: usize,
     ) -> Result<OrderedPage, ServerError> {
-        if !self.order_by.contains(&attr) {
-            return Err(ServerError::Unsupported(Capability::OrderBy(attr)));
-        }
-        self.validate_page_depth(page)?;
+        self.site.require(Capability::OrderBy(attr))?;
+        self.site.admit_depth(page.saturating_add(1))?;
         self.charge(q, RequestKind::Ordered)?;
         let store = self.store.read();
         // Only what `q` admits on `attr` can match; walk that, either way.
@@ -658,6 +535,13 @@ mod tests {
         SimServer::new(ds, SystemRank::by_attr_desc(AttrId(0)), k)
     }
 
+    /// System-ranking pages plus public `ORDER BY` on `x`.
+    fn paged_and_sorted() -> Capabilities {
+        Capabilities::none()
+            .with_paging()
+            .with_order_by(vec![AttrId(0)])
+    }
+
     #[test]
     fn overflow_valid_underflow() {
         let s = server(3);
@@ -689,7 +573,7 @@ mod tests {
 
     #[test]
     fn paging_walks_system_order() {
-        let s = server(3).with_paging();
+        let s = server(3).with_capabilities(Capabilities::none().with_paging());
         assert!(s.capabilities().supports(Capability::Paging));
         let p0 = s.query_page(&Query::all(), 0).unwrap();
         let p1 = s.query_page(&Query::all(), 1).unwrap();
@@ -716,7 +600,7 @@ mod tests {
 
     #[test]
     fn order_by_pages_both_directions() {
-        let s = server(4).with_order_by(vec![AttrId(0)]);
+        let s = server(4).with_capabilities(paged_and_sorted());
         assert!(s.capabilities().supports(Capability::OrderBy(AttrId(0))));
         let asc = s
             .query_ordered(&Query::all(), AttrId(0), Direction::Asc, 0)
@@ -734,7 +618,7 @@ mod tests {
 
     #[test]
     fn order_by_refused_on_unadvertised_attribute() {
-        let s = server(4).with_order_by(vec![AttrId(0)]);
+        let s = server(4).with_capabilities(paged_and_sorted());
         assert_eq!(
             s.query_ordered(&Query::all(), AttrId(1), Direction::Asc, 0)
                 .unwrap_err(),
@@ -754,10 +638,14 @@ mod tests {
         );
         let ds = Dataset::new(schema, vec![Tuple::new(TupleId(0), vec![1.0], vec![])]).unwrap();
         let s = SimServer::new(ds, SystemRank::pseudo_random(1), 2);
+        // The same refusal a dropdown attribute configured by hand gives.
         let err = s
             .query(&Query::all().and_range(AttrId(0), Interval::open(0.0, 3.0)))
             .unwrap_err();
-        assert!(matches!(err, ServerError::InvalidQuery { .. }));
+        assert_eq!(
+            err,
+            ServerError::Unsupported(Capability::RangeFilter(AttrId(0)))
+        );
         assert_eq!(s.queries_issued(), 0);
     }
 
@@ -775,7 +663,8 @@ mod tests {
             .map(|i| Tuple::new(TupleId(i), vec![f64::from(i); 3], vec![]))
             .collect();
         let ds = Dataset::new(schema, tuples).unwrap();
-        let s = SimServer::new(ds, SystemRank::pseudo_random(3), 2).with_max_predicates(2);
+        let s = SimServer::new(ds, SystemRank::pseudo_random(3), 2)
+            .with_capabilities(Capabilities::none().with_max_predicates(2));
         let wide = Query::all()
             .and_range(AttrId(0), Interval::open(0.0, 5.0))
             .and_range(AttrId(1), Interval::open(0.0, 5.0))
@@ -795,8 +684,9 @@ mod tests {
 
     #[test]
     fn filter_support_restrictions_refuse_with_the_missing_capability() {
+        let dropdown = |support| Capabilities::none().with_filter(AttrId(0), support);
         let s = server(3)
-            .with_filter_support(AttrId(0), FilterSupport::Point)
+            .with_capabilities(dropdown(FilterSupport::Point))
             .with_query_log();
         // A true range on a point-only filter: refused, names RangeFilter.
         let err = s
@@ -811,7 +701,7 @@ mod tests {
             .query(&Query::all().and_range(AttrId(0), Interval::point(4.0)))
             .is_ok());
         // A browse-only attribute refuses even point predicates.
-        let s = server(3).with_filter_support(AttrId(0), FilterSupport::None);
+        let s = server(3).with_capabilities(dropdown(FilterSupport::None));
         let err = s
             .query(&Query::all().and_range(AttrId(0), Interval::point(4.0)))
             .unwrap_err();
@@ -827,14 +717,23 @@ mod tests {
 
     #[test]
     fn page_depth_cap_refuses_deep_pages_uncharged() {
-        let s = server(3).with_paging().with_max_pages(2);
+        let s = server(3).with_capabilities(paged_and_sorted().with_max_pages(2));
         assert!(s.query_page(&Query::all(), 0).is_ok());
         assert!(s.query_page(&Query::all(), 1).is_ok());
         assert_eq!(
             s.query_page(&Query::all(), 2).unwrap_err(),
             ServerError::Unsupported(Capability::PageDepth(3))
         );
-        assert_eq!(s.queries_issued(), 2);
+        // `ORDER BY` pages hit the same wall.
+        assert!(s
+            .query_ordered(&Query::all(), AttrId(0), Direction::Asc, 1)
+            .is_ok());
+        assert_eq!(
+            s.query_ordered(&Query::all(), AttrId(0), Direction::Asc, 2)
+                .unwrap_err(),
+            ServerError::Unsupported(Capability::PageDepth(3))
+        );
+        assert_eq!(s.queries_issued(), 3);
         let caps = s.capabilities();
         assert!(caps.supports(Capability::PageDepth(2)));
         assert!(!caps.supports(Capability::PageDepth(3)));
@@ -851,57 +750,79 @@ mod tests {
         );
         let ds =
             Dataset::new(schema, vec![Tuple::new(TupleId(0), vec![1.0, 2.0], vec![])]).unwrap();
-        let s = SimServer::new(ds, SystemRank::pseudo_random(1), 4)
-            .with_paging()
-            .with_max_pages(20)
-            .with_max_predicates(3);
+        let s = SimServer::new(ds, SystemRank::pseudo_random(1), 4).with_capabilities(
+            Capabilities::none()
+                .with_paging()
+                .with_max_pages(20)
+                .with_max_predicates(3),
+        );
         let caps = s.capabilities();
-        assert_eq!(caps.max_page_size, Some(4));
         assert_eq!(caps.max_pages, Some(20));
         assert_eq!(caps.max_predicates, Some(3));
         // Schema point_only degrades the advertised filter support.
-        assert_eq!(caps.filter_support(AttrId(1)), FilterSupport::Point);
-        assert_eq!(caps.filter_support(AttrId(0)), FilterSupport::Range);
+        assert_eq!(caps.filters, vec![(AttrId(1), FilterSupport::Point)]);
+        assert!(caps.supports(Capability::MutationFeed));
     }
 
     #[test]
     fn advertisement_never_exceeds_enforcement_on_point_only_attrs() {
-        // A misconfigured Range override on a schema point_only attribute
-        // must not make capabilities() advertise what validate_point_only
-        // would refuse: the advertisement clamps to Point.
+        // A Range override on a schema point_only attribute must not make
+        // capabilities() advertise what the server refuses: the site is
+        // clamped to Point when it is set. Overrides outside the schema
+        // and explicit Range entries are dropped; the rest keep attribute
+        // order.
         let schema = Schema::new(
-            vec![OrdinalAttr::point_only("grade", vec![1.0, 2.0, 3.0])],
+            vec![
+                OrdinalAttr::new("price", 0.0, 9.0),
+                OrdinalAttr::point_only("grade", vec![1.0, 2.0, 3.0]),
+                OrdinalAttr::new("age", 0.0, 9.0),
+            ],
             vec![],
         );
-        let ds = Dataset::new(schema, vec![Tuple::new(TupleId(0), vec![2.0], vec![])]).unwrap();
-        let s = SimServer::new(ds, SystemRank::pseudo_random(1), 2)
-            .with_filter_support(AttrId(0), FilterSupport::Range);
-        assert_eq!(
-            s.capabilities().filter_support(AttrId(0)),
-            FilterSupport::Point
+        let ds = Dataset::new(
+            schema,
+            vec![Tuple::new(TupleId(0), vec![1.0, 2.0, 3.0], vec![])],
+        )
+        .unwrap();
+        let s = SimServer::new(ds, SystemRank::pseudo_random(1), 2).with_capabilities(
+            Capabilities::none()
+                .with_filter(AttrId(7), FilterSupport::None)
+                .with_filter(AttrId(2), FilterSupport::None)
+                .with_filter(AttrId(1), FilterSupport::Range)
+                .with_filter(AttrId(0), FilterSupport::Range),
         );
-        // And the enforcement still refuses the range (schema contract).
+        assert_eq!(
+            s.capabilities().filters,
+            vec![
+                (AttrId(1), FilterSupport::Point),
+                (AttrId(2), FilterSupport::None)
+            ]
+        );
+        // And the enforcement refuses the range (schema contract).
+        assert_eq!(
+            s.query(&Query::all().and_range(AttrId(1), Interval::open(0.0, 3.0)))
+                .unwrap_err(),
+            ServerError::Unsupported(Capability::RangeFilter(AttrId(1)))
+        );
+        // Point predicates keep working; the configured None binds.
         assert!(s
-            .query(&Query::all().and_range(AttrId(0), Interval::open(0.0, 3.0)))
-            .is_err());
-        // Point predicates keep working.
-        assert!(s
-            .query(&Query::all().and_range(AttrId(0), Interval::point(2.0)))
+            .query(&Query::all().and_range(AttrId(1), Interval::point(2.0)))
             .is_ok());
+        assert!(s
+            .query(&Query::all().and_range(AttrId(2), Interval::point(2.0)))
+            .is_err());
     }
 
     #[test]
     fn cost_model_is_advertised_and_charged_by() {
-        use qrs_types::CostModel;
-        let s = server(3)
-            .with_paging()
-            .with_order_by(vec![AttrId(0)])
-            .with_cost_model(
+        let s = server(3).with_capabilities(
+            paged_and_sorted().with_cost_model(
                 CostModel::flat()
                     .with_range_cost(2)
                     .with_paged_cost(1)
                     .with_ordered_cost(4),
-            );
+            ),
+        );
         assert_eq!(s.capabilities().cost.range_predicate, 2);
         // Plain top-k: base 1.
         s.query(&Query::all()).unwrap();
@@ -928,9 +849,10 @@ mod tests {
 
     #[test]
     fn advertised_cost_lies_while_billing_stays_honest() {
-        use qrs_types::CostModel;
         let s = server(3)
-            .with_cost_model(CostModel::flat().with_range_cost(9))
+            .with_capabilities(
+                Capabilities::none().with_cost_model(CostModel::flat().with_range_cost(9)),
+            )
             .with_advertised_cost(CostModel::flat());
         // Capabilities carry the stale public price list…
         assert!(s.capabilities().cost.is_flat());
@@ -978,7 +900,7 @@ mod tests {
         assert_eq!(s.queries_issued(), 0);
         assert_eq!(s.cost_units_issued(), 0);
         // Paged and ordered entry points refuse too.
-        let s = s.with_paging().with_order_by(vec![AttrId(0)]);
+        let s = s.with_capabilities(paged_and_sorted());
         let bad = Query::all().and_range(AttrId(0), Interval::open(f64::NAN, 1.0));
         assert!(s.query_page(&bad, 0).is_err());
         assert!(s.query_ordered(&bad, AttrId(0), Direction::Asc, 0).is_err());
@@ -992,7 +914,7 @@ mod tests {
     #[test]
     fn attributes_outside_the_schema_are_refused_uncharged() {
         use qrs_types::{CatId, CatPredicate};
-        let s = server(3).with_paging().with_order_by(vec![AttrId(0)]);
+        let s = server(3).with_capabilities(paged_and_sorted());
         for bad in [
             Query::all().and_range(AttrId(9), Interval::open(0.0, 1.0)),
             Query::all().and_range(AttrId(1), Interval::all()),
@@ -1041,9 +963,11 @@ mod tests {
             ),
         ] {
             let attrs: Vec<AttrId> = data.schema().attr_ids().collect();
-            let s = SimServer::new(data, rank.clone(), k)
-                .with_paging()
-                .with_order_by(attrs.clone());
+            let s = SimServer::new(data, rank.clone(), k).with_capabilities(
+                Capabilities::none()
+                    .with_paging()
+                    .with_order_by(attrs.clone()),
+            );
             for round in 0..4 {
                 // Rounds 1–3 follow five inserts, deletes, updates: a stale
                 // `rank_of` or `attr_order` answers from the old tuple set.

@@ -67,21 +67,20 @@ impl Calibration {
         Arc::new(Calibration::new())
     }
 
-    /// Fold one finished session in: it was planned at `predicted`, spent
-    /// `actual_queries` / `actual_cost_units` from its own pocket, and
-    /// emitted `emitted` rows. Sessions that emitted nothing (or were
-    /// predicted free) carry no ratio signal and are ignored — the
-    /// re-planning loop also never feeds a *switched* session here, since
-    /// its blended spend describes neither strategy.
+    /// Fold one finished session in: it was planned at `predicted` and
+    /// spent `actual_queries` / `actual_cost_units` from its own pocket.
+    /// Sessions predicted free carry no ratio signal and are ignored. The
+    /// caller files only sessions that emitted and paid something, and
+    /// never a *switched* one, whose blended spend describes neither
+    /// strategy.
     pub fn observe_session(
         &self,
         strategy: &str,
         predicted: CostEstimate,
         actual_queries: u64,
         actual_cost_units: u64,
-        emitted: u64,
     ) {
-        if emitted == 0 || predicted.queries == 0 || predicted.cost_units == 0 {
+        if predicted.queries == 0 || predicted.cost_units == 0 {
             return;
         }
         let mut cells = self.cells.lock();
@@ -190,7 +189,7 @@ mod tests {
             cost_units: 20,
         };
         // One drifted session: the site charged 3× the advertised cost.
-        c.observe_session("ta-order-by", predicted, 10, 60, 5);
+        c.observe_session("ta-order-by", predicted, 10, 60);
         assert_eq!(c.scale("ta-order-by"), Some((1.0, 3.0)));
         let cal = c.calibrate(
             "ta-order-by",
@@ -204,28 +203,18 @@ mod tests {
         assert_eq!(c.scale("1d-rerank"), None);
         // Replaying the same feed yields bit-identical scales.
         let d = Calibration::new();
-        d.observe_session("ta-order-by", predicted, 10, 60, 5);
+        d.observe_session("ta-order-by", predicted, 10, 60);
         assert_eq!(c.scale("ta-order-by"), d.scale("ta-order-by"));
     }
 
     #[test]
     fn zero_signal_sessions_are_ignored() {
         let c = Calibration::new();
-        let p = CostEstimate {
-            queries: 10,
-            cost_units: 10,
+        let free = CostEstimate {
+            queries: 0,
+            cost_units: 0,
         };
-        c.observe_session("1d-rerank", p, 5, 5, 0); // emitted nothing
-        c.observe_session(
-            "1d-rerank",
-            CostEstimate {
-                queries: 0,
-                cost_units: 0,
-            },
-            5,
-            5,
-            5,
-        ); // predicted free
+        c.observe_session("1d-rerank", free, 5, 5);
         assert_eq!(c.scale("1d-rerank"), None);
     }
 

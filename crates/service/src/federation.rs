@@ -112,16 +112,21 @@ pub struct SourceReport {
 #[derive(Debug, Clone, Default)]
 struct SourceHealth {
     consecutive_failures: u32,
-    tripped: bool,
     last_error: Option<RerankError>,
     /// The source's service-clock reading at the moment of the last trip
-    /// (drives the half-open cool-down).
+    /// (drives the half-open cool-down); `None` while the circuit is
+    /// closed.
     tripped_at_ms: Option<u64>,
     trips: u64,
     probes_admitted: u64,
 }
 
 impl SourceHealth {
+    /// Whether the circuit is open.
+    fn tripped(&self) -> bool {
+        self.tripped_at_ms.is_some()
+    }
+
     /// Whether a tripped source's cool-down has elapsed at `now` on its
     /// service clock. Never, without a cool-down.
     fn probe_due(&self, circuit: Option<CircuitPolicy>, now: u64) -> bool {
@@ -134,7 +139,6 @@ impl SourceHealth {
     /// Open the circuit at `now` (again, after a failed probe), restarting
     /// the cool-down.
     fn trip(&mut self, sess: &Session<'_>, now: u64) {
-        self.tripped = true;
         self.trips += 1;
         self.tripped_at_ms = Some(now);
         let trips = self.trips;
@@ -170,7 +174,7 @@ fn pull_source(
     circuit: Option<CircuitPolicy>,
 ) -> Result<Option<RankedTuple>, RerankError> {
     loop {
-        let probe = h.tripped;
+        let probe = h.tripped();
         if probe {
             if !h.probe_due(circuit, sess.svc().clock().now_ms()) {
                 return Ok(None);
@@ -181,7 +185,6 @@ fn pull_source(
             Ok(t) => {
                 h.consecutive_failures = 0;
                 if probe {
-                    h.tripped = false;
                     h.tripped_at_ms = None;
                     sess.emit_obs(|| EventKind::CircuitProbe { reopened: true });
                 }
@@ -360,7 +363,7 @@ impl<'a> FederatedSession<'a> {
         let h = &self.health[i];
         !self.primed[i]
             || (self.heads[i].is_none()
-                && h.tripped
+                && h.tripped()
                 && h.probe_due(self.circuit, self.sessions[i].svc().clock().now_ms()))
     }
 
@@ -468,7 +471,7 @@ impl<'a> FederatedSession<'a> {
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(i, _)| i);
         let Some(i) = best else {
-            if !self.health.is_empty() && self.health.iter().all(|h| h.tripped) {
+            if !self.health.is_empty() && self.health.iter().all(SourceHealth::tripped) {
                 let e = self
                     .health
                     .iter()
@@ -526,7 +529,7 @@ impl<'a> FederatedSession<'a> {
             .map(|(source, (h, sess))| SourceReport {
                 source,
                 consecutive_failures: h.consecutive_failures,
-                tripped: h.tripped,
+                tripped: h.tripped(),
                 trips: h.trips,
                 probes_admitted: h.probes_admitted,
                 last_error: h.last_error.clone(),
@@ -549,7 +552,7 @@ impl<'a> FederatedSession<'a> {
         self.health
             .iter()
             .enumerate()
-            .filter_map(|(i, h)| h.tripped.then_some(i))
+            .filter_map(|(i, h)| h.tripped().then_some(i))
             .collect()
     }
 }
@@ -645,7 +648,9 @@ mod tests {
             SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]),
             5,
         )
-        .with_cost_model(CostModel::flat().with_range_cost(2));
+        .with_capabilities(
+            qrs_server::Capabilities::none().with_cost_model(CostModel::flat().with_range_cost(2)),
+        );
         let metered = RerankService::new(Arc::new(metered_server), 40);
         let services = [&flat, &metered];
         let mut fed =
@@ -767,35 +772,22 @@ mod tests {
 
     #[test]
     fn non_transient_failure_trips_the_circuit_immediately() {
-        // A source whose attribute only accepts point predicates dies
-        // mid-stream with InvalidQuery (the MD subdivision needs ranges) —
+        use qrs_server::SiteProfile;
+        use qrs_types::Capability;
+        // A dropdown site that stops at 4 pages, fronted by a service
+        // whose size estimate (20) understates its 40 tuples: page-down
+        // plans (4 pages drain 20) and then hits the depth wall mid-stream
+        // — the planner's documented precondition. The refusal is
         // non-transient, so the circuit must trip on the first strike
         // instead of burning the whole threshold on re-pulls.
         let (a, _) = svc(31, 40);
-        let schema_pt = qrs_types::Schema::new(
-            vec![
-                {
-                    let mut at = qrs_types::OrdinalAttr::new("x", 0.0, 9.0);
-                    at.point_only = true;
-                    at
-                },
-                qrs_types::OrdinalAttr::new("y", 0.0, 9.0),
-            ],
-            vec![],
-        );
-        let tuples = (0..40u32)
-            .map(|i| {
-                qrs_types::Tuple::new(
-                    qrs_types::TupleId(i),
-                    vec![f64::from(i % 10), f64::from((i * 7) % 10)],
-                    vec![],
-                )
-            })
-            .collect();
-        let ds = qrs_types::Dataset::new(schema_pt, tuples).unwrap();
-        let server = SimServer::new(ds, SystemRank::pseudo_random(31), 5);
-        let point_only = RerankService::new(Arc::new(server), 40);
-        let services = [&a, &point_only];
+        let walled = SiteProfile {
+            max_pages: Some(4),
+            ..SiteProfile::classifieds(5)
+        }
+        .build(uniform(40, 2, 1, 32), SystemRank::pseudo_random(31));
+        let walled = RerankService::new(Arc::new(walled), 20);
+        let services = [&a, &walled];
         let mut fed = FederatedSession::open(&services, Query::all(), rank(), Algorithm::Auto)
             .unwrap()
             .with_circuit(CircuitPolicy::trip_after(10));
@@ -803,16 +795,12 @@ mod tests {
         assert!(err.is_none(), "{err:?}");
         assert_eq!(got.len(), 10);
         let report = fed.report();
-        // The point-only source died on an InvalidQuery — non-transient, so
-        // the circuit tripped on the first strike, not the tenth.
         assert!(report[1].tripped);
         assert_eq!(report[1].consecutive_failures, 1);
-        assert!(matches!(
+        assert_eq!(
             report[1].last_error,
-            Some(RerankError::Server(
-                qrs_types::ServerError::InvalidQuery { .. }
-            ))
-        ));
+            Some(RerankError::UnsupportedCapability(Capability::PageDepth(5)))
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ use qrs_core::{MdOptions, OneDStrategy, TiePolicy};
 use qrs_ranking::RankFn;
 use qrs_server::Capabilities;
 use qrs_types::{AttrId, Capability, Query, RerankError, Schema};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -248,9 +248,10 @@ impl Planner {
         self
     }
 
-    /// The filter capability an algorithm needs to constrain `attr`: a
-    /// point-only attribute (with its value list in the schema) is driven
-    /// by point probes, anything else by range binary search.
+    /// The filter capability an algorithm needs to constrain `attr` outside
+    /// an MD box: a point-only attribute (with its value list in the
+    /// schema) is driven by point probes — the 1D cursor's value
+    /// enumeration, tie sub-crawls — anything else by range binary search.
     fn filter_req(&self, attr: AttrId) -> Capability {
         if self.schema.ordinal(attr).point_only {
             Capability::PointFilter(attr)
@@ -390,7 +391,7 @@ impl Planner {
     /// first.
     fn candidates(&self, rank: &dyn RankFn, tie: TiePolicy) -> Vec<Candidate> {
         let rank_attrs: Vec<AttrId> = rank.attrs().to_vec();
-        let all_attrs: BTreeSet<AttrId> = self.schema.attr_ids().collect();
+        let all_attrs = || self.schema.attr_ids().map(|a| (a, self.filter_req(a)));
         let mut out = Vec::new();
         if rank.dims() == 1 {
             // Exact tie handling may sub-crawl a value slab over the other
@@ -398,8 +399,10 @@ impl Planner {
             // them; AssumeDistinct only binary-searches the ranking
             // attribute.
             let constrained = match tie {
-                TiePolicy::Exact => all_attrs.clone(),
-                TiePolicy::AssumeDistinct => rank_attrs.iter().copied().collect(),
+                TiePolicy::Exact => all_attrs().collect(),
+                TiePolicy::AssumeDistinct => all_attrs()
+                    .filter(|(a, _)| rank_attrs.contains(a))
+                    .collect(),
             };
             out.push(Candidate {
                 name: names::ONE_D,
@@ -411,14 +414,19 @@ impl Planner {
                 drains: false,
             });
         } else {
-            // The MD cursor box-partitions the ranking space and, for
-            // exact duplicate handling, may sub-crawl cells over the
-            // remaining attributes: conservatively all of them.
+            // The MD cursor box-partitions the ranking space — ranges on
+            // every ranking attribute, point-only or not — and, for exact
+            // duplicate handling, may sub-crawl cells over the remaining
+            // attributes: conservatively all of them.
+            let mut constrained: BTreeMap<_, _> = all_attrs().collect();
+            for &a in &rank_attrs {
+                constrained.insert(a, Capability::RangeFilter(a));
+            }
             out.push(Candidate {
                 name: names::MD,
                 algorithm: Algorithm::Md(MdOptions::rerank()),
                 estimate: MdCursorStrategy::estimate_in,
-                constrained: all_attrs,
+                constrained,
                 order_by: Vec::new(),
                 paging: false,
                 drains: false,
@@ -431,7 +439,7 @@ impl Planner {
             name: names::TA_ORDER_BY,
             algorithm: Algorithm::Ta(SortedAccess::PublicOrderBy),
             estimate: TaCursorStrategy::estimate_in,
-            constrained: BTreeSet::new(),
+            constrained: BTreeMap::new(),
             order_by: rank_attrs,
             paging: false,
             drains: true,
@@ -442,7 +450,7 @@ impl Planner {
                 max_pages: self.caps.max_pages.unwrap_or(usize::MAX),
             },
             estimate: PageDownStrategy::estimate_in,
-            constrained: BTreeSet::new(),
+            constrained: BTreeMap::new(),
             order_by: Vec::new(),
             paging: true,
             drains: true,
@@ -467,7 +475,7 @@ impl Planner {
         let depth = self.depth_to_drain();
         if c.paging && !self.caps.paging {
             missing.push(Capability::Paging);
-        } else if c.drains && self.caps.max_pages.is_some_and(|m| depth > m) {
+        } else if c.drains && self.caps.admit_depth(depth).is_err() {
             missing.push(Capability::PageDepth(depth));
         }
         for &a in &c.order_by {
@@ -476,8 +484,7 @@ impl Planner {
             }
         }
         // Filters on every attribute the cursor itself constrains.
-        for &a in &c.constrained {
-            let req = self.filter_req(a);
+        for &req in c.constrained.values() {
             if !self.caps.supports(req) {
                 missing.push(req);
             }
@@ -488,8 +495,7 @@ impl Planner {
 
         // Shape the selection: relax predicates the site cannot evaluate
         // (wrong filter level) or will not accept (arity cap), re-applied
-        // client-side. Predicates on cursor-constrained attributes are
-        // always expressible here — the filter requirements above passed.
+        // client-side.
         let mut server_query = Query::all();
         let mut residual = Query::all();
         let mut relaxed = false;
@@ -497,9 +503,7 @@ impl Planner {
             if p.interval.is_all() {
                 continue;
             }
-            let sup = self.caps.filter_support(p.attr);
-            let expressible = sup.allows_range() || (sup.allows_point() && p.interval.is_point());
-            if expressible {
+            if self.caps.filter_support(p.attr).admits(&p.interval) {
                 server_query.add_range(p.attr, p.interval);
             } else {
                 residual.add_range(p.attr, p.interval);
@@ -525,7 +529,7 @@ impl Planner {
                     .ranges()
                     .iter()
                     .map(|p| p.attr)
-                    .chain(c.constrained.iter().copied())
+                    .chain(c.constrained.keys().copied())
                     .collect();
                 attrs.len() + q.cats().len()
             };
@@ -535,7 +539,7 @@ impl Planner {
                 let victim = server_query
                     .ranges()
                     .iter()
-                    .find(|p| !c.constrained.contains(&p.attr))
+                    .find(|p| !c.constrained.contains_key(&p.attr))
                     .map(|p| (p.attr, p.interval));
                 if let Some((attr, iv)) = victim {
                     residual.add_range(attr, iv);
@@ -565,8 +569,9 @@ struct Candidate {
     /// [`qrs_core::RerankStrategy::estimate`] answers with on the
     /// constructed object.
     estimate: fn(&PlanContext) -> CostEstimate,
-    /// Ordinal attributes the cursor itself will put predicates on.
-    constrained: BTreeSet<AttrId>,
+    /// Ordinal attributes the cursor itself will put predicates on, each
+    /// with the filter capability those predicates need.
+    constrained: BTreeMap<AttrId, Capability>,
     /// Attributes that must be publicly `ORDER BY`-able.
     order_by: Vec<AttrId>,
     /// Turns pages of the *system* ranking, so the site must page at all.
@@ -666,6 +671,42 @@ mod tests {
             }
         ));
         assert!(plan.rationale.contains("rejected md-rerank"));
+    }
+
+    /// A dropdown ranking attribute: 1D enumerates its values with point
+    /// predicates, but the MD box partition sends ranges on it, which the
+    /// site refuses — so MD must not plan, and the site's paging takes over.
+    #[test]
+    fn md_over_a_point_only_ranking_attribute_needs_range_filters() {
+        let grades = (0..10).map(f64::from).collect();
+        let schema = Arc::new(Schema::new(
+            vec![
+                OrdinalAttr::point_only("grade", grades),
+                OrdinalAttr::new("y", 0.0, 10.0),
+            ],
+            vec![],
+        ));
+        let caps = Capabilities::none().with_filter(AttrId(0), FilterSupport::Point);
+        let planner = |caps| Planner::new(caps, Arc::clone(&schema), 5, 100);
+        let err = planner(caps.clone())
+            .plan(&Query::all(), &rank2(), TiePolicy::Exact)
+            .unwrap_err();
+        match err {
+            RerankError::Unplannable { missing, reason } => {
+                assert_eq!(missing[0], Capability::RangeFilter(AttrId(0)));
+                assert!(reason.contains("md-rerank needs range predicates on attribute A1"));
+            }
+            other => panic!("expected Unplannable, got {other}"),
+        }
+        let plan = planner(caps.clone().with_paging())
+            .plan(&Query::all(), &rank2(), TiePolicy::Exact)
+            .unwrap();
+        assert!(matches!(plan.algorithm, Algorithm::PageDown { .. }));
+        assert!(plan.rationale.contains("rejected md-rerank"));
+        let plan = planner(caps)
+            .plan(&Query::all(), &rank1(), TiePolicy::Exact)
+            .unwrap();
+        assert!(matches!(plan.algorithm, Algorithm::OneD(_)));
     }
 
     #[test]
@@ -780,7 +821,6 @@ mod tests {
             },
             10_000,
             10_000,
-            5,
         );
         let plan = p
             .clone()

@@ -796,7 +796,6 @@ impl Drop for Session<'_> {
                     ad.predicted,
                     self.ledger.queries_spent,
                     self.ledger.cost_units_spent,
-                    self.ledger.emitted as u64,
                 );
             }
         }
@@ -1226,5 +1225,27 @@ mod tests {
         }
         // Whatever was fetched before the 429 is kept and ranked.
         assert!(hits.windows(2).all(|w| w[0].score <= w[1].score));
+    }
+
+    /// Calibration learns only from sessions that emitted: one that paid
+    /// for its first probes and was refused before emitting anything
+    /// leaves the store untrained when it drops.
+    #[test]
+    fn sessions_dropped_before_their_first_emission_leave_calibration_untrained() {
+        let data = uniform(400, 2, 1, 509);
+        let server = SimServer::new(
+            data,
+            SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]),
+            3,
+        )
+        .with_rate_limit(2);
+        let svc = RerankService::new(Arc::new(server), 400)
+            .with_adaptive(qrs_types::AdaptiveConfig::enabled());
+        let mut s = svc.session(Query::all(), rank2()).open().unwrap();
+        let (hits, err) = s.top(1);
+        assert!(hits.is_empty() && err.is_some(), "{hits:?} {err:?}");
+        assert!(s.queries_spent() > 0, "the session paid before the refusal");
+        drop(s);
+        assert!(svc.calibration().snapshot().is_empty());
     }
 }

@@ -10,6 +10,7 @@
 //! algorithm can run at all — or to relax a predicate server-side and
 //! re-apply it client-side.
 
+use crate::interval::Interval;
 use std::fmt;
 
 /// What kind of predicate a search interface accepts on one ordinal
@@ -20,12 +21,12 @@ use std::fmt;
 /// takes ranges also takes the degenerate point range `Ai ∈ [v, v]`.
 ///
 /// ```
-/// use qrs_types::FilterSupport;
+/// use qrs_types::{FilterSupport, Interval};
 ///
 /// assert!(FilterSupport::Range.allows_range());
-/// assert!(FilterSupport::Point.allows_point());
-/// assert!(!FilterSupport::Point.allows_range());
 /// assert!(!FilterSupport::None.allows_point());
+/// assert!(FilterSupport::Point.admits(&Interval::point(3.0)));
+/// assert!(!FilterSupport::Point.admits(&Interval::open(1.0, 4.0)));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FilterSupport {
@@ -49,6 +50,14 @@ impl FilterSupport {
     /// Whether a non-degenerate range predicate is accepted.
     pub fn allows_range(self) -> bool {
         self == FilterSupport::Range
+    }
+
+    /// Whether the predicate `Ai ∈ iv` is accepted — the one per-predicate
+    /// rule the site model enforces and the planner relaxes by: no
+    /// predicate (the whole line) anywhere, a point `[v, v]` from `Point`
+    /// up, anything else only at `Range`.
+    pub fn admits(self, iv: &Interval) -> bool {
+        iv.is_all() || self.allows_range() || (self.allows_point() && iv.is_point())
     }
 }
 
@@ -81,5 +90,26 @@ mod tests {
         assert!(FilterSupport::Point.allows_point());
         assert!(!FilterSupport::None.allows_range());
         assert!(!FilterSupport::None.allows_point());
+    }
+
+    #[test]
+    fn admits_is_point_versus_range_versus_none() {
+        let (all, point, range) = (
+            Interval::all(),
+            Interval::point(2.0),
+            Interval::closed(1.0, 2.0),
+        );
+        for support in [
+            FilterSupport::None,
+            FilterSupport::Point,
+            FilterSupport::Range,
+        ] {
+            assert!(support.admits(&all), "{support}: no predicate at all");
+            assert_eq!(support.admits(&point), support.allows_point());
+            assert_eq!(support.admits(&range), support.allows_range());
+        }
+        // Half-open and empty intervals are ranges, not points.
+        assert!(!FilterSupport::Point.admits(&Interval::at_most(2.0)));
+        assert!(!FilterSupport::Point.admits(&Interval::open(2.0, 2.0)));
     }
 }

@@ -12,7 +12,7 @@ use query_reranking::core::baselines::{page_down_rerank, recall_at_h};
 use query_reranking::core::{MdCursor, MdOptions, RerankParams, SharedState};
 use query_reranking::datagen::synthetic::correlated;
 use query_reranking::ranking::{LinearRank, RankFn};
-use query_reranking::server::{SearchInterface, SimServer, SystemRank};
+use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
 use query_reranking::types::{AttrId, Query};
 use std::sync::Arc;
 
@@ -31,7 +31,8 @@ fn main() {
         "method", "queries", "recall@10", "exact?"
     );
     for pages in [1usize, 3, 10, 30, 100] {
-        let server = SimServer::new(data.clone(), sys.clone(), 10).with_paging();
+        let server = SimServer::new(data.clone(), sys.clone(), 10)
+            .with_capabilities(Capabilities::none().with_paging());
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
         let r = page_down_rerank(&server, &mut st, &Query::all(), |t| rank.score(t), pages)
             .expect("paging capability enabled above");

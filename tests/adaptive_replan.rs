@@ -15,7 +15,7 @@ use query_reranking::datagen::synthetic::uniform;
 use query_reranking::knowledge::{query_key, ResultKey};
 use query_reranking::obs::{EventKind, ObsHandle, QueryClass, Recorder};
 use query_reranking::ranking::{LinearRank, RankFn};
-use query_reranking::server::{SearchInterface, SimServer, SystemRank};
+use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
 use query_reranking::service::{AdaptiveConfig, Algorithm, KnowledgePlane, RerankService};
 use query_reranking::types::{AttrId, CostModel, Dataset, Query};
 use std::sync::Arc;
@@ -44,9 +44,12 @@ fn rank2() -> Arc<dyn RankFn> {
 /// alternate is the md cursor.
 fn drifted_server(data: Dataset, seed: u64) -> SimServer {
     SimServer::new(data, SystemRank::pseudo_random(seed ^ 0x33), K)
-        .with_order_by(vec![AttrId(0), AttrId(1)])
+        .with_capabilities(
+            Capabilities::none()
+                .with_order_by(vec![AttrId(0), AttrId(1)])
+                .with_cost_model(CostModel::flat().with_ordered_cost(60)),
+        )
         .with_advertised_cost(CostModel::flat().with_range_cost(50))
-        .with_cost_model(CostModel::flat().with_ordered_cost(60))
 }
 
 /// What the knowledge plane holds when the adaptive session opens.
@@ -353,9 +356,11 @@ fn honest_prices_never_switch() {
     let seed = seeded(0xADA3) | 1;
     let data = uniform(N, 2, 1, seed);
     let honest = |data: Dataset| {
-        SimServer::new(data, SystemRank::pseudo_random(seed ^ 0x33), K)
-            .with_order_by(vec![AttrId(0), AttrId(1)])
-            .with_cost_model(CostModel::flat().with_ordered_cost(2).with_range_cost(2))
+        SimServer::new(data, SystemRank::pseudo_random(seed ^ 0x33), K).with_capabilities(
+            Capabilities::none()
+                .with_order_by(vec![AttrId(0), AttrId(1)])
+                .with_cost_model(CostModel::flat().with_ordered_cost(2).with_range_cost(2)),
+        )
     };
 
     let static_server = Arc::new(honest(data.clone()));

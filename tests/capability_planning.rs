@@ -7,7 +7,7 @@
 
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::ranking::{LinearRank, RankFn};
-use query_reranking::server::{SearchInterface, SimServer, SiteProfile, SystemRank};
+use query_reranking::server::{Capabilities, SearchInterface, SimServer, SiteProfile, SystemRank};
 use query_reranking::service::{Algorithm, RerankService};
 use query_reranking::types::{
     AttrId, Capability, CatId, CatPredicate, FilterSupport, Interval, Query, RerankError,
@@ -321,7 +321,8 @@ fn explicit_page_down_preflights_paging() {
 #[test]
 fn explicit_page_down_with_shallow_cap_errors_typed_not_wrong() {
     let data = uniform(N, 2, 1, 23);
-    let server = SimServer::new(data, SystemRank::pseudo_random(23), K).with_paging();
+    let server = SimServer::new(data, SystemRank::pseudo_random(23), K)
+        .with_capabilities(Capabilities::none().with_paging());
     let svc = RerankService::new(Arc::new(server), N);
     let mut session = svc
         .session(Query::all(), rank2())
@@ -342,10 +343,12 @@ fn explicit_page_down_with_shallow_cap_errors_typed_not_wrong() {
 #[test]
 fn hand_rolled_restrictions_match_profile_behavior() {
     let data = uniform(N, 2, 1, 29);
-    let server = SimServer::new(data, SystemRank::pseudo_random(29), K)
-        .with_paging()
-        .with_filter_support(AttrId(0), FilterSupport::Point)
-        .with_filter_support(AttrId(1), FilterSupport::Point);
+    let server = SimServer::new(data, SystemRank::pseudo_random(29), K).with_capabilities(
+        Capabilities::none()
+            .with_paging()
+            .with_filter(AttrId(0), FilterSupport::Point)
+            .with_filter(AttrId(1), FilterSupport::Point),
+    );
     let caps = server.capabilities();
     assert_eq!(caps.filter_support(AttrId(0)), FilterSupport::Point);
     let svc = RerankService::new(Arc::new(server), N);

@@ -31,7 +31,7 @@ use query_reranking::edge::http::{read_request, read_response, Request, Response
 use query_reranking::edge::{parse, wire, EdgeClient, EdgeConfig, EdgeServer, HttpSiteAdapter};
 use query_reranking::edge::{Json, ParseError};
 use query_reranking::exec::Executor;
-use query_reranking::server::{SearchInterface, SimServer, SystemRank};
+use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
 use query_reranking::service::RerankService;
 use query_reranking::types::{
     AttrId, CatId, CatPredicate, Direction, Interval, Query, QueryResponse, ServerError,
@@ -124,7 +124,7 @@ fn printable(bytes: &[u8]) -> String {
 fn site(data_seed: u64) -> SimServer {
     let data = uniform(120, 2, 1, data_seed);
     let rank = SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]);
-    SimServer::new(data, rank, 3).with_paging()
+    SimServer::new(data, rank, 3).with_capabilities(Capabilities::none().with_paging())
 }
 
 const RANK: [(usize, Direction, f64); 2] = [(0, Direction::Asc, 1.0), (1, Direction::Asc, 0.5)];

@@ -40,7 +40,7 @@ use query_reranking::edge::{EdgeClient, EdgeClientError, EdgeConfig, EdgeServer,
 use query_reranking::exec::Executor;
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{
-    Clock, Fault, FaultyServer, MockClock, SearchInterface, SimServer, SystemRank,
+    Capabilities, Clock, Fault, FaultyServer, MockClock, SearchInterface, SimServer, SystemRank,
 };
 use query_reranking::service::{BatchRequest, RerankService};
 use query_reranking::types::{AttrId, Dataset, Direction, Query, RerankError, RetryPolicy};
@@ -727,7 +727,8 @@ fn attributes_outside_the_schema_are_uncharged_400s_and_the_edge_keeps_serving()
     ];
     for exec in [Executor::pool(1), Executor::immediate(3)] {
         let one_shot = exec.is_immediate();
-        let remote = Arc::new(anti_server(&data, 3).with_paging());
+        let remote =
+            Arc::new(anti_server(&data, 3).with_capabilities(Capabilities::none().with_paging()));
         let svc = Arc::new(RerankService::new(
             Arc::clone(&remote) as Arc<dyn SearchInterface>,
             data.len(),

@@ -25,7 +25,7 @@ use query_reranking::edge::{EdgeClient, EdgeConfig, EdgeServer};
 use query_reranking::exec::Executor;
 use query_reranking::obs::{escape_json_into, ObsHandle, Recorder};
 use query_reranking::ranking::{LinearRank, RankFn};
-use query_reranking::server::{SearchInterface, SimServer, SiteProfile, SystemRank};
+use query_reranking::server::{Capabilities, SearchInterface, SimServer, SiteProfile, SystemRank};
 use query_reranking::service::{
     AdaptiveConfig, Algorithm, BatchRequest, Calibration, KnowledgePlane, RerankService,
 };
@@ -319,9 +319,12 @@ fn drift_leg(rows: &mut Vec<Row>) {
                 SystemRank::pseudo_random(SEED_SYSRANK),
                 K,
             )
-            .with_order_by(vec![AttrId(0), AttrId(1)])
-            .with_advertised_cost(CostModel::flat().with_range_cost(10))
-            .with_cost_model(CostModel::flat().with_ordered_cost(200)),
+            .with_capabilities(
+                Capabilities::none()
+                    .with_order_by(vec![AttrId(0), AttrId(1)])
+                    .with_cost_model(CostModel::flat().with_ordered_cost(200)),
+            )
+            .with_advertised_cost(CostModel::flat().with_range_cost(10)),
         ) as Arc<dyn SearchInterface>
     };
     let run_drift = |svc: &RerankService| {

@@ -15,7 +15,7 @@
 
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::ranking::{LinearRank, RankFn};
-use query_reranking::server::{SimServer, SystemRank};
+use query_reranking::server::{Capabilities, SimServer, SystemRank};
 use query_reranking::service::{KnowledgePlane, RerankService, Session};
 use query_reranking::types::{AttrId, CostModel, Dataset, Interval, Query};
 use rand::rngs::StdRng;
@@ -64,7 +64,7 @@ impl Site {
             self.k,
         );
         if let Some(cost) = &self.cost {
-            server = server.with_cost_model(cost.clone());
+            server = server.with_capabilities(Capabilities::none().with_cost_model(cost.clone()));
         }
         let svc = RerankService::new(Arc::new(server), self.data.len());
         match plane {

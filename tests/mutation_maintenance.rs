@@ -335,8 +335,10 @@ fn repair_costs_are_proportional_to_the_change() {
         .collect();
     let paged = Dataset::new(schema(2), spread).unwrap();
     for (hint, h, redrives) in [(30, 4, false), (4, 30, true)] {
-        let server =
-            Arc::new(SimServer::new(paged.clone(), SystemRank::pseudo_random(5), 4).with_paging());
+        let server = Arc::new(
+            SimServer::new(paged.clone(), SystemRank::pseudo_random(5), 4)
+                .with_capabilities(Capabilities::none().with_paging()),
+        );
         let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, 40);
         let mut maintained = svc
             .session(Query::all(), Arc::clone(&rank1))
@@ -402,9 +404,11 @@ fn positional_strategy_redrives_instead_of_trusting_shifted_pages() {
     let mut rng = StdRng::seed_from_u64(seeded(0xCDC5));
     let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
     let small = |rng: &mut StdRng| {
-        SimServer::new(dataset(rng, 40, 2), SystemRank::pseudo_random(13), 4)
-            .with_paging()
-            .with_order_by(vec![AttrId(0), AttrId(1)])
+        SimServer::new(dataset(rng, 40, 2), SystemRank::pseudo_random(13), 4).with_capabilities(
+            Capabilities::none()
+                .with_paging()
+                .with_order_by(vec![AttrId(0), AttrId(1)]),
+        )
     };
     // `ORDER BY` advertised as ruinous, ranges as free; billed the other
     // way round. No paging, so the md cursor's only alternate is TA.
@@ -413,9 +417,12 @@ fn positional_strategy_redrives_instead_of_trusting_shifted_pages() {
         SystemRank::pseudo_random(0x33),
         5,
     )
-    .with_order_by(vec![AttrId(0), AttrId(1)])
-    .with_advertised_cost(CostModel::flat().with_ordered_cost(500))
-    .with_cost_model(CostModel::flat().with_range_cost(60));
+    .with_capabilities(
+        Capabilities::none()
+            .with_order_by(vec![AttrId(0), AttrId(1)])
+            .with_cost_model(CostModel::flat().with_range_cost(60)),
+    )
+    .with_advertised_cost(CostModel::flat().with_ordered_cost(500));
     let page_down = Algorithm::PageDown {
         max_pages: usize::MAX,
     };

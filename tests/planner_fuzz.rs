@@ -1,11 +1,12 @@
 //! Deterministic fuzz harness for the planner/`StrategyIo` surface.
 //!
 //! A splitmix64 stream (derived from `QRS_TEST_SEED`) generates random
-//! site models — paging, order-by subsets, page-depth walls, predicate
-//! arity caps, per-attribute filter support, advertised *and* billed cost
-//! models — crossed with random selections, rankings, horizons, tie
-//! policies and adaptive-planner configurations. Two invariants must hold
-//! for every generated world:
+//! site models — one `Capabilities` each: paging, order-by subsets,
+//! page-depth walls, predicate arity caps, per-attribute filter support,
+//! advertised *and* billed cost models — over data whose first attribute
+//! is, one world in four, a point-only grid, crossed with random
+//! selections, rankings, horizons, tie policies and adaptive-planner
+//! configurations. Two invariants must hold for every generated world:
 //!
 //! 1. **Plan or refuse, typed.** `Planner::plan` (and `open()`) either
 //!    produces a plan or fails with `RerankError::Unplannable` naming at
@@ -22,9 +23,12 @@
 use query_reranking::core::TiePolicy;
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::ranking::{LinearRank, RankFn};
-use query_reranking::server::{SearchInterface, SimServer, SystemRank};
+use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
 use query_reranking::service::{AdaptiveConfig, Planner, RerankService};
-use query_reranking::types::{AttrId, CostModel, FilterSupport, Interval, Query, RerankError};
+use query_reranking::types::{
+    AttrId, CostModel, Dataset, FilterSupport, Interval, OrdinalAttr, Query, RerankError, Schema,
+    Tuple,
+};
 use std::sync::Arc;
 
 fn seeded(base: u64) -> u64 {
@@ -100,36 +104,70 @@ fn random_cost_model(rng: &mut Rng) -> CostModel {
     m
 }
 
+/// `data` with attribute 0 snapped to `levels` evenly spaced values on
+/// `[0, 1]` and declared point-only over them: a dropdown the rankings can
+/// still rank by.
+fn on_a_grid(data: &Dataset, levels: usize) -> Dataset {
+    let top = (levels - 1) as f64;
+    let grid: Vec<f64> = (0..levels).map(|i| i as f64 / top).collect();
+    let schema = data.schema();
+    let schema = Schema::new(
+        vec![
+            OrdinalAttr::point_only("grade", grid.clone()),
+            schema.ordinal(AttrId(1)).clone(),
+        ],
+        schema
+            .cat_ids()
+            .map(|c| schema.categorical(c).clone())
+            .collect(),
+    );
+    let tuples = data
+        .tuples()
+        .iter()
+        .map(|t| {
+            let mut ords = t.ords().to_vec();
+            ords[0] = grid[(ords[0] * top).round() as usize];
+            Tuple::new(t.id, ords, t.cats().to_vec())
+        })
+        .collect();
+    Dataset::new(schema, tuples).unwrap()
+}
+
 fn random_world(rng: &mut Rng, case: u64) -> World {
     let n = rng.range(30, 180) as usize;
     let k = rng.range(1, 7) as usize;
-    let data = uniform(n, 2, 1, seeded(0xF022) ^ case);
-    let mut server = SimServer::new(data, SystemRank::pseudo_random(case ^ 0x55), k)
-        .with_cost_model(random_cost_model(rng));
-    if rng.chance(40) {
-        server = server.with_advertised_cost(random_cost_model(rng));
+    let mut data = uniform(n, 2, 1, seeded(0xF022) ^ case);
+    if rng.chance(25) {
+        data = on_a_grid(&data, rng.range(2, 12) as usize);
     }
+    let mut site = Capabilities::none().with_cost_model(random_cost_model(rng));
+    let advertised = rng.chance(40).then(|| random_cost_model(rng));
     if rng.chance(60) {
-        server = server.with_paging();
+        site = site.with_paging();
     }
     match rng.below(4) {
-        0 => server = server.with_order_by(vec![AttrId(0)]),
-        1 => server = server.with_order_by(vec![AttrId(1)]),
-        2 => server = server.with_order_by(vec![AttrId(0), AttrId(1)]),
+        0 => site = site.with_order_by(vec![AttrId(0)]),
+        1 => site = site.with_order_by(vec![AttrId(1)]),
+        2 => site = site.with_order_by(vec![AttrId(0), AttrId(1)]),
         _ => {}
     }
     if rng.chance(30) {
-        server = server.with_max_pages(rng.range(1, 80) as usize);
+        site = site.with_max_pages(rng.range(1, 80) as usize);
     }
     if rng.chance(30) {
-        server = server.with_max_predicates(rng.range(1, 4) as usize);
+        site = site.with_max_predicates(rng.range(1, 4) as usize);
     }
     for a in [AttrId(0), AttrId(1)] {
         match rng.below(4) {
-            0 => server = server.with_filter_support(a, FilterSupport::Point),
-            1 => server = server.with_filter_support(a, FilterSupport::None),
+            0 => site = site.with_filter(a, FilterSupport::Point),
+            1 => site = site.with_filter(a, FilterSupport::None),
             _ => {} // Range (the default) gets half the mass.
         }
+    }
+    let mut server =
+        SimServer::new(data, SystemRank::pseudo_random(case ^ 0x55), k).with_capabilities(site);
+    if let Some(cost) = advertised {
+        server = server.with_advertised_cost(cost);
     }
 
     // A selection of 0–2 well-formed range predicates.

@@ -28,7 +28,7 @@ use query_reranking::core::{
 };
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::ranking::{LinearRank, RankFn};
-use query_reranking::server::{SearchInterface, SimServer, SystemRank};
+use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
 use query_reranking::service::{Algorithm, RerankService};
 use query_reranking::types::{AttrId, CostModel, Query, RequestKind, Tuple};
 use std::sync::Arc;
@@ -152,7 +152,9 @@ fn assert_equivalent(
 #[test]
 fn one_d_strategy_is_byte_identical_to_the_cursor() {
     for (n, k) in [(60, 3), (150, 5)] {
-        let pair = twin_servers(n, k, seed() ^ n as u64, |s| s.with_cost_model(metered()));
+        let pair = twin_servers(n, k, seed() ^ n as u64, |s| {
+            s.with_capabilities(Capabilities::none().with_cost_model(metered()))
+        });
         let rank = rank1();
         let spec = OneDSpec::new(rank.attrs()[0], rank.directions()[0], Query::all());
         let mut cursor = OneDCursor::new(spec.clone(), OneDStrategy::Rerank, TiePolicy::Exact);
@@ -173,7 +175,7 @@ fn one_d_strategy_is_byte_identical_to_the_cursor() {
 fn md_strategy_is_byte_identical_to_the_cursor() {
     for (n, k) in [(60, 3), (150, 5)] {
         let pair = twin_servers(n, k, seed() ^ (n as u64) << 1, |s| {
-            s.with_cost_model(metered())
+            s.with_capabilities(Capabilities::none().with_cost_model(metered()))
         });
         let rank = rank2();
         let mut cursor = MdCursor::new(
@@ -212,8 +214,11 @@ fn ta_strategy_is_byte_identical_to_the_cursor() {
     for (access, kind) in accesses {
         for (n, k) in [(60, 3), (150, 5)] {
             let pair = twin_servers(n, k, seed() ^ (n as u64) << 2, |s| {
-                s.with_order_by(vec![AttrId(0), AttrId(1)])
-                    .with_cost_model(metered())
+                s.with_capabilities(
+                    Capabilities::none()
+                        .with_order_by(vec![AttrId(0), AttrId(1)])
+                        .with_cost_model(metered()),
+                )
             });
             let rank = rank2();
             let (schema, caps) = (pair.legacy.schema(), pair.legacy.capabilities());
@@ -239,7 +244,11 @@ fn ta_strategy_is_byte_identical_to_the_cursor() {
 fn page_down_strategy_is_byte_identical_to_the_cursor() {
     for (n, k) in [(60, 3), (150, 5)] {
         let pair = twin_servers(n, k, seed() ^ (n as u64) << 3, |s| {
-            s.with_paging().with_cost_model(metered())
+            s.with_capabilities(
+                Capabilities::none()
+                    .with_paging()
+                    .with_cost_model(metered()),
+            )
         });
         let rank = rank2();
         // The pre-refactor dispatch drove the page-down cursor one page

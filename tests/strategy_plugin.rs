@@ -13,7 +13,7 @@ use query_reranking::core::strategy::{
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{
-    Clock, Fault, FaultyServer, MockClock, SearchInterface, SimServer, SystemRank,
+    Capabilities, Clock, Fault, FaultyServer, MockClock, SearchInterface, SimServer, SystemRank,
 };
 use query_reranking::service::{Algorithm, RerankService};
 use query_reranking::types::value::cmp_f64;
@@ -127,7 +127,7 @@ fn service(n: usize, k: usize, s: u64) -> RerankService {
         SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]),
         k,
     )
-    .with_paging();
+    .with_capabilities(Capabilities::none().with_paging());
     RerankService::new(Arc::new(server), n)
 }
 
@@ -243,7 +243,7 @@ fn custom_strategy_transient_failures_are_retried_like_builtins() {
             SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]),
             5,
         )
-        .with_paging(),
+        .with_capabilities(Capabilities::none().with_paging()),
     );
     let faulty = FaultyServer::new(Arc::clone(&inner) as Arc<dyn SearchInterface>).with_storm(
         2,
