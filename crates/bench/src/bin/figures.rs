@@ -6,6 +6,9 @@
 //!
 //! Run without arguments to list the ids (the rows of
 //! [`qrs_bench::experiments::EXPERIMENTS`]). Default scale: quick.
+//! Stdout is a pure function of the scale, the ids and `QRS_TEST_SEED`
+//! (per-id timings go to stderr); `tests/golden/figures_quick_seed*.txt`
+//! pin `--scale quick all` under the two CI seeds.
 
 use qrs_bench::experiments::{ids, run};
 use qrs_bench::Scale;
@@ -41,6 +44,7 @@ fn main() {
             eprintln!("unknown experiment id '{id}'");
             std::process::exit(2);
         }
-        println!("[{id} done in {:.1}s]", t0.elapsed().as_secs_f64());
+        // Timing goes to stderr, so stdout is the deterministic result.
+        eprintln!("[{id} done in {:.1}s]", t0.elapsed().as_secs_f64());
     }
 }

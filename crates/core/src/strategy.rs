@@ -296,8 +296,8 @@ pub trait RerankStrategy: Send {
     fn next_step(&mut self, io: &mut StrategyIo<'_>) -> Result<StrategyStep, RerankError>;
 
     /// The one request class this strategy issues against the site — the
-    /// bucket its charges land in on the metrics plane. `None` (the
-    /// default) means a mix the driver cannot attribute to one class.
+    /// class its request events carry on the observability plane. `None`
+    /// (the default) means a mix the session cannot attribute to one class.
     fn request_kind(&self) -> Option<RequestKind> {
         None
     }

@@ -2,8 +2,7 @@
 //! deterministic encoder.
 //!
 //! The workspace carries no serde (the build environment is offline), so
-//! the wire layer hand-rolls the little JSON it needs (string escaping is
-//! the workspace's one escaper, [`qrs_obs::escape_json_into`]). Two properties
+//! the wire layer hand-rolls the little JSON it needs. Two properties
 //! matter more than generality:
 //!
 //! * **round-trip exactness for `f64`** — numbers encode via Rust's `{}`
@@ -17,7 +16,6 @@
 //! Non-finite numbers have no JSON spelling; the encoder writes `null` and
 //! the domain layer (`crate::wire`) keeps them out of the protocol.
 
-use qrs_obs::escape_json_into;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -167,6 +165,24 @@ impl Json {
                 }
                 out.push('}');
             }
+        }
+    }
+}
+
+/// Append `s` to `out` escaped as the *contents* of a JSON string (quotes,
+/// backslashes, control chars; the caller writes the surrounding `"`).
+fn escape_json_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
         }
     }
 }
@@ -455,7 +471,7 @@ mod tests {
                 "a",
                 Json::Arr(vec![Json::u64(1), Json::Null, Json::Bool(true)]),
             ),
-            ("s", Json::str("he\"llo\n\\")),
+            ("s", Json::str("he\"llo\n\\\t\r")),
             ("n", Json::Num(-2.5)),
         ]);
         let text = v.encode();

@@ -279,16 +279,8 @@ pub fn schema_from_json(v: &Json) -> WireResult<Schema> {
                     ),
                 },
             };
-            // What `OrdinalAttr::point_only` asserts: the cursors and the
-            // crawler can reach a point-only attribute only by walking
-            // its value list.
-            let walkable = |v: &Vec<f64>| !v.is_empty() && v.windows(2).all(|w| w[0] < w[1]);
-            if attr.point_only && !attr.values.as_ref().is_some_and(walkable) {
-                return Err(format!(
-                    "point-only attribute '{}' needs a non-empty, strictly ascending value list",
-                    attr.name
-                ));
-            }
+            // Refused here, typed, before `Schema::new` would assert it.
+            attr.check()?;
             Ok(attr)
         })
         .collect::<WireResult<Vec<OrdinalAttr>>>()?;
@@ -786,20 +778,25 @@ mod tests {
     /// inside the service.
     #[test]
     fn point_only_attributes_need_a_walkable_value_list() {
-        let mut bad = Vec::new();
-        for values in [
-            None,
-            Some(vec![]),
-            Some(vec![2.0, 1.0]),
-            Some(vec![1.0, 1.0]),
-        ] {
-            let mut attr = OrdinalAttr::new("stops", 0.0, 2.0);
-            attr.point_only = true;
-            attr.values = values;
-            let body = schema_to_json(&Schema::new(vec![attr], vec![]));
-            bad.push(schema_from_json(&body).unwrap_err());
-        }
+        let schema = |values: &str| {
+            crate::json::parse(&format!(
+                r#"{{"ordinal":[{{"name":"stops","min":0,"max":2,"point_only":true{values}}}],
+                    "categorical":[]}}"#
+            ))
+            .unwrap()
+        };
+        let bad: Vec<String> = [
+            "",
+            r#","values":null"#,
+            r#","values":[]"#,
+            r#","values":[2,1]"#,
+            r#","values":[1,1]"#,
+        ]
+        .into_iter()
+        .map(|values| schema_from_json(&schema(values)).unwrap_err())
+        .collect();
         assert!(bad.iter().all(|e| e.contains("'stops'")), "{bad:?}");
+        assert!(schema_from_json(&schema(r#","values":[0,1,2]"#)).is_ok());
         // Value lists on range attributes stay advisory.
         let mut ranged = OrdinalAttr::new("price", 0.0, 2.0);
         ranged.values = Some(vec![2.0, 1.0]);

@@ -2,16 +2,14 @@
 //!
 //! A handle is either *disabled* (the default — a `None`, so every
 //! instrumentation site costs one branch and constructs nothing) or
-//! *enabled*, in which case it owns the metrics registry, the fleet
-//! monitor, and the attached subscribers. Cloning shares the underlying
-//! plane; the service, its sessions, and its batch workers all hold clones
-//! of the same handle.
+//! *enabled*, in which case it owns the fleet monitor and the attached
+//! subscribers. Cloning shares the underlying plane; the service, its
+//! sessions, and its batch workers all hold clones of the same handle.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::event::{Event, EventKind};
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::monitor::{Monitor, MonitorReport};
 use crate::Subscriber;
 
@@ -19,7 +17,6 @@ use crate::Subscriber;
 #[derive(Debug)]
 struct ObsInner {
     site: Arc<str>,
-    metrics: MetricsRegistry,
     monitor: Monitor,
     subscribers: Vec<Arc<dyn Subscriber>>,
     /// Session ordinals handed out by [`ObsHandle::open_session`],
@@ -51,7 +48,7 @@ impl ObsBuilder {
     }
 
     /// Attach a subscriber; events fan out to subscribers in attachment
-    /// order, after the built-in metrics and monitor folds.
+    /// order, after the built-in monitor fold.
     pub fn subscriber(mut self, s: Arc<dyn Subscriber>) -> Self {
         self.subscribers.push(s);
         self
@@ -62,7 +59,6 @@ impl ObsBuilder {
         ObsHandle {
             inner: Some(Arc::new(ObsInner {
                 site: self.site,
-                metrics: MetricsRegistry::default(),
                 monitor: Monitor::new(),
                 subscribers: self.subscribers,
                 next_session: AtomicU64::new(1),
@@ -88,8 +84,8 @@ impl ObsHandle {
         ObsHandle { inner: None }
     }
 
-    /// Shorthand for an enabled handle with no extra subscribers (metrics
-    /// and monitor only).
+    /// Shorthand for an enabled handle with no subscribers (the monitor
+    /// only).
     pub fn for_site(site: impl Into<Arc<str>>) -> Self {
         ObsBuilder::new(site).build()
     }
@@ -120,8 +116,8 @@ impl ObsHandle {
         }
     }
 
-    /// Emit one event: fold into metrics, then the monitor, then fan out
-    /// to subscribers in attachment order. No-op when disabled (but
+    /// Emit one event: fold it into the monitor, then fan it out to
+    /// subscribers in attachment order. No-op when disabled (but
     /// callers should check [`ObsHandle::enabled`] first and skip even
     /// building the `kind`).
     pub fn emit(&self, at_ms: u64, session: u64, kind: EventKind) {
@@ -132,26 +128,10 @@ impl ObsHandle {
             session,
             kind,
         };
-        inner.metrics.fold(&event);
         inner.monitor.fold(&event);
         for s in &inner.subscribers {
             s.on_event(&event);
         }
-    }
-
-    /// Record one Get-Next pull's wall latency into the latency histogram
-    /// (measured at the pull wrapper, not carried in an event). No-op when
-    /// disabled.
-    #[inline]
-    pub fn record_pull(&self, latency_ms: u64) {
-        if let Some(inner) = &self.inner {
-            inner.metrics.record_pull(latency_ms);
-        }
-    }
-
-    /// Snapshot the metrics registry, or `None` when disabled.
-    pub fn metrics(&self) -> Option<MetricsSnapshot> {
-        self.inner.as_deref().map(|i| i.metrics.snapshot())
     }
 
     /// Snapshot the fleet monitor's predicted-vs-actual table (empty when
@@ -177,8 +157,6 @@ mod tests {
         assert_eq!(h.open_session(), 0);
         assert_eq!(h.open_session(), 0);
         h.emit(0, 0, EventKind::BatchServed { requests: 1 });
-        h.record_pull(5);
-        assert!(h.metrics().is_none());
         assert!(h.monitor_report().rows.is_empty());
         assert_eq!(h.site(), None);
     }
@@ -195,39 +173,38 @@ mod tests {
         let s2 = h.open_session();
         assert_eq!((s1, s2), (1, 2));
 
-        h.emit(
-            10,
-            s1,
-            EventKind::SessionOpen {
-                strategy: "1d-rerank".into(),
-            },
-        );
-        h.emit(
-            11,
-            s1,
-            EventKind::RequestCharged {
-                class: QueryClass::TopK,
-                queries: 3,
-                cost_units: 5,
-            },
-        );
-        h.record_pull(7);
-
-        let m = h.metrics().expect("enabled");
-        assert_eq!(m.events, 2);
-        assert_eq!(m.sessions_opened, 1);
-        assert_eq!(m.queries_total(), 3);
-        assert_eq!(m.cost_units_total(), 5);
-        assert_eq!(m.pulls, 1);
+        let open = EventKind::SessionOpen {
+            strategy: "1d-rerank".into(),
+        };
+        let charged = EventKind::RequestCharged {
+            class: QueryClass::TopK,
+            queries: 3,
+            cost_units: 5,
+        };
+        h.emit(10, s1, open.clone());
+        h.emit(11, s1, charged.clone());
 
         let report = h.monitor_report();
+        assert_eq!(report.rows.len(), 1);
         let row = report.row("dealer-a", "1d-rerank").expect("row");
-        assert_eq!(row.actual_queries, 3);
+        assert_eq!(row.sessions, 1);
+        assert_eq!((row.actual_queries, row.actual_cost_units), (3, 5));
 
-        let events = recorder.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].at_ms, 10);
-        assert_eq!(&*events[1].site, "dealer-a");
+        // The subscriber saw both events whole, in emission order, stamped
+        // with the handle's site and the caller's clock and session.
+        let seen: Vec<_> = recorder
+            .events()
+            .into_iter()
+            .map(|e| (e.at_ms, e.site.to_string(), e.session, e.kind))
+            .collect();
+        assert_eq!(
+            seen,
+            vec![
+                (10, "dealer-a".to_string(), s1, open),
+                (11, "dealer-a".to_string(), s1, charged),
+            ]
+        );
+        assert_eq!(recorder.dropped(), 0);
     }
 
     #[test]
@@ -242,7 +219,10 @@ mod tests {
                 strategy: "page-down".into(),
             },
         );
-        assert_eq!(h.metrics().unwrap().sessions_opened, 1);
+        assert_eq!(
+            h.monitor_report().row("s", "page-down").unwrap().sessions,
+            1
+        );
         assert_eq!(h2.open_session(), s + 1);
     }
 }

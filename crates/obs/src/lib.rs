@@ -1,4 +1,4 @@
-//! Event tracing + metrics plane for the reranking service.
+//! Event tracing for the reranking service.
 //!
 //! The paper's rerank-as-a-service model only pays off operationally when
 //! the service can *see* what each session spends versus what the planner
@@ -6,8 +6,7 @@
 //! ([`Event`]/[`EventKind`]) covering the whole session lifecycle (plan
 //! chosen, requests issued/charged, retries and backoff, circuit
 //! trips/probes, knowledge hits/misses/seals, mutation repairs, budget
-//! trips, open/close), a lock-free [`MetricsRegistry`] (exact counters
-//! plus log2 latency histograms), and a fleet
+//! trips, open/close), the [`Subscriber`]s it fans out to, and a fleet
 //! [`Monitor`] folding the stream into per-(site, strategy)
 //! predicted-vs-actual spend tables with divergence ratios — the data
 //! layer a mid-flight re-planning loop consumes.
@@ -27,32 +26,26 @@
 //!    injectable clock (passed in by callers — this crate reads no OS
 //!    clock), and [`MonitorReport`] rows sort by (site, strategy).
 //!
-//! Two built-in subscribers ship with the crate: a bounded ring-buffer
-//! [`Recorder`] (drop-oldest, tear-free) for tests, and a
-//! [`JsonLinesExporter`] for experiments.
+//! One subscriber ships with the crate: a bounded ring-buffer
+//! [`Recorder`] (drop-oldest, tear-free) that tests and the benchmark fold
+//! by hand.
 
 #![deny(missing_docs)]
 
 mod event;
-mod export;
 mod handle;
-mod metrics;
 mod monitor;
 mod recorder;
 
-pub use event::{escape_json_into, BudgetScope, Event, EventKind, QueryClass};
-pub use export::JsonLinesExporter;
+pub use event::{BudgetScope, Event, EventKind, QueryClass};
 pub use handle::{ObsBuilder, ObsHandle};
-pub use metrics::{
-    log2_bucket, Counter, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS,
-};
 pub use monitor::{Divergence, Monitor, MonitorReport, MonitorRow};
 pub use recorder::{Recorder, DEFAULT_BUFFER};
 
 /// An event sink. Implementations must be cheap and non-blocking-ish:
 /// `on_event` runs on the emitting (query-path) thread, after the built-in
-/// metrics and monitor folds. Implementations must never panic — the
-/// observability plane must not fail the query path it observes.
+/// monitor fold. Implementations must never panic — the observability
+/// plane must not fail the query path it observes.
 pub trait Subscriber: Send + Sync {
     /// Receive one event. The event is borrowed; clone it to keep it.
     fn on_event(&self, event: &Event);

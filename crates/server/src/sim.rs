@@ -629,11 +629,10 @@ mod tests {
     #[test]
     fn point_only_contract_is_a_typed_refusal() {
         let schema = Schema::new(
-            vec![{
-                let mut a = OrdinalAttr::new("grade", 0.0, 5.0);
-                a.point_only = true;
-                a
-            }],
+            vec![OrdinalAttr::point_only(
+                "grade",
+                vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+            )],
             vec![],
         );
         let ds = Dataset::new(schema, vec![Tuple::new(TupleId(0), vec![1.0], vec![])]).unwrap();

@@ -101,8 +101,7 @@ pub struct BatchOutcome {
     /// Wall-clock time this request occupied a worker, in milliseconds —
     /// observational only (latency percentiles in benchmarks), measured on
     /// the service's injectable clock, so batch latency is deterministic
-    /// under a `MockClock` and consistent with the observability plane's
-    /// latency histograms.
+    /// under a `MockClock` and on the same time base as event timestamps.
     pub wall_ms: f64,
 }
 
@@ -117,7 +116,7 @@ impl BatchOutcome {
 /// pulls.
 fn run_one(svc: &RerankService, req: BatchRequest, cancel: &CancelToken) -> BatchOutcome {
     // The injectable clock, not the OS one: deterministic under MockClock,
-    // and the same time base as backoff sleeps and the latency histograms.
+    // and the same time base as backoff sleeps and event timestamps.
     let t0 = svc.clock().now_ms();
     let wall_ms = |t0: u64| svc.clock().now_ms().saturating_sub(t0) as f64;
     svc.stats_ref().on_request();

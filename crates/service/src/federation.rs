@@ -127,11 +127,11 @@ impl SourceHealth {
         self.tripped_at_ms.is_some()
     }
 
-    /// Whether a tripped source's cool-down has elapsed at `now` on its
-    /// service clock. Never, without a cool-down.
-    fn probe_due(&self, circuit: Option<CircuitPolicy>, now: u64) -> bool {
+    /// Whether a tripped source's cool-down has elapsed on its service
+    /// clock. Never, without a cool-down — and then the clock is not read.
+    fn probe_due(&self, circuit: Option<CircuitPolicy>, sess: &Session<'_>) -> bool {
         match (circuit.and_then(|c| c.cooldown_ms), self.tripped_at_ms) {
-            (Some(cd), Some(at)) => now >= at.saturating_add(cd),
+            (Some(cd), Some(at)) => sess.svc().clock().now_ms() >= at.saturating_add(cd),
             _ => false,
         }
     }
@@ -176,7 +176,7 @@ fn pull_source(
     loop {
         let probe = h.tripped();
         if probe {
-            if !h.probe_due(circuit, sess.svc().clock().now_ms()) {
+            if !h.probe_due(circuit, sess) {
                 return Ok(None);
             }
             h.probes_admitted += 1;
@@ -356,15 +356,15 @@ impl<'a> FederatedSession<'a> {
     /// Whether source `i` needs a pull before the next merge step: never
     /// primed, or tripped with its head empty and a half-open probe *due*
     /// on its service clock. Tripped sources that can never rejoin (no
-    /// cool-down) or are still cooling must not defeat the steady-state
-    /// fast path — one clock read here is far cheaper than a fan-out task
-    /// per merge step.
+    /// cool-down, so no clock read) or are still cooling must not defeat
+    /// the steady-state fast path — one clock read here is far cheaper than
+    /// a fan-out task per merge step.
     fn needs_pull(&self, i: usize) -> bool {
         let h = &self.health[i];
         !self.primed[i]
             || (self.heads[i].is_none()
                 && h.tripped()
-                && h.probe_due(self.circuit, self.sessions[i].svc().clock().now_ms()))
+                && h.probe_due(self.circuit, &self.sessions[i]))
     }
 
     /// Fill every head that needs filling — the initial prime and any due
@@ -1037,6 +1037,53 @@ mod tests {
         assert!(r1.tripped);
         assert_eq!(r1.probes_admitted, 0, "no cool-down ⇒ no probes, ever");
         assert_eq!(r1.trips, 1);
+    }
+
+    #[test]
+    fn tripped_source_without_cooldown_reads_no_clock() {
+        use qrs_server::{Clock, FaultyServer, SearchInterface};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        /// A frozen clock that counts its reads.
+        #[derive(Default)]
+        struct CountingClock(AtomicU64);
+        impl Clock for CountingClock {
+            fn now_ms(&self) -> u64 {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                0
+            }
+            fn sleep_ms(&self, _ms: u64) {}
+        }
+        let clock = Arc::new(CountingClock::default());
+        let data = uniform(60, 2, 1, 83);
+        let live = RerankService::new(
+            Arc::new(SimServer::new(data, SystemRank::pseudo_random(83), 5)),
+            60,
+        )
+        .with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
+        let dead_inner = Arc::new(SimServer::new(
+            uniform(40, 2, 1, 84),
+            SystemRank::pseudo_random(84),
+            5,
+        ));
+        let dead =
+            FaultyServer::new(dead_inner as Arc<dyn SearchInterface>).with_permanent_outage_from(0);
+        let dead_svc = RerankService::new(Arc::new(dead) as Arc<dyn SearchInterface>, 40)
+            .with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
+        let services = [&live, &dead_svc];
+        let mut fed = FederatedSession::open(&services, Query::all(), rank(), Algorithm::Auto)
+            .unwrap()
+            .with_circuit(CircuitPolicy::trip_after(1));
+        assert!(fed.next().unwrap().is_some());
+        assert_eq!(fed.tripped_sources(), vec![1]);
+        let reads = clock.0.load(Ordering::Relaxed);
+        let (got, err) = fed.top(10);
+        assert!(err.is_none(), "{err:?}");
+        assert_eq!(got.len(), 10);
+        assert_eq!(
+            clock.0.load(Ordering::Relaxed),
+            reads,
+            "a circuit with no cool-down never asks the time"
+        );
     }
 
     #[test]

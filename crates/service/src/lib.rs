@@ -92,6 +92,5 @@ pub use qrs_knowledge::{KnowledgePlane, PlaneStats, ShardStats, SourceShard};
 // subscribers), attach via `RerankService::with_observer`, read the fleet
 // table via `RerankService::monitor_report`.
 pub use qrs_obs::{
-    Event, EventKind, JsonLinesExporter, MetricsSnapshot, Monitor, MonitorReport, MonitorRow,
-    ObsHandle, Recorder, Subscriber,
+    Event, EventKind, Monitor, MonitorReport, MonitorRow, ObsHandle, Recorder, Subscriber,
 };

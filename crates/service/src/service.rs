@@ -291,8 +291,10 @@ impl RerankService {
     }
 
     /// The attached observability handle (disabled unless the service was
-    /// built [`RerankService::with_observer`]). Use it to snapshot
-    /// [`qrs_obs::MetricsSnapshot`] counters and histograms.
+    /// built [`RerankService::with_observer`]): the fleet monitor behind
+    /// [`RerankService::monitor_report`] and the subscribers that see every
+    /// event. Service-wide totals are [`RerankService::stats`], kept
+    /// whether or not an observer is attached.
     pub fn observer(&self) -> &ObsHandle {
         &self.obs
     }

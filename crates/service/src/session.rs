@@ -271,10 +271,10 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// The bucket this session's charges land in on the metrics plane: the
-    /// request class the strategy running *now* says it issues, so charges
-    /// after a mid-flight switch land in the replacement's bucket. A mix
-    /// (a custom strategy that does not say) gets its own.
+    /// The class this session's request events carry: the request class
+    /// the strategy running *now* says it issues, so charges after a
+    /// mid-flight switch carry the replacement's class. A mix (a custom
+    /// strategy that does not say) gets its own.
     fn class(&self) -> QueryClass {
         match self.strategy.request_kind() {
             Some(RequestKind::TopK) => QueryClass::TopK,
@@ -306,22 +306,12 @@ impl<'a> Session<'a> {
     /// *not* slept on — only a caller-side window reset can clear them.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<RankedTuple>, RerankError> {
-        // Observability wrapper: with no plane attached this is one branch
-        // straight into the pull — no clock reads, nothing constructed, so
-        // the uninstrumented hot path is preserved bit for bit. With a
-        // plane, the whole pull (replay, strategy steps, retries, sleeps)
-        // is timed into the per-pull latency histogram.
-        if !self.svc.obs().enabled() {
-            return self.next_pull();
-        }
+        // With no plane attached `emit_obs` is one branch that constructs
+        // nothing, so the uninstrumented hot path is preserved bit for bit.
         self.emit_obs(|| EventKind::RequestIssued {
             class: self.class(),
         });
-        let t0 = self.svc.clock().now_ms();
-        let out = self.next_pull();
-        let dt = self.svc.clock().now_ms().saturating_sub(t0);
-        self.svc.obs().record_pull(dt);
-        out
+        self.next_pull()
     }
 
     /// The actual pull behind [`Session::next`]: replay → replan check →

@@ -1,8 +1,30 @@
-//! Service-level counters: one [`Counter`] — the relaxed atomic `qrs-obs`
-//! defines for its metrics plane — per fact. Totals are exact; only a read
-//! taken while sessions run is a racy-but-monotonic snapshot.
+//! Service-level counters: one relaxed atomic per fact. Totals are exact;
+//! only a read taken while sessions run is a racy-but-monotonic snapshot.
 
-use qrs_obs::Counter;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A monotonic counter: lock-free and exact under concurrency.
+#[derive(Debug, Default)]
+struct Counter(AtomicU64);
+
+impl Counter {
+    /// Add `v`.
+    #[inline]
+    fn add(&self, v: u64) {
+        self.0.fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// Add one.
+    #[inline]
+    fn incr(&self) {
+        self.add(1);
+    }
+
+    /// The exact total so far.
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
 
 /// Monotonic counters describing service activity. All methods are lock-free
 /// and safe to call from concurrent sessions.

@@ -59,20 +59,33 @@ impl OrdinalAttr {
     /// A point-predicate-only attribute with an explicit value list (§5).
     ///
     /// # Panics
-    /// If `values` is empty or unsorted.
+    /// If `values` is empty or not strictly ascending
+    /// ([`OrdinalAttr::check`]).
     pub fn point_only(name: impl Into<String>, values: Vec<f64>) -> Self {
-        assert!(!values.is_empty(), "point-only attribute needs values");
-        assert!(
-            values.windows(2).all(|w| w[0] < w[1]),
-            "values must be strictly ascending"
-        );
-        OrdinalAttr {
+        let attr = OrdinalAttr {
             name: name.into(),
-            min: values[0],
-            max: *values.last().unwrap(),
+            min: values.first().copied().unwrap_or(f64::NAN),
+            max: values.last().copied().unwrap_or(f64::NAN),
             point_only: true,
             values: Some(values),
+        };
+        attr.check().unwrap_or_else(|e| panic!("{e}"));
+        attr
+    }
+
+    /// Whether the interface can reach every value of this attribute. A
+    /// point-only attribute is reachable only by walking its value list
+    /// (the 1D cursors and the crawler do), so it needs a non-empty,
+    /// strictly ascending one; a range attribute's list is advisory.
+    pub fn check(&self) -> Result<(), String> {
+        let walkable = |v: &Vec<f64>| !v.is_empty() && v.windows(2).all(|w| w[0] < w[1]);
+        if self.point_only && !self.values.as_ref().is_some_and(walkable) {
+            return Err(format!(
+                "point-only attribute '{}' needs a non-empty, strictly ascending value list",
+                self.name
+            ));
         }
+        Ok(())
     }
 
     /// Domain span `|V(Ai)| = max - min`.
@@ -110,7 +123,15 @@ pub struct Schema {
 
 impl Schema {
     /// A schema over the given ordinal and categorical attributes.
+    ///
+    /// # Panics
+    /// If an ordinal attribute fails [`OrdinalAttr::check`] — here, where
+    /// the attribute is built, rather than inside the service on its first
+    /// use.
     pub fn new(ordinal: Vec<OrdinalAttr>, categorical: Vec<CatAttr>) -> Self {
+        for a in &ordinal {
+            a.check().unwrap_or_else(|e| panic!("{e}"));
+        }
         Schema {
             ordinal,
             categorical,
@@ -194,6 +215,14 @@ mod tests {
         assert_eq!(s.num_categorical(), 1);
         assert_eq!(s.ordinal(AttrId(0)).domain_width(), 50_000.0);
         assert_eq!(s.attr_ids().count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "point-only attribute 'grade' needs a non-empty")]
+    fn a_point_only_attribute_without_values_is_refused_where_it_is_built() {
+        let mut grade = OrdinalAttr::new("grade", 0.0, 5.0);
+        grade.point_only = true;
+        Schema::new(vec![grade], vec![]);
     }
 
     #[test]

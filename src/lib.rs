@@ -14,8 +14,8 @@
 //!   invalidation,
 //! * [`exec`] — dependency-free structured concurrency (scoped thread
 //!   pool, cancellation, deterministic immediate mode),
-//! * [`obs`] — the observability plane: typed events, metrics counters
-//!   and histograms, and the fleet monitor for predicted-vs-actual spend,
+//! * [`obs`] — the observability plane: typed events, their subscribers,
+//!   and the fleet monitor for predicted-vs-actual spend,
 //! * [`service`] — the thread-safe "as a service" facade, with the
 //!   concurrent `serve_batch` front-end and parallel federation,
 //! * [`edge`] — the std-only HTTP/1.1 wire layer: the admission-controlled

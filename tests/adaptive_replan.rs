@@ -231,10 +231,9 @@ fn divergence_switch_is_byte_identical_to_oracle_and_strictly_cheaper() {
             assert!(shard.lookup_result(&stream_key("md-rerank")).is_none());
         }
 
-        // The switch surfaced everywhere it should: the service ledger, the
-        // metrics registry, and the fleet monitor's per-strategy rows.
+        // The switch surfaced everywhere it should: the service ledger and
+        // the fleet monitor's per-strategy rows.
         assert_eq!(svc.stats().strategy_switches, 1);
-        assert_eq!(svc.observer().metrics().unwrap().replans, 1);
         let report = svc.monitor_report();
         assert_eq!(report.switches_total(), 1);
         let origin = report

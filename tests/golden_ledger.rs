@@ -21,9 +21,9 @@
 
 use query_reranking::core::MdOptions;
 use query_reranking::datagen::synthetic::uniform;
-use query_reranking::edge::{EdgeClient, EdgeConfig, EdgeServer};
+use query_reranking::edge::{EdgeClient, EdgeConfig, EdgeServer, Json};
 use query_reranking::exec::Executor;
-use query_reranking::obs::{escape_json_into, ObsHandle, Recorder};
+use query_reranking::obs::{ObsHandle, Recorder};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{Capabilities, SearchInterface, SimServer, SiteProfile, SystemRank};
 use query_reranking::service::{
@@ -497,12 +497,12 @@ fn json_row(row: &Row) -> String {
         Err(why) => {
             // The reason is free text (capability display strings): JSON
             // escaping, not Rust `Debug` escaping (`\u{1f}` is not JSON).
-            let mut reason = String::new();
-            escape_json_into(&mut reason, why);
             format!(
                 "    {{\"profile\":\"{}\",\"workload\":\"{}\",\"unplannable\":true,\
-                 \"reason\":\"{reason}\"}}",
-                row.profile, row.workload,
+                 \"reason\":{}}}",
+                row.profile,
+                row.workload,
+                Json::str(why).encode(),
             )
         }
     }
