@@ -17,7 +17,8 @@
 //!   response's cumulative counters absorb the missed delta, so client
 //!   and server ledgers reconcile *exactly* by construction;
 //! * **transport faults are transient**: a refused connection, a mid-body
-//!   drop, or an unparsable response all surface as
+//!   drop, an unparsable response, or a tuple that does not fit the
+//!   schema advertised at connect all surface as
 //!   [`ServerError::Unavailable`] — the existing `RetryPolicy` machinery
 //!   handles them like any other 5xx, while typed protocol errors
 //!   (`429`/`501`/`400`) decode back into the exact [`ServerError`] the
@@ -38,7 +39,10 @@ use crate::json::{parse, Json};
 use crate::wire;
 use parking_lot::Mutex;
 use qrs_server::{Capabilities, OrderedPage, SearchInterface};
-use qrs_types::{AttrId, Direction, MutationLog, Query, QueryResponse, Schema, ServerError};
+use qrs_types::{
+    AttrId, Dataset, Direction, MutationKind, MutationLog, Query, QueryResponse, Schema,
+    ServerError, Tuple,
+};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -194,6 +198,30 @@ impl HttpSiteAdapter {
             Err(decode_error_body(&resp, &json))
         }
     }
+
+    /// Refuse tuples that do not fit the schema advertised at connect: a
+    /// short one would index past its values inside the service's state
+    /// lock. A misfit is a decode failure like any other.
+    fn check_tuples<'t>(
+        &self,
+        tuples: impl IntoIterator<Item = &'t Arc<Tuple>>,
+    ) -> Result<(), ServerError> {
+        tuples.into_iter().try_for_each(|t| {
+            Dataset::validate_tuple(&self.schema, t)
+                .map_err(|e| transport_err(format!("tuple {}: {e}", t.id.0)))
+        })
+    }
+
+    /// Decode the `response` member of a `/site/query` or `/site/page`
+    /// reply.
+    fn decode_response(&self, json: &Json) -> Result<QueryResponse, ServerError> {
+        let response = json
+            .get("response")
+            .ok_or_else(|| transport_err("missing 'response'"))
+            .and_then(|r| wire::response_from_json(r).map_err(transport_err))?;
+        self.check_tuples(&response.tuples)?;
+        Ok(response)
+    }
 }
 
 /// Decode a non-200 response into the exact [`ServerError`] the far side
@@ -244,9 +272,7 @@ impl SearchInterface for HttpSiteAdapter {
     fn query(&self, q: &Query) -> Result<QueryResponse, ServerError> {
         let body = Json::obj(vec![("query", wire::query_to_json(q))]).encode();
         let json = self.site_call("POST", "/site/query", body.as_bytes())?;
-        json.get("response")
-            .ok_or_else(|| transport_err("missing 'response'"))
-            .and_then(|r| wire::response_from_json(r).map_err(transport_err))
+        self.decode_response(&json)
     }
 
     fn queries_issued(&self) -> u64 {
@@ -264,9 +290,7 @@ impl SearchInterface for HttpSiteAdapter {
         ])
         .encode();
         let json = self.site_call("POST", "/site/page", body.as_bytes())?;
-        json.get("response")
-            .ok_or_else(|| transport_err("missing 'response'"))
-            .and_then(|r| wire::response_from_json(r).map_err(transport_err))
+        self.decode_response(&json)
     }
 
     fn query_ordered(
@@ -290,9 +314,12 @@ impl SearchInterface for HttpSiteAdapter {
         ])
         .encode();
         let json = self.site_call("POST", "/site/ordered", body.as_bytes())?;
-        json.get("page")
+        let page = json
+            .get("page")
             .ok_or_else(|| transport_err("missing 'page'"))
-            .and_then(|p| wire::ordered_page_from_json(p).map_err(transport_err))
+            .and_then(|p| wire::ordered_page_from_json(p).map_err(transport_err))?;
+        self.check_tuples(&page.tuples)?;
+        Ok(page)
     }
 
     fn mutation_seq(&self) -> u64 {
@@ -307,9 +334,15 @@ impl SearchInterface for HttpSiteAdapter {
 
     fn mutations_since(&self, since: u64) -> Result<MutationLog, ServerError> {
         let json = self.site_call("GET", &format!("/site/mutations?since={since}"), b"")?;
-        json.get("log")
+        let log = json
+            .get("log")
             .ok_or_else(|| transport_err("missing 'log'"))
-            .and_then(|l| wire::mutation_log_from_json(l).map_err(transport_err))
+            .and_then(|l| wire::mutation_log_from_json(l).map_err(transport_err))?;
+        self.check_tuples(log.deltas.iter().filter_map(|m| match &m.kind {
+            MutationKind::Insert(t) | MutationKind::Update(t) => Some(t),
+            MutationKind::Delete(_) => None,
+        }))?;
+        Ok(log)
     }
 }
 

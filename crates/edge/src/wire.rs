@@ -686,7 +686,6 @@ pub fn rerank_error_code(e: &RerankError) -> &'static str {
         RerankError::Server(ServerError::Unsupported(_)) => "server_unsupported",
         RerankError::Server(ServerError::InvalidQuery { .. }) => "server_invalid_query",
         RerankError::RetriesExhausted { .. } => "retries_exhausted",
-        RerankError::RetryBudgetExhausted { .. } => "retry_budget_exhausted",
         RerankError::Cancelled => "cancelled",
         RerankError::Unplannable { .. } => "unplannable",
     }

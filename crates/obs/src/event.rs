@@ -35,8 +35,6 @@ pub enum BudgetScope {
     Session,
     /// The service-wide query cap (`RerankService::with_budget`).
     Service,
-    /// A retry budget (per-session or service-wide) ran dry.
-    Retry,
 }
 
 /// What happened. Every variant carries the exact numbers of the moment it
@@ -161,7 +159,7 @@ pub enum EventKind {
         /// Server queries the refresh spent.
         queries_spent: u64,
     },
-    /// A query or retry budget refused further spend.
+    /// A query budget refused further spend.
     BudgetTrip {
         /// Which cap tripped.
         scope: BudgetScope,

@@ -252,19 +252,6 @@ impl MonitorRow {
     pub fn cost_divergence(&self) -> Divergence {
         Divergence::of(self.actual_cost_units, self.predicted_cost_units)
     }
-
-    /// `actual_queries / calibrated_queries` against the
-    /// calibration-scaled estimates — the number the re-planning trigger
-    /// watches per session.
-    pub fn calibrated_query_divergence(&self) -> Divergence {
-        Divergence::of(self.actual_queries, self.calibrated_queries)
-    }
-
-    /// `actual_cost_units / calibrated_cost_units` against the
-    /// calibration-scaled estimates.
-    pub fn calibrated_cost_divergence(&self) -> Divergence {
-        Divergence::of(self.actual_cost_units, self.calibrated_cost_units)
-    }
 }
 
 /// A deterministic snapshot of the fleet table (rows sorted by
@@ -384,7 +371,6 @@ mod tests {
         assert_eq!(row.calibrated_cost_units, 20);
         assert_eq!(row.query_divergence().ratio(), Some(1.2));
         assert_eq!(row.cost_divergence().ratio(), Some(1.2));
-        assert_eq!(row.calibrated_cost_divergence().ratio(), Some(0.9));
     }
 
     #[test]
@@ -540,7 +526,7 @@ mod tests {
         );
         assert_eq!(row.query_divergence().ratio(), None);
         assert_eq!(
-            row.calibrated_cost_divergence(),
+            row.cost_divergence(),
             Divergence::NoPrediction { actual: 5 }
         );
     }

@@ -6,12 +6,11 @@
 //! is that front door: hand it an executor and a batch of
 //! [`BatchRequest`]s, and every request runs as its own session on the
 //! pool, all against the shared knowledge, the shared query budget, and
-//! the shared retry budget. Outcomes come back in request order, each
-//! carrying its hits, its typed error (if any), and its exact
+//! the service's one retry policy. Outcomes come back in request order,
+//! each carrying its hits, its typed error (if any), and its exact
 //! [`SessionStats`] — per-request attribution stays precise because every
 //! counter is updated inside the shared-state lock or via atomics
-//! ([`crate::ServiceStats`], [`crate::QueryBudget`],
-//! [`crate::RetryBudget`]).
+//! ([`crate::ServiceStats`], [`crate::QueryBudget`]).
 //!
 //! Cancellation is cooperative: [`RerankService::serve_batch_cancellable`]
 //! checks the token between Get-Next pulls, so a cancelled batch stops at
@@ -26,7 +25,7 @@ use crate::session::{RankedTuple, SessionStats};
 use qrs_core::TiePolicy;
 use qrs_exec::{CancelToken, Executor, TaskHandle};
 use qrs_ranking::RankFn;
-use qrs_types::{Query, RerankError, RetryPolicy};
+use qrs_types::{Query, RerankError};
 use std::sync::Arc;
 
 /// One user request inside a batch: a selection, a ranking function, and
@@ -64,13 +63,6 @@ impl BatchRequest {
     /// still applies).
     pub fn budget(mut self, limit: u64) -> Self {
         self.spec.budget = Some(limit);
-        self
-    }
-
-    /// Builder: override the retry policy for this request (else the
-    /// service default).
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.spec.retry = Some(policy);
         self
     }
 
@@ -184,9 +176,9 @@ impl RerankService {
     /// Serve a batch of requests concurrently on `exec`, one session per
     /// request. Outcomes return in request order. All sessions share this
     /// service's knowledge (so concurrent requests amortize each other's
-    /// queries), its service-wide query budget, and its retry budget —
-    /// both enforced atomically, so a storm of sessions cannot overspend
-    /// a cap by racing it.
+    /// queries), its retry policy, and its service-wide query budget —
+    /// enforced atomically, so a storm of sessions cannot overspend the
+    /// cap by racing it.
     pub fn serve_batch(&self, exec: &Executor, requests: Vec<BatchRequest>) -> Vec<BatchOutcome> {
         self.serve_batch_cancellable(exec, requests, &CancelToken::new())
     }
@@ -412,6 +404,46 @@ mod tests {
         // Ledger consistency: per-session spend partitions the global count.
         let spent: u64 = outcomes.iter().map(|o| o.stats.queries_spent).sum();
         assert_eq!(spent, svc.queries_issued());
+    }
+
+    /// `max_attempts` is the only bound on recovery: against a dead backend
+    /// every request of a batch spends exactly `m - 1` retries, one backoff
+    /// sleep each, and surfaces `RetriesExhausted` — never a hang, on any
+    /// executor shape.
+    #[test]
+    fn a_dead_backend_costs_each_request_exactly_its_retry_policy() {
+        use qrs_server::{Clock, FaultyServer, MockClock, SearchInterface};
+        use qrs_types::RetryPolicy;
+        const N: u64 = 6;
+        const M: u32 = 4;
+        for exec in [Executor::immediate(9031), Executor::pool(4)] {
+            let inner = SimServer::new(uniform(100, 2, 1, 9031), SystemRank::pseudo_random(7), 3);
+            let dead = FaultyServer::new(Arc::new(inner) as Arc<dyn SearchInterface>)
+                .with_permanent_outage_from(0);
+            let clock = Arc::new(MockClock::new());
+            let svc = RerankService::new(Arc::new(dead), 100)
+                .with_retry_policy(RetryPolicy::none().attempts(M).backoff(10, 1_000))
+                .with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
+            let reqs: Vec<BatchRequest> = (0..N)
+                .map(|i| BatchRequest::new(Query::all(), rank(1.0, 1.0 + i as f64), 5))
+                .collect();
+            let outcomes = svc.serve_batch(&exec, reqs);
+            for (i, out) in outcomes.iter().enumerate() {
+                assert!(
+                    matches!(
+                        out.error,
+                        Some(RerankError::RetriesExhausted { attempts: M, .. })
+                    ),
+                    "{exec:?} request {i}: {:?}",
+                    out.error
+                );
+                assert!(out.hits.is_empty());
+                assert_eq!(out.stats.retries_spent, u64::from(M - 1), "{exec:?} {i}");
+            }
+            let retries = N * u64::from(M - 1);
+            assert_eq!(clock.sleeps().len() as u64, retries, "{exec:?}");
+            assert_eq!(svc.stats().retries_spent, retries, "{exec:?}");
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! healthy sources and reports the casualty in a typed per-source
 //! [`SourceReport`] — one failing dealer degrades the federation, it does
 //! not kill it. Retryable failures below the threshold are re-pulled
-//! immediately (each source's own session-level retry policy has already
-//! done the backoff); errors a re-pull can never heal — capability
+//! immediately (each source's service retry policy has already done the
+//! backoff); errors a re-pull can never heal — capability
 //! mismatches, exhausted budgets, a session that already consumed its
 //! whole retry policy — trip the circuit at once. If *every* source trips,
 //! the merge surfaces the last error instead of masquerading as an empty
@@ -50,9 +50,10 @@
 //! step stays single-source. Against slow (network-latency) backends the
 //! fan-out overlaps the waits.
 //!
-//! Per-source *retry policies* are configured up front via
-//! [`FederatedSession::builder`]: a fast dealer can afford aggressive
-//! retries while a slow one fails over to the circuit quickly.
+//! A source's *retry policy* is its own service's
+//! ([`RerankService::with_retry_policy`]): build a fast dealer's service
+//! with aggressive retries and a slow one's with few, so it fails over to
+//! the circuit quickly.
 //!
 //! ## Shared knowledge across sources
 //!
@@ -73,7 +74,7 @@ use crate::session::{RankedTuple, Session, SessionStats};
 use qrs_exec::Executor;
 use qrs_obs::EventKind;
 use qrs_ranking::RankFn;
-use qrs_types::{CircuitPolicy, Query, RerankError, RetryPolicy};
+use qrs_types::{CircuitPolicy, Query, RerankError};
 use std::sync::Arc;
 
 /// A hit from a federated stream: which source produced it, plus the tuple.
@@ -157,7 +158,7 @@ impl SourceHealth {
 /// open (and no probe is due). Without a circuit policy, errors propagate
 /// untouched (the legacy resume-exactly contract). With one, retryable
 /// failures below the threshold strike and re-pull immediately — the
-/// source's own session retry policy has already slept through backoff —
+/// source's service retry policy has already slept through backoff —
 /// and the loop is bounded by the threshold, so it can never hang. An
 /// error that an immediate re-pull can never heal
 /// (`!RerankError::is_retryable()`: capability mismatches, budget
@@ -206,78 +207,6 @@ fn pull_source(
     }
 }
 
-/// Configures per-source overrides before opening a [`FederatedSession`].
-/// Obtained from [`FederatedSession::builder`].
-#[must_use = "a federation builder does nothing until .open() is called"]
-pub struct FederationBuilder<'a> {
-    services: &'a [&'a RerankService],
-    sel: Query,
-    rank: Arc<dyn RankFn>,
-    algo: Algorithm,
-    source_retries: Vec<(usize, RetryPolicy)>,
-}
-
-impl<'a> FederationBuilder<'a> {
-    /// Override the retry policy for source `source` (an index into the
-    /// services slice). Sources without an override keep their service's
-    /// default — fast dealers can retry harder than slow ones. Repeated
-    /// overrides for the same source: the last one wins. An out-of-range
-    /// index is rejected at [`FederationBuilder::open`].
-    pub fn source_retry(mut self, source: usize, policy: RetryPolicy) -> Self {
-        self.source_retries.push((source, policy));
-        self
-    }
-
-    /// Preflight every source and open the federation. Fails fast if any
-    /// source refuses the request — a federation with a silently missing
-    /// source would return wrong global ranks — or if a
-    /// [`FederationBuilder::source_retry`] override targets a source that
-    /// does not exist (a typoed index must not silently fail fast where
-    /// the caller configured retries).
-    pub fn open(self) -> Result<FederatedSession<'a>, RerankError> {
-        if let Some((i, _)) = self
-            .source_retries
-            .iter()
-            .find(|(i, _)| *i >= self.services.len())
-        {
-            return Err(RerankError::invalid_algorithm(format!(
-                "per-source retry override targets source {i}, but the \
-                 federation has only {} sources",
-                self.services.len()
-            )));
-        }
-        let sessions: Vec<Session<'a>> = self
-            .services
-            .iter()
-            .enumerate()
-            .map(|(i, svc)| {
-                // .rev(): the LAST override for an index wins, as builder
-                // conventions promise.
-                let retry = self.source_retries.iter().rev().find(|(j, _)| *j == i);
-                let spec = SessionSpec {
-                    algo: self.algo,
-                    retry: retry.map(|(_, p)| p.clone()),
-                    ..SessionSpec::default()
-                };
-                svc.session_with(self.sel.clone(), Arc::clone(&self.rank), spec)
-                    .open()
-            })
-            .collect::<Result<_, _>>()?;
-        let heads = (0..sessions.len()).map(|_| None).collect();
-        let primed = vec![false; sessions.len()];
-        let health = vec![SourceHealth::default(); sessions.len()];
-        Ok(FederatedSession {
-            sessions,
-            heads,
-            primed,
-            emitted: 0,
-            circuit: None,
-            health,
-            executor: None,
-        })
-    }
-}
-
 /// One user query + ranking function over several services, merged exactly.
 pub struct FederatedSession<'a> {
     sessions: Vec<Session<'a>>,
@@ -298,32 +227,37 @@ pub struct FederatedSession<'a> {
 
 impl<'a> FederatedSession<'a> {
     /// Open one session per service with the same selection and ranking
-    /// function. Fails fast if any source refuses the request (capability
-    /// or algorithm preflight). Use [`FederatedSession::builder`] for
-    /// per-source retry overrides.
+    /// function; each runs its own service's retry policy. Fails fast if
+    /// any source refuses the request (capability or algorithm preflight)
+    /// — a federation with a silently missing source would return wrong
+    /// global ranks.
     pub fn open(
         services: &'a [&'a RerankService],
         sel: Query,
         rank: Arc<dyn RankFn>,
         algo: Algorithm,
     ) -> Result<Self, RerankError> {
-        Self::builder(services, sel, rank, algo).open()
-    }
-
-    /// A builder for federations needing per-source configuration.
-    pub fn builder(
-        services: &'a [&'a RerankService],
-        sel: Query,
-        rank: Arc<dyn RankFn>,
-        algo: Algorithm,
-    ) -> FederationBuilder<'a> {
-        FederationBuilder {
-            services,
-            sel,
-            rank,
+        let spec = SessionSpec {
             algo,
-            source_retries: Vec::new(),
-        }
+            ..SessionSpec::default()
+        };
+        let sessions: Vec<Session<'a>> = services
+            .iter()
+            .map(|svc| {
+                svc.session_with(sel.clone(), Arc::clone(&rank), spec.clone())
+                    .open()
+            })
+            .collect::<Result<_, _>>()?;
+        let n = sessions.len();
+        Ok(FederatedSession {
+            sessions,
+            heads: (0..n).map(|_| None).collect(),
+            primed: vec![false; n],
+            emitted: 0,
+            circuit: None,
+            health: vec![SourceHealth::default(); n],
+            executor: None,
+        })
     }
 
     /// Degrade instead of dying: a source whose pulls fail
@@ -360,11 +294,9 @@ impl<'a> FederatedSession<'a> {
     /// the steady-state fast path — one clock read here is far cheaper than
     /// a fan-out task per merge step.
     fn needs_pull(&self, i: usize) -> bool {
-        let h = &self.health[i];
         !self.primed[i]
             || (self.heads[i].is_none()
-                && h.tripped()
-                && h.probe_due(self.circuit, &self.sessions[i]))
+                && self.health[i].probe_due(self.circuit, &self.sessions[i]))
     }
 
     /// Fill every head that needs filling — the initial prime and any due
@@ -1087,12 +1019,12 @@ mod tests {
     }
 
     #[test]
-    fn per_source_retry_policy_overrides_apply_per_source() {
+    fn each_source_runs_its_own_services_retry_policy() {
         use qrs_server::{Clock, Fault, FaultyServer, MockClock, SearchInterface};
         use qrs_types::RetryPolicy;
         // Source 0's backend drops two pages in transit mid-stream; its
-        // override policy absorbs them. Source 1 keeps the service default
-        // (fail fast) and never spends a retry.
+        // service's policy absorbs them. Source 1's service keeps the
+        // default (fail fast) and never spends a retry.
         let clock = Arc::new(MockClock::new());
         let inner = Arc::new(SimServer::new(
             uniform(60, 2, 1, 91),
@@ -1105,15 +1037,17 @@ mod tests {
                 .with_fault_at(3, Fault::Outage),
         );
         let flaky_svc = RerankService::new(flaky as Arc<dyn SearchInterface>, 60)
+            .with_retry_policy(RetryPolicy::none().attempts(5).backoff(10, 1_000))
             .with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
         let (steady, _) = svc(92, 40);
         let services = [&flaky_svc, &steady];
-        let mut fed = FederatedSession::builder(&services, Query::all(), rank(), Algorithm::Auto)
-            .source_retry(0, RetryPolicy::none().attempts(5).backoff(10, 1_000))
-            .open()
-            .unwrap();
+        let mut fed =
+            FederatedSession::open(&services, Query::all(), rank(), Algorithm::Auto).unwrap();
         let (got, err) = fed.top(40);
-        assert!(err.is_none(), "the override must absorb the storm: {err:?}");
+        assert!(
+            err.is_none(),
+            "source 0's policy must absorb the storm: {err:?}"
+        );
         assert_eq!(got.len(), 40);
         let stats = fed.session_stats();
         assert!(
@@ -1125,52 +1059,6 @@ mod tests {
             !clock.sleeps().is_empty(),
             "backoff slept on the mock clock"
         );
-    }
-
-    #[test]
-    fn source_retry_rejects_out_of_range_indices_at_open() {
-        let (a, _) = svc(95, 40);
-        let services = [&a];
-        let err = FederatedSession::builder(&services, Query::all(), rank(), Algorithm::Auto)
-            .source_retry(1, qrs_types::RetryPolicy::standard())
-            .open()
-            .unwrap_err();
-        assert!(
-            matches!(err, RerankError::InvalidAlgorithm { ref reason }
-                if reason.contains("source 1") && reason.contains("1 sources")),
-            "typoed index must be refused, got: {err}"
-        );
-    }
-
-    #[test]
-    fn later_source_retry_overrides_win() {
-        use qrs_server::{Clock, Fault, FaultyServer, MockClock, SearchInterface};
-        use qrs_types::RetryPolicy;
-        // First override says fail fast; the later one absorbs the storm.
-        // The merge only completes if the LAST override is in force.
-        let clock = Arc::new(MockClock::new());
-        let inner = Arc::new(SimServer::new(
-            uniform(50, 2, 1, 96),
-            SystemRank::pseudo_random(96),
-            5,
-        ));
-        let flaky = Arc::new(
-            FaultyServer::new(Arc::clone(&inner) as Arc<dyn SearchInterface>)
-                .with_fault_at(2, Fault::Outage)
-                .with_fault_at(3, Fault::Outage),
-        );
-        let flaky_svc = RerankService::new(flaky as Arc<dyn SearchInterface>, 50)
-            .with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
-        let services = [&flaky_svc];
-        let mut fed = FederatedSession::builder(&services, Query::all(), rank(), Algorithm::Auto)
-            .source_retry(0, RetryPolicy::none())
-            .source_retry(0, RetryPolicy::none().attempts(5).backoff(10, 1_000))
-            .open()
-            .unwrap();
-        let (got, err) = fed.top(50);
-        assert!(err.is_none(), "the later override must be applied: {err:?}");
-        assert_eq!(got.len(), 50);
-        assert!(fed.session_stats()[0].retries_spent >= 1);
     }
 
     #[test]

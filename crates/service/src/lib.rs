@@ -15,17 +15,18 @@
 //!   the error when a budget trips or the server fails mid-batch,
 //! * [`budget::QueryBudget`] — rate-limit accounting mirroring real sites'
 //!   per-user daily query caps (the paper's motivating constraint),
-//! * [`retry`] — the retry/backoff engine: transient server failures are
+//! * retries — one [`qrs_types::RetryPolicy`] per service
+//!   ([`RerankService::with_retry_policy`]): transient server failures are
 //!   retried in place with exponential backoff + deterministic jitter,
-//!   honoring `retry_after_ms`, metered by per-session and service-wide
-//!   [`retry::RetryBudget`]s, sleeping on an injectable clock so tests
-//!   never wait wall-clock time,
+//!   honoring `retry_after_ms`, up to the policy's `max_attempts` per
+//!   Get-Next step, sleeping on an injectable clock so tests never wait
+//!   wall-clock time,
 //! * [`profiles`] — named, reusable ranking preferences,
 //! * [`federation`] — one preference over *multiple* hidden databases with
 //!   exact score-merged results: the paper's "personalized ranking across
 //!   multiple web databases" application, end to end — with per-source
 //!   circuit-breaker health (half-open probes after a cool-down on the
-//!   injectable clock, per-source retry policies) so one failing dealer
+//!   injectable clock) so one failing dealer
 //!   degrades the merge (typed [`SourceReport`]s) instead of killing it,
 //!   and optional parallel fan-out of source pulls over a
 //!   [`qrs_exec::Executor`],
@@ -63,7 +64,7 @@ pub mod federation;
 pub mod maintained;
 pub mod planner;
 pub mod profiles;
-pub mod retry;
+mod retry;
 pub mod service;
 pub mod session;
 pub mod stats;
@@ -71,11 +72,10 @@ pub mod stats;
 pub use batch::{drive, BatchOutcome, BatchRequest};
 pub use budget::QueryBudget;
 pub use calibration::{Calibration, StrategyCalibration};
-pub use federation::{FederatedHit, FederatedSession, FederationBuilder, SourceReport};
+pub use federation::{FederatedHit, FederatedSession, SourceReport};
 pub use maintained::{MaintainedSession, RefreshOutcome};
 pub use planner::{Plan, Planner, RankedCandidate};
 pub use profiles::ProfileStore;
-pub use retry::RetryBudget;
 pub use service::{Algorithm, RerankService, SessionBuilder};
 pub use session::{RankedTuple, Session, SessionStats};
 pub use stats::ServiceStats;

@@ -1,10 +1,10 @@
 //! The retry/backoff engine behind `Session::next`.
 //!
-//! [`qrs_types::RetryPolicy`] is the declarative config; this module is the
-//! machinery: the crate-private `RetryRunner` owns the deterministic jitter
-//! RNG and the per-session retry cap, [`RetryBudget`] meters retries
-//! *service-wide* so
-//! a storm of failing sessions cannot burn unbounded backoff time.
+//! [`qrs_types::RetryPolicy`] is the declarative config, set once per
+//! service; this module is the machinery: the crate-private `RetryRunner`
+//! owns one session's copy of the policy and its deterministic jitter RNG.
+//! The policy's `max_attempts` per Get-Next step is the one bound on
+//! recovery.
 //!
 //! One schedule, in priority order:
 //!
@@ -21,33 +21,22 @@
 use qrs_types::{RerankError, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-session retry state: the policy, the deterministic jitter RNG, and
-/// an optional cap on the retries this one session may spend.
+/// Per-session retry state: the policy and the deterministic jitter RNG.
 #[derive(Debug)]
 pub(crate) struct RetryRunner {
     policy: RetryPolicy,
-    session_limit: Option<u64>,
     rng: StdRng,
 }
 
 impl RetryRunner {
-    pub(crate) fn new(policy: RetryPolicy, session_limit: Option<u64>) -> Self {
+    pub(crate) fn new(policy: RetryPolicy) -> Self {
         let rng = StdRng::seed_from_u64(policy.seed);
-        RetryRunner {
-            policy,
-            session_limit,
-            rng,
-        }
+        RetryRunner { policy, rng }
     }
 
     pub(crate) fn policy(&self) -> &RetryPolicy {
         &self.policy
-    }
-
-    pub(crate) fn session_limit(&self) -> Option<u64> {
-        self.session_limit
     }
 
     /// The sleep before retry `retry_index` (1-based) of a step that just
@@ -64,73 +53,6 @@ impl RetryRunner {
             self.rng.random_range(0..=self.policy.jitter_ms)
         };
         base.saturating_add(jitter)
-    }
-}
-
-/// A service-wide cap on retries, shared by every session of a
-/// [`crate::RerankService`]. Unlike [`crate::QueryBudget`] (which meters
-/// *queries*, a spend the backend sees), this meters the middleware's own
-/// recovery effort.
-#[derive(Debug)]
-pub struct RetryBudget {
-    limit: Option<u64>,
-    spent: AtomicU64,
-}
-
-impl RetryBudget {
-    /// No cap (the default).
-    pub fn unlimited() -> Self {
-        RetryBudget {
-            limit: None,
-            spent: AtomicU64::new(0),
-        }
-    }
-
-    /// At most `limit` retries across all sessions.
-    pub fn limited(limit: u64) -> Self {
-        RetryBudget {
-            limit: Some(limit),
-            spent: AtomicU64::new(0),
-        }
-    }
-
-    /// Retries spent so far.
-    pub fn spent(&self) -> u64 {
-        self.spent.load(Ordering::Relaxed)
-    }
-
-    /// The cap, or `None` for an unlimited budget.
-    pub fn limit(&self) -> Option<u64> {
-        self.limit
-    }
-
-    /// Atomically claim one retry, or report `(spent, limit)` when the
-    /// budget is gone — concurrent sessions can never overspend.
-    pub fn try_spend(&self) -> Result<(), (u64, u64)> {
-        match self.limit {
-            None => {
-                self.spent.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Some(limit) => self
-                .spent
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                    (s < limit).then_some(s + 1)
-                })
-                .map(|_| ())
-                .map_err(|s| (s, limit)),
-        }
-    }
-
-    /// Open a fresh window (e.g. a new accounting day).
-    pub fn reset(&self) {
-        self.spent.store(0, Ordering::Relaxed);
-    }
-}
-
-impl Default for RetryBudget {
-    fn default() -> Self {
-        RetryBudget::unlimited()
     }
 }
 
@@ -157,7 +79,7 @@ mod tests {
             .jitter(50)
             .seed(7);
         let delays: Vec<u64> = {
-            let mut r = RetryRunner::new(policy.clone(), None);
+            let mut r = RetryRunner::new(policy.clone());
             (1..=6).map(|i| r.delay_ms(i, &outage())).collect()
         };
         for (i, &d) in delays.iter().enumerate() {
@@ -170,14 +92,14 @@ mod tests {
             );
         }
         // Same policy seed ⇒ same jitter sequence.
-        let mut r2 = RetryRunner::new(policy, None);
+        let mut r2 = RetryRunner::new(policy);
         let replay: Vec<u64> = (1..=6).map(|i| r2.delay_ms(i, &outage())).collect();
         assert_eq!(delays, replay);
     }
 
     #[test]
     fn zero_jitter_is_pure_exponential() {
-        let mut r = RetryRunner::new(RetryPolicy::none().attempts(8).backoff(10, 40), None);
+        let mut r = RetryRunner::new(RetryPolicy::none().attempts(8).backoff(10, 40));
         assert_eq!(r.delay_ms(1, &outage()), 10);
         assert_eq!(r.delay_ms(2, &outage()), 20);
         assert_eq!(r.delay_ms(3, &outage()), 40);
@@ -191,7 +113,6 @@ mod tests {
                 .attempts(10)
                 .backoff(1_000, 60_000)
                 .jitter(500),
-            None,
         );
         // Early retry, hint far above the computed 1s backoff: exactly the hint.
         assert_eq!(r.delay_ms(1, &rate_limited(Some(30_000))), 30_000);
@@ -201,22 +122,5 @@ mod tests {
         // No hint: back to the computed schedule.
         let d = r.delay_ms(1, &rate_limited(None));
         assert!((1_000..=1_500).contains(&d));
-    }
-
-    #[test]
-    fn retry_budget_claims_atomically() {
-        let b = RetryBudget::limited(2);
-        assert!(b.try_spend().is_ok());
-        assert!(b.try_spend().is_ok());
-        assert_eq!(b.try_spend(), Err((2, 2)));
-        assert_eq!(b.spent(), 2);
-        b.reset();
-        assert!(b.try_spend().is_ok());
-        let unlimited = RetryBudget::unlimited();
-        for _ in 0..100 {
-            assert!(unlimited.try_spend().is_ok());
-        }
-        assert_eq!(unlimited.spent(), 100);
-        assert_eq!(unlimited.limit(), None);
     }
 }

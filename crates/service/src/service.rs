@@ -11,7 +11,7 @@ use crate::budget::QueryBudget;
 use crate::calibration::Calibration;
 use crate::maintained::MaintainedSession;
 use crate::planner::{Plan, Planner};
-use crate::retry::{RetryBudget, RetryRunner};
+use crate::retry::RetryRunner;
 use crate::session::{AdaptiveState, Session, SessionKnowledge};
 use crate::stats::ServiceStats;
 use parking_lot::Mutex;
@@ -86,10 +86,8 @@ pub struct RerankService {
     state: Mutex<SharedState>,
     stats: ServiceStats,
     budget: QueryBudget,
-    /// Default retry policy for sessions that don't override it.
+    /// The retry policy every session of this service runs.
     retry_policy: RetryPolicy,
-    /// Service-wide cap on retries, shared across all sessions.
-    retry_budget: RetryBudget,
     /// Time source for backoff sleeps (a mock clock in tests).
     clock: Arc<dyn Clock>,
     /// Cross-session knowledge hookup, when built `with_knowledge`.
@@ -132,7 +130,6 @@ impl RerankService {
             stats: ServiceStats::default(),
             budget: QueryBudget::unlimited(),
             retry_policy: RetryPolicy::none(),
-            retry_budget: RetryBudget::unlimited(),
             clock: Arc::new(SystemClock::new()),
             kplane: None,
             obs: ObsHandle::disabled(),
@@ -213,19 +210,15 @@ impl RerankService {
         self
     }
 
-    /// Default retry policy for every session opened on this service
-    /// (sessions may override via [`SessionBuilder::retry`]). The default
-    /// is [`RetryPolicy::none`]: fail fast, errors surface unchanged.
+    /// The retry policy every session opened on this service runs — the
+    /// one place retries are configured. Transient server failures
+    /// ([`RerankError::is_retryable`]) are retried with exponential backoff
+    /// and jitter, honoring the server's `retry_after_ms` hint, until a step
+    /// succeeds or uses up `max_attempts`
+    /// ([`RerankError::RetriesExhausted`]). The default is
+    /// [`RetryPolicy::none`]: fail fast, errors surface unchanged.
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry_policy = policy;
-        self
-    }
-
-    /// Cap retries *service-wide*: once `limit` retries have been spent
-    /// across all sessions, further transient failures surface as
-    /// [`RerankError::RetryBudgetExhausted`] instead of sleeping.
-    pub fn with_retry_limit(mut self, limit: u64) -> Self {
-        self.retry_budget = RetryBudget::limited(limit);
         self
     }
 
@@ -379,12 +372,6 @@ impl RerankService {
         &self.budget
     }
 
-    /// The service-wide retry budget — inspect spend or reset the window,
-    /// mirroring [`RerankService::budget`].
-    pub fn retry_budget(&self) -> &RetryBudget {
-        &self.retry_budget
-    }
-
     /// The injectable clock this service runs on — the same time base as
     /// backoff sleeps, batch latency, and the observability plane. Front
     /// ends (like the HTTP edge) stamp their own events on it so a whole
@@ -395,10 +382,6 @@ impl RerankService {
 
     pub(crate) fn obs(&self) -> &ObsHandle {
         &self.obs
-    }
-
-    pub(crate) fn default_retry_policy(&self) -> &RetryPolicy {
-        &self.retry_policy
     }
 
     pub(crate) fn state(&self) -> &Mutex<SharedState> {
@@ -445,17 +428,14 @@ impl std::fmt::Debug for RerankService {
 /// The per-session settings — the one definition every front end
 /// ([`SessionBuilder`], `BatchRequest`, federation sources,
 /// `MaintainedSession` re-drives) carries and hands back to
-/// `RerankService::session_with`.
+/// `RerankService::session_with`. Retries are not among them: every
+/// session runs its service's [`RerankService::with_retry_policy`].
 #[derive(Clone)]
 pub(crate) struct SessionSpec {
     pub(crate) algo: Algorithm,
     pub(crate) tie: TiePolicy,
     /// Per-session query cap (the service-wide budget still applies).
     pub(crate) budget: Option<u64>,
-    /// Retry policy override (`None` = the service default).
-    pub(crate) retry: Option<RetryPolicy>,
-    /// Per-session retry cap (the service-wide retry budget still applies).
-    pub(crate) retry_limit: Option<u64>,
     /// Pull-horizon hint for cost estimation (`None` = one page, `k`).
     pub(crate) horizon: Option<usize>,
     /// Consult the service's knowledge plane, when it has one (a no-op on
@@ -469,8 +449,6 @@ impl Default for SessionSpec {
             algo: Algorithm::Auto,
             tie: TiePolicy::Exact,
             budget: None,
-            retry: None,
-            retry_limit: None,
             horizon: None,
             use_knowledge: true,
         }
@@ -575,23 +553,6 @@ impl<'a> SessionBuilder<'a> {
     /// `Session::next`, with the partial batch preserved by `Session::top`.
     pub fn budget(mut self, limit: u64) -> Self {
         self.spec.budget = Some(limit);
-        self
-    }
-
-    /// Override the service's default retry policy for this session.
-    /// Transient server failures ([`RerankError::is_retryable`]) are
-    /// retried with exponential backoff + jitter, honoring the server's
-    /// `retry_after_ms` hint; non-retryable errors surface immediately.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.spec.retry = Some(policy);
-        self
-    }
-
-    /// Cap the retries this one session may spend (on top of the
-    /// service-wide retry budget). Exceeding it surfaces
-    /// [`RerankError::RetryBudgetExhausted`].
-    pub fn retry_limit(mut self, limit: u64) -> Self {
-        self.spec.retry_limit = Some(limit);
         self
     }
 
@@ -742,17 +703,14 @@ impl<'a> SessionBuilder<'a> {
             Some(obj) => obj,
             None => self.build_strategy(plan.algorithm, plan.server_query.clone()),
         };
-        self.svc.stats_ref().on_session();
-        let mut retry = self
-            .spec
-            .retry
-            .unwrap_or_else(|| self.svc.default_retry_policy().clone());
         // Decorrelate jitter across sessions: every session cloning the
         // same policy would otherwise draw identical jitter sequences and
         // retry in lockstep during a shared outage — the thundering herd
         // jitter exists to prevent. The session ordinal keeps the mix
-        // deterministic for replayable tests (same open order, same seeds).
-        let nonce = self.svc.stats_ref().snapshot().sessions_started;
+        // deterministic for replayable tests (same open order, same seeds),
+        // and is this open's own, so racing opens never share one.
+        let nonce = self.svc.stats_ref().on_session();
+        let mut retry = self.svc.retry_policy.clone();
         retry.seed ^= nonce.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let knowledge = if self.spec.use_knowledge {
             self.svc.knowledge_gate().map(|gate| {
@@ -838,7 +796,7 @@ impl<'a> SessionBuilder<'a> {
             self.rank,
             strategy,
             self.spec.budget,
-            RetryRunner::new(retry, self.spec.retry_limit),
+            RetryRunner::new(retry),
             plan.residual,
             knowledge,
             obs_id,

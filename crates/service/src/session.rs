@@ -13,12 +13,13 @@
 //! tuples fetched *before* the failure alongside the error — paid-for
 //! results are never dropped.
 //!
-//! Retry contract: with a [`RetryPolicy`](qrs_types::RetryPolicy) attached (via the service default
-//! or [`crate::SessionBuilder::retry`]), transient *server* failures are
-//! retried in place with exponential backoff + jitter, honoring the
-//! server's `retry_after_ms` hint, sleeping on the service's injectable
-//! clock, and metering against the per-session and service-wide retry
-//! budgets. Because cursors resume after `Err`, a retry re-enters exactly
+//! Retry contract: every session runs its service's
+//! [`RetryPolicy`](qrs_types::RetryPolicy)
+//! ([`crate::RerankService::with_retry_policy`]). Transient *server*
+//! failures are retried in place with exponential backoff + jitter,
+//! honoring the server's `retry_after_ms` hint and sleeping on the
+//! service's injectable clock, at most `max_attempts` times per Get-Next
+//! step. Because cursors resume after `Err`, a retry re-enters exactly
 //! where the failure struck — queries already answered are never re-paid.
 //! Attempt counts and retries are tracked in [`SessionStats`] so budget
 //! attribution stays exact even for steps that ultimately fail.
@@ -206,7 +207,7 @@ pub struct Session<'a> {
     /// strategy steps, so interleaved queries from concurrent sessions are
     /// never misattributed, and a failed attempt's spend still lands here.
     ledger: SessionStats,
-    /// Retry policy + jitter RNG + per-session retry cap.
+    /// Retry policy + jitter RNG.
     retry: RetryRunner,
     /// Predicates the planner relaxed out of the server-side query (the
     /// site could not evaluate them); re-checked here before emitting, so
@@ -297,13 +298,12 @@ impl<'a> Session<'a> {
     /// `Err` the session remains usable — queries already answered stay in
     /// the shared history, so a retry resumes the incremental work.
     ///
-    /// With retries enabled, transient server failures are absorbed here:
-    /// the step is re-attempted after a backoff sleep (server
-    /// `retry_after_ms` hint dominating the exponential schedule) until it
-    /// succeeds, the policy's `max_attempts` is consumed
-    /// ([`RerankError::RetriesExhausted`]), or a retry budget runs out
-    /// ([`RerankError::RetryBudgetExhausted`]). Query-budget trips are
-    /// *not* slept on — only a caller-side window reset can clear them.
+    /// With the service's retry policy enabled, transient server failures
+    /// are absorbed here: the step is re-attempted after a backoff sleep
+    /// (server `retry_after_ms` hint dominating the exponential schedule)
+    /// until it succeeds or the policy's `max_attempts` is consumed
+    /// ([`RerankError::RetriesExhausted`]). Query-budget trips are *not*
+    /// slept on — only a caller-side window reset can clear them.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<RankedTuple>, RerankError> {
         // With no plane attached `emit_obs` is one branch that constructs
@@ -388,8 +388,8 @@ impl<'a> Session<'a> {
     }
 
     /// Stage 2 — one successful strategy step: budget gates, then
-    /// [`Session::step`], then retry admission and backoff until the step
-    /// succeeds or a typed error ends the pull.
+    /// [`Session::step`], then backoff and retry until the step succeeds
+    /// or a typed error ends the pull.
     fn drive_step(&mut self) -> Result<StrategyStep, RerankError> {
         // Retries of *this* step; every `Ok` returns, so the next step
         // starts from zero.
@@ -418,21 +418,6 @@ impl<'a> Session<'a> {
             if retries + 1 >= self.retry.policy().max_attempts {
                 return Err(RerankError::RetriesExhausted {
                     attempts: retries + 1,
-                    last: Box::new(err),
-                });
-            }
-            // The per-session retry cap, then the service-wide one.
-            let refused = match self.retry.session_limit() {
-                Some(limit) if self.ledger.retries_spent >= limit => {
-                    Err((self.ledger.retries_spent, limit))
-                }
-                _ => self.svc.retry_budget().try_spend(),
-            };
-            if let Err((retries_spent, limit)) = refused {
-                self.budget_trip(BudgetScope::Retry, retries_spent, limit);
-                return Err(RerankError::RetryBudgetExhausted {
-                    retries_spent,
-                    limit,
                     last: Box::new(err),
                 });
             }
@@ -1047,7 +1032,6 @@ mod tests {
         assert_eq!(s.retries_spent(), 3);
         assert!(s.attempts_made() > s.retries_spent());
         assert_eq!(svc.stats().retries_spent, 3);
-        assert_eq!(svc.retry_budget().spent(), 3);
     }
 
     #[test]
@@ -1089,75 +1073,6 @@ mod tests {
         // again and the retry count would exceed 1.
         assert_eq!(clock.sleeps(), vec![7300]);
         assert_eq!(s.retries_spent(), 1);
-    }
-
-    #[test]
-    fn session_retry_limit_surfaces_typed_exhaustion_not_a_hang() {
-        use qrs_server::{Clock, FaultyServer, MockClock, SearchInterface};
-        use qrs_types::RetryPolicy;
-        let data = uniform(100, 2, 1, 611);
-        let inner = Arc::new(SimServer::new(data, SystemRank::pseudo_random(7), 3));
-        let faulty = FaultyServer::new(Arc::clone(&inner) as Arc<dyn SearchInterface>)
-            .with_permanent_outage_from(0);
-        let clock = Arc::new(MockClock::new());
-        let svc = RerankService::new(Arc::new(faulty), 100)
-            .with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
-        let mut s = svc
-            .session(Query::all(), rank2())
-            .retry(RetryPolicy::none().attempts(1000).backoff(10, 1000))
-            .retry_limit(3)
-            .open()
-            .unwrap();
-        let err = s.next().unwrap_err();
-        match err {
-            RerankError::RetryBudgetExhausted {
-                retries_spent,
-                limit,
-                last,
-            } => {
-                assert_eq!((retries_spent, limit), (3, 3));
-                assert!(last.is_retryable());
-            }
-            other => panic!("expected RetryBudgetExhausted, got {other}"),
-        }
-        // Bounded recovery effort: 3 sleeps, all virtual.
-        assert_eq!(clock.sleeps().len(), 3);
-        assert_eq!(s.stats().retries_spent, 3);
-        assert_eq!(s.stats().attempts_made, 4);
-    }
-
-    #[test]
-    fn service_retry_limit_is_shared_across_sessions() {
-        use qrs_server::{Clock, FaultyServer, MockClock, SearchInterface};
-        use qrs_types::RetryPolicy;
-        let data = uniform(100, 2, 1, 613);
-        let inner = Arc::new(SimServer::new(data, SystemRank::pseudo_random(7), 3));
-        let faulty = FaultyServer::new(Arc::clone(&inner) as Arc<dyn SearchInterface>)
-            .with_permanent_outage_from(0);
-        let clock = Arc::new(MockClock::new());
-        let svc = RerankService::new(Arc::new(faulty), 100)
-            .with_retry_policy(RetryPolicy::none().attempts(1000).backoff(10, 1000))
-            .with_retry_limit(5)
-            .with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
-        let mut a = svc.session(Query::all(), rank2()).open().unwrap();
-        let err = a.next().unwrap_err();
-        assert!(
-            matches!(err, RerankError::RetryBudgetExhausted { limit: 5, .. }),
-            "{err}"
-        );
-        // The whole service budget is gone: a second session gets no retries.
-        let mut b = svc.session(Query::all(), rank2()).open().unwrap();
-        let err = b.next().unwrap_err();
-        match err {
-            RerankError::RetryBudgetExhausted {
-                retries_spent,
-                limit,
-                ..
-            } => assert_eq!((retries_spent, limit), (5, 5)),
-            other => panic!("expected RetryBudgetExhausted, got {other}"),
-        }
-        assert_eq!(b.retries_spent(), 0);
-        assert_eq!(svc.retry_budget().spent(), 5);
     }
 
     #[test]

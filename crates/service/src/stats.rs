@@ -14,10 +14,11 @@ impl Counter {
         self.0.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Add one.
+    /// Add one and return the new total: each caller gets its own value,
+    /// however many race.
     #[inline]
-    fn incr(&self) {
-        self.add(1);
+    fn incr(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// The exact total so far.
@@ -30,7 +31,6 @@ impl Counter {
 /// and safe to call from concurrent sessions.
 #[derive(Debug, Default)]
 pub struct ServiceStats {
-    /// Also read by `SessionBuilder::open` as a retry-jitter nonce.
     sessions_started: Counter,
     tuples_emitted: Counter,
     queries_spent: Counter,
@@ -82,8 +82,10 @@ pub struct StatsSnapshot {
 }
 
 impl ServiceStats {
-    pub(crate) fn on_session(&self) {
-        self.sessions_started.incr();
+    /// Count an opened session and return its 1-based ordinal, which
+    /// `SessionBuilder::open` mixes into the session's retry-jitter seed.
+    pub(crate) fn on_session(&self) -> u64 {
+        self.sessions_started.incr()
     }
 
     pub(crate) fn on_emit(&self) {
@@ -172,5 +174,31 @@ mod tests {
         assert_eq!(snap.batches_served, 1);
         assert_eq!(snap.requests_served, 2);
         assert_eq!(snap.requests_cancelled, 1);
+    }
+
+    /// Racing opens each get their own ordinal (and so their own jitter
+    /// seed): reading the total back after the increment could hand two
+    /// of them the same one.
+    #[test]
+    fn racing_sessions_get_distinct_ordinals() {
+        let s = ServiceStats::default();
+        let start = std::sync::Barrier::new(8);
+        let mut got: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..500).map(|_| s.on_session()).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("worker panicked"))
+                .collect()
+        });
+        got.sort_unstable();
+        assert_eq!(got, (1..=4000).collect::<Vec<u64>>());
+        assert_eq!(s.snapshot().sessions_started, 4000);
     }
 }

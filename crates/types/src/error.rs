@@ -246,22 +246,11 @@ pub enum RerankError {
     /// The backing server failed.
     Server(ServerError),
     /// A transient server failure persisted through every attempt the
-    /// session's retry policy allows. Carries the attempt count and the
+    /// service's retry policy allows. Carries the attempt count and the
     /// last underlying error so budget attribution stays exact.
     RetriesExhausted {
         /// Attempts consumed, the first included.
         attempts: u32,
-        /// The last underlying failure.
-        last: Box<RerankError>,
-    },
-    /// The per-session or service-wide *retry* budget ran out while
-    /// recovering from the carried error. Distinct from
-    /// [`RerankError::BudgetExhausted`], which meters queries, not retries.
-    RetryBudgetExhausted {
-        /// Retries spent inside the tripped budget window.
-        retries_spent: u64,
-        /// The retry cap that tripped.
-        limit: u64,
         /// The last underlying failure.
         last: Box<RerankError>,
     },
@@ -306,8 +295,7 @@ impl RerankError {
         match self {
             RerankError::BudgetExhausted { .. } => true,
             RerankError::Server(e) => e.is_transient(),
-            RerankError::RetriesExhausted { last, .. }
-            | RerankError::RetryBudgetExhausted { last, .. } => last.is_transient(),
+            RerankError::RetriesExhausted { last, .. } => last.is_transient(),
             // Re-issuing a cancelled request can succeed, but only the
             // caller who cancelled it can decide to — not a retry loop.
             RerankError::Cancelled => true,
@@ -334,8 +322,7 @@ impl RerankError {
             RerankError::Server(ServerError::RateLimited {
                 retry_after_ms: Some(ms),
             }) => Some(*ms),
-            RerankError::RetriesExhausted { last, .. }
-            | RerankError::RetryBudgetExhausted { last, .. } => last.retry_after_hint(),
+            RerankError::RetriesExhausted { last, .. } => last.retry_after_hint(),
             _ => None,
         }
     }
@@ -360,17 +347,6 @@ impl fmt::Display for RerankError {
             RerankError::RetriesExhausted { attempts, last } => {
                 write!(f, "gave up after {attempts} attempts: {last}")
             }
-            RerankError::RetryBudgetExhausted {
-                retries_spent,
-                limit,
-                last,
-            } => {
-                write!(
-                    f,
-                    "retry budget exhausted: {retries_spent} of {limit} retries spent \
-                     recovering from: {last}"
-                )
-            }
             RerankError::Cancelled => write!(f, "request cancelled by the caller"),
             RerankError::Unplannable { missing, reason } => {
                 write!(f, "no algorithm fits the site's capabilities: {reason}")?;
@@ -394,8 +370,7 @@ impl std::error::Error for RerankError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RerankError::Server(e) => Some(e),
-            RerankError::RetriesExhausted { last, .. }
-            | RerankError::RetryBudgetExhausted { last, .. } => Some(last.as_ref()),
+            RerankError::RetriesExhausted { last, .. } => Some(last.as_ref()),
             _ => None,
         }
     }
@@ -446,22 +421,13 @@ mod tests {
         });
         let e = RerankError::RetriesExhausted {
             attempts: 4,
-            last: Box::new(last.clone()),
+            last: Box::new(last),
         };
         assert!(e.is_transient());
         // The wrapper itself is not auto-retryable: the policy already gave up.
         assert!(!e.is_retryable());
         assert_eq!(e.retry_after_hint(), Some(250));
         assert!(e.to_string().contains("4 attempts"));
-
-        let e = RerankError::RetryBudgetExhausted {
-            retries_spent: 7,
-            limit: 7,
-            last: Box::new(last),
-        };
-        assert!(e.is_transient());
-        assert!(!e.is_retryable());
-        assert!(e.to_string().contains("7 of 7 retries"));
         use std::error::Error;
         assert!(e.source().is_some());
     }

@@ -5,10 +5,9 @@
 //! in transit — are expected operating conditions, not exceptional ones.
 //! [`RetryPolicy`] is the declarative half of the retry subsystem: how many
 //! attempts a single Get-Next step may consume and how long to back off
-//! between them. The imperative half (the retry loop, the jitter draw, the
-//! per-session and service-wide retry budgets) lives in `qrs-service`, which
-//! also threads an injectable clock through so tests never sleep wall-clock
-//! time.
+//! between them. The imperative half (the retry loop and the jitter draw)
+//! lives in `qrs-service`, which also threads an injectable clock through so
+//! tests never sleep wall-clock time.
 //!
 //! Which errors are worth retrying is decided by
 //! [`RerankError::is_retryable`]: only *server-side* transient failures.

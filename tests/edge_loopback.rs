@@ -26,6 +26,8 @@
 //!   is a typed, uncharged `400` on every route that carries a query, and
 //!   a handler that panics is a `500` + close — after either, the same
 //!   edge keeps serving,
+//! * the other direction: a site tuple that does not fit the schema it
+//!   advertised is a typed error at the adapter, never a panic above it,
 //! * admission control: capacity and tenant-budget refusals are typed
 //!   `429`s with `Retry-After` that charge **neither** ledger,
 //! * the front door: `/v1/rerank` via [`EdgeClient`] versus an in-process
@@ -851,6 +853,57 @@ fn a_panicking_handler_is_a_500_that_costs_only_its_own_request() {
         assert_eq!((handle.requests(), handle.connections()), (4, connections));
         handle.shutdown();
     }
+}
+
+/// A site that answers its own two-ordinal schema with a one-ordinal tuple.
+struct ShortTupleSite(Dataset);
+
+impl SearchInterface for ShortTupleSite {
+    fn schema(&self) -> &Arc<query_reranking::types::Schema> {
+        self.0.schema()
+    }
+    fn k(&self) -> usize {
+        3
+    }
+    fn query(
+        &self,
+        _q: &Query,
+    ) -> Result<query_reranking::types::QueryResponse, query_reranking::types::ServerError> {
+        let t = &self.0.tuples()[0];
+        let short =
+            query_reranking::types::Tuple::new(t.id, t.ords()[..1].to_vec(), t.cats().to_vec());
+        Ok(query_reranking::types::QueryResponse::new(
+            vec![Arc::new(short)],
+            false,
+        ))
+    }
+    fn queries_issued(&self) -> u64 {
+        0
+    }
+}
+
+/// The wire decoder accepts any number of ordinals, so a remote site's
+/// wrong-arity tuple used to reach the strategies and index past its
+/// values inside the service's state lock. The adapter checks every tuple
+/// against the schema it cached at connect: the call is a typed transient
+/// failure, and a session over the adapter gets that error, not a panic.
+#[test]
+fn a_remote_tuple_that_does_not_fit_the_schema_is_a_typed_error_not_a_panic() {
+    let exec = Arc::new(Executor::from_env());
+    let data = uniform(20, 2, 1, test_seed() ^ 0xA217);
+    let (handle, adapter) = loopback(Arc::new(ShortTupleSite(data)), 20, &exec);
+    let refused = adapter.query(&Query::all());
+    assert!(
+        matches!(refused, Err(ref e) if e.is_transient() && e.to_string().contains("ordinal")),
+        "{refused:?}"
+    );
+    let svc = RerankService::new(Arc::clone(&adapter) as Arc<dyn SearchInterface>, 20);
+    let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
+    let mut s = svc.session(Query::all(), rank).open().unwrap();
+    let err = s.next().unwrap_err();
+    assert!(matches!(err, RerankError::Server(_)), "{err}");
+    assert_eq!(s.emitted(), 0);
+    handle.shutdown();
 }
 
 /// Admission refusals are typed, carry `Retry-After`, and charge neither

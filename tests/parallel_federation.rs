@@ -168,16 +168,17 @@ fn serve_batch_results_are_identical_across_executor_shapes() {
     for case in 0..8u64 {
         let seed = seeded(0xBA7C + case * 104_729);
         let run = |exec: &Executor| -> Vec<OutcomePrint> {
-            // One faulty backend, several concurrent users.
-            let services = build_stack(seed);
-            let svc = &services[0];
-            // Deep per-request retries: the shared backend deals faults
-            // off ONE schedule-dependent RNG, so which session absorbs
-            // which fault varies with pool interleaving. Retries make
-            // that reassignment invisible in the results; a stingy cap
-            // would let one unlucky interleaving exhaust a request
+            // One faulty backend, several concurrent users, rebuilt with
+            // deep retries: the shared backend deals faults off ONE
+            // schedule-dependent RNG, so which session absorbs which fault
+            // varies with pool interleaving. Retries make that
+            // reassignment invisible in the results; a stingy cap would
+            // let one unlucky interleaving exhaust a request
             // (RetriesExhausted truncates its hits) and flake the
             // cross-shape comparison. 0.15^16 ≈ 7e-14: never.
+            let svc = &build_stack(seed)
+                .swap_remove(0)
+                .with_retry_policy(RetryPolicy::none().attempts(16).backoff(5, 100).seed(seed));
             let reqs: Vec<BatchRequest> = (0..5u64)
                 .map(|i| {
                     BatchRequest::new(
@@ -187,12 +188,6 @@ fn serve_batch_results_are_identical_across_executor_shapes() {
                             (AttrId(1), 1.0),
                         ])) as Arc<dyn RankFn>,
                         6,
-                    )
-                    .retry(
-                        RetryPolicy::none()
-                            .attempts(16)
-                            .backoff(5, 100)
-                            .seed(seed ^ i),
                     )
                 })
                 .collect();
