@@ -1,13 +1,20 @@
 //! The MD Get-Next driver (§4.2.2), exact under ties.
 //!
 //! The paper discovers the No. (h+1) tuple by maintaining subspaces split at
-//! previously emitted tuples and taking the best subspace top-1. We split
-//! *three ways* per dimension (`< v`, `= v`, `> v`) instead of the paper's
-//! two, which removes the general-positioning assumption (§5): tuples
-//! sharing attribute values with an emitted tuple live in the `= v` slabs.
-//! A fully pinned slab (every ranking dimension a point) is a *cell*; cells
-//! track emitted ids explicitly and enumerate exact duplicates through point
-//! queries / sub-crawls on the remaining attributes.
+//! previously emitted tuples and taking the best subspace top-1. An emission
+//! splits its host on the host's first free dimension into the paper's
+//! `< v` and `> v` halves plus a third child, the *tie slab* `= v`, which
+//! removes the general-positioning assumption (§5): tuples sharing the
+//! emitted tuple's value live there. A tie slab carries the ids already
+//! emitted from it; one with every ranking dimension pinned is a *cell*.
+//!
+//! A slab's top comes from history once a complete region covers it. The
+//! first such region is usually its *plane* — the pinned ranking values as
+//! point predicates, no selection, nothing else — which one query proves
+//! complete (skipped when history already holds more than `k` tuples on
+//! it). A plane that overflows refines its slab on the next free dimension
+//! at the emitted tuple (same `<` / `>` / `=` shape); an overflowing cell
+//! is crawled on the remaining attributes.
 
 use crate::crawl::crawl_region;
 use crate::ctx::SharedState;
@@ -15,6 +22,7 @@ use crate::md::top1::{md_top1, MdOptions};
 use crate::norm::{NormBox, NormView};
 use qrs_ranking::RankFn;
 use qrs_server::SearchInterface;
+use qrs_types::value::cmp_f64;
 use qrs_types::{Interval, Query, RerankError, Schema, Tuple, TupleId};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -30,15 +38,32 @@ enum TopState {
 struct Subspace {
     bbox: NormBox,
     top: TopState,
-    /// Ids emitted from this subspace — only populated for cells.
-    cell_emitted: HashSet<TupleId>,
+    /// Ids emitted from this subspace — non-empty only for a tie slab.
+    emitted: HashSet<TupleId>,
+}
+
+impl Subspace {
+    fn new(bbox: NormBox) -> Self {
+        Subspace {
+            bbox,
+            top: TopState::Unknown,
+            emitted: HashSet::new(),
+        }
+    }
+
+    /// A tie slab — one that has emitted, or a cell — resolves through
+    /// [`tie_top`]; any other subspace through [`md_top1`].
+    fn is_tie_slab(&self) -> bool {
+        !self.emitted.is_empty() || self.bbox.is_cell()
+    }
 }
 
 /// How the Get-Next driver treats ranking-attribute ties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MdTie {
-    /// Three-way splits with point slabs and duplicate cells: exact on any
-    /// data (§5's removal of the general positioning assumption).
+    /// Three-way splits with tie slabs, refined only where their plane
+    /// overflows: exact on any data (§5's removal of the general
+    /// positioning assumption).
     #[default]
     Exact,
     /// The paper's §4.2.2 splitting: two subspaces per emission
@@ -78,11 +103,7 @@ impl MdCursor {
             sel,
             opts,
             tie,
-            subs: vec![Subspace {
-                bbox: b0,
-                top: TopState::Unknown,
-                cell_emitted: HashSet::new(),
-            }],
+            subs: vec![Subspace::new(b0)],
         }
     }
 
@@ -99,25 +120,33 @@ impl MdCursor {
         server: &dyn SearchInterface,
         st: &mut SharedState,
     ) -> Result<Option<Arc<Tuple>>, RerankError> {
-        // Resolve all unknown subspace tops.
-        for sub in &mut self.subs {
-            if matches!(sub.top, TopState::Unknown) {
-                sub.top = if sub.bbox.is_cell() {
-                    cell_top(
-                        server,
-                        st,
-                        &self.view,
-                        &sub.bbox,
-                        &self.sel,
-                        &sub.cell_emitted,
-                    )?
-                } else {
-                    match md_top1(server, st, &self.view, &self.sel, &sub.bbox, self.opts)? {
-                        None => TopState::Empty,
-                        Some((t, s)) => TopState::Known(t, s),
-                    }
-                };
+        // Resolve all unknown subspace tops. A refined tie slab stays at
+        // `i` as its `= v` part; its other children join this pass.
+        let mut i = 0;
+        while i < self.subs.len() {
+            let sub = &self.subs[i];
+            if !matches!(sub.top, TopState::Unknown) {
+                i += 1;
+                continue;
             }
+            let top = if sub.is_tie_slab() {
+                match tie_top(server, st, &self.view, &self.sel, &sub.bbox, &sub.emitted)? {
+                    TieTop::Known(top) => top,
+                    TieTop::Refine(d, v) => {
+                        let (sides, slab) = split_at(&sub.bbox, d, v);
+                        self.subs[i].bbox = slab;
+                        self.subs.extend(sides.into_iter().map(Subspace::new));
+                        continue;
+                    }
+                }
+            } else {
+                match md_top1(server, st, &self.view, &self.sel, &sub.bbox, self.opts)? {
+                    None => TopState::Empty,
+                    Some((t, s)) => TopState::Known(t, s),
+                }
+            };
+            self.subs[i].top = top;
+            i += 1;
         }
         // Best over subspaces (score, then id).
         let Some(best_idx) = self
@@ -128,7 +157,7 @@ impl MdCursor {
                 TopState::Known(t, sc) => Some((i, t.id, *sc)),
                 _ => None,
             })
-            .min_by(|a, b| qrs_types::value::cmp_f64(a.2, b.2).then(a.1.cmp(&b.1)))
+            .min_by(|a, b| cmp_f64(a.2, b.2).then(a.1.cmp(&b.1)))
             .map(|(i, _, _)| i)
         else {
             return Ok(None);
@@ -137,43 +166,23 @@ impl MdCursor {
         let TopState::Known(t, _) = self.subs[best_idx].top.clone() else {
             unreachable!()
         };
-        if self.subs[best_idx].bbox.is_cell() {
-            let sub = &mut self.subs[best_idx];
-            sub.cell_emitted.insert(t.id);
+        let sub = &mut self.subs[best_idx];
+        if sub.is_tie_slab() {
+            sub.emitted.insert(t.id);
             sub.top = TopState::Unknown;
         } else {
+            // §4.2.2: split the host on its first free dimension; only
+            // `MdTie::Exact` keeps the boundary as a tie slab.
             let host = self.subs.swap_remove(best_idx);
-            let coords = self.view.norm_coords(&t);
-            match self.tie {
-                MdTie::Exact => {
-                    self.subs.extend(split_at_tuple(&host.bbox, &coords, t.id));
-                }
-                MdTie::GeneralPositioning => {
-                    // §4.2.2: split the host on the first free dimension
-                    // only, dropping the boundary slab.
-                    let d = (0..coords.len())
-                        .find(|&d| {
-                            let iv = host.bbox.dims[d];
-                            !matches!(
-                                (iv.lo, iv.hi),
-                                (qrs_types::Endpoint::Closed(a), qrs_types::Endpoint::Closed(b)) if a == b
-                            )
-                        })
-                        .unwrap_or(0);
-                    for side in [
-                        Interval::less_than(coords[d]),
-                        Interval::greater_than(coords[d]),
-                    ] {
-                        let child = host.bbox.with_dim(d, side);
-                        if !child.is_empty() {
-                            self.subs.push(Subspace {
-                                bbox: child,
-                                top: TopState::Unknown,
-                                cell_emitted: HashSet::new(),
-                            });
-                        }
-                    }
-                }
+            let d = first_free(&host.bbox).expect("a box that is not a cell has a free dimension");
+            let (sides, slab) = split_at(&host.bbox, d, self.view.norm_coords(&t)[d]);
+            self.subs.extend(sides.into_iter().map(Subspace::new));
+            if self.tie == MdTie::Exact {
+                let emitted = HashSet::from([t.id]);
+                self.subs.push(Subspace {
+                    emitted,
+                    ..Subspace::new(slab)
+                });
             }
         }
         Ok(Some(t))
@@ -202,69 +211,83 @@ impl MdCursor {
     }
 }
 
-/// Three-way split of a box at an emitted tuple's coordinates; the all-point
-/// residue becomes a cell with the tuple pre-marked emitted.
-fn split_at_tuple(b: &NormBox, coords: &[f64], id: TupleId) -> Vec<Subspace> {
-    let mut out = Vec::new();
-    let mut cur = b.clone();
-    for (d, &v) in coords.iter().enumerate() {
-        let iv = cur.dims[d];
-        let is_point = matches!(
-            (iv.lo, iv.hi),
-            (qrs_types::Endpoint::Closed(a), qrs_types::Endpoint::Closed(bv)) if a == bv
-        );
-        if is_point {
-            continue;
-        }
-        for side in [Interval::less_than(v), Interval::greater_than(v)] {
-            let child = cur.with_dim(d, side);
-            if !child.is_empty() {
-                out.push(Subspace {
-                    bbox: child,
-                    top: TopState::Unknown,
-                    cell_emitted: HashSet::new(),
-                });
-            }
-        }
-        cur.dims[d] = cur.dims[d].intersect(&Interval::point(v));
-    }
-    let mut emitted = HashSet::new();
-    emitted.insert(id);
-    out.push(Subspace {
-        bbox: cur,
-        top: TopState::Unknown,
-        cell_emitted: emitted,
-    });
-    out
+/// The first dimension of `b` that is not pinned to a point (`None` for a
+/// cell).
+fn first_free(b: &NormBox) -> Option<usize> {
+    b.dims.iter().position(|iv| !iv.is_point())
 }
 
-/// Top of a cell: the lowest-id unemitted tuple at exactly these ranking
-/// coordinates (all share one score).
-fn cell_top(
+/// Split `b` on dimension `d` at `v`: the non-empty `< v` and `> v`
+/// children, and the `= v` tie slab.
+fn split_at(b: &NormBox, d: usize, v: f64) -> (Vec<NormBox>, NormBox) {
+    let sides = [Interval::less_than(v), Interval::greater_than(v)]
+        .into_iter()
+        .map(|side| b.with_dim(d, side))
+        .filter(|child| !child.is_empty())
+        .collect();
+    (sides, b.with_dim(d, Interval::point(v)))
+}
+
+/// What resolving a tie slab found.
+enum TieTop {
+    /// The slab's top, or that it has none left.
+    Known(TopState),
+    /// The slab's plane overflows: split the slab on dimension `d` at `v`.
+    Refine(usize, f64),
+}
+
+/// Top of a tie slab: the lowest `(score, id)` tuple of `slab ∧ sel` not
+/// yet emitted from it, read from history once a complete region covers
+/// the slab. The slab's plane is asked to become that region; where it
+/// overflows, a slab whose emitted tuples share a value on its next free
+/// dimension is refined there, and anything else — a cell — is crawled.
+fn tie_top(
     server: &dyn SearchInterface,
     st: &mut SharedState,
     view: &NormView,
-    cell: &NormBox,
     sel: &Query,
+    slab: &NormBox,
     emitted: &HashSet<TupleId>,
-) -> Result<TopState, RerankError> {
-    let q = view.to_query(cell, sel);
+) -> Result<TieTop, RerankError> {
+    let q = view.to_query(slab, sel);
     if q.is_unsatisfiable() {
-        return Ok(TopState::Empty);
+        return Ok(TieTop::Known(TopState::Empty));
     }
-    if st.ask(server, &q)?.is_overflow() {
-        // >k tuples at one ranking-coordinate point: crawl by the
-        // remaining (non-ranking / categorical) attributes.
-        crawl_region(server, st, &q)?;
-    }
-    let known = st.history.matching(&q);
-    Ok(match known.into_iter().find(|t| !emitted.contains(&t.id)) {
-        Some(t) => {
-            let s = view.score(&t);
-            TopState::Known(t, s)
+    if !st.complete.covers(&q) {
+        let mut plane = slab.clone();
+        for iv in plane.dims.iter_mut().filter(|iv| !iv.is_point()) {
+            *iv = Interval::all();
         }
-        None => TopState::Empty,
-    })
+        let plane = view.to_query(&plane, &Query::all());
+        // More than `k` known on the plane: asking it would only overflow.
+        let crowded = (st.history.candidates(&plane))
+            .filter(|t| plane.matches(t))
+            .nth(server.k())
+            .is_some();
+        if crowded || st.ask(server, &plane)?.is_overflow() {
+            let refine_at = first_free(slab).and_then(|d| {
+                let mut vs = emitted
+                    .iter()
+                    .map(|id| st.history.get(*id).map(|t| view.norm_coords(t)[d]));
+                let v = vs.next().flatten()?;
+                vs.all(|w| w == Some(v)).then_some((d, v))
+            });
+            if let Some((d, v)) = refine_at {
+                return Ok(TieTop::Refine(d, v));
+            }
+            // A cell — more than `k` tuples at one ranking point — told
+            // apart by the remaining attributes (or, after lost coverage, a
+            // slab whose emitted tuples part on its next free dimension).
+            crawl_region(server, st, &q)?;
+        }
+    }
+    let top = (st.history.candidates(&q))
+        .filter(|t| q.matches(t) && !emitted.contains(&t.id))
+        .map(|t| (view.score(t), t))
+        .min_by(|a, b| cmp_f64(a.0, b.0).then(a.1.id.cmp(&b.1.id)));
+    Ok(TieTop::Known(top.map_or(TopState::Empty, |(s, t)| {
+        TopState::Known(Arc::clone(t), s)
+    })))
 }
 
 #[cfg(test)]
@@ -274,7 +297,6 @@ mod tests {
     use qrs_datagen::synthetic::{correlated, discrete_grid, uniform};
     use qrs_ranking::LinearRank;
     use qrs_server::{SimServer, SystemRank};
-    use qrs_types::value::cmp_f64;
     use qrs_types::AttrId;
 
     /// Compare an emitted prefix against the *full* ground-truth ranking by
@@ -400,6 +422,111 @@ mod tests {
             SystemRank::pseudo_random(13),
             6,
             25,
+        );
+    }
+
+    fn test_seed() -> u64 {
+        let seed = std::env::var("QRS_TEST_SEED").ok();
+        seed.and_then(|s| s.parse().ok()).unwrap_or(0)
+    }
+
+    /// Dense ties through every tie-slab path: a slab emits several tuples
+    /// from a complete plane, a crowded plane refines down to a cell, and a
+    /// cell holding more than `k` duplicates is crawled on the fourth
+    /// (non-ranking) attribute and the category. The grid is deduplicated
+    /// so no group is indistinguishable through the interface.
+    #[test]
+    fn tie_slabs_are_exact_where_ties_are_dense() {
+        let seed = test_seed();
+        let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 0.7), (AttrId(2), 0.45)]);
+        let sel = Query::all().and_cat(qrs_types::CatPredicate::one_of(
+            qrs_types::CatId(0),
+            vec![0, 1, 3],
+        ));
+        for (levels, n) in [(2, 200), (3, 600), (5, 1500)] {
+            let grid = discrete_grid(n, 4, levels, 311 ^ seed);
+            let mut seen = HashSet::new();
+            let distinct = (grid.tuples().iter())
+                .filter(|t| {
+                    let bits: Vec<u64> = t.ords().iter().map(|v| v.to_bits()).collect();
+                    seen.insert((bits, t.cats().to_vec()))
+                })
+                .cloned()
+                .collect();
+            let data = qrs_types::Dataset::from_shared(Arc::clone(grid.schema()), distinct);
+            let top = data.rank_by(&sel, |t| rank.score(t));
+            let top = &top[..top.len().min(60)];
+            assert!(
+                top.windows(2)
+                    .any(|w| w[0].ord(AttrId(0)) == w[1].ord(AttrId(0))),
+                "vacuous at {levels} levels: no two answers in a row share a first value"
+            );
+            let mut per_cell: std::collections::HashMap<Vec<u64>, usize> = Default::default();
+            for t in top {
+                let cell = t.ords()[..3].iter().map(|v| v.to_bits()).collect();
+                *per_cell.entry(cell).or_default() += 1;
+            }
+            let biggest = per_cell.values().copied().max().unwrap_or(0);
+            for k in [1, 2, 5] {
+                assert!(
+                    biggest > k,
+                    "vacuous at {levels} levels, k = {k}: no cell holds more than k answers"
+                );
+                let sys = SystemRank::pseudo_random(seed.wrapping_add(u64::from(levels)));
+                run_all(data.clone(), rank.clone(), sel.clone(), sys, k, 60);
+            }
+        }
+    }
+
+    /// Counts the queries that carry a point predicate.
+    struct PointProbes(SimServer, std::sync::atomic::AtomicU64);
+
+    impl SearchInterface for PointProbes {
+        fn schema(&self) -> &Arc<Schema> {
+            self.0.schema()
+        }
+        fn k(&self) -> usize {
+            self.0.k()
+        }
+        fn query(&self, q: &Query) -> Result<qrs_types::QueryResponse, qrs_types::ServerError> {
+            if q.ranges().iter().any(|p| p.interval.is_point()) {
+                self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            self.0.query(q)
+        }
+        fn queries_issued(&self) -> u64 {
+            self.0.queries_issued()
+        }
+    }
+
+    /// On data without ties an emission's tie slab is settled by one plane
+    /// probe, where splitting three ways on every dimension would pay up to
+    /// `2m − 1` point-slab queries.
+    #[test]
+    fn one_tie_probe_per_emission_on_tie_free_data() {
+        let data = uniform(2000, 3, 1, 401 ^ test_seed());
+        let rank = LinearRank::asc(vec![(AttrId(0), 0.5), (AttrId(1), 0.3), (AttrId(2), 0.2)]);
+        let server = PointProbes(
+            SimServer::new(data.clone(), SystemRank::pseudo_random(19), 10),
+            Default::default(),
+        );
+        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(2000, 10));
+        let mut cur = MdCursor::new(
+            Arc::new(rank.clone()),
+            Query::all(),
+            MdOptions::rerank(),
+            server.schema(),
+        );
+        let got = cur.top_h(&server, &mut st, 25).unwrap();
+        let truth = data.rank_by(&Query::all(), |t| rank.score(t));
+        assert!(got
+            .iter()
+            .map(|t| t.id)
+            .eq(truth.iter().take(25).map(|t| t.id)));
+        let probes = server.1.into_inner();
+        assert!(
+            (1..=25).contains(&probes),
+            "{probes} point-predicate queries for 25 emissions"
         );
     }
 

@@ -82,7 +82,7 @@ fn consider(best: &mut Best, t: &Arc<Tuple>, score: f64) {
 
 /// Lowest-scoring tuple in `b ∧ sel` (ties by id **not** guaranteed global —
 /// equal-score regions may be pruned; callers needing full tie sets use the
-/// cursor's cell machinery).
+/// cursor's tie slabs).
 pub fn md_top1(
     server: &dyn SearchInterface,
     st: &mut SharedState,

@@ -425,7 +425,7 @@ pub fn capabilities_from_json(v: &Json) -> WireResult<Capabilities> {
             Ok((AttrId(attr), support))
         })
         .collect::<WireResult<Vec<(AttrId, FilterSupport)>>>()?;
-    Ok(Capabilities {
+    let caps = Capabilities {
         paging: want_bool(v, "paging")?,
         order_by,
         max_pages: opt_usize_from_json(v, "max_pages")?,
@@ -433,7 +433,11 @@ pub fn capabilities_from_json(v: &Json) -> WireResult<Capabilities> {
         filters,
         cost: cost_model_from_json(want(v, "cost")?)?,
         mutation_feed: want_bool(v, "mutation_feed")?,
-    })
+    };
+    // Refused here, typed, before a planner plans against it or
+    // `SimServer::with_capabilities` would assert it.
+    caps.check()?;
+    Ok(caps)
 }
 
 // ---------------------------------------------------------------- results
@@ -769,6 +773,31 @@ mod tests {
             capabilities_from_json(&capabilities_to_json(&bare)).unwrap(),
             bare
         );
+    }
+
+    /// A depth or arity cap of zero is a site `SimServer::with_capabilities`
+    /// refuses and no plan can use: refused at decode too, so
+    /// `HttpSiteAdapter::connect` fails typed instead of planning on it.
+    #[test]
+    fn zero_page_and_predicate_caps_are_refused_at_decode() {
+        for (key, caps) in [
+            (
+                "max_pages",
+                Capabilities::none().with_paging().with_max_pages(0),
+            ),
+            (
+                "max_predicates",
+                Capabilities::none().with_max_predicates(0),
+            ),
+        ] {
+            let e = capabilities_from_json(&capabilities_to_json(&caps)).unwrap_err();
+            assert!(e.contains(key), "{e}");
+        }
+        let ones = (Capabilities::none().with_paging())
+            .with_max_pages(1)
+            .with_max_predicates(1);
+        let back = capabilities_from_json(&capabilities_to_json(&ones)).unwrap();
+        assert_eq!(back, ones);
     }
 
     /// A point-only attribute is reachable only through its value list: a

@@ -118,6 +118,21 @@ impl Capabilities {
         self
     }
 
+    /// Whether a site can serve this model: a depth cap serves at least one
+    /// page and an arity cap accepts at least one predicate.
+    pub fn check(&self) -> Result<(), String> {
+        if self.max_pages == Some(0) {
+            return Err("a paging site serves at least one page (max_pages is 0)".to_string());
+        }
+        if self.max_predicates == Some(0) {
+            return Err(
+                "a searchable site accepts at least one predicate (max_predicates is 0)"
+                    .to_string(),
+            );
+        }
+        Ok(())
+    }
+
     /// Filter support advertised for `attr` ([`FilterSupport::Range`] when
     /// no override is present).
     pub fn filter_support(&self, attr: AttrId) -> FilterSupport {

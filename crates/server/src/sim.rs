@@ -254,18 +254,9 @@ impl SimServer {
     /// keep attribute order, and the mutation feed is always on.
     ///
     /// # Panics
-    /// If `caps` caps pages or predicates at zero.
+    /// If `caps` caps pages or predicates at zero ([`Capabilities::check`]).
     pub fn with_capabilities(mut self, caps: Capabilities) -> Self {
-        assert_ne!(
-            caps.max_pages,
-            Some(0),
-            "a paging site serves at least one page"
-        );
-        assert_ne!(
-            caps.max_predicates,
-            Some(0),
-            "a searchable site accepts at least one predicate"
-        );
+        caps.check().unwrap_or_else(|e| panic!("{e}"));
         let filters = self
             .schema
             .attr_ids()
