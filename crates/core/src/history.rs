@@ -12,6 +12,18 @@
 //! what it has learned on the hot path: the registry is a
 //! [`RegionIndex`], and a covered query reaches its tuples through the
 //! tightest `by_attr` range it offers ([`History::candidates`]).
+//!
+//! The MD search's history read, `md::top1::history_best`, asks for the
+//! lowest-scoring known tuple in a box, so it walks a ranking axis in
+//! score order instead: the tightest predicate's attribute when that one
+//! ranks, else the ranking attribute along which the score climbs most
+//! across the box. Each tuple's coordinate on that axis, with the box's low
+//! corner elsewhere, bounds from below the score of every tuple after it,
+//! and the walk stops at the first bound *strictly* above the best score:
+//! stopping at an equal bound could skip a tie with a smaller id, so the
+//! answer stays the exact `(score, id)` minimum. The cost of a read grows
+//! with how far the best known tuple sits along the axis, not with how
+//! much history holds.
 
 use qrs_types::value::OrdF64;
 use qrs_types::{
@@ -170,17 +182,21 @@ impl History {
         ((hi - lo) / (max - min)).max(0.0)
     }
 
-    /// A superset of the observed tuples matching `q`, in no particular
-    /// order: the `by_attr` range of `q`'s tightest range predicate (a point,
-    /// else the one admitting the smallest share of its attribute's observed
-    /// span), or every tuple when `q` has none — a categorical-only query.
-    pub fn candidates<'a>(&'a self, q: &Query) -> Box<dyn Iterator<Item = &'a Arc<Tuple>> + 'a> {
-        let tightest = q
-            .ranges()
+    /// `q`'s tightest range predicate: a point, else the one admitting the
+    /// smallest share of its attribute's observed span; `None` when `q` has
+    /// no range predicate — a categorical-only query.
+    pub(crate) fn tightest<'q>(&self, q: &'q Query) -> Option<&'q RangePredicate> {
+        q.ranges()
             .iter()
             .filter(|p| p.attr.0 < self.by_attr.len() && !p.interval.is_all())
-            .min_by_key(|p| OrdF64(self.share(p)));
-        match tightest {
+            .min_by_key(|p| OrdF64(self.share(p)))
+    }
+
+    /// A superset of the observed tuples matching `q`, in no particular
+    /// order: the `by_attr` range of `q`'s tightest range predicate, or
+    /// every tuple when it has none.
+    pub fn candidates<'a>(&'a self, q: &Query) -> Box<dyn Iterator<Item = &'a Arc<Tuple>> + 'a> {
+        match self.tightest(q) {
             Some(p) if p.interval.is_empty() => Box::new(std::iter::empty()),
             Some(p) => Box::new(self.in_range(p.attr, p.interval)),
             None => Box::new(self.tuples.values()),
@@ -406,8 +422,8 @@ mod tests {
     }
 
     /// `matching` and `history_best` reach tuples through one `by_attr`
-    /// range; each must return what one pass over every tuple returns, in
-    /// the same order.
+    /// range — the tightest predicate's, or a ranking axis's; each must
+    /// return what one pass over every tuple returns, in the same order.
     #[test]
     fn by_attr_paths_agree_with_a_pass_over_every_tuple() {
         use crate::{ctx::SharedState, md::top1::history_best, norm::NormView};
@@ -461,6 +477,126 @@ mod tests {
             let got = history_best(&st, &view, &boxed);
             assert_eq!(got.map(|(t, s)| (s, t)), best, "history_best: {name}");
         }
+    }
+
+    /// `history_best` walks one ranking axis and stops at the first tuple
+    /// whose axis bound exceeds the best score. Its answer must stay the
+    /// `(score, id)` minimum over every history tuple matching the box — on
+    /// grid data, where tuples tie on the cut, and whichever axis it walks.
+    #[test]
+    fn history_best_is_the_minimum_over_every_match() {
+        use crate::{ctx::SharedState, md::top1::history_best, norm::NormBox, norm::NormView};
+        use qrs_datagen::synthetic::{discrete_grid, uniform};
+        use qrs_ranking::{LinearRank, RankFn};
+        use qrs_types::{CatId, CatPredicate};
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let seed = std::env::var("QRS_TEST_SEED").ok();
+        let seed: u64 = seed.and_then(|s| s.parse().ok()).unwrap_or(0);
+        let mut rng = StdRng::seed_from_u64(29 ^ seed);
+        let (mut asked, mut found, mut early, mut steepest) = (0, 0, 0, 0);
+        for data in [
+            discrete_grid(400, 4, 5, 31 ^ seed),
+            uniform(400, 4, 1, 37 ^ seed),
+        ] {
+            let params = crate::params::RerankParams::paper_defaults(400, 5);
+            let mut st = SharedState::new(data.schema(), params);
+            for t in data
+                .tuples()
+                .iter()
+                .filter(|_| rng.random_range(0..4u32) > 0)
+            {
+                st.history.record(t);
+            }
+            let known: Vec<Arc<Tuple>> = st.history.tuples.values().cloned().collect();
+            for _ in 0..300 {
+                // Two or three of the four attributes, mixed directions;
+                // small whole weights tie grid scores across cells.
+                let mut free: Vec<usize> = (0..4).collect();
+                let m = rng.random_range(2..4usize);
+                let terms = (0..m).map(|_| {
+                    let a = free.swap_remove(rng.random_range(0..free.len()));
+                    let dir = [Direction::Asc, Direction::Desc][rng.random_range(0..2usize)];
+                    let w = [1.0, 2.0, 0.5 + rng.random::<f64>()][rng.random_range(0..3usize)];
+                    (AttrId(a), dir, w)
+                });
+                let rank = LinearRank::new(terms.collect());
+                let view = NormView::new(Arc::new(rank.clone()), data.schema());
+                let mut b = NormBox::full(view.bounds());
+                for (d, side) in b.dims.iter_mut().enumerate() {
+                    let (lo, hi) = (view.bounds().lo[d], view.bounds().hi[d]);
+                    let mut at = || match rng.random::<bool>() {
+                        true => lo + (hi - lo) * f64::from(rng.random_range(0..=4u32)) / 4.0,
+                        false => lo + (hi - lo) * rng.random::<f64>(),
+                    };
+                    let (x, y) = (at(), at());
+                    let (x, y) = (x.min(y), x.max(y));
+                    *side = match rng.random_range(0..10u32) {
+                        0 => Interval::point(x),
+                        1 => Interval::open(x, x),
+                        2 => Interval::open(x, y),
+                        3 => Interval::closed(x, y),
+                        4 => Interval::closed_open(x, y),
+                        5 => Interval::open_closed(x, y),
+                        6 => Interval::greater_than(x),
+                        7 => Interval::at_most(y),
+                        _ => *side,
+                    };
+                }
+                let mut sel = Query::all();
+                if rng.random::<bool>() {
+                    let codes = vec![rng.random_range(0..4u32), rng.random_range(0..4u32)];
+                    sel.add_cat(CatPredicate::one_of(CatId(0), codes));
+                }
+                // A non-ranking range narrower than a box side: the walk
+                // takes the steepest ranking axis instead.
+                if rng.random::<bool>() {
+                    let a = AttrId(free[rng.random_range(0..free.len())]);
+                    let (lo, hi) = (data.schema().ordinal(a).min, data.schema().ordinal(a).max);
+                    let x = lo + (hi - lo) * f64::from(rng.random_range(0..=4u32)) / 4.0;
+                    sel.add_range(a, Interval::closed(x, x + (hi - lo) * 0.05));
+                }
+                let q = view.to_query(&b, &sel);
+                let want = (known.iter().filter(|t| q.matches(t)))
+                    .map(|t| (view.score(t), t.id))
+                    .min_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+                let got = history_best(&st, &view, &q);
+                assert_eq!(
+                    got.map(|(t, s)| (t.id, s.to_bits())),
+                    want.map(|(s, id)| (id, s.to_bits())),
+                    "{} under {q}",
+                    rank.label()
+                );
+                asked += 1;
+                let Some((best, _)) = want else { continue };
+                found += 1;
+                let tightest = st.history.tightest(&q);
+                steepest += usize::from(tightest.is_some_and(|p| !rank.attrs().contains(&p.attr)));
+                // Early: every axis holds a tuple in range whose bound
+                // exceeds the answer, so the walk ends before its range does.
+                let lo = view.initial_box(&q).lo_corner(view.bounds());
+                let stops = |j: usize| {
+                    let (a, d) = (rank.attrs()[j], rank.directions()[j]);
+                    known.iter().any(|t| {
+                        let mut u = lo.clone();
+                        u[j] = d.normalize(t.ord(a));
+                        q.interval(a).contains(t.ord(a)) && rank.score_norm(&u) > best
+                    })
+                };
+                early += usize::from((0..m).all(stops));
+            }
+        }
+        assert!(
+            found * 3 >= asked,
+            "vacuous: {found} of {asked} boxes held a match"
+        );
+        assert!(
+            early * 5 >= found,
+            "vacuous: {early} of {found} walks stopped early"
+        );
+        assert!(
+            steepest * 10 >= found,
+            "vacuous: {steepest} of {found} took the steepest axis"
+        );
     }
 
     #[test]

@@ -21,7 +21,8 @@ use crate::index::densemd::md_oracle;
 use crate::md::split::{prefix_split, split_excluding};
 use crate::norm::{NormBox, NormView};
 use qrs_server::SearchInterface;
-use qrs_types::{Interval, Query, RerankError, Tuple};
+use qrs_types::value::OrdF64;
+use qrs_types::{Direction, Interval, Query, RerankError, Tuple};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -197,13 +198,75 @@ fn probe_dominated(
 }
 
 /// Best known tuple matching `q` — a box's `NormView::to_query` — from
-/// history alone.
+/// history alone: the exact `(score, id)` minimum over every observed match.
+///
+/// A threshold walk along one ranking axis of `q`'s box. The axis is the
+/// attribute of `q`'s [`History::tightest`](crate::history::History::tightest)
+/// predicate when it ranks; otherwise the one along which the score climbs
+/// most across the box (`score_norm` of the low corner with that coordinate
+/// raised to the high side). Tuples come in normalized-ascending order
+/// along it, and each bounds every later one from below by the axis bound:
+/// `score_norm(lo)` with only the walked coordinate replaced by its own
+/// (every tuple lies in the schema's domain, as `shrink` assumes). The walk
+/// stops at the first tuple whose bound *strictly* exceeds the best score:
+/// one whose bound equals it may still tie the best with a smaller id.
+/// The cut coordinate where the bound reaches the best score is recomputed
+/// only when the best improves (one `ell`), so a step below it is one
+/// float compare and a step at or above it one `score_norm`.
 pub(crate) fn history_best(st: &SharedState, view: &NormView, q: &Query) -> Best {
+    let b = view.initial_box(q);
+    if b.is_empty() || q.is_unsatisfiable() {
+        return None; // nothing matches, and `BTreeMap::range` panics on an empty interval
+    }
+    let rank = view.rank();
+    let (lo, hi) = (b.lo_corner(view.bounds()), b.hi_corner(view.bounds()));
+    let axis = (st.history.tightest(q))
+        .and_then(|p| rank.attrs().iter().position(|&a| a == p.attr))
+        .unwrap_or_else(|| steepest_axis(view, &lo, &hi));
+    let (attr, dir) = (rank.attrs()[axis], rank.directions()[axis]);
+    let range = st.history.in_range(attr, q.interval(attr));
+    let walk: Box<dyn Iterator<Item = &Arc<Tuple>>> = match dir {
+        Direction::Asc => Box::new(range),
+        Direction::Desc => Box::new(range.rev()),
+    };
     let mut best: Best = None;
-    for t in st.history.candidates(q).filter(|t| q.matches(t)) {
-        consider(&mut best, t, view.score(t));
+    let mut cut = f64::INFINITY;
+    let mut at = lo.clone();
+    for t in walk {
+        at[axis] = dir.normalize(t.ord(attr));
+        if at[axis] >= cut
+            && best
+                .as_ref()
+                .is_some_and(|(_, s)| rank.score_norm(&at) > *s)
+        {
+            break;
+        }
+        if q.matches(t) {
+            let s = view.score(t);
+            if best.as_ref().is_none_or(|(_, bs)| s < *bs) {
+                cut = rank.ell(axis, s, &lo, hi[axis]).unwrap_or(f64::INFINITY);
+            }
+            consider(&mut best, t, s);
+        }
     }
     best
+}
+
+/// The ranking axis along which the score climbs most across `[lo, hi]`.
+fn steepest_axis(view: &NormView, lo: &[f64], hi: &[f64]) -> usize {
+    let base = view.rank().score_norm(lo);
+    let mut at = lo.to_vec();
+    let climb = |j: usize| {
+        at[j] = hi[j];
+        let c = view.rank().score_norm(&at) - base;
+        at[j] = lo[j];
+        OrdF64(c)
+    };
+    (0..lo.len())
+        .map(climb)
+        .enumerate()
+        .max_by_key(|&(_, c)| c)
+        .map_or(0, |(j, _)| j)
 }
 
 /// Cap each axis at its `ℓ(Ai)` intercept for the threshold; `None` when the

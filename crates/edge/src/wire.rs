@@ -757,14 +757,16 @@ mod tests {
         let back = schema_from_json(&schema_to_json(&s)).unwrap();
         assert_eq!(back, s);
 
-        let c = Capabilities::none()
-            .with_paging()
-            .with_order_by(vec![AttrId(1)])
-            .with_max_pages(20)
-            .with_max_predicates(3)
-            .with_filter(AttrId(0), FilterSupport::Point)
-            .with_cost_model(CostModel::flat().with_base(2).with_point_cost(1))
-            .with_mutation_feed();
+        let c = Capabilities {
+            mutation_feed: true,
+            ..Capabilities::none()
+                .with_paging()
+                .with_order_by(vec![AttrId(1)])
+                .with_max_pages(20)
+                .with_max_predicates(3)
+                .with_filter(AttrId(0), FilterSupport::Point)
+                .with_cost_model(CostModel::flat().with_base(2).with_point_cost(1))
+        };
         let back = capabilities_from_json(&capabilities_to_json(&c)).unwrap();
         assert_eq!(back, c);
         // The bare default round-trips too (all options None/empty).

@@ -40,7 +40,7 @@ mod recorder;
 pub use event::{BudgetScope, Event, EventKind, QueryClass};
 pub use handle::{ObsBuilder, ObsHandle};
 pub use monitor::{Divergence, Monitor, MonitorReport, MonitorRow};
-pub use recorder::{Recorder, DEFAULT_BUFFER};
+pub use recorder::Recorder;
 
 /// An event sink. Implementations must be cheap and non-blocking-ish:
 /// `on_event` runs on the emitting (query-path) thread, after the built-in

@@ -8,7 +8,7 @@ use crate::event::Event;
 use crate::Subscriber;
 
 /// The ring capacity of `Recorder::default()`.
-pub const DEFAULT_BUFFER: usize = 1024;
+pub(crate) const DEFAULT_BUFFER: usize = 1024;
 
 #[derive(Debug, Default)]
 struct RecorderInner {
@@ -37,11 +37,6 @@ impl Recorder {
                 dropped: 0,
             }),
         }
-    }
-
-    /// The ring's configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Events evicted (oldest-first) because the ring was full.

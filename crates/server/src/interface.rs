@@ -112,12 +112,6 @@ impl Capabilities {
         self
     }
 
-    /// Builder: advertise a mutation (change-data-capture) feed.
-    pub fn with_mutation_feed(mut self) -> Self {
-        self.mutation_feed = true;
-        self
-    }
-
     /// Whether a site can serve this model: a depth cap serves at least one
     /// page and an arity cap accepts at least one predicate.
     pub fn check(&self) -> Result<(), String> {
@@ -325,7 +319,10 @@ mod tests {
     #[test]
     fn mutation_feed_negotiates() {
         assert!(!Capabilities::none().supports(Capability::MutationFeed));
-        let caps = Capabilities::none().with_mutation_feed();
+        let caps = Capabilities {
+            mutation_feed: true,
+            ..Capabilities::none()
+        };
         assert!(caps.supports(Capability::MutationFeed));
         assert!(caps.require(Capability::MutationFeed).is_ok());
         assert_eq!(
