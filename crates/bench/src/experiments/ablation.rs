@@ -1,8 +1,8 @@
 //! Ablations of the design choices DESIGN.md calls out:
 //!
-//! 1. MD-BINARY's two ideas (§4.3.2): virtual-tuple pruning and direct
+//! 1. MD-RERANK's two ideas (§4.3.2): virtual-tuple pruning and direct
 //!    domination detection, toggled independently on anti-correlated data,
-//! 2. the dense index (§3.2.2/§4.4) on clustered (dense-region) data,
+//! 2. the 1D dense index (§3.2.2) on clustered (dense-region) data,
 //! 3. history/amortization: cold vs warm service on the same workload,
 //! 4. the §1 baselines: crawl-then-rank cost and page-down recall.
 
@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 pub fn run(scale: Scale) {
     md_flags(scale);
-    dense_index(scale);
+    dense_1d(scale);
     amortization(scale);
     baselines(scale);
 }
@@ -33,14 +33,13 @@ fn md_flags(scale: Scale) {
     let data = correlated(n, -0.85, 21_000);
     let sys = SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]);
     let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
-    let variants: [(&str, MdOptions); 5] = [
+    let variants: [(&str, MdOptions); 4] = [
         ("MD-RERANK (all on)", MdOptions::rerank()),
         (
             "no virtual tuples",
             MdOptions {
                 virtual_tuples: false,
                 domination: false, // domination needs the virtual tuple
-                dense_index: true,
             },
         ),
         (
@@ -48,10 +47,8 @@ fn md_flags(scale: Scale) {
             MdOptions {
                 virtual_tuples: true,
                 domination: false,
-                dense_index: true,
             },
         ),
-        ("no dense index", MdOptions::binary()),
         ("MD-BASELINE (all off)", MdOptions::baseline()),
     ];
     let mut series = Vec::new();
@@ -85,7 +82,7 @@ fn md_flags(scale: Scale) {
 
 /// Ablation 2: dense index on/off over clustered 1D data — the workload that
 /// motivates on-the-fly indexing (§3.2.2).
-fn dense_index(scale: Scale) {
+fn dense_1d(scale: Scale) {
     use qrs_core::{OneDCursor, OneDStrategy};
     let n = match scale {
         Scale::Quick => 5_000,

@@ -1,14 +1,16 @@
 //! Cost-measuring runners: execute one user query with one algorithm and
 //! report the number of server queries spent — the paper's §2.2 metric.
+//! Every MD stream is checked against the site's own data before its cost
+//! is reported, so a figure never shows the cost of a wrong answer.
 
-use qrs_core::md::cursor::MdTie;
 use qrs_core::md::ta::{SortedAccess, TaCursor};
 use qrs_core::{
     MdAlgo, MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, SharedState, TiePolicy,
 };
 use qrs_datagen::{MdUserQuery, OneDUserQuery};
-use qrs_server::SearchInterface;
-use qrs_types::RerankError;
+use qrs_ranking::RankFn;
+use qrs_server::{SearchInterface, SimServer};
+use qrs_types::{RerankError, Tuple};
 use std::sync::Arc;
 
 /// Queries spent retrieving the top `h` for a 1D user query.
@@ -57,7 +59,7 @@ pub fn one_d_cost_curve(
 
 /// Queries spent retrieving the top `h` for an MD user query.
 pub fn md_top_h_cost(
-    server: &dyn SearchInterface,
+    server: &SimServer,
     st: &mut SharedState,
     uq: &MdUserQuery,
     algo: MdAlgo,
@@ -69,9 +71,16 @@ pub fn md_top_h_cost(
         .unwrap_or(0))
 }
 
+type NextFn<'a> = Box<dyn FnMut(&mut SharedState) -> Result<Option<Arc<Tuple>>, RerankError> + 'a>;
+
 /// Cumulative queries spent after each of the first `h` Get-Nexts.
+///
+/// # Panics
+///
+/// If the stream is not the exact top of `R(q)`: its scores must equal,
+/// bit for bit, those of a brute-force ranking of the site's data.
 pub fn md_cost_curve(
-    server: &dyn SearchInterface,
+    server: &SimServer,
     st: &mut SharedState,
     uq: &MdUserQuery,
     algo: MdAlgo,
@@ -80,8 +89,7 @@ pub fn md_cost_curve(
     st.forget_complete_regions();
     let before = server.queries_issued();
     let rank = Arc::new(uq.rank.clone());
-    let mut out = Vec::with_capacity(h);
-    match algo {
+    let mut next: NextFn = match algo {
         MdAlgo::TaOver1D | MdAlgo::TaPublicOrderBy => {
             let caps = server.capabilities();
             let access = match algo {
@@ -92,38 +100,48 @@ pub fn md_cost_curve(
             };
             let mut cur =
                 TaCursor::with_server_caps(rank, uq.query.clone(), access, server.schema(), &caps);
-            for _ in 0..h {
-                let t = cur.next(server, st)?;
-                out.push(server.queries_issued() - before);
-                if t.is_none() {
-                    break;
-                }
-            }
+            Box::new(move |st| cur.next(server, st))
         }
-        MdAlgo::Baseline | MdAlgo::Binary | MdAlgo::Rerank => {
+        MdAlgo::Baseline | MdAlgo::Rerank => {
             let opts = match algo {
                 MdAlgo::Baseline => MdOptions::baseline(),
-                MdAlgo::Binary => MdOptions::binary(),
                 _ => MdOptions::rerank(),
             };
-            // Paper tie semantics (general positioning) for cost parity.
-            let mut cur = MdCursor::with_tie(
-                rank,
-                uq.query.clone(),
-                opts,
-                server.schema(),
-                MdTie::GeneralPositioning,
-            );
-            for _ in 0..h {
-                let t = cur.next(server, st)?;
-                out.push(server.queries_issued() - before);
-                if t.is_none() {
-                    break;
-                }
-            }
+            let mut cur = MdCursor::new(rank, uq.query.clone(), opts, server.schema());
+            Box::new(move |st| cur.next(server, st))
+        }
+    };
+    let (mut out, mut got) = (Vec::with_capacity(h), Vec::with_capacity(h));
+    for _ in 0..h {
+        let t = next(st)?;
+        out.push(server.queries_issued() - before);
+        match t {
+            Some(t) => got.push(t),
+            None => break,
         }
     }
+    assert_exact(server, uq, algo, &got, h);
     Ok(out)
+}
+
+/// Panics unless `got` scores, bit for bit, as the first `min(h, |R(q)|)`
+/// tuples of a brute-force ranking of the site's data; the order among
+/// equal scores is free.
+fn assert_exact(server: &SimServer, uq: &MdUserQuery, algo: MdAlgo, got: &[Arc<Tuple>], h: usize) {
+    let bits = |ts: &[Arc<Tuple>]| -> Vec<u64> {
+        ts.iter()
+            .take(h)
+            .map(|t| uq.rank.score(t).to_bits())
+            .collect()
+    };
+    let truth = server.dataset().rank_by(&uq.query, |t| uq.rank.score(t));
+    assert_eq!(
+        bits(got),
+        bits(&truth),
+        "{} emitted a wrong stream for {}",
+        algo.label(),
+        uq.query
+    );
 }
 
 #[cfg(test)]

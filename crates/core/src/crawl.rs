@@ -2,14 +2,12 @@
 //!
 //! Fully enumerates `R(q)` through the top-k interface by recursively
 //! splitting overflowing queries on attribute values observed in their
-//! answers. Used in three places:
+//! answers. Used in two places:
 //!
 //! * the *crawl-then-rank* baseline of §1 (crawl everything, rank locally),
 //! * tie slabs when removing the general-positioning assumption (§5) — a
 //!   point predicate `Ai = v` may still overflow and must be subdivided on
-//!   the other attributes,
-//! * the MD dense-region oracle (§4.4), which crawls a small box completely
-//!   before indexing it.
+//!   the other attributes.
 //!
 //! Splits always use *observed* attribute values (three-way `< v`, `= v`,
 //! `> v` at the median returned value), so every recursion step either

@@ -2,20 +2,19 @@
 //!
 //! One [`SharedState`] lives for the lifetime of the reranking service and is
 //! threaded through every algorithm invocation: the history and the dense
-//! indexes are deliberately *cross-user-query* structures (the amortization
-//! arguments of §3.2.2 and §4.4 depend on it). Tuples live in the history
-//! and nowhere else; the other three members are registries of regions
-//! whose tuples are known in full, and [`SharedState::ask`] is where a
-//! top-k query is either answered from them or paid for.
+//! index are deliberately *cross-user-query* structures (the amortization
+//! argument of §3.2.2 depends on it). Tuples live in the history and
+//! nowhere else; the other two members are registries of regions whose
+//! tuples are known in full, and [`SharedState::ask`] is where a top-k
+//! query is either answered from them or paid for.
 
 use crate::history::{CompleteRegions, History};
 use crate::index::dense1d::Dense1D;
-use crate::index::densemd::DenseMd;
 use crate::params::RerankParams;
 use qrs_server::SearchInterface;
 use qrs_types::{Query, QueryResponse, RerankError, Schema};
 
-/// History + complete-region registry + dense indexes + parameters.
+/// History + complete-region registry + 1D dense index + parameters.
 #[derive(Debug)]
 pub struct SharedState {
     /// Every tuple ever observed in a server response, indexed per
@@ -26,8 +25,6 @@ pub struct SharedState {
     pub complete: CompleteRegions,
     /// The §3.2.2 on-the-fly dense index: 1D crawl frontiers.
     pub dense1d: Dense1D,
-    /// The §4.4 on-the-fly dense index: fully crawled MD boxes.
-    pub densemd: DenseMd,
     /// The tuning parameters everything above was built with.
     pub params: RerankParams,
 }
@@ -39,7 +36,6 @@ impl SharedState {
             history: History::new(schema.num_ordinal()),
             complete: CompleteRegions::default(),
             dense1d: Dense1D::default(),
-            densemd: DenseMd::default(),
             params,
         }
     }
@@ -74,7 +70,7 @@ impl SharedState {
     }
 
     /// Drop the complete-region registry (emptiness proofs), keeping tuples
-    /// and the dense indexes.
+    /// and the dense index.
     ///
     /// The paper's "leveraging history" (§3.1.1) carries *tuples* across
     /// user queries; completeness knowledge is exactly what its on-the-fly

@@ -170,7 +170,7 @@ mod tests {
     /// value — under a categorical selection: every answer is the dataset's
     /// `(normalized value, id)` minimum, and a frontier is paid for once.
     #[test]
-    fn descending_axis_with_ties_and_a_selection() {
+    fn descending_axis_over_ties_and_a_selection() {
         use qrs_types::{CatId, CatPredicate, Interval};
         let data = qrs_datagen::synthetic::discrete_grid(400, 2, 12, 31);
         let fresh = || {

@@ -15,15 +15,15 @@
 //! | §3.2.2 Algorithm 3+4 (1D-RERANK + oracle) | [`one_d::OneDStrategy::Rerank`], [`index::dense1d`] |
 //! | §4.1 TA over 1D-RERANK | [`md::TaCursor`] |
 //! | §4.2 MD-BASELINE | [`md::MdOptions::baseline`] |
-//! | §4.3 Algorithm 5 (MD-BINARY) | [`md::MdOptions::binary`] |
-//! | §4.4 Algorithm 6 (MD-RERANK) | [`md::MdOptions::rerank`], [`index::densemd`] |
-//! | §5 extensions (ties, ORDER BY, point predicates) | [`one_d::TiePolicy`], [`md::ta::SortedAccess`], crawler |
+//! | §4.3 Algorithm 5 (MD-BINARY) | [`md::MdOptions::rerank`] |
+//! | §4.4 Algorithm 6 (MD-RERANK) | not built: MD-RERANK is §4.3's MD-BINARY over the shared state |
+//! | §5 extensions (ties, ORDER BY, point predicates) | [`one_d::TiePolicy`], [`md::MdCursor`]'s tie slabs, [`md::ta::SortedAccess`], crawler |
 //! | §1 baselines (crawl, page-down) | [`baselines`] |
 //! | §3.1.1 leveraging history | [`ctx::SharedState::ask`], [`history`] |
 //!
 //! All algorithms share a [`ctx::SharedState`] — the history of every tuple
-//! seen, and three registries of regions known in full (complete regions
-//! and the two on-the-fly dense indexes) — and ask the site through its
+//! seen, and two registries of regions known in full (complete regions and
+//! the on-the-fly 1D dense index) — and ask the site through its
 //! `ask`, so cost amortizes across user queries, which is the paper's
 //! central systems idea.
 //!
@@ -34,9 +34,8 @@
 //!   `qrs_ranking::rankfn` docs for the counterexample).
 //! * 1D-BINARY remembers proven-empty half-intervals across iterations
 //!   (pure improvement, same asymptotics).
-//! * The MD dense oracle crawls its box to completion instead of stopping at
-//!   the first `Sel(q)` match, making the index reusable across ranking
-//!   functions.
+//! * MD-RERANK is §4.3's MD-BINARY over the shared state; the §4.4 box
+//!   index is removed, since on the tie-slab cursor it never saved a query.
 
 #![deny(missing_docs)]
 

@@ -7,6 +7,8 @@
 //! removes the general-positioning assumption (§5): tuples sharing the
 //! emitted tuple's value live there. A tie slab carries the ids already
 //! emitted from it; one with every ranking dimension pinned is a *cell*.
+//! This is the one tie rule: every emission leaves a tie slab, there is no
+//! general-positioning mode, and the cursor is exact on any data.
 //!
 //! A slab's top comes from history once a complete region covers it. The
 //! first such region is usually its *plane* — the pinned ranking values as
@@ -58,58 +60,25 @@ impl Subspace {
     }
 }
 
-/// How the Get-Next driver treats ranking-attribute ties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MdTie {
-    /// Three-way splits with tie slabs, refined only where their plane
-    /// overflows: exact on any data (§5's removal of the general
-    /// positioning assumption).
-    #[default]
-    Exact,
-    /// The paper's §4.2.2 splitting: two subspaces per emission
-    /// (`A1 < v`, `A1 > v`). Cheaper; exact only under the general
-    /// positioning assumption (tuples sharing a ranking value with an
-    /// emitted tuple are skipped, as in the paper's experiments).
-    GeneralPositioning,
-}
-
 /// Streaming Get-Next over an arbitrary monotonic ranking function.
 pub struct MdCursor {
     view: NormView,
     sel: Query,
     opts: MdOptions,
-    tie: MdTie,
     subs: Vec<Subspace>,
 }
 
 impl MdCursor {
-    /// Cursor over `rank` restricted to `sel`, with exact tie handling.
+    /// Cursor over `rank` restricted to `sel`.
     pub fn new(rank: Arc<dyn RankFn>, sel: Query, opts: MdOptions, schema: &Schema) -> Self {
-        Self::with_tie(rank, sel, opts, schema, MdTie::Exact)
-    }
-
-    /// Like [`MdCursor::new`] but with an explicit tie-handling policy.
-    pub fn with_tie(
-        rank: Arc<dyn RankFn>,
-        sel: Query,
-        opts: MdOptions,
-        schema: &Schema,
-        tie: MdTie,
-    ) -> Self {
         let view = NormView::new(rank, schema);
         let b0 = view.initial_box(&sel);
         MdCursor {
             view,
             sel,
             opts,
-            tie,
             subs: vec![Subspace::new(b0)],
         }
-    }
-
-    /// The normalized view (ranking function + bounds) the cursor searches.
-    pub fn view(&self) -> &NormView {
-        &self.view
     }
 
     /// The next tuple in user-ranking order (`Ok(None)` once `R(q)` is
@@ -171,19 +140,16 @@ impl MdCursor {
             sub.emitted.insert(t.id);
             sub.top = TopState::Unknown;
         } else {
-            // §4.2.2: split the host on its first free dimension; only
-            // `MdTie::Exact` keeps the boundary as a tie slab.
+            // §4.2.2: split the host on its first free dimension, keeping
+            // the boundary as a tie slab (§5).
             let host = self.subs.swap_remove(best_idx);
             let d = first_free(&host.bbox).expect("a box that is not a cell has a free dimension");
             let (sides, slab) = split_at(&host.bbox, d, self.view.norm_coords(&t)[d]);
             self.subs.extend(sides.into_iter().map(Subspace::new));
-            if self.tie == MdTie::Exact {
-                let emitted = HashSet::from([t.id]);
-                self.subs.push(Subspace {
-                    emitted,
-                    ..Subspace::new(slab)
-                });
-            }
+            self.subs.push(Subspace {
+                emitted: HashSet::from([t.id]),
+                ..Subspace::new(slab)
+            });
         }
         Ok(Some(t))
     }
@@ -203,11 +169,6 @@ impl MdCursor {
             }
         }
         Ok(out)
-    }
-
-    /// Number of live subspaces (diagnostics).
-    pub fn num_subspaces(&self) -> usize {
-        self.subs.len()
     }
 }
 
@@ -362,7 +323,6 @@ mod tests {
         let n = data.len();
         for (name, opts) in [
             ("baseline", MdOptions::baseline()),
-            ("binary", MdOptions::binary()),
             ("rerank", MdOptions::rerank()),
         ] {
             let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
@@ -539,7 +499,7 @@ mod tests {
         let mut cur = MdCursor::new(
             Arc::new(rank.clone()),
             Query::all(),
-            MdOptions::binary(),
+            MdOptions::rerank(),
             server.schema(),
         );
         let got = cur.top_h(&server, &mut st, 100).unwrap();

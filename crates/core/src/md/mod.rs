@@ -1,11 +1,12 @@
 //! Multi-dimensional query reranking (§4).
 //!
-//! * [`top1`] — the shared top-1 search loop; strategy toggles select
-//!   MD-BASELINE (§4.2), MD-BINARY (§4.3: direct domination detection +
-//!   virtual-tuple pruning) or MD-RERANK (§4.4: + dense-region oracle),
+//! * [`top1`] — the shared top-1 search loop; two strategy toggles select
+//!   MD-BASELINE (§4.2) or MD-RERANK (§4.3's MD-BINARY: direct domination
+//!   detection + virtual-tuple pruning, over the shared state; the §4.4
+//!   dense-box oracle is not built),
 //! * [`split`] — the prefix-box partition geometry all of them share,
 //! * [`cursor`] — the Get-Next driver (top-k via subspace splitting,
-//!   §4.2.2), exact under ties via point-slab subspaces,
+//!   §4.2.2), exact under ties via tie-slab subspaces,
 //! * [`ta`] — the "TA over 1D-RERANK" comparator (§4.1) with the §5
 //!   public-ORDER-BY variant.
 
@@ -28,20 +29,14 @@ pub enum MdAlgo {
     TaPublicOrderBy,
     /// MD-BASELINE (§4.2).
     Baseline,
-    /// MD-BINARY (§4.3).
-    Binary,
-    /// MD-RERANK (§4.4).
+    /// MD-RERANK (§4.3's MD-BINARY over the shared state).
     Rerank,
 }
 
 impl MdAlgo {
-    /// The paper's four compared algorithms (Figs 13/14).
-    pub const ALL: [MdAlgo; 4] = [
-        MdAlgo::TaOver1D,
-        MdAlgo::Baseline,
-        MdAlgo::Binary,
-        MdAlgo::Rerank,
-    ];
+    /// The compared algorithms of Figs 13/14 (the paper's MD-BINARY is
+    /// MD-RERANK here).
+    pub const ALL: [MdAlgo; 3] = [MdAlgo::TaOver1D, MdAlgo::Baseline, MdAlgo::Rerank];
 
     /// Human-readable name used in experiment tables and plots.
     pub fn label(self) -> &'static str {
@@ -49,7 +44,6 @@ impl MdAlgo {
             MdAlgo::TaOver1D => "TA over 1D-RERANK",
             MdAlgo::TaPublicOrderBy => "TA via public ORDER BY",
             MdAlgo::Baseline => "MD-BASELINE",
-            MdAlgo::Binary => "MD-BINARY",
             MdAlgo::Rerank => "MD-RERANK",
         }
     }

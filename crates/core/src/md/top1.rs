@@ -1,8 +1,8 @@
-//! The shared MD top-1 search loop (§4.2–§4.4).
+//! The shared MD top-1 search loop (§4.2–§4.3).
 //!
-//! One loop, three strategy toggles:
+//! One loop, two strategy toggles:
 //!
-//! * **off/off/off** — MD-BASELINE: maintain a queue of candidate boxes;
+//! * **off/off** — MD-BASELINE: maintain a queue of candidate boxes;
 //!   each overflowing box is partitioned around the contour corner of its
 //!   witness tuple (the corrected Eq. 8/Eq. 9 cover), and boxes are shrunk
 //!   by the `ℓ(Ai)` axis caps (Eq. 6) of the best score so far,
@@ -11,13 +11,14 @@
 //!   contains the witness so progress is still guaranteed,
 //! * **`domination`** — before splitting, probe the box `{u ⪯ v'}` dominated
 //!   by the virtual tuple (§4.3.2 "direct domination detection"): any tuple
-//!   there scores ≤ S(v') = target and usually improves the threshold,
-//! * **`dense_index`** — boxes smaller than the `(s/n)/c` relative-volume
-//!   threshold go to the MD dense-region oracle instead of being split
-//!   further (§4.4).
+//!   there scores ≤ S(v') = target and usually improves the threshold.
+//!
+//! Both on is MD-RERANK: §4.3's MD-BINARY over the service's shared state.
+//! The §4.4 dense-box oracle is not here: on this cursor no setting of its
+//! gate saved a query in any MD figure row or benchmark workload (README,
+//! "Named deviations from the paper").
 
 use crate::ctx::SharedState;
-use crate::index::densemd::md_oracle;
 use crate::md::split::{prefix_split, split_excluding};
 use crate::norm::{NormBox, NormView};
 use qrs_server::SearchInterface;
@@ -26,8 +27,8 @@ use qrs_types::{Direction, Interval, Query, RerankError, Tuple};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Strategy toggles (see module docs). Presets map onto the paper's three
-/// MD algorithms; individual flags support the ablation experiments.
+/// Strategy toggles (see module docs). Presets map onto MD-BASELINE and
+/// MD-RERANK; individual flags support the ablation experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MdOptions {
     /// Split around *virtual* (corner) tuples instead of discovered ones
@@ -35,35 +36,22 @@ pub struct MdOptions {
     pub virtual_tuples: bool,
     /// Prune subspaces dominated by an already-found candidate.
     pub domination: bool,
-    /// Crawl and index small boxes through the §4.4 dense index.
-    pub dense_index: bool,
 }
 
 impl MdOptions {
-    /// MD-BASELINE (§4.2): no virtual splits, no pruning, no index.
+    /// MD-BASELINE (§4.2): no virtual splits, no pruning.
     pub fn baseline() -> Self {
         MdOptions {
             virtual_tuples: false,
             domination: false,
-            dense_index: false,
         }
     }
 
-    /// MD-BINARY (§4.3): virtual splits + domination pruning.
-    pub fn binary() -> Self {
-        MdOptions {
-            virtual_tuples: true,
-            domination: true,
-            dense_index: false,
-        }
-    }
-
-    /// MD-RERANK (§4.4): everything on, including the dense index.
+    /// MD-RERANK: §4.3's virtual splits + domination pruning.
     pub fn rerank() -> Self {
         MdOptions {
             virtual_tuples: true,
             domination: true,
-            dense_index: true,
         }
     }
 }
@@ -106,12 +94,6 @@ pub fn md_top1(
             None => continue,
             Some(x) => x,
         };
-        if opts.dense_index && b.rel_volume(view.bounds()) < st.params.dense_rel_volume() {
-            if let Some((t, s)) = md_oracle(server, st, view, &b, sel)? {
-                consider(&mut best, &t, s);
-            }
-            continue;
-        }
         let q = view.to_query(&b, sel);
         if q.is_unsatisfiable() {
             continue;
@@ -303,10 +285,9 @@ mod tests {
     use qrs_types::value::cmp_f64;
     use qrs_types::AttrId;
 
-    fn opts_all() -> [(&'static str, MdOptions); 3] {
+    fn opts_all() -> [(&'static str, MdOptions); 2] {
         [
             ("baseline", MdOptions::baseline()),
-            ("binary", MdOptions::binary()),
             ("rerank", MdOptions::rerank()),
         ]
     }
@@ -400,36 +381,9 @@ mod tests {
         let view = NormView::new(Arc::new(rank), server.schema());
         let b0 = view.initial_box(&sel);
         assert!(
-            md_top1(&server, &mut st, &view, &sel, &b0, MdOptions::binary())
+            md_top1(&server, &mut st, &view, &sel, &b0, MdOptions::rerank())
                 .unwrap()
                 .is_none()
         );
-    }
-
-    #[test]
-    fn rerank_uses_dense_oracle_on_tiny_boxes() {
-        let data = uniform(300, 2, 1, 117);
-        // Absurdly generous dense threshold: every box goes to the oracle.
-        let mut st = SharedState::new(data.schema(), RerankParams::with_sc(300, 300.0, 0.5));
-        let server = SimServer::new(data.clone(), SystemRank::pseudo_random(2), 5);
-        let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
-        let view = NormView::new(Arc::new(rank.clone()), server.schema());
-        let b0 = view.initial_box(&Query::all());
-        let got = md_top1(
-            &server,
-            &mut st,
-            &view,
-            &Query::all(),
-            &b0,
-            MdOptions::rerank(),
-        )
-        .unwrap();
-        let truth = data
-            .tuples()
-            .iter()
-            .map(|t| rank.score(t))
-            .min_by(|a, b| cmp_f64(*a, *b));
-        assert_eq!(got.map(|(_, s)| s), truth);
-        assert!(st.densemd.num_boxes() > 0, "oracle never engaged");
     }
 }

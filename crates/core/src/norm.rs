@@ -161,22 +161,6 @@ impl NormBox {
             .collect()
     }
 
-    /// Volume relative to the whole domain: `Π widthᵢ / Π domainᵢ`, clamping
-    /// unbounded sides to the domain. Degenerate domain dimensions count as
-    /// factor 1. This is the quantity compared against `(s/n)/c` in §4.4.
-    pub fn rel_volume(&self, bounds: &NormBounds) -> f64 {
-        let lo = self.lo_corner(bounds);
-        let hi = self.hi_corner(bounds);
-        let mut v = 1.0;
-        for i in 0..self.dims.len() {
-            let dom = bounds.hi[i] - bounds.lo[i];
-            if dom > 0.0 {
-                v *= ((hi[i] - lo[i]).max(0.0) / dom).min(1.0);
-            }
-        }
-        v
-    }
-
     /// Are all dimensions single points? (An exact-duplicate cell.)
     pub fn is_cell(&self) -> bool {
         self.dims.iter().all(|iv| {
@@ -253,14 +237,13 @@ mod tests {
     }
 
     #[test]
-    fn corners_and_volume() {
+    fn corners() {
         let v = view();
         let b = NormBox::full(v.bounds());
         assert_eq!(b.lo_corner(v.bounds()), vec![0.0, -2020.0]);
         assert_eq!(b.hi_corner(v.bounds()), vec![100.0, -2000.0]);
-        assert!((b.rel_volume(v.bounds()) - 1.0).abs() < 1e-12);
         let half = b.with_dim(0, Interval::closed(0.0, 50.0));
-        assert!((half.rel_volume(v.bounds()) - 0.5).abs() < 1e-12);
+        assert_eq!(half.hi_corner(v.bounds()), vec![50.0, -2000.0]);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! within a window narrower than `|V(Ai)|·(s/n)/c` — i.e. its density beats
 //! uniform by a factor `c`. The paper's analysis recommends `c = n` (log-scale
 //! effect on per-query cost) and `s = k·log₂ n` (linear effect), which
-//! [`RerankParams::paper_defaults`] encodes; Fig. 9 sweeps both.
+//! [`RerankParams::paper_defaults`] encodes; Fig. 9 sweeps both. The dense
+//! thresholds are 1-D only: the §4.4 MD box index is not built (see
+//! `md::top1`).
 
 /// Parameters shared by every reranking algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,13 +48,6 @@ impl RerankParams {
     pub fn dense_width(&self, domain_width: f64) -> f64 {
         domain_width * (self.s / self.n) / self.c
     }
-
-    /// MD dense-region *relative volume* threshold: `(s/n)/c` (§4.4, with
-    /// `|V|` normalized out).
-    #[inline]
-    pub fn dense_rel_volume(&self) -> f64 {
-        (self.s / self.n) / self.c
-    }
 }
 
 #[cfg(test)]
@@ -72,7 +67,6 @@ mod tests {
         let p = RerankParams::with_sc(1000, 50.0, 1000.0);
         let w = p.dense_width(2000.0);
         assert!((w - 2000.0 * 0.05 / 1000.0).abs() < 1e-12);
-        assert!((p.dense_rel_volume() - 5e-5).abs() < 1e-18);
     }
 
     #[test]

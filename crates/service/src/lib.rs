@@ -2,7 +2,7 @@
 //!
 //! The "as a service" layer (§1, §2.2): a thread-safe facade that fronts one
 //! client-server database and serves many users' reranked queries, sharing
-//! the query history and the on-the-fly dense indexes across all of them —
+//! the query history and the on-the-fly dense index across all of them —
 //! the amortization that makes the middleware economical.
 //!
 //! * [`RerankService`] — owns the shared state behind a [`parking_lot`]

@@ -49,7 +49,7 @@ pub enum Algorithm {
     Auto,
     /// A §3 algorithm (ranking function must be single-attribute).
     OneD(OneDStrategy),
-    /// A §4 box-partitioning algorithm (baseline/binary/rerank via options).
+    /// A §4 box-partitioning algorithm (baseline/rerank via options).
     Md(MdOptions),
     /// TA over per-attribute sorted access (§4.1 / §5). With
     /// [`SortedAccess::PublicOrderBy`] the server must advertise `ORDER BY`
@@ -74,7 +74,7 @@ pub enum Algorithm {
 
 /// A third-party reranking service fronting one client-server database.
 ///
-/// The shared state (history, complete regions, dense indexes) lives behind
+/// The shared state (history, complete regions, dense index) lives behind
 /// a mutex and is reused by every session — concurrent sessions interleave
 /// at Get-Next granularity.
 pub struct RerankService {
@@ -106,7 +106,7 @@ pub struct RerankService {
     /// The staleness stamp the shared state was built against: the
     /// knowledge shard's epoch with a plane attached, else the server's
     /// mutation sequence number. When the stamp moves past it, the history
-    /// and dense indexes describe an older snapshot and are rebuilt empty
+    /// and dense index describe an older snapshot and are rebuilt empty
     /// at the next open.
     state_watermark: AtomicU64,
 }
@@ -140,7 +140,7 @@ impl RerankService {
     }
 
     /// Rebuild the shared state empty if the site changed since it was
-    /// built: the history tuples, completeness proofs and dense indexes
+    /// built: the history tuples, completeness proofs and dense index
     /// all describe the older snapshot, and an algorithm trusting them
     /// after a delete would emit vanished tuples. The staleness stamp is
     /// the knowledge shard's epoch when a plane is attached — the gate's
@@ -405,14 +405,10 @@ impl RerankService {
     }
 
     /// Size of the shared knowledge accumulated so far: (history tuples,
-    /// 1D dense intervals, MD dense boxes).
-    pub fn knowledge(&self) -> (usize, usize, usize) {
+    /// 1D dense intervals).
+    pub fn knowledge(&self) -> (usize, usize) {
         let st = self.state.lock();
-        (
-            st.history.len(),
-            st.dense1d.num_intervals(),
-            st.densemd.num_boxes(),
-        )
+        (st.history.len(), st.dense1d.num_intervals())
     }
 }
 

@@ -16,8 +16,7 @@
 //!   membership predicates on categorical attributes,
 //! * [`RegionIndex`] — the one containment index over selection boxes: "is
 //!   `q` subsumed by a region already known in full?" for the core's
-//!   complete-region registry and dense boxes and the knowledge plane's
-//!   drained regions,
+//!   complete-region registry and the knowledge plane's drained regions,
 //! * [`QueryOutcome`], [`QueryResponse`] — the trichotomy *underflow / valid /
 //!   overflow* that every reranking algorithm branches on,
 //! * [`RerankError`], [`ServerError`], [`Capability`] — the workspace-wide

@@ -63,6 +63,6 @@ fn main() {
         session.queries_spent(),
         service.queries_issued()
     );
-    let (hist, d1, dmd) = service.knowledge();
-    println!("service knowledge: {hist} tuples in history, {d1} 1D dense intervals, {dmd} MD dense boxes");
+    let (hist, d1) = service.knowledge();
+    println!("service knowledge: {hist} tuples in history, {d1} 1D dense intervals");
 }

@@ -1,6 +1,6 @@
 //! The region crawler ([15]-style) must enumerate `R(q)` exactly — it backs
-//! the crawl-then-rank baseline, tie slabs, and the MD dense oracle, so its
-//! completeness is a correctness dependency of everything else.
+//! the crawl-then-rank baseline and tie slabs, so its completeness is a
+//! correctness dependency of everything else.
 
 use query_reranking::core::crawl::crawl_region;
 use query_reranking::core::{RerankParams, SharedState};

@@ -80,7 +80,7 @@ fn clustered_dense_regions() {
 }
 
 #[test]
-fn grid_with_ties_and_overflowing_slabs() {
+fn grid_of_ties_and_overflowing_slabs() {
     let data = discrete_grid(500, 2, 4, 1005);
     // Tuples identical on every ordinal and categorical attribute are
     // indistinguishable through the interface; exact enumeration needs

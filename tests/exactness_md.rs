@@ -82,7 +82,6 @@ fn check_all_algos(
     let want = truth(data, rank.as_ref(), &sel, take);
     for (label, opts) in [
         ("MD-BASELINE", MdOptions::baseline()),
-        ("MD-BINARY", MdOptions::binary()),
         ("MD-RERANK", MdOptions::rerank()),
     ] {
         let got = run_cursor(data, &sys, k, Arc::clone(&rank), &sel, opts, take);

@@ -167,11 +167,7 @@ fn md_cursors_match_bruteforce() {
         let k = rng.random_range(1..6usize);
         let sys_seed = rng.random_range(0..1000u64);
         let want = ground_truth(&data, rank.as_ref(), &sel, k);
-        for opts in [
-            MdOptions::baseline(),
-            MdOptions::binary(),
-            MdOptions::rerank(),
-        ] {
+        for opts in [MdOptions::baseline(), MdOptions::rerank()] {
             let server = SimServer::new(data.clone(), SystemRank::pseudo_random(sys_seed), k);
             let mut st =
                 SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));

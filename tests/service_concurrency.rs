@@ -131,7 +131,7 @@ fn budget_error_is_recoverable_state() {
     assert!(saw_budget_error);
     // The service object is still usable for inspection after the error.
     assert!(svc.queries_issued() >= 4);
-    let (hist, _, _) = svc.knowledge();
+    let (hist, _) = svc.knowledge();
     assert!(hist > 0);
 }
 

@@ -1,8 +1,7 @@
-//! The two tie-handling modes: on duplicate-free data the paper's
-//! general-positioning semantics must coincide exactly with the §5-exact
-//! machinery — and cost no more.
+//! Tie handling: the MD cursor's tie slabs make it exact on tied and
+//! untied data alike, and the 1D `TiePolicy::AssumeDistinct` keeps one
+//! tuple per distinct value.
 
-use query_reranking::core::md::cursor::MdTie;
 use query_reranking::core::{
     MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, RerankParams, SharedState, TiePolicy,
 };
@@ -13,64 +12,46 @@ use query_reranking::types::{AttrId, Direction, Query};
 use std::sync::Arc;
 
 #[test]
-fn md_gp_equals_exact_on_distinct_data() {
+fn md_stream_equals_brute_force_on_distinct_data() {
     let data = uniform(300, 2, 1, 5001);
     let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 0.7)]));
-    let run = |tie: MdTie| -> (Vec<u32>, u64) {
-        let server = SimServer::new(data.clone(), SystemRank::pseudo_random(31), 5);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(300, 5));
-        let mut cur = MdCursor::with_tie(
-            Arc::clone(&rank),
-            Query::all(),
-            MdOptions::rerank(),
-            server.schema(),
-            tie,
-        );
-        let mut ids = Vec::new();
-        for _ in 0..20 {
-            match cur.next(&server, &mut st).unwrap() {
-                Some(t) => ids.push(t.id.0),
-                None => break,
-            }
-        }
-        (ids, server.queries_issued())
-    };
-    let (exact_ids, exact_cost) = run(MdTie::Exact);
-    let (gp_ids, gp_cost) = run(MdTie::GeneralPositioning);
-    assert_eq!(exact_ids, gp_ids);
-    assert!(
-        gp_cost <= exact_cost,
-        "GP mode cost {gp_cost} exceeds exact mode {exact_cost}"
+    let server = SimServer::new(data.clone(), SystemRank::pseudo_random(31), 5);
+    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(300, 5));
+    let mut cur = MdCursor::new(
+        Arc::clone(&rank),
+        Query::all(),
+        MdOptions::rerank(),
+        server.schema(),
     );
+    let got = cur.top_h(&server, &mut st, 20).unwrap();
+    let truth = data.rank_by(&Query::all(), |t| rank.score(t));
+    let got: Vec<_> = got.iter().map(|t| t.id).collect();
+    let want: Vec<_> = truth[..20].iter().map(|t| t.id).collect();
+    assert_eq!(got, want);
 }
 
 #[test]
-fn md_gp_skips_ties_exact_does_not() {
-    // On a coarse grid, GP mode's 2-way splits drop value-sharing tuples:
-    // that is the documented general-positioning behavior, and Exact mode
-    // must not exhibit it.
+fn md_emits_every_tuple_on_a_coarse_grid() {
+    // Every tuple shares its ranking values with others: an emission's tie
+    // slab must hand back each of them.
     let data = discrete_grid(150, 2, 3, 5003);
     let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
     let total = data.len();
-    let run = |tie: MdTie| -> usize {
-        let server = SimServer::new(data.clone(), SystemRank::pseudo_random(33), 40);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(150, 40));
-        let mut cur = MdCursor::with_tie(
-            Arc::clone(&rank),
-            Query::all(),
-            MdOptions::binary(),
-            server.schema(),
-            tie,
-        );
-        let mut n = 0;
-        while cur.next(&server, &mut st).unwrap().is_some() {
-            n += 1;
-            assert!(n <= total, "emitted more tuples than exist");
-        }
-        n
-    };
-    assert_eq!(run(MdTie::Exact), total);
-    assert!(run(MdTie::GeneralPositioning) < total);
+    let server = SimServer::new(data.clone(), SystemRank::pseudo_random(33), 40);
+    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(150, 40));
+    let mut cur = MdCursor::new(
+        Arc::clone(&rank),
+        Query::all(),
+        MdOptions::rerank(),
+        server.schema(),
+    );
+    let mut scores = Vec::new();
+    while let Some(t) = cur.next(&server, &mut st).unwrap() {
+        scores.push(rank.score(&t));
+        assert!(scores.len() <= total, "emitted more tuples than exist");
+    }
+    assert_eq!(scores.len(), total);
+    assert!(scores.windows(2).all(|w| w[0] <= w[1]), "out of order");
 }
 
 #[test]
