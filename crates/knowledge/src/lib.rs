@@ -27,7 +27,7 @@
 //! The crate is std-only (the workspace's `parking_lot` is the offline
 //! shim over `std::sync`) and depends only on `qrs-types`; `qrs-core`'s
 //! `KnowledgeGate` adapts it to the `SearchInterface` request path and
-//! `qrs-service` wires it into sessions and federation.
+//! `qrs-service` wires it into every session a service opens.
 
 #![deny(missing_docs)]
 
@@ -58,8 +58,8 @@ pub struct PlaneStats {
 
 /// The service-wide knowledge plane: one shard per source.
 ///
-/// Cloneable by `Arc`: `RerankService` instances and `FederatedSession`s
-/// share one plane by cloning the same `Arc<KnowledgePlane>`.
+/// Cloneable by `Arc`: `RerankService` instances — a federation's sources
+/// among them — share one plane by cloning the same `Arc<KnowledgePlane>`.
 #[derive(Debug, Default)]
 pub struct KnowledgePlane {
     shards: RwLock<HashMap<String, Arc<SourceShard>>>,
@@ -89,13 +89,6 @@ impl KnowledgePlane {
     /// A no-op (returning `None`) when the source has no shard yet.
     pub fn invalidate(&self, source: &str) -> Option<u64> {
         self.get(source).map(|s| s.invalidate())
-    }
-
-    /// Invalidate every source in the plane.
-    pub fn invalidate_all(&self) {
-        for shard in self.shards.read().values() {
-            shard.invalidate();
-        }
     }
 
     /// Names of every source with a shard, sorted for determinism.
@@ -140,7 +133,8 @@ mod tests {
         assert_eq!(plane.invalidate("aggregator"), Some(1));
         assert_eq!(a1.epoch(), 1);
         assert_eq!(b.epoch(), 0);
-        plane.invalidate_all();
+        plane.invalidate("aggregator");
+        plane.invalidate("storefront");
         assert_eq!(a1.epoch(), 2);
         assert_eq!(b.epoch(), 1);
     }

@@ -109,16 +109,6 @@ pub enum EventKind {
         /// (it dominates the computed backoff schedule).
         server_hinted: bool,
     },
-    /// A federation source's circuit breaker opened.
-    CircuitTrip {
-        /// Lifetime trip count for this source, this one included.
-        trips: u64,
-    },
-    /// A half-open probe pull was admitted after a cool-down.
-    CircuitProbe {
-        /// True when the probe succeeded and the circuit closed.
-        reopened: bool,
-    },
     /// The knowledge plane answered instead of the server (request-level
     /// hits, or the one-shot full-replay credit of a sealed stream).
     KnowledgeHit {

@@ -4,8 +4,8 @@
 //! the service can *see* what each session spends versus what the planner
 //! predicted. This crate is that sight: a typed event vocabulary
 //! ([`Event`]/[`EventKind`]) covering the whole session lifecycle (plan
-//! chosen, requests issued/charged, retries and backoff, circuit
-//! trips/probes, knowledge hits/misses/seals, mutation repairs, budget
+//! chosen, requests issued/charged, retries and backoff,
+//! knowledge hits/misses/seals, mutation repairs, budget
 //! trips, open/close), the [`Subscriber`]s it fans out to, and a fleet
 //! [`Monitor`] folding the stream into per-(site, strategy)
 //! predicted-vs-actual spend tables with divergence ratios — the data

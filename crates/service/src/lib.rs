@@ -24,12 +24,8 @@
 //! * [`profiles`] — named, reusable ranking preferences,
 //! * [`federation`] — one preference over *multiple* hidden databases with
 //!   exact score-merged results: the paper's "personalized ranking across
-//!   multiple web databases" application, end to end — with per-source
-//!   circuit-breaker health (half-open probes after a cool-down on the
-//!   injectable clock) so one failing dealer
-//!   degrades the merge (typed [`SourceReport`]s) instead of killing it,
-//!   and optional parallel fan-out of source pulls over a
-//!   [`qrs_exec::Executor`],
+//!   multiple web databases" application, end to end; an error from any
+//!   source propagates and a retry resumes the merge exactly,
 //! * [`batch`] — the concurrent front-end: [`RerankService::serve_batch`]
 //!   runs many sessions in parallel on a `qrs-exec` pool against the
 //!   shared knowledge and budgets, with cooperative cancellation and
@@ -41,7 +37,7 @@
 //!   positional strategy,
 //! * observability — [`RerankService::with_observer`] attaches a
 //!   [`qrs_obs::ObsHandle`]: the session lifecycle, every charged request,
-//!   retries, circuit trips, knowledge hits and budget trips stream out as
+//!   retries, knowledge hits and budget trips stream out as
 //!   typed events, and [`RerankService::monitor_report`] folds them into
 //!   the fleet's predicted-vs-actual spend table. Disabled (the default),
 //!   every emission site is a single branch that constructs nothing.
@@ -72,7 +68,7 @@ pub mod stats;
 pub use batch::{drive, BatchOutcome, BatchRequest};
 pub use budget::QueryBudget;
 pub use calibration::{Calibration, StrategyCalibration};
-pub use federation::{FederatedHit, FederatedSession, SourceReport};
+pub use federation::{FederatedHit, FederatedSession};
 pub use maintained::{MaintainedSession, RefreshOutcome};
 pub use planner::{Plan, Planner, RankedCandidate};
 pub use profiles::ProfileStore;

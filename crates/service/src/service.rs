@@ -26,18 +26,16 @@ use qrs_knowledge::{query_key, KnowledgePlane, ResultKey};
 use qrs_obs::{EventKind, MonitorReport, ObsHandle};
 use qrs_ranking::RankFn;
 use qrs_server::{Clock, SearchInterface, SystemClock};
-use qrs_types::{AdaptiveConfig, Capability, Query, RerankError, RetryPolicy};
+use qrs_types::{AdaptiveConfig, Capability, Query, RerankError, RetryPolicy, ServerError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A service's hookup to the cross-session knowledge plane: the shared
-/// plane, the source name this service's server is registered under, and
-/// the [`KnowledgeGate`] every opted-in session routes its requests
-/// through.
+/// plane and the [`KnowledgeGate`] (over this service's source shard) every
+/// opted-in session routes its requests through.
 struct KnowledgeHandle {
     plane: Arc<KnowledgePlane>,
-    source: String,
     gate: Arc<KnowledgeGate>,
 }
 
@@ -189,18 +187,13 @@ impl RerankService {
     /// bump) and every cached fact is re-earned — the next session on any
     /// service attached to the source starts from an empty history.
     pub fn with_knowledge(mut self, plane: Arc<KnowledgePlane>, source: impl Into<String>) -> Self {
-        let source = source.into();
         let gate = Arc::new(KnowledgeGate::new(
             Arc::clone(&self.server),
-            plane.shard(&source),
+            plane.shard(&source.into()),
         ));
         // From here on the shard's epoch is the staleness stamp.
         self.state_watermark = AtomicU64::new(gate.shard().epoch());
-        self.kplane = Some(KnowledgeHandle {
-            plane,
-            source,
-            gate,
-        });
+        self.kplane = Some(KnowledgeHandle { plane, gate });
         self
     }
 
@@ -232,7 +225,7 @@ impl RerankService {
 
     /// Attach an observability plane: every session opened afterwards
     /// emits the typed [`qrs_obs`] event stream (plan chosen, requests
-    /// charged, retries, circuit trips, knowledge hits, budget trips,
+    /// charged, retries, knowledge hits, budget trips,
     /// open/close) through the handle, timestamped on the service's
     /// injectable clock. Services built without one hold
     /// [`ObsHandle::disabled`]: each emission site costs a single branch
@@ -392,12 +385,6 @@ impl RerankService {
     /// was built [`RerankService::with_knowledge`].
     pub fn knowledge_plane(&self) -> Option<&Arc<KnowledgePlane>> {
         self.kplane.as_ref().map(|h| &h.plane)
-    }
-
-    /// The source name this service's server is registered under on the
-    /// knowledge plane, if any.
-    pub fn knowledge_source(&self) -> Option<&str> {
-        self.kplane.as_ref().map(|h| h.source.as_str())
     }
 
     pub(crate) fn knowledge_gate(&self) -> Option<&Arc<KnowledgeGate>> {
@@ -592,8 +579,18 @@ impl<'a> SessionBuilder<'a> {
         // NaN range endpoints poison every comparison downstream (a
         // predicate that matches nothing, region arithmetic that never
         // converges) and an attribute outside the schema indexes past every
-        // tuple — refuse both here, typed, before anything is spent.
-        self.sel.validate(self.svc.server().schema())?;
+        // tuple — refuse both here, typed, before anything is spent. The
+        // same holds for a ranking attribute the schema does not have.
+        let schema = self.svc.server().schema();
+        self.sel.validate(schema)?;
+        let m = schema.num_ordinal();
+        if let Some(a) = self.rank.attrs().iter().find(|a| a.0 >= m) {
+            let reason = format!(
+                "ranking on ordinal attribute index {}, but the schema has {m}",
+                a.0
+            );
+            return Err(ServerError::invalid_query(reason).into());
+        }
         let ctx = || planner.plan_context(self.sel.clone(), self.rank.attrs().to_vec());
         if let Some(custom) = &self.custom {
             let why = format!(
@@ -680,8 +677,9 @@ impl<'a> SessionBuilder<'a> {
     ///   not page.
     /// * [`RerankError::Server`]`(`[`qrs_types::ServerError::InvalidQuery`]`)` — the
     ///   selection fails [`Query::validate`] against the site's schema (a
-    ///   `NaN` endpoint, an attribute the schema does not have); nothing
-    ///   was sent or charged.
+    ///   `NaN` endpoint, an attribute the schema does not have), or the
+    ///   ranking function reads an ordinal attribute the schema does not
+    ///   have; nothing was sent or charged.
     pub fn open(mut self) -> Result<Session<'a>, RerankError> {
         // Catch up with the site before anything trusts cached knowledge:
         // a stale shared state is rebuilt empty here, and the gate's shard

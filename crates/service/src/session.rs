@@ -678,12 +678,6 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// The service this session runs against (the federation layer needs
-    /// each source's clock for circuit cool-downs).
-    pub(crate) fn svc(&self) -> &'a RerankService {
-        self.svc
-    }
-
     /// Tuples emitted so far.
     pub fn emitted(&self) -> usize {
         self.ledger.emitted

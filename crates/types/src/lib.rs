@@ -38,7 +38,6 @@
 
 pub mod adaptive;
 pub mod capability;
-pub mod circuit;
 pub mod cost;
 pub mod dataset;
 pub mod direction;
@@ -56,7 +55,6 @@ pub mod value;
 
 pub use adaptive::{AdaptiveConfig, Ewma};
 pub use capability::FilterSupport;
-pub use circuit::CircuitPolicy;
 pub use cost::{CostModel, RequestKind};
 pub use dataset::Dataset;
 pub use direction::Direction;

@@ -17,7 +17,7 @@
 //! * [`obs`] — the observability plane: typed events, their subscribers,
 //!   and the fleet monitor for predicted-vs-actual spend,
 //! * [`service`] — the thread-safe "as a service" facade, with the
-//!   concurrent `serve_batch` front-end and parallel federation,
+//!   concurrent `serve_batch` front-end and the exact federated merge,
 //! * [`edge`] — the std-only HTTP/1.1 wire layer: the admission-controlled
 //!   server front door and the `SearchInterface` client adapter.
 //!

@@ -5,12 +5,15 @@
 //! panic, never a silent wrong answer, never a query spent on a doomed
 //! session.
 
+use query_reranking::core::MdOptions;
 use query_reranking::datagen::synthetic::uniform;
+use query_reranking::exec::Executor;
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{Capabilities, SearchInterface, SimServer, SiteProfile, SystemRank};
-use query_reranking::service::{Algorithm, RerankService};
+use query_reranking::service::{Algorithm, BatchRequest, RerankService};
 use query_reranking::types::{
     AttrId, Capability, CatId, CatPredicate, FilterSupport, Interval, Query, RerankError,
+    ServerError,
 };
 use std::sync::Arc;
 
@@ -335,6 +338,60 @@ fn explicit_page_down_with_shallow_cap_errors_typed_not_wrong() {
         err,
         Some(RerankError::UnsupportedCapability(Capability::PageDepth(4)))
     );
+}
+
+/// Rankings that read an ordinal attribute the site's schema does not have
+/// (`AttrId(5)` over two): alone, and beside one it does have.
+fn out_of_schema_ranks() -> Vec<Arc<dyn RankFn>> {
+    vec![
+        Arc::new(LinearRank::asc(vec![(AttrId(5), 1.0)])),
+        Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(5), 1.0)])),
+    ]
+}
+
+fn out_of_schema(e: &RerankError) -> bool {
+    matches!(e, RerankError::Server(ServerError::InvalidQuery { .. }))
+}
+
+fn small_site() -> RerankService {
+    let server = SimServer::new(uniform(200, 2, 1, 7), SystemRank::pseudo_random(7), K);
+    RerankService::new(Arc::new(server), 200)
+}
+
+/// A ranking attribute outside the schema is a typed refusal at `open`,
+/// under the planner and under an explicit MD choice alike — never an
+/// index panic inside the cursor — and nothing reaches the site.
+#[test]
+fn open_refuses_ranking_attributes_outside_the_schema_typed() {
+    for rank in out_of_schema_ranks() {
+        for algo in [Algorithm::Auto, Algorithm::Md(MdOptions::rerank())] {
+            let svc = small_site();
+            let err = svc
+                .session(Query::all(), Arc::clone(&rank))
+                .algorithm(algo)
+                .open()
+                .unwrap_err();
+            assert!(out_of_schema(&err), "{algo:?}: {err}");
+            assert_eq!(svc.queries_issued(), 0, "{algo:?}: nothing sent");
+        }
+    }
+}
+
+/// The same request through `serve_batch` comes back as the outcome's
+/// error, with no hits and nothing charged.
+#[test]
+fn serve_batch_reports_an_out_of_schema_ranking_as_the_outcome_error() {
+    let svc = small_site();
+    let reqs = out_of_schema_ranks()
+        .into_iter()
+        .map(|rank| BatchRequest::new(Query::all(), rank, TOP_H))
+        .collect();
+    for o in svc.serve_batch(&Executor::immediate(0), reqs) {
+        assert!(o.hits.is_empty());
+        assert!(o.error.as_ref().is_some_and(out_of_schema), "{:?}", o.error);
+        assert_eq!(o.stats.queries_spent, 0);
+    }
+    assert_eq!(svc.queries_issued(), 0);
 }
 
 /// The planner consumes a *decorated* server's capabilities transparently:
