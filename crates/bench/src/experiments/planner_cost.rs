@@ -13,10 +13,7 @@
 //! candidates, the planner-chosen strategy's *actual* charged cost must be
 //! within 2× of the cheapest feasible candidate's actual cost — the
 //! estimates may be heuristic, but the ranking they induce must not burn
-//! more than twice the optimum. A violation panics the run. A calibration
-//! leg then replays every (prediction, bill) pair through a fresh
-//! [`Calibration`] store and asserts the scaled prediction lands at least
-//! as close to the bill as the static one.
+//! more than twice the optimum. A violation panics the run.
 //!
 //! Workloads use unconstrained selections so candidates can be re-run via
 //! explicit [`Algorithm`] overrides without the planner's predicate
@@ -32,7 +29,7 @@
 use crate::Scale;
 use qrs_ranking::{LinearRank, RankFn};
 use qrs_server::{SearchInterface, SiteProfile, SystemRank};
-use qrs_service::{Algorithm, Calibration, CostEstimate, RankedCandidate, RerankService};
+use qrs_service::{Algorithm, RankedCandidate, RerankService};
 use qrs_types::{AttrId, Query, RerankError};
 use std::sync::Arc;
 
@@ -240,32 +237,6 @@ pub fn run(scale: Scale) -> Vec<CostRow> {
         rows.iter().filter(|r| !r.chosen).count() >= 2,
         "the catalog must produce cells with >=2 feasible candidates"
     );
-    // Calibration leg: one observed session per row must pull the scaled
-    // prediction at least as close to the bill as the static one — the
-    // adaptive planner's whole premise, checked against every real
-    // (prediction, bill) pair the sweep just produced.
-    for r in &rows {
-        let predicted = CostEstimate {
-            queries: r.predicted_queries,
-            cost_units: r.predicted_cost,
-        };
-        let store = Calibration::new();
-        store.observe_session(&r.candidate, predicted, r.actual_queries, r.actual_cost);
-        let calibrated = store.calibrate(&r.candidate, predicted);
-        let static_err = r.predicted_cost.abs_diff(r.actual_cost);
-        let calibrated_err = calibrated.cost_units.abs_diff(r.actual_cost);
-        assert!(
-            calibrated_err <= static_err.max(1),
-            "calibration widened the prediction error on {}/{}/{}: \
-             static {} vs calibrated {} against a bill of {}",
-            r.profile,
-            r.workload,
-            r.candidate,
-            r.predicted_cost,
-            calibrated.cost_units,
-            r.actual_cost
-        );
-    }
     rows
 }
 

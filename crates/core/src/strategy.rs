@@ -33,8 +33,7 @@
 //! ([`RerankStrategy::request_kind`], the bucket its charges are filed
 //! under) and whether it addresses tuples by rank position
 //! ([`RerankStrategy::positional`], the hazard maintained sessions re-drive
-//! around). The driver asks the object it is running, so the answer is
-//! still right after a mid-flight strategy switch.
+//! around). The driver asks the object it is running.
 
 use crate::baselines::PageDownCursor;
 use crate::ctx::SharedState;

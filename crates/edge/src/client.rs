@@ -361,7 +361,7 @@ pub struct WireOutcome {
     pub cost_units_spent: u64,
     /// Queries the knowledge plane answered for free.
     pub queries_saved: u64,
-    /// The stable error code (`"budget_exhausted"`, `"cancelled"`, …) if
+    /// The stable error code (`"budget_exhausted"`, `"unplannable"`, …) if
     /// the request stopped early; `None` on success.
     pub error_code: Option<String>,
 }

@@ -1,8 +1,8 @@
 //! # qrs-edge — the HTTP/1.1 wire layer
 //!
 //! Every layer below this one runs in-process: the planner, the
-//! strategies, the knowledge plane, the adaptive loop all call the hidden
-//! database through a trait object. The paper's setting has a wire in the
+//! strategies and the knowledge plane all call the hidden database
+//! through a trait object. The paper's setting has a wire in the
 //! middle — the reranker is a *service* fronting remote sites for remote
 //! users — and this crate is that wire, std-only, both halves:
 //!
@@ -10,7 +10,7 @@
 //!   plain HTTP/1.1 on a loopback socket, serves each persistent
 //!   connection on a `qrs-exec` pool worker under whole-request
 //!   deadlines, and maps a JSON protocol onto
-//!   `RerankService::serve_batch_cancellable`. Admission control runs
+//!   `RerankService::serve_batch`. Admission control runs
 //!   *before* any query is issued: a bounded in-flight gate and per-tenant
 //!   query/cost budgets refuse with a typed `429` + `Retry-After`, charging
 //!   neither the site ledger nor the tenant ledger. The full `RerankError`

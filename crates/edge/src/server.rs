@@ -78,7 +78,7 @@
 //!    selection that fails `Query::validate` against the site's schema (a
 //!    `NaN` endpoint, an attribute index the schema does not have). The
 //!    `/site/*` decoders run the same check: `400 invalid_query`;
-//! 4. **serve** — `RerankService::serve_batch_cancellable` runs the batch;
+//! 4. **serve** — `RerankService::serve_batch` runs the batch;
 //! 5. **charge** — the summed per-session ledgers land on the tenant.
 
 use crate::http::{request_from, response_frame, says_close, Conn, Request, Response};
@@ -86,7 +86,7 @@ use crate::json::{parse, Json};
 use crate::wire;
 use parking_lot::Mutex;
 use qrs_core::TiePolicy;
-use qrs_exec::{CancelToken, Executor};
+use qrs_exec::Executor;
 use qrs_obs::EventKind;
 use qrs_ranking::LinearRank;
 use qrs_service::{BatchOutcome, BatchRequest, RerankService};
@@ -720,7 +720,6 @@ fn stats_json(s: &qrs_service::SessionStats) -> Json {
         ("cost_units_saved", Json::u64(s.cost_units_saved)),
         ("attempts_made", Json::u64(s.attempts_made)),
         ("retries_spent", Json::u64(s.retries_spent)),
-        ("strategy_switches", Json::u64(s.strategy_switches)),
     ];
     if let Some(limit) = s.budget_limit {
         members.push(("budget_limit", Json::u64(limit)));
@@ -834,9 +833,7 @@ fn rerank_admitted(req: &Request, shared: &Shared, tenant: &str) -> Response {
     // Serve. The handler already runs on a pool worker; the nested batch
     // scope joins its handles explicitly, which steals queued tasks and
     // therefore cannot starve even on a one-worker pool.
-    let outcomes = shared
-        .svc
-        .serve_batch_cancellable(&shared.exec, batch, &CancelToken::new());
+    let outcomes = shared.svc.serve_batch(&shared.exec, batch);
     // Charge: the summed in-lock session ledgers land on the tenant.
     let (queries, cost_units) = outcomes.iter().fold((0, 0), |(q, c), o| {
         (q + o.stats.queries_spent, c + o.stats.cost_units_spent)
@@ -870,10 +867,8 @@ fn stats(shared: &Shared) -> Response {
         ("queries_saved", Json::u64(s.queries_saved)),
         ("cost_units_saved", Json::u64(s.cost_units_saved)),
         ("retries_spent", Json::u64(s.retries_spent)),
-        ("strategy_switches", Json::u64(s.strategy_switches)),
         ("batches_served", Json::u64(s.batches_served)),
         ("requests_served", Json::u64(s.requests_served)),
-        ("requests_cancelled", Json::u64(s.requests_cancelled)),
     ]);
     let count = |counter: &AtomicU64| Json::u64(counter.load(Ordering::Relaxed));
     let edge = Json::obj(vec![
@@ -910,13 +905,10 @@ fn stats(shared: &Shared) -> Response {
                         ("sessions", Json::u64(r.sessions)),
                         ("predicted_queries", Json::u64(r.predicted_queries)),
                         ("predicted_cost_units", Json::u64(r.predicted_cost_units)),
-                        ("calibrated_queries", Json::u64(r.calibrated_queries)),
-                        ("calibrated_cost_units", Json::u64(r.calibrated_cost_units)),
                         ("actual_queries", Json::u64(r.actual_queries)),
                         ("actual_cost_units", Json::u64(r.actual_cost_units)),
                         ("saved_queries", Json::u64(r.saved_queries)),
                         ("saved_cost_units", Json::u64(r.saved_cost_units)),
-                        ("switches", Json::u64(r.switches)),
                     ])
                 })
                 .collect(),

@@ -690,7 +690,6 @@ pub fn rerank_error_code(e: &RerankError) -> &'static str {
         RerankError::Server(ServerError::Unsupported(_)) => "server_unsupported",
         RerankError::Server(ServerError::InvalidQuery { .. }) => "server_invalid_query",
         RerankError::RetriesExhausted { .. } => "retries_exhausted",
-        RerankError::Cancelled => "cancelled",
         RerankError::Unplannable { .. } => "unplannable",
     }
 }
@@ -923,7 +922,6 @@ mod tests {
             rerank_error_code(&RerankError::BudgetExhausted { spent: 1, limit: 1 }),
             "budget_exhausted"
         );
-        assert_eq!(rerank_error_code(&RerankError::Cancelled), "cancelled");
         let e = RerankError::Server(ServerError::RateLimited {
             retry_after_ms: Some(9),
         });

@@ -18,15 +18,11 @@
 //!   `std::thread::scope`: tasks may borrow from the enclosing frame
 //!   (including disjoint `&mut`s), and the scope does not return until
 //!   every spawned task finished — even when the closure panics.
-//! * [`CancelToken`] — cooperative, hierarchical cancellation: cancelling
-//!   a parent cancels every child token, never the reverse.
 //!
 //! Determinism contract: with the same executor mode, seed, and spawn/join
 //! pattern, task execution order is a pure function of the configuration —
 //! the property the equivalence tests in the service layer are built on.
 
-pub mod cancel;
 pub mod executor;
 
-pub use cancel::CancelToken;
 pub use executor::{Executor, Scope, TaskHandle};

@@ -58,27 +58,6 @@ pub enum EventKind {
         predicted_queries: u64,
         /// Plan-time estimate of weighted cost units.
         predicted_cost_units: u64,
-        /// The query estimate after calibration scaling — equal to
-        /// `predicted_queries` when the service plans statically.
-        calibrated_queries: u64,
-        /// The weighted-cost estimate after calibration scaling — equal to
-        /// `predicted_cost_units` when the service plans statically.
-        calibrated_cost_units: u64,
-    },
-    /// A running session's actual spend diverged past the configured ratio
-    /// of its calibrated prediction, and the session re-planned among the
-    /// remaining feasible candidates and switched strategies mid-flight.
-    Replanned {
-        /// The strategy the session was riding.
-        from_strategy: String,
-        /// The strategy it switched to.
-        to_strategy: String,
-        /// Tuples already emitted (and preserved) at the switch point.
-        at_emitted: u64,
-        /// Raw queries paid under the old strategy.
-        queries_spent: u64,
-        /// Weighted cost units paid under the old strategy.
-        cost_units_spent: u64,
     },
     /// A Get-Next pull began (one `Session::next` call).
     RequestIssued {

@@ -8,8 +8,7 @@
 //! knowledge hits/misses/seals, mutation repairs, budget
 //! trips, open/close), the [`Subscriber`]s it fans out to, and a fleet
 //! [`Monitor`] folding the stream into per-(site, strategy)
-//! predicted-vs-actual spend tables with divergence ratios — the data
-//! layer a mid-flight re-planning loop consumes.
+//! predicted-vs-actual spend tables with divergence ratios.
 //!
 //! Design constraints, in order:
 //!

@@ -6,9 +6,9 @@
 //! [`crate::EventKind::RequestCharged`] deltas, which carry the same
 //! in-lock ledger numbers the session and service stats accumulate — so a
 //! monitor report reconciles exactly against those ledgers, by
-//! construction. Divergence ratios (actual / predicted) are the signal the
-//! ROADMAP's mid-flight re-planning loop consumes: a ratio drifting from
-//! 1.0 means the calibrated cost model no longer describes the live site.
+//! construction. Divergence ratios (actual / predicted) say how well the
+//! planner's cost model describes the live site: a ratio drifting from
+//! 1.0 means the site's advertised prices went stale.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -24,14 +24,10 @@ struct RowAccum {
     sessions: u64,
     predicted_queries: u64,
     predicted_cost_units: u64,
-    calibrated_queries: u64,
-    calibrated_cost_units: u64,
     actual_queries: u64,
     actual_cost_units: u64,
     saved_queries: u64,
     saved_cost_units: u64,
-    /// Divergence-triggered switches that left this row's strategy.
-    switches: u64,
 }
 
 #[derive(Debug, Default)]
@@ -77,32 +73,12 @@ impl Monitor {
             EventKind::PlanChosen {
                 predicted_queries,
                 predicted_cost_units,
-                calibrated_queries,
-                calibrated_cost_units,
                 ..
             } => {
                 if let Some((site, strategy)) = inner.sessions.get(&skey).cloned() {
                     let row = inner.rows.entry((site.to_string(), strategy)).or_default();
                     row.predicted_queries += predicted_queries;
                     row.predicted_cost_units += predicted_cost_units;
-                    row.calibrated_queries += calibrated_queries;
-                    row.calibrated_cost_units += calibrated_cost_units;
-                }
-            }
-            EventKind::Replanned { to_strategy, .. } => {
-                // Count the switch against the strategy that was abandoned,
-                // then re-point the session's join entry so every later
-                // charge lands on the strategy actually doing the work.
-                if let Some((site, strategy)) = inner.sessions.get(&skey).cloned() {
-                    let row = inner.rows.entry((site.to_string(), strategy)).or_default();
-                    row.switches += 1;
-                    // The destination row exists even if the session never
-                    // charges again, so reports show where switches landed.
-                    inner
-                        .rows
-                        .entry((site.to_string(), to_strategy.clone()))
-                        .or_default();
-                    inner.sessions.insert(skey, (site, to_strategy.clone()));
                 }
             }
             EventKind::RequestCharged {
@@ -152,13 +128,10 @@ impl Monitor {
                 sessions: a.sessions,
                 predicted_queries: a.predicted_queries,
                 predicted_cost_units: a.predicted_cost_units,
-                calibrated_queries: a.calibrated_queries,
-                calibrated_cost_units: a.calibrated_cost_units,
                 actual_queries: a.actual_queries,
                 actual_cost_units: a.actual_cost_units,
                 saved_queries: a.saved_queries,
                 saved_cost_units: a.saved_cost_units,
-                switches: a.switches,
             })
             .collect();
         rows.sort_by(|a, b| (&a.site, &a.strategy).cmp(&(&b.site, &b.strategy)));
@@ -185,11 +158,6 @@ pub struct MonitorRow {
     pub predicted_queries: u64,
     /// Sum of plan-time weighted-cost estimates.
     pub predicted_cost_units: u64,
-    /// Sum of calibration-scaled query estimates (equals
-    /// `predicted_queries` for statically planned sessions).
-    pub calibrated_queries: u64,
-    /// Sum of calibration-scaled weighted-cost estimates.
-    pub calibrated_cost_units: u64,
     /// Raw queries actually charged (exactly the ledger numbers).
     pub actual_queries: u64,
     /// Weighted cost units actually charged.
@@ -198,9 +166,6 @@ pub struct MonitorRow {
     pub saved_queries: u64,
     /// Cost units those hits would have been billed.
     pub saved_cost_units: u64,
-    /// Divergence-triggered mid-flight switches that abandoned this row's
-    /// strategy.
-    pub switches: u64,
 }
 
 /// An actual-vs-predicted spend ratio with a typed sentinel for the
@@ -241,14 +206,14 @@ impl Divergence {
 }
 
 impl MonitorRow {
-    /// `actual_queries / predicted_queries` against the *static* plan-time
+    /// `actual_queries / predicted_queries` against the plan-time
     /// estimates, with a typed sentinel when nothing was predicted.
     pub fn query_divergence(&self) -> Divergence {
         Divergence::of(self.actual_queries, self.predicted_queries)
     }
 
-    /// `actual_cost_units / predicted_cost_units` against the *static*
-    /// plan-time estimates.
+    /// `actual_cost_units / predicted_cost_units` against the plan-time
+    /// estimates.
     pub fn cost_divergence(&self) -> Divergence {
         Divergence::of(self.actual_cost_units, self.predicted_cost_units)
     }
@@ -289,11 +254,6 @@ impl MonitorReport {
     pub fn saved_cost_units_total(&self) -> u64 {
         self.rows.iter().map(|r| r.saved_cost_units).sum()
     }
-
-    /// Total divergence-triggered mid-flight switches across the fleet.
-    pub fn switches_total(&self) -> u64 {
-        self.rows.iter().map(|r| r.switches).sum()
-    }
 }
 
 #[cfg(test)]
@@ -328,8 +288,6 @@ mod tests {
                 strategy: "1d-rerank".into(),
                 predicted_queries: 10,
                 predicted_cost_units: 15,
-                calibrated_queries: 11,
-                calibrated_cost_units: 20,
             },
         ));
         m.fold(&ev(
@@ -367,8 +325,6 @@ mod tests {
         assert_eq!(row.actual_cost_units, 18);
         assert_eq!(row.saved_queries, 2);
         assert_eq!(row.saved_cost_units, 3);
-        assert_eq!(row.calibrated_queries, 11);
-        assert_eq!(row.calibrated_cost_units, 20);
         assert_eq!(row.query_divergence().ratio(), Some(1.2));
         assert_eq!(row.cost_divergence().ratio(), Some(1.2));
     }
@@ -511,13 +467,10 @@ mod tests {
             sessions: 1,
             predicted_queries: 0,
             predicted_cost_units: 0,
-            calibrated_queries: 0,
-            calibrated_cost_units: 0,
             actual_queries: 5,
             actual_cost_units: 5,
             saved_queries: 0,
             saved_cost_units: 0,
-            switches: 0,
         };
         // No inf/NaN: the zero-prediction cell carries its actual spend.
         assert_eq!(
@@ -529,58 +482,6 @@ mod tests {
             row.cost_divergence(),
             Divergence::NoPrediction { actual: 5 }
         );
-    }
-
-    #[test]
-    fn replanned_remaps_later_charges_and_counts_the_switch() {
-        let m = Monitor::new();
-        let site: Arc<str> = Arc::from("drifty");
-        m.fold(&ev(
-            &site,
-            1,
-            EventKind::SessionOpen {
-                strategy: "ta-order-by".into(),
-            },
-        ));
-        m.fold(&ev(
-            &site,
-            1,
-            EventKind::RequestCharged {
-                class: QueryClass::Ordered,
-                queries: 2,
-                cost_units: 9,
-            },
-        ));
-        m.fold(&ev(
-            &site,
-            1,
-            EventKind::Replanned {
-                from_strategy: "ta-order-by".into(),
-                to_strategy: "md-rerank".into(),
-                at_emitted: 2,
-                queries_spent: 2,
-                cost_units_spent: 9,
-            },
-        ));
-        m.fold(&ev(
-            &site,
-            1,
-            EventKind::RequestCharged {
-                class: QueryClass::TopK,
-                queries: 3,
-                cost_units: 3,
-            },
-        ));
-        let report = m.report();
-        let from = report.row("drifty", "ta-order-by").expect("origin row");
-        let to = report.row("drifty", "md-rerank").expect("target row");
-        // Pre-switch spend stays on the abandoned strategy; the switch is
-        // counted there; post-switch spend lands on the new strategy.
-        assert_eq!((from.actual_queries, from.actual_cost_units), (2, 9));
-        assert_eq!(from.switches, 1);
-        assert_eq!((to.actual_queries, to.actual_cost_units), (3, 3));
-        assert_eq!(to.switches, 0);
-        assert_eq!(report.switches_total(), 1);
     }
 
     #[test]

@@ -205,7 +205,7 @@ pub struct SimServer {
     rate_limit: Option<u64>,
     /// What `capabilities()` *advertises* when it differs from what
     /// `site.cost` actually bills (None = honest site). The drift hook
-    /// the adaptive-planner tests lean on: a stale public price list over
+    /// the mispriced-site tests lean on: a stale public price list over
     /// live metered billing.
     advertised_cost: Option<CostModel>,
     /// Weighted cost units charged so far, under `site.cost`.
@@ -278,9 +278,9 @@ impl SimServer {
 
     /// Advertise `model` through [`SearchInterface::capabilities`] while
     /// the cost model of [`SimServer::with_capabilities`] keeps charging
-    /// the ledger — a site whose public price list went stale. Static
-    /// planning prices candidates under the advertised lie; the
-    /// calibration layer learns the real ratio from charged deltas.
+    /// the ledger — a site whose public price list went stale. The
+    /// planner prices candidates under the advertised lie; the fleet
+    /// monitor's cost divergence shows the real ratio from charged deltas.
     pub fn with_advertised_cost(mut self, model: CostModel) -> Self {
         self.advertised_cost = Some(model);
         self

@@ -12,18 +12,13 @@
 //! counter is updated inside the shared-state lock or via atomics
 //! ([`crate::ServiceStats`], [`crate::QueryBudget`]).
 //!
-//! Cancellation is cooperative: [`RerankService::serve_batch_cancellable`]
-//! checks the token between Get-Next pulls, so a cancelled batch stops at
-//! tuple granularity and every request keeps the partial results it
-//! already paid for (error [`RerankError::Cancelled`]).
-//!
 //! [`drive`] is the multi-service generalization — one task per
 //! *(service, request)* pair — for multi-tenant drivers.
 
 use crate::service::{Algorithm, RerankService, SessionSpec};
 use crate::session::{RankedTuple, SessionStats};
 use qrs_core::TiePolicy;
-use qrs_exec::{CancelToken, Executor, TaskHandle};
+use qrs_exec::{Executor, TaskHandle};
 use qrs_ranking::RankFn;
 use qrs_types::{Query, RerankError};
 use std::sync::Arc;
@@ -81,10 +76,10 @@ impl BatchRequest {
 }
 
 /// What one [`BatchRequest`] produced. Mirrors `Session::top`'s contract:
-/// partial results survive failure and cancellation alike.
+/// partial results survive failure.
 #[derive(Debug)]
 pub struct BatchOutcome {
-    /// The hits fetched (possibly fewer than requested on error/cancel).
+    /// The hits fetched (possibly fewer than requested on error).
     pub hits: Vec<RankedTuple>,
     /// The typed failure that stopped the request early, if any.
     pub error: Option<RerankError>,
@@ -104,47 +99,27 @@ impl BatchOutcome {
     }
 }
 
-/// Run one request against one service, checking the cancel token between
-/// pulls.
-fn run_one(svc: &RerankService, req: BatchRequest, cancel: &CancelToken) -> BatchOutcome {
+/// Run one request against one service.
+fn run_one(svc: &RerankService, req: BatchRequest) -> BatchOutcome {
     // The injectable clock, not the OS one: deterministic under MockClock,
     // and the same time base as backoff sleeps and event timestamps.
     let t0 = svc.clock().now_ms();
     let wall_ms = |t0: u64| svc.clock().now_ms().saturating_sub(t0) as f64;
     svc.stats_ref().on_request();
-    // A request that never got a session: nothing fetched, nothing spent.
     let budget = req.spec.budget;
-    let refused = |error| BatchOutcome {
-        hits: Vec::new(),
-        error: Some(error),
-        stats: SessionStats::zero(budget),
-        wall_ms: wall_ms(t0),
-    };
-    if cancel.is_cancelled() {
-        svc.stats_ref().on_cancel();
-        return refused(RerankError::Cancelled);
-    }
     let mut sess = match svc.session_with(req.sel, req.rank, req.spec).open() {
         Ok(s) => s,
-        Err(e) => return refused(e),
-    };
-    let mut hits = Vec::with_capacity(req.top);
-    let mut error = None;
-    while hits.len() < req.top {
-        if cancel.is_cancelled() {
-            svc.stats_ref().on_cancel();
-            error = Some(RerankError::Cancelled);
-            break;
-        }
-        match sess.next() {
-            Ok(Some(r)) => hits.push(r),
-            Ok(None) => break,
-            Err(e) => {
-                error = Some(e);
-                break;
+        // A request that never got a session: nothing fetched, nothing spent.
+        Err(e) => {
+            return BatchOutcome {
+                hits: Vec::new(),
+                error: Some(e),
+                stats: SessionStats::zero(budget),
+                wall_ms: wall_ms(t0),
             }
         }
-    }
+    };
+    let (hits, error) = sess.top(req.top);
     BatchOutcome {
         hits,
         error,
@@ -158,15 +133,11 @@ fn run_one(svc: &RerankService, req: BatchRequest, cancel: &CancelToken) -> Batc
 /// service share its knowledge, budgets, and stats; sessions against
 /// different services progress fully independently (their state locks
 /// don't touch).
-pub fn drive(
-    exec: &Executor,
-    jobs: Vec<(&RerankService, BatchRequest)>,
-    cancel: &CancelToken,
-) -> Vec<BatchOutcome> {
+pub fn drive(exec: &Executor, jobs: Vec<(&RerankService, BatchRequest)>) -> Vec<BatchOutcome> {
     exec.scope(|s| {
         let handles: Vec<_> = jobs
             .into_iter()
-            .map(|(svc, req)| s.spawn(move || run_one(svc, req, cancel)))
+            .map(|(svc, req)| s.spawn(move || run_one(svc, req)))
             .collect();
         handles.into_iter().map(TaskHandle::join).collect()
     })
@@ -180,19 +151,6 @@ impl RerankService {
     /// enforced atomically, so a storm of sessions cannot overspend the
     /// cap by racing it.
     pub fn serve_batch(&self, exec: &Executor, requests: Vec<BatchRequest>) -> Vec<BatchOutcome> {
-        self.serve_batch_cancellable(exec, requests, &CancelToken::new())
-    }
-
-    /// [`RerankService::serve_batch`] with cooperative cancellation:
-    /// `cancel` is checked between Get-Next pulls, so cancellation lands
-    /// at tuple granularity and partial results (already paid for) are
-    /// kept in each outcome alongside [`RerankError::Cancelled`].
-    pub fn serve_batch_cancellable(
-        &self,
-        exec: &Executor,
-        requests: Vec<BatchRequest>,
-        cancel: &CancelToken,
-    ) -> Vec<BatchOutcome> {
         self.stats_ref().on_batch();
         if self.obs().enabled() {
             // Service-level event: session ordinal 0.
@@ -204,11 +162,7 @@ impl RerankService {
                 },
             );
         }
-        drive(
-            exec,
-            requests.into_iter().map(|r| (self, r)).collect(),
-            cancel,
-        )
+        drive(exec, requests.into_iter().map(|r| (self, r)).collect())
     }
 }
 
@@ -268,7 +222,6 @@ mod tests {
         assert_eq!(snap.sessions_started, 4);
         assert_eq!(snap.batches_served, 1);
         assert_eq!(snap.requests_served, 4);
-        assert_eq!(snap.requests_cancelled, 0);
         assert_eq!(snap.tuples_emitted, 32);
     }
 
@@ -292,91 +245,6 @@ mod tests {
         let single = run(&Executor::pool(1));
         assert_eq!(serial, pooled, "pool(4) must match immediate mode");
         assert_eq!(serial, single, "pool(1) must match immediate mode");
-    }
-
-    #[test]
-    fn pre_cancelled_batch_serves_nothing_but_stays_typed() {
-        let (svc, _) = service(100, 9011);
-        let reqs = vec![
-            BatchRequest::new(Query::all(), rank(1.0, 1.0), 5),
-            BatchRequest::new(Query::all(), rank(0.5, 1.0), 5),
-        ];
-        let exec = Executor::pool(2);
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let outcomes = svc.serve_batch_cancellable(&exec, reqs, &cancel);
-        for out in &outcomes {
-            assert!(matches!(out.error, Some(RerankError::Cancelled)));
-            assert!(out.hits.is_empty());
-            assert_eq!(out.stats.queries_spent, 0);
-        }
-        assert_eq!(svc.queries_issued(), 0, "no query reaches the backend");
-        let snap = svc.stats();
-        assert_eq!(snap.requests_cancelled, 2);
-        assert_eq!(snap.sessions_started, 0);
-    }
-
-    #[test]
-    fn mid_stream_cancellation_keeps_paid_partials() {
-        // The token flips after the second pull of the first request: the
-        // cancel lands between pulls, partial hits survive. Immediate mode
-        // makes the interleaving deterministic (requests run one by one).
-        let (svc, data) = service(200, 9013);
-        let cancel = CancelToken::new();
-        let watcher = cancel.clone();
-        struct TripRank {
-            inner: Arc<dyn RankFn>,
-            trips: std::sync::atomic::AtomicU64,
-            watcher: CancelToken,
-        }
-        impl RankFn for TripRank {
-            fn attrs(&self) -> &[AttrId] {
-                self.inner.attrs()
-            }
-            fn directions(&self) -> &[qrs_types::Direction] {
-                self.inner.directions()
-            }
-            fn score_norm(&self, u: &[f64]) -> f64 {
-                // Cancel once scoring shows real progress (≈ second tuple).
-                if self
-                    .trips
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                    > 400
-                {
-                    self.watcher.cancel();
-                }
-                self.inner.score_norm(u)
-            }
-        }
-        let tripping: Arc<dyn RankFn> = Arc::new(TripRank {
-            inner: rank(1.0, 1.0),
-            trips: std::sync::atomic::AtomicU64::new(0),
-            watcher,
-        });
-        let reqs = vec![
-            BatchRequest::new(Query::all(), tripping, 50),
-            BatchRequest::new(Query::all(), rank(0.5, 1.0), 50),
-        ];
-        let exec = Executor::immediate(0);
-        let outcomes = svc.serve_batch_cancellable(&exec, reqs, &cancel);
-        let cancelled: Vec<_> = outcomes
-            .iter()
-            .filter(|o| matches!(o.error, Some(RerankError::Cancelled)))
-            .collect();
-        assert!(!cancelled.is_empty(), "the trip wire never fired");
-        // Whatever was fetched before the cancel is kept AND is an exact
-        // prefix of the brute-force ranking — cancellation may truncate a
-        // stream, never corrupt it. (TripRank only instruments scoring, so
-        // request 0's scores equal its inner rank's.)
-        let request_ranks = [rank(1.0, 1.0), rank(0.5, 1.0)];
-        for (out, r) in outcomes.iter().zip(&request_ranks) {
-            let got: Vec<f64> = out.hits.iter().map(|h| h.score).collect();
-            assert_eq!(
-                got,
-                brute_top(&data, r, out.hits.len()),
-                "kept partials must be an exact ranking prefix"
-            );
-        }
     }
 
     #[test]
@@ -477,7 +345,7 @@ mod tests {
             (&a, BatchRequest::new(Query::all(), Arc::clone(&r), 2)),
         ];
         let exec = Executor::pool(3);
-        let outcomes = drive(&exec, jobs, &CancelToken::new());
+        let outcomes = drive(&exec, jobs);
         assert_eq!(outcomes.len(), 3);
         let got0: Vec<f64> = outcomes[0].hits.iter().map(|h| h.score).collect();
         let got1: Vec<f64> = outcomes[1].hits.iter().map(|h| h.score).collect();

@@ -28,8 +28,7 @@
 //!   source propagates and a retry resumes the merge exactly,
 //! * [`batch`] — the concurrent front-end: [`RerankService::serve_batch`]
 //!   runs many sessions in parallel on a `qrs-exec` pool against the
-//!   shared knowledge and budgets, with cooperative cancellation and
-//!   exact per-request accounting,
+//!   shared knowledge and budgets, with exact per-request accounting,
 //! * [`maintained`] — incremental top-k maintenance under data change: a
 //!   [`MaintainedSession`] consumes the server's mutation feed and
 //!   delta-repairs an exact materialized top-`h` (paying per *change*),
@@ -41,21 +40,11 @@
 //!   typed events, and [`RerankService::monitor_report`] folds them into
 //!   the fleet's predicted-vs-actual spend table. Disabled (the default),
 //!   every emission site is a single branch that constructs nothing.
-//! * adaptive planning — [`RerankService::with_adaptive`] closes the
-//!   predict-observe loop: a [`calibration::Calibration`] store learns
-//!   per-strategy actual/predicted spend ratios from finished sessions
-//!   and scales future plan-time estimates, and a running `Auto`
-//!   session whose spend exceeds twice its calibrated prediction re-plans
-//!   mid-flight and switches strategies without losing paid-for rows
-//!   (emitting a typed [`EventKind::Replanned`]). Off by default —
-//!   [`qrs_types::AdaptiveConfig::disabled`] keeps the static planner bit
-//!   for bit.
 
 #![deny(missing_docs)]
 
 pub mod batch;
 pub mod budget;
-pub mod calibration;
 pub mod federation;
 pub mod maintained;
 pub mod planner;
@@ -67,7 +56,6 @@ pub mod stats;
 
 pub use batch::{drive, BatchOutcome, BatchRequest};
 pub use budget::QueryBudget;
-pub use calibration::{Calibration, StrategyCalibration};
 pub use federation::{FederatedHit, FederatedSession};
 pub use maintained::{MaintainedSession, RefreshOutcome};
 pub use planner::{Plan, Planner, RankedCandidate};
@@ -78,9 +66,6 @@ pub use stats::ServiceStats;
 // The strategy vocabulary sessions are driven by — re-exported so callers
 // registering a custom strategy need only this crate.
 pub use qrs_core::strategy::{CostEstimate, PlanContext, RerankStrategy, StrategyIo, StrategyStep};
-// The adaptive-planner switch — re-exported so opting a service in needs
-// only this crate.
-pub use qrs_types::AdaptiveConfig;
 // The knowledge plane: build one, share it across services (and processes'
 // worth of tenants) via `RerankService::with_knowledge`.
 pub use qrs_knowledge::{KnowledgePlane, PlaneStats, ShardStats, SourceShard};

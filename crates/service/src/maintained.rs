@@ -25,9 +25,8 @@
 //! is incomplete), or the strategy is *positional*
 //! ([`qrs_core::RerankStrategy::positional`]: TA and page-down page by rank
 //! position, which every mutation shifts) and the repair needs live pulls.
-//! The hazard is read from the strategy the inner session is running at
-//! each refresh — not from the plan it was opened with — so it stays right
-//! after a mid-flight switch or a re-drive that re-planned. Re-drives open a
+//! The hazard is read from the inner session's strategy at each refresh,
+//! so it stays right after a re-drive that re-planned. Re-drives open a
 //! fresh session — [`crate::SessionBuilder::open`] re-syncs the knowledge
 //! plane and the shared state, so the new drive answers against the new
 //! snapshot by construction.

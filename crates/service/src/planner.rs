@@ -37,7 +37,6 @@
 //! experiment in `qrs-bench` sweeps this choice against actually-charged
 //! ledgers across the site-profile catalog.
 
-use crate::calibration::Calibration;
 use crate::service::Algorithm;
 use qrs_core::md::ta::SortedAccess;
 use qrs_core::strategy::{
@@ -65,14 +64,8 @@ pub struct RankedCandidate {
     /// Predicted spend to the plan horizon, priced under the advertised
     /// [`qrs_types::CostModel`].
     pub estimate: CostEstimate,
-    /// The static estimate scaled by the calibration store's learned
-    /// actual/predicted ratio for this strategy family. Equal to
-    /// [`RankedCandidate::estimate`] when no store is attached or the
-    /// family is untrained. *This* is the number candidates are ranked by.
-    pub calibrated: CostEstimate,
     /// The selection this candidate would send server-side (its own
-    /// relaxation of the user query) — what a mid-flight switch to this
-    /// candidate drives with.
+    /// relaxation of the user query).
     pub server_query: Query,
     /// Predicates this candidate's relaxation leaves for the client to
     /// re-apply. `None` when the site evaluates the full selection.
@@ -100,9 +93,6 @@ pub struct Plan {
     pub residual: Option<Query>,
     /// Predicted spend of the chosen candidate.
     pub estimate: CostEstimate,
-    /// Calibration-scaled predicted spend of the chosen candidate —
-    /// equals [`Plan::estimate`] without a trained calibration store.
-    pub calibrated_estimate: CostEstimate,
     /// Every feasible candidate, ranked cheapest-first under the site's
     /// advertised cost model; `candidates[0]` is the chosen one. Explicit
     /// [`crate::SessionBuilder::algorithm`] overrides and custom
@@ -123,7 +113,6 @@ impl Plan {
             server_query: chosen.server_query.clone(),
             residual: chosen.residual.clone(),
             estimate: chosen.estimate,
-            calibrated_estimate: chosen.calibrated,
             candidates,
             rationale,
         }
@@ -133,7 +122,7 @@ impl Plan {
     /// explicit algorithm choice or a registered custom strategy), written
     /// by asking the strategy object it will drive: its own name, its own
     /// estimate in `ctx`. The full selection (`ctx.server_query`) goes
-    /// server-side, nothing is relaxed, and calibration has no say.
+    /// server-side and nothing is relaxed.
     pub(crate) fn single(
         algorithm: Algorithm,
         strategy: &dyn RerankStrategy,
@@ -145,7 +134,6 @@ impl Plan {
             name: strategy.name().to_string(),
             algorithm,
             estimate,
-            calibrated: estimate,
             server_query: ctx.server_query,
             residual: None,
             relaxed: false,
@@ -199,9 +187,6 @@ pub struct Planner {
     /// Tuples the caller expects to pull — the horizon cost estimates are
     /// computed for. Defaults to `k` (one page of answers).
     horizon: usize,
-    /// Observed-cost store scaling the static estimates before ranking
-    /// (`None` = static planning).
-    calibration: Option<Arc<Calibration>>,
 }
 
 /// Why one candidate algorithm cannot run, for the rationale trace.
@@ -225,7 +210,6 @@ impl Planner {
             k: k.max(1),
             n_estimate: n_estimate.max(1),
             horizon: k.max(1),
-            calibration: None,
         }
     }
 
@@ -236,15 +220,6 @@ impl Planner {
     /// cursors pay per tuple.
     pub fn with_horizon(mut self, h: usize) -> Self {
         self.horizon = h.max(1);
-        self
-    }
-
-    /// Rank candidates by calibration-scaled cost: each family's static
-    /// estimate is multiplied by `store`'s learned actual/predicted ratio
-    /// ([`Calibration::calibrate`]) before the cheapest-wins sort.
-    /// Untrained families rank by their static estimate unchanged.
-    pub fn with_calibration(mut self, store: Arc<Calibration>) -> Self {
-        self.calibration = Some(store);
         self
     }
 
@@ -263,12 +238,6 @@ impl Planner {
     /// Page depth that provably drains any result set on this site.
     fn depth_to_drain(&self) -> usize {
         self.n_estimate.div_ceil(self.k)
-    }
-
-    /// Tuples the caller expects to pull: the horizon estimates are priced
-    /// at, and the point past which overspending is no longer divergence.
-    pub(crate) fn horizon(&self) -> usize {
-        self.horizon
     }
 
     /// The [`PlanContext`] cost estimates run in, for the given (possibly
@@ -308,16 +277,10 @@ impl Planner {
             match self.try_candidate(&candidate, sel) {
                 Ok((server_query, residual)) => {
                     let ctx = self.plan_context(server_query.clone(), rank.attrs().to_vec());
-                    let estimate = (candidate.estimate)(&ctx);
-                    let calibrated = match &self.calibration {
-                        Some(store) => store.calibrate(candidate.name, estimate),
-                        None => estimate,
-                    };
                     feasible.push(RankedCandidate {
                         name: candidate.name.to_string(),
                         algorithm: candidate.algorithm,
-                        estimate,
-                        calibrated,
+                        estimate: (candidate.estimate)(&ctx),
                         server_query,
                         relaxed: residual.is_some(),
                         residual,
@@ -348,25 +311,16 @@ impl Planner {
             return Err(RerankError::unplannable(missing, reason));
         }
 
-        // Cheapest *calibrated* predicted cost wins (equal to the static
-        // cost without a trained store); the sort is stable, so equal-cost
+        // Cheapest predicted cost wins; the sort is stable, so equal-cost
         // candidates keep the paper's preference order.
-        feasible.sort_by_key(|f| f.calibrated.cost_units);
+        feasible.sort_by_key(|f| f.estimate.cost_units);
 
-        let calibrating = feasible
-            .iter()
-            .any(|f| f.calibrated.cost_units != f.estimate.cost_units);
         let mut rationale = String::new();
         let _ = write!(
             rationale,
-            "{}: cheapest feasible at {}{}{}",
+            "{}: cheapest feasible at {}{}",
             feasible[0].name,
-            feasible[0].calibrated,
-            if calibrating {
-                format!(" (calibrated from {})", feasible[0].estimate)
-            } else {
-                String::new()
-            },
+            feasible[0].estimate,
             match &feasible[0].residual {
                 Some(r) => format!(" (relaxed `{r}` server-side; re-applied client-side)"),
                 None => String::new(),
@@ -375,7 +329,7 @@ impl Planner {
         if feasible.len() > 1 {
             rationale.push_str("; ranked");
             for f in &feasible {
-                let _ = write!(rationale, " {} {},", f.name, f.calibrated);
+                let _ = write!(rationale, " {} {},", f.name, f.estimate);
             }
             rationale.pop();
         }
@@ -797,53 +751,6 @@ mod tests {
         assert_eq!(residual.cats().len(), 1);
         assert_eq!(plan.server_query.cats().len(), 1);
         assert_eq!(plan.server_query.ranges().len(), 1);
-    }
-
-    #[test]
-    fn trained_calibration_reorders_candidates_and_keeps_static_numbers() {
-        let caps = Capabilities::none()
-            .with_paging()
-            .with_order_by(vec![AttrId(0)]);
-        let p = Planner::new(caps, schema2(), 5, 100);
-        let static_plan = p.plan(&Query::all(), &rank1(), TiePolicy::Exact).unwrap();
-        assert!(static_plan.candidates.len() > 1);
-        let static_first = static_plan.candidates[0].name.clone();
-        assert_eq!(static_plan.calibrated_estimate, static_plan.estimate);
-
-        // Train the store: the statically-cheapest family's sessions
-        // actually cost 1000× what the advertised model predicted.
-        let store = Calibration::shared();
-        store.observe_session(
-            &static_first,
-            CostEstimate {
-                queries: 10,
-                cost_units: 10,
-            },
-            10_000,
-            10_000,
-        );
-        let plan = p
-            .clone()
-            .with_calibration(Arc::clone(&store))
-            .plan(&Query::all(), &rank1(), TiePolicy::Exact)
-            .unwrap();
-        // The drifted family loses the cost race; the static estimate
-        // stays reported beside the calibrated one.
-        assert_ne!(plan.candidates[0].name, static_first);
-        assert!(plan.rationale.contains("calibrated"));
-        let demoted = plan
-            .candidates
-            .iter()
-            .find(|c| c.name == static_first)
-            .unwrap();
-        assert_eq!(
-            demoted.calibrated.cost_units,
-            demoted.estimate.cost_units * 1000
-        );
-        assert_eq!(
-            plan.candidates[0].estimate.cost_units,
-            plan.candidates[0].calibrated.cost_units
-        );
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! [`RerankError`] at open time, never as a panic deep inside an algorithm.
 
 use crate::budget::QueryBudget;
-use crate::calibration::Calibration;
 use crate::maintained::MaintainedSession;
 use crate::planner::{Plan, Planner};
 use crate::retry::RetryRunner;
-use crate::session::{AdaptiveState, Session, SessionKnowledge};
+use crate::session::{Session, SessionKnowledge};
 use crate::stats::ServiceStats;
 use parking_lot::Mutex;
 use qrs_core::md::ta::SortedAccess;
@@ -26,7 +25,7 @@ use qrs_knowledge::{query_key, KnowledgePlane, ResultKey};
 use qrs_obs::{EventKind, MonitorReport, ObsHandle};
 use qrs_ranking::RankFn;
 use qrs_server::{Clock, SearchInterface, SystemClock};
-use qrs_types::{AdaptiveConfig, Capability, Query, RerankError, RetryPolicy, ServerError};
+use qrs_types::{Capability, Query, RerankError, RetryPolicy, ServerError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -93,14 +92,6 @@ pub struct RerankService {
     /// The observability plane (disabled by default: one branch per
     /// emission site, nothing constructed).
     obs: ObsHandle,
-    /// Which adaptive loops run: calibration, mid-flight re-planning.
-    /// [`AdaptiveConfig::disabled`] by default — the static planner, bit
-    /// for bit.
-    adaptive: AdaptiveConfig,
-    /// Observed-cost store the adaptive loops train and consult. Always
-    /// present (it is inert until `adaptive` turns calibration on) so
-    /// callers can pre-train or share one across services.
-    calibration: Arc<Calibration>,
     /// The staleness stamp the shared state was built against: the
     /// knowledge shard's epoch with a plane attached, else the server's
     /// mutation sequence number. When the stamp moves past it, the history
@@ -131,8 +122,6 @@ impl RerankService {
             clock: Arc::new(SystemClock::new()),
             kplane: None,
             obs: ObsHandle::disabled(),
-            adaptive: AdaptiveConfig::disabled(),
-            calibration: Calibration::shared(),
             state_watermark,
         }
     }
@@ -240,42 +229,6 @@ impl RerankService {
         self
     }
 
-    /// Opt into the closed-loop adaptive planner: with
-    /// [`AdaptiveConfig::enabled`], the service's [`Calibration`] store
-    /// learns per-strategy actual/predicted spend ratios from finished
-    /// sessions, [`RerankService::planner`] scales candidate estimates by
-    /// them before ranking, and a running [`Algorithm::Auto`] session whose
-    /// weighted spend exceeds twice its calibrated prediction re-plans
-    /// among the remaining feasible candidates and switches strategies
-    /// mid-flight (at most once, keeping every paid-for row);
-    /// `enabled().without_replan()` keeps only the learning. The default is
-    /// [`AdaptiveConfig::disabled`]: static planning, bit for bit.
-    pub fn with_adaptive(mut self, cfg: AdaptiveConfig) -> Self {
-        self.adaptive = cfg;
-        self
-    }
-
-    /// Share a caller-owned [`Calibration`] store: several services (or a
-    /// bench's before/after phases) training and consulting one model —
-    /// the same cross-tenant amortization argument as
-    /// [`RerankService::with_knowledge`].
-    pub fn with_calibration(mut self, store: Arc<Calibration>) -> Self {
-        self.calibration = store;
-        self
-    }
-
-    /// The observed-cost calibration store (inert unless the service was
-    /// opted in via [`RerankService::with_adaptive`]). Inspect it with
-    /// [`Calibration::snapshot`].
-    pub fn calibration(&self) -> &Arc<Calibration> {
-        &self.calibration
-    }
-
-    /// The adaptive loops this service runs.
-    pub fn adaptive(&self) -> &AdaptiveConfig {
-        &self.adaptive
-    }
-
     /// The attached observability handle (disabled unless the service was
     /// built [`RerankService::with_observer`]): the fleet monitor behind
     /// [`RerankService::monitor_report`] and the subscribers that see every
@@ -345,18 +298,13 @@ impl RerankService {
     /// [`SessionBuilder::open`] runs the same planner for
     /// [`Algorithm::Auto`] sessions.
     pub fn planner(&self) -> Planner {
-        let planner = Planner::new(
+        Planner::new(
             self.server.capabilities(),
             Arc::clone(self.server.schema()),
             self.server.k(),
             // The size estimate the service was built with.
             self.params.n as usize,
-        );
-        if self.adaptive.is_active() {
-            planner.with_calibration(Arc::clone(&self.calibration))
-        } else {
-            planner
-        }
+        )
     }
 
     /// The service-wide query budget — inspect spend or open a new
@@ -766,25 +714,9 @@ impl<'a> SessionBuilder<'a> {
                     strategy: strategy.name().to_string(),
                     predicted_queries: plan.estimate.queries,
                     predicted_cost_units: plan.estimate.cost_units,
-                    calibrated_queries: plan.calibrated_estimate.queries,
-                    calibrated_cost_units: plan.calibrated_estimate.cost_units,
                 },
             );
         }
-        // Arm the adaptive loops for this session: built-in strategies
-        // only (a custom strategy's spend describes nothing the planner
-        // priced).
-        let adaptive =
-            if self.svc.adaptive().is_active() && !matches!(plan.algorithm, Algorithm::Custom) {
-                Some(AdaptiveState::new(
-                    self.svc.adaptive().replans(),
-                    &plan,
-                    planner.horizon(),
-                    self.spec.tie,
-                ))
-            } else {
-                None
-            };
         Ok(Session::new(
             self.svc,
             self.rank,
@@ -794,7 +726,6 @@ impl<'a> SessionBuilder<'a> {
             plan.residual,
             knowledge,
             obs_id,
-            adaptive,
         ))
     }
 
@@ -848,13 +779,11 @@ impl<'a> SessionBuilder<'a> {
 }
 
 /// Construct the strategy object driving `algorithm` over `sel` (the
-/// possibly relaxed server-side query) for a session on `svc` — the one place an [`Algorithm`] value becomes an
-/// object, shared between [`SessionBuilder`] and the mid-flight re-planner
-/// (which builds an alternate candidate's strategy while the session is
-/// already running). Everything else about the algorithm — its name, its
-/// estimate, its request class, whether it is positional — is then asked
-/// of the object.
-pub(crate) fn build_strategy_for(
+/// possibly relaxed server-side query) for a session on `svc` — the one
+/// place an [`Algorithm`] value becomes an object. Everything else about
+/// the algorithm — its name, its estimate, its request class, whether it
+/// is positional — is then asked of the object.
+fn build_strategy_for(
     svc: &RerankService,
     rank: Arc<dyn RankFn>,
     tie: TiePolicy,

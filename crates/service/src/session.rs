@@ -24,11 +24,10 @@
 //! Attempt counts and retries are tracked in [`SessionStats`] so budget
 //! attribution stays exact even for steps that ultimately fail.
 
-use crate::planner::{Plan, RankedCandidate};
 use crate::retry::RetryRunner;
-use crate::service::{build_strategy_for, RerankService};
-use qrs_core::strategy::{CostEstimate, RerankStrategy, StrategyIo, StrategyStep};
-use qrs_core::{KnowledgeGate, TiePolicy};
+use crate::service::RerankService;
+use qrs_core::strategy::{RerankStrategy, StrategyIo, StrategyStep};
+use qrs_core::KnowledgeGate;
 use qrs_knowledge::{ResultKey, SourceShard};
 use qrs_obs::{BudgetScope, EventKind, QueryClass};
 use qrs_ranking::RankFn;
@@ -56,8 +55,7 @@ pub(crate) struct SessionKnowledge {
     pub(crate) gate: Arc<KnowledgeGate>,
     /// Key of this session's exact output stream in the shard's result
     /// cache; `None` for custom strategies (their exactness is the
-    /// author's promise, so their streams are never cached or replayed)
-    /// and after a mid-flight switch.
+    /// author's promise, so their streams are never cached or replayed).
     pub(crate) result_key: Option<ResultKey>,
     /// Cached `(tuple, score bits)` prefix still to emit.
     pub(crate) replay: VecDeque<(Arc<Tuple>, u64)>,
@@ -69,64 +67,6 @@ pub(crate) struct SessionKnowledge {
     pub(crate) full_ledger: (u64, u64),
     /// One-shot latch for that credit.
     pub(crate) credited: bool,
-}
-
-/// The mid-flight switch trigger: re-plan once a session's weighted spend
-/// exceeds this multiple of its calibrated prediction…
-const DIVERGENCE_RATIO: f64 = 2.0;
-/// …and at least this many cost units were paid — a guard against
-/// switching on the first page of a front-loaded strategy.
-const MIN_SPEND: u64 = 8;
-
-/// Adaptive-planner state, armed at open time for built-in-strategy
-/// sessions on a service opted into the adaptive planner
-/// (`RerankService::with_adaptive`).
-///
-/// The session files its actual-vs-predicted spend with the calibration
-/// store when it closes. With re-planning on, it also watches its own
-/// weighted spend against the calibrated plan-time prediction; past
-/// [`DIVERGENCE_RATIO`] it re-ranks the plan's remaining feasible
-/// candidates under the *current* calibration, rebuilds the cheapest one's
-/// strategy, and swaps it in — at most once per session, swallowing the
-/// new strategy's re-derivation of the already-emitted prefix so the
-/// user-visible stream stays exact.
-pub(crate) struct AdaptiveState {
-    /// The static plan-time estimate.
-    predicted: CostEstimate,
-    /// The calibration-scaled plan-time estimate the divergence trigger
-    /// compares spend against.
-    calibrated: CostEstimate,
-    /// Pull horizon the estimates were computed for; past it, spending
-    /// more than predicted is expected, not divergence.
-    horizon: usize,
-    /// The plan's remaining feasible candidates (cheapest-first at plan
-    /// time), each carrying its own server query and residual. Empty when
-    /// re-planning is off and for explicit-algorithm sessions — which
-    /// therefore never switch.
-    alternates: Vec<RankedCandidate>,
-    tie: TiePolicy,
-    /// Latch: one switch max per session.
-    switched: bool,
-}
-
-impl AdaptiveState {
-    /// Arm the loops for a session executing `plan`, priced at `horizon`:
-    /// with `replan` on, the alternates are the plan's cost ranking below
-    /// the chosen candidate — empty under an explicit algorithm choice.
-    pub(crate) fn new(replan: bool, plan: &Plan, horizon: usize, tie: TiePolicy) -> Self {
-        let alternates = match plan.candidates.get(1..) {
-            Some(rest) if replan => rest.to_vec(),
-            _ => Vec::new(),
-        };
-        AdaptiveState {
-            predicted: plan.estimate,
-            calibrated: plan.calibrated_estimate,
-            horizon,
-            alternates,
-            tie,
-            switched: false,
-        }
-    }
 }
 
 /// One emitted answer: global rank (1-based), user score, tuple.
@@ -168,9 +108,6 @@ pub struct SessionStats {
     pub attempts_made: u64,
     /// Retries spent (attempts beyond the first for a given step).
     pub retries_spent: u64,
-    /// Divergence-triggered mid-flight strategy switches (0 or 1: the
-    /// adaptive re-planner switches at most once per session).
-    pub strategy_switches: u64,
     /// The per-session query cap, if any.
     pub budget_limit: Option<u64>,
 }
@@ -187,7 +124,6 @@ impl SessionStats {
             cost_units_saved: 0,
             attempts_made: 0,
             retries_spent: 0,
-            strategy_switches: 0,
             budget_limit,
         }
     }
@@ -219,15 +155,11 @@ pub struct Session<'a> {
     /// This session's ordinal on the observability plane (0 when the
     /// service has no observer attached).
     obs_id: u64,
-    /// Mid-flight re-planning state (`None` on non-adaptive services and
-    /// custom-strategy sessions).
-    adaptive: Option<AdaptiveState>,
-    /// Post-residual emissions the *current* strategy has produced — the
-    /// 0-based stream index used for recording and for `skip`.
+    /// Post-residual emissions the strategy has produced — the 0-based
+    /// stream index used for recording and for `skip`.
     derived: usize,
     /// How many of those emissions the user has already seen and the
-    /// session therefore swallows: the replayed prefix after a warm open,
-    /// everything emitted so far after a mid-flight switch.
+    /// session therefore swallows: the prefix replayed at a warm open.
     skip: usize,
 }
 
@@ -242,7 +174,6 @@ impl<'a> Session<'a> {
         residual: Option<Query>,
         knowledge: Option<SessionKnowledge>,
         obs_id: u64,
-        adaptive: Option<AdaptiveState>,
     ) -> Self {
         let skip = knowledge.as_ref().map_or(0, |k| k.replay.len());
         Session {
@@ -254,7 +185,6 @@ impl<'a> Session<'a> {
             residual,
             knowledge,
             obs_id,
-            adaptive,
             derived: 0,
             skip,
         }
@@ -273,9 +203,8 @@ impl<'a> Session<'a> {
     }
 
     /// The class this session's request events carry: the request class
-    /// the strategy running *now* says it issues, so charges after a
-    /// mid-flight switch carry the replacement's class. A mix (a custom
-    /// strategy that does not say) gets its own.
+    /// its strategy says it issues. A mix (a custom strategy that does not
+    /// say) gets its own.
     fn class(&self) -> QueryClass {
         match self.strategy.request_kind() {
             Some(RequestKind::TopK) => QueryClass::TopK,
@@ -285,7 +214,7 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Whether the strategy running now is positional
+    /// Whether this session's strategy is positional
     /// ([`RerankStrategy::positional`]).
     pub(crate) fn positional(&self) -> bool {
         self.strategy.positional()
@@ -314,16 +243,12 @@ impl<'a> Session<'a> {
         self.next_pull()
     }
 
-    /// The actual pull behind [`Session::next`]: replay → replan check →
-    /// drive → admit, sealing the result stream when the strategy runs dry.
+    /// The actual pull behind [`Session::next`]: replay → drive → admit,
+    /// sealing the result stream when the strategy runs dry.
     fn next_pull(&mut self) -> Result<Option<RankedTuple>, RerankError> {
         if let Some(out) = self.replay_next() {
             return Ok(out);
         }
-        // Divergence check before paying for more: past this point the
-        // replay (which costs nothing) is drained, so everything spent so
-        // far was measured against the calibrated prediction.
-        self.maybe_replan();
         loop {
             match self.drive_step()? {
                 StrategyStep::Emit(tuple) => {
@@ -466,10 +391,9 @@ impl<'a> Session<'a> {
             shard.extend_result(key, idx, Arc::clone(&tuple), score.to_bits());
         }
         if idx < self.skip {
-            // Already emitted — from the replayed prefix, or by the
-            // strategy a mid-flight switch abandoned; the current strategy
-            // is just catching up (with a plane its requests hit the
-            // response cache, so this costs nothing).
+            // Already emitted from the replayed prefix; the strategy is
+            // just catching up (its requests hit the response cache, so
+            // this costs nothing).
             return None;
         }
         self.ledger.emitted += 1;
@@ -503,77 +427,6 @@ impl<'a> Session<'a> {
     fn result_stream(&self) -> Option<(&SourceShard, &ResultKey)> {
         let k = self.knowledge.as_ref()?;
         Some((k.gate.shard().as_ref(), k.result_key.as_ref()?))
-    }
-
-    /// The mid-flight divergence check: when this session's weighted spend
-    /// exceeds [`DIVERGENCE_RATIO`] × its calibrated prediction while rows
-    /// remain to the horizon (and at least [`MIN_SPEND`] units were paid —
-    /// front-loaded strategies pay for their whole drain up front), re-rank
-    /// the plan's remaining feasible candidates under the *current*
-    /// calibration and switch to the cheapest. At most once per session;
-    /// already-emitted rows are kept and the replacement strategy's
-    /// re-derivation of them is swallowed, so the user-visible stream is
-    /// byte-identical to never having switched.
-    fn maybe_replan(&mut self) {
-        let Some(ad) = &self.adaptive else { return };
-        if ad.switched
-            || ad.alternates.is_empty()
-            || self.ledger.emitted >= ad.horizon
-            || self.ledger.cost_units_spent < MIN_SPEND
-        {
-            return;
-        }
-        let threshold = DIVERGENCE_RATIO * ad.calibrated.cost_units.max(1) as f64;
-        if self.ledger.cost_units_spent as f64 <= threshold {
-            return;
-        }
-        // Re-rank the alternates under what calibration knows *now* — the
-        // very charges that tripped this trigger may already have
-        // re-ordered them. Ties keep plan order (min_by_key returns the
-        // first minimum).
-        let store = self.svc.calibration();
-        let pick = ad
-            .alternates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| store.calibrate(&c.name, c.estimate).cost_units)
-            .map(|(i, _)| i)
-            .expect("alternates is non-empty");
-        let (chosen, tie) = {
-            let ad = self.adaptive.as_mut().expect("checked above");
-            ad.switched = true;
-            (ad.alternates.swap_remove(pick), ad.tie)
-        };
-        let from = self.strategy.name().to_string();
-        self.strategy = build_strategy_for(
-            self.svc,
-            Arc::clone(&self.rank),
-            tie,
-            chosen.algorithm,
-            chosen.server_query,
-        );
-        self.residual = chosen.residual;
-        // The switched session's stream no longer matches the planned
-        // strategy's cache key — stop recording (a blended ledger would
-        // poison a future replay's credit) and swallow the replacement's
-        // re-derivation of everything already emitted. With a plane the
-        // response-level gate still serves the replacement's requests,
-        // which is where "without losing paid-for knowledge" comes from:
-        // probes the abandoned strategy paid for replay free.
-        if let Some(k) = &mut self.knowledge {
-            k.result_key = None;
-        }
-        self.derived = 0;
-        self.skip = self.ledger.emitted;
-        self.ledger.strategy_switches += 1;
-        self.svc.stats_ref().on_switch();
-        self.emit_obs(|| EventKind::Replanned {
-            from_strategy: from,
-            to_strategy: self.strategy.name().to_string(),
-            at_emitted: self.ledger.emitted as u64,
-            queries_spent: self.ledger.queries_spent,
-            cost_units_spent: self.ledger.cost_units_spent,
-        });
     }
 
     /// One strategy step under the shared-state lock.
@@ -715,29 +568,12 @@ impl<'a> Session<'a> {
         self.ledger.cost_units_saved
     }
 
-    /// This session's query cap, if one was set at build time.
-    pub fn budget_limit(&self) -> Option<u64> {
-        self.ledger.budget_limit
-    }
-
-    /// Cursor-step attempts made so far, failed attempts included.
-    pub fn attempts_made(&self) -> u64 {
-        self.ledger.attempts_made
-    }
-
     /// Retries spent so far (attempts beyond the first for a given step).
     pub fn retries_spent(&self) -> u64 {
         self.ledger.retries_spent
     }
 
-    /// Divergence-triggered mid-flight strategy switches (0 or 1). Nonzero
-    /// only on services opted into the adaptive planner.
-    pub fn strategy_switches(&self) -> u64 {
-        self.ledger.strategy_switches
-    }
-
-    /// The strategy currently driving this session — the planned one, or
-    /// the replacement after a divergence-triggered switch.
+    /// The strategy driving this session.
     pub fn strategy_name(&self) -> &str {
         self.strategy.name()
     }
@@ -752,22 +588,6 @@ impl<'a> Session<'a> {
 
 impl Drop for Session<'_> {
     fn drop(&mut self) {
-        // Close the calibration loop: file this session's actual-vs-
-        // predicted spend under the strategy it was planned with — still
-        // the one running, since switched sessions are excluded (their
-        // blended ledger describes neither strategy), as are sessions that
-        // emitted nothing or paid nothing (a fully knowledge-replayed run
-        // says nothing about the site's prices).
-        if let Some(ad) = &self.adaptive {
-            if !ad.switched && self.ledger.emitted > 0 && self.ledger.queries_spent > 0 {
-                self.svc.calibration().observe_session(
-                    self.strategy.name(),
-                    ad.predicted,
-                    self.ledger.queries_spent,
-                    self.ledger.cost_units_spent,
-                );
-            }
-        }
         // The final ledger rides out on the close event, so subscribers
         // need not track running sums; the monitor also unregisters the
         // session ordinal here. One branch and nothing else when disabled.
@@ -1024,7 +844,7 @@ mod tests {
         // prefix-reset exponential sequence — but never wall-clock.
         assert_eq!(clock.sleeps().iter().sum::<u64>() % 100, 0);
         assert_eq!(s.retries_spent(), 3);
-        assert!(s.attempts_made() > s.retries_spent());
+        assert!(s.stats().attempts_made > s.retries_spent());
         assert_eq!(svc.stats().retries_spent, 3);
     }
 
@@ -1124,27 +944,5 @@ mod tests {
         }
         // Whatever was fetched before the 429 is kept and ranked.
         assert!(hits.windows(2).all(|w| w[0].score <= w[1].score));
-    }
-
-    /// Calibration learns only from sessions that emitted: one that paid
-    /// for its first probes and was refused before emitting anything
-    /// leaves the store untrained when it drops.
-    #[test]
-    fn sessions_dropped_before_their_first_emission_leave_calibration_untrained() {
-        let data = uniform(400, 2, 1, 509);
-        let server = SimServer::new(
-            data,
-            SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]),
-            3,
-        )
-        .with_rate_limit(2);
-        let svc = RerankService::new(Arc::new(server), 400)
-            .with_adaptive(qrs_types::AdaptiveConfig::enabled());
-        let mut s = svc.session(Query::all(), rank2()).open().unwrap();
-        let (hits, err) = s.top(1);
-        assert!(hits.is_empty() && err.is_some(), "{hits:?} {err:?}");
-        assert!(s.queries_spent() > 0, "the session paid before the refusal");
-        drop(s);
-        assert!(svc.calibration().snapshot().is_empty());
     }
 }

@@ -38,10 +38,8 @@ pub struct ServiceStats {
     queries_saved: Counter,
     cost_units_saved: Counter,
     retries_spent: Counter,
-    strategy_switches: Counter,
     batches_served: Counter,
     requests_served: Counter,
-    requests_cancelled: Counter,
 }
 
 /// Point-in-time snapshot.
@@ -69,16 +67,10 @@ pub struct StatsSnapshot {
     /// Retries spent across all sessions (the recovery effort the service
     /// has burned on transient server failures).
     pub retries_spent: u64,
-    /// Divergence-triggered mid-flight strategy switches across all
-    /// sessions — zero unless the service was opted into the adaptive
-    /// planner via `with_adaptive`.
-    pub strategy_switches: u64,
     /// Concurrent batches accepted by `serve_batch`.
     pub batches_served: u64,
-    /// Individual batch requests taken off the pool (cancelled included).
+    /// Individual batch requests taken off the pool.
     pub requests_served: u64,
-    /// Batch requests that observed a cancellation token mid-flight.
-    pub requests_cancelled: u64,
 }
 
 impl ServiceStats {
@@ -106,20 +98,12 @@ impl ServiceStats {
         self.retries_spent.incr();
     }
 
-    pub(crate) fn on_switch(&self) {
-        self.strategy_switches.incr();
-    }
-
     pub(crate) fn on_batch(&self) {
         self.batches_served.incr();
     }
 
     pub(crate) fn on_request(&self) {
         self.requests_served.incr();
-    }
-
-    pub(crate) fn on_cancel(&self) {
-        self.requests_cancelled.incr();
     }
 
     /// Exact point-in-time totals (the read itself is a racy-but-monotonic
@@ -133,10 +117,8 @@ impl ServiceStats {
             queries_saved: self.queries_saved.get(),
             cost_units_saved: self.cost_units_saved.get(),
             retries_spent: self.retries_spent.get(),
-            strategy_switches: self.strategy_switches.get(),
             batches_served: self.batches_served.get(),
             requests_served: self.requests_served.get(),
-            requests_cancelled: self.requests_cancelled.get(),
         }
     }
 }
@@ -157,11 +139,9 @@ mod tests {
         s.on_retry();
         s.on_retry();
         s.on_retry();
-        s.on_switch();
         s.on_batch();
         s.on_request();
         s.on_request();
-        s.on_cancel();
         let snap = s.snapshot();
         assert_eq!(snap.sessions_started, 1);
         assert_eq!(snap.tuples_emitted, 2);
@@ -170,10 +150,8 @@ mod tests {
         assert_eq!(snap.queries_saved, 2);
         assert_eq!(snap.cost_units_saved, 6);
         assert_eq!(snap.retries_spent, 3);
-        assert_eq!(snap.strategy_switches, 1);
         assert_eq!(snap.batches_served, 1);
         assert_eq!(snap.requests_served, 2);
-        assert_eq!(snap.requests_cancelled, 1);
     }
 
     /// Racing opens each get their own ordinal (and so their own jitter

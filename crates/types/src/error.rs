@@ -254,10 +254,6 @@ pub enum RerankError {
         /// The last underlying failure.
         last: Box<RerankError>,
     },
-    /// The caller cancelled the request (via a cancellation token) before
-    /// it completed. Partial results fetched before the cancellation are
-    /// preserved by batch drivers, mirroring the budget-trip contract.
-    Cancelled,
     /// No reranking algorithm fits the site's advertised capabilities for
     /// this query shape. `missing` names the capabilities that would have
     /// unblocked a candidate algorithm; `reason` narrates the planner's
@@ -296,9 +292,6 @@ impl RerankError {
             RerankError::BudgetExhausted { .. } => true,
             RerankError::Server(e) => e.is_transient(),
             RerankError::RetriesExhausted { last, .. } => last.is_transient(),
-            // Re-issuing a cancelled request can succeed, but only the
-            // caller who cancelled it can decide to — not a retry loop.
-            RerankError::Cancelled => true,
             RerankError::UnsupportedCapability(_)
             | RerankError::InvalidAlgorithm { .. }
             | RerankError::Unplannable { .. } => false,
@@ -347,7 +340,6 @@ impl fmt::Display for RerankError {
             RerankError::RetriesExhausted { attempts, last } => {
                 write!(f, "gave up after {attempts} attempts: {last}")
             }
-            RerankError::Cancelled => write!(f, "request cancelled by the caller"),
             RerankError::Unplannable { missing, reason } => {
                 write!(f, "no algorithm fits the site's capabilities: {reason}")?;
                 if !missing.is_empty() {
@@ -446,18 +438,6 @@ mod tests {
         let e = RerankError::Server(ServerError::invalid_query("bad range"));
         assert!(!e.is_transient());
         assert!(!e.is_retryable());
-    }
-
-    #[test]
-    fn cancelled_is_caller_recoverable_but_never_auto_retried() {
-        let e = RerankError::Cancelled;
-        assert!(e.is_transient(), "the caller may re-issue");
-        assert!(
-            !e.is_retryable(),
-            "the retry loop must not override a cancel"
-        );
-        assert_eq!(e.retry_after_hint(), None);
-        assert!(e.to_string().contains("cancelled"));
     }
 
     #[test]

@@ -27,16 +27,13 @@
 //! * [`RetryPolicy`] — declarative retry/backoff configuration consumed by
 //!   the `qrs-service` retry loop,
 //! * [`CostModel`] — per-query-class unit costs a metered site advertises
-//!   and charges by; the currency of the cost-based planner,
-//! * [`AdaptiveConfig`], [`Ewma`] — the switch and the deterministic moving
-//!   average behind the `qrs-service` calibration/re-planning loop.
+//!   and charges by; the currency of the cost-based planner.
 //!
 //! Everything downstream (`qrs-server`, `qrs-core`, …) is written against
 //! these types.
 
 #![deny(missing_docs)]
 
-pub mod adaptive;
 pub mod capability;
 pub mod cost;
 pub mod dataset;
@@ -53,7 +50,6 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use adaptive::{AdaptiveConfig, Ewma};
 pub use capability::FilterSupport;
 pub use cost::{CostModel, RequestKind};
 pub use dataset::Dataset;

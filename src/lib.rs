@@ -13,7 +13,7 @@
 //!   replay, drained-region synthesis, exact result streams) with epoch
 //!   invalidation,
 //! * [`exec`] — dependency-free structured concurrency (scoped thread
-//!   pool, cancellation, deterministic immediate mode),
+//!   pool, deterministic immediate mode),
 //! * [`obs`] — the observability plane: typed events, their subscribers,
 //!   and the fleet monitor for predicted-vs-actual spend,
 //! * [`service`] — the thread-safe "as a service" facade, with the

@@ -1,28 +1,28 @@
-//! Properties of the closed-loop adaptive planner: a mid-flight strategy
-//! switch must be *invisible* in the result stream (byte-identical to the
-//! dense oracle — ids AND score bit patterns), *cheaper* than riding the
-//! mispriced plan, and *exactly accounted* (the `Replanned` event's spend
-//! snapshot plus the post-switch charges reconcile to the session ledger
-//! to the last unit). A run whose advertised prices are honest must never
-//! switch. Both switch properties run over three knowledge-plane inputs —
+//! The static planner on a mispriced site: a session runs the strategy it
+//! opened with until it ends, whatever the bill says. The drifted site
+//! below advertises stale prices that bait the planner onto `ta-order-by`
+//! and then bills the inverse. The stream must still be byte-identical to
+//! the dense oracle (ids AND score bit patterns), every charge must be
+//! filed under the strategy that was planned, and the ledgers must
+//! reconcile to the unit with the site and the event stream. The exactness
+//! and conservation properties run over three knowledge-plane inputs —
 //! none, a cold plane, and a plane already holding an unsealed prefix of
-//! the planned strategy's stream — because the swallowing of the
-//! replacement's re-derived prefix is one mechanism whatever the plane
-//! holds. Datasets derive from `QRS_TEST_SEED` and the service layer
-//! honors `QRS_EXEC_THREADS`, so CI sweeps both.
+//! the planned strategy's stream. Datasets derive from `QRS_TEST_SEED` and
+//! the service layer honors `QRS_EXEC_THREADS`, so CI sweeps both.
 
+use query_reranking::core::md::ta::SortedAccess;
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::knowledge::{query_key, ResultKey};
 use query_reranking::obs::{EventKind, ObsHandle, QueryClass, Recorder};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
-use query_reranking::service::{AdaptiveConfig, Algorithm, KnowledgePlane, RerankService};
+use query_reranking::service::{Algorithm, KnowledgePlane, RerankService};
 use query_reranking::types::{AttrId, CostModel, Dataset, Query};
 use std::sync::Arc;
 
 const N: usize = 300;
 const K: usize = 5;
-/// Pull well past one page so the switch happens with rows still owed.
+/// Pull well past one page, so the stale prices have rows to mislead on.
 const HORIZON: usize = 40;
 
 fn seeded(base: u64) -> u64 {
@@ -40,8 +40,8 @@ fn rank2() -> Arc<dyn RankFn> {
 /// A site whose public price list went stale: ranges are advertised as
 /// ruinous (50 units) and `ORDER BY` as free, so the static planner picks
 /// `ta-order-by` — but the *billing* model charges 60 per ordered page and
-/// 1 per range probe, the exact inverse. No paging, so the only feasible
-/// alternate is the md cursor.
+/// 1 per range probe, the exact inverse. No paging, so the only other
+/// feasible candidate is the md cursor.
 fn drifted_server(data: Dataset, seed: u64) -> SimServer {
     SimServer::new(data, SystemRank::pseudo_random(seed ^ 0x33), K)
         .with_capabilities(
@@ -52,16 +52,16 @@ fn drifted_server(data: Dataset, seed: u64) -> SimServer {
         .with_advertised_cost(CostModel::flat().with_range_cost(50))
 }
 
-/// What the knowledge plane holds when the adaptive session opens.
+/// What the knowledge plane holds when the session under test opens.
 #[derive(Debug, Clone, Copy)]
 enum PlaneInput {
     /// No plane attached.
     Absent,
     /// A plane that has seen nothing.
     Cold,
-    /// A plane on which an earlier (static) session drove the planned
+    /// A plane on which an earlier session drove the planned
     /// `ta-order-by` strategy for [`PREFIX`] rows and stopped: an unsealed
-    /// prefix the adaptive session replays before it ever pays.
+    /// prefix the session replays before it ever pays.
     Prefix,
 }
 
@@ -69,9 +69,9 @@ const PLANE_INPUTS: [PlaneInput; 3] = [PlaneInput::Absent, PlaneInput::Cold, Pla
 const SOURCE: &str = "drifted";
 const PREFIX: usize = 3;
 
-/// An adaptive service over its own drifted twin server, hooked to the
-/// plane `input` asks for.
-fn adaptive_service(
+/// A service over its own drifted twin server, hooked to the plane
+/// `input` asks for.
+fn drifted_service(
     input: PlaneInput,
     data: &Dataset,
     seed: u64,
@@ -94,9 +94,8 @@ fn adaptive_service(
         assert_eq!(s.try_top(PREFIX).unwrap().len(), PREFIX);
     }
     let server = Arc::new(drifted_server(data.clone(), seed));
-    let mut svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, N)
-        .with_adaptive(AdaptiveConfig::enabled())
-        .with_observer(obs);
+    let mut svc =
+        RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, N).with_observer(obs);
     if let Some(plane) = &plane {
         svc = svc.with_knowledge(Arc::clone(plane), SOURCE);
     }
@@ -123,186 +122,139 @@ fn oracle(data: &Dataset, sel: &Query, rank: &Arc<dyn RankFn>, h: usize) -> Vec<
         .collect()
 }
 
-/// The headline property: on the drifted site, an adaptive `Auto` session
-/// (1) plans `ta-order-by` off the advertised lie, (2) trips the
-/// divergence ratio once billing reveals the real prices, (3) switches to
-/// the md cursor mid-flight, and the user-visible stream is byte-identical
-/// to the dense oracle — while a static twin riding the mispriced plan to
-/// the same horizon pays strictly more.
+/// The headline property: on the drifted site, an `Auto` session plans
+/// `ta-order-by` off the advertised lie, rides it to exhaustion, and
+/// streams the dense oracle's rows byte for byte under every plane input.
+/// With a plane the stream it ran is recorded and sealed complete, and a
+/// plane holding a paid-for prefix makes the same stream strictly cheaper:
+/// the queries the warm session spent plus those it saved are the cold
+/// run's. (Saved units are priced by the advertised list, so on this site
+/// only the query column conserves.)
 #[test]
 fn divergence_switch_is_byte_identical_to_oracle_and_strictly_cheaper() {
     let seed = seeded(0xADA1) | 1;
     let data = uniform(N, 2, 1, seed);
-    let want = oracle(&data, &Query::all(), &rank2(), HORIZON);
-
-    // Static twin: same lying site, adaptive off — rides ta-order-by.
-    let static_server = Arc::new(drifted_server(data.clone(), seed));
-    let static_svc = RerankService::new(Arc::clone(&static_server) as Arc<dyn SearchInterface>, N);
-    let mut s = static_svc
-        .session(Query::all(), rank2())
-        .horizon(HORIZON)
-        .open()
-        .unwrap();
-    let static_plan = static_svc
-        .session(Query::all(), rank2())
-        .horizon(HORIZON)
-        .plan()
-        .unwrap();
-    assert!(
-        matches!(static_plan.algorithm, Algorithm::Ta(_)),
-        "the advertised lie must bait the static planner onto TA, got {:?}",
-        static_plan.algorithm
-    );
-    let static_stream: Vec<(u32, u64)> = s
-        .try_top(HORIZON)
-        .unwrap()
-        .iter()
-        .map(|h| (h.tuple.id.0, h.score.to_bits()))
-        .collect();
-    assert_eq!(static_stream, want, "static twin must still be exact");
-    assert_eq!(s.strategy_switches(), 0);
-    let static_cost = s.cost_units_spent();
-    drop(s);
-
+    let want = oracle(&data, &Query::all(), &rank2(), N);
+    let mut bills = Vec::new();
     for input in PLANE_INPUTS {
-        // Adaptive session on an identical twin server.
-        let (svc, server, plane) =
-            adaptive_service(input, &data, seed, ObsHandle::for_site("drifted"));
+        let (svc, server, plane) = drifted_service(input, &data, seed, ObsHandle::for_site(SOURCE));
+        let plan = svc
+            .session(Query::all(), rank2())
+            .horizon(HORIZON)
+            .plan()
+            .unwrap();
+        assert!(
+            matches!(plan.algorithm, Algorithm::Ta(_)),
+            "{input:?}: the advertised lie must bait the planner onto TA, got {:?}",
+            plan.algorithm
+        );
         let mut s = svc
             .session(Query::all(), rank2())
             .horizon(HORIZON)
             .open()
             .unwrap();
-        // Pull to exhaustion (the seal point), checking the headline
-        // claims at the horizon on the way.
         let mut got = Vec::new();
-        let mut switched_at = None;
-        let mut adaptive_cost = 0;
-        loop {
-            let switches = s.strategy_switches();
-            let Some(hit) = s.next().unwrap() else { break };
-            if s.strategy_switches() > switches {
-                switched_at = Some(got.len());
-            }
+        while let Some(hit) = s.next().unwrap() {
             got.push((hit.tuple.id.0, hit.score.to_bits()));
-            if got.len() == HORIZON {
-                assert_eq!(
-                    got, want,
-                    "{input:?}: switched stream diverged from the dense oracle"
-                );
-                assert_eq!(s.strategy_switches(), 1, "exactly one mid-flight switch");
-                assert_eq!(
-                    s.strategy_name(),
-                    "md-rerank",
-                    "the only feasible alternate is the md cursor"
-                );
-                adaptive_cost = s.cost_units_spent();
-                assert_eq!(s.cost_units_spent(), server.cost_units_issued());
-            }
         }
         assert_eq!(
-            got,
-            oracle(&data, &Query::all(), &rank2(), N),
-            "{input:?}: drained stream diverged from the dense oracle"
+            got, want,
+            "{input:?}: stream diverged from the dense oracle"
         );
+        assert_eq!(s.strategy_name(), "ta-order-by");
         assert_eq!(s.cost_units_spent(), server.cost_units_issued());
-        let stats = s.stats();
-        assert_eq!(stats.strategy_switches, 1);
+        bills.push((
+            s.cost_units_spent(),
+            s.cost_units_saved(),
+            s.queries_spent(),
+            s.queries_saved(),
+        ));
         drop(s);
 
-        assert!(
-            adaptive_cost < static_cost,
-            "{input:?}: switching must beat riding the mispriced plan: \
-             {adaptive_cost} vs {static_cost}"
-        );
-
-        // The abandoned strategy's stream stops growing at the switch and
-        // is never sealed — its ledger would be a blend of two strategies —
-        // and the replacement's stream is not recorded at all.
+        // The planned strategy's stream is the one recorded, and it is
+        // sealed complete: nothing else was ever driven.
         if let Some(plane) = &plane {
             let shard = plane
                 .get(SOURCE)
                 .expect("the service registered its source");
-            let abandoned = shard
+            let sealed = shard
                 .lookup_result(&stream_key("ta-order-by"))
-                .expect("ta-order-by recorded its pre-switch emissions");
-            assert!(!abandoned.exhausted, "{input:?}: abandoned key sealed");
-            assert_eq!(Some(abandoned.items.len()), switched_at, "{input:?}");
+                .expect("ta-order-by recorded its emissions");
+            assert!(sealed.exhausted, "{input:?}: drained stream not sealed");
+            assert_eq!(sealed.items.len(), N, "{input:?}");
             assert!(shard.lookup_result(&stream_key("md-rerank")).is_none());
         }
-
-        // The switch surfaced everywhere it should: the service ledger and
-        // the fleet monitor's per-strategy rows.
-        assert_eq!(svc.stats().strategy_switches, 1);
         let report = svc.monitor_report();
-        assert_eq!(report.switches_total(), 1);
-        let origin = report
-            .rows
-            .iter()
-            .find(|r| r.strategy == "ta-order-by")
-            .expect("origin strategy row");
-        assert_eq!(origin.switches, 1, "switch counted on the origin row");
-        assert!(
-            report.rows.iter().any(|r| r.strategy == "md-rerank"),
-            "destination row created for post-switch charges"
-        );
+        assert_eq!(report.rows.len(), 1, "{input:?}: one strategy row");
+        assert_eq!(report.rows[0].strategy, "ta-order-by");
     }
+    let (cold_cost, cold_saved, cold_q, _) = bills[0];
+    assert_eq!(cold_saved, 0);
+    assert_eq!(bills[1], bills[0], "a cold plane changes nothing");
+    let (warm_cost, warm_saved, warm_q, warm_saved_q) = bills[2];
+    assert!(
+        warm_cost < cold_cost,
+        "the replayed prefix must make the warm run cheaper: {warm_cost} vs {cold_cost}"
+    );
+    assert!(warm_saved > 0);
+    assert_eq!(
+        warm_q + warm_saved_q,
+        cold_q,
+        "spent + saved != cold queries"
+    );
 }
 
-/// Ledger conservation across the switch: the `Replanned` event snapshots
-/// the spend at the moment of switching, and that snapshot plus the
-/// post-switch `RequestCharged` deltas must equal the session's final
-/// ledger exactly — no charge is lost or double-counted by the handover.
-/// With a plane attached the saved column must conserve the same way: the
-/// `KnowledgeHit` deltas sum to the session's saved ledger.
+/// Ledger conservation: every `RequestCharged` event is filed under the
+/// class of the strategy the session opened with (`ORDER BY` pages), and
+/// the charges sum to the session's final ledger exactly — no charge is
+/// lost or double-counted. With a plane attached the saved column
+/// conserves the same way: the `KnowledgeHit` deltas sum to the session's
+/// saved ledger.
 #[test]
 fn replanned_event_conserves_the_ledger_across_the_switch() {
     let seed = seeded(0xADA2) | 1;
     let data = uniform(N, 2, 1, seed);
+    let want = oracle(&data, &Query::all(), &rank2(), HORIZON);
     for input in PLANE_INPUTS {
         let recorder = Arc::new(Recorder::with_capacity(4096));
-        let obs = ObsHandle::builder("drifted")
+        let obs = ObsHandle::builder(SOURCE)
             .subscriber(Arc::clone(&recorder) as _)
             .build();
-        let (svc, _server, _plane) = adaptive_service(input, &data, seed, obs);
+        let (svc, _server, _plane) = drifted_service(input, &data, seed, obs);
         let mut s = svc
             .session(Query::all(), rank2())
             .horizon(HORIZON)
             .open()
             .unwrap();
-        let hits = s.try_top(HORIZON).unwrap();
-        assert_eq!(hits.len(), HORIZON);
-        assert_eq!(s.strategy_switches(), 1);
-        let final_q = s.queries_spent();
-        let final_c = s.cost_units_spent();
+        let hits: Vec<(u32, u64)> = s
+            .try_top(HORIZON)
+            .unwrap()
+            .iter()
+            .map(|h| (h.tuple.id.0, h.score.to_bits()))
+            .collect();
+        assert_eq!(hits, want, "{input:?}");
+        let final_spent = (s.queries_spent(), s.cost_units_spent());
         let final_saved = (s.queries_saved(), s.cost_units_saved());
         drop(s);
 
-        // Replay the recorder in emission order: charges before the
-        // Replanned event must sum to its snapshot; charges after must make
-        // up the rest.
-        let mut pre = (0u64, 0u64);
-        let mut post = (0u64, 0u64);
+        let mut charged = (0u64, 0u64);
         let mut saved = (0u64, 0u64);
-        let mut switch: Option<(u64, u64, u64)> = None;
+        let mut plans = Vec::new();
         for e in recorder.events() {
             match &e.kind {
+                EventKind::PlanChosen { strategy, .. } => plans.push(strategy.clone()),
                 EventKind::RequestCharged {
                     class,
                     queries,
                     cost_units,
                 } => {
-                    // Charges are filed under the class the strategy
-                    // running at that moment issues: `ORDER BY` pages
-                    // until the switch, the md cursor's top-k probes after.
-                    let (side, want) = if switch.is_none() {
-                        (&mut pre, QueryClass::Ordered)
-                    } else {
-                        (&mut post, QueryClass::TopK)
-                    };
-                    assert_eq!(*class, want, "{input:?}: charge filed under {class:?}");
-                    side.0 += queries;
-                    side.1 += cost_units;
+                    assert_eq!(
+                        *class,
+                        QueryClass::Ordered,
+                        "{input:?}: charge filed under {class:?}"
+                    );
+                    charged.0 += queries;
+                    charged.1 += cost_units;
                 }
                 EventKind::KnowledgeHit {
                     queries,
@@ -311,34 +263,12 @@ fn replanned_event_conserves_the_ledger_across_the_switch() {
                     saved.0 += queries;
                     saved.1 += cost_units;
                 }
-                EventKind::KnowledgeSeal { .. } => {
-                    panic!("{input:?}: a switched session must never seal a result stream")
-                }
-                EventKind::Replanned {
-                    from_strategy,
-                    to_strategy,
-                    at_emitted,
-                    queries_spent,
-                    cost_units_spent,
-                } => {
-                    assert!(switch.is_none(), "at most one switch per session");
-                    assert_eq!(from_strategy, "ta-order-by");
-                    assert_eq!(to_strategy, "md-rerank");
-                    assert!(*at_emitted > 0, "min_spend implies rows were emitted");
-                    switch = Some((*at_emitted, *queries_spent, *cost_units_spent));
-                }
                 _ => {}
             }
         }
-        let (_, snap_q, snap_c) = switch.expect("the drifted site must trip a switch");
-        assert_eq!(snap_q, pre.0, "snapshot != charges before the switch");
-        assert_eq!(snap_c, pre.1);
-        assert_eq!(snap_q + post.0, final_q, "pre + post != final raw ledger");
-        assert_eq!(snap_c + post.1, final_c, "pre + post != final cost ledger");
-        assert!(
-            post.1 > 0,
-            "the replacement strategy must have paid something"
-        );
+        assert_eq!(plans, ["ta-order-by"], "{input:?}: one plan per session");
+        assert_eq!(charged, final_spent, "{input:?}: charges != final ledger");
+        assert!(charged.1 > 0, "{input:?}: the session must have paid");
         assert_eq!(saved, final_saved, "{input:?}: hits != final saved ledger");
         if matches!(input, PlaneInput::Prefix) {
             assert!(saved.0 > 0, "the seeded prefix's probes must replay free");
@@ -346,14 +276,15 @@ fn replanned_event_conserves_the_ledger_across_the_switch() {
     }
 }
 
-/// An honest site never trips the trigger: with the advertised model equal
-/// to the billing model, a calibration-warmed adaptive session runs to the
-/// same horizon with zero switches and a stream byte-identical to the
-/// static configuration.
+/// On an honest site (the advertised model is the billing model) an
+/// `Auto` session is exactly the explicit session of the algorithm it
+/// planned: the same strategy, the same byte-identical oracle stream and
+/// the same ledger, to the unit.
 #[test]
 fn honest_prices_never_switch() {
     let seed = seeded(0xADA3) | 1;
     let data = uniform(N, 2, 1, seed);
+    let want = oracle(&data, &Query::all(), &rank2(), HORIZON);
     let honest = |data: Dataset| {
         SimServer::new(data, SystemRank::pseudo_random(seed ^ 0x33), K).with_capabilities(
             Capabilities::none()
@@ -361,83 +292,78 @@ fn honest_prices_never_switch() {
                 .with_cost_model(CostModel::flat().with_ordered_cost(2).with_range_cost(2)),
         )
     };
-
-    let static_server = Arc::new(honest(data.clone()));
-    let static_svc = RerankService::new(Arc::clone(&static_server) as Arc<dyn SearchInterface>, N);
-    let mut s = static_svc
-        .session(Query::all(), rank2())
-        .horizon(HORIZON)
-        .open()
-        .unwrap();
-    let want: Vec<(u32, u64)> = s
-        .try_top(HORIZON)
-        .unwrap()
-        .iter()
-        .map(|h| (h.tuple.id.0, h.score.to_bits()))
-        .collect();
-    drop(s);
-
-    let server = Arc::new(honest(data));
-    let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, N)
-        .with_adaptive(AdaptiveConfig::enabled());
-    // Warm the calibration store: static heuristics may honestly over- or
-    // under-shoot a cold estimate, but one observed session teaches the
-    // store the real ratio, after which predictions track billing.
-    let mut warm = svc
-        .session(Query::all(), rank2())
-        .horizon(HORIZON)
-        .open()
-        .unwrap();
-    let _ = warm.try_top(HORIZON).unwrap();
-    drop(warm);
-
-    let mut s = svc
-        .session(Query::all(), rank2())
-        .horizon(HORIZON)
-        .open()
-        .unwrap();
-    let got: Vec<(u32, u64)> = s
-        .try_top(HORIZON)
-        .unwrap()
-        .iter()
-        .map(|h| (h.tuple.id.0, h.score.to_bits()))
-        .collect();
-    assert_eq!(s.strategy_switches(), 0, "honest prices must never switch");
-    assert_eq!(got, want, "adaptive run diverged from the static stream");
-    drop(s);
-    assert_eq!(svc.stats().strategy_switches, 0);
-
-    // The store did learn — snapshots expose the trained families.
-    assert!(
-        !svc.calibration().snapshot().is_empty(),
-        "warm-up must train at least one strategy family"
-    );
+    let run = |algo: Option<Algorithm>| {
+        let server = Arc::new(honest(data.clone()));
+        let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, N);
+        let mut b = svc.session(Query::all(), rank2()).horizon(HORIZON);
+        if let Some(algo) = algo {
+            b = b.algorithm(algo);
+        }
+        let plan = b.plan().unwrap();
+        let mut s = svc
+            .session(Query::all(), rank2())
+            .horizon(HORIZON)
+            .algorithm(algo.unwrap_or(Algorithm::Auto))
+            .open()
+            .unwrap();
+        let got: Vec<(u32, u64)> = s
+            .try_top(HORIZON)
+            .unwrap()
+            .iter()
+            .map(|h| (h.tuple.id.0, h.score.to_bits()))
+            .collect();
+        assert_eq!(s.strategy_name(), plan.candidates[0].name);
+        assert_eq!(s.cost_units_spent(), server.cost_units_issued());
+        (plan.algorithm, got, s.stats())
+    };
+    let (planned, auto_stream, auto_stats) = run(None);
+    assert_eq!(auto_stream, want, "the planned stream must be exact");
+    let (explicit, explicit_stream, explicit_stats) = run(Some(planned));
+    assert_eq!(explicit, planned);
+    assert_eq!(explicit_stream, auto_stream);
+    assert_eq!(explicit_stats, auto_stats, "Auto must bill like its plan");
 }
 
-/// The off switches hold: `disabled()` (the default) and
-/// `without_replan()` both pin the session to its planned strategy on the
-/// drifted site — calibration may still learn, but nothing switches.
+/// A drifted site cannot move a session off its plan: the `Auto` session
+/// drives `ta-order-by` at every pull to the horizon and bills exactly
+/// what an explicit `Ta(PublicOrderBy)` session bills on a twin site —
+/// more than the advertised prices predicted, which the fleet monitor
+/// reports as a cost divergence above 1.
 #[test]
 fn replanning_can_be_opted_out() {
     let seed = seeded(0xADA4) | 1;
     let data = uniform(N, 2, 1, seed);
-    for cfg in [
-        AdaptiveConfig::disabled(),
-        AdaptiveConfig::enabled().without_replan(),
-    ] {
+    let want = oracle(&data, &Query::all(), &rank2(), HORIZON);
+    let run = |algo: Algorithm| {
         let server = Arc::new(drifted_server(data.clone(), seed));
         let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, N)
-            .with_adaptive(cfg);
+            .with_observer(ObsHandle::for_site(SOURCE));
         let mut s = svc
             .session(Query::all(), rank2())
             .horizon(HORIZON)
+            .algorithm(algo)
             .open()
             .unwrap();
-        let hits = s.try_top(HORIZON).unwrap();
-        assert_eq!(hits.len(), HORIZON);
-        assert_eq!(s.strategy_switches(), 0);
-        assert_eq!(s.strategy_name(), "ta-order-by");
+        let mut got = Vec::new();
+        while got.len() < HORIZON {
+            let hit = s
+                .next()
+                .unwrap()
+                .expect("the relation outlasts the horizon");
+            assert_eq!(s.strategy_name(), "ta-order-by", "{algo:?} left its plan");
+            got.push((hit.tuple.id.0, hit.score.to_bits()));
+        }
+        let stats = s.stats();
         drop(s);
-        assert_eq!(svc.stats().strategy_switches, 0);
-    }
+        (got, stats, svc.monitor_report())
+    };
+    let (auto_stream, auto_stats, report) = run(Algorithm::Auto);
+    assert_eq!(auto_stream, want);
+    let (ta_stream, ta_stats, _) = run(Algorithm::Ta(SortedAccess::PublicOrderBy));
+    assert_eq!(ta_stream, auto_stream);
+    assert_eq!(ta_stats, auto_stats, "Auto must bill like its plan");
+    let row = report.row(SOURCE, "ta-order-by").expect("the planned row");
+    assert_eq!(row.actual_cost_units, auto_stats.cost_units_spent);
+    let ratio = row.cost_divergence().ratio().expect("a priced plan");
+    assert!(ratio > 1.0, "the stale price list under-predicts: {ratio}");
 }

@@ -29,7 +29,8 @@
 //! * the other direction: a site tuple that does not fit the schema it
 //!   advertised is a typed error at the adapter, never a panic above it,
 //! * admission control: capacity and tenant-budget refusals are typed
-//!   `429`s with `Retry-After` that charge **neither** ledger,
+//!   `429`s with `Retry-After` that charge **neither** ledger, and a
+//!   tenant cost budget admits and charges up to the cap, then refuses,
 //! * the front door: `/v1/rerank` via [`EdgeClient`] versus an in-process
 //!   `serve_batch`, outcome for outcome.
 //!
@@ -985,6 +986,75 @@ fn admission_refusals_are_typed_uncharged_429s() {
     }
     assert_eq!(remote.queries_issued(), 0);
     assert_eq!(handle.rejected(), 1);
+    handle.shutdown();
+}
+
+/// The tenant cost budget end to end: the gate reads *cumulative* spend,
+/// so a tenant under its cap is admitted and charged in full even when one
+/// request overshoots it; its next request is refused before any query is
+/// issued, and another tenant is still served.
+#[test]
+fn a_tenant_over_its_cost_budget_is_refused_before_any_query() {
+    let exec = Arc::new(Executor::from_env());
+    let data = uniform(60, 2, 1, test_seed() ^ 0xC057);
+    let remote = Arc::new(anti_server(&data, 3));
+    let svc = Arc::new(RerankService::new(
+        Arc::clone(&remote) as Arc<dyn SearchInterface>,
+        data.len(),
+    ));
+    // Below the cost of any request that queries the site at all.
+    let config = EdgeConfig::default().with_tenant_cost_budget(1);
+    let handle = EdgeServer::serve(svc, exec, config).expect("bind");
+    let req = || {
+        EdgeClient::request(
+            &Query::all(),
+            &[(0, Direction::Asc, 1.0)],
+            3,
+            None,
+            None,
+            None,
+        )
+    };
+
+    let a = EdgeClient::new(handle.addr(), "tenant-a");
+    let reply = a.rerank(vec![req()]).expect("under budget: admitted");
+    let (queries, cost_units) = reply.tenant;
+    assert!(
+        cost_units > 1,
+        "one request must overshoot the cap: {cost_units}"
+    );
+    assert_eq!(
+        queries,
+        remote.queries_issued(),
+        "the tenant is charged in full"
+    );
+    assert_eq!(
+        (queries, cost_units),
+        (
+            reply.outcomes[0].queries_spent,
+            reply.outcomes[0].cost_units_spent
+        )
+    );
+
+    let before = remote.queries_issued();
+    match a.rerank(vec![req()]) {
+        Err(EdgeClientError::Rejected { reason, .. }) => assert_eq!(reason, "tenant_budget"),
+        other => panic!("expected a tenant-budget refusal, got {other:?}"),
+    }
+    assert_eq!(
+        remote.queries_issued(),
+        before,
+        "the refusal issued no queries"
+    );
+    assert_eq!((handle.admitted(), handle.rejected()), (1, 1));
+
+    let b = EdgeClient::new(handle.addr(), "tenant-b");
+    let reply = b
+        .rerank(vec![req()])
+        .expect("another tenant is still served");
+    assert_eq!(reply.outcomes.len(), 1);
+    assert!(reply.outcomes[0].error_code.is_none());
+    assert_eq!((handle.admitted(), handle.rejected()), (2, 1));
     handle.shutdown();
 }
 

@@ -9,10 +9,10 @@
 //! the typed reason), plus a knowledge-plane reuse leg, a
 //! change-data-capture leg (a `MaintainedSession` delta-repairing its
 //! top-`h` through a pinned mutation batch against the full re-drive a
-//! change-blind client would pay), an observer leg, an adaptive-planner
-//! leg on a drifting-cost site (static vs switching vs calibration-warm
-//! spend) and an HTTP-edge leg (the same batch in-process and through a
-//! loopback socket). Each leg asserts its own invariant before its rows
+//! change-blind client would pay), an observer leg, a drift leg (what the
+//! static planner pays on a site whose advertised prices went stale) and
+//! an HTTP-edge leg (the same batch in-process and through a loopback
+//! socket). Each leg asserts its own invariant before its rows
 //! are compared.
 //!
 //! Nothing here reads `QRS_TEST_SEED` or `QRS_EXEC_THREADS`: a fixture
@@ -26,9 +26,7 @@ use query_reranking::exec::Executor;
 use query_reranking::obs::{ObsHandle, Recorder};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{Capabilities, SearchInterface, SimServer, SiteProfile, SystemRank};
-use query_reranking::service::{
-    AdaptiveConfig, Algorithm, BatchRequest, Calibration, KnowledgePlane, RerankService,
-};
+use query_reranking::service::{Algorithm, BatchRequest, KnowledgePlane, RerankService};
 use query_reranking::types::{
     AttrId, CostModel, Direction, Interval, Query, RerankError, Tuple, TupleId,
 };
@@ -301,85 +299,40 @@ fn obs_leg(rows: &mut Vec<Row>) {
     rows.push(served("open_site+obs(enabled)", w.name, observed));
 }
 
-/// Leg 5: the adaptive planner on a drifting-cost site. The site
-/// advertises ranges at 10 units and ORDER BY at 1 while billing ranges at
-/// 1 and ordered pages at 200 — a stale public price list — so static
-/// planning rides `ta-order-by` into the drift. Three runs: the static
-/// ride (replanning off; its finished session trains a shared calibration
-/// store), a cold adaptive run that trips the divergence ratio and
-/// switches to the md cursor mid-flight, and a calibration-warm run that
-/// plans the cursor outright. All three must emit identical rows, and the
-/// adaptive spends must not exceed the static one.
+/// Leg 5: the static planner on a drifting-cost site. The site advertises
+/// ranges at 10 units and ORDER BY at 1 while billing ranges at 1 and
+/// ordered pages at 200 — a stale public price list — so the planner
+/// rides `ta-order-by` into the drift, and the row pins what that costs.
 fn drift_leg(rows: &mut Vec<Row>) {
     let w = md_full();
-    let drifted = || {
-        Arc::new(
-            SimServer::new(
-                uniform(N, 2, 1, SEED_DATA),
-                SystemRank::pseudo_random(SEED_SYSRANK),
-                K,
-            )
-            .with_capabilities(
-                Capabilities::none()
-                    .with_order_by(vec![AttrId(0), AttrId(1)])
-                    .with_cost_model(CostModel::flat().with_ordered_cost(200)),
-            )
-            .with_advertised_cost(CostModel::flat().with_range_cost(10)),
-        ) as Arc<dyn SearchInterface>
+    let drifted = Arc::new(
+        SimServer::new(
+            uniform(N, 2, 1, SEED_DATA),
+            SystemRank::pseudo_random(SEED_SYSRANK),
+            K,
+        )
+        .with_capabilities(
+            Capabilities::none()
+                .with_order_by(vec![AttrId(0), AttrId(1)])
+                .with_cost_model(CostModel::flat().with_ordered_cost(200)),
+        )
+        .with_advertised_cost(CostModel::flat().with_range_cost(10)),
+    ) as Arc<dyn SearchInterface>;
+    let svc = RerankService::new(drifted, N);
+    let mut s = svc
+        .session(w.sel.clone(), Arc::clone(&w.rank))
+        .horizon(TOP_H)
+        .open()
+        .expect("the drifted site plans TA and the md cursor");
+    assert_eq!(s.strategy_name(), "ta-order-by", "the stale prices bait TA");
+    let hits = s.try_top(TOP_H).expect("planned cells drive clean");
+    let ledger = Ledger {
+        emitted: hits.len(),
+        queries_spent: s.queries_spent(),
+        cost_units_spent: s.cost_units_spent(),
+        queries_saved: 0,
     };
-    let run_drift = |svc: &RerankService| {
-        let mut s = svc
-            .session(w.sel.clone(), Arc::clone(&w.rank))
-            .horizon(TOP_H)
-            .open()
-            .expect("the drifted site plans TA and the md cursor");
-        let hits = s.try_top(TOP_H).expect("planned cells drive clean");
-        let ids: Vec<u32> = hits.iter().map(|h| h.tuple.id.0).collect();
-        let ledger = Ledger {
-            emitted: hits.len(),
-            queries_spent: s.queries_spent(),
-            cost_units_spent: s.cost_units_spent(),
-            queries_saved: 0,
-        };
-        (ledger, ids, s.strategy_switches())
-    };
-    let store = Calibration::shared();
-    let ride_svc = RerankService::new(drifted(), N)
-        .with_adaptive(AdaptiveConfig::enabled().without_replan())
-        .with_calibration(Arc::clone(&store));
-    let (ride, static_ids, ride_switches) = run_drift(&ride_svc);
-    assert_eq!(ride_switches, 0, "replanning was opted out");
-    let switch_svc = RerankService::new(drifted(), N).with_adaptive(AdaptiveConfig::enabled());
-    let (switch, switch_ids, switches) = run_drift(&switch_svc);
-    assert_eq!(
-        switch_ids, static_ids,
-        "the mid-flight switch changed the answer"
-    );
-    assert_eq!(switches, 1, "the drifted site must trip one switch");
-    // The ride's finished session taught `store` TA's real cost ratio, so
-    // a service planning under it starts on the cursor and never diverges.
-    let warm_svc = RerankService::new(drifted(), N)
-        .with_adaptive(AdaptiveConfig::enabled())
-        .with_calibration(Arc::clone(&store));
-    let (warm, warm_ids, warm_switches) = run_drift(&warm_svc);
-    assert_eq!(warm_ids, static_ids);
-    assert_eq!(warm_switches, 0, "a warm plan must not switch");
-    assert!(
-        switch.cost_units_spent <= ride.cost_units_spent,
-        "calibrated-adaptive spend ({}) must not exceed the static plan's \
-         spend ({}) under drift",
-        switch.cost_units_spent,
-        ride.cost_units_spent,
-    );
-    assert!(
-        warm.cost_units_spent <= switch.cost_units_spent,
-        "the warm plan ({}) must not exceed the switching run ({})",
-        warm.cost_units_spent,
-        switch.cost_units_spent,
-    );
-    rows.push(served("drift+adaptive(static)", w.name, ride));
-    rows.push(served("drift+adaptive(switch)", w.name, switch));
-    rows.push(served("drift+adaptive(warm)", w.name, warm));
+    rows.push(served("drift(static)", w.name, ledger));
 }
 
 /// Leg 6: the HTTP edge. The full three-cell batch served in-process and

@@ -388,18 +388,10 @@ fn log_gap_forces_a_redrive_that_stays_exact() {
 
 /// Positional strategies (page-down addresses tuples by page slot, TA by
 /// sorted-access depth) cannot be overlay-repaired once a delete needs live
-/// pulls: the session must re-drive — and the re-drive is exact. Three
-/// inputs: the two positional families chosen explicitly, and an adaptive
-/// `Auto` session on a site whose price list drifted, which *plans* the
-/// (value-addressed) md cursor and switches to `ta-order-by` during the
-/// opening drive — the hazard has to be read from the strategy that is
-/// running, not from the plan.
+/// pulls: the session must re-drive — and the re-drive is exact.
 #[test]
 fn positional_strategy_redrives_instead_of_trusting_shifted_pages() {
     use query_reranking::core::md::ta::SortedAccess;
-    use query_reranking::datagen::synthetic::uniform;
-    use query_reranking::service::AdaptiveConfig;
-    use query_reranking::types::CostModel;
 
     let mut rng = StdRng::seed_from_u64(seeded(0xCDC5));
     let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
@@ -410,58 +402,27 @@ fn positional_strategy_redrives_instead_of_trusting_shifted_pages() {
                 .with_order_by(vec![AttrId(0), AttrId(1)]),
         )
     };
-    // `ORDER BY` advertised as ruinous, ranges as free; billed the other
-    // way round. No paging, so the md cursor's only alternate is TA.
-    let drifted = SimServer::new(
-        uniform(300, 2, 1, seeded(0xCDC5) | 1),
-        SystemRank::pseudo_random(0x33),
-        5,
-    )
-    .with_capabilities(
-        Capabilities::none()
-            .with_order_by(vec![AttrId(0), AttrId(1)])
-            .with_cost_model(CostModel::flat().with_range_cost(60)),
-    )
-    .with_advertised_cost(CostModel::flat().with_ordered_cost(500));
     let page_down = Algorithm::PageDown {
         max_pages: usize::MAX,
     };
     let inputs = [
-        ("page-down", small(&mut rng), page_down, 4),
+        ("page-down", small(&mut rng), page_down),
         (
             "ta-order-by",
             small(&mut rng),
             Algorithm::Ta(SortedAccess::PublicOrderBy),
-            4,
         ),
-        ("md-rerank → ta-order-by", drifted, Algorithm::Auto, 40),
     ];
-    for (label, server, algo, h) in inputs {
+    let h = 4;
+    for (label, server, algo) in inputs {
         let server = Arc::new(server);
         let n = server.dataset().len();
-        let adaptive = algo == Algorithm::Auto;
-        let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, n)
-            .with_adaptive(if adaptive {
-                AdaptiveConfig::enabled()
-            } else {
-                AdaptiveConfig::disabled()
-            });
+        let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, n);
         let mut maintained = svc
             .session(Query::all(), Arc::clone(&rank))
             .algorithm(algo)
             .open_maintained(h)
             .expect("open_maintained");
-        // An explicit choice never switches; the drifted plan must, once,
-        // before the opening drive reaches the horizon.
-        assert_eq!(
-            svc.stats().strategy_switches,
-            u64::from(adaptive),
-            "{label}"
-        );
-        // Whether the inner session is running a positional strategy: the
-        // explicit choices always are; a (re-)planned md cursor is only
-        // after its drive switched to TA.
-        let mut positional = true;
         for round in 0..10 {
             // The result is drained client-side (page-down) or far shorter
             // than the relation, so the live stream is never exhausted and
@@ -469,15 +430,11 @@ fn positional_strategy_redrives_instead_of_trusting_shifted_pages() {
             for hit in maintained.top().iter().take(3) {
                 server.delete(hit.tuple.id).expect("victim is live");
             }
-            let switches = svc.stats().strategy_switches;
             let outcome = maintained.refresh().expect("refresh");
-            assert_eq!(
-                outcome.redrove, positional,
+            assert!(
+                outcome.redrove,
                 "{label} round {round}: positional strategies must re-drive"
             );
-            if adaptive && outcome.redrove {
-                positional = svc.stats().strategy_switches > switches;
-            }
             let scorer = Arc::clone(&rank);
             let truth: Vec<(u32, u64)> = server
                 .dataset()
