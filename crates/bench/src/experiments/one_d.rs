@@ -2,7 +2,7 @@
 
 use crate::runner::{one_d_cost_curve, one_d_top_h_cost};
 use crate::{print_figure, Scale, Series};
-use qrs_core::{OneDStrategy, RerankParams, SharedState, TiePolicy};
+use qrs_core::{OneDStrategy, RerankParams, SharedState};
 use qrs_datagen::flights::attr;
 use qrs_datagen::{flights, one_d_workload, OneDUserQuery, WorkloadConfig};
 use qrs_server::{SimServer, SystemRank};
@@ -44,15 +44,8 @@ fn n_sweep(scale: Scale, sys: &dyn Fn() -> SystemRank) -> Vec<Series> {
                 let server = SimServer::new(data.clone(), sys(), k);
                 let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
                 for uq in &workload {
-                    sums[si] += one_d_top_h_cost(
-                        &server,
-                        &mut st,
-                        uq,
-                        strategy,
-                        TiePolicy::AssumeDistinct,
-                        1,
-                    )
-                    .expect("offline sim server does not fail")
+                    sums[si] += one_d_top_h_cost(&server, &mut st, uq, strategy, 1)
+                        .expect("offline sim server does not fail")
                         as f64;
                     counts[si] += 1;
                 }
@@ -90,15 +83,8 @@ pub fn fig8(scale: Scale) -> Vec<Series> {
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
         let mut acc = [0.0f64; 10];
         for uq in &workload {
-            let curve = one_d_cost_curve(
-                &server,
-                &mut st,
-                uq,
-                OneDStrategy::Rerank,
-                TiePolicy::AssumeDistinct,
-                10,
-            )
-            .expect("offline sim server does not fail");
+            let curve = one_d_cost_curve(&server, &mut st, uq, OneDStrategy::Rerank, 10)
+                .expect("offline sim server does not fail");
             for (i, a) in acc.iter_mut().enumerate() {
                 *a += curve.get(i).or(curve.last()).copied().unwrap_or(0) as f64;
             }
@@ -138,15 +124,8 @@ pub fn fig9(scale: Scale) -> Vec<Series> {
         let mut st = SharedState::new(data.schema(), RerankParams::with_sc(n, s, c));
         let mut total = 0.0;
         for uq in &workload {
-            total += one_d_top_h_cost(
-                &server,
-                &mut st,
-                uq,
-                OneDStrategy::Rerank,
-                TiePolicy::AssumeDistinct,
-                1,
-            )
-            .expect("offline sim server does not fail") as f64;
+            total += one_d_top_h_cost(&server, &mut st, uq, OneDStrategy::Rerank, 1)
+                .expect("offline sim server does not fail") as f64;
         }
         total / workload.len() as f64
     };
@@ -192,15 +171,8 @@ pub fn fig10(scale: Scale) -> Vec<Series> {
             let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
             let mut total = 0.0;
             for uq in workload.iter() {
-                total += one_d_top_h_cost(
-                    &server,
-                    &mut st,
-                    uq,
-                    OneDStrategy::Rerank,
-                    TiePolicy::AssumeDistinct,
-                    1,
-                )
-                .expect("offline sim server does not fail") as f64;
+                total += one_d_top_h_cost(&server, &mut st, uq, OneDStrategy::Rerank, 1)
+                    .expect("offline sim server does not fail") as f64;
             }
             series[si].push(n as f64, total / workload.len() as f64);
         }

@@ -8,7 +8,7 @@
 
 use crate::runner::{md_cost_curve, one_d_cost_curve};
 use crate::{print_figure, Scale, Series};
-use qrs_core::{MdAlgo, OneDStrategy, RerankParams, SharedState, TiePolicy};
+use qrs_core::{MdAlgo, OneDStrategy, RerankParams, SharedState};
 use qrs_datagen::{autos, diamonds, md_workload, one_d_workload, WorkloadConfig};
 use qrs_server::{Capabilities, SimServer, SystemRank};
 use qrs_types::Dataset;
@@ -73,9 +73,8 @@ fn one_d_site_curves(site: &Site, scale: Scale, queries: usize, unfiltered: f64)
         );
         let mut acc = vec![0.0f64; cps.len()];
         for uq in &workload {
-            let curve =
-                one_d_cost_curve(&server, &mut st, uq, strategy, TiePolicy::AssumeDistinct, h)
-                    .expect("offline sim server does not fail");
+            let curve = one_d_cost_curve(&server, &mut st, uq, strategy, h)
+                .expect("offline sim server does not fail");
             for (ci, &cp) in cps.iter().enumerate() {
                 acc[ci] += curve.get(cp - 1).or(curve.last()).copied().unwrap_or(0) as f64;
             }

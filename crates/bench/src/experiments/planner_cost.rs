@@ -146,11 +146,11 @@ fn run_cell(p: &Params, profile: &SiteProfile, n: usize, w: &Workload, seed: u64
     let data = qrs_datagen::synthetic::uniform(n, 2, 1, seed);
     let server = profile.build(data, SystemRank::pseudo_random(seed ^ 0x5A));
     let svc = RerankService::new(Arc::new(server) as Arc<dyn SearchInterface>, n);
-    let plan = match svc.planner().with_horizon(p.top_h).plan(
-        &Query::all(),
-        w.rank.as_ref(),
-        Default::default(),
-    ) {
+    let plan = match svc
+        .planner()
+        .with_horizon(p.top_h)
+        .plan(&Query::all(), w.rank.as_ref())
+    {
         Ok(plan) => plan,
         Err(RerankError::Unplannable { .. }) => return Vec::new(),
         Err(other) => panic!("planner may only fail with Unplannable, got {other}"),

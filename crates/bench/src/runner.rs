@@ -1,59 +1,51 @@
 //! Cost-measuring runners: execute one user query with one algorithm and
 //! report the number of server queries spent — the paper's §2.2 metric.
-//! Every MD stream is checked against the site's own data before its cost
-//! is reported, so a figure never shows the cost of a wrong answer.
+//! Every stream, 1D and MD alike, is checked by `assert_exact` against
+//! the site's own data before its cost is reported, so a figure never shows
+//! the cost of a wrong answer.
 
 use qrs_core::md::ta::{SortedAccess, TaCursor};
-use qrs_core::{
-    MdAlgo, MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, SharedState, TiePolicy,
-};
+use qrs_core::{MdAlgo, MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, SharedState};
 use qrs_datagen::{MdUserQuery, OneDUserQuery};
 use qrs_ranking::RankFn;
 use qrs_server::{SearchInterface, SimServer};
-use qrs_types::{RerankError, Tuple};
+use qrs_types::{Query, RerankError, Tuple};
 use std::sync::Arc;
 
 /// Queries spent retrieving the top `h` for a 1D user query.
 pub fn one_d_top_h_cost(
-    server: &dyn SearchInterface,
+    server: &SimServer,
     st: &mut SharedState,
     uq: &OneDUserQuery,
     strategy: OneDStrategy,
-    tie: TiePolicy,
     h: usize,
 ) -> Result<u64, RerankError> {
-    Ok(one_d_cost_curve(server, st, uq, strategy, tie, h)?
+    Ok(one_d_cost_curve(server, st, uq, strategy, h)?
         .last()
         .copied()
         .unwrap_or(0))
 }
 
 /// Cumulative queries spent after each of the first `h` Get-Nexts.
+///
+/// # Panics
+///
+/// If the stream is not exact (`assert_exact`, scoring a tuple by its
+/// normalized value on the ranking attribute).
 pub fn one_d_cost_curve(
-    server: &dyn SearchInterface,
+    server: &SimServer,
     st: &mut SharedState,
     uq: &OneDUserQuery,
     strategy: OneDStrategy,
-    tie: TiePolicy,
     h: usize,
 ) -> Result<Vec<u64>, RerankError> {
     // Paper cost model: tuples and dense indexes persist across user
     // queries; emptiness proofs do not (see SharedState docs).
     st.forget_complete_regions();
-    let before = server.queries_issued();
-    let mut cur = OneDCursor::new(
-        OneDSpec::new(uq.attr, uq.dir, uq.query.clone()),
-        strategy,
-        tie,
-    );
-    let mut out = Vec::with_capacity(h);
-    for _ in 0..h {
-        let t = cur.next(server, st)?;
-        out.push(server.queries_issued() - before);
-        if t.is_none() {
-            break;
-        }
-    }
+    let mut cur = OneDCursor::new(OneDSpec::new(uq.attr, uq.dir, uq.query.clone()), strategy);
+    let (out, got) = measure(server, st, h, |st| cur.next(server, st))?;
+    let score = |t: &Tuple| uq.dir.normalize(t.ord(uq.attr));
+    assert_exact(server, &uq.query, score, &got, h, strategy.label());
     Ok(out)
 }
 
@@ -77,8 +69,8 @@ type NextFn<'a> = Box<dyn FnMut(&mut SharedState) -> Result<Option<Arc<Tuple>>, 
 ///
 /// # Panics
 ///
-/// If the stream is not the exact top of `R(q)`: its scores must equal,
-/// bit for bit, those of a brute-force ranking of the site's data.
+/// If the stream is not exact (`assert_exact`, scoring a tuple by the
+/// user's ranking function).
 pub fn md_cost_curve(
     server: &SimServer,
     st: &mut SharedState,
@@ -87,9 +79,8 @@ pub fn md_cost_curve(
     h: usize,
 ) -> Result<Vec<u64>, RerankError> {
     st.forget_complete_regions();
-    let before = server.queries_issued();
     let rank = Arc::new(uq.rank.clone());
-    let mut next: NextFn = match algo {
+    let next: NextFn = match algo {
         MdAlgo::TaOver1D | MdAlgo::TaPublicOrderBy => {
             let caps = server.capabilities();
             let access = match algo {
@@ -111,6 +102,27 @@ pub fn md_cost_curve(
             Box::new(move |st| cur.next(server, st))
         }
     };
+    let (out, got) = measure(server, st, h, next)?;
+    assert_exact(
+        server,
+        &uq.query,
+        |t| uq.rank.score(t),
+        &got,
+        h,
+        algo.label(),
+    );
+    Ok(out)
+}
+
+/// Pull up to `h` tuples through `next`: the cumulative queries spent after
+/// each pull (the empty last pull included), and the tuples pulled.
+fn measure(
+    server: &SimServer,
+    st: &mut SharedState,
+    h: usize,
+    mut next: impl FnMut(&mut SharedState) -> Result<Option<Arc<Tuple>>, RerankError>,
+) -> Result<(Vec<u64>, Vec<Arc<Tuple>>), RerankError> {
+    let before = server.queries_issued();
     let (mut out, mut got) = (Vec::with_capacity(h), Vec::with_capacity(h));
     for _ in 0..h {
         let t = next(st)?;
@@ -120,27 +132,33 @@ pub fn md_cost_curve(
             None => break,
         }
     }
-    assert_exact(server, uq, algo, &got, h);
-    Ok(out)
+    Ok((out, got))
 }
 
-/// Panics unless `got` scores, bit for bit, as the first `min(h, |R(q)|)`
-/// tuples of a brute-force ranking of the site's data; the order among
-/// equal scores is free.
-fn assert_exact(server: &SimServer, uq: &MdUserQuery, algo: MdAlgo, got: &[Arc<Tuple>], h: usize) {
-    let bits = |ts: &[Arc<Tuple>]| -> Vec<u64> {
-        ts.iter()
-            .take(h)
-            .map(|t| uq.rank.score(t).to_bits())
-            .collect()
-    };
-    let truth = server.dataset().rank_by(&uq.query, |t| uq.rank.score(t));
+/// The one tie contract, as the figures check it. A stream is exact when
+/// its score sequence equals the dense ranking's bit for bit: `got` must
+/// score as the first `min(h, |R(q)|)` tuples of a brute-force ranking of
+/// the site's data under `score`. The order among equal scores is
+/// deterministic but unspecified, so ids are not compared.
+///
+/// # Panics
+///
+/// On any difference, naming `algo` and the selection.
+fn assert_exact(
+    server: &SimServer,
+    sel: &Query,
+    score: impl Fn(&Tuple) -> f64,
+    got: &[Arc<Tuple>],
+    h: usize,
+    algo: &str,
+) {
+    let bits =
+        |ts: &[Arc<Tuple>]| -> Vec<u64> { ts.iter().take(h).map(|t| score(t).to_bits()).collect() };
+    let truth = server.dataset().rank_by(sel, &score);
     assert_eq!(
         bits(got),
         bits(&truth),
-        "{} emitted a wrong stream for {}",
-        algo.label(),
-        uq.query
+        "{algo} emitted a wrong stream for {sel}"
     );
 }
 
@@ -163,15 +181,7 @@ mod tests {
         let wm = md_workload(&data, &cfg);
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(3), 5);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(300, 5));
-        let c = one_d_cost_curve(
-            &server,
-            &mut st,
-            &w1[0],
-            OneDStrategy::Rerank,
-            TiePolicy::Exact,
-            5,
-        )
-        .unwrap();
+        let c = one_d_cost_curve(&server, &mut st, &w1[0], OneDStrategy::Rerank, 5).unwrap();
         assert_eq!(c.len(), 5);
         assert!(c.windows(2).all(|w| w[0] <= w[1]));
         for algo in MdAlgo::ALL {

@@ -17,7 +17,7 @@
 //! | §4.2 MD-BASELINE | [`md::MdOptions::baseline`] |
 //! | §4.3 Algorithm 5 (MD-BINARY) | [`md::MdOptions::rerank`] |
 //! | §4.4 Algorithm 6 (MD-RERANK) | not built: MD-RERANK is §4.3's MD-BINARY over the shared state |
-//! | §5 extensions (ties, ORDER BY, point predicates) | [`one_d::TiePolicy`], [`md::MdCursor`]'s tie slabs, [`md::ta::SortedAccess`], crawler |
+//! | §5 extensions (ties, ORDER BY, point predicates) | ties under the one contract (README, "Exactness"): [`one_d::OneDCursor`]'s value slabs, [`md::MdCursor`]'s tie slabs; [`md::ta::SortedAccess`], crawler |
 //! | §1 baselines (crawl, page-down) | [`baselines`] |
 //! | §3.1.1 leveraging history | [`ctx::SharedState::ask`], [`history`] |
 //!

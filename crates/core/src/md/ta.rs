@@ -16,7 +16,7 @@
 
 use crate::ctx::SharedState;
 use crate::norm::NormView;
-use crate::one_d::{OneDCursor, OneDSpec, OneDStrategy, TiePolicy};
+use crate::one_d::{OneDCursor, OneDSpec, OneDStrategy};
 use qrs_ranking::RankFn;
 use qrs_server::{Capabilities, SearchInterface};
 use qrs_types::value::OrdF64;
@@ -129,14 +129,10 @@ impl TaCursor {
                             done: false,
                         }
                     }
-                    SortedAccess::PublicOrderBy => Stream::Cursor(OneDCursor::new(
-                        spec,
-                        OneDStrategy::Rerank,
-                        TiePolicy::Exact,
-                    )),
-                    SortedAccess::OneD(s) => {
-                        Stream::Cursor(OneDCursor::new(spec, s, TiePolicy::Exact))
+                    SortedAccess::PublicOrderBy => {
+                        Stream::Cursor(OneDCursor::new(spec, OneDStrategy::Rerank))
                     }
+                    SortedAccess::OneD(s) => Stream::Cursor(OneDCursor::new(spec, s)),
                 }
             })
             .collect();

@@ -1,12 +1,13 @@
 //! The 1D *Get-Next* cursor (§2.2's incremental interface, §5's extensions).
 //!
-//! A [`OneDCursor`] streams the tuples of `R(q)` in ranking-attribute order.
-//! Between values it delegates to the [`super::primitives`] strategies; *at*
-//! a value it handles ties exactly: before moving past value `v`, the whole
-//! slab `Sel(q) ∧ Ai = v` is collected (a complete region, one point query,
-//! or a sub-crawl on the other attributes when even the point query
-//! overflows) and emitted in id order. Point-only attributes (§5) are
-//! enumerated value by value in preference order.
+//! A [`OneDCursor`] streams the tuples of `R(q)` in ranking-attribute order,
+//! exact under the one tie contract (README, "Exactness"): its value
+//! sequence equals the dense ranking's bit for bit. Between values it
+//! delegates to the [`super::primitives`] strategies; *at* a value it
+//! collects the whole slab `Sel(q) ∧ Ai = v` before moving past `v` (a
+//! complete region, one point query, or a sub-crawl on the other attributes
+//! when even the point query overflows), so no tie is skipped. Point-only
+//! attributes (§5) are enumerated value by value in preference order.
 
 use crate::crawl::crawl_region;
 use crate::ctx::SharedState;
@@ -17,17 +18,18 @@ use qrs_types::{Direction, Interval, Query, RerankError, Tuple};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// How to treat equal attribute values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How equal ranking values are treated: one way, exactly (§5 drops §2.1's
+/// general-positioning assumption). A stream is exact when its score
+/// sequence equals the dense ranking's bit for bit; the order among equal
+/// scores is deterministic but unspecified.
+///
+/// Nothing in the workspace reads this type. It stays, with its one
+/// variant, because `qrs_benchmark` passes `TiePolicy::Exact` to
+/// [`crate::strategy::OneDCursorStrategy::new`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TiePolicy {
-    /// Collect every tuple of a value slab before moving on (§5; exact on
-    /// any data). The default.
-    #[default]
+    /// Collect every tuple of a value slab before moving on.
     Exact,
-    /// Assume the general positioning assumption (§2.1): one tuple per
-    /// value. Cheaper; exact only when the attribute has no duplicates
-    /// within `R(q)`.
-    AssumeDistinct,
 }
 
 /// Streaming Get-Next over one ranking attribute.
@@ -35,7 +37,6 @@ pub enum TiePolicy {
 pub struct OneDCursor {
     spec: OneDSpec,
     strategy: OneDStrategy,
-    tie: TiePolicy,
     state: State,
 }
 
@@ -55,12 +56,11 @@ enum State {
 }
 
 impl OneDCursor {
-    /// Cursor driving `strategy` over `spec`, with the given tie policy.
-    pub fn new(spec: OneDSpec, strategy: OneDStrategy, tie: TiePolicy) -> Self {
+    /// Cursor driving `strategy` over `spec`.
+    pub fn new(spec: OneDSpec, strategy: OneDStrategy) -> Self {
         OneDCursor {
             spec,
             strategy,
-            tie,
             state: State::Start,
         }
     }
@@ -72,7 +72,7 @@ impl OneDCursor {
         sel: Query,
         strategy: OneDStrategy,
     ) -> Self {
-        OneDCursor::new(OneDSpec::new(attr, dir, sel), strategy, TiePolicy::Exact)
+        OneDCursor::new(OneDSpec::new(attr, dir, sel), strategy)
     }
 
     /// The search specification (attribute, direction, selection).
@@ -169,10 +169,7 @@ impl OneDCursor {
             None => self.state = State::Done,
             Some(t) => {
                 let nv = self.spec.nval(&t);
-                let queue: VecDeque<Arc<Tuple>> = match self.tie {
-                    TiePolicy::AssumeDistinct => std::iter::once(t).collect(),
-                    TiePolicy::Exact => gather_slab(server, st, &self.spec, nv)?.into(),
-                };
+                let queue: VecDeque<Arc<Tuple>> = gather_slab(server, st, &self.spec, nv)?.into();
                 debug_assert!(
                     !queue.is_empty(),
                     "slab at a discovered value can't be empty"
@@ -287,36 +284,6 @@ mod tests {
 
     fn cur_nval(c: &OneDCursor, t: &Tuple) -> f64 {
         c.spec().nval(t)
-    }
-
-    #[test]
-    fn assume_distinct_matches_exact_on_distinct_data() {
-        let data = uniform(250, 2, 1, 61);
-        let params = RerankParams::paper_defaults(250, 5);
-        let run = |tie: TiePolicy| {
-            let mut st = SharedState::new(data.schema(), params);
-            let server = SimServer::new(data.clone(), SystemRank::by_attr_desc(AttrId(0)), 5);
-            let mut cur = OneDCursor::new(
-                OneDSpec::new(AttrId(0), Direction::Asc, Query::all()),
-                OneDStrategy::Binary,
-                tie,
-            );
-            let ids: Vec<u32> = cur
-                .drain(&server, &mut st)
-                .unwrap()
-                .iter()
-                .map(|t| t.id.0)
-                .collect();
-            (ids, server.queries_issued())
-        };
-        let (exact_ids, exact_cost) = run(TiePolicy::Exact);
-        let (fast_ids, fast_cost) = run(TiePolicy::AssumeDistinct);
-        assert_eq!(exact_ids, fast_ids);
-        // The distinct assumption saves the per-value point queries.
-        assert!(
-            fast_cost < exact_cost,
-            "fast {fast_cost} exact {exact_cost}"
-        );
     }
 
     #[test]

@@ -344,11 +344,11 @@ pub struct OneDCursorStrategy {
 }
 
 impl OneDCursorStrategy {
-    /// Wrap a 1D cursor for `spec` with the given primitive strategy and
-    /// tie policy.
-    pub fn new(spec: OneDSpec, strategy: OneDStrategy, tie: TiePolicy) -> Self {
+    /// Wrap a 1D cursor for `spec` with the given primitive strategy. The
+    /// tie argument is ignored: [`TiePolicy`] has one variant.
+    pub fn new(spec: OneDSpec, strategy: OneDStrategy, _tie: TiePolicy) -> Self {
         OneDCursorStrategy {
-            cursor: OneDCursor::new(spec, strategy, tie),
+            cursor: OneDCursor::new(spec, strategy),
         }
     }
 

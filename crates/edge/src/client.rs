@@ -468,6 +468,7 @@ impl EdgeClient {
 
     /// Build one wire request: a query, a linear rank (`[[attr, "asc"|"desc",
     /// weight]]`), and `top`, plus optional knobs (pass `None` to omit).
+    /// The server accepts only `"exact"` for `tie`.
     pub fn request(
         query: &Query,
         rank: &[(usize, Direction, f64)],

@@ -85,7 +85,6 @@ use crate::http::{request_from, response_frame, says_close, Conn, Request, Respo
 use crate::json::{parse, Json};
 use crate::wire;
 use parking_lot::Mutex;
-use qrs_core::TiePolicy;
 use qrs_exec::Executor;
 use qrs_obs::EventKind;
 use qrs_ranking::LinearRank;
@@ -698,12 +697,10 @@ fn decode_batch_request(v: &Json, shared: &Shared) -> Result<BatchRequest, Strin
     if let Some(b) = v.get("budget") {
         req = req.budget(b.as_u64().ok_or("bad 'budget'")?);
     }
-    if let Some(t) = v.get("tie") {
-        req = req.tie(match t.as_str() {
-            Some("exact") => TiePolicy::Exact,
-            Some("assume_distinct") => TiePolicy::AssumeDistinct,
-            _ => return Err("tie must be 'exact' or 'assume_distinct'".into()),
-        });
+    // Every stream is exact under the one tie contract; "exact" is the
+    // only value this member may state.
+    if v.get("tie").is_some_and(|t| t.as_str() != Some("exact")) {
+        return Err("tie must be 'exact'".into());
     }
     if let Some(h) = v.get("horizon") {
         req = req.horizon(h.as_usize().ok_or("bad 'horizon'")?);

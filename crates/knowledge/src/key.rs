@@ -123,16 +123,18 @@ impl RequestKey {
     }
 }
 
-/// Key of one cached exact result stream: `(selection, ranking, tie,
-/// strategy)` — the site is implicit in the shard holding the entry.
+/// Key of one cached exact result stream: `(selection, ranking, strategy)`
+/// — the site is implicit in the shard holding the entry. Exact means the
+/// one tie contract (README, "Exactness"): the score sequence is the dense
+/// ranking's, and the order among equal scores is the emitting strategy's.
 ///
 /// The strategy name is part of the key on purpose: every built-in
-/// algorithm emits the same exact stream for the same `(selection, rank,
-/// tie)`, but keying per strategy keeps the invariant local (a cached
+/// algorithm emits the same score sequence for the same `(selection,
+/// rank)`, but keying per strategy keeps the invariant local (a cached
 /// stream is only ever replayed to a session that would have recomputed it
-/// with the very same state machine) and keeps user-registered strategies —
-/// whose exactness is their author's promise, not ours — from poisoning the
-/// built-ins' entries.
+/// with the very same state machine, ties in the same order) and keeps
+/// user-registered strategies — whose exactness is their author's promise,
+/// not ours — from poisoning the built-ins' entries.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ResultKey {
     /// Canonical selection ([`query_key`]).
@@ -140,8 +142,6 @@ pub struct ResultKey {
     /// The ranking function's injective fingerprint
     /// (`RankFn::fingerprint` in `qrs-ranking`).
     pub rank: String,
-    /// Tie policy discriminant, rendered by the caller.
-    pub tie: u8,
     /// `RerankStrategy::name` of the emitting strategy.
     pub strategy: String,
 }

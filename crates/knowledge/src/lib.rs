@@ -18,7 +18,7 @@
 //!   order is known, from which subsumed requests are synthesized for
 //!   free), **page runs** (drains in progress) and **learned result
 //!   streams** (exact top-k outputs keyed by
-//!   `(selection, rank, tie, strategy)`).
+//!   `(selection, rank, strategy)`).
 //! * **Epoch invalidation** — every shard carries a generation counter;
 //!   entries are stamped with the epoch they were recorded under and
 //!   lookups reject older stamps. Invalidation is one atomic increment:

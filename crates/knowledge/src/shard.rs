@@ -9,7 +9,7 @@
 //! * **page runs** — partially-drained selections accumulating contiguous
 //!   pages until the run completes and is promoted to a drained region,
 //! * a **result cache** — exact top-k output streams keyed by
-//!   `(selection, rank, tie, strategy)`, replayed to warm sessions.
+//!   `(selection, rank, strategy)`, replayed to warm sessions.
 //!
 //! The stores are guarded as one by the shard's **epoch**: they remember the
 //! single epoch their contents were recorded under, and every lookup misses
@@ -532,7 +532,6 @@ mod tests {
         let rk = ResultKey {
             sel: "s".into(),
             rank: "r".into(),
-            tie: 0,
             strategy: "a".into(),
         };
         s.extend_result(&rk, 0, t(1, 1.0), 0);
@@ -593,7 +592,6 @@ mod tests {
         let rk = ResultKey {
             sel: "s".into(),
             rank: "r".into(),
-            tie: 0,
             strategy: "a".into(),
         };
         s.extend_result(&rk, 0, t(1, 1.0), 10);

@@ -17,7 +17,6 @@
 
 use crate::service::{Algorithm, RerankService, SessionSpec};
 use crate::session::{RankedTuple, SessionStats};
-use qrs_core::TiePolicy;
 use qrs_exec::{Executor, TaskHandle};
 use qrs_ranking::RankFn;
 use qrs_types::{Query, RerankError};
@@ -58,13 +57,6 @@ impl BatchRequest {
     /// still applies).
     pub fn budget(mut self, limit: u64) -> Self {
         self.spec.budget = Some(limit);
-        self
-    }
-
-    /// Builder: override the tie policy for this request (else
-    /// [`qrs_core::TiePolicy::Exact`]).
-    pub fn tie(mut self, policy: TiePolicy) -> Self {
-        self.spec.tie = policy;
         self
     }
 

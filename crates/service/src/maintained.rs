@@ -55,8 +55,14 @@ pub struct RefreshOutcome {
     pub queries_spent: u64,
 }
 
-/// An ordered overlay entry: user score + tuple, compared exactly as
-/// [`TiePolicy::Exact`] emits — score ascending by total order, then id.
+/// An ordered overlay entry: user score + tuple, compared by score
+/// ascending in total order, then id.
+///
+/// The splice is score-exact, which is the one tie contract (README,
+/// "Exactness"), and no more: a live stream may emit equal scores in
+/// another id order (the MD cursor does), so the merged result holds
+/// every score in dense-ranking order, while its ids among equal scores
+/// may differ from a fresh re-drive's.
 type Entry = (f64, Arc<Tuple>);
 
 fn entry_cmp(a: &Entry, b: &Entry) -> Ordering {

@@ -43,7 +43,7 @@ use qrs_core::strategy::{
     names, CostEstimate, MdCursorStrategy, OneDCursorStrategy, PageDownStrategy, PlanContext,
     RerankStrategy, TaCursorStrategy,
 };
-use qrs_core::{MdOptions, OneDStrategy, TiePolicy};
+use qrs_core::{MdOptions, OneDStrategy};
 use qrs_ranking::RankFn;
 use qrs_server::Capabilities;
 use qrs_types::{AttrId, Capability, Query, RerankError, Schema};
@@ -163,7 +163,7 @@ impl Plan {
 /// // A site with a full price slider: the 1D cursor plans, and the plan
 /// // carries its predicted spend under the site's advertised cost model.
 /// let open = Planner::new(Capabilities::none(), Arc::clone(&schema), 10, 1_000);
-/// let plan = open.plan(&Query::all(), &rank, Default::default())?;
+/// let plan = open.plan(&Query::all(), &rank)?;
 /// assert!(matches!(plan.algorithm, Algorithm::OneD(_)));
 /// assert!(plan.estimate.cost_units > 0);
 /// assert_eq!(plan.candidates[0].name, "1d-rerank");
@@ -174,7 +174,7 @@ impl Plan {
 ///     Capabilities::none().with_filter(AttrId(0), FilterSupport::Point),
 ///     schema, 10, 1_000,
 /// );
-/// let err = dropdown.plan(&Query::all(), &rank, Default::default()).unwrap_err();
+/// let err = dropdown.plan(&Query::all(), &rank).unwrap_err();
 /// assert!(matches!(err, RerankError::Unplannable { .. }));
 /// # Ok::<(), RerankError>(())
 /// ```
@@ -255,8 +255,8 @@ impl Planner {
         }
     }
 
-    /// Plan a session for selection `sel` under ranking `rank` with tie
-    /// policy `tie`: every feasible candidate is cost-estimated under the
+    /// Plan a session for selection `sel` under ranking `rank`: every
+    /// feasible candidate is cost-estimated under the
     /// site's advertised [`qrs_types::CostModel`] and the cheapest one is
     /// chosen ([`Plan::candidates`] carries the full ranking). Ties keep
     /// the paper's preference order (cursor, then TA, then page-down).
@@ -264,16 +264,11 @@ impl Planner {
     /// # Errors
     /// [`RerankError::Unplannable`] when no candidate algorithm fits,
     /// carrying the deduplicated missing capabilities in candidate order.
-    pub fn plan(
-        &self,
-        sel: &Query,
-        rank: &dyn RankFn,
-        tie: TiePolicy,
-    ) -> Result<Plan, RerankError> {
+    pub fn plan(&self, sel: &Query, rank: &dyn RankFn) -> Result<Plan, RerankError> {
         let mut feasible: Vec<RankedCandidate> = Vec::new();
         let mut rejections: Vec<Rejection> = Vec::new();
 
-        for candidate in self.candidates(rank, tie) {
+        for candidate in self.candidates(rank) {
             match self.try_candidate(&candidate, sel) {
                 Ok((server_query, residual)) => {
                     let ctx = self.plan_context(server_query.clone(), rank.attrs().to_vec());
@@ -343,26 +338,18 @@ impl Planner {
 
     /// The candidate algorithms for this ranking arity, most query-efficient
     /// first.
-    fn candidates(&self, rank: &dyn RankFn, tie: TiePolicy) -> Vec<Candidate> {
+    fn candidates(&self, rank: &dyn RankFn) -> Vec<Candidate> {
         let rank_attrs: Vec<AttrId> = rank.attrs().to_vec();
         let all_attrs = || self.schema.attr_ids().map(|a| (a, self.filter_req(a)));
         let mut out = Vec::new();
         if rank.dims() == 1 {
-            // Exact tie handling may sub-crawl a value slab over the other
-            // attributes, so it conservatively needs filters on all of
-            // them; AssumeDistinct only binary-searches the ranking
-            // attribute.
-            let constrained = match tie {
-                TiePolicy::Exact => all_attrs().collect(),
-                TiePolicy::AssumeDistinct => all_attrs()
-                    .filter(|(a, _)| rank_attrs.contains(a))
-                    .collect(),
-            };
+            // A value slab may be sub-crawled over the other attributes, so
+            // the cursor conservatively needs filters on all of them.
             out.push(Candidate {
                 name: names::ONE_D,
                 algorithm: Algorithm::OneD(OneDStrategy::Rerank),
                 estimate: OneDCursorStrategy::estimate_in,
-                constrained,
+                constrained: all_attrs().collect(),
                 order_by: Vec::new(),
                 paging: false,
                 drains: false,
@@ -603,10 +590,10 @@ mod tests {
     #[test]
     fn open_site_plans_the_paper_cursors() {
         let p = Planner::new(Capabilities::none(), schema2(), 5, 1_000);
-        let plan = p.plan(&Query::all(), &rank1(), TiePolicy::Exact).unwrap();
+        let plan = p.plan(&Query::all(), &rank1()).unwrap();
         assert!(matches!(plan.algorithm, Algorithm::OneD(_)));
         assert!(plan.residual.is_none());
-        let plan = p.plan(&Query::all(), &rank2(), TiePolicy::Exact).unwrap();
+        let plan = p.plan(&Query::all(), &rank2()).unwrap();
         assert!(matches!(plan.algorithm, Algorithm::Md(_)));
     }
 
@@ -617,7 +604,7 @@ mod tests {
             .with_filter(AttrId(0), FilterSupport::Point)
             .with_filter(AttrId(1), FilterSupport::Point);
         let p = Planner::new(caps, schema2(), 5, 100);
-        let plan = p.plan(&Query::all(), &rank2(), TiePolicy::Exact).unwrap();
+        let plan = p.plan(&Query::all(), &rank2()).unwrap();
         assert!(matches!(
             plan.algorithm,
             Algorithm::PageDown {
@@ -643,7 +630,7 @@ mod tests {
         let caps = Capabilities::none().with_filter(AttrId(0), FilterSupport::Point);
         let planner = |caps| Planner::new(caps, Arc::clone(&schema), 5, 100);
         let err = planner(caps.clone())
-            .plan(&Query::all(), &rank2(), TiePolicy::Exact)
+            .plan(&Query::all(), &rank2())
             .unwrap_err();
         match err {
             RerankError::Unplannable { missing, reason } => {
@@ -653,13 +640,11 @@ mod tests {
             other => panic!("expected Unplannable, got {other}"),
         }
         let plan = planner(caps.clone().with_paging())
-            .plan(&Query::all(), &rank2(), TiePolicy::Exact)
+            .plan(&Query::all(), &rank2())
             .unwrap();
         assert!(matches!(plan.algorithm, Algorithm::PageDown { .. }));
         assert!(plan.rationale.contains("rejected md-rerank"));
-        let plan = planner(caps)
-            .plan(&Query::all(), &rank1(), TiePolicy::Exact)
-            .unwrap();
+        let plan = planner(caps).plan(&Query::all(), &rank1()).unwrap();
         assert!(matches!(plan.algorithm, Algorithm::OneD(_)));
     }
 
@@ -670,9 +655,7 @@ mod tests {
             .with_filter(AttrId(0), FilterSupport::Point)
             .with_filter(AttrId(1), FilterSupport::Point);
         let p = Planner::new(caps, schema2(), 5, 100);
-        let err = p
-            .plan(&Query::all(), &rank2(), TiePolicy::Exact)
-            .unwrap_err();
+        let err = p.plan(&Query::all(), &rank2()).unwrap_err();
         match err {
             RerankError::Unplannable { missing, reason } => {
                 assert!(missing.contains(&Capability::RangeFilter(AttrId(0))));
@@ -694,16 +677,12 @@ mod tests {
             .with_filter(AttrId(0), FilterSupport::None)
             .with_filter(AttrId(1), FilterSupport::None);
         let deep = Planner::new(caps.clone(), schema2(), 5, 10_000);
-        let err = deep
-            .plan(&Query::all(), &rank2(), TiePolicy::Exact)
-            .unwrap_err();
+        let err = deep.plan(&Query::all(), &rank2()).unwrap_err();
         assert!(matches!(err, RerankError::Unplannable { ref missing, .. }
             if missing.contains(&Capability::PageDepth(2_000))));
         // A shallow database fits inside the cap.
         let shallow = Planner::new(caps, schema2(), 5, 100);
-        let plan = shallow
-            .plan(&Query::all(), &rank2(), TiePolicy::Exact)
-            .unwrap();
+        let plan = shallow.plan(&Query::all(), &rank2()).unwrap();
         assert!(matches!(
             plan.algorithm,
             Algorithm::PageDown { max_pages: 20 }
@@ -719,7 +698,7 @@ mod tests {
             .with_filter(AttrId(1), FilterSupport::None);
         let p = Planner::new(caps, schema2(), 5, 100);
         let sel = Query::all().and_range(AttrId(0), Interval::open(1.0, 9.0));
-        let plan = p.plan(&sel, &rank2(), TiePolicy::Exact).unwrap();
+        let plan = p.plan(&sel, &rank2()).unwrap();
         assert!(matches!(
             plan.algorithm,
             Algorithm::Ta(SortedAccess::PublicOrderBy)
@@ -738,7 +717,7 @@ mod tests {
         // MD constrains both ordinal attributes (2); sel adds a cat (3) and
         // nothing must be relaxed.
         let sel = Query::all().and_cat(CatPredicate::eq(qrs_types::CatId(0), 1));
-        let plan = p.plan(&sel, &rank2(), TiePolicy::Exact).unwrap();
+        let plan = p.plan(&sel, &rank2()).unwrap();
         assert!(plan.residual.is_none());
         assert_eq!(plan.server_query.cats().len(), 1);
         // A predicate on a second cat attribute exceeds the cap: it goes
@@ -746,7 +725,7 @@ mod tests {
         let sel = sel
             .and_range(AttrId(0), Interval::open(0.0, 9.0))
             .and_cat(CatPredicate::one_of(qrs_types::CatId(1), vec![1, 2]));
-        let plan = p.plan(&sel, &rank2(), TiePolicy::Exact).unwrap();
+        let plan = p.plan(&sel, &rank2()).unwrap();
         let residual = plan.residual.expect("cat must be relaxed");
         assert_eq!(residual.cats().len(), 1);
         assert_eq!(plan.server_query.cats().len(), 1);
@@ -759,7 +738,7 @@ mod tests {
         // page-down fallback takes over.
         let caps = Capabilities::none().with_max_predicates(1).with_paging();
         let p = Planner::new(caps, schema2(), 5, 100);
-        let plan = p.plan(&Query::all(), &rank2(), TiePolicy::Exact).unwrap();
+        let plan = p.plan(&Query::all(), &rank2()).unwrap();
         assert!(matches!(plan.algorithm, Algorithm::PageDown { .. }));
         assert!(plan.rationale.contains("rejected md-rerank"));
     }

@@ -364,7 +364,6 @@ impl std::fmt::Debug for RerankService {
 #[derive(Clone)]
 pub(crate) struct SessionSpec {
     pub(crate) algo: Algorithm,
-    pub(crate) tie: TiePolicy,
     /// Per-session query cap (the service-wide budget still applies).
     pub(crate) budget: Option<u64>,
     /// Pull-horizon hint for cost estimation (`None` = one page, `k`).
@@ -378,7 +377,6 @@ impl Default for SessionSpec {
     fn default() -> Self {
         SessionSpec {
             algo: Algorithm::Auto,
-            tie: TiePolicy::Exact,
             budget: None,
             horizon: None,
             use_knowledge: true,
@@ -388,8 +386,8 @@ impl Default for SessionSpec {
 
 /// Configures and preflights one Get-Next session.
 ///
-/// Defaults: [`Algorithm::Auto`], [`TiePolicy::Exact`], no per-session
-/// budget (the service-wide budget still applies).
+/// Defaults: [`Algorithm::Auto`], no per-session budget (the service-wide
+/// budget still applies).
 ///
 /// ```
 /// use qrs_ranking::LinearRank;
@@ -472,13 +470,6 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Pick how equal ranking values are treated (default
-    /// [`TiePolicy::Exact`]).
-    pub fn tie_policy(mut self, tie: TiePolicy) -> Self {
-        self.spec.tie = tie;
-        self
-    }
-
     /// Cap the queries this one session may cause (on top of the service
     /// budget). Exceeding it returns [`RerankError::BudgetExhausted`] from
     /// `Session::next`, with the partial batch preserved by `Session::top`.
@@ -551,7 +542,7 @@ impl<'a> SessionBuilder<'a> {
         }
         match self.spec.algo {
             Algorithm::Auto => {
-                let plan = planner.plan(&self.sel, self.rank.as_ref(), self.spec.tie)?;
+                let plan = planner.plan(&self.sel, self.rank.as_ref())?;
                 Ok((plan, None))
             }
             explicit => {
@@ -600,7 +591,7 @@ impl<'a> SessionBuilder<'a> {
     /// (possibly relaxed) server-side query.
     fn build_strategy(&self, algorithm: Algorithm, sel: Query) -> Box<dyn RerankStrategy> {
         let rank = Arc::clone(&self.rank);
-        build_strategy_for(self.svc, rank, self.spec.tie, algorithm, sel)
+        build_strategy_for(self.svc, rank, algorithm, sel)
     }
 
     /// Validate the request and open the session.
@@ -664,10 +655,6 @@ impl<'a> SessionBuilder<'a> {
                     (!matches!(plan.algorithm, Algorithm::Custom)).then(|| ResultKey {
                         sel: query_key(&self.sel),
                         rank: self.rank.fingerprint(),
-                        tie: match self.spec.tie {
-                            TiePolicy::Exact => 0,
-                            TiePolicy::AssumeDistinct => 1,
-                        },
                         strategy: strategy.name().to_string(),
                     });
                 let (replay, replay_exhausted, full_ledger) = match result_key
@@ -741,9 +728,7 @@ impl<'a> SessionBuilder<'a> {
     ///   advertise [`Capability::MutationFeed`].
     /// * [`RerankError::InvalidAlgorithm`] — a custom strategy was
     ///   registered (the service cannot repair a stream whose exactness is
-    ///   the author's private contract), or a non-exact tie policy was
-    ///   chosen (delta repair splices by `(score, id)`, the emission order
-    ///   only [`TiePolicy::Exact`] guarantees).
+    ///   the author's private contract).
     /// * Anything [`SessionBuilder::open`] can return — the same plan
     ///   preflights run underneath.
     pub fn open_maintained(self, horizon: usize) -> Result<MaintainedSession<'a>, RerankError> {
@@ -756,13 +741,6 @@ impl<'a> SessionBuilder<'a> {
                 "maintained sessions drive built-in strategies only: the \
                  service cannot delta-repair a custom strategy whose \
                  exactness contract it does not know",
-            ));
-        }
-        if self.spec.tie != TiePolicy::Exact {
-            return Err(RerankError::invalid_algorithm(
-                "maintained sessions require TiePolicy::Exact: delta repair \
-                 splices tuples into the stream by (score, id), which is \
-                 the emission order only under exact tie-breaking",
             ));
         }
         // The spec keeps the algorithm as the caller configured it (`Auto`
@@ -786,7 +764,6 @@ impl<'a> SessionBuilder<'a> {
 fn build_strategy_for(
     svc: &RerankService,
     rank: Arc<dyn RankFn>,
-    tie: TiePolicy,
     algorithm: Algorithm,
     sel: Query,
 ) -> Box<dyn RerankStrategy> {
@@ -795,7 +772,7 @@ fn build_strategy_for(
         Algorithm::OneD(strategy) => Box::new(OneDCursorStrategy::new(
             OneDSpec::new(rank.attrs()[0], rank.directions()[0], sel),
             strategy,
-            tie,
+            TiePolicy::Exact,
         )),
         Algorithm::Md(opts) => Box::new(MdCursorStrategy::new(rank, sel, opts, server.schema())),
         Algorithm::Ta(access) => Box::new(TaCursorStrategy::new(

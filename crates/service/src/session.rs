@@ -46,7 +46,7 @@ use std::sync::Arc;
 ///   drained-region synthesis answer for free; the session reads the
 ///   gate's saved-ledger deltas in-lock, exactly like paid spend;
 /// * the **result replay** — a cached exact output stream for this
-///   `(selection, rank, tie, strategy)` is emitted directly (`replay`),
+///   `(selection, rank, strategy)` is emitted directly (`replay`),
 ///   after which the strategy resumes from scratch with the session
 ///   swallowing its re-derivation of that prefix (`Session::skip`); its
 ///   replayed requests hit the response cache, so resumption costs zero

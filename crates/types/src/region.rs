@@ -175,19 +175,28 @@ impl<T> RegionIndex<T> {
         value
     }
 
+    /// The payload of slot `s` when it is live and subsumes `q`, whose probe
+    /// key is `p`. Always inlined: [`find`](Self::find) calls it once per
+    /// candidate slot of every history lookup, and left to the inliner,
+    /// whether it is inlined depends on how the calling crate happens to
+    /// be split into codegen units.
+    #[inline(always)]
+    fn hit(&self, s: usize, p: &[u128], q: &Query) -> Option<&T> {
+        let w = p.len();
+        let inside = self.keys[s * w..][..w].iter().zip(p).all(|(c, p)| c <= p);
+        let slot = &self.slots[s];
+        slot.value
+            .as_ref()
+            .filter(|_| inside && q.cats_within(&slot.cats))
+    }
+
     /// The payload of some live region that subsumes `q`: `Some` exactly
     /// when `q.is_subsumed_by(r)` holds for a live `r`.
     pub fn find(&self, q: &Query) -> Option<&T> {
         let w = 2 * self.dims;
         let mut p = vec![0; w];
         fill(&mut p, q, true);
-        let hit = |s: usize| {
-            let inside = self.keys[s * w..][..w].iter().zip(&p).all(|(c, p)| c <= p);
-            let slot = &self.slots[s];
-            slot.value
-                .as_ref()
-                .filter(|_| inside && q.cats_within(&slot.cats))
-        };
+        let hit = |s: usize| self.hit(s, &p, q);
         if let Some(v) = (self.built..self.slots.len()).rev().find_map(hit) {
             return Some(v);
         }

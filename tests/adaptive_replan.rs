@@ -107,7 +107,6 @@ fn stream_key(strategy: &str) -> ResultKey {
     ResultKey {
         sel: query_key(&Query::all()),
         rank: rank2().fingerprint(),
-        tie: 0,
         strategy: strategy.to_string(),
     }
 }

@@ -39,7 +39,9 @@
 
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::edge::http::{read_request, read_response, write_request};
-use query_reranking::edge::{EdgeClient, EdgeClientError, EdgeConfig, EdgeServer, HttpSiteAdapter};
+use query_reranking::edge::{
+    EdgeClient, EdgeClientError, EdgeConfig, EdgeServer, HttpSiteAdapter, Json,
+};
 use query_reranking::exec::Executor;
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{
@@ -1196,10 +1198,10 @@ fn budget_exhaustion_crosses_the_wire_with_partial_results() {
     handle.shutdown();
 }
 
-/// Tie and horizon knobs ride the wire: `"tie": "assume_distinct"` on a
-/// 1-D rank reaches the session builder (observable as a successful run
-/// on a heavily tied attribute), and a malformed rank is a typed `400`
-/// before anything is charged.
+/// Tie and horizon knobs ride the wire: `"tie": "exact"`, the one value
+/// the member may state, is served together with a horizon; any other tie
+/// value, such as `"assume_distinct"`, and a malformed rank are each a
+/// typed `400` before anything is charged.
 #[test]
 fn wire_knobs_reach_the_session_and_bad_requests_are_uncharged_400s() {
     let exec = Arc::new(Executor::from_env());
@@ -1222,28 +1224,33 @@ fn wire_knobs_reach_the_session_and_bad_requests_are_uncharged_400s() {
             &wire_rank,
             3,
             None,
-            Some("assume_distinct"),
+            Some("exact"),
             Some(10),
         )])
         .expect("knobs accepted");
     assert_eq!(reply.outcomes[0].error_code, None);
     assert_eq!(reply.outcomes[0].hits.len(), 3);
 
-    // An out-of-schema rank attr is refused before any query is issued.
-    let charged_before = remote.queries_issued();
-    let bad = EdgeClient::request(&sel, &[(9usize, Direction::Asc, 1.0)], 3, None, None, None);
-    match client.rerank(vec![bad]) {
-        Err(EdgeClientError::Failed(msg)) => {
-            assert!(msg.contains("400"), "expected a 400, got: {msg}");
-            assert!(msg.contains("invalid_request"), "typed body: {msg}");
+    let refused_uncharged = |bad: Json, what: &str| {
+        let charged_before = remote.queries_issued();
+        match client.rerank(vec![bad]) {
+            Err(EdgeClientError::Failed(msg)) => {
+                assert!(msg.contains("400"), "{what}: expected a 400, got: {msg}");
+                assert!(msg.contains("invalid_request"), "{what}: typed body: {msg}");
+            }
+            other => panic!("{what}: expected a 400 failure, got {other:?}"),
         }
-        other => panic!("expected a 400 failure, got {other:?}"),
-    }
-    assert_eq!(
-        remote.queries_issued(),
-        charged_before,
-        "validation rejections are uncharged"
-    );
+        assert_eq!(
+            remote.queries_issued(),
+            charged_before,
+            "{what}: validation rejections are uncharged"
+        );
+    };
+    let distinct = EdgeClient::request(&sel, &wire_rank, 3, None, Some("assume_distinct"), None);
+    refused_uncharged(distinct, "tie other than exact");
+    // An out-of-schema rank attr is refused before any query is issued.
+    let bad = EdgeClient::request(&sel, &[(9usize, Direction::Asc, 1.0)], 3, None, None, None);
+    refused_uncharged(bad, "out-of-schema rank attr");
     handle.shutdown();
 }
 

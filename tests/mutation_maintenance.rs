@@ -1,10 +1,15 @@
 //! Mutation feed + incremental top-k maintenance (tentpole suite).
 //!
 //! Races seeded mutation schedules against live [`MaintainedSession`]s and
-//! checks, after **every** batch, that the delta-repaired top-`h` is
-//! byte-identical (ids *and* score bit patterns) to a full re-drive oracle
-//! run by a fresh service against the same post-mutation server. Also the
-//! regression the tentpole exists for: a sealed knowledge-plane result
+//! checks, after **every** batch, that the delta-repaired top-`h` is exact
+//! under the one tie contract: its score sequence equals the dense
+//! ranking's bit for bit. That is all a splice promises. On tied MD data
+//! the ids among equal scores may differ from a fresh re-drive's
+//! (`md_delta_repair_is_score_exact_on_tied_data`). Where every tie sits on
+//! a 1-D ranking, which emits and splices equal scores in id order, the
+//! repair also matches a full re-drive oracle id for id, and
+//! `delta_repair_is_byte_identical_to_full_redrive` checks that too. Also
+//! the regression the tentpole exists for: a sealed knowledge-plane result
 //! stream must never replay across a mutation watermark.
 //!
 //! Schedules derive from `QRS_TEST_SEED`, so CI proves the equivalence
@@ -59,6 +64,11 @@ fn random_tuple(rng: &mut StdRng, id: u32, m: usize) -> Tuple {
     )
 }
 
+/// [`random_tuple`] over the 2-wide schema most worlds here use.
+fn two_wide(rng: &mut StdRng, id: u32) -> Tuple {
+    random_tuple(rng, id, 2)
+}
+
 fn dataset(rng: &mut StdRng, n: usize, m: usize) -> Dataset {
     let tuples = (0..n)
         .map(|i| random_tuple(rng, i as u32, m))
@@ -73,14 +83,19 @@ fn fingerprint(hits: &[query_reranking::service::RankedTuple]) -> Vec<(u32, u64)
         .collect()
 }
 
-/// One random mutation against `server`, keeping ids unique. Returns a
-/// human label for assertion messages.
-fn mutate_once(rng: &mut StdRng, server: &SimServer, next_id: &mut u32, m: usize) -> String {
+/// One random mutation against `server`, keeping ids unique; fresh tuples
+/// come from `tuple`. Returns a human label for assertion messages.
+fn mutate_once(
+    rng: &mut StdRng,
+    server: &SimServer,
+    next_id: &mut u32,
+    tuple: impl Fn(&mut StdRng, u32) -> Tuple,
+) -> String {
     let live = server.dataset();
     let n = live.len();
     match rng.random_range(0..3u32) {
         0 => {
-            let t = random_tuple(rng, *next_id, m);
+            let t = tuple(rng, *next_id);
             *next_id += 1;
             let label = format!("insert {:?}", t);
             server.insert(t).expect("fresh id cannot collide");
@@ -93,7 +108,7 @@ fn mutate_once(rng: &mut StdRng, server: &SimServer, next_id: &mut u32, m: usize
         }
         _ if n > 0 => {
             let target = live.tuples()[rng.random_range(0..n)].id;
-            let mut t = random_tuple(rng, target.0, m);
+            let mut t = tuple(rng, target.0);
             t.id = target;
             let label = format!("update {:?}", t);
             server.update(t).expect("picked a live id");
@@ -175,7 +190,7 @@ fn delta_repair_is_byte_identical_to_full_redrive() {
             let width = rng.random_range(1..5usize);
             labels.push(format!("-- batch {batch} --"));
             for _ in 0..width {
-                labels.push(mutate_once(&mut rng, &server, &mut next_id, 2));
+                labels.push(mutate_once(&mut rng, &server, &mut next_id, two_wide));
             }
             let outcome = maintained.refresh().expect("refresh");
             assert_eq!(outcome.applied, width, "case {case} batch {batch}");
@@ -194,6 +209,66 @@ fn delta_repair_is_byte_identical_to_full_redrive() {
         repair_cost < oracle_cost,
         "delta repair must beat re-driving: {repair_cost} vs {oracle_cost} queries"
     );
+}
+
+/// The contract where maintenance splices, on the data that tests it: two
+/// ranking attributes on 3–6 levels each, so scores tie across many
+/// tuples, and a continuous third attribute that tells every tuple apart.
+/// The MD cursor emits equal scores in its own order and the splice puts
+/// them in id order, so ids may differ from a fresh re-drive's; the score
+/// sequence may not. After every refresh it must equal the dense ranking's
+/// bit for bit (40 worlds, 200 refreshes).
+#[test]
+fn md_delta_repair_is_score_exact_on_tied_data() {
+    let mut rng = StdRng::seed_from_u64(seeded(0xCDCE));
+    let (k, h) = (4, 12);
+    let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
+    let score_bits = |hits: &[f64]| hits.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    for world in 0..40u64 {
+        let levels = [rng.random_range(3..7u32), rng.random_range(3..7u32)];
+        let tied = move |rng: &mut StdRng, id: u32| {
+            let grid = levels.map(|l| f64::from(rng.random_range(0..l)));
+            Tuple::new(
+                TupleId(id),
+                vec![grid[0], grid[1], rng.random::<f64>() * 9.0],
+                vec![],
+            )
+        };
+        let n = rng.random_range(40..100usize);
+        let tuples = (0..n).map(|i| tied(&mut rng, i as u32)).collect();
+        let server = Arc::new(SimServer::new(
+            Dataset::new(schema(3), tuples).unwrap(),
+            SystemRank::pseudo_random(world),
+            k,
+        ));
+        let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, n);
+        let mut maintained = svc
+            .session(Query::all(), Arc::clone(&rank))
+            .algorithm(Algorithm::Md(query_reranking::core::MdOptions::rerank()))
+            .open_maintained(h)
+            .expect("open_maintained");
+        let mut next_id = n as u32;
+        for refresh in 0..5 {
+            for _ in 0..rng.random_range(1..4usize) {
+                mutate_once(&mut rng, &server, &mut next_id, tied);
+            }
+            let outcome = maintained.refresh().expect("refresh");
+            assert!(!outcome.redrove, "the MD cursor delta-repairs");
+            let truth: Vec<f64> = server
+                .dataset()
+                .rank_by(&Query::all(), |t| rank.score(t))
+                .iter()
+                .take(h)
+                .map(|t| rank.score(t))
+                .collect();
+            let got: Vec<f64> = maintained.top().iter().map(|r| r.score).collect();
+            assert_eq!(
+                score_bits(&got),
+                score_bits(&truth),
+                "world {world} refresh {refresh}: the splice broke the score sequence"
+            );
+        }
+    }
 }
 
 /// Maintenance over a knowledge-plane-backed service: the gate's watermark
@@ -217,7 +292,7 @@ fn maintenance_stays_exact_over_a_knowledge_plane() {
         .open_maintained(5)
         .expect("open_maintained");
     for _ in 0..6 {
-        mutate_once(&mut rng, &server, &mut next_id, 2);
+        mutate_once(&mut rng, &server, &mut next_id, two_wide);
         maintained.refresh().expect("refresh");
         let (truth, _) = oracle(&server, &Query::all(), &rank, 5);
         assert_eq!(fingerprint(&maintained.top()), truth);
@@ -377,7 +452,7 @@ fn log_gap_forces_a_redrive_that_stays_exact() {
         .open_maintained(5)
         .expect("open_maintained");
     for _ in 0..3 {
-        mutate_once(&mut rng, &server, &mut next_id, 2);
+        mutate_once(&mut rng, &server, &mut next_id, two_wide);
     }
     let outcome = maintained.refresh().expect("refresh");
     assert!(outcome.redrove, "a compacted log cannot be delta-replayed");
@@ -510,13 +585,13 @@ fn open_maintained_requires_the_mutation_feed_capability() {
     );
 }
 
-/// Custom strategies and non-exact tie policies are refused, typed.
+/// A custom strategy is refused, typed: the service cannot repair a
+/// stream whose exactness is its author's private contract.
 #[test]
 fn open_maintained_rejects_custom_strategies_and_inexact_ties() {
     use query_reranking::core::strategy::{
         CostEstimate, PlanContext, RerankStrategy, StrategyIo, StrategyStep,
     };
-    use query_reranking::core::TiePolicy;
     struct Noop;
     impl RerankStrategy for Noop {
         fn name(&self) -> &'static str {
@@ -541,7 +616,7 @@ fn open_maintained_rejects_custom_strategies_and_inexact_ties() {
     let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, 20);
     let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
     let err = svc
-        .session(Query::all(), Arc::clone(&rank))
+        .session(Query::all(), rank)
         .strategy(Box::new(Noop))
         .open_maintained(4)
         .unwrap_err();
@@ -549,15 +624,7 @@ fn open_maintained_rejects_custom_strategies_and_inexact_ties() {
         matches!(err, RerankError::InvalidAlgorithm { ref reason } if reason.contains("custom")),
         "wrong error: {err}"
     );
-    let err = svc
-        .session(Query::all(), rank)
-        .tie_policy(TiePolicy::AssumeDistinct)
-        .open_maintained(4)
-        .unwrap_err();
-    assert!(
-        matches!(err, RerankError::InvalidAlgorithm { ref reason } if reason.contains("Exact")),
-        "wrong error: {err}"
-    );
+    assert_eq!(server.queries_issued(), 0, "a refusal spends nothing");
 }
 
 /// Satellite coverage for the compaction boundary itself: `gap` must flip
@@ -628,7 +695,7 @@ fn cap_zero_feed_forces_rebuild_not_patch() {
         .expect("open_maintained");
     let mut next_id = n as u32;
     for round in 0..3 {
-        mutate_once(&mut rng, &server, &mut next_id, 2);
+        mutate_once(&mut rng, &server, &mut next_id, two_wide);
         let outcome = maintained.refresh().expect("refresh");
         assert!(
             outcome.redrove,

@@ -5,7 +5,7 @@
 //! page-depth walls, predicate arity caps, per-attribute filter support,
 //! advertised *and* billed cost models — over data whose first attribute
 //! is, one world in four, a point-only grid, crossed with random
-//! selections, rankings, horizons and tie policies. Two invariants must
+//! selections, rankings and horizons. Two invariants must
 //! hold for every generated world:
 //!
 //! 1. **Plan or refuse, typed.** `Planner::plan` (and `open()`) either
@@ -19,7 +19,6 @@
 //! The default 48 iterations keep the tier-1 run fast; CI's smoke job
 //! deepens the sweep via `QRS_FUZZ_ITERS`.
 
-use query_reranking::core::TiePolicy;
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
@@ -83,7 +82,6 @@ struct World {
     server: SimServer,
     sel: Query,
     rank: Arc<dyn RankFn>,
-    tie: TiePolicy,
     horizon: usize,
     n: usize,
 }
@@ -191,7 +189,6 @@ fn random_world(rng: &mut Rng, case: u64) -> World {
         server,
         sel,
         rank,
-        tie: TiePolicy::Exact,
         horizon: rng.range(1, 25) as usize,
         n,
     }
@@ -212,7 +209,7 @@ fn plan_is_total_over_random_site_models() {
             w.n,
         )
         .with_horizon(w.horizon);
-        match planner.plan(&w.sel, w.rank.as_ref(), w.tie) {
+        match planner.plan(&w.sel, w.rank.as_ref()) {
             Ok(plan) => {
                 assert!(
                     !plan.candidates.is_empty(),
@@ -257,7 +254,6 @@ fn planned_sessions_drive_exactly_over_random_worlds() {
         let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, w.n);
         let builder = svc
             .session(w.sel.clone(), Arc::clone(&w.rank))
-            .tie_policy(w.tie)
             .horizon(w.horizon);
         let mut s = match builder.open() {
             Ok(s) => s,

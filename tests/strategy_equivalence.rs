@@ -157,7 +157,7 @@ fn one_d_strategy_is_byte_identical_to_the_cursor() {
         });
         let rank = rank1();
         let spec = OneDSpec::new(rank.attrs()[0], rank.directions()[0], Query::all());
-        let mut cursor = OneDCursor::new(spec.clone(), OneDStrategy::Rerank, TiePolicy::Exact);
+        let mut cursor = OneDCursor::new(spec.clone(), OneDStrategy::Rerank);
         assert_equivalent(
             pair,
             n,

@@ -1,14 +1,13 @@
 //! Tie handling: the MD cursor's tie slabs make it exact on tied and
-//! untied data alike, and the 1D `TiePolicy::AssumeDistinct` keeps one
-//! tuple per distinct value.
+//! untied data alike. The 1-D cursor's exactness on heavy ties is pinned
+//! by `one_d::cursor`'s `streams_with_heavy_ties_exactly` and
+//! `tests/exactness_1d.rs::grid_of_ties_and_overflowing_slabs`.
 
-use query_reranking::core::{
-    MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, RerankParams, SharedState, TiePolicy,
-};
+use query_reranking::core::{MdCursor, MdOptions, RerankParams, SharedState};
 use query_reranking::datagen::synthetic::{discrete_grid, uniform};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{SearchInterface, SimServer, SystemRank};
-use query_reranking::types::{AttrId, Direction, Query};
+use query_reranking::types::{AttrId, Query};
 use std::sync::Arc;
 
 #[test]
@@ -52,23 +51,4 @@ fn md_emits_every_tuple_on_a_coarse_grid() {
     }
     assert_eq!(scores.len(), total);
     assert!(scores.windows(2).all(|w| w[0] <= w[1]), "out of order");
-}
-
-#[test]
-fn one_d_assume_distinct_emits_one_per_value() {
-    let data = discrete_grid(200, 2, 4, 5005);
-    let server = SimServer::new(data.clone(), SystemRank::pseudo_random(35), 10);
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(200, 10));
-    let mut cur = OneDCursor::new(
-        OneDSpec::new(AttrId(0), Direction::Asc, Query::all()),
-        OneDStrategy::Binary,
-        TiePolicy::AssumeDistinct,
-    );
-    let mut values = Vec::new();
-    while let Some(t) = cur.next(&server, &mut st).unwrap() {
-        values.push(t.ord(AttrId(0)));
-        assert!(values.len() <= 4, "more emissions than distinct values");
-    }
-    // Exactly one representative per distinct value, in order.
-    assert_eq!(values, vec![0.0, 1.0, 2.0, 3.0]);
 }
