@@ -16,48 +16,96 @@
 //! identical on **every** ordinal attribute are fundamentally
 //! indistinguishable through the interface; the crawler returns what it can
 //! and reports `truncated = true`.
+//!
+//! A crawl is resumable: when a sub-query fails, the sub-queries still to
+//! ask are kept in [`SharedState`] under the crawl's root, and the next
+//! crawl of that root picks them up. Every answered sub-query is in the
+//! shared history, which is where the result is read from, so a retry pays
+//! for nothing twice.
 
 use crate::ctx::SharedState;
 use qrs_server::SearchInterface;
 use qrs_types::value::cmp_f64;
-use qrs_types::{AttrId, Interval, Query, RerankError, Schema, Tuple, TupleId};
-use std::collections::HashMap;
+use qrs_types::{AttrId, Interval, Query, RerankError, Schema, Tuple};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Result of a full-region crawl.
 #[derive(Debug, Clone)]
 pub struct CrawlResult {
-    /// Every discovered tuple matching the query, sorted by id.
+    /// Every known tuple matching the query, sorted by id.
     pub tuples: Vec<Arc<Tuple>>,
     /// True if an indistinguishable >k duplicate group was hit; the result
-    /// then contains only `k` representatives of that group.
+    /// may then miss some tuples of that group.
     pub truncated: bool,
 }
 
-/// Enumerate all tuples matching `q`. Fails fast on a server error; tuples
-/// already absorbed into the shared history stay there (a retry resumes from
-/// the knowledge accumulated so far).
+/// A crawl in progress, as it stands between two sub-queries.
+#[derive(Debug)]
+struct Crawl {
+    root: Query,
+    /// Sub-queries still to ask.
+    stack: Vec<Query>,
+    /// Whether the root overflowed (else its answer alone was complete).
+    overflowed: bool,
+    /// Whether an indistinguishable group was met.
+    truncated: bool,
+}
+
+/// Crawls a refusal interrupted, kept in [`SharedState`] for the next crawl
+/// of the same root. Capped FIFO: dropping one only costs re-paying it.
+#[derive(Debug, Default)]
+pub(crate) struct PendingCrawls(VecDeque<Crawl>);
+
+impl PendingCrawls {
+    const CAP: usize = 64;
+
+    fn take(&mut self, root: &Query) -> Option<Crawl> {
+        let at = self.0.iter().position(|c| &c.root == root)?;
+        self.0.remove(at)
+    }
+
+    fn keep(&mut self, crawl: Crawl) {
+        if self.0.len() == Self::CAP {
+            self.0.pop_front();
+        }
+        self.0.push_back(crawl);
+    }
+}
+
+/// Enumerate all tuples matching `q`. Fails fast on a server error; the
+/// sub-queries still to ask are kept in `st`, so a retry resumes the crawl
+/// instead of restarting it.
 pub fn crawl_region(
     server: &dyn SearchInterface,
     st: &mut SharedState,
     q: &Query,
 ) -> Result<CrawlResult, RerankError> {
     let schema = Arc::clone(server.schema());
-    let mut found: HashMap<TupleId, Arc<Tuple>> = HashMap::new();
-    let mut truncated = false;
-    let mut stack = vec![q.clone()];
+    let mut crawl = st.pending_crawls.take(q).unwrap_or_else(|| Crawl {
+        root: q.clone(),
+        stack: vec![q.clone()],
+        overflowed: false,
+        truncated: false,
+    });
 
-    while let Some(cq) = stack.pop() {
+    while let Some(cq) = crawl.stack.pop() {
         if cq.is_unsatisfiable() {
             continue;
         }
-        let resp = st.ask(server, &cq)?;
-        for t in &resp.tuples {
-            found.insert(t.id, Arc::clone(t));
-        }
+        let resp = match st.ask(server, &cq) {
+            Ok(resp) => resp,
+            Err(e) => {
+                crawl.stack.push(cq);
+                st.pending_crawls.keep(crawl);
+                return Err(e);
+            }
+        };
         if !resp.is_overflow() {
             continue;
         }
+        crawl.overflowed = true;
+        let stack = &mut crawl.stack;
         match choose_split(&schema, &cq, &resp.tuples) {
             Some(Split::ThreeWay(attr, v)) => {
                 let iv = cq.interval(attr);
@@ -88,17 +136,19 @@ pub fn crawl_region(
             None => {
                 // Identical on every ordinal and categorical attribute:
                 // indistinguishable through the interface.
-                truncated = true;
+                crawl.truncated = true;
             }
         }
     }
 
-    if !truncated {
+    // A root answered without overflow was registered by `ask`.
+    if crawl.overflowed && !crawl.truncated {
         st.complete.register(q);
     }
-    let mut tuples: Vec<Arc<Tuple>> = found.into_values().collect();
-    tuples.sort_by_key(|t| t.id);
-    Ok(CrawlResult { tuples, truncated })
+    Ok(CrawlResult {
+        tuples: st.history.matching(q),
+        truncated: crawl.truncated,
+    })
 }
 
 /// How to subdivide an overflowing query.
@@ -189,6 +239,7 @@ mod tests {
     use crate::params::RerankParams;
     use qrs_datagen::synthetic::{discrete_grid, uniform};
     use qrs_server::{SimServer, SystemRank};
+    use qrs_types::TupleId;
 
     fn setup(data: qrs_types::Dataset, k: usize) -> (SimServer, SharedState) {
         let st = SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));

@@ -8,13 +8,15 @@
 //! tuples are known in full, and [`SharedState::ask`] is where a top-k
 //! query is either answered from them or paid for.
 
+use crate::crawl::PendingCrawls;
 use crate::history::{CompleteRegions, History};
 use crate::index::dense1d::Dense1D;
 use crate::params::RerankParams;
 use qrs_server::SearchInterface;
 use qrs_types::{Query, QueryResponse, RerankError, Schema};
 
-/// History + complete-region registry + 1D dense index + parameters.
+/// History + complete-region registry + 1D dense index + interrupted
+/// crawls + parameters.
 #[derive(Debug)]
 pub struct SharedState {
     /// Every tuple ever observed in a server response, indexed per
@@ -25,6 +27,9 @@ pub struct SharedState {
     pub complete: CompleteRegions,
     /// The §3.2.2 on-the-fly dense index: 1D crawl frontiers.
     pub dense1d: Dense1D,
+    /// Crawls a refusal interrupted, resumed by the next crawl of the same
+    /// root ([`crate::crawl::crawl_region`]).
+    pub(crate) pending_crawls: PendingCrawls,
     /// The tuning parameters everything above was built with.
     pub params: RerankParams,
 }
@@ -36,6 +41,7 @@ impl SharedState {
             history: History::new(schema.num_ordinal()),
             complete: CompleteRegions::default(),
             dense1d: Dense1D::default(),
+            pending_crawls: PendingCrawls::default(),
             params,
         }
     }

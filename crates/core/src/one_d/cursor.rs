@@ -5,13 +5,20 @@
 //! sequence equals the dense ranking's bit for bit. Between values it
 //! delegates to the [`super::primitives`] strategies; *at* a value it
 //! collects the whole slab `Sel(q) ∧ Ai = v` before moving past `v` (a
-//! complete region, one point query, or a sub-crawl on the other attributes
-//! when even the point query overflows), so no tie is skipped. Point-only
-//! attributes (§5) are enumerated value by value in preference order.
+//! complete region, one point query, or a crawl on the other attributes
+//! rooted at that point query when it overflows), so no tie is skipped.
+//! Point-only attributes (§5) are enumerated value by value in preference
+//! order.
+//!
+//! A refused step resumes where it stopped: the cursor keeps the search's
+//! lower bound (`narrow`'s `lo`) and a found value until its slab is
+//! gathered, and an interrupted slab crawl keeps its pending sub-queries in
+//! [`SharedState`]. So a retry asks exactly the queries the uninterrupted
+//! step would have, and none twice.
 
 use crate::crawl::crawl_region;
 use crate::ctx::SharedState;
-use crate::one_d::primitives::{next_above, OneDSpec};
+use crate::one_d::primitives::{seek, OneDSpec};
 use crate::one_d::OneDStrategy;
 use qrs_server::SearchInterface;
 use qrs_types::{Direction, Interval, Query, RerankError, Tuple};
@@ -48,6 +55,14 @@ enum State {
         values: VecDeque<f64>,
         queue: VecDeque<Arc<Tuple>>,
     },
+    /// Searching for the first value past `after`; no matching tuple lies
+    /// in `(after, lo)`.
+    Seek {
+        after: f64,
+        lo: f64,
+    },
+    /// The next value, found; its slab is still to gather.
+    Found(f64),
     Slab {
         nval: f64,
         queue: VecDeque<Arc<Tuple>>,
@@ -95,8 +110,28 @@ impl OneDCursor {
                     if let Some(t) = queue.pop_front() {
                         return Ok(Some(t));
                     }
-                    let after = *nval;
-                    self.advance(server, st, after)?;
+                    self.state = State::Seek {
+                        after: *nval,
+                        lo: *nval,
+                    };
+                }
+                State::Seek { after, lo } => {
+                    let after = *after;
+                    let next = seek(server, st, &self.spec, self.strategy, after, None, lo)?;
+                    self.state = match next {
+                        None => State::Done,
+                        Some(t) => State::Found(self.spec.nval(&t)),
+                    };
+                }
+                State::Found(nval) => {
+                    let nval = *nval;
+                    let queue: VecDeque<Arc<Tuple>> =
+                        gather_slab(server, st, &self.spec, nval)?.into();
+                    debug_assert!(
+                        !queue.is_empty(),
+                        "slab at a discovered value can't be empty"
+                    );
+                    self.state = State::Slab { nval, queue };
                 }
                 State::PointEnum { values, queue } => {
                     if let Some(t) = queue.pop_front() {
@@ -139,7 +174,10 @@ impl OneDCursor {
                             queue: VecDeque::new(),
                         };
                     } else {
-                        self.advance(server, st, f64::NEG_INFINITY)?;
+                        self.state = State::Seek {
+                            after: f64::NEG_INFINITY,
+                            lo: f64::NEG_INFINITY,
+                        };
                     }
                 }
             }
@@ -158,32 +196,13 @@ impl OneDCursor {
         }
         Ok(out)
     }
-
-    fn advance(
-        &mut self,
-        server: &dyn SearchInterface,
-        st: &mut SharedState,
-        after: f64,
-    ) -> Result<(), RerankError> {
-        match next_above(server, st, &self.spec, self.strategy, after, None)? {
-            None => self.state = State::Done,
-            Some(t) => {
-                let nv = self.spec.nval(&t);
-                let queue: VecDeque<Arc<Tuple>> = gather_slab(server, st, &self.spec, nv)?.into();
-                debug_assert!(
-                    !queue.is_empty(),
-                    "slab at a discovered value can't be empty"
-                );
-                self.state = State::Slab { nval: nv, queue };
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Collect every tuple with `attr` exactly at normalized value `nval`
 /// matching the spec's selection, sorted by id. Exact even when the slab
-/// overflows the interface (sub-crawl on the remaining attributes).
+/// overflows the interface: the point query is the root of a crawl, so
+/// more than `k` ties at one value are split by the other attributes
+/// without paying the point query twice.
 pub(crate) fn gather_slab(
     server: &dyn SearchInterface,
     st: &mut SharedState,
@@ -192,13 +211,7 @@ pub(crate) fn gather_slab(
 ) -> Result<Vec<Arc<Tuple>>, RerankError> {
     let raw = spec.dir.denormalize(nval);
     let q = spec.sel.clone().and_range(spec.attr, Interval::point(raw));
-    if st.ask(server, &q)?.is_overflow() {
-        // More than k ties at one value: crawl the slab by the other
-        // attributes.
-        let r = crawl_region(server, st, &q)?;
-        return Ok(r.tuples);
-    }
-    Ok(st.history.matching(&q))
+    Ok(crawl_region(server, st, &q)?.tuples)
 }
 
 #[cfg(test)]
@@ -264,6 +277,73 @@ mod tests {
             .map(|t| (t.ord(AttrId(0)), t.id.0))
             .collect();
         assert_eq!(got, truth_order(&server, cur.spec()));
+    }
+
+    #[test]
+    fn the_last_probe_pays_for_every_slab_on_untied_data() {
+        use crate::one_d::primitives::next_above;
+        // Untied values: each slab is one tuple, and the bisection's last
+        // probe, closed at the value it names, already proved that slab
+        // complete. (1D-RERANK's dense-index hand-off keeps open probes, so
+        // a value it settles without crawling may still pay its point query.)
+        let data = uniform(400, 2, 1, 61);
+        let sel = Query::all().and_range(AttrId(1), Interval::closed(0.1, 0.9));
+        let spec = OneDSpec::new(AttrId(0), Direction::Asc, sel);
+        for sys in [
+            SystemRank::by_attr_desc(AttrId(0)),
+            SystemRank::pseudo_random(5),
+        ] {
+            let label = sys.label().to_owned();
+            let server = SimServer::new(data.clone(), sys, 5);
+            let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(400, 5));
+            let mut after = f64::NEG_INFINITY;
+            for rank in 0..40 {
+                let t = next_above(&server, &mut st, &spec, OneDStrategy::Binary, after, None)
+                    .unwrap()
+                    .expect("more than 40 matches");
+                let paid = server.queries_issued();
+                let slab = gather_slab(&server, &mut st, &spec, spec.nval(&t)).unwrap();
+                assert_eq!(slab.len(), 1);
+                assert_eq!(
+                    server.queries_issued(),
+                    paid,
+                    "{label}: the slab at rank {rank} was paid for"
+                );
+                after = spec.nval(&t);
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_tuple_page_streams_ties_exactly() {
+        // At k = 1 the candidate alone fills a page, so the upper probe stays
+        // open, and every slab of more than one tuple is crawled. Distinct
+        // cells only: tuples equal on every attribute are indistinguishable.
+        let grid = discrete_grid(300, 2, 6, 71);
+        let mut seen = std::collections::HashSet::new();
+        let distinct = (grid.tuples().iter())
+            .filter(|t| {
+                let bits: Vec<u64> = t.ords().iter().map(|v| v.to_bits()).collect();
+                seen.insert((bits, t.cats().to_vec()))
+            })
+            .cloned()
+            .collect();
+        let data = qrs_types::Dataset::from_shared(Arc::clone(grid.schema()), distinct);
+        for strategy in OneDStrategy::ALL {
+            let mut st =
+                SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), 1));
+            let server = SimServer::new(data.clone(), SystemRank::pseudo_random(3), 1);
+            let mut cur = OneDCursor::over(AttrId(0), Direction::Desc, Query::all(), strategy);
+            let got: Vec<(f64, u32)> = (cur.drain(&server, &mut st).unwrap().iter())
+                .map(|t| (cur_nval(&cur, t), t.id.0))
+                .collect();
+            assert_eq!(
+                got,
+                truth_order(&server, cur.spec()),
+                "{}",
+                strategy.label()
+            );
+        }
     }
 
     #[test]

@@ -4,6 +4,20 @@
 //! better): find a matching tuple with the smallest normalized value strictly
 //! greater than `after`, optionally strictly below `upto`. The three §3
 //! strategies differ only in how they shrink the uncertainty interval.
+//!
+//! The [`OneDCursor`](super::OneDCursor) certifies every value it emits by
+//! gathering its slab `Sel(q) ∧ Ai = v`. The bisection of [`narrow`] lets
+//! its last probe pay for that: when the lower half `[lo, mid)` is empty,
+//! the upper half is probed *closed* at the candidate's value `cv`,
+//! `[mid, cv]`. The candidate itself matches, so the probe never
+//! underflows; a valid answer names the next value and registers a complete
+//! region holding its whole slab, and the point query that follows is
+//! answered free. Two cases keep Algorithm 2's open `[mid, cv)`, because
+//! there the slab would only push a useful answer into overflow: a site
+//! with `k = 1`, where the candidate alone fills the page, and a slab of
+//! which history already holds two matching tuples. 1D-BASELINE and the
+//! dense-index crawl keep their open probes: closing them as well saved
+//! no query on the benchmark and cost more on `k = 1` sites (Fig 8).
 
 use crate::ctx::SharedState;
 use crate::one_d::OneDStrategy;
@@ -79,9 +93,25 @@ pub fn next_above(
     after: f64,
     upto: Option<f64>,
 ) -> Result<Option<Arc<Tuple>>, RerankError> {
+    let mut lo = after;
+    seek(server, st, spec, strategy, after, upto, &mut lo)
+}
+
+/// [`next_above`] resumable across a refusal: `lo` is the bisection's lower
+/// bound ([`narrow`]), kept by the caller so that a retry re-walks the
+/// intervals already paid for. Start it at `after`.
+pub(crate) fn seek(
+    server: &dyn SearchInterface,
+    st: &mut SharedState,
+    spec: &OneDSpec,
+    strategy: OneDStrategy,
+    after: f64,
+    upto: Option<f64>,
+    lo: &mut f64,
+) -> Result<Option<Arc<Tuple>>, RerankError> {
     match strategy {
         OneDStrategy::Baseline => baseline(server, st, spec, after, upto),
-        OneDStrategy::Binary => match narrow(server, st, spec, after, upto, None)? {
+        OneDStrategy::Binary => match narrow(server, st, spec, after, upto, None, lo)? {
             NarrowResult::Found(t) => Ok(Some(t)),
             NarrowResult::Exhausted(c) => Ok(c),
             NarrowResult::Narrowed { .. } => unreachable!("no stop width given"),
@@ -92,7 +122,7 @@ pub fn next_above(
                 o.domain_width()
             };
             let threshold = st.params.dense_width(domain);
-            match narrow(server, st, spec, after, upto, Some(threshold))? {
+            match narrow(server, st, spec, after, upto, Some(threshold), lo)? {
                 NarrowResult::Found(t) => Ok(Some(t)),
                 NarrowResult::Exhausted(c) => Ok(c),
                 NarrowResult::Narrowed { lo, cur } => {
@@ -149,6 +179,14 @@ pub(crate) fn baseline(
 /// With `stop_width = None` this is 1D-BINARY run to completion; with
 /// `Some(w)` it returns [`NarrowResult::Narrowed`] as soon as the interval is
 /// narrower than `w` (the 1D-RERANK hand-off point).
+///
+/// `lo` is the search's progress, in and out: no matching tuple has a
+/// normalized value in `(after, lo)`. Pass `after` to start; on a refusal it
+/// holds what the paid probes proved, and passing it back makes the retry
+/// ask exactly the probes the uninterrupted search would have. When the
+/// lower half is empty, the upper half is probed closed at `cv` unless the
+/// site's `k` is 1 or history holds a second matching tuple at `cv` (module
+/// docs).
 pub fn narrow(
     server: &dyn SearchInterface,
     st: &mut SharedState,
@@ -156,30 +194,28 @@ pub fn narrow(
     after: f64,
     upto: Option<f64>,
     stop_width: Option<f64>,
+    lo: &mut f64,
 ) -> Result<NarrowResult, RerankError> {
     let mut cur: Option<Arc<Tuple>> = st
         .history
         .next_norm_above(spec.attr, spec.dir, after, upto, &spec.sel)
         .cloned();
-    // Invariant: no matching tuple has normalized value in (after, lo).
     // Starting from the very top (`after = -∞`), the public schema domain
     // bounds the uncertainty region — without this, the bisection midpoint
     // of (-∞, cv) is degenerate and 1D-BINARY would collapse to baseline
     // probes for the first Get-Next.
-    let mut lo = if after == f64::NEG_INFINITY {
+    if *lo == f64::NEG_INFINITY {
         let o = server.schema().ordinal(spec.attr);
         let (a, b) = (spec.dir.normalize(o.min), spec.dir.normalize(o.max));
-        a.min(b)
-    } else {
-        after
-    };
+        *lo = a.min(b);
+    }
     loop {
         let Some(c) = cur.clone() else {
             // No candidate yet: one baseline-style probe over the remainder.
-            let iv = if lo == after {
+            let iv = if *lo == after {
                 open_interval(after, upto.unwrap_or(f64::INFINITY))
             } else {
-                half_open(lo, upto.unwrap_or(f64::INFINITY))
+                half_open(*lo, upto.unwrap_or(f64::INFINITY))
             };
             if iv.is_empty() {
                 return Ok(NarrowResult::Exhausted(None));
@@ -199,18 +235,18 @@ pub fn narrow(
             }
         };
         let cv = spec.nval(&c);
-        if lo >= cv {
+        if *lo >= cv {
             return Ok(NarrowResult::Exhausted(cur));
         }
         if let Some(w) = stop_width {
-            if cv - lo < w {
-                return Ok(NarrowResult::Narrowed { lo, cur: c });
+            if cv - *lo < w {
+                return Ok(NarrowResult::Narrowed { lo: *lo, cur: c });
             }
         }
-        let mid = lo + (cv - lo) / 2.0;
-        if !(mid > lo && mid < cv) {
+        let mid = *lo + (cv - *lo) / 2.0;
+        if !(mid > *lo && mid < cv) {
             // Floating-point degeneracy: confirm the sliver directly.
-            match probe(server, st, spec, region_iv(after, lo, cv))? {
+            match probe(server, st, spec, region_iv(after, *lo, cv))? {
                 Probe::Empty => return Ok(NarrowResult::Exhausted(cur)),
                 Probe::All(t) => return Ok(NarrowResult::Found(t)),
                 Probe::Partial(t) => {
@@ -222,16 +258,25 @@ pub fn narrow(
         // Probe the lower half [lo, mid) — open at `after` before any
         // half-interval has been proven empty, so the predecessor tuple at
         // exactly `after` is never re-returned.
-        match probe(server, st, spec, region_iv(after, lo, mid))? {
+        match probe(server, st, spec, region_iv(after, *lo, mid))? {
             Probe::All(t) => return Ok(NarrowResult::Found(t)),
             Probe::Partial(t) => {
                 cur = Some(t);
             }
             Probe::Empty => {
-                // Lower half empty — probe the entire upper half [mid, cv)
-                // (Algorithm 2's second query).
-                lo = mid;
-                match probe(server, st, spec, half_open(mid, cv))? {
+                // Lower half empty — probe the entire upper half (Algorithm
+                // 2's second query), closed at `cv` so that a valid answer
+                // also holds the next value's slab. `lo` moves only once the
+                // probe is answered: a retry re-asks the covered lower half
+                // for free, then this same probe.
+                let upper = if closes_at(server, st, spec, cv) {
+                    Interval::closed(mid, cv)
+                } else {
+                    half_open(mid, cv)
+                };
+                let answer = probe(server, st, spec, upper)?;
+                *lo = mid;
+                match answer {
                     Probe::Empty => return Ok(NarrowResult::Exhausted(cur)),
                     Probe::All(t) => return Ok(NarrowResult::Found(t)),
                     Probe::Partial(t) => {
@@ -241,6 +286,18 @@ pub fn narrow(
             }
         }
     }
+}
+
+/// Whether [`narrow`]'s upper-half probe may close at the candidate value
+/// `cv`: not on a `k = 1` site, and not when history already holds a second
+/// matching tuple at `cv` (module docs).
+fn closes_at(server: &dyn SearchInterface, st: &SharedState, spec: &OneDSpec, cv: f64) -> bool {
+    let at_cv = Interval::point(spec.dir.denormalize(cv));
+    server.k() > 1
+        && (st.history.in_range(spec.attr, at_cv))
+            .filter(|t| spec.sel.matches(t))
+            .nth(1)
+            .is_none()
 }
 
 enum Probe {

@@ -14,7 +14,8 @@
 //! * fault schedules are seed-deterministic and replayable; the scripted
 //!   seeds honor `QRS_TEST_SEED` so CI proves determinism across seeds.
 
-use query_reranking::datagen::synthetic::uniform;
+use query_reranking::core::OneDStrategy;
+use query_reranking::datagen::synthetic::{discrete_grid, uniform};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{
     Clock, Fault, FaultyServer, MockClock, SearchInterface, SimServer, SystemRank,
@@ -139,6 +140,75 @@ fn mid_stream_outages_and_truncated_pages_recover_exactly() {
     assert_eq!(s.retries_spent(), 4);
     // The session's own ledger covers the lost pages too.
     assert_eq!(s.queries_spent(), inner.queries_issued());
+}
+
+/// Resume-exactness as a property, on untied and tied data alike: a single
+/// rate limit at *any* call of the clean run, retried, leaves the 1-D score
+/// stream and the backend's paid count exactly as the clean run had them.
+/// A retried step must re-walk only what it already paid for — the search's
+/// lower bound, a found value whose slab is not yet gathered, and an
+/// interrupted slab crawl's pending sub-queries all survive the refusal.
+#[test]
+fn one_d_resume_is_exact_under_every_single_refusal() {
+    let seed = test_seed();
+    let worlds = [
+        ("uniform", uniform(250, 2, 1, seed)),
+        ("grid6", discrete_grid(250, 2, 6, seed)),
+        ("grid40", discrete_grid(250, 2, 40, seed)),
+    ];
+    let systems = [
+        SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]),
+        SystemRank::pseudo_random(seed),
+    ];
+    let mut schedules = 0;
+    for (world, data) in &worlds {
+        for k in [3, 5] {
+            for sys in &systems {
+                for strategy in OneDStrategy::ALL {
+                    let run = |fault_at: Option<u64>| {
+                        let inner = Arc::new(SimServer::new(data.clone(), sys.clone(), k));
+                        let mut faulty =
+                            FaultyServer::new(Arc::clone(&inner) as Arc<dyn SearchInterface>);
+                        if let Some(at) = fault_at {
+                            let refusal = Fault::RateLimit {
+                                retry_after_ms: None,
+                            };
+                            faulty = faulty.with_fault_at(at, refusal);
+                        }
+                        let faulty = Arc::new(faulty);
+                        let svc = RerankService::new(
+                            Arc::clone(&faulty) as Arc<dyn SearchInterface>,
+                            data.len(),
+                        )
+                        .with_retry_policy(RetryPolicy::none().attempts(2))
+                        .with_clock(Arc::new(MockClock::new()) as Arc<dyn Clock>);
+                        let mut s = svc
+                            .session(Query::all(), rank1())
+                            .algorithm(Algorithm::OneD(strategy))
+                            .open()
+                            .unwrap();
+                        let (hits, err) = s.top(12);
+                        assert!(err.is_none(), "{world} k={k} at {fault_at:?}: {err:?}");
+                        let scores: Vec<f64> = hits.iter().map(|r| r.score).collect();
+                        (scores, inner.queries_issued(), faulty.calls_seen())
+                    };
+                    let (want, paid, calls) = run(None);
+                    for at in 0..calls {
+                        let (got, got_paid, _) = run(Some(at));
+                        let case = format!(
+                            "{world} k={k} {} {} refused at call {at}",
+                            sys.label(),
+                            strategy.label()
+                        );
+                        assert_eq!(got, want, "{case}: the stream changed");
+                        assert_eq!(got_paid, paid, "{case}: paid queries changed");
+                        schedules += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(schedules > 500, "only {schedules} schedules ran");
 }
 
 #[test]
