@@ -1,5 +1,7 @@
 //! Theorem 1 made executable: the adversarial server forces any reranking
-//! algorithm to spend at least `n/k` queries to certify a 1D top-1.
+//! algorithm to spend at least `n/k` queries to certify a 1D top-1. The
+//! run also bounds the strategies from above: none may spend more than
+//! `n/k + 1`, the one confirm probe 1D-BINARY and 1D-RERANK may waste.
 
 use crate::{print_figure, Scale, Series};
 use qrs_core::one_d::primitives::{next_above, OneDSpec};
@@ -8,7 +10,8 @@ use qrs_server::{AdversaryServer, SearchInterface};
 use qrs_types::{AttrId, Direction, Query};
 
 /// Run every 1D strategy against the adversary for several k; print observed
-/// cost against the `n/k` lower bound, which every row must meet.
+/// cost against the `n/k` lower bound, which every row must meet and may
+/// exceed by at most one query.
 pub fn run(scale: Scale) -> Vec<Series> {
     // The adversary halves its threshold toward 0.0 for each fresh tuple,
     // and an f64 runs out of distinct halvings: past n = 760 at k = 1,
@@ -38,6 +41,13 @@ pub fn run(scale: Scale) -> Vec<Series> {
                  (n = {n}, k = {k})",
                 strategy.label(),
                 n / k
+            );
+            assert!(
+                observed <= (n / k) as u64 + 1,
+                "{} spent {observed} queries on a top-1, over the n/k + 1 = {} bound \
+                 (n = {n}, k = {k})",
+                strategy.label(),
+                n / k + 1
             );
             series[si].push(k as f64, observed as f64);
         }

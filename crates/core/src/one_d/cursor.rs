@@ -11,14 +11,14 @@
 //! order.
 //!
 //! A refused step resumes where it stopped: the cursor keeps the search's
-//! lower bound (`narrow`'s `lo`) and a found value until its slab is
-//! gathered, and an interrupted slab crawl keeps its pending sub-queries in
-//! [`SharedState`]. So a retry asks exactly the queries the uninterrupted
-//! step would have, and none twice.
+//! progress (`narrow`'s [`Step`]: its lower bound and its confirm flag) and
+//! a found value until its slab is gathered, and an interrupted slab crawl
+//! keeps its pending sub-queries in [`SharedState`]. So a retry asks
+//! exactly the queries the uninterrupted step would have, and none twice.
 
 use crate::crawl::crawl_region;
 use crate::ctx::SharedState;
-use crate::one_d::primitives::{seek, OneDSpec};
+use crate::one_d::primitives::{seek, OneDSpec, Step};
 use crate::one_d::OneDStrategy;
 use qrs_server::SearchInterface;
 use qrs_types::{Direction, Interval, Query, RerankError, Tuple};
@@ -44,6 +44,9 @@ pub enum TiePolicy {
 pub struct OneDCursor {
     spec: OneDSpec,
     strategy: OneDStrategy,
+    /// The search's progress. Its confirm flag lives as long as the cursor;
+    /// its lower bound restarts at each value.
+    step: Step,
     state: State,
 }
 
@@ -56,10 +59,9 @@ enum State {
         queue: VecDeque<Arc<Tuple>>,
     },
     /// Searching for the first value past `after`; no matching tuple lies
-    /// in `(after, lo)`.
+    /// in `(after, step.lo)`.
     Seek {
         after: f64,
-        lo: f64,
     },
     /// The next value, found; its slab is still to gather.
     Found(f64),
@@ -76,6 +78,7 @@ impl OneDCursor {
         OneDCursor {
             spec,
             strategy,
+            step: Step::new(f64::NEG_INFINITY),
             state: State::Start,
         }
     }
@@ -110,14 +113,13 @@ impl OneDCursor {
                     if let Some(t) = queue.pop_front() {
                         return Ok(Some(t));
                     }
-                    self.state = State::Seek {
-                        after: *nval,
-                        lo: *nval,
-                    };
+                    self.step.lo = *nval;
+                    self.state = State::Seek { after: *nval };
                 }
-                State::Seek { after, lo } => {
+                State::Seek { after } => {
                     let after = *after;
-                    let next = seek(server, st, &self.spec, self.strategy, after, None, lo)?;
+                    let step = &mut self.step;
+                    let next = seek(server, st, &self.spec, self.strategy, after, None, step)?;
                     self.state = match next {
                         None => State::Done,
                         Some(t) => State::Found(self.spec.nval(&t)),
@@ -176,7 +178,6 @@ impl OneDCursor {
                     } else {
                         self.state = State::Seek {
                             after: f64::NEG_INFINITY,
-                            lo: f64::NEG_INFINITY,
                         };
                     }
                 }

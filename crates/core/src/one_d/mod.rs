@@ -7,7 +7,9 @@
 //! * [`OneDStrategy::Baseline`] — Algorithm 1 (1D-BASELINE): shrink the
 //!   search interval to the best returned value, repeat until underflow,
 //! * [`OneDStrategy::Binary`] — Algorithm 2 (1D-BINARY): bisect the search
-//!   interval instead,
+//!   interval instead, confirming it whole first while the size estimate
+//!   says it fits one page, until a confirm cuts less than half of it
+//!   ([`primitives`]),
 //! * [`OneDStrategy::Rerank`] — Algorithm 3 (1D-RERANK): bisect until the
 //!   interval is narrower than the dense-region threshold, then hand off to
 //!   the on-the-fly index oracle (Algorithm 4, [`crate::index::dense1d`]).

@@ -18,6 +18,25 @@
 //! which history already holds two matching tuples. 1D-BASELINE and the
 //! dense-index crawl keep their open probes: closing them as well saved
 //! no query on the benchmark and cost more on `k = 1` sites (Fig 8).
+//!
+//! **Confirm before bisecting.** Where the system ranking is kind,
+//! Algorithm 1 settles the next value in one query and bisection pays
+//! several. So before each bisection step, [`narrow`] probes the whole
+//! uncertainty interval once, closed at `cv` under the rule above, while
+//! two conditions hold: the search's confirm flag ([`Step::confirm`]) is
+//! set, and the service's size estimate says the interval fits one page,
+//! `n · (cv − lo) / |V(Ai)| ≤ k` (the same `n` the dense threshold reads).
+//! An empty or valid answer settles the step. An overflowing one names a
+//! better candidate, and the round starts over with it; if that cut less
+//! than half of `[lo, cv)`, the flag is cleared, and the search bisects
+//! from then on. The flag lives as long as
+//! the search (a [`OneDCursor`](super::OneDCursor)'s whole life), so an
+//! adversarial rank wastes at most one confirm per cursor: Theorem 1's
+//! adversary reads `n/k + 1` for 1D-BINARY and 1D-RERANK, against `n/k` for
+//! 1D-BASELINE. The flag and `lo` survive a refusal, so a retry asks the
+//! same probes. Bentley & Yao's "almost optimal" unbounded search (IPL
+//! 1976) is the classic account of pairing a cheap guess with a bisection
+//! that bounds its loss.
 
 use crate::ctx::SharedState;
 use crate::one_d::OneDStrategy;
@@ -93,13 +112,35 @@ pub fn next_above(
     after: f64,
     upto: Option<f64>,
 ) -> Result<Option<Arc<Tuple>>, RerankError> {
-    let mut lo = after;
-    seek(server, st, spec, strategy, after, upto, &mut lo)
+    let mut step = Step::new(after);
+    seek(server, st, spec, strategy, after, upto, &mut step)
 }
 
-/// [`next_above`] resumable across a refusal: `lo` is the bisection's lower
-/// bound ([`narrow`]), kept by the caller so that a retry re-walks the
-/// intervals already paid for. Start it at `after`.
+/// [`narrow`]'s progress, kept by its caller across a refusal so that a
+/// retry re-walks exactly the intervals already paid for.
+#[derive(Debug, Clone, Copy)]
+pub struct Step {
+    /// No matching tuple has a normalized value in `(after, lo)`. Reset to
+    /// `after` at the start of each step.
+    pub lo: f64,
+    /// Whether [`narrow`] may still confirm before it bisects (module docs).
+    /// Set once per search; a confirm probe that cut less than half of its
+    /// interval clears it for good.
+    pub confirm: bool,
+}
+
+impl Step {
+    /// A fresh search past `after`, confirming allowed.
+    pub fn new(after: f64) -> Self {
+        Step {
+            lo: after,
+            confirm: true,
+        }
+    }
+}
+
+/// [`next_above`] resumable across a refusal: `step` is [`narrow`]'s
+/// progress, kept by the caller. Start its `lo` at `after`.
 pub(crate) fn seek(
     server: &dyn SearchInterface,
     st: &mut SharedState,
@@ -107,11 +148,11 @@ pub(crate) fn seek(
     strategy: OneDStrategy,
     after: f64,
     upto: Option<f64>,
-    lo: &mut f64,
+    step: &mut Step,
 ) -> Result<Option<Arc<Tuple>>, RerankError> {
     match strategy {
         OneDStrategy::Baseline => baseline(server, st, spec, after, upto),
-        OneDStrategy::Binary => match narrow(server, st, spec, after, upto, None, lo)? {
+        OneDStrategy::Binary => match narrow(server, st, spec, after, upto, None, step)? {
             NarrowResult::Found(t) => Ok(Some(t)),
             NarrowResult::Exhausted(c) => Ok(c),
             NarrowResult::Narrowed { .. } => unreachable!("no stop width given"),
@@ -122,7 +163,7 @@ pub(crate) fn seek(
                 o.domain_width()
             };
             let threshold = st.params.dense_width(domain);
-            match narrow(server, st, spec, after, upto, Some(threshold), lo)? {
+            match narrow(server, st, spec, after, upto, Some(threshold), step)? {
                 NarrowResult::Found(t) => Ok(Some(t)),
                 NarrowResult::Exhausted(c) => Ok(c),
                 NarrowResult::Narrowed { lo, cur } => {
@@ -180,13 +221,21 @@ pub(crate) fn baseline(
 /// `Some(w)` it returns [`NarrowResult::Narrowed`] as soon as the interval is
 /// narrower than `w` (the 1D-RERANK hand-off point).
 ///
-/// `lo` is the search's progress, in and out: no matching tuple has a
-/// normalized value in `(after, lo)`. Pass `after` to start; on a refusal it
-/// holds what the paid probes proved, and passing it back makes the retry
-/// ask exactly the probes the uninterrupted search would have. When the
-/// lower half is empty, the upper half is probed closed at `cv` unless the
-/// site's `k` is 1 or history holds a second matching tuple at `cv` (module
-/// docs).
+/// `step` is the search's progress, in and out. `step.lo`: no matching
+/// tuple has a normalized value in `(after, lo)`. Pass `after` to start; on
+/// a refusal it holds what the paid probes proved, and passing it back
+/// makes the retry ask exactly the probes the uninterrupted search would
+/// have. When the lower half is empty, the upper half is probed closed at
+/// `cv` unless the site's `k` is 1 or history holds a second matching tuple
+/// at `cv` (module docs).
+///
+/// Before each bisection step, while `step.confirm` is set and the size
+/// estimate `n · (cv − lo) / |V(Ai)|` is at most `k`, the whole interval is
+/// probed once, closed at `cv` under the same rule: an empty or valid
+/// answer settles the step, an overflowing one names a better candidate to
+/// start the round over with, and one that cut less than half of
+/// `[lo, cv)` also clears `step.confirm`. On an adversarial rank that wastes
+/// at most one probe per search (module docs).
 pub fn narrow(
     server: &dyn SearchInterface,
     st: &mut SharedState,
@@ -194,28 +243,30 @@ pub fn narrow(
     after: f64,
     upto: Option<f64>,
     stop_width: Option<f64>,
-    lo: &mut f64,
+    step: &mut Step,
 ) -> Result<NarrowResult, RerankError> {
     let mut cur: Option<Arc<Tuple>> = st
         .history
         .next_norm_above(spec.attr, spec.dir, after, upto, &spec.sel)
         .cloned();
+    let o = server.schema().ordinal(spec.attr);
+    let domain = o.domain_width();
     // Starting from the very top (`after = -∞`), the public schema domain
     // bounds the uncertainty region — without this, the bisection midpoint
     // of (-∞, cv) is degenerate and 1D-BINARY would collapse to baseline
     // probes for the first Get-Next.
-    if *lo == f64::NEG_INFINITY {
-        let o = server.schema().ordinal(spec.attr);
+    if step.lo == f64::NEG_INFINITY {
         let (a, b) = (spec.dir.normalize(o.min), spec.dir.normalize(o.max));
-        *lo = a.min(b);
+        step.lo = a.min(b);
     }
     loop {
+        let lo = step.lo;
         let Some(c) = cur.clone() else {
             // No candidate yet: one baseline-style probe over the remainder.
-            let iv = if *lo == after {
+            let iv = if lo == after {
                 open_interval(after, upto.unwrap_or(f64::INFINITY))
             } else {
-                half_open(*lo, upto.unwrap_or(f64::INFINITY))
+                half_open(lo, upto.unwrap_or(f64::INFINITY))
             };
             if iv.is_empty() {
                 return Ok(NarrowResult::Exhausted(None));
@@ -235,18 +286,36 @@ pub fn narrow(
             }
         };
         let cv = spec.nval(&c);
-        if *lo >= cv {
+        if lo >= cv {
             return Ok(NarrowResult::Exhausted(cur));
         }
         if let Some(w) = stop_width {
-            if cv - *lo < w {
-                return Ok(NarrowResult::Narrowed { lo: *lo, cur: c });
+            if cv - lo < w {
+                return Ok(NarrowResult::Narrowed { lo, cur: c });
             }
         }
-        let mid = *lo + (cv - *lo) / 2.0;
-        if !(mid > *lo && mid < cv) {
+        let mid = lo + (cv - lo) / 2.0;
+        if step.confirm && st.params.n * (cv - lo) / domain <= server.k() as f64 {
+            // The size estimate says `[lo, cv)` fits one page: confirm it
+            // whole (Algorithm 1's query) before bisecting. `lo` stays, so a
+            // retry asks this same probe.
+            let mut whole = region_iv(after, lo, cv);
+            if closes_at(server, st, spec, cv) {
+                whole.hi = Endpoint::Closed(cv);
+            }
+            match probe(server, st, spec, whole)? {
+                Probe::Empty => return Ok(NarrowResult::Exhausted(cur)),
+                Probe::All(t) => return Ok(NarrowResult::Found(t)),
+                Probe::Partial(t) => {
+                    step.confirm = spec.nval(&t) <= mid;
+                    cur = Some(t);
+                    continue;
+                }
+            }
+        }
+        if !(mid > lo && mid < cv) {
             // Floating-point degeneracy: confirm the sliver directly.
-            match probe(server, st, spec, region_iv(after, *lo, cv))? {
+            match probe(server, st, spec, region_iv(after, lo, cv))? {
                 Probe::Empty => return Ok(NarrowResult::Exhausted(cur)),
                 Probe::All(t) => return Ok(NarrowResult::Found(t)),
                 Probe::Partial(t) => {
@@ -258,7 +327,7 @@ pub fn narrow(
         // Probe the lower half [lo, mid) — open at `after` before any
         // half-interval has been proven empty, so the predecessor tuple at
         // exactly `after` is never re-returned.
-        match probe(server, st, spec, region_iv(after, *lo, mid))? {
+        match probe(server, st, spec, region_iv(after, lo, mid))? {
             Probe::All(t) => return Ok(NarrowResult::Found(t)),
             Probe::Partial(t) => {
                 cur = Some(t);
@@ -275,7 +344,7 @@ pub fn narrow(
                     half_open(mid, cv)
                 };
                 let answer = probe(server, st, spec, upper)?;
-                *lo = mid;
+                step.lo = mid;
                 match answer {
                     Probe::Empty => return Ok(NarrowResult::Exhausted(cur)),
                     Probe::All(t) => return Ok(NarrowResult::Found(t)),
@@ -527,6 +596,44 @@ mod tests {
                 next_above(&server, &mut st, &spec, strategy, f64::NEG_INFINITY, None)
                     .unwrap()
                     .is_none()
+            );
+        }
+    }
+
+    #[test]
+    fn confirming_costs_baseline_on_a_kind_rank_and_bisection_on_a_hostile_one() {
+        use crate::one_d::OneDCursor;
+        // Top-25 by attribute 0 ascending; paid queries per strategy.
+        let top25 = |data: &qrs_types::Dataset, sys: SystemRank, strategy| {
+            let server = SimServer::new(data.clone(), sys, 10);
+            let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(2000, 10));
+            let mut cur = OneDCursor::over(AttrId(0), Direction::Asc, Query::all(), strategy);
+            for _ in 0..25 {
+                cur.next(&server, &mut st).unwrap().expect("2000 tuples");
+            }
+            server.queries_issued()
+        };
+        for seed in [7, 8, 9] {
+            let data = uniform(2000, 2, 1, seed);
+            // A kind rank: the site's own order is the user's, so one
+            // confirm probe settles most next values. Bisecting alone pays
+            // what 1D-BASELINE pays here, 53.
+            let kind = top25(
+                &data,
+                SystemRank::by_attr_asc(AttrId(0)),
+                OneDStrategy::Binary,
+            );
+            assert!(
+                kind <= 30,
+                "seed {seed}: 1D-BINARY paid {kind} on a kind rank"
+            );
+            // A hostile rank: the flag clears on the first wasted confirm.
+            let hostile = SystemRank::by_attr_desc(AttrId(0));
+            let binary = top25(&data, hostile.clone(), OneDStrategy::Binary);
+            let baseline = top25(&data, hostile, OneDStrategy::Baseline);
+            assert!(
+                binary <= baseline,
+                "seed {seed}: 1D-BINARY paid {binary}, 1D-BASELINE {baseline}"
             );
         }
     }

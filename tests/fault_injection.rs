@@ -15,7 +15,7 @@
 //!   seeds honor `QRS_TEST_SEED` so CI proves determinism across seeds.
 
 use query_reranking::core::OneDStrategy;
-use query_reranking::datagen::synthetic::{discrete_grid, uniform};
+use query_reranking::datagen::synthetic::{clustered, discrete_grid, uniform};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{
     Clock, Fault, FaultyServer, MockClock, SearchInterface, SimServer, SystemRank,
@@ -146,8 +146,10 @@ fn mid_stream_outages_and_truncated_pages_recover_exactly() {
 /// rate limit at *any* call of the clean run, retried, leaves the 1-D score
 /// stream and the backend's paid count exactly as the clean run had them.
 /// A retried step must re-walk only what it already paid for — the search's
-/// lower bound, a found value whose slab is not yet gathered, and an
-/// interrupted slab crawl's pending sub-queries all survive the refusal.
+/// lower bound and confirm flag, a found value whose slab is not yet
+/// gathered, and an interrupted slab crawl's pending sub-queries all survive
+/// the refusal. The clustered world is where a lost confirm flag shows on
+/// every seed: its dense clusters keep the flag set deep into a stream.
 #[test]
 fn one_d_resume_is_exact_under_every_single_refusal() {
     let seed = test_seed();
@@ -155,6 +157,7 @@ fn one_d_resume_is_exact_under_every_single_refusal() {
         ("uniform", uniform(250, 2, 1, seed)),
         ("grid6", discrete_grid(250, 2, 6, seed)),
         ("grid40", discrete_grid(250, 2, 40, seed)),
+        ("clustered", clustered(250, 2, 3, 0.01, seed)),
     ];
     let systems = [
         SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]),
