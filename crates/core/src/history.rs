@@ -223,7 +223,7 @@ impl History {
 /// crawler exhausted it. Capped FIFO — dropping an entry only costs future
 /// queries, never correctness.
 #[derive(Debug)]
-pub struct CompleteRegions(RegionIndex<()>);
+pub struct CompleteRegions(RegionIndex);
 
 impl Default for CompleteRegions {
     fn default() -> Self {
@@ -249,13 +249,13 @@ impl CompleteRegions {
 
     /// Register a query whose full answer is now in history.
     pub fn register(&mut self, q: &Query) {
-        self.0.insert(q, ());
+        self.0.insert(q);
     }
 
     /// Is every tuple matching `q` guaranteed to be in history already —
     /// does a remembered region subsume it?
     pub fn covers(&self, q: &Query) -> bool {
-        self.0.find(q).is_some()
+        self.0.covers(q)
     }
 }
 

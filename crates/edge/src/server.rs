@@ -882,7 +882,6 @@ fn stats(shared: &Shared) -> Response {
             Json::obj(vec![
                 ("sources", Json::u64(p.sources)),
                 ("hits", Json::u64(p.hits)),
-                ("synthesized", Json::u64(p.synthesized)),
                 ("misses", Json::u64(p.misses)),
                 ("result_hits", Json::u64(p.result_hits)),
             ]),

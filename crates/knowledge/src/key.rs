@@ -99,7 +99,8 @@ pub enum RequestKey {
 }
 
 impl RequestKey {
-    /// Key of a top-`k` request for `q`.
+    /// Key of a top-`k` request for `q`. Also kept for the benchmark,
+    /// which keys the shard with it directly.
     pub fn top_k(q: &Query) -> Self {
         RequestKey::TopK { sel: query_key(q) }
     }

@@ -13,12 +13,12 @@
 //!   name → shard map. A service resolves its shard once, when it is built,
 //!   and every request reaches the shard through that `Arc`, so the map is
 //!   off the request path.
-//! * [`SourceShard`] — per-source knowledge: an exact **response cache**,
-//!   **drained regions** (selections whose complete match set in system
-//!   order is known, from which subsumed requests are synthesized for
-//!   free), **page runs** (drains in progress) and **learned result
-//!   streams** (exact top-k outputs keyed by
-//!   `(selection, rank, strategy)`).
+//! * [`SourceShard`] — per-source knowledge: an exact **response cache**
+//!   (replays of paid top-k, page and `ORDER BY` answers) and **learned
+//!   result streams** (exact top-k outputs keyed by
+//!   `(selection, rank, strategy)`). Which selections are known in full
+//!   is the service's own `CompleteRegions` registry's question, not the
+//!   plane's.
 //! * **Epoch invalidation** — every shard carries a generation counter;
 //!   entries are stamped with the epoch they were recorded under and
 //!   lookups reject older stamps. Invalidation is one atomic increment:
@@ -35,7 +35,7 @@ pub mod key;
 pub mod shard;
 
 pub use key::{query_key, RequestKey, ResultKey};
-pub use shard::{CachedResponse, ResultEntry, ShardStats, SourceShard};
+pub use shard::{ResultEntry, ShardStats, SourceShard};
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -48,7 +48,8 @@ pub struct PlaneStats {
     pub sources: u64,
     /// Exact response-cache hits, summed over shards.
     pub hits: u64,
-    /// Synthesized answers, summed over shards.
+    /// Always 0: the plane answers only with what it was given. Kept for
+    /// the benchmark, which reads it.
     pub synthesized: u64,
     /// Misses, summed over shards.
     pub misses: u64,
@@ -105,7 +106,6 @@ impl KnowledgePlane {
             let s = shard.stats();
             out.sources += 1;
             out.hits += s.hits;
-            out.synthesized += s.synthesized;
             out.misses += s.misses;
             out.result_hits += s.result_hits;
         }

@@ -647,6 +647,9 @@ impl<'a> SessionBuilder<'a> {
         retry.seed ^= nonce.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let knowledge = if self.spec.use_knowledge {
             self.svc.knowledge_gate().map(|gate| {
+                // Read before the lookup: a stream recorded under a later
+                // epoch replays as it is, and this session records nothing.
+                let epoch = gate.shard().epoch();
                 // Custom strategies never key the result cache: their
                 // exactness is the author's promise, so their streams are
                 // neither recorded nor replayed (the request-level gate
@@ -670,7 +673,10 @@ impl<'a> SessionBuilder<'a> {
                 };
                 SessionKnowledge {
                     gate: Arc::clone(gate),
+                    epoch,
                     result_key,
+                    // A sealed stream never hands over to the strategy.
+                    rederive: Vec::with_capacity(if replay_exhausted { 0 } else { replay.len() }),
                     replay,
                     replay_exhausted,
                     full_ledger,

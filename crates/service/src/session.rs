@@ -32,7 +32,7 @@ use qrs_knowledge::{ResultKey, SourceShard};
 use qrs_obs::{BudgetScope, EventKind, QueryClass};
 use qrs_ranking::RankFn;
 use qrs_server::SearchInterface;
-use qrs_types::{Query, RequestKind, RerankError, Tuple};
+use qrs_types::{Query, RequestKind, RerankError, Tuple, TupleId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -42,23 +42,32 @@ use std::sync::Arc;
 ///
 /// Two mechanisms ride in it:
 /// * the **gate** — every strategy request goes through the
-///   [`KnowledgeGate`] instead of the raw server, so exact replays and
-///   drained-region synthesis answer for free; the session reads the
-///   gate's saved-ledger deltas in-lock, exactly like paid spend;
+///   [`KnowledgeGate`] instead of the raw server, so exact replays of
+///   paid answers are free; the session reads the gate's saved-ledger
+///   deltas in-lock, exactly like paid spend;
 /// * the **result replay** — a cached exact output stream for this
 ///   `(selection, rank, strategy)` is emitted directly (`replay`),
 ///   after which the strategy resumes from scratch with the session
-///   swallowing its re-derivation of that prefix (`Session::skip`); its
-///   replayed requests hit the response cache, so resumption costs zero
-///   server queries.
+///   swallowing its re-derivation of the replayed tuples (`rederive`);
+///   its replayed requests hit the response cache, so resumption costs
+///   zero server queries.
 pub(crate) struct SessionKnowledge {
     pub(crate) gate: Arc<KnowledgeGate>,
+    /// The shard epoch the session opened under. The session records into
+    /// the result cache only while it is current: after a data change,
+    /// what the strategy learned before it may no longer hold.
+    pub(crate) epoch: u64,
     /// Key of this session's exact output stream in the shard's result
     /// cache; `None` for custom strategies (their exactness is the
     /// author's promise, so their streams are never cached or replayed).
     pub(crate) result_key: Option<ResultKey>,
     /// Cached `(tuple, score bits)` prefix still to emit.
     pub(crate) replay: VecDeque<(Arc<Tuple>, u64)>,
+    /// Replayed tuples the strategy has yet to re-derive (none once the
+    /// stream is complete: the strategy never runs). Matched by id, not by
+    /// position: a richer history can order a tie group differently the
+    /// second time.
+    pub(crate) rederive: Vec<TupleId>,
     /// The cached stream is known complete: once `replay` drains, the
     /// session is exhausted without ever driving the strategy.
     pub(crate) replay_exhausted: bool,
@@ -155,12 +164,6 @@ pub struct Session<'a> {
     /// This session's ordinal on the observability plane (0 when the
     /// service has no observer attached).
     obs_id: u64,
-    /// Post-residual emissions the strategy has produced — the 0-based
-    /// stream index used for recording and for `skip`.
-    derived: usize,
-    /// How many of those emissions the user has already seen and the
-    /// session therefore swallows: the prefix replayed at a warm open.
-    skip: usize,
 }
 
 impl<'a> Session<'a> {
@@ -175,7 +178,6 @@ impl<'a> Session<'a> {
         knowledge: Option<SessionKnowledge>,
         obs_id: u64,
     ) -> Self {
-        let skip = knowledge.as_ref().map_or(0, |k| k.replay.len());
         Session {
             svc,
             rank,
@@ -185,8 +187,6 @@ impl<'a> Session<'a> {
             residual,
             knowledge,
             obs_id,
-            derived: 0,
-            skip,
         }
     }
 
@@ -277,6 +277,9 @@ impl<'a> Session<'a> {
         let k = self.knowledge.as_mut()?;
         let hit = match k.replay.pop_front() {
             Some((tuple, bits)) => {
+                if !k.replay_exhausted {
+                    k.rederive.push(tuple.id);
+                }
                 self.ledger.emitted += 1;
                 self.svc.stats_ref().on_emit();
                 Some(RankedTuple {
@@ -373,7 +376,7 @@ impl<'a> Session<'a> {
         });
     }
 
-    /// Stage 3 — residual → record → skip. `None` means the tuple was paid
+    /// Stage 3 — residual → skip → record. `None` means the tuple was paid
     /// for but is not the user's next answer; rank order is unaffected, so
     /// the caller just keeps pulling.
     fn admit(&mut self, tuple: Arc<Tuple>) -> Option<RankedTuple> {
@@ -382,19 +385,22 @@ impl<'a> Session<'a> {
         if self.residual.as_ref().is_some_and(|r| !r.matches(&tuple)) {
             return None;
         }
-        // Post-residual stream index: the cache stores the user-visible
-        // stream, so residual-filtered tuples never count.
-        let idx = self.derived;
-        self.derived += 1;
-        let score = self.rank.score(&tuple);
-        if let Some((shard, key)) = self.result_stream() {
-            shard.extend_result(key, idx, Arc::clone(&tuple), score.to_bits());
+        if let Some(k) = &mut self.knowledge {
+            if let Some(at) = k.rederive.iter().position(|&id| id == tuple.id) {
+                // Already emitted from the replayed prefix; the strategy
+                // is just catching up (its requests hit the response
+                // cache, so this costs nothing).
+                k.rederive.swap_remove(at);
+                return None;
+            }
         }
-        if idx < self.skip {
-            // Already emitted from the replayed prefix; the strategy is
-            // just catching up (its requests hit the response cache, so
-            // this costs nothing).
-            return None;
+        // The strategy runs only once the replay has drained, so the
+        // user-visible stream — the one the cache stores — holds exactly
+        // `emitted` tuples before this one.
+        let score = self.rank.score(&tuple);
+        if let Some((shard, epoch, key)) = self.result_stream() {
+            let idx = self.ledger.emitted;
+            shard.extend_result(key, epoch, idx, Arc::clone(&tuple), score.to_bits());
         }
         self.ledger.emitted += 1;
         self.svc.stats_ref().on_emit();
@@ -406,16 +412,16 @@ impl<'a> Session<'a> {
     }
 
     /// Stage 4 — the strategy ran dry: seal the cache entry. The stream is
-    /// complete at exactly `derived` tuples, and the whole run cost
+    /// complete at exactly `emitted` tuples, and the whole run cost
     /// `spent + saved` (what a future full replay deserves credit for).
     fn seal(&self) {
-        let Some((shard, key)) = self.result_stream() else {
+        let Some((shard, epoch, key)) = self.result_stream() else {
             return;
         };
-        let items = self.derived;
+        let items = self.ledger.emitted;
         let queries_full = self.ledger.queries_spent + self.ledger.queries_saved;
         let cost_units_full = self.ledger.cost_units_spent + self.ledger.cost_units_saved;
-        shard.mark_result_exhausted(key, items, queries_full, cost_units_full);
+        shard.mark_result_exhausted(key, epoch, items, queries_full, cost_units_full);
         self.emit_obs(|| EventKind::KnowledgeSeal {
             items: items as u64,
             queries_full,
@@ -423,10 +429,11 @@ impl<'a> Session<'a> {
         });
     }
 
-    /// Where this session records its exact output stream, if anywhere.
-    fn result_stream(&self) -> Option<(&SourceShard, &ResultKey)> {
+    /// Where, and under which epoch, this session records its exact
+    /// output stream, if anywhere.
+    fn result_stream(&self) -> Option<(&SourceShard, u64, &ResultKey)> {
         let k = self.knowledge.as_ref()?;
-        Some((k.gate.shard().as_ref(), k.result_key.as_ref()?))
+        Some((k.gate.shard().as_ref(), k.epoch, k.result_key.as_ref()?))
     }
 
     /// One strategy step under the shared-state lock.

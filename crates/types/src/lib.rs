@@ -14,9 +14,9 @@
 //!   paper discusses why open ranges are the primitive),
 //! * [`Query`] — conjunctions of range predicates on ordinal attributes and
 //!   membership predicates on categorical attributes,
-//! * [`RegionIndex`] — the one containment index over selection boxes: "is
-//!   `q` subsumed by a region already known in full?" for the core's
-//!   complete-region registry and the knowledge plane's drained regions,
+//! * [`RegionIndex`] — the containment index over selection boxes behind
+//!   the core's complete-region registry: "is `q` subsumed by a region
+//!   already known in full?",
 //! * [`QueryOutcome`], [`QueryResponse`] — the trichotomy *underflow / valid /
 //!   overflow* that every reranking algorithm branches on,
 //! * [`RerankError`], [`ServerError`], [`Capability`] — the workspace-wide

@@ -10,9 +10,9 @@
 //! largest key, an unconstrained attribute the smallest; categorical
 //! predicates are checked on the survivors). Regions sit in insertion
 //! order; all but a short newest tail are under a bulk-built k-d hierarchy
-//! of per-coordinate minima, rebuilt without its tombstones whenever the
-//! tail outgrows an eighth of it, so a miss prunes subtrees instead of
-//! visiting every region.
+//! of per-coordinate minima, rebuilt without the evicted oldest regions
+//! whenever the tail outgrows an eighth of it, so a miss prunes subtrees
+//! instead of visiting every region.
 
 use crate::interval::{Endpoint, Interval};
 use crate::predicate::CatPredicate;
@@ -57,14 +57,6 @@ fn fill(row: &mut [u128], q: &Query, probe: bool) {
     }
 }
 
-#[derive(Debug)]
-struct Slot<T> {
-    id: u64,
-    cats: Vec<CatPredicate>,
-    /// `None` once evicted or removed: a tombstone until the next rebuild.
-    value: Option<T>,
-}
-
 /// One hierarchy node over `order[lo..hi]`, stored in pre-order; `skip` is
 /// the node after its subtree, so a leaf has `skip == self + 1`.
 #[derive(Debug)]
@@ -74,22 +66,22 @@ struct Node {
     skip: u32,
 }
 
-/// Selection boxes with a payload each, answering [`find`](Self::find) —
-/// any live region that subsumes a query — and forgetting oldest-first
-/// beyond a cap. See the module docs for the layout.
+/// Selection boxes answering [`covers`](Self::covers) — does a live
+/// region subsume a query? — and forgetting oldest-first beyond a cap. See
+/// the module docs for the layout.
 #[derive(Debug)]
-pub struct RegionIndex<T> {
+pub struct RegionIndex {
     cap: usize,
     /// Ordinal attributes spanned; every point has `2 * dims` coordinates.
     dims: usize,
-    next_id: u64,
-    live: usize,
-    /// No slot before `head` is live.
+    /// Slots before `head` are evicted, the rest live, until the next
+    /// rebuild drops them.
     head: usize,
-    slots: Vec<Slot<T>>,
+    /// Slot `s`'s categorical predicates.
+    cats: Vec<Vec<CatPredicate>>,
     /// Slot `s` owns `keys[s * 2 * dims..][..2 * dims]`.
     keys: Vec<u128>,
-    /// `slots[..built]` are under the hierarchy, the rest are the tail.
+    /// Slots `..built` are under the hierarchy, the rest are the tail.
     built: usize,
     order: Vec<u32>,
     nodes: Vec<Node>,
@@ -97,22 +89,20 @@ pub struct RegionIndex<T> {
     mins: Vec<u128>,
 }
 
-impl<T> Default for RegionIndex<T> {
+impl Default for RegionIndex {
     fn default() -> Self {
         RegionIndex::new(usize::MAX)
     }
 }
 
-impl<T> RegionIndex<T> {
+impl RegionIndex {
     /// An empty index holding at most `cap` regions (FIFO beyond that).
     pub fn new(cap: usize) -> Self {
         RegionIndex {
             cap: cap.max(1),
             dims: 0,
-            next_id: 0,
-            live: 0,
             head: 0,
-            slots: Vec::new(),
+            cats: Vec::new(),
             keys: Vec::new(),
             built: 0,
             order: Vec::new(),
@@ -123,12 +113,12 @@ impl<T> RegionIndex<T> {
 
     /// Live regions.
     pub fn len(&self) -> usize {
-        self.live
+        self.cats.len() - self.head
     }
 
     /// True when no region is live.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
     /// Forget everything, keeping the cap.
@@ -136,16 +126,11 @@ impl<T> RegionIndex<T> {
         *self = RegionIndex::new(self.cap);
     }
 
-    /// Store `region` with `value`, evicting the oldest live region first
-    /// when the index is full. Returns the handle [`remove`](Self::remove)
-    /// takes.
-    pub fn insert(&mut self, region: &Query, value: T) -> u64 {
-        if self.live == self.cap {
-            while self.slots[self.head].value.is_none() {
-                self.head += 1;
-            }
-            self.slots[self.head].value = None;
-            self.live -= 1;
+    /// Store `region`, evicting the oldest live region first when the
+    /// index is full.
+    pub fn insert(&mut self, region: &Query) {
+        if self.len() == self.cap {
+            self.head += 1;
         }
         let need = region.ranges().iter().map(|r| r.attr.0 + 1).max();
         if let Some(dims) = need.filter(|&d| d > self.dims) {
@@ -154,51 +139,32 @@ impl<T> RegionIndex<T> {
         let row = self.keys.len();
         self.keys.resize(row + 2 * self.dims, 0);
         fill(&mut self.keys[row..], region, false);
-        self.next_id += 1;
-        self.slots.push(Slot {
-            id: self.next_id,
-            cats: region.cats().to_vec(),
-            value: Some(value),
-        });
-        self.live += 1;
-        if self.slots.len() - self.built > (self.built / 8).max(TAIL) {
+        self.cats.push(region.cats().to_vec());
+        if self.cats.len() - self.built > (self.built / 8).max(TAIL) {
             self.rebuild();
         }
-        self.next_id
     }
 
-    /// Take back the region `insert` returned `id` for, if it is still live.
-    pub fn remove(&mut self, id: u64) -> Option<T> {
-        let s = self.slots.binary_search_by_key(&id, |s| s.id).ok()?;
-        let value = self.slots[s].value.take();
-        self.live -= usize::from(value.is_some());
-        value
-    }
-
-    /// The payload of slot `s` when it is live and subsumes `q`, whose probe
-    /// key is `p`. Always inlined: [`find`](Self::find) calls it once per
+    /// Is slot `s` live and does it subsume `q`, whose probe key is `p`?
+    /// Always inlined: [`covers`](Self::covers) calls it once per
     /// candidate slot of every history lookup, and left to the inliner,
     /// whether it is inlined depends on how the calling crate happens to
     /// be split into codegen units.
     #[inline(always)]
-    fn hit(&self, s: usize, p: &[u128], q: &Query) -> Option<&T> {
+    fn hit(&self, s: usize, p: &[u128], q: &Query) -> bool {
         let w = p.len();
         let inside = self.keys[s * w..][..w].iter().zip(p).all(|(c, p)| c <= p);
-        let slot = &self.slots[s];
-        slot.value
-            .as_ref()
-            .filter(|_| inside && q.cats_within(&slot.cats))
+        s >= self.head && inside && q.cats_within(&self.cats[s])
     }
 
-    /// The payload of some live region that subsumes `q`: `Some` exactly
-    /// when `q.is_subsumed_by(r)` holds for a live `r`.
-    pub fn find(&self, q: &Query) -> Option<&T> {
+    /// Does some live region `r` subsume `q` (`q.is_subsumed_by(r)`)?
+    pub fn covers(&self, q: &Query) -> bool {
         let w = 2 * self.dims;
         let mut p = vec![0; w];
         fill(&mut p, q, true);
         let hit = |s: usize| self.hit(s, &p, q);
-        if let Some(v) = (self.built..self.slots.len()).rev().find_map(hit) {
-            return Some(v);
+        if (self.built..self.cats.len()).rev().any(hit) {
+            return true;
         }
         let mut n = 0;
         while let Some(node) = self.nodes.get(n) {
@@ -209,12 +175,12 @@ impl<T> RegionIndex<T> {
             n += 1;
             if node.skip as usize == n {
                 let leaf = &self.order[node.lo as usize..node.hi as usize];
-                if let Some(v) = leaf.iter().find_map(|&s| hit(s as usize)) {
-                    return Some(v);
+                if leaf.iter().any(|&s| hit(s as usize)) {
+                    return true;
                 }
             }
         }
-        None
+        false
     }
 
     /// Re-lay every point out over `dims` attributes (new ones unbounded).
@@ -225,29 +191,23 @@ impl<T> RegionIndex<T> {
         // allows: doubling would re-lay them a dozen times per service.
         if let Some(rows) = self.cap.checked_add(self.cap / 8 + TAIL + 1) {
             keys.reserve_exact(rows * new);
-            self.slots
-                .reserve_exact(rows.saturating_sub(self.slots.len()));
+            self.cats
+                .reserve_exact(rows.saturating_sub(self.cats.len()));
         }
-        keys.resize(self.slots.len() * new, 0);
-        for s in 0..self.slots.len() {
+        keys.resize(self.cats.len() * new, 0);
+        for s in 0..self.cats.len() {
             keys[s * new..][..old].copy_from_slice(&self.keys[s * old..][..old]);
         }
         (self.keys, self.dims) = (keys, dims);
         self.rebuild();
     }
 
-    /// Drop the tombstones and put every live slot under a fresh hierarchy.
+    /// Drop the evicted slots and put every live one under a fresh
+    /// hierarchy.
     fn rebuild(&mut self) {
-        let w = 2 * self.dims;
-        let mut n = 0;
-        for s in 0..self.slots.len() {
-            if self.slots[s].value.is_some() {
-                self.keys.copy_within(s * w..(s + 1) * w, n * w);
-                n += 1;
-            }
-        }
-        self.keys.truncate(n * w);
-        self.slots.retain(|s| s.value.is_some());
+        self.keys.drain(..self.head * 2 * self.dims);
+        self.cats.drain(..self.head);
+        let n = self.cats.len();
         (self.head, self.built) = (0, n);
         self.order.clear();
         self.order.extend(0..n as u32);

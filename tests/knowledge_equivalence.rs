@@ -1,6 +1,6 @@
 //! The knowledge plane's safety contract: a warm session is *invisible* in
-//! its output. Whatever mix of response replay, drained-region synthesis
-//! and result-stream replay answers a request, the emitted stream must be
+//! its output. Whatever mix of response replay and result-stream replay
+//! answers a request, the emitted stream must be
 //! byte-identical (tuple ids AND score bit patterns) to a cold session's,
 //! and the ledgers must balance exactly:
 //!
@@ -13,7 +13,7 @@
 //! mixes `QRS_TEST_SEED` into its base seed, so CI proves the claims under
 //! several seeds.
 
-use query_reranking::datagen::synthetic::uniform;
+use query_reranking::datagen::synthetic::{discrete_grid, uniform};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{Capabilities, SimServer, SystemRank};
 use query_reranking::service::{KnowledgePlane, RerankService, Session};
@@ -413,4 +413,75 @@ fn saved_cost_units_honor_a_metered_cost_model() {
             "case {case}: metered savings must equal the metered cold bill"
         );
     }
+}
+
+#[test]
+fn warm_resume_on_the_seeding_service_is_exact_on_tied_data() {
+    // The seeding service's richer history can make the strategy order a
+    // tie group differently on re-derivation than it did for the replayed
+    // prefix, so a resume must swallow the replayed *tuples*, not a count
+    // of re-derived emissions. Only worlds whose cold stream is exact
+    // count: a grid cell holding more than `k` indistinguishable tuples
+    // is out of any stream's reach (at 3 levels every world is such).
+    // The first world is pinned: seeded with 2 tuples, the resume used to
+    // emit tuple 136 twice.
+    let mut rng = StdRng::seed_from_u64(seeded(0x6B06));
+    let mut worlds = vec![(discrete_grid(300, 2, 4, 7), 7, 1.0)];
+    for levels in [4, 6, 8, 12, 16] {
+        for _ in 0..5 {
+            let data = discrete_grid(300, 2, levels, rng.random_range(1..1_000_000u64));
+            let weight = [1.0, 2.0][rng.random_range(0..2usize)];
+            worlds.push((data, rng.random_range(1..1000u64), weight));
+        }
+    }
+    let (mut exact_worlds, mut resumes) = (0, 0);
+    for (world, (data, sys_seed, weight)) in worlds.into_iter().enumerate() {
+        let site = Site {
+            data,
+            sys_seed,
+            k: 5,
+            cost: None,
+        };
+        let rank: Arc<dyn RankFn> =
+            Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), weight)]));
+        let scorer = Arc::clone(&rank);
+        let truth: Vec<u64> = site
+            .data
+            .rank_by(&Query::all(), move |t| scorer.score(t))
+            .iter()
+            .take(40)
+            .map(|t| rank.score(t).to_bits())
+            .collect();
+        let bits = |stream: &[(u32, u64)]| stream.iter().map(|p| p.1).collect::<Vec<_>>();
+        let cold_svc = site.service(None);
+        let mut cold = cold_svc
+            .session(Query::all(), Arc::clone(&rank))
+            .open()
+            .unwrap();
+        if bits(&pull(&mut cold, 40)) != truth {
+            continue;
+        }
+        exact_worlds += 1;
+        for h_first in 1..=6 {
+            let svc = site.service(Some(&Arc::new(KnowledgePlane::new())));
+            let mut seeder = svc.session(Query::all(), Arc::clone(&rank)).open().unwrap();
+            pull(&mut seeder, h_first);
+            drop(seeder);
+            let mut warm = svc.session(Query::all(), Arc::clone(&rank)).open().unwrap();
+            let stream = pull(&mut warm, 40);
+            let mut ids: Vec<u32> = stream.iter().map(|p| p.0).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert!(
+                ids.len() == stream.len() && bits(&stream) == truth,
+                "world {world}, resume after {h_first}: {:?}",
+                stream.iter().map(|p| p.0).collect::<Vec<_>>()
+            );
+            resumes += 1;
+        }
+    }
+    assert!(
+        exact_worlds >= 10,
+        "only {exact_worlds} exact worlds ({resumes} resumes)"
+    );
 }

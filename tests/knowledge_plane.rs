@@ -11,11 +11,11 @@
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::exec::Executor;
 use query_reranking::ranking::{LinearRank, RankFn};
-use query_reranking::server::{SearchInterface, SimServer, SystemRank};
+use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
 use query_reranking::service::batch::BatchRequest;
 use query_reranking::service::{Algorithm, FederatedSession, KnowledgePlane, RerankService};
 use query_reranking::types::{
-    AttrId, Dataset, Interval, Query, QueryResponse, Schema, ServerError, TupleId,
+    AttrId, Dataset, Interval, MutationLog, Query, QueryResponse, Schema, ServerError, TupleId,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -44,7 +44,7 @@ fn service(data: &Dataset, plane: Option<&Arc<KnowledgePlane>>) -> RerankService
 }
 
 /// A pool of overlapping requests — nested/intersecting ranges so sessions
-/// constantly reuse (and synthesize from) each other's knowledge.
+/// constantly reuse each other's knowledge.
 fn request_pool() -> Vec<(Query, Arc<dyn RankFn>)> {
     let r1: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.3)]));
     let r2: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 0.7)]));
@@ -370,4 +370,106 @@ fn manual_invalidation_reaches_the_services_own_state_on_a_feedless_site() {
         .map(|t| t.id.0)
         .collect();
     assert_eq!(after, truth, "post-invalidation stream is not the oracle's");
+}
+
+/// A site that deletes `victim` right after answering its `after`-th
+/// search, and advertises the change on its mutation feed like any
+/// [`SimServer`].
+struct MutateAfter {
+    inner: Arc<SimServer>,
+    after: u64,
+    victim: TupleId,
+}
+
+impl SearchInterface for MutateAfter {
+    fn schema(&self) -> &Arc<Schema> {
+        self.inner.schema()
+    }
+    fn k(&self) -> usize {
+        self.inner.k()
+    }
+    fn capabilities(&self) -> Capabilities {
+        self.inner.capabilities()
+    }
+    fn query(&self, q: &Query) -> Result<QueryResponse, ServerError> {
+        let resp = self.inner.query(q);
+        if self.inner.queries_issued() == self.after {
+            self.inner.delete(self.victim);
+        }
+        resp
+    }
+    fn queries_issued(&self) -> u64 {
+        self.inner.queries_issued()
+    }
+    fn cost_units_issued(&self) -> u64 {
+        self.inner.cost_units_issued()
+    }
+    fn mutation_seq(&self) -> u64 {
+        self.inner.mutation_seq()
+    }
+    fn mutations_since(&self, since: u64) -> Result<MutationLog, ServerError> {
+        self.inner.mutations_since(since)
+    }
+}
+
+#[test]
+fn a_session_spanning_a_mutation_never_seeds_the_new_epoch() {
+    // Session A learns the true top tuple, the site deletes it mid-pull,
+    // and A — which syncs the feed before every request — emits what it
+    // learned before the change. Session B, opened on the same service
+    // after the change, must rank the site as it now is: never replay A's
+    // pre-mutation emission from the new epoch's result stream.
+    let ranks: [Arc<dyn RankFn>; 2] = [
+        Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0)])),
+        Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 0.5)])),
+    ];
+    let mut spanned = 0;
+    for world in 0..6u64 {
+        let data = uniform(300, 2, 1, seeded(0x9A07 + world) | 1);
+        for rank in &ranks {
+            let scorer = Arc::clone(rank);
+            let victim = data.rank_by(&Query::all(), move |t| scorer.score(t))[0].id;
+            for after in 1..40 {
+                let inner = Arc::new(SimServer::new(
+                    data.clone(),
+                    SystemRank::pseudo_random(3),
+                    5,
+                ));
+                let site = MutateAfter {
+                    inner: Arc::clone(&inner),
+                    after,
+                    victim,
+                };
+                let svc = RerankService::new(Arc::new(site), data.len())
+                    .with_knowledge(Arc::new(KnowledgePlane::new()), "site");
+                let mut a = svc.session(Query::all(), Arc::clone(rank)).open().unwrap();
+                a.next().expect("A pulls one tuple");
+                if inner.mutation_seq() == 0 {
+                    continue; // the site changed after A, or never
+                }
+                spanned += 1;
+                drop(a);
+                let mut b = svc.session(Query::all(), Arc::clone(rank)).open().unwrap();
+                let (hits, err) = b.top(3);
+                assert!(err.is_none(), "{err:?}");
+                let got: Vec<u64> = hits.iter().map(|h| h.score.to_bits()).collect();
+                let scorer = Arc::clone(rank);
+                let truth: Vec<u64> = inner
+                    .dataset()
+                    .rank_by(&Query::all(), move |t| scorer.score(t))
+                    .iter()
+                    .take(3)
+                    .map(|t| rank.score(t).to_bits())
+                    .collect();
+                assert!(
+                    hits.iter().all(|h| h.tuple.id != victim) && got == truth,
+                    "world {world}, rank {}, mutation after query {after}: \
+                     B served {:?} after {victim:?} was deleted",
+                    rank.fingerprint(),
+                    hits.iter().map(|h| h.tuple.id).collect::<Vec<_>>(),
+                );
+            }
+        }
+    }
+    assert!(spanned > 20, "only {spanned} schedules mutated during A");
 }
