@@ -44,7 +44,6 @@ pub mod crawl;
 pub mod ctx;
 pub mod history;
 pub mod index;
-pub mod knowledge;
 pub mod md;
 pub mod norm;
 pub mod one_d;
@@ -52,7 +51,6 @@ pub mod params;
 pub mod strategy;
 
 pub use ctx::SharedState;
-pub use knowledge::KnowledgeGate;
 pub use md::{MdAlgo, MdCursor, MdOptions, TaCursor};
 pub use norm::{NormBox, NormView};
 pub use one_d::{OneDCursor, OneDSpec, OneDStrategy, TiePolicy};

@@ -359,7 +359,8 @@ pub struct WireOutcome {
     pub queries_spent: u64,
     /// Weighted cost units this request was charged.
     pub cost_units_spent: u64,
-    /// Queries the knowledge plane answered for free.
+    /// Queries the knowledge plane saved this request (a sealed stream's
+    /// replay credit).
     pub queries_saved: u64,
     /// The stable error code (`"budget_exhausted"`, `"unplannable"`, …) if
     /// the request stopped early; `None` on success.

@@ -881,8 +881,6 @@ fn stats(shared: &Shared) -> Response {
             "knowledge",
             Json::obj(vec![
                 ("sources", Json::u64(p.sources)),
-                ("hits", Json::u64(p.hits)),
-                ("misses", Json::u64(p.misses)),
                 ("result_hits", Json::u64(p.result_hits)),
             ]),
         ));

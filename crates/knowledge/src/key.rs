@@ -1,7 +1,7 @@
 //! Canonical cache keys.
 //!
-//! The plane's caches are keyed by *values* — a selection, a request shape,
-//! a ranking fingerprint — so keys must be (a) hashable, (b) injective
+//! The plane's caches are keyed by *values* — a selection, a ranking
+//! fingerprint, a strategy name — so keys must be (a) hashable, (b) injective
 //! (two semantically different requests must never collide), and
 //! (c) canonical (the same request built in a different predicate order
 //! must collide). [`query_key`] renders a [`Query`] into a canonical string
@@ -9,7 +9,7 @@
 //! representable double apart stay apart, and predicate order is normalized
 //! by sorting on attribute id.
 
-use qrs_types::{AttrId, Direction, Endpoint, Query};
+use qrs_types::{Endpoint, Query};
 
 /// Render one interval endpoint with full bit fidelity.
 ///
@@ -69,58 +69,18 @@ pub fn query_key(q: &Query) -> String {
     out
 }
 
-/// One request against a source's restricted interface, in canonical form —
-/// the key of the shard's response cache.
+/// A top-`k` request in canonical form — the key of the shard's response
+/// map. Kept for the benchmark, which keys the shard with it directly; no
+/// production path builds one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum RequestKey {
-    /// A one-shot top-`k` query.
-    TopK {
-        /// Canonical selection ([`query_key`]).
-        sel: String,
-    },
-    /// Page `page` of the system ranking.
-    Page {
-        /// Canonical selection ([`query_key`]).
-        sel: String,
-        /// 0-based page index.
-        page: usize,
-    },
-    /// Page `page` of a public `ORDER BY` view.
-    Ordered {
-        /// Canonical selection ([`query_key`]).
-        sel: String,
-        /// The ordering attribute.
-        attr: AttrId,
-        /// Ascending or descending.
-        asc: bool,
-        /// 0-based page index.
-        page: usize,
-    },
+pub struct RequestKey {
+    sel: String,
 }
 
 impl RequestKey {
-    /// Key of a top-`k` request for `q`. Also kept for the benchmark,
-    /// which keys the shard with it directly.
+    /// Key of a top-`k` request for `q`.
     pub fn top_k(q: &Query) -> Self {
-        RequestKey::TopK { sel: query_key(q) }
-    }
-
-    /// Key of a system-ranking page request.
-    pub fn page(q: &Query, page: usize) -> Self {
-        RequestKey::Page {
-            sel: query_key(q),
-            page,
-        }
-    }
-
-    /// Key of a public `ORDER BY` page request.
-    pub fn ordered(q: &Query, attr: AttrId, dir: Direction, page: usize) -> Self {
-        RequestKey::Ordered {
-            sel: query_key(q),
-            attr,
-            asc: dir == Direction::Asc,
-            page,
-        }
+        RequestKey { sel: query_key(q) }
     }
 }
 
@@ -150,7 +110,7 @@ pub struct ResultKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrs_types::Interval;
+    use qrs_types::{AttrId, Interval};
 
     #[test]
     fn query_key_is_canonical_and_injective() {
@@ -193,18 +153,5 @@ mod tests {
         let tiny = Query::all().and_range(AttrId(0), Interval::at_most(f64::MIN_POSITIVE));
         let zero = Query::all().and_range(AttrId(0), Interval::at_most(0.0));
         assert_ne!(query_key(&tiny), query_key(&zero));
-    }
-
-    #[test]
-    fn request_keys_separate_entry_points() {
-        let q = Query::all().and_range(AttrId(0), Interval::at_least(3.0));
-        let t = RequestKey::top_k(&q);
-        let p0 = RequestKey::page(&q, 0);
-        let p1 = RequestKey::page(&q, 1);
-        let o = RequestKey::ordered(&q, AttrId(0), Direction::Asc, 0);
-        let od = RequestKey::ordered(&q, AttrId(0), Direction::Desc, 0);
-        assert_ne!(t, p0);
-        assert_ne!(p0, p1);
-        assert_ne!(o, od);
     }
 }

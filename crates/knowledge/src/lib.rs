@@ -1,33 +1,30 @@
 //! # qrs-knowledge
 //!
 //! The cross-session **knowledge plane**: a concurrent, sharded store of
-//! everything the reranking service has already *paid* to learn about each
-//! source, so overlapping sessions stop re-buying it.
+//! the exact result streams the reranking service has already *paid* to
+//! derive from each source, so a repeated request stops re-buying them.
 //!
 //! The paper's premise (§3.1.1) is that third-party queries against a
 //! hidden database are the scarce resource; a reranking *service* amortizes
-//! them across users by remembering query history. This crate is that
-//! memory, organized for many concurrent tenants:
+//! them across users by remembering query history. Each service keeps that
+//! history itself (`SharedState` in `qrs-core`); this crate shares whole
+//! output streams across services and tenants:
 //!
 //! * [`KnowledgePlane`] — the top-level handle: one lock around a source
 //!   name → shard map. A service resolves its shard once, when it is built,
-//!   and every request reaches the shard through that `Arc`, so the map is
-//!   off the request path.
-//! * [`SourceShard`] — per-source knowledge: an exact **response cache**
-//!   (replays of paid top-k, page and `ORDER BY` answers) and **learned
-//!   result streams** (exact top-k outputs keyed by
-//!   `(selection, rank, strategy)`). Which selections are known in full
-//!   is the service's own `CompleteRegions` registry's question, not the
-//!   plane's.
+//!   and every session reaches the shard through that `Arc`, so the map
+//!   is off the session path.
+//! * [`SourceShard`] — per-source knowledge: **learned result streams**
+//!   (exact top-k outputs keyed by `(selection, rank, strategy)`), read
+//!   when a session opens and extended as it emits.
 //! * **Epoch invalidation** — every shard carries a generation counter;
 //!   entries are stamped with the epoch they were recorded under and
 //!   lookups reject older stamps. Invalidation is one atomic increment:
 //!   O(1), no scan, and atomically covers *all* dependent entries.
 //!
 //! The crate is std-only (the workspace's `parking_lot` is the offline
-//! shim over `std::sync`) and depends only on `qrs-types`; `qrs-core`'s
-//! `KnowledgeGate` adapts it to the `SearchInterface` request path and
-//! `qrs-service` wires it into every session a service opens.
+//! shim over `std::sync`) and depends only on `qrs-types`; `qrs-service`
+//! wires it into every session a service opens.
 
 #![deny(missing_docs)]
 
@@ -46,12 +43,15 @@ use std::sync::Arc;
 pub struct PlaneStats {
     /// Number of source shards.
     pub sources: u64,
-    /// Exact response-cache hits, summed over shards.
+    /// [`SourceShard::lookup_response`] hits, summed over shards. Kept for
+    /// the benchmark, which reads it; no production path looks a response
+    /// up, so outside the benchmark's own shard leg it stays 0.
     pub hits: u64,
     /// Always 0: the plane answers only with what it was given. Kept for
     /// the benchmark, which reads it.
     pub synthesized: u64,
-    /// Misses, summed over shards.
+    /// [`SourceShard::lookup_response`] misses, summed over shards. Kept
+    /// for the benchmark, like `hits`.
     pub misses: u64,
     /// Result-stream replays served, summed over shards.
     pub result_hits: u64,
@@ -99,7 +99,7 @@ impl KnowledgePlane {
         out
     }
 
-    /// Aggregated hit/miss statistics across all shards.
+    /// Aggregated statistics across all shards.
     pub fn stats(&self) -> PlaneStats {
         let mut out = PlaneStats::default();
         for shard in self.shards.read().values() {

@@ -1,25 +1,25 @@
-//! One source's shard: what the service has paid to learn about a site
-//! that the service's own complete-region registry cannot prove.
+//! One source's shard: the exact result streams sessions of any service
+//! attached to the source have emitted, replayed to later sessions.
 //!
-//! A [`SourceShard`] holds two stores behind a single reader-writer lock:
+//! A [`SourceShard`] is touched twice per session and never in between:
+//! once when the session opens (one [`SourceShard::lookup_result`]), and
+//! once per tuple it emits ([`SourceShard::extend_result`]), plus a seal
+//! when its stream ends. What a session asks the site on the way is the
+//! service's own business — its `SharedState` in `qrs-core` — and never
+//! reaches the shard.
 //!
-//! * a **response cache** — exact replays of paid top-k, page and
-//!   `ORDER BY` answers, so a session resuming an unsealed prefix, or
-//!   re-asking a restricted site's ordered pages, pays nothing twice;
-//! * a **result cache** — exact top-k output streams keyed by
-//!   `(selection, rank, strategy)`, replayed to warm sessions.
+//! The result streams are keyed by `(selection, rank, strategy)` and
+//! guarded by the shard's **epoch**: they remember the single epoch they
+//! were recorded under, and every lookup misses while that is older than
+//! the current one. [`SourceShard::invalidate`] is therefore a single
+//! atomic increment — O(1), no lock, no scanning — and the first write
+//! under the new epoch (or [`SourceShard::purge_stale`]) clears the dead
+//! epoch wholesale, so the shard never holds more than one epoch's worth.
 //!
-//! Whether a selection's every match is already known is the service's
-//! question, answered once by `CompleteRegions` in `qrs-core`; the shard
-//! answers only with what it was given.
-//!
-//! Both stores are guarded as one by the shard's **epoch**: they remember
-//! the single epoch their contents were recorded under, and every lookup
-//! misses while that is older than the current one.
-//! [`SourceShard::invalidate`] is therefore a single atomic increment —
-//! O(1), no lock, no scanning — and the first write under the new epoch
-//! (or [`SourceShard::purge_stale`]) clears the dead epoch wholesale, so
-//! the shard never holds more than one epoch's worth.
+//! The shard also keeps a map of exact top-`k` responses
+//! ([`SourceShard::record_response`] / [`SourceShard::lookup_response`])
+//! under the same epoch. No request path reads or writes it; it is kept
+//! for the benchmark, which times the shard on its own.
 
 use crate::key::{RequestKey, ResultKey};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -38,8 +38,8 @@ pub struct ResultEntry {
     pub items: Vec<(Arc<Tuple>, u64)>,
     /// The stream is known to end after `items.len()` tuples.
     pub exhausted: bool,
-    /// Queries the sealing run paid-or-saved end to end — what a session
-    /// replaying this exhausted stream avoids spending. Zero until sealed.
+    /// Queries the sealing run paid end to end — what a session replaying
+    /// this exhausted stream avoids spending. Zero until sealed.
     pub queries_full: u64,
     /// Cost units of the same full run, under the site's cost model.
     pub cost_units_full: u64,
@@ -62,23 +62,24 @@ pub struct ShardStats {
     /// ([`SourceShard::observe_watermark`]); 0 until a mutation-aware
     /// client reports one.
     pub watermark: u64,
-    /// Requests answered from an exact cached response.
+    /// [`SourceShard::lookup_response`] calls that found an answer (the
+    /// benchmark's leg; no production caller).
     pub hits: u64,
-    /// Requests the shard could not answer.
+    /// [`SourceShard::lookup_response`] calls that found none.
     pub misses: u64,
     /// Result-cache lookups that found a live entry.
     pub result_hits: u64,
-    /// Live exact-response entries.
+    /// Live entries of the benchmark's response map.
     pub responses: u64,
     /// Live cached result streams.
     pub results: u64,
 }
 
-/// Everything learned about one source, behind one lock + one epoch.
+/// Every result stream learned about one source, behind one lock + one
+/// epoch.
 ///
-/// The hot path ([`lookup_response`](SourceShard::lookup_response)) takes
-/// the lock in read mode only; recordings and result-stream extensions take
-/// it in write mode. Invalidation never takes the lock at all.
+/// A lookup takes the lock in read mode only; result-stream extensions
+/// take it in write mode. Invalidation never takes the lock at all.
 #[derive(Debug, Default)]
 pub struct SourceShard {
     epoch: AtomicU64,
@@ -152,7 +153,7 @@ impl SourceShard {
     /// Report the source's current mutation sequence number. If `seq`
     /// advances the recorded watermark, everything in the shard describes
     /// an older snapshot and the epoch is bumped — by exactly one thread,
-    /// however many gates race the same advance (the CAS loser observes
+    /// however many services race the same advance (the CAS loser observes
     /// the new watermark and does nothing) — and whoever records first
     /// under the new epoch drops the old snapshot's entries. Returns
     /// whether this call advanced it.
@@ -171,8 +172,8 @@ impl SourceShard {
 
     /// The exact answer recorded for `key` under the current epoch, if any.
     ///
-    /// Kept with this argument list for the benchmark, which calls it
-    /// directly; `_q` and `_k` are unused.
+    /// Kept, with this argument list, for the benchmark, which times it
+    /// directly; it has no production caller. `_q` and `_k` are unused.
     pub fn lookup_response(
         &self,
         key: &RequestKey,
@@ -191,11 +192,11 @@ impl SourceShard {
         found
     }
 
-    /// Record the site's answer to one paid request; `more` is its
-    /// overflow (or `ORDER BY` `has_more`) bit.
+    /// Record the site's answer to one paid top-`k` request; `more` is its
+    /// overflow bit.
     ///
-    /// Kept with this argument list for the benchmark, which calls it
-    /// directly; `_q` and `_k` are unused.
+    /// Kept, with this argument list, for the benchmark, which times it
+    /// directly; it has no production caller. `_q` and `_k` are unused.
     pub fn record_response(
         &self,
         key: RequestKey,
@@ -222,10 +223,14 @@ impl SourceShard {
 
     /// Append the `index`-th emission of a result stream derived by a
     /// session opened under `epoch`. The append is accepted only while
-    /// `epoch` is current and the append is contiguous (`index` equals the
-    /// entry's length) — concurrent sessions racing on the same stream
-    /// therefore converge on one consistent prefix instead of interleaving,
-    /// and a session that spans a data change never seeds the new epoch.
+    /// `epoch` is current, the append is contiguous (`index` equals the
+    /// entry's length) and the entry does not hold the tuple yet —
+    /// concurrent sessions racing on the same stream therefore converge on
+    /// one consistent prefix instead of interleaving, and a session that
+    /// spans a data change never seeds the new epoch. The last check is
+    /// for sessions that order a tie group differently: one appends `x`
+    /// at `p`, the other's `y` at `p` is refused, and its `x` at `p + 1`
+    /// must be refused too.
     pub fn extend_result(
         &self,
         key: &ResultKey,
@@ -238,15 +243,16 @@ impl SourceShard {
             return;
         };
         let e = inner.results.entry(key.clone()).or_default();
-        if !e.exhausted && e.items.len() == index {
+        let held = e.items.iter().any(|(t, _)| t.id == tuple.id);
+        if !e.exhausted && e.items.len() == index && !held {
             e.items.push((tuple, score_bits));
         }
     }
 
     /// Mark a result stream, derived by a session opened under `epoch`, as
-    /// complete after `len` emissions, recording what the sealing run cost
-    /// end to end (`queries_full` / `cost_units_full`, paid and saved
-    /// combined) so fully-replayed sessions can attribute their savings.
+    /// complete after `len` emissions, recording what the sealing run paid
+    /// end to end (`queries_full` / `cost_units_full`) so fully-replayed
+    /// sessions can attribute their savings.
     /// Ignored unless `epoch` is current and the entry's recorded prefix
     /// has exactly that length (a shorter racing prefix must not be sealed
     /// early).
@@ -276,8 +282,8 @@ impl SourceShard {
     }
 
     /// Point-in-time statistics (live-entry counts are read under the read
-    /// lock and are 0 while the stores hold a dead epoch; hit/miss counters
-    /// are relaxed atomics).
+    /// lock and are 0 while the stores hold a dead epoch; hit counters are
+    /// relaxed atomics).
     pub fn stats(&self) -> ShardStats {
         let inner = self.inner.read();
         let now = self.epoch();
@@ -396,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn result_stream_appends_are_contiguous_only() {
+    fn result_stream_appends_are_contiguous_and_distinct_only() {
         let s = SourceShard::new();
         let rk = ResultKey {
             sel: "s".into(),
@@ -405,6 +411,7 @@ mod tests {
         };
         s.extend_result(&rk, 0, 0, t(1, 1.0), 10);
         s.extend_result(&rk, 0, 2, t(9, 9.0), 90); // gap: dropped
+        s.extend_result(&rk, 0, 1, t(1, 1.0), 10); // already held: dropped
         s.extend_result(&rk, 0, 1, t(2, 2.0), 20);
         let e = s.lookup_result(&rk).expect("live");
         assert_eq!(e.items.len(), 2);
@@ -420,19 +427,6 @@ mod tests {
         // Sealed streams reject further appends.
         s.extend_result(&rk, 0, 2, t(3, 3.0), 30);
         assert_eq!(s.lookup_result(&rk).unwrap().items.len(), 2);
-    }
-
-    #[test]
-    fn ordered_pages_replay_with_their_more_bit() {
-        let s = SourceShard::new();
-        let q = sel(0.0, 6.0);
-        let asc = RequestKey::ordered(&q, AttrId(0), qrs_types::Direction::Asc, 0);
-        let desc = RequestKey::ordered(&q, AttrId(0), qrs_types::Direction::Desc, 0);
-        s.record_response(asc.clone(), &q, 5, &[t(1, 1.0)], true);
-        let r = s.lookup_response(&asc, &q, 5).expect("exact ordered");
-        assert!(r.is_overflow());
-        assert_eq!(r.tuples.len(), 1);
-        assert!(s.lookup_response(&desc, &q, 5).is_none());
     }
 
     #[test]

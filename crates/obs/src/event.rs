@@ -88,22 +88,12 @@ pub enum EventKind {
         /// (it dominates the computed backoff schedule).
         server_hinted: bool,
     },
-    /// The knowledge plane answered instead of the server (request-level
-    /// hits, or the one-shot full-replay credit of a sealed stream).
+    /// A session finished replaying a sealed result stream from the
+    /// knowledge plane: the one-shot credit of the sealing run's cost.
     KnowledgeHit {
-        /// Queries answered for free.
+        /// Queries the replay saved.
         queries: u64,
-        /// Cost units those queries would have been billed.
-        cost_units: u64,
-    },
-    /// A knowledge-gated step had to pay the server (the plane had no
-    /// answer). The deltas duplicate the step's [`EventKind::RequestCharged`]
-    /// — this event exists so a subscriber reads a hit/miss ratio off the
-    /// knowledge events alone, without joining them to the charges.
-    KnowledgeMiss {
-        /// Queries paid to the server.
-        queries: u64,
-        /// Cost units charged for them.
+        /// Cost units those queries were billed.
         cost_units: u64,
     },
     /// A session drained its stream and sealed the cached result entry for
@@ -111,7 +101,7 @@ pub enum EventKind {
     KnowledgeSeal {
         /// Length of the sealed stream.
         items: u64,
-        /// End-to-end query cost the sealing run paid (spent + saved).
+        /// End-to-end query cost the sealing run paid.
         queries_full: u64,
         /// End-to-end weighted cost.
         cost_units_full: u64,

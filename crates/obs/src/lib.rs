@@ -5,7 +5,7 @@
 //! predicted. This crate is that sight: a typed event vocabulary
 //! ([`Event`]/[`EventKind`]) covering the whole session lifecycle (plan
 //! chosen, requests issued/charged, retries and backoff,
-//! knowledge hits/misses/seals, mutation repairs, budget
+//! knowledge replays and seals, mutation repairs, budget
 //! trips, open/close), the [`Subscriber`]s it fans out to, and a fleet
 //! [`Monitor`] folding the stream into per-(site, strategy)
 //! predicted-vs-actual spend tables with divergence ratios.

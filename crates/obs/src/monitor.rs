@@ -162,9 +162,9 @@ pub struct MonitorRow {
     pub actual_queries: u64,
     /// Weighted cost units actually charged.
     pub actual_cost_units: u64,
-    /// Queries the knowledge plane answered for free.
+    /// Queries the knowledge plane saved (sealed-stream replay credits).
     pub saved_queries: u64,
-    /// Cost units those hits would have been billed.
+    /// Cost units of the same credits.
     pub saved_cost_units: u64,
 }
 

@@ -27,7 +27,7 @@
 //! A federation amortizes across *tenants* the same way a single service
 //! does: build every source's [`RerankService`] with the **same**
 //! [`crate::KnowledgePlane`] (each under its own source name) and every
-//! federated session records what it learns per source while consulting
+//! federated session records its per-source streams while replaying
 //! what earlier sessions — federated or not — already bought there. The
 //! plane shards per source, so dealers never pollute each other's caches,
 //! and one dealer's inventory change is one epoch bump

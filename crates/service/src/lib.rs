@@ -36,7 +36,7 @@
 //!   positional strategy,
 //! * observability — [`RerankService::with_observer`] attaches a
 //!   [`qrs_obs::ObsHandle`]: the session lifecycle, every charged request,
-//!   retries, knowledge hits and budget trips stream out as
+//!   retries, knowledge replays and budget trips stream out as
 //!   typed events, and [`RerankService::monitor_report`] folds them into
 //!   the fleet's predicted-vs-actual spend table. Disabled (the default),
 //!   every emission site is a single branch that constructs nothing.

@@ -341,8 +341,8 @@ impl<'a> MaintainedSession<'a> {
         self.cost_acc + self.session.cost_units_spent()
     }
 
-    /// Queries the *current* inner session answered from the knowledge
-    /// plane instead of paying the server.
+    /// Queries the knowledge plane saved the *current* inner session (a
+    /// sealed-stream replay credit).
     pub fn queries_saved(&self) -> u64 {
         self.session.queries_saved()
     }

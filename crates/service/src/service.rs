@@ -18,10 +18,8 @@ use qrs_core::md::ta::SortedAccess;
 use qrs_core::strategy::{
     MdCursorStrategy, OneDCursorStrategy, PageDownStrategy, RerankStrategy, TaCursorStrategy,
 };
-use qrs_core::{
-    KnowledgeGate, MdOptions, OneDSpec, OneDStrategy, RerankParams, SharedState, TiePolicy,
-};
-use qrs_knowledge::{query_key, KnowledgePlane, ResultKey};
+use qrs_core::{MdOptions, OneDSpec, OneDStrategy, RerankParams, SharedState, TiePolicy};
+use qrs_knowledge::{query_key, KnowledgePlane, ResultKey, SourceShard};
 use qrs_obs::{EventKind, MonitorReport, ObsHandle};
 use qrs_ranking::RankFn;
 use qrs_server::{Clock, SearchInterface, SystemClock};
@@ -31,11 +29,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A service's hookup to the cross-session knowledge plane: the shared
-/// plane and the [`KnowledgeGate`] (over this service's source shard) every
-/// opted-in session routes its requests through.
+/// plane and this service's source shard, resolved once.
 struct KnowledgeHandle {
     plane: Arc<KnowledgePlane>,
-    gate: Arc<KnowledgeGate>,
+    shard: Arc<SourceShard>,
 }
 
 /// Which reranking algorithm a session runs.
@@ -129,21 +126,23 @@ impl RerankService {
     /// Rebuild the shared state empty if the site changed since it was
     /// built: the history tuples, completeness proofs and dense index
     /// all describe the older snapshot, and an algorithm trusting them
-    /// after a delete would emit vanished tuples. The staleness stamp is
-    /// the knowledge shard's epoch when a plane is attached — the gate's
-    /// `sync` turns a feed advance into an epoch bump first, so a manual
-    /// [`KnowledgePlane::invalidate`] on a feed-less site forgets here too
-    /// — and the server's mutation sequence number otherwise (0 forever on
-    /// a feed-less site). Stamps only ever advance the state: a reading
-    /// that goes backwards (an HTTP adapter's transport fault) is ignored.
-    /// Called by every [`SessionBuilder::open`].
+    /// after a delete would emit vanished tuples. This is the one place
+    /// the mutation feed is read, once per [`SessionBuilder::open`]. With a
+    /// plane attached the reading goes to the shard first — a feed
+    /// advance bumps its epoch — and the shard's epoch is the staleness
+    /// stamp, so a manual [`KnowledgePlane::invalidate`] on a feed-less
+    /// site forgets here too; otherwise the stamp is the server's mutation
+    /// sequence number (0 forever on a feed-less site). Stamps only ever
+    /// advance the state: a reading that goes backwards (an HTTP adapter's
+    /// transport fault) is ignored.
     pub(crate) fn sync_state(&self) {
-        let stamp = match self.knowledge_gate() {
-            Some(gate) => {
-                gate.sync();
-                gate.shard().epoch()
+        let seq = self.server.mutation_seq();
+        let stamp = match self.knowledge_shard() {
+            Some(shard) => {
+                shard.observe_watermark(seq);
+                shard.epoch()
             }
-            None => self.server.mutation_seq(),
+            None => seq,
         };
         if stamp > self.state_watermark.load(Ordering::Acquire) {
             let mut st = self.state.lock();
@@ -157,32 +156,30 @@ impl RerankService {
 
     /// Attach a cross-session [`KnowledgePlane`], registering this
     /// service's server under `source`. Every session opened afterwards
-    /// (unless it opts out via [`SessionBuilder::knowledge`]) consults the
-    /// plane's shard for `source` before paying the server, and records
-    /// what it learns for later sessions — including sessions of *other*
-    /// services built with the same plane and source name, which is how a
-    /// federation amortizes across tenants (§3.1.1's cross-session
-    /// amortization, lifted out of one process-wide `SharedState`).
+    /// (unless it opts out via [`SessionBuilder::knowledge`]) replays the
+    /// exact result stream the plane's shard for `source` holds for its
+    /// request, and records its own emissions for later sessions —
+    /// including sessions of *other* services built with the same plane
+    /// and source name, which is how a federation amortizes whole streams
+    /// across tenants. Everything else a session asks goes to the server,
+    /// through this service's own shared state (§3.1.1's history).
     ///
     /// Staleness has two regimes, and both reach this service's own
     /// shared state as well as the plane. Servers advertising
-    /// [`Capability::MutationFeed`] handle it automatically: the gate polls
-    /// the feed's sequence number before every request and at session open,
-    /// and the shard's epoch bumps the moment the watermark advances — no
-    /// manual call, and sealed result streams are never replayed across a
-    /// data change. For servers *without* a feed the old contract stands:
-    /// when the underlying site is known to have changed, call
-    /// [`KnowledgePlane::invalidate`] for the source (one atomic epoch
-    /// bump) and every cached fact is re-earned — the next session on any
-    /// service attached to the source starts from an empty history.
+    /// [`Capability::MutationFeed`] handle it automatically: every session
+    /// open reads the feed's sequence number, and the shard's epoch bumps
+    /// the moment the watermark advances — no manual call, and sealed
+    /// result streams are never replayed across a data change. For servers
+    /// *without* a feed the old contract stands: when the underlying site
+    /// is known to have changed, call [`KnowledgePlane::invalidate`] for the
+    /// source (one atomic epoch bump) and every cached stream is re-earned
+    /// — the next session on any service attached to the source starts
+    /// from an empty history.
     pub fn with_knowledge(mut self, plane: Arc<KnowledgePlane>, source: impl Into<String>) -> Self {
-        let gate = Arc::new(KnowledgeGate::new(
-            Arc::clone(&self.server),
-            plane.shard(&source.into()),
-        ));
+        let shard = plane.shard(&source.into());
         // From here on the shard's epoch is the staleness stamp.
-        self.state_watermark = AtomicU64::new(gate.shard().epoch());
-        self.kplane = Some(KnowledgeHandle { plane, gate });
+        self.state_watermark = AtomicU64::new(shard.epoch());
+        self.kplane = Some(KnowledgeHandle { plane, shard });
         self
     }
 
@@ -214,7 +211,7 @@ impl RerankService {
 
     /// Attach an observability plane: every session opened afterwards
     /// emits the typed [`qrs_obs`] event stream (plan chosen, requests
-    /// charged, retries, knowledge hits, budget trips,
+    /// charged, retries, knowledge replays, budget trips,
     /// open/close) through the handle, timestamped on the service's
     /// injectable clock. Services built without one hold
     /// [`ObsHandle::disabled`]: each emission site costs a single branch
@@ -335,8 +332,8 @@ impl RerankService {
         self.kplane.as_ref().map(|h| &h.plane)
     }
 
-    pub(crate) fn knowledge_gate(&self) -> Option<&Arc<KnowledgeGate>> {
-        self.kplane.as_ref().map(|h| &h.gate)
+    pub(crate) fn knowledge_shard(&self) -> Option<&Arc<SourceShard>> {
+        self.kplane.as_ref().map(|h| &h.shard)
     }
 
     /// Size of the shared knowledge accumulated so far: (history tuples,
@@ -461,8 +458,8 @@ impl<'a> SessionBuilder<'a> {
     }
 
     /// Opt this session in or out of the service's knowledge plane
-    /// (default in). Opting out makes the session pay the server for every
-    /// request and record nothing — useful as a cold-cost control, or when
+    /// (default in). Opting out makes the session replay nothing and record
+    /// nothing — useful as a cold-cost control, or when
     /// the caller suspects the plane is stale but cannot afford an
     /// invalidation that would evict other tenants' knowledge.
     pub fn knowledge(mut self, on: bool) -> Self {
@@ -621,8 +618,8 @@ impl<'a> SessionBuilder<'a> {
     ///   have; nothing was sent or charged.
     pub fn open(mut self) -> Result<Session<'a>, RerankError> {
         // Catch up with the site before anything trusts cached knowledge:
-        // a stale shared state is rebuilt empty here, and the gate's shard
-        // has observed the feed first, so the sealed-stream lookup below
+        // a stale shared state is rebuilt empty here, and the shard has
+        // observed the feed first, so the result-stream lookup below
         // rejects anything recorded against an older snapshot.
         self.svc.sync_state();
         let planner = self.planner();
@@ -646,33 +643,30 @@ impl<'a> SessionBuilder<'a> {
         let mut retry = self.svc.retry_policy.clone();
         retry.seed ^= nonce.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let knowledge = if self.spec.use_knowledge {
-            self.svc.knowledge_gate().map(|gate| {
+            self.svc.knowledge_shard().map(|shard| {
                 // Read before the lookup: a stream recorded under a later
                 // epoch replays as it is, and this session records nothing.
-                let epoch = gate.shard().epoch();
+                let epoch = shard.epoch();
                 // Custom strategies never key the result cache: their
                 // exactness is the author's promise, so their streams are
-                // neither recorded nor replayed (the request-level gate
-                // still serves them).
+                // neither recorded nor replayed.
                 let result_key =
                     (!matches!(plan.algorithm, Algorithm::Custom)).then(|| ResultKey {
                         sel: query_key(&self.sel),
                         rank: self.rank.fingerprint(),
                         strategy: strategy.name().to_string(),
                     });
-                let (replay, replay_exhausted, full_ledger) = match result_key
-                    .as_ref()
-                    .and_then(|key| gate.shard().lookup_result(key))
-                {
-                    Some(entry) => (
-                        VecDeque::from(entry.items),
-                        entry.exhausted,
-                        (entry.queries_full, entry.cost_units_full),
-                    ),
-                    None => (VecDeque::new(), false, (0, 0)),
-                };
+                let (replay, replay_exhausted, full_ledger) =
+                    match result_key.as_ref().and_then(|key| shard.lookup_result(key)) {
+                        Some(entry) => (
+                            VecDeque::from(entry.items),
+                            entry.exhausted,
+                            (entry.queries_full, entry.cost_units_full),
+                        ),
+                        None => (VecDeque::new(), false, (0, 0)),
+                    };
                 SessionKnowledge {
-                    gate: Arc::clone(gate),
+                    shard: Arc::clone(shard),
                     epoch,
                     result_key,
                     // A sealed stream never hands over to the strategy.

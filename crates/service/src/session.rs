@@ -27,11 +27,9 @@
 use crate::retry::RetryRunner;
 use crate::service::RerankService;
 use qrs_core::strategy::{RerankStrategy, StrategyIo, StrategyStep};
-use qrs_core::KnowledgeGate;
 use qrs_knowledge::{ResultKey, SourceShard};
 use qrs_obs::{BudgetScope, EventKind, QueryClass};
 use qrs_ranking::RankFn;
-use qrs_server::SearchInterface;
 use qrs_types::{Query, RequestKind, RerankError, Tuple, TupleId};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -40,19 +38,16 @@ use std::sync::Arc;
 /// `SessionBuilder` when the service carries a plane and the session did
 /// not opt out.
 ///
-/// Two mechanisms ride in it:
-/// * the **gate** — every strategy request goes through the
-///   [`KnowledgeGate`] instead of the raw server, so exact replays of
-///   paid answers are free; the session reads the gate's saved-ledger
-///   deltas in-lock, exactly like paid spend;
-/// * the **result replay** — a cached exact output stream for this
-///   `(selection, rank, strategy)` is emitted directly (`replay`),
-///   after which the strategy resumes from scratch with the session
-///   swallowing its re-derivation of the replayed tuples (`rederive`);
-///   its replayed requests hit the response cache, so resumption costs
-///   zero server queries.
+/// The plane touches a session twice and never in between: at open, a
+/// cached exact output stream for this `(selection, rank, strategy)` is
+/// looked up and emitted directly (`replay`), after which the strategy
+/// resumes from scratch — paying the site like any session — with the
+/// session swallowing its re-derivation of the replayed tuples
+/// (`rederive`); and at each emission, the tuple is appended to the
+/// shard's stream for later sessions.
 pub(crate) struct SessionKnowledge {
-    pub(crate) gate: Arc<KnowledgeGate>,
+    /// The service's source shard.
+    pub(crate) shard: Arc<SourceShard>,
     /// The shard epoch the session opened under. The session records into
     /// the result cache only while it is current: after a data change,
     /// what the strategy learned before it may no longer hold.
@@ -104,14 +99,11 @@ pub struct SessionStats {
     /// advertised cost model. Equals `queries_spent` on flat-model sites;
     /// the number a metered site actually bills for.
     pub cost_units_spent: u64,
-    /// Queries this session answered from the knowledge plane instead of
-    /// paying the server — zero unless the service carries a plane.
-    /// Attribution is in-lock, exactly like `queries_spent`; a session
-    /// whose whole stream replayed from a sealed cache entry credits the
+    /// Queries the knowledge plane saved this session — zero unless its
+    /// whole stream replayed from a sealed cache entry, which credits the
     /// sealing run's recorded cost here.
     pub queries_saved: u64,
-    /// Cost units those knowledge hits would have been billed, under the
-    /// server's advertised cost model.
+    /// Cost units of the same credit.
     pub cost_units_saved: u64,
     /// Cursor-step attempts made, successful and failed alike.
     pub attempts_made: u64,
@@ -158,8 +150,8 @@ pub struct Session<'a> {
     /// site could not evaluate them); re-checked here before emitting, so
     /// exactness survives the relaxation.
     residual: Option<Query>,
-    /// Knowledge-plane hookup (gate + result replay), when the service
-    /// carries a plane and this session opted in.
+    /// Knowledge-plane hookup (result replay and recording), when the
+    /// service carries a plane and this session opted in.
     knowledge: Option<SessionKnowledge>,
     /// This session's ordinal on the observability plane (0 when the
     /// service has no observer attached).
@@ -298,7 +290,7 @@ impl<'a> Session<'a> {
     /// The one-shot full-replay credit: the moment a *complete* cached
     /// stream has nothing left to replay — with its last tuple, or at once
     /// when it is empty — the sealing run's whole ledger lands on the saved
-    /// column, a knowledge hit like any other.
+    /// column.
     fn credit_full_replay(&mut self) {
         let Some(k) = &mut self.knowledge else { return };
         if k.credited || !k.replay_exhausted || !k.replay.is_empty() {
@@ -388,8 +380,7 @@ impl<'a> Session<'a> {
         if let Some(k) = &mut self.knowledge {
             if let Some(at) = k.rederive.iter().position(|&id| id == tuple.id) {
                 // Already emitted from the replayed prefix; the strategy
-                // is just catching up (its requests hit the response
-                // cache, so this costs nothing).
+                // is just catching up.
                 k.rederive.swap_remove(at);
                 return None;
             }
@@ -412,15 +403,16 @@ impl<'a> Session<'a> {
     }
 
     /// Stage 4 — the strategy ran dry: seal the cache entry. The stream is
-    /// complete at exactly `emitted` tuples, and the whole run cost
-    /// `spent + saved` (what a future full replay deserves credit for).
+    /// complete at exactly `emitted` tuples, and the whole run cost what
+    /// this session spent (what a future full replay deserves credit for:
+    /// a session that drives its strategy was credited nothing).
     fn seal(&self) {
         let Some((shard, epoch, key)) = self.result_stream() else {
             return;
         };
         let items = self.ledger.emitted;
-        let queries_full = self.ledger.queries_spent + self.ledger.queries_saved;
-        let cost_units_full = self.ledger.cost_units_spent + self.ledger.cost_units_saved;
+        let queries_full = self.ledger.queries_spent;
+        let cost_units_full = self.ledger.cost_units_spent;
         shard.mark_result_exhausted(key, epoch, items, queries_full, cost_units_full);
         self.emit_obs(|| EventKind::KnowledgeSeal {
             items: items as u64,
@@ -433,7 +425,7 @@ impl<'a> Session<'a> {
     /// output stream, if anywhere.
     fn result_stream(&self) -> Option<(&SourceShard, u64, &ResultKey)> {
         let k = self.knowledge.as_ref()?;
-        Some((k.gate.shard().as_ref(), k.epoch, k.result_key.as_ref()?))
+        Some((k.shard.as_ref(), k.epoch, k.result_key.as_ref()?))
     }
 
     /// One strategy step under the shared-state lock.
@@ -446,22 +438,10 @@ impl<'a> Session<'a> {
     /// queries (e.g. a page truncated in transit) still charges this
     /// session.
     fn step(&mut self) -> Result<StrategyStep, RerankError> {
-        // With a knowledge gate attached, the strategy talks to the gate
-        // instead of the raw server: hits answer for free and land on the
-        // saved ledger; misses pass through and land on the paid one. Both
-        // ledgers are read as deltas across this step under the lock, so
-        // attribution stays exact per session either way.
-        let server: Arc<dyn SearchInterface> = match &self.knowledge {
-            Some(k) => Arc::clone(&k.gate) as Arc<dyn SearchInterface>,
-            None => Arc::clone(self.svc.server()),
-        };
+        let server = self.svc.server();
         let mut st = self.svc.state().lock();
         let before = server.queries_issued();
         let before_cost = server.cost_units_issued();
-        let before_saved = self
-            .knowledge
-            .as_ref()
-            .map(|k| (k.gate.queries_saved(), k.gate.cost_units_saved()));
         let t = {
             let mut io = StrategyIo::new(server.as_ref(), &mut st);
             self.strategy.next_step(&mut io)
@@ -472,17 +452,6 @@ impl<'a> Session<'a> {
         self.ledger.queries_spent += dq;
         self.ledger.cost_units_spent += dc;
         self.svc.stats_ref().on_spend(dq, dc);
-        let (dsq, dsc) = match (&self.knowledge, before_saved) {
-            (Some(k), Some((bq, bc))) => {
-                (k.gate.queries_saved() - bq, k.gate.cost_units_saved() - bc)
-            }
-            _ => (0, 0),
-        };
-        if dsq > 0 || dsc > 0 {
-            self.ledger.queries_saved += dsq;
-            self.ledger.cost_units_saved += dsc;
-            self.svc.stats_ref().on_saved(dsq, dsc);
-        }
         drop(st);
         // Observability, outside the lock: the deltas are already captured,
         // so emission order cannot change attribution. `RequestCharged`
@@ -493,20 +462,6 @@ impl<'a> Session<'a> {
                 class: self.class(),
                 queries: dq,
                 cost_units: dc,
-            });
-            if self.knowledge.is_some() {
-                // A gated step that still paid the server is a miss; the
-                // duplicate deltas let hit/miss ratios fold without joins.
-                self.emit_obs(|| EventKind::KnowledgeMiss {
-                    queries: dq,
-                    cost_units: dc,
-                });
-            }
-        }
-        if dsq > 0 || dsc > 0 {
-            self.emit_obs(|| EventKind::KnowledgeHit {
-                queries: dsq,
-                cost_units: dsc,
             });
         }
         t
@@ -559,18 +514,16 @@ impl<'a> Session<'a> {
         self.ledger.cost_units_spent
     }
 
-    /// Queries this session answered from the knowledge plane instead of
-    /// paying the server. Zero unless the service was built
-    /// `with_knowledge`; same in-lock attribution as
-    /// [`Session::queries_spent`]. The invariant a warm session exhibits:
-    /// `queries_spent + queries_saved` equals what a cold session would
-    /// have spent on the same request.
+    /// Queries the knowledge plane saved this session: the sealing run's
+    /// whole cost once a complete cached stream has replayed, else zero.
+    /// The invariant every plane session exhibits: `queries_spent +
+    /// queries_saved` equals what a cold session would have spent on the
+    /// same request.
     pub fn queries_saved(&self) -> u64 {
         self.ledger.queries_saved
     }
 
-    /// Cost units those knowledge hits would have been billed, under the
-    /// server's advertised cost model.
+    /// Cost units of the same credit.
     pub fn cost_units_saved(&self) -> u64 {
         self.ledger.cost_units_saved
     }

@@ -58,11 +58,11 @@ pub struct StatsSnapshot {
     /// the server's advertised cost model. Equals `queries_spent` on flat
     /// sites; the number that matters on metered ones.
     pub cost_units_spent: u64,
-    /// Queries answered from the knowledge plane instead of the server —
-    /// zero unless the service was built
-    /// `with_knowledge`. Same in-lock attribution as `queries_spent`.
+    /// Queries saved by sessions that replayed a sealed result stream from
+    /// the knowledge plane — zero unless the service was built
+    /// `with_knowledge`.
     pub queries_saved: u64,
-    /// Cost units those knowledge hits would have been billed.
+    /// Cost units of the same credits.
     pub cost_units_saved: u64,
     /// Retries spent across all sessions (the recovery effort the service
     /// has burned on transient server failures).

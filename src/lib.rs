@@ -9,8 +9,8 @@
 //! * [`server`] — the simulated hidden-database top-k search interface,
 //! * [`datagen`] — synthetic datasets and query workloads,
 //! * [`core`] — the reranking algorithms (1D/MD baseline, binary, RERANK),
-//! * [`knowledge`] — the sharded cross-session knowledge plane (replays of
-//!   paid responses and exact result streams) with epoch invalidation,
+//! * [`knowledge`] — the sharded cross-session knowledge plane (exact
+//!   result streams replayed to warm sessions) with epoch invalidation,
 //! * [`exec`] — dependency-free structured concurrency (scoped thread
 //!   pool, deterministic immediate mode),
 //! * [`obs`] — the observability plane: typed events, their subscribers,

@@ -47,7 +47,7 @@ use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{
     Capabilities, Clock, Fault, FaultyServer, MockClock, SearchInterface, SimServer, SystemRank,
 };
-use query_reranking::service::{BatchRequest, RerankService};
+use query_reranking::service::{BatchRequest, KnowledgePlane, RerankService};
 use query_reranking::types::{AttrId, Dataset, Direction, Query, RerankError, RetryPolicy};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -506,6 +506,46 @@ fn many_calls_ride_one_connection_each() {
     assert_eq!(counter("requests"), Some(81), "the /stats call included");
     assert_eq!(counter("connections"), Some(conns(2)));
     assert_eq!((handle.requests(), handle.connections()), (81, conns(2)));
+    handle.shutdown();
+}
+
+/// A knowledge plane in front of a remote site reads the site's mutation
+/// feed once per session, at open — not once per query: one `top(20)`
+/// costs the edge its paid queries plus one `GET /site/seq`, and streams
+/// what the same session streams in-process.
+#[test]
+fn a_plane_over_a_remote_site_polls_the_feed_once_per_session() {
+    let exec = Arc::new(Executor::from_env());
+    let data = uniform(150, 2, 1, test_seed() ^ 0x5E9);
+    let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
+    let local = RerankService::new(Arc::new(anti_server(&data, 3)), data.len());
+    let (want, err) = local
+        .session(Query::all(), Arc::clone(&rank))
+        .open()
+        .unwrap()
+        .top(20);
+    assert!(err.is_none(), "{err:?}");
+
+    let remote = Arc::new(anti_server(&data, 3));
+    let (handle, adapter) = loopback(remote as Arc<dyn SearchInterface>, data.len(), &exec);
+    let svc = RerankService::new(adapter as Arc<dyn SearchInterface>, data.len())
+        .with_knowledge(Arc::new(KnowledgePlane::new()), "remote");
+    let before = handle.requests();
+    let mut s = svc.session(Query::all(), rank).open().unwrap();
+    let (got, err) = s.top(20);
+    assert!(err.is_none(), "{err:?}");
+    assert_eq!(
+        fingerprint(&got),
+        fingerprint(&want),
+        "the plane changed the answer"
+    );
+    let calls = handle.requests() - before;
+    assert!(s.queries_spent() > 0);
+    assert!(
+        calls <= s.queries_spent() + 1,
+        "{calls} site calls for {} paid queries",
+        s.queries_spent()
+    );
     handle.shutdown();
 }
 

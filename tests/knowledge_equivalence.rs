@@ -1,6 +1,6 @@
 //! The knowledge plane's safety contract: a warm session is *invisible* in
-//! its output. Whatever mix of response replay and result-stream replay
-//! answers a request, the emitted stream must be
+//! its output. Whether a request replays a sealed result stream, resumes
+//! after an unsealed prefix, or runs cold, the emitted stream must be
 //! byte-identical (tuple ids AND score bit patterns) to a cold session's,
 //! and the ledgers must balance exactly:
 //!
@@ -8,6 +8,9 @@
 //! warm.queries_spent + warm.queries_saved == cold.queries_spent
 //! warm.cost_units_spent + warm.cost_units_saved == cold.cost_units_spent
 //! ```
+//!
+//! Only a sealed stream saves: a session that drives its strategy pays the
+//! site for every request it makes, exactly as a cold session would.
 //!
 //! Seeded sweeps (no `proptest` in the offline container): each property
 //! mixes `QRS_TEST_SEED` into its base seed, so CI proves the claims under
@@ -134,8 +137,7 @@ fn warm_streams_and_ledgers_match_cold_exactly() {
         let cold_stream = pull(&mut cold, h);
         let cold_spent = (cold.queries_spent(), cold.cost_units_spent());
 
-        // First knowledge session: pays like cold overall, with any
-        // intra-session repeats moving from the paid to the saved ledger.
+        // First knowledge session: pays like cold.
         let plane = Arc::new(KnowledgePlane::new());
         let warm1_svc = site.service(Some(&plane));
         let mut warm1 = warm1_svc
@@ -242,7 +244,8 @@ fn partial_warm_resume_is_byte_identical_and_balanced() {
         drop(seeder);
 
         // Warm session pulls past the cached prefix: replay, then the
-        // strategy resumes against the response cache.
+        // strategy starts over on a fresh service, swallowing what was
+        // replayed, and pays what a cold session pays.
         let warm_svc = site.service(Some(&plane));
         let mut warm = warm_svc
             .session(sel.clone(), Arc::clone(&rank))
@@ -261,9 +264,15 @@ fn partial_warm_resume_is_byte_identical_and_balanced() {
             cold_spent,
             "case {case}: resumed session's ledgers do not balance"
         );
-        assert!(
-            warm.queries_saved() > 0 || cold_spent.0 == 0,
-            "case {case}: resumption should reuse the seeder's paid requests"
+        assert_eq!(
+            (warm.queries_saved(), warm.cost_units_saved()),
+            (0, 0),
+            "case {case}: an unsealed prefix saves nothing"
+        );
+        assert_eq!(
+            (warm.queries_spent(), warm.cost_units_spent()),
+            cold_spent,
+            "case {case}: resumption must pay the cold bill"
         );
     }
 }

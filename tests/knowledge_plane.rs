@@ -8,7 +8,7 @@
 //! via `Executor::from_env`, so CI's seed × `QRS_EXEC_THREADS` matrix
 //! sweeps both the schedule and the workload.
 
-use query_reranking::datagen::synthetic::uniform;
+use query_reranking::datagen::synthetic::{discrete_grid, uniform};
 use query_reranking::exec::Executor;
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
@@ -472,4 +472,119 @@ fn a_session_spanning_a_mutation_never_seeds_the_new_epoch() {
         }
     }
     assert!(spanned > 20, "only {spanned} schedules mutated during A");
+}
+
+/// The top-`h` score bits of `data` under `rank` — the one tie contract's
+/// oracle: a stream is exact when its scores match these bit for bit.
+fn truth_bits(data: &Dataset, rank: &Arc<dyn RankFn>, h: usize) -> Vec<u64> {
+    let scorer = Arc::clone(rank);
+    data.rank_by(&Query::all(), move |t| scorer.score(t))
+        .iter()
+        .take(h)
+        .map(|t| rank.score(t).to_bits())
+        .collect()
+}
+
+#[test]
+fn racing_recorders_of_one_stream_never_store_a_tuple_twice() {
+    // Two sessions on two services sharing one plane record one result
+    // stream, their pulls interleaved on one thread. Service A has first
+    // learned the grid under another ranking, so it can order a tie group
+    // differently from cold B: A appends `x` at index `p`, B's `y` at `p`
+    // is refused — and B's `x` at `p + 1` must be refused too, or every
+    // later session replays `x` twice. The first world is pinned: its
+    // replay used to read [20, 20, 26, 32, ...]. No stream may repeat an
+    // id; scores are checked on worlds whose cold stream is exact (a grid
+    // cell holding more than `k` indistinguishable tuples is out of any
+    // stream's reach).
+    const H: usize = 40;
+    let mut rng = StdRng::seed_from_u64(seeded(0x9A08));
+    let mut worlds = vec![(4, 2, 1.0)];
+    for levels in [4, 6, 8, 12, 16] {
+        for _ in 0..3 {
+            let weight = [1.0, 2.0][rng.random_range(0..2usize)];
+            worlds.push((levels, rng.random_range(1..1000u64), weight));
+        }
+    }
+    let by_a1: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(1), 1.0)]));
+    let (mut exact_worlds, mut schedules) = (0, 0);
+    for (levels, seed, weight) in worlds {
+        let data = discrete_grid(300, 2, levels, seed);
+        let site = || {
+            let server = SimServer::new(data.clone(), SystemRank::pseudo_random(seed), 5);
+            RerankService::new(Arc::new(server), data.len())
+        };
+        let rank: Arc<dyn RankFn> =
+            Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), weight)]));
+        let truth = truth_bits(&data, &rank, H);
+        let pull = |s: &mut query_reranking::service::Session<'_>, out: &mut Vec<(u32, u64)>| {
+            if let Some(hit) = s.next().expect("clean site") {
+                out.push((hit.tuple.id.0, hit.score.to_bits()));
+            }
+        };
+        let distinct = |stream: &[(u32, u64)]| {
+            let mut ids: Vec<u32> = stream.iter().map(|p| p.0).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids.len() == stream.len()
+        };
+        let scores_exact = |stream: &[(u32, u64)]| stream.iter().map(|p| p.1).eq(truth.clone());
+        let cold = site();
+        let mut cold_stream = Vec::new();
+        let mut s = cold
+            .session(Query::all(), Arc::clone(&rank))
+            .open()
+            .unwrap();
+        for _ in 0..H {
+            pull(&mut s, &mut cold_stream);
+        }
+        let exact_world = scores_exact(&cold_stream);
+        exact_worlds += usize::from(exact_world);
+        let exact =
+            |stream: &[(u32, u64)]| distinct(stream) && (!exact_world || scores_exact(stream));
+        for (warm_up, per_round) in [(15, (1, 2)), (15, (2, 1)), (0, (1, 2))] {
+            let plane = Arc::new(KnowledgePlane::new());
+            let a = site().with_knowledge(Arc::clone(&plane), "site");
+            let b = site().with_knowledge(Arc::clone(&plane), "site");
+            let mut warm = a
+                .session(Query::all(), Arc::clone(&by_a1))
+                .knowledge(false)
+                .open()
+                .unwrap();
+            assert_eq!(warm.try_top(warm_up).unwrap().len(), warm_up);
+            drop(warm);
+            let mut s1 = a.session(Query::all(), Arc::clone(&rank)).open().unwrap();
+            let mut s2 = b.session(Query::all(), Arc::clone(&rank)).open().unwrap();
+            let (mut got1, mut got2) = (Vec::new(), Vec::new());
+            for _ in 0..H {
+                for _ in 0..per_round.0 {
+                    pull(&mut s1, &mut got1);
+                }
+                for _ in 0..per_round.1 {
+                    pull(&mut s2, &mut got2);
+                }
+            }
+            let where_ = format!("grid {levels}, seed {seed}, w {weight}, {warm_up} warm-up pulls, {per_round:?} per round");
+            assert!(
+                exact(&got1[..H]) && exact(&got2[..H]),
+                "{where_}: a live stream is wrong"
+            );
+            let c = site().with_knowledge(Arc::clone(&plane), "site");
+            let mut replay = Vec::new();
+            let mut s3 = c.session(Query::all(), Arc::clone(&rank)).open().unwrap();
+            for _ in 0..H {
+                pull(&mut s3, &mut replay);
+            }
+            assert!(
+                exact(&replay),
+                "{where_}: the replayed stream read {:?}",
+                replay.iter().map(|p| p.0).collect::<Vec<_>>()
+            );
+            schedules += 1;
+        }
+    }
+    assert!(
+        exact_worlds >= 8,
+        "only {exact_worlds} exact worlds ({schedules} schedules)"
+    );
 }

@@ -271,8 +271,9 @@ fn md_delta_repair_is_score_exact_on_tied_data() {
     }
 }
 
-/// Maintenance over a knowledge-plane-backed service: the gate's watermark
-/// sync must keep repairs exact too (the shard epoch moves under it).
+/// Maintenance over a knowledge-plane-backed service: the watermark sync at
+/// each session open must keep repairs exact too (the shard epoch moves
+/// under it).
 #[test]
 fn maintenance_stays_exact_over_a_knowledge_plane() {
     let mut rng = StdRng::seed_from_u64(seeded(0xCDC1));
