@@ -23,7 +23,7 @@
 //! shared history, which is where the result is read from, so a retry pays
 //! for nothing twice.
 
-use crate::ctx::SharedState;
+use crate::ctx::{Purpose, SharedState};
 use qrs_server::SearchInterface;
 use qrs_types::value::cmp_f64;
 use qrs_types::{AttrId, Interval, Query, RerankError, Schema, Tuple};
@@ -75,11 +75,21 @@ impl PendingCrawls {
 
 /// Enumerate all tuples matching `q`. Fails fast on a server error; the
 /// sub-queries still to ask are kept in `st`, so a retry resumes the crawl
-/// instead of restarting it.
+/// instead of restarting it. Its queries are paid as [`Purpose::Crawl`].
 pub fn crawl_region(
     server: &dyn SearchInterface,
     st: &mut SharedState,
     q: &Query,
+) -> Result<CrawlResult, RerankError> {
+    crawl_for(server, st, q, Purpose::Crawl)
+}
+
+/// [`crawl_region`], its queries paid as `purpose`.
+pub(crate) fn crawl_for(
+    server: &dyn SearchInterface,
+    st: &mut SharedState,
+    q: &Query,
+    purpose: Purpose,
 ) -> Result<CrawlResult, RerankError> {
     let schema = Arc::clone(server.schema());
     let mut crawl = st.pending_crawls.take(q).unwrap_or_else(|| Crawl {
@@ -93,7 +103,7 @@ pub fn crawl_region(
         if cq.is_unsatisfiable() {
             continue;
         }
-        let resp = match st.ask(server, &cq) {
+        let resp = match st.ask(server, &cq, purpose) {
             Ok(resp) => resp,
             Err(e) => {
                 crawl.stack.push(cq);

@@ -6,7 +6,8 @@
 //! argument of §3.2.2 depends on it). Tuples live in the history and
 //! nowhere else; the other two members are registries of regions whose
 //! tuples are known in full, and [`SharedState::ask`] is where a top-k
-//! query is either answered from them or paid for.
+//! query is either answered from them or paid for. Every paid query is
+//! counted under the [`Purpose`] its caller names.
 
 use crate::crawl::PendingCrawls;
 use crate::history::{CompleteRegions, History};
@@ -14,6 +15,42 @@ use crate::index::dense1d::Dense1D;
 use crate::params::RerankParams;
 use qrs_server::SearchInterface;
 use qrs_types::{Query, QueryResponse, RerankError, Schema};
+
+/// Why a built-in algorithm asks the site a query: the one tag each
+/// [`SharedState::ask`] call site passes, so the paid queries split by
+/// purpose ([`SharedState::paid`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Purpose {
+    /// A box of the MD top-1 search (`md::top1::md_top1`).
+    MdBox,
+    /// §4.3.2's direct domination probe inside that search.
+    MdDominated,
+    /// The MD cursor's merged probe over an emission's host, which settles
+    /// both side children at once (`md::cursor`).
+    MdMerged,
+    /// The selection-free plane of an MD tie slab.
+    MdTiePlane,
+    /// A sub-query of a region crawl: an MD cell, or crawl-then-rank.
+    Crawl,
+    /// A probe of a 1-D next-value search (`one_d::primitives`), the
+    /// dense-index crawl's steps included.
+    OneDSearch,
+    /// A 1-D value slab's point query and the crawl beneath it.
+    OneDSlab,
+}
+
+impl Purpose {
+    /// Every purpose, in [`SharedState::paid`]'s order.
+    pub const ALL: [Purpose; 7] = [
+        Purpose::MdBox,
+        Purpose::MdDominated,
+        Purpose::MdMerged,
+        Purpose::MdTiePlane,
+        Purpose::Crawl,
+        Purpose::OneDSearch,
+        Purpose::OneDSlab,
+    ];
+}
 
 /// History + complete-region registry + 1D dense index + interrupted
 /// crawls + parameters.
@@ -32,6 +69,8 @@ pub struct SharedState {
     pub(crate) pending_crawls: PendingCrawls,
     /// The tuning parameters everything above was built with.
     pub params: RerankParams,
+    /// Queries the site answered, per [`Purpose`] (in `Purpose::ALL` order).
+    paid: [u64; Purpose::ALL.len()],
 }
 
 impl SharedState {
@@ -43,6 +82,7 @@ impl SharedState {
             dense1d: Dense1D::default(),
             pending_crawls: PendingCrawls::default(),
             params,
+            paid: [0; Purpose::ALL.len()],
         }
     }
 
@@ -59,20 +99,41 @@ impl SharedState {
     /// what is already known in full before paying (§3.1.1). When a complete
     /// region covers `q`, every match is in history and comes back free as a
     /// response that did not overflow — possibly more than `k` tuples, in no
-    /// particular order; otherwise the site is paid and its response
-    /// absorbed.
+    /// particular order; otherwise the site is paid, the answer counted
+    /// under `purpose` and absorbed.
     pub fn ask(
         &mut self,
         server: &dyn SearchInterface,
         q: &Query,
+        purpose: Purpose,
     ) -> Result<QueryResponse, RerankError> {
         if self.complete.covers(q) {
             let known = self.history.candidates(q).filter(|t| q.matches(t));
             return Ok(QueryResponse::new(known.cloned().collect(), false));
         }
+        self.pay(server, q, purpose)
+    }
+
+    /// [`Self::ask`]'s paid arm, for a caller that has just proved no
+    /// complete region covers `q`: the site is paid, the answer counted
+    /// under `purpose` and absorbed.
+    pub(crate) fn pay(
+        &mut self,
+        server: &dyn SearchInterface,
+        q: &Query,
+        purpose: Purpose,
+    ) -> Result<QueryResponse, RerankError> {
         let resp = server.query(q)?;
+        self.paid[purpose as usize] += 1;
         self.absorb(q, &resp);
         Ok(resp)
+    }
+
+    /// Queries the site has answered for `purpose`.
+    /// A refused query is not counted; a page the site charged but lost in
+    /// transit is not either.
+    pub fn paid(&self, purpose: Purpose) -> u64 {
+        self.paid[purpose as usize]
     }
 
     /// Drop the complete-region registry (emptiness proofs), keeping tuples
@@ -116,12 +177,15 @@ mod tests {
         let (server, mut st) = setup();
         let wide = slice(0.30, 0.32);
         assert!(
-            st.ask(&server, &wide).unwrap().is_valid(),
+            st.ask(&server, &wide, Purpose::Crawl).unwrap().is_valid(),
             "pick a valid slice"
         );
         let (fresh, _) = setup();
         for q in [wide, slice(0.305, 0.315), slice(0.4, 0.3)] {
-            let (known, truth) = (st.ask(&server, &q).unwrap(), fresh.query(&q).unwrap());
+            let (known, truth) = (
+                st.ask(&server, &q, Purpose::Crawl).unwrap(),
+                fresh.query(&q).unwrap(),
+            );
             assert_eq!(ids(&known), ids(&truth), "{q}");
             assert_eq!(known.outcome, truth.outcome, "{q}");
         }
@@ -132,14 +196,14 @@ mod tests {
     fn only_a_region_known_in_full_is_free_however_many_tuples_it_holds() {
         let (server, mut st) = setup();
         let q = slice(0.0, 0.5);
-        assert!(st.ask(&server, &q).unwrap().is_overflow());
+        assert!(st.ask(&server, &q, Purpose::Crawl).unwrap().is_overflow());
         assert!(st.complete.is_empty(), "an overflow registers no region");
-        st.ask(&server, &q).unwrap();
+        st.ask(&server, &q, Purpose::Crawl).unwrap();
         assert_eq!(server.queries_issued(), 2, "asked again, paid again");
         let crawled = crawl_region(&server, &mut st, &q).unwrap();
         assert!(crawled.tuples.len() > 5 && !crawled.truncated);
         let paid = server.queries_issued();
-        let known = st.ask(&server, &q).unwrap();
+        let known = st.ask(&server, &q, Purpose::Crawl).unwrap();
         assert_eq!(server.queries_issued(), paid);
         assert!(
             known.is_valid(),

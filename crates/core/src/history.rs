@@ -203,6 +203,12 @@ impl History {
         }
     }
 
+    /// Whether more than `n` observed tuples match `q` — a query that would
+    /// overflow a top-`n` page on what history alone already knows.
+    pub fn holds_more_than(&self, q: &Query, n: usize) -> bool {
+        self.candidates(q).filter(|t| q.matches(t)).nth(n).is_some()
+    }
+
     /// All observed tuples matching `q`, sorted by id — authoritative when a
     /// complete region covers `q`.
     pub fn matching(&self, q: &Query) -> Vec<Arc<Tuple>> {

@@ -50,7 +50,7 @@ pub mod one_d;
 pub mod params;
 pub mod strategy;
 
-pub use ctx::SharedState;
+pub use ctx::{Purpose, SharedState};
 pub use md::{MdAlgo, MdCursor, MdOptions, TaCursor};
 pub use norm::{NormBox, NormView};
 pub use one_d::{OneDCursor, OneDSpec, OneDStrategy, TiePolicy};

@@ -17,10 +17,44 @@
 //! it). A plane that overflows refines its slab on the next free dimension
 //! at the emitted tuple (same `<` / `>` / `=` shape); an overflowing cell
 //! is crawled on the remaining attributes.
+//!
+//! **One merged probe per emission.** Each side child's top-1 search
+//! ([`md_top1`]) first asks its box shrunk at its history best's score,
+//! and that answer is usually a nearly empty page. So the host `H` of the
+//! last emission is asked once instead: `H ∧ sel` shrunk from `H`'s low
+//! corner at `T`, the larger of the two children's history-best scores.
+//! By monotonicity that box holds both children's own first queries, so an
+//! answer that does not overflow settles both: each child's top is the
+//! `(score, id)` minimum of its history best and the answer's tuples in
+//! `child ∧ sel` — what its search would return, every query of it now
+//! covered. An overflowing answer only adds to history, and the children
+//! are then searched as before. Three gates, cheapest first, keep the
+//! probe to where it pays:
+//!
+//! 1. the size estimate says the box fits a page with one Poisson σ to
+//!    spare, `e + √e ≤ k` for `e = n · Π` (each ordinal predicate's width
+//!    over its domain's width);
+//! 2. history does not already hold more than `k` matches of the box;
+//! 3. both children have a history best and would *pay* their own first
+//!    query (it is not covered) — else merging saves nothing and still
+//!    risks an overflow.
+//!
+//! The gates read only `k`, `n` and history. Where one closes the probe,
+//! the children's searches start from the history bests the gates read
+//! ([`md_top1`]'s seeded entry): sibling boxes are disjoint, and within one
+//! call only this cursor touches the shared state, so no one else can move
+//! those bests first.
+//!
+//! The probe runs at *resolve* time, in the call after the emission, never
+//! between taking the host out of the subspace list and putting its
+//! children in: a refusal there would drop the host's subspaces from the
+//! stream. An emission only notes its host, and a refused probe leaves the
+//! note for the retry. A top-`h` request never pays a merge after its last
+//! emission.
 
 use crate::crawl::crawl_region;
-use crate::ctx::SharedState;
-use crate::md::top1::{md_top1, MdOptions};
+use crate::ctx::{Purpose, SharedState};
+use crate::md::top1::{consider, history_best, md_top1, md_top1_from, shrink, Best, MdOptions};
 use crate::norm::{NormBox, NormView};
 use qrs_ranking::RankFn;
 use qrs_server::SearchInterface;
@@ -66,6 +100,11 @@ pub struct MdCursor {
     sel: Query,
     opts: MdOptions,
     subs: Vec<Subspace>,
+    /// The host of the last emission when it split into two side children,
+    /// which then sit just before its tie slab at the end of `subs`: the
+    /// next call resolves them through one merged probe (module docs).
+    /// Cleared once that probe is answered or a gate closes it.
+    merge: Option<NormBox>,
 }
 
 impl MdCursor {
@@ -78,6 +117,7 @@ impl MdCursor {
             sel,
             opts,
             subs: vec![Subspace::new(b0)],
+            merge: None,
         }
     }
 
@@ -89,6 +129,18 @@ impl MdCursor {
         server: &dyn SearchInterface,
         st: &mut SharedState,
     ) -> Result<Option<Arc<Tuple>>, RerankError> {
+        // The last emission's side children first: settled by one merged
+        // probe, or seeded with the history bests its gates read.
+        let mut seeds = match self.merge.take() {
+            None => Vec::new(),
+            Some(host) => match self.settle_children(server, st, &host) {
+                Ok(seeds) => seeds,
+                Err(e) => {
+                    self.merge = Some(host);
+                    return Err(e);
+                }
+            },
+        };
         // Resolve all unknown subspace tops. A refined tie slab stays at
         // `i` as its `= v` part; its other children join this pass.
         let mut i = 0;
@@ -109,10 +161,15 @@ impl MdCursor {
                     }
                 }
             } else {
-                match md_top1(server, st, &self.view, &self.sel, &sub.bbox, self.opts)? {
-                    None => TopState::Empty,
-                    Some((t, s)) => TopState::Known(t, s),
-                }
+                let (view, sel) = (&self.view, &self.sel);
+                let found = match seeds.iter().position(|(j, _)| *j == i) {
+                    Some(at) => {
+                        let seed = seeds.swap_remove(at).1;
+                        md_top1_from(server, st, view, sel, &sub.bbox, self.opts, seed)?
+                    }
+                    None => md_top1(server, st, view, sel, &sub.bbox, self.opts)?,
+                };
+                found.map_or(TopState::Empty, |(t, s)| TopState::Known(t, s))
             };
             self.subs[i].top = top;
             i += 1;
@@ -145,13 +202,84 @@ impl MdCursor {
             let host = self.subs.swap_remove(best_idx);
             let d = first_free(&host.bbox).expect("a box that is not a cell has a free dimension");
             let (sides, slab) = split_at(&host.bbox, d, self.view.norm_coords(&t)[d]);
+            let both = sides.len() == 2;
             self.subs.extend(sides.into_iter().map(Subspace::new));
             self.subs.push(Subspace {
                 emitted: HashSet::from([t.id]),
                 ..Subspace::new(slab)
             });
+            self.merge = both.then_some(host.bbox);
         }
         Ok(Some(t))
+    }
+
+    /// Resolve the last emission's two side children, the subspaces just
+    /// before its tie slab, through one merged probe over their `host`
+    /// where the gates allow it (module docs). A valid answer settles both.
+    /// Returns the children left for the resolve pass with their seeds:
+    /// both, seeded, when a gate closed the probe; none when it was asked —
+    /// settled, or with history bests an overflow may have moved.
+    fn settle_children(
+        &mut self,
+        server: &dyn SearchInterface,
+        st: &mut SharedState,
+        host: &NormBox,
+    ) -> Result<Vec<(usize, Best)>, RerankError> {
+        let at = self.subs.len() - 3;
+        let children = [at, at + 1].map(|i| self.view.to_query(&self.subs[i].bbox, &self.sel));
+        let seeds = children.each_ref().map(|q| history_best(st, &self.view, q));
+        let Some(merged) = self.merged_probe(server, st, host, &seeds) else {
+            return Ok([at, at + 1].into_iter().zip(seeds).collect());
+        };
+        // Gate 3 found both children's first queries uncovered, so no
+        // complete region covers their superset either.
+        let resp = st.pay(server, &merged, Purpose::MdMerged)?;
+        if !resp.is_overflow() {
+            for ((i, q), mut best) in (at..).zip(&children).zip(seeds) {
+                for t in resp.tuples.iter().filter(|t| q.matches(t)) {
+                    consider(&mut best, t, self.view.score(t));
+                }
+                self.subs[i].top = best.map_or(TopState::Empty, |(t, s)| TopState::Known(t, s));
+            }
+        }
+        Ok(Vec::new())
+    }
+
+    /// The merged probe over `host`, given its two side children's history
+    /// bests: `host ∧ sel` shrunk at the larger of the two scores, which
+    /// holds both children's own shrunk first queries. `None` when one of
+    /// the three gates (module docs) closes it.
+    fn merged_probe(
+        &self,
+        server: &dyn SearchInterface,
+        st: &SharedState,
+        host: &NormBox,
+        seeds: &[Best; 2],
+    ) -> Option<Query> {
+        let [Some((_, s0)), Some((_, s1))] = seeds else {
+            return None;
+        };
+        let merged = self
+            .view
+            .to_query(&shrink(&self.view, host, Some(s0.max(*s1)))?, &self.sel);
+        let k = server.k() as f64;
+        let e = st.params.n * width_share(server.schema(), &merged);
+        if merged.is_unsatisfiable() || e + e.sqrt() > k {
+            return None; // gate 1: more than a page, give or take one σ
+        }
+        if st.history.holds_more_than(&merged, server.k()) {
+            return None; // gate 2: it would overflow on what history holds
+        }
+        // Gate 3: merging saves a query only where both children would pay
+        // their own first query.
+        let paid = |i: usize, s: f64| {
+            shrink(&self.view, &self.subs[i].bbox, Some(s)).is_some_and(|b| {
+                let q = self.view.to_query(&b, &self.sel);
+                !q.is_unsatisfiable() && !st.complete.covers(&q)
+            })
+        };
+        let at = self.subs.len() - 3;
+        (paid(at, *s0) && paid(at + 1, *s1)).then_some(merged)
     }
 
     /// Pull the top `h` tuples (shorter if `R(q)` is exhausted).
@@ -170,6 +298,25 @@ impl MdCursor {
         }
         Ok(out)
     }
+}
+
+/// The share of the ordinal domain `q`'s range predicates admit: the
+/// product over them of each one's width within its attribute's domain
+/// over the domain's width. Times `n`, the size estimate of `q`'s answer on
+/// uniform data.
+fn width_share(schema: &Schema, q: &Query) -> f64 {
+    (q.ranges().iter())
+        .map(|p| {
+            let o = schema.ordinal(p.attr);
+            let lo = p.interval.lo.value().map_or(o.min, |v| v.max(o.min));
+            let hi = p.interval.hi.value().map_or(o.max, |v| v.min(o.max));
+            if o.domain_width() > 0.0 {
+                ((hi - lo) / o.domain_width()).clamp(0.0, 1.0)
+            } else {
+                1.0
+            }
+        })
+        .product()
 }
 
 /// The first dimension of `b` that is not pinned to a point (`None` for a
@@ -221,11 +368,8 @@ fn tie_top(
         }
         let plane = view.to_query(&plane, &Query::all());
         // More than `k` known on the plane: asking it would only overflow.
-        let crowded = (st.history.candidates(&plane))
-            .filter(|t| plane.matches(t))
-            .nth(server.k())
-            .is_some();
-        if crowded || st.ask(server, &plane)?.is_overflow() {
+        let crowded = st.history.holds_more_than(&plane, server.k());
+        if crowded || st.ask(server, &plane, Purpose::MdTiePlane)?.is_overflow() {
             let refine_at = first_free(slab).and_then(|d| {
                 let mut vs = emitted
                     .iter()

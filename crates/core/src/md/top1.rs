@@ -18,7 +18,7 @@
 //! gate saved a query in any MD figure row or benchmark workload (README,
 //! "Named deviations from the paper").
 
-use crate::ctx::SharedState;
+use crate::ctx::{Purpose, SharedState};
 use crate::md::split::{prefix_split, split_excluding};
 use crate::norm::{NormBox, NormView};
 use qrs_server::SearchInterface;
@@ -56,9 +56,10 @@ impl MdOptions {
     }
 }
 
-type Best = Option<(Arc<Tuple>, f64)>;
+/// The best `(tuple, score)` found so far, if any.
+pub(crate) type Best = Option<(Arc<Tuple>, f64)>;
 
-fn consider(best: &mut Best, t: &Arc<Tuple>, score: f64) {
+pub(crate) fn consider(best: &mut Best, t: &Arc<Tuple>, score: f64) {
     match best {
         None => *best = Some((Arc::clone(t), score)),
         Some((bt, bs)) => {
@@ -72,6 +73,12 @@ fn consider(best: &mut Best, t: &Arc<Tuple>, score: f64) {
 /// Lowest-scoring tuple in `b ∧ sel` (ties by id **not** guaranteed global —
 /// equal-score regions may be pruned; callers needing full tie sets use the
 /// cursor's tie slabs).
+///
+/// The search starts from the best tuple history already holds in the box,
+/// whose score shrinks the first query. The MD cursor, whose merged-probe
+/// gates have just read that tuple for a side child, enters at the seeded
+/// entry `md_top1_from` instead, with it as the seed, so the read is not
+/// repeated.
 pub fn md_top1(
     server: &dyn SearchInterface,
     st: &mut SharedState,
@@ -80,7 +87,23 @@ pub fn md_top1(
     b0: &NormBox,
     opts: MdOptions,
 ) -> Result<Option<(Arc<Tuple>, f64)>, RerankError> {
-    let mut best: Best = history_best(st, view, &view.to_query(b0, sel));
+    let seed = history_best(st, view, &view.to_query(b0, sel));
+    md_top1_from(server, st, view, sel, b0, opts, seed)
+}
+
+/// [`md_top1`] seeded with `history_best` of `b0 ∧ sel`, read by the caller
+/// since history last changed in `b0`: the seed must be exactly what
+/// [`history_best`] would return now.
+pub(crate) fn md_top1_from(
+    server: &dyn SearchInterface,
+    st: &mut SharedState,
+    view: &NormView,
+    sel: &Query,
+    b0: &NormBox,
+    opts: MdOptions,
+    seed: Best,
+) -> Result<Option<(Arc<Tuple>, f64)>, RerankError> {
+    let mut best = seed;
     let mut queue: VecDeque<NormBox> = VecDeque::new();
     queue.push_back(b0.clone());
 
@@ -98,7 +121,7 @@ pub fn md_top1(
         if q.is_unsatisfiable() {
             continue;
         }
-        let resp = st.ask(server, &q)?;
+        let resp = st.ask(server, &q, Purpose::MdBox)?;
         match resp.outcome {
             qrs_types::QueryOutcome::Underflow => continue,
             qrs_types::QueryOutcome::Valid => {
@@ -173,7 +196,7 @@ fn probe_dominated(
     if q.is_unsatisfiable() {
         return Ok(());
     }
-    for t in &st.ask(server, &q)?.tuples {
+    for t in &st.ask(server, &q, Purpose::MdDominated)?.tuples {
         consider(best, t, view.score(t));
     }
     Ok(())
@@ -253,7 +276,7 @@ fn steepest_axis(view: &NormView, lo: &[f64], hi: &[f64]) -> usize {
 
 /// Cap each axis at its `ℓ(Ai)` intercept for the threshold; `None` when the
 /// whole box is provably at/above the threshold.
-fn shrink(view: &NormView, b: &NormBox, threshold: Option<f64>) -> Option<NormBox> {
+pub(crate) fn shrink(view: &NormView, b: &NormBox, threshold: Option<f64>) -> Option<NormBox> {
     let Some(target) = threshold else {
         return Some(b.clone());
     };

@@ -16,8 +16,8 @@
 //! keeps its pending sub-queries in [`SharedState`]. So a retry asks
 //! exactly the queries the uninterrupted step would have, and none twice.
 
-use crate::crawl::crawl_region;
-use crate::ctx::SharedState;
+use crate::crawl::crawl_for;
+use crate::ctx::{Purpose, SharedState};
 use crate::one_d::primitives::{seek, OneDSpec, Step};
 use crate::one_d::OneDStrategy;
 use qrs_server::SearchInterface;
@@ -212,7 +212,7 @@ pub(crate) fn gather_slab(
 ) -> Result<Vec<Arc<Tuple>>, RerankError> {
     let raw = spec.dir.denormalize(nval);
     let q = spec.sel.clone().and_range(spec.attr, Interval::point(raw));
-    Ok(crawl_region(server, st, &q)?.tuples)
+    Ok(crawl_for(server, st, &q, Purpose::OneDSlab)?.tuples)
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@
 //! 1976) is the classic account of pairing a cheap guess with a bisection
 //! that bounds its loss.
 
-use crate::ctx::SharedState;
+use crate::ctx::{Purpose, SharedState};
 use crate::one_d::OneDStrategy;
 use qrs_server::SearchInterface;
 use qrs_types::value::OrdF64;
@@ -201,7 +201,7 @@ pub(crate) fn baseline(
         if iv.is_empty() {
             return Ok(cur);
         }
-        let resp = st.ask(server, &spec.query_for(iv))?;
+        let resp = st.ask(server, &spec.query_for(iv), Purpose::OneDSearch)?;
         match resp.outcome {
             // Nothing below `cur` (a covered interval lands here: `cur` is
             // the history minimum).
@@ -271,7 +271,7 @@ pub fn narrow(
             if iv.is_empty() {
                 return Ok(NarrowResult::Exhausted(None));
             }
-            let resp = st.ask(server, &spec.query_for(iv))?;
+            let resp = st.ask(server, &spec.query_for(iv), Purpose::OneDSearch)?;
             match resp.outcome {
                 qrs_types::QueryOutcome::Underflow => return Ok(NarrowResult::Exhausted(None)),
                 qrs_types::QueryOutcome::Valid => {
@@ -361,12 +361,7 @@ pub fn narrow(
 /// `cv`: not on a `k = 1` site, and not when history already holds a second
 /// matching tuple at `cv` (module docs).
 fn closes_at(server: &dyn SearchInterface, st: &SharedState, spec: &OneDSpec, cv: f64) -> bool {
-    let at_cv = Interval::point(spec.dir.denormalize(cv));
-    server.k() > 1
-        && (st.history.in_range(spec.attr, at_cv))
-            .filter(|t| spec.sel.matches(t))
-            .nth(1)
-            .is_none()
+    server.k() > 1 && !(st.history).holds_more_than(&spec.query_for(Interval::point(cv)), 1)
 }
 
 enum Probe {
@@ -387,7 +382,7 @@ fn probe(
     if iv.is_empty() {
         return Ok(Probe::Empty);
     }
-    let resp = st.ask(server, &spec.query_for(iv))?;
+    let resp = st.ask(server, &spec.query_for(iv), Purpose::OneDSearch)?;
     Ok(match resp.outcome {
         qrs_types::QueryOutcome::Underflow => Probe::Empty,
         qrs_types::QueryOutcome::Valid => {

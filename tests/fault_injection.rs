@@ -14,7 +14,7 @@
 //! * fault schedules are seed-deterministic and replayable; the scripted
 //!   seeds honor `QRS_TEST_SEED` so CI proves determinism across seeds.
 
-use query_reranking::core::OneDStrategy;
+use query_reranking::core::{MdOptions, OneDStrategy};
 use query_reranking::datagen::synthetic::{clustered, discrete_grid, uniform};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{
@@ -211,6 +211,81 @@ fn one_d_resume_is_exact_under_every_single_refusal() {
             }
         }
     }
+    assert!(schedules > 500, "only {schedules} schedules ran");
+}
+
+/// The MD twin of the property above: a single rate limit at any call of
+/// the clean run, retried, leaves the MD score stream exactly as the clean
+/// run had it. The paid count is reported, not asserted: a resumed MD step
+/// may re-plan against the history the refused attempt left (`rank1`'s
+/// doc). What must survive a refusal is every subspace the cursor keeps —
+/// an emission's host is replaced by its children before anything is
+/// asked, and the merged probe over that host is asked only when the next
+/// call resolves them.
+#[test]
+fn md_resume_is_exact_under_every_single_refusal() {
+    let seed = test_seed();
+    let worlds = [
+        ("uniform", uniform(250, 2, 1, seed)),
+        ("grid6", discrete_grid(250, 2, 6, seed)),
+        ("grid40", discrete_grid(250, 2, 40, seed)),
+        ("clustered", clustered(250, 2, 3, 0.01, seed)),
+    ];
+    let systems = [
+        SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]),
+        SystemRank::pseudo_random(seed),
+    ];
+    let algorithms = [
+        ("MD-RERANK", MdOptions::rerank()),
+        ("MD-BASELINE", MdOptions::baseline()),
+    ];
+    let (mut schedules, mut paid_more, mut paid_less) = (0, 0, 0);
+    for (world, data) in &worlds {
+        for k in [3, 5] {
+            for sys in &systems {
+                for (label, opts) in algorithms {
+                    let run = |fault_at: Option<u64>| {
+                        let inner = Arc::new(SimServer::new(data.clone(), sys.clone(), k));
+                        let mut faulty =
+                            FaultyServer::new(Arc::clone(&inner) as Arc<dyn SearchInterface>);
+                        if let Some(at) = fault_at {
+                            let refusal = Fault::RateLimit {
+                                retry_after_ms: None,
+                            };
+                            faulty = faulty.with_fault_at(at, refusal);
+                        }
+                        let faulty = Arc::new(faulty);
+                        let svc = RerankService::new(
+                            Arc::clone(&faulty) as Arc<dyn SearchInterface>,
+                            data.len(),
+                        )
+                        .with_retry_policy(RetryPolicy::none().attempts(2))
+                        .with_clock(Arc::new(MockClock::new()) as Arc<dyn Clock>);
+                        let mut s = svc
+                            .session(Query::all(), rank2())
+                            .algorithm(Algorithm::Md(opts))
+                            .open()
+                            .unwrap();
+                        let (hits, err) = s.top(12);
+                        assert!(err.is_none(), "{world} k={k} at {fault_at:?}: {err:?}");
+                        let scores: Vec<f64> = hits.iter().map(|r| r.score).collect();
+                        (scores, inner.queries_issued(), faulty.calls_seen())
+                    };
+                    let (want, paid, calls) = run(None);
+                    for at in 0..calls {
+                        let (got, got_paid, _) = run(Some(at));
+                        let case =
+                            format!("{world} k={k} {} {label} refused at call {at}", sys.label());
+                        assert_eq!(got, want, "{case}: the stream changed");
+                        paid_more += usize::from(got_paid > paid);
+                        paid_less += usize::from(got_paid < paid);
+                        schedules += 1;
+                    }
+                }
+            }
+        }
+    }
+    println!("{schedules} schedules: {paid_more} paid more than the clean run, {paid_less} less");
     assert!(schedules > 500, "only {schedules} schedules ran");
 }
 

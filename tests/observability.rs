@@ -9,7 +9,10 @@
 //! `Executor::from_env`, so CI's seed × `QRS_EXEC_THREADS` matrix sweeps
 //! both the schedule and the workload.
 
-use query_reranking::datagen::synthetic::uniform;
+use query_reranking::core::{
+    MdCursor, MdOptions, OneDCursor, OneDStrategy, Purpose, RerankParams, SharedState,
+};
+use query_reranking::datagen::synthetic::{discrete_grid, uniform};
 use query_reranking::exec::Executor;
 use query_reranking::obs::{EventKind, ObsHandle, Recorder};
 use query_reranking::ranking::{LinearRank, RankFn};
@@ -18,7 +21,7 @@ use query_reranking::server::{
 };
 use query_reranking::service::batch::BatchRequest;
 use query_reranking::service::{KnowledgePlane, RerankService};
-use query_reranking::types::{AttrId, Dataset, Interval, Query, RetryPolicy};
+use query_reranking::types::{AttrId, Dataset, Direction, Interval, Query, RetryPolicy};
 use std::sync::Arc;
 
 fn seeded(base: u64) -> u64 {
@@ -389,4 +392,60 @@ fn an_observer_never_changes_the_answer() {
         queries_spent
     );
     assert_eq!(recorder.dropped(), 0, "a 64Ki ring cannot overflow here");
+}
+
+/// Every paid query is counted under exactly one purpose: the per-purpose
+/// counts of the shared state add up to what the site charged, on MD runs
+/// (eight rankings over one state, as a service serves them) and on a 1-D
+/// run over tied data.
+#[test]
+fn paid_queries_add_up_over_purposes_to_what_the_site_charged() {
+    let sys = SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]);
+    let params = RerankParams::paper_defaults(1000, 10);
+    let paid = |st: &SharedState| Purpose::ALL.map(|p| st.paid(p));
+
+    let data = uniform(1000, 2, 1, seeded(4244));
+    let server = SimServer::new(data.clone(), sys.clone(), 10);
+    let mut st = SharedState::new(data.schema(), params);
+    for w in [0.2, 0.4, 0.7, 1.0, 1.5, 2.5, 4.0, 6.0] {
+        let rank = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), w)]));
+        let mut md = MdCursor::new(rank, Query::all(), MdOptions::rerank(), server.schema());
+        assert_eq!(md.top_h(&server, &mut st, 20).unwrap().len(), 20);
+    }
+    let md_paid = paid(&st);
+    assert_eq!(
+        md_paid.iter().sum::<u64>(),
+        server.queries_issued(),
+        "MD: {md_paid:?}"
+    );
+    for p in [
+        Purpose::MdBox,
+        Purpose::MdDominated,
+        Purpose::MdMerged,
+        Purpose::MdTiePlane,
+    ] {
+        assert!(st.paid(p) > 0, "vacuous: no {p:?} query in {md_paid:?}");
+    }
+
+    let data = discrete_grid(1000, 2, 30, seeded(4244));
+    let server = SimServer::new(data.clone(), sys, 10);
+    let mut st = SharedState::new(data.schema(), params);
+    let mut one_d = OneDCursor::over(
+        AttrId(0),
+        Direction::Asc,
+        Query::all(),
+        OneDStrategy::Rerank,
+    );
+    for _ in 0..30 {
+        one_d.next(&server, &mut st).unwrap().expect("1000 tuples");
+    }
+    let one_d_paid = paid(&st);
+    assert_eq!(
+        one_d_paid.iter().sum::<u64>(),
+        server.queries_issued(),
+        "1-D: {one_d_paid:?}"
+    );
+    for p in [Purpose::OneDSearch, Purpose::OneDSlab] {
+        assert!(st.paid(p) > 0, "vacuous: no {p:?} query in {one_d_paid:?}");
+    }
 }
