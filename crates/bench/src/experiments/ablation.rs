@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of the design choices the algorithms rest on:
 //!
 //! 1. MD-RERANK's two ideas (§4.3.2): virtual-tuple pruning and direct
 //!    domination detection, toggled independently on anti-correlated data,

@@ -18,6 +18,7 @@
 //! cargo run --release -p qrs-bench --bin figures -- --scale quick capability_matrix
 //! ```
 
+use super::Params;
 use crate::Scale;
 use qrs_ranking::{LinearRank, RankFn};
 use qrs_server::{SearchInterface, SiteProfile, SystemRank};
@@ -65,32 +66,6 @@ pub struct MatrixCell {
     pub workload: &'static str,
     /// What happened.
     pub outcome: CellOutcome,
-}
-
-struct Params {
-    n_small: usize,
-    n_large: usize,
-    k: usize,
-    top_h: usize,
-}
-
-impl Params {
-    fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Quick => Params {
-                n_small: 80,
-                n_large: 400,
-                k: 5,
-                top_h: 8,
-            },
-            Scale::Paper => Params {
-                n_small: 200,
-                n_large: 5_000,
-                k: 10,
-                top_h: 15,
-            },
-        }
-    }
 }
 
 fn workloads() -> Vec<Workload> {

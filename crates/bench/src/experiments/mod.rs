@@ -12,6 +12,35 @@ pub mod thm1;
 
 use crate::Scale;
 
+/// The sizes both planner sweeps (`capability_matrix`, `planner_cost`) run
+/// every site profile at: a shallow and a deep inventory, the site's page
+/// size `k`, and how many answers each session pulls.
+struct Params {
+    n_small: usize,
+    n_large: usize,
+    k: usize,
+    top_h: usize,
+}
+
+impl Params {
+    fn for_scale(scale: Scale) -> Params {
+        match scale {
+            Scale::Quick => Params {
+                n_small: 80,
+                n_large: 400,
+                k: 5,
+                top_h: 8,
+            },
+            Scale::Paper => Params {
+                n_small: 200,
+                n_large: 5_000,
+                k: 10,
+                top_h: 15,
+            },
+        }
+    }
+}
+
 /// One experiment: its id and its entry point.
 pub type Experiment = (&'static str, fn(Scale));
 

@@ -26,6 +26,7 @@
 //! cargo run --release -p qrs-bench --bin figures -- --scale quick planner_cost
 //! ```
 
+use super::Params;
 use crate::Scale;
 use qrs_ranking::{LinearRank, RankFn};
 use qrs_server::{SearchInterface, SiteProfile, SystemRank};
@@ -60,32 +61,6 @@ pub struct CostRow {
     pub actual_cost: u64,
     /// Actually charged raw queries.
     pub actual_queries: u64,
-}
-
-struct Params {
-    n_small: usize,
-    n_large: usize,
-    k: usize,
-    top_h: usize,
-}
-
-impl Params {
-    fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Quick => Params {
-                n_small: 80,
-                n_large: 400,
-                k: 5,
-                top_h: 8,
-            },
-            Scale::Paper => Params {
-                n_small: 200,
-                n_large: 5_000,
-                k: 10,
-                top_h: 15,
-            },
-        }
-    }
 }
 
 fn workloads() -> Vec<Workload> {

@@ -27,7 +27,11 @@
 //! `ask`, so cost amortizes across user queries, which is the paper's
 //! central systems idea.
 //!
-//! ### Known deviations from the paper (documented in DESIGN.md)
+//! ### Known deviations from the paper
+//!
+//! README's "Named deviations from the paper" gives the measurements behind
+//! the last one; `qrs_ranking::rankfn`'s docs give the counterexample
+//! behind the first.
 //!
 //! * The MD partition uses a *cumulative* contour corner instead of the
 //!   per-coordinate `b(Aj)` of Eq. 8, which is incomplete for `m ≥ 3` (see

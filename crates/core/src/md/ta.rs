@@ -186,7 +186,7 @@ impl TaCursor {
         st: &mut SharedState,
         h: usize,
     ) -> Result<Vec<Arc<Tuple>>, RerankError> {
-        let mut out = Vec::with_capacity(h);
+        let mut out = Vec::new();
         for _ in 0..h {
             match self.next(server, st)? {
                 Some(t) => out.push(t),

@@ -1,7 +1,13 @@
 //! # qrs-datagen
 //!
 //! Seeded synthetic datasets and query workloads standing in for the paper's
-//! data sources (see DESIGN.md §3 for the substitution argument):
+//! data sources. The paper crawled live sites and a public download; this
+//! workspace builds offline, so it generates data instead. A substitute
+//! serves because what an algorithm pays depends on the shape of the data,
+//! not on its provenance: the row count, the ranking attributes and their
+//! domain sizes (which fix how often values tie), the attribute
+//! distributions, and the correlations that make some rankings expensive.
+//! Each generator reproduces those for its source:
 //!
 //! * [`mod@flights`] — the DOT on-time dataset (§6.1): 457,013 rows, 8 ranking
 //!   attributes with the published domain sizes, heavy-tailed delays,

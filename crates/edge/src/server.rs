@@ -137,32 +137,6 @@ impl Default for EdgeConfig {
     }
 }
 
-impl EdgeConfig {
-    /// Builder: cap concurrent batches.
-    pub fn with_max_inflight(mut self, n: u64) -> Self {
-        self.max_inflight = n;
-        self
-    }
-
-    /// Builder: cap each tenant's cumulative raw-query spend.
-    pub fn with_tenant_query_budget(mut self, n: u64) -> Self {
-        self.tenant_query_budget = Some(n);
-        self
-    }
-
-    /// Builder: cap each tenant's cumulative weighted-cost spend.
-    pub fn with_tenant_cost_budget(mut self, n: u64) -> Self {
-        self.tenant_cost_budget = Some(n);
-        self
-    }
-
-    /// Builder: the `Retry-After` hint on admission refusals (ms).
-    pub fn with_retry_after_ms(mut self, ms: u64) -> Self {
-        self.retry_after_ms = ms;
-        self
-    }
-}
-
 /// One tenant's cumulative spend, charged after each served batch from
 /// the same in-lock session ledgers the service stats use.
 #[derive(Debug, Clone, Copy, Default)]
@@ -916,19 +890,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_defaults_and_builders() {
+    fn config_defaults() {
         let d = EdgeConfig::default();
         assert_eq!(d.max_inflight, 64);
         assert_eq!(d.retry_after_ms, 1000);
         assert_eq!(d.tenant_query_budget, None);
-        let c = EdgeConfig::default()
-            .with_max_inflight(2)
-            .with_tenant_query_budget(10)
-            .with_tenant_cost_budget(20)
-            .with_retry_after_ms(250);
-        assert_eq!(c.max_inflight, 2);
-        assert_eq!(c.tenant_query_budget, Some(10));
-        assert_eq!(c.tenant_cost_budget, Some(20));
-        assert_eq!(c.retry_after_ms, 250);
+        assert_eq!(d.tenant_cost_budget, None);
     }
 }

@@ -8,7 +8,8 @@
 //! knowledge replays and seals, mutation repairs, budget
 //! trips, open/close), the [`Subscriber`]s it fans out to, and a fleet
 //! [`Monitor`] folding the stream into per-(site, strategy)
-//! predicted-vs-actual spend tables with divergence ratios.
+//! predicted-vs-actual spend tables (actual against predicted is where a
+//! site's stale advertised prices show).
 //!
 //! Design constraints, in order:
 //!
@@ -38,7 +39,7 @@ mod recorder;
 
 pub use event::{BudgetScope, Event, EventKind, QueryClass};
 pub use handle::{ObsBuilder, ObsHandle};
-pub use monitor::{Divergence, Monitor, MonitorReport, MonitorRow};
+pub use monitor::{Monitor, MonitorReport, MonitorRow};
 pub use recorder::Recorder;
 
 /// An event sink. Implementations must be cheap and non-blocking-ish:

@@ -6,9 +6,10 @@
 //! [`crate::EventKind::RequestCharged`] deltas, which carry the same
 //! in-lock ledger numbers the session and service stats accumulate — so a
 //! monitor report reconciles exactly against those ledgers, by
-//! construction. Divergence ratios (actual / predicted) say how well the
-//! planner's cost model describes the live site: a ratio drifting from
-//! 1.0 means the site's advertised prices went stale.
+//! construction. Reading a row's actual against its predicted columns
+//! says how well the planner's cost model describes the live site: actual
+//! drifting away from predicted means the site's advertised prices went
+//! stale.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -168,57 +169,6 @@ pub struct MonitorRow {
     pub saved_cost_units: u64,
 }
 
-/// An actual-vs-predicted spend ratio with a typed sentinel for the
-/// zero-prediction cell, instead of `inf`/`NaN` (which would poison any
-/// aggregation) or a bare `Option` (which throws away how much was
-/// actually spent against the missing prediction).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Divergence {
-    /// `actual / predicted` with a nonzero denominator. 1.0 means the
-    /// planner's model described the site perfectly; above it, sessions
-    /// cost more than planned.
-    Ratio(f64),
-    /// Nothing was predicted for this cell (e.g. custom-strategy sessions,
-    /// or a stream attached after `PlanChosen`); `actual` units were still
-    /// charged against it.
-    NoPrediction {
-        /// Units actually spent against the zero prediction.
-        actual: u64,
-    },
-}
-
-impl Divergence {
-    fn of(actual: u64, predicted: u64) -> Self {
-        if predicted > 0 {
-            Divergence::Ratio(actual as f64 / predicted as f64)
-        } else {
-            Divergence::NoPrediction { actual }
-        }
-    }
-
-    /// The ratio, or `None` for the zero-prediction sentinel.
-    pub fn ratio(&self) -> Option<f64> {
-        match self {
-            Divergence::Ratio(r) => Some(*r),
-            Divergence::NoPrediction { .. } => None,
-        }
-    }
-}
-
-impl MonitorRow {
-    /// `actual_queries / predicted_queries` against the plan-time
-    /// estimates, with a typed sentinel when nothing was predicted.
-    pub fn query_divergence(&self) -> Divergence {
-        Divergence::of(self.actual_queries, self.predicted_queries)
-    }
-
-    /// `actual_cost_units / predicted_cost_units` against the plan-time
-    /// estimates.
-    pub fn cost_divergence(&self) -> Divergence {
-        Divergence::of(self.actual_cost_units, self.predicted_cost_units)
-    }
-}
-
 /// A deterministic snapshot of the fleet table (rows sorted by
 /// (site, strategy)).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -234,26 +184,6 @@ impl MonitorReport {
             .iter()
             .find(|r| r.site == site && r.strategy == strategy)
     }
-
-    /// Total actual raw queries across the fleet.
-    pub fn actual_queries_total(&self) -> u64 {
-        self.rows.iter().map(|r| r.actual_queries).sum()
-    }
-
-    /// Total actual weighted cost across the fleet.
-    pub fn actual_cost_units_total(&self) -> u64 {
-        self.rows.iter().map(|r| r.actual_cost_units).sum()
-    }
-
-    /// Total knowledge savings (queries) across the fleet.
-    pub fn saved_queries_total(&self) -> u64 {
-        self.rows.iter().map(|r| r.saved_queries).sum()
-    }
-
-    /// Total knowledge savings (cost units) across the fleet.
-    pub fn saved_cost_units_total(&self) -> u64 {
-        self.rows.iter().map(|r| r.saved_cost_units).sum()
-    }
 }
 
 #[cfg(test)]
@@ -268,6 +198,10 @@ mod tests {
             session,
             kind,
         }
+    }
+
+    fn actual_queries(report: &MonitorReport) -> u64 {
+        report.rows.iter().map(|r| r.actual_queries).sum()
     }
 
     #[test]
@@ -325,8 +259,6 @@ mod tests {
         assert_eq!(row.actual_cost_units, 18);
         assert_eq!(row.saved_queries, 2);
         assert_eq!(row.saved_cost_units, 3);
-        assert_eq!(row.query_divergence().ratio(), Some(1.2));
-        assert_eq!(row.cost_divergence().ratio(), Some(1.2));
     }
 
     #[test]
@@ -367,7 +299,7 @@ mod tests {
         assert_eq!(report.rows.len(), 2);
         assert_eq!(report.rows[0].site, "a-site");
         assert_eq!(report.rows[1].site, "b-site");
-        assert_eq!(report.actual_queries_total(), 2);
+        assert_eq!(actual_queries(&report), 2);
         // Charges for a closed (unregistered) session are dropped, not
         // misattributed.
         m.fold(&ev(
@@ -379,7 +311,7 @@ mod tests {
                 cost_units: 99,
             },
         ));
-        assert_eq!(m.report().actual_queries_total(), 2);
+        assert_eq!(actual_queries(&m.report()), 2);
     }
 
     #[test]
@@ -454,34 +386,9 @@ mod tests {
         sorted.sort();
         assert_eq!(keys, sorted, "rows must be sorted by (site, strategy)");
         assert_eq!(report.rows.len(), 5, "one row per distinct pair");
-        assert_eq!(report.actual_queries_total(), 8 * 5);
+        assert_eq!(actual_queries(&report), 8 * 5);
         // Snapshots are stable: a second report is identical.
         assert_eq!(report, m.report());
-    }
-
-    #[test]
-    fn divergence_uses_typed_sentinel_without_predictions() {
-        let row = MonitorRow {
-            site: "s".into(),
-            strategy: "custom".into(),
-            sessions: 1,
-            predicted_queries: 0,
-            predicted_cost_units: 0,
-            actual_queries: 5,
-            actual_cost_units: 5,
-            saved_queries: 0,
-            saved_cost_units: 0,
-        };
-        // No inf/NaN: the zero-prediction cell carries its actual spend.
-        assert_eq!(
-            row.query_divergence(),
-            Divergence::NoPrediction { actual: 5 }
-        );
-        assert_eq!(row.query_divergence().ratio(), None);
-        assert_eq!(
-            row.cost_divergence(),
-            Divergence::NoPrediction { actual: 5 }
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! "summation of depth and table percent" (unit weights) and any
 //! `maximize`/`minimize` single attribute (one weight).
 
-use crate::rankfn::{snap_to_contour, NormBounds, RankFn};
+use crate::rankfn::{snap_to_contour, RankFn};
 use qrs_types::{AttrId, Direction};
 
 /// `S(u) = Σ wᵢ·uᵢ` in normalized space, `wᵢ > 0`.
@@ -191,20 +191,6 @@ impl RankFn for LinearRank {
     }
 }
 
-/// Convenience: the normalized bounds of a linear function's ranking
-/// attributes given raw domain bounds.
-pub fn norm_bounds_for(f: &dyn RankFn, raw: &[(f64, f64)]) -> NormBounds {
-    let mut lo = Vec::with_capacity(raw.len());
-    let mut hi = Vec::with_capacity(raw.len());
-    for (i, &(rl, rh)) in raw.iter().enumerate() {
-        let d = f.directions()[i];
-        let (a, b) = (d.normalize(rl), d.normalize(rh));
-        lo.push(a.min(b));
-        hi.push(a.max(b));
-    }
-    NormBounds::new(lo, hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,16 +263,5 @@ mod tests {
         assert_eq!(f.dims(), 1);
         let t = Tuple::new(TupleId(0), vec![0.0, 0.0, 0.0, 7.0], vec![]);
         assert_eq!(f.score(&t), -7.0);
-    }
-
-    #[test]
-    fn norm_bounds_flips_desc() {
-        let f = LinearRank::new(vec![
-            (AttrId(0), Direction::Asc, 1.0),
-            (AttrId(1), Direction::Desc, 1.0),
-        ]);
-        let b = norm_bounds_for(&f, &[(0.0, 10.0), (1990.0, 2020.0)]);
-        assert_eq!(b.lo, vec![0.0, -2020.0]);
-        assert_eq!(b.hi, vec![10.0, -1990.0]);
     }
 }

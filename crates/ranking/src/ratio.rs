@@ -28,22 +28,6 @@ impl RatioRank {
             dirs: [Direction::Asc, Direction::Desc],
         }
     }
-
-    /// Maximize `a / b` — equivalent to minimizing `b / a` (e.g. maximize
-    /// carat per dollar).
-    pub fn maximize(a: AttrId, b: AttrId) -> Self {
-        RatioRank::minimize(b, a)
-    }
-
-    /// Numerator attribute.
-    pub fn num(&self) -> AttrId {
-        self.attrs[0]
-    }
-
-    /// Denominator attribute.
-    pub fn den(&self) -> AttrId {
-        self.attrs[1]
-    }
 }
 
 impl RankFn for RatioRank {
@@ -96,14 +80,6 @@ mod tests {
         assert!(f.score_norm(&[10.0, -2.0]) < f.score_norm(&[20.0, -2.0]));
         // Increasing u1 (shrinking den) increases score.
         assert!(f.score_norm(&[10.0, -2.0]) < f.score_norm(&[10.0, -1.0]));
-    }
-
-    #[test]
-    fn maximize_flips() {
-        // Maximize carat per dollar == minimize dollar per carat.
-        let f = RatioRank::maximize(AttrId(1), AttrId(0));
-        assert_eq!(f.num(), AttrId(0));
-        assert_eq!(f.den(), AttrId(1));
     }
 
     #[test]

@@ -59,29 +59,6 @@ pub fn partition_point_f64(lo: f64, hi: f64, mut pred: impl FnMut(f64) -> bool) 
     Some(from_ordered_bits(hi_b))
 }
 
-/// Largest `x` in `[lo, hi]` with `pred(x) == true`, for an anti-monotone
-/// predicate (`true…true false…false`). Dual of [`partition_point_f64`].
-pub fn last_point_f64(lo: f64, hi: f64, mut pred: impl FnMut(f64) -> bool) -> Option<f64> {
-    debug_assert!(lo <= hi);
-    if pred(hi) {
-        return Some(hi);
-    }
-    if !pred(lo) {
-        return None;
-    }
-    let mut lo_b = to_ordered_bits(lo); // pred true here
-    let mut hi_b = to_ordered_bits(hi); // pred false here
-    while hi_b - lo_b > 1 {
-        let mid = lo_b + (hi_b - lo_b) / 2;
-        if pred(from_ordered_bits(mid)) {
-            lo_b = mid;
-        } else {
-            hi_b = mid;
-        }
-    }
-    Some(from_ordered_bits(lo_b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,15 +89,6 @@ mod tests {
         assert_eq!(partition_point_f64(2.0, 5.0, |x| x >= 0.0), Some(2.0));
         assert_eq!(partition_point_f64(2.0, 5.0, |x| x >= 10.0), None);
         assert_eq!(partition_point_f64(2.0, 5.0, |x| x >= 5.0), Some(5.0));
-    }
-
-    #[test]
-    fn last_point_dual() {
-        let t = 2.0 / 7.0;
-        let r = last_point_f64(0.0, 1.0, |x| x <= t).unwrap();
-        assert_eq!(r, t);
-        assert_eq!(last_point_f64(0.0, 1.0, |x| x <= -1.0), None);
-        assert_eq!(last_point_f64(0.0, 1.0, |x| x <= 2.0), Some(1.0));
     }
 
     #[test]

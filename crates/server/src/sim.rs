@@ -280,7 +280,7 @@ impl SimServer {
     /// the cost model of [`SimServer::with_capabilities`] keeps charging
     /// the ledger — a site whose public price list went stale. The
     /// planner prices candidates under the advertised lie; the fleet
-    /// monitor's cost divergence shows the real ratio from charged deltas.
+    /// monitor's actual cost, settled from charged deltas, shows the gap.
     pub fn with_advertised_cost(mut self, model: CostModel) -> Self {
         self.advertised_cost = Some(model);
         self
@@ -373,12 +373,6 @@ impl SimServer {
     /// The proprietary ranking (exposed for experiment labeling only).
     pub fn system_rank(&self) -> &SystemRank {
         &self.system_rank
-    }
-
-    /// Reset the query and cost ledgers (between experiment runs).
-    pub fn reset_counter(&self) {
-        self.counter.store(0, Ordering::Relaxed);
-        self.cost_counter.store(0, Ordering::Relaxed);
     }
 
     /// Drain the query log (requires [`SimServer::with_query_log`]).
@@ -833,8 +827,6 @@ mod tests {
             .query_ordered(&Query::all(), AttrId(1), Direction::Asc, 0)
             .is_err());
         assert_eq!(s.cost_units_issued(), 11);
-        s.reset_counter();
-        assert_eq!((s.queries_issued(), s.cost_units_issued()), (0, 0));
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl<'a> FederatedSession<'a> {
     /// Partial results survive failure, mirroring `Session::top`: hits
     /// merged before a source failed are returned alongside the error.
     pub fn top(&mut self, h: usize) -> (Vec<FederatedHit>, Option<RerankError>) {
-        let mut out = Vec::with_capacity(h);
+        let mut out = Vec::new();
         while out.len() < h {
             match self.next() {
                 Ok(Some(f)) => out.push(f),

@@ -137,7 +137,7 @@ impl<'a> MaintainedSession<'a> {
             session,
             peeked: None,
             live_exhausted: false,
-            result: Vec::with_capacity(horizon),
+            result: Vec::new(),
             below: Vec::new(),
             suppressed: HashSet::new(),
             watermark,

@@ -473,7 +473,7 @@ impl<'a> Session<'a> {
     /// errors mid-batch, the tuples already fetched — and paid for — are
     /// returned together with the error instead of being dropped.
     pub fn top(&mut self, h: usize) -> (Vec<RankedTuple>, Option<RerankError>) {
-        let mut out = Vec::with_capacity(h);
+        let mut out = Vec::new();
         while out.len() < h {
             match self.next() {
                 Ok(Some(r)) => out.push(r),

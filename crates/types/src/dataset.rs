@@ -127,17 +127,6 @@ impl Dataset {
         self.tuples.iter().filter(|t| q.matches(t)).count()
     }
 
-    /// A sub-sample of the first `n` tuples (the paper's "simple random
-    /// samples of a given size" are drawn upstream by the generator; this is
-    /// the deterministic prefix variant used when the tuples are already in
-    /// random order).
-    pub fn prefix(&self, n: usize) -> Dataset {
-        Dataset {
-            schema: Arc::clone(&self.schema),
-            tuples: self.tuples.iter().take(n).cloned().collect(),
-        }
-    }
-
     /// Ground-truth ranking: all matching tuples sorted ascending by `score`,
     /// ties broken by `TupleId` for determinism.
     pub fn rank_by(&self, q: &Query, score: impl Fn(&Tuple) -> f64) -> Vec<Arc<Tuple>> {
@@ -227,10 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn extent_and_prefix() {
+    fn extent_and_lookup() {
         let d = mini();
         assert_eq!(d.attr_extent(AttrId(0)), Some((1.0, 9.0)));
-        assert_eq!(d.prefix(2).len(), 2);
         assert_eq!(d.get(TupleId(1)).unwrap().ord(AttrId(0)), 5.0);
     }
 }

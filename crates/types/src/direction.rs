@@ -36,15 +36,6 @@ impl Direction {
         // The map is an involution.
         self.normalize(v)
     }
-
-    /// Flip the direction.
-    #[inline]
-    pub fn flip(self) -> Direction {
-        match self {
-            Direction::Asc => Direction::Desc,
-            Direction::Desc => Direction::Asc,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -64,11 +55,5 @@ mod tests {
     fn desc_reverses_order() {
         let d = Direction::Desc;
         assert!(d.normalize(10.0) < d.normalize(5.0));
-    }
-
-    #[test]
-    fn flip_roundtrips() {
-        assert_eq!(Direction::Asc.flip(), Direction::Desc);
-        assert_eq!(Direction::Desc.flip().flip(), Direction::Desc);
     }
 }

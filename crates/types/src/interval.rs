@@ -200,16 +200,6 @@ impl Interval {
         }
     }
 
-    /// Width `hi - lo`; `+∞` when either side is unbounded, `0` for empty or
-    /// point intervals. Used by the dense-region threshold tests
-    /// (`width < |V(Ai)|·(s/n)/c`).
-    pub fn width(&self) -> f64 {
-        match (self.lo.value(), self.hi.value()) {
-            (Some(l), Some(h)) => (h - l).max(0.0),
-            _ => f64::INFINITY,
-        }
-    }
-
     /// Is `self` entirely contained in `outer`?
     pub fn is_subset_of(&self, outer: &Interval) -> bool {
         if self.is_empty() {
@@ -382,9 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn width_and_negate() {
-        assert_eq!(Interval::open(2.0, 5.5).width(), 3.5);
-        assert_eq!(Interval::greater_than(0.0).width(), f64::INFINITY);
+    fn negate_flips_open_and_closed_ends() {
         let n = Interval::closed_open(1.0, 2.0).negate();
         assert_eq!(n, Interval::open_closed(-2.0, -1.0));
         assert!(n.contains(-1.0));

@@ -32,16 +32,6 @@ pub enum MutationKind {
     Update(Arc<Tuple>),
 }
 
-impl MutationKind {
-    /// The id of the tuple this change touches.
-    pub fn tuple_id(&self) -> TupleId {
-        match self {
-            MutationKind::Insert(t) | MutationKind::Update(t) => t.id,
-            MutationKind::Delete(id) => *id,
-        }
-    }
-}
-
 /// One data change, stamped with its server-assigned sequence number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mutation {
@@ -72,14 +62,6 @@ impl MutationLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kinds_expose_their_tuple_id() {
-        let t = Arc::new(Tuple::new(TupleId(7), vec![1.0], vec![]));
-        assert_eq!(MutationKind::Insert(Arc::clone(&t)).tuple_id(), TupleId(7));
-        assert_eq!(MutationKind::Update(t).tuple_id(), TupleId(7));
-        assert_eq!(MutationKind::Delete(TupleId(3)).tuple_id(), TupleId(3));
-    }
 
     #[test]
     fn log_reports_its_high_watermark() {

@@ -176,14 +176,6 @@ impl Schema {
     pub fn attr_by_name(&self, name: &str) -> Option<AttrId> {
         self.ordinal.iter().position(|a| a.name == name).map(AttrId)
     }
-
-    /// Look up a categorical attribute by name.
-    pub fn cat_by_name(&self, name: &str) -> Option<CatId> {
-        self.categorical
-            .iter()
-            .position(|a| a.name == name)
-            .map(CatId)
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +197,6 @@ mod tests {
         let s = schema();
         assert_eq!(s.attr_by_name("mileage"), Some(AttrId(1)));
         assert_eq!(s.attr_by_name("nope"), None);
-        assert_eq!(s.cat_by_name("body_style"), Some(CatId(0)));
     }
 
     #[test]

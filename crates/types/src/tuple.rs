@@ -58,40 +58,11 @@ impl Tuple {
     pub fn cats(&self) -> &[u32] {
         &self.cat
     }
-
-    /// Does `self` dominate `other` in normalized space (smaller = better on
-    /// every listed attribute, strictly better on at least one)?
-    ///
-    /// `normalize` maps a raw value of attribute `i` into normalized space;
-    /// pass `|_, v| v` when all attributes already prefer small values.
-    pub fn dominates(
-        &self,
-        other: &Tuple,
-        attrs: &[AttrId],
-        normalize: impl Fn(AttrId, f64) -> f64,
-    ) -> bool {
-        let mut strictly = false;
-        for &a in attrs {
-            let s = normalize(a, self.ord(a));
-            let o = normalize(a, other.ord(a));
-            if s > o {
-                return false;
-            }
-            if s < o {
-                strictly = true;
-            }
-        }
-        strictly
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn t(id: u32, ord: Vec<f64>) -> Tuple {
-        Tuple::new(TupleId(id), ord, vec![])
-    }
 
     #[test]
     fn accessors() {
@@ -99,40 +70,5 @@ mod tests {
         assert_eq!(tup.ord(AttrId(1)), 2.0);
         assert_eq!(tup.cat(CatId(0)), 3);
         assert_eq!(tup.ords(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn domination_is_strict_somewhere() {
-        let attrs = [AttrId(0), AttrId(1)];
-        let id = |_: AttrId, v: f64| v;
-        let a = t(0, vec![1.0, 1.0]);
-        let b = t(1, vec![2.0, 1.0]);
-        let c = t(2, vec![1.0, 1.0]);
-        assert!(a.dominates(&b, &attrs, id));
-        assert!(!b.dominates(&a, &attrs, id));
-        // Equal on all attributes: no domination either way.
-        assert!(!a.dominates(&c, &attrs, id));
-        assert!(!c.dominates(&a, &attrs, id));
-    }
-
-    #[test]
-    fn domination_respects_normalization() {
-        // Attribute 1 prefers large values: normalize by negation.
-        let attrs = [AttrId(0), AttrId(1)];
-        let norm = |a: AttrId, v: f64| if a.0 == 1 { -v } else { v };
-        let cheap_new = t(0, vec![1.0, 2015.0]);
-        let cheap_old = t(1, vec![1.0, 1999.0]);
-        assert!(cheap_new.dominates(&cheap_old, &attrs, norm));
-        assert!(!cheap_old.dominates(&cheap_new, &attrs, norm));
-    }
-
-    #[test]
-    fn incomparable_tuples() {
-        let attrs = [AttrId(0), AttrId(1)];
-        let id = |_: AttrId, v: f64| v;
-        let a = t(0, vec![1.0, 5.0]);
-        let b = t(1, vec![5.0, 1.0]);
-        assert!(!a.dominates(&b, &attrs, id));
-        assert!(!b.dominates(&a, &attrs, id));
     }
 }

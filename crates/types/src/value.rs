@@ -14,26 +14,6 @@ pub fn cmp_f64(a: f64, b: f64) -> Ordering {
     a.total_cmp(&b)
 }
 
-/// Minimum under the total order.
-#[inline]
-pub fn min_f64(a: f64, b: f64) -> f64 {
-    if cmp_f64(a, b) == Ordering::Greater {
-        b
-    } else {
-        a
-    }
-}
-
-/// Maximum under the total order.
-#[inline]
-pub fn max_f64(a: f64, b: f64) -> f64 {
-    if cmp_f64(a, b) == Ordering::Less {
-        b
-    } else {
-        a
-    }
-}
-
 /// An `f64` wrapper that is `Ord + Eq` under IEEE total order.
 ///
 /// Useful as a key in `BTreeMap`/`BinaryHeap` (e.g. the per-attribute sorted
@@ -83,13 +63,6 @@ mod tests {
         // NaN sorts after +inf instead of breaking the order.
         assert_eq!(cmp_f64(f64::NAN, f64::INFINITY), Ordering::Greater);
         assert_eq!(cmp_f64(f64::NEG_INFINITY, -1e308), Ordering::Less);
-    }
-
-    #[test]
-    fn min_max_agree_with_order() {
-        assert_eq!(min_f64(3.0, -2.0), -2.0);
-        assert_eq!(max_f64(3.0, -2.0), 3.0);
-        assert_eq!(min_f64(0.0, -0.0), -0.0);
     }
 
     #[test]

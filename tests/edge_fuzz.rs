@@ -28,7 +28,9 @@
 
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::edge::http::{read_request, read_response, Request, Response};
-use query_reranking::edge::{parse, wire, EdgeClient, EdgeConfig, EdgeServer, HttpSiteAdapter};
+use query_reranking::edge::{
+    parse, wire, EdgeClient, EdgeConfig, EdgeHandle, EdgeServer, HttpSiteAdapter, WireBatchReply,
+};
 use query_reranking::edge::{Json, ParseError};
 use query_reranking::exec::Executor;
 use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
@@ -191,7 +193,7 @@ fn ids(r: &QueryResponse) -> Vec<u32> {
 
 /// Cumulative `(queries, cost_units)` on the site's and the service's
 /// books, as the replies seen so far say they must stand.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct Books {
     site: (u64, u64),
     service: (u64, u64),
@@ -286,38 +288,123 @@ fn exchange(addr: SocketAddr, bytes: &[u8]) -> Result<Vec<Response>, String> {
     Ok(replies)
 }
 
+/// One long-lived edge that admits one batch at a time, over
+/// `site(data_seed)`; the in-process twin that says what its `/site/*`
+/// answers must be; the probe's pinned answer; and the books as the
+/// replies so far say they must stand.
+struct Harness {
+    local: SimServer,
+    remote: Arc<SimServer>,
+    svc: Arc<RerankService>,
+    handle: EdgeHandle,
+    probe: EdgeClient,
+    pinned: Vec<u32>,
+    books: Books,
+}
+
+fn probe_request() -> Json {
+    EdgeClient::request(&Query::all(), &RANK, 4, None, None, None)
+}
+
+fn hit_ids(reply: &WireBatchReply) -> Vec<u32> {
+    let hits = reply.outcomes[0].hits.iter();
+    hits.map(|(_, _, t)| t.id.0).collect()
+}
+
+impl Harness {
+    fn new(data_seed: u64) -> Harness {
+        let (local, remote) = (site(data_seed), Arc::new(site(data_seed)));
+        let svc = Arc::new(RerankService::new(
+            Arc::clone(&remote) as Arc<dyn SearchInterface>,
+            120,
+        ));
+        let config = EdgeConfig {
+            max_inflight: 1,
+            ..EdgeConfig::default()
+        };
+        let exec = Arc::new(Executor::from_env());
+        let handle = EdgeServer::serve(Arc::clone(&svc), exec, config).expect("bind");
+        // The probe, and the answer it must keep getting.
+        let probe = EdgeClient::new(handle.addr(), "probe");
+        let pinned = hit_ids(&probe.rerank(vec![probe_request()]).expect("clean probe"));
+        assert_eq!(pinned.len(), 4);
+        let mut h = Harness {
+            local,
+            remote,
+            svc,
+            handle,
+            probe,
+            pinned,
+            books: Books::default(),
+        };
+        h.books = h.actual();
+        h
+    }
+
+    /// What the site's and the service's ledgers read now.
+    fn actual(&self) -> Books {
+        let service = self.svc.stats();
+        Books {
+            site: (
+                self.remote.queries_issued(),
+                self.remote.cost_units_issued(),
+            ),
+            service: (service.queries_spent, service.cost_units_spent),
+        }
+    }
+
+    /// The first reply to `sent` (its status and decoded `/site/*` ids,
+    /// from [`audit`]) against what the twin answers; silent when the
+    /// harness cannot decode `sent` itself.
+    fn check_against_twin(
+        &self,
+        sent: &Request,
+        status: u16,
+        got: Option<Vec<u32>>,
+        context: &str,
+    ) {
+        let Some(want) = reference_answer(sent, &self.local) else {
+            return;
+        };
+        let got = got.ok_or(status);
+        let same = match (&got, &want) {
+            (Ok(got), Ok(want)) => got == want,
+            (Err(status), Err(e)) => *status == wire::server_error_status(e),
+            _ => false,
+        };
+        assert!(same, "edge said {got:?}, the site says {want:?}\n{context}");
+    }
+
+    /// The probe after every case: admitted (the gate is at zero), alive,
+    /// and correct; and no ledger moved without a reply saying so.
+    fn check_probe(&mut self, context: &str) {
+        let reply = self
+            .probe
+            .rerank(vec![probe_request()])
+            .unwrap_or_else(|e| panic!("probe after the case: {e}\n{context}"));
+        assert_eq!(hit_ids(&reply), self.pinned, "{context}");
+        let spent = &reply.outcomes[0];
+        self.books.site.0 += spent.queries_spent;
+        self.books.site.1 += spent.cost_units_spent;
+        self.books.service.0 += spent.queries_spent;
+        self.books.service.1 += spent.cost_units_spent;
+        assert_eq!(
+            self.actual(),
+            self.books,
+            "the books moved without a reply saying so\n{context}"
+        );
+    }
+
+    fn shutdown(self) {
+        assert_eq!(self.handle.rejected(), 0, "no batch ever met a taken slot");
+        self.handle.shutdown();
+    }
+}
+
 /// Mutated requests against one long-lived server: invariants 1–3.
 #[test]
 fn mutated_requests_end_in_an_answer_or_a_typed_uncharged_refusal() {
-    let data_seed = seeded(0xED6E_F022);
-    let (local, remote) = (site(data_seed), Arc::new(site(data_seed)));
-    let svc = Arc::new(RerankService::new(
-        Arc::clone(&remote) as Arc<dyn SearchInterface>,
-        120,
-    ));
-    let config = EdgeConfig::default().with_max_inflight(1);
-    let exec = Arc::new(Executor::from_env());
-    let handle = EdgeServer::serve(Arc::clone(&svc), exec, config).expect("bind");
-
-    // The probe, and the answer it must keep getting.
-    let probe = EdgeClient::new(handle.addr(), "probe");
-    let probe_request = || EdgeClient::request(&Query::all(), &RANK, 4, None, None, None);
-    let hit_ids = |reply: &query_reranking::edge::WireBatchReply| {
-        let hits = reply.outcomes[0].hits.iter();
-        hits.map(|(_, _, t)| t.id.0).collect::<Vec<_>>()
-    };
-    let first = probe.rerank(vec![probe_request()]).expect("clean probe");
-    let pinned = hit_ids(&first);
-    assert_eq!(pinned.len(), 4);
-    let actual = || {
-        let service = svc.stats();
-        Books {
-            site: (remote.queries_issued(), remote.cost_units_issued()),
-            service: (service.queries_spent, service.cost_units_spent),
-        }
-    };
-    let mut books = actual();
-
+    let mut h = Harness::new(seeded(0xED6E_F022));
     let mut rng = Rng(seeded(0xF0E1));
     let (mut answered, mut refused) = (0u64, 0u64);
     for case in 0..iters() {
@@ -338,55 +425,100 @@ fn mutated_requests_end_in_an_answer_or_a_typed_uncharged_refusal() {
             printable(&bytes)
         );
 
-        let replies = exchange(handle.addr(), &bytes).unwrap_or_else(|e| panic!("{e}\n{context}"));
+        let replies =
+            exchange(h.handle.addr(), &bytes).unwrap_or_else(|e| panic!("{e}\n{context}"));
         let sent = read_request(&bytes[..]);
         match &sent {
             Ok(None) => assert!(replies.is_empty(), "a reply to nothing\n{context}"),
             _ => assert!(!replies.is_empty(), "no reply\n{context}"),
         }
-        let want = sent
-            .ok()
-            .flatten()
-            .and_then(|r| reference_answer(&r, &local));
         for (i, reply) in replies.iter().enumerate() {
-            let got = audit(reply, &mut books).unwrap_or_else(|e| panic!("{e}\n{context}"));
+            let got = audit(reply, &mut h.books).unwrap_or_else(|e| panic!("{e}\n{context}"));
             match reply.status {
                 200 => answered += 1,
                 _ => refused += 1,
             }
-            if let (0, Some(want)) = (i, &want) {
-                let got = got.ok_or(reply.status);
-                let same = match (&got, want) {
-                    (Ok(got), Ok(want)) => got == want,
-                    (Err(status), Err(e)) => *status == wire::server_error_status(e),
-                    _ => false,
-                };
-                assert!(same, "edge said {got:?}, the site says {want:?}\n{context}");
+            if let (0, Ok(Some(sent))) = (i, &sent) {
+                h.check_against_twin(sent, reply.status, got, &context);
             }
         }
-
-        // The probe: admitted (the gate is at zero), alive, and correct.
-        let reply = probe
-            .rerank(vec![probe_request()])
-            .unwrap_or_else(|e| panic!("probe after the case: {e}\n{context}"));
-        assert_eq!(hit_ids(&reply), pinned, "{context}");
-        let spent = &reply.outcomes[0];
-        books.site.0 += spent.queries_spent;
-        books.site.1 += spent.cost_units_spent;
-        books.service.0 += spent.queries_spent;
-        books.service.1 += spent.cost_units_spent;
-        assert_eq!(
-            actual(),
-            books,
-            "the books moved without a reply saying so\n{context}"
-        );
+        h.check_probe(&context);
     }
-    assert_eq!(handle.rejected(), 0, "no batch ever met a taken slot");
     assert!(refused > 0, "some mutation must be refused");
     // Not asserted > 0: whether a mutation leaves a request valid is
     // seed-dependent at shallow depths.
     let _ = answered;
-    handle.shutdown();
+    h.shutdown();
+}
+
+/// Numbers at the ends of what the wire accepts, which byte-level mutation
+/// cannot write (it never produces a 16-digit number): `/v1/rerank` with
+/// `top`, `horizon` and `budget` each at 0, 1, the site's `k` and 2^53 (the
+/// largest integer `Json::as_usize` takes), and `/site/page` at page 2^53.
+/// Each is answered or refused typed, moves no ledger a reply does not
+/// report, and leaves the edge serving the probe's pinned hits. A `top`
+/// past `|R(q)|` returns all of `R(q)`: no buffer is sized from a caller's
+/// count.
+#[test]
+fn extreme_numbers_from_the_wire_end_in_an_answer_or_a_typed_refusal() {
+    const K: u64 = 3;
+    const HUGE: u64 = 1 << 53;
+    let mut h = Harness::new(seeded(0x2_0053));
+    let rerank = |top: u64, budget: Option<u64>, horizon: Option<u64>| {
+        let request = EdgeClient::request(
+            &Query::all(),
+            &RANK,
+            top as usize,
+            budget,
+            None,
+            horizon.map(|h| h as usize),
+        );
+        let body = Json::obj(vec![("requests", Json::Arr(vec![request]))]);
+        ("/v1/rerank", body.encode().into_bytes())
+    };
+    let mut cases = Vec::new();
+    for n in [0, 1, K, HUGE] {
+        cases.push((format!("top {n}"), rerank(n, None, None)));
+        cases.push((format!("horizon {n}"), rerank(4, None, Some(n))));
+        cases.push((format!("budget {n}"), rerank(4, Some(n), None)));
+    }
+    let page = Json::obj(vec![
+        ("query", wire::query_to_json(&Query::all())),
+        ("page", Json::u64(HUGE)),
+    ]);
+    cases.push((
+        format!("page {HUGE}"),
+        ("/site/page", page.encode().into_bytes()),
+    ));
+
+    for (case, (target, body)) in cases {
+        let headers = [
+            ("x-tenant", "edges".to_string()),
+            ("content-length", body.len().to_string()),
+            ("connection", "close".to_string()),
+        ];
+        let bytes = frame(&format!("POST {target} HTTP/1.1"), &headers, &body);
+        let replies = exchange(h.handle.addr(), &bytes).unwrap_or_else(|e| panic!("{case}: {e}"));
+        assert_eq!(replies.len(), 1, "{case}: one request, one reply");
+        let reply = &replies[0];
+        let got = audit(reply, &mut h.books).unwrap_or_else(|e| panic!("{case}: {e}"));
+        let sent = read_request(&bytes[..])
+            .expect("a valid frame")
+            .expect("one request");
+        h.check_against_twin(&sent, reply.status, got, &case);
+        if let Some(top) = case.strip_prefix("top ") {
+            assert_eq!(reply.status, 200, "{case}");
+            let text = std::str::from_utf8(&reply.body).unwrap();
+            let body = parse(text).unwrap();
+            let outcome = &body.get("outcomes").and_then(Json::as_arr).unwrap()[0];
+            assert!(outcome.get("error").is_none(), "{case}: {text}");
+            let hits = outcome.get("hits").and_then(Json::as_arr).unwrap();
+            let want = top.parse::<usize>().unwrap().min(120);
+            assert_eq!(hits.len(), want, "{case}: top ≥ |R(q)| returns all of R(q)");
+        }
+        h.check_probe(&case);
+    }
+    h.shutdown();
 }
 
 /// A server that answers each connection with the next reply it is sent
@@ -425,7 +557,10 @@ fn capture(addr: SocketAddr, start: &str, body: &[u8]) -> Vec<u8> {
 fn mutated_responses_decode_or_fail_typed() {
     let remote = Arc::new(site(seeded(0xED6E_F023)));
     let svc = Arc::new(RerankService::new(remote as Arc<dyn SearchInterface>, 120));
-    let config = EdgeConfig::default().with_max_inflight(0);
+    let config = EdgeConfig {
+        max_inflight: 0,
+        ..EdgeConfig::default()
+    };
     let exec = Arc::new(Executor::from_env());
     let handle = EdgeServer::serve(svc, exec, config).expect("bind");
     let all = Json::obj(vec![("query", wire::query_to_json(&Query::all()))]).encode();

@@ -620,7 +620,10 @@ fn a_stalled_request_is_cut_at_the_deadline_and_frees_its_worker() {
         Arc::clone(&remote) as Arc<dyn SearchInterface>,
         data.len(),
     ));
-    let config = EdgeConfig::default().with_max_inflight(1);
+    let config = EdgeConfig {
+        max_inflight: 1,
+        ..EdgeConfig::default()
+    };
     let handle = EdgeServer::serve(svc, Arc::new(Executor::pool(1)), config).unwrap();
 
     let t0 = Instant::now();
@@ -963,9 +966,11 @@ fn admission_refusals_are_typed_uncharged_429s() {
         Arc::clone(&remote) as Arc<dyn SearchInterface>,
         data.len(),
     ));
-    let config = EdgeConfig::default()
-        .with_max_inflight(0)
-        .with_retry_after_ms(1500);
+    let config = EdgeConfig {
+        max_inflight: 0,
+        retry_after_ms: 1500,
+        ..EdgeConfig::default()
+    };
     let handle = EdgeServer::serve(Arc::clone(&svc), Arc::clone(&exec), config).expect("bind");
 
     // Raw round trip, so the header is visible.
@@ -1013,7 +1018,10 @@ fn admission_refusals_are_typed_uncharged_429s() {
         Arc::clone(&remote) as Arc<dyn SearchInterface>,
         data.len(),
     ));
-    let config = EdgeConfig::default().with_tenant_query_budget(0);
+    let config = EdgeConfig {
+        tenant_query_budget: Some(0),
+        ..EdgeConfig::default()
+    };
     let handle = EdgeServer::serve(Arc::clone(&svc), Arc::clone(&exec), config).expect("bind");
     let client = EdgeClient::new(handle.addr(), "tenant-a");
     match client.rerank(vec![req]) {
@@ -1045,7 +1053,10 @@ fn a_tenant_over_its_cost_budget_is_refused_before_any_query() {
         data.len(),
     ));
     // Below the cost of any request that queries the site at all.
-    let config = EdgeConfig::default().with_tenant_cost_budget(1);
+    let config = EdgeConfig {
+        tenant_cost_budget: Some(1),
+        ..EdgeConfig::default()
+    };
     let handle = EdgeServer::serve(svc, exec, config).expect("bind");
     let req = || {
         EdgeClient::request(
@@ -1306,7 +1317,10 @@ fn deeply_nested_body_is_a_typed_uncharged_400_and_frees_its_slot() {
         Arc::clone(&remote) as Arc<dyn SearchInterface>,
         data.len(),
     ));
-    let config = EdgeConfig::default().with_max_inflight(1);
+    let config = EdgeConfig {
+        max_inflight: 1,
+        ..EdgeConfig::default()
+    };
     let handle = EdgeServer::serve(svc, Arc::new(Executor::from_env()), config).unwrap();
 
     let mut stream = TcpStream::connect(handle.addr()).unwrap();

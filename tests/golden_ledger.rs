@@ -291,7 +291,12 @@ fn obs_leg(rows: &mut Vec<Row>) {
         "the observer changed the ledger"
     );
     assert_eq!(
-        observed_svc.monitor_report().actual_queries_total(),
+        observed_svc
+            .monitor_report()
+            .rows
+            .iter()
+            .map(|r| r.actual_queries)
+            .sum::<u64>(),
         observed.queries_spent,
         "the monitor must reconcile with the ledger"
     );
