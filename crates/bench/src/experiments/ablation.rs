@@ -199,7 +199,7 @@ fn baselines(scale: Scale) {
         Scale::Paper => 10_000,
     };
     let data = correlated(n, -0.5, 24_000);
-    let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
+    let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
     let sys = SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]);
     let truth = data.rank_by(&Query::all(), |t| rank.score(t));
 
@@ -208,7 +208,7 @@ fn baselines(scale: Scale) {
         .with_capabilities(Capabilities::none().with_paging());
     let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
     let mut cur = MdCursor::new(
-        Arc::new(rank.clone()) as Arc<dyn RankFn>,
+        Arc::clone(&rank),
         Query::all(),
         MdOptions::rerank(),
         server.schema(),
@@ -248,7 +248,7 @@ fn baselines(scale: Scale) {
         let server3 = SimServer::new(data.clone(), sys.clone(), 10)
             .with_capabilities(Capabilities::none().with_paging());
         let mut st3 = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
-        let p = page_down_rerank(&server3, &mut st3, &Query::all(), |t| rank.score(t), pages)
+        let p = page_down_rerank(&server3, &mut st3, &Query::all(), Arc::clone(&rank), pages)
             .expect("offline sim server does not fail");
         println!(
             "page-down({pages} pages), {}, {:.2}, {}",

@@ -2,7 +2,6 @@
 //! series (and returns them for tests).
 
 pub mod ablation;
-pub mod capability_matrix;
 pub mod knowledge_reuse;
 pub mod md;
 pub mod one_d;
@@ -12,42 +11,13 @@ pub mod thm1;
 
 use crate::Scale;
 
-/// The sizes both planner sweeps (`capability_matrix`, `planner_cost`) run
-/// every site profile at: a shallow and a deep inventory, the site's page
-/// size `k`, and how many answers each session pulls.
-struct Params {
-    n_small: usize,
-    n_large: usize,
-    k: usize,
-    top_h: usize,
-}
-
-impl Params {
-    fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Quick => Params {
-                n_small: 80,
-                n_large: 400,
-                k: 5,
-                top_h: 8,
-            },
-            Scale::Paper => Params {
-                n_small: 200,
-                n_large: 5_000,
-                k: 10,
-                top_h: 15,
-            },
-        }
-    }
-}
-
 /// One experiment: its id and its entry point.
 pub type Experiment = (&'static str, fn(Scale));
 
 /// Every experiment, in paper order, then the post-paper ones for the
 /// cost-aware capability planner and the cross-session knowledge plane.
 /// The one list [`run`], `figures all` and the `figures` usage line read.
-pub const EXPERIMENTS: [Experiment; 17] = [
+pub const EXPERIMENTS: [Experiment; 16] = [
     ("fig6", |s| drop(one_d::fig6(s))),
     ("fig7", |s| drop(one_d::fig7(s))),
     ("fig8", |s| drop(one_d::fig8(s))),
@@ -62,7 +32,6 @@ pub const EXPERIMENTS: [Experiment; 17] = [
     ("fig17", |s| drop(online::fig17(s))),
     ("thm1", |s| drop(thm1::run(s))),
     ("ablation", ablation::run),
-    ("capability_matrix", |s| drop(capability_matrix::run(s))),
     ("planner_cost", |s| drop(planner_cost::run(s))),
     ("knowledge_reuse", |s| drop(knowledge_reuse::run(s))),
 ];

@@ -7,17 +7,20 @@
 //! candidate to the same horizon on identical fresh servers and records
 //! what each was actually charged (weighted cost units *and* raw
 //! queries), emitting one JSON row per candidate with the prediction next
-//! to the bill.
+//! to the bill. A cell the planner refuses (the page-capped storefront's
+//! deep inventory) prints one `unplannable` row naming what is missing.
 //!
-//! The assertion is the experiment: in every cell with ≥ 2 feasible
-//! candidates, the planner-chosen strategy's *actual* charged cost must be
-//! within 2× of the cheapest feasible candidate's actual cost — the
-//! estimates may be heuristic, but the ranking they induce must not burn
-//! more than twice the optimum. A violation panics the run.
+//! The assertions are the experiment. Every candidate's stream must be
+//! exact against the dense ranking of the same data (`assert_exact`). And
+//! in every cell with ≥ 2 feasible candidates, the planner-chosen
+//! strategy's *actual* charged cost must be within 2× of the cheapest
+//! feasible candidate's actual cost — the estimates may be heuristic, but
+//! the ranking they induce must not burn more than twice the optimum. A
+//! violation panics the run.
 //!
 //! Workloads use unconstrained selections so candidates can be re-run via
-//! explicit [`Algorithm`] overrides without the planner's predicate
-//! relaxation changing between runs.
+//! explicit [`qrs_service::Algorithm`] overrides without the planner's
+//! predicate relaxation changing between runs.
 //!
 //! Dataset seeds honor `QRS_TEST_SEED`, so CI sweeps the assertion across
 //! seeds:
@@ -26,13 +29,42 @@
 //! cargo run --release -p qrs-bench --bin figures -- --scale quick planner_cost
 //! ```
 
-use super::Params;
+use crate::runner::assert_exact;
 use crate::Scale;
 use qrs_ranking::{LinearRank, RankFn};
 use qrs_server::{SearchInterface, SiteProfile, SystemRank};
-use qrs_service::{Algorithm, RankedCandidate, RerankService};
+use qrs_service::{RankedCandidate, RerankService};
 use qrs_types::{AttrId, Query, RerankError};
 use std::sync::Arc;
+
+/// The sizes the sweep runs every site profile at: a shallow and a deep
+/// inventory, the site's page size `k`, and how many answers each
+/// session pulls.
+struct Params {
+    n_small: usize,
+    n_large: usize,
+    k: usize,
+    top_h: usize,
+}
+
+impl Params {
+    fn for_scale(scale: Scale) -> Params {
+        match scale {
+            Scale::Quick => Params {
+                n_small: 80,
+                n_large: 400,
+                k: 5,
+                top_h: 8,
+            },
+            Scale::Paper => Params {
+                n_small: 200,
+                n_large: 5_000,
+                k: 10,
+                top_h: 15,
+            },
+        }
+    }
+}
 
 /// One workload shape swept across every profile.
 struct Workload {
@@ -87,36 +119,47 @@ fn base_seed() -> u64 {
         .unwrap_or(0xC0057)
 }
 
-/// Run one candidate to the horizon on a fresh, identical server; return
-/// (actual cost units, actual queries).
+/// Run one candidate to the horizon on a fresh, identical server, check
+/// its stream is exact, and return (actual cost units, actual queries).
 fn run_candidate(
     p: &Params,
     profile: &SiteProfile,
     n: usize,
     w: &Workload,
     seed: u64,
-    algo: Algorithm,
+    c: &RankedCandidate,
 ) -> (u64, u64) {
     let data = qrs_datagen::synthetic::uniform(n, 2, 1, seed);
-    let server = profile.build(data, SystemRank::pseudo_random(seed ^ 0x5A));
-    let svc = RerankService::new(Arc::new(server) as Arc<dyn SearchInterface>, n);
+    let server = Arc::new(profile.build(data, SystemRank::pseudo_random(seed ^ 0x5A)));
+    let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, n);
     let mut session = svc
         .session(Query::all(), Arc::clone(&w.rank))
-        .algorithm(algo)
+        .algorithm(c.algorithm)
         .open()
         .expect("a planner-feasible candidate must open");
     let (hits, err) = session.top(p.top_h);
     assert!(
         err.is_none(),
-        "feasible candidate {algo:?} must run clean on {}/{}: {err:?}",
+        "feasible candidate {} must run clean on {}/{}: {err:?}",
+        c.name,
         profile.name,
         w.name
     );
-    assert!(!hits.is_empty());
+    let got: Vec<_> = hits.into_iter().map(|h| h.tuple).collect();
+    assert_exact(
+        &server,
+        &Query::all(),
+        |t| w.rank.score(t),
+        &got,
+        p.top_h,
+        &c.name,
+    );
     let stats = session.stats();
     (stats.cost_units_spent, stats.queries_spent)
 }
 
+/// Run and print one cell: a row per feasible candidate, or none (and one
+/// `unplannable` line) when the planner refuses it.
 fn run_cell(p: &Params, profile: &SiteProfile, n: usize, w: &Workload, seed: u64) -> Vec<CostRow> {
     let data = qrs_datagen::synthetic::uniform(n, 2, 1, seed);
     let server = profile.build(data, SystemRank::pseudo_random(seed ^ 0x5A));
@@ -127,7 +170,17 @@ fn run_cell(p: &Params, profile: &SiteProfile, n: usize, w: &Workload, seed: u64
         .plan(&Query::all(), w.rank.as_ref())
     {
         Ok(plan) => plan,
-        Err(RerankError::Unplannable { .. }) => return Vec::new(),
+        Err(RerankError::Unplannable { missing, .. }) => {
+            let missing: Vec<String> = missing.iter().map(|c| format!("\"{c}\"")).collect();
+            println!(
+                "{{\"experiment\":\"planner_cost\",\"profile\":\"{}\",\"n\":{n},\
+                 \"workload\":\"{}\",\"outcome\":\"unplannable\",\"missing\":[{}]}}",
+                profile.name,
+                w.name,
+                missing.join(",")
+            );
+            return Vec::new();
+        }
         Err(other) => panic!("planner may only fail with Unplannable, got {other}"),
     };
 
@@ -136,7 +189,7 @@ fn run_cell(p: &Params, profile: &SiteProfile, n: usize, w: &Workload, seed: u64
         .iter()
         .enumerate()
         .map(|(i, c): (usize, &RankedCandidate)| {
-            let (actual_cost, actual_queries) = run_candidate(p, profile, n, w, seed, c.algorithm);
+            let (actual_cost, actual_queries) = run_candidate(p, profile, n, w, seed, c);
             CostRow {
                 profile: profile.name,
                 n,
@@ -168,6 +221,7 @@ fn run_cell(p: &Params, profile: &SiteProfile, n: usize, w: &Workload, seed: u64
             best
         );
     }
+    rows.iter().for_each(json_row);
     rows
 }
 
@@ -189,18 +243,18 @@ fn json_row(r: &CostRow) {
     );
 }
 
-/// Run the full sweep at `scale`, printing JSON lines and returning the
-/// rows for tests.
-pub fn run(scale: Scale) -> Vec<CostRow> {
+/// Run the full sweep at `scale`, printing JSON lines and returning, for
+/// tests, the candidate rows and the profile of every refused cell.
+pub fn run(scale: Scale) -> (Vec<CostRow>, Vec<&'static str>) {
     let p = Params::for_scale(scale);
     let seed = base_seed();
-    let mut rows = Vec::new();
+    let (mut rows, mut refused) = (Vec::new(), Vec::new());
     for profile in SiteProfile::catalog(p.k) {
         for &n in &[p.n_small, p.n_large] {
             for w in &workloads() {
                 let cell = run_cell(&p, &profile, n, w, seed ^ (n as u64));
-                for r in &cell {
-                    json_row(r);
+                if cell.is_empty() {
+                    refused.push(profile.name);
                 }
                 rows.extend(cell);
             }
@@ -212,7 +266,7 @@ pub fn run(scale: Scale) -> Vec<CostRow> {
         rows.iter().filter(|r| !r.chosen).count() >= 2,
         "the catalog must produce cells with >=2 feasible candidates"
     );
-    rows
+    (rows, refused)
 }
 
 #[cfg(test)]
@@ -220,10 +274,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_sweep_holds_the_2x_bound_and_covers_multi_candidate_cells() {
-        let rows = run(Scale::Quick);
-        // The 2x assertion ran inside run(); check coverage shape here.
-        assert!(rows.iter().any(|r| r.chosen));
+    fn quick_sweep_holds_the_2x_bound_and_covers_every_planner_face() {
+        let (rows, refused) = run(Scale::Quick);
+        // Exactness and the 2x bound ran inside run(); check coverage
+        // shape here: the cursors, the paging fallback and a typed
+        // refusal, which the open site never gives.
+        let chosen: Vec<&str> = rows
+            .iter()
+            .filter(|r| r.chosen)
+            .map(|r| r.candidate.as_str())
+            .collect();
+        for face in ["1d-rerank", "md-rerank", "page-down"] {
+            assert!(chosen.contains(&face), "no cell chose {face}");
+        }
+        assert!(!refused.is_empty(), "some cell must be unplannable");
+        assert!(!refused.contains(&"open_site"));
         // Multi-candidate cells exist on the open site (cursor vs drain)
         // and the aggregator/storefront (cursor vs TA vs drain).
         let multi: Vec<_> = rows.iter().filter(|r| !r.chosen).collect();

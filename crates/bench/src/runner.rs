@@ -144,7 +144,7 @@ fn measure(
 /// # Panics
 ///
 /// On any difference, naming `algo` and the selection.
-fn assert_exact(
+pub(crate) fn assert_exact(
     server: &SimServer,
     sel: &Query,
     score: impl Fn(&Tuple) -> f64,

@@ -11,6 +11,7 @@
 //!   Fig.-adjacent ablation measures its recall.
 
 use crate::ctx::SharedState;
+use qrs_ranking::RankFn;
 use qrs_server::SearchInterface;
 use qrs_types::value::cmp_f64;
 use qrs_types::{Capability, Query, RerankError, Tuple};
@@ -30,35 +31,24 @@ pub struct PageDownResult {
 }
 
 /// Fetch up to `max_pages` pages of the system ranking for `q` and rerank
-/// locally by `score`. Negotiates [`Capability::Paging`] up front and
+/// locally by `rank`: a [`PageDownCursor`] that stops at `max_pages`
+/// without an error. Negotiates [`Capability::Paging`] up front and
 /// returns [`RerankError::UnsupportedCapability`] when the server lacks it.
 pub fn page_down_rerank(
     server: &dyn SearchInterface,
     st: &mut SharedState,
     q: &Query,
-    score: impl Fn(&Tuple) -> f64,
+    rank: Arc<dyn RankFn>,
     max_pages: usize,
 ) -> Result<PageDownResult, RerankError> {
     server.capabilities().require(Capability::Paging)?;
-    let mut tuples: Vec<Arc<Tuple>> = Vec::new();
-    let mut exact = false;
-    let mut pages = 0;
-    for page in 0..max_pages {
-        let resp = server.query_page(q, page)?;
-        st.history.record_response(&resp);
-        pages += 1;
-        tuples.extend(resp.tuples.iter().cloned());
-        if !resp.is_overflow() {
-            exact = true;
-            break;
-        }
-    }
-    tuples.sort_by(|a, b| cmp_f64(score(a), score(b)).then(a.id.cmp(&b.id)));
-    tuples.dedup_by_key(|t| t.id);
+    let mut cursor = PageDownCursor::new(q.clone(), rank, max_pages);
+    while cursor.next_page < max_pages && !cursor.fetch_next_page(server, st)? {}
+    cursor.rerank();
     Ok(PageDownResult {
-        tuples,
-        exact,
-        pages,
+        exact: cursor.drained,
+        pages: cursor.next_page,
+        tuples: cursor.buf,
     })
 }
 
@@ -79,7 +69,7 @@ pub fn page_down_rerank(
 /// page; retrying `next` re-enters at the page where the failure struck.
 pub struct PageDownCursor {
     sel: Query,
-    rank: Arc<dyn qrs_ranking::RankFn>,
+    rank: Arc<dyn RankFn>,
     max_pages: usize,
     next_page: usize,
     drained: bool,
@@ -91,7 +81,7 @@ pub struct PageDownCursor {
 impl PageDownCursor {
     /// A cursor paging `sel` down at most `max_pages` pages, reranking by
     /// `rank`. Pass `usize::MAX` when the site advertises unlimited depth.
-    pub fn new(sel: Query, rank: Arc<dyn qrs_ranking::RankFn>, max_pages: usize) -> Self {
+    pub fn new(sel: Query, rank: Arc<dyn RankFn>, max_pages: usize) -> Self {
         PageDownCursor {
             sel,
             rank,
@@ -150,6 +140,17 @@ impl PageDownCursor {
     /// exactly the silent inexactness this cursor exists to refuse.
     pub fn emit_next(&mut self) -> Option<Arc<Tuple>> {
         debug_assert!(self.drained, "emit_next before the result set drained");
+        self.rerank();
+        let t = self.buf.get(self.emitted).cloned();
+        if t.is_some() {
+            self.emitted += 1;
+        }
+        t
+    }
+
+    /// Sort the fetched tuples by `(score, id)` and drop duplicate ids,
+    /// once.
+    fn rerank(&mut self) {
         if !self.sorted {
             let rank = &self.rank;
             self.buf
@@ -159,11 +160,6 @@ impl PageDownCursor {
             self.buf.dedup_by_key(|t| t.id);
             self.sorted = true;
         }
-        let t = self.buf.get(self.emitted).cloned();
-        if t.is_some() {
-            self.emitted += 1;
-        }
-        t
     }
 
     /// The next tuple in user-rank order, draining the remaining pages in
@@ -211,11 +207,16 @@ mod tests {
     use super::*;
     use crate::params::RerankParams;
     use qrs_datagen::synthetic::uniform;
+    use qrs_ranking::LinearRank;
     use qrs_server::{Capabilities, SimServer, SystemRank};
     use qrs_types::AttrId;
 
+    fn rank() -> Arc<dyn RankFn> {
+        Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]))
+    }
+
     fn score(t: &Tuple) -> f64 {
-        t.ord(AttrId(0)) + t.ord(AttrId(1))
+        rank().score(t)
     }
 
     #[test]
@@ -227,7 +228,7 @@ mod tests {
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(300, 10));
         let server =
             SimServer::new(data, sys, 10).with_capabilities(Capabilities::none().with_paging());
-        let r = page_down_rerank(&server, &mut st, &Query::all(), score, 3).unwrap();
+        let r = page_down_rerank(&server, &mut st, &Query::all(), rank(), 3).unwrap();
         assert!(!r.exact);
         // With anti-correlated system ranking, 3 pages of 10 should miss
         // most of the true top-10.
@@ -241,7 +242,7 @@ mod tests {
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(25, 10));
         let server = SimServer::new(data, SystemRank::pseudo_random(41), 10)
             .with_capabilities(Capabilities::none().with_paging());
-        let r = page_down_rerank(&server, &mut st, &Query::all(), score, 100).unwrap();
+        let r = page_down_rerank(&server, &mut st, &Query::all(), rank(), 100).unwrap();
         assert!(r.exact);
         assert_eq!(r.pages, 3); // 25 tuples / k=10
         let got: Vec<u32> = r.tuples.iter().map(|t| t.id.0).collect();
@@ -255,7 +256,7 @@ mod tests {
         let data = uniform(30, 2, 1, 407);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(30, 10));
         let server = SimServer::new(data, SystemRank::pseudo_random(43), 10); // no paging
-        let err = page_down_rerank(&server, &mut st, &Query::all(), score, 3).unwrap_err();
+        let err = page_down_rerank(&server, &mut st, &Query::all(), rank(), 3).unwrap_err();
         assert_eq!(
             err,
             qrs_types::RerankError::UnsupportedCapability(Capability::Paging)
@@ -264,15 +265,12 @@ mod tests {
 
     #[test]
     fn page_down_cursor_streams_exact_order_and_resumes() {
-        use qrs_ranking::LinearRank;
         let data = uniform(25, 2, 1, 409);
         let truth = data.rank_by(&Query::all(), score);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(25, 10));
         let server = SimServer::new(data, SystemRank::pseudo_random(47), 10)
             .with_capabilities(Capabilities::none().with_paging());
-        let rank: Arc<dyn qrs_ranking::RankFn> =
-            Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
-        let mut c = PageDownCursor::new(Query::all(), rank, usize::MAX);
+        let mut c = PageDownCursor::new(Query::all(), rank(), usize::MAX);
         let mut got = Vec::new();
         while let Some(t) = c.next(&server, &mut st).unwrap() {
             got.push(t.id.0);
@@ -286,15 +284,12 @@ mod tests {
 
     #[test]
     fn page_down_cursor_is_strict_about_depth() {
-        use qrs_ranking::LinearRank;
         let data = uniform(50, 2, 1, 411);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(50, 5));
         // 50 tuples at k=5 need 10 pages; the cursor is capped at 3.
         let server = SimServer::new(data, SystemRank::pseudo_random(53), 5)
             .with_capabilities(Capabilities::none().with_paging());
-        let rank: Arc<dyn qrs_ranking::RankFn> =
-            Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
-        let mut c = PageDownCursor::new(Query::all(), rank, 3);
+        let mut c = PageDownCursor::new(Query::all(), rank(), 3);
         let err = c.next(&server, &mut st).unwrap_err();
         assert_eq!(
             err,

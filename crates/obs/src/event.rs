@@ -42,17 +42,13 @@ pub enum BudgetScope {
 /// running totals, so folds sum them without double counting.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
-    /// A session opened (counted after all preflights passed).
+    /// A session opened (counted after all preflights passed) on the
+    /// strategy the planner, or the caller's explicit choice, committed
+    /// to, with its plan-time cost estimate — the monitor's *predicted*
+    /// column.
     SessionOpen {
         /// The strategy the session drives, in the shared
         /// `qrs_core::strategy::names` vocabulary.
-        strategy: String,
-    },
-    /// The planner (or the caller's explicit choice) committed to a
-    /// strategy, with its plan-time cost estimate — the monitor's
-    /// *predicted* column.
-    PlanChosen {
-        /// The chosen candidate's strategy name.
         strategy: String,
         /// Plan-time estimate of raw queries for the session's horizon.
         predicted_queries: u64,

@@ -175,6 +175,8 @@ mod tests {
 
         let open = EventKind::SessionOpen {
             strategy: "1d-rerank".into(),
+            predicted_queries: 0,
+            predicted_cost_units: 0,
         };
         let charged = EventKind::RequestCharged {
             class: QueryClass::TopK,
@@ -217,6 +219,8 @@ mod tests {
             s,
             EventKind::SessionOpen {
                 strategy: "page-down".into(),
+                predicted_queries: 0,
+                predicted_cost_units: 0,
             },
         );
         assert_eq!(

@@ -1,7 +1,7 @@
 //! The fleet monitor: folds the event stream into per-(site, strategy)
 //! predicted-vs-actual spend tables.
 //!
-//! The *predicted* column is seeded by [`crate::EventKind::PlanChosen`]
+//! The *predicted* column is seeded by [`crate::EventKind::SessionOpen`]
 //! events (plan-time `CostEstimate`s); the *actual* column is settled by
 //! [`crate::EventKind::RequestCharged`] deltas, which carry the same
 //! in-lock ledger numbers the session and service stats accumulate — so a
@@ -61,7 +61,11 @@ impl Monitor {
         let mut inner = self.inner.lock();
         let skey = (Arc::clone(&event.site), event.session);
         match &event.kind {
-            EventKind::SessionOpen { strategy } => {
+            EventKind::SessionOpen {
+                strategy,
+                predicted_queries,
+                predicted_cost_units,
+            } => {
                 inner
                     .sessions
                     .insert(skey, (Arc::clone(&event.site), strategy.clone()));
@@ -70,17 +74,8 @@ impl Monitor {
                     .entry((event.site.to_string(), strategy.clone()))
                     .or_default();
                 row.sessions += 1;
-            }
-            EventKind::PlanChosen {
-                predicted_queries,
-                predicted_cost_units,
-                ..
-            } => {
-                if let Some((site, strategy)) = inner.sessions.get(&skey).cloned() {
-                    let row = inner.rows.entry((site.to_string(), strategy)).or_default();
-                    row.predicted_queries += predicted_queries;
-                    row.predicted_cost_units += predicted_cost_units;
-                }
+                row.predicted_queries += predicted_queries;
+                row.predicted_cost_units += predicted_cost_units;
             }
             EventKind::RequestCharged {
                 queries,
@@ -213,13 +208,6 @@ mod tests {
             1,
             EventKind::SessionOpen {
                 strategy: "1d-rerank".into(),
-            },
-        ));
-        m.fold(&ev(
-            &site,
-            1,
-            EventKind::PlanChosen {
-                strategy: "1d-rerank".into(),
                 predicted_queries: 10,
                 predicted_cost_units: 15,
             },
@@ -272,6 +260,8 @@ mod tests {
                 sess,
                 EventKind::SessionOpen {
                     strategy: strat.into(),
+                    predicted_queries: 0,
+                    predicted_cost_units: 0,
                 },
             ));
             m.fold(&ev(
@@ -345,6 +335,8 @@ mod tests {
                             session: sess,
                             kind: EventKind::SessionOpen {
                                 strategy: (*strat).into(),
+                                predicted_queries: 0,
+                                predicted_cost_units: 0,
                             },
                         });
                         m.fold(&Event {
@@ -401,6 +393,8 @@ mod tests {
             1,
             EventKind::SessionOpen {
                 strategy: "1d-rerank".into(),
+                predicted_queries: 0,
+                predicted_cost_units: 0,
             },
         ));
         m.fold(&ev(
@@ -408,6 +402,8 @@ mod tests {
             1,
             EventKind::SessionOpen {
                 strategy: "page-down".into(),
+                predicted_queries: 0,
+                predicted_cost_units: 0,
             },
         ));
         m.fold(&ev(

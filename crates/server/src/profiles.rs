@@ -8,7 +8,7 @@
 //! number of simultaneous search criteria, storefronts that page but stop
 //! at a fixed depth. A [`SiteProfile`] names one such shape and builds a
 //! [`SimServer`] enforcing it, so experiments (`qrs-bench`'s
-//! `capability_matrix`) and tests sweep the same catalog.
+//! `planner_cost`) and tests sweep the same catalog.
 //!
 //! The catalog ([`SiteProfile::catalog`]) is deliberately diverse: for each
 //! profile the `qrs-service` planner should either find a working algorithm
@@ -134,8 +134,7 @@ impl SiteProfile {
     }
 
     /// The canonical sweep, in increasing order of restriction. Used by
-    /// the `capability_matrix` and `planner_cost` experiments and the
-    /// planning test suite.
+    /// the `planner_cost` experiment and the planning test suite.
     pub fn catalog(k: usize) -> Vec<SiteProfile> {
         vec![
             SiteProfile::open_site(k),

@@ -21,7 +21,6 @@
 //!   honoring `retry_after_ms`, up to the policy's `max_attempts` per
 //!   Get-Next step, sleeping on an injectable clock so tests never wait
 //!   wall-clock time,
-//! * [`profiles`] — named, reusable ranking preferences,
 //! * [`federation`] — one preference over *multiple* hidden databases with
 //!   exact score-merged results: the paper's "personalized ranking across
 //!   multiple web databases" application, end to end; an error from any
@@ -48,7 +47,6 @@ pub mod budget;
 pub mod federation;
 pub mod maintained;
 pub mod planner;
-pub mod profiles;
 mod retry;
 pub mod service;
 pub mod session;
@@ -59,7 +57,6 @@ pub use budget::QueryBudget;
 pub use federation::{FederatedHit, FederatedSession};
 pub use maintained::{MaintainedSession, RefreshOutcome};
 pub use planner::{Plan, Planner, RankedCandidate};
-pub use profiles::ProfileStore;
 pub use service::{Algorithm, RerankService, SessionBuilder};
 pub use session::{RankedTuple, Session, SessionStats};
 pub use stats::ServiceStats;

@@ -70,9 +70,6 @@ pub struct RankedCandidate {
     /// Predicates this candidate's relaxation leaves for the client to
     /// re-apply. `None` when the site evaluates the full selection.
     pub residual: Option<Query>,
-    /// Whether this candidate needs predicates relaxed server-side (and
-    /// re-applied client-side).
-    pub relaxed: bool,
 }
 
 /// A planned session: which algorithm runs, what the server sees, and what
@@ -136,7 +133,6 @@ impl Plan {
             estimate,
             server_query: ctx.server_query,
             residual: None,
-            relaxed: false,
         };
         Plan::cheapest_of(vec![only], rationale)
     }
@@ -277,7 +273,6 @@ impl Planner {
                         algorithm: candidate.algorithm,
                         estimate: (candidate.estimate)(&ctx),
                         server_query,
-                        relaxed: residual.is_some(),
                         residual,
                     });
                 }

@@ -682,8 +682,8 @@ impl<'a> SessionBuilder<'a> {
         };
         // Announce the session on the observability plane. The ordinal is
         // allocated here (0 when disabled) and travels on every event the
-        // session emits; `PlanChosen` carries the plan-time estimate that
-        // seeds the monitor's *predicted* column.
+        // session emits, and the open event carries the plan-time estimate
+        // that seeds the monitor's *predicted* column.
         let obs_id = self.svc.obs().open_session();
         if self.svc.obs().enabled() {
             let now = self.svc.clock().now_ms();
@@ -691,13 +691,6 @@ impl<'a> SessionBuilder<'a> {
                 now,
                 obs_id,
                 EventKind::SessionOpen {
-                    strategy: strategy.name().to_string(),
-                },
-            );
-            self.svc.obs().emit(
-                now,
-                obs_id,
-                EventKind::PlanChosen {
                     strategy: strategy.name().to_string(),
                     predicted_queries: plan.estimate.queries,
                     predicted_cost_units: plan.estimate.cost_units,

@@ -22,7 +22,7 @@ fn main() {
     // the regime where the shortcut fails hardest.
     let data = correlated(n, -0.7, 31);
     let sys = SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]);
-    let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
+    let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
     let truth = data.rank_by(&Query::all(), |t| rank.score(t));
 
     println!("page-down shortcut vs exact reranking (n={n}, top-10):\n");
@@ -34,7 +34,7 @@ fn main() {
         let server = SimServer::new(data.clone(), sys.clone(), 10)
             .with_capabilities(Capabilities::none().with_paging());
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
-        let r = page_down_rerank(&server, &mut st, &Query::all(), |t| rank.score(t), pages)
+        let r = page_down_rerank(&server, &mut st, &Query::all(), Arc::clone(&rank), pages)
             .expect("paging capability enabled above");
         println!(
             "{:<28} {:>8} {:>10.2} {:>7}",
@@ -47,7 +47,7 @@ fn main() {
     let server = SimServer::new(data.clone(), sys, 10);
     let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
     let mut cur = MdCursor::new(
-        Arc::new(rank.clone()) as Arc<dyn RankFn>,
+        Arc::clone(&rank),
         Query::all(),
         MdOptions::rerank(),
         server.schema(),

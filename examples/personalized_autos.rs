@@ -1,7 +1,7 @@
 //! The paper's "personalized ranking application" (§1): one stored user
 //! preference applied across *multiple* car-dealer databases, none of which
 //! support it natively. Each dealer gets its own reranking service; the
-//! profile lives once in a [`ProfileStore`].
+//! preference is one shared ranking function.
 //!
 //! ```text
 //! cargo run --release --example personalized_autos
@@ -9,9 +9,9 @@
 
 use query_reranking::datagen::autos;
 use query_reranking::datagen::autos::attr;
-use query_reranking::ranking::LinearRank;
+use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{SimServer, SystemRank};
-use query_reranking::service::{Algorithm, ProfileStore, RerankService};
+use query_reranking::service::{Algorithm, RerankService};
 use query_reranking::types::{Direction, Query};
 use std::sync::Arc;
 
@@ -34,19 +34,13 @@ fn main() {
         6_000,
     );
 
-    // The user's preference, registered once: low mileage per model year,
-    // weighted against price.
-    let profiles = ProfileStore::new();
-    profiles.register(
-        "commuter",
-        Arc::new(LinearRank::new(vec![
-            (attr::PRICE, Direction::Asc, 1.0),
-            (attr::MILEAGE, Direction::Asc, 0.12),
-            (attr::YEAR, Direction::Desc, 1_200.0),
-        ])),
-    );
-
-    let rank = profiles.get("commuter").expect("profile registered above");
+    // The user's 'commuter' preference, stated once and applied to every
+    // dealer: low mileage per model year, weighted against price.
+    let rank: Arc<dyn RankFn> = Arc::new(LinearRank::new(vec![
+        (attr::PRICE, Direction::Asc, 1.0),
+        (attr::MILEAGE, Direction::Asc, 0.12),
+        (attr::YEAR, Direction::Desc, 1_200.0),
+    ]));
     for (name, dealer) in [("dealer A", &dealer_a), ("dealer B", &dealer_b)] {
         let mut session = dealer
             .session(Query::all(), Arc::clone(&rank))

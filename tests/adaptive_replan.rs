@@ -235,7 +235,7 @@ fn replanned_event_conserves_the_ledger_across_the_switch() {
         let mut plans = Vec::new();
         for e in recorder.events() {
             match &e.kind {
-                EventKind::PlanChosen { strategy, .. } => plans.push(strategy.clone()),
+                EventKind::SessionOpen { strategy, .. } => plans.push(strategy.clone()),
                 EventKind::RequestCharged {
                     class,
                     queries,

@@ -132,10 +132,18 @@ fn monitor_reconciles_exactly_with_ledgers() {
 
     // The recorder saw the same story: fold its events by hand.
     let (mut rq, mut rc, mut rsq, mut rsc) = (0u64, 0u64, 0u64, 0u64);
-    let (mut opens, mut closes) = (0u64, 0u64);
+    let (mut opens, mut closes, mut pq, mut pc) = (0u64, 0u64, 0u64, 0u64);
     for e in recorder.events() {
         match e.kind {
-            EventKind::SessionOpen { .. } => opens += 1,
+            EventKind::SessionOpen {
+                predicted_queries,
+                predicted_cost_units,
+                ..
+            } => {
+                opens += 1;
+                pq += predicted_queries;
+                pc += predicted_cost_units;
+            }
             EventKind::SessionClose { .. } => closes += 1,
             EventKind::RequestCharged {
                 queries,
@@ -158,6 +166,7 @@ fn monitor_reconciles_exactly_with_ledgers() {
     assert_eq!(recorder.dropped(), 0, "capacity must suffice here");
     assert_eq!((rq, rc, rsq, rsc), session_totals);
     assert_eq!((opens, closes), (2, 2));
+    assert_eq!((pq, pc), predicted);
 }
 
 /// The atomic counters under real contention: many threads, each running

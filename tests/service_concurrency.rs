@@ -6,7 +6,7 @@ use query_reranking::core::MdOptions;
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{SimServer, SystemRank};
-use query_reranking::service::{Algorithm, ProfileStore, RerankService};
+use query_reranking::service::{Algorithm, RerankService};
 use query_reranking::types::value::cmp_f64;
 use query_reranking::types::{AttrId, CatId, CatPredicate, Dataset, Query, RerankError};
 use std::sync::Arc;
@@ -84,12 +84,7 @@ fn per_session_attribution_sums_to_the_global_counter() {
 
 #[test]
 fn profiles_apply_across_services() {
-    let store = ProfileStore::new();
-    store.register(
-        "balanced",
-        Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)])) as Arc<dyn RankFn>,
-    );
-    let rank = store.get("balanced").unwrap();
+    let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
     for seed in [3003u64, 3005] {
         let data = uniform(200, 2, 1, seed);
         let svc = service(&data, 5);
