@@ -2,13 +2,26 @@
 //!
 //! The paper discovers the No. (h+1) tuple by maintaining subspaces split at
 //! previously emitted tuples and taking the best subspace top-1. An emission
-//! splits its host on the host's first free dimension into the paper's
-//! `< v` and `> v` halves plus a third child, the *tie slab* `= v`, which
-//! removes the general-positioning assumption (§5): tuples sharing the
-//! emitted tuple's value live there. A tie slab carries the ids already
-//! emitted from it; one with every ranking dimension pinned is a *cell*.
-//! This is the one tie rule: every emission leaves a tie slab, there is no
-//! general-positioning mode, and the cursor is exact on any data.
+//! splits its host on one free dimension into the paper's `< v` and `> v`
+//! halves plus a third child, the *tie slab* `= v`, which removes the
+//! general-positioning assumption (§5): tuples sharing the emitted tuple's
+//! value live there. A tie slab carries the ids already emitted from it;
+//! one with every ranking dimension pinned is a *cell*. This is the one tie
+//! rule: every emission leaves a tie slab, there is no general-positioning
+//! mode, and the cursor is exact on any data.
+//!
+//! **The split dimension** is the free one along which the emitted tuple
+//! climbs most above the host's low corner: the score of that corner with
+//! only that coordinate moved to the tuple's, lowest index on ties. In a
+//! 2-D linear ranking where the tuple's climb on an axis is a share `a` of
+//! the threshold's, the two side children's shrunk boxes cover `a + (1 −
+//! a)²` of the host's, least at the largest climb. Where history already
+//! holds a second tuple on the selection-free plane pinning that dimension
+//! alone at the tuple's value — a tie is known there — the host is split on
+//! its first free dimension instead: hosts that are strips along it leave
+//! tie slabs that are whole planes, which one query settles, where a slab
+//! bounded on several axes turns a crowded plane into a refine chain. The
+//! choice reads only history and pays nothing.
 //!
 //! A slab's top comes from history once a complete region covers it. The
 //! first such region is usually its *plane* — the pinned ranking values as
@@ -54,6 +67,7 @@
 
 use crate::crawl::crawl_region;
 use crate::ctx::{Purpose, SharedState};
+use crate::history::History;
 use crate::md::top1::{consider, history_best, md_top1, md_top1_from, shrink, Best, MdOptions};
 use crate::norm::{NormBox, NormView};
 use qrs_ranking::RankFn;
@@ -197,11 +211,14 @@ impl MdCursor {
             sub.emitted.insert(t.id);
             sub.top = TopState::Unknown;
         } else {
-            // §4.2.2: split the host on its first free dimension, keeping
-            // the boundary as a tie slab (§5).
+            // §4.2.2: split the host on the dimension `t` climbs most
+            // (module docs), keeping the boundary as a tie slab (§5). The
+            // choice reads history only: nothing is asked between taking
+            // the host out and putting its children in.
             let host = self.subs.swap_remove(best_idx);
-            let d = first_free(&host.bbox).expect("a box that is not a cell has a free dimension");
-            let (sides, slab) = split_at(&host.bbox, d, self.view.norm_coords(&t)[d]);
+            let c = self.view.norm_coords(&t);
+            let d = split_axis(&self.view, &st.history, &host.bbox, &c);
+            let (sides, slab) = split_at(&host.bbox, d, c[d]);
             let both = sides.len() == 2;
             self.subs.extend(sides.into_iter().map(Subspace::new));
             self.subs.push(Subspace {
@@ -325,6 +342,43 @@ fn first_free(b: &NormBox) -> Option<usize> {
     b.dims.iter().position(|iv| !iv.is_point())
 }
 
+/// The dimension an emission at normalized point `c` splits its host `h`
+/// on (module docs): the free one along which `c` climbs most above `h`'s
+/// low corner, lowest index on ties, or `h`'s first free dimension where
+/// history already holds more than one tuple on the plane pinning that
+/// dimension alone at `c`.
+fn split_axis(view: &NormView, history: &History, h: &NormBox, c: &[f64]) -> usize {
+    let first = first_free(h).expect("a box that is not a cell has a free dimension");
+    let lo = h.lo_corner(view.bounds());
+    let base = view.rank().score_norm(&lo);
+    let mut at = lo.clone();
+    let (mut d, mut most) = (first, f64::NEG_INFINITY);
+    for j in (0..c.len()).filter(|&j| !h.dims[j].is_point()) {
+        at[j] = c[j];
+        let climb = view.rank().score_norm(&at) - base;
+        at[j] = lo[j];
+        if climb > most {
+            (d, most) = (j, climb);
+        }
+    }
+    let pinned = NormBox::full(view.bounds()).with_dim(d, Interval::point(c[d]));
+    if history.holds_more_than(&plane(view, &pinned), 1) {
+        first
+    } else {
+        d
+    }
+}
+
+/// A slab's *plane*: its pinned ranking values as point predicates, no
+/// selection, nothing else.
+fn plane(view: &NormView, slab: &NormBox) -> Query {
+    let mut plane = slab.clone();
+    for iv in plane.dims.iter_mut().filter(|iv| !iv.is_point()) {
+        *iv = Interval::all();
+    }
+    view.to_query(&plane, &Query::all())
+}
+
 /// Split `b` on dimension `d` at `v`: the non-empty `< v` and `> v`
 /// children, and the `= v` tie slab.
 fn split_at(b: &NormBox, d: usize, v: f64) -> (Vec<NormBox>, NormBox) {
@@ -362,11 +416,7 @@ fn tie_top(
         return Ok(TieTop::Known(TopState::Empty));
     }
     if !st.complete.covers(&q) {
-        let mut plane = slab.clone();
-        for iv in plane.dims.iter_mut().filter(|iv| !iv.is_point()) {
-            *iv = Interval::all();
-        }
-        let plane = view.to_query(&plane, &Query::all());
+        let plane = plane(view, slab);
         // More than `k` known on the plane: asking it would only overflow.
         let crowded = st.history.holds_more_than(&plane, server.k());
         if crowded || st.ask(server, &plane, Purpose::MdTiePlane)?.is_overflow() {
@@ -402,7 +452,7 @@ mod tests {
     use qrs_datagen::synthetic::{correlated, discrete_grid, uniform};
     use qrs_ranking::LinearRank;
     use qrs_server::{SimServer, SystemRank};
-    use qrs_types::AttrId;
+    use qrs_types::{AttrId, Direction};
 
     /// Compare an emitted prefix against the *full* ground-truth ranking by
     /// score sequence; id-sets must match per equal-score group, except the
@@ -526,6 +576,66 @@ mod tests {
             SystemRank::pseudo_random(13),
             6,
             25,
+        );
+    }
+
+    /// Weights that put the steepest climb on the last axis, a descending
+    /// middle term and a range selection on a ranking attribute: on untied
+    /// data most hosts split off axis 0.
+    #[test]
+    fn top_h_splitting_off_axis_0() {
+        let sel = Query::all().and_range(AttrId(0), Interval::closed(0.1, 0.8));
+        run_all(
+            uniform(400, 3, 1, 213 ^ test_seed()),
+            LinearRank::new(vec![
+                (AttrId(0), Direction::Asc, 0.05),
+                (AttrId(1), Direction::Desc, 0.5),
+                (AttrId(2), Direction::Asc, 0.9),
+            ]),
+            sel,
+            SystemRank::pseudo_random(23),
+            5,
+            20,
+        );
+    }
+
+    /// The split rule: the free axis `c` climbs most on, unless history
+    /// already holds a second tuple on the plane pinning that axis at `c`;
+    /// then the host's first free axis.
+    #[test]
+    fn split_axis_takes_the_largest_climb_unless_history_shows_a_tie() {
+        let schema = Schema::new(
+            (0..3)
+                .map(|i| qrs_types::OrdinalAttr::new(format!("a{i}"), 0.0, 1.0))
+                .collect(),
+            vec![],
+        );
+        let rank = LinearRank::new(vec![
+            (AttrId(0), Direction::Asc, 0.05),
+            (AttrId(1), Direction::Desc, 0.5),
+            (AttrId(2), Direction::Asc, 0.9),
+        ]);
+        let view = NormView::new(Arc::new(rank), &schema);
+        let tuple = |id, ords: [f64; 3]| Arc::new(Tuple::new(TupleId(id), ords.to_vec(), vec![]));
+        let t = tuple(0, [0.5, 0.2, 0.4]);
+        let c = view.norm_coords(&t);
+        let full = NormBox::full(view.bounds());
+        let mut history = History::new(3);
+        history.record(&t);
+        // Climbs 0.025, 0.4 and 0.36: axis 1, though axis 2 weighs most.
+        assert_eq!(split_axis(&view, &history, &full, &c), 1);
+        // With axis 1 pinned, axis 2 climbs most among the free ones.
+        let pinned = full.with_dim(1, Interval::point(c[1]));
+        assert_eq!(split_axis(&view, &history, &pinned, &c), 2);
+        // A tuple off that plane changes nothing.
+        history.record(&tuple(1, [0.1, 0.3, 0.9]));
+        assert_eq!(split_axis(&view, &history, &full, &c), 1);
+        // A second tuple on it: the first free axis.
+        history.record(&tuple(2, [0.9, 0.2, 0.9]));
+        assert_eq!(split_axis(&view, &history, &full, &c), 0);
+        assert_eq!(
+            split_axis(&view, &history, &full.with_dim(0, Interval::point(0.5)), &c),
+            1
         );
     }
 
