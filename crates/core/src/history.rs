@@ -27,8 +27,8 @@
 
 use qrs_types::value::OrdF64;
 use qrs_types::{
-    AttrId, Direction, Endpoint, Interval, Query, QueryResponse, RangePredicate, RegionIndex,
-    Tuple, TupleId,
+    AttrId, Direction, Endpoint, Interval, Query, QueryResponse, RangePredicate, Region,
+    RegionIndex, Tuple, TupleId,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -263,6 +263,12 @@ impl CompleteRegions {
     pub fn covers(&self, q: &Query) -> bool {
         self.0.covers(q)
     }
+
+    /// A remembered region that subsumes `q`, if one does: every tuple it
+    /// matches is in history, and it may reach beyond `q`.
+    pub fn covering(&self, q: &Query) -> Option<Region<'_>> {
+        self.0.covering(q)
+    }
 }
 
 #[cfg(test)]
@@ -480,15 +486,17 @@ mod tests {
                 .into_iter()
                 .map(|t| (view.score(&t), t))
                 .min_by_key(|(s, t)| (OrdF64(*s), t.id));
-            let got = history_best(&st, &view, &boxed);
+            let got = history_best(&st, &view, &boxed, f64::INFINITY);
             assert_eq!(got.map(|(t, s)| (s, t)), best, "history_best: {name}");
         }
     }
 
     /// `history_best` walks one ranking axis and stops at the first tuple
-    /// whose axis bound exceeds the best score. Its answer must stay the
-    /// `(score, id)` minimum over every history tuple matching the box — on
-    /// grid data, where tuples tie on the cut, and whichever axis it walks.
+    /// whose axis bound exceeds the best score, or reaches its cap before
+    /// any match. Its answer must stay the `(score, id)` minimum over every
+    /// history tuple matching the box wherever that scores below the cap —
+    /// on grid data, where tuples tie on the cut, and whichever axis it
+    /// walks.
     #[test]
     fn history_best_is_the_minimum_over_every_match() {
         use crate::{ctx::SharedState, md::top1::history_best, norm::NormBox, norm::NormView};
@@ -499,7 +507,7 @@ mod tests {
         let seed = std::env::var("QRS_TEST_SEED").ok();
         let seed: u64 = seed.and_then(|s| s.parse().ok()).unwrap_or(0);
         let mut rng = StdRng::seed_from_u64(29 ^ seed);
-        let (mut asked, mut found, mut early, mut steepest) = (0, 0, 0, 0);
+        let (mut asked, mut found, mut early, mut steepest, mut capped) = (0, 0, 0, 0, 0);
         for data in [
             discrete_grid(400, 4, 5, 31 ^ seed),
             uniform(400, 4, 1, 37 ^ seed),
@@ -565,13 +573,40 @@ mod tests {
                 let want = (known.iter().filter(|t| q.matches(t)))
                     .map(|t| (view.score(t), t.id))
                     .min_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-                let got = history_best(&st, &view, &q);
+                let got = history_best(&st, &view, &q, f64::INFINITY);
                 assert_eq!(
                     got.map(|(t, s)| (t.id, s.to_bits())),
                     want.map(|(s, id)| (id, s.to_bits())),
                     "{} under {q}",
                     rank.label()
                 );
+                // Under a cap: the same answer where it scores below the
+                // cap; otherwise nothing, or still the same answer. A cap at
+                // the answer's own score makes the walk meet bounds equal to
+                // it.
+                let matches: Vec<f64> = (known.iter().filter(|t| q.matches(t)))
+                    .map(|t| view.score(t))
+                    .collect();
+                let least = want.map_or(f64::INFINITY, |(s, _)| s);
+                let cap = match rng.random_range(0..3u32) {
+                    _ if matches.is_empty() => f64::INFINITY,
+                    0 => least,
+                    1 => least - 0.1 * rng.random::<f64>(),
+                    _ => matches[rng.random_range(0..matches.len())],
+                };
+                let under = history_best(&st, &view, &q, cap).map(|(t, s)| (t.id, s.to_bits()));
+                let exact = want.map(|(s, id)| (id, s.to_bits()));
+                match want {
+                    Some((s, _)) if s < cap => {
+                        assert_eq!(under, exact, "{} under {q}, cap {cap}", rank.label())
+                    }
+                    _ => assert!(
+                        under.is_none() || under == exact,
+                        "{} under {q}, cap {cap}: {under:?}",
+                        rank.label()
+                    ),
+                }
+                capped += usize::from(want.is_some() && under.is_none());
                 asked += 1;
                 let Some((best, _)) = want else { continue };
                 found += 1;
@@ -602,6 +637,10 @@ mod tests {
         assert!(
             steepest * 10 >= found,
             "vacuous: {steepest} of {found} took the steepest axis"
+        );
+        assert!(
+            capped * 10 >= found,
+            "vacuous: {capped} of {found} walks were cut short by their cap"
         );
     }
 

@@ -54,9 +54,11 @@
 //!
 //! The gates read only `k`, `n` and history. Where one closes the probe,
 //! the children's searches start from the history bests the gates read
-//! ([`md_top1`]'s seeded entry): sibling boxes are disjoint, and within one
-//! call only this cursor touches the shared state, so no one else can move
-//! those bests first.
+//! ([`md_top1`]'s seeded entry), so the read is not repeated — but only
+//! while history holds no tuple it did not hold then. The resolve pass may
+//! reach a deferred tie slab ahead of the children, and that slab's plane
+//! query can record a tuple inside a child that beats its seed; once
+//! anything has been recorded, a child reads its history best anew.
 //!
 //! The probe runs at *resolve* time, in the call after the emission, never
 //! between taking the host out of the subspace list and putting its
@@ -64,6 +66,33 @@
 //! stream. An emission only notes its host, and a refused probe leaves the
 //! note for the retry. A top-`h` request never pays a merge after its last
 //! emission.
+//!
+//! **Lazy resolution.** Only the best subspace top has to be exact when it
+//! is emitted, so a subspace is resolved only where history cannot prove
+//! that it holds nothing below `F`, the lowest known top. A subspace is
+//! *due* when its top is unknown, or known only as `Above(x)` — nothing
+//! left in it scores below `x` — with `x < F`. At `x = F` it is not due:
+//! order among equal scores is free, and a `≤` rule would never stop. For a
+//! due subspace `S` the cursor looks up a complete region `R` (§3.1.1) that
+//! subsumes `shrink(S, F) ∧ sel`. Where there is none, `S` is resolved as
+//! before. Where there is, every tuple of `S ∧ sel` scoring below `y` is in
+//! history, for `y` the larger of `F` and the least
+//! `score_norm(lo(S) with axis j at R's upper end)` over the axes `j` on
+//! which `R`'s normalized interval does not contain `S`'s: a tuple of `S`
+//! scoring below it sits below `R`'s bound on each such axis (the low
+//! corner moved there alone scores no more than the tuple), so inside `R`.
+//! History's best match below `y` is then `S`'s top; without one `S` is
+//! `Above(y)`, deferred until `F` passes `y`. Taking `y` from the region,
+//! not just `F`, is what keeps a deferred subspace from coming due again at
+//! the next emission. A deferral asks nothing, and a subspace that comes
+//! due is resolved later by the same uncapped search.
+//! A subspace whose history best already scores below `F` is resolved
+//! without the lookup: its `md_top1` asks only boxes inside the part below
+//! `F`, which any such region would cover, so the lookup could save
+//! nothing. A tie slab emits only through `tie_top`: where history
+//! holds a tuple of it below `y` not yet emitted, it is resolved there, or
+//! its emitted set could part on its next free dimension and a crowded
+//! plane be crawled instead of refined.
 
 use crate::crawl::crawl_region;
 use crate::ctx::{Purpose, SharedState};
@@ -73,7 +102,7 @@ use crate::norm::{NormBox, NormView};
 use qrs_ranking::RankFn;
 use qrs_server::SearchInterface;
 use qrs_types::value::cmp_f64;
-use qrs_types::{Interval, Query, RerankError, Schema, Tuple, TupleId};
+use qrs_types::{Direction, Interval, Query, RerankError, Schema, Tuple, TupleId};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -82,6 +111,9 @@ enum TopState {
     Unknown,
     Empty,
     Known(Arc<Tuple>, f64),
+    /// No tuple left in the subspace scores below this (module docs, "Lazy
+    /// resolution").
+    Above(f64),
 }
 
 #[derive(Debug)]
@@ -105,6 +137,16 @@ impl Subspace {
     /// [`tie_top`]; any other subspace through [`md_top1`].
     fn is_tie_slab(&self) -> bool {
         !self.emitted.is_empty() || self.bbox.is_cell()
+    }
+
+    /// Could this subspace hold a tuple below `f`, the lowest known top?
+    /// An equal score is not due: order among equal scores is free.
+    fn is_due(&self, f: f64) -> bool {
+        match self.top {
+            TopState::Unknown => true,
+            TopState::Above(y) => y < f,
+            TopState::Empty | TopState::Known(..) => false,
+        }
     }
 }
 
@@ -144,7 +186,8 @@ impl MdCursor {
         st: &mut SharedState,
     ) -> Result<Option<Arc<Tuple>>, RerankError> {
         // The last emission's side children first: settled by one merged
-        // probe, or seeded with the history bests its gates read.
+        // probe, or seeded with the history bests its gates read, which hold
+        // while history holds `seeded` tuples.
         let mut seeds = match self.merge.take() {
             None => Vec::new(),
             Some(host) => match self.settle_children(server, st, &host) {
@@ -155,36 +198,60 @@ impl MdCursor {
                 }
             },
         };
-        // Resolve all unknown subspace tops. A refined tie slab stays at
-        // `i` as its `= v` part; its other children join this pass.
+        let seeded = st.history.len();
+        // Resolve every subspace that could hold a tuple below the lowest
+        // known top, unless history proves it cannot (module docs, "Lazy
+        // resolution"). The frontier only falls within a pass, so one
+        // subspace found not due stays so. A refined tie slab stays at `i`
+        // as its `= v` part; its other children join this pass.
+        let mut frontier = (self.subs.iter())
+            .filter_map(|sub| match sub.top {
+                TopState::Known(_, s) => Some(s),
+                _ => None,
+            })
+            .fold(f64::INFINITY, f64::min);
         let mut i = 0;
         while i < self.subs.len() {
             let sub = &self.subs[i];
-            if !matches!(sub.top, TopState::Unknown) {
+            if !sub.is_due(frontier) {
                 i += 1;
                 continue;
             }
+            let (view, sel) = (&self.view, &self.sel);
             let top = if sub.is_tie_slab() {
-                match tie_top(server, st, &self.view, &self.sel, &sub.bbox, &sub.emitted)? {
-                    TieTop::Known(top) => top,
-                    TieTop::Refine(d, v) => {
-                        let (sides, slab) = split_at(&sub.bbox, d, v);
-                        self.subs[i].bbox = slab;
-                        self.subs.extend(sides.into_iter().map(Subspace::new));
-                        continue;
-                    }
+                match certify_slab(st, view, sel, sub, frontier) {
+                    Some(top) => top,
+                    None => match tie_top(server, st, view, sel, &sub.bbox, &sub.emitted)? {
+                        TieTop::Known(top) => top,
+                        TieTop::Refine(d, v) => {
+                            let (sides, slab) = split_at(&sub.bbox, d, v);
+                            self.subs[i].bbox = slab;
+                            self.subs[i].top = TopState::Unknown;
+                            self.subs.extend(sides.into_iter().map(Subspace::new));
+                            continue;
+                        }
+                    },
                 }
             } else {
-                let (view, sel) = (&self.view, &self.sel);
-                let found = match seeds.iter().position(|(j, _)| *j == i) {
-                    Some(at) => {
-                        let seed = seeds.swap_remove(at).1;
-                        md_top1_from(server, st, view, sel, &sub.bbox, self.opts, seed)?
+                let seed = (seeds.iter().position(|(j, _)| *j == i))
+                    .map(|at| seeds.swap_remove(at).1)
+                    .filter(|_| st.history.len() == seeded);
+                match certify(st, view, sel, &sub.bbox, frontier, seed) {
+                    Certified::Top(top) => top,
+                    Certified::Resolve(seed) => {
+                        let found = match seed {
+                            Some(seed) => {
+                                md_top1_from(server, st, view, sel, &sub.bbox, self.opts, seed)?
+                            }
+                            None => md_top1(server, st, view, sel, &sub.bbox, self.opts)?,
+                        };
+                        found.map_or(TopState::Empty, |(t, s)| TopState::Known(t, s))
                     }
-                    None => md_top1(server, st, view, sel, &sub.bbox, self.opts)?,
-                };
-                found.map_or(TopState::Empty, |(t, s)| TopState::Known(t, s))
+                }
             };
+            if let TopState::Known(_, s) = top {
+                frontier = frontier.min(s);
+            }
             self.subs[i].top = top;
             i += 1;
         }
@@ -244,7 +311,9 @@ impl MdCursor {
     ) -> Result<Vec<(usize, Best)>, RerankError> {
         let at = self.subs.len() - 3;
         let children = [at, at + 1].map(|i| self.view.to_query(&self.subs[i].bbox, &self.sel));
-        let seeds = children.each_ref().map(|q| history_best(st, &self.view, q));
+        let seeds = children
+            .each_ref()
+            .map(|q| history_best(st, &self.view, q, f64::INFINITY));
         let Some(merged) = self.merged_probe(server, st, host, &seeds) else {
             return Ok([at, at + 1].into_iter().zip(seeds).collect());
         };
@@ -388,6 +457,115 @@ fn split_at(b: &NormBox, d: usize, v: f64) -> (Vec<NormBox>, NormBox) {
         .filter(|child| !child.is_empty())
         .collect();
     (sides, b.with_dim(d, Interval::point(v)))
+}
+
+/// What history alone says about the top of a subspace that is not a tie
+/// slab.
+enum Certified {
+    /// Its top, or a bound below which it holds nothing.
+    Top(TopState),
+    /// It must be resolved, from its history best where that was read in
+    /// full.
+    Resolve(Option<Best>),
+}
+
+/// The top of `b ∧ sel`, given `f`, the lowest known top, from history
+/// alone where it can be told (module docs, "Lazy resolution"): `Known`, or
+/// `Above(y)` with `y ≥ f`. `seed`, where given, is its history best, read
+/// by the merged probe's gates with nothing recorded since.
+///
+/// A subspace whose history best already scores below `f` is resolved:
+/// `md_top1` then asks only boxes inside the part below `f`, which a
+/// region proving anything here would cover.
+fn certify(
+    st: &SharedState,
+    view: &NormView,
+    sel: &Query,
+    b: &NormBox,
+    f: f64,
+    seed: Option<Best>,
+) -> Certified {
+    let q = view.to_query(b, sel);
+    // A history best read under the cap `f` is exact when it is `Some`.
+    let (best, exact) = match seed {
+        Some(seed) => (seed, true),
+        None => {
+            let best = history_best(st, view, &q, f);
+            let exact = best.is_some() || f == f64::INFINITY;
+            (best, exact)
+        }
+    };
+    if best.as_ref().is_some_and(|(_, s)| *s < f) {
+        return Certified::Resolve(Some(best));
+    }
+    let Some(y) = complete_below(st, view, sel, b, f) else {
+        return Certified::Resolve(exact.then_some(best));
+    };
+    let best = match best {
+        None if y > f => history_best(st, view, &q, y),
+        best => best,
+    };
+    Certified::Top(match best {
+        Some((t, s)) if s < y => TopState::Known(t, s),
+        _ => TopState::Above(y),
+    })
+}
+
+/// [`certify`] for a tie slab: `Above(y)` where history holds every tuple
+/// of `sub ∧ sel` below `y` and each is emitted; `None` where it must be
+/// resolved by [`tie_top`]. A tie slab emits only through `tie_top`, or its
+/// emitted tuples could part on its next free dimension.
+fn certify_slab(
+    st: &SharedState,
+    view: &NormView,
+    sel: &Query,
+    sub: &Subspace,
+    f: f64,
+) -> Option<TopState> {
+    let y = complete_below(st, view, sel, &sub.bbox, f)?;
+    let q = view.to_query(&sub.bbox, sel);
+    let pending = (st.history.candidates(&q))
+        .any(|t| q.matches(t) && !sub.emitted.contains(&t.id) && view.score(t) < y);
+    (!pending).then_some(TopState::Above(y))
+}
+
+/// A score `y ≥ f` below which history holds every tuple of `b ∧ sel`, read
+/// from a complete region that covers `b`'s part below `f` (module docs,
+/// "Lazy resolution"); `None` where no region does.
+fn complete_below(
+    st: &SharedState,
+    view: &NormView,
+    sel: &Query,
+    b: &NormBox,
+    f: f64,
+) -> Option<f64> {
+    let rank = view.rank();
+    let lo = b.lo_corner(view.bounds());
+    let base = rank.score_norm(&lo);
+    if base >= f {
+        return Some(base); // nothing in `b` scores below its low corner
+    }
+    let below = view.to_query(&shrink(view, b, (f < f64::INFINITY).then_some(f))?, sel);
+    if below.is_unsatisfiable() {
+        return Some(f);
+    }
+    // A tuple of `b ∧ sel` scoring below `y` lies in `region`: on an axis
+    // the region does not span, it sits below the region's upper end, or
+    // the low corner moved there alone would already score `y` or more.
+    let region = st.complete.covering(&below)?;
+    let mut y = f64::INFINITY;
+    for (j, (&attr, dir)) in rank.attrs().iter().zip(rank.directions()).enumerate() {
+        let iv = match dir {
+            Direction::Asc => region.interval(attr),
+            Direction::Desc => region.interval(attr).negate(),
+        };
+        if !b.dims[j].is_subset_of(&iv) {
+            let mut at = lo.clone();
+            at[j] = iv.hi.value()?;
+            y = y.min(rank.score_norm(&at));
+        }
+    }
+    Some(y.max(f))
 }
 
 /// What resolving a tie slab found.
@@ -692,6 +870,223 @@ mod tests {
         }
     }
 
+    /// A grid that is not deduplicated, so cells hold several tuples and
+    /// some hold exact duplicates: tie slabs defer while history proves
+    /// them done below the frontier, and emit once it rises past them. A
+    /// group of identical tuples keeps at most two copies, the smallest `k`,
+    /// so the interface can still tell every answer apart.
+    #[test]
+    fn deferred_tie_slabs_emit_exactly_on_grids() {
+        let seed = test_seed();
+        let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0), (AttrId(2), 0.5)]);
+        for levels in [8, 16] {
+            let grid = discrete_grid(1500, 4, levels, 331 ^ seed);
+            let mut copies: std::collections::HashMap<_, usize> = Default::default();
+            let kept = (grid.tuples().iter())
+                .filter(|t| {
+                    let bits: Vec<u64> = t.ords().iter().map(|v| v.to_bits()).collect();
+                    let n = copies.entry((bits, t.cats().to_vec())).or_default();
+                    *n += 1;
+                    *n <= 2
+                })
+                .cloned()
+                .collect();
+            assert!(
+                copies.values().any(|&n| n > 1),
+                "vacuous at {levels} levels: no exact duplicates"
+            );
+            let data = qrs_types::Dataset::from_shared(Arc::clone(grid.schema()), kept);
+            for k in [2, 5] {
+                let sys = SystemRank::pseudo_random(seed.wrapping_add(u64::from(levels)));
+                run_all(data.clone(), rank.clone(), Query::all(), sys, k, 60);
+            }
+        }
+    }
+
+    /// Keeps every tuple a plane (point predicates only) answers with.
+    struct PlaneLog(SimServer, std::sync::Mutex<Vec<Arc<Tuple>>>);
+
+    impl SearchInterface for PlaneLog {
+        fn schema(&self) -> &Arc<Schema> {
+            self.0.schema()
+        }
+        fn k(&self) -> usize {
+            self.0.k()
+        }
+        fn query(&self, q: &Query) -> Result<qrs_types::QueryResponse, qrs_types::ServerError> {
+            let resp = self.0.query(q)?;
+            if q.cats().is_empty() && q.ranges().iter().all(|p| p.interval.is_point()) {
+                self.1.lock().unwrap().extend(resp.tuples.iter().cloned());
+            }
+            Ok(resp)
+        }
+        fn queries_issued(&self) -> u64 {
+            self.0.queries_issued()
+        }
+    }
+
+    /// A tie slab deferred ahead of the last emission's side children comes
+    /// due in a call whose merged probe a gate closed, and its plane answers
+    /// with a tuple inside a child that beats the history best the gates
+    /// read for it. The child must read that tuple, not the seed
+    /// (`md_top1_from` asserts in debug builds that its seed is what history
+    /// holds now): after every call, no subspace's top (or bound) is beaten
+    /// by a tuple history holds in it and it has not emitted, and the stream
+    /// is exact.
+    ///
+    /// The draws are fixed, not taken from `QRS_TEST_SEED`: a plane lands
+    /// in a side child ahead of the pass in about one top-40 stream in a
+    /// thousand on deduplicated 3-D grids, and these three are such streams.
+    #[test]
+    fn a_plane_asked_ahead_of_the_side_children_reaches_them() {
+        for (seed, n, w, k) in [
+            (2085, 768, [1.0, 1.0, 0.5], 2),
+            (9729, 798, [0.5, 1.0, 0.3], 2),
+            (45327, 347, [0.7, 0.5, 0.3], 2),
+        ] {
+            let rank = LinearRank::asc(vec![
+                (AttrId(0), w[0]),
+                (AttrId(1), w[1]),
+                (AttrId(2), w[2]),
+            ]);
+            let grid = discrete_grid(n, 3, 16, seed);
+            let mut seen = HashSet::new();
+            let distinct = (grid.tuples().iter())
+                .filter(|t| {
+                    let bits: Vec<u64> = t.ords().iter().map(|v| v.to_bits()).collect();
+                    seen.insert((bits, t.cats().to_vec()))
+                })
+                .cloned()
+                .collect();
+            let data = qrs_types::Dataset::from_shared(Arc::clone(grid.schema()), distinct);
+            let truth = data.rank_by(&Query::all(), |t| rank.score(t));
+            let sys = SystemRank::pseudo_random(seed);
+            let server = PlaneLog(SimServer::new(data.clone(), sys, k), Default::default());
+            let params = RerankParams::paper_defaults(data.len(), k);
+            let mut st = SharedState::new(data.schema(), params);
+            let mut cur = MdCursor::new(
+                Arc::new(rank.clone()),
+                Query::all(),
+                MdOptions::rerank(),
+                server.schema(),
+            );
+            let (mut landed, mut got) = (0, Vec::new());
+            for _ in 0..40 {
+                // The side children the call may leave to the pass, with
+                // their history bests now.
+                let children: Vec<(Query, f64)> = match cur.merge {
+                    None => Vec::new(),
+                    Some(_) => (cur.subs.len() - 3..cur.subs.len() - 1)
+                        .map(|i| {
+                            let q = cur.view.to_query(&cur.subs[i].bbox, &cur.sel);
+                            let best = history_best(&st, &cur.view, &q, f64::INFINITY);
+                            (q, best.map_or(f64::INFINITY, |(_, s)| s))
+                        })
+                        .collect(),
+                };
+                let merged = st.paid(Purpose::MdMerged);
+                server.1.lock().unwrap().clear();
+                let Some(t) = cur.next(&server, &mut st).unwrap() else {
+                    break;
+                };
+                got.push(t);
+                if st.paid(Purpose::MdMerged) == merged {
+                    let planes = server.1.lock().unwrap();
+                    landed += (children.iter())
+                        .filter(|(q, s)| {
+                            (planes.iter()).any(|u| q.matches(u) && cur.view.score(u) < *s)
+                        })
+                        .count();
+                }
+                for sub in &cur.subs {
+                    let bound = match &sub.top {
+                        TopState::Unknown => continue,
+                        TopState::Empty => f64::INFINITY,
+                        TopState::Known(_, s) | TopState::Above(s) => *s,
+                    };
+                    let q = cur.view.to_query(&sub.bbox, &cur.sel);
+                    let beaten = (st.history.candidates(&q)).find(|u| {
+                        q.matches(u) && !sub.emitted.contains(&u.id) && cur.view.score(u) < bound
+                    });
+                    assert!(beaten.is_none(), "{:?} beats {:?}", beaten, sub.top);
+                }
+            }
+            assert_stream_matches(&got, &truth, |t| rank.score(t));
+            assert!(
+                landed > 0,
+                "vacuous at seed {seed}: no plane reached a side child ahead of the pass"
+            );
+        }
+    }
+
+    /// What `certify` and `certify_slab` read from one complete region and
+    /// history, with `f = 0.5` the lowest known top elsewhere.
+    #[test]
+    fn a_complete_region_certifies_a_bound_or_a_top() {
+        let schema = Schema::new(
+            (0..2)
+                .map(|i| qrs_types::OrdinalAttr::new(format!("a{i}"), 0.0, 1.0))
+                .collect(),
+            vec![],
+        );
+        let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
+        let view = NormView::new(Arc::new(rank.clone()), &schema);
+        let params = RerankParams::paper_defaults(100, 5);
+        let tuple = |id, a: f64, b: f64| Arc::new(Tuple::new(TupleId(id), vec![a, b], vec![]));
+        let full = NormBox::full(view.bounds());
+        let f = 0.5;
+        let (sel, score) = (Query::all(), |u: [f64; 2]| rank.score_norm(&u));
+
+        // The part below `f` is `a0 < 0.5, a1 < 0.5`; a region holding it
+        // that stops at `a0 ≤ 0.8` proves nothing below `y = S(0.8, 0)`.
+        let mut st = SharedState::new(&Arc::new(schema.clone()), params);
+        st.complete
+            .register(&Query::all().and_range(AttrId(0), Interval::closed(0.0, 0.8)));
+        st.history.record(&tuple(0, 0.9, 0.0)); // outside the region, above `y`
+        let y = score([0.8, 0.0]);
+        assert!(matches!(
+            certify(&st, &view, &sel, &full, f, None),
+            Certified::Top(TopState::Above(got)) if got == y
+        ));
+        // A match in history between `f` and `y` is the subspace's top.
+        st.history.record(&tuple(1, 0.3, 0.4));
+        assert!(matches!(
+            certify(&st, &view, &sel, &full, f, None),
+            Certified::Top(TopState::Known(t, s)) if t.id == TupleId(1) && s == score([0.3, 0.4])
+        ));
+        // One below `f`: resolved, from that history best.
+        st.history.record(&tuple(2, 0.1, 0.1));
+        assert!(matches!(
+            certify(&st, &view, &sel, &full, f, None),
+            Certified::Resolve(Some(Some((t, _)))) if t.id == TupleId(2)
+        ));
+        // No region holds the part below `f`: resolved.
+        let bare = SharedState::new(&Arc::new(schema.clone()), params);
+        assert!(matches!(
+            certify(&bare, &view, &sel, &full, f, None),
+            Certified::Resolve(_)
+        ));
+
+        // A tie slab at `a0 = 0.3` under a region stopping at `a1 ≤ 0.4`:
+        // `y = S(0.3, 0.4)`. Done below `y` while every tuple there is
+        // emitted; a tuple below `y` not yet emitted sends it to `tie_top`.
+        let mut st = SharedState::new(&Arc::new(schema), params);
+        st.complete
+            .register(&Query::all().and_range(AttrId(1), Interval::closed(0.0, 0.4)));
+        st.history.record(&tuple(3, 0.3, 0.1));
+        let slab = Subspace {
+            emitted: HashSet::from([TupleId(3)]),
+            ..Subspace::new(full.with_dim(0, Interval::point(0.3)))
+        };
+        let y = score([0.3, 0.4]);
+        assert!(matches!(
+            certify_slab(&st, &view, &sel, &slab, f),
+            Some(TopState::Above(got)) if got == y
+        ));
+        st.history.record(&tuple(4, 0.3, 0.3));
+        assert!(certify_slab(&st, &view, &sel, &slab, f).is_none());
+    }
+
     /// Counts the queries that carry a point predicate.
     struct PointProbes(SimServer, std::sync::atomic::AtomicU64);
 
@@ -713,9 +1108,13 @@ mod tests {
         }
     }
 
-    /// On data without ties an emission's tie slab is settled by one plane
-    /// probe, where splitting three ways on every dimension would pay up to
-    /// `2m − 1` point-slab queries.
+    /// On data without ties an emission's tie slab is settled by at most
+    /// one plane probe (none where a complete region already shows it holds
+    /// nothing below the frontier), where splitting three ways on every
+    /// dimension would pay up to `2m − 1` point-slab queries. The 25
+    /// emissions pay 8 probes at the default seed (8 to 12 over the seeds
+    /// tried), and 12 there when every slab is resolved in the call after
+    /// it appears.
     #[test]
     fn one_tie_probe_per_emission_on_tie_free_data() {
         let data = uniform(2000, 3, 1, 401 ^ test_seed());
@@ -739,7 +1138,7 @@ mod tests {
             .eq(truth.iter().take(25).map(|t| t.id)));
         let probes = server.1.into_inner();
         assert!(
-            (1..=25).contains(&probes),
+            (1..=15).contains(&probes),
             "{probes} point-predicate queries for 25 emissions"
         );
     }

@@ -87,13 +87,13 @@ pub fn md_top1(
     b0: &NormBox,
     opts: MdOptions,
 ) -> Result<Option<(Arc<Tuple>, f64)>, RerankError> {
-    let seed = history_best(st, view, &view.to_query(b0, sel));
+    let seed = history_best(st, view, &view.to_query(b0, sel), f64::INFINITY);
     md_top1_from(server, st, view, sel, b0, opts, seed)
 }
 
 /// [`md_top1`] seeded with `history_best` of `b0 ∧ sel`, read by the caller
 /// since history last changed in `b0`: the seed must be exactly what
-/// [`history_best`] would return now.
+/// [`history_best`] would return now (debug builds check it).
 pub(crate) fn md_top1_from(
     server: &dyn SearchInterface,
     st: &mut SharedState,
@@ -103,6 +103,11 @@ pub(crate) fn md_top1_from(
     opts: MdOptions,
     seed: Best,
 ) -> Result<Option<(Arc<Tuple>, f64)>, RerankError> {
+    if cfg!(debug_assertions) {
+        let key = |b: &Best| b.as_ref().map(|(t, s)| (t.id, s.to_bits()));
+        let now = history_best(st, view, &view.to_query(b0, sel), f64::INFINITY);
+        assert_eq!(key(&seed), key(&now), "a stale seed");
+    }
     let mut best = seed;
     let mut queue: VecDeque<NormBox> = VecDeque::new();
     queue.push_back(b0.clone());
@@ -203,7 +208,9 @@ fn probe_dominated(
 }
 
 /// Best known tuple matching `q` — a box's `NormView::to_query` — from
-/// history alone: the exact `(score, id)` minimum over every observed match.
+/// history alone: the exact `(score, id)` minimum over every observed match,
+/// or `None` when no match scores below `cap` (pass `f64::INFINITY` for no
+/// cap; a match at or above a finite cap may still be returned).
 ///
 /// A threshold walk along one ranking axis of `q`'s box. The axis is the
 /// attribute of `q`'s [`History::tightest`](crate::history::History::tightest)
@@ -215,10 +222,11 @@ fn probe_dominated(
 /// (every tuple lies in the schema's domain, as `shrink` assumes). The walk
 /// stops at the first tuple whose bound *strictly* exceeds the best score:
 /// one whose bound equals it may still tie the best with a smaller id.
-/// The cut coordinate where the bound reaches the best score is recomputed
-/// only when the best improves (one `ell`), so a step below it is one
-/// float compare and a step at or above it one `score_norm`.
-pub(crate) fn history_best(st: &SharedState, view: &NormView, q: &Query) -> Best {
+/// Before any match it stops at the first bound at or above `cap`. The cut
+/// coordinate where the bound reaches the best score (or the cap) is
+/// recomputed only when the best improves (one `ell`), so a step below it is
+/// one float compare and a step at or above it one `score_norm`.
+pub(crate) fn history_best(st: &SharedState, view: &NormView, q: &Query, cap: f64) -> Best {
     let b = view.initial_box(q);
     if b.is_empty() || q.is_unsatisfiable() {
         return None; // nothing matches, and `BTreeMap::range` panics on an empty interval
@@ -234,22 +242,19 @@ pub(crate) fn history_best(st: &SharedState, view: &NormView, q: &Query) -> Best
         Direction::Asc => Box::new(range),
         Direction::Desc => Box::new(range.rev()),
     };
+    let ell = |s: f64| rank.ell(axis, s, &lo, hi[axis]).unwrap_or(f64::INFINITY);
     let mut best: Best = None;
-    let mut cut = f64::INFINITY;
+    let mut cut = if cap < f64::INFINITY { ell(cap) } else { cap };
     let mut at = lo.clone();
     for t in walk {
         at[axis] = dir.normalize(t.ord(attr));
-        if at[axis] >= cut
-            && best
-                .as_ref()
-                .is_some_and(|(_, s)| rank.score_norm(&at) > *s)
-        {
+        if at[axis] >= cut && best.as_ref().is_none_or(|(_, s)| rank.score_norm(&at) > *s) {
             break;
         }
         if q.matches(t) {
             let s = view.score(t);
             if best.as_ref().is_none_or(|(_, bs)| s < *bs) {
-                cut = rank.ell(axis, s, &lo, hi[axis]).unwrap_or(f64::INFINITY);
+                cut = ell(s);
             }
             consider(&mut best, t, s);
         }

@@ -141,7 +141,7 @@ impl RankFn for LinearRank {
     #[inline]
     fn score_norm(&self, u: &[f64]) -> f64 {
         debug_assert_eq!(u.len(), self.weights.len());
-        self.weights.iter().zip(u).map(|(w, v)| w * v).sum()
+        dot(&self.weights, u)
     }
 
     fn label(&self) -> String {
@@ -154,16 +154,10 @@ impl RankFn for LinearRank {
         crate::rankfn::fingerprint_with_params("linear", &self.attrs, &self.dirs, &self.weights)
     }
 
-    /// Closed-form `ℓ`: `v = (target - Σ_{j≠dim} wⱼ·baseⱼ) / w_dim`, then
-    /// exactified by the default bisection (cheap; keeps the ULP guarantee).
+    /// Closed-form `ℓ`, made exact: `ell_linear` over this function's
+    /// weights.
     fn ell(&self, dim: usize, target: f64, base: &[f64], hi: f64) -> Option<f64> {
-        // The default is already exact and O(64) score evaluations; for the
-        // linear case we keep it — closed-form would need the same fix-up.
-        let mut buf = base.to_vec();
-        crate::solvers::partition_point_f64(base[dim], hi, |v| {
-            buf[dim] = v;
-            self.score_norm(&buf) >= target
-        })
+        ell_linear(&self.weights, dim, target, base, hi)
     }
 
     /// Max-volume virtual tuple via water-filling, snapped exactly onto the
@@ -189,6 +183,36 @@ impl RankFn for LinearRank {
         })?;
         Some(point_at(lam))
     }
+}
+
+/// `ℓ` of `S(u) = Σ wᵢ·uᵢ` (a weight may be zero here): the exact
+/// partition point of `Σ wᵢ·base[dim ← v]ᵢ ≥ target` over `[base[dim], hi]`,
+/// found from the closed form `v = (target − Σ_{j≠dim} wⱼ·baseⱼ) / w_dim`,
+/// which rounding leaves a few ULPs off (see
+/// [`partition_point_near`](crate::solvers::partition_point_near)).
+pub(crate) fn ell_linear(
+    weights: &[f64],
+    dim: usize,
+    target: f64,
+    base: &[f64],
+    hi: f64,
+) -> Option<f64> {
+    let rest: f64 = (weights.iter().zip(base).enumerate())
+        .filter(|&(j, _)| j != dim)
+        .map(|(_, (w, b))| w * b)
+        .sum();
+    let mut buf = base.to_vec();
+    let guess = (target - rest) / weights[dim];
+    crate::solvers::partition_point_near(base[dim], hi, guess, |v| {
+        buf[dim] = v;
+        dot(weights, &buf) >= target
+    })
+}
+
+/// `Σ wᵢ·uᵢ`, the one summation order every linear score and solver uses.
+#[inline]
+pub(crate) fn dot(weights: &[f64], u: &[f64]) -> f64 {
+    weights.iter().zip(u).map(|(w, v)| w * v).sum()
 }
 
 #[cfg(test)]

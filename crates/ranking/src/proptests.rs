@@ -151,3 +151,105 @@ fn lp_solvers_safe() {
         }
     }
 }
+
+/// A coordinate anywhere in `[-5, 5]` (negative ones are `Desc`
+/// attributes), a tenth of the time on a grid of quarters so that
+/// contours pass exactly through representable points.
+fn coord(rng: &mut StdRng) -> f64 {
+    match rng.random_range(0..10u32) {
+        0 => f64::from(rng.random_range(0..=40u32)) / 4.0 - 5.0,
+        _ => 10.0 * rng.random::<f64>() - 5.0,
+    }
+}
+
+/// The closed-form linear `ℓ` returns the bisection's partition point bit
+/// for bit: over random weights (zeros included), bases, targets inside and
+/// outside the edge's score range, and edges cut short by `hi`.
+#[test]
+fn linear_ell_is_the_bisection_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x555);
+    let (mut capped, mut inside) = (0, 0);
+    for _ in 0..20 * CASES {
+        let m = rng.random_range(1..5usize);
+        let weights: Vec<f64> = (0..m)
+            .map(|_| match rng.random_range(0..4u32) {
+                0 => 0.0,
+                1 => f64::from(rng.random_range(1..20u32)) / 10.0,
+                _ => rng.random::<f64>() * 3.0,
+            })
+            .collect();
+        let base: Vec<f64> = (0..m).map(|_| coord(&mut rng)).collect();
+        let dim = rng.random_range(0..m);
+        let hi = match rng.random_range(0..4u32) {
+            0 => base[dim],
+            _ => base[dim].max(coord(&mut rng)),
+        };
+        let at = |v: f64| {
+            let mut u = base.clone();
+            u[dim] = v;
+            crate::linear::dot(&weights, &u)
+        };
+        let target = match rng.random_range(0..4u32) {
+            0 => at(base[dim] + (hi - base[dim]) * f64::from(rng.random_range(0..=4u32)) / 4.0),
+            1 => at(base[dim]) + (rng.random::<f64>() - 0.5) * 20.0,
+            _ => at(base[dim]) + (at(hi) - at(base[dim])) * rng.random::<f64>(),
+        };
+        let want = crate::solvers::partition_point_f64(base[dim], hi, |v| at(v) >= target);
+        let got = crate::linear::ell_linear(&weights, dim, target, &base, hi);
+        assert_eq!(
+            got.map(f64::to_bits),
+            want.map(f64::to_bits),
+            "weights {weights:?} base {base:?} dim {dim} hi {hi} target {target}"
+        );
+        capped += usize::from(want.is_none());
+        inside += usize::from(want.is_some_and(|v| v > base[dim]));
+    }
+    assert!(
+        capped * 10 >= CASES && inside * 2 >= CASES,
+        "vacuous: {capped} edges missed the contour, {inside} cut inside"
+    );
+}
+
+/// The snap onto a linear contour returns the bisection's point bit for
+/// bit, from points on, below and above the contour.
+#[test]
+fn snap_to_contour_is_the_bisection_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x666);
+    let mut snapped = 0;
+    for _ in 0..4 * CASES {
+        let m = rng.random_range(1..5usize);
+        let f = linear(&mut rng, m);
+        let lo: Vec<f64> = (0..m).map(|_| coord(&mut rng)).collect();
+        let p: Vec<f64> = lo.iter().map(|l| l + 5.0 * rng.random::<f64>()).collect();
+        let (slo, sp) = (f.score_norm(&lo), f.score_norm(&p));
+        let target = match rng.random_range(0..3u32) {
+            0 => sp,
+            1 => slo + (sp - slo) * rng.random::<f64>(),
+            _ => sp + rng.random::<f64>(),
+        };
+        let point_at = |lam: f64| -> Vec<f64> {
+            lo.iter()
+                .zip(&p)
+                .map(|(&l, &x)| l + lam * (x - l))
+                .collect()
+        };
+        let want = (sp >= target)
+            .then(|| {
+                crate::solvers::partition_point_f64(0.0, 1.0, |lam| {
+                    f.score_norm(&point_at(lam)) >= target
+                })
+            })
+            .flatten()
+            .map(point_at);
+        let got = crate::rankfn::snap_to_contour(&f, &lo, &p, target);
+        let bits =
+            |v: Option<Vec<f64>>| v.map(|v| v.into_iter().map(f64::to_bits).collect::<Vec<_>>());
+        assert_eq!(
+            bits(got),
+            bits(want.clone()),
+            "{f:?} lo {lo:?} p {p:?} target {target}"
+        );
+        snapped += usize::from(want.is_some());
+    }
+    assert!(snapped * 2 >= CASES, "vacuous: {snapped} points snapped");
+}

@@ -31,7 +31,7 @@
 //! complete cover — the extra "dominating box" query of Eq. 9 becomes
 //! unnecessary.
 
-use crate::solvers::partition_point_f64;
+use crate::solvers::{partition_point_f64, partition_point_near};
 use qrs_types::{AttrId, Direction, Tuple};
 
 /// Per-dimension bounds of the normalized search space (derived from the
@@ -218,23 +218,31 @@ pub(crate) fn fingerprint_with_params(
 /// Exactify a candidate contour point: pull `p` back toward `lo` along the
 /// segment `lo → p` until it sits exactly at the first float position whose
 /// score reaches `target`. Helper for closed-form `contour_point` overrides
-/// whose arithmetic may land a few ULPs off the contour.
+/// whose arithmetic may land a few ULPs off the contour, so the search
+/// gallops down from `p` itself (`λ = 1`) into one reused buffer.
 pub(crate) fn snap_to_contour(
     f: &(impl RankFn + ?Sized),
     lo: &[f64],
     p: &[f64],
     target: f64,
 ) -> Option<Vec<f64>> {
-    let point_at =
-        |lam: f64| -> Vec<f64> { lo.iter().zip(p).map(|(&l, &x)| l + lam * (x - l)).collect() };
-    if f.score_norm(p) >= target {
-        let lam = partition_point_f64(0.0, 1.0, |lam| f.score_norm(&point_at(lam)) >= target)?;
-        Some(point_at(lam))
-    } else {
+    if f.score_norm(p) < target {
         // p fell short of the contour (rounding); it cannot be snapped along
         // lo → p. The caller falls back to the diagonal.
-        None
+        return None;
     }
+    let mut buf = p.to_vec();
+    let at = |buf: &mut Vec<f64>, lam: f64| {
+        for ((b, &l), &x) in buf.iter_mut().zip(lo).zip(p) {
+            *b = l + lam * (x - l);
+        }
+    };
+    let lam = partition_point_near(0.0, 1.0, 1.0, |lam| {
+        at(&mut buf, lam);
+        f.score_norm(&buf) >= target
+    })?;
+    at(&mut buf, lam);
+    Some(buf)
 }
 
 #[cfg(test)]

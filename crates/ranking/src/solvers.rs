@@ -38,25 +38,62 @@ fn from_ordered_bits(b: u64) -> f64 {
 ///
 /// The result is *exact*: `pred(result)` holds and `pred(prev_float(result))`
 /// does not (unless `result == lo`).
-pub fn partition_point_f64(lo: f64, hi: f64, mut pred: impl FnMut(f64) -> bool) -> Option<f64> {
-    debug_assert!(lo <= hi, "partition_point_f64: lo {lo} > hi {hi}");
+pub fn partition_point_f64(lo: f64, hi: f64, pred: impl FnMut(f64) -> bool) -> Option<f64> {
+    partition_point_near(lo, hi, f64::NAN, pred)
+}
+
+/// [`partition_point_f64`] started from `guess`, a value believed near the
+/// answer: gallop from it (clamped into `[lo, hi]`) toward the partition
+/// point in ordered-bits steps of 1, 2, 4, … ULPs, then bisect the last
+/// bracket. The same exact answer — a monotone predicate has one partition
+/// point — in `O(log distance)` calls instead of up to 64. A guess that is
+/// not finite is ignored: the whole range is bisected.
+pub(crate) fn partition_point_near(
+    lo: f64,
+    hi: f64,
+    guess: f64,
+    mut pred: impl FnMut(f64) -> bool,
+) -> Option<f64> {
+    debug_assert!(lo <= hi, "partition point: lo {lo} > hi {hi}");
     if pred(lo) {
         return Some(lo);
     }
     if !pred(hi) {
         return None;
     }
-    let mut lo_b = to_ordered_bits(lo); // pred false here
-    let mut hi_b = to_ordered_bits(hi); // pred true here
-    while hi_b - lo_b > 1 {
-        let mid = lo_b + (hi_b - lo_b) / 2;
-        if pred(from_ordered_bits(mid)) {
-            hi_b = mid;
+    let (mut f, mut t) = (to_ordered_bits(lo), to_ordered_bits(hi)); // false at f, true at t
+    if guess.is_finite() {
+        let g = to_ordered_bits(guess.clamp(lo, hi));
+        let mut step = 1;
+        if g == t || (g > f && pred(from_ordered_bits(g))) {
+            t = g;
+            while t - f > step && pred(from_ordered_bits(t - step)) {
+                (t, step) = (t - step, step.saturating_mul(2));
+            }
+            f = f.max(t.saturating_sub(step));
         } else {
-            lo_b = mid;
+            f = g;
+            while t - f > step && !pred(from_ordered_bits(f + step)) {
+                (f, step) = (f + step, step.saturating_mul(2));
+            }
+            t = t.min(f + step);
         }
     }
-    Some(from_ordered_bits(hi_b))
+    Some(bisect(f, t, pred))
+}
+
+/// The partition point between ordered bits `f` (predicate false) and `t`
+/// (true), by bisection.
+fn bisect(mut f: u64, mut t: u64, mut pred: impl FnMut(f64) -> bool) -> f64 {
+    while t - f > 1 {
+        let mid = f + (t - f) / 2;
+        if pred(from_ordered_bits(mid)) {
+            t = mid;
+        } else {
+            f = mid;
+        }
+    }
+    from_ordered_bits(t)
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ pub use interval::{Endpoint, Interval};
 pub use mutation::{Mutation, MutationKind, MutationLog};
 pub use predicate::{CatPredicate, RangePredicate};
 pub use query::Query;
-pub use region::RegionIndex;
+pub use region::{Region, RegionIndex};
 pub use response::{QueryOutcome, QueryResponse};
 pub use retry::RetryPolicy;
 pub use schema::{AttrId, CatAttr, CatId, OrdinalAttr, Schema};

@@ -191,9 +191,10 @@ fn grid_box(rng: &mut StdRng, dims: usize, skip: u32) -> Query {
     q
 }
 
-/// `RegionIndex` ≡ the linear scan, after every step of random insert /
-/// FIFO-evict / clear schedules. `QRS_TEST_SEED` picks the schedules,
-/// `QRS_FUZZ_ITERS` how many; a failure prints its schedule.
+/// `RegionIndex` ≡ the linear scan, and `covering` names a region the scan
+/// finds, after every step of random insert / FIFO-evict / clear
+/// schedules. `QRS_TEST_SEED` picks the schedules, `QRS_FUZZ_ITERS` how
+/// many; a failure prints its schedule.
 #[test]
 fn region_index_matches_the_linear_scan() {
     let seed = 0x4E61_0DE5 ^ env_u64("QRS_TEST_SEED", 0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -225,6 +226,17 @@ fn region_index_matches_the_linear_scan() {
                 let q = grid_box(&mut rng, dims + 1, 7);
                 let want = live.iter().any(|r| q.is_subsumed_by(r));
                 assert_eq!(index.covers(&q), want, "probe {q}\n{}", log.join("\n"));
+                // `covering` names one of those regions, interval for interval.
+                if let Some(found) = index.covering(&q) {
+                    let same = |r: &Query| {
+                        (0..dims + 1).all(|a| found.interval(AttrId(a)) == r.interval(AttrId(a)))
+                    };
+                    assert!(
+                        live.iter().any(|r| q.is_subsumed_by(r) && same(r)),
+                        "probe {q}: covering named no subsuming region\n{}",
+                        log.join("\n")
+                    );
+                }
                 *(if want { &mut hits } else { &mut misses }) += 1;
             }
         }

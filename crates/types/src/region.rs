@@ -17,6 +17,7 @@
 use crate::interval::{Endpoint, Interval};
 use crate::predicate::CatPredicate;
 use crate::query::Query;
+use crate::AttrId;
 
 /// Entries per hierarchy leaf.
 const LEAF: usize = 16;
@@ -54,6 +55,40 @@ fn fill(row: &mut [u128], q: &Query, probe: bool) {
             false => keys(&r.interval),
         };
         row[2 * r.attr.0..][..2].copy_from_slice(&k);
+    }
+}
+
+/// The interval whose `[lo, !hi]` keys are `k` (the inverse of [`keys`]).
+fn interval(k: &[u128]) -> Interval {
+    let value = |k: u128| {
+        let b = (k >> 2) as u64;
+        f64::from_bits(if b >> 63 == 1 { b & !(1 << 63) } else { !b })
+    };
+    let lo = match (k[0], k[0] & 3) {
+        (0, _) => Endpoint::Unbounded,
+        (k, 1) => Endpoint::Closed(value(k)),
+        (k, _) => Endpoint::Open(value(k)),
+    };
+    let hi = match (!k[1], !k[1] & 3) {
+        (u128::MAX, _) => Endpoint::Unbounded,
+        (k, 1) => Endpoint::Open(value(k)),
+        (k, _) => Endpoint::Closed(value(k)),
+    };
+    Interval { lo, hi }
+}
+
+/// A live region found by [`RegionIndex::covering`], read back from its
+/// stored point.
+#[derive(Debug, Clone, Copy)]
+pub struct Region<'a>(&'a [u128]);
+
+impl Region<'_> {
+    /// The region's interval on ordinal attribute `attr`
+    /// (`Interval::all()` where it has no predicate).
+    pub fn interval(&self, attr: AttrId) -> Interval {
+        self.0
+            .get(2 * attr.0..2 * attr.0 + 2)
+            .map_or_else(Interval::all, interval)
     }
 }
 
@@ -158,13 +193,21 @@ impl RegionIndex {
     }
 
     /// Does some live region `r` subsume `q` (`q.is_subsumed_by(r)`)?
+    #[inline]
     pub fn covers(&self, q: &Query) -> bool {
+        self.covering(q).is_some()
+    }
+
+    /// A live region that subsumes `q`, if one does: the first the walk
+    /// meets, newest tail first.
+    pub fn covering(&self, q: &Query) -> Option<Region<'_>> {
         let w = 2 * self.dims;
         let mut p = vec![0; w];
         fill(&mut p, q, true);
-        let hit = |s: usize| self.hit(s, &p, q);
-        if (self.built..self.cats.len()).rev().any(hit) {
-            return true;
+        let hit = |&s: &usize| self.hit(s, &p, q);
+        let region = |s: usize| Region(&self.keys[s * w..][..w]);
+        if let Some(s) = (self.built..self.cats.len()).rev().find(hit) {
+            return Some(region(s));
         }
         let mut n = 0;
         while let Some(node) = self.nodes.get(n) {
@@ -175,12 +218,12 @@ impl RegionIndex {
             n += 1;
             if node.skip as usize == n {
                 let leaf = &self.order[node.lo as usize..node.hi as usize];
-                if leaf.iter().any(|&s| hit(s as usize)) {
-                    return true;
+                if let Some(s) = leaf.iter().map(|&s| s as usize).find(hit) {
+                    return Some(region(s));
                 }
             }
         }
-        false
+        None
     }
 
     /// Re-lay every point out over `dims` attributes (new ones unbounded).

@@ -265,3 +265,29 @@ fn md_split_on_the_largest_climb_pays_less() {
     let paid = server.queries_issued();
     assert!(paid <= 90, "{paid} queries for the top-25");
 }
+
+/// The MD cursor resolves a subspace only where history cannot prove it
+/// holds nothing below the best known top: a fresh top-100 costs 189
+/// queries here, and 211 with every new subspace resolved in the call after
+/// it appears. A fixed draw, so the bound does not move with the seed.
+#[test]
+fn md_lazy_resolution_pays_less_for_a_long_stream() {
+    let data = uniform(2000, 3, 1, 7);
+    let rank = LinearRank::asc(vec![(AttrId(0), 0.3), (AttrId(1), 0.3), (AttrId(2), 0.4)]);
+    let server = SimServer::new(data.clone(), SystemRank::pseudo_random(19), 10);
+    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(2000, 10));
+    let mut cur = MdCursor::new(
+        Arc::new(rank.clone()),
+        Query::all(),
+        MdOptions::rerank(),
+        server.schema(),
+    );
+    let got = cur.top_h(&server, &mut st, 100).unwrap();
+    let truth = data.rank_by(&Query::all(), |t| rank.score(t));
+    assert!(got
+        .iter()
+        .map(|t| t.id)
+        .eq(truth.iter().take(100).map(|t| t.id)));
+    let paid = server.queries_issued();
+    assert!(paid <= 200, "{paid} queries for the top-100");
+}
