@@ -109,11 +109,20 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 enum TopState {
     Unknown,
-    Empty,
     Known(Arc<Tuple>, f64),
     /// No tuple left in the subspace scores below this (module docs, "Lazy
-    /// resolution").
+    /// resolution"); `Above(∞)` when it holds none at all.
     Above(f64),
+}
+
+impl TopState {
+    /// A resolved subspace's top: its best tuple, or `Above(∞)` when it
+    /// holds none.
+    fn resolved(best: Best) -> Self {
+        best.map_or(TopState::Above(f64::INFINITY), |(t, s)| {
+            TopState::Known(t, s)
+        })
+    }
 }
 
 #[derive(Debug)]
@@ -145,7 +154,7 @@ impl Subspace {
         match self.top {
             TopState::Unknown => true,
             TopState::Above(y) => y < f,
-            TopState::Empty | TopState::Known(..) => false,
+            TopState::Known(..) => false,
         }
     }
 }
@@ -245,7 +254,7 @@ impl MdCursor {
                             }
                             None => md_top1(server, st, view, sel, &sub.bbox, self.opts)?,
                         };
-                        found.map_or(TopState::Empty, |(t, s)| TopState::Known(t, s))
+                        TopState::resolved(found)
                     }
                 }
             };
@@ -325,7 +334,7 @@ impl MdCursor {
                 for t in resp.tuples.iter().filter(|t| q.matches(t)) {
                     consider(&mut best, t, self.view.score(t));
                 }
-                self.subs[i].top = best.map_or(TopState::Empty, |(t, s)| TopState::Known(t, s));
+                self.subs[i].top = TopState::resolved(best);
             }
         }
         Ok(Vec::new())
@@ -418,14 +427,11 @@ fn first_free(b: &NormBox) -> Option<usize> {
 /// dimension alone at `c`.
 fn split_axis(view: &NormView, history: &History, h: &NormBox, c: &[f64]) -> usize {
     let first = first_free(h).expect("a box that is not a cell has a free dimension");
-    let lo = h.lo_corner(view.bounds());
+    let mut lo = h.lo_corner(view.bounds());
     let base = view.rank().score_norm(&lo);
-    let mut at = lo.clone();
     let (mut d, mut most) = (first, f64::NEG_INFINITY);
     for j in (0..c.len()).filter(|&j| !h.dims[j].is_point()) {
-        at[j] = c[j];
-        let climb = view.rank().score_norm(&at) - base;
-        at[j] = lo[j];
+        let climb = view.score_moved(&mut lo, j, c[j]) - base;
         if climb > most {
             (d, most) = (j, climb);
         }
@@ -540,7 +546,7 @@ fn complete_below(
     f: f64,
 ) -> Option<f64> {
     let rank = view.rank();
-    let lo = b.lo_corner(view.bounds());
+    let mut lo = b.lo_corner(view.bounds());
     let base = rank.score_norm(&lo);
     if base >= f {
         return Some(base); // nothing in `b` scores below its low corner
@@ -560,9 +566,7 @@ fn complete_below(
             Direction::Desc => region.interval(attr).negate(),
         };
         if !b.dims[j].is_subset_of(&iv) {
-            let mut at = lo.clone();
-            at[j] = iv.hi.value()?;
-            y = y.min(rank.score_norm(&at));
+            y = y.min(view.score_moved(&mut lo, j, iv.hi.value()?));
         }
     }
     Some(y.max(f))
@@ -591,7 +595,7 @@ fn tie_top(
 ) -> Result<TieTop, RerankError> {
     let q = view.to_query(slab, sel);
     if q.is_unsatisfiable() {
-        return Ok(TieTop::Known(TopState::Empty));
+        return Ok(TieTop::Known(TopState::Above(f64::INFINITY)));
     }
     if !st.complete.covers(&q) {
         let plane = plane(view, slab);
@@ -618,9 +622,9 @@ fn tie_top(
         .filter(|t| q.matches(t) && !emitted.contains(&t.id))
         .map(|t| (view.score(t), t))
         .min_by(|a, b| cmp_f64(a.0, b.0).then(a.1.id.cmp(&b.1.id)));
-    Ok(TieTop::Known(top.map_or(TopState::Empty, |(s, t)| {
-        TopState::Known(Arc::clone(t), s)
-    })))
+    Ok(TieTop::Known(TopState::resolved(
+        top.map(|(s, t)| (Arc::clone(t), s)),
+    )))
 }
 
 #[cfg(test)]
@@ -1001,7 +1005,6 @@ mod tests {
                 for sub in &cur.subs {
                     let bound = match &sub.top {
                         TopState::Unknown => continue,
-                        TopState::Empty => f64::INFINITY,
                         TopState::Known(_, s) | TopState::Above(s) => *s,
                     };
                     let q = cur.view.to_query(&sub.bbox, &cur.sel);

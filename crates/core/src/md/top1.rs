@@ -60,14 +60,14 @@ impl MdOptions {
 pub(crate) type Best = Option<(Arc<Tuple>, f64)>;
 
 pub(crate) fn consider(best: &mut Best, t: &Arc<Tuple>, score: f64) {
-    match best {
-        None => *best = Some((Arc::clone(t), score)),
-        Some((bt, bs)) => {
-            if score < *bs || (score == *bs && t.id < bt.id) {
-                *best = Some((Arc::clone(t), score));
-            }
-        }
+    if beats(t, score, best.as_ref().map(|(bt, bs)| (&**bt, *bs))) {
+        *best = Some((Arc::clone(t), score));
     }
+}
+
+/// Does `t` at `score` come before `best` in `(score, id)` order?
+fn beats(t: &Tuple, score: f64, best: Option<(&Tuple, f64)>) -> bool {
+    best.is_none_or(|(bt, bs)| score < bs || (score == bs && t.id < bt.id))
 }
 
 /// Lowest-scoring tuple in `b ∧ sel` (ties by id **not** guaranteed global —
@@ -232,47 +232,71 @@ pub(crate) fn history_best(st: &SharedState, view: &NormView, q: &Query, cap: f6
         return None; // nothing matches, and `BTreeMap::range` panics on an empty interval
     }
     let rank = view.rank();
-    let (lo, hi) = (b.lo_corner(view.bounds()), b.hi_corner(view.bounds()));
+    let mut lo = b.lo_corner(view.bounds());
     let axis = (st.history.tightest(q))
         .and_then(|p| rank.attrs().iter().position(|&a| a == p.attr))
-        .unwrap_or_else(|| steepest_axis(view, &lo, &hi));
-    let (attr, dir) = (rank.attrs()[axis], rank.directions()[axis]);
+        .unwrap_or_else(|| steepest_axis(view, &b, &mut lo));
+    let (attr, hi) = (rank.attrs()[axis], b.hi(axis, view.bounds()));
     let range = st.history.in_range(attr, q.interval(attr));
-    let walk: Box<dyn Iterator<Item = &Arc<Tuple>>> = match dir {
-        Direction::Asc => Box::new(range),
-        Direction::Desc => Box::new(range.rev()),
+    match rank.directions()[axis] {
+        Direction::Asc => walk_best(view, q, axis, lo, hi, range, cap),
+        Direction::Desc => walk_best(view, q, axis, lo, hi, range.rev(), cap),
+    }
+}
+
+/// [`history_best`]'s threshold walk along `axis` of the box with low
+/// corner `at` and upper end `hi` on that axis, over `tuples` in
+/// normalized-ascending order along it. The best match is cloned once, at
+/// the end.
+fn walk_best<'t>(
+    view: &NormView,
+    q: &Query,
+    axis: usize,
+    mut at: Vec<f64>,
+    hi: f64,
+    tuples: impl Iterator<Item = &'t Arc<Tuple>>,
+    cap: f64,
+) -> Best {
+    let rank = view.rank();
+    let (attr, dir) = (rank.attrs()[axis], rank.directions()[axis]);
+    let lo = at[axis];
+    // `ℓ` from the low corner, whatever the walk has moved `at` to.
+    let ell = |at: &mut [f64], s: f64| {
+        let moved = std::mem::replace(&mut at[axis], lo);
+        let cut = rank.ell(axis, s, at, hi).unwrap_or(f64::INFINITY);
+        at[axis] = moved;
+        cut
     };
-    let ell = |s: f64| rank.ell(axis, s, &lo, hi[axis]).unwrap_or(f64::INFINITY);
-    let mut best: Best = None;
-    let mut cut = if cap < f64::INFINITY { ell(cap) } else { cap };
-    let mut at = lo.clone();
-    for t in walk {
+    let mut best: Option<(&Arc<Tuple>, f64)> = None;
+    let mut cut = if cap < f64::INFINITY {
+        ell(&mut at, cap)
+    } else {
+        cap
+    };
+    for t in tuples {
         at[axis] = dir.normalize(t.ord(attr));
-        if at[axis] >= cut && best.as_ref().is_none_or(|(_, s)| rank.score_norm(&at) > *s) {
+        if at[axis] >= cut && best.is_none_or(|(_, s)| rank.score_norm(&at) > s) {
             break;
         }
         if q.matches(t) {
             let s = view.score(t);
-            if best.as_ref().is_none_or(|(_, bs)| s < *bs) {
-                cut = ell(s);
+            if best.is_none_or(|(_, bs)| s < bs) {
+                cut = ell(&mut at, s);
             }
-            consider(&mut best, t, s);
+            if beats(t, s, best.map(|(bt, bs)| (&**bt, bs))) {
+                best = Some((t, s));
+            }
         }
     }
-    best
+    best.map(|(t, s)| (Arc::clone(t), s))
 }
 
-/// The ranking axis along which the score climbs most across `[lo, hi]`.
-fn steepest_axis(view: &NormView, lo: &[f64], hi: &[f64]) -> usize {
+/// The ranking axis along which the score climbs most across `b`, whose
+/// low corner is `lo`.
+fn steepest_axis(view: &NormView, b: &NormBox, lo: &mut [f64]) -> usize {
     let base = view.rank().score_norm(lo);
-    let mut at = lo.to_vec();
-    let climb = |j: usize| {
-        at[j] = hi[j];
-        let c = view.rank().score_norm(&at) - base;
-        at[j] = lo[j];
-        OrdF64(c)
-    };
-    (0..lo.len())
+    let climb = |j: usize| OrdF64(view.score_moved(lo, j, b.hi(j, view.bounds())) - base);
+    (0..b.dims.len())
         .map(climb)
         .enumerate()
         .max_by_key(|&(_, c)| c)
@@ -289,10 +313,9 @@ pub(crate) fn shrink(view: &NormView, b: &NormBox, threshold: Option<f64>) -> Op
     if view.rank().score_norm(&lo) >= target {
         return None;
     }
-    let hi = b.hi_corner(view.bounds());
     let mut out = b.clone();
-    for (j, &hj) in hi.iter().enumerate() {
-        if let Some(e) = view.rank().ell(j, target, &lo, hj) {
+    for j in 0..b.dims.len() {
+        if let Some(e) = view.rank().ell(j, target, &lo, b.hi(j, view.bounds())) {
             out.dims[j] = out.dims[j].intersect(&Interval::less_than(e));
         }
     }

@@ -65,6 +65,16 @@ impl NormView {
         self.rank.norm_coords(t)
     }
 
+    /// The score of the normalized point `at` with coordinate `j` moved to
+    /// `v`; `at` is left as it was.
+    #[inline]
+    pub(crate) fn score_moved(&self, at: &mut [f64], j: usize, v: f64) -> f64 {
+        let kept = std::mem::replace(&mut at[j], v);
+        let score = self.rank.score_norm(at);
+        at[j] = kept;
+        score
+    }
+
     /// Translate a normalized box into server predicates, ANDed onto `sel`.
     pub fn to_query(&self, b: &NormBox, sel: &Query) -> Query {
         let mut q = sel.clone();
@@ -154,11 +164,14 @@ impl NormBox {
 
     /// Least finite upper corner (clamped to the domain bounds).
     pub fn hi_corner(&self, bounds: &NormBounds) -> Vec<f64> {
-        self.dims
-            .iter()
-            .enumerate()
-            .map(|(i, iv)| iv.hi.value().map_or(bounds.hi[i], |v| v.min(bounds.hi[i])))
-            .collect()
+        (0..self.dims.len()).map(|i| self.hi(i, bounds)).collect()
+    }
+
+    /// [`Self::hi_corner`]'s coordinate on dimension `i`.
+    #[inline]
+    pub(crate) fn hi(&self, i: usize, bounds: &NormBounds) -> f64 {
+        let hi = bounds.hi[i];
+        self.dims[i].hi.value().map_or(hi, |v| v.min(hi))
     }
 
     /// Are all dimensions single points? (An exact-duplicate cell.)

@@ -5,8 +5,8 @@
 //! plateaus make it the adversarial test case for the contour solvers, whose
 //! bit-bisection handles non-strict monotonicity exactly.
 
-use crate::rankfn::RankFn;
-use qrs_types::{AttrId, Direction};
+use crate::rankfn::{normalized, RankFn};
+use qrs_types::{AttrId, Direction, Tuple};
 
 /// `S(u) = maxᵢ wᵢ·(uᵢ - idealᵢ)`.
 #[derive(Debug, Clone)]
@@ -44,6 +44,15 @@ impl ChebyshevRank {
         let n = attrs.len();
         ChebyshevRank::new(attrs, vec![Direction::Asc; n], vec![1.0; n], ideal)
     }
+
+    /// `max wᵢ·(uᵢ − idealᵢ)` over normalized coordinates, for `score` and
+    /// `score_norm` alike.
+    fn eval(&self, u: impl Iterator<Item = f64>) -> f64 {
+        u.zip(&self.ideal)
+            .zip(&self.weights)
+            .map(|((v, &i), &w)| w * (v - i))
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
 }
 
 impl RankFn for ChebyshevRank {
@@ -56,11 +65,11 @@ impl RankFn for ChebyshevRank {
     }
 
     fn score_norm(&self, u: &[f64]) -> f64 {
-        u.iter()
-            .zip(&self.ideal)
-            .zip(&self.weights)
-            .map(|((&v, &i), &w)| w * (v - i))
-            .fold(f64::NEG_INFINITY, f64::max)
+        self.eval(u.iter().copied())
+    }
+
+    fn score(&self, t: &Tuple) -> f64 {
+        self.eval(normalized(&self.attrs, &self.dirs, t))
     }
 
     fn label(&self) -> String {

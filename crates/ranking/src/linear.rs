@@ -7,8 +7,8 @@
 //! "summation of depth and table percent" (unit weights) and any
 //! `maximize`/`minimize` single attribute (one weight).
 
-use crate::rankfn::{snap_to_contour, RankFn};
-use qrs_types::{AttrId, Direction};
+use crate::rankfn::{diagonal_point, normalized, snap_to_contour, RankFn};
+use qrs_types::{AttrId, Direction, Tuple};
 
 /// `S(u) = Σ wᵢ·uᵢ` in normalized space, `wᵢ > 0`.
 #[derive(Debug, Clone)]
@@ -141,7 +141,12 @@ impl RankFn for LinearRank {
     #[inline]
     fn score_norm(&self, u: &[f64]) -> f64 {
         debug_assert_eq!(u.len(), self.weights.len());
-        dot(&self.weights, u)
+        dot(&self.weights, u.iter().copied())
+    }
+
+    #[inline]
+    fn score(&self, t: &Tuple) -> f64 {
+        dot(&self.weights, normalized(&self.attrs, &self.dirs, t))
     }
 
     fn label(&self) -> String {
@@ -172,16 +177,7 @@ impl RankFn for LinearRank {
             }
         }
         // Degenerate arithmetic: fall back to the exact diagonal point.
-        let point_at = |lam: f64| -> Vec<f64> {
-            lo.iter()
-                .zip(hi)
-                .map(|(&l, &h)| l + lam * (h - l))
-                .collect()
-        };
-        let lam = crate::solvers::partition_point_f64(0.0, 1.0, |lam| {
-            self.score_norm(&point_at(lam)) >= target
-        })?;
-        Some(point_at(lam))
+        diagonal_point(self, lo, hi, target)
     }
 }
 
@@ -189,7 +185,8 @@ impl RankFn for LinearRank {
 /// partition point of `Σ wᵢ·base[dim ← v]ᵢ ≥ target` over `[base[dim], hi]`,
 /// found from the closed form `v = (target − Σ_{j≠dim} wⱼ·baseⱼ) / w_dim`,
 /// which rounding leaves a few ULPs off (see
-/// [`partition_point_near`](crate::solvers::partition_point_near)).
+/// [`partition_point_near`](crate::solvers::partition_point_near)). Each
+/// step sums `base` with `v` read in at `dim`, in [`dot`]'s order.
 pub(crate) fn ell_linear(
     weights: &[f64],
     dim: usize,
@@ -201,17 +198,16 @@ pub(crate) fn ell_linear(
         .filter(|&(j, _)| j != dim)
         .map(|(_, (w, b))| w * b)
         .sum();
-    let mut buf = base.to_vec();
     let guess = (target - rest) / weights[dim];
     crate::solvers::partition_point_near(base[dim], hi, guess, |v| {
-        buf[dim] = v;
-        dot(weights, &buf) >= target
+        let at = base.iter().enumerate();
+        dot(weights, at.map(|(j, &b)| if j == dim { v } else { b })) >= target
     })
 }
 
 /// `Σ wᵢ·uᵢ`, the one summation order every linear score and solver uses.
 #[inline]
-pub(crate) fn dot(weights: &[f64], u: &[f64]) -> f64 {
+pub(crate) fn dot(weights: &[f64], u: impl IntoIterator<Item = f64>) -> f64 {
     weights.iter().zip(u).map(|(w, v)| w * v).sum()
 }
 

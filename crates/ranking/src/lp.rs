@@ -7,8 +7,8 @@
 //! a stress test that the default bisection machinery is sufficient for
 //! non-linear monotone functions.
 
-use crate::rankfn::RankFn;
-use qrs_types::{AttrId, Direction};
+use crate::rankfn::{normalized, RankFn};
+use qrs_types::{AttrId, Direction, Tuple};
 
 /// `S(u) = Σ wᵢ·max(0, uᵢ - idealᵢ)^p`.
 #[derive(Debug, Clone)]
@@ -51,6 +51,15 @@ impl LpRank {
         let n = attrs.len();
         LpRank::new(attrs, vec![Direction::Asc; n], vec![1.0; n], ideal, 2.0)
     }
+
+    /// `Σ wᵢ·max(uᵢ − idealᵢ, 0)^p` over normalized coordinates, for
+    /// `score` and `score_norm` alike.
+    fn eval(&self, u: impl Iterator<Item = f64>) -> f64 {
+        u.zip(&self.ideal)
+            .zip(&self.weights)
+            .map(|((v, &i), &w)| w * (v - i).max(0.0).powf(self.p))
+            .sum()
+    }
 }
 
 impl RankFn for LpRank {
@@ -63,11 +72,11 @@ impl RankFn for LpRank {
     }
 
     fn score_norm(&self, u: &[f64]) -> f64 {
-        u.iter()
-            .zip(&self.ideal)
-            .zip(&self.weights)
-            .map(|((&v, &i), &w)| w * (v - i).max(0.0).powf(self.p))
-            .sum()
+        self.eval(u.iter().copied())
+    }
+
+    fn score(&self, t: &Tuple) -> f64 {
+        self.eval(normalized(&self.attrs, &self.dirs, t))
     }
 
     fn label(&self) -> String {

@@ -187,7 +187,7 @@ fn linear_ell_is_the_bisection_bit_for_bit() {
         let at = |v: f64| {
             let mut u = base.clone();
             u[dim] = v;
-            crate::linear::dot(&weights, &u)
+            crate::linear::dot(&weights, u)
         };
         let target = match rng.random_range(0..4u32) {
             0 => at(base[dim] + (hi - base[dim]) * f64::from(rng.random_range(0..=4u32)) / 4.0),
@@ -252,4 +252,82 @@ fn snap_to_contour_is_the_bisection_bit_for_bit() {
         snapped += usize::from(want.is_some());
     }
     assert!(snapped * 2 >= CASES, "vacuous: {snapped} points snapped");
+}
+
+/// Every built-in family scores a tuple as it reads it, bit for bit what
+/// `score_norm` gives on the collected `norm_coords`, over random weights,
+/// ideals, exponents and directions and coordinates of either sign; and
+/// `LinearRank::ell` is the bisection over a copied base, bit for bit.
+#[test]
+fn score_is_score_norm_of_norm_coords_bit_for_bit() {
+    use crate::{ChebyshevRank, RatioRank};
+    use qrs_types::{Tuple, TupleId};
+    let mut rng = StdRng::seed_from_u64(0x777);
+    let mut inside = 0;
+    for _ in 0..4 * CASES {
+        let m = rng.random_range(1..5usize);
+        let attrs: Vec<AttrId> = (0..m).map(AttrId).collect();
+        let dirs: Vec<Direction> = (0..m)
+            .map(|_| match rng.random::<bool>() {
+                true => Direction::Asc,
+                false => Direction::Desc,
+            })
+            .collect();
+        let weights: Vec<f64> = (0..m).map(|_| 0.1 + 3.0 * rng.random::<f64>()).collect();
+        let ideal: Vec<f64> = (0..m).map(|_| coord(&mut rng)).collect();
+        let p = [1.0, 2.0, 2.5, 3.0][rng.random_range(0..4usize)];
+        let terms = attrs.iter().zip(&dirs).zip(&weights);
+        let linear = LinearRank::new(terms.map(|((&a, &d), &w)| (a, d, w)).collect());
+        let families: [&dyn RankFn; 3] = [
+            &linear,
+            &ChebyshevRank::new(attrs.clone(), dirs.clone(), weights.clone(), ideal.clone()),
+            &LpRank::new(attrs.clone(), dirs.clone(), weights.clone(), ideal, p),
+        ];
+        let t = Tuple::new(
+            TupleId(0),
+            (0..m).map(|_| coord(&mut rng)).collect(),
+            vec![],
+        );
+        // A ratio's numerator is not negative.
+        let ratio = Tuple::new(
+            TupleId(1),
+            vec![coord(&mut rng).abs(), coord(&mut rng)],
+            vec![],
+        );
+        let ratio_fn = RatioRank::minimize(AttrId(0), AttrId(1));
+        for (f, t) in families
+            .iter()
+            .map(|&f| (f, &t))
+            .chain([(&ratio_fn as _, &ratio)])
+        {
+            assert_eq!(
+                f.score(t).to_bits(),
+                f.score_norm(&f.norm_coords(t)).to_bits(),
+                "{} on {t:?}",
+                f.label()
+            );
+        }
+
+        let base = linear.norm_coords(&t);
+        let dim = rng.random_range(0..m);
+        let hi = base[dim] + 5.0 * rng.random::<f64>();
+        let at = |v: f64| {
+            let mut u = base.clone();
+            u[dim] = v;
+            linear.score_norm(&u)
+        };
+        let target = at(base[dim]) + (at(hi) - at(base[dim])) * (1.2 * rng.random::<f64>());
+        let want = crate::solvers::partition_point_f64(base[dim], hi, |v| at(v) >= target);
+        let got = linear.ell(dim, target, &base, hi);
+        assert_eq!(
+            got.map(f64::to_bits),
+            want.map(f64::to_bits),
+            "{linear:?} base {base:?} dim {dim} hi {hi} target {target}"
+        );
+        inside += usize::from(want.is_some_and(|v| v > base[dim]));
+    }
+    assert!(
+        inside * 2 >= CASES,
+        "vacuous: {inside} cuts inside the edge"
+    );
 }

@@ -105,14 +105,13 @@ pub trait RankFn: Send + Sync {
 
     /// Normalized coordinates of a tuple.
     fn norm_coords(&self, t: &Tuple) -> Vec<f64> {
-        self.attrs()
-            .iter()
-            .zip(self.directions())
-            .map(|(&a, &d)| d.normalize(t.ord(a)))
-            .collect()
+        normalized(self.attrs(), self.directions(), t).collect()
     }
 
-    /// Score of a tuple — the paper's `S(t)`.
+    /// Score of a tuple — the paper's `S(t)`. The default collects
+    /// [`RankFn::norm_coords`]; the built-in families score the coordinates
+    /// as they are read, through the evaluator their `score_norm` uses, so
+    /// both give the same bits.
     fn score(&self, t: &Tuple) -> f64 {
         self.score_norm(&self.norm_coords(t))
     }
@@ -178,15 +177,41 @@ pub trait RankFn: Send + Sync {
         if self.score_norm(lo) >= target || self.score_norm(hi) < target {
             return None;
         }
-        let point_at = |lam: f64| -> Vec<f64> {
-            lo.iter()
-                .zip(hi)
-                .map(|(&l, &h)| l + lam * (h - l))
-                .collect()
-        };
-        let lam = partition_point_f64(0.0, 1.0, |lam| self.score_norm(&point_at(lam)) >= target)?;
-        Some(point_at(lam))
+        diagonal_point(self, lo, hi, target)
     }
+}
+
+/// The first point of the diagonal `lo → hi` that scores `≥ target`, by
+/// bisection over one reused buffer: [`RankFn::contour_point`]'s default,
+/// and the fallback of the closed forms that override it.
+pub(crate) fn diagonal_point(
+    f: &(impl RankFn + ?Sized),
+    lo: &[f64],
+    hi: &[f64],
+    target: f64,
+) -> Option<Vec<f64>> {
+    let mut buf = lo.to_vec();
+    let at = |buf: &mut Vec<f64>, lam: f64| {
+        for ((b, &l), &h) in buf.iter_mut().zip(lo).zip(hi) {
+            *b = l + lam * (h - l);
+        }
+    };
+    let lam = partition_point_f64(0.0, 1.0, |lam| {
+        at(&mut buf, lam);
+        f.score_norm(&buf) >= target
+    })?;
+    at(&mut buf, lam);
+    Some(buf)
+}
+
+/// A tuple's normalized coordinates over `attrs`, read lazily: what
+/// [`RankFn::norm_coords`] collects.
+pub(crate) fn normalized<'a>(
+    attrs: &'a [AttrId],
+    dirs: &'a [Direction],
+    t: &'a Tuple,
+) -> impl Iterator<Item = f64> + 'a {
+    attrs.iter().zip(dirs).map(|(&a, &d)| d.normalize(t.ord(a)))
 }
 
 /// Shared fingerprint renderer for the built-in families: family tag, then

@@ -7,8 +7,8 @@
 //! `u = (num, -den)` the score `u₀ / (-u₁)` is monotone non-decreasing in
 //! both coordinates provided the raw domains satisfy `num ≥ 0`, `den > 0`.
 
-use crate::rankfn::RankFn;
-use qrs_types::{AttrId, Direction};
+use crate::rankfn::{normalized, RankFn};
+use qrs_types::{AttrId, Direction, Tuple};
 
 /// `S(t) = t[num] / t[den]`, minimized. Requires `num ≥ 0` and `den > 0`
 /// over the data domain (asserted against the normalized coordinates at
@@ -40,21 +40,32 @@ impl RankFn for RatioRank {
     }
 
     fn score_norm(&self, u: &[f64]) -> f64 {
-        let num = u[0];
-        let den = -u[1]; // denormalize: dir Desc
-        debug_assert!(num >= 0.0, "RatioRank numerator must be >= 0, got {num}");
-        if den <= 0.0 {
-            // Outside the valid domain (can be probed by generic solvers
-            // scanning the full normalized box): worst possible score keeps
-            // monotonicity — increasing u₁ further keeps it at +inf.
-            return f64::INFINITY;
-        }
-        num / den
+        eval(u.iter().copied())
+    }
+
+    fn score(&self, t: &Tuple) -> f64 {
+        eval(normalized(&self.attrs, &self.dirs, t))
     }
 
     fn label(&self) -> String {
         format!("{} per {}", self.attrs[0], self.attrs[1])
     }
+}
+
+/// `u₀ / (−u₁)` over normalized coordinates, for `score` and `score_norm`
+/// alike.
+fn eval(mut u: impl Iterator<Item = f64>) -> f64 {
+    let mut next = || u.next().expect("a ratio ranks two coordinates");
+    let num = next();
+    let den = -next(); // denormalize: dir Desc
+    debug_assert!(num >= 0.0, "RatioRank numerator must be >= 0, got {num}");
+    if den <= 0.0 {
+        // Outside the valid domain (can be probed by generic solvers
+        // scanning the full normalized box): worst possible score keeps
+        // monotonicity — increasing u₁ further keeps it at +inf.
+        return f64::INFINITY;
+    }
+    num / den
 }
 
 #[cfg(test)]

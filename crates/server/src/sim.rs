@@ -10,15 +10,20 @@
 //! paper's algorithms are built out of narrow ones (1D-BINARY's probes, MD's
 //! shrinking boxes, the dense crawls) and its §6.1 sites hold up to 457 013
 //! tuples. The store keeps each ordinal attribute's sorted order, so the
-//! tuples one range predicate admits are a slice of it, found by two binary
-//! searches. With `c` the shortest such slice, `n` tuples and `k + 1`
-//! matches to find: when `c² ≤ (k+1)·n` the slice is filtered by the whole
-//! query and its `k + 1` best system ranks are the answer; otherwise — a
-//! wide query, or one with no range predicate — the server walks the system
-//! order and stops at the `(k+1)`-th match, which a wide query reaches after
-//! a few tuples and which no slice of `n/2` tuples could beat. Both sides
+//! tuples one range predicate admits are a slice of it, its *span*, found by
+//! two binary searches. With `c_i` tuples in the span of each of the
+//! query's `m` range predicates, `c_min` the fewest, `n` tuples and `want = k + 1`
+//! matches to find, a walk of the system order expects `want / Π (c_i / n)`
+//! steps to its last match when the predicates are independent. The server
+//! takes the cheaper side: when `c_min · Π (c_i / n) ≤ want` it filters the
+//! shortest span by the whole query and keeps its `want` best system ranks;
+//! otherwise — a wide query, or one with no range predicate — it walks the
+//! system order and stops at the `want`-th match. For one predicate the rule
+//! is `c² ≤ want · n`. A box narrow on several axes at once is answered
+//! from its span even where each axis alone is wide. The span side checks
+//! `c_min ≤ n` tuples, never more than the walk's worst case. Both sides
 //! return the same tuples in the same order with the same flag; the rule
-//! reads `c`, `k` and `n` and nothing else.
+//! reads the spans, `want` and `n` and nothing else.
 //!
 //! Restriction realism: the server holds one [`Capabilities`]
 //! ([`SimServer::with_capabilities`]; a bare §2.1 interface by default),
@@ -118,27 +123,26 @@ impl Store {
     /// The matches of `q` at positions `skip..skip + limit` of its answer in
     /// system-rank order, and whether one more follows them.
     ///
-    /// With `c` the shortest [`Store::span`] over `q`'s range predicates and
-    /// `want = skip + limit + 1` matches to find: when `c² ≤ want · n`, filter
-    /// that span and keep its `want` best system ranks; otherwise — a wide
-    /// query, or one with no range predicate — walk the system order, which
-    /// such a query leaves after a few tuples (about `want · n / c` when its
-    /// matches lie evenly, which is where the two sides cross). The span side
-    /// checks at most `√(want · n)` tuples, so the rule can never cost a
-    /// query more than that over the scan.
+    /// With `c_i` tuples in the [`Store::span`] of each of `q`'s `m` range
+    /// predicates, `c_min` the fewest, `n` tuples and `want = skip + limit + 1`
+    /// matches to find (module docs): when `c_min · Π (c_i / n) ≤ want`,
+    /// taken as `c_min · Π c_i ≤ want · n^m`, filter the shortest span and
+    /// keep its `want` best system ranks; otherwise walk the system order to
+    /// the `want`-th match.
     fn top(&self, q: &Query, skip: usize, limit: usize) -> (Vec<Arc<Tuple>>, bool) {
         let want = skip.saturating_add(limit).saturating_add(1);
-        let tightest = q
-            .ranges()
-            .iter()
-            .filter(|p| !p.interval.is_all())
-            .map(|p| self.span(p.attr, &p.interval))
-            .min_by_key(|span| span.len());
+        let n = self.tuples.len() as f64;
+        // `Π c_i` and `want · n^m`, a factor per predicate.
+        let (mut tightest, mut spans, mut walk) = (None::<&[u32]>, 1.0, want as f64);
+        for p in q.ranges().iter().filter(|p| !p.interval.is_all()) {
+            let span = self.span(p.attr, &p.interval);
+            (spans, walk) = (spans * span.len() as f64, walk * n);
+            if tightest.is_none_or(|t| span.len() < t.len()) {
+                tightest = Some(span);
+            }
+        }
         match tightest {
-            Some(span)
-                if span.len().saturating_mul(span.len())
-                    <= want.saturating_mul(self.tuples.len()) =>
-            {
+            Some(span) if span.len() as f64 * spans <= walk => {
                 let mut ranks: Vec<u32> = span
                     .iter()
                     .filter(|&&i| q.matches(&self.tuples[i as usize]))
@@ -921,7 +925,8 @@ mod tests {
     /// (pages 0–3 and one far past the end), `query_ordered` (both
     /// directions, two pages) — equals the dataset sorted, filtered, skipped
     /// and cut at `k`, over seeded random queries that land on both sides of
-    /// [`Store::top`]'s rule, before and after each kind of mutation.
+    /// [`Store::top`]'s rule, boxes narrow only jointly among them, before
+    /// and after each kind of mutation.
     #[test]
     fn answers_equal_brute_force_on_both_sides_of_the_rule() {
         use qrs_datagen::synthetic::{discrete_grid, uniform};
@@ -933,8 +938,12 @@ mod tests {
         let seed: u64 = seed.and_then(|s| s.parse().ok()).unwrap_or(0);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x51DE);
         let (mut asked, mut calls) = (0, 0);
-        // [span side, scan side] of `c² ≤ (k+1)·n`, over every query drawn.
+        // [span side, walk side] of `Store::top`'s rule over every query
+        // drawn; the draws with more than one range predicate, and those of
+        // them the single-span rule `c² ≤ (k+1)·n` walked and the joint rule
+        // answers from the span.
         let mut sides = [0usize; 2];
+        let (mut multi, mut joint) = (0, 0);
         let tied = SystemRank::linear("tied", vec![(AttrId(0), 1.0), (AttrId(1), -0.5)]);
         for (data, rank, k) in [
             (discrete_grid(600, 3, 40, seed ^ 5), tied, 3),
@@ -991,19 +1000,28 @@ mod tests {
                 for _ in 0..30 {
                     // 0–3 range predicates on distinct attributes, each cut
                     // out of the attribute's sorted values: from one value
-                    // to the whole domain, log-uniformly.
+                    // to the whole domain, log-uniformly. One draw in three
+                    // is a box only its 2–3 ranges together make narrow:
+                    // each a slice of `n^0.6` to `n^0.85` values.
                     let mut q = Query::all();
                     let first = rng.random_range(0..attrs.len());
-                    for j in 0..rng.random_range(0..=3usize) {
+                    let jointly = rng.random::<f64>() < 1.0 / 3.0;
+                    for j in 0..rng.random_range(if jointly { 2..=3usize } else { 0..=3 }) {
                         let attr = attrs[(first + j) % attrs.len()];
                         let values = sorted_by(&|t| t.ord(attr));
-                        let len = (n as f64).powf(rng.random::<f64>()) as usize;
+                        let exponent = rng.random::<f64>();
+                        let exponent = if jointly {
+                            0.6 + 0.25 * exponent
+                        } else {
+                            exponent
+                        };
+                        let len = (n as f64).powf(exponent) as usize;
                         let at = rng.random_range(0..n);
                         let lo = values[at].ord(attr);
                         let hi = values[(at + len).min(n - 1)].ord(attr);
                         q.add_range(
                             attr,
-                            match rng.random_range(0..10u32) {
+                            match rng.random_range(0..if jointly { 4 } else { 10u32 }) {
                                 0 => Interval::open(lo, hi),
                                 1 => Interval::closed(lo, hi),
                                 2 => Interval::closed_open(lo, hi),
@@ -1021,13 +1039,24 @@ mod tests {
                         let codes = vec![rng.random_range(0..4u32), rng.random_range(0..4u32)];
                         q.add_cat(CatPredicate::one_of(CatId(0), codes));
                     }
-                    let tightest = q
-                        .ranges()
-                        .iter()
+                    // Each range predicate's span, then the rule's two
+                    // sides: `c_min · Π c_i` against `want · n^m`.
+                    let spans: Vec<usize> = (q.ranges().iter())
                         .filter(|p| !p.interval.is_all())
                         .map(|p| data.tuples().iter().filter(|t| p.matches(t)).count())
-                        .min();
-                    sides[usize::from(tightest.is_none_or(|c| c * c > (k + 1) * n))] += 1;
+                        .collect();
+                    let (product, walk) = (spans.iter())
+                        .fold((1.0, (k + 1) as f64), |(c, w), &s| {
+                            (c * s as f64, w * n as f64)
+                        });
+                    let tightest = spans.iter().min();
+                    let span_side = tightest.is_some_and(|&c| c as f64 * product <= walk);
+                    sides[usize::from(!span_side)] += 1;
+                    if spans.len() > 1 {
+                        multi += 1;
+                        let walked = tightest.is_some_and(|&c| c * c > (k + 1) * n);
+                        joint += usize::from(walked && span_side);
+                    }
 
                     let got = s.query(&q).unwrap();
                     let want = page_of(&by_system, &q, 0);
@@ -1066,7 +1095,12 @@ mod tests {
         assert!(asked >= 200);
         assert!(
             sides.iter().all(|&side| side * 5 >= asked),
-            "[span, scan] = {sides:?} of {asked}: retune the generator"
+            "[span, walk] = {sides:?} of {asked}: retune the generator"
+        );
+        assert!(
+            joint * 10 >= multi,
+            "{joint} of {multi} multi-predicate draws on the span side only by \
+             the joint rule: retune the generator"
         );
     }
 

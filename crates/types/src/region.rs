@@ -18,6 +18,13 @@ use crate::interval::{Endpoint, Interval};
 use crate::predicate::CatPredicate;
 use crate::query::Query;
 use crate::AttrId;
+use std::cell::RefCell;
+
+thread_local! {
+    /// The probe key [`RegionIndex::covering`] fills, one per thread and
+    /// kept between lookups, so a lookup allocates nothing once warm.
+    static PROBE: RefCell<Vec<u128>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Entries per hierarchy leaf.
 const LEAF: usize = 16;
@@ -202,16 +209,26 @@ impl RegionIndex {
     /// meets, newest tail first.
     pub fn covering(&self, q: &Query) -> Option<Region<'_>> {
         let w = 2 * self.dims;
-        let mut p = vec![0; w];
-        fill(&mut p, q, true);
-        let hit = |&s: &usize| self.hit(s, &p, q);
-        let region = |s: usize| Region(&self.keys[s * w..][..w]);
+        let slot = PROBE.with_borrow_mut(|p| {
+            p.clear();
+            p.resize(w, 0);
+            fill(p, q, true);
+            self.walk(p, q)
+        });
+        slot.map(|s| Region(&self.keys[s * w..][..w]))
+    }
+
+    /// [`Self::covering`]'s walk for `q`, whose probe key is `p`: the slot
+    /// of the first subsuming region.
+    fn walk(&self, p: &[u128], q: &Query) -> Option<usize> {
+        let w = p.len();
+        let hit = |&s: &usize| self.hit(s, p, q);
         if let Some(s) = (self.built..self.cats.len()).rev().find(hit) {
-            return Some(region(s));
+            return Some(s);
         }
         let mut n = 0;
         while let Some(node) = self.nodes.get(n) {
-            if self.mins[n * w..][..w].iter().zip(&p).any(|(m, p)| m > p) {
+            if self.mins[n * w..][..w].iter().zip(p).any(|(m, p)| m > p) {
                 n = node.skip as usize;
                 continue;
             }
@@ -219,7 +236,7 @@ impl RegionIndex {
             if node.skip as usize == n {
                 let leaf = &self.order[node.lo as usize..node.hi as usize];
                 if let Some(s) = leaf.iter().map(|&s| s as usize).find(hit) {
-                    return Some(region(s));
+                    return Some(s);
                 }
             }
         }
