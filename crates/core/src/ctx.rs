@@ -25,8 +25,8 @@ pub enum Purpose {
     MdBox,
     /// §4.3.2's direct domination probe inside that search.
     MdDominated,
-    /// The MD cursor's merged probe over an emission's host, which settles
-    /// both side children at once (`md::cursor`).
+    /// The MD cursor's merged probe over an emission's host, whose valid
+    /// answer certifies both side children at once (`md::cursor`).
     MdMerged,
     /// The selection-free plane of an MD tie slab.
     MdTiePlane,

@@ -32,17 +32,15 @@
 //! is crawled on the remaining attributes.
 //!
 //! **One merged probe per emission.** Each side child's top-1 search
-//! ([`md_top1`]) first asks its box shrunk at its history best's score,
+//! (`md_top1`) first asks its box shrunk at its history best's score,
 //! and that answer is usually a nearly empty page. So the host `H` of the
 //! last emission is asked once instead: `H ∧ sel` shrunk from `H`'s low
 //! corner at `T`, the larger of the two children's history-best scores.
 //! By monotonicity that box holds both children's own first queries, so an
-//! answer that does not overflow settles both: each child's top is the
-//! `(score, id)` minimum of its history best and the answer's tuples in
-//! `child ∧ sel` — what its search would return, every query of it now
-//! covered. An overflowing answer only adds to history, and the children
-//! are then searched as before. Three gates, cheapest first, keep the
-//! probe to where it pays:
+//! answer that does not overflow is a complete region each child is
+//! certified from (below), before the resolve pass. An overflowing answer
+//! only adds to history, and the children are then searched as before.
+//! Three gates, cheapest first, keep the probe to where it pays:
 //!
 //! 1. the size estimate says the box fits a page with one Poisson σ to
 //!    spare, `e + √e ≤ k` for `e = n · Π` (each ordinal predicate's width
@@ -52,52 +50,43 @@
 //!    query (it is not covered) — else merging saves nothing and still
 //!    risks an overflow.
 //!
-//! The gates read only `k`, `n` and history. Where one closes the probe,
-//! the children's searches start from the history bests the gates read
-//! ([`md_top1`]'s seeded entry), so the read is not repeated — but only
-//! while history holds no tuple it did not hold then. The resolve pass may
-//! reach a deferred tie slab ahead of the children, and that slab's plane
-//! query can record a tuple inside a child that beats its seed; once
-//! anything has been recorded, a child reads its history best anew.
-//!
-//! The probe runs at *resolve* time, in the call after the emission, never
-//! between taking the host out of the subspace list and putting its
-//! children in: a refusal there would drop the host's subspaces from the
-//! stream. An emission only notes its host, and a refused probe leaves the
-//! note for the retry. A top-`h` request never pays a merge after its last
-//! emission.
+//! The gates read only `k`, `n` and history. The probe runs at *resolve*
+//! time, in the call after the emission, never between taking the host out
+//! of the subspace list and putting its children in: a refusal there would
+//! drop the host's subspaces from the stream. An emission only notes its
+//! host, and a refused probe leaves the note for the retry.
 //!
 //! **Lazy resolution.** Only the best subspace top has to be exact when it
 //! is emitted, so a subspace is resolved only where history cannot prove
 //! that it holds nothing below `F`, the lowest known top. A subspace is
 //! *due* when its top is unknown, or known only as `Above(x)` — nothing
 //! left in it scores below `x` — with `x < F`. At `x = F` it is not due:
-//! order among equal scores is free, and a `≤` rule would never stop. For a
-//! due subspace `S` the cursor looks up a complete region `R` (§3.1.1) that
-//! subsumes `shrink(S, F) ∧ sel`. Where there is none, `S` is resolved as
-//! before. Where there is, every tuple of `S ∧ sel` scoring below `y` is in
-//! history, for `y` the larger of `F` and the least
-//! `score_norm(lo(S) with axis j at R's upper end)` over the axes `j` on
-//! which `R`'s normalized interval does not contain `S`'s: a tuple of `S`
-//! scoring below it sits below `R`'s bound on each such axis (the low
-//! corner moved there alone scores no more than the tuple), so inside `R`.
-//! History's best match below `y` is then `S`'s top; without one `S` is
-//! `Above(y)`, deferred until `F` passes `y`. Taking `y` from the region,
-//! not just `F`, is what keeps a deferred subspace from coming due again at
-//! the next emission. A deferral asks nothing, and a subspace that comes
-//! due is resolved later by the same uncapped search.
-//! A subspace whose history best already scores below `F` is resolved
-//! without the lookup: its `md_top1` asks only boxes inside the part below
-//! `F`, which any such region would cover, so the lookup could save
-//! nothing. A tie slab emits only through `tie_top`: where history
-//! holds a tuple of it below `y` not yet emitted, it is resolved there, or
-//! its emitted set could part on its next free dimension and a crowded
-//! plane be crawled instead of refined.
+//! order among equal scores is free, and a `≤` rule would never stop. A due
+//! subspace `S` whose history best scores `s` (`∞` without one) is
+//! certified from a complete region `R` (§3.1.1) that subsumes
+//! `shrink(S, min(F, s)) ∧ sel` — for `s < F`, the box `md_top1`'s first
+//! query would ask — or, without one, resolved by `md_top1` from that
+//! history best. Every tuple of `S ∧ sel` scoring below `y` is in history,
+//! for `y` the larger of `min(F, s)` and the least `score_norm(lo(S) with
+//! axis j at R's upper end)` over the axes `j` on which `R`'s normalized
+//! interval does not contain `S`'s: a tuple of `S` scoring below it sits
+//! below `R`'s bound on each such axis (the low corner moved there alone
+//! scores no more than the tuple), so inside `R`. So at `s ≤ y` history's
+//! best match is `S`'s top — every tuple outside history scores `y` or
+//! more, and order among equal scores is free — and otherwise `S` is
+//! `Above(y)`, deferred until `F` passes `y`, asking nothing. Taking `y`
+//! from the region, not just `F`, keeps a deferred subspace from coming due
+//! again at the next emission. The gates, the certificate and `md_top1`
+//! share one history read of a subspace per call, taken again only once
+//! history has grown. A tie slab emits only through `tie_top`: where
+//! history holds a tuple of it below `y` not yet emitted, it is resolved
+//! there, or its emitted set could part on its next free dimension and a
+//! crowded plane be crawled instead of refined.
 
 use crate::crawl::crawl_region;
 use crate::ctx::{Purpose, SharedState};
 use crate::history::History;
-use crate::md::top1::{consider, history_best, md_top1, md_top1_from, shrink, Best, MdOptions};
+use crate::md::top1::{history_best, md_top1, shrink, Best, MdOptions};
 use crate::norm::{NormBox, NormView};
 use qrs_ranking::RankFn;
 use qrs_server::SearchInterface;
@@ -131,6 +120,9 @@ struct Subspace {
     top: TopState,
     /// Ids emitted from this subspace — non-empty only for a tie slab.
     emitted: HashSet<TupleId>,
+    /// This call's history best of `bbox ∧ sel`, uncapped, with the
+    /// history length it was read at ([`Subspace::history_best`]).
+    read: Option<(usize, Best)>,
 }
 
 impl Subspace {
@@ -139,11 +131,12 @@ impl Subspace {
             bbox,
             top: TopState::Unknown,
             emitted: HashSet::new(),
+            read: None,
         }
     }
 
     /// A tie slab — one that has emitted, or a cell — resolves through
-    /// [`tie_top`]; any other subspace through [`md_top1`].
+    /// [`tie_top`]; any other subspace through `md_top1`.
     fn is_tie_slab(&self) -> bool {
         !self.emitted.is_empty() || self.bbox.is_cell()
     }
@@ -157,6 +150,23 @@ impl Subspace {
             TopState::Known(..) => false,
         }
     }
+
+    /// The best tuple history holds in `bbox ∧ sel` now, uncapped. A read
+    /// is reused while history holds no tuple it did not hold then, and
+    /// lives no longer than its call (`MdCursor::next` drops every read
+    /// first); debug builds check that a reused read is what history holds.
+    fn history_best(&mut self, st: &SharedState, view: &NormView, sel: &Query) -> Best {
+        let read = || history_best(st, view, &view.to_query(&self.bbox, sel), f64::INFINITY);
+        let key = |b: &Best| b.as_ref().map(|(t, s)| (t.id, s.to_bits()));
+        let len = st.history.len();
+        if let Some((_, best)) = self.read.as_ref().filter(|(at, _)| *at == len) {
+            debug_assert_eq!(key(best), key(&read()), "a stale history read");
+            return best.clone();
+        }
+        let best = read();
+        self.read = Some((len, best.clone()));
+        best
+    }
 }
 
 /// Streaming Get-Next over an arbitrary monotonic ranking function.
@@ -165,10 +175,9 @@ pub struct MdCursor {
     sel: Query,
     opts: MdOptions,
     subs: Vec<Subspace>,
-    /// The host of the last emission when it split into two side children,
-    /// which then sit just before its tie slab at the end of `subs`: the
-    /// next call resolves them through one merged probe (module docs).
-    /// Cleared once that probe is answered or a gate closes it.
+    /// The last emission's host when it split into two side children, which
+    /// then sit just before its tie slab at the end of `subs`: the next
+    /// call's merged probe (module docs) is asked over it, gates permitting.
     merge: Option<NormBox>,
 }
 
@@ -194,20 +203,30 @@ impl MdCursor {
         server: &dyn SearchInterface,
         st: &mut SharedState,
     ) -> Result<Option<Arc<Tuple>>, RerankError> {
-        // The last emission's side children first: settled by one merged
-        // probe, or seeded with the history bests its gates read, which hold
-        // while history holds `seeded` tuples.
-        let mut seeds = match self.merge.take() {
-            None => Vec::new(),
-            Some(host) => match self.settle_children(server, st, &host) {
-                Ok(seeds) => seeds,
-                Err(e) => {
+        // No history read outlives its call: `st` may be another state now.
+        for sub in &mut self.subs {
+            sub.read = None;
+        }
+        // The last emission's merged probe, where its gates open. A valid
+        // answer is a complete region that holds both side children's tops:
+        // each is certified from it before the pass.
+        if let Some(host) = self.merge.take() {
+            if let Some(merged) = self.merged_probe(server, st, &host) {
+                // Gate 3 found both children's first queries uncovered, so
+                // no complete region covers their superset either.
+                if let Err(e) = st.pay(server, &merged, Purpose::MdMerged) {
                     self.merge = Some(host);
                     return Err(e);
                 }
-            },
-        };
-        let seeded = st.history.len();
+                let (view, sel, at) = (&self.view, &self.sel, self.subs.len() - 3);
+                for sub in &mut self.subs[at..at + 2] {
+                    let best = sub.history_best(st, view, sel);
+                    if let Ok(top) = certify(st, view, sel, &sub.bbox, f64::INFINITY, best) {
+                        sub.top = top;
+                    }
+                }
+            }
+        }
         // Resolve every subspace that could hold a tuple below the lowest
         // known top, unless history proves it cannot (module docs, "Lazy
         // resolution"). The frontier only falls within a pass, so one
@@ -221,12 +240,12 @@ impl MdCursor {
             .fold(f64::INFINITY, f64::min);
         let mut i = 0;
         while i < self.subs.len() {
-            let sub = &self.subs[i];
+            let (view, sel) = (&self.view, &self.sel);
+            let sub = &mut self.subs[i];
             if !sub.is_due(frontier) {
                 i += 1;
                 continue;
             }
-            let (view, sel) = (&self.view, &self.sel);
             let top = if sub.is_tie_slab() {
                 match certify_slab(st, view, sel, sub, frontier) {
                     Some(top) => top,
@@ -234,28 +253,19 @@ impl MdCursor {
                         TieTop::Known(top) => top,
                         TieTop::Refine(d, v) => {
                             let (sides, slab) = split_at(&sub.bbox, d, v);
-                            self.subs[i].bbox = slab;
-                            self.subs[i].top = TopState::Unknown;
+                            (sub.bbox, sub.top, sub.read) = (slab, TopState::Unknown, None);
                             self.subs.extend(sides.into_iter().map(Subspace::new));
                             continue;
                         }
                     },
                 }
             } else {
-                let seed = (seeds.iter().position(|(j, _)| *j == i))
-                    .map(|at| seeds.swap_remove(at).1)
-                    .filter(|_| st.history.len() == seeded);
-                match certify(st, view, sel, &sub.bbox, frontier, seed) {
-                    Certified::Top(top) => top,
-                    Certified::Resolve(seed) => {
-                        let found = match seed {
-                            Some(seed) => {
-                                md_top1_from(server, st, view, sel, &sub.bbox, self.opts, seed)?
-                            }
-                            None => md_top1(server, st, view, sel, &sub.bbox, self.opts)?,
-                        };
-                        TopState::resolved(found)
-                    }
+                let best = sub.history_best(st, view, sel);
+                match certify(st, view, sel, &sub.bbox, frontier, best) {
+                    Ok(top) => top,
+                    Err(best) => TopState::resolved(md_top1(
+                        server, st, view, sel, &sub.bbox, self.opts, best,
+                    )?),
                 }
             };
             if let TopState::Known(_, s) = top {
@@ -306,60 +316,26 @@ impl MdCursor {
         Ok(Some(t))
     }
 
-    /// Resolve the last emission's two side children, the subspaces just
-    /// before its tie slab, through one merged probe over their `host`
-    /// where the gates allow it (module docs). A valid answer settles both.
-    /// Returns the children left for the resolve pass with their seeds:
-    /// both, seeded, when a gate closed the probe; none when it was asked —
-    /// settled, or with history bests an overflow may have moved.
-    fn settle_children(
-        &mut self,
-        server: &dyn SearchInterface,
-        st: &mut SharedState,
-        host: &NormBox,
-    ) -> Result<Vec<(usize, Best)>, RerankError> {
-        let at = self.subs.len() - 3;
-        let children = [at, at + 1].map(|i| self.view.to_query(&self.subs[i].bbox, &self.sel));
-        let seeds = children
-            .each_ref()
-            .map(|q| history_best(st, &self.view, q, f64::INFINITY));
-        let Some(merged) = self.merged_probe(server, st, host, &seeds) else {
-            return Ok([at, at + 1].into_iter().zip(seeds).collect());
-        };
-        // Gate 3 found both children's first queries uncovered, so no
-        // complete region covers their superset either.
-        let resp = st.pay(server, &merged, Purpose::MdMerged)?;
-        if !resp.is_overflow() {
-            for ((i, q), mut best) in (at..).zip(&children).zip(seeds) {
-                for t in resp.tuples.iter().filter(|t| q.matches(t)) {
-                    consider(&mut best, t, self.view.score(t));
-                }
-                self.subs[i].top = TopState::resolved(best);
-            }
-        }
-        Ok(Vec::new())
-    }
-
-    /// The merged probe over `host`, given its two side children's history
-    /// bests: `host ∧ sel` shrunk at the larger of the two scores, which
-    /// holds both children's own shrunk first queries. `None` when one of
-    /// the three gates (module docs) closes it.
+    /// The merged probe over `host`, whose two side children sit just before
+    /// its tie slab: `host ∧ sel` shrunk at the larger of their history-best
+    /// scores, which holds both children's own shrunk first queries. `None`
+    /// when one of the three gates (module docs) closes it.
     fn merged_probe(
-        &self,
+        &mut self,
         server: &dyn SearchInterface,
         st: &SharedState,
         host: &NormBox,
-        seeds: &[Best; 2],
     ) -> Option<Query> {
-        let [Some((_, s0)), Some((_, s1))] = seeds else {
+        let (view, sel) = (&self.view, &self.sel);
+        let at = self.subs.len() - 3;
+        let [Some((_, s0)), Some((_, s1))] =
+            [at, at + 1].map(|i| self.subs[i].history_best(st, view, sel))
+        else {
             return None;
         };
-        let merged = self
-            .view
-            .to_query(&shrink(&self.view, host, Some(s0.max(*s1)))?, &self.sel);
-        let k = server.k() as f64;
+        let merged = view.to_query(&shrink(view, host, Some(s0.max(s1)))?, sel);
         let e = st.params.n * width_share(server.schema(), &merged);
-        if merged.is_unsatisfiable() || e + e.sqrt() > k {
+        if merged.is_unsatisfiable() || e + e.sqrt() > server.k() as f64 {
             return None; // gate 1: more than a page, give or take one σ
         }
         if st.history.holds_more_than(&merged, server.k()) {
@@ -368,13 +344,12 @@ impl MdCursor {
         // Gate 3: merging saves a query only where both children would pay
         // their own first query.
         let paid = |i: usize, s: f64| {
-            shrink(&self.view, &self.subs[i].bbox, Some(s)).is_some_and(|b| {
-                let q = self.view.to_query(&b, &self.sel);
+            shrink(view, &self.subs[i].bbox, Some(s)).is_some_and(|b| {
+                let q = view.to_query(&b, sel);
                 !q.is_unsatisfiable() && !st.complete.covers(&q)
             })
         };
-        let at = self.subs.len() - 3;
-        (paid(at, *s0) && paid(at + 1, *s1)).then_some(merged)
+        (paid(at, s0) && paid(at + 1, s1)).then_some(merged)
     }
 
     /// Pull the top `h` tuples (shorter if `R(q)` is exhausted).
@@ -465,54 +440,24 @@ fn split_at(b: &NormBox, d: usize, v: f64) -> (Vec<NormBox>, NormBox) {
     (sides, b.with_dim(d, Interval::point(v)))
 }
 
-/// What history alone says about the top of a subspace that is not a tie
-/// slab.
-enum Certified {
-    /// Its top, or a bound below which it holds nothing.
-    Top(TopState),
-    /// It must be resolved, from its history best where that was read in
-    /// full.
-    Resolve(Option<Best>),
-}
-
-/// The top of `b ∧ sel`, given `f`, the lowest known top, from history
-/// alone where it can be told (module docs, "Lazy resolution"): `Known`, or
-/// `Above(y)` with `y ≥ f`. `seed`, where given, is its history best, read
-/// by the merged probe's gates with nothing recorded since.
-///
-/// A subspace whose history best already scores below `f` is resolved:
-/// `md_top1` then asks only boxes inside the part below `f`, which a
-/// region proving anything here would cover.
+/// The top of `b ∧ sel` from history alone, given `best`, its history best
+/// now, scoring `s`, and `f`, the lowest known top (module docs, "Lazy
+/// resolution"): `Known`, or `Above(y)` with `y ≥ f`; `Err(best)` where no
+/// complete region covers `b`'s part below `min(f, s)`.
 fn certify(
     st: &SharedState,
     view: &NormView,
     sel: &Query,
     b: &NormBox,
     f: f64,
-    seed: Option<Best>,
-) -> Certified {
-    let q = view.to_query(b, sel);
-    // A history best read under the cap `f` is exact when it is `Some`.
-    let (best, exact) = match seed {
-        Some(seed) => (seed, true),
-        None => {
-            let best = history_best(st, view, &q, f);
-            let exact = best.is_some() || f == f64::INFINITY;
-            (best, exact)
-        }
+    best: Best,
+) -> Result<TopState, Best> {
+    let s = best.as_ref().map_or(f64::INFINITY, |(_, s)| *s);
+    let Some(y) = complete_below(st, view, sel, b, f.min(s)) else {
+        return Err(best);
     };
-    if best.as_ref().is_some_and(|(_, s)| *s < f) {
-        return Certified::Resolve(Some(best));
-    }
-    let Some(y) = complete_below(st, view, sel, b, f) else {
-        return Certified::Resolve(exact.then_some(best));
-    };
-    let best = match best {
-        None if y > f => history_best(st, view, &q, y),
-        best => best,
-    };
-    Certified::Top(match best {
-        Some((t, s)) if s < y => TopState::Known(t, s),
+    Ok(match best {
+        Some((t, s)) if s <= y => TopState::Known(t, s),
         _ => TopState::Above(y),
     })
 }
@@ -930,13 +875,14 @@ mod tests {
     }
 
     /// A tie slab deferred ahead of the last emission's side children comes
-    /// due in a call whose merged probe a gate closed, and its plane answers
-    /// with a tuple inside a child that beats the history best the gates
-    /// read for it. The child must read that tuple, not the seed
-    /// (`md_top1_from` asserts in debug builds that its seed is what history
-    /// holds now): after every call, no subspace's top (or bound) is beaten
-    /// by a tuple history holds in it and it has not emitted, and the stream
-    /// is exact.
+    /// due in the call after the emission, and its plane answers with a
+    /// tuple inside a child that beats the history best the merged probe's
+    /// gates read for it. The child must read history anew, not reuse that
+    /// read: `Subspace::history_best` re-reads once history has grown (and
+    /// asserts in debug builds that a reused read is what history holds
+    /// now). After every call, no subspace's top (or bound) is beaten by a
+    /// tuple history holds in it and it has not emitted, and the stream is
+    /// exact.
     ///
     /// The draws are fixed, not taken from `QRS_TEST_SEED`: a plane lands
     /// in a side child ahead of the pass in about one top-40 stream in a
@@ -976,8 +922,8 @@ mod tests {
             );
             let (mut landed, mut got) = (0, Vec::new());
             for _ in 0..40 {
-                // The side children the call may leave to the pass, with
-                // their history bests now.
+                // The side children whose history bests the gates read,
+                // with those bests.
                 let children: Vec<(Query, f64)> = match cur.merge {
                     None => Vec::new(),
                     Some(_) => (cur.subs.len() - 3..cur.subs.len() - 1)
@@ -988,20 +934,17 @@ mod tests {
                         })
                         .collect(),
                 };
-                let merged = st.paid(Purpose::MdMerged);
                 server.1.lock().unwrap().clear();
                 let Some(t) = cur.next(&server, &mut st).unwrap() else {
                     break;
                 };
                 got.push(t);
-                if st.paid(Purpose::MdMerged) == merged {
-                    let planes = server.1.lock().unwrap();
-                    landed += (children.iter())
-                        .filter(|(q, s)| {
-                            (planes.iter()).any(|u| q.matches(u) && cur.view.score(u) < *s)
-                        })
-                        .count();
-                }
+                let planes = server.1.lock().unwrap();
+                landed += (children.iter())
+                    .filter(|(q, s)| {
+                        (planes.iter()).any(|u| q.matches(u) && cur.view.score(u) < *s)
+                    })
+                    .count();
                 for sub in &cur.subs {
                     let bound = match &sub.top {
                         TopState::Unknown => continue,
@@ -1039,6 +982,12 @@ mod tests {
         let full = NormBox::full(view.bounds());
         let f = 0.5;
         let (sel, score) = (Query::all(), |u: [f64; 2]| rank.score_norm(&u));
+        // `certify` over the whole box, given its history best now.
+        let certified = |st: &SharedState| {
+            let best = history_best(st, &view, &view.to_query(&full, &sel), f64::INFINITY);
+            certify(st, &view, &sel, &full, f, best)
+        };
+        let known = |got: Result<TopState, Best>, id, s: f64| matches!(got, Ok(TopState::Known(t, got)) if t.id == TupleId(id) && got == s);
 
         // The part below `f` is `a0 < 0.5, a1 < 0.5`; a region holding it
         // that stops at `a0 ≤ 0.8` proves nothing below `y = S(0.8, 0)`.
@@ -1047,28 +996,29 @@ mod tests {
             .register(&Query::all().and_range(AttrId(0), Interval::closed(0.0, 0.8)));
         st.history.record(&tuple(0, 0.9, 0.0)); // outside the region, above `y`
         let y = score([0.8, 0.0]);
-        assert!(matches!(
-            certify(&st, &view, &sel, &full, f, None),
-            Certified::Top(TopState::Above(got)) if got == y
-        ));
+        assert!(matches!(certified(&st), Ok(TopState::Above(got)) if got == y));
+        // A match exactly at `y` is the top: every tuple outside history
+        // scores `y` or more, and order among equal scores is free.
+        st.history.record(&tuple(5, 0.8, 0.0));
+        assert!(known(certified(&st), 5, y));
         // A match in history between `f` and `y` is the subspace's top.
         st.history.record(&tuple(1, 0.3, 0.4));
-        assert!(matches!(
-            certify(&st, &view, &sel, &full, f, None),
-            Certified::Top(TopState::Known(t, s)) if t.id == TupleId(1) && s == score([0.3, 0.4])
-        ));
-        // One below `f`: resolved, from that history best.
+        assert!(known(certified(&st), 1, score([0.3, 0.4])));
+        // One below `f` is the top too: the region holds its part below it.
         st.history.record(&tuple(2, 0.1, 0.1));
-        assert!(matches!(
-            certify(&st, &view, &sel, &full, f, None),
-            Certified::Resolve(Some(Some((t, _)))) if t.id == TupleId(2)
-        ));
-        // No region holds the part below `f`: resolved.
-        let bare = SharedState::new(&Arc::new(schema.clone()), params);
-        assert!(matches!(
-            certify(&bare, &view, &sel, &full, f, None),
-            Certified::Resolve(_)
-        ));
+        assert!(known(certified(&st), 2, score([0.1, 0.1])));
+        // So does a region that holds the part below that best alone, not
+        // the part below `f`: no `md_top1` for it.
+        let mut st = SharedState::new(&Arc::new(schema.clone()), params);
+        st.complete
+            .register(&Query::all().and_range(AttrId(0), Interval::closed(0.0, 0.25)));
+        st.history.record(&tuple(2, 0.1, 0.1));
+        assert!(complete_below(&st, &view, &sel, &full, f).is_none());
+        assert!(known(certified(&st), 2, score([0.1, 0.1])));
+        // No region holds it: resolved, from that history best.
+        let mut bare = SharedState::new(&Arc::new(schema.clone()), params);
+        bare.history.record(&tuple(2, 0.1, 0.1));
+        assert!(matches!(certified(&bare), Err(Some((t, _))) if t.id == TupleId(2)));
 
         // A tie slab at `a0 = 0.3` under a region stopping at `a1 ≤ 0.4`:
         // `y = S(0.3, 0.4)`. Done below `y` while every tuple there is
@@ -1088,6 +1038,129 @@ mod tests {
         ));
         st.history.record(&tuple(4, 0.3, 0.3));
         assert!(certify_slab(&st, &view, &sel, &slab, f).is_none());
+    }
+
+    /// `certify` checked against the whole dataset, not just history, on a
+    /// `SharedState` warmed by a few cursor pulls, over random boxes and
+    /// frontiers: `Known(t, s)` names a tuple of `b ∧ sel` at `s` and no
+    /// tuple of `b ∧ sel` scores below `s`; under `Above(y)` none scores
+    /// below `y`; and `Err(best)` hands back a fresh uncapped history read.
+    #[test]
+    fn certify_holds_against_the_data() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let seed = test_seed();
+        let mut rng = StdRng::seed_from_u64(43 ^ seed);
+        let key = |b: &Best| b.as_ref().map(|(t, s)| (t.id, s.to_bits()));
+        // Known, Known at its bound `y`, Above, Err.
+        let mut seen = [0usize; 4];
+        for (data, steps) in [
+            (uniform(600, 3, 1, 47 ^ seed), None),
+            (discrete_grid(600, 3, 8, 53 ^ seed), Some(7u32)),
+        ] {
+            let k = 5;
+            let server = SimServer::new(data.clone(), SystemRank::pseudo_random(59 ^ seed), k);
+            let params = RerankParams::paper_defaults(data.len(), k);
+            let mut st = SharedState::new(data.schema(), params);
+            let ranks: Vec<LinearRank> = (0..3)
+                .map(|_| {
+                    LinearRank::new(
+                        (0..3)
+                            .map(|a| {
+                                let dir =
+                                    [Direction::Asc, Direction::Desc][rng.random_range(0..2usize)];
+                                (AttrId(a), dir, [1.0, 2.0, 0.5][rng.random_range(0..3usize)])
+                            })
+                            .collect(),
+                    )
+                })
+                .collect();
+            for rank in &ranks {
+                let rank = Arc::new(rank.clone());
+                let mut cur = MdCursor::new(rank, Query::all(), MdOptions::rerank(), data.schema());
+                cur.top_h(&server, &mut st, rng.random_range(10..30))
+                    .unwrap();
+            }
+            for _ in 0..600 {
+                let rank = &ranks[rng.random_range(0..ranks.len())];
+                let view = NormView::new(Arc::new(rank.clone()), data.schema());
+                let mut b = NormBox::full(view.bounds());
+                for (d, side) in b.dims.iter_mut().enumerate() {
+                    let (lo, hi) = (view.bounds().lo[d], view.bounds().hi[d]);
+                    let mut at = || match steps {
+                        Some(n) => {
+                            lo + (hi - lo) * f64::from(rng.random_range(0..=n)) / f64::from(n)
+                        }
+                        None => lo + (hi - lo) * rng.random::<f64>(),
+                    };
+                    let (x, y) = (at(), at());
+                    let (x, y) = (x.min(y), x.max(y));
+                    *side = match rng.random_range(0..6u32) {
+                        0 => Interval::point(x),
+                        1 => Interval::closed(x, y),
+                        2 => Interval::closed_open(x, y),
+                        3 => Interval::at_most(y),
+                        4 => Interval::greater_than(x),
+                        _ => *side,
+                    }
+                    .intersect(side);
+                }
+                if b.is_empty() {
+                    continue;
+                }
+                let sel = match rng.random_range(0..3u32) {
+                    0 => Query::all().and_cat(qrs_types::CatPredicate::one_of(
+                        qrs_types::CatId(0),
+                        vec![rng.random_range(0..4), rng.random_range(0..4)],
+                    )),
+                    _ => Query::all(),
+                };
+                let q = view.to_query(&b, &sel);
+                let scores: Vec<f64> = (data.tuples().iter())
+                    .filter(|t| q.matches(t))
+                    .map(|t| view.score(t))
+                    .collect();
+                let least = scores.iter().copied().fold(f64::INFINITY, f64::min);
+                let f = match rng.random_range(0..3u32) {
+                    0 => f64::INFINITY,
+                    1 if !scores.is_empty() => scores[rng.random_range(0..scores.len())],
+                    _ => {
+                        let lo = rank.score_norm(&b.lo_corner(view.bounds()));
+                        let hi = rank.score_norm(&b.hi_corner(view.bounds()));
+                        lo + (hi - lo) * rng.random::<f64>()
+                    }
+                };
+                let best = history_best(&st, &view, &q, f64::INFINITY);
+                match certify(&st, &view, &sel, &b, f, best.clone()) {
+                    Ok(TopState::Known(t, s)) => {
+                        assert!(
+                            q.matches(&t) && view.score(&t) == s,
+                            "{t:?} at {s} under {q}"
+                        );
+                        assert!(least >= s, "{least} below the top {s} under {q}");
+                        let y = complete_below(&st, &view, &sel, &b, f.min(s));
+                        seen[if y == Some(s) { 1 } else { 0 }] += 1;
+                    }
+                    Ok(TopState::Above(y)) => {
+                        assert!(y >= f && least >= y, "{least} below {y} under {q}, f {f}");
+                        seen[2] += 1;
+                    }
+                    Ok(TopState::Unknown) => panic!("certify left {q} unknown"),
+                    Err(got) => {
+                        let now = history_best(&st, &view, &q, f64::INFINITY);
+                        assert_eq!(key(&got), key(&now), "under {q}");
+                        seen[3] += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "vacuous: Known {}, Known at y {}, Above {}, Err {}",
+            seen[0],
+            seen[1],
+            seen[2],
+            seen[3]
+        );
     }
 
     /// Counts the queries that carry a point predicate.

@@ -17,7 +17,7 @@ pub mod top1;
 
 pub use cursor::MdCursor;
 pub use ta::TaCursor;
-pub use top1::{md_top1, MdOptions};
+pub use top1::MdOptions;
 
 /// Preset algorithm selector for experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -59,7 +59,7 @@ impl MdOptions {
 /// The best `(tuple, score)` found so far, if any.
 pub(crate) type Best = Option<(Arc<Tuple>, f64)>;
 
-pub(crate) fn consider(best: &mut Best, t: &Arc<Tuple>, score: f64) {
+fn consider(best: &mut Best, t: &Arc<Tuple>, score: f64) {
     if beats(t, score, best.as_ref().map(|(bt, bs)| (&**bt, *bs))) {
         *best = Some((Arc::clone(t), score));
     }
@@ -74,41 +74,18 @@ fn beats(t: &Tuple, score: f64, best: Option<(&Tuple, f64)>) -> bool {
 /// equal-score regions may be pruned; callers needing full tie sets use the
 /// cursor's tie slabs).
 ///
-/// The search starts from the best tuple history already holds in the box,
-/// whose score shrinks the first query. The MD cursor, whose merged-probe
-/// gates have just read that tuple for a side child, enters at the seeded
-/// entry `md_top1_from` instead, with it as the seed, so the read is not
-/// repeated.
-pub fn md_top1(
+/// The search starts from `best`, which must be what history holds in the
+/// box now ([`history_best`] of `b0 ∧ sel`, uncapped): its score shrinks the
+/// first query. The MD cursor passes the read its certificate just took.
+pub(crate) fn md_top1(
     server: &dyn SearchInterface,
     st: &mut SharedState,
     view: &NormView,
     sel: &Query,
     b0: &NormBox,
     opts: MdOptions,
-) -> Result<Option<(Arc<Tuple>, f64)>, RerankError> {
-    let seed = history_best(st, view, &view.to_query(b0, sel), f64::INFINITY);
-    md_top1_from(server, st, view, sel, b0, opts, seed)
-}
-
-/// [`md_top1`] seeded with `history_best` of `b0 ∧ sel`, read by the caller
-/// since history last changed in `b0`: the seed must be exactly what
-/// [`history_best`] would return now (debug builds check it).
-pub(crate) fn md_top1_from(
-    server: &dyn SearchInterface,
-    st: &mut SharedState,
-    view: &NormView,
-    sel: &Query,
-    b0: &NormBox,
-    opts: MdOptions,
-    seed: Best,
-) -> Result<Option<(Arc<Tuple>, f64)>, RerankError> {
-    if cfg!(debug_assertions) {
-        let key = |b: &Best| b.as_ref().map(|(t, s)| (t.id, s.to_bits()));
-        let now = history_best(st, view, &view.to_query(b0, sel), f64::INFINITY);
-        assert_eq!(key(&seed), key(&now), "a stale seed");
-    }
-    let mut best = seed;
+    mut best: Best,
+) -> Result<Best, RerankError> {
     let mut queue: VecDeque<NormBox> = VecDeque::new();
     queue.push_back(b0.clone());
 
@@ -362,7 +339,7 @@ mod tests {
             let server = SimServer::new(data.clone(), sys.clone(), k);
             let view = NormView::new(Arc::new(rank.clone()), server.schema());
             let b0 = view.initial_box(&sel);
-            let got = md_top1(&server, &mut st, &view, &sel, &b0, opts).unwrap();
+            let got = md_top1(&server, &mut st, &view, &sel, &b0, opts, None).unwrap();
             assert_eq!(got.map(|(_, s)| s), truth, "algo {name}");
         }
     }
@@ -431,10 +408,16 @@ mod tests {
         let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
         let view = NormView::new(Arc::new(rank), server.schema());
         let b0 = view.initial_box(&sel);
-        assert!(
-            md_top1(&server, &mut st, &view, &sel, &b0, MdOptions::rerank())
-                .unwrap()
-                .is_none()
-        );
+        assert!(md_top1(
+            &server,
+            &mut st,
+            &view,
+            &sel,
+            &b0,
+            MdOptions::rerank(),
+            None
+        )
+        .unwrap()
+        .is_none());
     }
 }
