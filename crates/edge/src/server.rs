@@ -39,11 +39,6 @@
 //! close, and the connection comes off the books by a drop guard — however
 //! its worker leaves it — as does a batch's in-flight slot.
 //!
-//! Under an immediate executor, whose deferred-spawn semantics would never
-//! run a handler, the accept thread serves each connection itself. Nothing
-//! could shed it there, so every response says `close`: one request per
-//! connection, same loop.
-//!
 //! The routes:
 //!
 //! | route                          | serves                               |
@@ -200,8 +195,7 @@ pub struct EdgeServer;
 
 impl EdgeServer {
     /// Bind `127.0.0.1:0` and serve `svc` until [`EdgeHandle::shutdown`].
-    /// Connections are handled on `exec` pool workers (or inline on the
-    /// accept thread when `exec` is an immediate executor).
+    /// Connections are handled on `exec` pool workers.
     pub fn serve(
         svc: Arc<RerankService>,
         exec: Arc<Executor>,
@@ -316,15 +310,6 @@ fn next_conn(listener: &TcpListener, shared: &Shared) -> Option<(Conn, Arc<Live>
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let exec = Arc::clone(&shared.exec);
-    // An immediate executor defers spawned tasks until join or scope
-    // close — a live server would never answer. Handle inline instead;
-    // the protocol is identical, only the concurrency goes away.
-    if exec.is_immediate() {
-        while let Some((conn, live)) = next_conn(&listener, &shared) {
-            handle_conn(conn, &live, &shared);
-        }
-        return;
-    }
     exec.scope(|s| {
         while let Some((conn, live)) = next_conn(&listener, &shared) {
             let shared = Arc::clone(&shared);
@@ -354,7 +339,6 @@ fn handle_conn(mut conn: Conn, live: &Arc<Live>, shared: &Shared) {
 
 /// The connection loop of the module docs.
 fn serve_conn(conn: &mut Conn, live: &Live, shared: &Shared) {
-    let one_shot = shared.exec.is_immediate();
     // A new connection is a request under way: no park, no shedding.
     let mut begun = !shared.stopping();
     while begun {
@@ -367,7 +351,7 @@ fn serve_conn(conn: &mut Conn, live: &Live, shared: &Shared) {
                 // the worker and the edge carry on.
                 match catch_unwind(AssertUnwindSafe(|| route(&request, shared))) {
                     Ok(response) => {
-                        let last = one_shot || says_close(&request.headers);
+                        let last = says_close(&request.headers);
                         (response, last || shared.stopping() || shared.crowded())
                     }
                     Err(_) => {

@@ -8,25 +8,15 @@
 //! outlives individual scopes, so fan-outs don't pay thread spawn/teardown
 //! per call.
 //!
-//! ## Immediate mode
-//!
-//! [`Executor::immediate`] runs everything on the calling thread, which
-//! makes schedules fully deterministic: a spawned task is deferred, runs
-//! inline the moment its handle is joined, and any tasks still pending when
-//! the scope closes run in a **seed-permuted** order. Same seed ⇒ same
-//! order; different seeds shuffle the schedule to flush out accidental
-//! order-dependence — a poor man's schedule fuzzer that needs no threads.
-//!
 //! ## Caveats
 //!
-//! [`TaskHandle::join`] never deadlocks, in either mode: a join finding
-//! its task still queued *steals* it and runs it inline on the joining
-//! thread, so join-inside-a-task works even on a one-worker pool. What
-//! CAN starve is nesting `scope` calls *on the same pool* from inside a
-//! task and relying on the scope's implicit wait-all for unjoined tasks —
-//! that wait cannot steal (it has no handles). Join inner tasks
-//! explicitly, keep scopes one level deep per pool (the service layer
-//! does), or use immediate mode, which nests fine.
+//! [`TaskHandle::join`] never deadlocks: a join finding its task still
+//! queued *steals* it and runs it inline on the joining thread, so
+//! join-inside-a-task works even on a one-worker pool. What CAN starve is
+//! nesting `scope` calls *on the same pool* from inside a task and relying
+//! on the scope's implicit wait-all for unjoined tasks — that wait cannot
+//! steal (it has no handles). Join inner tasks explicitly, or keep scopes
+//! one level deep per pool (the service layer does).
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -42,16 +32,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// SplitMix64 — the tiny, dependency-free seed expander used for the
-/// immediate mode's deterministic task permutation.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 struct PoolShared {
     /// (queued `(token, job)` pairs, shutdown flag). Tokens are pool-unique
@@ -87,34 +67,23 @@ fn worker_loop(shared: Arc<PoolShared>) {
     }
 }
 
-enum Mode {
-    /// Single-threaded, deterministic: tasks defer and run inline at join
-    /// or at scope close in a seed-permuted order.
-    Immediate { seed: u64 },
-    /// A fixed-size worker pool fed from one shared queue.
-    Pool {
-        shared: Arc<PoolShared>,
-        workers: Vec<thread::JoinHandle<()>>,
-    },
-}
-
-/// A reusable task executor: a fixed-size thread pool, or a deterministic
-/// single-threaded stand-in for tests. See the module docs.
+/// A reusable task executor: a fixed-size thread pool fed from one shared
+/// queue. See the module docs.
 pub struct Executor {
-    mode: Mode,
+    shared: Arc<PoolShared>,
+    workers: Vec<thread::JoinHandle<()>>,
 }
 
 impl Executor {
     /// A pool of `workers` OS threads (clamped to at least 1). Threads are
     /// parked when idle and joined when the executor drops.
     pub fn pool(workers: usize) -> Executor {
-        let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new((VecDeque::new(), false)),
             job_ready: Condvar::new(),
             next_token: AtomicU64::new(0),
         });
-        let handles = (0..workers)
+        let workers = (0..workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
@@ -123,54 +92,30 @@ impl Executor {
                     .expect("spawning an executor worker thread failed")
             })
             .collect();
-        Executor {
-            mode: Mode::Pool {
-                shared,
-                workers: handles,
-            },
-        }
+        Executor { shared, workers }
     }
 
-    /// Deterministic single-threaded mode: spawned tasks defer, run inline
-    /// when joined, and any still pending at scope close run in the order
-    /// of a seed-derived permutation of their spawn order.
-    pub fn immediate(seed: u64) -> Executor {
-        Executor {
-            mode: Mode::Immediate { seed },
-        }
-    }
-
-    /// Build from the `QRS_EXEC_THREADS` environment variable: `0` selects
-    /// immediate mode, `n ≥ 1` a pool of `n` workers; unset/unparsable
-    /// falls back to the machine's available parallelism (capped at 16 —
-    /// the backends saturate long before that).
+    /// Build from the `QRS_EXEC_THREADS` environment variable: a pool of
+    /// that many workers (`0` clamps to one, as in [`Executor::pool`]);
+    /// unset/unparsable falls back to the machine's available parallelism
+    /// (capped at 16 — the backends saturate long before that).
     pub fn from_env() -> Executor {
-        match std::env::var("QRS_EXEC_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            Some(0) => Executor::immediate(0),
-            Some(n) => Executor::pool(n),
-            None => Executor::pool(
-                thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-                    .min(16),
-            ),
-        }
+        Executor::pool(
+            std::env::var("QRS_EXEC_THREADS")
+                .ok()
+                .and_then(|s| s.parse::<usize>().ok())
+                .unwrap_or_else(|| {
+                    thread::available_parallelism()
+                        .map(|n| n.get())
+                        .unwrap_or(4)
+                        .min(16)
+                }),
+        )
     }
 
-    /// Worker count: pool size, or 1 in immediate mode.
+    /// Worker count.
     pub fn workers(&self) -> usize {
-        match &self.mode {
-            Mode::Immediate { .. } => 1,
-            Mode::Pool { workers, .. } => workers.len(),
-        }
-    }
-
-    /// Whether this executor is the deterministic immediate mode.
-    pub fn is_immediate(&self) -> bool {
-        matches!(self.mode, Mode::Immediate { .. })
+        self.workers.len()
     }
 
     /// Run `f` with a [`Scope`] on which tasks borrowing from the enclosing
@@ -188,24 +133,13 @@ impl Executor {
             inner: Arc::new(ScopeInner {
                 pending: Mutex::new(0),
                 all_done: Condvar::new(),
-                deferred: Mutex::new(Vec::new()),
                 panics: AtomicU64::new(0),
             }),
             exec: self,
-            next_id: AtomicU64::new(0),
             scope: PhantomData,
             env: PhantomData,
         };
         let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        match (&self.mode, &result) {
-            // Clean close: run the remaining deferred tasks, seed-permuted.
-            (Mode::Immediate { seed }, Ok(_)) => scope.run_deferred(*seed),
-            // The closure is unwinding: running more user code now would be
-            // surprising; unrun tasks are dropped (their pending counts
-            // released) so wait_all below cannot hang.
-            (Mode::Immediate { .. }, Err(_)) => scope.drop_deferred(),
-            (Mode::Pool { .. }, _) => {}
-        }
         // SAFETY-CRITICAL: no borrow of 'env may escape this function, so
         // every spawned task must have finished before we return OR unwind.
         scope.wait_all();
@@ -225,40 +159,28 @@ impl Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        if let Mode::Pool { shared, workers } = &mut self.mode {
-            lock(&shared.queue).1 = true;
-            shared.job_ready.notify_all();
-            for w in workers.drain(..) {
-                // A worker only panics if the panic payload's own Drop
-                // panics; nothing to do about it here.
-                let _ = w.join();
-            }
+        lock(&self.shared.queue).1 = true;
+        self.shared.job_ready.notify_all();
+        for w in self.workers.drain(..) {
+            // A worker only panics if the panic payload's own Drop
+            // panics; nothing to do about it here.
+            let _ = w.join();
         }
     }
 }
 
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.mode {
-            Mode::Immediate { seed } => f
-                .debug_struct("Executor::Immediate")
-                .field("seed", seed)
-                .finish(),
-            Mode::Pool { workers, .. } => f
-                .debug_struct("Executor::Pool")
-                .field("workers", &workers.len())
-                .finish(),
-        }
+        f.debug_struct("Executor")
+            .field("workers", &self.workers.len())
+            .finish()
     }
 }
 
 struct ScopeInner {
-    /// Tasks spawned but not yet finished (or, immediate mode, not yet run).
+    /// Tasks spawned but not yet finished.
     pending: Mutex<usize>,
     all_done: Condvar,
-    /// Immediate mode's deferred tasks, in spawn order, keyed by task id so
-    /// a join can pull its own task out and run it inline.
-    deferred: Mutex<Vec<(u64, Job)>>,
     /// Count of task panics not yet delivered to a caller. Joining a
     /// panicked handle re-raises the payload and decrements; whatever is
     /// left when the scope closes makes the scope itself panic — a panic
@@ -276,7 +198,6 @@ struct ScopeInner {
 pub struct Scope<'scope, 'env: 'scope> {
     inner: Arc<ScopeInner>,
     exec: &'scope Executor,
-    next_id: AtomicU64,
     scope: PhantomData<&'scope mut &'scope ()>,
     env: PhantomData<&'env mut &'env ()>,
 }
@@ -288,17 +209,16 @@ struct TaskSlot<T> {
 }
 
 /// Handle to one spawned task; [`TaskHandle::join`] blocks until the task
-/// finished (or runs it inline in immediate mode) and returns its output,
-/// re-raising the task's panic if it had one.
+/// finished (or runs it inline if no worker has taken it yet) and returns
+/// its output, re-raising the task's panic if it had one.
 #[must_use = "a task handle should be joined (the scope will still wait, but results are lost)"]
 pub struct TaskHandle<'scope, T> {
     slot: Arc<TaskSlot<T>>,
     inner: Arc<ScopeInner>,
-    /// Immediate mode: the scope-local deferred id. Pool mode: the
-    /// pool-wide queue token.
-    id: u64,
-    /// Pool mode only: the queue, so `join` can steal its own job.
-    pool: Option<Arc<PoolShared>>,
+    /// The pool-wide queue token of this task's job.
+    token: u64,
+    /// The queue, so `join` can steal its own job.
+    pool: Arc<PoolShared>,
     _scope: PhantomData<&'scope ()>,
 }
 
@@ -338,80 +258,28 @@ impl<'scope, 'env> Scope<'scope, 'env> {
                 task_inner.all_done.notify_all();
             }
         });
-        // SAFETY: the job runs (or is dropped with its pending count
-        // released) strictly before `Executor::scope` returns — `scope`
-        // always calls `wait_all`, on the panic path included — so every
-        // borrow the closure captured (all outliving 'scope) is still live
-        // whenever the closure body executes. Lifetime erasure to put it on
-        // the 'static worker queue is therefore sound; this is the same
-        // contract `std::thread::scope` enforces.
+        // SAFETY: the job runs strictly before `Executor::scope` returns —
+        // `scope` always calls `wait_all`, on the panic path included — so
+        // every borrow the closure captured (all outliving 'scope) is still
+        // live whenever the closure body executes. Lifetime erasure to put
+        // it on the 'static worker queue is therefore sound; this is the
+        // same contract `std::thread::scope` enforces.
         let job: Job = unsafe {
             std::mem::transmute::<
                 Box<dyn FnOnce() + Send + 'scope>,
                 Box<dyn FnOnce() + Send + 'static>,
             >(job)
         };
-        let (id, pool) = match &self.exec.mode {
-            Mode::Immediate { .. } => {
-                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                lock(&self.inner.deferred).push((id, job));
-                (id, None)
-            }
-            Mode::Pool { shared, .. } => {
-                let token = shared.next_token.fetch_add(1, Ordering::Relaxed);
-                let mut g = lock(&shared.queue);
-                g.0.push_back((token, job));
-                drop(g);
-                shared.job_ready.notify_one();
-                (token, Some(Arc::clone(shared)))
-            }
-        };
+        let pool = Arc::clone(&self.exec.shared);
+        let token = pool.next_token.fetch_add(1, Ordering::Relaxed);
+        lock(&pool.queue).0.push_back((token, job));
+        pool.job_ready.notify_one();
         TaskHandle {
             slot,
             inner: Arc::clone(&self.inner),
-            id,
+            token,
             pool,
             _scope: PhantomData,
-        }
-    }
-
-    /// Run all still-deferred tasks (immediate mode) in a seed-derived
-    /// permutation of spawn order. Jobs are popped from the shared queue
-    /// *one at a time* — never drained wholesale — so a running task that
-    /// joins a still-deferred sibling finds it in the queue and runs it
-    /// inline instead of deadlocking on a result no one will produce.
-    /// The pop sequence is a pure function of (seed, schedule), so it is
-    /// replayable by construction; tasks spawned by running tasks simply
-    /// join the queue and the loop.
-    fn run_deferred(&self, seed: u64) {
-        let mut state = seed ^ 0xD6E8_FEB8_6659_FD93;
-        loop {
-            let job = {
-                let mut d = lock(&self.inner.deferred);
-                if d.is_empty() {
-                    return;
-                }
-                let ix = (splitmix64(&mut state) % d.len() as u64) as usize;
-                d.remove(ix).1
-            };
-            job();
-        }
-    }
-
-    /// Drop deferred tasks unrun (the scope closure panicked), releasing
-    /// their pending counts so the final wait cannot hang.
-    fn drop_deferred(&self) {
-        let dropped: Vec<(u64, Job)> = {
-            let mut d = lock(&self.inner.deferred);
-            std::mem::take(&mut *d)
-        };
-        if dropped.is_empty() {
-            return;
-        }
-        let mut p = lock(&self.inner.pending);
-        *p -= dropped.len();
-        if *p == 0 {
-            self.inner.all_done.notify_all();
         }
     }
 
@@ -432,36 +300,19 @@ impl<T> TaskHandle<'_, T> {
     /// panic payload if it panicked (a payload delivered here no longer
     /// fails the scope — it is the caller's to handle).
     ///
-    /// If the task has not started yet, `join` runs it **inline on the
-    /// calling thread**: in immediate mode that is what makes join-ordered
-    /// code deterministic, and in pool mode it means joining from inside
-    /// another task can never deadlock waiting for a free worker — the
-    /// joined job is stolen from the queue instead.
+    /// If the task has not started yet, `join` steals it from the queue
+    /// and runs it **inline on the calling thread**, so joining from inside
+    /// another task can never deadlock waiting for a free worker.
     pub fn join(self) -> T {
-        match &self.pool {
-            None => {
-                let job = {
-                    let mut d = lock(&self.inner.deferred);
-                    d.iter()
-                        .position(|(id, _)| *id == self.id)
-                        .map(|ix| d.remove(ix).1)
-                };
-                if let Some(job) = job {
-                    job();
-                }
-            }
-            Some(shared) => {
-                let job = {
-                    let mut g = lock(&shared.queue);
-                    g.0.iter()
-                        .position(|(token, _)| *token == self.id)
-                        .and_then(|ix| g.0.remove(ix))
-                        .map(|(_, job)| job)
-                };
-                if let Some(job) = job {
-                    job();
-                }
-            }
+        let job = {
+            let mut g = lock(&self.pool.queue);
+            g.0.iter()
+                .position(|(token, _)| *token == self.token)
+                .and_then(|ix| g.0.remove(ix))
+                .map(|(_, job)| job)
+        };
+        if let Some(job) = job {
+            job();
         }
         let mut g = lock(&self.slot.result);
         loop {
@@ -639,88 +490,9 @@ mod tests {
     }
 
     #[test]
-    fn immediate_mode_is_deterministic_per_seed() {
-        let order_for = |seed: u64| -> Vec<usize> {
-            let exec = Executor::immediate(seed);
-            let order = Mutex::new(Vec::new());
-            let order_ref = &order;
-            exec.scope(|s| {
-                for i in 0..12usize {
-                    let _ = s.spawn(move || lock(order_ref).push(i));
-                }
-            });
-            order.into_inner().unwrap()
-        };
-        let a = order_for(5);
-        assert_eq!(a.len(), 12);
-        assert_eq!(a, order_for(5), "same seed must replay the same order");
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..12).collect::<Vec<_>>());
-        assert_ne!(
-            a,
-            order_for(6),
-            "different seeds should permute the schedule (12! orders; collision ~0)"
-        );
-    }
-
-    #[test]
-    fn immediate_join_forces_inline_execution_in_join_order() {
-        let exec = Executor::immediate(99);
-        let order = Mutex::new(Vec::new());
-        exec.scope(|s| {
-            let h1 = s.spawn(|| lock(&order).push(1));
-            let h2 = s.spawn(|| lock(&order).push(2));
-            // Joining in reverse spawn order must run them in join order.
-            h2.join();
-            h1.join();
-        });
-        assert_eq!(order.into_inner().unwrap(), vec![2, 1]);
-    }
-
-    #[test]
-    fn immediate_task_can_join_a_deferred_sibling_without_deadlock() {
-        // Regression: run_deferred used to drain the queue wholesale, so a
-        // running task joining a still-deferred sibling hung forever (the
-        // sibling sat in a local batch where join could not find it). Try
-        // several seeds so both orders — joiner first, sibling first — are
-        // exercised.
-        for seed in 0..8u64 {
-            let exec = Executor::immediate(seed);
-            let sum = Mutex::new(0u64);
-            exec.scope(|s| {
-                let sibling = s.spawn(|| 41u64);
-                let _joiner = s.spawn(|| {
-                    *lock(&sum) += sibling.join() + 1;
-                });
-            });
-            assert_eq!(sum.into_inner().unwrap(), 42, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn immediate_tasks_can_spawn_more_tasks() {
-        let exec = Executor::immediate(1);
-        let count = AtomicUsize::new(0);
-        exec.scope(|s| {
-            for _ in 0..3 {
-                let _ = s.spawn(|| {
-                    count.fetch_add(1, Ordering::SeqCst);
-                    let _inner = s.spawn(|| {
-                        count.fetch_add(1, Ordering::SeqCst);
-                    });
-                });
-            }
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 6);
-    }
-
-    #[test]
     fn from_env_honors_the_thread_knob() {
         // Constructors only — the env var itself belongs to CI.
         assert_eq!(Executor::pool(0).workers(), 1, "pool size clamps to 1");
-        assert!(Executor::immediate(0).is_immediate());
-        assert!(!Executor::pool(2).is_immediate());
         let e = Executor::from_env();
         assert!(e.workers() >= 1);
     }

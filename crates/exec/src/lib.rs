@@ -7,21 +7,18 @@
 //! so it works without a crates.io registry and creates no dependency
 //! cycles.
 //!
-//! * [`Executor`] — the one entry point. Either a fixed-size thread pool
-//!   ([`Executor::pool`]) or a deterministic single-threaded *immediate*
-//!   mode ([`Executor::immediate`]) that defers tasks and runs them in a
-//!   seed-permuted order, so tests can shake out accidental
-//!   order-dependence without real threads. [`Executor::from_env`] reads
-//!   `QRS_EXEC_THREADS` (`0` = immediate mode), giving CI a one-knob
-//!   scheduling matrix.
+//! * [`Executor`] — the one entry point: a fixed-size thread pool
+//!   ([`Executor::pool`]). [`Executor::from_env`] reads `QRS_EXEC_THREADS`
+//!   as the pool width, giving CI a one-knob scheduling matrix.
 //! * [`Executor::scope`] — structured spawn/join in the shape of
 //!   `std::thread::scope`: tasks may borrow from the enclosing frame
 //!   (including disjoint `&mut`s), and the scope does not return until
 //!   every spawned task finished — even when the closure panics.
 //!
-//! Determinism contract: with the same executor mode, seed, and spawn/join
-//! pattern, task execution order is a pure function of the configuration —
-//! the property the equivalence tests in the service layer are built on.
+//! Determinism contract: results never depend on the pool width. Callers
+//! that need an order (the service's batch driver) join handles in spawn
+//! order, so `pool(1)` and `pool(8)` hand back the same outcomes — the
+//! property the equivalence tests in the service layer are built on.
 
 pub mod executor;
 

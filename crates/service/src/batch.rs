@@ -11,9 +11,6 @@
 //! [`SessionStats`] — per-request attribution stays precise because every
 //! counter is updated inside the shared-state lock or via atomics
 //! ([`crate::ServiceStats`], [`crate::QueryBudget`]).
-//!
-//! [`drive`] is the multi-service generalization — one task per
-//! *(service, request)* pair — for multi-tenant drivers.
 
 use crate::service::{Algorithm, RerankService, SessionSpec};
 use crate::session::{RankedTuple, SessionStats};
@@ -120,21 +117,6 @@ fn run_one(svc: &RerankService, req: BatchRequest) -> BatchOutcome {
     }
 }
 
-/// The multi-service batch driver: one pooled task per *(service,
-/// request)* pair, outcomes in input order. Sessions against the same
-/// service share its knowledge, budgets, and stats; sessions against
-/// different services progress fully independently (their state locks
-/// don't touch).
-pub fn drive(exec: &Executor, jobs: Vec<(&RerankService, BatchRequest)>) -> Vec<BatchOutcome> {
-    exec.scope(|s| {
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|(svc, req)| s.spawn(move || run_one(svc, req)))
-            .collect();
-        handles.into_iter().map(TaskHandle::join).collect()
-    })
-}
-
 impl RerankService {
     /// Serve a batch of requests concurrently on `exec`, one session per
     /// request. Outcomes return in request order. All sessions share this
@@ -154,7 +136,13 @@ impl RerankService {
                 },
             );
         }
-        drive(exec, requests.into_iter().map(|r| (self, r)).collect())
+        exec.scope(|s| {
+            let handles: Vec<_> = requests
+                .into_iter()
+                .map(|req| s.spawn(move || run_one(self, req)))
+                .collect();
+            handles.into_iter().map(TaskHandle::join).collect()
+        })
     }
 }
 
@@ -218,7 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_is_identical_across_executor_modes() {
+    fn batch_is_identical_across_pool_widths() {
         let run = |exec: &Executor| -> Vec<Vec<(u32, f64)>> {
             let (svc, _) = service(250, 9007);
             let reqs: Vec<BatchRequest> = (0..6)
@@ -232,11 +220,9 @@ mod tests {
                 })
                 .collect()
         };
-        let serial = run(&Executor::immediate(3));
-        let pooled = run(&Executor::pool(4));
         let single = run(&Executor::pool(1));
-        assert_eq!(serial, pooled, "pool(4) must match immediate mode");
-        assert_eq!(serial, single, "pool(1) must match immediate mode");
+        let pooled = run(&Executor::pool(4));
+        assert_eq!(single, pooled, "pool(4) must match pool(1)");
     }
 
     #[test]
@@ -276,7 +262,7 @@ mod tests {
         use qrs_types::RetryPolicy;
         const N: u64 = 6;
         const M: u32 = 4;
-        for exec in [Executor::immediate(9031), Executor::pool(4)] {
+        for exec in [Executor::pool(1), Executor::pool(4)] {
             let inner = SimServer::new(uniform(100, 2, 1, 9031), SystemRank::pseudo_random(7), 3);
             let dead = FaultyServer::new(Arc::new(inner) as Arc<dyn SearchInterface>)
                 .with_permanent_outage_from(0);
@@ -324,28 +310,5 @@ mod tests {
         assert!(outcomes[1].is_ok(), "{:?}", outcomes[1].error);
         let got: Vec<f64> = outcomes[1].hits.iter().map(|h| h.score).collect();
         assert_eq!(got, brute_top(&data, &rank(1.0, 1.0), 5));
-    }
-
-    #[test]
-    fn drive_spans_services_and_keeps_input_order() {
-        let (a, da) = service(120, 9023);
-        let (b, db) = service(90, 9029);
-        let r = rank(1.0, 1.0);
-        let jobs = vec![
-            (&a, BatchRequest::new(Query::all(), Arc::clone(&r), 4)),
-            (&b, BatchRequest::new(Query::all(), Arc::clone(&r), 4)),
-            (&a, BatchRequest::new(Query::all(), Arc::clone(&r), 2)),
-        ];
-        let exec = Executor::pool(3);
-        let outcomes = drive(&exec, jobs);
-        assert_eq!(outcomes.len(), 3);
-        let got0: Vec<f64> = outcomes[0].hits.iter().map(|h| h.score).collect();
-        let got1: Vec<f64> = outcomes[1].hits.iter().map(|h| h.score).collect();
-        let got2: Vec<f64> = outcomes[2].hits.iter().map(|h| h.score).collect();
-        assert_eq!(got0, brute_top(&da, &r, 4));
-        assert_eq!(got1, brute_top(&db, &r, 4));
-        assert_eq!(got2, brute_top(&da, &r, 2));
-        assert_eq!(a.stats().requests_served, 2);
-        assert_eq!(b.stats().requests_served, 1);
     }
 }

@@ -52,7 +52,7 @@ pub mod service;
 pub mod session;
 pub mod stats;
 
-pub use batch::{drive, BatchOutcome, BatchRequest};
+pub use batch::{BatchOutcome, BatchRequest};
 pub use budget::QueryBudget;
 pub use federation::{FederatedHit, FederatedSession};
 pub use maintained::{MaintainedSession, RefreshOutcome};

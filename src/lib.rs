@@ -11,8 +11,8 @@
 //! * [`core`] — the reranking algorithms (1D/MD baseline, binary, RERANK),
 //! * [`knowledge`] — the sharded cross-session knowledge plane (exact
 //!   result streams replayed to warm sessions) with epoch invalidation,
-//! * [`exec`] — dependency-free structured concurrency (scoped thread
-//!   pool, deterministic immediate mode),
+//! * [`exec`] — dependency-free structured concurrency (a scoped thread
+//!   pool),
 //! * [`obs`] — the observability plane: typed events, their subscribers,
 //!   and the fleet monitor for predicted-vs-actual spend,
 //! * [`service`] — the thread-safe "as a service" facade, with the

@@ -386,7 +386,7 @@ fn serve_batch_reports_an_out_of_schema_ranking_as_the_outcome_error() {
         .into_iter()
         .map(|rank| BatchRequest::new(Query::all(), rank, TOP_H))
         .collect();
-    for o in svc.serve_batch(&Executor::immediate(0), reqs) {
+    for o in svc.serve_batch(&Executor::pool(1), reqs) {
         assert!(o.hits.is_empty());
         assert!(o.error.as_ref().is_some_and(out_of_schema), "{:?}", o.error);
         assert_eq!(o.stats.queries_spent, 0);

@@ -1,7 +1,7 @@
 //! Deterministic fuzz harness for the one surface that faces untrusted
 //! bytes: the edge.
 //!
-//! A splitmix64 stream (derived from `QRS_TEST_SEED`) applies byte-level
+//! A SplitMix64 stream (derived from `QRS_TEST_SEED`) applies byte-level
 //! mutations — flip a bit, delete a run, duplicate a run, truncate, splice
 //! a second request in — to valid `/v1/rerank`, `/site/query` and
 //! `/site/page` requests and sends them over real sockets to **one**
@@ -62,7 +62,7 @@ fn iters() -> u64 {
         .unwrap_or(48)
 }
 
-/// splitmix64 — the classic 64-bit mixer; std-only and deterministic.
+/// SplitMix64 — the classic 64-bit mixer; std-only and deterministic.
 struct Rng(u64);
 
 impl Rng {

@@ -19,7 +19,7 @@
 //! * the connection's life: reuse counted at the server, an idle
 //!   connection shed for a client that needs its worker, shutdown under
 //!   idle connections, stalled and dripped requests cut at the whole-request
-//!   deadline, one request per connection under an immediate executor,
+//!   deadline,
 //! * the tenant table: unchecked names and a full table are typed,
 //!   uncharged refusals,
 //! * what the edge did not foresee: an attribute index outside the schema
@@ -441,14 +441,8 @@ fn transport_faults_retry_transparently_and_ledgers_absorb_the_loss() {
     // by exactly that re-issued query.
     assert_eq!(remote.queries_issued(), local.queries_issued() + 1);
     // Both faults hit a connection that had already been reused: three
-    // connections for the whole conversation (a one-shot edge, the
-    // immediate executor, opens one per request the proxy forwarded).
-    let want = if exec.is_immediate() {
-        handle.requests()
-    } else {
-        3
-    };
-    assert_eq!(handle.connections(), want);
+    // connections for the whole conversation.
+    assert_eq!(handle.connections(), 3);
     assert!(handle.requests() > 8, "{} requests", handle.requests());
     handle.shutdown();
 }
@@ -468,14 +462,6 @@ fn many_calls_ride_one_connection_each() {
         data.len(),
         &exec,
     );
-    // Under an immediate executor every response says `close`.
-    let conns = |persistent: u64| {
-        if exec.is_immediate() {
-            handle.requests()
-        } else {
-            persistent
-        }
-    };
     for i in 0..64 {
         let lo = i as f64 / 128.0;
         let q = Query::all().and_range(
@@ -491,7 +477,7 @@ fn many_calls_ride_one_connection_each() {
     assert_eq!(remote.queries_issued(), local.queries_issued());
     assert_eq!(adapter.queries_issued(), remote.queries_issued());
     assert_eq!(adapter.cost_units_issued(), remote.cost_units_issued());
-    assert_eq!((handle.requests(), handle.connections()), (65, conns(1)));
+    assert_eq!((handle.requests(), handle.connections()), (65, 1));
 
     let client = EdgeClient::new(handle.addr(), "tenant-a");
     let rank = [(0usize, Direction::Asc, 1.0)];
@@ -504,8 +490,8 @@ fn many_calls_ride_one_connection_each() {
     let edge = stats.get("edge").expect("edge block");
     let counter = |name: &str| edge.get(name).and_then(|v| v.as_u64());
     assert_eq!(counter("requests"), Some(81), "the /stats call included");
-    assert_eq!(counter("connections"), Some(conns(2)));
-    assert_eq!((handle.requests(), handle.connections()), (81, conns(2)));
+    assert_eq!(counter("connections"), Some(2));
+    assert_eq!((handle.requests(), handle.connections()), (81, 2));
     handle.shutdown();
 }
 
@@ -716,54 +702,14 @@ fn a_dripped_request_has_one_deadline_for_all_its_bytes() {
     handle.shutdown();
 }
 
-/// The accept thread of an immediate executor serves connections itself,
-/// where nothing could shed it: every response says `close`, one request
-/// per connection, and a persistent client simply dials each time.
-#[test]
-fn an_immediate_executor_serves_one_request_per_connection() {
-    let data = uniform(60, 2, 1, test_seed() ^ 0x133D);
-    let remote = Arc::new(anti_server(&data, 3));
-    let (handle, adapter) = loopback(
-        remote as Arc<dyn SearchInterface>,
-        data.len(),
-        &Arc::new(Executor::immediate(7)),
-    );
-    let mut raw = RawClient::new(handle.addr());
-    for _ in 0..3 {
-        let resp = raw.call("GET", "/site/seq", None, b"");
-        assert_eq!(resp.status, 200);
-        assert!(says_close(&resp), "asked to persist, told to close");
-        adapter
-            .query(&Query::all())
-            .expect("the adapter dials again");
-    }
-    assert_eq!((handle.requests(), handle.connections()), (7, 7));
-    // A pooled edge keeps the same raw client's connection.
-    let pooled = Arc::new(Executor::pool(1));
-    let remote = Arc::new(anti_server(&data, 3));
-    let (pooled_handle, _adapter) = loopback(remote as Arc<dyn SearchInterface>, 60, &pooled);
-    let mut raw = RawClient::new(pooled_handle.addr());
-    for _ in 0..3 {
-        assert!(!says_close(&raw.call("GET", "/site/seq", None, b"")));
-    }
-    assert_eq!(
-        pooled_handle.connections(),
-        2,
-        "the adapter's and the raw one"
-    );
-    pooled_handle.shutdown();
-    handle.shutdown();
-}
-
 /// One hostile request in its three wire shapes: a predicate on an
 /// attribute the schema does not have, sent to `/site/query`, `/site/page`
 /// and `/v1/rerank`. Each used to panic the worker — the categorical one
 /// with the query already charged — leaving the client without a byte on a
 /// connection nobody would ever deregister, and the accept thread to die
-/// at shutdown (at once, under an immediate executor). Each is a typed
-/// `400` that moves no ledger, after which the same connection (the next
-/// one, under an immediate executor) is served as ever; and the session
-/// builder refuses the same selections before anything is planned.
+/// at shutdown. Each is a typed `400` that moves no ledger, after which the
+/// same connection is served as ever; and the session builder refuses the
+/// same selections before anything is planned.
 #[test]
 fn attributes_outside_the_schema_are_uncharged_400s_and_the_edge_keeps_serving() {
     use query_reranking::edge::{wire, Json};
@@ -773,78 +719,76 @@ fn attributes_outside_the_schema_are_uncharged_400s_and_the_edge_keeps_serving()
         Query::all().and_cat(CatPredicate::eq(CatId(9), 1)),
         Query::all().and_range(AttrId(9), Interval::open(0.0, 1.0)),
     ];
-    for exec in [Executor::pool(1), Executor::immediate(3)] {
-        let one_shot = exec.is_immediate();
-        let remote =
-            Arc::new(anti_server(&data, 3).with_capabilities(Capabilities::none().with_paging()));
-        let svc = Arc::new(RerankService::new(
-            Arc::clone(&remote) as Arc<dyn SearchInterface>,
-            data.len(),
-        ));
-        let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0)]));
-        for bad in &hostile {
-            let refused = svc.session(bad.clone(), Arc::clone(&rank)).open().err();
-            assert!(
-                matches!(
-                    refused,
-                    Some(RerankError::Server(ServerError::InvalidQuery { .. }))
-                ),
-                "{bad}: {refused:?}"
-            );
-        }
-
-        let handle = EdgeServer::serve(svc, Arc::new(exec), EdgeConfig::default()).unwrap();
-        let mut raw = RawClient::new(handle.addr());
-        let mut sent = 0;
-        for bad in &hostile {
-            let query = wire::query_to_json(bad);
-            let rank = [(0, Direction::Asc, 1.0)];
-            let request = EdgeClient::request(bad, &rank, 3, None, None, None);
-            for (target, code, body) in [
-                (
-                    "/site/query",
-                    "invalid_query",
-                    vec![("query", query.clone())],
-                ),
-                (
-                    "/site/page",
-                    "invalid_query",
-                    vec![("query", query.clone()), ("page", Json::u64(1))],
-                ),
-                (
-                    "/v1/rerank",
-                    "invalid_request",
-                    vec![("requests", Json::Arr(vec![request]))],
-                ),
-            ] {
-                let body = Json::obj(body).encode();
-                let resp = raw.call("POST", target, Some("tenant-a"), body.as_bytes());
-                let text = String::from_utf8_lossy(&resp.body).into_owned();
-                assert_eq!(resp.status, 400, "{target}: {text}");
-                assert!(
-                    text.contains(code) && text.contains("the schema has"),
-                    "{target}: {text}"
-                );
-                assert_eq!(says_close(&resp), one_shot, "{target}");
-                sent += 1;
-            }
-        }
-        assert_eq!(remote.queries_issued(), 0, "a refusal charges nothing");
-
-        let resp = raw.call("POST", "/v1/rerank", Some("tenant-a"), &one_request_body());
-        assert_eq!(resp.status, 200);
-        // Everything on the tenant's ledger is what that one batch spent.
-        let body = query_reranking::edge::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-        let tenant = wire::ledger_from_json(body.get("tenant").unwrap()).unwrap();
-        assert!(tenant.0 > 0);
-        assert_eq!(
-            tenant,
-            (remote.queries_issued(), remote.cost_units_issued())
+    let remote =
+        Arc::new(anti_server(&data, 3).with_capabilities(Capabilities::none().with_paging()));
+    let svc = Arc::new(RerankService::new(
+        Arc::clone(&remote) as Arc<dyn SearchInterface>,
+        data.len(),
+    ));
+    let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0)]));
+    for bad in &hostile {
+        let refused = svc.session(bad.clone(), Arc::clone(&rank)).open().err();
+        assert!(
+            matches!(
+                refused,
+                Some(RerankError::Server(ServerError::InvalidQuery { .. }))
+            ),
+            "{bad}: {refused:?}"
         );
-        assert_eq!(handle.requests(), sent + 1);
-        assert_eq!(handle.connections(), if one_shot { sent + 1 } else { 1 });
-        handle.shutdown();
     }
+
+    let handle =
+        EdgeServer::serve(svc, Arc::new(Executor::pool(1)), EdgeConfig::default()).unwrap();
+    let mut raw = RawClient::new(handle.addr());
+    let mut sent = 0;
+    for bad in &hostile {
+        let query = wire::query_to_json(bad);
+        let rank = [(0, Direction::Asc, 1.0)];
+        let request = EdgeClient::request(bad, &rank, 3, None, None, None);
+        for (target, code, body) in [
+            (
+                "/site/query",
+                "invalid_query",
+                vec![("query", query.clone())],
+            ),
+            (
+                "/site/page",
+                "invalid_query",
+                vec![("query", query.clone()), ("page", Json::u64(1))],
+            ),
+            (
+                "/v1/rerank",
+                "invalid_request",
+                vec![("requests", Json::Arr(vec![request]))],
+            ),
+        ] {
+            let body = Json::obj(body).encode();
+            let resp = raw.call("POST", target, Some("tenant-a"), body.as_bytes());
+            let text = String::from_utf8_lossy(&resp.body).into_owned();
+            assert_eq!(resp.status, 400, "{target}: {text}");
+            assert!(
+                text.contains(code) && text.contains("the schema has"),
+                "{target}: {text}"
+            );
+            assert!(!says_close(&resp), "{target}");
+            sent += 1;
+        }
+    }
+    assert_eq!(remote.queries_issued(), 0, "a refusal charges nothing");
+
+    let resp = raw.call("POST", "/v1/rerank", Some("tenant-a"), &one_request_body());
+    assert_eq!(resp.status, 200);
+    // Everything on the tenant's ledger is what that one batch spent.
+    let body = query_reranking::edge::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+    let tenant = wire::ledger_from_json(body.get("tenant").unwrap()).unwrap();
+    assert!(tenant.0 > 0);
+    assert_eq!(
+        tenant,
+        (remote.queries_issued(), remote.cost_units_issued())
+    );
+    assert_eq!(handle.requests(), sent + 1);
+    assert_eq!(handle.connections(), 1);
+    handle.shutdown();
 }
 
 /// A site whose `query` panics: the input no check foresaw.
@@ -876,29 +820,26 @@ impl SearchInterface for PanickingSite {
 #[test]
 fn a_panicking_handler_is_a_500_that_costs_only_its_own_request() {
     let data = uniform(10, 2, 1, 1);
-    for exec in [Executor::pool(1), Executor::immediate(3)] {
-        let one_shot = exec.is_immediate();
-        let site = Arc::new(PanickingSite(Arc::clone(data.schema())));
-        let svc = Arc::new(RerankService::new(site as Arc<dyn SearchInterface>, 10));
-        let handle = EdgeServer::serve(svc, Arc::new(exec), EdgeConfig::default()).unwrap();
+    let site = Arc::new(PanickingSite(Arc::clone(data.schema())));
+    let svc = Arc::new(RerankService::new(site as Arc<dyn SearchInterface>, 10));
+    let handle =
+        EdgeServer::serve(svc, Arc::new(Executor::pool(1)), EdgeConfig::default()).unwrap();
 
-        let body = br#"{"query":{"ranges":[],"cats":[]}}"#;
-        let resp = RawClient::new(handle.addr()).call("POST", "/site/query", None, body);
-        let text = String::from_utf8_lossy(&resp.body).into_owned();
-        assert_eq!(resp.status, 500, "{text}");
-        assert!(text.contains("internal_error"), "{text}");
-        assert!(says_close(&resp));
+    let body = br#"{"query":{"ranges":[],"cats":[]}}"#;
+    let resp = RawClient::new(handle.addr()).call("POST", "/site/query", None, body);
+    let text = String::from_utf8_lossy(&resp.body).into_owned();
+    assert_eq!(resp.status, 500, "{text}");
+    assert!(text.contains("internal_error"), "{text}");
+    assert!(says_close(&resp));
 
-        let mut next = RawClient::new(handle.addr());
-        for _ in 0..3 {
-            let resp = next.call("GET", "/site/seq", None, b"");
-            assert_eq!(resp.status, 200);
-            assert_eq!(says_close(&resp), one_shot);
-        }
-        let connections = if one_shot { 4 } else { 2 };
-        assert_eq!((handle.requests(), handle.connections()), (4, connections));
-        handle.shutdown();
+    let mut next = RawClient::new(handle.addr());
+    for _ in 0..3 {
+        let resp = next.call("GET", "/site/seq", None, b"");
+        assert_eq!(resp.status, 200);
+        assert!(!says_close(&resp), "asked to persist, told to close");
     }
+    assert_eq!((handle.requests(), handle.connections()), (4, 2));
+    handle.shutdown();
 }
 
 /// A site that answers its own two-ordinal schema with a one-ordinal tuple.
@@ -1367,7 +1308,6 @@ fn tenant_names_are_checked_and_the_tenant_table_is_bounded() {
         Arc::clone(&remote) as Arc<dyn SearchInterface>,
         data.len(),
     ));
-    let immediate = exec.is_immediate();
     let handle = EdgeServer::serve(svc, exec, EdgeConfig::default()).expect("bind");
     let mut raw = RawClient::new(handle.addr());
     let body = one_request_body();
@@ -1383,7 +1323,7 @@ fn tenant_names_are_checked_and_the_tenant_table_is_bounded() {
         );
     }
     // Well framed and refused is still well framed: the connection stays.
-    assert_eq!(handle.connections(), if immediate { 5 } else { 1 });
+    assert_eq!(handle.connections(), 1);
     assert_eq!((handle.admitted(), handle.rejected()), (0, 0));
     assert_eq!(remote.queries_issued(), 0, "a refused name charges nothing");
 

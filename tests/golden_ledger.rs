@@ -349,7 +349,8 @@ fn drift_leg(rows: &mut Vec<Row>) {
 /// that sole worker, can steal the batch's queued jobs. The in-process
 /// reference is called from this thread, where `TaskHandle::join` on a
 /// pool would steal jobs and race the worker over the shared history — so
-/// it runs on an immediate executor, where join order is request order.
+/// it serves single-request batches, one after the other in request order,
+/// and only one request is ever in flight.
 /// The tenant ledger must equal the summed session spend exactly.
 fn edge_leg(rows: &mut Vec<Row>) {
     let exec = Arc::new(Executor::pool(1));
@@ -360,13 +361,13 @@ fn edge_leg(rows: &mut Vec<Row>) {
     ];
     let profile = SiteProfile::open_site(K);
     let local = build_service(&profile, None);
-    let want = local.serve_batch(
-        &Executor::immediate(0),
-        workloads()
-            .iter()
-            .map(|w| BatchRequest::new(w.sel.clone(), Arc::clone(&w.rank), TOP_H))
-            .collect(),
-    );
+    let want: Vec<_> = workloads()
+        .iter()
+        .flat_map(|w| {
+            let req = BatchRequest::new(w.sel.clone(), Arc::clone(&w.rank), TOP_H);
+            local.serve_batch(&exec, vec![req])
+        })
+        .collect();
     for (w, o) in workloads().iter().zip(&want) {
         assert!(
             o.error.is_none(),

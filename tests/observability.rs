@@ -172,8 +172,8 @@ fn monitor_reconciles_exactly_with_ledgers() {
 /// The atomic counters under real contention: many threads, each running
 /// whole sessions, must leave `ServiceStats` and the fleet monitor
 /// agreeing with the per-session ledger sums to the last unit. The batch
-/// leg runs on `Executor::from_env`, so `QRS_EXEC_THREADS={0,1,8}` sweeps
-/// inline, single-threaded and wide schedules.
+/// leg runs on `Executor::from_env`, so `QRS_EXEC_THREADS={1,8}` sweeps
+/// single-worker and wide schedules.
 #[test]
 fn shared_counters_match_ledger_sums_under_threads() {
     let data = uniform(240, 2, 1, seeded(0xB02) | 1);

@@ -1,11 +1,12 @@
 //! `serve_batch` across executor shapes, under seeded fault injection.
 //!
 //! The contract: the executor a batch runs on changes *when* its sessions
-//! pull, never *what* they return. The property pits the deterministic
-//! immediate mode against worker pools on identically seeded stacks — same
-//! dataset, same `FaultyServer` schedule, same retry jitter — and demands
-//! identical hits for every request. Fault schedules derive from
-//! `QRS_TEST_SEED` when set, so CI proves the property across seeds.
+//! pull, never *what* they return. The property pits a sequential
+//! reference — one single-request batch at a time on `pool(1)`, in request
+//! order — against whole batches on worker pools, on identically seeded
+//! stacks (same dataset, same `FaultyServer` schedule, same retry jitter),
+//! and demands identical hits for every request. Fault schedules derive
+//! from `QRS_TEST_SEED` when set, so CI proves the property across seeds.
 
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::exec::Executor;
@@ -13,7 +14,7 @@ use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{
     Clock, FaultyServer, MockClock, SearchInterface, SimServer, SystemRank,
 };
-use query_reranking::service::{BatchRequest, RerankService};
+use query_reranking::service::{BatchOutcome, BatchRequest, RerankService};
 use query_reranking::types::{AttrId, Query, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -71,19 +72,20 @@ fn serve_batch_results_are_identical_across_executor_shapes() {
     type OutcomePrint = (Option<String>, Vec<(u32, u64)>, u64, u64);
     for case in 0..8u64 {
         let seed = seeded(0xBA7C + case * 104_729);
-        let run = |exec: &Executor| -> Vec<OutcomePrint> {
-            // One faulty backend, several concurrent users, rebuilt with
-            // deep retries: the shared backend deals faults off ONE
-            // schedule-dependent RNG, so which session absorbs which fault
-            // varies with pool interleaving. Retries make that
-            // reassignment invisible in the results; a stingy cap would
-            // let one unlucky interleaving exhaust a request
-            // (RetriesExhausted truncates its hits) and flake the
-            // cross-shape comparison. 0.15^16 ≈ 7e-14: never.
-            let svc = &build_stack(seed)
+        // One faulty backend, several concurrent users, rebuilt with deep
+        // retries: the shared backend deals faults off ONE schedule-dependent
+        // RNG, so which session absorbs which fault varies with pool
+        // interleaving. Retries make that reassignment invisible in the
+        // results; a stingy cap would let one unlucky interleaving exhaust a
+        // request (RetriesExhausted truncates its hits) and flake the
+        // cross-shape comparison. 0.15^16 ≈ 7e-14: never.
+        let service = || {
+            build_stack(seed)
                 .swap_remove(0)
-                .with_retry_policy(RetryPolicy::none().attempts(16).backoff(5, 100).seed(seed));
-            let reqs: Vec<BatchRequest> = (0..5u64)
+                .with_retry_policy(RetryPolicy::none().attempts(16).backoff(5, 100).seed(seed))
+        };
+        let requests = || -> Vec<BatchRequest> {
+            (0..5u64)
                 .map(|i| {
                     BatchRequest::new(
                         Query::all(),
@@ -94,38 +96,48 @@ fn serve_batch_results_are_identical_across_executor_shapes() {
                         6,
                     )
                 })
-                .collect();
-            svc.serve_batch(exec, reqs)
-                .into_iter()
-                .map(|o| {
-                    (
-                        o.error.map(|e| e.to_string()),
-                        o.hits
-                            .iter()
-                            .map(|h| (h.tuple.id.0, h.score.to_bits()))
-                            .collect(),
-                        o.stats.emitted as u64,
-                        o.stats.queries_spent,
-                    )
-                })
                 .collect()
         };
-        // NOTE: on a pool the *interleaving* of sessions on the shared
-        // state (and thus per-session spend attribution) legitimately
-        // varies — amortization depends on who paid first, and even
-        // pool(1) has two lanes because join() steals queued jobs onto
-        // the joining thread. The returned *results* must not vary.
-        // Immediate mode is the fully deterministic shape: same seed ⇒
-        // same complete fingerprint, spend included.
-        let imm = run(&Executor::immediate(seed));
-        let imm_replay = run(&Executor::immediate(seed));
+        let print = |o: BatchOutcome| -> OutcomePrint {
+            (
+                o.error.map(|e| e.to_string()),
+                o.hits
+                    .iter()
+                    .map(|h| (h.tuple.id.0, h.score.to_bits()))
+                    .collect(),
+                o.stats.emitted as u64,
+                o.stats.queries_spent,
+            )
+        };
+        // The reference runs one request at a time, in request order: a
+        // fully deterministic schedule, so same seed ⇒ same complete
+        // fingerprint, spend included.
+        let sequential = || -> Vec<OutcomePrint> {
+            let (svc, exec) = (service(), Executor::pool(1));
+            requests()
+                .into_iter()
+                .flat_map(|r| svc.serve_batch(&exec, vec![r]))
+                .map(print)
+                .collect()
+        };
+        let reference = sequential();
         assert_eq!(
-            imm, imm_replay,
-            "case {case}: immediate mode must replay exactly"
+            reference,
+            sequential(),
+            "case {case}: one request at a time must replay exactly"
         );
+        // NOTE: in a whole batch the *interleaving* of sessions on the
+        // shared state (and thus per-session spend attribution)
+        // legitimately varies — amortization depends on who paid first,
+        // and even pool(1) has two lanes because join() steals queued jobs
+        // onto the joining thread. The returned *results* must not vary.
         for shape in [Executor::pool(1), Executor::pool(4)] {
-            let pooled = run(&shape);
-            for (i, (a, b)) in imm.iter().zip(&pooled).enumerate() {
+            let pooled: Vec<OutcomePrint> = service()
+                .serve_batch(&shape, requests())
+                .into_iter()
+                .map(print)
+                .collect();
+            for (i, (a, b)) in reference.iter().zip(&pooled).enumerate() {
                 assert_eq!(
                     (&a.0, &a.1),
                     (&b.0, &b.1),

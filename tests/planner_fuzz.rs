@@ -1,6 +1,6 @@
 //! Deterministic fuzz harness for the planner/`StrategyIo` surface.
 //!
-//! A splitmix64 stream (derived from `QRS_TEST_SEED`) generates random
+//! A SplitMix64 stream (derived from `QRS_TEST_SEED`) generates random
 //! site models — one `Capabilities` each: paging, order-by subsets,
 //! page-depth walls, predicate arity caps, per-attribute filter support,
 //! advertised *and* billed cost models — over data whose first attribute
@@ -44,7 +44,7 @@ fn iters() -> u64 {
         .unwrap_or(48)
 }
 
-/// splitmix64 — the classic 64-bit mixer; std-only and deterministic.
+/// SplitMix64 — the classic 64-bit mixer; std-only and deterministic.
 struct Rng(u64);
 
 impl Rng {
