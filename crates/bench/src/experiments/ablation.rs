@@ -83,7 +83,7 @@ fn md_flags(scale: Scale) {
 /// Ablation 2: dense index on/off over clustered 1D data — the workload that
 /// motivates on-the-fly indexing (§3.2.2).
 fn dense_1d(scale: Scale) {
-    use qrs_core::{OneDCursor, OneDStrategy};
+    use qrs_core::{OneDCursor, OneDSpec, OneDStrategy};
     let n = match scale {
         Scale::Quick => 5_000,
         Scale::Paper => 50_000,
@@ -115,7 +115,10 @@ fn dense_1d(scale: Scale) {
                 AttrId(1),
                 qrs_types::Interval::closed(0.25 * frac, 0.5 + 0.5 * frac),
             );
-            let mut cur = OneDCursor::over(AttrId(0), qrs_types::Direction::Asc, sel, strategy);
+            let mut cur = OneDCursor::new(
+                OneDSpec::new(AttrId(0), qrs_types::Direction::Asc, sel),
+                strategy,
+            );
             for _ in 0..5 {
                 if cur
                     .next(&server, &mut st)

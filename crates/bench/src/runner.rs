@@ -4,11 +4,13 @@
 //! the site's own data before its cost is reported, so a figure never shows
 //! the cost of a wrong answer.
 
-use qrs_core::md::ta::{SortedAccess, TaCursor};
-use qrs_core::{MdAlgo, MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, SharedState};
+use qrs_core::md::ta::SortedAccess;
+use qrs_core::strategy::{pull, RerankStrategy};
+use qrs_core::{MdAlgo, MdOptions, OneDCursor, OneDSpec, OneDStrategy, SharedState};
 use qrs_datagen::{MdUserQuery, OneDUserQuery};
 use qrs_ranking::RankFn;
 use qrs_server::{SearchInterface, SimServer};
+use qrs_service::Algorithm;
 use qrs_types::{Query, RerankError, Tuple};
 use std::sync::Arc;
 
@@ -43,7 +45,7 @@ pub fn one_d_cost_curve(
     // queries; emptiness proofs do not (see SharedState docs).
     st.forget_complete_regions();
     let mut cur = OneDCursor::new(OneDSpec::new(uq.attr, uq.dir, uq.query.clone()), strategy);
-    let (out, got) = measure(server, st, h, |st| cur.next(server, st))?;
+    let (out, got) = measure(server, st, h, &mut cur)?;
     let score = |t: &Tuple| uq.dir.normalize(t.ord(uq.attr));
     assert_exact(server, &uq.query, score, &got, h, strategy.label());
     Ok(out)
@@ -63,8 +65,6 @@ pub fn md_top_h_cost(
         .unwrap_or(0))
 }
 
-type NextFn<'a> = Box<dyn FnMut(&mut SharedState) -> Result<Option<Arc<Tuple>>, RerankError> + 'a>;
-
 /// Cumulative queries spent after each of the first `h` Get-Nexts.
 ///
 /// # Panics
@@ -79,30 +79,19 @@ pub fn md_cost_curve(
     h: usize,
 ) -> Result<Vec<u64>, RerankError> {
     st.forget_complete_regions();
-    let rank = Arc::new(uq.rank.clone());
-    let next: NextFn = match algo {
-        MdAlgo::TaOver1D | MdAlgo::TaPublicOrderBy => {
-            let caps = server.capabilities();
-            let access = match algo {
-                // The §5 extension: page the site's own ORDER BY.
-                MdAlgo::TaPublicOrderBy if !caps.order_by.is_empty() => SortedAccess::PublicOrderBy,
-                // The paper's §4.1 comparator.
-                _ => SortedAccess::OneD(OneDStrategy::Rerank),
-            };
-            let mut cur =
-                TaCursor::with_server_caps(rank, uq.query.clone(), access, server.schema(), &caps);
-            Box::new(move |st| cur.next(server, st))
-        }
-        MdAlgo::Baseline | MdAlgo::Rerank => {
-            let opts = match algo {
-                MdAlgo::Baseline => MdOptions::baseline(),
-                _ => MdOptions::rerank(),
-            };
-            let mut cur = MdCursor::new(rank, uq.query.clone(), opts, server.schema());
-            Box::new(move |st| cur.next(server, st))
-        }
+    let algorithm = match algo {
+        // The paper's §4.1 comparator.
+        MdAlgo::TaOver1D => Algorithm::Ta(SortedAccess::OneD(OneDStrategy::Rerank)),
+        // The §5 extension: page the site's own ORDER BY where it offers
+        // one, 1D-RERANK elsewhere.
+        MdAlgo::TaPublicOrderBy => Algorithm::Ta(SortedAccess::PublicOrderBy),
+        MdAlgo::Baseline => Algorithm::Md(MdOptions::baseline()),
+        MdAlgo::Rerank => Algorithm::Md(MdOptions::rerank()),
     };
-    let (out, got) = measure(server, st, h, next)?;
+    let rank: Arc<dyn RankFn> = Arc::new(uq.rank.clone());
+    let mut strategy = (algorithm.strategy(rank, uq.query.clone(), server))
+        .expect("every MdAlgo is a built-in algorithm");
+    let (out, got) = measure(server, st, h, strategy.as_mut())?;
     assert_exact(
         server,
         &uq.query,
@@ -114,18 +103,19 @@ pub fn md_cost_curve(
     Ok(out)
 }
 
-/// Pull up to `h` tuples through `next`: the cumulative queries spent after
-/// each pull (the empty last pull included), and the tuples pulled.
+/// Pull up to `h` tuples out of `strategy`, one Get-Next at a time: the
+/// cumulative queries spent after each pull (the empty last pull
+/// included), and the tuples pulled.
 fn measure(
     server: &SimServer,
     st: &mut SharedState,
     h: usize,
-    mut next: impl FnMut(&mut SharedState) -> Result<Option<Arc<Tuple>>, RerankError>,
+    strategy: &mut dyn RerankStrategy,
 ) -> Result<(Vec<u64>, Vec<Arc<Tuple>>), RerankError> {
     let before = server.queries_issued();
     let (mut out, mut got) = (Vec::with_capacity(h), Vec::with_capacity(h));
     for _ in 0..h {
-        let t = next(st)?;
+        let t = pull(strategy, server, st, 1)?.pop();
         out.push(server.queries_issued() - before);
         match t {
             Some(t) => got.push(t),

@@ -57,7 +57,7 @@ pub fn page_down_rerank(
 /// *exact* fallback on sites whose filters are too weak for the cursor
 /// algorithms (point-only classifieds, browse-only storefronts).
 ///
-/// The first [`PageDownCursor::next`] pages the system ranking down until
+/// As a strategy it pages the system ranking down one page per step until
 /// the result set drains or `max_pages` is hit, then emits the locally
 /// reranked tuples one at a time. Unlike the baseline function, the cursor
 /// is **strict**: if paging stops before the result drains, it returns
@@ -66,7 +66,7 @@ pub fn page_down_rerank(
 /// cursor when the advertised page depth provably covers the relation.
 ///
 /// Resume contract: a transient failure mid-paging keeps every fetched
-/// page; retrying `next` re-enters at the page where the failure struck.
+/// page; a retried step re-enters at the page where the failure struck.
 pub struct PageDownCursor {
     sel: Query,
     rank: Arc<dyn RankFn>,
@@ -161,19 +161,6 @@ impl PageDownCursor {
             self.sorted = true;
         }
     }
-
-    /// The next tuple in user-rank order, draining the remaining pages in
-    /// one call if needed; `Ok(None)` when exhausted. Convenience for
-    /// direct/one-shot use — budget-gated callers (the service session)
-    /// drive [`PageDownCursor::fetch_next_page`] page by page instead.
-    pub fn next(
-        &mut self,
-        server: &dyn SearchInterface,
-        st: &mut SharedState,
-    ) -> Result<Option<Arc<Tuple>>, RerankError> {
-        while !self.fetch_next_page(server, st)? {}
-        Ok(self.emit_next())
-    }
 }
 
 impl std::fmt::Debug for PageDownCursor {
@@ -206,6 +193,7 @@ pub fn recall_at_h(approx: &[Arc<Tuple>], truth: &[Arc<Tuple>], h: usize) -> f64
 mod tests {
     use super::*;
     use crate::params::RerankParams;
+    use crate::strategy::pull;
     use qrs_datagen::synthetic::uniform;
     use qrs_ranking::LinearRank;
     use qrs_server::{Capabilities, SimServer, SystemRank};
@@ -271,10 +259,9 @@ mod tests {
         let server = SimServer::new(data, SystemRank::pseudo_random(47), 10)
             .with_capabilities(Capabilities::none().with_paging());
         let mut c = PageDownCursor::new(Query::all(), rank(), usize::MAX);
-        let mut got = Vec::new();
-        while let Some(t) = c.next(&server, &mut st).unwrap() {
-            got.push(t.id.0);
-        }
+        let got: Vec<u32> = (pull(&mut c, &server, &mut st, usize::MAX).unwrap().iter())
+            .map(|t| t.id.0)
+            .collect();
         assert!(c.drained());
         let want: Vec<u32> = truth.iter().map(|t| t.id.0).collect();
         assert_eq!(got, want);
@@ -290,14 +277,14 @@ mod tests {
         let server = SimServer::new(data, SystemRank::pseudo_random(53), 5)
             .with_capabilities(Capabilities::none().with_paging());
         let mut c = PageDownCursor::new(Query::all(), rank(), 3);
-        let err = c.next(&server, &mut st).unwrap_err();
+        let err = pull(&mut c, &server, &mut st, 1).unwrap_err();
         assert_eq!(
             err,
             RerankError::UnsupportedCapability(Capability::PageDepth(4))
         );
         // The three fetched pages stay paid-for; the error is stable.
         assert_eq!(server.queries_issued(), 3);
-        assert!(c.next(&server, &mut st).is_err());
+        assert!(pull(&mut c, &server, &mut st, 1).is_err());
         assert_eq!(server.queries_issued(), 3);
     }
 

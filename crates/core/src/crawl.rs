@@ -153,7 +153,7 @@ pub(crate) fn crawl_for(
 
     // A root answered without overflow was registered by `ask`.
     if crawl.overflowed && !crawl.truncated {
-        st.complete.register(q);
+        st.complete.insert(q);
     }
     Ok(CrawlResult {
         tuples: st.history.matching(q),

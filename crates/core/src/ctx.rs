@@ -10,11 +10,15 @@
 //! counted under the [`Purpose`] its caller names.
 
 use crate::crawl::PendingCrawls;
-use crate::history::{CompleteRegions, History};
+use crate::history::History;
 use crate::index::dense1d::Dense1D;
 use crate::params::RerankParams;
 use qrs_server::SearchInterface;
-use qrs_types::{Query, QueryResponse, RerankError, Schema};
+use qrs_types::{Query, QueryResponse, RegionIndex, RerankError, Schema};
+
+/// Regions [`SharedState::complete`] remembers before it forgets the
+/// oldest: dropping one only costs future queries, never correctness.
+const COMPLETE_REGIONS_CAP: usize = 4096;
 
 /// Why a built-in algorithm asks the site a query: the one tag each
 /// [`SharedState::ask`] call site passes, so the paid queries split by
@@ -60,8 +64,9 @@ pub struct SharedState {
     /// ordinal attribute.
     pub history: History,
     /// Regions proven complete (query answered without overflow, or
-    /// crawled to the end). Capped FIFO.
-    pub complete: CompleteRegions,
+    /// crawled to the end): every tuple one of them matches is in
+    /// `history`. Capped FIFO.
+    pub complete: RegionIndex,
     /// The §3.2.2 on-the-fly dense index: 1D crawl frontiers.
     pub dense1d: Dense1D,
     /// Crawls a refusal interrupted, resumed by the next crawl of the same
@@ -78,7 +83,7 @@ impl SharedState {
     pub fn new(schema: &Schema, params: RerankParams) -> Self {
         SharedState {
             history: History::new(schema.num_ordinal()),
-            complete: CompleteRegions::default(),
+            complete: RegionIndex::new(COMPLETE_REGIONS_CAP),
             dense1d: Dense1D::default(),
             pending_crawls: PendingCrawls::default(),
             params,
@@ -91,7 +96,7 @@ impl SharedState {
     pub fn absorb(&mut self, q: &Query, resp: &QueryResponse) {
         self.history.record_response(resp);
         if !resp.is_overflow() {
-            self.complete.register(q);
+            self.complete.insert(q);
         }
     }
 
@@ -146,7 +151,7 @@ impl SharedState {
     /// between user queries to reproduce the paper's cost model — see
     /// the `qrs-bench` rustdocs.
     pub fn forget_complete_regions(&mut self) {
-        self.complete = CompleteRegions::default();
+        self.complete.clear();
     }
 }
 

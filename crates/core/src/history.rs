@@ -5,13 +5,14 @@
 //! sharing happens *across user queries* — the paper's point being that the
 //! more the service is used, the cheaper each rerank becomes.
 //!
-//! The companion [`CompleteRegions`] registry remembers queries whose answer
-//! was *complete* (valid or underflow responses, and fully crawled regions):
-//! if a new query is subsumed by a registered region, its entire answer is
-//! already in history and costs zero server queries. Neither half walks
-//! what it has learned on the hot path: the registry is a
-//! [`RegionIndex`], and a covered query reaches its tuples through the
-//! tightest `by_attr` range it offers ([`History::candidates`]).
+//! Its companion, [`SharedState::complete`](crate::SharedState::complete),
+//! remembers queries whose answer was *complete* (valid or underflow
+//! responses, and fully crawled regions): if a new query is subsumed by a
+//! remembered region, its entire answer is already in history and costs
+//! zero server queries. Neither walks what it has learned on the hot path:
+//! the regions are a [`RegionIndex`](qrs_types::RegionIndex), and a covered
+//! query reaches its tuples through the tightest `by_attr` range it offers
+//! ([`History::candidates`]).
 //!
 //! The MD search's history read, `md::top1::history_best`, asks for the
 //! lowest-scoring known tuple in a box, so it walks a ranking axis in
@@ -27,8 +28,7 @@
 
 use qrs_types::value::OrdF64;
 use qrs_types::{
-    AttrId, Direction, Endpoint, Interval, Query, QueryResponse, RangePredicate, Region,
-    RegionIndex, Tuple, TupleId,
+    AttrId, Direction, Endpoint, Interval, Query, QueryResponse, RangePredicate, Tuple, TupleId,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -219,55 +219,6 @@ impl History {
             .collect();
         v.sort_by_key(|t| t.id);
         v
-    }
-}
-
-/// Registry of queries with fully known answers: a [`RegionIndex`] of their
-/// selection boxes.
-///
-/// A query lands here when the server's response was valid/underflow, or the
-/// crawler exhausted it. Capped FIFO — dropping an entry only costs future
-/// queries, never correctness.
-#[derive(Debug)]
-pub struct CompleteRegions(RegionIndex);
-
-impl Default for CompleteRegions {
-    fn default() -> Self {
-        CompleteRegions::new(4096)
-    }
-}
-
-impl CompleteRegions {
-    /// An empty registry remembering at most `cap` regions (FIFO).
-    pub fn new(cap: usize) -> Self {
-        CompleteRegions(RegionIndex::new(cap))
-    }
-
-    /// Regions currently remembered.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when no region has been registered yet.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Register a query whose full answer is now in history.
-    pub fn register(&mut self, q: &Query) {
-        self.0.insert(q);
-    }
-
-    /// Is every tuple matching `q` guaranteed to be in history already —
-    /// does a remembered region subsume it?
-    pub fn covers(&self, q: &Query) -> bool {
-        self.0.covers(q)
-    }
-
-    /// A remembered region that subsumes `q`, if one does: every tuple it
-    /// matches is in history, and it may reach beyond `q`.
-    pub fn covering(&self, q: &Query) -> Option<Region<'_>> {
-        self.0.covering(q)
     }
 }
 
@@ -642,28 +593,6 @@ mod tests {
             capped * 10 >= found,
             "vacuous: {capped} of {found} walks were cut short by their cap"
         );
-    }
-
-    #[test]
-    fn complete_regions_subsumption() {
-        let mut c = CompleteRegions::default();
-        let big = Query::all().and_range(AttrId(0), Interval::open(0.0, 10.0));
-        c.register(&big);
-        let small = Query::all().and_range(AttrId(0), Interval::closed(2.0, 5.0));
-        assert!(c.covers(&small));
-        let other = Query::all().and_range(AttrId(0), Interval::closed(2.0, 15.0));
-        assert!(!c.covers(&other));
-    }
-
-    #[test]
-    fn complete_regions_cap_evicts() {
-        let mut c = CompleteRegions::new(2);
-        for i in 0..3 {
-            c.register(&Query::all().and_range(AttrId(0), Interval::point(f64::from(i))));
-        }
-        assert_eq!(c.len(), 2);
-        assert!(!c.covers(&Query::all().and_range(AttrId(0), Interval::point(0.0))));
-        assert!(c.covers(&Query::all().and_range(AttrId(0), Interval::point(2.0))));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * [`dense1d`] — per-(attribute, direction) intervals with an incremental
 //!   crawl frontier (Algorithm 4's oracle).
 //!
-//! It stays apart from [`CompleteRegions`](crate::history::CompleteRegions):
-//! uncapped, and kept by `SharedState::forget_complete_regions`. The §4.4
+//! It stays apart from the complete regions
+//! ([`SharedState::complete`](crate::SharedState::complete)): uncapped, and
+//! kept by `SharedState::forget_complete_regions`. The §4.4
 //! MD box index is not built: on the tie-slab cursor it never saved a query.
 
 pub mod dense1d;

@@ -59,7 +59,4 @@ pub use md::{MdAlgo, MdCursor, MdOptions, TaCursor};
 pub use norm::{NormBox, NormView};
 pub use one_d::{OneDCursor, OneDSpec, OneDStrategy, TiePolicy};
 pub use params::RerankParams;
-pub use strategy::{
-    CostEstimate, MdCursorStrategy, OneDCursorStrategy, PageDownStrategy, PlanContext,
-    RerankStrategy, StrategyIo, StrategyStep, TaCursorStrategy,
-};
+pub use strategy::{CostEstimate, PlanContext, RerankStrategy, StrategyIo, StrategyStep};

@@ -351,23 +351,6 @@ impl MdCursor {
         };
         (paid(at, s0) && paid(at + 1, s1)).then_some(merged)
     }
-
-    /// Pull the top `h` tuples (shorter if `R(q)` is exhausted).
-    pub fn top_h(
-        &mut self,
-        server: &dyn SearchInterface,
-        st: &mut SharedState,
-        h: usize,
-    ) -> Result<Vec<Arc<Tuple>>, RerankError> {
-        let mut out = Vec::new();
-        for _ in 0..h {
-            match self.next(server, st)? {
-                Some(t) => out.push(t),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// The share of the ordinal domain `q`'s range predicates admit: the
@@ -576,6 +559,7 @@ fn tie_top(
 mod tests {
     use super::*;
     use crate::params::RerankParams;
+    use crate::strategy::pull;
     use qrs_datagen::synthetic::{correlated, discrete_grid, uniform};
     use qrs_ranking::LinearRank;
     use qrs_server::{SimServer, SystemRank};
@@ -649,7 +633,7 @@ mod tests {
             let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
             let server = SimServer::new(data.clone(), sys.clone(), k);
             let mut cur = MdCursor::new(Arc::new(rank.clone()), sel.clone(), opts, server.schema());
-            let got = cur.top_h(&server, &mut st, h).unwrap();
+            let got = pull(&mut cur, &server, &mut st, h).unwrap();
             assert_eq!(got.len(), h.min(truth.len()), "emitted count");
             assert_stream_matches(&got, &truth, |t| rank.score(t));
             let _ = name;
@@ -993,7 +977,7 @@ mod tests {
         // that stops at `a0 ≤ 0.8` proves nothing below `y = S(0.8, 0)`.
         let mut st = SharedState::new(&Arc::new(schema.clone()), params);
         st.complete
-            .register(&Query::all().and_range(AttrId(0), Interval::closed(0.0, 0.8)));
+            .insert(&Query::all().and_range(AttrId(0), Interval::closed(0.0, 0.8)));
         st.history.record(&tuple(0, 0.9, 0.0)); // outside the region, above `y`
         let y = score([0.8, 0.0]);
         assert!(matches!(certified(&st), Ok(TopState::Above(got)) if got == y));
@@ -1011,7 +995,7 @@ mod tests {
         // the part below `f`: no `md_top1` for it.
         let mut st = SharedState::new(&Arc::new(schema.clone()), params);
         st.complete
-            .register(&Query::all().and_range(AttrId(0), Interval::closed(0.0, 0.25)));
+            .insert(&Query::all().and_range(AttrId(0), Interval::closed(0.0, 0.25)));
         st.history.record(&tuple(2, 0.1, 0.1));
         assert!(complete_below(&st, &view, &sel, &full, f).is_none());
         assert!(known(certified(&st), 2, score([0.1, 0.1])));
@@ -1025,7 +1009,7 @@ mod tests {
         // emitted; a tuple below `y` not yet emitted sends it to `tie_top`.
         let mut st = SharedState::new(&Arc::new(schema), params);
         st.complete
-            .register(&Query::all().and_range(AttrId(1), Interval::closed(0.0, 0.4)));
+            .insert(&Query::all().and_range(AttrId(1), Interval::closed(0.0, 0.4)));
         st.history.record(&tuple(3, 0.3, 0.1));
         let slab = Subspace {
             emitted: HashSet::from([TupleId(3)]),
@@ -1077,8 +1061,7 @@ mod tests {
             for rank in &ranks {
                 let rank = Arc::new(rank.clone());
                 let mut cur = MdCursor::new(rank, Query::all(), MdOptions::rerank(), data.schema());
-                cur.top_h(&server, &mut st, rng.random_range(10..30))
-                    .unwrap();
+                pull(&mut cur, &server, &mut st, rng.random_range(10..30)).unwrap();
             }
             for _ in 0..600 {
                 let rank = &ranks[rng.random_range(0..ranks.len())];
@@ -1206,7 +1189,7 @@ mod tests {
             MdOptions::rerank(),
             server.schema(),
         );
-        let got = cur.top_h(&server, &mut st, 25).unwrap();
+        let got = pull(&mut cur, &server, &mut st, 25).unwrap();
         let truth = data.rank_by(&Query::all(), |t| rank.score(t));
         assert!(got
             .iter()
@@ -1231,7 +1214,7 @@ mod tests {
             MdOptions::rerank(),
             server.schema(),
         );
-        let got = cur.top_h(&server, &mut st, 100).unwrap();
+        let got = pull(&mut cur, &server, &mut st, 100).unwrap();
         assert_eq!(got.len(), 40, "must emit the entire relation");
         assert!(cur.next(&server, &mut st).unwrap().is_none());
         // Scores non-decreasing.

@@ -92,21 +92,19 @@ pub struct TaCursor {
     seen: HashSet<TupleId>,
     all_known: bool,
     rr: usize,
+    /// Built for public `ORDER BY` sorted access: names and prices the
+    /// cursor as a strategy.
+    pub(crate) public: bool,
 }
 
 impl TaCursor {
-    /// Cursor over `rank` restricted to `sel`, assuming no public `ORDER BY`
-    /// support (every stream runs through 1D sorted access).
-    pub fn new(rank: Arc<dyn RankFn>, sel: Query, access: SortedAccess, schema: &Schema) -> Self {
-        Self::with_server_caps(rank, sel, access, schema, &Capabilities::none())
-    }
-
-    /// Like [`TaCursor::new`] but negotiating against the server's
-    /// advertised [`Capabilities`]: attributes without public `ORDER BY`
-    /// fall back to 1D-RERANK sorted access. Callers wanting a hard error
-    /// instead of the fallback preflight with [`Capabilities::require`]
-    /// (the service layer's session builder does).
-    pub fn with_server_caps(
+    /// Cursor over `rank` restricted to `sel`, negotiating `access` against
+    /// the server's advertised [`Capabilities`]: attributes without public
+    /// `ORDER BY` fall back to 1D-RERANK sorted access. Callers wanting a
+    /// hard error instead of the fallback preflight with
+    /// [`Capabilities::require`] (the service layer's session builder
+    /// does).
+    pub fn new(
         rank: Arc<dyn RankFn>,
         sel: Query,
         access: SortedAccess,
@@ -147,6 +145,7 @@ impl TaCursor {
             seen: HashSet::new(),
             all_known: false,
             rr: 0,
+            public: access == SortedAccess::PublicOrderBy,
         }
     }
 
@@ -177,23 +176,6 @@ impl TaCursor {
             }
             self.pull_one(server, st)?;
         }
-    }
-
-    /// Pull the top `h` tuples (shorter if `R(q)` is exhausted).
-    pub fn top_h(
-        &mut self,
-        server: &dyn SearchInterface,
-        st: &mut SharedState,
-        h: usize,
-    ) -> Result<Vec<Arc<Tuple>>, RerankError> {
-        let mut out = Vec::new();
-        for _ in 0..h {
-            match self.next(server, st)? {
-                Some(t) => out.push(t),
-                None => break,
-            }
-        }
-        Ok(out)
     }
 
     fn pull_one(
@@ -235,6 +217,7 @@ impl TaCursor {
 mod tests {
     use super::*;
     use crate::params::RerankParams;
+    use crate::strategy::pull;
     use qrs_datagen::synthetic::{correlated, uniform};
     use qrs_ranking::LinearRank;
     use qrs_server::{SimServer, SystemRank};
@@ -264,9 +247,9 @@ mod tests {
             Query::all(),
             SortedAccess::OneD(OneDStrategy::Rerank),
             server.schema(),
+            &Capabilities::none(),
         );
-        let got: Vec<f64> = ta
-            .top_h(&server, &mut st, 15)
+        let got: Vec<f64> = pull(&mut ta, &server, &mut st, 15)
             .unwrap()
             .iter()
             .map(|t| rank.score(t))
@@ -286,9 +269,9 @@ mod tests {
             sel.clone(),
             SortedAccess::OneD(OneDStrategy::Rerank),
             server.schema(),
+            &Capabilities::none(),
         );
-        let got: Vec<f64> = ta
-            .top_h(&server, &mut st, 10)
+        let got: Vec<f64> = pull(&mut ta, &server, &mut st, 10)
             .unwrap()
             .iter()
             .map(|t| rank.score(t))
@@ -303,15 +286,14 @@ mod tests {
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(250, 5));
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(31), 5)
             .with_capabilities(Capabilities::none().with_order_by(vec![AttrId(0), AttrId(1)]));
-        let mut ta = TaCursor::with_server_caps(
+        let mut ta = TaCursor::new(
             Arc::new(rank.clone()),
             Query::all(),
             SortedAccess::PublicOrderBy,
             server.schema(),
             &server.capabilities(),
         );
-        let got: Vec<f64> = ta
-            .top_h(&server, &mut st, 12)
+        let got: Vec<f64> = pull(&mut ta, &server, &mut st, 12)
             .unwrap()
             .iter()
             .map(|t| rank.score(t))
@@ -330,8 +312,9 @@ mod tests {
             Query::all(),
             SortedAccess::OneD(OneDStrategy::Binary),
             server.schema(),
+            &Capabilities::none(),
         );
-        let got = ta.top_h(&server, &mut st, 1000).unwrap();
+        let got = pull(&mut ta, &server, &mut st, 1000).unwrap();
         assert_eq!(got.len(), 60);
         assert!(ta.next(&server, &mut st).unwrap().is_none());
     }

@@ -21,7 +21,7 @@ use crate::ctx::{Purpose, SharedState};
 use crate::one_d::primitives::{seek, OneDSpec, Step};
 use crate::one_d::OneDStrategy;
 use qrs_server::SearchInterface;
-use qrs_types::{Direction, Interval, Query, RerankError, Tuple};
+use qrs_types::{Interval, RerankError, Tuple};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -81,16 +81,6 @@ impl OneDCursor {
             step: Step::new(f64::NEG_INFINITY),
             state: State::Start,
         }
-    }
-
-    /// Convenience constructor.
-    pub fn over(
-        attr: qrs_types::AttrId,
-        dir: Direction,
-        sel: Query,
-        strategy: OneDStrategy,
-    ) -> Self {
-        OneDCursor::new(OneDSpec::new(attr, dir, sel), strategy)
     }
 
     /// The search specification (attribute, direction, selection).
@@ -184,19 +174,6 @@ impl OneDCursor {
             }
         }
     }
-
-    /// Pull every remaining tuple (careful on large `R(q)` — this crawls).
-    pub fn drain(
-        &mut self,
-        server: &dyn SearchInterface,
-        st: &mut SharedState,
-    ) -> Result<Vec<Arc<Tuple>>, RerankError> {
-        let mut out = Vec::new();
-        while let Some(t) = self.next(server, st)? {
-            out.push(t);
-        }
-        Ok(out)
-    }
 }
 
 /// Collect every tuple with `attr` exactly at normalized value `nval`
@@ -219,10 +196,11 @@ pub(crate) fn gather_slab(
 mod tests {
     use super::*;
     use crate::params::RerankParams;
+    use crate::strategy::pull;
     use qrs_datagen::synthetic::{discrete_grid, uniform};
     use qrs_server::{SimServer, SystemRank};
     use qrs_types::value::cmp_f64;
-    use qrs_types::AttrId;
+    use qrs_types::{AttrId, Direction, Query};
 
     fn truth_order(server: &SimServer, spec: &OneDSpec) -> Vec<(f64, u32)> {
         let mut v: Vec<(f64, u32)> = server
@@ -243,9 +221,11 @@ mod tests {
         for strategy in OneDStrategy::ALL {
             let mut st = SharedState::new(data.schema(), st0);
             let server = SimServer::new(data.clone(), SystemRank::by_attr_desc(AttrId(0)), 5);
-            let mut cur = OneDCursor::over(AttrId(0), Direction::Asc, Query::all(), strategy);
-            let got: Vec<(f64, u32)> = cur
-                .drain(&server, &mut st)
+            let mut cur = OneDCursor::new(
+                OneDSpec::new(AttrId(0), Direction::Asc, Query::all()),
+                strategy,
+            );
+            let got: Vec<(f64, u32)> = pull(&mut cur, &server, &mut st, usize::MAX)
                 .unwrap()
                 .iter()
                 .map(|t| (t.ord(AttrId(0)), t.id.0))
@@ -265,14 +245,11 @@ mod tests {
         let data = discrete_grid(400, 2, 6, 53);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(400, 7));
         let server = SimServer::new(data, SystemRank::pseudo_random(1), 7);
-        let mut cur = OneDCursor::over(
-            AttrId(0),
-            Direction::Asc,
-            Query::all(),
+        let mut cur = OneDCursor::new(
+            OneDSpec::new(AttrId(0), Direction::Asc, Query::all()),
             OneDStrategy::Rerank,
         );
-        let got: Vec<(f64, u32)> = cur
-            .drain(&server, &mut st)
+        let got: Vec<(f64, u32)> = pull(&mut cur, &server, &mut st, usize::MAX)
             .unwrap()
             .iter()
             .map(|t| (t.ord(AttrId(0)), t.id.0))
@@ -334,10 +311,14 @@ mod tests {
             let mut st =
                 SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), 1));
             let server = SimServer::new(data.clone(), SystemRank::pseudo_random(3), 1);
-            let mut cur = OneDCursor::over(AttrId(0), Direction::Desc, Query::all(), strategy);
-            let got: Vec<(f64, u32)> = (cur.drain(&server, &mut st).unwrap().iter())
-                .map(|t| (cur_nval(&cur, t), t.id.0))
-                .collect();
+            let mut cur = OneDCursor::new(
+                OneDSpec::new(AttrId(0), Direction::Desc, Query::all()),
+                strategy,
+            );
+            let got: Vec<(f64, u32)> =
+                (pull(&mut cur, &server, &mut st, usize::MAX).unwrap().iter())
+                    .map(|t| (cur_nval(&cur, t), t.id.0))
+                    .collect();
             assert_eq!(
                 got,
                 truth_order(&server, cur.spec()),
@@ -353,9 +334,11 @@ mod tests {
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(400, 5));
         let server = SimServer::new(data, SystemRank::by_attr_asc(AttrId(0)), 5);
         let sel = Query::all().and_range(AttrId(1), Interval::closed(0.2, 0.8));
-        let mut cur = OneDCursor::over(AttrId(0), Direction::Desc, sel, OneDStrategy::Binary);
-        let got: Vec<(f64, u32)> = cur
-            .drain(&server, &mut st)
+        let mut cur = OneDCursor::new(
+            OneDSpec::new(AttrId(0), Direction::Desc, sel),
+            OneDStrategy::Binary,
+        );
+        let got: Vec<(f64, u32)> = pull(&mut cur, &server, &mut st, usize::MAX)
             .unwrap()
             .iter()
             .map(|t| (cur_nval(&cur, t), t.id.0))
@@ -386,14 +369,11 @@ mod tests {
         let data = qrs_types::Dataset::new(schema, tuples).unwrap();
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(4, 2));
         let server = SimServer::new(data, SystemRank::pseudo_random(9), 2);
-        let mut cur = OneDCursor::over(
-            AttrId(0),
-            Direction::Asc,
-            Query::all(),
+        let mut cur = OneDCursor::new(
+            OneDSpec::new(AttrId(0), Direction::Asc, Query::all()),
             OneDStrategy::Rerank,
         );
-        let got: Vec<u32> = cur
-            .drain(&server, &mut st)
+        let got: Vec<u32> = pull(&mut cur, &server, &mut st, usize::MAX)
             .unwrap()
             .iter()
             .map(|t| t.id.0)
@@ -404,14 +384,11 @@ mod tests {
             server.dataset().schema(),
             RerankParams::paper_defaults(4, 2),
         );
-        let mut cur2 = OneDCursor::over(
-            AttrId(0),
-            Direction::Desc,
-            Query::all(),
+        let mut cur2 = OneDCursor::new(
+            OneDSpec::new(AttrId(0), Direction::Desc, Query::all()),
             OneDStrategy::Rerank,
         );
-        let got2: Vec<u32> = cur2
-            .drain(&server, &mut st2)
+        let got2: Vec<u32> = pull(&mut cur2, &server, &mut st2, usize::MAX)
             .unwrap()
             .iter()
             .map(|t| t.id.0)
@@ -425,7 +402,10 @@ mod tests {
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(100, 5));
         let server = SimServer::new(data, SystemRank::pseudo_random(2), 5);
         let sel = Query::all().and_range(AttrId(1), Interval::closed(5.0, 6.0));
-        let mut cur = OneDCursor::over(AttrId(0), Direction::Asc, sel, OneDStrategy::Baseline);
+        let mut cur = OneDCursor::new(
+            OneDSpec::new(AttrId(0), Direction::Asc, sel),
+            OneDStrategy::Baseline,
+        );
         assert!(cur.next(&server, &mut st).unwrap().is_none());
         // Idempotent.
         assert!(cur.next(&server, &mut st).unwrap().is_none());

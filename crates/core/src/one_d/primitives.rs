@@ -602,7 +602,10 @@ mod tests {
         let top25 = |data: &qrs_types::Dataset, sys: SystemRank, strategy| {
             let server = SimServer::new(data.clone(), sys, 10);
             let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(2000, 10));
-            let mut cur = OneDCursor::over(AttrId(0), Direction::Asc, Query::all(), strategy);
+            let mut cur = OneDCursor::new(
+                OneDSpec::new(AttrId(0), Direction::Asc, Query::all()),
+                strategy,
+            );
             for _ in 0..25 {
                 cur.next(&server, &mut st).unwrap().expect("2000 tuples");
             }

@@ -1,16 +1,17 @@
-//! The pluggable execution API: reranking algorithms as strategy objects.
+//! The pluggable execution API: every reranking algorithm is one object.
 //!
-//! Every exact-reranking algorithm in this crate — the §3 1D cursor, the
-//! §4 MD cursor, TA over public `ORDER BY`, the strict page-down fallback —
-//! is a *pull state machine*: ask it for the next step and it either emits
-//! the next-ranked tuple, reports paid progress, or declares the stream
+//! Each exact-reranking algorithm in this crate is a Get-Next cursor — the
+//! §3 [`OneDCursor`], the §4 [`MdCursor`], TA over sorted access
+//! ([`TaCursor`], §4.1), the strict page-down fallback
+//! ([`PageDownCursor`]) — and each cursor is itself a [`RerankStrategy`]:
+//! a *pull state machine* that, asked for the next step, emits the
+//! next-ranked tuple, reports paid progress, or declares the stream
 //! exhausted, issuing typed queries against the restricted interface along
-//! the way. [`RerankStrategy`] names that contract so the `qrs-service`
-//! session loop can drive *any* algorithm — the four built-in families
-//! (wrapped here as [`OneDCursorStrategy`], [`MdCursorStrategy`],
-//! [`TaCursorStrategy`], [`PageDownStrategy`]) or a user-registered custom
-//! one — through one `Box<dyn RerankStrategy>` without matching on an
-//! algorithm enum.
+//! the way. The `qrs-service` session loop drives any of them, or a
+//! user-registered custom strategy, through one `Box<dyn RerankStrategy>`
+//! without matching on an algorithm enum: `qrs_service::Algorithm::strategy`
+//! is the one place an algorithm choice becomes an object, and [`pull`] is
+//! the one top-`h` loop outside a session.
 //!
 //! Strategies are **sans-session**: they never see the service's locks,
 //! budgets or retry machinery. Each [`RerankStrategy::next_step`] call
@@ -38,11 +39,10 @@
 use crate::baselines::PageDownCursor;
 use crate::ctx::SharedState;
 use crate::md::cursor::MdCursor;
-use crate::md::ta::{SortedAccess, TaCursor};
+use crate::md::ta::TaCursor;
 use crate::one_d::cursor::{OneDCursor, TiePolicy};
 use crate::one_d::primitives::OneDSpec;
 use crate::one_d::OneDStrategy;
-use qrs_ranking::RankFn;
 use qrs_server::{Capabilities, OrderedPage, SearchInterface};
 use qrs_types::{
     AttrId, CostModel, Direction, Interval, Query, QueryResponse, RequestKind, RerankError, Schema,
@@ -214,7 +214,7 @@ impl<'a> StrategyIo<'a> {
     }
 
     /// The raw server + shared-state pair. Escape hatch for strategies
-    /// (like the built-in cursor wrappers) whose machinery predates the
+    /// (like the built-in cursors) whose machinery predates the
     /// typed surface; prefer the typed helpers in new code — they keep the
     /// history recording invariant for you.
     pub fn raw(&mut self) -> (&'a dyn SearchInterface, &mut SharedState) {
@@ -319,6 +319,28 @@ fn step_from(t: Option<Arc<Tuple>>) -> StrategyStep {
     }
 }
 
+/// Pull the next `h` tuples out of `strategy` (fewer once it is exhausted)
+/// against `server`, outside any session: no budgets, no retries, no
+/// ledgers. The one top-`h` loop over every algorithm. An `Err` drops the
+/// tuples this call pulled and leaves the strategy resumable.
+pub fn pull(
+    strategy: &mut dyn RerankStrategy,
+    server: &dyn SearchInterface,
+    st: &mut SharedState,
+    h: usize,
+) -> Result<Vec<Arc<Tuple>>, RerankError> {
+    // Grown as tuples arrive: `h` may be a caller's "everything".
+    let mut out = Vec::new();
+    while out.len() < h {
+        match strategy.next_step(&mut StrategyIo::new(server, st))? {
+            StrategyStep::Emit(t) => out.push(t),
+            StrategyStep::Progress => {}
+            StrategyStep::Exhausted => break,
+        }
+    }
+    Ok(out)
+}
+
 /// `ceil(log2(n))`, floored at 1 — the binary-search depth estimates lean
 /// on.
 fn log2_ceil(n: u64) -> u64 {
@@ -337,39 +359,30 @@ fn pricing_predicate(schema: &Schema, attr: AttrId) -> Interval {
     }
 }
 
-/// The §3 1D cursor ([`OneDCursor`]) as a strategy object.
-#[derive(Debug)]
-pub struct OneDCursorStrategy {
-    cursor: OneDCursor,
+/// A range-filtered top-`k` on the first ranking attribute: the probe the
+/// 1D cursor sends, priced.
+fn one_d_probe_shape(ctx: &PlanContext) -> Query {
+    let mut shape = ctx.server_query.clone();
+    if let Some(&attr) = ctx.rank_attrs.first() {
+        shape.add_range(attr, pricing_predicate(&ctx.schema, attr));
+    }
+    shape
 }
 
-impl OneDCursorStrategy {
-    /// Wrap a 1D cursor for `spec` with the given primitive strategy. The
-    /// tie argument is ignored: [`TiePolicy`] has one variant.
-    pub fn new(spec: OneDSpec, strategy: OneDStrategy, _tie: TiePolicy) -> Self {
-        OneDCursorStrategy {
-            cursor: OneDCursor::new(spec, strategy),
-        }
-    }
-
+impl OneDCursor {
     /// The 1D cursor's cost heuristic, usable at plan time without
     /// constructing the cursor: one binary-search descent (`log2 n`) plus
     /// roughly one query per emitted tuple — the shared dense index
     /// amortizes later descents — priced as a range-filtered top-`k` on
     /// the ranking attribute.
     pub fn estimate_in(ctx: &PlanContext) -> CostEstimate {
-        let h = ctx.horizon.max(1) as u64;
-        let n = ctx.n_estimate.max(1) as u64;
-        let queries = h + log2_ceil(n);
-        let mut shape = ctx.server_query.clone();
-        if let Some(&attr) = ctx.rank_attrs.first() {
-            shape.add_range(attr, pricing_predicate(&ctx.schema, attr));
-        }
+        let queries = ctx.horizon.max(1) as u64 + log2_ceil(ctx.n_estimate as u64);
+        let shape = one_d_probe_shape(ctx);
         CostEstimate::priced(queries, &ctx.caps.cost, &shape, RequestKind::TopK)
     }
 }
 
-impl RerankStrategy for OneDCursorStrategy {
+impl RerankStrategy for OneDCursor {
     fn name(&self) -> &str {
         names::ONE_D
     }
@@ -380,7 +393,7 @@ impl RerankStrategy for OneDCursorStrategy {
 
     fn next_step(&mut self, io: &mut StrategyIo<'_>) -> Result<StrategyStep, RerankError> {
         let (server, st) = io.raw();
-        self.cursor.next(server, st).map(step_from)
+        self.next(server, st).map(step_from)
     }
 
     fn request_kind(&self) -> Option<RequestKind> {
@@ -388,19 +401,41 @@ impl RerankStrategy for OneDCursorStrategy {
     }
 }
 
-/// The §4 MD box-partitioning cursor ([`MdCursor`]) as a strategy object.
-pub struct MdCursorStrategy {
-    cursor: MdCursor,
+/// [`OneDCursor`] built through the constructor `qrs_benchmark` calls, with
+/// its tie argument. The argument is ignored ([`TiePolicy`] has one
+/// variant); code in this workspace builds the cursor itself.
+#[derive(Debug)]
+pub struct OneDCursorStrategy(OneDCursor);
+
+impl OneDCursorStrategy {
+    /// A 1D cursor for `spec` driving `strategy`.
+    pub fn new(spec: OneDSpec, strategy: OneDStrategy, _tie: TiePolicy) -> Self {
+        OneDCursorStrategy(OneDCursor::new(spec, strategy))
+    }
 }
 
-impl MdCursorStrategy {
-    /// Wrap an MD cursor for `sel` ranked by `rank`.
-    pub fn new(rank: Arc<dyn RankFn>, sel: Query, opts: crate::MdOptions, schema: &Schema) -> Self {
-        MdCursorStrategy {
-            cursor: MdCursor::new(rank, sel, opts, schema),
-        }
+impl RerankStrategy for OneDCursorStrategy {
+    fn name(&self) -> &str {
+        self.0.name()
     }
 
+    fn estimate(&self, ctx: &PlanContext) -> CostEstimate {
+        self.0.estimate(ctx)
+    }
+
+    fn next_step(&mut self, io: &mut StrategyIo<'_>) -> Result<StrategyStep, RerankError> {
+        self.0.next_step(io)
+    }
+
+    fn request_kind(&self) -> Option<RequestKind> {
+        self.0.request_kind()
+    }
+}
+
+/// The §4 MD cursor under the name `qrs_benchmark` builds it by.
+pub type MdCursorStrategy = MdCursor;
+
+impl MdCursor {
     /// The MD cursor's cost heuristic: the 1D shape scaled by the ranking
     /// arity (each dimension contributes binary partitioning work), priced
     /// as a top-`k` constrained on every ordinal attribute — the box
@@ -418,7 +453,7 @@ impl MdCursorStrategy {
     }
 }
 
-impl RerankStrategy for MdCursorStrategy {
+impl RerankStrategy for MdCursor {
     fn name(&self) -> &str {
         names::MD
     }
@@ -429,7 +464,7 @@ impl RerankStrategy for MdCursorStrategy {
 
     fn next_step(&mut self, io: &mut StrategyIo<'_>) -> Result<StrategyStep, RerankError> {
         let (server, st) = io.raw();
-        self.cursor.next(server, st).map(step_from)
+        self.next(server, st).map(step_from)
     }
 
     fn request_kind(&self) -> Option<RequestKind> {
@@ -437,78 +472,49 @@ impl RerankStrategy for MdCursorStrategy {
     }
 }
 
-/// TA over sorted access ([`TaCursor`]) as a strategy object.
-pub struct TaCursorStrategy {
-    cursor: TaCursor,
-    public: bool,
-}
+/// TA over sorted access under the name `qrs_benchmark` builds it by.
+pub type TaCursorStrategy = TaCursor;
 
-impl TaCursorStrategy {
-    /// Wrap a TA cursor negotiating `access` against the server's
-    /// advertised capabilities (attributes without public `ORDER BY` fall
-    /// back to 1D-RERANK sorted access).
-    pub fn new(
-        rank: Arc<dyn RankFn>,
-        sel: Query,
-        access: SortedAccess,
-        schema: &Schema,
-        caps: &Capabilities,
-    ) -> Self {
-        TaCursorStrategy {
-            cursor: TaCursor::with_server_caps(rank, sel, access, schema, caps),
-            public: matches!(access, SortedAccess::PublicOrderBy),
-        }
-    }
-
-    /// TA's cost heuristic for public-`ORDER BY` sorted access; see
-    /// [`TaCursorStrategy::estimate_with_access`].
+impl TaCursor {
+    /// TA's cost heuristic under public-`ORDER BY` sorted access, the
+    /// planner's TA candidate: `⌈depth/k⌉` ordered pages per ranking
+    /// attribute, where `depth ≈ (h · n^(m-1))^(1/m)` is how far the
+    /// threshold reads each stream. A built cursor prices the access it
+    /// was built with.
     pub fn estimate_in(ctx: &PlanContext) -> CostEstimate {
-        Self::estimate_with_access(ctx, true)
-    }
-
-    /// TA's cost heuristic: the threshold stops once each of the `m`
-    /// streams has drained `≈ (h · n^(m-1))^(1/m)` tuples (for `m = 1` the
-    /// single ordered stream *is* the answer order: depth `h`; for `m = 2`
-    /// the classic `sqrt(h·n)`). With public `ORDER BY` access that is
-    /// `⌈depth/k⌉` ordered pages per stream, priced as `ORDER BY` pages of
-    /// the server query; with 1D-RERANK sorted access
-    /// ([`SortedAccess::OneD`]) each stream instead issues range-filtered
-    /// top-`k` probes — roughly one per drained tuple plus one
-    /// binary-search descent — priced in *that* request class, since the
-    /// server never sees an `ORDER BY`.
-    pub fn estimate_with_access(ctx: &PlanContext, public_order_by: bool) -> CostEstimate {
-        let h = ctx.horizon.max(1) as u64;
-        let n = ctx.n_estimate.max(1) as u64;
-        let m = ctx.rank_attrs.len().max(1) as u64;
-        let k = ctx.k.max(1) as u64;
-        let depth = (((h as f64) * (n as f64).powi(m as i32 - 1))
-            .powf(1.0 / m as f64)
-            .ceil() as u64)
-            .clamp(1, n);
-        if public_order_by {
-            let pages_per_stream = depth.div_ceil(k).clamp(1, ctx.drain_pages());
-            CostEstimate::priced(
-                m * pages_per_stream,
-                &ctx.caps.cost,
-                &ctx.server_query,
-                RequestKind::Ordered,
-            )
-        } else {
-            let mut shape = ctx.server_query.clone();
-            if let Some(&attr) = ctx.rank_attrs.first() {
-                shape.add_range(attr, pricing_predicate(&ctx.schema, attr));
-            }
-            CostEstimate::priced(
-                m * (depth + log2_ceil(n)),
-                &ctx.caps.cost,
-                &shape,
-                RequestKind::TopK,
-            )
-        }
+        ta_estimate(ctx, true)
     }
 }
 
-impl RerankStrategy for TaCursorStrategy {
+/// TA's cost heuristic: the threshold stops once each of the `m` streams
+/// has drained `≈ (h · n^(m-1))^(1/m)` tuples (for `m = 1` the single
+/// ordered stream *is* the answer order: depth `h`; for `m = 2` the classic
+/// `sqrt(h·n)`). With public `ORDER BY` access that is `⌈depth/k⌉` ordered
+/// pages per stream, priced as `ORDER BY` pages of the server query; with
+/// 1D-RERANK sorted access each stream instead issues range-filtered
+/// top-`k` probes — roughly one per drained tuple plus one binary-search
+/// descent — priced in *that* request class, since the server never sees
+/// an `ORDER BY`.
+fn ta_estimate(ctx: &PlanContext, public_order_by: bool) -> CostEstimate {
+    let h = ctx.horizon.max(1) as u64;
+    let n = ctx.n_estimate.max(1) as u64;
+    let m = ctx.rank_attrs.len().max(1) as u64;
+    let k = ctx.k.max(1) as u64;
+    let depth = (((h as f64) * (n as f64).powi(m as i32 - 1))
+        .powf(1.0 / m as f64)
+        .ceil() as u64)
+        .clamp(1, n);
+    if public_order_by {
+        let pages = m * depth.div_ceil(k).clamp(1, ctx.drain_pages());
+        let sel = &ctx.server_query;
+        CostEstimate::priced(pages, &ctx.caps.cost, sel, RequestKind::Ordered)
+    } else {
+        let (probes, shape) = (m * (depth + log2_ceil(n)), one_d_probe_shape(ctx));
+        CostEstimate::priced(probes, &ctx.caps.cost, &shape, RequestKind::TopK)
+    }
+}
+
+impl RerankStrategy for TaCursor {
     fn name(&self) -> &str {
         if self.public {
             names::TA_ORDER_BY
@@ -518,12 +524,12 @@ impl RerankStrategy for TaCursorStrategy {
     }
 
     fn estimate(&self, ctx: &PlanContext) -> CostEstimate {
-        Self::estimate_with_access(ctx, self.public)
+        ta_estimate(ctx, self.public)
     }
 
     fn next_step(&mut self, io: &mut StrategyIo<'_>) -> Result<StrategyStep, RerankError> {
         let (server, st) = io.raw();
-        self.cursor.next(server, st).map(step_from)
+        self.next(server, st).map(step_from)
     }
 
     /// `ORDER BY` pages under public sorted access; under 1D-RERANK sorted
@@ -542,23 +548,11 @@ impl RerankStrategy for TaCursorStrategy {
     }
 }
 
-/// The strict page-down fallback ([`PageDownCursor`]) as a strategy
-/// object. Fetches one page per step (so the driver's budget gates fire
-/// between pages), then emits the locally reranked drain.
-#[derive(Debug)]
-pub struct PageDownStrategy {
-    cursor: PageDownCursor,
-}
+/// The strict page-down fallback under the name `qrs_benchmark` builds it
+/// by.
+pub type PageDownStrategy = PageDownCursor;
 
-impl PageDownStrategy {
-    /// Wrap a strict page-down cursor for `sel` reranked by `rank`,
-    /// allowed at most `max_pages` page turns.
-    pub fn new(sel: Query, rank: Arc<dyn RankFn>, max_pages: usize) -> Self {
-        PageDownStrategy {
-            cursor: PageDownCursor::new(sel, rank, max_pages),
-        }
-    }
-
+impl PageDownCursor {
     /// Page-down's cost is not a heuristic: draining `R(q)` takes exactly
     /// `ceil(n/k)` page turns (under the planner's `n_estimate`), priced
     /// as page requests of the server query. Emission afterwards is free.
@@ -572,7 +566,9 @@ impl PageDownStrategy {
     }
 }
 
-impl RerankStrategy for PageDownStrategy {
+/// One page per step, so the driver's budget gates fire between pages;
+/// once `R(q)` has drained, the locally reranked tuples one per step.
+impl RerankStrategy for PageDownCursor {
     fn name(&self) -> &str {
         names::PAGE_DOWN
     }
@@ -582,14 +578,12 @@ impl RerankStrategy for PageDownStrategy {
     }
 
     fn next_step(&mut self, io: &mut StrategyIo<'_>) -> Result<StrategyStep, RerankError> {
-        let (server, st) = io.raw();
-        if self.cursor.drained() {
-            Ok(step_from(self.cursor.emit_next()))
-        } else {
-            self.cursor
-                .fetch_next_page(server, st)
-                .map(|_| StrategyStep::Progress)
+        if self.drained() {
+            return Ok(step_from(self.emit_next()));
         }
+        let (server, st) = io.raw();
+        self.fetch_next_page(server, st)
+            .map(|_| StrategyStep::Progress)
     }
 
     fn request_kind(&self) -> Option<RequestKind> {
@@ -606,7 +600,6 @@ mod tests {
     use super::*;
     use crate::params::RerankParams;
     use qrs_datagen::synthetic::uniform;
-    use qrs_ranking::LinearRank;
     use qrs_server::{SimServer, SystemRank};
 
     fn ctx(n: usize, k: usize, horizon: usize, dims: usize, cost: CostModel) -> PlanContext {
@@ -625,29 +618,29 @@ mod tests {
     #[test]
     fn page_down_estimate_is_the_exact_drain() {
         let c = ctx(100, 5, 8, 2, CostModel::flat());
-        let e = PageDownStrategy::estimate_in(&c);
+        let e = PageDownCursor::estimate_in(&c);
         assert_eq!(e.queries, 20);
         assert_eq!(e.cost_units, 20);
         // A paged surcharge prices every turn.
         let c = ctx(100, 5, 8, 2, CostModel::flat().with_paged_cost(3));
-        assert_eq!(PageDownStrategy::estimate_in(&c).cost_units, 80);
+        assert_eq!(PageDownCursor::estimate_in(&c).cost_units, 80);
     }
 
     #[test]
     fn estimates_order_cursors_before_drains_on_deep_databases() {
         let c = ctx(10_000, 5, 5, 1, CostModel::flat());
-        let one_d = OneDCursorStrategy::estimate_in(&c);
-        let drain = PageDownStrategy::estimate_in(&c);
+        let one_d = OneDCursor::estimate_in(&c);
+        let drain = PageDownCursor::estimate_in(&c);
         assert!(
             one_d.cost_units < drain.cost_units,
             "1d {one_d} vs drain {drain}"
         );
         let c = ctx(10_000, 5, 5, 2, CostModel::flat());
-        let md = MdCursorStrategy::estimate_in(&c);
-        assert!(md.cost_units < PageDownStrategy::estimate_in(&c).cost_units);
+        let md = MdCursor::estimate_in(&c);
+        assert!(md.cost_units < PageDownCursor::estimate_in(&c).cost_units);
         // Estimates grow with the horizon.
         let deep = ctx(10_000, 5, 50, 2, CostModel::flat());
-        assert!(MdCursorStrategy::estimate_in(&deep).cost_units > md.cost_units);
+        assert!(MdCursor::estimate_in(&deep).cost_units > md.cost_units);
     }
 
     #[test]
@@ -661,60 +654,18 @@ mod tests {
             CostModel::flat().with_range_cost(1).with_ordered_cost(2),
         );
         let (f, m) = (
-            MdCursorStrategy::estimate_in(&flat),
-            MdCursorStrategy::estimate_in(&metered),
+            MdCursor::estimate_in(&flat),
+            MdCursor::estimate_in(&metered),
         );
         assert_eq!(f.queries, m.queries);
         // Two range predicates at +1 each: 3 units per query.
         assert_eq!(m.cost_units, 3 * m.queries);
         let (f, m) = (
-            TaCursorStrategy::estimate_in(&flat),
-            TaCursorStrategy::estimate_in(&metered),
+            TaCursor::estimate_in(&flat),
+            TaCursor::estimate_in(&metered),
         );
         assert_eq!(f.queries, m.queries);
         assert_eq!(m.cost_units, 3 * f.cost_units);
-    }
-
-    #[test]
-    fn built_in_strategies_stream_identically_to_their_cursors() {
-        let n = 60;
-        let k = 5;
-        let data = uniform(n, 2, 1, 77);
-        let rank: Arc<dyn RankFn> =
-            Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
-        let server_a = SimServer::new(data.clone(), SystemRank::pseudo_random(3), k);
-        let server_b = SimServer::new(data.clone(), SystemRank::pseudo_random(3), k);
-        let mut st_a = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
-        let mut st_b = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
-
-        let mut cursor = MdCursor::new(
-            Arc::clone(&rank),
-            Query::all(),
-            crate::MdOptions::rerank(),
-            data.schema(),
-        );
-        let mut strategy = MdCursorStrategy::new(
-            Arc::clone(&rank),
-            Query::all(),
-            crate::MdOptions::rerank(),
-            data.schema(),
-        );
-        for _ in 0..10 {
-            let want = cursor.next(&server_a, &mut st_a).unwrap().map(|t| t.id);
-            let got = loop {
-                let mut io = StrategyIo::new(&server_b, &mut st_b);
-                match strategy.next_step(&mut io).unwrap() {
-                    StrategyStep::Emit(t) => break Some(t.id),
-                    StrategyStep::Exhausted => break None,
-                    StrategyStep::Progress => continue,
-                }
-            };
-            assert_eq!(want, got);
-            assert_eq!(server_a.queries_issued(), server_b.queries_issued());
-            if want.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

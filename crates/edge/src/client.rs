@@ -246,7 +246,7 @@ fn decode_error_body(resp: &Response, json: &Json) -> ServerError {
             let hint = resp
                 .header("retry-after")
                 .and_then(|s| s.parse::<u64>().ok())
-                .map(|secs| secs * 1000);
+                .map(|secs| secs.saturating_mul(1000));
             ServerError::RateLimited {
                 retry_after_ms: hint,
             }
@@ -303,13 +303,7 @@ impl SearchInterface for HttpSiteAdapter {
         let body = Json::obj(vec![
             ("query", wire::query_to_json(q)),
             ("attr", Json::u64(attr.0 as u64)),
-            (
-                "dir",
-                Json::str(match dir {
-                    Direction::Asc => "asc",
-                    Direction::Desc => "desc",
-                }),
-            ),
+            ("dir", wire::direction_to_json(dir)),
             ("page", Json::u64(page as u64)),
         ])
         .encode();
@@ -487,10 +481,7 @@ impl EdgeClient {
                         .map(|(a, d, w)| {
                             Json::Arr(vec![
                                 Json::u64(*a as u64),
-                                Json::str(match d {
-                                    Direction::Asc => "asc",
-                                    Direction::Desc => "desc",
-                                }),
+                                wire::direction_to_json(*d),
                                 Json::Num(*w),
                             ])
                         })
@@ -560,4 +551,24 @@ fn decode_outcome(v: &Json) -> Result<WireOutcome, EdgeClientError> {
             .and_then(Json::as_str)
             .map(str::to_string),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer's `retry-after` is untrusted: seconds past `u64::MAX / 1000`
+    /// saturate instead of overflowing the millisecond hint.
+    #[test]
+    fn an_untrusted_retry_after_saturates() {
+        let mut resp = Response::json(429, r#"{"error":"front door full"}"#.into());
+        let retry_after = ("retry-after".into(), u64::MAX.to_string());
+        resp.headers.push(retry_after);
+        assert_eq!(
+            decode_error(&resp),
+            ServerError::RateLimited {
+                retry_after_ms: Some(u64::MAX)
+            }
+        );
+    }
 }

@@ -84,7 +84,7 @@ use qrs_exec::Executor;
 use qrs_obs::EventKind;
 use qrs_ranking::LinearRank;
 use qrs_service::{BatchOutcome, BatchRequest, RerankService};
-use qrs_types::{AttrId, Direction, Query, ServerError};
+use qrs_types::{AttrId, Query, ServerError};
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -526,11 +526,8 @@ fn site_ordered(req: &Request, shared: &Shared) -> Response {
             .get("attr")
             .and_then(Json::as_usize)
             .ok_or("missing or bad 'attr'")?;
-        let dir = match body.get("dir").and_then(Json::as_str) {
-            Some("asc") => Direction::Asc,
-            Some("desc") => Direction::Desc,
-            _ => return Err("missing or bad 'dir'".into()),
-        };
+        let dir =
+            (body.get("dir").and_then(wire::direction_from_json)).ok_or("missing or bad 'dir'")?;
         let page = body
             .get("page")
             .and_then(Json::as_usize)
@@ -623,11 +620,8 @@ fn decode_batch_request(v: &Json, shared: &Shared) -> Result<BatchRequest, Strin
             if attr >= num_ordinal {
                 return Err(format!("rank attribute {attr} outside the schema"));
             }
-            let dir = match term[1].as_str() {
-                Some("asc") => Direction::Asc,
-                Some("desc") => Direction::Desc,
-                _ => return Err("rank direction must be 'asc' or 'desc'".into()),
-            };
+            let dir = wire::direction_from_json(&term[1])
+                .ok_or("rank direction must be 'asc' or 'desc'")?;
             let weight = term[2].as_f64().ok_or("bad rank weight")?;
             if !weight.is_finite() || weight <= 0.0 {
                 // LinearRank::new asserts this; the wire pre-validates so

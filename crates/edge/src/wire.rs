@@ -25,9 +25,9 @@ use crate::http::Response;
 use crate::json::Json;
 use qrs_server::{Capabilities, OrderedPage};
 use qrs_types::{
-    AttrId, Capability, CatAttr, CatId, CatPredicate, CostModel, Endpoint, FilterSupport, Interval,
-    Mutation, MutationKind, MutationLog, OrdinalAttr, Query, QueryOutcome, QueryResponse,
-    RerankError, Schema, ServerError, Tuple, TupleId,
+    AttrId, Capability, CatAttr, CatId, CatPredicate, CostModel, Direction, Endpoint,
+    FilterSupport, Interval, Mutation, MutationKind, MutationLog, OrdinalAttr, Query, QueryOutcome,
+    QueryResponse, RerankError, Schema, ServerError, Tuple, TupleId,
 };
 use std::sync::Arc;
 
@@ -142,6 +142,24 @@ fn endpoint_from_json(v: &Json) -> WireResult<Endpoint> {
         "open" => Ok(Endpoint::Open(want_f64(v, "v")?)),
         "closed" => Ok(Endpoint::Closed(want_f64(v, "v")?)),
         other => Err(format!("unknown endpoint kind '{other}'")),
+    }
+}
+
+/// Encode a ranking direction: `"asc"` or `"desc"`.
+pub fn direction_to_json(d: Direction) -> Json {
+    Json::str(match d {
+        Direction::Asc => "asc",
+        Direction::Desc => "desc",
+    })
+}
+
+/// Decode a ranking direction; `None` for anything but `"asc"` or
+/// `"desc"`, so each caller names the member in its own error.
+pub fn direction_from_json(v: &Json) -> Option<Direction> {
+    match v.as_str()? {
+        "asc" => Some(Direction::Asc),
+        "desc" => Some(Direction::Desc),
+        _ => None,
     }
 }
 

@@ -30,10 +30,9 @@
 //! advertises it and admits every request by it, so it refuses — uncharged
 //! and typed — exactly what it does not advertise.
 //!
-//! Failure realism: [`SimServer::with_rate_limit`] makes the server refuse
-//! queries past a hard cap with [`ServerError::RateLimited`] — the same
-//! refusal a real metered API sends — so integration tests can exercise the
-//! middleware's error paths end to end.
+//! Failure realism lives in [`crate::FaultyServer`], which wraps any site
+//! with scripted or seeded refusals (rate limits, outages, truncated
+//! pages); the simulated site answers every query it admits.
 //!
 //! Data-change realism: the inventory is *mutable*. [`SimServer::insert`],
 //! [`SimServer::delete`] and [`SimServer::update`] commit sequence-stamped
@@ -205,8 +204,6 @@ pub struct SimServer {
     /// `capabilities()` reports is what `charge` admits, and `site.cost`
     /// is what the weighted ledger bills by.
     site: Capabilities,
-    /// Refuse queries once the counter reaches this (None = unmetered).
-    rate_limit: Option<u64>,
     /// What `capabilities()` *advertises* when it differs from what
     /// `site.cost` actually bills (None = honest site). The drift hook
     /// the mispriced-site tests lean on: a stale public price list over
@@ -240,7 +237,6 @@ impl SimServer {
             k,
             counter: AtomicU64::new(0),
             site: Capabilities::none(),
-            rate_limit: None,
             advertised_cost: None,
             cost_counter: AtomicU64::new(0),
             system_rank,
@@ -287,14 +283,6 @@ impl SimServer {
     /// monitor's actual cost, settled from charged deltas, shows the gap.
     pub fn with_advertised_cost(mut self, model: CostModel) -> Self {
         self.advertised_cost = Some(model);
-        self
-    }
-
-    /// Refuse queries with [`ServerError::RateLimited`] once `limit` queries
-    /// have been answered — a hard server-side quota, as opposed to the
-    /// middleware's own soft budget.
-    pub fn with_rate_limit(mut self, limit: u64) -> Self {
-        self.rate_limit = Some(limit);
         self
     }
 
@@ -398,22 +386,7 @@ impl SimServer {
         // refuse them uncharged before any site-model negotiation.
         q.validate(&self.schema)?;
         self.site.admit(q)?;
-        match self.rate_limit {
-            // Atomic check-and-increment so concurrent queries can never
-            // exceed the advertised hard cap.
-            Some(limit) => {
-                self.counter
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
-                        (c < limit).then_some(c + 1)
-                    })
-                    .map_err(|_| ServerError::RateLimited {
-                        retry_after_ms: None,
-                    })?;
-            }
-            None => {
-                self.counter.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.counter.fetch_add(1, Ordering::Relaxed);
         self.cost_counter
             .fetch_add(self.site.cost.charge(q, kind), Ordering::Relaxed);
         if let Some(log) = &self.log {
@@ -856,23 +829,6 @@ mod tests {
         s.query(&Query::all().and_range(AttrId(0), Interval::open(1.0, 5.0)))
             .unwrap();
         assert_eq!(s.cost_units_issued(), s.queries_issued());
-    }
-
-    #[test]
-    fn rate_limit_refuses_after_cap() {
-        let s = server(3).with_rate_limit(2);
-        assert!(s.query(&Query::all()).is_ok());
-        assert!(s.query(&Query::all()).is_ok());
-        let err = s.query(&Query::all()).unwrap_err();
-        assert_eq!(
-            err,
-            ServerError::RateLimited {
-                retry_after_ms: None
-            }
-        );
-        assert!(err.is_transient());
-        // Refusals are not charged.
-        assert_eq!(s.queries_issued(), 2);
     }
 
     #[test]

@@ -38,12 +38,10 @@
 //! ledgers across the site-profile catalog.
 
 use crate::service::Algorithm;
+use qrs_core::baselines::PageDownCursor;
 use qrs_core::md::ta::SortedAccess;
-use qrs_core::strategy::{
-    names, CostEstimate, MdCursorStrategy, OneDCursorStrategy, PageDownStrategy, PlanContext,
-    RerankStrategy, TaCursorStrategy,
-};
-use qrs_core::{MdOptions, OneDStrategy};
+use qrs_core::strategy::{names, CostEstimate, PlanContext, RerankStrategy};
+use qrs_core::{MdCursor, MdOptions, OneDCursor, OneDStrategy, TaCursor};
 use qrs_ranking::RankFn;
 use qrs_server::Capabilities;
 use qrs_types::{AttrId, Capability, Query, RerankError, Schema};
@@ -343,7 +341,7 @@ impl Planner {
             out.push(Candidate {
                 name: names::ONE_D,
                 algorithm: Algorithm::OneD(OneDStrategy::Rerank),
-                estimate: OneDCursorStrategy::estimate_in,
+                estimate: OneDCursor::estimate_in,
                 constrained: all_attrs().collect(),
                 order_by: Vec::new(),
                 paging: false,
@@ -361,7 +359,7 @@ impl Planner {
             out.push(Candidate {
                 name: names::MD,
                 algorithm: Algorithm::Md(MdOptions::rerank()),
-                estimate: MdCursorStrategy::estimate_in,
+                estimate: MdCursor::estimate_in,
                 constrained,
                 order_by: Vec::new(),
                 paging: false,
@@ -374,7 +372,7 @@ impl Planner {
         out.push(Candidate {
             name: names::TA_ORDER_BY,
             algorithm: Algorithm::Ta(SortedAccess::PublicOrderBy),
-            estimate: TaCursorStrategy::estimate_in,
+            estimate: TaCursor::estimate_in,
             constrained: BTreeMap::new(),
             order_by: rank_attrs,
             paging: false,
@@ -385,7 +383,7 @@ impl Planner {
             algorithm: Algorithm::PageDown {
                 max_pages: self.caps.max_pages.unwrap_or(usize::MAX),
             },
-            estimate: PageDownStrategy::estimate_in,
+            estimate: PageDownCursor::estimate_in,
             constrained: BTreeMap::new(),
             order_by: Vec::new(),
             paging: true,

@@ -14,11 +14,12 @@ use crate::retry::RetryRunner;
 use crate::session::{Session, SessionKnowledge};
 use crate::stats::ServiceStats;
 use parking_lot::Mutex;
+use qrs_core::baselines::PageDownCursor;
 use qrs_core::md::ta::SortedAccess;
-use qrs_core::strategy::{
-    MdCursorStrategy, OneDCursorStrategy, PageDownStrategy, RerankStrategy, TaCursorStrategy,
+use qrs_core::strategy::RerankStrategy;
+use qrs_core::{
+    MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, RerankParams, SharedState, TaCursor,
 };
-use qrs_core::{MdOptions, OneDSpec, OneDStrategy, RerankParams, SharedState, TiePolicy};
 use qrs_knowledge::{query_key, KnowledgePlane, ResultKey, SourceShard};
 use qrs_obs::{EventKind, MonitorReport, ObsHandle};
 use qrs_ranking::RankFn;
@@ -64,6 +65,41 @@ pub enum Algorithm {
     /// object itself is the plan); budgets, retries and ledger attribution
     /// apply exactly as for the built-in algorithms.
     Custom,
+}
+
+impl Algorithm {
+    /// The strategy object running this algorithm over `sel` (the possibly
+    /// relaxed server-side query) ranked by `rank` on `server` — the one
+    /// place an [`Algorithm`] value becomes an object. Everything else
+    /// about the algorithm — its name, its estimate, its request class,
+    /// whether it is positional — is then asked of the object. `None` for
+    /// [`Algorithm::Auto`], which the planner resolves first, and
+    /// [`Algorithm::Custom`], whose object the caller supplies.
+    pub fn strategy(
+        self,
+        rank: Arc<dyn RankFn>,
+        sel: Query,
+        server: &dyn SearchInterface,
+    ) -> Option<Box<dyn RerankStrategy>> {
+        Some(match self {
+            Algorithm::OneD(strategy) => Box::new(OneDCursor::new(
+                OneDSpec::new(rank.attrs()[0], rank.directions()[0], sel),
+                strategy,
+            )),
+            Algorithm::Md(opts) => Box::new(MdCursor::new(rank, sel, opts, server.schema())),
+            Algorithm::Ta(access) => Box::new(TaCursor::new(
+                rank,
+                sel,
+                access,
+                server.schema(),
+                &server.capabilities(),
+            )),
+            Algorithm::PageDown { max_pages } => {
+                Box::new(PageDownCursor::new(sel, rank, max_pages))
+            }
+            Algorithm::Auto | Algorithm::Custom => return None,
+        })
+    }
 }
 
 /// A third-party reranking service fronting one client-server database.
@@ -584,11 +620,13 @@ impl<'a> SessionBuilder<'a> {
         Ok(())
     }
 
-    /// Construct the strategy object driving `algorithm` over `sel`, the
-    /// (possibly relaxed) server-side query.
+    /// The strategy object driving `algorithm` over `sel`, the (possibly
+    /// relaxed) server-side query. Preflight and the planner only let
+    /// built-in algorithms through.
     fn build_strategy(&self, algorithm: Algorithm, sel: Query) -> Box<dyn RerankStrategy> {
-        let rank = Arc::clone(&self.rank);
-        build_strategy_for(self.svc, rank, algorithm, sel)
+        let server = self.svc.server().as_ref();
+        (algorithm.strategy(Arc::clone(&self.rank), sel, server))
+            .expect("a resolved algorithm is built in")
     }
 
     /// Validate the request and open the session.
@@ -746,38 +784,6 @@ impl<'a> SessionBuilder<'a> {
             ..self.spec
         };
         MaintainedSession::open(self.svc, self.sel, self.rank, spec, horizon)
-    }
-}
-
-/// Construct the strategy object driving `algorithm` over `sel` (the
-/// possibly relaxed server-side query) for a session on `svc` — the one
-/// place an [`Algorithm`] value becomes an object. Everything else about
-/// the algorithm — its name, its estimate, its request class, whether it
-/// is positional — is then asked of the object.
-fn build_strategy_for(
-    svc: &RerankService,
-    rank: Arc<dyn RankFn>,
-    algorithm: Algorithm,
-    sel: Query,
-) -> Box<dyn RerankStrategy> {
-    let server = svc.server();
-    match algorithm {
-        Algorithm::OneD(strategy) => Box::new(OneDCursorStrategy::new(
-            OneDSpec::new(rank.attrs()[0], rank.directions()[0], sel),
-            strategy,
-            TiePolicy::Exact,
-        )),
-        Algorithm::Md(opts) => Box::new(MdCursorStrategy::new(rank, sel, opts, server.schema())),
-        Algorithm::Ta(access) => Box::new(TaCursorStrategy::new(
-            rank,
-            sel,
-            access,
-            server.schema(),
-            &server.capabilities(),
-        )),
-        Algorithm::PageDown { max_pages } => Box::new(PageDownStrategy::new(sel, rank, max_pages)),
-        Algorithm::Auto => unreachable!("resolved by the planner"),
-        Algorithm::Custom => unreachable!("custom strategies are supplied, not built"),
     }
 }
 

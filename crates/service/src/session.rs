@@ -135,9 +135,9 @@ impl SessionStats {
 pub struct Session<'a> {
     svc: &'a RerankService,
     rank: Arc<dyn RankFn>,
-    /// The pull state machine this session drives — a built-in cursor
-    /// wrapper or a user-registered custom strategy; the session loop is
-    /// oblivious to which.
+    /// The pull state machine this session drives — a built-in cursor or
+    /// a user-registered custom strategy; the session loop is oblivious to
+    /// which.
     strategy: Box<dyn RerankStrategy>,
     /// The running ledger [`Session::stats`] reports. Every spend counter
     /// in it moves under the shared-state lock around this session's own
@@ -888,13 +888,18 @@ mod tests {
 
     #[test]
     fn server_rate_limit_surfaces_with_partials() {
+        use qrs_server::{Fault, FaultyServer};
         let data = uniform(400, 2, 1, 509);
         let server = SimServer::new(
             data,
             SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]),
             3,
-        )
-        .with_rate_limit(25);
+        );
+        // A storm of 429s from the 26th call on, past any retry budget.
+        let storm = Fault::RateLimit {
+            retry_after_ms: None,
+        };
+        let server = FaultyServer::new(Arc::new(server)).with_storm(25, 1000, storm);
         let svc = RerankService::new(Arc::new(server), 400);
         let mut s = svc.session(Query::all(), rank2()).open().unwrap();
         let (hits, err) = s.top(1000);

@@ -8,7 +8,7 @@
 //! cargo run --release --example flight_search
 //! ```
 
-use query_reranking::core::{OneDCursor, OneDStrategy, RerankParams, SharedState};
+use query_reranking::core::{OneDCursor, OneDSpec, OneDStrategy, RerankParams, SharedState};
 use query_reranking::datagen::flights;
 use query_reranking::datagen::flights::attr;
 use query_reranking::server::{SearchInterface, SimServer, SystemRank};
@@ -34,7 +34,10 @@ fn main() {
     for strategy in OneDStrategy::ALL {
         let server = SimServer::new(data.clone(), system.clone(), k);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
-        let mut cur = OneDCursor::over(attr::TAXI_OUT, Direction::Asc, sel.clone(), strategy);
+        let mut cur = OneDCursor::new(
+            OneDSpec::new(attr::TAXI_OUT, Direction::Asc, sel.clone()),
+            strategy,
+        );
         let mut rows = Vec::new();
         for _ in 0..5 {
             match cur

@@ -19,6 +19,7 @@
 //! by `Purpose`. `discrete_grid` with 4 levels stays inexact: its cells
 //! hold more than `k` tuples no attribute tells apart.
 
+use query_reranking::core::strategy::pull;
 use query_reranking::core::{MdCursor, MdOptions, Purpose, RerankParams, SharedState};
 use query_reranking::datagen::synthetic::{discrete_grid, uniform};
 use query_reranking::datagen::workload::DirectionPolicy;
@@ -72,9 +73,7 @@ fn main() {
                     MdOptions::rerank(),
                     server.schema(),
                 );
-                let got = cur
-                    .top_h(&server, &mut st, TOP)
-                    .expect("a site with no limits");
+                let got = pull(&mut cur, &server, &mut st, TOP).expect("a site with no limits");
                 let truth = data.rank_by(&uq.query, |t| rank.score(t));
                 let bits = |ts: &[Arc<_>]| -> Vec<u64> {
                     ts.iter().map(|t| rank.score(t).to_bits()).collect()

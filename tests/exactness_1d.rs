@@ -2,7 +2,7 @@
 //! reproduce the brute-force ranking on every dataset family, direction, and
 //! filter — the paper's "no loss of accuracy" requirement.
 
-use query_reranking::core::{OneDCursor, OneDStrategy, RerankParams, SharedState};
+use query_reranking::core::{OneDCursor, OneDSpec, OneDStrategy, RerankParams, SharedState};
 use query_reranking::datagen::synthetic::{clustered, discrete_grid, uniform};
 use query_reranking::datagen::{flights, one_d_workload, WorkloadConfig};
 use query_reranking::server::{SimServer, SystemRank};
@@ -36,7 +36,7 @@ fn check_stream(
     for strategy in OneDStrategy::ALL {
         let server = SimServer::new(data.clone(), sys.clone(), k);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
-        let mut cur = OneDCursor::over(attr, dir, sel.clone(), strategy);
+        let mut cur = OneDCursor::new(OneDSpec::new(attr, dir, sel.clone()), strategy);
         let mut got = Vec::new();
         for _ in 0..take {
             match cur.next(&server, &mut st).unwrap() {
@@ -167,7 +167,10 @@ fn shared_state_across_user_queries_stays_exact() {
             .into_iter()
             .take(5)
             .collect();
-        let mut cur = OneDCursor::over(uq.attr, uq.dir, uq.query.clone(), OneDStrategy::Rerank);
+        let mut cur = OneDCursor::new(
+            OneDSpec::new(uq.attr, uq.dir, uq.query.clone()),
+            OneDStrategy::Rerank,
+        );
         let mut got = Vec::new();
         for _ in 0..5 {
             match cur.next(&server, &mut st).unwrap() {

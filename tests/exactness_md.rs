@@ -4,10 +4,11 @@
 //! adversarial system rankings.
 
 use query_reranking::core::md::ta::{SortedAccess, TaCursor};
+use query_reranking::core::strategy::pull;
 use query_reranking::core::{MdCursor, MdOptions, OneDStrategy, RerankParams, SharedState};
 use query_reranking::datagen::synthetic::{correlated, discrete_grid, uniform};
 use query_reranking::ranking::{ChebyshevRank, LinearRank, LpRank, RankFn, RatioRank};
-use query_reranking::server::{SearchInterface, SimServer, SystemRank};
+use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
 use query_reranking::types::value::cmp_f64;
 use query_reranking::types::{AttrId, CatId, CatPredicate, Dataset, Direction, Query};
 use std::sync::Arc;
@@ -96,6 +97,7 @@ fn check_all_algos(
         sel,
         SortedAccess::OneD(OneDStrategy::Rerank),
         server.schema(),
+        &Capabilities::none(),
     );
     let mut got = Vec::new();
     for _ in 0..take {
@@ -256,7 +258,7 @@ fn md_split_on_the_largest_climb_pays_less() {
         MdOptions::rerank(),
         server.schema(),
     );
-    let got = cur.top_h(&server, &mut st, 25).unwrap();
+    let got = pull(&mut cur, &server, &mut st, 25).unwrap();
     let truth = data.rank_by(&Query::all(), |t| rank.score(t));
     assert!(got
         .iter()
@@ -282,7 +284,7 @@ fn md_lazy_resolution_pays_less_for_a_long_stream() {
         MdOptions::rerank(),
         server.schema(),
     );
-    let got = cur.top_h(&server, &mut st, 100).unwrap();
+    let got = pull(&mut cur, &server, &mut st, 100).unwrap();
     let truth = data.rank_by(&Query::all(), |t| rank.score(t));
     assert!(got
         .iter()

@@ -9,8 +9,9 @@
 //! `Executor::from_env`, so CI's seed × `QRS_EXEC_THREADS` matrix sweeps
 //! both the schedule and the workload.
 
+use query_reranking::core::strategy::pull;
 use query_reranking::core::{
-    MdCursor, MdOptions, OneDCursor, OneDStrategy, Purpose, RerankParams, SharedState,
+    MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, Purpose, RerankParams, SharedState,
 };
 use query_reranking::datagen::synthetic::{discrete_grid, uniform};
 use query_reranking::exec::Executor;
@@ -420,7 +421,7 @@ fn paid_queries_add_up_over_purposes_to_what_the_site_charged() {
     for w in [0.2, 0.4, 0.7, 1.0, 1.5, 2.5, 4.0, 6.0] {
         let rank = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), w)]));
         let mut md = MdCursor::new(rank, Query::all(), MdOptions::rerank(), server.schema());
-        assert_eq!(md.top_h(&server, &mut st, 20).unwrap().len(), 20);
+        assert_eq!(pull(&mut md, &server, &mut st, 20).unwrap().len(), 20);
     }
     let md_paid = paid(&st);
     assert_eq!(
@@ -440,10 +441,8 @@ fn paid_queries_add_up_over_purposes_to_what_the_site_charged() {
     let data = discrete_grid(1000, 2, 30, seeded(4244));
     let server = SimServer::new(data.clone(), sys, 10);
     let mut st = SharedState::new(data.schema(), params);
-    let mut one_d = OneDCursor::over(
-        AttrId(0),
-        Direction::Asc,
-        Query::all(),
+    let mut one_d = OneDCursor::new(
+        OneDSpec::new(AttrId(0), Direction::Asc, Query::all()),
         OneDStrategy::Rerank,
     );
     for _ in 0..30 {

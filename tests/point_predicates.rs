@@ -3,9 +3,10 @@
 //! order, and TA-over-1D handles the MD case — exercised end to end.
 
 use query_reranking::core::md::ta::{SortedAccess, TaCursor};
-use query_reranking::core::{OneDStrategy, RerankParams, SharedState};
+use query_reranking::core::strategy::pull;
+use query_reranking::core::{OneDSpec, OneDStrategy, RerankParams, SharedState};
 use query_reranking::ranking::{LinearRank, RankFn};
-use query_reranking::server::{SearchInterface, SimServer, SystemRank};
+use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
 use query_reranking::types::value::cmp_f64;
 use query_reranking::types::{
     AttrId, CatAttr, Dataset, Direction, OrdinalAttr, Query, Schema, Tuple, TupleId,
@@ -59,9 +60,9 @@ fn md_rank_over_point_only_attribute_via_ta() {
         Query::all(),
         SortedAccess::OneD(OneDStrategy::Rerank),
         server.schema(),
+        &Capabilities::none(),
     );
-    let got: Vec<f64> = ta
-        .top_h(&server, &mut st, 12)
+    let got: Vec<f64> = pull(&mut ta, &server, &mut st, 12)
         .unwrap()
         .iter()
         .map(|t| rank.score(t))
@@ -87,10 +88,8 @@ fn one_d_point_only_with_filter_both_directions() {
 
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(3), 6);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(200, 6));
-        let mut cur = query_reranking::core::OneDCursor::over(
-            AttrId(0),
-            dir,
-            sel.clone(),
+        let mut cur = query_reranking::core::OneDCursor::new(
+            OneDSpec::new(AttrId(0), dir, sel.clone()),
             OneDStrategy::Rerank,
         );
         let mut got = Vec::new();

@@ -10,10 +10,10 @@
 
 use query_reranking::core::md::ta::{SortedAccess, TaCursor};
 use query_reranking::core::{
-    MdCursor, MdOptions, OneDCursor, OneDStrategy, RerankParams, SharedState,
+    MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, RerankParams, SharedState,
 };
 use query_reranking::ranking::{LinearRank, RankFn};
-use query_reranking::server::{FaultyServer, SearchInterface, SimServer, SystemRank};
+use query_reranking::server::{Capabilities, FaultyServer, SearchInterface, SimServer, SystemRank};
 use query_reranking::types::value::cmp_f64;
 use query_reranking::types::{
     AttrId, CatAttr, Dataset, Direction, Interval, OrdinalAttr, Query, RerankError, Schema, Tuple,
@@ -146,7 +146,7 @@ fn one_d_streams_match_bruteforce() {
             let server = SimServer::new(data.clone(), SystemRank::pseudo_random(sys_seed), k);
             let mut st =
                 SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
-            let mut cur = OneDCursor::over(AttrId(0), dir, sel.clone(), strategy);
+            let mut cur = OneDCursor::new(OneDSpec::new(AttrId(0), dir, sel.clone()), strategy);
             let mut got = Vec::new();
             while let Some(t) = cur.next(&server, &mut st).unwrap() {
                 got.push(dir.normalize(t.ord(AttrId(0))));
@@ -198,6 +198,7 @@ fn ta_matches_bruteforce() {
             Query::all(),
             SortedAccess::OneD(OneDStrategy::Rerank),
             server.schema(),
+            &Capabilities::none(),
         );
         let mut got = Vec::new();
         while let Some(t) = ta.next(&server, &mut st).unwrap() {
@@ -293,7 +294,10 @@ fn exactness_is_fault_oblivious_for_one_d_cursors() {
         )) as Arc<dyn SearchInterface>;
         let faulty = FaultyServer::new(server).with_random_faults(fault_seed, 0.12, 0.08, 0.06);
         let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
-        let mut cur = OneDCursor::over(AttrId(0), dir, sel.clone(), OneDStrategy::Rerank);
+        let mut cur = OneDCursor::new(
+            OneDSpec::new(AttrId(0), dir, sel.clone()),
+            OneDStrategy::Rerank,
+        );
         let got = drain_resuming(
             || {
                 Ok(cur

@@ -222,8 +222,7 @@ fn ta_strategy_is_byte_identical_to_the_cursor() {
             });
             let rank = rank2();
             let (schema, caps) = (pair.legacy.schema(), pair.legacy.capabilities());
-            let mut cursor =
-                TaCursor::with_server_caps(Arc::clone(&rank), Query::all(), access, schema, &caps);
+            let mut cursor = TaCursor::new(Arc::clone(&rank), Query::all(), access, schema, &caps);
             let object =
                 TaCursorStrategy::new(Arc::clone(&rank), Query::all(), access, schema, &caps);
             assert_equivalent(

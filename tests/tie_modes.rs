@@ -3,6 +3,7 @@
 //! by `one_d::cursor`'s `streams_with_heavy_ties_exactly` and
 //! `tests/exactness_1d.rs::grid_of_ties_and_overflowing_slabs`.
 
+use query_reranking::core::strategy::pull;
 use query_reranking::core::{MdCursor, MdOptions, RerankParams, SharedState};
 use query_reranking::datagen::synthetic::{discrete_grid, uniform};
 use query_reranking::ranking::{LinearRank, RankFn};
@@ -22,7 +23,7 @@ fn md_stream_equals_brute_force_on_distinct_data() {
         MdOptions::rerank(),
         server.schema(),
     );
-    let got = cur.top_h(&server, &mut st, 20).unwrap();
+    let got = pull(&mut cur, &server, &mut st, 20).unwrap();
     let truth = data.rank_by(&Query::all(), |t| rank.score(t));
     let got: Vec<_> = got.iter().map(|t| t.id).collect();
     let want: Vec<_> = truth[..20].iter().map(|t| t.id).collect();
