@@ -5,15 +5,23 @@
 //! 2. the 1D dense index (§3.2.2) on clustered (dense-region) data,
 //! 3. history/amortization: cold vs warm service on the same workload,
 //! 4. the §1 baselines: crawl-then-rank cost and page-down recall.
+//!
+//! Every exact stream here goes through the one runner, [`measure`],
+//! which checks it; crawl-then-rank's ranking is checked the same way
+//! unless the crawl was truncated. The page-down rows are approximate by
+//! design and report their recall.
 
+use super::{fresh, MD_RERANK};
+use crate::runner::{assert_exact, measure, UserQuery};
 use crate::{print_figure, Scale, Series};
 use qrs_core::baselines::{crawl_then_rank, page_down_rerank, recall_at_h};
-use qrs_core::{MdCursor, MdOptions, RerankParams, SharedState};
-use qrs_datagen::synthetic::correlated;
+use qrs_core::{MdOptions, OneDStrategy, RerankParams, SharedState};
+use qrs_datagen::synthetic::{correlated, dense_floor};
 use qrs_datagen::{md_workload, WorkloadConfig};
-use qrs_ranking::{LinearRank, RankFn};
+use qrs_ranking::LinearRank;
 use qrs_server::{Capabilities, SearchInterface, SimServer, SystemRank};
-use qrs_types::{AttrId, Query};
+use qrs_service::Algorithm;
+use qrs_types::{AttrId, Direction, Interval, Query};
 use std::sync::Arc;
 
 pub fn run(scale: Scale) {
@@ -23,53 +31,42 @@ pub fn run(scale: Scale) {
     baselines(scale);
 }
 
+/// The system ranking adversarial to [`sum`]: both attributes descending.
+fn anti() -> SystemRank {
+    SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)])
+}
+
+/// The unfiltered request ranking by the sum of both attributes.
+fn sum() -> UserQuery {
+    UserQuery {
+        sel: Query::all(),
+        rank: Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)])),
+    }
+}
+
 /// Ablation 1: MD strategy flags on anti-correlated 2D data with an
 /// adversarial system ranking (the regime §4.3 motivates).
 fn md_flags(scale: Scale) {
-    let n = match scale {
-        Scale::Quick => 2_000,
-        Scale::Paper => 20_000,
-    };
+    let n = scale.pick(2_000, 20_000);
     let data = correlated(n, -0.85, 21_000);
-    let sys = SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]);
-    let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
-    let variants: [(&str, MdOptions); 4] = [
-        ("MD-RERANK (all on)", MdOptions::rerank()),
-        (
-            "no virtual tuples",
-            MdOptions {
-                virtual_tuples: false,
-                domination: false, // domination needs the virtual tuple
-            },
-        ),
-        (
-            "no domination detection",
-            MdOptions {
-                virtual_tuples: true,
-                domination: false,
-            },
-        ),
-        ("MD-BASELINE (all off)", MdOptions::baseline()),
+    let variants = [
+        ("MD-RERANK (all on)", true, true),
+        // Domination needs the virtual tuple.
+        ("no virtual tuples", false, false),
+        ("no domination detection", true, false),
+        ("MD-BASELINE (all off)", false, false),
     ];
     let mut series = Vec::new();
-    for (label, opts) in variants {
-        let server = SimServer::new(data.clone(), sys.clone(), 10);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
-        let mut cur = MdCursor::new(
-            Arc::new(rank.clone()) as Arc<dyn RankFn>,
-            Query::all(),
-            opts,
-            server.schema(),
-        );
+    for (label, virtual_tuples, domination) in variants {
+        let (server, mut st) = fresh(&data, anti(), 10, Capabilities::none());
+        let opts = MdOptions {
+            virtual_tuples,
+            domination,
+        };
+        let run = measure(&server, &mut st, &sum(), Algorithm::Md(opts), 10);
         let mut s = Series::new(label);
-        for h in 1..=10usize {
-            let t = cur
-                .next(&server, &mut st)
-                .expect("offline sim server does not fail");
-            s.push(h as f64, server.queries_issued() as f64);
-            if t.is_none() {
-                break;
-            }
+        for (h, &spent) in (1..).zip(&run.curve) {
+            s.push(h as f64, spent as f64);
         }
         series.push(s);
     }
@@ -83,14 +80,10 @@ fn md_flags(scale: Scale) {
 /// Ablation 2: dense index on/off over clustered 1D data — the workload that
 /// motivates on-the-fly indexing (§3.2.2).
 fn dense_1d(scale: Scale) {
-    use qrs_core::{OneDCursor, OneDSpec, OneDStrategy};
-    let n = match scale {
-        Scale::Quick => 5_000,
-        Scale::Paper => 50_000,
-    };
+    let n = scale.pick(5_000, 50_000);
     // A tight cluster at the low end of the ranked attribute: every top-h
     // request dives into the same dense region.
-    let data = qrs_datagen::synthetic::dense_floor(n, 0.3, 0.0005, 22_000);
+    let data = dense_floor(n, 0.3, 0.0005, 22_000);
     let sys = SystemRank::by_attr_desc(AttrId(0)); // adversarial for Asc
     let mut series = Vec::new();
     for (label, strategy) in [
@@ -109,26 +102,13 @@ fn dense_1d(scale: Scale) {
         // the same dense cluster to every one of them.
         let mut total = 0u64;
         for req in 1..=20usize {
-            let before = server.queries_issued();
             let frac = req as f64 / 21.0;
-            let sel = Query::all().and_range(
-                AttrId(1),
-                qrs_types::Interval::closed(0.25 * frac, 0.5 + 0.5 * frac),
-            );
-            let mut cur = OneDCursor::new(
-                OneDSpec::new(AttrId(0), qrs_types::Direction::Asc, sel),
-                strategy,
-            );
-            for _ in 0..5 {
-                if cur
-                    .next(&server, &mut st)
-                    .expect("offline sim server does not fail")
-                    .is_none()
-                {
-                    break;
-                }
-            }
-            total += server.queries_issued() - before;
+            let uq = UserQuery {
+                sel: Query::all()
+                    .and_range(AttrId(1), Interval::closed(0.25 * frac, 0.5 + 0.5 * frac)),
+                rank: Arc::new(LinearRank::single(AttrId(0), Direction::Asc)),
+            };
+            total += measure(&server, &mut st, &uq, Algorithm::OneD(strategy), 5).cost();
             s.push(req as f64, total as f64);
         }
         series.push(s);
@@ -145,10 +125,7 @@ fn dense_1d(scale: Scale) {
 /// Ablation 3: shared-state amortization — the same MD workload served cold
 /// then warm.
 fn amortization(scale: Scale) {
-    let n = match scale {
-        Scale::Quick => 2_000,
-        Scale::Paper => 20_000,
-    };
+    let n = scale.pick(2_000, 20_000);
     let data = correlated(n, 0.0, 23_000);
     let cfg = WorkloadConfig {
         num_queries: 8,
@@ -156,106 +133,74 @@ fn amortization(scale: Scale) {
         seed: 9_090,
         ..WorkloadConfig::default()
     };
-    let workload = md_workload(&data, &cfg);
-    let server = SimServer::new(data.clone(), SystemRank::pseudo_random(3), 10);
-    // Unlike the figure runners, keep *all* knowledge across requests —
-    // this ablation measures exactly that amortization.
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
-    let mut run = |uq: &qrs_datagen::MdUserQuery| -> u64 {
-        let before = server.queries_issued();
-        let mut cur = MdCursor::new(
-            Arc::new(uq.rank.clone()) as Arc<dyn RankFn>,
-            uq.query.clone(),
-            MdOptions::rerank(),
-            server.schema(),
-        );
-        for _ in 0..5 {
-            if cur
-                .next(&server, &mut st)
-                .expect("offline sim server does not fail")
-                .is_none()
-            {
-                break;
-            }
+    let workload: Vec<UserQuery> = md_workload(&data, &cfg)
+        .iter()
+        .map(UserQuery::from)
+        .collect();
+    // Unlike the figures, keep *all* knowledge across requests — this
+    // ablation measures exactly that amortization.
+    let sys = SystemRank::pseudo_random(3);
+    let (server, mut st) = fresh(&data, sys, 10, Capabilities::none());
+    let passes = ["cold pass", "warm pass (same state)"].map(|label| {
+        let mut s = Series::new(label);
+        for (i, uq) in (1..).zip(&workload) {
+            let spent = measure(&server, &mut st, uq, MD_RERANK, 5).cost();
+            s.push(i as f64, spent as f64);
         }
-        server.queries_issued() - before
-    };
-    let mut cold = Series::new("cold pass");
-    let mut warm = Series::new("warm pass (same state)");
-    for (i, uq) in workload.iter().enumerate() {
-        cold.push((i + 1) as f64, run(uq) as f64);
-    }
-    for (i, uq) in workload.iter().enumerate() {
-        warm.push((i + 1) as f64, run(uq) as f64);
-    }
+        s
+    });
     print_figure(
         &format!("Ablation 3 - per-request cost, cold vs warm shared state (n={n}, top-5)"),
         "request #",
-        &[cold, warm],
+        &passes,
     );
 }
 
 /// Ablation 4: the §1 baselines — exact crawl cost, and page-down recall.
 fn baselines(scale: Scale) {
-    let n = match scale {
-        Scale::Quick => 2_000,
-        Scale::Paper => 10_000,
-    };
+    let n = scale.pick(2_000, 10_000);
     let data = correlated(n, -0.5, 24_000);
-    let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
-    let sys = SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]);
-    let truth = data.rank_by(&Query::all(), |t| rank.score(t));
+    let uq = sum();
+    let truth = data.rank_by(&uq.sel, |t| uq.rank.score(t));
+    let paging = Capabilities::none().with_paging();
 
     // Exact MD-RERANK for the top-10.
-    let server = SimServer::new(data.clone(), sys.clone(), 10)
-        .with_capabilities(Capabilities::none().with_paging());
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
-    let mut cur = MdCursor::new(
-        Arc::clone(&rank),
-        Query::all(),
-        MdOptions::rerank(),
-        server.schema(),
-    );
-    let mut got = Vec::new();
-    for _ in 0..10 {
-        match cur
-            .next(&server, &mut st)
-            .expect("offline sim server does not fail")
-        {
-            Some(t) => got.push(t),
-            None => break,
-        }
-    }
-    let md_cost = server.queries_issued();
+    let (server, mut st) = fresh(&data, anti(), 10, paging.clone());
+    let md = measure(&server, &mut st, &uq, MD_RERANK, 10);
     println!("\n# Ablation 4 - baselines vs MD-RERANK (n={n}, top-10, anti-correlated system)");
     println!("method, queries, recall@10, exact");
-    println!(
-        "MD-RERANK, {md_cost}, {:.2}, true",
-        recall_at_h(&got, &truth, 10)
-    );
+    let recall = recall_at_h(&md.tuples, &truth, 10);
+    println!("MD-RERANK, {}, {recall:.2}, true", md.cost());
 
     // Crawl-then-rank.
-    let server2 = SimServer::new(data.clone(), sys.clone(), 10);
-    let mut st2 = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
-    let r = crawl_then_rank(&server2, &mut st2, &Query::all(), |t| rank.score(t))
+    let (server, mut st) = fresh(&data, anti(), 10, Capabilities::none());
+    let r = crawl_then_rank(&server, &mut st, &uq.sel, |t| uq.rank.score(t))
         .expect("offline sim server does not fail");
+    if !r.truncated {
+        assert_exact(
+            &server,
+            &uq.sel,
+            &*uq.rank,
+            &r.tuples,
+            10,
+            "crawl-then-rank",
+        );
+    }
     println!(
         "crawl-then-rank, {}, {:.2}, {}",
-        server2.queries_issued(),
+        server.queries_issued(),
         recall_at_h(&r.tuples, &truth, 10),
         !r.truncated
     );
 
     // Page-down with various page budgets.
     for pages in [1usize, 5, 20, 100] {
-        let server3 = SimServer::new(data.clone(), sys.clone(), 10)
-            .with_capabilities(Capabilities::none().with_paging());
-        let mut st3 = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
-        let p = page_down_rerank(&server3, &mut st3, &Query::all(), Arc::clone(&rank), pages)
+        let (server, mut st) = fresh(&data, anti(), 10, paging.clone());
+        let p = page_down_rerank(&server, &mut st, &uq.sel, Arc::clone(&uq.rank), pages)
             .expect("offline sim server does not fail");
         println!(
             "page-down({pages} pages), {}, {:.2}, {}",
-            server3.queries_issued(),
+            server.queries_issued(),
             recall_at_h(&p.tuples, &truth, 10),
             p.exact
         );

@@ -144,16 +144,10 @@ fn drain(
         .knowledge(use_knowledge)
         .open()
         .expect("open_site-shaped server: every request plans");
-    let mut stream = Vec::new();
-    loop {
-        match s.next() {
-            Ok(Some(hit)) => stream.push((hit.tuple.id.0, hit.score.to_bits())),
-            Ok(None) => break,
-            Err(e) => panic!("knowledge_reuse session failed: {e}"),
-        }
-    }
+    let hits = (s.try_top(usize::MAX)).expect("a knowledge_reuse session does not fail");
+    let stream = hits.iter().map(|h| (h.tuple.id.0, h.score.to_bits()));
     (
-        stream,
+        stream.collect(),
         s.queries_spent(),
         s.queries_saved(),
         s.cost_units_spent(),

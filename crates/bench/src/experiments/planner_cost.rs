@@ -146,14 +146,7 @@ fn run_candidate(
         w.name
     );
     let got: Vec<_> = hits.into_iter().map(|h| h.tuple).collect();
-    assert_exact(
-        &server,
-        &Query::all(),
-        |t| w.rank.score(t),
-        &got,
-        p.top_h,
-        &c.name,
-    );
+    assert_exact(&server, &Query::all(), &*w.rank, &got, p.top_h, &c.name);
     let stats = session.stats();
     (stats.cost_units_spent, stats.queries_spent)
 }

@@ -16,10 +16,7 @@ pub fn run(scale: Scale) -> Vec<Series> {
     // The adversary halves its threshold toward 0.0 for each fresh tuple,
     // and an f64 runs out of distinct halvings: past n = 760 at k = 1,
     // 1D-BINARY finds the bottom in 760 queries and the bound fails.
-    let n = match scale {
-        Scale::Quick => 500,
-        Scale::Paper => 700,
-    };
+    let n = scale.pick(500, 700);
     let mut bound = Series::new("n/k lower bound");
     let mut series: Vec<Series> = OneDStrategy::ALL
         .iter()

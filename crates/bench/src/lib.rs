@@ -10,12 +10,17 @@
 //!
 //! The ids are the rows of [`experiments::EXPERIMENTS`]. Output is CSV-ish
 //! series per figure on standard output; nothing is written to disk.
+//!
+//! Figs 6–17 and the ablations measure every user query through one
+//! runner, [`runner::measure`], which builds an `Algorithm`, pulls it one
+//! Get-Next at a time and checks the stream against a brute-force ranking
+//! before its cost is reported. Theorem 1's adversary run and Ablation 4's
+//! page-down rows (approximate by design) are the two unchecked runs.
 
 pub mod experiments;
 pub mod runner;
 pub mod scale;
 
-pub use runner::{md_cost_curve, md_top_h_cost, one_d_cost_curve, one_d_top_h_cost};
 pub use scale::Scale;
 
 /// One plotted series: a label and (x, y) points.
@@ -46,11 +51,8 @@ pub fn print_figure(title: &str, xlabel: &str, series: &[Series]) {
         print!(", {}", s.label);
     }
     println!();
-    let xs: Vec<f64> = series
-        .first()
-        .map(|s| s.points.iter().map(|p| p.0).collect())
-        .unwrap_or_default();
-    for (i, x) in xs.iter().enumerate() {
+    let first = series.first().map_or(&[][..], |s| &s.points[..]);
+    for (i, (x, _)) in first.iter().enumerate() {
         print!("{x}");
         for s in series {
             match s.points.get(i) {

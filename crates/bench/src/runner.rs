@@ -1,134 +1,126 @@
-//! Cost-measuring runners: execute one user query with one algorithm and
-//! report the number of server queries spent — the paper's §2.2 metric.
-//! Every stream, 1D and MD alike, is checked by `assert_exact` against
-//! the site's own data before its cost is reported, so a figure never shows
-//! the cost of a wrong answer.
+//! The one runner: execute one user query with one algorithm and report
+//! the server queries spent after each Get-Next — the paper's §2.2 metric.
+//! Figs 6–17 and Ablations 1–4 all measure through [`measure`], and it
+//! checks every stream with `assert_exact` against the site's own data
+//! before reporting its cost, so a figure or an ablation never shows the
+//! cost of a wrong answer. Two runs are not exact streams and are not
+//! checked here: Theorem 1's adversary run (one top-1 against an adaptive
+//! site with no fixed data to rank), and Ablation 4's page-down rows,
+//! which are approximate by design and report their recall.
 
-use qrs_core::md::ta::SortedAccess;
 use qrs_core::strategy::{pull, RerankStrategy};
-use qrs_core::{MdAlgo, MdOptions, OneDCursor, OneDSpec, OneDStrategy, SharedState};
+use qrs_core::SharedState;
 use qrs_datagen::{MdUserQuery, OneDUserQuery};
-use qrs_ranking::RankFn;
+use qrs_ranking::{LinearRank, RankFn};
 use qrs_server::{SearchInterface, SimServer};
 use qrs_service::Algorithm;
-use qrs_types::{Query, RerankError, Tuple};
+use qrs_types::{Query, Tuple};
 use std::sync::Arc;
 
-/// Queries spent retrieving the top `h` for a 1D user query.
-pub fn one_d_top_h_cost(
-    server: &SimServer,
-    st: &mut SharedState,
-    uq: &OneDUserQuery,
-    strategy: OneDStrategy,
-    h: usize,
-) -> Result<u64, RerankError> {
-    Ok(one_d_cost_curve(server, st, uq, strategy, h)?
-        .last()
-        .copied()
-        .unwrap_or(0))
+/// A user request as the runner takes it: a selection and a ranking
+/// function.
+#[derive(Clone)]
+pub struct UserQuery {
+    pub sel: Query,
+    pub rank: Arc<dyn RankFn>,
 }
 
-/// Cumulative queries spent after each of the first `h` Get-Nexts.
+impl From<&OneDUserQuery> for UserQuery {
+    /// A 1-D request ranks by `LinearRank::single(attr, dir)`: its score,
+    /// `0.0 + 1.0·dir.normalize(v)`, orders exactly as the attribute does,
+    /// and `Algorithm::OneD` builds its cursor from that one attribute and
+    /// direction.
+    fn from(uq: &OneDUserQuery) -> Self {
+        UserQuery {
+            sel: uq.query.clone(),
+            rank: Arc::new(LinearRank::single(uq.attr, uq.dir)),
+        }
+    }
+}
+
+impl From<&MdUserQuery> for UserQuery {
+    fn from(uq: &MdUserQuery) -> Self {
+        UserQuery {
+            sel: uq.query.clone(),
+            rank: Arc::new(uq.rank.clone()),
+        }
+    }
+}
+
+/// What one measured user query spent and returned.
+pub struct Run {
+    /// Cumulative queries spent after each Get-Next, the empty last one
+    /// included.
+    pub curve: Vec<u64>,
+    /// The tuples emitted, best first.
+    pub tuples: Vec<Arc<Tuple>>,
+}
+
+impl Run {
+    /// Queries spent up to the `h`-th Get-Next (1-based), or by the whole
+    /// run if it ended sooner.
+    pub fn at(&self, h: usize) -> u64 {
+        self.curve
+            .get(h - 1)
+            .or(self.curve.last())
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Queries the whole run spent.
+    pub fn cost(&self) -> u64 {
+        self.curve.last().copied().unwrap_or(0)
+    }
+}
+
+/// Pull up to `h` tuples for `uq` out of `algorithm`, one Get-Next at a
+/// time, against `server` and `st` as they stand (the caller decides what
+/// the state keeps between user queries).
 ///
 /// # Panics
 ///
-/// If the stream is not exact (`assert_exact`, scoring a tuple by its
-/// normalized value on the ranking attribute).
-pub fn one_d_cost_curve(
+/// If `algorithm` is not a built-in one, the site fails, or the stream is
+/// not exact (`assert_exact`, scoring a tuple by `uq.rank`).
+pub fn measure(
     server: &SimServer,
     st: &mut SharedState,
-    uq: &OneDUserQuery,
-    strategy: OneDStrategy,
+    uq: &UserQuery,
+    algorithm: Algorithm,
     h: usize,
-) -> Result<Vec<u64>, RerankError> {
-    // Paper cost model: tuples and dense indexes persist across user
-    // queries; emptiness proofs do not (see SharedState docs).
-    st.forget_complete_regions();
-    let mut cur = OneDCursor::new(OneDSpec::new(uq.attr, uq.dir, uq.query.clone()), strategy);
-    let (out, got) = measure(server, st, h, &mut cur)?;
-    let score = |t: &Tuple| uq.dir.normalize(t.ord(uq.attr));
-    assert_exact(server, &uq.query, score, &got, h, strategy.label());
-    Ok(out)
+) -> Run {
+    let mut strategy = (algorithm.strategy(Arc::clone(&uq.rank), uq.sel.clone(), server))
+        .expect("the figures run built-in algorithms");
+    measure_strategy(server, st, uq, strategy.as_mut(), h)
 }
 
-/// Queries spent retrieving the top `h` for an MD user query.
-pub fn md_top_h_cost(
+/// [`measure`] over a strategy object.
+fn measure_strategy(
     server: &SimServer,
     st: &mut SharedState,
-    uq: &MdUserQuery,
-    algo: MdAlgo,
-    h: usize,
-) -> Result<u64, RerankError> {
-    Ok(md_cost_curve(server, st, uq, algo, h)?
-        .last()
-        .copied()
-        .unwrap_or(0))
-}
-
-/// Cumulative queries spent after each of the first `h` Get-Nexts.
-///
-/// # Panics
-///
-/// If the stream is not exact (`assert_exact`, scoring a tuple by the
-/// user's ranking function).
-pub fn md_cost_curve(
-    server: &SimServer,
-    st: &mut SharedState,
-    uq: &MdUserQuery,
-    algo: MdAlgo,
-    h: usize,
-) -> Result<Vec<u64>, RerankError> {
-    st.forget_complete_regions();
-    let algorithm = match algo {
-        // The paper's §4.1 comparator.
-        MdAlgo::TaOver1D => Algorithm::Ta(SortedAccess::OneD(OneDStrategy::Rerank)),
-        // The §5 extension: page the site's own ORDER BY where it offers
-        // one, 1D-RERANK elsewhere.
-        MdAlgo::TaPublicOrderBy => Algorithm::Ta(SortedAccess::PublicOrderBy),
-        MdAlgo::Baseline => Algorithm::Md(MdOptions::baseline()),
-        MdAlgo::Rerank => Algorithm::Md(MdOptions::rerank()),
-    };
-    let rank: Arc<dyn RankFn> = Arc::new(uq.rank.clone());
-    let mut strategy = (algorithm.strategy(rank, uq.query.clone(), server))
-        .expect("every MdAlgo is a built-in algorithm");
-    let (out, got) = measure(server, st, h, strategy.as_mut())?;
-    assert_exact(
-        server,
-        &uq.query,
-        |t| uq.rank.score(t),
-        &got,
-        h,
-        algo.label(),
-    );
-    Ok(out)
-}
-
-/// Pull up to `h` tuples out of `strategy`, one Get-Next at a time: the
-/// cumulative queries spent after each pull (the empty last pull
-/// included), and the tuples pulled.
-fn measure(
-    server: &SimServer,
-    st: &mut SharedState,
-    h: usize,
+    uq: &UserQuery,
     strategy: &mut dyn RerankStrategy,
-) -> Result<(Vec<u64>, Vec<Arc<Tuple>>), RerankError> {
+    h: usize,
+) -> Run {
     let before = server.queries_issued();
-    let (mut out, mut got) = (Vec::with_capacity(h), Vec::with_capacity(h));
+    let (mut curve, mut tuples) = (Vec::new(), Vec::new());
     for _ in 0..h {
-        let t = pull(strategy, server, st, 1)?.pop();
-        out.push(server.queries_issued() - before);
+        let t = (pull(strategy, server, st, 1))
+            .expect("the simulated site does not fail")
+            .pop();
+        curve.push(server.queries_issued() - before);
         match t {
-            Some(t) => got.push(t),
+            Some(t) => tuples.push(t),
             None => break,
         }
     }
-    Ok((out, got))
+    assert_exact(server, &uq.sel, &*uq.rank, &tuples, h, strategy.name());
+    Run { curve, tuples }
 }
 
 /// The one tie contract, as the figures check it. A stream is exact when
 /// its score sequence equals the dense ranking's bit for bit: `got` must
 /// score as the first `min(h, |R(q)|)` tuples of a brute-force ranking of
-/// the site's data under `score`. The order among equal scores is
+/// the site's data under `rank`. The order among equal scores is
 /// deterministic but unspecified, so ids are not compared.
 ///
 /// # Panics
@@ -137,14 +129,15 @@ fn measure(
 pub(crate) fn assert_exact(
     server: &SimServer,
     sel: &Query,
-    score: impl Fn(&Tuple) -> f64,
+    rank: &dyn RankFn,
     got: &[Arc<Tuple>],
     h: usize,
     algo: &str,
 ) {
-    let bits =
-        |ts: &[Arc<Tuple>]| -> Vec<u64> { ts.iter().take(h).map(|t| score(t).to_bits()).collect() };
-    let truth = server.dataset().rank_by(sel, &score);
+    let bits = |ts: &[Arc<Tuple>]| -> Vec<u64> {
+        ts.iter().take(h).map(|t| rank.score(t).to_bits()).collect()
+    };
+    let truth = server.dataset().rank_by(sel, |t| rank.score(t));
     assert_eq!(
         bits(got),
         bits(&truth),
@@ -155,28 +148,86 @@ pub(crate) fn assert_exact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrs_core::RerankParams;
+    use qrs_core::md::ta::SortedAccess;
+    use qrs_core::strategy::{CostEstimate, PlanContext, StrategyIo, StrategyStep};
+    use qrs_core::{MdOptions, OneDStrategy, RerankParams};
     use qrs_datagen::synthetic::uniform;
     use qrs_datagen::{md_workload, one_d_workload, WorkloadConfig};
     use qrs_server::{SimServer, SystemRank};
+    use qrs_types::RerankError;
 
-    #[test]
-    fn curves_are_monotone_and_consistent() {
+    fn setup() -> (SimServer, SharedState, UserQuery, UserQuery) {
         let data = uniform(300, 2, 1, 601);
         let cfg = WorkloadConfig {
             num_queries: 3,
             ..WorkloadConfig::default()
         };
-        let w1 = one_d_workload(&data, &cfg);
-        let wm = md_workload(&data, &cfg);
+        let one_d = UserQuery::from(&one_d_workload(&data, &cfg)[0]);
+        let md = UserQuery::from(&md_workload(&data, &cfg)[0]);
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(3), 5);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(300, 5));
-        let c = one_d_cost_curve(&server, &mut st, &w1[0], OneDStrategy::Rerank, 5).unwrap();
-        assert_eq!(c.len(), 5);
-        assert!(c.windows(2).all(|w| w[0] <= w[1]));
-        for algo in MdAlgo::ALL {
-            let c = md_cost_curve(&server, &mut st, &wm[0], algo, 3).unwrap();
-            assert!(c.windows(2).all(|w| w[0] <= w[1]), "{}", algo.label());
+        let st = SharedState::new(data.schema(), RerankParams::paper_defaults(300, 5));
+        (server, st, one_d, md)
+    }
+
+    #[test]
+    fn curves_are_monotone_and_consistent() {
+        let (server, mut st, one_d, md) = setup();
+        let run = measure(
+            &server,
+            &mut st,
+            &one_d,
+            Algorithm::OneD(OneDStrategy::Rerank),
+            5,
+        );
+        assert_eq!(run.curve.len(), 5);
+        assert_eq!(run.tuples.len(), 5);
+        assert!(run.curve.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!((run.at(1), run.at(5)), (run.curve[0], run.cost()));
+        for algorithm in [
+            Algorithm::Ta(SortedAccess::OneD(OneDStrategy::Rerank)),
+            Algorithm::Md(MdOptions::baseline()),
+            Algorithm::Md(MdOptions::rerank()),
+        ] {
+            let run = measure(&server, &mut st, &md, algorithm, 3);
+            assert!(!run.tuples.is_empty(), "{algorithm:?}");
+            assert!(run.curve.windows(2).all(|w| w[0] <= w[1]), "{algorithm:?}");
+            assert_eq!((run.at(1), run.at(3)), (run.curve[0], run.cost()));
         }
+    }
+
+    /// Emits the true top-`h` with its first two tuples swapped.
+    struct Misordered(Vec<Arc<Tuple>>);
+
+    impl RerankStrategy for Misordered {
+        fn name(&self) -> &str {
+            "misordered"
+        }
+
+        fn estimate(&self, _: &PlanContext) -> CostEstimate {
+            CostEstimate {
+                queries: 0,
+                cost_units: 0,
+            }
+        }
+
+        fn next_step(&mut self, _: &mut StrategyIo<'_>) -> Result<StrategyStep, RerankError> {
+            Ok(match self.0.pop() {
+                Some(t) => StrategyStep::Emit(t),
+                None => StrategyStep::Exhausted,
+            })
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "misordered emitted a wrong stream")]
+    fn a_misordered_stream_panics() {
+        let (server, mut st, _, md) = setup();
+        let mut top = server.dataset().rank_by(&md.sel, |t| md.rank.score(t));
+        top.truncate(5);
+        assert_ne!(md.rank.score(&top[0]), md.rank.score(&top[1]));
+        top.swap(0, 1);
+        top.reverse(); // popped from the back
+        let mut strategy = Misordered(top);
+        measure_strategy(&server, &mut st, &md, &mut strategy, 5);
     }
 }

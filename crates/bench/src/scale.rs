@@ -21,67 +21,54 @@ impl Scale {
         }
     }
 
+    /// `quick` or `paper`, by preset.
+    pub fn pick<T>(self, quick: T, paper: T) -> T {
+        match self {
+            Scale::Quick => quick,
+            Scale::Paper => paper,
+        }
+    }
+
     /// Database sizes for the "impact of n" sweeps (Figs 6, 7, 10, 13, 14).
     pub fn n_sweep(self) -> Vec<usize> {
-        match self {
-            Scale::Quick => vec![5_000, 10_000, 20_000],
-            Scale::Paper => vec![20_000, 40_000, 60_000, 80_000, 100_000],
-        }
+        self.pick(
+            vec![5_000, 10_000, 20_000],
+            vec![20_000, 40_000, 60_000, 80_000, 100_000],
+        )
     }
 
     /// Random samples per database size (paper: 10).
     pub fn samples(self) -> usize {
-        match self {
-            Scale::Quick => 2,
-            Scale::Paper => 10,
-        }
+        self.pick(2, 10)
     }
 
     /// 1D workload size (paper: 32 queries, 25% unfiltered).
     pub fn one_d_queries(self) -> usize {
-        match self {
-            Scale::Quick => 16,
-            Scale::Paper => 32,
-        }
+        self.pick(16, 32)
     }
 
     /// MD workload size (paper: 32 for DOT).
     pub fn md_queries(self) -> usize {
-        match self {
-            Scale::Quick => 8,
-            Scale::Paper => 32,
-        }
+        self.pick(8, 32)
     }
 
     /// Blue Nile / Yahoo! Autos dataset sizes.
     pub fn bn_size(self) -> usize {
-        match self {
-            Scale::Quick => 20_000,
-            Scale::Paper => qrs_datagen::diamonds::FULL_SIZE,
-        }
+        self.pick(20_000, qrs_datagen::diamonds::FULL_SIZE)
     }
 
     pub fn ya_size(self) -> usize {
-        match self {
-            Scale::Quick => 5_000,
-            Scale::Paper => qrs_datagen::autos::FULL_SIZE,
-        }
+        self.pick(5_000, qrs_datagen::autos::FULL_SIZE)
     }
 
     /// Top-h ceiling for the online experiments (paper: 100).
     pub fn online_top_h(self) -> usize {
-        match self {
-            Scale::Quick => 40,
-            Scale::Paper => 100,
-        }
+        self.pick(40, 100)
     }
 
     /// Fixed n for the system-k and parameter sweeps (Figs 8, 9, 15).
     pub fn fixed_n(self) -> usize {
-        match self {
-            Scale::Quick => 10_000,
-            Scale::Paper => 100_000,
-        }
+        self.pick(10_000, 100_000)
     }
 }
 

@@ -55,7 +55,7 @@ pub mod params;
 pub mod strategy;
 
 pub use ctx::{Purpose, SharedState};
-pub use md::{MdAlgo, MdCursor, MdOptions, TaCursor};
+pub use md::{MdCursor, MdOptions, TaCursor};
 pub use norm::{NormBox, NormView};
 pub use one_d::{OneDCursor, OneDSpec, OneDStrategy, TiePolicy};
 pub use params::RerankParams;

@@ -18,33 +18,3 @@ pub mod top1;
 pub use cursor::MdCursor;
 pub use ta::TaCursor;
 pub use top1::MdOptions;
-
-/// Preset algorithm selector for experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MdAlgo {
-    /// Fagin-style TA driven by 1D-RERANK Get-Next streams (§4.1).
-    TaOver1D,
-    /// TA with sorted access through the server's public `ORDER BY` where
-    /// available (§5 "Multiple/Known System Ranking Functions").
-    TaPublicOrderBy,
-    /// MD-BASELINE (§4.2).
-    Baseline,
-    /// MD-RERANK (§4.3's MD-BINARY over the shared state).
-    Rerank,
-}
-
-impl MdAlgo {
-    /// The compared algorithms of Figs 13/14 (the paper's MD-BINARY is
-    /// MD-RERANK here).
-    pub const ALL: [MdAlgo; 3] = [MdAlgo::TaOver1D, MdAlgo::Baseline, MdAlgo::Rerank];
-
-    /// Human-readable name used in experiment tables and plots.
-    pub fn label(self) -> &'static str {
-        match self {
-            MdAlgo::TaOver1D => "TA over 1D-RERANK",
-            MdAlgo::TaPublicOrderBy => "TA via public ORDER BY",
-            MdAlgo::Baseline => "MD-BASELINE",
-            MdAlgo::Rerank => "MD-RERANK",
-        }
-    }
-}

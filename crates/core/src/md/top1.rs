@@ -40,7 +40,7 @@ pub struct MdOptions {
 
 impl MdOptions {
     /// MD-BASELINE (§4.2): no virtual splits, no pruning.
-    pub fn baseline() -> Self {
+    pub const fn baseline() -> Self {
         MdOptions {
             virtual_tuples: false,
             domination: false,
@@ -48,7 +48,7 @@ impl MdOptions {
     }
 
     /// MD-RERANK: §4.3's virtual splits + domination pruning.
-    pub fn rerank() -> Self {
+    pub const fn rerank() -> Self {
         MdOptions {
             virtual_tuples: true,
             domination: true,

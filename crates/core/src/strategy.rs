@@ -150,11 +150,12 @@ impl std::fmt::Display for CostEstimate {
 /// own a server reference, so the driver stays in charge of locking,
 /// budgets and ledger attribution.
 ///
-/// The typed helpers ([`StrategyIo::top_k`], [`StrategyIo::page`]) record
-/// successful responses into the shared query history automatically, so a
-/// custom strategy's paid-for tuples amortize future sessions exactly like
-/// the built-in algorithms' do. (`ORDER BY` pages are recorded tuple by
-/// tuple.)
+/// The typed helpers record successful responses into the shared state
+/// automatically, so a custom strategy's paid-for answers amortize future
+/// sessions exactly like the built-in algorithms' do: [`StrategyIo::top_k`]
+/// absorbs its answer as [`SharedState::absorb`] does (tuples into history,
+/// and a non-overflowing query as a complete region), and
+/// [`StrategyIo::page`] and `ORDER BY` pages record their tuples.
 pub struct StrategyIo<'a> {
     server: &'a dyn SearchInterface,
     state: &'a mut SharedState,
@@ -166,11 +167,12 @@ impl<'a> StrategyIo<'a> {
         StrategyIo { server, state }
     }
 
-    /// Issue a one-shot top-`k` query; the response is recorded into the
-    /// shared history.
+    /// Issue a one-shot top-`k` query; the response is absorbed into the
+    /// shared state: its tuples into history and, when it did not
+    /// overflow, `q` as a complete region.
     pub fn top_k(&mut self, q: &Query) -> Result<QueryResponse, RerankError> {
         let resp = self.server.query(q)?;
-        self.state.history.record_response(&resp);
+        self.state.absorb(q, &resp);
         Ok(resp)
     }
 
@@ -684,5 +686,12 @@ mod tests {
         assert!(io.capabilities().paging);
         let _ = io;
         assert_eq!(st.history.len(), 10);
+        // An underflowing answer proves its region complete, as it does for
+        // the built-in algorithms; an overflowing one proves nothing.
+        let narrow = Query::all().and_range(AttrId(0), Interval::closed(0.0, 0.05));
+        let resp = StrategyIo::new(&server, &mut st).top_k(&narrow).unwrap();
+        assert!(resp.tuples.len() < 5, "{} tuples", resp.tuples.len());
+        assert!(st.complete.covers(&narrow));
+        assert!(!st.complete.covers(&Query::all()));
     }
 }

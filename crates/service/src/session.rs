@@ -888,18 +888,26 @@ mod tests {
 
     #[test]
     fn server_rate_limit_surfaces_with_partials() {
-        use qrs_server::{Fault, FaultyServer};
+        use qrs_server::{Fault, FaultyServer, SearchInterface};
         let data = uniform(400, 2, 1, 509);
-        let server = SimServer::new(
-            data,
-            SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]),
-            3,
-        );
-        // A storm of 429s from the 26th call on, past any retry budget.
+        let site = || -> Arc<dyn SearchInterface> {
+            Arc::new(SimServer::new(
+                data.clone(),
+                SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]),
+                3,
+            ))
+        };
+        // A clean run counts the calls its first emission takes.
+        let clean = Arc::new(FaultyServer::new(site()));
+        let svc = RerankService::new(Arc::clone(&clean) as Arc<dyn SearchInterface>, 400);
+        let mut s = svc.session(Query::all(), rank2()).open().unwrap();
+        assert!(s.next().unwrap().is_some());
+        let first = clean.calls_seen();
+        // A storm of 429s from the next call on, past any retry budget.
         let storm = Fault::RateLimit {
             retry_after_ms: None,
         };
-        let server = FaultyServer::new(Arc::new(server)).with_storm(25, 1000, storm);
+        let server = FaultyServer::new(site()).with_storm(first, 1000, storm);
         let svc = RerankService::new(Arc::new(server), 400);
         let mut s = svc.session(Query::all(), rank2()).open().unwrap();
         let (hits, err) = s.top(1000);
@@ -907,7 +915,15 @@ mod tests {
             Some(RerankError::Server(e)) => assert!(e.is_transient()),
             other => panic!("expected a server error, got {other:?}"),
         }
-        // Whatever was fetched before the 429 is kept and ranked.
-        assert!(hits.windows(2).all(|w| w[0].score <= w[1].score));
+        // What was emitted before the 429 is kept: the dense ranking's
+        // prefix, score for score.
+        assert!(!hits.is_empty(), "the partial stream was dropped");
+        let rank = rank2();
+        let truth = data.rank_by(&Query::all(), |t| rank.score(t));
+        let got: Vec<u64> = hits.iter().map(|h| h.score.to_bits()).collect();
+        let want: Vec<u64> = (truth.iter().take(hits.len()))
+            .map(|t| rank.score(t).to_bits())
+            .collect();
+        assert_eq!(got, want);
     }
 }

@@ -9,7 +9,7 @@ use crate::error::TypeError;
 use crate::query::Query;
 use crate::schema::{AttrId, Schema};
 use crate::tuple::{Tuple, TupleId};
-use crate::value::cmp_f64;
+use crate::value::{cmp_f64, OrdF64};
 use std::sync::Arc;
 
 /// A schema plus tuples, shared immutably (`Arc`) between server and tests.
@@ -127,11 +127,12 @@ impl Dataset {
         self.tuples.iter().filter(|t| q.matches(t)).count()
     }
 
-    /// Ground-truth ranking: all matching tuples sorted ascending by `score`,
-    /// ties broken by `TupleId` for determinism.
+    /// Ground-truth ranking: all matching tuples sorted ascending by `score`
+    /// (IEEE total order, each tuple scored once), ties broken by `TupleId`
+    /// for determinism.
     pub fn rank_by(&self, q: &Query, score: impl Fn(&Tuple) -> f64) -> Vec<Arc<Tuple>> {
         let mut v = self.matching(q);
-        v.sort_by(|a, b| cmp_f64(score(a), score(b)).then(a.id.cmp(&b.id)));
+        v.sort_by_cached_key(|t| (OrdF64(score(t)), t.id));
         v
     }
 
