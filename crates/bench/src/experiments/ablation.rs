@@ -50,9 +50,9 @@ fn md_flags(scale: Scale) {
     let n = scale.pick(2_000, 20_000);
     let data = correlated(n, -0.85, 21_000);
     let variants = [
+        // Domination probes the virtual tuple's box, so "no virtual
+        // tuples" is MD-BASELINE and has no column of its own.
         ("MD-RERANK (all on)", true, true),
-        // Domination needs the virtual tuple.
-        ("no virtual tuples", false, false),
         ("no domination detection", true, false),
         ("MD-BASELINE (all off)", false, false),
     ];
@@ -178,7 +178,7 @@ fn baselines(scale: Scale) {
         .expect("offline sim server does not fail");
     if !r.truncated {
         assert_exact(
-            &server,
+            &server.dataset(),
             &uq.sel,
             &*uq.rank,
             &r.tuples,

@@ -17,9 +17,10 @@
 //!
 //! **The assertions are the experiment** (a violation panics the run):
 //!
+//! * every cold reference stream, from a plane-less service, is exact
+//!   against the dense ranking of the site's data;
 //! * every knowledge-assisted stream is byte-identical — tuple ids *and*
-//!   score bit patterns — to a cold reference stream from a plane-less
-//!   service;
+//!   score bit patterns — to its cold reference stream;
 //! * at every fixed overlap > 0, queries-per-user is *strictly
 //!   decreasing* in the tenant count;
 //! * at overlap 0 the plane is inert: queries-per-user is exactly flat.
@@ -28,11 +29,12 @@
 //! cargo run --release -p qrs-bench --bin figures -- --scale quick knowledge_reuse
 //! ```
 
+use crate::runner::assert_exact;
 use crate::Scale;
 use qrs_ranking::{LinearRank, RankFn};
 use qrs_server::{SimServer, SystemRank};
 use qrs_service::{KnowledgePlane, RerankService};
-use qrs_types::{AttrId, Dataset, Interval, Query};
+use qrs_types::{AttrId, Dataset, Interval, Query, Tuple};
 use std::sync::Arc;
 
 /// One cell of the tenant × overlap sweep.
@@ -132,26 +134,32 @@ fn private_pool(size: usize) -> Vec<(Query, Arc<dyn RankFn>)> {
 
 type Stream = Vec<(u32, u64)>;
 
-/// Run one session to exhaustion; return (stream, queries, saved, cost).
-fn drain(
-    svc: &RerankService,
-    sel: &Query,
-    rank: &Arc<dyn RankFn>,
-    use_knowledge: bool,
-) -> (Stream, u64, u64, u64) {
+/// One session run to exhaustion.
+struct Drained {
+    tuples: Vec<Arc<Tuple>>,
+    /// The tuples' ids and score bit patterns, in emission order.
+    stream: Stream,
+    spent: u64,
+    saved: u64,
+    cost: u64,
+}
+
+fn drain(svc: &RerankService, sel: &Query, rank: &Arc<dyn RankFn>, use_knowledge: bool) -> Drained {
     let mut s = svc
         .session(sel.clone(), Arc::clone(rank))
         .knowledge(use_knowledge)
         .open()
         .expect("open_site-shaped server: every request plans");
     let hits = (s.try_top(usize::MAX)).expect("a knowledge_reuse session does not fail");
-    let stream = hits.iter().map(|h| (h.tuple.id.0, h.score.to_bits()));
-    (
-        stream.collect(),
-        s.queries_spent(),
-        s.queries_saved(),
-        s.cost_units_spent(),
-    )
+    Drained {
+        stream: (hits.iter())
+            .map(|h| (h.tuple.id.0, h.score.to_bits()))
+            .collect(),
+        tuples: hits.into_iter().map(|h| h.tuple).collect(),
+        spent: s.queries_spent(),
+        saved: s.queries_saved(),
+        cost: s.cost_units_spent(),
+    }
 }
 
 fn json_row(pt: &ReusePoint) {
@@ -179,13 +187,20 @@ pub fn run(scale: Scale) -> Vec<ReusePoint> {
 
     // Cold references: every request's exact stream and cold price, from
     // plane-less fresh services. These are both the baseline costs and the
-    // byte-identity oracle.
+    // byte-identity oracle, and each is checked against the dense ranking.
     let reference = |pool: &[(Query, Arc<dyn RankFn>)]| -> Vec<(Stream, u64)> {
         pool.iter()
             .map(|(sel, rank)| {
-                let svc = service(&data, p.k, None);
-                let (stream, spent, _, _) = drain(&svc, sel, rank, true);
-                (stream, spent)
+                let cold = drain(&service(&data, p.k, None), sel, rank, true);
+                assert_exact(
+                    &data,
+                    sel,
+                    &**rank,
+                    &cold.tuples,
+                    usize::MAX,
+                    "cold reference",
+                );
+                (cold.stream, cold.spent)
             })
             .collect()
     };
@@ -207,15 +222,15 @@ pub fn run(scale: Scale) -> Vec<ReusePoint> {
                 for j in 0..n_pop {
                     let i = j % popular.len();
                     let (sel, rank) = &popular[i];
-                    let (stream, spent, saved, cost) = drain(&svc, sel, rank, true);
+                    let warm = drain(&svc, sel, rank, true);
                     assert_eq!(
-                        stream, popular_ref[i].0,
+                        warm.stream, popular_ref[i].0,
                         "knowledge-assisted stream diverged from the cold reference \
                          (popular request {i})"
                     );
-                    spent_total += spent;
-                    saved_total += saved;
-                    cost_total += cost;
+                    spent_total += warm.spent;
+                    saved_total += warm.saved;
+                    cost_total += warm.cost;
                     cold_total += popular_ref[i].1;
                 }
                 // Private workload: a fresh plane-less service per tenant
@@ -223,13 +238,13 @@ pub fn run(scale: Scale) -> Vec<ReusePoint> {
                 // tenant's popular SharedState warm-up).
                 let cold_svc = service(&data, p.k, None);
                 for (i, (sel, rank)) in private.iter().take(n_priv).enumerate() {
-                    let (stream, spent, _, cost) = drain(&cold_svc, sel, rank, true);
+                    let cold = drain(&cold_svc, sel, rank, true);
                     assert_eq!(
-                        stream, private_ref[i].0,
+                        cold.stream, private_ref[i].0,
                         "private stream diverged from its reference (request {i})"
                     );
-                    spent_total += spent;
-                    cost_total += cost;
+                    spent_total += cold.spent;
+                    cost_total += cold.cost;
                     cold_total += private_ref[i].1;
                 }
             }

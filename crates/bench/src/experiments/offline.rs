@@ -33,10 +33,10 @@ fn workload(data: &Dataset, scale: Scale, md: bool, seed: u64) -> Vec<UserQuery>
     draw(data, md, num_queries, 0.25, seed)
 }
 
-/// Shared body of Figs 6/7 (1-D) and 13/14 (MD): print `title`, the
-/// average top-1 query cost vs database size, a series per algorithm of
-/// `algos`, each sample's data and [`workload`] seeded by the two seeds
-/// plus the sample number.
+/// Shared body of Figs 6/7 (1-D) and 13/14 (MD): print and return
+/// `title`'s average top-1 query cost vs database size, a series per
+/// algorithm of `algos`, each sample's data and [`workload`] seeded by the
+/// two seeds plus the sample number.
 fn n_sweep(
     scale: Scale,
     title: &str,
@@ -44,7 +44,7 @@ fn n_sweep(
     md: bool,
     (data_seed, workload_seed): (u64, u64),
     algos: &[Row],
-) {
+) -> Vec<Series> {
     let k = 10;
     let mut series: Vec<Series> = algos.iter().map(|&(l, _)| Series::new(l)).collect();
     for &n in &scale.n_sweep() {
@@ -67,6 +67,7 @@ fn n_sweep(
         }
     }
     print_figure(title, "n", &series);
+    series
 }
 
 /// Shared body of Figs 8 (1-D) and 15 (MD): print `title`, `algorithm`'s
@@ -182,10 +183,23 @@ pub fn fig13(scale: Scale) {
     n_sweep(scale, title, sr1, true, (5_000, 200), &MD);
 }
 
-/// Fig. 14 — MD, impact of n under SR2 (anti-correlated).
+/// Fig. 14 — MD, impact of n under SR2 (anti-correlated). At paper scale
+/// it asserts §4.3's claim: MD-RERANK spends no more than MD-BASELINE at
+/// any `n`.
 pub fn fig14(scale: Scale) {
     let title = "Fig 14 - MD query cost vs n (SR2, top-1, k=10)";
-    n_sweep(scale, title, sr2, true, (5_000, 200), &MD);
+    let series = n_sweep(scale, title, sr2, true, (5_000, 200), &MD);
+    if scale == Scale::Paper {
+        let [_, baseline, rerank] = &series[..] else {
+            unreachable!("Fig 14 runs the three rows of MD")
+        };
+        for (&(n, base), &(_, cost)) in baseline.points.iter().zip(&rerank.points) {
+            assert!(
+                cost <= base,
+                "MD-RERANK spent {cost:.2} queries a top-1 at n = {n}, over MD-BASELINE's {base:.2}"
+            );
+        }
+    }
 }
 
 /// Fig. 15 — MD-RERANK, cumulative cost of top-1..10 vs system-k.

@@ -146,7 +146,14 @@ fn run_candidate(
         w.name
     );
     let got: Vec<_> = hits.into_iter().map(|h| h.tuple).collect();
-    assert_exact(&server, &Query::all(), &*w.rank, &got, p.top_h, &c.name);
+    assert_exact(
+        &server.dataset(),
+        &Query::all(),
+        &*w.rank,
+        &got,
+        p.top_h,
+        &c.name,
+    );
     let stats = session.stats();
     (stats.cost_units_spent, stats.queries_spent)
 }

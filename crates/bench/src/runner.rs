@@ -14,7 +14,7 @@ use qrs_datagen::{MdUserQuery, OneDUserQuery};
 use qrs_ranking::{LinearRank, RankFn};
 use qrs_server::{SearchInterface, SimServer};
 use qrs_service::Algorithm;
-use qrs_types::{Query, Tuple};
+use qrs_types::{Dataset, Query, Tuple};
 use std::sync::Arc;
 
 /// A user request as the runner takes it: a selection and a ranking
@@ -113,7 +113,8 @@ fn measure_strategy(
             None => break,
         }
     }
-    assert_exact(server, &uq.sel, &*uq.rank, &tuples, h, strategy.name());
+    let data = server.dataset();
+    assert_exact(&data, &uq.sel, &*uq.rank, &tuples, h, strategy.name());
     Run { curve, tuples }
 }
 
@@ -127,7 +128,7 @@ fn measure_strategy(
 ///
 /// On any difference, naming `algo` and the selection.
 pub(crate) fn assert_exact(
-    server: &SimServer,
+    data: &Dataset,
     sel: &Query,
     rank: &dyn RankFn,
     got: &[Arc<Tuple>],
@@ -137,7 +138,7 @@ pub(crate) fn assert_exact(
     let bits = |ts: &[Arc<Tuple>]| -> Vec<u64> {
         ts.iter().take(h).map(|t| rank.score(t).to_bits()).collect()
     };
-    let truth = server.dataset().rank_by(sel, |t| rank.score(t));
+    let truth = data.rank_by(sel, |t| rank.score(t));
     assert_eq!(
         bits(got),
         bits(&truth),

@@ -8,22 +8,52 @@
 //!   by the `ℓ(Ai)` axis caps (Eq. 6) of the best score so far,
 //! * **`virtual_tuples`** — split around the max-volume contour point `v'`
 //!   instead (§4.3.2 "virtual tuple pruning"), sub-splitting the child that
-//!   contains the witness so progress is still guaranteed,
-//! * **`domination`** — before splitting, probe the box `{u ⪯ v'}` dominated
-//!   by the virtual tuple (§4.3.2 "direct domination detection"): any tuple
-//!   there scores ≤ S(v') = target and usually improves the threshold.
+//!   contains the witness so progress is still guaranteed, where the pivot
+//!   is priced to pay (below),
+//! * **`domination`** — before that split, probe the box `{u ⪯ v'}`
+//!   dominated by the virtual tuple (§4.3.2 "direct domination
+//!   detection"): any tuple there scores ≤ S(v') = target and usually
+//!   improves the threshold.
 //!
 //! Both on is MD-RERANK: §4.3's MD-BINARY over the service's shared state.
 //! The §4.4 dense-box oracle is not here: on this cursor no setting of its
 //! gate saved a query in any MD figure row or benchmark workload (README,
 //! "Named deviations from the paper").
+//!
+//! **Pricing the pivot.** After an overflow the witness's score `t` is the
+//! target. Two size estimates, each `n · width_share` (uniform data),
+//! price the next step: `e_box` for the box just asked and `e_left` for the
+//! same box shrunk at `t`, the bounding box of what can still score below
+//! `t`. The witness split is free and leaves `e_left`. The virtual pivot
+//! costs one query, the domination probe. Its box, the largest under the
+//! contour, takes `1/m` of each edge of the shrunk box for a linear ranking
+//! over `m` attributes. So it holds about `e_left / m^m` tuples, and
+//! `q = m!/m^m` of the candidates below the contour: half of them in 2-D.
+//! `virtual_pivot_pays` takes the virtual pivot in two cases, and never
+//! where `e_left ≤ k`: what the witness left then fits the pages its
+//! children's own queries ask anyway, and a probe buys nothing.
+//!
+//! 1. *The probe's box overflows*, `e_left > m^m · k`. Every tuple on its
+//!    page scores below `t`, and the best of them cuts what is left about
+//!    `k`-fold, as much as the best witness one page can give.
+//! 2. *The witness is poor*, `e_left > (1 − q) · e_box`. Otherwise the probe
+//!    settles `q` of the candidates, a bisection in 2-D, for one query. Each
+//!    later box query is expected to cut by the ratio `r = e_left / e_box`
+//!    this witness cut by, since the system ranking orders every box alike.
+//!    With the probe, a box's two queries cut by `r(1 − q)`; without it,
+//!    two box queries cut by `r²`. The probe pays where `r(1 − q) < r²`,
+//!    that is where `r > 1 − q`.
+//!
+//! Nothing in the gate is tuned: it reads `k`, `m` and the linear contour's
+//! geometry. Where it declines, the box splits at the witness corner, as
+//! MD-BASELINE's does.
 
 use crate::ctx::{Purpose, SharedState};
 use crate::md::split::{prefix_split, split_excluding};
 use crate::norm::{NormBox, NormView};
 use qrs_server::SearchInterface;
 use qrs_types::value::OrdF64;
-use qrs_types::{Direction, Interval, Query, RerankError, Tuple};
+use qrs_types::{Direction, Interval, Query, RerankError, Schema, Tuple};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -126,11 +156,18 @@ pub(crate) fn md_top1(
                 consider(&mut best, &w, view.score(&w));
                 let target = best.as_ref().map(|(_, s)| *s).expect("best set by witness");
                 let lo = b.lo_corner(view.bounds());
-                let hi = b.hi_corner(view.bounds());
                 let wc = view.norm_coords(&w);
-
-                let pivot = if opts.virtual_tuples {
-                    view.rank().contour_point(&lo, &hi, target)
+                // The virtual pivot only where it is priced to pay (module
+                // docs, "Pricing the pivot").
+                let priced = || {
+                    let estimate =
+                        |at| st.params.n * width_share(view, server.schema(), sel, &b, at);
+                    let (e_box, e_left) = (estimate(None), estimate(Some((&lo, target))));
+                    virtual_pivot_pays(e_box, e_left, server.k(), view.dims())
+                };
+                let pivot = if opts.virtual_tuples && priced() {
+                    view.rank()
+                        .contour_point(&lo, &b.hi_corner(view.bounds()), target)
                 } else {
                     None
                 };
@@ -280,6 +317,65 @@ fn steepest_axis(view: &NormView, b: &NormBox, lo: &mut [f64]) -> usize {
         .map_or(0, |(j, _)| j)
 }
 
+/// Does the virtual pivot, with its domination probe, cost less than the
+/// witness split for a box whose answer overflowed (module docs, "Pricing
+/// the pivot")? `e_box` is the size estimate of the box just asked, `e_left`
+/// that of the same box shrunk at the witness's score, `k` the page size and
+/// `dims` the number of ranking attributes.
+pub(crate) fn virtual_pivot_pays(e_box: f64, e_left: f64, k: usize, dims: usize) -> bool {
+    let k = k as f64;
+    // The probe's box, the largest under the contour, takes `1/m` of each
+    // edge of the shrunk box: `1/m^m` of its volume, `m!/m^m` of the
+    // candidates below the contour.
+    let probe = (dims as f64).powi(dims as i32).recip();
+    let settled = probe * (1..=dims).map(|i| i as f64).product::<f64>();
+    e_left > k && (probe * e_left > k || e_left > (1.0 - settled) * e_box)
+}
+
+/// `n ·` this is the size estimate of `b ∧ sel` on uniform data: the share
+/// of the ordinal domain it admits, the product over `b`'s dimensions of
+/// each one's width within the normalized domain over the domain's width,
+/// and over `sel`'s range predicates on attributes the ranking does not use
+/// of theirs. With `shrunk_at = Some((lo, s))`, `lo` being `b`'s low
+/// corner, it is the share of `shrink(b, s)` instead, 0 where [`shrink`]
+/// proves that box empty. It reads the intervals in place: no box or query
+/// is built.
+pub(crate) fn width_share(
+    view: &NormView,
+    schema: &Schema,
+    sel: &Query,
+    b: &NormBox,
+    shrunk_at: Option<(&[f64], f64)>,
+) -> f64 {
+    let rank = view.rank();
+    if shrunk_at.is_some_and(|(lo, s)| rank.score_norm(lo) >= s) {
+        return 0.0;
+    }
+    let share = |iv: &Interval, (min, max): (f64, f64), cap: f64| {
+        let lo = iv.lo.value().map_or(min, |v| v.max(min));
+        let hi = iv.hi.value().map_or(max, |v| v.min(max)).min(cap);
+        if max > min {
+            ((hi - lo) / (max - min)).clamp(0.0, 1.0)
+        } else {
+            1.0
+        }
+    };
+    let others = (sel.ranges().iter())
+        .filter(|p| !rank.attrs().contains(&p.attr))
+        .map(|p| {
+            let o = schema.ordinal(p.attr);
+            share(&p.interval, (o.min, o.max), f64::INFINITY)
+        });
+    let bounds = view.bounds();
+    let dims = b.dims.iter().enumerate().map(|(j, iv)| {
+        let cap = shrunk_at
+            .and_then(|(lo, s)| rank.ell(j, s, lo, b.hi(j, bounds)))
+            .unwrap_or(f64::INFINITY);
+        share(iv, (bounds.lo[j], bounds.hi[j]), cap)
+    });
+    others.chain(dims).product()
+}
+
 /// Cap each axis at its `ℓ(Ai)` intercept for the threshold; `None` when the
 /// whole box is provably at/above the threshold.
 pub(crate) fn shrink(view: &NormView, b: &NormBox, threshold: Option<f64>) -> Option<NormBox> {
@@ -306,12 +402,14 @@ pub(crate) fn shrink(view: &NormView, b: &NormBox, threshold: Option<f64>) -> Op
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::md::cursor::MdCursor;
     use crate::params::RerankParams;
     use qrs_datagen::synthetic::{correlated, uniform};
     use qrs_ranking::{LinearRank, RankFn};
     use qrs_server::{SimServer, SystemRank};
     use qrs_types::value::cmp_f64;
     use qrs_types::AttrId;
+    use rand::{rngs::StdRng, RngExt, SeedableRng};
 
     fn opts_all() -> [(&'static str, MdOptions); 2] {
         [
@@ -397,6 +495,101 @@ mod tests {
             rank,
             Query::all(),
         );
+    }
+
+    /// The three regimes of the pivot's price at `k = 10`.
+    #[test]
+    fn the_pivot_is_priced_by_what_the_witness_left() {
+        let k = 10;
+        for (e_box, e_left, dims, takes_virtual) in [
+            // A huge box with a good witness: the probe's box, a quarter of
+            // what is left in 2-D, overflows a page.
+            (10_000.0, 50.0, 2, true),
+            // What the witness left fits a page, however poor the witness.
+            (10_000.0, 8.0, 2, false),
+            (12.0, 10.0, 2, false),
+            // The witness left more than half of the box.
+            (30.0, 20.0, 2, true),
+            // A good witness, and the probe's box holds under a page.
+            (100.0, 20.0, 2, false),
+            // In 3-D the probe's box is 1/27 of what is left, and settles
+            // 2/9 of the candidates.
+            (10_000.0, 200.0, 3, false),
+            (10_000.0, 300.0, 3, true),
+            (30.0, 20.0, 3, false),
+            (24.0, 20.0, 3, true),
+        ] {
+            assert_eq!(
+                virtual_pivot_pays(e_box, e_left, k, dims),
+                takes_virtual,
+                "e_box {e_box}, e_left {e_left}, {dims} dimensions"
+            );
+        }
+    }
+
+    /// `width_share` of a box shrunk in place is that of the box `shrink`
+    /// builds, and 0 where `shrink` proves it empty.
+    #[test]
+    fn the_in_place_estimate_is_the_shrunk_box_estimate() {
+        let data = uniform(10, 3, 1, 5);
+        let schema = data.schema();
+        let rank = LinearRank::new(vec![
+            (AttrId(0), qrs_types::Direction::Asc, 0.7),
+            (AttrId(1), qrs_types::Direction::Desc, 1.0),
+            (AttrId(2), qrs_types::Direction::Asc, 0.4),
+        ]);
+        let view = NormView::new(Arc::new(rank), schema);
+        let sel = Query::all().and_range(AttrId(1), Interval::closed(0.1, 0.9));
+        let b0 = view.initial_box(&sel);
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut empty, mut full) = (0, 0);
+        let (lo0, hi0) = (b0.lo_corner(view.bounds()), b0.hi_corner(view.bounds()));
+        for _ in 0..2_000 {
+            let mut b = b0.clone();
+            for (j, iv) in b.dims.iter_mut().enumerate() {
+                let (lo, hi) = (lo0[j], hi0[j]);
+                let a = lo + (hi - lo) * rng.random::<f64>();
+                let c = a + (hi - a) * rng.random::<f64>();
+                *iv = iv.intersect(&Interval::closed(a, c));
+            }
+            let lo = b.lo_corner(view.bounds());
+            let s = view.rank().score_norm(&lo) + 1.5 * rng.random::<f64>() - 0.2;
+            let in_place = width_share(&view, schema, &sel, &b, Some((&lo, s)));
+            match shrink(&view, &b, Some(s)) {
+                Some(shrunk) => {
+                    let built = width_share(&view, schema, &sel, &shrunk, None);
+                    assert_eq!(in_place.to_bits(), built.to_bits(), "{b:?} at {s}");
+                    full += 1;
+                }
+                None => {
+                    assert_eq!(in_place, 0.0, "{b:?} at {s}");
+                    empty += 1;
+                }
+            }
+        }
+        assert!(empty > 100 && full > 100, "{empty} empty, {full} not");
+    }
+
+    /// The first tuple of `fault_injection`'s dying-backend world: an
+    /// anti-correlated system ranking, where every witness is poor, must not
+    /// cost MD-RERANK more than the 20 queries it cost when every box took
+    /// the virtual pivot.
+    #[test]
+    fn a_poor_witness_world_keeps_its_first_tuple_cost() {
+        let data = uniform(250, 2, 1, 9004);
+        let anti = SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]);
+        let server = SimServer::new(data.clone(), anti, 3);
+        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(250, 3));
+        let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
+        let mut cursor = MdCursor::new(
+            Arc::new(rank),
+            Query::all(),
+            MdOptions::rerank(),
+            server.schema(),
+        );
+        assert!(cursor.next(&server, &mut st).unwrap().is_some());
+        let spent = server.queries_issued();
+        assert!(spent <= 20, "the first tuple cost {spent} queries, over 20");
     }
 
     #[test]
