@@ -11,11 +11,14 @@
 //!   door" epoch story the in-process servers follow;
 //! * **ledgers are cumulative mirrors**: every `/site/*` response carries
 //!   the server's since-birth `{queries, cost_units}`, which the adapter
-//!   stores into atomics. `queries_issued()` is therefore a cheap local
-//!   read (sessions call it under their state lock on every step), and a
-//!   response lost to a dropped connection costs nothing — the next
-//!   response's cumulative counters absorb the missed delta, so client
-//!   and server ledgers reconcile *exactly* by construction;
+//!   raises its atomics to (never lowers them: replies on two connections
+//!   may arrive out of order, and a session reading its spend as `after -
+//!   before` must never see the ledger run backwards). `queries_issued()`
+//!   is therefore a cheap local read (sessions call it under their state
+//!   lock on every step), and a response lost to a dropped connection
+//!   costs nothing — the server's counters only grow, so the next
+//!   response's counters absorb the missed delta, and client and server
+//!   ledgers reconcile *exactly* by construction;
 //! * **transport faults are transient**: a refused connection, a mid-body
 //!   drop, an unparsable response, or a tuple that does not fit the
 //!   schema advertised at connect all surface as
@@ -33,10 +36,15 @@
 //!   beneath `RetryPolicy`, which cannot tell a request the server never
 //!   saw from one it charged for, and need not: the cumulative ledgers
 //!   settle either.
+//!
+//! The per-call bodies — a `/site/query`, `/site/page` or `/site/ordered`
+//! request and its `200` reply, and a `/v1/rerank` `200` reply — are
+//! written and read in place ([`crate::wire`]), with no JSON tree; every
+//! other body is read as a tree.
 
 use crate::http::{request_frame, response_from, says_close, Conn, Response};
-use crate::json::{parse, Json};
-use crate::wire;
+use crate::json::{parse, Json, ParseError};
+use crate::wire::{self, WireBatchReply};
 use parking_lot::Mutex;
 use qrs_server::{Capabilities, OrderedPage, SearchInterface};
 use qrs_types::{
@@ -106,10 +114,16 @@ impl Peer {
     }
 }
 
+fn body_text(resp: &Response) -> Result<&str, ServerError> {
+    std::str::from_utf8(&resp.body).map_err(|_| transport_err("response body not utf-8"))
+}
+
+fn bad_json(e: ParseError) -> ServerError {
+    transport_err(format!("bad response json: {e}"))
+}
+
 fn parse_json_body(resp: &Response) -> Result<Json, ServerError> {
-    let text =
-        std::str::from_utf8(&resp.body).map_err(|_| transport_err("response body not utf-8"))?;
-    parse(text).map_err(|e| transport_err(format!("bad response json: {e}")))
+    parse(body_text(resp)?).map_err(bad_json)
 }
 
 /// A remote site served by an [`crate::EdgeServer`], adapted back into a
@@ -171,32 +185,64 @@ impl HttpSiteAdapter {
         self.seq_at_connect
     }
 
-    /// Mirror the cumulative ledger a response carries. Stores, not adds:
-    /// the wire numbers are since-birth totals, so a missed response is
-    /// automatically absorbed by the next one.
+    /// Mirror the cumulative ledger a response carries. Raises, never
+    /// adds and never lowers: the wire numbers are since-birth totals of
+    /// counters that only grow, so a missed response is absorbed by the
+    /// next one, and a reply overtaken by a later one changes nothing.
+    fn absorb(&self, (queries, cost_units): (u64, u64)) {
+        self.queries.fetch_max(queries, Ordering::SeqCst);
+        self.cost_units.fetch_max(cost_units, Ordering::SeqCst);
+    }
+
+    /// [`HttpSiteAdapter::absorb`] the `ledger` member of a reply read as
+    /// a tree, if it has one that decodes.
     fn absorb_ledger(&self, body: &Json) {
-        if let Some(l) = body.get("ledger") {
-            if let Ok((q, c)) = wire::ledger_from_json(l) {
-                self.queries.store(q, Ordering::SeqCst);
-                self.cost_units.store(c, Ordering::SeqCst);
-            }
+        if let Some(Ok(ledger)) = body.get("ledger").map(wire::ledger_from_json) {
+            self.absorb(ledger);
         }
     }
 
-    /// One `/site/*` call: round trip, mirror the ledger (success and
-    /// typed failure alike), decode or surface the typed error.
-    fn site_call(&self, method: &str, target: &str, body: &[u8]) -> Result<Json, ServerError> {
-        let resp = self.peer.round_trip(method, target, &[], body)?;
-        let json = parse_json_body(&resp)?;
-        // Typed error responses carry the ledger too — a charged failure
-        // (e.g. a truncated page the server already paid for) still
-        // reconciles.
-        self.absorb_ledger(&json);
-        if resp.status == 200 {
-            Ok(json)
-        } else {
-            Err(decode_error_body(&resp, &json))
+    /// A `/site/*` reply that is not a `200`: mirror its ledger — a
+    /// charged failure (e.g. a truncated page the server already paid
+    /// for) still reconciles — and decode the typed error it carries.
+    fn refused(&self, resp: &Response) -> ServerError {
+        match parse_json_body(resp) {
+            Ok(json) => {
+                self.absorb_ledger(&json);
+                decode_error_body(resp, &json)
+            }
+            Err(e) => e,
         }
+    }
+
+    /// One uncharged `GET /site/*` call, its reply read as a tree.
+    fn site_get(&self, target: &str) -> Result<Json, ServerError> {
+        let resp = self.peer.round_trip("GET", target, &[], b"")?;
+        if resp.status != 200 {
+            return Err(self.refused(&resp));
+        }
+        let json = parse_json_body(&resp)?;
+        self.absorb_ledger(&json);
+        Ok(json)
+    }
+
+    /// One `POST /site/*` call: send `body`, read the reply in place with
+    /// `read` and mirror its ledger — or surface the typed error.
+    fn site_post<T>(
+        &self,
+        target: &str,
+        body: &str,
+        read: fn(&str) -> Result<wire::SiteReply<T>, ParseError>,
+    ) -> Result<T, ServerError> {
+        let resp = self.peer.round_trip("POST", target, &[], body.as_bytes())?;
+        if resp.status != 200 {
+            return Err(self.refused(&resp));
+        }
+        let reply = read(body_text(&resp)?).map_err(bad_json)?;
+        if let Some(ledger) = reply.ledger {
+            self.absorb(ledger);
+        }
+        reply.body.map_err(transport_err)
     }
 
     /// Refuse tuples that do not fit the schema advertised at connect: a
@@ -212,13 +258,9 @@ impl HttpSiteAdapter {
         })
     }
 
-    /// Decode the `response` member of a `/site/query` or `/site/page`
-    /// reply.
-    fn decode_response(&self, json: &Json) -> Result<QueryResponse, ServerError> {
-        let response = json
-            .get("response")
-            .ok_or_else(|| transport_err("missing 'response'"))
-            .and_then(|r| wire::response_from_json(r).map_err(transport_err))?;
+    /// A `/site/query` or `/site/page` call, its tuples checked.
+    fn response_call(&self, target: &str, body: &str) -> Result<QueryResponse, ServerError> {
+        let response = self.site_post(target, body, wire::read_response_reply)?;
         self.check_tuples(&response.tuples)?;
         Ok(response)
     }
@@ -270,9 +312,7 @@ impl SearchInterface for HttpSiteAdapter {
     }
 
     fn query(&self, q: &Query) -> Result<QueryResponse, ServerError> {
-        let body = Json::obj(vec![("query", wire::query_to_json(q))]).encode();
-        let json = self.site_call("POST", "/site/query", body.as_bytes())?;
-        self.decode_response(&json)
+        self.response_call("/site/query", &wire::site_request(q, None, None))
     }
 
     fn queries_issued(&self) -> u64 {
@@ -284,13 +324,7 @@ impl SearchInterface for HttpSiteAdapter {
     }
 
     fn query_page(&self, q: &Query, page: usize) -> Result<QueryResponse, ServerError> {
-        let body = Json::obj(vec![
-            ("query", wire::query_to_json(q)),
-            ("page", Json::u64(page as u64)),
-        ])
-        .encode();
-        let json = self.site_call("POST", "/site/page", body.as_bytes())?;
-        self.decode_response(&json)
+        self.response_call("/site/page", &wire::site_request(q, None, Some(page)))
     }
 
     fn query_ordered(
@@ -300,18 +334,8 @@ impl SearchInterface for HttpSiteAdapter {
         dir: Direction,
         page: usize,
     ) -> Result<OrderedPage, ServerError> {
-        let body = Json::obj(vec![
-            ("query", wire::query_to_json(q)),
-            ("attr", Json::u64(attr.0 as u64)),
-            ("dir", wire::direction_to_json(dir)),
-            ("page", Json::u64(page as u64)),
-        ])
-        .encode();
-        let json = self.site_call("POST", "/site/ordered", body.as_bytes())?;
-        let page = json
-            .get("page")
-            .ok_or_else(|| transport_err("missing 'page'"))
-            .and_then(|p| wire::ordered_page_from_json(p).map_err(transport_err))?;
+        let body = wire::site_request(q, Some((attr, dir)), Some(page));
+        let page = self.site_post("/site/ordered", &body, wire::read_page_reply)?;
         self.check_tuples(&page.tuples)?;
         Ok(page)
     }
@@ -320,14 +344,14 @@ impl SearchInterface for HttpSiteAdapter {
         // Watermark reads are metadata and uncharged; a transport fault
         // here reports "nothing new" rather than failing the caller (the
         // trait method is infallible), matching the frozen-site default.
-        match self.site_call("GET", "/site/seq", b"") {
+        match self.site_get("/site/seq") {
             Ok(json) => json.get("seq").and_then(Json::as_u64).unwrap_or(0),
             Err(_) => self.seq_at_connect,
         }
     }
 
     fn mutations_since(&self, since: u64) -> Result<MutationLog, ServerError> {
-        let json = self.site_call("GET", &format!("/site/mutations?since={since}"), b"")?;
+        let json = self.site_get(&format!("/site/mutations?since={since}"))?;
         let log = json
             .get("log")
             .ok_or_else(|| transport_err("missing 'log'"))
@@ -341,35 +365,6 @@ impl SearchInterface for HttpSiteAdapter {
 }
 
 // ------------------------------------------------------------ front door
-
-/// One decoded `/v1/rerank` outcome: hit tuples with their ranks and
-/// scores, the exact per-session ledger, and the typed error code if the
-/// request stopped early.
-#[derive(Debug, Clone)]
-pub struct WireOutcome {
-    /// `(rank, score, tuple)` triples, in emission order.
-    pub hits: Vec<(usize, f64, qrs_types::Tuple)>,
-    /// Raw queries this request was charged.
-    pub queries_spent: u64,
-    /// Weighted cost units this request was charged.
-    pub cost_units_spent: u64,
-    /// Queries the knowledge plane saved this request (a sealed stream's
-    /// replay credit).
-    pub queries_saved: u64,
-    /// The stable error code (`"budget_exhausted"`, `"unplannable"`, …) if
-    /// the request stopped early; `None` on success.
-    pub error_code: Option<String>,
-}
-
-/// A decoded `/v1/rerank` reply: per-request outcomes plus the tenant's
-/// cumulative ledger after charging.
-#[derive(Debug, Clone)]
-pub struct WireBatchReply {
-    /// One outcome per request, in request order.
-    pub outcomes: Vec<WireOutcome>,
-    /// The tenant's cumulative `(queries, cost_units)` after this batch.
-    pub tenant: (u64, u64),
-}
 
 /// A front-door client for `/v1/rerank` and `/stats` — what a remote user
 /// of the reranking service holds.
@@ -426,8 +421,9 @@ impl EdgeClient {
             .peer
             .round_trip("POST", "/v1/rerank", &headers, body.as_bytes())
             .map_err(|e| EdgeClientError::Failed(e.to_string()))?;
-        let json = parse_json_body(&resp).map_err(|e| EdgeClientError::Failed(e.to_string()))?;
+        let failed = |e: ServerError| EdgeClientError::Failed(e.to_string());
         if resp.status == 429 {
+            let json = parse_json_body(&resp).map_err(failed)?;
             let e = json.get("error");
             return Err(EdgeClientError::Rejected {
                 reason: e
@@ -447,18 +443,9 @@ impl EdgeClient {
                 String::from_utf8_lossy(&resp.body)
             )));
         }
-        let outcomes = json
-            .get("outcomes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| EdgeClientError::Failed("missing 'outcomes'".into()))?
-            .iter()
-            .map(decode_outcome)
-            .collect::<Result<Vec<_>, EdgeClientError>>()?;
-        let tenant = json
-            .get("tenant")
-            .and_then(|t| wire::ledger_from_json(t).ok())
-            .ok_or_else(|| EdgeClientError::Failed("missing 'tenant' ledger".into()))?;
-        Ok(WireBatchReply { outcomes, tenant })
+        let text = body_text(&resp).map_err(failed)?;
+        let reply = wire::read_rerank_reply(text).map_err(|e| failed(bad_json(e)))?;
+        reply.map_err(EdgeClientError::Failed)
     }
 
     /// Build one wire request: a query, a linear rank (`[[attr, "asc"|"desc",
@@ -515,44 +502,6 @@ impl EdgeClient {
     }
 }
 
-fn decode_outcome(v: &Json) -> Result<WireOutcome, EdgeClientError> {
-    let bad = |m: &str| EdgeClientError::Failed(format!("bad outcome: {m}"));
-    let hits = v
-        .get("hits")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("missing hits"))?
-        .iter()
-        .map(|h| {
-            let rank = h
-                .get("rank")
-                .and_then(Json::as_usize)
-                .ok_or_else(|| bad("missing rank"))?;
-            let score = h
-                .get("score")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| bad("missing score"))?;
-            let tuple = h
-                .get("tuple")
-                .ok_or_else(|| bad("missing tuple"))
-                .and_then(|t| wire::tuple_from_json(t).map_err(|e| bad(&e)))?;
-            Ok((rank, score, tuple))
-        })
-        .collect::<Result<Vec<_>, EdgeClientError>>()?;
-    let stats = v.get("stats").ok_or_else(|| bad("missing stats"))?;
-    let field = |name: &str| stats.get(name).and_then(Json::as_u64).unwrap_or(0);
-    Ok(WireOutcome {
-        hits,
-        queries_spent: field("queries_spent"),
-        cost_units_spent: field("cost_units_spent"),
-        queries_saved: field("queries_saved"),
-        error_code: v
-            .get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Json::as_str)
-            .map(str::to_string),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,5 +519,28 @@ mod tests {
                 retry_after_ms: Some(u64::MAX)
             }
         );
+    }
+
+    /// Replies on two connections of one adapter may arrive out of order:
+    /// one that reports an older ledger must not pull the mirror back, or
+    /// a step that paid nothing would read a spend of `after - before`
+    /// below zero.
+    #[test]
+    fn an_older_ledger_never_pulls_the_mirror_back() {
+        let adapter = HttpSiteAdapter {
+            peer: Peer::new(SocketAddr::from(([127, 0, 0, 1], 9))),
+            schema: Arc::new(Schema::new(vec![], vec![])),
+            k: 1,
+            capabilities: Capabilities::none(),
+            seq_at_connect: 0,
+            queries: AtomicU64::new(0),
+            cost_units: AtomicU64::new(0),
+        };
+        for (queries, cost_units) in [(7, 9), (5, 6)] {
+            let ledger = wire::ledger_json(queries, cost_units);
+            adapter.absorb_ledger(&Json::obj(vec![("ledger", ledger)]));
+        }
+        assert_eq!(adapter.queries_issued(), 7);
+        assert_eq!(adapter.cost_units_issued(), 9);
     }
 }

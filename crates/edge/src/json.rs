@@ -1,5 +1,5 @@
 //! A small, dependency-free JSON value with a strict parser and a
-//! deterministic encoder.
+//! deterministic encoder, and the writer and pull reader both are built on.
 //!
 //! The workspace carries no serde (the build environment is offline), so
 //! the wire layer hand-rolls the little JSON it needs. Two properties
@@ -9,15 +9,23 @@
 //!   `Display`, the shortest decimal that parses back to the same bits, so
 //!   a tuple's ordinal values survive a client → server → client trip
 //!   bit-identically (the loopback proof leans on this);
-//! * **determinism** — object members encode in insertion order and the
-//!   encoder has no configuration, so identical values produce identical
-//!   bytes on every platform.
+//! * **determinism** — object members encode in key order (a [`Json::Obj`]
+//!   is a `BTreeMap`) and the encoder has no configuration, so identical
+//!   values produce identical bytes on every platform.
+//!
+//! The number and escape rules live in one writer (`write_num`,
+//! `write_str`) that [`Json::encode`] runs on, and the grammar in one
+//! pull `Reader` that [`parse`] runs on. `crate::wire` writes and reads
+//! its per-call bodies through the same two without building a [`Json`]
+//! tree, so those bodies are byte for byte what the tree would encode, and
+//! are refused exactly where the tree would refuse them.
 //!
 //! Non-finite numbers have no JSON spelling; the encoder writes `null` and
 //! the domain layer (`crate::wire`) keeps them out of the protocol.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 ///
@@ -39,6 +47,14 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, members sorted by key.
     Obj(BTreeMap<String, Json>),
+}
+
+/// 2^53: every integer up to it is exact in an `f64`.
+const EXACT: f64 = 9.007_199_254_740_992e15;
+
+/// `n` as a counter: a non-negative integer no larger than 2^53.
+fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= EXACT).then_some(n as u64)
 }
 
 impl Json {
@@ -84,14 +100,9 @@ impl Json {
     }
 
     /// The value as a non-negative integer, if it is a number with no
-    /// fractional part in `u64` range.
+    /// fractional part no larger than 2^53.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// The value as a `usize`, via [`Json::as_u64`].
@@ -125,42 +136,18 @@ impl Json {
     fn encode_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // Rust's Display prints the shortest decimal that
-                    // round-trips to the same f64 — the exactness the
-                    // loopback proof needs.
-                    out.push_str(&format!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                escape_json_into(out, s);
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.encode_into(out);
-                }
-                out.push(']');
-            }
+            Json::Bool(b) => write_bool(out, *b),
+            Json::Num(n) => write_num(out, *n),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => write_arr(out, items, |out, v| v.encode_into(out)),
             Json::Obj(members) => {
                 out.push('{');
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    escape_json_into(out, k);
-                    out.push_str("\":");
+                    write_str(out, k);
+                    out.push(':');
                     v.encode_into(out);
                 }
                 out.push('}');
@@ -169,23 +156,146 @@ impl Json {
     }
 }
 
-/// Append `s` to `out` escaped as the *contents* of a JSON string (quotes,
-/// backslashes, control chars; the caller writes the surrounding `"`).
-fn escape_json_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+// ----------------------------------------------------------------- writer
+
+/// Append `n`: `null` if it is not finite, else the shortest decimal that
+/// parses back to the same bits — Rust's `{}` `Display`, which an integer
+/// below 2^53 in magnitude spells as its digits, so those are written
+/// straight from the integer. `-0.0` is `-0`.
+pub(crate) fn write_num(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < EXACT && !(n == 0.0 && n.is_sign_negative()) {
+        if n < 0.0 {
+            out.push('-');
         }
+        write_digits(out, n.abs() as u64);
+    } else {
+        // Into the `String` itself: no temporary.
+        let _ = write!(out, "{n}");
     }
 }
+
+/// Append the counter `n`, as [`write_num`] writes `n as f64`.
+pub(crate) fn write_u64(out: &mut String, n: u64) {
+    if (n as f64) < EXACT {
+        write_digits(out, n);
+    } else {
+        write_num(out, n as f64);
+    }
+}
+
+fn write_digits(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Append `true` or `false`.
+pub(crate) fn write_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Append `s` as a JSON string: quoted, with quotes, backslashes and
+/// control characters escaped. Everything between two escapes is copied as
+/// one run.
+pub(crate) fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every byte that ends a run is ASCII, so runs split `s` on
+        // character boundaries.
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Append an array: `each` writes one item.
+pub(crate) fn write_arr<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(out, item);
+    }
+    out.push(']');
+}
+
+/// An object being written: each [`ObjWriter::key`] starts a member whose
+/// value the caller then writes. Members must come in ascending key order,
+/// the order a [`Json::Obj`] encodes in, so that what is written here is
+/// byte for byte the tree's encoding; debug builds assert it.
+pub(crate) struct ObjWriter<'a> {
+    out: &'a mut String,
+    last: Option<&'static str>,
+}
+
+impl<'a> ObjWriter<'a> {
+    /// Open an object on `out`.
+    pub(crate) fn new(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjWriter { out, last: None }
+    }
+
+    /// Start the member `key` (a plain ASCII name, after every key before
+    /// it) and return the buffer its value goes into.
+    pub(crate) fn key(&mut self, key: &'static str) -> &mut String {
+        debug_assert!(
+            self.last.is_none_or(|last| last < key),
+            "{key} out of order"
+        );
+        debug_assert!(key
+            .bytes()
+            .all(|b| b.is_ascii_graphic() && !matches!(b, b'"' | b'\\')));
+        if self.last.is_some() {
+            self.out.push(',');
+        }
+        self.last = Some(key);
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    /// Close the object.
+    pub(crate) fn end(self) {
+        self.out.push('}');
+    }
+}
+
+// ----------------------------------------------------------------- reader
 
 /// A malformed-JSON report: what went wrong and where (byte offset).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,7 +314,7 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Arrays and objects may nest this deep. The parser recurses once per
+/// Arrays and objects may nest this deep. The reader recurses once per
 /// level, so an unbounded `[[[[…` inside the body cap would overflow the
 /// stack and abort the process; `/v1/rerank` bodies nest 4 deep.
 pub const MAX_DEPTH: usize = 64;
@@ -212,31 +322,55 @@ pub const MAX_DEPTH: usize = 64;
 /// Parse one JSON document; trailing non-whitespace and nesting beyond
 /// [`MAX_DEPTH`] are errors.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        text: input,
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(v)
+    Reader::read(input, Reader::value)
 }
 
-struct Parser<'a> {
+/// A pull reader over one JSON document. The caller asks for the value it
+/// expects next; the reader checks the text on the way and builds nothing
+/// it is not asked for. A value of another kind than the one asked for is
+/// skipped whole (and checked) and reported as `None`, so a caller that
+/// refuses what it read still reads on to the end, and text that is not
+/// JSON is an `Err` wherever in the document it sits.
+///
+/// [`parse`] is this reader building a [`Json`] tree, so the grammar —
+/// [`MAX_DEPTH`], escapes and surrogates, number syntax, trailing bytes —
+/// is written once. A caller that keeps a later duplicate member over an
+/// earlier one and skips members it does not know reads what the tree
+/// holds.
+pub(crate) struct Reader<'a> {
     text: &'a str,
-    /// `text`, as the bytes the parser steps through.
+    /// `text`, as the bytes the reader steps through.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
     depth: usize,
+    /// An array or object was just opened: the next [`Reader::item`] or
+    /// [`Reader::key`] looks for its first member, not for a comma.
+    fresh: bool,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// Read the whole of `text` with `read`, which takes one value; what
+    /// follows it may only be whitespace.
+    pub(crate) fn read<T>(
+        text: &'a str,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let mut r = Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        };
+        let value = read(&mut r)?;
+        r.skip_ws();
+        if r.pos != r.bytes.len() {
+            return Err(r.err("trailing characters after JSON value"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             message: message.to_string(),
@@ -263,158 +397,274 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ParseError> {
+    /// The first byte of the next value, past whitespace.
+    fn start(&mut self) -> Result<u8, ParseError> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
-                Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")))
-            }
-            Some(open @ (b'[' | b'{')) => {
-                self.depth += 1;
-                let nested = if open == b'[' {
-                    self.array()
-                } else {
-                    self.object()
-                };
-                self.depth -= 1;
-                nested
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b @ (b'n' | b't' | b'f' | b'"' | b'[' | b'{' | b'-' | b'0'..=b'9')) => Ok(b),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+    /// Step into the array or object at `pos`.
+    fn open(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
+        self.depth += 1;
+        self.pos += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Step out past the closing bracket at `pos`.
+    fn close(&mut self) {
+        self.depth -= 1;
+        self.pos += 1;
+    }
+
+    /// If the next value is an object, open it for [`Reader::key`] and
+    /// return true; otherwise skip it and return false.
+    pub(crate) fn object(&mut self) -> Result<bool, ParseError> {
+        if self.start()? == b'{' {
+            self.open().map(|()| true)
+        } else {
+            self.skip().map(|()| false)
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut members = BTreeMap::new();
+    /// The next key of the object opened last, its `:` consumed so that
+    /// the caller reads its value next; `None` once the object is closed.
+    pub(crate) fn key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.insert(key, value);
-            self.skip_ws();
+        if std::mem::take(&mut self.fresh) {
+            if self.peek() == Some(b'}') {
+                self.close();
+                return Ok(None);
+            }
+        } else {
             match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(b',') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(members));
+                    self.skip_ws();
+                }
+                Some(b'}') => {
+                    self.close();
+                    return Ok(None);
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// If the next value is an array, open it for [`Reader::item`] and
+    /// return true; otherwise skip it and return false.
+    pub(crate) fn array(&mut self) -> Result<bool, ParseError> {
+        if self.start()? == b'[' {
+            self.open().map(|()| true)
+        } else {
+            self.skip().map(|()| false)
+        }
+    }
+
+    /// Whether the array opened last has another item, which the caller
+    /// then reads; false once the array is closed.
+    pub(crate) fn item(&mut self) -> Result<bool, ParseError> {
+        self.skip_ws();
+        let fresh = std::mem::take(&mut self.fresh);
+        match self.peek() {
+            Some(b']') => {
+                self.close();
+                Ok(false)
+            }
+            _ if fresh => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(self.err("expected ',' or ']'")),
+        }
+    }
+
+    /// The next value if it is a number, else skip it: `None`.
+    pub(crate) fn num(&mut self) -> Result<Option<f64>, ParseError> {
+        match self.start()? {
+            b'-' | b'0'..=b'9' => self.number().map(Some),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// The next value if it is a counter, as [`Json::as_u64`] reads one,
+    /// else skip it: `None`.
+    pub(crate) fn u64(&mut self) -> Result<Option<u64>, ParseError> {
+        Ok(self.num()?.and_then(exact_u64))
+    }
+
+    /// The next value if it is a string, else skip it: `None`. Borrowed
+    /// from the text unless it holds an escape.
+    pub(crate) fn str(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        match self.start()? {
+            b'"' => self.string().map(Some),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// The next value if it is `true` or `false`, else skip it: `None`.
+    pub(crate) fn bool(&mut self) -> Result<Option<bool>, ParseError> {
+        match self.start()? {
+            b't' => self.literal("true").map(|()| Some(true)),
+            b'f' => self.literal("false").map(|()| Some(false)),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// Check the next value and move past it.
+    pub(crate) fn skip(&mut self) -> Result<(), ParseError> {
+        match self.start()? {
+            b'n' => self.literal("null"),
+            b't' => self.literal("true"),
+            b'f' => self.literal("false"),
+            b'"' => self.string().map(drop),
+            b'[' => {
+                self.open()?;
+                while self.item()? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            b'{' => {
+                self.open()?;
+                while self.key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            _ => self.number().map(drop),
+        }
+    }
+
+    /// The next value, as a tree.
+    pub(crate) fn value(&mut self) -> Result<Json, ParseError> {
+        match self.start()? {
+            b'n' => self.literal("null").map(|()| Json::Null),
+            b't' => self.literal("true").map(|()| Json::Bool(true)),
+            b'f' => self.literal("false").map(|()| Json::Bool(false)),
+            b'"' => self.string().map(|s| Json::Str(s.into_owned())),
+            b'[' => {
+                self.open()?;
+                let mut items = Vec::new();
+                while self.item()? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Arr(items))
+            }
+            b'{' => {
+                self.open()?;
+                let mut members = BTreeMap::new();
+                while let Some(key) = self.key()? {
+                    let value = self.value()?;
+                    members.insert(key.into_owned(), value);
+                }
+                Ok(Json::Obj(members))
+            }
+            _ => self.number().map(Json::Num),
+        }
+    }
+
+    fn literal(&mut self, word: &str) -> Result<(), ParseError> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected '{word}'")))
+        }
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        // Only a string with an escape in it is copied.
+        let mut owned: Option<String> = None;
         loop {
+            // Everything up to the next quote or backslash is one run.
+            // Both are ASCII, so the run starts and ends on a character
+            // boundary of the `&str` being read, and a string costs its
+            // own length, not the input's.
+            let rest = &self.bytes[self.pos..];
+            let stop = rest.iter().position(|b| matches!(b, b'"' | b'\\'));
+            let end = self.pos + stop.unwrap_or(rest.len());
+            let run = self.text.get(self.pos..end);
+            let run = run.ok_or_else(|| self.err("bad utf-8"))?;
+            self.pos = end;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(c)
-                                } else {
-                                    return Err(self.err("unpaired high surrogate"));
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            match c {
-                                Some(c) => s.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
-                            // hex4 advanced pos past the digits; undo the
-                            // shared increment below.
-                            self.pos -= 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
                         }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
+                    });
                 }
-                Some(_) => {
-                    // Everything up to the next quote or backslash is one
-                    // run. Both are ASCII, so the run starts and ends on a
-                    // character boundary of the `&str` being parsed, and a
-                    // string costs its own length, not the input's.
-                    let rest = &self.bytes[self.pos..];
-                    let stop = rest.iter().position(|b| matches!(b, b'"' | b'\\'));
-                    let end = self.pos + stop.unwrap_or(rest.len());
-                    let run = self.text.get(self.pos..end);
-                    s.push_str(run.ok_or_else(|| self.err("bad utf-8"))?);
-                    self.pos = end;
+                _ => {
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(run);
+                    self.escape(s)?;
                 }
             }
         }
+    }
+
+    /// Decode the escape at `pos` (its backslash) onto `s`.
+    fn escape(&mut self, s: &mut String) -> Result<(), ParseError> {
+        self.pos += 1;
+        match self.peek() {
+            Some(b'"') => s.push('"'),
+            Some(b'\\') => s.push('\\'),
+            Some(b'/') => s.push('/'),
+            Some(b'b') => s.push('\u{8}'),
+            Some(b'f') => s.push('\u{c}'),
+            Some(b'n') => s.push('\n'),
+            Some(b'r') => s.push('\r'),
+            Some(b't') => s.push('\t'),
+            Some(b'u') => {
+                self.pos += 1;
+                let cp = self.hex4()?;
+                // Surrogate pairs: a high surrogate must be followed by an
+                // escaped low surrogate.
+                let c = if (0xD800..0xDC00).contains(&cp) {
+                    if self.bytes[self.pos..].starts_with(b"\\u") {
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(self.err("invalid low surrogate"));
+                        }
+                        let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                        char::from_u32(c)
+                    } else {
+                        return Err(self.err("unpaired high surrogate"));
+                    }
+                } else {
+                    char::from_u32(cp)
+                };
+                match c {
+                    Some(c) => s.push(c),
+                    None => return Err(self.err("invalid unicode escape")),
+                }
+                // hex4 advanced pos past the digits; undo the shared
+                // increment below.
+                self.pos -= 1;
+            }
+            _ => return Err(self.err("invalid escape")),
+        }
+        self.pos += 1;
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
@@ -429,7 +679,7 @@ impl<'a> Parser<'a> {
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
+    fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -454,9 +704,7 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
+        text.parse::<f64>().map_err(|_| self.err("bad number"))
     }
 }
 
@@ -566,5 +814,102 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+    }
+
+    /// The writer spells every number as `Display` does, through the
+    /// integer path or not: random bit patterns and the edges of it.
+    #[test]
+    fn numbers_are_written_as_display_writes_them() {
+        let two53 = 2f64.powi(53);
+        let edges = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            two53 - 1.0,
+            -(two53 - 1.0),
+            two53,
+            -two53,
+            two53 + 2.0,
+            1e300,
+            -1e300,
+            5e-324,
+            0.1,
+            123.456,
+            1e15,
+            1e21,
+        ];
+        let mut state = 0x5EED_u64;
+        let random = (0..20_000).map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            f64::from_bits(state)
+        });
+        for n in edges.into_iter().chain(random) {
+            let mut out = String::new();
+            write_num(&mut out, n);
+            let want = if n.is_finite() {
+                n.to_string()
+            } else {
+                "null".into()
+            };
+            assert_eq!(out, want, "{n:?}");
+        }
+        assert_eq!(Json::Num(-0.0).encode(), "-0");
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Num(n).encode(), "null");
+        }
+        for n in [0, 7, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let mut out = String::new();
+            write_u64(&mut out, n);
+            assert_eq!(out, Json::u64(n).encode(), "{n}");
+        }
+    }
+
+    /// Escapes are written in runs, the same bytes as one char at a time.
+    #[test]
+    fn strings_escape_in_runs() {
+        let mut out = String::new();
+        write_str(&mut out, "a\"b\\c\nd\re\tf\u{1}\u{1f}\u{7f}é😀");
+        // DEL and everything past ASCII are not control characters.
+        let want = "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001\\u001f\u{7f}é😀\"";
+        assert_eq!(out, want);
+        let mut empty = String::new();
+        write_str(&mut empty, "");
+        assert_eq!(empty, "\"\"");
+    }
+
+    /// The pull reader keeps the tree's rules: a later duplicate wins when
+    /// the caller keeps the last one, unknown members skip, and a value of
+    /// another kind is skipped whole and read as `None`.
+    #[test]
+    fn the_reader_reads_what_the_tree_holds() {
+        let text = r#" {"n": 1, "skip": [{"x": [1, "\u00e9"]}], "n": 2.5, "s": "a\nb", "b": 3} "#;
+        let (mut n, mut s, mut b) = (None, None, None);
+        Reader::read(text, |r| {
+            assert!(r.object()?);
+            while let Some(key) = r.key()? {
+                match &*key {
+                    "n" => n = r.num()?,
+                    "s" => s = r.str()?.map(|s| s.into_owned()),
+                    "b" => b = Some(r.bool()?),
+                    _ => r.skip()?,
+                }
+            }
+            Ok(())
+        })
+        .unwrap();
+        let tree = parse(text).unwrap();
+        assert_eq!(n, tree.get("n").and_then(Json::as_f64));
+        assert_eq!(s.as_deref(), tree.get("s").and_then(Json::as_str));
+        assert_eq!(b, Some(None), "a number is not a bool");
+        // A skipped value is still checked, however deep.
+        let bad = Reader::read(r#"{"a": [1, {"b": tru}]}"#, Reader::skip).unwrap_err();
+        assert_eq!(bad, parse(r#"{"a": [1, {"b": tru}]}"#).unwrap_err());
+        assert_eq!(
+            Reader::read("[1] x", Reader::skip),
+            Err(parse("[1] x").unwrap_err())
+        );
     }
 }

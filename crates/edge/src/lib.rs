@@ -27,6 +27,13 @@
 //!   exactly even across dropped connections. Connections are reused,
 //!   requests never re-sent.
 //!
+//! The JSON is hand-rolled ([`json`]). The per-call bodies — a remote
+//! site's `/site/query`, `/site/page` and `/site/ordered` requests and
+//! their replies, paid once per site query, and the `/v1/rerank` reply —
+//! are written and read in place ([`wire`]) with no JSON tree on the way,
+//! byte for byte what the tree would encode; the rest goes through
+//! [`Json`].
+//!
 //! The proof of the layer is the loopback round-trip (see
 //! `tests/edge_loopback.rs` at the workspace root): a `SimServer` served
 //! over a real socket and consumed through [`HttpSiteAdapter`] produces a
@@ -41,7 +48,8 @@ pub mod json;
 pub mod server;
 pub mod wire;
 
-pub use client::{EdgeClient, EdgeClientError, HttpSiteAdapter, WireBatchReply, WireOutcome};
+pub use client::{EdgeClient, EdgeClientError, HttpSiteAdapter};
 pub use http::{HttpError, Request, Response};
 pub use json::{parse, Json, ParseError};
 pub use server::{EdgeConfig, EdgeHandle, EdgeServer};
+pub use wire::{WireBatchReply, WireOutcome};

@@ -56,6 +56,12 @@
 //! the site's **cumulative** ledgers, so a client that missed a response
 //! reconciles exactly from the next one it sees.
 //!
+//! The per-call bodies — the `/site/query`, `/site/page` and
+//! `/site/ordered` requests and their `200` replies, and the `200` reply to
+//! `/v1/rerank` — are read and written in place by [`crate::wire`], with
+//! no JSON tree, byte for byte what the tree would encode; every other body
+//! goes through the tree.
+//!
 //! ## Admission order (the part that must not charge)
 //!
 //! `/v1/rerank` gates run strictly before any query is issued:
@@ -77,13 +83,13 @@
 //! 5. **charge** — the summed per-session ledgers land on the tenant.
 
 use crate::http::{request_from, response_frame, says_close, Conn, Request, Response};
-use crate::json::{parse, Json};
+use crate::json::{parse, Json, ParseError};
 use crate::wire;
 use parking_lot::Mutex;
 use qrs_exec::Executor;
 use qrs_obs::EventKind;
 use qrs_ranking::LinearRank;
-use qrs_service::{BatchOutcome, BatchRequest, RerankService};
+use qrs_service::{BatchRequest, RerankService};
 use qrs_types::{AttrId, Query, ServerError};
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -93,6 +99,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
+use wire::{SiteRequest, WireResult};
 
 /// How long a request may take from its first byte to its last, and a
 /// response to leave. Past it the connection is cut.
@@ -427,19 +434,23 @@ fn error_response(status: u16, code: &str, message: String) -> Response {
 
 // ------------------------------------------------------------ /site/*
 
-fn site_ledger(shared: &Shared) -> Json {
+/// The site's cumulative `(queries, cost_units)`, read after the call a
+/// reply reports.
+fn site_ledger(shared: &Shared) -> (u64, u64) {
     let site = shared.svc.server();
-    wire::ledger_json(site.queries_issued(), site.cost_units_issued())
+    (site.queries_issued(), site.cost_units_issued())
 }
 
 fn site_ok(shared: &Shared, members: Vec<(&str, Json)>) -> Response {
     let mut members = members;
-    members.push(("ledger", site_ledger(shared)));
+    let (queries, cost_units) = site_ledger(shared);
+    members.push(("ledger", wire::ledger_json(queries, cost_units)));
     Response::json(200, Json::obj(members).encode())
 }
 
 fn site_err(shared: &Shared, e: &ServerError) -> Response {
-    wire::server_error_response(e, site_ledger(shared))
+    let (queries, cost_units) = site_ledger(shared);
+    wire::server_error_response(e, wire::ledger_json(queries, cost_units))
 }
 
 fn site_capabilities(shared: &Shared) -> Response {
@@ -458,18 +469,24 @@ fn site_capabilities(shared: &Shared) -> Response {
     )
 }
 
-fn parse_body(req: &Request) -> Result<Json, Response> {
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| error_response(400, "invalid_request", "body is not utf-8".into()))?;
-    parse(text).map_err(|e| error_response(400, "invalid_request", format!("bad json: {e}")))
+fn body_text(req: &Request) -> Result<&str, Response> {
+    std::str::from_utf8(&req.body)
+        .map_err(|_| error_response(400, "invalid_request", "body is not utf-8".into()))
 }
 
-/// Decode the `query` member of a request and check it against the site's
-/// schema, so that no attribute index from the wire reaches a tuple or an
-/// index unchecked — whatever [`SearchInterface`](qrs_server::SearchInterface)
-/// sits behind the edge.
-fn decode_query(body: &Json, shared: &Shared) -> Result<Query, String> {
-    let q = wire::query_from_json(body.get("query").ok_or("missing 'query'")?)?;
+fn bad_json(e: ParseError) -> Response {
+    error_response(400, "invalid_request", format!("bad json: {e}"))
+}
+
+fn parse_body(req: &Request) -> Result<Json, Response> {
+    parse(body_text(req)?).map_err(bad_json)
+}
+
+/// Check a decoded query against the site's schema, so that no attribute
+/// index from the wire reaches a tuple or an index unchecked — whatever
+/// [`SearchInterface`](qrs_server::SearchInterface) sits behind the edge.
+fn validated(q: WireResult<Query>, shared: &Shared) -> Result<Query, String> {
+    let q = q?;
     match q.validate(shared.svc.server().schema()) {
         Ok(()) => Ok(q),
         Err(ServerError::InvalidQuery { reason }) => Err(reason),
@@ -477,70 +494,82 @@ fn decode_query(body: &Json, shared: &Shared) -> Result<Query, String> {
     }
 }
 
+/// Decode and check the `query` member of a tree-read request.
+fn decode_query(body: &Json, shared: &Shared) -> Result<Query, String> {
+    let q = body.get("query").ok_or("missing 'query'")?;
+    validated(wire::query_from_json(q), shared)
+}
+
+/// Read a `/site/*` request body in place; one that is not JSON is an
+/// uncharged `400 invalid_request`.
+fn site_body(req: &Request) -> Result<SiteRequest, Response> {
+    wire::read_site_request(body_text(req)?).map_err(bad_json)
+}
+
+/// Answer a `/site/*` call: the site's answer as `reply` writes it, with
+/// the ledger after the call, or its refusal as a typed error.
+fn site_answer<R>(
+    shared: &Shared,
+    answer: Result<R, ServerError>,
+    reply: fn(&R, (u64, u64)) -> String,
+) -> Response {
+    match answer {
+        Ok(r) => Response::json(200, reply(&r, site_ledger(shared))),
+        Err(e) => site_err(shared, &e),
+    }
+}
+
 fn site_query(req: &Request, shared: &Shared) -> Response {
-    let body = match parse_body(req) {
+    let body = match site_body(req) {
         Ok(b) => b,
         Err(r) => return r,
     };
-    let q = match decode_query(&body, shared) {
-        Ok(q) => q,
-        Err(e) => return site_err(shared, &ServerError::invalid_query(e)),
-    };
-    match shared.svc.server().query(&q) {
-        Ok(r) => site_ok(shared, vec![("response", wire::response_to_json(&r))]),
-        Err(e) => site_err(shared, &e),
+    match validated(body.query, shared) {
+        Ok(q) => site_answer(
+            shared,
+            shared.svc.server().query(&q),
+            wire::site_response_reply,
+        ),
+        Err(e) => site_err(shared, &ServerError::invalid_query(e)),
     }
 }
 
 fn site_page(req: &Request, shared: &Shared) -> Response {
-    let body = match parse_body(req) {
+    let body = match site_body(req) {
         Ok(b) => b,
         Err(r) => return r,
     };
     let decoded = (|| -> Result<_, String> {
-        let q = decode_query(&body, shared)?;
-        let page = body
-            .get("page")
-            .and_then(Json::as_usize)
-            .ok_or("missing or bad 'page'")?;
-        Ok((q, page))
+        let q = validated(body.query, shared)?;
+        Ok((q, body.page.ok_or("missing or bad 'page'")?))
     })();
-    let (q, page) = match decoded {
-        Ok(d) => d,
-        Err(e) => return site_err(shared, &ServerError::invalid_query(e)),
-    };
-    match shared.svc.server().query_page(&q, page) {
-        Ok(r) => site_ok(shared, vec![("response", wire::response_to_json(&r))]),
-        Err(e) => site_err(shared, &e),
+    match decoded {
+        Ok((q, page)) => {
+            let answer = shared.svc.server().query_page(&q, page);
+            site_answer(shared, answer, wire::site_response_reply)
+        }
+        Err(e) => site_err(shared, &ServerError::invalid_query(e)),
     }
 }
 
 fn site_ordered(req: &Request, shared: &Shared) -> Response {
-    let body = match parse_body(req) {
+    let body = match site_body(req) {
         Ok(b) => b,
         Err(r) => return r,
     };
     let decoded = (|| -> Result<_, String> {
-        let q = decode_query(&body, shared)?;
-        let attr = body
-            .get("attr")
-            .and_then(Json::as_usize)
-            .ok_or("missing or bad 'attr'")?;
-        let dir =
-            (body.get("dir").and_then(wire::direction_from_json)).ok_or("missing or bad 'dir'")?;
-        let page = body
-            .get("page")
-            .and_then(Json::as_usize)
-            .ok_or("missing or bad 'page'")?;
+        let q = validated(body.query, shared)?;
+        let attr = body.attr.ok_or("missing or bad 'attr'")?;
+        let dir = body.dir.ok_or("missing or bad 'dir'")?;
+        let page = body.page.ok_or("missing or bad 'page'")?;
         Ok((q, AttrId(attr), dir, page))
     })();
-    let (q, attr, dir, page) = match decoded {
-        Ok(d) => d,
-        Err(e) => return site_err(shared, &ServerError::invalid_query(e)),
-    };
-    match shared.svc.server().query_ordered(&q, attr, dir, page) {
-        Ok(p) => site_ok(shared, vec![("page", wire::ordered_page_to_json(&p))]),
-        Err(e) => site_err(shared, &e),
+    match decoded {
+        Ok((q, attr, dir, page)) => {
+            let answer = shared.svc.server().query_ordered(&q, attr, dir, page);
+            site_answer(shared, answer, wire::site_page_reply)
+        }
+        Err(e) => site_err(shared, &ServerError::invalid_query(e)),
     }
 }
 
@@ -660,48 +689,6 @@ fn decode_batch_request(v: &Json, shared: &Shared) -> Result<BatchRequest, Strin
     Ok(req)
 }
 
-fn stats_json(s: &qrs_service::SessionStats) -> Json {
-    let mut members = vec![
-        ("emitted", Json::u64(s.emitted as u64)),
-        ("queries_spent", Json::u64(s.queries_spent)),
-        ("cost_units_spent", Json::u64(s.cost_units_spent)),
-        ("queries_saved", Json::u64(s.queries_saved)),
-        ("cost_units_saved", Json::u64(s.cost_units_saved)),
-        ("attempts_made", Json::u64(s.attempts_made)),
-        ("retries_spent", Json::u64(s.retries_spent)),
-    ];
-    if let Some(limit) = s.budget_limit {
-        members.push(("budget_limit", Json::u64(limit)));
-    }
-    Json::obj(members)
-}
-
-fn outcome_to_json(o: &BatchOutcome) -> Json {
-    let mut members = vec![
-        (
-            "hits",
-            Json::Arr(
-                o.hits
-                    .iter()
-                    .map(|h| {
-                        Json::obj(vec![
-                            ("rank", Json::u64(h.rank as u64)),
-                            ("score", Json::Num(h.score)),
-                            ("tuple", wire::tuple_to_json(&h.tuple)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("stats", stats_json(&o.stats)),
-        ("wall_ms", Json::Num(o.wall_ms)),
-    ];
-    if let Some(e) = &o.error {
-        members.push(("error", wire::rerank_error_to_json(e)));
-    }
-    Json::obj(members)
-}
-
 fn rerank(req: &Request, shared: &Shared) -> Response {
     let tenant = req.header("x-tenant").unwrap_or("anonymous");
     // The header is a map key chosen by the caller: bound it, and the map.
@@ -794,14 +781,8 @@ fn rerank_admitted(req: &Request, shared: &Shared, tenant: &str) -> Response {
         ledger.cost_units += cost_units;
         *ledger
     };
-    let body = Json::obj(vec![
-        (
-            "outcomes",
-            Json::Arr(outcomes.iter().map(outcome_to_json).collect()),
-        ),
-        ("tenant", tenant_ledger_json(after)),
-    ]);
-    Response::json(200, body.encode())
+    let tenant = (after.queries, after.cost_units);
+    Response::json(200, wire::rerank_reply(&outcomes, tenant))
 }
 
 // -------------------------------------------------------------- /stats

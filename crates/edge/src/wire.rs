@@ -6,6 +6,16 @@
 //! bit-identical to the original. That exactness is what lets the loopback
 //! test assert byte-identical result streams rather than "close enough".
 //!
+//! The per-call bodies — the `/site/query`, `/site/page` and
+//! `/site/ordered` requests and their `200` replies, and the `200` reply to
+//! `/v1/rerank` — are written and read in place, straight between the
+//! domain types and text through [`crate::json`]'s writer and pull reader,
+//! with no [`Json`] tree on the way. Their bytes are byte for byte what the
+//! tree forms here encode to, and a body is refused exactly where the tree
+//! decoders refuse it (both are tested against each other). Cold bodies —
+//! capabilities, schema, mutation logs, stats, error bodies and the
+//! `/v1/rerank` request — stay on the tree.
+//!
 //! Decoding is strict: a missing or ill-typed member is a typed error
 //! (`Err(String)` naming the member), which the server half maps to a
 //! `400` and the client half maps to a *transient*
@@ -22,8 +32,11 @@
 //! | `InvalidQuery`     | 400         |                                |
 
 use crate::http::Response;
-use crate::json::Json;
+use crate::json::{
+    write_arr, write_bool, write_num, write_str, write_u64, Json, ObjWriter, ParseError, Reader,
+};
 use qrs_server::{Capabilities, OrderedPage};
+use qrs_service::{BatchOutcome, SessionStats};
 use qrs_types::{
     AttrId, Capability, CatAttr, CatId, CatPredicate, CostModel, Direction, Endpoint,
     FilterSupport, Interval, Mutation, MutationKind, MutationLog, OrdinalAttr, Query, QueryOutcome,
@@ -147,16 +160,24 @@ fn endpoint_from_json(v: &Json) -> WireResult<Endpoint> {
 
 /// Encode a ranking direction: `"asc"` or `"desc"`.
 pub fn direction_to_json(d: Direction) -> Json {
-    Json::str(match d {
-        Direction::Asc => "asc",
-        Direction::Desc => "desc",
-    })
+    Json::str(direction_str(d))
 }
 
 /// Decode a ranking direction; `None` for anything but `"asc"` or
 /// `"desc"`, so each caller names the member in its own error.
 pub fn direction_from_json(v: &Json) -> Option<Direction> {
-    match v.as_str()? {
+    direction_from_str(v.as_str()?)
+}
+
+fn direction_str(d: Direction) -> &'static str {
+    match d {
+        Direction::Asc => "asc",
+        Direction::Desc => "desc",
+    }
+}
+
+fn direction_from_str(s: &str) -> Option<Direction> {
+    match s {
         "asc" => Some(Direction::Asc),
         "desc" => Some(Direction::Desc),
         _ => None,
@@ -500,29 +521,6 @@ pub fn response_from_json(v: &Json) -> WireResult<QueryResponse> {
     })
 }
 
-/// Encode an `ORDER BY` page: `{tuples, has_more}`.
-pub fn ordered_page_to_json(p: &OrderedPage) -> Json {
-    Json::obj(vec![
-        (
-            "tuples",
-            Json::Arr(p.tuples.iter().map(|t| tuple_to_json(t)).collect()),
-        ),
-        ("has_more", Json::Bool(p.has_more)),
-    ])
-}
-
-/// Decode an `ORDER BY` page.
-pub fn ordered_page_from_json(v: &Json) -> WireResult<OrderedPage> {
-    let tuples = want_arr(v, "tuples")?
-        .iter()
-        .map(|t| tuple_from_json(t).map(Arc::new))
-        .collect::<WireResult<Vec<Arc<Tuple>>>>()?;
-    Ok(OrderedPage {
-        tuples,
-        has_more: want_bool(v, "has_more")?,
-    })
-}
-
 /// Encode a mutation log: `{deltas:[{seq, kind, ...}], gap}`.
 pub fn mutation_log_to_json(log: &MutationLog) -> Json {
     Json::obj(vec![
@@ -712,18 +710,611 @@ pub fn rerank_error_code(e: &RerankError) -> &'static str {
     }
 }
 
-/// Encode a per-request rerank failure: `{code, message, retry_after_ms?}`.
-/// The code is stable vocabulary; the message is the human-readable
-/// `Display` rendering (which carries the variant's payload).
-pub fn rerank_error_to_json(e: &RerankError) -> Json {
-    let mut members = vec![
-        ("code", Json::str(rerank_error_code(e))),
-        ("message", Json::str(e.to_string())),
-    ];
-    if let Some(ms) = e.retry_after_hint() {
-        members.push(("retry_after_ms", Json::u64(ms)));
+// ------------------------------------------------------- per-call bodies
+//
+// Written straight into a `String` and read straight off the text. Each
+// writer puts an object's members in ascending key order, the order the
+// tree encodes a `BTreeMap` in (`ObjWriter` asserts it in debug builds).
+// Each reader reads an object's members in whatever order they come, keeps
+// the last of a duplicate, skips the ones it does not know, and reads a
+// member it refuses through to its end, so that text which is not JSON
+// anywhere in the body is a `ParseError` first, as it is for `parse`.
+
+/// What a reader makes of a value: `Err` if the text is not JSON, else the
+/// decoded value or, as [`WireResult`], why its meaning is refused.
+pub type Read<T> = Result<WireResult<T>, ParseError>;
+
+/// A member as the last of its occurrences left it: `None` if it never
+/// came, `Some(None)` if it was not of the kind (`a string`, …) expected.
+fn want_kind<T>(slot: Option<Option<T>>, key: &str, kind: &str) -> WireResult<T> {
+    match slot {
+        None => Err(format!("missing member '{key}'")),
+        Some(None) => Err(format!("member '{key}' is not {kind}")),
+        Some(Some(v)) => Ok(v),
     }
-    Json::obj(members)
+}
+
+const COUNTER: &str = "a non-negative integer";
+
+/// A member read by a reader of its own, refused if it never came.
+fn want_read<T>(slot: Option<WireResult<T>>, key: &str) -> WireResult<T> {
+    slot.unwrap_or_else(|| Err(format!("missing member '{key}'")))
+}
+
+/// Read an array, each item through `each`; the first item refused is the
+/// array's refusal, and the rest are still read through.
+fn read_vec<'a, T>(
+    r: &mut Reader<'a>,
+    key: &str,
+    mut each: impl FnMut(&mut Reader<'a>) -> Read<T>,
+) -> Read<Vec<T>> {
+    if !r.array()? {
+        return Ok(Err(format!("member '{key}' is not an array")));
+    }
+    let mut items = Ok(Vec::new());
+    while r.item()? {
+        match (each(r)?, &mut items) {
+            (Ok(item), Ok(v)) => v.push(item),
+            (Err(e), Ok(_)) => items = Err(e),
+            (_, Err(_)) => {}
+        }
+    }
+    Ok(items)
+}
+
+fn read_code(r: &mut Reader) -> Read<u32> {
+    let code = r.u64()?.filter(|c| *c <= u32::MAX as u64);
+    Ok(code
+        .map(|c| c as u32)
+        .ok_or_else(|| "bad categorical code".into()))
+}
+
+fn write_ledger(out: &mut String, (queries, cost_units): (u64, u64)) {
+    let mut o = ObjWriter::new(out);
+    write_u64(o.key("cost_units"), cost_units);
+    write_u64(o.key("queries"), queries);
+    o.end();
+}
+
+fn read_ledger(r: &mut Reader) -> Read<(u64, u64)> {
+    let (mut queries, mut cost_units) = (None, None);
+    if r.object()? {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "queries" => queries = Some(r.u64()?),
+                "cost_units" => cost_units = Some(r.u64()?),
+                _ => r.skip()?,
+            }
+        }
+    }
+    Ok((|| {
+        let queries = want_kind(queries, "queries", COUNTER)?;
+        Ok((queries, want_kind(cost_units, "cost_units", COUNTER)?))
+    })())
+}
+
+fn write_tuple(out: &mut String, t: &Tuple) {
+    let mut o = ObjWriter::new(out);
+    write_arr(o.key("cats"), t.cats(), |out, c| write_u64(out, *c as u64));
+    write_u64(o.key("id"), t.id.0 as u64);
+    write_arr(o.key("ords"), t.ords(), |out, v| write_num(out, *v));
+    o.end();
+}
+
+fn read_tuple(r: &mut Reader) -> Read<Tuple> {
+    let (mut id, mut ords, mut cats) = (None, None, None);
+    if r.object()? {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "id" => id = Some(r.u64()?),
+                "ords" => {
+                    let ordinal =
+                        |r: &mut Reader| Ok(r.num()?.ok_or_else(|| "non-numeric ordinal".into()));
+                    ords = Some(read_vec(r, "ords", ordinal)?);
+                }
+                "cats" => cats = Some(read_vec(r, "cats", read_code)?),
+                _ => r.skip()?,
+            }
+        }
+    }
+    Ok((|| {
+        let id = want_kind(id, "id", COUNTER)?;
+        if id > u32::MAX as u64 {
+            return Err("tuple id out of range".into());
+        }
+        let (ords, cats) = (want_read(ords, "ords")?, want_read(cats, "cats")?);
+        Ok(Tuple::new(TupleId(id as u32), ords, cats))
+    })())
+}
+
+fn write_tuples(out: &mut String, tuples: &[Arc<Tuple>]) {
+    write_arr(out, tuples, |out, t| write_tuple(out, t));
+}
+
+fn read_tuples(r: &mut Reader) -> Read<Vec<Arc<Tuple>>> {
+    read_vec(r, "tuples", |r| Ok(read_tuple(r)?.map(Arc::new)))
+}
+
+fn write_endpoint(out: &mut String, e: Endpoint) {
+    let mut o = ObjWriter::new(out);
+    match e {
+        Endpoint::Unbounded => write_str(o.key("kind"), "unbounded"),
+        Endpoint::Open(v) => {
+            write_str(o.key("kind"), "open");
+            write_num(o.key("v"), v);
+        }
+        Endpoint::Closed(v) => {
+            write_str(o.key("kind"), "closed");
+            write_num(o.key("v"), v);
+        }
+    }
+    o.end();
+}
+
+fn read_endpoint(r: &mut Reader) -> Read<Endpoint> {
+    let (mut kind, mut v) = (None, None);
+    if r.object()? {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "kind" => kind = Some(r.str()?),
+                "v" => v = Some(r.num()?),
+                _ => r.skip()?,
+            }
+        }
+    }
+    Ok((|| match &*want_kind(kind, "kind", "a string")? {
+        "unbounded" => Ok(Endpoint::Unbounded),
+        "open" => Ok(Endpoint::Open(want_kind(v, "v", "a number")?)),
+        "closed" => Ok(Endpoint::Closed(want_kind(v, "v", "a number")?)),
+        other => Err(format!("unknown endpoint kind '{other}'")),
+    })())
+}
+
+fn write_query(out: &mut String, q: &Query) {
+    let mut o = ObjWriter::new(out);
+    write_arr(o.key("cats"), q.cats(), |out, p| {
+        let mut o = ObjWriter::new(out);
+        write_u64(o.key("attr"), p.attr.0 as u64);
+        write_arr(o.key("codes"), p.codes(), |out, c| {
+            write_u64(out, *c as u64)
+        });
+        o.end();
+    });
+    write_arr(o.key("ranges"), q.ranges(), |out, p| {
+        let mut o = ObjWriter::new(out);
+        write_u64(o.key("attr"), p.attr.0 as u64);
+        write_endpoint(o.key("hi"), p.interval.hi);
+        write_endpoint(o.key("lo"), p.interval.lo);
+        o.end();
+    });
+    o.end();
+}
+
+fn read_range(r: &mut Reader) -> Read<(AttrId, Interval)> {
+    let (mut attr, mut lo, mut hi) = (None, None, None);
+    if r.object()? {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "attr" => attr = Some(r.u64()?),
+                "lo" => lo = Some(read_endpoint(r)?),
+                "hi" => hi = Some(read_endpoint(r)?),
+                _ => r.skip()?,
+            }
+        }
+    }
+    Ok((|| {
+        let attr = AttrId(want_kind(attr, "attr", COUNTER)? as usize);
+        let (lo, hi) = (want_read(lo, "lo")?, want_read(hi, "hi")?);
+        Ok((attr, Interval { lo, hi }))
+    })())
+}
+
+fn read_cat(r: &mut Reader) -> Read<CatPredicate> {
+    let (mut attr, mut codes) = (None, None);
+    if r.object()? {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "attr" => attr = Some(r.u64()?),
+                "codes" => codes = Some(read_vec(r, "codes", read_code)?),
+                _ => r.skip()?,
+            }
+        }
+    }
+    Ok((|| {
+        let attr = CatId(want_kind(attr, "attr", COUNTER)? as usize);
+        Ok(CatPredicate::one_of(attr, want_read(codes, "codes")?))
+    })())
+}
+
+/// Read a conjunctive query, as [`query_from_json`] decodes one.
+fn read_query(r: &mut Reader) -> Read<Query> {
+    let (mut ranges, mut cats) = (None, None);
+    if r.object()? {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "ranges" => ranges = Some(read_vec(r, "ranges", read_range)?),
+                "cats" => cats = Some(read_vec(r, "cats", read_cat)?),
+                _ => r.skip()?,
+            }
+        }
+    }
+    Ok((|| {
+        let mut q = Query::all();
+        for (attr, interval) in want_read(ranges, "ranges")? {
+            q.add_range(attr, interval);
+        }
+        for p in want_read(cats, "cats")? {
+            q.add_cat(p);
+        }
+        Ok(q)
+    })())
+}
+
+/// The body of a `/site/query` request (no `order`, no `page`), a
+/// `/site/page` request (`page`) or a `/site/ordered` request (both).
+pub fn site_request(q: &Query, order: Option<(AttrId, Direction)>, page: Option<usize>) -> String {
+    // About what a range and a categorical predicate take to write.
+    let predicates = 104 * q.ranges().len() + 48 * q.cats().len();
+    let mut out = String::with_capacity(96 + predicates);
+    let mut o = ObjWriter::new(&mut out);
+    if let Some((attr, dir)) = order {
+        write_u64(o.key("attr"), attr.0 as u64);
+        write_str(o.key("dir"), direction_str(dir));
+    }
+    if let Some(page) = page {
+        write_u64(o.key("page"), page as u64);
+    }
+    write_query(o.key("query"), q);
+    o.end();
+    out
+}
+
+/// A `/site/*` request body as read: each member as the last of its
+/// occurrences left it, for the route to check what it needs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SiteRequest {
+    /// `query`, decoded, or why it is refused (`missing 'query'`, …).
+    pub query: WireResult<Query>,
+    /// `page`, if it is a non-negative integer.
+    pub page: Option<usize>,
+    /// `attr`, if it is a non-negative integer.
+    pub attr: Option<usize>,
+    /// `dir`, if it is `"asc"` or `"desc"`.
+    pub dir: Option<Direction>,
+}
+
+/// Read a `/site/query`, `/site/page` or `/site/ordered` request body.
+pub fn read_site_request(text: &str) -> Result<SiteRequest, ParseError> {
+    Reader::read(text, |r| {
+        let (mut query, mut page, mut attr, mut dir) = (None, None, None, None);
+        if r.object()? {
+            while let Some(key) = r.key()? {
+                match &*key {
+                    "query" => query = Some(read_query(r)?),
+                    "page" => page = r.u64()?.map(|n| n as usize),
+                    "attr" => attr = r.u64()?.map(|n| n as usize),
+                    "dir" => dir = r.str()?.and_then(|d| direction_from_str(&d)),
+                    _ => r.skip()?,
+                }
+            }
+        }
+        let query = query.unwrap_or_else(|| Err("missing 'query'".into()));
+        Ok(SiteRequest {
+            query,
+            page,
+            attr,
+            dir,
+        })
+    })
+}
+
+fn write_response(out: &mut String, r: &QueryResponse) {
+    let mut o = ObjWriter::new(out);
+    write_str(o.key("outcome"), outcome_str(r.outcome));
+    write_tuples(o.key("tuples"), &r.tuples);
+    o.end();
+}
+
+/// Read a top-k response, as [`response_from_json`] decodes one.
+fn read_response(r: &mut Reader) -> Read<QueryResponse> {
+    let (mut tuples, mut outcome) = (None, None);
+    if r.object()? {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "tuples" => tuples = Some(read_tuples(r)?),
+                "outcome" => outcome = Some(r.str()?),
+                _ => r.skip()?,
+            }
+        }
+    }
+    Ok((|| {
+        let tuples = want_read(tuples, "tuples")?;
+        let outcome = outcome_from_str(&want_kind(outcome, "outcome", "a string")?)?;
+        Ok(QueryResponse { tuples, outcome })
+    })())
+}
+
+/// Read an `ORDER BY` page: `{tuples, has_more}`.
+fn read_ordered_page(r: &mut Reader) -> Read<OrderedPage> {
+    let (mut tuples, mut has_more) = (None, None);
+    if r.object()? {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "tuples" => tuples = Some(read_tuples(r)?),
+                "has_more" => has_more = Some(r.bool()?),
+                _ => r.skip()?,
+            }
+        }
+    }
+    Ok((|| {
+        let tuples = want_read(tuples, "tuples")?;
+        let has_more = want_kind(has_more, "has_more", "a boolean")?;
+        Ok(OrderedPage { tuples, has_more })
+    })())
+}
+
+/// Room for `tuples` tuples of a typical site in a reply.
+fn reply_capacity(tuples: &[Arc<Tuple>]) -> usize {
+    let per_tuple = tuples
+        .first()
+        .map_or(0, |t| 40 + 24 * t.ords().len() + 11 * t.cats().len());
+    96 + per_tuple * tuples.len()
+}
+
+/// The `200` reply to `/site/query` or `/site/page`: `{ledger, response}`,
+/// the ledger the site's cumulative counters after the call.
+pub fn site_response_reply(r: &QueryResponse, ledger: (u64, u64)) -> String {
+    let mut out = String::with_capacity(reply_capacity(&r.tuples));
+    let mut o = ObjWriter::new(&mut out);
+    write_ledger(o.key("ledger"), ledger);
+    write_response(o.key("response"), r);
+    o.end();
+    out
+}
+
+/// The `200` reply to `/site/ordered`: `{ledger, page}`, the page as
+/// `{has_more, tuples}`.
+pub fn site_page_reply(p: &OrderedPage, ledger: (u64, u64)) -> String {
+    let mut out = String::with_capacity(reply_capacity(&p.tuples));
+    let mut o = ObjWriter::new(&mut out);
+    write_ledger(o.key("ledger"), ledger);
+    let mut page = ObjWriter::new(o.key("page"));
+    write_bool(page.key("has_more"), p.has_more);
+    write_tuples(page.key("tuples"), &p.tuples);
+    page.end();
+    o.end();
+    out
+}
+
+/// A `200` `/site/*` reply as read: the cumulative ledger, if it decodes,
+/// and the body member.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SiteReply<T> {
+    /// The site's cumulative `(queries, cost_units)`.
+    pub ledger: Option<(u64, u64)>,
+    /// The body member, decoded, or why it is refused.
+    pub body: WireResult<T>,
+}
+
+/// Read a `200` `/site/query` or `/site/page` reply.
+pub fn read_response_reply(text: &str) -> Result<SiteReply<QueryResponse>, ParseError> {
+    read_site_reply(text, "response", read_response)
+}
+
+/// Read a `200` `/site/ordered` reply.
+pub fn read_page_reply(text: &str) -> Result<SiteReply<OrderedPage>, ParseError> {
+    read_site_reply(text, "page", read_ordered_page)
+}
+
+/// Read a `200` `/site/*` reply whose body member `key` is read by `read`.
+fn read_site_reply<'a, T>(
+    text: &'a str,
+    key: &str,
+    read: fn(&mut Reader<'a>) -> Read<T>,
+) -> Result<SiteReply<T>, ParseError> {
+    Reader::read(text, |r| {
+        let (mut ledger, mut body) = (None, None);
+        if r.object()? {
+            while let Some(k) = r.key()? {
+                if k == "ledger" {
+                    ledger = Some(read_ledger(r)?);
+                } else if k == key {
+                    body = Some(read(r)?);
+                } else {
+                    r.skip()?;
+                }
+            }
+        }
+        Ok(SiteReply {
+            ledger: ledger.and_then(Result::ok),
+            body: body.unwrap_or_else(|| Err(format!("missing '{key}'"))),
+        })
+    })
+}
+
+/// One decoded `/v1/rerank` outcome: hit tuples with their ranks and
+/// scores, the exact per-session ledger, and the typed error code if the
+/// request stopped early.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WireOutcome {
+    /// `(rank, score, tuple)` triples, in emission order.
+    pub hits: Vec<(usize, f64, Tuple)>,
+    /// Raw queries this request was charged.
+    pub queries_spent: u64,
+    /// Weighted cost units this request was charged.
+    pub cost_units_spent: u64,
+    /// Queries the knowledge plane saved this request (a sealed stream's
+    /// replay credit).
+    pub queries_saved: u64,
+    /// The stable error code (`"budget_exhausted"`, `"unplannable"`, …) if
+    /// the request stopped early; `None` on success.
+    pub error_code: Option<String>,
+}
+
+/// A decoded `/v1/rerank` reply: per-request outcomes plus the tenant's
+/// cumulative ledger after charging.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WireBatchReply {
+    /// One outcome per request, in request order.
+    pub outcomes: Vec<WireOutcome>,
+    /// The tenant's cumulative `(queries, cost_units)` after this batch.
+    pub tenant: (u64, u64),
+}
+
+fn write_stats(out: &mut String, s: &SessionStats) {
+    let mut o = ObjWriter::new(out);
+    write_u64(o.key("attempts_made"), s.attempts_made);
+    if let Some(limit) = s.budget_limit {
+        write_u64(o.key("budget_limit"), limit);
+    }
+    write_u64(o.key("cost_units_saved"), s.cost_units_saved);
+    write_u64(o.key("cost_units_spent"), s.cost_units_spent);
+    write_u64(o.key("emitted"), s.emitted as u64);
+    write_u64(o.key("queries_saved"), s.queries_saved);
+    write_u64(o.key("queries_spent"), s.queries_spent);
+    write_u64(o.key("retries_spent"), s.retries_spent);
+    o.end();
+}
+
+/// A per-request rerank failure: `{code, message, retry_after_ms?}`. The
+/// code is stable vocabulary; the message is the human-readable `Display`
+/// rendering (which carries the variant's payload).
+fn write_rerank_error(out: &mut String, e: &RerankError) {
+    let mut o = ObjWriter::new(out);
+    write_str(o.key("code"), rerank_error_code(e));
+    write_str(o.key("message"), &e.to_string());
+    if let Some(ms) = e.retry_after_hint() {
+        write_u64(o.key("retry_after_ms"), ms);
+    }
+    o.end();
+}
+
+fn write_outcome(out: &mut String, b: &BatchOutcome) {
+    let mut o = ObjWriter::new(out);
+    if let Some(e) = &b.error {
+        write_rerank_error(o.key("error"), e);
+    }
+    write_arr(o.key("hits"), &b.hits, |out, h| {
+        let mut o = ObjWriter::new(out);
+        write_u64(o.key("rank"), h.rank as u64);
+        write_num(o.key("score"), h.score);
+        write_tuple(o.key("tuple"), &h.tuple);
+        o.end();
+    });
+    write_stats(o.key("stats"), &b.stats);
+    write_num(o.key("wall_ms"), b.wall_ms);
+    o.end();
+}
+
+/// The `200` reply to `/v1/rerank`: `{outcomes, tenant}`, one outcome
+/// (`{error?, hits, stats, wall_ms}`) per request and the tenant's
+/// cumulative ledger after charging.
+pub fn rerank_reply(outcomes: &[BatchOutcome], tenant: (u64, u64)) -> String {
+    let hits = outcomes.iter().map(|o| o.hits.len()).sum::<usize>();
+    let mut out = String::with_capacity(96 + 320 * outcomes.len() + 160 * hits);
+    let mut o = ObjWriter::new(&mut out);
+    write_arr(o.key("outcomes"), outcomes, write_outcome);
+    write_ledger(o.key("tenant"), tenant);
+    o.end();
+    out
+}
+
+fn read_hit(r: &mut Reader) -> Read<(usize, f64, Tuple)> {
+    let (mut rank, mut score, mut tuple) = (None, None, None);
+    if r.object()? {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "rank" => rank = r.u64()?,
+                "score" => score = r.num()?,
+                "tuple" => tuple = Some(read_tuple(r)?),
+                _ => r.skip()?,
+            }
+        }
+    }
+    Ok((|| {
+        let rank = rank.ok_or("missing rank")? as usize;
+        let score = score.ok_or("missing score")?;
+        Ok((rank, score, tuple.ok_or("missing tuple")??))
+    })())
+}
+
+/// `stats`' three counters a client keeps, `0` for any it does not find.
+fn read_stats(r: &mut Reader) -> Result<[u64; 3], ParseError> {
+    let mut counters = [0; 3];
+    if r.object()? {
+        while let Some(key) = r.key()? {
+            let at = ["queries_spent", "cost_units_spent", "queries_saved"]
+                .iter()
+                .position(|name| *name == key);
+            match at {
+                Some(at) => counters[at] = r.u64()?.unwrap_or(0),
+                None => r.skip()?,
+            }
+        }
+    }
+    Ok(counters)
+}
+
+/// An outcome's `error.code`, if it has one that is a string.
+fn read_error_code(r: &mut Reader) -> Result<Option<String>, ParseError> {
+    let mut code = None;
+    if r.object()? {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "code" => code = r.str()?.map(|c| c.into_owned()),
+                _ => r.skip()?,
+            }
+        }
+    }
+    Ok(code)
+}
+
+fn read_outcome(r: &mut Reader) -> Read<WireOutcome> {
+    let (mut hits, mut stats, mut error_code) = (None, None, None);
+    if r.object()? {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "hits" => hits = Some(read_vec(r, "hits", read_hit)?),
+                "stats" => stats = Some(read_stats(r)?),
+                "error" => error_code = Some(read_error_code(r)?),
+                _ => r.skip()?,
+            }
+        }
+    }
+    let outcome = (|| {
+        let hits = hits.ok_or("missing hits")??;
+        let [queries_spent, cost_units_spent, queries_saved] = stats.ok_or("missing stats")?;
+        Ok(WireOutcome {
+            hits,
+            queries_spent,
+            cost_units_spent,
+            queries_saved,
+            error_code: error_code.flatten(),
+        })
+    })();
+    Ok(outcome.map_err(|e: String| format!("bad outcome: {e}")))
+}
+
+/// Read a `200` reply to `/v1/rerank`.
+pub fn read_rerank_reply(text: &str) -> Read<WireBatchReply> {
+    Reader::read(text, |r| {
+        let (mut outcomes, mut tenant) = (None, None);
+        if r.object()? {
+            while let Some(key) = r.key()? {
+                match &*key {
+                    "outcomes" => outcomes = Some(read_vec(r, "outcomes", read_outcome)?),
+                    "tenant" => tenant = Some(read_ledger(r)?),
+                    _ => r.skip()?,
+                }
+            }
+        }
+        Ok((|| {
+            let outcomes = outcomes.ok_or("missing 'outcomes'")??;
+            let tenant = tenant.and_then(Result::ok);
+            let tenant = tenant.ok_or("missing 'tenant' ledger")?;
+            Ok(WireBatchReply { outcomes, tenant })
+        })())
+    })
 }
 
 #[cfg(test)]
@@ -866,7 +1457,10 @@ mod tests {
             tuples: vec![Arc::new(tuple())],
             has_more: true,
         };
-        let back = ordered_page_from_json(&ordered_page_to_json(&p)).unwrap();
+        let reply = site_page_reply(&p, (3, 7));
+        let back = read_page_reply(&reply).unwrap();
+        assert_eq!(back.ledger, Some((3, 7)));
+        let back = back.body.unwrap();
         assert!(back.has_more);
         assert_eq!(back.tuples[0].id, TupleId(42));
 
@@ -943,7 +1537,9 @@ mod tests {
         let e = RerankError::Server(ServerError::RateLimited {
             retry_after_ms: Some(9),
         });
-        let v = rerank_error_to_json(&e);
+        let mut text = String::new();
+        write_rerank_error(&mut text, &e);
+        let v = crate::json::parse(&text).unwrap();
         assert_eq!(v.get("code").unwrap().as_str(), Some("server_rate_limited"));
         assert_eq!(v.get("retry_after_ms").unwrap().as_u64(), Some(9));
     }
@@ -954,5 +1550,310 @@ mod tests {
         assert!(e.contains("cats"), "{e}");
         let e = tuple_from_json(&Json::obj(vec![("id", Json::str("x"))])).unwrap_err();
         assert!(e.contains("id"), "{e}");
+    }
+
+    /// SplitMix64: a deterministic stream of random values.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A number, the edges of the writer's two paths among them.
+        fn num(&mut self) -> f64 {
+            let two53 = 2f64.powi(53);
+            match self.below(14) {
+                0 => -0.0,
+                1 => two53,
+                2 => two53 + 2.0,
+                3 => -two53,
+                4 => 1e300,
+                5 => 5e-324,
+                6 => f64::NAN,
+                7 => f64::INFINITY,
+                8 => f64::NEG_INFINITY,
+                9 => self.below(1000) as f64,
+                10 => -(self.below(1 << 60) as f64),
+                11 => f64::from_bits(self.next()),
+                _ => self.next() as f64 / u64::MAX as f64,
+            }
+        }
+
+        fn counter(&mut self) -> u64 {
+            match self.below(4) {
+                0 => u64::MAX - self.below(3),
+                1 => (1 << 53) + self.below(3),
+                _ => self.below(1 << 20),
+            }
+        }
+
+        fn code(&mut self) -> u32 {
+            match self.below(5) {
+                0 => u32::MAX,
+                _ => self.below(40) as u32,
+            }
+        }
+
+        fn endpoint(&mut self) -> Endpoint {
+            match self.below(3) {
+                0 => Endpoint::Unbounded,
+                1 => Endpoint::Open(self.num()),
+                _ => Endpoint::Closed(self.num()),
+            }
+        }
+
+        fn query(&mut self) -> Query {
+            let mut q = Query::all();
+            for _ in 0..self.below(4) {
+                let interval = Interval {
+                    lo: self.endpoint(),
+                    hi: self.endpoint(),
+                };
+                q.add_range(AttrId(self.below(6) as usize), interval);
+            }
+            for _ in 0..self.below(3) {
+                let codes = (0..self.below(4)).map(|_| self.code()).collect();
+                q.add_cat(CatPredicate::one_of(CatId(self.below(4) as usize), codes));
+            }
+            q
+        }
+
+        fn tuple(&mut self) -> Arc<Tuple> {
+            let id = TupleId(if self.below(6) == 0 {
+                u32::MAX
+            } else {
+                self.below(5000) as u32
+            });
+            let ords = (0..self.below(5)).map(|_| self.num()).collect();
+            let cats = (0..self.below(4)).map(|_| self.code()).collect();
+            Arc::new(Tuple::new(id, ords, cats))
+        }
+
+        fn tuples(&mut self) -> Vec<Arc<Tuple>> {
+            (0..self.below(5)).map(|_| self.tuple()).collect()
+        }
+
+        fn response(&mut self) -> QueryResponse {
+            let outcome = match self.below(3) {
+                0 => QueryOutcome::Underflow,
+                1 => QueryOutcome::Valid,
+                _ => QueryOutcome::Overflow,
+            };
+            QueryResponse {
+                tuples: self.tuples(),
+                outcome,
+            }
+        }
+
+        fn outcome(&mut self) -> BatchOutcome {
+            let hits = (0..self.below(4))
+                .map(|i| qrs_service::RankedTuple {
+                    rank: i as usize + 1,
+                    score: self.num(),
+                    tuple: self.tuple(),
+                })
+                .collect();
+            let error = match self.below(4) {
+                0 => Some(RerankError::BudgetExhausted {
+                    spent: self.counter(),
+                    limit: self.counter(),
+                }),
+                1 => Some(RerankError::Server(ServerError::RateLimited {
+                    retry_after_ms: Some(self.counter()),
+                })),
+                2 => Some(RerankError::InvalidAlgorithm {
+                    reason: "say \"why\"\n\ttab \u{1} é".into(),
+                }),
+                _ => None,
+            };
+            let stats = SessionStats {
+                emitted: self.below(100) as usize,
+                queries_spent: self.counter(),
+                cost_units_spent: self.counter(),
+                queries_saved: self.counter(),
+                cost_units_saved: self.counter(),
+                attempts_made: self.counter(),
+                retries_spent: self.counter(),
+                budget_limit: (self.below(2) == 0).then(|| self.counter()),
+            };
+            BatchOutcome {
+                hits,
+                error,
+                stats,
+                wall_ms: self.num(),
+            }
+        }
+    }
+
+    // The tree forms the per-call writers replaced, as they encoded.
+
+    fn tree_ordered_page(p: &OrderedPage) -> Json {
+        Json::obj(vec![
+            (
+                "tuples",
+                Json::Arr(p.tuples.iter().map(|t| tuple_to_json(t)).collect()),
+            ),
+            ("has_more", Json::Bool(p.has_more)),
+        ])
+    }
+
+    fn tree_outcome(o: &BatchOutcome) -> Json {
+        let s = &o.stats;
+        let mut stats = vec![
+            ("emitted", Json::u64(s.emitted as u64)),
+            ("queries_spent", Json::u64(s.queries_spent)),
+            ("cost_units_spent", Json::u64(s.cost_units_spent)),
+            ("queries_saved", Json::u64(s.queries_saved)),
+            ("cost_units_saved", Json::u64(s.cost_units_saved)),
+            ("attempts_made", Json::u64(s.attempts_made)),
+            ("retries_spent", Json::u64(s.retries_spent)),
+        ];
+        if let Some(limit) = s.budget_limit {
+            stats.push(("budget_limit", Json::u64(limit)));
+        }
+        let hits = o.hits.iter().map(|h| {
+            Json::obj(vec![
+                ("rank", Json::u64(h.rank as u64)),
+                ("score", Json::Num(h.score)),
+                ("tuple", tuple_to_json(&h.tuple)),
+            ])
+        });
+        let mut members = vec![
+            ("hits", Json::Arr(hits.collect())),
+            ("stats", Json::obj(stats)),
+            ("wall_ms", Json::Num(o.wall_ms)),
+        ];
+        if let Some(e) = &o.error {
+            let mut error = vec![
+                ("code", Json::str(rerank_error_code(e))),
+                ("message", Json::str(e.to_string())),
+            ];
+            if let Some(ms) = e.retry_after_hint() {
+                error.push(("retry_after_ms", Json::u64(ms)));
+            }
+            members.push(("error", Json::obj(error)));
+        }
+        Json::obj(members)
+    }
+
+    fn ledger(rng: &mut Rng) -> (u64, u64) {
+        (rng.counter(), rng.counter())
+    }
+
+    /// Every per-call writer writes, byte for byte, what the tree form of
+    /// the same value encodes to.
+    #[test]
+    fn per_call_writers_write_the_trees_bytes() {
+        let mut rng = Rng(0xB0D1E5);
+        for _ in 0..2000 {
+            let q = rng.query();
+            let (page, attr) = (rng.counter() as usize, AttrId(rng.below(9) as usize));
+            let dir = [Direction::Asc, Direction::Desc][rng.below(2) as usize];
+            let query = || ("query", query_to_json(&q));
+            let requests = [
+                (site_request(&q, None, None), Json::obj(vec![query()])),
+                (
+                    site_request(&q, None, Some(page)),
+                    Json::obj(vec![query(), ("page", Json::u64(page as u64))]),
+                ),
+                (
+                    site_request(&q, Some((attr, dir)), Some(page)),
+                    Json::obj(vec![
+                        query(),
+                        ("attr", Json::u64(attr.0 as u64)),
+                        ("dir", direction_to_json(dir)),
+                        ("page", Json::u64(page as u64)),
+                    ]),
+                ),
+            ];
+            for (written, tree) in requests {
+                assert_eq!(written, tree.encode());
+            }
+
+            let (r, l) = (rng.response(), ledger(&mut rng));
+            let tree = Json::obj(vec![
+                ("response", response_to_json(&r)),
+                ("ledger", ledger_json(l.0, l.1)),
+            ]);
+            assert_eq!(site_response_reply(&r, l), tree.encode());
+
+            let p = OrderedPage {
+                tuples: rng.tuples(),
+                has_more: rng.below(2) == 0,
+            };
+            let l = ledger(&mut rng);
+            let tree = Json::obj(vec![
+                ("page", tree_ordered_page(&p)),
+                ("ledger", ledger_json(l.0, l.1)),
+            ]);
+            assert_eq!(site_page_reply(&p, l), tree.encode());
+
+            let outcomes: Vec<BatchOutcome> = (0..rng.below(4)).map(|_| rng.outcome()).collect();
+            let tenant = ledger(&mut rng);
+            let tree = Json::obj(vec![
+                (
+                    "outcomes",
+                    Json::Arr(outcomes.iter().map(tree_outcome).collect()),
+                ),
+                ("tenant", ledger_json(tenant.0, tenant.1)),
+            ]);
+            assert_eq!(rerank_reply(&outcomes, tenant), tree.encode());
+        }
+    }
+
+    /// What the per-call writers write, the per-call readers read back as
+    /// the tree decoders do: the same values, or a refusal from both (a
+    /// `NaN` written as `null` is no number to either).
+    #[test]
+    fn per_call_readers_read_what_the_tree_decodes() {
+        let same = |a: &WireResult<QueryResponse>, b: &WireResult<QueryResponse>| match (a, b) {
+            (Ok(a), Ok(b)) => response_to_json(a).encode() == response_to_json(b).encode(),
+            (Err(_), Err(_)) => true,
+            _ => false,
+        };
+        let mut rng = Rng(0x2EAD);
+        let (mut accepted, mut refused) = (0, 0);
+        for _ in 0..2000 {
+            let q = rng.query();
+            let text = site_request(&q, None, Some(rng.below(9) as usize));
+            let read = read_site_request(&text).unwrap();
+            let tree = crate::json::parse(&text).unwrap();
+            let want = query_from_json(tree.get("query").unwrap());
+            match (&read.query, &want) {
+                (Ok(a), Ok(b)) => assert_eq!(
+                    query_to_json(a).encode(),
+                    query_to_json(b).encode(),
+                    "{text}"
+                ),
+                (a, b) => assert_eq!(a.is_err(), b.is_err(), "{text}"),
+            }
+            assert_eq!(read.page, tree.get("page").and_then(Json::as_usize));
+
+            let text = site_response_reply(&rng.response(), ledger(&mut rng));
+            let read = read_response_reply(&text).unwrap();
+            let tree = crate::json::parse(&text).unwrap();
+            let want = response_from_json(tree.get("response").unwrap());
+            assert!(same(&read.body, &want), "{text}");
+            let want_ledger = wire_ledger(&tree);
+            assert_eq!(read.ledger, want_ledger, "{text}");
+            match read.body {
+                Ok(_) => accepted += 1,
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(accepted > 100 && refused > 100, "{accepted} / {refused}");
+    }
+
+    fn wire_ledger(tree: &Json) -> Option<(u64, u64)> {
+        tree.get("ledger").and_then(|l| ledger_from_json(l).ok())
     }
 }

@@ -1,0 +1,118 @@
+//! Heap allocations of one in-process `/site/query` exchange's four codec
+//! steps, held to a budget.
+//!
+//! A remote site costs one round trip per query, about thirty a request,
+//! and the codec is paid on both ends of each: the client writes the
+//! query, the edge reads it, the edge writes the reply, the client reads
+//! it. A step that builds a JSON tree, formats a number through a
+//! temporary `String` or copies a string that needs no unescaping
+//! multiplies the allocator's share of a call. This test pins that share
+//! for a fixed query and a 3-tuple reply, with no socket in between.
+//!
+//! The count is kept in a const-initialised thread-local, as in
+//! `tests/alloc_budget.rs`, so only the thread doing the exchange is
+//! counted. It is the only test in this binary, because the global
+//! allocator is per binary. The budget is the count measured in the debug
+//! profile (`cargo test -q`) plus 25 %; the run prints the measured value.
+
+use query_reranking::edge::wire;
+use query_reranking::types::{
+    AttrId, CatId, CatPredicate, Interval, Query, QueryResponse, Tuple, TupleId,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+use std::sync::Arc;
+
+/// Allocations one exchange's codec steps may make: the measured
+/// debug-profile value, 23, plus 25 %.
+const BUDGET: u64 = 29;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every block it hands out (a `realloc`
+/// included) on the calling thread.
+struct Counting;
+
+fn count() {
+    // A thread being torn down has no count to keep.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches only a thread-local
+// `Cell<u64>` with no destructor, so it neither allocates nor re-enters the
+// allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's guarantees for `layout` are `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with `layout`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+#[test]
+fn a_site_query_exchange_allocates_within_its_budget() {
+    let query = Query::all()
+        .and_range(AttrId(0), Interval::closed(0.25, 0.75))
+        .and_range(AttrId(2), Interval::at_least(-3.5))
+        .and_cat(CatPredicate::one_of(CatId(0), vec![1, 4]));
+    let tuples = (0..3)
+        .map(|i| {
+            let ords = vec![0.1 * i as f64, 2.0 / 3.0, 1e-3 + i as f64];
+            Arc::new(Tuple::new(TupleId(40 + i), ords, vec![i]))
+        })
+        .collect();
+    let answer = QueryResponse::new(tuples, true);
+    let ledger = (1234, 5678);
+
+    let before = allocations();
+    // The client writes the query; the edge reads it.
+    let request = wire::site_request(&query, None, None);
+    let asked = wire::read_site_request(&request).expect("JSON").query;
+    let asked = asked.expect("a query");
+    // The edge writes the reply; the client reads it.
+    let reply = wire::site_response_reply(&answer, ledger);
+    let read = wire::read_response_reply(&reply).expect("JSON");
+    let spent = allocations() - before;
+
+    assert_eq!(asked, query);
+    assert_eq!(read.ledger, Some(ledger));
+    let got = black_box(read.body.expect("a response"));
+    assert_eq!(
+        wire::response_to_json(&got).encode(),
+        wire::response_to_json(&answer).encode()
+    );
+    println!("{spent} allocations for one /site/query exchange (budget {BUDGET})");
+    assert!(
+        spent <= BUDGET,
+        "{spent} allocations for one exchange, over the budget of {BUDGET}"
+    );
+}
