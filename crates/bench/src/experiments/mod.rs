@@ -25,11 +25,10 @@ pub type Experiment = (&'static str, fn(Scale));
 /// Every experiment, in paper order, then the post-paper ones for the
 /// cost-aware capability planner and the cross-session knowledge plane.
 /// The one list [`run`], `figures all` and the `figures` usage line read.
-pub const EXPERIMENTS: [Experiment; 16] = [
+pub const EXPERIMENTS: [Experiment; 15] = [
     ("fig6", offline::fig6),
     ("fig7", offline::fig7),
     ("fig8", offline::fig8),
-    ("fig9", offline::fig9),
     ("fig10", offline::fig10),
     ("fig11", online::fig11),
     ("fig12", online::fig12),
@@ -47,7 +46,7 @@ pub const EXPERIMENTS: [Experiment; 16] = [
 /// One algorithm of a figure: its series label and what the runner builds.
 type Row = (&'static str, Algorithm);
 
-/// 1D-RERANK (§3.2.2).
+/// 1D-RERANK (§3.2.1's 1D-BINARY over the shared state).
 const ONE_D_RERANK: Algorithm = Algorithm::OneD(OneDStrategy::Rerank);
 /// MD-RERANK (§4.3's MD-BINARY over the shared state).
 const MD_RERANK: Algorithm = Algorithm::Md(MdOptions::rerank());
@@ -58,9 +57,8 @@ const TA_OVER_1D: Row = (
 );
 
 /// The 1-D algorithms of Figs 6/7 and 11/12 (§3).
-const ONE_D: [Row; 3] = [
+const ONE_D: [Row; 2] = [
     ("1D-BASELINE", Algorithm::OneD(OneDStrategy::Baseline)),
-    ("1D-BINARY", Algorithm::OneD(OneDStrategy::Binary)),
     ("1D-RERANK", ONE_D_RERANK),
 ];
 
@@ -122,10 +120,10 @@ fn fresh(
 
 /// `(top-h, average cumulative cost)` at each of `checkpoints` over
 /// `workload`, its user queries run in order on one shared state. Between
-/// the user queries of a §6 figure, the paper's cost model keeps tuples and
-/// dense indexes but not emptiness proofs, so the state forgets its
-/// complete regions before each one; Ablations 2–3, which measure
-/// amortization, call [`measure`] themselves and keep everything.
+/// the user queries of a §6 figure, the paper's cost model keeps tuples but
+/// not emptiness proofs, so the state forgets its complete regions before
+/// each one; Ablation 3, which measures amortization, calls [`measure`]
+/// itself and keeps everything.
 fn mean_curve(
     server: &SimServer,
     st: &mut SharedState,

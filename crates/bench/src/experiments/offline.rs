@@ -1,13 +1,14 @@
-//! Figures 6–10 and 13–15: the offline experiments over the DOT stand-in,
-//! 1-D (§6.2.1) and MD (§6.3.1).
+//! Figures 6–8, 10 and 13–15: the offline experiments over the DOT
+//! stand-in, 1-D (§6.2.1) and MD (§6.3.1). Fig 9 sweeps the parameters of
+//! §3.2.2's dense-region index, which is not built (README, "Named
+//! deviations").
 
 use super::{draw, fresh, mean_curve, Row, MD, MD_RERANK, ONE_D, ONE_D_RERANK};
 use crate::runner::{measure, UserQuery};
 use crate::{print_figure, Scale, Series};
-use qrs_core::{RerankParams, SharedState};
 use qrs_datagen::flights;
 use qrs_datagen::flights::attr;
-use qrs_server::{Capabilities, SimServer, SystemRank};
+use qrs_server::{Capabilities, SystemRank};
 use qrs_service::Algorithm;
 use qrs_types::Dataset;
 
@@ -87,65 +88,48 @@ fn system_k_sweep(title: &str, data: &Dataset, workload: &[UserQuery], algorithm
     print_figure(title, "top-h", &series);
 }
 
+/// Assert that the series `cheaper` spends no more than `dearer` on any
+/// row of an n-sweep.
+fn assert_at_most(cheaper: &Series, dearer: &Series) {
+    for (&(n, cost), &(_, base)) in cheaper.points.iter().zip(&dearer.points) {
+        assert!(
+            cost <= base,
+            "{} spent {cost:.2} queries a top-1 at n = {n}, over {}'s {base:.2}",
+            cheaper.label,
+            dearer.label
+        );
+    }
+}
+
+/// Figs 6/7's sweep, asserting §3.2's 1-D claim in-run: 1D-RERANK spends
+/// no more than 1D-BASELINE at any `n`.
+fn one_d_sweep(scale: Scale, title: &str, sys: fn() -> SystemRank) {
+    let series = n_sweep(scale, title, sys, false, (1_000, 42), &ONE_D);
+    let [baseline, rerank] = &series[..] else {
+        unreachable!("Figs 6/7 run the two rows of ONE_D")
+    };
+    assert_at_most(rerank, baseline);
+}
+
 /// Fig. 6 — 1D, impact of n under SR1.
 pub fn fig6(scale: Scale) {
-    let title = "Fig 6 - 1D query cost vs n (SR1, top-1, k=10)";
-    n_sweep(scale, title, sr1, false, (1_000, 42), &ONE_D);
+    one_d_sweep(scale, "Fig 6 - 1D query cost vs n (SR1, top-1, k=10)", sr1);
 }
 
 /// Fig. 7 — 1D, impact of n under SR2.
 pub fn fig7(scale: Scale) {
-    let title = "Fig 7 - 1D query cost vs n (SR2, top-1, k=10)";
-    n_sweep(scale, title, sr2, false, (1_000, 42), &ONE_D);
+    one_d_sweep(scale, "Fig 7 - 1D query cost vs n (SR2, top-1, k=10)", sr2);
 }
 
 /// Fig. 8 — 1D-RERANK, cumulative cost of top-1..10 for system-k ∈ {1,4,7,10}.
 pub fn fig8(scale: Scale) {
-    let title = "Fig 8 - 1D cumulative query cost for top-1..10 vs system-k (SR1)";
+    let title = "Fig 8 - 1D-RERANK cumulative query cost for top-1..10 vs system-k (SR1)";
     let data = flights(scale.fixed_n(), 2_000);
     system_k_sweep(
         title,
         &data,
         &workload(&data, scale, false, 77),
         ONE_D_RERANK,
-    );
-}
-
-/// Fig. 9 — impact of the dense-index parameters s and c.
-pub fn fig9(scale: Scale) {
-    let n = scale.fixed_n();
-    let k = 10usize;
-    let data = flights(n, 3_000);
-    let workload = workload(&data, scale, false, 99);
-    let nf = n as f64;
-    let klog = k as f64 * nf.log2();
-    let xs: Vec<(&str, f64)> = vec![
-        ("10", 10.0),
-        ("klog(n)", klog),
-        ("klog^2(n)", k as f64 * nf.log2().powi(2)),
-        ("klog^3(n)", k as f64 * nf.log2().powi(3)),
-        ("n", nf),
-        ("n^2", nf * nf),
-    ];
-    let run = |s: f64, c: f64| -> f64 {
-        let server = SimServer::new(data.clone(), sr1(), k);
-        let mut st = SharedState::new(data.schema(), RerankParams::with_sc(n, s, c));
-        mean_curve(&server, &mut st, &workload, ONE_D_RERANK, &[1])[0].1
-    };
-    let mut vary_c = Series::new("varying c (s=n)");
-    let mut vary_s = Series::new("varying s (c=k*log n)");
-    println!(
-        "\n# Fig 9 x-axis labels: {:?}",
-        xs.iter().map(|p| p.0).collect::<Vec<_>>()
-    );
-    for (i, &(_, v)) in xs.iter().enumerate() {
-        vary_c.push(i as f64, run(nf, v));
-        vary_s.push(i as f64, run(v, klog));
-    }
-    print_figure(
-        "Fig 9 - 1D-RERANK query cost vs dense-index parameters (top-1, SR1)",
-        "x-index (see labels above)",
-        &[vary_c, vary_s],
     );
 }
 
@@ -193,12 +177,7 @@ pub fn fig14(scale: Scale) {
         let [_, baseline, rerank] = &series[..] else {
             unreachable!("Fig 14 runs the three rows of MD")
         };
-        for (&(n, base), &(_, cost)) in baseline.points.iter().zip(&rerank.points) {
-            assert!(
-                cost <= base,
-                "MD-RERANK spent {cost:.2} queries a top-1 at n = {n}, over MD-BASELINE's {base:.2}"
-            );
-        }
+        assert_at_most(rerank, baseline);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Theorem 1 made executable: the adversarial server forces any reranking
 //! algorithm to spend at least `n/k` queries to certify a 1D top-1. The
 //! run also bounds the strategies from above: none may spend more than
-//! `n/k + 1`, the one confirm probe 1D-BINARY and 1D-RERANK may waste.
+//! `n/k + 1`, the one confirm probe 1D-RERANK may waste.
 
 use crate::{print_figure, Scale, Series};
 use qrs_core::one_d::primitives::{next_above, OneDSpec};
@@ -15,7 +15,7 @@ use qrs_types::{AttrId, Direction, Query};
 pub fn run(scale: Scale) -> Vec<Series> {
     // The adversary halves its threshold toward 0.0 for each fresh tuple,
     // and an f64 runs out of distinct halvings: past n = 760 at k = 1,
-    // 1D-BINARY finds the bottom in 760 queries and the bound fails.
+    // 1D-RERANK finds the bottom in 760 queries and the bound fails.
     let n = scale.pick(500, 700);
     let mut bound = Series::new("n/k lower bound");
     let mut series: Vec<Series> = OneDStrategy::ALL

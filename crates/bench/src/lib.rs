@@ -1,8 +1,10 @@
 //! # qrs-bench
 //!
-//! Experiment harness regenerating every figure of the paper's §6 evaluation
-//! (there are no tables in §6 — the evaluation is Figures 6–17, plus the
-//! Theorem 1 lower bound which we make executable). Binary:
+//! Experiment harness regenerating the paper's §6 evaluation (there are no
+//! tables in §6 — the evaluation is Figures 6–17, plus the Theorem 1 lower
+//! bound which we make executable). Fig 9 is not regenerated: it sweeps the
+//! parameters of §3.2.2's dense-region index, which is not built (README,
+//! "Named deviations"). Binary:
 //!
 //! ```text
 //! cargo run --release -p qrs-bench --bin figures -- [--scale quick|paper] <ids…|all>
@@ -11,7 +13,7 @@
 //! The ids are the rows of [`experiments::EXPERIMENTS`]. Output is CSV-ish
 //! series per figure on standard output; nothing is written to disk.
 //!
-//! Figs 6–17 and the ablations measure every user query through one
+//! The figures and the ablations measure every user query through one
 //! runner, [`runner::measure`], which builds an `Algorithm`, pulls it one
 //! Get-Next at a time and checks the stream against a brute-force ranking
 //! before its cost is reported. Theorem 1's adversary run and Ablation 4's

@@ -1,12 +1,13 @@
 //! The one runner: execute one user query with one algorithm and report
 //! the server queries spent after each Get-Next — the paper's §2.2 metric.
-//! Figs 6–17 and Ablations 1–4 all measure through [`measure`], and it
-//! checks every stream with `assert_exact` against the site's own data
-//! before reporting its cost, so a figure or an ablation never shows the
-//! cost of a wrong answer. Two runs are not exact streams and are not
-//! checked here: Theorem 1's adversary run (one top-1 against an adaptive
-//! site with no fixed data to rank), and Ablation 4's page-down rows,
-//! which are approximate by design and report their recall.
+//! Figs 6–8 and 10–17 and Ablations 1, 3 and 4 all measure through
+//! [`measure`], and it checks every stream with `assert_exact` against the
+//! site's own data before reporting its cost, so a figure or an ablation
+//! never shows the cost of a wrong answer. Two runs are not exact streams
+//! and are not checked here: Theorem 1's adversary run (one top-1 against
+//! an adaptive site with no fixed data to rank), and Ablation 4's
+//! page-down rows, which are approximate by design and report their
+//! recall.
 
 use qrs_core::strategy::{pull, RerankStrategy};
 use qrs_core::SharedState;

@@ -66,7 +66,7 @@ impl Scale {
         self.pick(40, 100)
     }
 
-    /// Fixed n for the system-k and parameter sweeps (Figs 8, 9, 15).
+    /// Fixed n for the system-k sweeps (Figs 8, 15).
     pub fn fixed_n(self) -> usize {
         self.pick(10_000, 100_000)
     }

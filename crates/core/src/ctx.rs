@@ -1,17 +1,16 @@
 //! Shared middleware state.
 //!
 //! One [`SharedState`] lives for the lifetime of the reranking service and is
-//! threaded through every algorithm invocation: the history and the dense
-//! index are deliberately *cross-user-query* structures (the amortization
-//! argument of §3.2.2 depends on it). Tuples live in the history and
-//! nowhere else; the other two members are registries of regions whose
-//! tuples are known in full, and [`SharedState::ask`] is where a top-k
-//! query is either answered from them or paid for. Every paid query is
-//! counted under the [`Purpose`] its caller names.
+//! threaded through every algorithm invocation: the history and the
+//! complete regions are deliberately *cross-user-query* structures (the
+//! amortization argument of §3.1.1 depends on it). Tuples live in the
+//! history and nowhere else; the complete regions are the one registry of
+//! regions whose tuples are known in full, and [`SharedState::ask`] is
+//! where a top-k query is either answered from them or paid for. Every paid
+//! query is counted under the [`Purpose`] its caller names.
 
 use crate::crawl::PendingCrawls;
 use crate::history::History;
-use crate::index::dense1d::Dense1D;
 use crate::params::RerankParams;
 use qrs_server::SearchInterface;
 use qrs_types::{Query, QueryResponse, RegionIndex, RerankError, Schema};
@@ -36,8 +35,7 @@ pub enum Purpose {
     MdTiePlane,
     /// A sub-query of a region crawl: an MD cell, or crawl-then-rank.
     Crawl,
-    /// A probe of a 1-D next-value search (`one_d::primitives`), the
-    /// dense-index crawl's steps included.
+    /// A probe of a 1-D next-value search (`one_d::primitives`).
     OneDSearch,
     /// A 1-D value slab's point query and the crawl beneath it.
     OneDSlab,
@@ -56,8 +54,7 @@ impl Purpose {
     ];
 }
 
-/// History + complete-region registry + 1D dense index + interrupted
-/// crawls + parameters.
+/// History + complete-region registry + interrupted crawls + parameters.
 #[derive(Debug)]
 pub struct SharedState {
     /// Every tuple ever observed in a server response, indexed per
@@ -67,8 +64,6 @@ pub struct SharedState {
     /// crawled to the end): every tuple one of them matches is in
     /// `history`. Capped FIFO.
     pub complete: RegionIndex,
-    /// The §3.2.2 on-the-fly dense index: 1D crawl frontiers.
-    pub dense1d: Dense1D,
     /// Crawls a refusal interrupted, resumed by the next crawl of the same
     /// root ([`crate::crawl::crawl_region`]).
     pub(crate) pending_crawls: PendingCrawls,
@@ -84,7 +79,6 @@ impl SharedState {
         SharedState {
             history: History::new(schema.num_ordinal()),
             complete: RegionIndex::new(COMPLETE_REGIONS_CAP),
-            dense1d: Dense1D::default(),
             pending_crawls: PendingCrawls::default(),
             params,
             paid: [0; Purpose::ALL.len()],
@@ -141,15 +135,14 @@ impl SharedState {
         self.paid[purpose as usize]
     }
 
-    /// Drop the complete-region registry (emptiness proofs), keeping tuples
-    /// and the dense index.
+    /// Drop the complete-region registry (emptiness proofs), keeping tuples.
     ///
     /// The paper's "leveraging history" (§3.1.1) carries *tuples* across
-    /// user queries; completeness knowledge is exactly what its on-the-fly
-    /// indexes add. Persisting the registry is a strict improvement this
-    /// library makes by default, but the figure experiments call this
-    /// between user queries to reproduce the paper's cost model — see
-    /// the `qrs-bench` rustdocs.
+    /// user queries; completeness knowledge is what its on-the-fly indexes
+    /// (§3.2.2, §4.4) would add, and neither is built. Persisting the
+    /// registry is a strict improvement this library makes by default, but
+    /// the figure experiments call this between user queries to reproduce
+    /// the paper's cost model — see the `qrs-bench` rustdocs.
     pub fn forget_complete_regions(&mut self) {
         self.complete.clear();
     }

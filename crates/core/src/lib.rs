@@ -11,8 +11,8 @@
 //! | Paper | Here |
 //! |---|---|
 //! | §3.1 Algorithm 1 (1D-BASELINE) | [`one_d::OneDStrategy::Baseline`] |
-//! | §3.2.1 Algorithm 2 (1D-BINARY) | [`one_d::OneDStrategy::Binary`] |
-//! | §3.2.2 Algorithm 3+4 (1D-RERANK + oracle) | [`one_d::OneDStrategy::Rerank`], [`index::dense1d`] |
+//! | §3.2.1 Algorithm 2 (1D-BINARY) | [`one_d::OneDStrategy::Rerank`] |
+//! | §3.2.2 Algorithms 3–4 (1D-RERANK's dense index) | not built: 1D-RERANK is §3.2.1's 1D-BINARY over the shared state |
 //! | §4.1 TA over 1D-RERANK | [`md::TaCursor`] |
 //! | §4.2 MD-BASELINE | [`md::MdOptions::baseline`] |
 //! | §4.3 Algorithm 5 (MD-BINARY) | [`md::MdOptions::rerank`] |
@@ -22,10 +22,9 @@
 //! | §3.1.1 leveraging history | [`ctx::SharedState::ask`], [`history`] |
 //!
 //! All algorithms share a [`ctx::SharedState`] — the history of every tuple
-//! seen, and two registries of regions known in full (complete regions and
-//! the on-the-fly 1D dense index) — and ask the site through its
-//! `ask`, so cost amortizes across user queries, which is the paper's
-//! central systems idea.
+//! seen, and the registry of regions known in full (complete regions) —
+//! and ask the site through its `ask`, so cost amortizes across user
+//! queries, which is the paper's central systems idea.
 //!
 //! ### Known deviations from the paper
 //!
@@ -38,8 +37,10 @@
 //!   `qrs_ranking::rankfn` docs for the counterexample).
 //! * 1D-BINARY remembers proven-empty half-intervals across iterations
 //!   (pure improvement, same asymptotics).
-//! * MD-RERANK is §4.3's MD-BINARY over the shared state; the §4.4 box
-//!   index is removed, since on the tie-slab cursor it never saved a query.
+//! * 1D-RERANK is §3.2.1's 1D-BINARY and MD-RERANK is §4.3's MD-BINARY,
+//!   each over the shared state: neither §3.2.2's dense-region index nor
+//!   the §4.4 box index is built, since on the §6 figures and the
+//!   benchmark workloads they saved no query.
 
 #![deny(missing_docs)]
 
@@ -47,7 +48,6 @@ pub mod baselines;
 pub mod crawl;
 pub mod ctx;
 pub mod history;
-pub mod index;
 pub mod md;
 pub mod norm;
 pub mod one_d;

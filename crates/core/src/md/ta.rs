@@ -310,7 +310,7 @@ mod tests {
         let mut ta = TaCursor::new(
             Arc::new(rank),
             Query::all(),
-            SortedAccess::OneD(OneDStrategy::Binary),
+            SortedAccess::OneD(OneDStrategy::Rerank),
             server.schema(),
             &Capabilities::none(),
         );

@@ -239,6 +239,58 @@ mod tests {
         }
     }
 
+    /// The 1-D cursor amortizes across requests through history alone, where
+    /// their top values share a dense region: with a third of the tuples
+    /// packed into the bottom 0.1 % of the ranked attribute, top-5 requests
+    /// with different range filters on the other attribute, served in turn
+    /// over one shared state, pay less in total than the same requests on
+    /// fresh states, and every stream is exact.
+    #[test]
+    fn history_alone_amortizes_requests_into_a_dense_region() {
+        let (n, k) = (5_000, 10);
+        let spread = uniform(n, 2, 1, 22);
+        let tuples = (spread.tuples().iter())
+            .map(|t| {
+                let mut ords = t.ords().to_vec();
+                if t.id.0 % 10 < 3 {
+                    ords[0] *= 1e-3;
+                }
+                Arc::new(Tuple::new(t.id, ords, t.cats().to_vec()))
+            })
+            .collect();
+        let data = qrs_types::Dataset::from_shared(Arc::clone(spread.schema()), tuples);
+        // Adversarial for an ascending user: the site ranks descending.
+        let server = SimServer::new(data.clone(), SystemRank::by_attr_desc(AttrId(0)), k);
+        let requests: Vec<OneDSpec> = (1..=20)
+            .map(|req| {
+                let frac = f64::from(req) / 21.0;
+                let filter = Interval::closed(0.25 * frac, 0.5 + 0.5 * frac);
+                let sel = Query::all().and_range(AttrId(1), filter);
+                OneDSpec::new(AttrId(0), Direction::Asc, sel)
+            })
+            .collect();
+        // The top-5 of one request on `st`, checked; the queries it paid.
+        let top5 = |st: &mut SharedState, spec: &OneDSpec| {
+            let before = server.queries_issued();
+            let mut cur = OneDCursor::new(spec.clone(), OneDStrategy::Rerank);
+            let got: Vec<(f64, u32)> = (pull(&mut cur, &server, st, 5).unwrap().iter())
+                .map(|t| (spec.nval(t), t.id.0))
+                .collect();
+            let mut truth = truth_order(&server, spec);
+            truth.truncate(5);
+            assert_eq!(got, truth, "{}", spec.sel);
+            server.queries_issued() - before
+        };
+        let fresh = || SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
+        let mut shared = fresh();
+        let warm: u64 = requests.iter().map(|spec| top5(&mut shared, spec)).sum();
+        let cold: u64 = requests.iter().map(|spec| top5(&mut fresh(), spec)).sum();
+        assert!(
+            warm < cold,
+            "one shared state paid {warm}, fresh states {cold}"
+        );
+    }
+
     #[test]
     fn streams_with_heavy_ties_exactly() {
         // 6-level grid: many duplicates per value, some slabs overflow k.
@@ -262,8 +314,7 @@ mod tests {
         use crate::one_d::primitives::next_above;
         // Untied values: each slab is one tuple, and the bisection's last
         // probe, closed at the value it names, already proved that slab
-        // complete. (1D-RERANK's dense-index hand-off keeps open probes, so
-        // a value it settles without crawling may still pay its point query.)
+        // complete.
         let data = uniform(400, 2, 1, 61);
         let sel = Query::all().and_range(AttrId(1), Interval::closed(0.1, 0.9));
         let spec = OneDSpec::new(AttrId(0), Direction::Asc, sel);
@@ -276,7 +327,7 @@ mod tests {
             let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(400, 5));
             let mut after = f64::NEG_INFINITY;
             for rank in 0..40 {
-                let t = next_above(&server, &mut st, &spec, OneDStrategy::Binary, after, None)
+                let t = next_above(&server, &mut st, &spec, OneDStrategy::Rerank, after, None)
                     .unwrap()
                     .expect("more than 40 matches");
                 let paid = server.queries_issued();
@@ -336,7 +387,7 @@ mod tests {
         let sel = Query::all().and_range(AttrId(1), Interval::closed(0.2, 0.8));
         let mut cur = OneDCursor::new(
             OneDSpec::new(AttrId(0), Direction::Desc, sel),
-            OneDStrategy::Binary,
+            OneDStrategy::Rerank,
         );
         let got: Vec<(f64, u32)> = pull(&mut cur, &server, &mut st, usize::MAX)
             .unwrap()

@@ -6,13 +6,14 @@
 //!
 //! * [`OneDStrategy::Baseline`] — Algorithm 1 (1D-BASELINE): shrink the
 //!   search interval to the best returned value, repeat until underflow,
-//! * [`OneDStrategy::Binary`] — Algorithm 2 (1D-BINARY): bisect the search
-//!   interval instead, confirming it whole first while the size estimate
-//!   says it fits one page, until a confirm cuts less than half of it
-//!   ([`primitives`]),
-//! * [`OneDStrategy::Rerank`] — Algorithm 3 (1D-RERANK): bisect until the
-//!   interval is narrower than the dense-region threshold, then hand off to
-//!   the on-the-fly index oracle (Algorithm 4, [`crate::index::dense1d`]).
+//! * [`OneDStrategy::Rerank`] — 1D-RERANK: Algorithm 2 (1D-BINARY) over the
+//!   shared state, bisecting the search interval instead, confirming it
+//!   whole first while the size estimate says it fits one page, until a
+//!   confirm cuts less than half of it ([`primitives`]). §3.2.2's
+//!   on-the-fly dense-region index (Algorithms 3–4) is not built: it saved
+//!   no query on any §6 figure or benchmark workload (README, "Named
+//!   deviations"), so 1D-RERANK is to 1D-BINARY what MD-RERANK is to §4.3's
+//!   MD-BINARY.
 //!
 //! [`OneDCursor`] wraps the primitives into the paper's *Get-Next* interface
 //! and removes the general-positioning assumption (§5): equal-value *slabs*
@@ -23,32 +24,25 @@ pub mod cursor;
 pub mod primitives;
 
 pub use cursor::{OneDCursor, TiePolicy};
-pub use primitives::{next_above, NarrowResult, OneDSpec};
+pub use primitives::{next_above, OneDSpec};
 
 /// Which §3 algorithm drives the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OneDStrategy {
     /// 1D-BASELINE (§3.1): linear frontier advance.
     Baseline,
-    /// 1D-BINARY (§3.2.1): binary interval narrowing.
-    Binary,
-    /// 1D-RERANK (§3.2.2): binary narrowing plus the on-the-fly dense index.
+    /// 1D-RERANK: §3.2.1's binary interval narrowing over the shared state.
     Rerank,
 }
 
 impl OneDStrategy {
-    /// The paper's three compared 1D algorithms (Figs 5–12).
-    pub const ALL: [OneDStrategy; 3] = [
-        OneDStrategy::Baseline,
-        OneDStrategy::Binary,
-        OneDStrategy::Rerank,
-    ];
+    /// The two compared 1D algorithms (Figs 6–12).
+    pub const ALL: [OneDStrategy; 2] = [OneDStrategy::Baseline, OneDStrategy::Rerank];
 
     /// Human-readable name used in experiment tables and plots.
     pub fn label(self) -> &'static str {
         match self {
             OneDStrategy::Baseline => "1D-BASELINE",
-            OneDStrategy::Binary => "1D-BINARY",
             OneDStrategy::Rerank => "1D-RERANK",
         }
     }

@@ -2,8 +2,12 @@
 //!
 //! Everything works in *normalized* values (`dir.normalize(raw)`, smaller =
 //! better): find a matching tuple with the smallest normalized value strictly
-//! greater than `after`, optionally strictly below `upto`. The three §3
-//! strategies differ only in how they shrink the uncertainty interval.
+//! greater than `after`, optionally strictly below `upto`. The two
+//! strategies differ only in how they shrink the uncertainty interval:
+//! 1D-BASELINE (Algorithm 1) cuts it to the best value each answer returns,
+//! 1D-RERANK bisects it ([`narrow`], Algorithm 2's 1D-BINARY over the
+//! shared state; §3.2.2's dense-region index is not built, README "Named
+//! deviations").
 //!
 //! The [`OneDCursor`](super::OneDCursor) certifies every value it emits by
 //! gathering its slab `Sel(q) ∧ Ai = v`. The bisection of [`narrow`] lets
@@ -15,9 +19,9 @@
 //! answered free. Two cases keep Algorithm 2's open `[mid, cv)`, because
 //! there the slab would only push a useful answer into overflow: a site
 //! with `k = 1`, where the candidate alone fills the page, and a slab of
-//! which history already holds two matching tuples. 1D-BASELINE and the
-//! dense-index crawl keep their open probes: closing them as well saved
-//! no query on the benchmark and cost more on `k = 1` sites (Fig 8).
+//! which history already holds two matching tuples. 1D-BASELINE keeps its
+//! open probes: closing them as well saved no query on the benchmark and
+//! cost more on `k = 1` sites (Fig 8).
 //!
 //! **Confirm before bisecting.** Where the system ranking is kind,
 //! Algorithm 1 settles the next value in one query and bisection pays
@@ -25,16 +29,16 @@
 //! uncertainty interval once, closed at `cv` under the rule above, while
 //! two conditions hold: the search's confirm flag ([`Step::confirm`]) is
 //! set, and the service's size estimate says the interval fits one page,
-//! `n · (cv − lo) / |V(Ai)| ≤ k` (the same `n` the dense threshold reads).
-//! An empty or valid answer settles the step. An overflowing one names a
-//! better candidate, and the round starts over with it; if that cut less
-//! than half of `[lo, cv)`, the flag is cleared, and the search bisects
-//! from then on. The flag lives as long as
-//! the search (a [`OneDCursor`](super::OneDCursor)'s whole life), so an
-//! adversarial rank wastes at most one confirm per cursor: Theorem 1's
-//! adversary reads `n/k + 1` for 1D-BINARY and 1D-RERANK, against `n/k` for
-//! 1D-BASELINE. The flag and `lo` survive a refusal, so a retry asks the
-//! same probes. Bentley & Yao's "almost optimal" unbounded search (IPL
+//! `n · (cv − lo) / |V(Ai)| ≤ k` (`n` is
+//! [`RerankParams::n`](crate::RerankParams::n)). An empty or valid answer
+//! settles the step. An overflowing one names a better candidate, and the
+//! round starts over with it; if that cut less than half of `[lo, cv)`,
+//! the flag is cleared, and the search bisects from then on. The flag
+//! lives as long as the search (a [`OneDCursor`](super::OneDCursor)'s
+//! whole life), so an adversarial rank wastes at most one confirm per
+//! cursor: Theorem 1's adversary reads `n/k + 1` for 1D-RERANK, against
+//! `n/k` for 1D-BASELINE. The flag and `lo` survive a refusal, so a retry
+//! asks the same probes. Bentley & Yao's "almost optimal" unbounded search (IPL
 //! 1976) is the classic account of pairing a cheap guess with a bisection
 //! that bounds its loss.
 
@@ -81,24 +85,6 @@ impl OneDSpec {
     pub fn min_tuple<'a>(&self, ts: &'a [Arc<Tuple>]) -> Option<&'a Arc<Tuple>> {
         ts.iter().min_by_key(|t| (OrdF64(self.nval(t)), t.id))
     }
-}
-
-/// Outcome of the interval-narrowing loop.
-#[derive(Debug, Clone)]
-pub enum NarrowResult {
-    /// The exact next tuple was pinned down.
-    Found(Arc<Tuple>),
-    /// No tuple exists strictly inside the uncertainty interval; the best
-    /// known candidate (if any) is the answer.
-    Exhausted(Option<Arc<Tuple>>),
-    /// (1D-RERANK only) the interval `[lo, nval(cur))` fell below the dense
-    /// threshold with the candidate `cur` still unconfirmed.
-    Narrowed {
-        /// Lower end of the remaining uncertainty interval.
-        lo: f64,
-        /// Best candidate found so far (possibly not the true next tuple).
-        cur: Arc<Tuple>,
-    },
 }
 
 /// Find the matching tuple with the smallest normalized value in
@@ -152,39 +138,13 @@ pub(crate) fn seek(
 ) -> Result<Option<Arc<Tuple>>, RerankError> {
     match strategy {
         OneDStrategy::Baseline => baseline(server, st, spec, after, upto),
-        OneDStrategy::Binary => match narrow(server, st, spec, after, upto, None, step)? {
-            NarrowResult::Found(t) => Ok(Some(t)),
-            NarrowResult::Exhausted(c) => Ok(c),
-            NarrowResult::Narrowed { .. } => unreachable!("no stop width given"),
-        },
-        OneDStrategy::Rerank => {
-            let domain = {
-                let o = server.schema().ordinal(spec.attr);
-                o.domain_width()
-            };
-            let threshold = st.params.dense_width(domain);
-            match narrow(server, st, spec, after, upto, Some(threshold), step)? {
-                NarrowResult::Found(t) => Ok(Some(t)),
-                NarrowResult::Exhausted(c) => Ok(c),
-                NarrowResult::Narrowed { lo, cur } => {
-                    let cv = spec.nval(&cur);
-                    // The unknown region is [lo, cv) when probes have raised
-                    // lo past `after`, and (after, cv) otherwise — the
-                    // closed oracle bound must never re-include `after`.
-                    let x = if lo > after { lo } else { after.next_up() };
-                    match crate::index::dense1d::oracle(server, st, spec, x, cv)? {
-                        Some(t) => Ok(Some(t)),
-                        None => Ok(Some(cur)),
-                    }
-                }
-            }
-        }
+        OneDStrategy::Rerank => narrow(server, st, spec, after, upto, step),
     }
 }
 
 /// Algorithm 1 (1D-BASELINE) on normalized values, leveraging history and
 /// complete regions ([`SharedState::ask`]).
-pub(crate) fn baseline(
+fn baseline(
     server: &dyn SearchInterface,
     st: &mut SharedState,
     spec: &OneDSpec,
@@ -215,11 +175,10 @@ pub(crate) fn baseline(
     }
 }
 
-/// Algorithms 2/3 core: bisect the uncertainty interval `[lo, nval(cur))`.
-///
-/// With `stop_width = None` this is 1D-BINARY run to completion; with
-/// `Some(w)` it returns [`NarrowResult::Narrowed`] as soon as the interval is
-/// narrower than `w` (the 1D-RERANK hand-off point).
+/// Algorithm 2 (1D-BINARY), the search 1D-RERANK runs: bisect the
+/// uncertainty interval `[lo, nval(cur))` until the next value is pinned
+/// down, and return its best tuple (`None` when nothing matches in
+/// `(after, upto)`).
 ///
 /// `step` is the search's progress, in and out. `step.lo`: no matching
 /// tuple has a normalized value in `(after, lo)`. Pass `after` to start; on
@@ -242,9 +201,8 @@ pub fn narrow(
     spec: &OneDSpec,
     after: f64,
     upto: Option<f64>,
-    stop_width: Option<f64>,
     step: &mut Step,
-) -> Result<NarrowResult, RerankError> {
+) -> Result<Option<Arc<Tuple>>, RerankError> {
     let mut cur: Option<Arc<Tuple>> = st
         .history
         .next_norm_above(spec.attr, spec.dir, after, upto, &spec.sel)
@@ -253,7 +211,7 @@ pub fn narrow(
     let domain = o.domain_width();
     // Starting from the very top (`after = -∞`), the public schema domain
     // bounds the uncertainty region — without this, the bisection midpoint
-    // of (-∞, cv) is degenerate and 1D-BINARY would collapse to baseline
+    // of (-∞, cv) is degenerate and the bisection would collapse to baseline
     // probes for the first Get-Next.
     if step.lo == f64::NEG_INFINITY {
         let (a, b) = (spec.dir.normalize(o.min), spec.dir.normalize(o.max));
@@ -269,16 +227,12 @@ pub fn narrow(
                 half_open(lo, upto.unwrap_or(f64::INFINITY))
             };
             if iv.is_empty() {
-                return Ok(NarrowResult::Exhausted(None));
+                return Ok(None);
             }
             let resp = st.ask(server, &spec.query_for(iv), Purpose::OneDSearch)?;
             match resp.outcome {
-                qrs_types::QueryOutcome::Underflow => return Ok(NarrowResult::Exhausted(None)),
-                qrs_types::QueryOutcome::Valid => {
-                    return Ok(NarrowResult::Found(
-                        spec.min_tuple(&resp.tuples).cloned().unwrap(),
-                    ))
-                }
+                qrs_types::QueryOutcome::Underflow => return Ok(None),
+                qrs_types::QueryOutcome::Valid => return Ok(spec.min_tuple(&resp.tuples).cloned()),
                 qrs_types::QueryOutcome::Overflow => {
                     cur = spec.min_tuple(&resp.tuples).cloned();
                     continue;
@@ -287,12 +241,7 @@ pub fn narrow(
         };
         let cv = spec.nval(&c);
         if lo >= cv {
-            return Ok(NarrowResult::Exhausted(cur));
-        }
-        if let Some(w) = stop_width {
-            if cv - lo < w {
-                return Ok(NarrowResult::Narrowed { lo, cur: c });
-            }
+            return Ok(cur);
         }
         let mid = lo + (cv - lo) / 2.0;
         if step.confirm && st.params.n * (cv - lo) / domain <= server.k() as f64 {
@@ -304,8 +253,8 @@ pub fn narrow(
                 whole.hi = Endpoint::Closed(cv);
             }
             match probe(server, st, spec, whole)? {
-                Probe::Empty => return Ok(NarrowResult::Exhausted(cur)),
-                Probe::All(t) => return Ok(NarrowResult::Found(t)),
+                Probe::Empty => return Ok(cur),
+                Probe::All(t) => return Ok(Some(t)),
                 Probe::Partial(t) => {
                     step.confirm = spec.nval(&t) <= mid;
                     cur = Some(t);
@@ -316,8 +265,8 @@ pub fn narrow(
         if !(mid > lo && mid < cv) {
             // Floating-point degeneracy: confirm the sliver directly.
             match probe(server, st, spec, region_iv(after, lo, cv))? {
-                Probe::Empty => return Ok(NarrowResult::Exhausted(cur)),
-                Probe::All(t) => return Ok(NarrowResult::Found(t)),
+                Probe::Empty => return Ok(cur),
+                Probe::All(t) => return Ok(Some(t)),
                 Probe::Partial(t) => {
                     cur = Some(t);
                     continue;
@@ -328,7 +277,7 @@ pub fn narrow(
         // half-interval has been proven empty, so the predecessor tuple at
         // exactly `after` is never re-returned.
         match probe(server, st, spec, region_iv(after, lo, mid))? {
-            Probe::All(t) => return Ok(NarrowResult::Found(t)),
+            Probe::All(t) => return Ok(Some(t)),
             Probe::Partial(t) => {
                 cur = Some(t);
             }
@@ -346,8 +295,8 @@ pub fn narrow(
                 let answer = probe(server, st, spec, upper)?;
                 step.lo = mid;
                 match answer {
-                    Probe::Empty => return Ok(NarrowResult::Exhausted(cur)),
-                    Probe::All(t) => return Ok(NarrowResult::Found(t)),
+                    Probe::Empty => return Ok(cur),
+                    Probe::All(t) => return Ok(Some(t)),
                     Probe::Partial(t) => {
                         cur = Some(t);
                     }
@@ -500,7 +449,7 @@ mod tests {
             &server,
             &mut st,
             &spec,
-            OneDStrategy::Binary,
+            OneDStrategy::Rerank,
             f64::NEG_INFINITY,
             None,
         )
@@ -556,7 +505,7 @@ mod tests {
             &server,
             &mut st,
             &spec,
-            OneDStrategy::Binary,
+            OneDStrategy::Rerank,
             f64::NEG_INFINITY,
             Some(m),
         )
@@ -619,19 +568,19 @@ mod tests {
             let kind = top25(
                 &data,
                 SystemRank::by_attr_asc(AttrId(0)),
-                OneDStrategy::Binary,
+                OneDStrategy::Rerank,
             );
             assert!(
                 kind <= 30,
-                "seed {seed}: 1D-BINARY paid {kind} on a kind rank"
+                "seed {seed}: 1D-RERANK paid {kind} on a kind rank"
             );
             // A hostile rank: the flag clears on the first wasted confirm.
             let hostile = SystemRank::by_attr_desc(AttrId(0));
-            let binary = top25(&data, hostile.clone(), OneDStrategy::Binary);
+            let rerank = top25(&data, hostile.clone(), OneDStrategy::Rerank);
             let baseline = top25(&data, hostile, OneDStrategy::Baseline);
             assert!(
-                binary <= baseline,
-                "seed {seed}: 1D-BINARY paid {binary}, 1D-BASELINE {baseline}"
+                rerank <= baseline,
+                "seed {seed}: 1D-RERANK paid {rerank}, 1D-BASELINE {baseline}"
             );
         }
     }

@@ -374,8 +374,8 @@ fn one_d_probe_shape(ctx: &PlanContext) -> Query {
 impl OneDCursor {
     /// The 1D cursor's cost heuristic, usable at plan time without
     /// constructing the cursor: one binary-search descent (`log2 n`) plus
-    /// roughly one query per emitted tuple — the shared dense index
-    /// amortizes later descents — priced as a range-filtered top-`k` on
+    /// roughly one query per emitted tuple — the shared history amortizes
+    /// later descents — priced as a range-filtered top-`k` on
     /// the ranking attribute.
     pub fn estimate_in(ctx: &PlanContext) -> CostEstimate {
         let queries = ctx.horizon.max(1) as u64 + log2_ceil(ctx.n_estimate as u64);

@@ -3,8 +3,8 @@
 //! These isolate the phenomena the paper's analysis talks about:
 //!
 //! * [`uniform`] — the friendly case where 1D-BINARY costs `O(log(|R(q)|/k))`,
-//! * [`clustered`] — Gaussian clusters producing *dense regions* (§3.2), the
-//!   workload that justifies on-the-fly indexing,
+//! * [`clustered`] — Gaussian clusters producing *dense regions* (§3.2),
+//!   where bisection narrows deepest,
 //! * [`correlated`] — tunable pairwise correlation, the knob behind the
 //!   SR1-vs-SR2 and Yahoo!-Autos effects,
 //! * [`discrete_grid`] — coarse domains with heavy ties, stressing the §5
@@ -92,33 +92,6 @@ pub fn correlated(n: usize, rho: f64, seed: u64) -> Dataset {
     Dataset::new_unchecked(schema, tuples)
 }
 
-/// `n` 2D tuples with `frac` of them packed into a tight Gaussian (σ =
-/// `sigma`) *at the low end* of attribute 0 (center 3σ above the domain
-/// minimum), the rest uniform above it. Top-h queries on attribute 0 dive
-/// straight into the dense region — the §3.2.2 worst case the on-the-fly
-/// index exists for.
-pub fn dense_floor(n: usize, frac: f64, sigma: f64, seed: u64) -> Dataset {
-    assert!((0.0..=1.0).contains(&frac));
-    let schema = plain_schema(2, 1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let center = 3.0 * sigma;
-    let tuples = (0..n)
-        .map(|i| {
-            let x = if rng.random::<f64>() < frac {
-                truncated_normal(&mut rng, center, sigma, 0.0, 1.0)
-            } else {
-                center + (1.0 - center) * rng.random::<f64>()
-            };
-            Tuple::new(
-                TupleId(i as u32),
-                vec![x, rng.random::<f64>()],
-                vec![rng.random_range(0..4)],
-            )
-        })
-        .collect();
-    Dataset::new_unchecked(schema, tuples)
-}
-
 /// `n` tuples on an integer grid `{0, 1, …, levels-1}^m` (stored as f64) —
 /// maximal ties; exercises slab handling and exact-duplicate groups.
 pub fn discrete_grid(n: usize, m: usize, levels: u32, seed: u64) -> Dataset {
@@ -194,19 +167,6 @@ mod tests {
                 "rho {rho} r {r}"
             );
         }
-    }
-
-    #[test]
-    fn dense_floor_packs_the_low_end() {
-        let d = dense_floor(2000, 0.4, 0.001, 7);
-        let low = d
-            .tuples()
-            .iter()
-            .filter(|t| t.ord(AttrId(0)) < 0.01)
-            .count();
-        assert!(low > 600, "low = {low}");
-        let (lo, hi) = d.attr_extent(AttrId(0)).unwrap();
-        assert!(lo >= 0.0 && hi > 0.9);
     }
 
     #[test]

@@ -492,7 +492,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next value if it is a number, else skip it: `None`.
-    pub(crate) fn num(&mut self) -> Result<Option<f64>, ParseError> {
+    pub(crate) fn f64(&mut self) -> Result<Option<f64>, ParseError> {
         match self.start()? {
             b'-' | b'0'..=b'9' => self.number().map(Some),
             _ => self.skip().map(|()| None),
@@ -502,7 +502,7 @@ impl<'a> Reader<'a> {
     /// The next value if it is a counter, as [`Json::as_u64`] reads one,
     /// else skip it: `None`.
     pub(crate) fn u64(&mut self) -> Result<Option<u64>, ParseError> {
-        Ok(self.num()?.and_then(exact_u64))
+        Ok(self.f64()?.and_then(exact_u64))
     }
 
     /// The next value if it is a string, else skip it: `None`. Borrowed
@@ -891,7 +891,7 @@ mod tests {
             assert!(r.object()?);
             while let Some(key) = r.key()? {
                 match &*key {
-                    "n" => n = r.num()?,
+                    "n" => n = r.f64()?,
                     "s" => s = r.str()?.map(|s| s.into_owned()),
                     "b" => b = Some(r.bool()?),
                     _ => r.skip()?,

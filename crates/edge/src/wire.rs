@@ -809,7 +809,7 @@ fn read_tuple(r: &mut Reader) -> Read<Tuple> {
                 "id" => id = Some(r.u64()?),
                 "ords" => {
                     let ordinal =
-                        |r: &mut Reader| Ok(r.num()?.ok_or_else(|| "non-numeric ordinal".into()));
+                        |r: &mut Reader| Ok(r.f64()?.ok_or_else(|| "non-numeric ordinal".into()));
                     ords = Some(read_vec(r, "ords", ordinal)?);
                 }
                 "cats" => cats = Some(read_vec(r, "cats", read_code)?),
@@ -857,7 +857,7 @@ fn read_endpoint(r: &mut Reader) -> Read<Endpoint> {
         while let Some(key) = r.key()? {
             match &*key {
                 "kind" => kind = Some(r.str()?),
-                "v" => v = Some(r.num()?),
+                "v" => v = Some(r.f64()?),
                 _ => r.skip()?,
             }
         }
@@ -1225,7 +1225,7 @@ fn read_hit(r: &mut Reader) -> Read<(usize, f64, Tuple)> {
         while let Some(key) = r.key()? {
             match &*key {
                 "rank" => rank = r.u64()?,
-                "score" => score = r.num()?,
+                "score" => score = r.f64()?,
                 "tuple" => tuple = Some(read_tuple(r)?),
                 _ => r.skip()?,
             }
@@ -1569,7 +1569,7 @@ mod tests {
         }
 
         /// A number, the edges of the writer's two paths among them.
-        fn num(&mut self) -> f64 {
+        fn f64(&mut self) -> f64 {
             let two53 = 2f64.powi(53);
             match self.below(14) {
                 0 => -0.0,
@@ -1606,8 +1606,8 @@ mod tests {
         fn endpoint(&mut self) -> Endpoint {
             match self.below(3) {
                 0 => Endpoint::Unbounded,
-                1 => Endpoint::Open(self.num()),
-                _ => Endpoint::Closed(self.num()),
+                1 => Endpoint::Open(self.f64()),
+                _ => Endpoint::Closed(self.f64()),
             }
         }
 
@@ -1633,7 +1633,7 @@ mod tests {
             } else {
                 self.below(5000) as u32
             });
-            let ords = (0..self.below(5)).map(|_| self.num()).collect();
+            let ords = (0..self.below(5)).map(|_| self.f64()).collect();
             let cats = (0..self.below(4)).map(|_| self.code()).collect();
             Arc::new(Tuple::new(id, ords, cats))
         }
@@ -1658,7 +1658,7 @@ mod tests {
             let hits = (0..self.below(4))
                 .map(|i| qrs_service::RankedTuple {
                     rank: i as usize + 1,
-                    score: self.num(),
+                    score: self.f64(),
                     tuple: self.tuple(),
                 })
                 .collect();
@@ -1689,7 +1689,7 @@ mod tests {
                 hits,
                 error,
                 stats,
-                wall_ms: self.num(),
+                wall_ms: self.f64(),
             }
         }
     }

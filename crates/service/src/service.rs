@@ -104,12 +104,12 @@ impl Algorithm {
 
 /// A third-party reranking service fronting one client-server database.
 ///
-/// The shared state (history, complete regions, dense index) lives behind
+/// The shared state (history, complete regions) lives behind
 /// a mutex and is reused by every session — concurrent sessions interleave
 /// at Get-Next granularity.
 pub struct RerankService {
     server: Arc<dyn SearchInterface>,
-    /// The dense-index parameters every (re)built [`SharedState`] gets.
+    /// The parameters every (re)built [`SharedState`] gets.
     /// Fixed at construction and kept outside the mutex, so planning reads
     /// the size estimate without queueing behind a session's site calls.
     params: RerankParams,
@@ -128,21 +128,16 @@ pub struct RerankService {
     /// The staleness stamp the shared state was built against: the
     /// knowledge shard's epoch with a plane attached, else the server's
     /// mutation sequence number. When the stamp moves past it, the history
-    /// and dense index describe an older snapshot and are rebuilt empty
-    /// at the next open.
+    /// and complete regions describe an older snapshot and are rebuilt
+    /// empty at the next open.
     state_watermark: AtomicU64,
 }
 
 impl RerankService {
-    /// Service with the paper's default dense-index parameters, sized by
-    /// `n_estimate` (a third party estimates the database size out of band).
+    /// Service sized by `n_estimate` (a third party estimates the database
+    /// size out of band).
     pub fn new(server: Arc<dyn SearchInterface>, n_estimate: usize) -> Self {
         let params = RerankParams::paper_defaults(n_estimate, server.k());
-        Self::with_params(server, params)
-    }
-
-    /// Service with explicit dense-index parameters.
-    pub fn with_params(server: Arc<dyn SearchInterface>, params: RerankParams) -> Self {
         let state = SharedState::new(server.schema(), params);
         let state_watermark = AtomicU64::new(server.mutation_seq());
         RerankService {
@@ -160,8 +155,8 @@ impl RerankService {
     }
 
     /// Rebuild the shared state empty if the site changed since it was
-    /// built: the history tuples, completeness proofs and dense index
-    /// all describe the older snapshot, and an algorithm trusting them
+    /// built: the history tuples and completeness proofs both describe
+    /// the older snapshot, and an algorithm trusting them
     /// after a delete would emit vanished tuples. This is the one place
     /// the mutation feed is read, once per [`SessionBuilder::open`]. With a
     /// plane attached the reading goes to the shard first — a feed
@@ -372,11 +367,10 @@ impl RerankService {
         self.kplane.as_ref().map(|h| &h.shard)
     }
 
-    /// Size of the shared knowledge accumulated so far: (history tuples,
-    /// 1D dense intervals).
-    pub fn knowledge(&self) -> (usize, usize) {
-        let st = self.state.lock();
-        (st.history.len(), st.dense1d.num_intervals())
+    /// Size of the shared knowledge accumulated so far: the tuples in
+    /// history.
+    pub fn knowledge(&self) -> usize {
+        self.state.lock().history.len()
     }
 }
 

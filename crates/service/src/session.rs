@@ -741,7 +741,7 @@ mod tests {
         let (got, err) = s1.top(3);
         assert!(err.is_none() && got.len() == 3);
         drop(s1);
-        let (h1, _) = svc.knowledge();
+        let h1 = svc.knowledge();
         assert!(h1 > 0);
         let cost_before = svc.queries_issued();
         // Same request again: shared knowledge should make it cheaper.

@@ -2,7 +2,7 @@
 //! *filter* on layover-style attributes but not *rank* by them. Here a user
 //! wants flights ordered by taxi-out time (tarmac agony), which the site's
 //! interface cannot sort by — the reranking service does it with a handful
-//! of queries, and we compare the three §3 algorithms' bills.
+//! of queries, and we compare the two §3 algorithms' bills.
 //!
 //! ```text
 //! cargo run --release --example flight_search
@@ -62,7 +62,7 @@ fn main() {
         println!();
     }
     println!(
-        "All three produce identical rankings; they differ only in how many\n\
+        "Both produce identical rankings; they differ only in how many\n\
          queries they spend against the site's top-{k} interface."
     );
 }

@@ -63,6 +63,8 @@ fn main() {
         session.queries_spent(),
         service.queries_issued()
     );
-    let (hist, d1) = service.knowledge();
-    println!("service knowledge: {hist} tuples in history, {d1} 1D dense intervals");
+    println!(
+        "service knowledge: {} tuples in history",
+        service.knowledge()
+    );
 }

@@ -66,7 +66,8 @@ fn uniform_all_directions() {
 
 #[test]
 fn clustered_dense_regions() {
-    // Sharp clusters + adversarial system ranking: the dense-index stress.
+    // Sharp clusters + adversarial system ranking: dense regions, where
+    // bisection narrows deepest.
     let data = clustered(1_000, 1, 3, 0.003, 1003);
     check_stream(
         &data,
@@ -153,7 +154,7 @@ fn tiny_k_equals_one() {
 #[test]
 fn shared_state_across_user_queries_stays_exact() {
     // One SharedState serving several different user queries in sequence —
-    // history and dense-index reuse must never corrupt answers.
+    // history and complete-region reuse must never corrupt answers.
     let data = clustered(800, 2, 2, 0.004, 1011);
     let server = SimServer::new(data.clone(), SystemRank::by_attr_desc(AttrId(0)), 5);
     let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(800, 5));
