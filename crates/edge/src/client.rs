@@ -543,4 +543,33 @@ mod tests {
         assert_eq!(adapter.queries_issued(), 7);
         assert_eq!(adapter.cost_units_issued(), 9);
     }
+
+    /// A reply that frames its body two ways is a transport failure the
+    /// caller may retry, and the connection it came on is not kept.
+    #[test]
+    fn a_reply_framed_two_ways_is_a_transient_failure() {
+        use std::io::Write as _;
+        let replies: [&[u8]; 2] = [
+            b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\ncontent-length: 0\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+        ];
+        for reply in replies {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let peer = Peer::new(listener.local_addr().unwrap());
+            let site = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                crate::http::read_request(&stream).unwrap();
+                stream.write_all(reply).unwrap();
+            });
+            let e = peer
+                .round_trip("POST", "/site/query", &[], b"{}")
+                .unwrap_err();
+            assert!(
+                e.is_transient() && e.to_string().contains("transport"),
+                "{e}"
+            );
+            assert!(peer.idle.lock().is_empty(), "the connection is dropped");
+            site.join().unwrap();
+        }
+    }
 }

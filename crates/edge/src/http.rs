@@ -5,7 +5,9 @@
 //! pipelining, no TLS: the edge is a protocol boundary, not a web server,
 //! and the simplest framing is the easiest to prove byte-identical under
 //! fault injection — a truncated body is detected by `read_exact`, not by a
-//! parser heuristic.
+//! parser heuristic. A message that frames its body another way as well —
+//! two `Content-Length` values that differ, or any `Transfer-Encoding` —
+//! is a framing error, not a guess at which framing the peer meant.
 //!
 //! A connection carries one exchange after another (`Conn`). It ends
 //! when either side says `connection: close` (after the exchange that said
@@ -14,11 +16,17 @@
 //! again. Every message leaves as **one** `write_all` of one buffer on a
 //! `TCP_NODELAY` socket: a head and a body written separately are two small
 //! segments, and on a reused connection Nagle holds the second until the
-//! peer's delayed ACK of the first, ~40 ms a call. The four one-shot
+//! peer's delayed ACK of the first, ~40 ms a call. That buffer is written
+//! in place and allocated once at its final size: start line, headers and
+//! `Content-Length` digits go straight into it, then the body. Reading is
+//! in place too: a head's lines are parsed where they lie in the
+//! connection's buffered reader, and only the names and values a
+//! [`Request`] or [`Response`] keeps are copied out. The four one-shot
 //! functions ([`read_request`], [`write_request`], [`read_response`],
 //! [`write_response`]) are the same framing over any `Read`/`Write`, and
 //! always announce `connection: close`.
 
+use crate::json::digits;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -75,11 +83,7 @@ pub struct Request {
 impl Request {
     /// The first header with this (case-insensitive) name, if any.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// The target's path, without the query string.
@@ -127,12 +131,14 @@ impl Response {
 
     /// The first header with this (case-insensitive) name, if any.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
+}
+
+/// The first of `headers` with this (case-insensitive) name, if any.
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    let named = headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name));
+    named.map(|(_, v)| v.as_str())
 }
 
 fn status_text(status: u16) -> &'static str {
@@ -151,14 +157,45 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// `read_line` that stops buffering at the size guard: a line with no end
-/// is refused at 1 MiB, not when memory runs out.
-fn read_line<R: BufRead>(reader: &mut R, line: &mut String) -> Result<usize, HttpError> {
-    let n = reader.take(MAX_BYTES as u64 + 1).read_line(line)?;
-    if n > MAX_BYTES {
-        return Err(HttpError::new("line too long"));
+/// Hand the next line to `parse` as text without its trailing whitespace,
+/// and say how many bytes it took; `None` at EOF before any byte. The line
+/// is parsed where it lies in the reader's buffer: only one that straddles
+/// a refill is gathered into `spill` first. A line with no end is refused
+/// at the size guard, not when memory runs out; EOF ends a line as `\n`
+/// does.
+fn next_line<R: BufRead, T>(
+    reader: &mut R,
+    spill: &mut Vec<u8>,
+    parse: impl FnOnce(&str) -> Result<T, HttpError>,
+) -> Result<Option<(T, usize)>, HttpError> {
+    let text = |line: &[u8]| match std::str::from_utf8(line) {
+        Ok(line) => parse(line.trim_end()),
+        Err(_) => Err(HttpError::new("line is not UTF-8")),
+    };
+    spill.clear();
+    loop {
+        let buf = reader.fill_buf()?;
+        let (take, ended) = match buf.iter().position(|&b| b == b'\n') {
+            Some(at) => (at + 1, true),
+            None => (buf.len(), buf.is_empty()),
+        };
+        if spill.len() + take > MAX_BYTES {
+            return Err(HttpError::new("line too long"));
+        }
+        if ended && spill.is_empty() {
+            if take == 0 {
+                return Ok(None);
+            }
+            let parsed = text(&buf[..take]);
+            reader.consume(take);
+            return parsed.map(|t| Some((t, take)));
+        }
+        spill.extend_from_slice(&buf[..take]);
+        reader.consume(take);
+        if ended {
+            return text(spill).map(|t| Some((t, spill.len())));
+        }
     }
-    Ok(n)
 }
 
 /// Whether a header block ends its connection after this exchange.
@@ -177,21 +214,24 @@ pub fn read_request<R: Read>(stream: R) -> Result<Option<Request>, HttpError> {
 }
 
 pub(crate) fn request_from<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpError> {
-    let mut line = String::new();
-    if read_line(reader, &mut line)? == 0 {
+    let mut spill = Vec::new();
+    let start = next_line(reader, &mut spill, |line| {
+        let mut parts = line.splitn(3, ' ');
+        let method = parts
+            .next()
+            .filter(|m| !m.is_empty())
+            .ok_or_else(|| HttpError::new("empty request line"))?
+            .to_ascii_uppercase();
+        let target = parts
+            .next()
+            .ok_or_else(|| HttpError::new("request line missing target"))?
+            .to_string();
+        Ok((method, target))
+    })?;
+    let Some(((method, target), _)) = start else {
         return Ok(None);
-    }
-    let mut parts = line.trim_end().splitn(3, ' ');
-    let method = parts
-        .next()
-        .filter(|m| !m.is_empty())
-        .ok_or_else(|| HttpError::new("empty request line"))?
-        .to_ascii_uppercase();
-    let target = parts
-        .next()
-        .ok_or_else(|| HttpError::new("request line missing target"))?
-        .to_string();
-    let (headers, content_length) = read_headers(reader)?;
+    };
+    let (headers, content_length) = read_headers(reader, &mut spill)?;
     let body = read_body(reader, content_length)?;
     Ok(Some(Request {
         method,
@@ -209,20 +249,22 @@ pub fn read_response<R: Read>(stream: R) -> Result<Response, HttpError> {
 }
 
 pub(crate) fn response_from<R: BufRead>(reader: &mut R) -> Result<Response, HttpError> {
-    let mut line = String::new();
-    if read_line(reader, &mut line)? == 0 {
+    let mut spill = Vec::new();
+    let start = next_line(reader, &mut spill, |line| {
+        let mut parts = line.splitn(3, ' ');
+        let version = parts.next().unwrap_or("");
+        if !version.starts_with("HTTP/1.") {
+            return Err(HttpError::new("not an HTTP/1.x response"));
+        }
+        parts
+            .next()
+            .and_then(|s| s.parse::<u16>().ok())
+            .ok_or_else(|| HttpError::new("bad status code"))
+    })?;
+    let Some((status, _)) = start else {
         return Err(HttpError::new("connection closed before status line"));
-    }
-    let mut parts = line.trim_end().splitn(3, ' ');
-    let version = parts.next().unwrap_or("");
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::new("not an HTTP/1.x response"));
-    }
-    let status: u16 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| HttpError::new("bad status code"))?;
-    let (headers, content_length) = read_headers(reader)?;
+    };
+    let (headers, content_length) = read_headers(reader, &mut spill)?;
     let body = read_body(reader, content_length)?;
     Ok(Response {
         status,
@@ -233,35 +275,58 @@ pub(crate) fn response_from<R: BufRead>(reader: &mut R) -> Result<Response, Http
 
 type Headers = Vec<(String, String)>;
 
-fn read_headers<R: BufRead>(reader: &mut R) -> Result<(Headers, usize), HttpError> {
+/// Read the header block: each name lowercased, each value trimmed, and
+/// the body's length. The body is framed by `Content-Length` alone, so a
+/// message that frames it two ways — two lengths that differ, or any
+/// `Transfer-Encoding` — is refused: read either way, the next message
+/// would start somewhere the peer did not mean it to.
+fn read_headers<R: BufRead>(
+    reader: &mut R,
+    spill: &mut Vec<u8>,
+) -> Result<(Headers, usize), HttpError> {
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut total = 0usize;
     loop {
-        let mut line = String::new();
-        if read_line(reader, &mut line)? == 0 {
+        let header = next_line(reader, spill, |line| {
+            if line.is_empty() {
+                return Ok(None);
+            }
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| HttpError::new("malformed header line"))?;
+            Ok(Some((
+                name.trim().to_ascii_lowercase(),
+                value.trim().to_string(),
+            )))
+        })?;
+        let Some((header, len)) = header else {
             return Err(HttpError::new("connection closed inside headers"));
-        }
-        total += line.len();
+        };
+        total += len;
         if total > MAX_BYTES {
             return Err(HttpError::new("header block too large"));
         }
-        let line = line.trim_end();
-        if line.is_empty() {
-            return Ok((headers, content_length));
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::new("malformed header line"))?;
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim().to_string();
-        if name == "content-length" {
-            content_length = value
-                .parse()
-                .map_err(|_| HttpError::new("bad content-length"))?;
-            if content_length > MAX_BYTES {
-                return Err(HttpError::new("body too large"));
+        let Some((name, value)) = header else {
+            return Ok((headers, content_length.unwrap_or(0)));
+        };
+        match name.as_str() {
+            "content-length" => {
+                let length = value
+                    .parse()
+                    .map_err(|_| HttpError::new("bad content-length"))?;
+                if length > MAX_BYTES {
+                    return Err(HttpError::new("body too large"));
+                }
+                if content_length.is_some_and(|first| first != length) {
+                    return Err(HttpError::new("conflicting content-length"));
+                }
+                content_length = Some(length);
             }
+            "transfer-encoding" => {
+                return Err(HttpError::new("transfer-encoding is not supported"));
+            }
+            _ => {}
         }
         headers.push((name, value));
     }
@@ -275,19 +340,34 @@ fn read_body<R: Read>(reader: &mut R, len: usize) -> Result<Vec<u8>, HttpError> 
     Ok(body)
 }
 
-/// One message as the bytes that go on the wire: start line, headers,
-/// `Content-Length`, `Connection: close` if this exchange is the last, body.
-fn frame(mut head: String, headers: &[(String, String)], body: &[u8], close: bool) -> Vec<u8> {
-    use fmt::Write as _;
+/// One message as the bytes that go on the wire — start line (`start`,
+/// with the `\r\n` it ends in), headers, `Content-Length`, `Connection:
+/// close` if this exchange is the last, body — written straight into one
+/// buffer allocated once at its final size.
+fn frame(start: &[&str], headers: &[(String, String)], body: &[u8], close: bool) -> Vec<u8> {
+    const LENGTH: &[u8] = b"content-length: ";
+    const CLOSE: &[u8] = b"connection: close\r\n";
+    let start_len: usize = start.iter().map(|part| part.len()).sum();
+    let headers_len: usize = headers.iter().map(|(n, v)| n.len() + v.len() + 4).sum();
+    // A length has at most 20 digits.
+    let head_len = start_len + headers_len + LENGTH.len() + 20 + 2 + CLOSE.len() + 2;
+    let mut frame = Vec::with_capacity(head_len + body.len());
+    for part in start {
+        frame.extend_from_slice(part.as_bytes());
+    }
     for (name, value) in headers {
-        let _ = write!(head, "{name}: {value}\r\n");
+        frame.extend_from_slice(name.as_bytes());
+        frame.extend_from_slice(b": ");
+        frame.extend_from_slice(value.as_bytes());
+        frame.extend_from_slice(b"\r\n");
     }
-    let _ = write!(head, "content-length: {}\r\n", body.len());
+    frame.extend_from_slice(LENGTH);
+    frame.extend_from_slice(digits(body.len() as u64, &mut [0; 20]).as_bytes());
+    frame.extend_from_slice(b"\r\n");
     if close {
-        head.push_str("connection: close\r\n");
+        frame.extend_from_slice(CLOSE);
     }
-    head.push_str("\r\n");
-    let mut frame = head.into_bytes();
+    frame.extend_from_slice(b"\r\n");
     frame.extend_from_slice(body);
     frame
 }
@@ -299,14 +379,15 @@ pub(crate) fn request_frame(
     body: &[u8],
     close: bool,
 ) -> Vec<u8> {
-    let start = format!("{method} {target} HTTP/1.1\r\n");
-    frame(start, headers, body, close)
+    let start = [method, " ", target, " HTTP/1.1\r\n"];
+    frame(&start, headers, body, close)
 }
 
 pub(crate) fn response_frame(response: &Response, close: bool) -> Vec<u8> {
-    let (status, text) = (response.status, status_text(response.status));
-    let start = format!("HTTP/1.1 {status} {text}\r\n");
-    frame(start, &response.headers, &response.body, close)
+    let (status, mut buf) = (response.status, [0; 20]);
+    let code = digits(status.into(), &mut buf);
+    let start = ["HTTP/1.1 ", code, " ", status_text(status), "\r\n"];
+    frame(&start, &response.headers, &response.body, close)
 }
 
 /// Write one request (with `Connection: close` and `Content-Length`).
@@ -546,5 +627,84 @@ mod tests {
         assert!(e.reason.contains("line too long"), "{e}");
         let e = read_response(format!("HTTP/1.1 200 OK\r\n{endless}").as_bytes());
         assert!(e.unwrap_err().reason.contains("line too long"));
+    }
+
+    /// The head is written byte for byte as it always was.
+    #[test]
+    fn frames_are_written_byte_for_byte() {
+        let headers = [("x-tenant".to_string(), "t1".to_string())];
+        let request = request_frame("POST", "/v1/rerank?x=1", &headers, b"{}", true);
+        let want = "POST /v1/rerank?x=1 HTTP/1.1\r\nx-tenant: t1\r\ncontent-length: 2\r\n\
+                    connection: close\r\n\r\n{}";
+        assert_eq!(String::from_utf8(request).unwrap(), want);
+        let request = request_frame("GET", "/stats", &[], b"", false);
+        let want = "GET /stats HTTP/1.1\r\ncontent-length: 0\r\n\r\n";
+        assert_eq!(String::from_utf8(request).unwrap(), want);
+        let resp = Response::json(429, "{}".into()).with_header("Retry-After", "2".into());
+        let want = "HTTP/1.1 429 Too Many Requests\r\ncontent-type: application/json\r\n\
+                    retry-after: 2\r\ncontent-length: 2\r\n\r\n{}";
+        assert_eq!(
+            String::from_utf8(response_frame(&resp, false)).unwrap(),
+            want
+        );
+        let odd = Response {
+            status: 7,
+            headers: vec![],
+            body: vec![b'x'; 12_345],
+        };
+        let frame = response_frame(&odd, true);
+        let want = "HTTP/1.1 7 Status\r\ncontent-length: 12345\r\nconnection: close\r\n\r\n";
+        assert_eq!(&frame[..want.len()], want.as_bytes());
+        assert_eq!(frame.len(), want.len() + 12_345);
+    }
+
+    /// A line is read where it lies in the reader's buffer, or gathered
+    /// when it straddles a refill: every buffer size reads the same.
+    #[test]
+    fn lines_that_straddle_a_refill_read_the_same() {
+        let text = b"post /a?b=1 HTTP/1.1\r\nX-Tenant:  t1 \r\nContent-Length: 3\r\n\r\nabcGET /b HTTP/1.1\n\n";
+        let whole = request_from(&mut BufReader::new(&text[..]))
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            (whole.method.as_str(), whole.header("x-tenant")),
+            ("POST", Some("t1"))
+        );
+        assert_eq!(whole.headers[1], ("content-length".into(), "3".into()));
+        for size in 1..text.len() {
+            let mut reader = BufReader::with_capacity(size, &text[..]);
+            assert_eq!(
+                request_from(&mut reader).unwrap().as_ref(),
+                Some(&whole),
+                "{size}"
+            );
+            let next = request_from(&mut reader).unwrap().unwrap();
+            assert_eq!((next.target.as_str(), next.body.len()), ("/b", 0));
+            assert_eq!(request_from(&mut reader).unwrap(), None);
+        }
+        let e = read_request(&b"GET /\xff HTTP/1.1\r\n\r\n"[..]).unwrap_err();
+        assert!(e.reason.contains("UTF-8"), "{e}");
+    }
+
+    /// A body framed two ways would leave the next message to start where
+    /// the peer did not mean it to: two different lengths, or any transfer
+    /// encoding, are refused, and a repeated equal length is not.
+    #[test]
+    fn a_message_framed_two_ways_is_refused() {
+        let twice = b"POST / HTTP/1.1\r\ncontent-length: 3\r\ncontent-length: 0\r\n\r\nabc";
+        let e = read_request(&twice[..]).unwrap_err();
+        assert!(e.reason.contains("conflicting content-length"), "{e}");
+        let same = b"POST / HTTP/1.1\r\ncontent-length: 3\r\nContent-Length: 3\r\n\r\nabc";
+        assert_eq!(read_request(&same[..]).unwrap().unwrap().body, b"abc");
+        let chunked = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n";
+        let e = read_request(&chunked[..]).unwrap_err();
+        assert!(e.reason.contains("transfer-encoding"), "{e}");
+        let identity =
+            b"POST / HTTP/1.1\r\ncontent-length: 0\r\ntransfer-encoding: identity\r\n\r\n";
+        assert!(read_request(&identity[..]).is_err());
+        let reply = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\ncontent-length: 20\r\n\r\n{}";
+        assert!(read_response(&reply[..]).is_err());
+        let reply = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n";
+        assert!(read_response(&reply[..]).is_err());
     }
 }

@@ -741,25 +741,69 @@ fn want_read<T>(slot: Option<WireResult<T>>, key: &str) -> WireResult<T> {
     slot.unwrap_or_else(|| Err(format!("missing member '{key}'")))
 }
 
-/// Read an array, each item through `each`; the first item refused is the
-/// array's refusal, and the rest are still read through.
-fn read_vec<'a, T>(
+/// Read an array, each item through `each` and on to `keep`; the first
+/// item refused is the array's refusal, and the rest are still read
+/// through (and not kept).
+fn read_items<'a, T>(
     r: &mut Reader<'a>,
     key: &str,
     mut each: impl FnMut(&mut Reader<'a>) -> Read<T>,
-) -> Read<Vec<T>> {
+    mut keep: impl FnMut(T),
+) -> Read<()> {
     if !r.array()? {
         return Ok(Err(format!("member '{key}' is not an array")));
     }
-    let mut items = Ok(Vec::new());
+    let mut refused = Ok(());
     while r.item()? {
-        match (each(r)?, &mut items) {
-            (Ok(item), Ok(v)) => v.push(item),
-            (Err(e), Ok(_)) => items = Err(e),
+        match (each(r)?, &refused) {
+            (Ok(item), Ok(())) => keep(item),
+            (Err(e), Ok(())) => refused = Err(e),
             (_, Err(_)) => {}
         }
     }
-    Ok(items)
+    Ok(refused)
+}
+
+/// Read an array into a `Vec`, as [`read_items`] reads it.
+fn read_vec<'a, T>(
+    r: &mut Reader<'a>,
+    key: &str,
+    each: impl FnMut(&mut Reader<'a>) -> Read<T>,
+) -> Read<Vec<T>> {
+    let mut items = Vec::new();
+    Ok(read_items(r, key, each, |item| items.push(item))?.map(|()| items))
+}
+
+/// Read an array of plain values as [`read_vec`] does, into a stack buffer
+/// first, so that what it returns is allocated once at its exact size: a
+/// tuple's `ords` and `cats` go straight into [`Tuple::new`]'s boxes, with
+/// no growth on the way and no shrink at the end.
+fn read_exact_size<'a, T: Copy + Default>(
+    r: &mut Reader<'a>,
+    key: &str,
+    each: impl FnMut(&mut Reader<'a>) -> Read<T>,
+) -> Read<Vec<T>> {
+    /// Items held on the stack; a longer array spills to a growing `Vec`.
+    const STACK: usize = 16;
+    let (mut stack, mut len, mut spill) = ([T::default(); STACK], 0, Vec::new());
+    let read = read_items(r, key, each, |item| {
+        if len < STACK {
+            stack[len] = item;
+            len += 1;
+        } else {
+            if spill.is_empty() {
+                spill.extend_from_slice(&stack);
+            }
+            spill.push(item);
+        }
+    })?;
+    Ok(read.map(|()| {
+        if spill.is_empty() {
+            stack[..len].to_vec()
+        } else {
+            spill
+        }
+    }))
 }
 
 fn read_code(r: &mut Reader) -> Read<u32> {
@@ -810,9 +854,9 @@ fn read_tuple(r: &mut Reader) -> Read<Tuple> {
                 "ords" => {
                     let ordinal =
                         |r: &mut Reader| Ok(r.f64()?.ok_or_else(|| "non-numeric ordinal".into()));
-                    ords = Some(read_vec(r, "ords", ordinal)?);
+                    ords = Some(read_exact_size(r, "ords", ordinal)?);
                 }
-                "cats" => cats = Some(read_vec(r, "cats", read_code)?),
+                "cats" => cats = Some(read_exact_size(r, "cats", read_code)?),
                 _ => r.skip()?,
             }
         }
@@ -1851,6 +1895,47 @@ mod tests {
             }
         }
         assert!(accepted > 100 && refused > 100, "{accepted} / {refused}");
+    }
+
+    /// A tuple's columns go through a stack buffer: a column longer than it
+    /// spills and still reads whole, and a refused item anywhere in one
+    /// refuses the tuple, as the tree decoder does.
+    #[test]
+    fn tuple_columns_of_every_length_read_as_the_tree_decodes() {
+        let reply = |ords: &[String], cats: &[String]| {
+            let (ords, cats) = (ords.join(","), cats.join(","));
+            format!(
+                r#"{{"ledger":{{"cost_units":1,"queries":1}},"response":{{"outcome":"valid","tuples":[{{"cats":[{cats}],"id":7,"ords":[{ords}]}}]}}}}"#
+            )
+        };
+        for n in [0u32, 1, 15, 16, 17, 40] {
+            let ords: Vec<_> = (0..n).map(|i| (f64::from(i) / 7.0).to_string()).collect();
+            let cats: Vec<_> = (0..n).map(|i| (3 * i).to_string()).collect();
+            let mut texts = vec![reply(&ords, &cats)];
+            // A bad item inside the stack buffer and past it.
+            let last = n as usize;
+            for at in [0, last / 2, last.saturating_sub(1)]
+                .into_iter()
+                .filter(|_| n > 0)
+            {
+                let (mut bad_ords, mut bad_cats) = (ords.clone(), cats.clone());
+                bad_ords[at] = "\"x\"".into();
+                bad_cats[at] = "-1".into();
+                texts.extend([reply(&bad_ords, &cats), reply(&ords, &bad_cats)]);
+            }
+            for text in &texts {
+                let read = read_response_reply(text).unwrap().body;
+                let tree = crate::json::parse(text).unwrap();
+                let want = response_from_json(tree.get("response").unwrap());
+                match (&read, &want) {
+                    (Ok(a), Ok(b)) => assert_eq!(a.tuples, b.tuples, "{text}"),
+                    _ => assert_eq!(read.is_err(), want.is_err(), "{text}"),
+                }
+            }
+            let read = read_response_reply(&texts[0]).unwrap().body.unwrap();
+            let t = &read.tuples[0];
+            assert_eq!((t.ords().len(), t.cats().len()), (last, last));
+        }
     }
 
     fn wire_ledger(tree: &Json) -> Option<(u64, u64)> {

@@ -1295,6 +1295,74 @@ fn deeply_nested_body_is_a_typed_uncharged_400_and_frees_its_slot() {
     handle.shutdown();
 }
 
+/// A body framed two ways — two different lengths, or a transfer encoding
+/// — would leave the next request to start where the client did not mean
+/// it to. The edge refuses it with an uncharged `400 malformed_request`,
+/// closes that connection, and goes on serving the others.
+#[test]
+fn a_request_framed_two_ways_is_an_uncharged_400_that_closes_its_connection() {
+    let data = uniform(80, 2, 1, test_seed() ^ 0xF4A3);
+    let remote = Arc::new(anti_server(&data, 3));
+    let svc = Arc::new(RerankService::new(
+        Arc::clone(&remote) as Arc<dyn SearchInterface>,
+        data.len(),
+    ));
+    let exec = Arc::new(Executor::from_env());
+    let handle = EdgeServer::serve(svc, exec, EdgeConfig::default()).unwrap();
+    let rank = [(0usize, Direction::Asc, 1.0)];
+    let request = || EdgeClient::request(&Query::all(), &rank, 3, None, None, None);
+    let other = EdgeClient::new(handle.addr(), "tenant-b");
+    let before = other.rerank(vec![request()]).expect("served before");
+    let spent = remote.queries_issued();
+    assert!(spent > 0);
+
+    let body = one_request_body();
+    let chunked = [
+        format!("{:x}\r\n", body.len()).as_bytes(),
+        &body,
+        b"\r\n0\r\n\r\n",
+    ]
+    .concat();
+    let length = body.len().to_string();
+    let framings = [
+        (
+            ("content-length", length.as_str()),
+            ("content-length", "0"),
+            &body,
+        ),
+        (
+            ("content-length", length.as_str()),
+            ("transfer-encoding", "chunked"),
+            &chunked,
+        ),
+    ];
+    for (first, second, body) in framings {
+        let headers = [("x-tenant", "tenant-a"), first, second].map(|(n, v)| (n.into(), v.into()));
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let frame = raw_frame("POST /v1/rerank HTTP/1.1".into(), &headers, body);
+        (&stream).write_all(&frame).unwrap();
+        let refused = read_response(&stream).unwrap();
+        let text = String::from_utf8_lossy(&refused.body);
+        assert_eq!(refused.status, 400, "{second:?}: {text}");
+        assert!(text.contains("malformed_request"), "{second:?}: {text}");
+        assert!(says_close(&refused), "{second:?}");
+        assert!(
+            read_response(&stream).is_err(),
+            "{second:?}: nothing follows"
+        );
+        assert_eq!(remote.queries_issued(), spent, "{second:?} charged nothing");
+    }
+
+    let after = other.rerank(vec![request()]).expect("served after");
+    assert_eq!(after.outcomes[0].hits, before.outcomes[0].hits);
+    assert_eq!(
+        handle.admitted(),
+        2,
+        "only the well-framed batches were admitted"
+    );
+    handle.shutdown();
+}
+
 /// `x-tenant` is a map key chosen by whoever connects. A name that is too
 /// long or not visible ASCII is a typed `400`; once the table holds its
 /// 4096 ledgers an *unseen* name is a typed `429` while known tenants are

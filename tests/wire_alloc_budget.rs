@@ -1,21 +1,23 @@
-//! Heap allocations of one in-process `/site/query` exchange's four codec
-//! steps, held to a budget.
+//! Heap allocations of the edge codec's per-call bodies, held to budgets.
 //!
 //! A remote site costs one round trip per query, about thirty a request,
 //! and the codec is paid on both ends of each: the client writes the
 //! query, the edge reads it, the edge writes the reply, the client reads
 //! it. A step that builds a JSON tree, formats a number through a
-//! temporary `String` or copies a string that needs no unescaping
-//! multiplies the allocator's share of a call. This test pins that share
-//! for a fixed query and a 3-tuple reply, with no socket in between.
+//! temporary `String`, copies a string that needs no unescaping or grows
+//! a tuple's columns one push at a time multiplies the allocator's share
+//! of a call. One test pins that share for a fixed query and a 3-tuple
+//! reply, with no socket in between; the other pins one 25-hit
+//! `/v1/rerank` reply, written by the edge and read by the client.
 //!
 //! The count is kept in a const-initialised thread-local, as in
-//! `tests/alloc_budget.rs`, so only the thread doing the exchange is
-//! counted. It is the only test in this binary, because the global
-//! allocator is per binary. The budget is the count measured in the debug
-//! profile (`cargo test -q`) plus 25 %; the run prints the measured value.
+//! `tests/alloc_budget.rs`, so each test counts only its own thread and
+//! the tests of this binary (which share its global allocator) may run
+//! side by side. A budget is the count measured in the debug profile
+//! (`cargo test -q`) plus 25 %; each run prints the measured value.
 
 use query_reranking::edge::wire;
+use query_reranking::service::{BatchOutcome, RankedTuple, SessionStats};
 use query_reranking::types::{
     AttrId, CatId, CatPredicate, Interval, Query, QueryResponse, Tuple, TupleId,
 };
@@ -25,8 +27,12 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 /// Allocations one exchange's codec steps may make: the measured
-/// debug-profile value, 23, plus 25 %.
-const BUDGET: u64 = 29;
+/// debug-profile value, 17, plus 25 %.
+const BUDGET: u64 = 21;
+
+/// Allocations writing and reading one 25-hit `/v1/rerank` reply may
+/// make: the measured debug-profile value, 56, plus 25 %.
+const REPLY_BUDGET: u64 = 70;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -114,5 +120,52 @@ fn a_site_query_exchange_allocates_within_its_budget() {
     assert!(
         spent <= BUDGET,
         "{spent} allocations for one exchange, over the budget of {BUDGET}"
+    );
+}
+
+#[test]
+fn a_rerank_reply_allocates_within_its_budget() {
+    let hits = (0..25)
+        .map(|i| {
+            let x = f64::from(i);
+            let ords = vec![0.013 * x, 1.0 / (x + 3.0), 250.0 + 7.5 * x];
+            RankedTuple {
+                rank: i as usize + 1,
+                score: 0.1 + 0.37 * x,
+                tuple: Arc::new(Tuple::new(TupleId(900 + i), ords, vec![i % 4])),
+            }
+        })
+        .collect();
+    let stats = SessionStats {
+        emitted: 25,
+        queries_spent: 31,
+        cost_units_spent: 31,
+        queries_saved: 0,
+        cost_units_saved: 0,
+        attempts_made: 31,
+        retries_spent: 0,
+        budget_limit: None,
+    };
+    let outcome = BatchOutcome {
+        hits,
+        error: None,
+        stats,
+        wall_ms: 0.731,
+    };
+    let outcomes = [outcome];
+
+    let before = allocations();
+    // The edge writes the reply; the client reads it.
+    let reply = wire::rerank_reply(&outcomes, (31, 31));
+    let read = wire::read_rerank_reply(&reply).expect("JSON");
+    let spent = allocations() - before;
+
+    let read = black_box(read.expect("a reply"));
+    assert_eq!(read.outcomes[0].hits.len(), 25);
+    assert_eq!(read.tenant, (31, 31));
+    println!("{spent} allocations for one 25-hit /v1/rerank reply (budget {REPLY_BUDGET})");
+    assert!(
+        spent <= REPLY_BUDGET,
+        "{spent} allocations for one reply, over the budget of {REPLY_BUDGET}"
     );
 }
