@@ -366,6 +366,12 @@ impl SearchInterface for HttpSiteAdapter {
 
 // ------------------------------------------------------------ front door
 
+/// The `/v1/rerank` request body: `{requests}`, each element as
+/// [`EdgeClient::request`] built it.
+pub(crate) fn rerank_body(requests: Vec<Json>) -> String {
+    Json::obj(vec![("requests", Json::Arr(requests))]).encode()
+}
+
 /// A front-door client for `/v1/rerank` and `/stats` — what a remote user
 /// of the reranking service holds.
 pub struct EdgeClient {
@@ -415,7 +421,7 @@ impl EdgeClient {
     /// Serve one batch. `requests` is the raw wire array — build each
     /// element with [`EdgeClient::request`].
     pub fn rerank(&self, requests: Vec<Json>) -> Result<WireBatchReply, EdgeClientError> {
-        let body = Json::obj(vec![("requests", Json::Arr(requests))]).encode();
+        let body = rerank_body(requests);
         let headers = vec![("x-tenant".to_string(), self.tenant.clone())];
         let resp = self
             .peer

@@ -87,9 +87,10 @@ use crate::json::{parse, Json, ParseError};
 use crate::wire;
 use parking_lot::Mutex;
 use qrs_exec::Executor;
-use qrs_obs::EventKind;
+use qrs_obs::{EventKind, MonitorReport};
 use qrs_ranking::LinearRank;
-use qrs_service::{BatchRequest, RerankService};
+use qrs_service::stats::StatsSnapshot;
+use qrs_service::{BatchRequest, PlaneStats, RerankService};
 use qrs_types::{AttrId, Query, ServerError};
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -421,7 +422,7 @@ fn route(req: &Request, shared: &Shared) -> Response {
     }
 }
 
-fn error_response(status: u16, code: &str, message: String) -> Response {
+pub(crate) fn error_response(status: u16, code: &str, message: String) -> Response {
     let body = Json::obj(vec![(
         "error",
         Json::obj(vec![
@@ -441,32 +442,20 @@ fn site_ledger(shared: &Shared) -> (u64, u64) {
     (site.queries_issued(), site.cost_units_issued())
 }
 
-fn site_ok(shared: &Shared, members: Vec<(&str, Json)>) -> Response {
-    let mut members = members;
-    let (queries, cost_units) = site_ledger(shared);
-    members.push(("ledger", wire::ledger_json(queries, cost_units)));
-    Response::json(200, Json::obj(members).encode())
-}
-
 fn site_err(shared: &Shared, e: &ServerError) -> Response {
-    let (queries, cost_units) = site_ledger(shared);
-    wire::server_error_response(e, wire::ledger_json(queries, cost_units))
+    wire::server_error_response(e, site_ledger(shared))
 }
 
 fn site_capabilities(shared: &Shared) -> Response {
     let site = shared.svc.server();
-    site_ok(
-        shared,
-        vec![
-            ("schema", wire::schema_to_json(site.schema())),
-            ("k", Json::u64(site.k() as u64)),
-            (
-                "capabilities",
-                wire::capabilities_to_json(&site.capabilities()),
-            ),
-            ("seq", Json::u64(site.mutation_seq())),
-        ],
-    )
+    let (schema, k, caps, seq) = (
+        site.schema(),
+        site.k(),
+        site.capabilities(),
+        site.mutation_seq(),
+    );
+    let body = wire::capabilities_reply(schema, k, &caps, seq, site_ledger(shared));
+    Response::json(200, body)
 }
 
 fn body_text(req: &Request) -> Result<&str, Response> {
@@ -574,10 +563,8 @@ fn site_ordered(req: &Request, shared: &Shared) -> Response {
 }
 
 fn site_seq(shared: &Shared) -> Response {
-    site_ok(
-        shared,
-        vec![("seq", Json::u64(shared.svc.server().mutation_seq()))],
-    )
+    let seq = shared.svc.server().mutation_seq();
+    Response::json(200, wire::seq_reply(seq, site_ledger(shared)))
 }
 
 fn site_mutations(req: &Request, shared: &Shared) -> Response {
@@ -591,16 +578,12 @@ fn site_mutations(req: &Request, shared: &Shared) -> Response {
         }
     };
     match shared.svc.server().mutations_since(since) {
-        Ok(log) => site_ok(shared, vec![("log", wire::mutation_log_to_json(&log))]),
+        Ok(log) => Response::json(200, wire::mutations_reply(&log, site_ledger(shared))),
         Err(e) => site_err(shared, &e),
     }
 }
 
 // --------------------------------------------------------- /v1/rerank
-
-fn tenant_ledger_json(l: TenantLedger) -> Json {
-    wire::ledger_json(l.queries, l.cost_units)
-}
 
 fn admission_reject(shared: &Shared, tenant_spend: TenantLedger, reason: &str) -> Response {
     shared.rejected.fetch_add(1, Ordering::Relaxed);
@@ -614,7 +597,15 @@ fn admission_reject(shared: &Shared, tenant_spend: TenantLedger, reason: &str) -
             },
         );
     }
-    let ms = shared.config.retry_after_ms;
+    let tenant = (tenant_spend.queries, tenant_spend.cost_units);
+    refusal(reason, shared.config.retry_after_ms, tenant)
+}
+
+/// A `429` admission refusal: `{error, tenant}`, the error typed
+/// `"admission"` with its reason and retry hint, and the tenant's ledger as
+/// it stands, since nothing was charged.
+pub(crate) fn refusal(reason: &str, retry_after_ms: u64, tenant: (u64, u64)) -> Response {
+    let ms = retry_after_ms;
     let body = Json::obj(vec![
         (
             "error",
@@ -628,7 +619,7 @@ fn admission_reject(shared: &Shared, tenant_spend: TenantLedger, reason: &str) -
                 ),
             ]),
         ),
-        ("tenant", tenant_ledger_json(tenant_spend)),
+        ("tenant", wire::ledger_json(tenant.0, tenant.1)),
     ]);
     Response::json(429, body.encode())
         .with_header("retry-after", ms.div_ceil(1000).max(1).to_string())
@@ -788,7 +779,27 @@ fn rerank_admitted(req: &Request, shared: &Shared, tenant: &str) -> Response {
 // -------------------------------------------------------------- /stats
 
 fn stats(shared: &Shared) -> Response {
-    let s = shared.svc.stats();
+    let service = shared.svc.stats();
+    let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    let edge = [
+        count(&shared.admitted),
+        count(&shared.rejected),
+        count(&shared.connections),
+        count(&shared.requests),
+    ];
+    let plane = shared.svc.knowledge_plane().map(|p| p.stats());
+    let monitor = shared.svc.monitor_report();
+    Response::json(200, stats_reply(&service, edge, plane.as_ref(), &monitor))
+}
+
+/// The `/stats` body: `{edge, knowledge?, monitor, service}`; `edge` is the
+/// admitted, rejected, connections and requests counters, in that order.
+pub(crate) fn stats_reply(
+    s: &StatsSnapshot,
+    edge: [u64; 4],
+    plane: Option<&PlaneStats>,
+    monitor: &MonitorReport,
+) -> String {
     let service = Json::obj(vec![
         ("sessions_started", Json::u64(s.sessions_started)),
         ("tuples_emitted", Json::u64(s.tuples_emitted)),
@@ -800,16 +811,15 @@ fn stats(shared: &Shared) -> Response {
         ("batches_served", Json::u64(s.batches_served)),
         ("requests_served", Json::u64(s.requests_served)),
     ]);
-    let count = |counter: &AtomicU64| Json::u64(counter.load(Ordering::Relaxed));
+    let [admitted, rejected, connections, requests] = edge.map(Json::u64);
     let edge = Json::obj(vec![
-        ("admitted", count(&shared.admitted)),
-        ("rejected", count(&shared.rejected)),
-        ("connections", count(&shared.connections)),
-        ("requests", count(&shared.requests)),
+        ("admitted", admitted),
+        ("rejected", rejected),
+        ("connections", connections),
+        ("requests", requests),
     ]);
     let mut members = vec![("service", service), ("edge", edge)];
-    if let Some(plane) = shared.svc.knowledge_plane() {
-        let p = plane.stats();
+    if let Some(p) = plane {
         members.push((
             "knowledge",
             Json::obj(vec![
@@ -818,11 +828,10 @@ fn stats(shared: &Shared) -> Response {
             ]),
         ));
     }
-    let report = shared.svc.monitor_report();
     members.push((
         "monitor",
         Json::Arr(
-            report
+            monitor
                 .rows
                 .iter()
                 .map(|r| {
@@ -841,7 +850,7 @@ fn stats(shared: &Shared) -> Response {
                 .collect(),
         ),
     ));
-    Response::json(200, Json::obj(members).encode())
+    Json::obj(members).encode()
 }
 
 #[cfg(test)]

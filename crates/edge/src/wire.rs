@@ -575,6 +575,45 @@ pub fn mutation_log_from_json(v: &Json) -> WireResult<MutationLog> {
     })
 }
 
+// ------------------------------------------------------------ cold replies
+
+/// The `200` reply to `/site/capabilities`: `{capabilities, k, ledger,
+/// schema, seq}`, everything a client caches at connect.
+pub fn capabilities_reply(
+    schema: &Schema,
+    k: usize,
+    caps: &Capabilities,
+    seq: u64,
+    ledger: (u64, u64),
+) -> String {
+    Json::obj(vec![
+        ("schema", schema_to_json(schema)),
+        ("k", Json::u64(k as u64)),
+        ("capabilities", capabilities_to_json(caps)),
+        ("seq", Json::u64(seq)),
+        ("ledger", ledger_json(ledger.0, ledger.1)),
+    ])
+    .encode()
+}
+
+/// The `200` reply to `/site/seq`: `{ledger, seq}`.
+pub fn seq_reply(seq: u64, ledger: (u64, u64)) -> String {
+    Json::obj(vec![
+        ("seq", Json::u64(seq)),
+        ("ledger", ledger_json(ledger.0, ledger.1)),
+    ])
+    .encode()
+}
+
+/// The `200` reply to `/site/mutations`: `{ledger, log}`.
+pub fn mutations_reply(log: &MutationLog, ledger: (u64, u64)) -> String {
+    Json::obj(vec![
+        ("log", mutation_log_to_json(log)),
+        ("ledger", ledger_json(ledger.0, ledger.1)),
+    ])
+    .encode()
+}
+
 // ----------------------------------------------------------------- errors
 
 fn capability_to_json(c: Capability) -> Json {
@@ -682,8 +721,11 @@ pub fn server_error_from_json(v: &Json) -> WireResult<ServerError> {
 /// typed body, the cumulative ledger, and — for rate limits with a hint —
 /// a `Retry-After` header (ceiling-rounded to whole seconds, as the
 /// header speaks seconds while the body keeps millisecond precision).
-pub fn server_error_response(e: &ServerError, ledger: Json) -> Response {
-    let body = Json::obj(vec![("error", server_error_to_json(e)), ("ledger", ledger)]);
+pub fn server_error_response(e: &ServerError, ledger: (u64, u64)) -> Response {
+    let body = Json::obj(vec![
+        ("error", server_error_to_json(e)),
+        ("ledger", ledger_json(ledger.0, ledger.1)),
+    ]);
     let mut resp = Response::json(server_error_status(e), body.encode());
     if let ServerError::RateLimited {
         retry_after_ms: Some(ms),
@@ -1562,7 +1604,7 @@ mod tests {
             &ServerError::RateLimited {
                 retry_after_ms: Some(1500),
             },
-            ledger_json(3, 7),
+            (3, 7),
         );
         assert_eq!(resp.header("retry-after"), Some("2"));
         let body = crate::json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
@@ -1735,6 +1777,328 @@ mod tests {
                 stats,
                 wall_ms: self.f64(),
             }
+        }
+
+        fn text(&mut self) -> String {
+            const TEXTS: [&str; 6] = [
+                "",
+                "plain",
+                "say \"why\"\n\ttab \u{1} é",
+                "back\\slash / 😀 \u{7f}",
+                "\r\u{1f}",
+                "md-rerank",
+            ];
+            TEXTS[self.below(6) as usize].to_string()
+        }
+
+        fn finite(&mut self) -> f64 {
+            loop {
+                let x = self.f64();
+                if x.is_finite() {
+                    return x;
+                }
+            }
+        }
+
+        fn attr(&mut self) -> AttrId {
+            AttrId(self.counter() as usize)
+        }
+
+        fn schema(&mut self) -> Schema {
+            let ordinal = (0..self.below(4))
+                .map(|_| {
+                    let (a, b) = (self.finite(), self.finite());
+                    let point_only = self.below(3) == 0;
+                    let values = if point_only || self.below(2) == 0 {
+                        let mut v: Vec<f64> =
+                            (0..1 + self.below(4)).map(|_| self.finite()).collect();
+                        if point_only {
+                            v.sort_by(f64::total_cmp);
+                            v.dedup();
+                        }
+                        Some(v)
+                    } else {
+                        None
+                    };
+                    OrdinalAttr {
+                        name: self.text(),
+                        min: a.min(b),
+                        max: a.max(b),
+                        point_only,
+                        values,
+                    }
+                })
+                .collect();
+            let categorical = (0..self.below(3))
+                .map(|_| CatAttr::new(self.text(), self.code()))
+                .collect();
+            Schema::new(ordinal, categorical)
+        }
+
+        fn cap(&mut self) -> Option<usize> {
+            (self.below(2) == 0).then(|| 1 + self.below(1000) as usize)
+        }
+
+        fn capabilities(&mut self) -> Capabilities {
+            let supports = [
+                FilterSupport::None,
+                FilterSupport::Point,
+                FilterSupport::Range,
+            ];
+            Capabilities {
+                paging: self.below(2) == 0,
+                order_by: (0..self.below(3)).map(|_| self.attr()).collect(),
+                max_pages: self.cap(),
+                max_predicates: self.cap(),
+                filters: (0..self.below(3))
+                    .map(|_| (self.attr(), supports[self.below(3) as usize]))
+                    .collect(),
+                cost: CostModel {
+                    base: self.counter(),
+                    point_predicate: self.counter(),
+                    range_predicate: self.counter(),
+                    ordered: self.counter(),
+                    paged: self.counter(),
+                    attr_surcharge: (0..self.below(3))
+                        .map(|_| (self.attr(), self.counter()))
+                        .collect(),
+                },
+                mutation_feed: self.below(2) == 0,
+            }
+        }
+
+        fn mutation_log(&mut self) -> MutationLog {
+            let deltas = (0..self.below(5))
+                .map(|_| {
+                    let kind = match self.below(3) {
+                        0 => MutationKind::Insert(self.tuple()),
+                        1 => MutationKind::Update(self.tuple()),
+                        _ => MutationKind::Delete(self.tuple().id),
+                    };
+                    Mutation {
+                        seq: self.counter(),
+                        kind,
+                    }
+                })
+                .collect();
+            MutationLog {
+                deltas,
+                gap: self.below(2) == 0,
+            }
+        }
+    }
+
+    /// Every kind of [`Capability`], with drawn payloads.
+    fn capabilities_of_every_kind(rng: &mut Rng) -> Vec<Capability> {
+        vec![
+            Capability::Paging,
+            Capability::MutationFeed,
+            Capability::OrderBy(rng.attr()),
+            Capability::RangeFilter(rng.attr()),
+            Capability::PointFilter(rng.attr()),
+            Capability::PredicateArity(rng.counter() as usize),
+            Capability::PageDepth(rng.counter() as usize),
+        ]
+    }
+
+    /// Every kind of [`ServerError`], and an `Unsupported` one for each kind
+    /// of [`Capability`].
+    fn server_errors_of_every_kind(rng: &mut Rng) -> Vec<ServerError> {
+        let mut errors = vec![
+            ServerError::RateLimited {
+                retry_after_ms: Some(rng.counter()),
+            },
+            ServerError::RateLimited {
+                retry_after_ms: None,
+            },
+            ServerError::unavailable(rng.text()),
+            ServerError::invalid_query(rng.text()),
+        ];
+        let unsupported = capabilities_of_every_kind(rng).into_iter();
+        errors.extend(unsupported.map(ServerError::Unsupported));
+        errors
+    }
+
+    /// The `/stats` values: the service's counters, the edge's, a knowledge
+    /// plane or none, and monitor rows.
+    fn stats_body(rng: &mut Rng) -> String {
+        let service = qrs_service::stats::StatsSnapshot {
+            sessions_started: rng.counter(),
+            tuples_emitted: rng.counter(),
+            queries_spent: rng.counter(),
+            cost_units_spent: rng.counter(),
+            queries_saved: rng.counter(),
+            cost_units_saved: rng.counter(),
+            retries_spent: rng.counter(),
+            batches_served: rng.counter(),
+            requests_served: rng.counter(),
+        };
+        let edge = [rng.counter(), rng.counter(), rng.counter(), rng.counter()];
+        let plane = (rng.below(2) == 0).then(|| qrs_service::PlaneStats {
+            sources: rng.counter(),
+            result_hits: rng.counter(),
+            ..Default::default()
+        });
+        let rows = (0..rng.below(3))
+            .map(|_| qrs_obs::MonitorRow {
+                site: rng.text(),
+                strategy: rng.text(),
+                sessions: rng.counter(),
+                predicted_queries: rng.counter(),
+                predicted_cost_units: rng.counter(),
+                actual_queries: rng.counter(),
+                actual_cost_units: rng.counter(),
+                saved_queries: rng.counter(),
+                saved_cost_units: rng.counter(),
+            })
+            .collect();
+        let monitor = qrs_obs::MonitorReport { rows };
+        crate::server::stats_reply(&service, edge, plane.as_ref(), &monitor)
+    }
+
+    /// One `/v1/rerank` request element as [`crate::EdgeClient::request`]
+    /// builds it, every optional member drawn present or absent.
+    fn request_element(rng: &mut Rng) -> Json {
+        let dirs = [Direction::Asc, Direction::Desc];
+        let rank: Vec<_> = (0..rng.below(4))
+            .map(|_| {
+                let dir = dirs[rng.below(2) as usize];
+                (rng.below(10) as usize, dir, rng.f64())
+            })
+            .collect();
+        let q = rng.query();
+        let top = rng.counter() as usize;
+        let budget = (rng.below(2) == 0).then(|| rng.counter());
+        let ties = [
+            "exact".to_string(),
+            "assume_distinct".to_string(),
+            rng.text(),
+        ];
+        let tie = (rng.below(2) == 0).then(|| ties[rng.below(3) as usize].clone());
+        let horizon = (rng.below(2) == 0).then(|| rng.counter() as usize);
+        crate::EdgeClient::request(&q, &rank, top, budget, tie.as_deref(), horizon)
+    }
+
+    /// Draws of each kind of value in the corpus.
+    const DRAWS: usize = 12;
+
+    /// Every body the edge and its client write, for one fixed set of
+    /// values, one `kind body` line each: what
+    /// `tests/golden/wire_bodies.txt` records.
+    fn corpus() -> String {
+        let mut rng = Rng(0x00C0_B905);
+        let mut lines = Vec::new();
+        let mut line = |kind: &str, body: &str| lines.push(format!("{kind} {body}\n"));
+        for _ in 0..DRAWS {
+            let q = rng.query();
+            let (page, attr) = (rng.counter() as usize, AttrId(rng.below(9) as usize));
+            let dir = [Direction::Asc, Direction::Desc][rng.below(2) as usize];
+            line("site_request", &site_request(&q, None, None));
+            line("site_request", &site_request(&q, None, Some(page)));
+            line(
+                "site_request",
+                &site_request(&q, Some((attr, dir)), Some(page)),
+            );
+            let (r, l) = (rng.response(), ledger(&mut rng));
+            line("site_response_reply", &site_response_reply(&r, l));
+            let p = OrderedPage {
+                tuples: rng.tuples(),
+                has_more: rng.below(2) == 0,
+            };
+            line("site_page_reply", &site_page_reply(&p, ledger(&mut rng)));
+            let outcomes: Vec<BatchOutcome> = (0..rng.below(4)).map(|_| rng.outcome()).collect();
+            line("rerank_reply", &rerank_reply(&outcomes, ledger(&mut rng)));
+        }
+        for _ in 0..DRAWS {
+            let (schema, k, caps) = (rng.schema(), rng.counter() as usize, rng.capabilities());
+            let (seq, l) = (rng.counter(), ledger(&mut rng));
+            let reply = capabilities_reply(&schema, k, &caps, seq, l);
+            line("capabilities_reply", &reply);
+            line("seq_reply", &seq_reply(rng.counter(), ledger(&mut rng)));
+            let log = rng.mutation_log();
+            line("mutations_reply", &mutations_reply(&log, ledger(&mut rng)));
+            line("stats_reply", &stats_body(&mut rng));
+            line("request", &request_element(&mut rng).encode());
+        }
+        for e in server_errors_of_every_kind(&mut rng) {
+            let resp = server_error_response(&e, ledger(&mut rng));
+            line(
+                "server_error_response",
+                std::str::from_utf8(&resp.body).unwrap(),
+            );
+        }
+        let errors = [
+            (400, "invalid_request"),
+            (400, "malformed_request"),
+            (404, "not_found"),
+            (405, "method_not_allowed"),
+            (408, "request_timeout"),
+            (500, "internal_error"),
+        ];
+        for (status, code) in errors {
+            let resp = crate::server::error_response(status, code, rng.text());
+            line("error_response", std::str::from_utf8(&resp.body).unwrap());
+        }
+        for reason in ["capacity", "tenant_budget", "tenant_table_full"] {
+            let resp = crate::server::refusal(reason, rng.counter(), ledger(&mut rng));
+            line("refusal", std::str::from_utf8(&resp.body).unwrap());
+        }
+        for n in [0, 1, 3] {
+            let requests = (0..n).map(|_| request_element(&mut rng)).collect();
+            line("rerank_body", &crate::client::rerank_body(requests));
+        }
+        lines.concat()
+    }
+
+    /// Members a body may carry or leave out: the corpus has bodies of the
+    /// kind with it and without it.
+    const OPTIONAL: &[(&str, &str)] = &[
+        ("capabilities_reply", "\"values\":"),
+        ("capabilities_reply", "\"max_pages\":null"),
+        ("capabilities_reply", "\"max_predicates\":null"),
+        ("rerank_reply", "\"budget_limit\":"),
+        ("rerank_reply", "\"error\":"),
+        ("rerank_reply", "\"retry_after_ms\":"),
+        ("server_error_response", "\"retry_after_ms\":"),
+        ("mutations_reply", "\"kind\":\"insert\""),
+        ("mutations_reply", "\"kind\":\"update\""),
+        ("mutations_reply", "\"kind\":\"delete\""),
+        ("mutations_reply", "\"gap\":true"),
+        ("stats_reply", "\"knowledge\":"),
+        ("request", "\"budget\":"),
+        ("request", "\"tie\":"),
+        ("request", "\"horizon\":"),
+    ];
+
+    const RECORDED: &str = include_str!("../../../tests/golden/wire_bodies.txt");
+
+    /// Every body the edge and its client write is, byte for byte, what the
+    /// corpus recorded from the tree encoders for the same values.
+    #[test]
+    fn every_body_is_written_as_the_corpus_records_it() {
+        let fresh = corpus();
+        if fresh != RECORDED {
+            let at = fresh
+                .lines()
+                .zip(RECORDED.lines())
+                .position(|(a, b)| a != b);
+            panic!(
+                "the writers no longer write tests/golden/wire_bodies.txt (first difference \
+                 at line {at:?}); if the change means to move a body, replace the file with \
+                 the document between the markers:\n-----BEGIN-----\n{fresh}-----END-----"
+            );
+        }
+        for (kind, member) in OPTIONAL {
+            let bodies: Vec<&str> = RECORDED
+                .lines()
+                .filter_map(|l| l.strip_prefix(kind)?.strip_prefix(' '))
+                .collect();
+            let with = bodies.iter().filter(|b| b.contains(member)).count();
+            assert!(
+                0 < with && with < bodies.len(),
+                "{kind} {member}: {with}/{}",
+                bodies.len()
+            );
         }
     }
 
