@@ -37,13 +37,12 @@
 //!   saw from one it charged for, and need not: the cumulative ledgers
 //!   settle either.
 //!
-//! The per-call bodies — a `/site/query`, `/site/page` or `/site/ordered`
-//! request and its `200` reply, and a `/v1/rerank` `200` reply — are
-//! written and read in place ([`crate::wire`]), with no JSON tree; every
-//! other body is read as a tree.
+//! Every body is written in place ([`crate::wire`]), with no JSON tree; the
+//! per-call `200` replies are read in place too, and every other reply as a
+//! tree.
 
 use crate::http::{request_frame, response_from, says_close, Conn, Response};
-use crate::json::{parse, Json, ParseError};
+use crate::json::{object, parse, write_arr, write_num, write_str, write_u64, Json, ParseError};
 use crate::wire::{self, WireBatchReply};
 use parking_lot::Mutex;
 use qrs_server::{Capabilities, OrderedPage, SearchInterface};
@@ -368,8 +367,10 @@ impl SearchInterface for HttpSiteAdapter {
 
 /// The `/v1/rerank` request body: `{requests}`, each element as
 /// [`EdgeClient::request`] built it.
-pub(crate) fn rerank_body(requests: Vec<Json>) -> String {
-    Json::obj(vec![("requests", Json::Arr(requests))]).encode()
+pub(crate) fn rerank_body(requests: &[Json]) -> String {
+    object(0, |o| {
+        write_arr(o.key("requests"), requests, |out, r| r.encode_into(out))
+    })
 }
 
 /// A front-door client for `/v1/rerank` and `/stats` — what a remote user
@@ -421,7 +422,7 @@ impl EdgeClient {
     /// Serve one batch. `requests` is the raw wire array — build each
     /// element with [`EdgeClient::request`].
     pub fn rerank(&self, requests: Vec<Json>) -> Result<WireBatchReply, EdgeClientError> {
-        let body = rerank_body(requests);
+        let body = rerank_body(&requests);
         let headers = vec![("x-tenant".to_string(), self.tenant.clone())];
         let resp = self
             .peer
@@ -465,34 +466,29 @@ impl EdgeClient {
         tie: Option<&str>,
         horizon: Option<usize>,
     ) -> Json {
-        let mut members = vec![
-            ("query", wire::query_to_json(query)),
-            (
-                "rank",
-                Json::Arr(
-                    rank.iter()
-                        .map(|(a, d, w)| {
-                            Json::Arr(vec![
-                                Json::u64(*a as u64),
-                                wire::direction_to_json(*d),
-                                Json::Num(*w),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("top", Json::u64(top as u64)),
-        ];
-        if let Some(b) = budget {
-            members.push(("budget", Json::u64(b)));
-        }
-        if let Some(t) = tie {
-            members.push(("tie", Json::str(t)));
-        }
-        if let Some(h) = horizon {
-            members.push(("horizon", Json::u64(h as u64)));
-        }
-        Json::obj(members)
+        let element = object(0, |o| {
+            if let Some(b) = budget {
+                write_u64(o.key("budget"), b);
+            }
+            if let Some(h) = horizon {
+                write_u64(o.key("horizon"), h as u64);
+            }
+            wire::write_query(o.key("query"), query);
+            write_arr(o.key("rank"), rank, |out, (a, d, w)| {
+                out.push('[');
+                write_u64(out, *a as u64);
+                out.push(',');
+                write_str(out, wire::direction_str(*d));
+                out.push(',');
+                write_num(out, *w);
+                out.push(']');
+            });
+            if let Some(t) = tie {
+                write_str(o.key("tie"), t);
+            }
+            write_u64(o.key("top"), top as u64);
+        });
+        parse(&element).expect("the writer writes JSON")
     }
 
     /// Fetch `/stats` as parsed JSON.
@@ -542,9 +538,8 @@ mod tests {
             queries: AtomicU64::new(0),
             cost_units: AtomicU64::new(0),
         };
-        for (queries, cost_units) in [(7, 9), (5, 6)] {
-            let ledger = wire::ledger_json(queries, cost_units);
-            adapter.absorb_ledger(&Json::obj(vec![("ledger", ledger)]));
+        for ledger in [(7, 9), (5, 6)] {
+            adapter.absorb_ledger(&parse(&wire::seq_reply(0, ledger)).unwrap());
         }
         assert_eq!(adapter.queries_issued(), 7);
         assert_eq!(adapter.cost_units_issued(), 9);

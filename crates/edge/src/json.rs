@@ -14,11 +14,12 @@
 //!   values produce identical bytes on every platform.
 //!
 //! The number and escape rules live in one writer (`write_num`,
-//! `write_str`) that [`Json::encode`] runs on, and the grammar in one
-//! pull `Reader` that [`parse`] runs on. `crate::wire` writes and reads
-//! its per-call bodies through the same two without building a [`Json`]
-//! tree, so those bodies are byte for byte what the tree would encode, and
-//! are refused exactly where the tree would refuse them.
+//! `write_str`, objects through `write_obj`) that [`Json::encode`] runs on,
+//! and the grammar in one pull `Reader` that [`parse`] runs on. The edge
+//! writes every body through that writer without building a [`Json`] tree,
+//! so each is byte for byte what the tree would encode, and reads its
+//! per-call bodies through the reader, refused exactly where the tree
+//! would refuse them.
 //!
 //! `write_num` does not go through `Display` and its formatting
 //! machinery: an integer below 2^53 is written from its digits, and any
@@ -143,7 +144,8 @@ impl Json {
         s
     }
 
-    fn encode_into(&self, out: &mut String) {
+    /// Append the compact encoding to `out`.
+    pub(crate) fn encode_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => write_bool(out, *b),
@@ -283,22 +285,33 @@ pub(crate) fn write_arr<T>(
     out.push(']');
 }
 
-/// An object being written: each [`ObjWriter::key`] starts a member whose
-/// value the caller then writes. Members must come in ascending key order,
-/// the order a [`Json::Obj`] encodes in, so that what is written here is
-/// byte for byte the tree's encoding; debug builds assert it.
+/// Append an object whose members `members` writes through an
+/// [`ObjWriter`].
+pub(crate) fn write_obj(out: &mut String, members: impl FnOnce(&mut ObjWriter)) {
+    out.push('{');
+    members(&mut ObjWriter { out, last: None });
+    out.push('}');
+}
+
+/// A body: the object whose members `members` writes, in a `String` that
+/// reserves `capacity` bytes up front.
+pub(crate) fn object(capacity: usize, members: impl FnOnce(&mut ObjWriter)) -> String {
+    let mut out = String::with_capacity(capacity);
+    write_obj(&mut out, members);
+    out
+}
+
+/// An object's members being written: each [`ObjWriter::key`] starts a
+/// member whose value the caller then writes. Members must come in
+/// ascending key order, the order a [`Json::Obj`] encodes in, so that what
+/// is written here is byte for byte the tree's encoding; debug builds
+/// assert it.
 pub(crate) struct ObjWriter<'a> {
     out: &'a mut String,
     last: Option<&'static str>,
 }
 
-impl<'a> ObjWriter<'a> {
-    /// Open an object on `out`.
-    pub(crate) fn new(out: &'a mut String) -> Self {
-        out.push('{');
-        ObjWriter { out, last: None }
-    }
-
+impl ObjWriter<'_> {
     /// Start the member `key` (a plain ASCII name, after every key before
     /// it) and return the buffer its value goes into.
     pub(crate) fn key(&mut self, key: &'static str) -> &mut String {
@@ -317,11 +330,6 @@ impl<'a> ObjWriter<'a> {
         self.out.push_str(key);
         self.out.push_str("\":");
         self.out
-    }
-
-    /// Close the object.
-    pub(crate) fn end(self) {
-        self.out.push('}');
     }
 }
 

@@ -27,12 +27,10 @@
 //!   exactly even across dropped connections. Connections are reused,
 //!   requests never re-sent.
 //!
-//! The JSON is hand-rolled ([`json`]). The per-call bodies — a remote
-//! site's `/site/query`, `/site/page` and `/site/ordered` requests and
-//! their replies, paid once per site query, and the `/v1/rerank` reply —
-//! are written and read in place ([`wire`]) with no JSON tree on the way,
-//! byte for byte what the tree would encode; the rest goes through
-//! [`Json`].
+//! The JSON is hand-rolled ([`json`]). Every body is written in place
+//! ([`wire`]) with no JSON tree on the way, byte for byte what the tree
+//! would encode; the per-call bodies, paid once per site query, are read
+//! in place too, and the rest is read as a [`Json`] tree.
 //!
 //! The proof of the layer is the loopback round-trip (see
 //! `tests/edge_loopback.rs` at the workspace root): a `SimServer` served

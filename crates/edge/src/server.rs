@@ -56,11 +56,9 @@
 //! the site's **cumulative** ledgers, so a client that missed a response
 //! reconciles exactly from the next one it sees.
 //!
-//! The per-call bodies — the `/site/query`, `/site/page` and
-//! `/site/ordered` requests and their `200` replies, and the `200` reply to
-//! `/v1/rerank` — are read and written in place by [`crate::wire`], with
-//! no JSON tree, byte for byte what the tree would encode; every other body
-//! goes through the tree.
+//! Every body is written in place by `json`'s writer, with no JSON tree;
+//! the `/site/*` requests are read in place ([`crate::wire`]) and the
+//! `/v1/rerank` request as a tree.
 //!
 //! ## Admission order (the part that must not charge)
 //!
@@ -83,7 +81,7 @@
 //! 5. **charge** — the summed per-session ledgers land on the tenant.
 
 use crate::http::{request_from, response_frame, says_close, Conn, Request, Response};
-use crate::json::{parse, Json, ParseError};
+use crate::json::{object, parse, write_arr, write_obj, write_str, write_u64, Json, ParseError};
 use crate::wire;
 use parking_lot::Mutex;
 use qrs_exec::Executor;
@@ -140,14 +138,6 @@ impl Default for EdgeConfig {
     }
 }
 
-/// One tenant's cumulative spend, charged after each served batch from
-/// the same in-lock session ledgers the service stats use.
-#[derive(Debug, Clone, Copy, Default)]
-struct TenantLedger {
-    queries: u64,
-    cost_units: u64,
-}
-
 /// A live connection as everyone but its worker sees it.
 struct Live {
     /// A second handle to the socket, to shut it down with.
@@ -175,7 +165,10 @@ struct Shared {
     exec: Arc<Executor>,
     config: EdgeConfig,
     inflight: AtomicU64,
-    tenants: Mutex<BTreeMap<String, TenantLedger>>,
+    /// Each tenant's cumulative `(queries, cost_units)`, charged after each
+    /// served batch from the same in-lock session ledgers the service stats
+    /// use. A tenant is put on the books when its first batch is admitted.
+    tenants: Mutex<BTreeMap<String, (u64, u64)>>,
     admitted: AtomicU64,
     rejected: AtomicU64,
     /// Connections accepted and requests read off them, since birth.
@@ -423,14 +416,13 @@ fn route(req: &Request, shared: &Shared) -> Response {
 }
 
 pub(crate) fn error_response(status: u16, code: &str, message: String) -> Response {
-    let body = Json::obj(vec![(
-        "error",
-        Json::obj(vec![
-            ("code", Json::str(code)),
-            ("message", Json::str(message)),
-        ]),
-    )]);
-    Response::json(status, body.encode())
+    let body = object(0, |o| {
+        write_obj(o.key("error"), |o| {
+            write_str(o.key("code"), code);
+            write_str(o.key("message"), &message);
+        })
+    });
+    Response::json(status, body)
 }
 
 // ------------------------------------------------------------ /site/*
@@ -585,7 +577,7 @@ fn site_mutations(req: &Request, shared: &Shared) -> Response {
 
 // --------------------------------------------------------- /v1/rerank
 
-fn admission_reject(shared: &Shared, tenant_spend: TenantLedger, reason: &str) -> Response {
+fn admission_reject(shared: &Shared, tenant: (u64, u64), reason: &str) -> Response {
     shared.rejected.fetch_add(1, Ordering::Relaxed);
     let obs = shared.svc.observer();
     if obs.enabled() {
@@ -597,7 +589,6 @@ fn admission_reject(shared: &Shared, tenant_spend: TenantLedger, reason: &str) -
             },
         );
     }
-    let tenant = (tenant_spend.queries, tenant_spend.cost_units);
     refusal(reason, shared.config.retry_after_ms, tenant)
 }
 
@@ -605,24 +596,18 @@ fn admission_reject(shared: &Shared, tenant_spend: TenantLedger, reason: &str) -
 /// `"admission"` with its reason and retry hint, and the tenant's ledger as
 /// it stands, since nothing was charged.
 pub(crate) fn refusal(reason: &str, retry_after_ms: u64, tenant: (u64, u64)) -> Response {
-    let ms = retry_after_ms;
-    let body = Json::obj(vec![
-        (
-            "error",
-            Json::obj(vec![
-                ("code", Json::str("admission")),
-                ("reason", Json::str(reason)),
-                ("retry_after_ms", Json::u64(ms)),
-                (
-                    "message",
-                    Json::str(format!("admission refused ({reason}); nothing was charged")),
-                ),
-            ]),
-        ),
-        ("tenant", wire::ledger_json(tenant.0, tenant.1)),
-    ]);
-    Response::json(429, body.encode())
-        .with_header("retry-after", ms.div_ceil(1000).max(1).to_string())
+    let body = object(0, |o| {
+        write_obj(o.key("error"), |o| {
+            write_str(o.key("code"), "admission");
+            let message = format!("admission refused ({reason}); nothing was charged");
+            write_str(o.key("message"), &message);
+            write_str(o.key("reason"), reason);
+            write_u64(o.key("retry_after_ms"), retry_after_ms);
+        });
+        wire::write_ledger(o.key("tenant"), tenant);
+    });
+    let retry_after = retry_after_ms.div_ceil(1000).max(1).to_string();
+    Response::json(429, body).with_header("retry-after", retry_after)
 }
 
 fn decode_batch_request(v: &Json, shared: &Shared) -> Result<BatchRequest, String> {
@@ -680,6 +665,16 @@ fn decode_batch_request(v: &Json, shared: &Shared) -> Result<BatchRequest, Strin
     Ok(req)
 }
 
+/// Where `tenant` stands on the books: its cumulative `(queries,
+/// cost_units)`, `(0, 0)` if it is not on them yet, or `None` if it is not
+/// and they are full.
+fn standing(tenants: &BTreeMap<String, (u64, u64)>, tenant: &str) -> Option<(u64, u64)> {
+    match tenants.get(tenant) {
+        Some(spend) => Some(*spend),
+        None => (tenants.len() < MAX_TENANTS).then_some((0, 0)),
+    }
+}
+
 fn rerank(req: &Request, shared: &Shared) -> Response {
     let tenant = req.header("x-tenant").unwrap_or("anonymous");
     // The header is a map key chosen by the caller: bound it, and the map.
@@ -688,26 +683,17 @@ fn rerank(req: &Request, shared: &Shared) -> Response {
         let rule = format!("x-tenant must be 1..={MAX_TENANT_BYTES} visible ASCII bytes");
         return error_response(400, "invalid_request", rule);
     }
-    let spend = {
-        let mut tenants = shared.tenants.lock();
-        if !tenants.contains_key(tenant) && tenants.len() >= MAX_TENANTS {
-            drop(tenants);
-            return admission_reject(shared, TenantLedger::default(), "tenant_table_full");
-        }
-        *tenants.entry(tenant.to_string()).or_default()
+    let standing = standing(&shared.tenants.lock(), tenant);
+    let Some((queries, cost)) = standing else {
+        return admission_reject(shared, (0, 0), "tenant_table_full");
     };
     // Gate 1: tenant budgets — checked against *cumulative* spend, so a
     // tenant over either cap is refused before any query is issued.
-    let over_queries = shared
-        .config
-        .tenant_query_budget
-        .is_some_and(|cap| spend.queries >= cap);
-    let over_cost = shared
-        .config
-        .tenant_cost_budget
-        .is_some_and(|cap| spend.cost_units >= cap);
+    let config = &shared.config;
+    let over_queries = config.tenant_query_budget.is_some_and(|cap| queries >= cap);
+    let over_cost = config.tenant_cost_budget.is_some_and(|cap| cost >= cap);
     if over_queries || over_cost {
-        return admission_reject(shared, spend, "tenant_budget");
+        return admission_reject(shared, (queries, cost), "tenant_budget");
     }
     // Gate 2: the in-flight cap, taken atomically so a storm of
     // concurrent batches cannot race past it.
@@ -719,7 +705,7 @@ fn rerank(req: &Request, shared: &Shared) -> Response {
         })
         .is_ok();
     if !admitted {
-        return admission_reject(shared, spend, "capacity");
+        return admission_reject(shared, (queries, cost), "capacity");
     }
     // From here on the slot must be released on every path, a panic's too.
     let _slot = OnDrop(|| {
@@ -746,6 +732,16 @@ fn rerank_admitted(req: &Request, shared: &Shared, tenant: &str) -> Response {
         Ok(b) => b,
         Err(e) => return error_response(400, "invalid_request", e),
     };
+    // Admitted: only now does the tenant go on the books, so a refused
+    // request leaves none behind, and the cap is checked again under the
+    // lock that books it.
+    let mut tenants = shared.tenants.lock();
+    if standing(&tenants, tenant).is_none() {
+        drop(tenants);
+        return admission_reject(shared, (0, 0), "tenant_table_full");
+    }
+    tenants.entry(tenant.to_string()).or_default();
+    drop(tenants);
     shared.admitted.fetch_add(1, Ordering::Relaxed);
     let obs = shared.svc.observer();
     if obs.enabled() {
@@ -768,25 +764,23 @@ fn rerank_admitted(req: &Request, shared: &Shared, tenant: &str) -> Response {
     let after = {
         let mut tenants = shared.tenants.lock();
         let ledger = tenants.entry(tenant.to_string()).or_default();
-        ledger.queries += queries;
-        ledger.cost_units += cost_units;
+        *ledger = (ledger.0 + queries, ledger.1 + cost_units);
         *ledger
     };
-    let tenant = (after.queries, after.cost_units);
-    Response::json(200, wire::rerank_reply(&outcomes, tenant))
+    Response::json(200, wire::rerank_reply(&outcomes, after))
 }
 
 // -------------------------------------------------------------- /stats
 
 fn stats(shared: &Shared) -> Response {
     let service = shared.svc.stats();
-    let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
     let edge = [
-        count(&shared.admitted),
-        count(&shared.rejected),
-        count(&shared.connections),
-        count(&shared.requests),
-    ];
+        &shared.admitted,
+        &shared.rejected,
+        &shared.connections,
+        &shared.requests,
+    ]
+    .map(|counter| counter.load(Ordering::Relaxed));
     let plane = shared.svc.knowledge_plane().map(|p| p.stats());
     let monitor = shared.svc.monitor_report();
     Response::json(200, stats_reply(&service, edge, plane.as_ref(), &monitor))
@@ -796,61 +790,48 @@ fn stats(shared: &Shared) -> Response {
 /// admitted, rejected, connections and requests counters, in that order.
 pub(crate) fn stats_reply(
     s: &StatsSnapshot,
-    edge: [u64; 4],
+    [admitted, rejected, connections, requests]: [u64; 4],
     plane: Option<&PlaneStats>,
     monitor: &MonitorReport,
 ) -> String {
-    let service = Json::obj(vec![
-        ("sessions_started", Json::u64(s.sessions_started)),
-        ("tuples_emitted", Json::u64(s.tuples_emitted)),
-        ("queries_spent", Json::u64(s.queries_spent)),
-        ("cost_units_spent", Json::u64(s.cost_units_spent)),
-        ("queries_saved", Json::u64(s.queries_saved)),
-        ("cost_units_saved", Json::u64(s.cost_units_saved)),
-        ("retries_spent", Json::u64(s.retries_spent)),
-        ("batches_served", Json::u64(s.batches_served)),
-        ("requests_served", Json::u64(s.requests_served)),
-    ]);
-    let [admitted, rejected, connections, requests] = edge.map(Json::u64);
-    let edge = Json::obj(vec![
-        ("admitted", admitted),
-        ("rejected", rejected),
-        ("connections", connections),
-        ("requests", requests),
-    ]);
-    let mut members = vec![("service", service), ("edge", edge)];
-    if let Some(p) = plane {
-        members.push((
-            "knowledge",
-            Json::obj(vec![
-                ("sources", Json::u64(p.sources)),
-                ("result_hits", Json::u64(p.result_hits)),
-            ]),
-        ));
-    }
-    members.push((
-        "monitor",
-        Json::Arr(
-            monitor
-                .rows
-                .iter()
-                .map(|r| {
-                    Json::obj(vec![
-                        ("site", Json::str(r.site.clone())),
-                        ("strategy", Json::str(r.strategy.clone())),
-                        ("sessions", Json::u64(r.sessions)),
-                        ("predicted_queries", Json::u64(r.predicted_queries)),
-                        ("predicted_cost_units", Json::u64(r.predicted_cost_units)),
-                        ("actual_queries", Json::u64(r.actual_queries)),
-                        ("actual_cost_units", Json::u64(r.actual_cost_units)),
-                        ("saved_queries", Json::u64(r.saved_queries)),
-                        ("saved_cost_units", Json::u64(r.saved_cost_units)),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    Json::obj(members).encode()
+    object(0, |o| {
+        write_obj(o.key("edge"), |o| {
+            write_u64(o.key("admitted"), admitted);
+            write_u64(o.key("connections"), connections);
+            write_u64(o.key("rejected"), rejected);
+            write_u64(o.key("requests"), requests);
+        });
+        if let Some(p) = plane {
+            write_obj(o.key("knowledge"), |o| {
+                write_u64(o.key("result_hits"), p.result_hits);
+                write_u64(o.key("sources"), p.sources);
+            });
+        }
+        write_arr(o.key("monitor"), &monitor.rows, |out, r| {
+            write_obj(out, |o| {
+                write_u64(o.key("actual_cost_units"), r.actual_cost_units);
+                write_u64(o.key("actual_queries"), r.actual_queries);
+                write_u64(o.key("predicted_cost_units"), r.predicted_cost_units);
+                write_u64(o.key("predicted_queries"), r.predicted_queries);
+                write_u64(o.key("saved_cost_units"), r.saved_cost_units);
+                write_u64(o.key("saved_queries"), r.saved_queries);
+                write_u64(o.key("sessions"), r.sessions);
+                write_str(o.key("site"), &r.site);
+                write_str(o.key("strategy"), &r.strategy);
+            })
+        });
+        write_obj(o.key("service"), |o| {
+            write_u64(o.key("batches_served"), s.batches_served);
+            write_u64(o.key("cost_units_saved"), s.cost_units_saved);
+            write_u64(o.key("cost_units_spent"), s.cost_units_spent);
+            write_u64(o.key("queries_saved"), s.queries_saved);
+            write_u64(o.key("queries_spent"), s.queries_spent);
+            write_u64(o.key("requests_served"), s.requests_served);
+            write_u64(o.key("retries_spent"), s.retries_spent);
+            write_u64(o.key("sessions_started"), s.sessions_started);
+            write_u64(o.key("tuples_emitted"), s.tuples_emitted);
+        });
+    })
 }
 
 #[cfg(test)]

@@ -1,20 +1,19 @@
 //! The wire vocabulary: domain types ⇄ JSON, and the error ⇄ status map.
 //!
-//! Every encoder here has a decoder that reconstructs the domain value
+//! Every writer here has a decoder that reconstructs the domain value
 //! *exactly* — ordinal values ride as shortest-round-trip decimals
 //! ([`crate::json`]), so a `Tuple` that crosses the wire twice is
 //! bit-identical to the original. That exactness is what lets the loopback
 //! test assert byte-identical result streams rather than "close enough".
 //!
-//! The per-call bodies — the `/site/query`, `/site/page` and
-//! `/site/ordered` requests and their `200` replies, and the `200` reply to
-//! `/v1/rerank` — are written and read in place, straight between the
-//! domain types and text through [`crate::json`]'s writer and pull reader,
-//! with no [`Json`] tree on the way. Their bytes are byte for byte what the
-//! tree forms here encode to, and a body is refused exactly where the tree
-//! decoders refuse it (both are tested against each other). Cold bodies —
-//! capabilities, schema, mutation logs, stats, error bodies and the
-//! `/v1/rerank` request — stay on the tree.
+//! Every body is written straight from the domain types into text by
+//! [`crate::json`]'s writer, with no [`Json`] tree on the way, byte for
+//! byte what the tree would encode; a recorded corpus pins each kind's
+//! bytes (`tests/golden/wire_bodies.txt`). The per-call bodies — the
+//! `/site/query`, `/site/page` and `/site/ordered` requests and their `200`
+//! replies, and the `200` reply to `/v1/rerank` — are read in place too, and
+//! refused exactly where the tree decoders here refuse them (both are
+//! tested against each other); the rest is read as a tree.
 //!
 //! Decoding is strict: a missing or ill-typed member is a typed error
 //! (`Err(String)` naming the member), which the server half maps to a
@@ -33,7 +32,8 @@
 
 use crate::http::Response;
 use crate::json::{
-    write_arr, write_bool, write_num, write_str, write_u64, Json, ObjWriter, ParseError, Reader,
+    object, parse, write_arr, write_bool, write_num, write_obj, write_str, write_u64, Json,
+    ParseError, Reader,
 };
 use qrs_server::{Capabilities, OrderedPage};
 use qrs_service::{BatchOutcome, SessionStats};
@@ -84,40 +84,15 @@ fn want_bool(v: &Json, key: &str) -> WireResult<bool> {
 
 // ---------------------------------------------------------------- ledgers
 
-/// The cumulative-ledger object every `/site/*` response carries:
-/// `{queries, cost_units}`, total since the server started. Cumulative —
-/// not per-request — so a client that missed a response (dropped
-/// connection) reconciles exactly from the next one it does see.
-pub fn ledger_json(queries: u64, cost_units: u64) -> Json {
-    Json::obj(vec![
-        ("queries", Json::u64(queries)),
-        ("cost_units", Json::u64(cost_units)),
-    ])
-}
-
-/// Decode a ledger object back into `(queries, cost_units)`.
+/// Decode the cumulative-ledger object every `/site/*` response carries
+/// (`{cost_units, queries}`) into `(queries, cost_units)`.
 pub fn ledger_from_json(v: &Json) -> WireResult<(u64, u64)> {
     Ok((want_u64(v, "queries")?, want_u64(v, "cost_units")?))
 }
 
 // ---------------------------------------------------------------- tuples
 
-/// Encode one tuple: `{id, ords, cats}`.
-pub fn tuple_to_json(t: &Tuple) -> Json {
-    Json::obj(vec![
-        ("id", Json::u64(t.id.0 as u64)),
-        (
-            "ords",
-            Json::Arr(t.ords().iter().map(|v| Json::Num(*v)).collect()),
-        ),
-        (
-            "cats",
-            Json::Arr(t.cats().iter().map(|c| Json::u64(*c as u64)).collect()),
-        ),
-    ])
-}
-
-/// Decode one tuple.
+/// Decode one tuple: `{cats, id, ords}`.
 pub fn tuple_from_json(v: &Json) -> WireResult<Tuple> {
     let id = want_u64(v, "id")?;
     if id > u32::MAX as u64 {
@@ -141,14 +116,6 @@ pub fn tuple_from_json(v: &Json) -> WireResult<Tuple> {
 
 // ---------------------------------------------------------------- queries
 
-fn endpoint_to_json(e: Endpoint) -> Json {
-    match e {
-        Endpoint::Unbounded => Json::obj(vec![("kind", Json::str("unbounded"))]),
-        Endpoint::Open(v) => Json::obj(vec![("kind", Json::str("open")), ("v", Json::Num(v))]),
-        Endpoint::Closed(v) => Json::obj(vec![("kind", Json::str("closed")), ("v", Json::Num(v))]),
-    }
-}
-
 fn endpoint_from_json(v: &Json) -> WireResult<Endpoint> {
     match want_str(v, "kind")? {
         "unbounded" => Ok(Endpoint::Unbounded),
@@ -158,18 +125,14 @@ fn endpoint_from_json(v: &Json) -> WireResult<Endpoint> {
     }
 }
 
-/// Encode a ranking direction: `"asc"` or `"desc"`.
-pub fn direction_to_json(d: Direction) -> Json {
-    Json::str(direction_str(d))
-}
-
 /// Decode a ranking direction; `None` for anything but `"asc"` or
 /// `"desc"`, so each caller names the member in its own error.
 pub fn direction_from_json(v: &Json) -> Option<Direction> {
     direction_from_str(v.as_str()?)
 }
 
-fn direction_str(d: Direction) -> &'static str {
+/// A ranking direction as the wire spells it: `"asc"` or `"desc"`.
+pub(crate) fn direction_str(d: Direction) -> &'static str {
     match d {
         Direction::Asc => "asc",
         Direction::Desc => "desc",
@@ -184,42 +147,12 @@ fn direction_from_str(s: &str) -> Option<Direction> {
     }
 }
 
-/// Encode a conjunctive query: `{ranges:[{attr,lo,hi}], cats:[{attr,codes}]}`.
+/// A conjunctive query as a tree: what the writer writes
+/// (`{cats:[{attr,codes}], ranges:[{attr,hi,lo}]}`), parsed.
 pub fn query_to_json(q: &Query) -> Json {
-    Json::obj(vec![
-        (
-            "ranges",
-            Json::Arr(
-                q.ranges()
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("attr", Json::u64(p.attr.0 as u64)),
-                            ("lo", endpoint_to_json(p.interval.lo)),
-                            ("hi", endpoint_to_json(p.interval.hi)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "cats",
-            Json::Arr(
-                q.cats()
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("attr", Json::u64(p.attr.0 as u64)),
-                            (
-                                "codes",
-                                Json::Arr(p.codes().iter().map(|c| Json::u64(*c as u64)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let mut out = String::new();
+    write_query(&mut out, q);
+    parse(&out).expect("the writer writes JSON")
 }
 
 /// Decode a conjunctive query.
@@ -251,50 +184,31 @@ pub fn query_from_json(v: &Json) -> WireResult<Query> {
 
 // ---------------------------------------------------------------- schema
 
-/// Encode a schema: ordinal and categorical attribute lists.
-pub fn schema_to_json(s: &Schema) -> Json {
-    Json::obj(vec![
-        (
-            "ordinal",
-            Json::Arr(
-                s.attr_ids()
-                    .map(|id| {
-                        let a = s.ordinal(id);
-                        let mut members = vec![
-                            ("name", Json::str(a.name.clone())),
-                            ("min", Json::Num(a.min)),
-                            ("max", Json::Num(a.max)),
-                            ("point_only", Json::Bool(a.point_only)),
-                        ];
-                        if let Some(values) = &a.values {
-                            members.push((
-                                "values",
-                                Json::Arr(values.iter().map(|v| Json::Num(*v)).collect()),
-                            ));
-                        }
-                        Json::obj(members)
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "categorical",
-            Json::Arr(
-                s.cat_ids()
-                    .map(|id| {
-                        let a = s.categorical(id);
-                        Json::obj(vec![
-                            ("name", Json::str(a.name.clone())),
-                            ("cardinality", Json::u64(a.cardinality as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn write_schema(out: &mut String, s: &Schema) {
+    write_obj(out, |o| {
+        write_arr(o.key("categorical"), s.cat_ids(), |out, id| {
+            let a = s.categorical(id);
+            write_obj(out, |o| {
+                write_u64(o.key("cardinality"), a.cardinality as u64);
+                write_str(o.key("name"), &a.name);
+            })
+        });
+        write_arr(o.key("ordinal"), s.attr_ids(), |out, id| {
+            let a = s.ordinal(id);
+            write_obj(out, |o| {
+                write_num(o.key("max"), a.max);
+                write_num(o.key("min"), a.min);
+                write_str(o.key("name"), &a.name);
+                write_bool(o.key("point_only"), a.point_only);
+                if let Some(values) = &a.values {
+                    write_arr(o.key("values"), values, |out, v| write_num(out, *v));
+                }
+            })
+        });
+    })
 }
 
-/// Decode a schema.
+/// Decode a schema: `{categorical, ordinal}`.
 pub fn schema_from_json(v: &Json) -> WireResult<Schema> {
     let ordinal = want_arr(v, "ordinal")?
         .iter()
@@ -358,25 +272,6 @@ fn filter_support_from_str(s: &str) -> WireResult<FilterSupport> {
     }
 }
 
-fn cost_model_to_json(c: &CostModel) -> Json {
-    Json::obj(vec![
-        ("base", Json::u64(c.base)),
-        ("point_predicate", Json::u64(c.point_predicate)),
-        ("range_predicate", Json::u64(c.range_predicate)),
-        ("ordered", Json::u64(c.ordered)),
-        ("paged", Json::u64(c.paged)),
-        (
-            "attr_surcharge",
-            Json::Arr(
-                c.attr_surcharge
-                    .iter()
-                    .map(|(a, u)| Json::Arr(vec![Json::u64(a.0 as u64), Json::u64(*u)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 fn cost_model_from_json(v: &Json) -> WireResult<CostModel> {
     let attr_surcharge = want_arr(v, "attr_surcharge")?
         .iter()
@@ -398,13 +293,6 @@ fn cost_model_from_json(v: &Json) -> WireResult<CostModel> {
     })
 }
 
-fn opt_usize_json(v: Option<usize>) -> Json {
-    match v {
-        Some(n) => Json::u64(n as u64),
-        None => Json::Null,
-    }
-}
-
 fn opt_usize_from_json(v: &Json, key: &str) -> WireResult<Option<usize>> {
     match v.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -415,33 +303,40 @@ fn opt_usize_from_json(v: &Json, key: &str) -> WireResult<Option<usize>> {
     }
 }
 
-/// Encode the advertised capabilities, cost model included.
-pub fn capabilities_to_json(c: &Capabilities) -> Json {
-    Json::obj(vec![
-        ("paging", Json::Bool(c.paging)),
-        (
-            "order_by",
-            Json::Arr(c.order_by.iter().map(|a| Json::u64(a.0 as u64)).collect()),
-        ),
-        ("max_pages", opt_usize_json(c.max_pages)),
-        ("max_predicates", opt_usize_json(c.max_predicates)),
-        (
-            "filters",
-            Json::Arr(
-                c.filters
-                    .iter()
-                    .map(|(a, s)| {
-                        Json::Arr(vec![
-                            Json::u64(a.0 as u64),
-                            Json::str(filter_support_str(*s)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("cost", cost_model_to_json(&c.cost)),
-        ("mutation_feed", Json::Bool(c.mutation_feed)),
-    ])
+fn write_capabilities(out: &mut String, c: &Capabilities) {
+    let opt_usize = |out: &mut String, n: Option<usize>| match n {
+        Some(n) => write_u64(out, n as u64),
+        None => out.push_str("null"),
+    };
+    let cost = &c.cost;
+    write_obj(out, |o| {
+        write_obj(o.key("cost"), |o| {
+            write_arr(
+                o.key("attr_surcharge"),
+                &cost.attr_surcharge,
+                |out, (a, u)| write_arr(out, [a.0 as u64, *u], write_u64),
+            );
+            write_u64(o.key("base"), cost.base);
+            write_u64(o.key("ordered"), cost.ordered);
+            write_u64(o.key("paged"), cost.paged);
+            write_u64(o.key("point_predicate"), cost.point_predicate);
+            write_u64(o.key("range_predicate"), cost.range_predicate);
+        });
+        write_arr(o.key("filters"), &c.filters, |out, (a, s)| {
+            out.push('[');
+            write_u64(out, a.0 as u64);
+            out.push(',');
+            write_str(out, filter_support_str(*s));
+            out.push(']');
+        });
+        opt_usize(o.key("max_pages"), c.max_pages);
+        opt_usize(o.key("max_predicates"), c.max_predicates);
+        write_bool(o.key("mutation_feed"), c.mutation_feed);
+        write_arr(o.key("order_by"), &c.order_by, |out, a| {
+            write_u64(out, a.0 as u64)
+        });
+        write_bool(o.key("paging"), c.paging);
+    })
 }
 
 /// Decode the advertised capabilities.
@@ -498,15 +393,12 @@ fn outcome_from_str(s: &str) -> WireResult<QueryOutcome> {
     }
 }
 
-/// Encode a top-k response: `{tuples, outcome}`.
+/// A top-k response as a tree: what the writer writes (`{outcome,
+/// tuples}`), parsed.
 pub fn response_to_json(r: &QueryResponse) -> Json {
-    Json::obj(vec![
-        (
-            "tuples",
-            Json::Arr(r.tuples.iter().map(|t| tuple_to_json(t)).collect()),
-        ),
-        ("outcome", Json::str(outcome_str(r.outcome))),
-    ])
+    let mut out = String::new();
+    write_response(&mut out, r);
+    parse(&out).expect("the writer writes JSON")
 }
 
 /// Decode a top-k response.
@@ -521,34 +413,30 @@ pub fn response_from_json(v: &Json) -> WireResult<QueryResponse> {
     })
 }
 
-/// Encode a mutation log: `{deltas:[{seq, kind, ...}], gap}`.
-pub fn mutation_log_to_json(log: &MutationLog) -> Json {
-    Json::obj(vec![
-        (
-            "deltas",
-            Json::Arr(
-                log.deltas
-                    .iter()
-                    .map(|m| {
-                        let (kind, payload) = match &m.kind {
-                            MutationKind::Insert(t) => ("insert", tuple_to_json(t)),
-                            MutationKind::Update(t) => ("update", tuple_to_json(t)),
-                            MutationKind::Delete(id) => ("delete", Json::u64(id.0 as u64)),
-                        };
-                        Json::obj(vec![
-                            ("seq", Json::u64(m.seq)),
-                            ("kind", Json::str(kind)),
-                            ("payload", payload),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("gap", Json::Bool(log.gap)),
-    ])
+fn write_mutation_log(out: &mut String, log: &MutationLog) {
+    write_obj(out, |o| {
+        write_arr(o.key("deltas"), &log.deltas, |out, m| {
+            write_obj(out, |o| {
+                let kind = match &m.kind {
+                    MutationKind::Insert(_) => "insert",
+                    MutationKind::Update(_) => "update",
+                    MutationKind::Delete(_) => "delete",
+                };
+                write_str(o.key("kind"), kind);
+                match &m.kind {
+                    MutationKind::Insert(t) | MutationKind::Update(t) => {
+                        write_tuple(o.key("payload"), t)
+                    }
+                    MutationKind::Delete(id) => write_u64(o.key("payload"), id.0 as u64),
+                }
+                write_u64(o.key("seq"), m.seq);
+            })
+        });
+        write_bool(o.key("gap"), log.gap);
+    })
 }
 
-/// Decode a mutation log.
+/// Decode a mutation log: `{deltas:[{kind, payload, seq}], gap}`.
 pub fn mutation_log_from_json(v: &Json) -> WireResult<MutationLog> {
     let deltas = want_arr(v, "deltas")?
         .iter()
@@ -586,61 +474,53 @@ pub fn capabilities_reply(
     seq: u64,
     ledger: (u64, u64),
 ) -> String {
-    Json::obj(vec![
-        ("schema", schema_to_json(schema)),
-        ("k", Json::u64(k as u64)),
-        ("capabilities", capabilities_to_json(caps)),
-        ("seq", Json::u64(seq)),
-        ("ledger", ledger_json(ledger.0, ledger.1)),
-    ])
-    .encode()
+    object(0, |o| {
+        write_capabilities(o.key("capabilities"), caps);
+        write_u64(o.key("k"), k as u64);
+        write_ledger(o.key("ledger"), ledger);
+        write_schema(o.key("schema"), schema);
+        write_u64(o.key("seq"), seq);
+    })
 }
 
 /// The `200` reply to `/site/seq`: `{ledger, seq}`.
 pub fn seq_reply(seq: u64, ledger: (u64, u64)) -> String {
-    Json::obj(vec![
-        ("seq", Json::u64(seq)),
-        ("ledger", ledger_json(ledger.0, ledger.1)),
-    ])
-    .encode()
+    object(0, |o| {
+        write_ledger(o.key("ledger"), ledger);
+        write_u64(o.key("seq"), seq);
+    })
 }
 
 /// The `200` reply to `/site/mutations`: `{ledger, log}`.
 pub fn mutations_reply(log: &MutationLog, ledger: (u64, u64)) -> String {
-    Json::obj(vec![
-        ("log", mutation_log_to_json(log)),
-        ("ledger", ledger_json(ledger.0, ledger.1)),
-    ])
-    .encode()
+    object(0, |o| {
+        write_ledger(o.key("ledger"), ledger);
+        write_mutation_log(o.key("log"), log);
+    })
 }
 
 // ----------------------------------------------------------------- errors
 
-fn capability_to_json(c: Capability) -> Json {
-    match c {
-        Capability::Paging => Json::obj(vec![("kind", Json::str("paging"))]),
-        Capability::MutationFeed => Json::obj(vec![("kind", Json::str("mutation_feed"))]),
-        Capability::OrderBy(a) => Json::obj(vec![
-            ("kind", Json::str("order_by")),
-            ("attr", Json::u64(a.0 as u64)),
-        ]),
-        Capability::RangeFilter(a) => Json::obj(vec![
-            ("kind", Json::str("range_filter")),
-            ("attr", Json::u64(a.0 as u64)),
-        ]),
-        Capability::PointFilter(a) => Json::obj(vec![
-            ("kind", Json::str("point_filter")),
-            ("attr", Json::u64(a.0 as u64)),
-        ]),
-        Capability::PredicateArity(n) => Json::obj(vec![
-            ("kind", Json::str("predicate_arity")),
-            ("n", Json::u64(n as u64)),
-        ]),
-        Capability::PageDepth(n) => Json::obj(vec![
-            ("kind", Json::str("page_depth")),
-            ("n", Json::u64(n as u64)),
-        ]),
-    }
+/// A capability: `{attr, kind}`, `{kind, n}` or `{kind}`.
+fn write_capability(out: &mut String, c: Capability) {
+    let (kind, attr, n) = match c {
+        Capability::Paging => ("paging", None, None),
+        Capability::MutationFeed => ("mutation_feed", None, None),
+        Capability::OrderBy(a) => ("order_by", Some(a), None),
+        Capability::RangeFilter(a) => ("range_filter", Some(a), None),
+        Capability::PointFilter(a) => ("point_filter", Some(a), None),
+        Capability::PredicateArity(n) => ("predicate_arity", None, Some(n)),
+        Capability::PageDepth(n) => ("page_depth", None, Some(n)),
+    };
+    write_obj(out, |o| {
+        if let Some(a) = attr {
+            write_u64(o.key("attr"), a.0 as u64);
+        }
+        write_str(o.key("kind"), kind);
+        if let Some(n) = n {
+            write_u64(o.key("n"), n as u64);
+        }
+    })
 }
 
 fn capability_from_json(v: &Json) -> WireResult<Capability> {
@@ -671,30 +551,28 @@ pub fn server_error_status(e: &ServerError) -> u16 {
     }
 }
 
-/// Encode a server-side failure as a typed error object.
-pub fn server_error_to_json(e: &ServerError) -> Json {
-    let mut members = vec![("message", Json::str(e.to_string()))];
-    match e {
-        ServerError::RateLimited { retry_after_ms } => {
-            members.push(("code", Json::str("rate_limited")));
-            if let Some(ms) = retry_after_ms {
-                members.push(("retry_after_ms", Json::u64(*ms)));
-            }
+/// A server-side failure as a typed error object: `{capability?, code,
+/// message, reason?, retry_after_ms?}`.
+fn write_server_error(out: &mut String, e: &ServerError) {
+    let (code, reason, retry_after_ms) = match e {
+        ServerError::RateLimited { retry_after_ms } => ("rate_limited", None, *retry_after_ms),
+        ServerError::Unavailable { reason } => ("unavailable", Some(reason), None),
+        ServerError::Unsupported(_) => ("unsupported", None, None),
+        ServerError::InvalidQuery { reason } => ("invalid_query", Some(reason), None),
+    };
+    write_obj(out, |o| {
+        if let ServerError::Unsupported(c) = e {
+            write_capability(o.key("capability"), *c);
         }
-        ServerError::Unavailable { reason } => {
-            members.push(("code", Json::str("unavailable")));
-            members.push(("reason", Json::str(reason.clone())));
+        write_str(o.key("code"), code);
+        write_str(o.key("message"), &e.to_string());
+        if let Some(reason) = reason {
+            write_str(o.key("reason"), reason);
         }
-        ServerError::Unsupported(c) => {
-            members.push(("code", Json::str("unsupported")));
-            members.push(("capability", capability_to_json(*c)));
+        if let Some(ms) = retry_after_ms {
+            write_u64(o.key("retry_after_ms"), ms);
         }
-        ServerError::InvalidQuery { reason } => {
-            members.push(("code", Json::str("invalid_query")));
-            members.push(("reason", Json::str(reason.clone())));
-        }
-    }
-    Json::obj(members)
+    })
 }
 
 /// Decode a typed error object back into the exact [`ServerError`].
@@ -722,11 +600,11 @@ pub fn server_error_from_json(v: &Json) -> WireResult<ServerError> {
 /// a `Retry-After` header (ceiling-rounded to whole seconds, as the
 /// header speaks seconds while the body keeps millisecond precision).
 pub fn server_error_response(e: &ServerError, ledger: (u64, u64)) -> Response {
-    let body = Json::obj(vec![
-        ("error", server_error_to_json(e)),
-        ("ledger", ledger_json(ledger.0, ledger.1)),
-    ]);
-    let mut resp = Response::json(server_error_status(e), body.encode());
+    let body = object(0, |o| {
+        write_server_error(o.key("error"), e);
+        write_ledger(o.key("ledger"), ledger);
+    });
+    let mut resp = Response::json(server_error_status(e), body);
     if let ServerError::RateLimited {
         retry_after_ms: Some(ms),
     } = e
@@ -855,11 +733,15 @@ fn read_code(r: &mut Reader) -> Read<u32> {
         .ok_or_else(|| "bad categorical code".into()))
 }
 
-fn write_ledger(out: &mut String, (queries, cost_units): (u64, u64)) {
-    let mut o = ObjWriter::new(out);
-    write_u64(o.key("cost_units"), cost_units);
-    write_u64(o.key("queries"), queries);
-    o.end();
+/// The cumulative-ledger object every `/site/*` response carries:
+/// `{cost_units, queries}`, total since the server started. Cumulative —
+/// not per-request — so a client that missed a response (dropped
+/// connection) reconciles exactly from the next one it does see.
+pub(crate) fn write_ledger(out: &mut String, (queries, cost_units): (u64, u64)) {
+    write_obj(out, |o| {
+        write_u64(o.key("cost_units"), cost_units);
+        write_u64(o.key("queries"), queries);
+    })
 }
 
 fn read_ledger(r: &mut Reader) -> Read<(u64, u64)> {
@@ -880,11 +762,11 @@ fn read_ledger(r: &mut Reader) -> Read<(u64, u64)> {
 }
 
 fn write_tuple(out: &mut String, t: &Tuple) {
-    let mut o = ObjWriter::new(out);
-    write_arr(o.key("cats"), t.cats(), |out, c| write_u64(out, *c as u64));
-    write_u64(o.key("id"), t.id.0 as u64);
-    write_arr(o.key("ords"), t.ords(), |out, v| write_num(out, *v));
-    o.end();
+    write_obj(out, |o| {
+        write_arr(o.key("cats"), t.cats(), |out, c| write_u64(out, *c as u64));
+        write_u64(o.key("id"), t.id.0 as u64);
+        write_arr(o.key("ords"), t.ords(), |out, v| write_num(out, *v));
+    })
 }
 
 fn read_tuple(r: &mut Reader) -> Read<Tuple> {
@@ -913,28 +795,22 @@ fn read_tuple(r: &mut Reader) -> Read<Tuple> {
     })())
 }
 
-fn write_tuples(out: &mut String, tuples: &[Arc<Tuple>]) {
-    write_arr(out, tuples, |out, t| write_tuple(out, t));
-}
-
 fn read_tuples(r: &mut Reader) -> Read<Vec<Arc<Tuple>>> {
     read_vec(r, "tuples", |r| Ok(read_tuple(r)?.map(Arc::new)))
 }
 
 fn write_endpoint(out: &mut String, e: Endpoint) {
-    let mut o = ObjWriter::new(out);
-    match e {
-        Endpoint::Unbounded => write_str(o.key("kind"), "unbounded"),
-        Endpoint::Open(v) => {
-            write_str(o.key("kind"), "open");
+    let (kind, v) = match e {
+        Endpoint::Unbounded => ("unbounded", None),
+        Endpoint::Open(v) => ("open", Some(v)),
+        Endpoint::Closed(v) => ("closed", Some(v)),
+    };
+    write_obj(out, |o| {
+        write_str(o.key("kind"), kind);
+        if let Some(v) = v {
             write_num(o.key("v"), v);
         }
-        Endpoint::Closed(v) => {
-            write_str(o.key("kind"), "closed");
-            write_num(o.key("v"), v);
-        }
-    }
-    o.end();
+    })
 }
 
 fn read_endpoint(r: &mut Reader) -> Read<Endpoint> {
@@ -956,24 +832,24 @@ fn read_endpoint(r: &mut Reader) -> Read<Endpoint> {
     })())
 }
 
-fn write_query(out: &mut String, q: &Query) {
-    let mut o = ObjWriter::new(out);
-    write_arr(o.key("cats"), q.cats(), |out, p| {
-        let mut o = ObjWriter::new(out);
-        write_u64(o.key("attr"), p.attr.0 as u64);
-        write_arr(o.key("codes"), p.codes(), |out, c| {
-            write_u64(out, *c as u64)
+pub(crate) fn write_query(out: &mut String, q: &Query) {
+    write_obj(out, |o| {
+        write_arr(o.key("cats"), q.cats(), |out, p| {
+            write_obj(out, |o| {
+                write_u64(o.key("attr"), p.attr.0 as u64);
+                write_arr(o.key("codes"), p.codes(), |out, c| {
+                    write_u64(out, *c as u64)
+                });
+            })
         });
-        o.end();
-    });
-    write_arr(o.key("ranges"), q.ranges(), |out, p| {
-        let mut o = ObjWriter::new(out);
-        write_u64(o.key("attr"), p.attr.0 as u64);
-        write_endpoint(o.key("hi"), p.interval.hi);
-        write_endpoint(o.key("lo"), p.interval.lo);
-        o.end();
-    });
-    o.end();
+        write_arr(o.key("ranges"), q.ranges(), |out, p| {
+            write_obj(out, |o| {
+                write_u64(o.key("attr"), p.attr.0 as u64);
+                write_endpoint(o.key("hi"), p.interval.hi);
+                write_endpoint(o.key("lo"), p.interval.lo);
+            })
+        });
+    })
 }
 
 fn read_range(r: &mut Reader) -> Read<(AttrId, Interval)> {
@@ -1041,18 +917,16 @@ fn read_query(r: &mut Reader) -> Read<Query> {
 pub fn site_request(q: &Query, order: Option<(AttrId, Direction)>, page: Option<usize>) -> String {
     // About what a range and a categorical predicate take to write.
     let predicates = 104 * q.ranges().len() + 48 * q.cats().len();
-    let mut out = String::with_capacity(96 + predicates);
-    let mut o = ObjWriter::new(&mut out);
-    if let Some((attr, dir)) = order {
-        write_u64(o.key("attr"), attr.0 as u64);
-        write_str(o.key("dir"), direction_str(dir));
-    }
-    if let Some(page) = page {
-        write_u64(o.key("page"), page as u64);
-    }
-    write_query(o.key("query"), q);
-    o.end();
-    out
+    object(96 + predicates, |o| {
+        if let Some((attr, dir)) = order {
+            write_u64(o.key("attr"), attr.0 as u64);
+            write_str(o.key("dir"), direction_str(dir));
+        }
+        if let Some(page) = page {
+            write_u64(o.key("page"), page as u64);
+        }
+        write_query(o.key("query"), q);
+    })
 }
 
 /// A `/site/*` request body as read: each member as the last of its
@@ -1095,10 +969,10 @@ pub fn read_site_request(text: &str) -> Result<SiteRequest, ParseError> {
 }
 
 fn write_response(out: &mut String, r: &QueryResponse) {
-    let mut o = ObjWriter::new(out);
-    write_str(o.key("outcome"), outcome_str(r.outcome));
-    write_tuples(o.key("tuples"), &r.tuples);
-    o.end();
+    write_obj(out, |o| {
+        write_str(o.key("outcome"), outcome_str(r.outcome));
+        write_arr(o.key("tuples"), &r.tuples, |out, t| write_tuple(out, t));
+    })
 }
 
 /// Read a top-k response, as [`response_from_json`] decodes one.
@@ -1150,26 +1024,22 @@ fn reply_capacity(tuples: &[Arc<Tuple>]) -> usize {
 /// The `200` reply to `/site/query` or `/site/page`: `{ledger, response}`,
 /// the ledger the site's cumulative counters after the call.
 pub fn site_response_reply(r: &QueryResponse, ledger: (u64, u64)) -> String {
-    let mut out = String::with_capacity(reply_capacity(&r.tuples));
-    let mut o = ObjWriter::new(&mut out);
-    write_ledger(o.key("ledger"), ledger);
-    write_response(o.key("response"), r);
-    o.end();
-    out
+    object(reply_capacity(&r.tuples), |o| {
+        write_ledger(o.key("ledger"), ledger);
+        write_response(o.key("response"), r);
+    })
 }
 
 /// The `200` reply to `/site/ordered`: `{ledger, page}`, the page as
 /// `{has_more, tuples}`.
 pub fn site_page_reply(p: &OrderedPage, ledger: (u64, u64)) -> String {
-    let mut out = String::with_capacity(reply_capacity(&p.tuples));
-    let mut o = ObjWriter::new(&mut out);
-    write_ledger(o.key("ledger"), ledger);
-    let mut page = ObjWriter::new(o.key("page"));
-    write_bool(page.key("has_more"), p.has_more);
-    write_tuples(page.key("tuples"), &p.tuples);
-    page.end();
-    o.end();
-    out
+    object(reply_capacity(&p.tuples), |o| {
+        write_ledger(o.key("ledger"), ledger);
+        write_obj(o.key("page"), |o| {
+            write_bool(o.key("has_more"), p.has_more);
+            write_arr(o.key("tuples"), &p.tuples, |out, t| write_tuple(out, t));
+        })
+    })
 }
 
 /// A `200` `/site/*` reply as read: the cumulative ledger, if it decodes,
@@ -1248,48 +1118,48 @@ pub struct WireBatchReply {
 }
 
 fn write_stats(out: &mut String, s: &SessionStats) {
-    let mut o = ObjWriter::new(out);
-    write_u64(o.key("attempts_made"), s.attempts_made);
-    if let Some(limit) = s.budget_limit {
-        write_u64(o.key("budget_limit"), limit);
-    }
-    write_u64(o.key("cost_units_saved"), s.cost_units_saved);
-    write_u64(o.key("cost_units_spent"), s.cost_units_spent);
-    write_u64(o.key("emitted"), s.emitted as u64);
-    write_u64(o.key("queries_saved"), s.queries_saved);
-    write_u64(o.key("queries_spent"), s.queries_spent);
-    write_u64(o.key("retries_spent"), s.retries_spent);
-    o.end();
+    write_obj(out, |o| {
+        write_u64(o.key("attempts_made"), s.attempts_made);
+        if let Some(limit) = s.budget_limit {
+            write_u64(o.key("budget_limit"), limit);
+        }
+        write_u64(o.key("cost_units_saved"), s.cost_units_saved);
+        write_u64(o.key("cost_units_spent"), s.cost_units_spent);
+        write_u64(o.key("emitted"), s.emitted as u64);
+        write_u64(o.key("queries_saved"), s.queries_saved);
+        write_u64(o.key("queries_spent"), s.queries_spent);
+        write_u64(o.key("retries_spent"), s.retries_spent);
+    })
 }
 
 /// A per-request rerank failure: `{code, message, retry_after_ms?}`. The
 /// code is stable vocabulary; the message is the human-readable `Display`
 /// rendering (which carries the variant's payload).
 fn write_rerank_error(out: &mut String, e: &RerankError) {
-    let mut o = ObjWriter::new(out);
-    write_str(o.key("code"), rerank_error_code(e));
-    write_str(o.key("message"), &e.to_string());
-    if let Some(ms) = e.retry_after_hint() {
-        write_u64(o.key("retry_after_ms"), ms);
-    }
-    o.end();
+    write_obj(out, |o| {
+        write_str(o.key("code"), rerank_error_code(e));
+        write_str(o.key("message"), &e.to_string());
+        if let Some(ms) = e.retry_after_hint() {
+            write_u64(o.key("retry_after_ms"), ms);
+        }
+    })
 }
 
 fn write_outcome(out: &mut String, b: &BatchOutcome) {
-    let mut o = ObjWriter::new(out);
-    if let Some(e) = &b.error {
-        write_rerank_error(o.key("error"), e);
-    }
-    write_arr(o.key("hits"), &b.hits, |out, h| {
-        let mut o = ObjWriter::new(out);
-        write_u64(o.key("rank"), h.rank as u64);
-        write_num(o.key("score"), h.score);
-        write_tuple(o.key("tuple"), &h.tuple);
-        o.end();
-    });
-    write_stats(o.key("stats"), &b.stats);
-    write_num(o.key("wall_ms"), b.wall_ms);
-    o.end();
+    write_obj(out, |o| {
+        if let Some(e) = &b.error {
+            write_rerank_error(o.key("error"), e);
+        }
+        write_arr(o.key("hits"), &b.hits, |out, h| {
+            write_obj(out, |o| {
+                write_u64(o.key("rank"), h.rank as u64);
+                write_num(o.key("score"), h.score);
+                write_tuple(o.key("tuple"), &h.tuple);
+            })
+        });
+        write_stats(o.key("stats"), &b.stats);
+        write_num(o.key("wall_ms"), b.wall_ms);
+    })
 }
 
 /// The `200` reply to `/v1/rerank`: `{outcomes, tenant}`, one outcome
@@ -1297,12 +1167,10 @@ fn write_outcome(out: &mut String, b: &BatchOutcome) {
 /// cumulative ledger after charging.
 pub fn rerank_reply(outcomes: &[BatchOutcome], tenant: (u64, u64)) -> String {
     let hits = outcomes.iter().map(|o| o.hits.len()).sum::<usize>();
-    let mut out = String::with_capacity(96 + 320 * outcomes.len() + 160 * hits);
-    let mut o = ObjWriter::new(&mut out);
-    write_arr(o.key("outcomes"), outcomes, write_outcome);
-    write_ledger(o.key("tenant"), tenant);
-    o.end();
-    out
+    object(96 + 320 * outcomes.len() + 160 * hits, |o| {
+        write_arr(o.key("outcomes"), outcomes, write_outcome);
+        write_ledger(o.key("tenant"), tenant);
+    })
 }
 
 fn read_hit(r: &mut Reader) -> Read<(usize, f64, Tuple)> {
@@ -1412,10 +1280,17 @@ mod tests {
         Tuple::new(TupleId(42), vec![0.1, 2.0 / 3.0, -1e300], vec![3, 0])
     }
 
+    /// What `write` writes, parsed.
+    fn tree(write: impl FnOnce(&mut String)) -> Json {
+        let mut out = String::new();
+        write(&mut out);
+        parse(&out).unwrap()
+    }
+
     #[test]
     fn tuples_round_trip_bit_exactly() {
         let t = tuple();
-        let back = tuple_from_json(&tuple_to_json(&t)).unwrap();
+        let back = tuple_from_json(&tree(|o| write_tuple(o, &t))).unwrap();
         assert_eq!(back.id, t.id);
         assert_eq!(back.cats(), t.cats());
         for (a, b) in t.ords().iter().zip(back.ords()) {
@@ -1448,7 +1323,7 @@ mod tests {
             ],
             vec![CatAttr::new("carrier", 5)],
         );
-        let back = schema_from_json(&schema_to_json(&s)).unwrap();
+        let back = schema_from_json(&tree(|o| write_schema(o, &s))).unwrap();
         assert_eq!(back, s);
 
         let c = Capabilities {
@@ -1461,14 +1336,11 @@ mod tests {
                 .with_filter(AttrId(0), FilterSupport::Point)
                 .with_cost_model(CostModel::flat().with_base(2).with_point_cost(1))
         };
-        let back = capabilities_from_json(&capabilities_to_json(&c)).unwrap();
-        assert_eq!(back, c);
+        let caps = |c: &Capabilities| capabilities_from_json(&tree(|o| write_capabilities(o, c)));
+        assert_eq!(caps(&c).unwrap(), c);
         // The bare default round-trips too (all options None/empty).
         let bare = Capabilities::none();
-        assert_eq!(
-            capabilities_from_json(&capabilities_to_json(&bare)).unwrap(),
-            bare
-        );
+        assert_eq!(caps(&bare).unwrap(), bare);
     }
 
     /// A depth or arity cap of zero is a site `SimServer::with_capabilities`
@@ -1486,13 +1358,13 @@ mod tests {
                 Capabilities::none().with_max_predicates(0),
             ),
         ] {
-            let e = capabilities_from_json(&capabilities_to_json(&caps)).unwrap_err();
+            let e = capabilities_from_json(&tree(|o| write_capabilities(o, &caps))).unwrap_err();
             assert!(e.contains(key), "{e}");
         }
         let ones = (Capabilities::none().with_paging())
             .with_max_pages(1)
             .with_max_predicates(1);
-        let back = capabilities_from_json(&capabilities_to_json(&ones)).unwrap();
+        let back = capabilities_from_json(&tree(|o| write_capabilities(o, &ones))).unwrap();
         assert_eq!(back, ones);
     }
 
@@ -1524,7 +1396,7 @@ mod tests {
         // Value lists on range attributes stay advisory.
         let mut ranged = OrdinalAttr::new("price", 0.0, 2.0);
         ranged.values = Some(vec![2.0, 1.0]);
-        let body = schema_to_json(&Schema::new(vec![ranged], vec![]));
+        let body = tree(|o| write_schema(o, &Schema::new(vec![ranged], vec![])));
         assert!(schema_from_json(&body).is_ok());
     }
 
@@ -1567,7 +1439,7 @@ mod tests {
             ],
             gap: true,
         };
-        let back = mutation_log_from_json(&mutation_log_to_json(&log)).unwrap();
+        let back = mutation_log_from_json(&tree(|o| write_mutation_log(o, &log))).unwrap();
         assert_eq!(back, log);
     }
 
@@ -1596,7 +1468,7 @@ mod tests {
         ];
         for (e, status) in cases {
             assert_eq!(server_error_status(&e), status);
-            let back = server_error_from_json(&server_error_to_json(&e)).unwrap();
+            let back = server_error_from_json(&tree(|o| write_server_error(o, &e))).unwrap();
             assert_eq!(back, e, "round trip for {e}");
         }
         // The Retry-After header is whole seconds, rounded up.
@@ -1638,13 +1510,25 @@ mod tests {
         assert!(e.contains("id"), "{e}");
     }
 
-    /// SplitMix64: a deterministic stream of random values.
-    struct Rng(u64);
+    /// SplitMix64: a deterministic stream of random values. An `exact`
+    /// stream draws only what the wire carries exactly: finite numbers and
+    /// counters no larger than 2^53.
+    struct Rng {
+        state: u64,
+        exact: bool,
+    }
 
     impl Rng {
+        fn new(seed: u64) -> Rng {
+            Rng {
+                state: seed,
+                exact: false,
+            }
+        }
+
         fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
+            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
@@ -1657,7 +1541,7 @@ mod tests {
         /// A number, the edges of the writer's two paths among them.
         fn f64(&mut self) -> f64 {
             let two53 = 2f64.powi(53);
-            match self.below(14) {
+            let x = match self.below(14) {
                 0 => -0.0,
                 1 => two53,
                 2 => two53 + 2.0,
@@ -1671,14 +1555,24 @@ mod tests {
                 10 => -(self.below(1 << 60) as f64),
                 11 => f64::from_bits(self.next()),
                 _ => self.next() as f64 / u64::MAX as f64,
+            };
+            if self.exact && !x.is_finite() {
+                self.f64()
+            } else {
+                x
             }
         }
 
         fn counter(&mut self) -> u64 {
-            match self.below(4) {
+            let n = match self.below(4) {
                 0 => u64::MAX - self.below(3),
                 1 => (1 << 53) + self.below(3),
                 _ => self.below(1 << 20),
+            };
+            if self.exact {
+                n.min(1 << 53)
+            } else {
+                n
             }
         }
 
@@ -1921,62 +1815,105 @@ mod tests {
 
     /// The `/stats` values: the service's counters, the edge's, a knowledge
     /// plane or none, and monitor rows.
-    fn stats_body(rng: &mut Rng) -> String {
-        let service = qrs_service::stats::StatsSnapshot {
-            sessions_started: rng.counter(),
-            tuples_emitted: rng.counter(),
-            queries_spent: rng.counter(),
-            cost_units_spent: rng.counter(),
-            queries_saved: rng.counter(),
-            cost_units_saved: rng.counter(),
-            retries_spent: rng.counter(),
-            batches_served: rng.counter(),
-            requests_served: rng.counter(),
-        };
-        let edge = [rng.counter(), rng.counter(), rng.counter(), rng.counter()];
-        let plane = (rng.below(2) == 0).then(|| qrs_service::PlaneStats {
-            sources: rng.counter(),
-            result_hits: rng.counter(),
-            ..Default::default()
-        });
-        let rows = (0..rng.below(3))
-            .map(|_| qrs_obs::MonitorRow {
-                site: rng.text(),
-                strategy: rng.text(),
-                sessions: rng.counter(),
-                predicted_queries: rng.counter(),
-                predicted_cost_units: rng.counter(),
-                actual_queries: rng.counter(),
-                actual_cost_units: rng.counter(),
-                saved_queries: rng.counter(),
-                saved_cost_units: rng.counter(),
-            })
-            .collect();
-        let monitor = qrs_obs::MonitorReport { rows };
-        crate::server::stats_reply(&service, edge, plane.as_ref(), &monitor)
+    struct StatsDraw {
+        service: qrs_service::stats::StatsSnapshot,
+        edge: [u64; 4],
+        plane: Option<qrs_service::PlaneStats>,
+        monitor: qrs_obs::MonitorReport,
     }
 
-    /// One `/v1/rerank` request element as [`crate::EdgeClient::request`]
-    /// builds it, every optional member drawn present or absent.
-    fn request_element(rng: &mut Rng) -> Json {
-        let dirs = [Direction::Asc, Direction::Desc];
-        let rank: Vec<_> = (0..rng.below(4))
-            .map(|_| {
-                let dir = dirs[rng.below(2) as usize];
-                (rng.below(10) as usize, dir, rng.f64())
-            })
-            .collect();
-        let q = rng.query();
-        let top = rng.counter() as usize;
-        let budget = (rng.below(2) == 0).then(|| rng.counter());
-        let ties = [
-            "exact".to_string(),
-            "assume_distinct".to_string(),
-            rng.text(),
-        ];
-        let tie = (rng.below(2) == 0).then(|| ties[rng.below(3) as usize].clone());
-        let horizon = (rng.below(2) == 0).then(|| rng.counter() as usize);
-        crate::EdgeClient::request(&q, &rank, top, budget, tie.as_deref(), horizon)
+    impl StatsDraw {
+        fn draw(rng: &mut Rng) -> StatsDraw {
+            let service = qrs_service::stats::StatsSnapshot {
+                sessions_started: rng.counter(),
+                tuples_emitted: rng.counter(),
+                queries_spent: rng.counter(),
+                cost_units_spent: rng.counter(),
+                queries_saved: rng.counter(),
+                cost_units_saved: rng.counter(),
+                retries_spent: rng.counter(),
+                batches_served: rng.counter(),
+                requests_served: rng.counter(),
+            };
+            let edge = [rng.counter(), rng.counter(), rng.counter(), rng.counter()];
+            let plane = (rng.below(2) == 0).then(|| qrs_service::PlaneStats {
+                sources: rng.counter(),
+                result_hits: rng.counter(),
+                ..Default::default()
+            });
+            let rows = (0..rng.below(3))
+                .map(|_| qrs_obs::MonitorRow {
+                    site: rng.text(),
+                    strategy: rng.text(),
+                    sessions: rng.counter(),
+                    predicted_queries: rng.counter(),
+                    predicted_cost_units: rng.counter(),
+                    actual_queries: rng.counter(),
+                    actual_cost_units: rng.counter(),
+                    saved_queries: rng.counter(),
+                    saved_cost_units: rng.counter(),
+                })
+                .collect();
+            let monitor = qrs_obs::MonitorReport { rows };
+            StatsDraw {
+                service,
+                edge,
+                plane,
+                monitor,
+            }
+        }
+
+        fn body(&self) -> String {
+            let plane = self.plane.as_ref();
+            crate::server::stats_reply(&self.service, self.edge, plane, &self.monitor)
+        }
+    }
+
+    /// The arguments of one `/v1/rerank` request element, every optional
+    /// member drawn present or absent.
+    struct Element {
+        q: Query,
+        rank: Vec<(usize, Direction, f64)>,
+        top: usize,
+        budget: Option<u64>,
+        tie: Option<String>,
+        horizon: Option<usize>,
+    }
+
+    impl Element {
+        fn draw(rng: &mut Rng) -> Element {
+            let dirs = [Direction::Asc, Direction::Desc];
+            let rank = (0..rng.below(4))
+                .map(|_| {
+                    let dir = dirs[rng.below(2) as usize];
+                    (rng.below(10) as usize, dir, rng.f64())
+                })
+                .collect();
+            let q = rng.query();
+            let top = rng.counter() as usize;
+            let budget = (rng.below(2) == 0).then(|| rng.counter());
+            let ties = [
+                "exact".to_string(),
+                "assume_distinct".to_string(),
+                rng.text(),
+            ];
+            let tie = (rng.below(2) == 0).then(|| ties[rng.below(3) as usize].clone());
+            let horizon = (rng.below(2) == 0).then(|| rng.counter() as usize);
+            Element {
+                q,
+                rank,
+                top,
+                budget,
+                tie,
+                horizon,
+            }
+        }
+
+        /// The element as [`crate::EdgeClient::request`] builds it.
+        fn json(&self) -> Json {
+            let (tie, horizon) = (self.tie.as_deref(), self.horizon);
+            crate::EdgeClient::request(&self.q, &self.rank, self.top, self.budget, tie, horizon)
+        }
     }
 
     /// Draws of each kind of value in the corpus.
@@ -1986,7 +1923,7 @@ mod tests {
     /// values, one `kind body` line each: what
     /// `tests/golden/wire_bodies.txt` records.
     fn corpus() -> String {
-        let mut rng = Rng(0x00C0_B905);
+        let mut rng = Rng::new(0x00C0_B905);
         let mut lines = Vec::new();
         let mut line = |kind: &str, body: &str| lines.push(format!("{kind} {body}\n"));
         for _ in 0..DRAWS {
@@ -2017,8 +1954,8 @@ mod tests {
             line("seq_reply", &seq_reply(rng.counter(), ledger(&mut rng)));
             let log = rng.mutation_log();
             line("mutations_reply", &mutations_reply(&log, ledger(&mut rng)));
-            line("stats_reply", &stats_body(&mut rng));
-            line("request", &request_element(&mut rng).encode());
+            line("stats_reply", &StatsDraw::draw(&mut rng).body());
+            line("request", &Element::draw(&mut rng).json().encode());
         }
         for e in server_errors_of_every_kind(&mut rng) {
             let resp = server_error_response(&e, ledger(&mut rng));
@@ -2044,8 +1981,8 @@ mod tests {
             line("refusal", std::str::from_utf8(&resp.body).unwrap());
         }
         for n in [0, 1, 3] {
-            let requests = (0..n).map(|_| request_element(&mut rng)).collect();
-            line("rerank_body", &crate::client::rerank_body(requests));
+            let requests: Vec<Json> = (0..n).map(|_| Element::draw(&mut rng).json()).collect();
+            line("rerank_body", &crate::client::rerank_body(&requests));
         }
         lines.concat()
     }
@@ -2102,120 +2039,248 @@ mod tests {
         }
     }
 
-    // The tree forms the per-call writers replaced, as they encoded.
-
-    fn tree_ordered_page(p: &OrderedPage) -> Json {
-        Json::obj(vec![
-            (
-                "tuples",
-                Json::Arr(p.tuples.iter().map(|t| tuple_to_json(t)).collect()),
-            ),
-            ("has_more", Json::Bool(p.has_more)),
-        ])
+    /// The member at `path`, which the body must have.
+    fn at<'a>(v: &'a Json, path: &[&str]) -> &'a Json {
+        path.iter().fold(v, |v, key| {
+            v.get(key).unwrap_or_else(|| panic!("no '{key}' in {v:?}"))
+        })
     }
 
-    fn tree_outcome(o: &BatchOutcome) -> Json {
-        let s = &o.stats;
-        let mut stats = vec![
-            ("emitted", Json::u64(s.emitted as u64)),
-            ("queries_spent", Json::u64(s.queries_spent)),
-            ("cost_units_spent", Json::u64(s.cost_units_spent)),
-            ("queries_saved", Json::u64(s.queries_saved)),
-            ("cost_units_saved", Json::u64(s.cost_units_saved)),
-            ("attempts_made", Json::u64(s.attempts_made)),
-            ("retries_spent", Json::u64(s.retries_spent)),
-        ];
-        if let Some(limit) = s.budget_limit {
-            stats.push(("budget_limit", Json::u64(limit)));
-        }
-        let hits = o.hits.iter().map(|h| {
-            Json::obj(vec![
-                ("rank", Json::u64(h.rank as u64)),
-                ("score", Json::Num(h.score)),
-                ("tuple", tuple_to_json(&h.tuple)),
-            ])
-        });
-        let mut members = vec![
-            ("hits", Json::Arr(hits.collect())),
-            ("stats", Json::obj(stats)),
-            ("wall_ms", Json::Num(o.wall_ms)),
-        ];
-        if let Some(e) = &o.error {
-            let mut error = vec![
-                ("code", Json::str(rerank_error_code(e))),
-                ("message", Json::str(e.to_string())),
-            ];
-            if let Some(ms) = e.retry_after_hint() {
-                error.push(("retry_after_ms", Json::u64(ms)));
-            }
-            members.push(("error", Json::obj(error)));
-        }
-        Json::obj(members)
+    fn counter_at(v: &Json, path: &[&str]) -> Option<u64> {
+        at(v, path).as_u64()
     }
 
-    fn ledger(rng: &mut Rng) -> (u64, u64) {
-        (rng.counter(), rng.counter())
+    fn text_at<'a>(v: &'a Json, path: &[&str]) -> Option<&'a str> {
+        at(v, path).as_str()
     }
 
-    /// Every per-call writer writes, byte for byte, what the tree form of
-    /// the same value encodes to.
+    /// Debug spells every `f64` bit for bit, `-0.0` included.
+    fn same<T: std::fmt::Debug, U: std::fmt::Debug>(a: T, b: U) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    /// For random values, every writer writes canonical JSON (`parse` reads
+    /// it and encodes it back to the same bytes), and the tree decoders, or
+    /// the member reads the client and the edge make, read the value written
+    /// back out of it. `QRS_TEST_SEED` picks the values and `QRS_FUZZ_ITERS`
+    /// scales them: 10 rounds of every body kind an iteration, 48
+    /// iterations unset.
     #[test]
-    fn per_call_writers_write_the_trees_bytes() {
-        let mut rng = Rng(0xB0D1E5);
-        for _ in 0..2000 {
-            let q = rng.query();
-            let (page, attr) = (rng.counter() as usize, AttrId(rng.below(9) as usize));
-            let dir = [Direction::Asc, Direction::Desc][rng.below(2) as usize];
-            let query = || ("query", query_to_json(&q));
-            let requests = [
-                (site_request(&q, None, None), Json::obj(vec![query()])),
-                (
-                    site_request(&q, None, Some(page)),
-                    Json::obj(vec![query(), ("page", Json::u64(page as u64))]),
-                ),
-                (
-                    site_request(&q, Some((attr, dir)), Some(page)),
-                    Json::obj(vec![
-                        query(),
-                        ("attr", Json::u64(attr.0 as u64)),
-                        ("dir", direction_to_json(dir)),
-                        ("page", Json::u64(page as u64)),
-                    ]),
-                ),
-            ];
-            for (written, tree) in requests {
-                assert_eq!(written, tree.encode());
+    fn every_writer_writes_canonical_json_that_decodes_to_its_value() {
+        let env = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok());
+        let seed = env("QRS_TEST_SEED").unwrap_or(0);
+        let mut rng = Rng {
+            state: seed ^ 0x5EED_C0DE,
+            exact: true,
+        };
+        let canonical = |body: &str| {
+            let tree = parse(body).unwrap_or_else(|e| panic!("QRS_TEST_SEED={seed}: {e}: {body}"));
+            assert_eq!(tree.encode(), body, "QRS_TEST_SEED={seed}");
+            tree
+        };
+        for _ in 0..10 * env("QRS_FUZZ_ITERS").unwrap_or(48) {
+            let (q, page) = (rng.query(), rng.counter() as usize);
+            let order = (AttrId(rng.below(9) as usize), Direction::Desc);
+            for (order, page) in [(None, None), (None, Some(page)), (Some(order), Some(page))] {
+                let tree = canonical(&site_request(&q, order, page));
+                assert_eq!(query_from_json(at(&tree, &["query"])), Ok(q.clone()));
+                assert_eq!(tree.get("page").and_then(Json::as_usize), page);
+                let attr = tree.get("attr").and_then(Json::as_usize).map(AttrId);
+                let dir = tree.get("dir").and_then(direction_from_json);
+                assert_eq!(attr.zip(dir), order);
             }
 
             let (r, l) = (rng.response(), ledger(&mut rng));
-            let tree = Json::obj(vec![
-                ("response", response_to_json(&r)),
-                ("ledger", ledger_json(l.0, l.1)),
-            ]);
-            assert_eq!(site_response_reply(&r, l), tree.encode());
+            let tree = canonical(&site_response_reply(&r, l));
+            assert!(same(
+                response_from_json(at(&tree, &["response"])),
+                Ok::<_, String>(&r)
+            ));
+            assert_eq!(ledger_from_json(at(&tree, &["ledger"])), Ok(l));
 
             let p = OrderedPage {
                 tuples: rng.tuples(),
                 has_more: rng.below(2) == 0,
             };
-            let l = ledger(&mut rng);
-            let tree = Json::obj(vec![
-                ("page", tree_ordered_page(&p)),
-                ("ledger", ledger_json(l.0, l.1)),
-            ]);
-            assert_eq!(site_page_reply(&p, l), tree.encode());
+            let tree = canonical(&site_page_reply(&p, l));
+            let tuples = at(&tree, &["page", "tuples"]).as_arr().unwrap();
+            let tuples: Vec<_> = tuples.iter().map(|t| tuple_from_json(t).unwrap()).collect();
+            assert!(same(
+                tuples,
+                p.tuples.iter().map(|t| &**t).collect::<Vec<_>>()
+            ));
+            assert_eq!(at(&tree, &["page", "has_more"]).as_bool(), Some(p.has_more));
 
             let outcomes: Vec<BatchOutcome> = (0..rng.below(4)).map(|_| rng.outcome()).collect();
-            let tenant = ledger(&mut rng);
-            let tree = Json::obj(vec![
-                (
-                    "outcomes",
-                    Json::Arr(outcomes.iter().map(tree_outcome).collect()),
-                ),
-                ("tenant", ledger_json(tenant.0, tenant.1)),
-            ]);
-            assert_eq!(rerank_reply(&outcomes, tenant), tree.encode());
+            let tree = canonical(&rerank_reply(&outcomes, l));
+            assert_eq!(ledger_from_json(at(&tree, &["tenant"])), Ok(l));
+            let read = at(&tree, &["outcomes"]).as_arr().unwrap();
+            assert_eq!(read.len(), outcomes.len());
+            for (v, o) in read.iter().zip(&outcomes) {
+                let hits = at(v, &["hits"]).as_arr().unwrap().iter().map(|h| {
+                    let tuple = tuple_from_json(at(h, &["tuple"])).unwrap();
+                    (counter_at(h, &["rank"]), at(h, &["score"]).as_f64(), tuple)
+                });
+                let want = o
+                    .hits
+                    .iter()
+                    .map(|h| (Some(h.rank as u64), Some(h.score), (*h.tuple).clone()));
+                assert!(same(hits.collect::<Vec<_>>(), want.collect::<Vec<_>>()));
+                let s = &o.stats;
+                let stats = [
+                    ("emitted", Some(s.emitted as u64)),
+                    ("queries_spent", Some(s.queries_spent)),
+                    ("cost_units_spent", Some(s.cost_units_spent)),
+                    ("queries_saved", Some(s.queries_saved)),
+                    ("cost_units_saved", Some(s.cost_units_saved)),
+                    ("attempts_made", Some(s.attempts_made)),
+                    ("retries_spent", Some(s.retries_spent)),
+                    ("budget_limit", s.budget_limit),
+                ];
+                for (key, want) in stats {
+                    let got = at(v, &["stats"]).get(key).and_then(Json::as_u64);
+                    assert_eq!(got, want, "{key}");
+                }
+                assert_eq!(
+                    at(v, &["wall_ms"]).as_f64().map(f64::to_bits),
+                    Some(o.wall_ms.to_bits())
+                );
+                let error = v.get("error").map(|e| {
+                    let hint = e.get("retry_after_ms").and_then(Json::as_u64);
+                    (
+                        text_at(e, &["code"]),
+                        text_at(e, &["message"]).map(str::to_string),
+                        hint,
+                    )
+                });
+                let want = o.error.as_ref().map(|e| {
+                    (
+                        Some(rerank_error_code(e)),
+                        Some(e.to_string()),
+                        e.retry_after_hint(),
+                    )
+                });
+                assert_eq!(error, want);
+            }
+
+            let (schema, k, caps) = (rng.schema(), rng.counter() as usize, rng.capabilities());
+            let seq = rng.counter();
+            let tree = canonical(&capabilities_reply(&schema, k, &caps, seq, l));
+            assert_eq!(schema_from_json(at(&tree, &["schema"])), Ok(schema));
+            assert_eq!(
+                capabilities_from_json(at(&tree, &["capabilities"])),
+                Ok(caps)
+            );
+            assert_eq!(counter_at(&tree, &["k"]), Some(k as u64));
+            assert_eq!(counter_at(&tree, &["seq"]), Some(seq));
+            assert_eq!(ledger_from_json(at(&tree, &["ledger"])), Ok(l));
+
+            let tree = canonical(&seq_reply(seq, l));
+            assert_eq!(counter_at(&tree, &["seq"]), Some(seq));
+            assert_eq!(ledger_from_json(at(&tree, &["ledger"])), Ok(l));
+
+            let log = rng.mutation_log();
+            let tree = canonical(&mutations_reply(&log, l));
+            assert_eq!(mutation_log_from_json(at(&tree, &["log"])), Ok(log));
+            assert_eq!(ledger_from_json(at(&tree, &["ledger"])), Ok(l));
+
+            for e in server_errors_of_every_kind(&mut rng) {
+                let resp = server_error_response(&e, l);
+                let tree = canonical(std::str::from_utf8(&resp.body).unwrap());
+                assert_eq!(server_error_from_json(at(&tree, &["error"])), Ok(e));
+                assert_eq!(ledger_from_json(at(&tree, &["ledger"])), Ok(l));
+            }
+
+            let message = rng.text();
+            let resp = crate::server::error_response(400, "invalid_request", message.clone());
+            let tree = canonical(std::str::from_utf8(&resp.body).unwrap());
+            assert_eq!(text_at(&tree, &["error", "code"]), Some("invalid_request"));
+            assert_eq!(text_at(&tree, &["error", "message"]), Some(&*message));
+
+            let (reason, ms) = (rng.text(), rng.counter());
+            let resp = crate::server::refusal(&reason, ms, l);
+            let tree = canonical(std::str::from_utf8(&resp.body).unwrap());
+            assert_eq!(text_at(&tree, &["error", "code"]), Some("admission"));
+            assert_eq!(text_at(&tree, &["error", "reason"]), Some(&*reason));
+            assert_eq!(counter_at(&tree, &["error", "retry_after_ms"]), Some(ms));
+            assert!(text_at(&tree, &["error", "message"])
+                .unwrap()
+                .contains(&*reason));
+            assert_eq!(ledger_from_json(at(&tree, &["tenant"])), Ok(l));
+
+            let stats = StatsDraw::draw(&mut rng);
+            let tree = canonical(&stats.body());
+            let (s, [admitted, rejected, connections, requests]) = (&stats.service, stats.edge);
+            let mut counters = vec![
+                (vec!["edge", "admitted"], admitted),
+                (vec!["edge", "rejected"], rejected),
+                (vec!["edge", "connections"], connections),
+                (vec!["edge", "requests"], requests),
+                (vec!["service", "sessions_started"], s.sessions_started),
+                (vec!["service", "tuples_emitted"], s.tuples_emitted),
+                (vec!["service", "queries_spent"], s.queries_spent),
+                (vec!["service", "cost_units_spent"], s.cost_units_spent),
+                (vec!["service", "queries_saved"], s.queries_saved),
+                (vec!["service", "cost_units_saved"], s.cost_units_saved),
+                (vec!["service", "retries_spent"], s.retries_spent),
+                (vec!["service", "batches_served"], s.batches_served),
+                (vec!["service", "requests_served"], s.requests_served),
+            ];
+            if let Some(p) = &stats.plane {
+                counters.push((vec!["knowledge", "sources"], p.sources));
+                counters.push((vec!["knowledge", "result_hits"], p.result_hits));
+            }
+            for (path, n) in counters {
+                assert_eq!(counter_at(&tree, &path), Some(n), "{path:?}");
+            }
+            assert_eq!(tree.get("knowledge").is_some(), stats.plane.is_some());
+            let rows = at(&tree, &["monitor"]).as_arr().unwrap();
+            assert_eq!(rows.len(), stats.monitor.rows.len());
+            for (v, r) in rows.iter().zip(&stats.monitor.rows) {
+                assert_eq!(text_at(v, &["site"]), Some(&*r.site));
+                assert_eq!(text_at(v, &["strategy"]), Some(&*r.strategy));
+                let row = [
+                    ("sessions", r.sessions),
+                    ("predicted_queries", r.predicted_queries),
+                    ("predicted_cost_units", r.predicted_cost_units),
+                    ("actual_queries", r.actual_queries),
+                    ("actual_cost_units", r.actual_cost_units),
+                    ("saved_queries", r.saved_queries),
+                    ("saved_cost_units", r.saved_cost_units),
+                ];
+                for (key, n) in row {
+                    assert_eq!(counter_at(v, &[key]), Some(n), "{key}");
+                }
+            }
+
+            let elements: Vec<Element> =
+                (0..rng.below(3)).map(|_| Element::draw(&mut rng)).collect();
+            let trees: Vec<Json> = elements.iter().map(Element::json).collect();
+            let tree = canonical(&crate::client::rerank_body(&trees));
+            assert_eq!(at(&tree, &["requests"]).as_arr(), Some(&*trees));
+            for (v, e) in trees.iter().zip(&elements) {
+                assert_eq!(canonical(&v.encode()), *v);
+                assert_eq!(query_from_json(at(v, &["query"])), Ok(e.q.clone()));
+                let rank = at(v, &["rank"]).as_arr().unwrap().iter().map(|t| {
+                    let t = t.as_arr().unwrap();
+                    (
+                        t[0].as_usize().unwrap(),
+                        direction_from_json(&t[1]).unwrap(),
+                        t[2].as_f64().unwrap(),
+                    )
+                });
+                assert!(same(rank.collect::<Vec<_>>(), &e.rank));
+                assert_eq!(counter_at(v, &["top"]), Some(e.top as u64));
+                assert_eq!(v.get("budget").map(Json::as_u64), e.budget.map(Some));
+                assert_eq!(v.get("tie").map(Json::as_str), e.tie.as_deref().map(Some));
+                let horizon = e.horizon.map(|h| Some(h as u64));
+                assert_eq!(v.get("horizon").map(Json::as_u64), horizon);
+            }
         }
+    }
+
+    fn ledger(rng: &mut Rng) -> (u64, u64) {
+        (rng.counter(), rng.counter())
     }
 
     /// What the per-call writers write, the per-call readers read back as
@@ -2228,7 +2293,7 @@ mod tests {
             (Err(_), Err(_)) => true,
             _ => false,
         };
-        let mut rng = Rng(0x2EAD);
+        let mut rng = Rng::new(0x2EAD);
         let (mut accepted, mut refused) = (0, 0);
         for _ in 0..2000 {
             let q = rng.query();

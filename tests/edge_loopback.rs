@@ -21,7 +21,7 @@
 //!   idle connections, stalled and dripped requests cut at the whole-request
 //!   deadline,
 //! * the tenant table: unchecked names and a full table are typed,
-//!   uncharged refusals,
+//!   uncharged refusals, and a refused request puts no tenant on it,
 //! * what the edge did not foresee: an attribute index outside the schema
 //!   is a typed, uncharged `400` on every route that carries a query, and
 //!   a handler that panics is a `500` + close — after either, the same
@@ -1421,5 +1421,45 @@ fn tenant_names_are_checked_and_the_tenant_table_is_bounded() {
     assert_eq!(resp.status, 200);
     assert!(remote.queries_issued() > 0);
     assert_eq!((handle.admitted(), handle.rejected()), (4097, 1));
+    handle.shutdown();
+}
+
+/// A request refused before it is admitted — here a body that is not JSON —
+/// puts no tenant on the books: after as many of them under fresh names as
+/// the table holds, a new tenant is still served, and charged.
+#[test]
+fn a_refused_request_leaves_no_tenant_on_the_books() {
+    let exec = Arc::new(Executor::from_env());
+    let data = uniform(60, 2, 1, test_seed() ^ 0x7E4B);
+    let remote = Arc::new(anti_server(&data, 3));
+    let svc = Arc::new(RerankService::new(
+        Arc::clone(&remote) as Arc<dyn SearchInterface>,
+        data.len(),
+    ));
+    let handle = EdgeServer::serve(svc, exec, EdgeConfig::default()).expect("bind");
+    let mut raw = RawClient::new(handle.addr());
+    for i in 0..4096 {
+        let resp = raw.call(
+            "POST",
+            "/v1/rerank",
+            Some(&format!("m{i}")),
+            b"{\"requests\":",
+        );
+        assert_eq!(resp.status, 400, "tenant {i}");
+    }
+    assert_eq!((handle.admitted(), handle.rejected()), (0, 0));
+    assert_eq!(
+        remote.queries_issued(),
+        0,
+        "a malformed body charges nothing"
+    );
+    let resp = raw.call("POST", "/v1/rerank", Some("newcomer"), &one_request_body());
+    let text = String::from_utf8_lossy(&resp.body).into_owned();
+    assert_eq!(resp.status, 200, "{text}");
+    let reply = query_reranking::edge::wire::read_rerank_reply(&text).expect("JSON");
+    let (queries, _) = reply.expect("a reply").tenant;
+    assert!(queries > 0);
+    assert_eq!(queries, remote.queries_issued(), "the newcomer is charged");
+    assert_eq!((handle.admitted(), handle.rejected()), (1, 0));
     handle.shutdown();
 }

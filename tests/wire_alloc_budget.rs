@@ -7,8 +7,10 @@
 //! temporary `String`, copies a string that needs no unescaping or grows
 //! a tuple's columns one push at a time multiplies the allocator's share
 //! of a call. One test pins that share for a fixed query and a 3-tuple
-//! reply, with no socket in between; the other pins one 25-hit
-//! `/v1/rerank` reply, written by the edge and read by the client.
+//! reply, with no socket in between; one pins one 25-hit `/v1/rerank`
+//! reply, written by the edge and read by the client; and one pins the
+//! `/site/seq` exchange a remote site pays once per session open, its reply
+//! written by the edge and read by the client as a tree.
 //!
 //! The count is kept in a const-initialised thread-local, as in
 //! `tests/alloc_budget.rs`, so each test counts only its own thread and
@@ -16,7 +18,7 @@
 //! side by side. A budget is the count measured in the debug profile
 //! (`cargo test -q`) plus 25 %; each run prints the measured value.
 
-use query_reranking::edge::wire;
+use query_reranking::edge::{parse, wire, Json};
 use query_reranking::service::{BatchOutcome, RankedTuple, SessionStats};
 use query_reranking::types::{
     AttrId, CatId, CatPredicate, Interval, Query, QueryResponse, Tuple, TupleId,
@@ -33,6 +35,10 @@ const BUDGET: u64 = 21;
 /// Allocations writing and reading one 25-hit `/v1/rerank` reply may
 /// make: the measured debug-profile value, 56, plus 25 %.
 const REPLY_BUDGET: u64 = 70;
+
+/// Allocations writing and reading one `/site/seq` reply may make: the
+/// measured debug-profile value, 10, plus 25 %.
+const SEQ_BUDGET: u64 = 12;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -167,5 +173,26 @@ fn a_rerank_reply_allocates_within_its_budget() {
     assert!(
         spent <= REPLY_BUDGET,
         "{spent} allocations for one reply, over the budget of {REPLY_BUDGET}"
+    );
+}
+
+#[test]
+fn a_site_seq_exchange_allocates_within_its_budget() {
+    let ledger = (1234, 5678);
+
+    let before = allocations();
+    // The edge writes the reply; the client reads `seq` and the ledger.
+    let reply = wire::seq_reply(987_654, ledger);
+    let tree = parse(&reply).expect("JSON");
+    let seq = tree.get("seq").and_then(Json::as_u64);
+    let read = tree.get("ledger").map(wire::ledger_from_json);
+    let spent = allocations() - before;
+
+    assert_eq!(seq, Some(987_654));
+    assert_eq!(read, Some(Ok(ledger)));
+    println!("{spent} allocations for one /site/seq exchange (budget {SEQ_BUDGET})");
+    assert!(
+        spent <= SEQ_BUDGET,
+        "{spent} allocations for one exchange, over the budget of {SEQ_BUDGET}"
     );
 }
