@@ -77,7 +77,8 @@
 //!    selection that fails `Query::validate` against the site's schema (a
 //!    `NaN` endpoint, an attribute index the schema does not have). The
 //!    `/site/*` decoders run the same check: `400 invalid_query`;
-//! 4. **serve** — `RerankService::serve_batch` runs the batch;
+//! 4. **serve** — the tenant goes on the books (the table cap checked
+//!    again), and `RerankService::serve_batch` runs the batch;
 //! 5. **charge** — the summed per-session ledgers land on the tenant.
 
 use crate::http::{request_from, response_frame, says_close, Conn, Request, Response};
