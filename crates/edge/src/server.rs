@@ -441,13 +441,8 @@ fn site_err(shared: &Shared, e: &ServerError) -> Response {
 
 fn site_capabilities(shared: &Shared) -> Response {
     let site = shared.svc.server();
-    let (schema, k, caps, seq) = (
-        site.schema(),
-        site.k(),
-        site.capabilities(),
-        site.mutation_seq(),
-    );
-    let body = wire::capabilities_reply(schema, k, &caps, seq, site_ledger(shared));
+    let (caps, seq) = (site.capabilities(), site.mutation_seq());
+    let body = wire::capabilities_reply(site.schema(), site.k(), &caps, seq, site_ledger(shared));
     Response::json(200, body)
 }
 
