@@ -153,7 +153,7 @@ fn grid(rng: &mut StdRng) -> f64 {
 
 /// Unbounded / open / closed sides in any combination: reversed and
 /// degenerate-open pairs give the empty intervals, equal closed ones points.
-fn grid_interval(rng: &mut StdRng) -> Interval {
+fn grid_interval(rng: &mut StdRng, grid: fn(&mut StdRng) -> f64) -> Interval {
     let (a, b, shape) = (grid(rng), grid(rng), rng.random_range(0..8u32));
     let mut side = |v: f64| match rng.random_range(0..4u32) {
         0 => Endpoint::Unbounded,
@@ -173,13 +173,14 @@ fn grid_interval(rng: &mut StdRng) -> Interval {
     }
 }
 
-/// A box over up to `dims` attributes; each is left out with chance
-/// `skip`/8, and one in four boxes carries a categorical predicate.
-fn grid_box(rng: &mut StdRng, dims: usize, skip: u32) -> Query {
+/// A box over up to `dims` attributes with endpoints from `grid`; each is
+/// left out with chance `skip`/8, and one in four boxes carries a
+/// categorical predicate.
+fn grid_box(rng: &mut StdRng, grid: fn(&mut StdRng) -> f64, dims: usize, skip: u32) -> Query {
     let mut q = Query::all();
     for a in 0..dims {
         if rng.random_range(0..8u32) >= skip {
-            q.add_range(AttrId(a), grid_interval(rng));
+            q.add_range(AttrId(a), grid_interval(rng, grid));
         }
     }
     for c in 0..2 {
@@ -214,7 +215,7 @@ fn region_index_matches_the_linear_scan() {
                 live.clear();
                 continue;
             }
-            let region = grid_box(&mut rng, dims, 5);
+            let region = grid_box(&mut rng, grid, dims, 5);
             log.push(format!("insert {region}"));
             if live.len() == cap {
                 live.remove(0);
@@ -223,7 +224,7 @@ fn region_index_matches_the_linear_scan() {
             live.push(region);
             assert_eq!(index.len(), live.len(), "{}", log.join("\n"));
             for _ in 0..4 {
-                let q = grid_box(&mut rng, dims + 1, 7);
+                let q = grid_box(&mut rng, grid, dims + 1, 7);
                 let want = live.iter().any(|r| q.is_subsumed_by(r));
                 assert_eq!(index.covers(&q), want, "probe {q}\n{}", log.join("\n"));
                 // `covering` names one of those regions, interval for interval.
@@ -244,5 +245,148 @@ fn region_index_matches_the_linear_scan() {
     assert!(
         hits > 100 && misses > 100,
         "one-sided sweep: {hits} hits, {misses} misses"
+    );
+}
+
+/// A value from sixteenths over `[-1/8, 9/8]`, with both zeros and,
+/// rarely, both infinities: fine enough that the walk's regions spread
+/// over the unit domain, coarse enough that they nest.
+fn sixteenths(rng: &mut StdRng) -> f64 {
+    match rng.random_range(0..48u32) {
+        0 => f64::NEG_INFINITY,
+        1 => f64::INFINITY,
+        2 => -0.0,
+        k => f64::from((k % 24) as i32 - 5) / 16.0,
+    }
+}
+
+/// A walk box over `dims` attributes, each left out with chance `skip`/8:
+/// mostly ordered sixteenths, one side in six unbounded, one interval in
+/// eight a point and one in sixteen reversed (empty); one box in eight
+/// carries a categorical predicate.
+fn walk_box(rng: &mut StdRng, dims: usize, skip: u32) -> Query {
+    let mut q = Query::all();
+    for a in 0..dims {
+        if rng.random_range(0..8u32) < skip {
+            continue;
+        }
+        let (x, y) = (sixteenths(rng), sixteenths(rng));
+        let (mut lo, mut hi) = (x.min(y), x.max(y));
+        let shape = rng.random_range(0..16u32);
+        if shape == 0 {
+            (lo, hi) = (hi, lo);
+        }
+        let mut side = |v: f64| match rng.random_range(0..12u32) {
+            0..2 => Endpoint::Unbounded,
+            2..5 => Endpoint::Open(v),
+            _ => Endpoint::Closed(v),
+        };
+        let iv = match shape {
+            1 | 2 => Interval::point(lo),
+            _ => Interval {
+                lo: side(lo),
+                hi: side(hi),
+            },
+        };
+        q.add_range(AttrId(a), iv);
+    }
+    if rng.random_range(0..8u32) == 0 {
+        let c = rng.random_range(0..2usize);
+        let codes = (0..4).filter(|_| rng.random_range(0..2u32) == 0).collect();
+        q.add_cat(CatPredicate::one_of(CatId(c), codes));
+    }
+    q
+}
+
+/// The walk schedules: `(dims, cap, inserts, skip)`, `skip` the regions'
+/// [`walk_box`] argument. Each builds a hierarchy (more than 64 regions,
+/// several rebuilds); the capped ones reach their cap and evict.
+const WALKS: [(usize, usize, usize, u32); 6] = [
+    (1, 90, 400, 0),
+    (2, usize::MAX, 700, 1),
+    (3, 150, 800, 3),
+    (4, usize::MAX, 900, 4),
+    (5, 300, 900, 4),
+    (6, 1000, 1400, 5),
+];
+
+/// Run [`WALKS`]: after every insert one probe, written as `miss` or as the
+/// constrained intervals of the region `covering` returns (`all` when it
+/// has none); one schedule step in 150 is a `clear`.
+fn walk_corpus() -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    for (n, &(dims, cap, inserts, skip)) in WALKS.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(0x3A1C_0000 + n as u64);
+        let mut index = RegionIndex::new(cap);
+        let cap = if cap == usize::MAX {
+            "none".into()
+        } else {
+            cap.to_string()
+        };
+        writeln!(out, "walk {n}: dims {dims} cap {cap}").unwrap();
+        for step in 0..inserts {
+            if rng.random_range(0..150u32) == 0 {
+                index.clear();
+                writeln!(out, "{step} clear").unwrap();
+                continue;
+            }
+            // A region constrains some attribute: one that constrains none
+            // would cover most probes and hide which region the walk meets.
+            let region = loop {
+                let r = walk_box(&mut rng, dims, skip);
+                if !r.ranges().is_empty() {
+                    break r;
+                }
+            };
+            index.insert(&region);
+            let q = walk_box(&mut rng, dims + 1, 3);
+            write!(out, "{step}").unwrap();
+            match index.covering(&q) {
+                None => out.push_str(" miss"),
+                Some(r) => {
+                    let ivs = (0..dims).map(AttrId).map(|a| (a, r.interval(a)));
+                    let mut ivs = ivs.filter(|(_, iv)| !iv.is_all()).peekable();
+                    if ivs.peek().is_none() {
+                        out.push_str(" all");
+                    }
+                    for (a, iv) in ivs {
+                        write!(out, " {a}{iv}").unwrap();
+                    }
+                }
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// The region `covering` returns decides `complete_below`'s bound `y`, so
+/// the walk must name the same region as it did when
+/// `tests/golden/region_walk.txt` was recorded, probe for probe.
+#[test]
+fn region_index_walk_matches_the_recorded_corpus() {
+    const RECORDED: &str = include_str!("../../../tests/golden/region_walk.txt");
+    let fresh = walk_corpus();
+    if fresh != RECORDED {
+        let at = fresh
+            .lines()
+            .zip(RECORDED.lines())
+            .position(|(a, b)| a != b);
+        panic!(
+            "the walk no longer returns the regions tests/golden/region_walk.txt records \
+             (first difference at line {at:?}); the document it returns now:\n\
+             -----BEGIN-----\n{fresh}-----END-----"
+        );
+    }
+    let probes = RECORDED
+        .lines()
+        .filter(|l| !l.starts_with("walk") && !l.ends_with("clear"));
+    let (total, misses) = probes.fold((0, 0), |(t, m), l| {
+        (t + 1, m + usize::from(l.ends_with(" miss")))
+    });
+    assert!(
+        total / 10 < misses && misses < total * 9 / 10,
+        "one-sided corpus: {misses} misses of {total} probes"
     );
 }
