@@ -78,7 +78,7 @@ impl SharedState {
     pub fn new(schema: &Schema, params: RerankParams) -> Self {
         SharedState {
             history: History::new(schema.num_ordinal()),
-            complete: RegionIndex::new(COMPLETE_REGIONS_CAP),
+            complete: RegionIndex::new(COMPLETE_REGIONS_CAP, schema),
             pending_crawls: PendingCrawls::default(),
             params,
             paid: [0; Purpose::ALL.len()],

@@ -169,7 +169,9 @@ impl History {
     }
 
     /// The share of `p.attr`'s observed span that `p` admits: 0 for a point
-    /// or an empty range, 1 for one wider than everything seen.
+    /// or an empty range, 1 for one wider than everything seen. Where
+    /// history holds one value on the attribute, the span is that value and
+    /// `p` admits all of it (1) or none of it (0).
     fn share(&self, p: &RangePredicate) -> f64 {
         let idx = &self.by_attr[p.attr.0];
         let (Some((&(OrdF64(min), _), _)), Some((&(OrdF64(max), _), _))) =
@@ -177,6 +179,9 @@ impl History {
         else {
             return 0.0;
         };
+        if min == max {
+            return if p.interval.contains(min) { 1.0 } else { 0.0 };
+        }
         let lo = p.interval.lo.value().map_or(min, |v| v.max(min));
         let hi = p.interval.hi.value().map_or(max, |v| v.min(max));
         ((hi - lo) / (max - min)).max(0.0)
@@ -387,6 +392,32 @@ mod tests {
     /// `matching` and `history_best` reach tuples through one `by_attr`
     /// range — the tightest predicate's, or a ranking axis's; each must
     /// return what one pass over every tuple returns, in the same order.
+    /// An attribute on which history holds one value spans nothing: a
+    /// predicate admitting that value admits every tuple, so it is not the
+    /// tightest (it once divided 0 by 0 and won), and one excluding it is.
+    #[test]
+    fn tightest_skips_a_predicate_that_admits_a_single_valued_attribute() {
+        let mut h = History::new(2);
+        for i in 0..8 {
+            h.record(&t(i, vec![5.0, f64::from(i)]));
+        }
+        let pick = |q: &Query| h.tightest(q).map(|p| p.attr);
+        let admits = Query::all()
+            .and_range(AttrId(0), Interval::closed(0.0, 10.0))
+            .and_range(AttrId(1), Interval::closed(2.0, 3.0));
+        assert_eq!(pick(&admits), Some(AttrId(1)));
+        assert_eq!(h.candidates(&admits).count(), 2);
+        let point = Query::all()
+            .and_range(AttrId(0), Interval::point(5.0))
+            .and_range(AttrId(1), Interval::closed(2.0, 3.0));
+        assert_eq!(pick(&point), Some(AttrId(1)));
+        let excludes = Query::all()
+            .and_range(AttrId(0), Interval::open(5.0, 10.0))
+            .and_range(AttrId(1), Interval::closed(2.0, 3.0));
+        assert_eq!(pick(&excludes), Some(AttrId(0)));
+        assert_eq!(h.candidates(&excludes).count(), 0);
+    }
+
     #[test]
     fn by_attr_paths_agree_with_a_pass_over_every_tuple() {
         use crate::{ctx::SharedState, md::top1::history_best, norm::NormView};

@@ -12,7 +12,7 @@ use crate::interval::{Endpoint, Interval};
 use crate::predicate::CatPredicate;
 use crate::query::Query;
 use crate::region::RegionIndex;
-use crate::schema::{AttrId, CatId};
+use crate::schema::{AttrId, CatId, OrdinalAttr, Schema};
 use crate::tuple::{Tuple, TupleId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -151,9 +151,45 @@ fn grid(rng: &mut StdRng) -> f64 {
     GRID[rng.random_range(0..GRID.len())]
 }
 
+/// The declared `[min, max]` domains an index's signatures quantize over:
+/// the unit one the benchmark declares, wider, narrower and tiny ones, and
+/// the degenerate point, reversed and unbounded ones.
+const DOMAINS: [(f64, f64); 7] = [
+    (0.0, 1.0),
+    (-2.0, 3.0),
+    (0.1, 0.7),
+    (-1e-3, 1e-3),
+    (0.5, 0.5),
+    (1.0, 0.0),
+    (f64::NEG_INFINITY, f64::INFINITY),
+];
+
+/// A schema declaring `domains`, one ordinal attribute each.
+fn schema(domains: &[(f64, f64)]) -> Schema {
+    let attr = |(a, &(min, max))| OrdinalAttr::new(format!("a{a}"), min, max);
+    Schema::new(domains.iter().enumerate().map(attr).collect(), vec![])
+}
+
+/// A value on one of the 128 bucket edges of `[min, max]` or one ulp
+/// either side of it; one in four (and every edge a degenerate domain
+/// makes NaN) is a [`grid`] value instead — outside most domains, a zero
+/// or an infinity.
+fn edge(rng: &mut StdRng, (min, max): (f64, f64)) -> f64 {
+    let i = f64::from(rng.random_range(0..129u32));
+    let e = min + (max - min) * i / 128.0;
+    if e.is_nan() || rng.random_range(0..4u32) == 0 {
+        return grid(rng);
+    }
+    match rng.random_range(0..3u32) {
+        0 => e.next_down(),
+        1 => e,
+        _ => e.next_up(),
+    }
+}
+
 /// Unbounded / open / closed sides in any combination: reversed and
 /// degenerate-open pairs give the empty intervals, equal closed ones points.
-fn grid_interval(rng: &mut StdRng, grid: fn(&mut StdRng) -> f64) -> Interval {
+fn grid_interval(rng: &mut StdRng, grid: impl Fn(&mut StdRng) -> f64) -> Interval {
     let (a, b, shape) = (grid(rng), grid(rng), rng.random_range(0..8u32));
     let mut side = |v: f64| match rng.random_range(0..4u32) {
         0 => Endpoint::Unbounded,
@@ -173,14 +209,19 @@ fn grid_interval(rng: &mut StdRng, grid: fn(&mut StdRng) -> f64) -> Interval {
     }
 }
 
-/// A box over up to `dims` attributes with endpoints from `grid`; each is
-/// left out with chance `skip`/8, and one in four boxes carries a
-/// categorical predicate.
-fn grid_box(rng: &mut StdRng, grid: fn(&mut StdRng) -> f64, dims: usize, skip: u32) -> Query {
+/// A box over up to `dims` attributes, attribute `a`'s endpoints drawn by
+/// `value(rng, a)`; each is left out with chance `skip`/8, and one in four
+/// boxes carries a categorical predicate.
+fn grid_box(
+    rng: &mut StdRng,
+    value: &impl Fn(&mut StdRng, usize) -> f64,
+    dims: usize,
+    skip: u32,
+) -> Query {
     let mut q = Query::all();
     for a in 0..dims {
         if rng.random_range(0..8u32) >= skip {
-            q.add_range(AttrId(a), grid_interval(rng, grid));
+            q.add_range(AttrId(a), grid_interval(rng, |rng| value(rng, a)));
         }
     }
     for c in 0..2 {
@@ -194,8 +235,12 @@ fn grid_box(rng: &mut StdRng, grid: fn(&mut StdRng) -> f64, dims: usize, skip: u
 
 /// `RegionIndex` ≡ the linear scan, and `covering` names a region the scan
 /// finds, after every step of random insert / FIFO-evict / clear
-/// schedules. `QRS_TEST_SEED` picks the schedules, `QRS_FUZZ_ITERS` how
-/// many; a failure prints its schedule.
+/// schedules. Each schedule declares a domain per attribute from
+/// [`DOMAINS`] (or fewer attributes than it uses) and draws endpoints on
+/// and one ulp either side of that domain's bucket edges, or off the
+/// domain; dims 5 and 6 reach past the signature word. `QRS_TEST_SEED`
+/// picks the schedules, `QRS_FUZZ_ITERS` how many; a failure prints its
+/// schedule.
 #[test]
 fn region_index_matches_the_linear_scan() {
     let seed = 0x4E61_0DE5 ^ env_u64("QRS_TEST_SEED", 0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -204,10 +249,21 @@ fn region_index_matches_the_linear_scan() {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(schedule));
         let dims = rng.random_range(1..7usize);
         let cap = [3, 20, 150, usize::MAX][rng.random_range(0..4usize)];
-        let mut index = RegionIndex::new(cap);
+        let declared = match rng.random_range(0..4u32) {
+            0 => rng.random_range(0..dims),
+            _ => dims,
+        };
+        let domains: Vec<_> = (0..declared)
+            .map(|_| DOMAINS[rng.random_range(0..DOMAINS.len())])
+            .collect();
+        let value = |rng: &mut StdRng, a: usize| match domains.get(a) {
+            Some(&d) if rng.random_range(0..2u32) == 0 => edge(rng, d),
+            _ => grid(rng),
+        };
+        let mut index = RegionIndex::new(cap, &schema(&domains));
         // The oracle: live regions oldest-first.
         let mut live: Vec<Query> = Vec::new();
-        let mut log = vec![format!("dims {dims} cap {cap}")];
+        let mut log = vec![format!("dims {dims} cap {cap} domains {domains:?}")];
         for _ in 0..400 {
             if rng.random_range(0..100u32) == 0 {
                 log.push("clear".into());
@@ -215,7 +271,7 @@ fn region_index_matches_the_linear_scan() {
                 live.clear();
                 continue;
             }
-            let region = grid_box(&mut rng, grid, dims, 5);
+            let region = grid_box(&mut rng, &value, dims, 5);
             log.push(format!("insert {region}"));
             if live.len() == cap {
                 live.remove(0);
@@ -224,7 +280,7 @@ fn region_index_matches_the_linear_scan() {
             live.push(region);
             assert_eq!(index.len(), live.len(), "{}", log.join("\n"));
             for _ in 0..4 {
-                let q = grid_box(&mut rng, grid, dims + 1, 7);
+                let q = grid_box(&mut rng, &value, dims + 1, 7);
                 let want = live.iter().any(|r| q.is_subsumed_by(r));
                 assert_eq!(index.covers(&q), want, "probe {q}\n{}", log.join("\n"));
                 // `covering` names one of those regions, interval for interval.
@@ -313,12 +369,12 @@ const WALKS: [(usize, usize, usize, u32); 6] = [
 /// Run [`WALKS`]: after every insert one probe, written as `miss` or as the
 /// constrained intervals of the region `covering` returns (`all` when it
 /// has none); one schedule step in 150 is a `clear`.
-fn walk_corpus() -> String {
+fn walk_corpus(schema: &Schema) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     for (n, &(dims, cap, inserts, skip)) in WALKS.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(0x3A1C_0000 + n as u64);
-        let mut index = RegionIndex::new(cap);
+        let mut index = RegionIndex::new(cap, schema);
         let cap = if cap == usize::MAX {
             "none".into()
         } else {
@@ -363,21 +419,32 @@ fn walk_corpus() -> String {
 
 /// The region `covering` returns decides `complete_below`'s bound `y`, so
 /// the walk must name the same region as it did when
-/// `tests/golden/region_walk.txt` was recorded, probe for probe.
+/// `tests/golden/region_walk.txt` was recorded (before signatures), probe
+/// for probe, whatever domains the schema declares: the unit one, the
+/// walk's own span, one that leaves the word's last two attributes
+/// undeclared, and none.
 #[test]
 fn region_index_walk_matches_the_recorded_corpus() {
     const RECORDED: &str = include_str!("../../../tests/golden/region_walk.txt");
-    let fresh = walk_corpus();
-    if fresh != RECORDED {
-        let at = fresh
-            .lines()
-            .zip(RECORDED.lines())
-            .position(|(a, b)| a != b);
-        panic!(
-            "the walk no longer returns the regions tests/golden/region_walk.txt records \
-             (first difference at line {at:?}); the document it returns now:\n\
-             -----BEGIN-----\n{fresh}-----END-----"
-        );
+    let schemas = [
+        schema(&[(0.0, 1.0); 6]),
+        schema(&[(-0.125, 1.125); 6]),
+        schema(&[(0.25, 0.5), (-1.0, 0.0)]),
+        schema(&[]),
+    ];
+    for schema in &schemas {
+        let fresh = walk_corpus(schema);
+        if fresh != RECORDED {
+            let at = fresh
+                .lines()
+                .zip(RECORDED.lines())
+                .position(|(a, b)| a != b);
+            panic!(
+                "under {schema:?} the walk no longer returns the regions \
+                 tests/golden/region_walk.txt records (first difference at line {at:?}); \
+                 the document it returns now:\n-----BEGIN-----\n{fresh}-----END-----"
+            );
+        }
     }
     let probes = RECORDED
         .lines()

@@ -9,14 +9,36 @@
 //! `<=` the same coordinate of `q`'s (a probe's empty interval becomes the
 //! largest key, an unconstrained attribute the smallest; categorical
 //! predicates are checked on the survivors). Regions sit in insertion
-//! order; all but a short newest tail are under a bulk-built k-d hierarchy
-//! of per-coordinate minima, rebuilt without the evicted oldest regions
-//! whenever the tail outgrows an eighth of it, so a miss prunes subtrees
-//! instead of visiting every region.
+//! order; all but a short newest tail are under a bulk-built k-d hierarchy,
+//! rebuilt without the evicted oldest regions whenever the tail outgrows an
+//! eighth of it, so a miss prunes subtrees instead of visiting every
+//! region.
+//!
+//! **Signatures.** Every slot also carries one `u64`, a byte per coordinate
+//! of the first four ordinal attributes: seven bits quantize the key over
+//! the schema's declared `[min, max]` for that attribute (values outside it
+//! clamp to the end buckets, so nothing assumes a region or a probe lies
+//! inside the domain; an unbounded `lo` is 0, an empty probe side 127, and
+//! `!hi` is mirrored), the top bit is a guard, so
+//! `((p | H) - c) & H == H` tests `c <= p` on all eight bytes in one
+//! subtract. The quantizer is monotone in key order, so a slot whose word
+//! fails the test fails the exact test too: the word is only a filter, and
+//! a slot it passes still goes through the exact `u128` keys. Later
+//! attributes are left to the exact test. A node keeps the per-byte
+//! minimum of its slots' words, and leaves read their slots' words in tree
+//! order, so a rejected slot costs one word and never reaches the keys.
+//!
+//! **The walk order is load-bearing.** [`RegionIndex::covering`] returns
+//! the *first* subsuming region the walk meets — newest tail first, then
+//! the hierarchy in pre-order — and callers read that region's intervals
+//! (`complete_below`'s bound). The filter only skips slots the exact test
+//! would reject, so it never changes which region comes first;
+//! `tests/golden/region_walk.txt` pins the answer probe for probe.
 
 use crate::interval::{Endpoint, Interval};
 use crate::predicate::CatPredicate;
 use crate::query::Query;
+use crate::schema::Schema;
 use crate::AttrId;
 use std::cell::RefCell;
 
@@ -30,6 +52,55 @@ thread_local! {
 const LEAF: usize = 16;
 /// The newest-first tail is at least this long before a rebuild pays.
 const TAIL: usize = 64;
+/// Ordinal attributes a signature spans, two bytes each.
+const WORD_ATTRS: usize = 4;
+/// Every signature byte's guard bit.
+const GUARD: u64 = 0x8080_8080_8080_8080;
+
+/// Is every byte of signature `c` `<=` the same byte of `p`? Bytes hold 7
+/// bits, so with the guard set each byte of `(p | GUARD) - c` stays
+/// positive (no borrow crosses a byte) and keeps its guard iff `c <= p`.
+#[inline(always)]
+fn fits(c: u64, p: u64) -> bool {
+    ((p | GUARD) - c) & GUARD == GUARD
+}
+
+/// The per-byte minimum of signatures `a` and `b`.
+fn byte_min(a: u64, b: u64) -> u64 {
+    let a_le_b = (((b | GUARD) - a) & GUARD) >> 7;
+    let mask = a_le_b * 0xFF;
+    (a & mask) | (b & !mask)
+}
+
+/// One attribute's 7-bit buckets over its declared `[min, max]`,
+/// non-decreasing in `total_cmp` order whatever the domain.
+#[derive(Debug, Clone, Copy)]
+struct Quantizer {
+    min: f64,
+    /// Buckets per unit; 0 for a domain that is empty, reversed, infinite
+    /// or NaN, which puts every number in bucket 0.
+    scale: f64,
+}
+
+impl Quantizer {
+    fn new(min: f64, max: f64) -> Self {
+        let scale = Some(128.0 / (max - min)).filter(|s| s.is_finite() && *s > 0.0);
+        Quantizer {
+            min,
+            scale: scale.unwrap_or(0.0),
+        }
+    }
+
+    /// `v`'s bucket: the float cast saturates, so values below the domain
+    /// (and `-inf`) land in 0 and values from `max` up in 127; a NaN goes
+    /// where `total_cmp` puts it, below or above every number.
+    fn bucket(&self, v: f64) -> u64 {
+        if v.is_nan() {
+            return if v.is_sign_negative() { 0 } else { 127 };
+        }
+        u64::from((((v - self.min) * self.scale) as u8).min(127))
+    }
+}
 
 fn bits(v: f64) -> u128 {
     let b = v.to_bits();
@@ -65,12 +136,14 @@ fn fill(row: &mut [u128], q: &Query, probe: bool) {
     }
 }
 
+/// The value of a bounded endpoint key (the inverse of [`bits`]).
+fn value(k: u128) -> f64 {
+    let b = (k >> 2) as u64;
+    f64::from_bits(if b >> 63 == 1 { b & !(1 << 63) } else { !b })
+}
+
 /// The interval whose `[lo, !hi]` keys are `k` (the inverse of [`keys`]).
 fn interval(k: &[u128]) -> Interval {
-    let value = |k: u128| {
-        let b = (k >> 2) as u64;
-        f64::from_bits(if b >> 63 == 1 { b & !(1 << 63) } else { !b })
-    };
     let lo = match (k[0], k[0] & 3) {
         (0, _) => Endpoint::Unbounded,
         (k, 1) => Endpoint::Closed(value(k)),
@@ -99,10 +172,19 @@ impl Region<'_> {
     }
 }
 
+/// What a slot holds besides its keys.
+#[derive(Debug)]
+struct Slot {
+    sig: u64,
+    cats: Box<[CatPredicate]>,
+}
+
 /// One hierarchy node over `order[lo..hi]`, stored in pre-order; `skip` is
 /// the node after its subtree, so a leaf has `skip == self + 1`.
 #[derive(Debug)]
 struct Node {
+    /// The per-byte minimum of its slots' signatures.
+    sig: u64,
     lo: u32,
     hi: u32,
     skip: u32,
@@ -119,43 +201,56 @@ pub struct RegionIndex {
     /// Slots before `head` are evicted, the rest live, until the next
     /// rebuild drops them.
     head: usize,
-    /// Slot `s`'s categorical predicates.
-    cats: Vec<Vec<CatPredicate>>,
+    /// Slot `s`'s signature and categorical predicates.
+    slots: Vec<Slot>,
     /// Slot `s` owns `keys[s * 2 * dims..][..2 * dims]`.
     keys: Vec<u128>,
+    /// The signature quantizer of each of the first [`WORD_ATTRS`] ordinal
+    /// attributes.
+    quant: [Quantizer; WORD_ATTRS],
     /// Slots `..built` are under the hierarchy, the rest are the tail.
     built: usize,
     order: Vec<u32>,
+    /// `tree_sigs[i]` is slot `order[i]`'s signature.
+    tree_sigs: Vec<u64>,
     nodes: Vec<Node>,
-    /// Node `n`'s per-coordinate minimum over its slots, laid out as `keys`.
-    mins: Vec<u128>,
-}
-
-impl Default for RegionIndex {
-    fn default() -> Self {
-        RegionIndex::new(usize::MAX)
-    }
 }
 
 impl RegionIndex {
-    /// An empty index holding at most `cap` regions (FIFO beyond that).
-    pub fn new(cap: usize) -> Self {
+    /// An empty index over `schema`'s attributes holding at most `cap`
+    /// regions (FIFO beyond that). The schema's declared domains only set
+    /// the signature buckets: regions and probes outside them, and
+    /// attributes it does not declare, are still answered exactly.
+    pub fn new(cap: usize, schema: &Schema) -> Self {
+        let quant = std::array::from_fn(|a| match a < schema.num_ordinal() {
+            true => {
+                let attr = schema.ordinal(AttrId(a));
+                Quantizer::new(attr.min, attr.max)
+            }
+            false => Quantizer::new(0.0, 0.0),
+        });
+        RegionIndex::empty(cap, quant)
+    }
+
+    /// An empty index whose signatures quantize with `quant`.
+    fn empty(cap: usize, quant: [Quantizer; WORD_ATTRS]) -> Self {
         RegionIndex {
             cap: cap.max(1),
             dims: 0,
             head: 0,
-            cats: Vec::new(),
+            slots: Vec::new(),
             keys: Vec::new(),
+            quant,
             built: 0,
             order: Vec::new(),
+            tree_sigs: Vec::new(),
             nodes: Vec::new(),
-            mins: Vec::new(),
         }
     }
 
     /// Live regions.
     pub fn len(&self) -> usize {
-        self.cats.len() - self.head
+        self.slots.len() - self.head
     }
 
     /// True when no region is live.
@@ -165,7 +260,26 @@ impl RegionIndex {
 
     /// Forget everything, keeping the cap.
     pub fn clear(&mut self) {
-        *self = RegionIndex::new(self.cap);
+        *self = RegionIndex::empty(self.cap, self.quant);
+    }
+
+    /// The signature of key row `row` (see the module docs).
+    fn signature(&self, row: &[u128]) -> u64 {
+        let mut sig = 0;
+        for (a, q) in self.quant.iter().enumerate().take(row.len() / 2) {
+            let lo = match row[2 * a] {
+                0 => 0,
+                u128::MAX => 127,
+                k => q.bucket(value(k)),
+            };
+            let not_hi = match row[2 * a + 1] {
+                0 => 0,
+                u128::MAX => 127,
+                k => 127 - q.bucket(value(!k)),
+            };
+            sig |= (lo | not_hi << 8) << (16 * a);
+        }
+        sig
     }
 
     /// Store `region`, evicting the oldest live region first when the
@@ -181,13 +295,17 @@ impl RegionIndex {
         let row = self.keys.len();
         self.keys.resize(row + 2 * self.dims, 0);
         fill(&mut self.keys[row..], region, false);
-        self.cats.push(region.cats().to_vec());
-        if self.cats.len() - self.built > (self.built / 8).max(TAIL) {
+        self.slots.push(Slot {
+            sig: self.signature(&self.keys[row..]),
+            cats: region.cats().into(),
+        });
+        if self.slots.len() - self.built > (self.built / 8).max(TAIL) {
             self.rebuild();
         }
     }
 
     /// Is slot `s` live and does it subsume `q`, whose probe key is `p`?
+    /// The exact test, for a slot whose signature fits.
     /// Always inlined: [`covers`](Self::covers) calls it once per
     /// candidate slot of every history lookup, and left to the inliner,
     /// whether it is inlined depends on how the calling crate happens to
@@ -196,7 +314,7 @@ impl RegionIndex {
     fn hit(&self, s: usize, p: &[u128], q: &Query) -> bool {
         let w = p.len();
         let inside = self.keys[s * w..][..w].iter().zip(p).all(|(c, p)| c <= p);
-        s >= self.head && inside && q.cats_within(&self.cats[s])
+        s >= self.head && inside && q.cats_within(&self.slots[s].cats)
     }
 
     /// Does some live region `r` subsume `q` (`q.is_subsumed_by(r)`)?
@@ -213,30 +331,31 @@ impl RegionIndex {
             p.clear();
             p.resize(w, 0);
             fill(p, q, true);
-            self.walk(p, q)
+            self.walk(p, self.signature(p), q)
         });
         slot.map(|s| Region(&self.keys[s * w..][..w]))
     }
 
-    /// [`Self::covering`]'s walk for `q`, whose probe key is `p`: the slot
-    /// of the first subsuming region.
-    fn walk(&self, p: &[u128], q: &Query) -> Option<usize> {
-        let w = p.len();
-        let hit = |&s: &usize| self.hit(s, p, q);
-        if let Some(s) = (self.built..self.cats.len()).rev().find(hit) {
+    /// [`Self::covering`]'s walk for `q`, whose probe key is `p` and
+    /// signature `sig`: the slot of the first subsuming region.
+    fn walk(&self, p: &[u128], sig: u64, q: &Query) -> Option<usize> {
+        let hit = |s: usize| self.hit(s, p, q);
+        let mut tail = (self.built..self.slots.len()).rev();
+        if let Some(s) = tail.find(|&s| fits(self.slots[s].sig, sig) && hit(s)) {
             return Some(s);
         }
         let mut n = 0;
         while let Some(node) = self.nodes.get(n) {
-            if self.mins[n * w..][..w].iter().zip(p).any(|(m, p)| m > p) {
+            if !fits(node.sig, sig) {
                 n = node.skip as usize;
                 continue;
             }
             n += 1;
             if node.skip as usize == n {
-                let leaf = &self.order[node.lo as usize..node.hi as usize];
-                if let Some(s) = leaf.iter().map(|&s| s as usize).find(hit) {
-                    return Some(s);
+                let (lo, hi) = (node.lo as usize, node.hi as usize);
+                let mut leaf = self.tree_sigs[lo..hi].iter().zip(&self.order[lo..hi]);
+                if let Some((_, &s)) = leaf.find(|(&c, &s)| fits(c, sig) && hit(s as usize)) {
+                    return Some(s as usize);
                 }
             }
         }
@@ -251,11 +370,11 @@ impl RegionIndex {
         // allows: doubling would re-lay them a dozen times per service.
         if let Some(rows) = self.cap.checked_add(self.cap / 8 + TAIL + 1) {
             keys.reserve_exact(rows * new);
-            self.cats
-                .reserve_exact(rows.saturating_sub(self.cats.len()));
+            self.slots
+                .reserve_exact(rows.saturating_sub(self.slots.len()));
         }
-        keys.resize(self.cats.len() * new, 0);
-        for s in 0..self.cats.len() {
+        keys.resize(self.slots.len() * new, 0);
+        for s in 0..self.slots.len() {
             keys[s * new..][..old].copy_from_slice(&self.keys[s * old..][..old]);
         }
         (self.keys, self.dims) = (keys, dims);
@@ -266,27 +385,30 @@ impl RegionIndex {
     /// hierarchy.
     fn rebuild(&mut self) {
         self.keys.drain(..self.head * 2 * self.dims);
-        self.cats.drain(..self.head);
-        let n = self.cats.len();
+        self.slots.drain(..self.head);
+        let n = self.slots.len();
         (self.head, self.built) = (0, n);
         self.order.clear();
         self.order.extend(0..n as u32);
         self.nodes.clear();
-        self.mins.clear();
         self.build(0, n, 0);
+        self.tree_sigs.clear();
+        let slots = &self.slots;
+        self.tree_sigs
+            .extend(self.order.iter().map(|&s| slots[s as usize].sig));
     }
 
     /// Append the subtree over `order[lo..hi]`: halve at the median of one
-    /// coordinate (cycling with depth) down to leaves, minima bottom-up.
+    /// coordinate (cycling with depth) down to leaves, signature minima
+    /// bottom-up.
     fn build(&mut self, lo: usize, hi: usize, depth: usize) {
         let (w, me) = (2 * self.dims, self.nodes.len());
-        let (lo32, hi32) = (lo as u32, hi as u32);
         self.nodes.push(Node {
-            lo: lo32,
-            hi: hi32,
+            sig: !GUARD,
+            lo: lo as u32,
+            hi: hi as u32,
             skip: 0,
         });
-        self.mins.resize((me + 1) * w, u128::MAX);
         if hi - lo > LEAF && w > 0 {
             let (mid, keys) = ((lo + hi) / 2, &self.keys);
             self.order[lo..hi]
@@ -294,16 +416,12 @@ impl RegionIndex {
             self.build(lo, mid, depth + 1);
             let right = self.nodes.len();
             self.build(mid, hi, depth + 1);
-            for j in 0..w {
-                self.mins[me * w + j] = self.mins[(me + 1) * w + j].min(self.mins[right * w + j]);
-            }
+            self.nodes[me].sig = byte_min(self.nodes[me + 1].sig, self.nodes[right].sig);
         } else {
-            for &s in &self.order[lo..hi] {
-                for j in 0..w {
-                    self.mins[me * w + j] =
-                        self.mins[me * w + j].min(self.keys[s as usize * w + j]);
-                }
-            }
+            let sigs = self.order[lo..hi]
+                .iter()
+                .map(|&s| self.slots[s as usize].sig);
+            self.nodes[me].sig = sigs.fold(!GUARD, byte_min);
         }
         self.nodes[me].skip = self.nodes.len() as u32;
     }
