@@ -389,9 +389,6 @@ mod tests {
         );
     }
 
-    /// `matching` and `history_best` reach tuples through one `by_attr`
-    /// range — the tightest predicate's, or a ranking axis's; each must
-    /// return what one pass over every tuple returns, in the same order.
     /// An attribute on which history holds one value spans nothing: a
     /// predicate admitting that value admits every tuple, so it is not the
     /// tightest (it once divided 0 by 0 and won), and one excluding it is.
@@ -418,6 +415,9 @@ mod tests {
         assert_eq!(h.candidates(&excludes).count(), 0);
     }
 
+    /// `matching` and `history_best` reach tuples through one `by_attr`
+    /// range — the tightest predicate's, or a ranking axis's; each must
+    /// return what one pass over every tuple returns, in the same order.
     #[test]
     fn by_attr_paths_agree_with_a_pass_over_every_tuple() {
         use crate::{ctx::SharedState, md::top1::history_best, norm::NormView};

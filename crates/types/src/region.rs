@@ -9,10 +9,10 @@
 //! `<=` the same coordinate of `q`'s (a probe's empty interval becomes the
 //! largest key, an unconstrained attribute the smallest; categorical
 //! predicates are checked on the survivors). Regions sit in insertion
-//! order; all but a short newest tail are under a bulk-built k-d hierarchy,
-//! rebuilt without the evicted oldest regions whenever the tail outgrows an
-//! eighth of it, so a miss prunes subtrees instead of visiting every
-//! region.
+//! order; all but a short newest tail are under a bulk-built k-d hierarchy
+//! of per-coordinate minima, rebuilt without the evicted oldest regions
+//! whenever the tail outgrows an eighth of it, so a miss prunes subtrees
+//! instead of visiting every region.
 //!
 //! **Signatures.** Every slot also carries one `u64`, a byte per coordinate
 //! of the first four ordinal attributes: seven bits quantize the key over
@@ -24,9 +24,19 @@
 //! subtract. The quantizer is monotone in key order, so a slot whose word
 //! fails the test fails the exact test too: the word is only a filter, and
 //! a slot it passes still goes through the exact `u128` keys. Later
-//! attributes are left to the exact test. A node keeps the per-byte
-//! minimum of its slots' words, and leaves read their slots' words in tree
-//! order, so a rejected slot costs one word and never reaches the keys.
+//! attributes are left to the exact test. Leaves read their slots' words in
+//! tree order, so a rejected slot costs one word and never reaches the
+//! keys.
+//!
+//! The word filters slots, never nodes: a node prunes on its exact minima
+//! over every coordinate. A per-byte minimum of words would prune only on
+//! the first four attributes and only to a bucket's width, which on an
+//! attribute whose values crowd a corner of its declared range (a flight's
+//! delays) is most of the data. So the walk visits the same nodes and
+//! slots as with no words at all, and a word can only save a slot's exact
+//! test. How many it saves depends on the data: a probe that differs from
+//! a region only past the fourth attribute, or within one bucket, passes
+//! the word and pays the exact test.
 //!
 //! **The walk order is load-bearing.** [`RegionIndex::covering`] returns
 //! the *first* subsuming region the walk meets — newest tail first, then
@@ -63,13 +73,6 @@ const GUARD: u64 = 0x8080_8080_8080_8080;
 #[inline(always)]
 fn fits(c: u64, p: u64) -> bool {
     ((p | GUARD) - c) & GUARD == GUARD
-}
-
-/// The per-byte minimum of signatures `a` and `b`.
-fn byte_min(a: u64, b: u64) -> u64 {
-    let a_le_b = (((b | GUARD) - a) & GUARD) >> 7;
-    let mask = a_le_b * 0xFF;
-    (a & mask) | (b & !mask)
 }
 
 /// One attribute's 7-bit buckets over its declared `[min, max]`,
@@ -183,8 +186,6 @@ struct Slot {
 /// the node after its subtree, so a leaf has `skip == self + 1`.
 #[derive(Debug)]
 struct Node {
-    /// The per-byte minimum of its slots' signatures.
-    sig: u64,
     lo: u32,
     hi: u32,
     skip: u32,
@@ -214,6 +215,8 @@ pub struct RegionIndex {
     /// `tree_sigs[i]` is slot `order[i]`'s signature.
     tree_sigs: Vec<u64>,
     nodes: Vec<Node>,
+    /// Node `n`'s per-coordinate minimum over its slots, laid out as `keys`.
+    mins: Vec<u128>,
 }
 
 impl RegionIndex {
@@ -245,6 +248,7 @@ impl RegionIndex {
             order: Vec::new(),
             tree_sigs: Vec::new(),
             nodes: Vec::new(),
+            mins: Vec::new(),
         }
     }
 
@@ -339,14 +343,14 @@ impl RegionIndex {
     /// [`Self::covering`]'s walk for `q`, whose probe key is `p` and
     /// signature `sig`: the slot of the first subsuming region.
     fn walk(&self, p: &[u128], sig: u64, q: &Query) -> Option<usize> {
-        let hit = |s: usize| self.hit(s, p, q);
+        let (w, hit) = (p.len(), |s: usize| self.hit(s, p, q));
         let mut tail = (self.built..self.slots.len()).rev();
         if let Some(s) = tail.find(|&s| fits(self.slots[s].sig, sig) && hit(s)) {
             return Some(s);
         }
         let mut n = 0;
         while let Some(node) = self.nodes.get(n) {
-            if !fits(node.sig, sig) {
+            if self.mins[n * w..][..w].iter().zip(p).any(|(m, p)| m > p) {
                 n = node.skip as usize;
                 continue;
             }
@@ -391,6 +395,7 @@ impl RegionIndex {
         self.order.clear();
         self.order.extend(0..n as u32);
         self.nodes.clear();
+        self.mins.clear();
         self.build(0, n, 0);
         self.tree_sigs.clear();
         let slots = &self.slots;
@@ -399,16 +404,15 @@ impl RegionIndex {
     }
 
     /// Append the subtree over `order[lo..hi]`: halve at the median of one
-    /// coordinate (cycling with depth) down to leaves, signature minima
-    /// bottom-up.
+    /// coordinate (cycling with depth) down to leaves, minima bottom-up.
     fn build(&mut self, lo: usize, hi: usize, depth: usize) {
         let (w, me) = (2 * self.dims, self.nodes.len());
         self.nodes.push(Node {
-            sig: !GUARD,
             lo: lo as u32,
             hi: hi as u32,
             skip: 0,
         });
+        self.mins.resize((me + 1) * w, u128::MAX);
         if hi - lo > LEAF && w > 0 {
             let (mid, keys) = ((lo + hi) / 2, &self.keys);
             self.order[lo..hi]
@@ -416,13 +420,49 @@ impl RegionIndex {
             self.build(lo, mid, depth + 1);
             let right = self.nodes.len();
             self.build(mid, hi, depth + 1);
-            self.nodes[me].sig = byte_min(self.nodes[me + 1].sig, self.nodes[right].sig);
+            for j in 0..w {
+                self.mins[me * w + j] = self.mins[(me + 1) * w + j].min(self.mins[right * w + j]);
+            }
         } else {
-            let sigs = self.order[lo..hi]
-                .iter()
-                .map(|&s| self.slots[s as usize].sig);
-            self.nodes[me].sig = sigs.fold(!GUARD, byte_min);
+            for &s in &self.order[lo..hi] {
+                for j in 0..w {
+                    self.mins[me * w + j] =
+                        self.mins[me * w + j].min(self.keys[s as usize * w + j]);
+                }
+            }
         }
         self.nodes[me].skip = self.nodes.len() as u32;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{fits, GUARD};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The word test is exactly "every byte of `c` is `<=` the same byte
+    /// of `p`". The walk tests cannot see a word test that lets a failing
+    /// byte through (the exact test still rejects the slot), so this one
+    /// pins it byte by byte, on pairs that differ by a step or two.
+    #[test]
+    fn region_index_word_test_compares_every_byte() {
+        let mut rng = StdRng::seed_from_u64(52);
+        let byte = |w: u64, i: usize| w >> (8 * i) & 0x7F;
+        for _ in 0..100_000 {
+            let (mut c, mut p) = (0u64, 0u64);
+            for i in 0..8 {
+                let pb: u64 = match rng.random_range(0..8u32) {
+                    0 => 0,
+                    1 => 127,
+                    _ => rng.random_range(0..128u64),
+                };
+                let cb = (pb + rng.random_range(0..4u64)).saturating_sub(2).min(127);
+                (c, p) = (c | cb << (8 * i), p | pb << (8 * i));
+            }
+            assert_eq!(c & GUARD, 0);
+            let want = (0..8).all(|i| byte(c, i) <= byte(p, i));
+            assert_eq!(fits(c, p), want, "c {c:#018x} p {p:#018x}");
+        }
     }
 }
