@@ -24,9 +24,8 @@
 //! subtract. The quantizer is monotone in key order, so a slot whose word
 //! fails the test fails the exact test too: the word is only a filter, and
 //! a slot it passes still goes through the exact `u128` keys. Later
-//! attributes are left to the exact test. Leaves read their slots' words in
-//! tree order, so a rejected slot costs one word and never reaches the
-//! keys.
+//! attributes are left to the exact test. A rejected slot costs one word
+//! and never reaches its keys.
 //!
 //! The word filters slots, never nodes: a node prunes on its exact minima
 //! over every coordinate. A per-byte minimum of words would prune only on
@@ -212,8 +211,6 @@ pub struct RegionIndex {
     /// Slots `..built` are under the hierarchy, the rest are the tail.
     built: usize,
     order: Vec<u32>,
-    /// `tree_sigs[i]` is slot `order[i]`'s signature.
-    tree_sigs: Vec<u64>,
     nodes: Vec<Node>,
     /// Node `n`'s per-coordinate minimum over its slots, laid out as `keys`.
     mins: Vec<u128>,
@@ -246,7 +243,6 @@ impl RegionIndex {
             quant,
             built: 0,
             order: Vec::new(),
-            tree_sigs: Vec::new(),
             nodes: Vec::new(),
             mins: Vec::new(),
         }
@@ -343,6 +339,8 @@ impl RegionIndex {
     /// [`Self::covering`]'s walk for `q`, whose probe key is `p` and
     /// signature `sig`: the slot of the first subsuming region.
     fn walk(&self, p: &[u128], sig: u64, q: &Query) -> Option<usize> {
+        // The word test is spelled out in each `find`: folded into `hit`,
+        // one closure for both, the walk measured 6 % slower end to end.
         let (w, hit) = (p.len(), |s: usize| self.hit(s, p, q));
         let mut tail = (self.built..self.slots.len()).rev();
         if let Some(s) = tail.find(|&s| fits(self.slots[s].sig, sig) && hit(s)) {
@@ -357,9 +355,9 @@ impl RegionIndex {
             n += 1;
             if node.skip as usize == n {
                 let (lo, hi) = (node.lo as usize, node.hi as usize);
-                let mut leaf = self.tree_sigs[lo..hi].iter().zip(&self.order[lo..hi]);
-                if let Some((_, &s)) = leaf.find(|(&c, &s)| fits(c, sig) && hit(s as usize)) {
-                    return Some(s as usize);
+                let mut leaf = self.order[lo..hi].iter().map(|&s| s as usize);
+                if let Some(s) = leaf.find(|&s| fits(self.slots[s].sig, sig) && hit(s)) {
+                    return Some(s);
                 }
             }
         }
@@ -397,10 +395,6 @@ impl RegionIndex {
         self.nodes.clear();
         self.mins.clear();
         self.build(0, n, 0);
-        self.tree_sigs.clear();
-        let slots = &self.slots;
-        self.tree_sigs
-            .extend(self.order.iter().map(|&s| slots[s as usize].sig));
     }
 
     /// Append the subtree over `order[lo..hi]`: halve at the median of one
