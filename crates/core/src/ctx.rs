@@ -4,10 +4,12 @@
 //! threaded through every algorithm invocation: the history and the
 //! complete regions are deliberately *cross-user-query* structures (the
 //! amortization argument of §3.1.1 depends on it). Tuples live in the
-//! history and nowhere else; the complete regions are the one registry of
+//! history and nowhere else, each as one row of its row store (the
+//! `history` module docs); the complete regions are the one registry of
 //! regions whose tuples are known in full, and [`SharedState::ask`] is
-//! where a top-k query is either answered from them or paid for. Every paid
-//! query is counted under the [`Purpose`] its caller names.
+//! where a top-k query is either answered from them — read off the
+//! history's rows — or paid for. Every paid query is counted under the
+//! [`Purpose`] its caller names.
 
 use crate::crawl::PendingCrawls;
 use crate::history::History;
@@ -57,8 +59,8 @@ impl Purpose {
 /// History + complete-region registry + interrupted crawls + parameters.
 #[derive(Debug)]
 pub struct SharedState {
-    /// Every tuple ever observed in a server response, indexed per
-    /// ordinal attribute.
+    /// Every tuple ever observed in a server response: one row each,
+    /// indexed per ordinal attribute by sorted runs.
     pub history: History,
     /// Regions proven complete (query answered without overflow, or
     /// crawled to the end): every tuple one of them matches is in
@@ -97,9 +99,10 @@ impl SharedState {
     /// The one way a built-in algorithm asks the site a top-k query: consult
     /// what is already known in full before paying (§3.1.1). When a complete
     /// region covers `q`, every match is in history and comes back free as a
-    /// response that did not overflow — possibly more than `k` tuples, in no
-    /// particular order; otherwise the site is paid, the answer counted
-    /// under `purpose` and absorbed.
+    /// response that did not overflow — possibly more than `k` tuples, in
+    /// [`History::candidates`](crate::history::History::candidates)' order,
+    /// not the site's; otherwise the site is paid, the answer counted under
+    /// `purpose` and absorbed.
     pub fn ask(
         &mut self,
         server: &dyn SearchInterface,
@@ -107,8 +110,8 @@ impl SharedState {
         purpose: Purpose,
     ) -> Result<QueryResponse, RerankError> {
         if self.complete.covers(q) {
-            let known = self.history.candidates(q).filter(|t| q.matches(t));
-            return Ok(QueryResponse::new(known.cloned().collect(), false));
+            let known = self.history.candidates(q).cloned().collect();
+            return Ok(QueryResponse::new(known, false));
         }
         self.pay(server, q, purpose)
     }

@@ -11,34 +11,85 @@
 //! remembered region, its entire answer is already in history and costs
 //! zero server queries. Neither walks what it has learned on the hot path:
 //! the regions are a [`RegionIndex`](qrs_types::RegionIndex), and a covered
-//! query reaches its tuples through the tightest `by_attr` range it offers
+//! query reaches its tuples through the tightest attribute range it offers
 //! ([`History::candidates`]).
+//!
+//! **Layout.** A tuple is stored once, as a *row*: its `Arc<Tuple>`, its
+//! ordinal values row-major, and one [`order_key`] per value. Each ordinal
+//! attribute is indexed by `(key, id, row)` entries in `(value, id)` order,
+//! cut into sorted runs of at most 1 024 entries, so recording a tuple
+//! costs a binary search and a bounded move per attribute however much
+//! history holds. A read compiles the query's range predicates once into
+//! inclusive key bounds ([`Interval::key_bounds`]), so a row matches by
+//! integer compares, and scores a match from its row through
+//! [`RankFn::score_norm`], which gives `score`'s bits by `RankFn`'s
+//! contract. A read never follows a row's `Arc` except to return it, or to
+//! test a categorical predicate. Iteration is deterministic: along an
+//! attribute in `(value, id)` order, and over every row in recording order,
+//! so two histories recorded alike answer alike, order included.
 //!
 //! The MD search's history read, `md::top1::history_best`, asks for the
 //! lowest-scoring known tuple in a box, so it walks a ranking axis in
-//! score order instead: the tightest predicate's attribute when that one
-//! ranks, else the ranking attribute along which the score climbs most
-//! across the box. Each tuple's coordinate on that axis, with the box's low
-//! corner elsewhere, bounds from below the score of every tuple after it,
-//! and the walk stops at the first bound *strictly* above the best score:
-//! stopping at an equal bound could skip a tie with a smaller id, so the
-//! answer stays the exact `(score, id)` minimum. The cost of a read grows
-//! with how far the best known tuple sits along the axis, not with how
-//! much history holds.
+//! score order instead (`History::lowest`): the tightest predicate's
+//! attribute when that one ranks, else the ranking attribute along which
+//! the score climbs most across the box. Each tuple's coordinate on that
+//! axis, with the box's low corner elsewhere, bounds from below the score
+//! of every tuple after it, and the walk stops at the first bound
+//! *strictly* above the best score: stopping at an equal bound could skip a
+//! tie with a smaller id, so the answer stays the exact `(score, id)`
+//! minimum. The cost of a read grows with how far the best known tuple
+//! sits along the axis, not with how much history holds.
 
-use qrs_types::value::OrdF64;
+use qrs_ranking::RankFn;
+use qrs_types::value::{from_order_key, order_key, OrdF64};
 use qrs_types::{
     AttrId, Direction, Endpoint, Interval, Query, QueryResponse, RangePredicate, Tuple, TupleId,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::{Entry as Slot, HashMap};
 use std::sync::Arc;
 
-/// All tuples observed so far, with per-attribute sorted indexes.
+/// The most entries one run of an attribute's index holds: a full run is
+/// halved before it takes another.
+const RUN: usize = 1024;
+
+/// Range predicates a read compiles to key bounds, and ranking
+/// coordinates it scores a row in, without allocating.
+const INLINE: usize = 8;
+
+/// One entry of an attribute's index: a row's key on the attribute, its
+/// tuple's id (the tie order), and the row.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: u64,
+    id: TupleId,
+    row: u32,
+}
+
+impl Entry {
+    /// The index's order: `(value, id)`.
+    #[inline]
+    fn at(&self) -> (u64, TupleId) {
+        (self.key, self.id)
+    }
+}
+
+/// All tuples observed so far, one row each, with a per-attribute index
+/// of sorted runs (module docs, "Layout").
 #[derive(Debug, Default)]
 pub struct History {
-    tuples: HashMap<TupleId, Arc<Tuple>>,
-    /// For each ordinal attribute: (value, id) → tuple, sorted by raw value.
-    by_attr: Vec<BTreeMap<(OrdF64, TupleId), Arc<Tuple>>>,
+    /// Ordinal attributes per row.
+    width: usize,
+    /// Row `r`'s tuple, rows in recording order.
+    tuples: Vec<Arc<Tuple>>,
+    /// Row `r`'s ordinal values, `vals[r * width..][..width]`.
+    vals: Vec<f64>,
+    /// Row `r`'s [`order_key`]s, laid out as `vals`.
+    keys: Vec<u64>,
+    /// Tuple id → row.
+    rows: HashMap<TupleId, u32>,
+    /// Per ordinal attribute: every row's entry in `(value, id)` order, in
+    /// runs of 1 to [`RUN`] entries.
+    by_attr: Vec<Vec<Vec<Entry>>>,
 }
 
 impl History {
@@ -46,8 +97,9 @@ impl History {
     /// attributes.
     pub fn new(num_ordinal_attrs: usize) -> Self {
         History {
-            tuples: HashMap::new(),
-            by_attr: (0..num_ordinal_attrs).map(|_| BTreeMap::new()).collect(),
+            width: num_ordinal_attrs,
+            by_attr: vec![Vec::new(); num_ordinal_attrs],
+            ..History::default()
         }
     }
 
@@ -63,20 +115,31 @@ impl History {
 
     /// True when the tuple with this id has been observed.
     pub fn contains(&self, id: TupleId) -> bool {
-        self.tuples.contains_key(&id)
+        self.rows.contains_key(&id)
     }
 
     /// Look up an observed tuple by id.
     pub fn get(&self, id: TupleId) -> Option<&Arc<Tuple>> {
-        self.tuples.get(&id)
+        self.rows.get(&id).map(|&r| &self.tuples[r as usize])
     }
 
-    /// Record one tuple.
+    /// Record one tuple. An id is recorded once: within one site epoch it
+    /// names one tuple, so a later tuple with a recorded id is ignored.
     pub fn record(&mut self, t: &Arc<Tuple>) {
-        if self.tuples.insert(t.id, Arc::clone(t)).is_none() {
-            for (i, idx) in self.by_attr.iter_mut().enumerate() {
-                idx.insert((OrdF64(t.ord(AttrId(i))), t.id), Arc::clone(t));
-            }
+        // Fits: every row holds a distinct `u32` id, this one new.
+        let row = self.tuples.len() as u32;
+        let Slot::Vacant(slot) = self.rows.entry(t.id) else {
+            return;
+        };
+        slot.insert(row);
+        let vals = &t.ords()[..self.width];
+        self.tuples.push(Arc::clone(t));
+        self.vals.extend_from_slice(vals);
+        let start = self.keys.len();
+        self.keys.extend(vals.iter().map(|&v| order_key(v)));
+        for (runs, &key) in self.by_attr.iter_mut().zip(&self.keys[start..]) {
+            let id = t.id;
+            insert(runs, Entry { key, id, row });
         }
     }
 
@@ -87,25 +150,49 @@ impl History {
         }
     }
 
+    /// The entries of `attr`'s index whose value lies in `iv`, in
+    /// `(value, id)` order.
+    fn span(&self, attr: AttrId, iv: Interval) -> impl DoubleEndedIterator<Item = &Entry> + '_ {
+        let runs = &self.by_attr[attr.0];
+        let within = iv.key_bounds().map(|(lo, hi)| {
+            let first = runs.partition_point(|r| r[r.len() - 1].key < lo);
+            let end = runs.partition_point(|r| r[0].key <= hi);
+            runs[first..end].iter().flat_map(move |r| {
+                &r[r.partition_point(|e| e.key < lo)..r.partition_point(|e| e.key <= hi)]
+            })
+        });
+        within.into_iter().flatten()
+    }
+
     /// Tuples whose raw `attr` value lies in `iv`, in ascending
     /// `(value, id)` order — from either end.
-    pub fn in_range<'a>(
-        &'a self,
+    pub fn in_range(
+        &self,
         attr: AttrId,
         iv: Interval,
-    ) -> impl DoubleEndedIterator<Item = &'a Arc<Tuple>> + 'a {
-        use std::ops::Bound;
-        let lo = match iv.lo {
-            Endpoint::Unbounded => Bound::Unbounded,
-            Endpoint::Open(v) => Bound::Excluded((OrdF64(v), TupleId(u32::MAX))),
-            Endpoint::Closed(v) => Bound::Included((OrdF64(v), TupleId(0))),
+    ) -> impl DoubleEndedIterator<Item = &Arc<Tuple>> + '_ {
+        self.span(attr, iv).map(|e| &self.tuples[e.row as usize])
+    }
+
+    /// `q` compiled against the rows, leaving out its predicate on
+    /// `spanned`, whose index range the caller walks; `None` when one of
+    /// its ranges admits no value.
+    fn compile<'a>(&'a self, q: &'a Query, spanned: Option<AttrId>) -> Option<Matcher<'a>> {
+        let mut m = Matcher {
+            history: self,
+            q,
+            bounds: [(0, 0, 0); INLINE],
+            len: 0,
+            rest: !q.cats().is_empty(),
         };
-        let hi = match iv.hi {
-            Endpoint::Unbounded => Bound::Unbounded,
-            Endpoint::Open(v) => Bound::Excluded((OrdF64(v), TupleId(0))),
-            Endpoint::Closed(v) => Bound::Included((OrdF64(v), TupleId(u32::MAX))),
-        };
-        self.by_attr[attr.0].range((lo, hi)).map(|(_, t)| t)
+        for p in q.ranges().iter().filter(|p| Some(p.attr) != spanned) {
+            let (lo, hi) = p.interval.key_bounds()?;
+            match p.attr.0 < self.width && m.len < INLINE {
+                true => (m.bounds[m.len], m.len) = ((p.attr.0, lo, hi), m.len + 1),
+                false => m.rest = true,
+            }
+        }
+        Some(m)
     }
 
     /// The matching tuple ranked first along `attr` in direction `dir` whose
@@ -141,31 +228,25 @@ impl History {
         norm_iv: Interval,
         q: &Query,
     ) -> Option<&Arc<Tuple>> {
-        if norm_iv.is_empty() {
-            return None; // `BTreeMap::range` panics on inverted bounds
-        }
-        let raw_iv = match dir {
-            Direction::Asc => norm_iv,
-            Direction::Desc => norm_iv.negate(),
-        };
-        let mut range = self.in_range(attr, raw_iv);
-        match dir {
-            Direction::Asc => range.find(|t| q.matches(t)),
+        let m = self.compile(q, None)?;
+        let found = match dir {
+            Direction::Asc => self.span(attr, norm_iv).find(|e| m.matches(e.row)),
             // From the top, ids descend within a value: the answer is the
             // last match before the value changes under the first one.
             Direction::Desc => {
-                let mut best: Option<&Arc<Tuple>> = None;
-                for t in range.rev() {
-                    if best.is_some_and(|b| OrdF64(b.ord(attr)) > OrdF64(t.ord(attr))) {
+                let mut best: Option<&Entry> = None;
+                for e in self.span(attr, norm_iv.negate()).rev() {
+                    if best.is_some_and(|b| b.key > e.key) {
                         break;
                     }
-                    if q.matches(t) {
-                        best = Some(t);
+                    if m.matches(e.row) {
+                        best = Some(e);
                     }
                 }
                 best
             }
-        }
+        };
+        found.map(|e| &self.tuples[e.row as usize])
     }
 
     /// The share of `p.attr`'s observed span that `p` admits: 0 for a point
@@ -173,12 +254,14 @@ impl History {
     /// history holds one value on the attribute, the span is that value and
     /// `p` admits all of it (1) or none of it (0).
     fn share(&self, p: &RangePredicate) -> f64 {
-        let idx = &self.by_attr[p.attr.0];
-        let (Some((&(OrdF64(min), _), _)), Some((&(OrdF64(max), _), _))) =
-            (idx.first_key_value(), idx.last_key_value())
-        else {
+        let runs = &self.by_attr[p.attr.0];
+        let (Some(first), Some(last)) = (runs.first(), runs.last()) else {
             return 0.0;
         };
+        let (min, max) = (
+            from_order_key(first[0].key),
+            from_order_key(last[last.len() - 1].key),
+        );
         if min == max {
             return if p.interval.contains(min) { 1.0 } else { 0.0 };
         }
@@ -193,44 +276,197 @@ impl History {
     pub(crate) fn tightest<'q>(&self, q: &'q Query) -> Option<&'q RangePredicate> {
         q.ranges()
             .iter()
-            .filter(|p| p.attr.0 < self.by_attr.len() && !p.interval.is_all())
+            .filter(|p| p.attr.0 < self.width && !p.interval.is_all())
             .min_by_key(|p| OrdF64(self.share(p)))
     }
 
-    /// A superset of the observed tuples matching `q`, in no particular
-    /// order: the `by_attr` range of `q`'s tightest range predicate, or
-    /// every tuple when it has none.
-    pub fn candidates<'a>(&'a self, q: &Query) -> Box<dyn Iterator<Item = &'a Arc<Tuple>> + 'a> {
-        match self.tightest(q) {
-            Some(p) if p.interval.is_empty() => Box::new(std::iter::empty()),
-            Some(p) => Box::new(self.in_range(p.attr, p.interval)),
-            None => Box::new(self.tuples.values()),
-        }
+    /// The observed tuples matching `q`: along its tightest range
+    /// predicate's attribute in `(value, id)` order, or every row in
+    /// recording order when it has none.
+    pub fn candidates<'a>(&'a self, q: &'a Query) -> impl Iterator<Item = &'a Arc<Tuple>> + 'a {
+        let spanned = self.tightest(q);
+        let matcher = self.compile(q, spanned.map(|p| p.attr));
+        matcher.into_iter().flat_map(move |m| {
+            let span = spanned.map(|p| self.span(p.attr, p.interval).map(|e| e.row));
+            let every = spanned.is_none().then_some(0..self.tuples.len() as u32);
+            let rows = span
+                .into_iter()
+                .flatten()
+                .chain(every.into_iter().flatten());
+            rows.filter(move |&r| m.matches(r))
+                .map(|r| &self.tuples[r as usize])
+        })
     }
 
     /// Whether more than `n` observed tuples match `q` — a query that would
     /// overflow a top-`n` page on what history alone already knows.
     pub fn holds_more_than(&self, q: &Query, n: usize) -> bool {
-        self.candidates(q).filter(|t| q.matches(t)).nth(n).is_some()
+        self.candidates(q).nth(n).is_some()
     }
 
     /// All observed tuples matching `q`, sorted by id — authoritative when a
     /// complete region covers `q`.
     pub fn matching(&self, q: &Query) -> Vec<Arc<Tuple>> {
-        let mut v: Vec<Arc<Tuple>> = self
-            .candidates(q)
-            .filter(|t| q.matches(t))
-            .cloned()
-            .collect();
+        let mut v: Vec<Arc<Tuple>> = self.candidates(q).cloned().collect();
         v.sort_by_key(|t| t.id);
         v
+    }
+
+    /// The `(score, id)`-least tuple matching `q` under `rank`, with its
+    /// score, by a threshold walk along ranking axis `axis` of `q`'s box,
+    /// whose low corner is `at` and whose upper end on that axis is `hi`
+    /// (module docs; `md::top1::history_best` picks the axis). `None` where
+    /// no match scores below `cap` (`f64::INFINITY` for no cap); a match at
+    /// or above a finite cap may still be returned.
+    ///
+    /// Rows come in normalized-ascending order along the axis, and each
+    /// bounds every later one from below by the axis bound: `score_norm`
+    /// of the low corner with only the walked coordinate replaced by its
+    /// own (every tuple lies in the schema's domain). The walk stops at the
+    /// first row whose bound *strictly* exceeds the best score: one whose
+    /// bound equals it may still tie the best with a smaller id. Before any
+    /// match it stops at the first bound at or above `cap`. The cut
+    /// coordinate where the bound reaches the best score (or the cap) is
+    /// recomputed only when the best improves (one `ell`), so a step below
+    /// it is one float compare and a step at or above it one `score_norm`.
+    pub(crate) fn lowest(
+        &self,
+        q: &Query,
+        rank: &dyn RankFn,
+        axis: usize,
+        at: Vec<f64>,
+        hi: f64,
+        cap: f64,
+    ) -> Option<(&Arc<Tuple>, f64)> {
+        let (attr, dir) = (rank.attrs()[axis], rank.directions()[axis]);
+        let m = self.compile(q, Some(attr))?;
+        let span = self.span(attr, q.interval(attr));
+        let best = match dir {
+            Direction::Asc => m.walk(rank, axis, at, hi, span, cap),
+            Direction::Desc => m.walk(rank, axis, at, hi, span.rev(), cap),
+        };
+        best.map(|(row, s)| (&self.tuples[row as usize], s))
+    }
+}
+
+/// Put `e` into its attribute's runs, halving a full run first.
+fn insert(runs: &mut Vec<Vec<Entry>>, e: Entry) {
+    // The last run whose first entry comes before `e`, or the first.
+    let mut i = runs
+        .partition_point(|r| r[0].at() < e.at())
+        .saturating_sub(1);
+    if runs.is_empty() {
+        runs.push(Vec::new());
+    } else if runs[i].len() == RUN {
+        let upper = runs[i].split_off(RUN / 2);
+        runs.insert(i + 1, upper);
+        i += usize::from(runs[i + 1][0].at() < e.at());
+    }
+    let run = &mut runs[i];
+    run.insert(run.partition_point(|x| x.at() < e.at()), e);
+}
+
+/// A ranking's attributes and directions, read once per walk.
+type Terms<'r> = (&'r [AttrId], &'r [Direction]);
+
+/// A query compiled against a history's rows: inclusive key bounds per
+/// range predicate, and whether the tuple must be read for the rest (a
+/// categorical predicate, a range on an attribute past the rows, or more
+/// than [`INLINE`] ranges).
+struct Matcher<'a> {
+    history: &'a History,
+    q: &'a Query,
+    /// `(attribute, lowest key, highest key)`, the first `len` in use.
+    bounds: [(usize, u64, u64); INLINE],
+    len: usize,
+    rest: bool,
+}
+
+impl Matcher<'_> {
+    /// Does row `r` match the query?
+    #[inline]
+    fn matches(&self, r: u32) -> bool {
+        let h = self.history;
+        let keys = &h.keys[r as usize * h.width..][..h.width];
+        // Every bound is tested, without a branch between them: whether a
+        // row matches is a coin toss the predictor loses either way.
+        let inside = (self.bounds[..self.len].iter()).fold(true, |ok, &(a, lo, hi)| {
+            ok & (lo <= keys[a]) & (keys[a] <= hi)
+        });
+        inside && (!self.rest || self.q.matches(&h.tuples[r as usize]))
+    }
+
+    /// Row `r`'s score under `rank`, whose attributes and directions are
+    /// `terms`, its normalized coordinates read from the row into `u`.
+    #[inline]
+    fn score(&self, rank: &dyn RankFn, terms: Terms, r: u32, u: &mut [f64]) -> f64 {
+        let h = self.history;
+        let vals = &h.vals[r as usize * h.width..][..h.width];
+        for ((x, a), d) in u.iter_mut().zip(terms.0).zip(terms.1) {
+            *x = d.normalize(vals[a.0]);
+        }
+        rank.score_norm(u)
+    }
+
+    /// [`History::lowest`]'s walk over `entries`, in normalized-ascending
+    /// order along `axis`: the best match's row and score.
+    fn walk<'e>(
+        &self,
+        rank: &dyn RankFn,
+        axis: usize,
+        mut at: Vec<f64>,
+        hi: f64,
+        entries: impl Iterator<Item = &'e Entry>,
+        cap: f64,
+    ) -> Option<(u32, f64)> {
+        let terms = (rank.attrs(), rank.directions());
+        let (dir, lo) = (terms.1[axis], at[axis]);
+        // `ℓ` from the low corner, whatever the walk has moved `at` to.
+        let ell = |at: &mut [f64], s: f64| {
+            let moved = std::mem::replace(&mut at[axis], lo);
+            let cut = rank.ell(axis, s, at, hi).unwrap_or(f64::INFINITY);
+            at[axis] = moved;
+            cut
+        };
+        let (mut inline, mut heap) = ([0.0; INLINE], Vec::new());
+        let u: &mut [f64] = match at.len() <= INLINE {
+            true => &mut inline[..at.len()],
+            false => {
+                heap.resize(at.len(), 0.0);
+                &mut heap
+            }
+        };
+        let mut best: Option<(&Entry, f64)> = None;
+        let mut cut = if cap < f64::INFINITY {
+            ell(&mut at, cap)
+        } else {
+            cap
+        };
+        for e in entries {
+            at[axis] = dir.normalize(from_order_key(e.key));
+            if at[axis] >= cut && best.is_none_or(|(_, s)| rank.score_norm(&at) > s) {
+                break;
+            }
+            if self.matches(e.row) {
+                let s = self.score(rank, terms, e.row, u);
+                if best.is_none_or(|(_, bs)| s < bs) {
+                    cut = ell(&mut at, s);
+                }
+                if best.is_none_or(|(b, bs)| s < bs || (s == bs && e.id < b.id)) {
+                    best = Some((e, s));
+                }
+            }
+        }
+        best.map(|(e, s)| (e.row, s))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::norm::NormView;
     use qrs_types::QueryOutcome;
+    use std::collections::BTreeMap;
 
     fn t(id: u32, vals: Vec<f64>) -> Arc<Tuple> {
         Arc::new(Tuple::new(TupleId(id), vals, vec![]))
@@ -314,8 +550,7 @@ mod tests {
             .is_none());
     }
 
-    /// Inverted and equal-and-excluded bounds are empty ranges, not panics
-    /// out of `BTreeMap::range`.
+    /// Inverted and equal-and-excluded bounds are empty ranges, not panics.
     #[test]
     fn next_norm_above_finds_an_empty_range_empty() {
         let h = hist();
@@ -420,14 +655,14 @@ mod tests {
     /// return what one pass over every tuple returns, in the same order.
     #[test]
     fn by_attr_paths_agree_with_a_pass_over_every_tuple() {
-        use crate::{ctx::SharedState, md::top1::history_best, norm::NormView};
+        use crate::{ctx::SharedState, md::top1::history_best};
         use qrs_types::{CatId, CatPredicate};
         let data = qrs_datagen::synthetic::discrete_grid(300, 3, 6, 11);
         let params = crate::params::RerankParams::paper_defaults(300, 5);
         let mut st = SharedState::new(data.schema(), params);
         data.tuples().iter().for_each(|t| st.history.record(t));
         let scan = |q: &Query| {
-            let mut all: Vec<_> = st.history.tuples.values().collect();
+            let mut all: Vec<_> = st.history.tuples.iter().collect();
             all.sort_by_key(|t| t.id);
             all.retain(|t| q.matches(t));
             all.into_iter().cloned().collect::<Vec<_>>()
@@ -481,7 +716,7 @@ mod tests {
     /// walks.
     #[test]
     fn history_best_is_the_minimum_over_every_match() {
-        use crate::{ctx::SharedState, md::top1::history_best, norm::NormBox, norm::NormView};
+        use crate::{ctx::SharedState, md::top1::history_best, norm::NormBox};
         use qrs_datagen::synthetic::{discrete_grid, uniform};
         use qrs_ranking::{LinearRank, RankFn};
         use qrs_types::{CatId, CatPredicate};
@@ -503,7 +738,7 @@ mod tests {
             {
                 st.history.record(t);
             }
-            let known: Vec<Arc<Tuple>> = st.history.tuples.values().cloned().collect();
+            let known: Vec<Arc<Tuple>> = st.history.tuples.to_vec();
             for _ in 0..300 {
                 // Two or three of the four attributes, mixed directions;
                 // small whole weights tie grid scores across cells.
@@ -623,6 +858,416 @@ mod tests {
         assert!(
             capped * 10 >= found,
             "vacuous: {capped} of {found} walks were cut short by their cap"
+        );
+    }
+
+    /// Two histories recorded alike hand out a categorical-only query's
+    /// matches in the same order: recording order, not a hash map's.
+    #[test]
+    fn a_categorical_only_query_reads_in_recording_order() {
+        use qrs_types::{CatId, CatPredicate};
+        let tuples: Vec<Arc<Tuple>> = (0..64u32)
+            .map(|i| {
+                let id = TupleId(i.wrapping_mul(2_654_435_761) >> 8);
+                Arc::new(Tuple::new(id, vec![f64::from(i % 5)], vec![i % 3]))
+            })
+            .collect();
+        let recorded = || {
+            let mut h = History::new(1);
+            tuples.iter().for_each(|t| h.record(t));
+            h
+        };
+        let (a, b) = (recorded(), recorded());
+        let q = Query::all().and_cat(CatPredicate::one_of(CatId(0), vec![0, 2]));
+        let ids = |h: &History| {
+            let matches = h.candidates(&q).filter(|t| q.matches(t));
+            matches.map(|t| t.id).collect::<Vec<_>>()
+        };
+        let want: Vec<TupleId> = (tuples.iter())
+            .filter(|t| q.matches(t))
+            .map(|t| t.id)
+            .collect();
+        assert_eq!(ids(&a), want);
+        assert_eq!(ids(&b), want);
+    }
+
+    /// The index `History` replaced, kept beside it as the reference: per
+    /// attribute a `BTreeMap` from `(value, id)` to the tuple, and the
+    /// tuples in recording order. Each read below is the one the history
+    /// answered before rows and runs, written over this map.
+    struct Reference {
+        ids: std::collections::HashSet<TupleId>,
+        tuples: Vec<Arc<Tuple>>,
+        by_attr: Vec<BTreeMap<(OrdF64, TupleId), Arc<Tuple>>>,
+    }
+
+    impl Reference {
+        fn new(width: usize) -> Self {
+            Reference {
+                ids: Default::default(),
+                tuples: Vec::new(),
+                by_attr: vec![BTreeMap::new(); width],
+            }
+        }
+
+        fn record(&mut self, t: &Arc<Tuple>) {
+            if self.ids.insert(t.id) {
+                self.tuples.push(Arc::clone(t));
+                for (i, idx) in self.by_attr.iter_mut().enumerate() {
+                    idx.insert((OrdF64(t.ord(AttrId(i))), t.id), Arc::clone(t));
+                }
+            }
+        }
+
+        fn in_range(&self, attr: AttrId, iv: Interval) -> Vec<&Arc<Tuple>> {
+            use std::ops::Bound;
+            if iv.is_empty() {
+                return Vec::new(); // `BTreeMap::range` panics on inverted bounds
+            }
+            let lo = match iv.lo {
+                Endpoint::Unbounded => Bound::Unbounded,
+                Endpoint::Open(v) => Bound::Excluded((OrdF64(v), TupleId(u32::MAX))),
+                Endpoint::Closed(v) => Bound::Included((OrdF64(v), TupleId(0))),
+            };
+            let hi = match iv.hi {
+                Endpoint::Unbounded => Bound::Unbounded,
+                Endpoint::Open(v) => Bound::Excluded((OrdF64(v), TupleId(0))),
+                Endpoint::Closed(v) => Bound::Included((OrdF64(v), TupleId(u32::MAX))),
+            };
+            self.by_attr[attr.0]
+                .range((lo, hi))
+                .map(|(_, t)| t)
+                .collect()
+        }
+
+        fn first_norm_in(
+            &self,
+            attr: AttrId,
+            dir: Direction,
+            norm_iv: Interval,
+            q: &Query,
+        ) -> Option<&Arc<Tuple>> {
+            let range = match dir {
+                Direction::Asc => self.in_range(attr, norm_iv),
+                Direction::Desc => self.in_range(attr, norm_iv.negate()),
+            };
+            match dir {
+                Direction::Asc => range.into_iter().find(|t| q.matches(t)),
+                Direction::Desc => {
+                    let mut best: Option<&Arc<Tuple>> = None;
+                    for t in range.into_iter().rev() {
+                        if best.is_some_and(|b| OrdF64(b.ord(attr)) > OrdF64(t.ord(attr))) {
+                            break;
+                        }
+                        if q.matches(t) {
+                            best = Some(t);
+                        }
+                    }
+                    best
+                }
+            }
+        }
+
+        fn tightest<'q>(&self, q: &'q Query) -> Option<&'q RangePredicate> {
+            let share = |p: &RangePredicate| {
+                let idx = &self.by_attr[p.attr.0];
+                let (Some((&(OrdF64(min), _), _)), Some((&(OrdF64(max), _), _))) =
+                    (idx.first_key_value(), idx.last_key_value())
+                else {
+                    return 0.0;
+                };
+                if min == max {
+                    return if p.interval.contains(min) { 1.0 } else { 0.0 };
+                }
+                let lo = p.interval.lo.value().map_or(min, |v| v.max(min));
+                let hi = p.interval.hi.value().map_or(max, |v| v.min(max));
+                ((hi - lo) / (max - min)).max(0.0)
+            };
+            (q.ranges().iter())
+                .filter(|p| p.attr.0 < self.by_attr.len() && !p.interval.is_all())
+                .min_by_key(|p| OrdF64(share(p)))
+        }
+
+        /// What `candidates` hands out: the tightest range's matches in
+        /// `(value, id)` order, or every match in recording order.
+        fn candidates(&self, q: &Query) -> Vec<TupleId> {
+            let along = match self.tightest(q) {
+                Some(p) => self.in_range(p.attr, p.interval),
+                None => self.tuples.iter().collect(),
+            };
+            along
+                .into_iter()
+                .filter(|t| q.matches(t))
+                .map(|t| t.id)
+                .collect()
+        }
+
+        /// `history_best` as it walked the map.
+        fn history_best(&self, view: &NormView, q: &Query, cap: f64) -> Option<(TupleId, u64)> {
+            use crate::md::top1::steepest_axis;
+            let b = view.initial_box(q);
+            if b.is_empty() || q.is_unsatisfiable() {
+                return None;
+            }
+            let rank = view.rank();
+            let mut at = b.lo_corner(view.bounds());
+            let axis = (self.tightest(q))
+                .and_then(|p| rank.attrs().iter().position(|&a| a == p.attr))
+                .unwrap_or_else(|| steepest_axis(view, &b, &mut at));
+            let (attr, dir) = (rank.attrs()[axis], rank.directions()[axis]);
+            let (lo, hi) = (at[axis], b.hi(axis, view.bounds()));
+            let mut range = self.in_range(attr, q.interval(attr));
+            if dir == Direction::Desc {
+                range.reverse();
+            }
+            let ell = |at: &mut [f64], s: f64| {
+                let moved = std::mem::replace(&mut at[axis], lo);
+                let cut = rank.ell(axis, s, at, hi).unwrap_or(f64::INFINITY);
+                at[axis] = moved;
+                cut
+            };
+            let mut best: Option<(&Arc<Tuple>, f64)> = None;
+            let mut cut = if cap < f64::INFINITY {
+                ell(&mut at, cap)
+            } else {
+                cap
+            };
+            for t in range {
+                at[axis] = dir.normalize(t.ord(attr));
+                if at[axis] >= cut && best.is_none_or(|(_, s)| rank.score_norm(&at) > s) {
+                    break;
+                }
+                if q.matches(t) {
+                    let s = view.score(t);
+                    if best.is_none_or(|(_, bs)| s < bs) {
+                        cut = ell(&mut at, s);
+                    }
+                    if best.is_none_or(|(b, bs)| s < bs || (s == bs && t.id < b.id)) {
+                        best = Some((t, s));
+                    }
+                }
+            }
+            best.map(|(t, s)| (t.id, s.to_bits()))
+        }
+    }
+
+    /// Every history read equals what the `BTreeMap` index it replaced
+    /// answered, on random record schedules long enough to cut each
+    /// attribute's index into several runs, over values that repeat, both
+    /// zeros, both NaN signs, both infinities and subnormals: `in_range`
+    /// from both ends, `first_norm_in` both ways, `holds_more_than`,
+    /// `matching`, `candidates` (matches and order) and `history_best`,
+    /// capped and uncapped, tuple and score bits. `QRS_TEST_SEED` picks
+    /// the schedules, `QRS_FUZZ_ITERS` how many.
+    #[test]
+    fn history_reads_match_the_btreemap_reference() {
+        use crate::{ctx::SharedState, md::top1::history_best, norm::NormBox};
+        use qrs_ranking::{ChebyshevRank, LinearRank};
+        use qrs_types::{CatId, CatPredicate, OrdinalAttr, Schema};
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let env = |name: &str, default: u64| {
+            let v = std::env::var(name).ok();
+            v.and_then(|v| v.parse().ok()).unwrap_or(default)
+        };
+        let seed = 0x4157_0E53 ^ env("QRS_TEST_SEED", 0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let sub = f64::from_bits(1);
+        let specials = [0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY]
+            .into_iter()
+            .chain([f64::NEG_INFINITY, sub, -sub, f64::MIN_POSITIVE / 4.0]);
+        let specials: Vec<f64> = specials.collect();
+        let (mut multi_run, mut found, mut best_found, mut checked) = (0, 0, 0, 0);
+        for schedule in 0..env("QRS_FUZZ_ITERS", 12) {
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(schedule));
+            // Ten attributes compile more ranges, and score more
+            // coordinates, than a read holds inline.
+            let width = [1, 2, 3, 4, 10][rng.random_range(0..5usize)];
+            let ranged = [3, 9][rng.random_range(0..2usize)];
+            // How often a value repeats: an eighth-grid, specials, or fresh.
+            let grid_share = rng.random_range(0..10u32);
+            let value = |rng: &mut StdRng| match rng.random_range(0..10u32) {
+                0 => specials[rng.random_range(0..specials.len())],
+                g if g <= grid_share => f64::from(rng.random_range(0..9u32)) / 8.0,
+                _ => rng.random::<f64>(),
+            };
+            let endpoint = |rng: &mut StdRng, v: f64| match rng.random_range(0..6u32) {
+                0 => Endpoint::Unbounded,
+                1 | 2 => Endpoint::Open(v),
+                _ => Endpoint::Closed(v),
+            };
+            let near = |rng: &mut StdRng, v: f64| match rng.random_range(0..4u32) {
+                0 => v.next_up(),
+                1 => v.next_down(),
+                _ => v,
+            };
+            let interval = |rng: &mut StdRng| {
+                let (a, b) = (value(rng), value(rng));
+                let (a, b) = (near(rng, a), near(rng, b));
+                let (a, b) = match rng.random_range(0..4u32) {
+                    0 => (a, b),
+                    1 => (a, a),
+                    _ if a.total_cmp(&b).is_gt() => (b, a),
+                    _ => (a, b),
+                };
+                Interval {
+                    lo: endpoint(rng, a),
+                    hi: endpoint(rng, b),
+                }
+            };
+            let query = |rng: &mut StdRng| {
+                let mut q = Query::all();
+                for a in 0..width {
+                    if rng.random_range(0..10u32) < ranged {
+                        q.add_range(AttrId(a), interval(rng));
+                    }
+                }
+                if rng.random_range(0..3u32) == 0 {
+                    let codes = vec![rng.random_range(0..4u32), rng.random_range(0..4u32)];
+                    q.add_cat(CatPredicate::one_of(CatId(0), codes));
+                }
+                q
+            };
+            let schema = Schema::new(
+                (0..width)
+                    .map(|a| OrdinalAttr::new(format!("a{a}"), 0.0, 1.0))
+                    .collect(),
+                vec![qrs_types::CatAttr::new("c", 4)],
+            );
+            let params = crate::params::RerankParams::paper_defaults(3000, 5);
+            let mut st = SharedState::new(&schema, params);
+            let mut reference = Reference::new(width);
+            let records = match rng.random_range(0..3u32) {
+                0 => rng.random_range(1..300usize),
+                _ => rng.random_range(1100..3000usize),
+            };
+            let mut recorded: Vec<Arc<Tuple>> = Vec::new();
+            let checkpoints = [records / 7, records / 2, records];
+            let mut next = 0;
+            for i in 1..=records {
+                let t = match rng.random_range(0..20u32) {
+                    0 if !recorded.is_empty() => {
+                        Arc::clone(&recorded[rng.random_range(0..recorded.len())])
+                    }
+                    _ => {
+                        let id = TupleId(rng.random_range(0..1u32 << 20));
+                        let vals = (0..width).map(|_| value(&mut rng)).collect();
+                        let t = Arc::new(Tuple::new(id, vals, vec![rng.random_range(0..4u32)]));
+                        match reference.ids.contains(&id) {
+                            true => continue, // one id, one tuple
+                            false => t,
+                        }
+                    }
+                };
+                st.history.record(&t);
+                reference.record(&t);
+                recorded.push(t);
+                if i < checkpoints[next] {
+                    continue;
+                }
+                next += 1;
+                let h = &st.history;
+                assert_eq!(h.len(), reference.tuples.len());
+                let runs = h.by_attr.iter().map(Vec::len).max();
+                multi_run += usize::from(i == records && runs > Some(1));
+                let log = format!("schedule {schedule} at {i} records");
+                let ids = |v: Vec<&Arc<Tuple>>| v.into_iter().map(|t| t.id).collect::<Vec<_>>();
+                for _ in 0..24 {
+                    let attr = AttrId(rng.random_range(0..width));
+                    let iv = interval(&mut rng);
+                    let want = ids(reference.in_range(attr, iv));
+                    assert_eq!(ids(h.in_range(attr, iv).collect()), want, "{log}: {iv}");
+                    let back = ids(h.in_range(attr, iv).rev().collect());
+                    assert!(back.iter().rev().eq(&want), "{log}: {iv} from the top");
+                    let q = query(&mut rng);
+                    for dir in [Direction::Asc, Direction::Desc] {
+                        let got = h.first_norm_in(attr, dir, iv, &q).map(|t| t.id);
+                        let want = reference.first_norm_in(attr, dir, iv, &q).map(|t| t.id);
+                        assert_eq!(got, want, "{log}: {dir:?} {iv} under {q}");
+                        found += usize::from(want.is_some());
+                    }
+                    let want = reference.candidates(&q);
+                    let got: Vec<TupleId> = h.candidates(&q).map(|t| t.id).collect();
+                    assert_eq!(got, want, "{log}: candidates under {q}");
+                    let mut sorted = want.clone();
+                    sorted.sort();
+                    let matching: Vec<TupleId> = h.matching(&q).iter().map(|t| t.id).collect();
+                    assert_eq!(matching, sorted, "{log}: matching under {q}");
+                    for n in [0, 1, want.len().saturating_sub(1), want.len()] {
+                        assert_eq!(h.holds_more_than(&q, n), want.len() > n, "{log}: {q} {n}");
+                    }
+                    checked += 1;
+                }
+                // `history_best` over boxes of the schema's domain, under a
+                // linear or a Chebyshev ranking of one to all attributes.
+                for _ in 0..12 {
+                    let mut free: Vec<usize> = (0..width).collect();
+                    let m = rng.random_range(1..=width);
+                    let terms: Vec<(AttrId, Direction, f64)> = (0..m)
+                        .map(|_| {
+                            let a = free.swap_remove(rng.random_range(0..free.len()));
+                            let dir =
+                                [Direction::Asc, Direction::Desc][rng.random_range(0..2usize)];
+                            (AttrId(a), dir, [1.0, 2.0, 0.5][rng.random_range(0..3usize)])
+                        })
+                        .collect();
+                    let rank: Arc<dyn RankFn> = match rng.random::<bool>() {
+                        true => Arc::new(LinearRank::new(terms)),
+                        false => {
+                            let attrs = terms.iter().map(|t| t.0).collect();
+                            let dirs = terms.iter().map(|t| t.1).collect();
+                            let weights = terms.iter().map(|t| t.2).collect();
+                            Arc::new(ChebyshevRank::new(attrs, dirs, weights, vec![-1.0; m]))
+                        }
+                    };
+                    let view = NormView::new(rank, &schema);
+                    let mut b = NormBox::full(view.bounds());
+                    for side in b.dims.iter_mut() {
+                        let (x, y) = (rng.random::<f64>() - 1.0, rng.random::<f64>());
+                        let (x, y) = match rng.random_range(0..3u32) {
+                            0 => (f64::from(rng.random_range(0..9u32)) / -8.0, y),
+                            _ => (x, y),
+                        };
+                        *side = match rng.random_range(0..6u32) {
+                            0 => Interval::point(x),
+                            1 => Interval::open(x, y),
+                            2 => Interval::closed(x, y),
+                            3 => Interval::closed_open(x, y),
+                            4 => Interval::open_closed(x, y),
+                            _ => *side,
+                        }
+                        .intersect(side);
+                    }
+                    let q = view.to_query(&b, &query(&mut rng));
+                    let want = reference.history_best(&view, &q, f64::INFINITY);
+                    let got = history_best(&st, &view, &q, f64::INFINITY);
+                    let got = got.map(|(t, s)| (t.id, s.to_bits()));
+                    assert_eq!(got, want, "{log}: history_best under {q}");
+                    best_found += usize::from(want.is_some());
+                    let cap = match want {
+                        Some((_, s)) if rng.random::<bool>() => f64::from_bits(s),
+                        _ => rng.random::<f64>() * 3.0 - 1.0,
+                    };
+                    let capped =
+                        history_best(&st, &view, &q, cap).map(|(t, s)| (t.id, s.to_bits()));
+                    assert_eq!(
+                        capped,
+                        reference.history_best(&view, &q, cap),
+                        "{log}: history_best under {q} capped at {cap}"
+                    );
+                }
+            }
+        }
+        let schedules = env("QRS_FUZZ_ITERS", 12) as usize;
+        assert!(
+            multi_run * 3 >= schedules,
+            "vacuous: {multi_run} of {schedules} schedules cut an index into runs"
+        );
+        assert!(
+            found * 5 >= checked,
+            "vacuous: {found} first_norm_in hits of {checked}"
+        );
+        assert!(
+            best_found * 2 >= schedules,
+            "vacuous: {best_found} history_best hits"
         );
     }
 

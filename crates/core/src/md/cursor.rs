@@ -440,8 +440,8 @@ fn certify_slab(
 ) -> Option<TopState> {
     let y = complete_below(st, view, sel, &sub.bbox, f)?;
     let q = view.to_query(&sub.bbox, sel);
-    let pending = (st.history.candidates(&q))
-        .any(|t| q.matches(t) && !sub.emitted.contains(&t.id) && view.score(t) < y);
+    let pending =
+        (st.history.candidates(&q)).any(|t| !sub.emitted.contains(&t.id) && view.score(t) < y);
     (!pending).then_some(TopState::Above(y))
 }
 
@@ -529,7 +529,7 @@ fn tie_top(
         }
     }
     let top = (st.history.candidates(&q))
-        .filter(|t| q.matches(t) && !emitted.contains(&t.id))
+        .filter(|t| !emitted.contains(&t.id))
         .map(|t| (view.score(t), t))
         .min_by(|a, b| cmp_f64(a.0, b.0).then(a.1.id.cmp(&b.1.id)));
     Ok(TieTop::Known(TopState::resolved(
@@ -918,9 +918,8 @@ mod tests {
                         TopState::Known(_, s) | TopState::Above(s) => *s,
                     };
                     let q = cur.view.to_query(&sub.bbox, &cur.sel);
-                    let beaten = (st.history.candidates(&q)).find(|u| {
-                        q.matches(u) && !sub.emitted.contains(&u.id) && cur.view.score(u) < bound
-                    });
+                    let beaten = (st.history.candidates(&q))
+                        .find(|u| !sub.emitted.contains(&u.id) && cur.view.score(u) < bound);
                     assert!(beaten.is_none(), "{:?} beats {:?}", beaten, sub.top);
                 }
             }

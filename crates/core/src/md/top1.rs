@@ -53,7 +53,7 @@ use crate::md::split::{prefix_split, split_excluding};
 use crate::norm::{NormBox, NormView};
 use qrs_server::SearchInterface;
 use qrs_types::value::OrdF64;
-use qrs_types::{Direction, Interval, Query, RerankError, Schema, Tuple};
+use qrs_types::{Interval, Query, RerankError, Schema, Tuple};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -89,15 +89,11 @@ impl MdOptions {
 /// The best `(tuple, score)` found so far, if any.
 pub(crate) type Best = Option<(Arc<Tuple>, f64)>;
 
+/// Keep `t` at `score` where it comes before `best` in `(score, id)` order.
 fn consider(best: &mut Best, t: &Arc<Tuple>, score: f64) {
-    if beats(t, score, best.as_ref().map(|(bt, bs)| (&**bt, *bs))) {
+    if (best.as_ref()).is_none_or(|(bt, bs)| score < *bs || (score == *bs && t.id < bt.id)) {
         *best = Some((Arc::clone(t), score));
     }
-}
-
-/// Does `t` at `score` come before `best` in `(score, id)` order?
-fn beats(t: &Tuple, score: f64, best: Option<(&Tuple, f64)>) -> bool {
-    best.is_none_or(|(bt, bs)| score < bs || (score == bs && t.id < bt.id))
 }
 
 /// Lowest-scoring tuple in `b ∧ sel` (ties by id **not** guaranteed global —
@@ -226,88 +222,30 @@ fn probe_dominated(
 /// or `None` when no match scores below `cap` (pass `f64::INFINITY` for no
 /// cap; a match at or above a finite cap may still be returned).
 ///
-/// A threshold walk along one ranking axis of `q`'s box. The axis is the
-/// attribute of `q`'s [`History::tightest`](crate::history::History::tightest)
-/// predicate when it ranks; otherwise the one along which the score climbs
-/// most across the box (`score_norm` of the low corner with that coordinate
-/// raised to the high side). Tuples come in normalized-ascending order
-/// along it, and each bounds every later one from below by the axis bound:
-/// `score_norm(lo)` with only the walked coordinate replaced by its own
-/// (every tuple lies in the schema's domain, as `shrink` assumes). The walk
-/// stops at the first tuple whose bound *strictly* exceeds the best score:
-/// one whose bound equals it may still tie the best with a smaller id.
-/// Before any match it stops at the first bound at or above `cap`. The cut
-/// coordinate where the bound reaches the best score (or the cap) is
-/// recomputed only when the best improves (one `ell`), so a step below it is
-/// one float compare and a step at or above it one `score_norm`.
+/// History's threshold walk ([`History::lowest`](crate::history::History::lowest))
+/// along one ranking axis of `q`'s box. The axis is the attribute of `q`'s
+/// [`History::tightest`](crate::history::History::tightest) predicate when
+/// it ranks; otherwise the one along which the score climbs most across the
+/// box (`score_norm` of the low corner with that coordinate raised to the
+/// high side).
 pub(crate) fn history_best(st: &SharedState, view: &NormView, q: &Query, cap: f64) -> Best {
     let b = view.initial_box(q);
     if b.is_empty() || q.is_unsatisfiable() {
-        return None; // nothing matches, and `BTreeMap::range` panics on an empty interval
+        return None; // nothing matches, and the box has no corners
     }
     let rank = view.rank();
     let mut lo = b.lo_corner(view.bounds());
     let axis = (st.history.tightest(q))
         .and_then(|p| rank.attrs().iter().position(|&a| a == p.attr))
         .unwrap_or_else(|| steepest_axis(view, &b, &mut lo));
-    let (attr, hi) = (rank.attrs()[axis], b.hi(axis, view.bounds()));
-    let range = st.history.in_range(attr, q.interval(attr));
-    match rank.directions()[axis] {
-        Direction::Asc => walk_best(view, q, axis, lo, hi, range, cap),
-        Direction::Desc => walk_best(view, q, axis, lo, hi, range.rev(), cap),
-    }
-}
-
-/// [`history_best`]'s threshold walk along `axis` of the box with low
-/// corner `at` and upper end `hi` on that axis, over `tuples` in
-/// normalized-ascending order along it. The best match is cloned once, at
-/// the end.
-fn walk_best<'t>(
-    view: &NormView,
-    q: &Query,
-    axis: usize,
-    mut at: Vec<f64>,
-    hi: f64,
-    tuples: impl Iterator<Item = &'t Arc<Tuple>>,
-    cap: f64,
-) -> Best {
-    let rank = view.rank();
-    let (attr, dir) = (rank.attrs()[axis], rank.directions()[axis]);
-    let lo = at[axis];
-    // `ℓ` from the low corner, whatever the walk has moved `at` to.
-    let ell = |at: &mut [f64], s: f64| {
-        let moved = std::mem::replace(&mut at[axis], lo);
-        let cut = rank.ell(axis, s, at, hi).unwrap_or(f64::INFINITY);
-        at[axis] = moved;
-        cut
-    };
-    let mut best: Option<(&Arc<Tuple>, f64)> = None;
-    let mut cut = if cap < f64::INFINITY {
-        ell(&mut at, cap)
-    } else {
-        cap
-    };
-    for t in tuples {
-        at[axis] = dir.normalize(t.ord(attr));
-        if at[axis] >= cut && best.is_none_or(|(_, s)| rank.score_norm(&at) > s) {
-            break;
-        }
-        if q.matches(t) {
-            let s = view.score(t);
-            if best.is_none_or(|(_, bs)| s < bs) {
-                cut = ell(&mut at, s);
-            }
-            if beats(t, s, best.map(|(bt, bs)| (&**bt, bs))) {
-                best = Some((t, s));
-            }
-        }
-    }
-    best.map(|(t, s)| (Arc::clone(t), s))
+    let hi = b.hi(axis, view.bounds());
+    let (t, s) = st.history.lowest(q, &**rank, axis, lo, hi, cap)?;
+    Some((Arc::clone(t), s))
 }
 
 /// The ranking axis along which the score climbs most across `b`, whose
 /// low corner is `lo`.
-fn steepest_axis(view: &NormView, b: &NormBox, lo: &mut [f64]) -> usize {
+pub(crate) fn steepest_axis(view: &NormView, b: &NormBox, lo: &mut [f64]) -> usize {
     let base = view.rank().score_norm(lo);
     let climb = |j: usize| OrdF64(view.score_moved(lo, j, b.hi(j, view.bounds())) - base);
     (0..b.dims.len())

@@ -162,6 +162,17 @@ fn coord(rng: &mut StdRng) -> f64 {
     }
 }
 
+/// [`coord`], or one time in three a value at an edge of the float line:
+/// a zero, a subnormal, an infinity or a NaN, of either sign.
+fn odd_coord(rng: &mut StdRng) -> f64 {
+    let sub = f64::from_bits(1 + rng.random_range(0..1u64 << 51));
+    let edge = [0.0, sub, f64::MIN_POSITIVE, f64::INFINITY, f64::NAN];
+    match rng.random_range(0..3u32) {
+        0 => edge[rng.random_range(0..edge.len())] * [1.0, -1.0][rng.random_range(0..2usize)],
+        _ => coord(rng),
+    }
+}
+
 /// The closed-form linear `ℓ` returns the bisection's partition point bit
 /// for bit: over random weights (zeros included), bases, targets inside and
 /// outside the edge's score range, and edges cut short by `hi`.
@@ -254,9 +265,11 @@ fn snap_to_contour_is_the_bisection_bit_for_bit() {
     assert!(snapped * 2 >= CASES, "vacuous: {snapped} points snapped");
 }
 
-/// Every built-in family scores a tuple as it reads it, bit for bit what
-/// `score_norm` gives on the collected `norm_coords`, over random weights,
-/// ideals, exponents and directions and coordinates of either sign; and
+/// `RankFn`'s scoring contract holds for every built-in family (linear,
+/// Chebyshev, Lp, ratio): `score(t)` is, bit for bit, `score_norm` of
+/// `t`'s normalized coordinates — what the history scores a stored row
+/// by — over random weights, ideals, exponents and directions, and
+/// coordinates of either sign, zeros, subnormals, infinities and NaNs; and
 /// `LinearRank::ell` is the bisection over a copied base, bit for bit.
 #[test]
 fn score_is_score_norm_of_norm_coords_bit_for_bit() {
@@ -288,17 +301,22 @@ fn score_is_score_norm_of_norm_coords_bit_for_bit() {
             (0..m).map(|_| coord(&mut rng)).collect(),
             vec![],
         );
-        // A ratio's numerator is not negative.
+        let odd = Tuple::new(
+            TupleId(2),
+            (0..m).map(|_| odd_coord(&mut rng)).collect(),
+            vec![],
+        );
+        // A ratio's numerator is neither negative nor NaN.
         let ratio = Tuple::new(
             TupleId(1),
-            vec![coord(&mut rng).abs(), coord(&mut rng)],
+            vec![odd_coord(&mut rng).abs(), odd_coord(&mut rng)],
             vec![],
         );
         let ratio_fn = RatioRank::minimize(AttrId(0), AttrId(1));
-        for (f, t) in families
-            .iter()
-            .map(|&f| (f, &t))
-            .chain([(&ratio_fn as _, &ratio)])
+        let ratio = Some(ratio).filter(|r| !r.ords()[0].is_nan());
+        for (f, t) in (families.iter())
+            .flat_map(|&f| [(f, &t), (f, &odd)])
+            .chain(ratio.iter().map(|r| (&ratio_fn as _, r)))
         {
             assert_eq!(
                 f.score(t).to_bits(),

@@ -4,7 +4,9 @@
 //! a per-attribute order `≺` such that no tuple can outrank another that
 //! dominates it. We realize the order as a [`Direction`] per attribute and
 //! require [`RankFn::score_norm`] to be non-decreasing in every *normalized*
-//! coordinate (smaller normalized value = more preferred).
+//! coordinate (smaller normalized value = more preferred), and
+//! [`RankFn::score`] to give exactly `score_norm`'s bits on a tuple's
+//! normalized coordinates (its docs).
 //!
 //! Besides scoring, a `RankFn` supplies the three geometric primitives the MD
 //! algorithms need, each with an exact default implementation via bit-level
@@ -108,10 +110,16 @@ pub trait RankFn: Send + Sync {
         normalized(self.attrs(), self.directions(), t).collect()
     }
 
-    /// Score of a tuple — the paper's `S(t)`. The default collects
-    /// [`RankFn::norm_coords`]; the built-in families score the coordinates
-    /// as they are read, through the evaluator their `score_norm` uses, so
-    /// both give the same bits.
+    /// Score of a tuple — the paper's `S(t)`.
+    ///
+    /// **Contract:** the same bits as `score_norm` of the tuple's normalized
+    /// coordinates ([`RankFn::norm_coords`]), NaNs and signed zeros
+    /// included. The history scores a stored tuple from its row, through
+    /// `score_norm`, and the cursors compare those scores with this one's
+    /// for equality, so an override that rounds differently breaks the
+    /// exact stream. The default collects the coordinates; the built-in
+    /// families score them as they are read, through the evaluator their
+    /// `score_norm` uses.
     fn score(&self, t: &Tuple) -> f64 {
         self.score_norm(&self.norm_coords(t))
     }

@@ -8,27 +8,7 @@
 //! exactness: regions are pruned only when *provably* scoreless, so a solver
 //! that overshoots by one ULP could prune the true top tuple.
 
-/// Map an `f64` to a `u64` such that the `u64` order matches IEEE total
-/// order. Standard sign-flip trick.
-#[inline]
-fn to_ordered_bits(f: f64) -> u64 {
-    let b = f.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | 0x8000_0000_0000_0000
-    }
-}
-
-/// Inverse of [`to_ordered_bits`].
-#[inline]
-fn from_ordered_bits(b: u64) -> f64 {
-    if b >> 63 == 1 {
-        f64::from_bits(b & 0x7fff_ffff_ffff_ffff)
-    } else {
-        f64::from_bits(!b)
-    }
-}
+use qrs_types::value::{from_order_key, order_key};
 
 /// Smallest `x` in `[lo, hi]` with `pred(x) == true`, for a monotone
 /// predicate (`false…false true…true` along the axis).
@@ -44,7 +24,7 @@ pub fn partition_point_f64(lo: f64, hi: f64, pred: impl FnMut(f64) -> bool) -> O
 
 /// [`partition_point_f64`] started from `guess`, a value believed near the
 /// answer: gallop from it (clamped into `[lo, hi]`) toward the partition
-/// point in ordered-bits steps of 1, 2, 4, … ULPs, then bisect the last
+/// point in [`order_key`] steps of 1, 2, 4, … ULPs, then bisect the last
 /// bracket. The same exact answer — a monotone predicate has one partition
 /// point — in `O(log distance)` calls instead of up to 64. A guess that is
 /// not finite is ignored: the whole range is bisected.
@@ -61,19 +41,19 @@ pub(crate) fn partition_point_near(
     if !pred(hi) {
         return None;
     }
-    let (mut f, mut t) = (to_ordered_bits(lo), to_ordered_bits(hi)); // false at f, true at t
+    let (mut f, mut t) = (order_key(lo), order_key(hi)); // false at f, true at t
     if guess.is_finite() {
-        let g = to_ordered_bits(guess.clamp(lo, hi));
+        let g = order_key(guess.clamp(lo, hi));
         let mut step = 1;
-        if g == t || (g > f && pred(from_ordered_bits(g))) {
+        if g == t || (g > f && pred(from_order_key(g))) {
             t = g;
-            while t - f > step && pred(from_ordered_bits(t - step)) {
+            while t - f > step && pred(from_order_key(t - step)) {
                 (t, step) = (t - step, step.saturating_mul(2));
             }
             f = f.max(t.saturating_sub(step));
         } else {
             f = g;
-            while t - f > step && !pred(from_ordered_bits(f + step)) {
+            while t - f > step && !pred(from_order_key(f + step)) {
                 (f, step) = (f + step, step.saturating_mul(2));
             }
             t = t.min(f + step);
@@ -82,33 +62,23 @@ pub(crate) fn partition_point_near(
     Some(bisect(f, t, pred))
 }
 
-/// The partition point between ordered bits `f` (predicate false) and `t`
+/// The partition point between order keys `f` (predicate false) and `t`
 /// (true), by bisection.
 fn bisect(mut f: u64, mut t: u64, mut pred: impl FnMut(f64) -> bool) -> f64 {
     while t - f > 1 {
         let mid = f + (t - f) / 2;
-        if pred(from_ordered_bits(mid)) {
+        if pred(from_order_key(mid)) {
             t = mid;
         } else {
             f = mid;
         }
     }
-    from_ordered_bits(t)
+    from_order_key(t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ordered_bits_roundtrip_and_order() {
-        for v in [-1e300, -2.5, -0.0, 0.0, 1e-300, 3.7, f64::MAX] {
-            assert_eq!(from_ordered_bits(to_ordered_bits(v)), v);
-        }
-        assert!(to_ordered_bits(-1.0) < to_ordered_bits(-0.5));
-        assert!(to_ordered_bits(-0.5) < to_ordered_bits(0.5));
-        assert!(to_ordered_bits(0.5) < to_ordered_bits(1.5));
-    }
 
     #[test]
     fn finds_exact_boundary() {

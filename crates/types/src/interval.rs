@@ -8,7 +8,7 @@
 //! (point queries `Ai = v`). [`Interval`] supports all of these exactly —
 //! no epsilon hacks.
 
-use crate::value::cmp_f64;
+use crate::value::{cmp_f64, order_key};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -174,6 +174,24 @@ impl Interval {
             Endpoint::Open(h) => cmp_f64(v, h) == Ordering::Less,
             Endpoint::Closed(h) => cmp_f64(v, h) != Ordering::Greater,
         }
+    }
+
+    /// The inclusive [`order_key`] range of the values the interval
+    /// contains: `v` is in `self` exactly when its key lies in
+    /// `lo..=hi`. `None` when no value is, open ends being one key inside
+    /// their value's (the bijection leaves no float between two keys).
+    pub fn key_bounds(&self) -> Option<(u64, u64)> {
+        let lo = match self.lo {
+            Endpoint::Unbounded => 0,
+            Endpoint::Closed(v) => order_key(v),
+            Endpoint::Open(v) => order_key(v).checked_add(1)?,
+        };
+        let hi = match self.hi {
+            Endpoint::Unbounded => u64::MAX,
+            Endpoint::Closed(v) => order_key(v),
+            Endpoint::Open(v) => order_key(v).checked_sub(1)?,
+        };
+        (lo <= hi).then_some((lo, hi))
     }
 
     /// Is the interval certainly empty?
@@ -369,6 +387,56 @@ mod tests {
         assert!(!Interval::all().is_subset_of(&Interval::open(1.0, 2.0)));
         // Empty is a subset of everything.
         assert!(Interval::open(5.0, 5.0).is_subset_of(&Interval::open(1.0, 2.0)));
+    }
+
+    /// `key_bounds` admits a value's key exactly where `contains` admits
+    /// the value: over every endpoint kind, equal open and closed ends and
+    /// empty intervals, at both zeros, both NaN signs, both infinities,
+    /// subnormals and one ulp either side of each endpoint.
+    #[test]
+    fn key_bounds_are_contains() {
+        let up = |v: f64| crate::value::from_order_key(order_key(v).saturating_add(1));
+        let down = |v: f64| crate::value::from_order_key(order_key(v).saturating_sub(1));
+        let sub = f64::from_bits(1);
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            sub,
+            -sub,
+            f64::MIN_POSITIVE,
+            1.5,
+            -2.0,
+            f64::MAX,
+            f64::from_bits(u64::MAX),
+            f64::from_bits(0x7FFF_FFFF_FFFF_FFFF),
+        ];
+        let ends = |v: f64| [Endpoint::Unbounded, Endpoint::Open(v), Endpoint::Closed(v)];
+        let (mut admitted, mut empty) = (0, 0);
+        for a in specials {
+            for b in specials {
+                for (lo, hi) in ends(a).into_iter().flat_map(|l| ends(b).map(|h| (l, h))) {
+                    let iv = Interval { lo, hi };
+                    let keys = iv.key_bounds();
+                    empty += usize::from(keys.is_none());
+                    for e in [a, b] {
+                        for v in [e, up(e), down(e), -e].into_iter().chain(specials) {
+                            let k = order_key(v);
+                            let by_key = keys.is_some_and(|(l, h)| l <= k && k <= h);
+                            assert_eq!(by_key, iv.contains(v), "{v:e} in {iv}: {keys:?}");
+                            admitted += usize::from(by_key);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            admitted > 1000 && empty > 100,
+            "{admitted} admitted, {empty} empty"
+        );
     }
 
     #[test]

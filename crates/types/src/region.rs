@@ -48,6 +48,7 @@ use crate::interval::{Endpoint, Interval};
 use crate::predicate::CatPredicate;
 use crate::query::Query;
 use crate::schema::Schema;
+use crate::value::{from_order_key, order_key};
 use crate::AttrId;
 use std::cell::RefCell;
 
@@ -104,9 +105,9 @@ impl Quantizer {
     }
 }
 
+/// `v`'s [`order_key`], with two low bits free for the endpoint's rank.
 fn bits(v: f64) -> u128 {
-    let b = v.to_bits();
-    u128::from(if b >> 63 == 1 { !b } else { b | 1 << 63 }) << 2
+    u128::from(order_key(v)) << 2
 }
 
 /// `[lo, !hi]` keys of one interval: smaller means wider on both.
@@ -140,8 +141,7 @@ fn fill(row: &mut [u128], q: &Query, probe: bool) {
 
 /// The value of a bounded endpoint key (the inverse of [`bits`]).
 fn value(k: u128) -> f64 {
-    let b = (k >> 2) as u64;
-    f64::from_bits(if b >> 63 == 1 { b & !(1 << 63) } else { !b })
+    from_order_key((k >> 2) as u64)
 }
 
 /// The interval whose `[lo, !hi]` keys are `k` (the inverse of [`keys`]).
@@ -196,14 +196,19 @@ struct Node {
 #[derive(Debug)]
 pub struct RegionIndex {
     cap: usize,
-    /// Ordinal attributes spanned; every point has `2 * dims` coordinates.
+    /// Ordinal attributes the walk spans: the highest any region inserted
+    /// since the last `clear` named. A point's first `2 * dims` coordinates
+    /// are its key; the rest of its row is unbounded.
     dims: usize,
+    /// Coordinates per key row: twice the schema's ordinal attributes, or
+    /// more once a region names an attribute beyond them.
+    stride: usize,
     /// Slots before `head` are evicted, the rest live, until the next
     /// rebuild drops them.
     head: usize,
     /// Slot `s`'s signature and categorical predicates.
     slots: Vec<Slot>,
-    /// Slot `s` owns `keys[s * 2 * dims..][..2 * dims]`.
+    /// Slot `s` owns `keys[s * stride..][..stride]`.
     keys: Vec<u128>,
     /// The signature quantizer of each of the first [`WORD_ATTRS`] ordinal
     /// attributes.
@@ -212,7 +217,8 @@ pub struct RegionIndex {
     built: usize,
     order: Vec<u32>,
     nodes: Vec<Node>,
-    /// Node `n`'s per-coordinate minimum over its slots, laid out as `keys`.
+    /// Node `n`'s per-coordinate minimum over its slots' first `2 * dims`
+    /// coordinates, `2 * dims` a node.
     mins: Vec<u128>,
 }
 
@@ -229,14 +235,10 @@ impl RegionIndex {
             }
             false => Quantizer::new(0.0, 0.0),
         });
-        RegionIndex::empty(cap, quant)
-    }
-
-    /// An empty index whose signatures quantize with `quant`.
-    fn empty(cap: usize, quant: [Quantizer; WORD_ATTRS]) -> Self {
         RegionIndex {
             cap: cap.max(1),
             dims: 0,
+            stride: 2 * schema.num_ordinal(),
             head: 0,
             slots: Vec::new(),
             keys: Vec::new(),
@@ -258,9 +260,14 @@ impl RegionIndex {
         self.len() == 0
     }
 
-    /// Forget everything, keeping the cap.
+    /// Forget everything, keeping the cap and the memory.
     pub fn clear(&mut self) {
-        *self = RegionIndex::empty(self.cap, self.quant);
+        (self.dims, self.head, self.built) = (0, 0, 0);
+        self.slots.clear();
+        self.keys.clear();
+        self.order.clear();
+        self.nodes.clear();
+        self.mins.clear();
     }
 
     /// The signature of key row `row` (see the module docs).
@@ -288,12 +295,20 @@ impl RegionIndex {
         if self.len() == self.cap {
             self.head += 1;
         }
+        if self.slots.capacity() == 0 {
+            // A capped index lays its rows out once, at the extent the cap
+            // allows: doubling would re-lay them a dozen times per service.
+            if let Some(rows) = self.cap.checked_add(self.cap / 8 + TAIL + 1) {
+                self.slots.reserve_exact(rows);
+                self.keys.reserve_exact(rows.saturating_mul(self.stride));
+            }
+        }
         let need = region.ranges().iter().map(|r| r.attr.0 + 1).max();
         if let Some(dims) = need.filter(|&d| d > self.dims) {
             self.widen(dims);
         }
         let row = self.keys.len();
-        self.keys.resize(row + 2 * self.dims, 0);
+        self.keys.resize(row + self.stride, 0);
         fill(&mut self.keys[row..], region, false);
         self.slots.push(Slot {
             sig: self.signature(&self.keys[row..]),
@@ -313,7 +328,7 @@ impl RegionIndex {
     #[inline(always)]
     fn hit(&self, s: usize, p: &[u128], q: &Query) -> bool {
         let w = p.len();
-        let inside = self.keys[s * w..][..w].iter().zip(p).all(|(c, p)| c <= p);
+        let inside = self.row(s)[..w].iter().zip(p).all(|(c, p)| c <= p);
         s >= self.head && inside && q.cats_within(&self.slots[s].cats)
     }
 
@@ -333,7 +348,13 @@ impl RegionIndex {
             fill(p, q, true);
             self.walk(p, self.signature(p), q)
         });
-        slot.map(|s| Region(&self.keys[s * w..][..w]))
+        slot.map(|s| Region(&self.row(s)[..w]))
+    }
+
+    /// Slot `s`'s key row.
+    #[inline(always)]
+    fn row(&self, s: usize) -> &[u128] {
+        &self.keys[s * self.stride..][..self.stride]
     }
 
     /// [`Self::covering`]'s walk for `q`, whose probe key is `p` and
@@ -364,29 +385,27 @@ impl RegionIndex {
         None
     }
 
-    /// Re-lay every point out over `dims` attributes (new ones unbounded).
+    /// Let the walk span `dims` attributes, and rebuild the hierarchy over
+    /// them. Rows already hold every attribute of the schema (unbounded
+    /// where a region names none); only an attribute beyond the schema
+    /// re-lays them, wider.
     fn widen(&mut self, dims: usize) {
-        let (old, new) = (2 * self.dims, 2 * dims);
-        let mut keys = Vec::new();
-        // A capped index lays its rows out once, at the extent the cap
-        // allows: doubling would re-lay them a dozen times per service.
-        if let Some(rows) = self.cap.checked_add(self.cap / 8 + TAIL + 1) {
-            keys.reserve_exact(rows * new);
-            self.slots
-                .reserve_exact(rows.saturating_sub(self.slots.len()));
+        if 2 * dims > self.stride {
+            let (old, new) = (self.stride, 2 * dims);
+            let mut keys = vec![0; self.slots.len() * new];
+            for s in 0..self.slots.len() {
+                keys[s * new..][..old].copy_from_slice(self.row(s));
+            }
+            (self.keys, self.stride) = (keys, new);
         }
-        keys.resize(self.slots.len() * new, 0);
-        for s in 0..self.slots.len() {
-            keys[s * new..][..old].copy_from_slice(&self.keys[s * old..][..old]);
-        }
-        (self.keys, self.dims) = (keys, dims);
+        self.dims = dims;
         self.rebuild();
     }
 
     /// Drop the evicted slots and put every live one under a fresh
     /// hierarchy.
     fn rebuild(&mut self) {
-        self.keys.drain(..self.head * 2 * self.dims);
+        self.keys.drain(..self.head * self.stride);
         self.slots.drain(..self.head);
         let n = self.slots.len();
         (self.head, self.built) = (0, n);
@@ -408,9 +427,9 @@ impl RegionIndex {
         });
         self.mins.resize((me + 1) * w, u128::MAX);
         if hi - lo > LEAF && w > 0 {
-            let (mid, keys) = ((lo + hi) / 2, &self.keys);
+            let (mid, keys, stride) = ((lo + hi) / 2, &self.keys, self.stride);
             self.order[lo..hi]
-                .select_nth_unstable_by_key(mid - lo, |&s| keys[s as usize * w + depth % w]);
+                .select_nth_unstable_by_key(mid - lo, |&s| keys[s as usize * stride + depth % w]);
             self.build(lo, mid, depth + 1);
             let right = self.nodes.len();
             self.build(mid, hi, depth + 1);
@@ -419,9 +438,9 @@ impl RegionIndex {
             }
         } else {
             for &s in &self.order[lo..hi] {
-                for j in 0..w {
-                    self.mins[me * w + j] =
-                        self.mins[me * w + j].min(self.keys[s as usize * w + j]);
+                let row = &self.keys[s as usize * self.stride..][..w];
+                for (m, &k) in self.mins[me * w..][..w].iter_mut().zip(row) {
+                    *m = (*m).min(k);
                 }
             }
         }

@@ -26,8 +26,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 /// Allocations per emitted tuple this request may make: the measured
-/// debug-profile value, 61.4 (1 535 for the 25 tuples), plus 25 %.
-const BUDGET_PER_TUPLE: f64 = 76.8;
+/// debug-profile value, 56.1 (1 403 for the 25 tuples), plus 25 %.
+const BUDGET_PER_TUPLE: f64 = 70.2;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
