@@ -28,9 +28,13 @@
 //! attribute in `(value, id)` order, and over every row in recording order,
 //! so two histories recorded alike answer alike, order included.
 //!
-//! The MD search's history read, `md::top1::history_best`, asks for the
-//! lowest-scoring known tuple in a box, so it walks a ranking axis in
-//! score order instead (`History::lowest`): the tightest predicate's
+//! Every read takes its predicates as a [`Conjunction`]: a [`Query`]'s, or
+//! the MD search's box ANDed onto its selection, written into a buffer the
+//! search keeps ([`NormView::box_query`](crate::norm::NormView::box_query)),
+//! so a read of a box builds no query. The MD search's history read,
+//! `md::top1::history_best`, asks for the lowest-scoring known tuple in a
+//! box, so it walks a ranking axis in score order instead
+//! (`History::lowest`): the tightest predicate's
 //! attribute when that one ranks, else the ranking attribute along which
 //! the score climbs most across the box. Each tuple's coordinate on that
 //! axis, with the box's low corner elsewhere, bounds from below the score
@@ -43,7 +47,8 @@
 use qrs_ranking::RankFn;
 use qrs_types::value::{from_order_key, order_key, OrdF64};
 use qrs_types::{
-    AttrId, Direction, Endpoint, Interval, Query, QueryResponse, RangePredicate, Tuple, TupleId,
+    AttrId, Conjunction, Direction, Endpoint, Interval, Query, QueryResponse, RangePredicate,
+    Tuple, TupleId,
 };
 use std::collections::hash_map::{Entry as Slot, HashMap};
 use std::sync::Arc;
@@ -177,7 +182,7 @@ impl History {
     /// `q` compiled against the rows, leaving out its predicate on
     /// `spanned`, whose index range the caller walks; `None` when one of
     /// its ranges admits no value.
-    fn compile<'a>(&'a self, q: &'a Query, spanned: Option<AttrId>) -> Option<Matcher<'a>> {
+    fn compile<'a>(&'a self, q: Conjunction<'a>, spanned: Option<AttrId>) -> Option<Matcher<'a>> {
         let mut m = Matcher {
             history: self,
             q,
@@ -228,7 +233,7 @@ impl History {
         norm_iv: Interval,
         q: &Query,
     ) -> Option<&Arc<Tuple>> {
-        let m = self.compile(q, None)?;
+        let m = self.compile(q.into(), None)?;
         let found = match dir {
             Direction::Asc => self.span(attr, norm_iv).find(|e| m.matches(e.row)),
             // From the top, ids descend within a value: the answer is the
@@ -271,11 +276,11 @@ impl History {
     }
 
     /// `q`'s tightest range predicate: a point, else the one admitting the
-    /// smallest share of its attribute's observed span; `None` when `q` has
-    /// no range predicate — a categorical-only query.
-    pub(crate) fn tightest<'q>(&self, q: &'q Query) -> Option<&'q RangePredicate> {
-        q.ranges()
-            .iter()
+    /// smallest share of its attribute's observed span (the first of equal
+    /// shares); `None` when `q` has no range predicate — a
+    /// categorical-only query.
+    pub(crate) fn tightest<'q>(&self, q: impl Into<Conjunction<'q>>) -> Option<&'q RangePredicate> {
+        (q.into().ranges().iter())
             .filter(|p| p.attr.0 < self.width && !p.interval.is_all())
             .min_by_key(|p| OrdF64(self.share(p)))
     }
@@ -283,7 +288,11 @@ impl History {
     /// The observed tuples matching `q`: along its tightest range
     /// predicate's attribute in `(value, id)` order, or every row in
     /// recording order when it has none.
-    pub fn candidates<'a>(&'a self, q: &'a Query) -> impl Iterator<Item = &'a Arc<Tuple>> + 'a {
+    pub fn candidates<'a>(
+        &'a self,
+        q: impl Into<Conjunction<'a>>,
+    ) -> impl Iterator<Item = &'a Arc<Tuple>> + 'a {
+        let q = q.into();
         let spanned = self.tightest(q);
         let matcher = self.compile(q, spanned.map(|p| p.attr));
         matcher.into_iter().flat_map(move |m| {
@@ -300,14 +309,14 @@ impl History {
 
     /// Whether more than `n` observed tuples match `q` — a query that would
     /// overflow a top-`n` page on what history alone already knows.
-    pub fn holds_more_than(&self, q: &Query, n: usize) -> bool {
-        self.candidates(q).nth(n).is_some()
+    pub fn holds_more_than<'q>(&self, q: impl Into<Conjunction<'q>>, n: usize) -> bool {
+        self.candidates(q.into()).nth(n).is_some()
     }
 
     /// All observed tuples matching `q`, sorted by id — authoritative when a
     /// complete region covers `q`.
-    pub fn matching(&self, q: &Query) -> Vec<Arc<Tuple>> {
-        let mut v: Vec<Arc<Tuple>> = self.candidates(q).cloned().collect();
+    pub fn matching<'q>(&self, q: impl Into<Conjunction<'q>>) -> Vec<Arc<Tuple>> {
+        let mut v: Vec<Arc<Tuple>> = self.candidates(q.into()).cloned().collect();
         v.sort_by_key(|t| t.id);
         v
     }
@@ -315,35 +324,32 @@ impl History {
     /// The `(score, id)`-least tuple matching `q` under `rank`, with its
     /// score, by a threshold walk along ranking axis `axis` of `q`'s box,
     /// whose low corner is `at` and whose upper end on that axis is `hi`
-    /// (module docs; `md::top1::history_best` picks the axis). `None` where
-    /// no match scores below `cap` (`f64::INFINITY` for no cap); a match at
-    /// or above a finite cap may still be returned.
+    /// (module docs; `md::top1::history_best` picks the axis). The walk
+    /// moves `at`'s coordinate on `axis` and leaves it moved.
     ///
     /// Rows come in normalized-ascending order along the axis, and each
     /// bounds every later one from below by the axis bound: `score_norm`
     /// of the low corner with only the walked coordinate replaced by its
     /// own (every tuple lies in the schema's domain). The walk stops at the
     /// first row whose bound *strictly* exceeds the best score: one whose
-    /// bound equals it may still tie the best with a smaller id. Before any
-    /// match it stops at the first bound at or above `cap`. The cut
-    /// coordinate where the bound reaches the best score (or the cap) is
-    /// recomputed only when the best improves (one `ell`), so a step below
-    /// it is one float compare and a step at or above it one `score_norm`.
+    /// bound equals it may still tie the best with a smaller id. The cut
+    /// coordinate where the bound reaches the best score is recomputed
+    /// only when the best improves (one `ell`), so a step below it is one
+    /// float compare and a step at or above it one `score_norm`.
     pub(crate) fn lowest(
         &self,
-        q: &Query,
+        q: Conjunction<'_>,
         rank: &dyn RankFn,
         axis: usize,
-        at: Vec<f64>,
+        at: &mut [f64],
         hi: f64,
-        cap: f64,
     ) -> Option<(&Arc<Tuple>, f64)> {
         let (attr, dir) = (rank.attrs()[axis], rank.directions()[axis]);
         let m = self.compile(q, Some(attr))?;
         let span = self.span(attr, q.interval(attr));
         let best = match dir {
-            Direction::Asc => m.walk(rank, axis, at, hi, span, cap),
-            Direction::Desc => m.walk(rank, axis, at, hi, span.rev(), cap),
+            Direction::Asc => m.walk(rank, axis, at, hi, span),
+            Direction::Desc => m.walk(rank, axis, at, hi, span.rev()),
         };
         best.map(|(row, s)| (&self.tuples[row as usize], s))
     }
@@ -369,13 +375,13 @@ fn insert(runs: &mut Vec<Vec<Entry>>, e: Entry) {
 /// A ranking's attributes and directions, read once per walk.
 type Terms<'r> = (&'r [AttrId], &'r [Direction]);
 
-/// A query compiled against a history's rows: inclusive key bounds per
-/// range predicate, and whether the tuple must be read for the rest (a
+/// A conjunction compiled against a history's rows: inclusive key bounds
+/// per range predicate, and whether the tuple must be read for the rest (a
 /// categorical predicate, a range on an attribute past the rows, or more
 /// than [`INLINE`] ranges).
 struct Matcher<'a> {
     history: &'a History,
-    q: &'a Query,
+    q: Conjunction<'a>,
     /// `(attribute, lowest key, highest key)`, the first `len` in use.
     bounds: [(usize, u64, u64); INLINE],
     len: usize,
@@ -414,10 +420,9 @@ impl Matcher<'_> {
         &self,
         rank: &dyn RankFn,
         axis: usize,
-        mut at: Vec<f64>,
+        at: &mut [f64],
         hi: f64,
         entries: impl Iterator<Item = &'e Entry>,
-        cap: f64,
     ) -> Option<(u32, f64)> {
         let terms = (rank.attrs(), rank.directions());
         let (dir, lo) = (terms.1[axis], at[axis]);
@@ -436,21 +441,16 @@ impl Matcher<'_> {
                 &mut heap
             }
         };
-        let mut best: Option<(&Entry, f64)> = None;
-        let mut cut = if cap < f64::INFINITY {
-            ell(&mut at, cap)
-        } else {
-            cap
-        };
+        let (mut best, mut cut): (Option<(&Entry, f64)>, _) = (None, f64::INFINITY);
         for e in entries {
             at[axis] = dir.normalize(from_order_key(e.key));
-            if at[axis] >= cut && best.is_none_or(|(_, s)| rank.score_norm(&at) > s) {
+            if at[axis] >= cut && best.is_none_or(|(_, s)| rank.score_norm(at) > s) {
                 break;
             }
             if self.matches(e.row) {
                 let s = self.score(rank, terms, e.row, u);
                 if best.is_none_or(|(_, bs)| s < bs) {
-                    cut = ell(&mut at, s);
+                    cut = ell(at, s);
                 }
                 if best.is_none_or(|(b, bs)| s < bs || (s == bs && e.id < b.id)) {
                     best = Some((e, s));
@@ -655,7 +655,8 @@ mod tests {
     /// return what one pass over every tuple returns, in the same order.
     #[test]
     fn by_attr_paths_agree_with_a_pass_over_every_tuple() {
-        use crate::{ctx::SharedState, md::top1::history_best};
+        use crate::ctx::SharedState;
+        use crate::md::top1::{history_best, BoxReader};
         use qrs_types::{CatId, CatPredicate};
         let data = qrs_datagen::synthetic::discrete_grid(300, 3, 6, 11);
         let params = crate::params::RerankParams::paper_defaults(300, 5);
@@ -698,25 +699,24 @@ mod tests {
                 name == "an empty range" || !want.is_empty(),
                 "vacuous: {name}"
             );
-            let boxed = view.to_query(&view.initial_box(&q), &q);
-            let best = scan(&boxed)
+            let b = view.initial_box(&q);
+            let best = scan(&view.to_query(&b, &q))
                 .into_iter()
                 .map(|t| (view.score(&t), t))
                 .min_by_key(|(s, t)| (OrdF64(*s), t.id));
-            let got = history_best(&st, &view, &boxed, f64::INFINITY);
+            let got = history_best(&st, &mut BoxReader::new(view.clone(), q.clone()), &b);
             assert_eq!(got.map(|(t, s)| (s, t)), best, "history_best: {name}");
         }
     }
 
     /// `history_best` walks one ranking axis and stops at the first tuple
-    /// whose axis bound exceeds the best score, or reaches its cap before
-    /// any match. Its answer must stay the `(score, id)` minimum over every
-    /// history tuple matching the box wherever that scores below the cap —
-    /// on grid data, where tuples tie on the cut, and whichever axis it
-    /// walks.
+    /// whose axis bound exceeds the best score. Its answer must stay the
+    /// `(score, id)` minimum over every history tuple matching the box — on
+    /// grid data, where tuples tie on the cut, and whichever axis it walks.
     #[test]
     fn history_best_is_the_minimum_over_every_match() {
-        use crate::{ctx::SharedState, md::top1::history_best, norm::NormBox};
+        use crate::md::top1::{history_best, BoxReader};
+        use crate::{ctx::SharedState, norm::NormBox};
         use qrs_datagen::synthetic::{discrete_grid, uniform};
         use qrs_ranking::{LinearRank, RankFn};
         use qrs_types::{CatId, CatPredicate};
@@ -724,7 +724,7 @@ mod tests {
         let seed = std::env::var("QRS_TEST_SEED").ok();
         let seed: u64 = seed.and_then(|s| s.parse().ok()).unwrap_or(0);
         let mut rng = StdRng::seed_from_u64(29 ^ seed);
-        let (mut asked, mut found, mut early, mut steepest, mut capped) = (0, 0, 0, 0, 0);
+        let (mut asked, mut found, mut early, mut steepest) = (0, 0, 0, 0);
         for data in [
             discrete_grid(400, 4, 5, 31 ^ seed),
             uniform(400, 4, 1, 37 ^ seed),
@@ -786,44 +786,20 @@ mod tests {
                     let x = lo + (hi - lo) * f64::from(rng.random_range(0..=4u32)) / 4.0;
                     sel.add_range(a, Interval::closed(x, x + (hi - lo) * 0.05));
                 }
+                // The box of `b ∧ sel`: the domain's, narrowed by `b`.
+                let b = view.initial_box(&view.to_query(&b, &sel));
                 let q = view.to_query(&b, &sel);
                 let want = (known.iter().filter(|t| q.matches(t)))
                     .map(|t| (view.score(t), t.id))
                     .min_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-                let got = history_best(&st, &view, &q, f64::INFINITY);
+                let rd = &mut BoxReader::new(view.clone(), sel.clone());
+                let got = history_best(&st, rd, &b);
                 assert_eq!(
                     got.map(|(t, s)| (t.id, s.to_bits())),
                     want.map(|(s, id)| (id, s.to_bits())),
                     "{} under {q}",
                     rank.label()
                 );
-                // Under a cap: the same answer where it scores below the
-                // cap; otherwise nothing, or still the same answer. A cap at
-                // the answer's own score makes the walk meet bounds equal to
-                // it.
-                let matches: Vec<f64> = (known.iter().filter(|t| q.matches(t)))
-                    .map(|t| view.score(t))
-                    .collect();
-                let least = want.map_or(f64::INFINITY, |(s, _)| s);
-                let cap = match rng.random_range(0..3u32) {
-                    _ if matches.is_empty() => f64::INFINITY,
-                    0 => least,
-                    1 => least - 0.1 * rng.random::<f64>(),
-                    _ => matches[rng.random_range(0..matches.len())],
-                };
-                let under = history_best(&st, &view, &q, cap).map(|(t, s)| (t.id, s.to_bits()));
-                let exact = want.map(|(s, id)| (id, s.to_bits()));
-                match want {
-                    Some((s, _)) if s < cap => {
-                        assert_eq!(under, exact, "{} under {q}, cap {cap}", rank.label())
-                    }
-                    _ => assert!(
-                        under.is_none() || under == exact,
-                        "{} under {q}, cap {cap}: {under:?}",
-                        rank.label()
-                    ),
-                }
-                capped += usize::from(want.is_some() && under.is_none());
                 asked += 1;
                 let Some((best, _)) = want else { continue };
                 found += 1;
@@ -854,10 +830,6 @@ mod tests {
         assert!(
             steepest * 10 >= found,
             "vacuous: {steepest} of {found} took the steepest axis"
-        );
-        assert!(
-            capped * 10 >= found,
-            "vacuous: {capped} of {found} walks were cut short by their cap"
         );
     }
 
@@ -1003,7 +975,7 @@ mod tests {
         }
 
         /// `history_best` as it walked the map.
-        fn history_best(&self, view: &NormView, q: &Query, cap: f64) -> Option<(TupleId, u64)> {
+        fn history_best(&self, view: &NormView, q: &Query) -> Option<(TupleId, u64)> {
             use crate::md::top1::steepest_axis;
             let b = view.initial_box(q);
             if b.is_empty() || q.is_unsatisfiable() {
@@ -1026,12 +998,7 @@ mod tests {
                 at[axis] = moved;
                 cut
             };
-            let mut best: Option<(&Arc<Tuple>, f64)> = None;
-            let mut cut = if cap < f64::INFINITY {
-                ell(&mut at, cap)
-            } else {
-                cap
-            };
+            let (mut best, mut cut): (Option<(&Arc<Tuple>, f64)>, _) = (None, f64::INFINITY);
             for t in range {
                 at[axis] = dir.normalize(t.ord(attr));
                 if at[axis] >= cut && best.is_none_or(|(_, s)| rank.score_norm(&at) > s) {
@@ -1057,11 +1024,12 @@ mod tests {
     /// zeros, both NaN signs, both infinities and subnormals: `in_range`
     /// from both ends, `first_norm_in` both ways, `holds_more_than`,
     /// `matching`, `candidates` (matches and order) and `history_best`,
-    /// capped and uncapped, tuple and score bits. `QRS_TEST_SEED` picks
-    /// the schedules, `QRS_FUZZ_ITERS` how many.
+    /// tuple and score bits. `QRS_TEST_SEED` picks the schedules,
+    /// `QRS_FUZZ_ITERS` how many.
     #[test]
     fn history_reads_match_the_btreemap_reference() {
-        use crate::{ctx::SharedState, md::top1::history_best, norm::NormBox};
+        use crate::md::top1::{history_best, BoxReader};
+        use crate::{ctx::SharedState, norm::NormBox};
         use qrs_ranking::{ChebyshevRank, LinearRank};
         use qrs_types::{CatId, CatPredicate, OrdinalAttr, Schema};
         use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -1236,23 +1204,15 @@ mod tests {
                         }
                         .intersect(side);
                     }
-                    let q = view.to_query(&b, &query(&mut rng));
-                    let want = reference.history_best(&view, &q, f64::INFINITY);
-                    let got = history_best(&st, &view, &q, f64::INFINITY);
+                    let sel = query(&mut rng);
+                    let q = view.to_query(&b, &sel);
+                    let want = reference.history_best(&view, &q);
+                    // The box of `b ∧ sel`, whose query is `q` again.
+                    let b = view.initial_box(&q);
+                    let got = history_best(&st, &mut BoxReader::new(view, sel), &b);
                     let got = got.map(|(t, s)| (t.id, s.to_bits()));
                     assert_eq!(got, want, "{log}: history_best under {q}");
                     best_found += usize::from(want.is_some());
-                    let cap = match want {
-                        Some((_, s)) if rng.random::<bool>() => f64::from_bits(s),
-                        _ => rng.random::<f64>() * 3.0 - 1.0,
-                    };
-                    let capped =
-                        history_best(&st, &view, &q, cap).map(|(t, s)| (t.id, s.to_bits()));
-                    assert_eq!(
-                        capped,
-                        reference.history_best(&view, &q, cap),
-                        "{log}: history_best under {q} capped at {cap}"
-                    );
                 }
             }
         }
@@ -1268,6 +1228,241 @@ mod tests {
         assert!(
             best_found * 2 >= schedules,
             "vacuous: {best_found} history_best hits"
+        );
+    }
+
+    /// The MD cursor reads a box `b` ANDed onto its selection in place
+    /// (`NormView::box_query`), never through `view.to_query(b, sel)`. Each
+    /// such read is held to the read of that query it replaced, on random
+    /// record schedules, rankings, selections and boxes narrowed from the
+    /// selection's box as the cursor narrows them (split sides, points,
+    /// shrinks at a score, planes): the same range predicates, bit for bit
+    /// and in order, the same `candidates` and `holds_more_than`, the same
+    /// region slot from `RegionIndex::covering`, and from `history_best`
+    /// the same tuple and score bits as the query read (`initial_box`,
+    /// `tightest` and the walk over the query). A ranking that names an
+    /// attribute twice is read too, for everything but `history_best`.
+    /// `QRS_TEST_SEED` picks the schedules, `QRS_FUZZ_ITERS` how many.
+    #[test]
+    fn history_reads_of_a_box_match_reads_of_its_query() {
+        use crate::md::top1::{history_best, shrink, steepest_axis, BoxReader};
+        use crate::{ctx::SharedState, norm::NormBox};
+        use qrs_ranking::{ChebyshevRank, LinearRank};
+        use qrs_types::{CatId, CatPredicate, OrdinalAttr, Schema};
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let env = |name: &str, default: u64| {
+            let v = std::env::var(name).ok();
+            v.and_then(|v| v.parse().ok()).unwrap_or(default)
+        };
+        let seed = 0xB0C5_0E54 ^ env("QRS_TEST_SEED", 0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // A predicate bit for bit: its attribute, and each endpoint's kind
+        // and value bits.
+        let bits = |p: RangePredicate| {
+            let end = |e: Endpoint| match e {
+                Endpoint::Unbounded => (0, 0),
+                Endpoint::Open(v) => (1, v.to_bits()),
+                Endpoint::Closed(v) => (2, v.to_bits()),
+            };
+            (p.attr, end(p.interval.lo), end(p.interval.hi))
+        };
+        // The read the box read replaced: the query turned back into a box.
+        let query_read = |st: &SharedState, view: &NormView, q: &Query| {
+            let b = view.initial_box(q);
+            if b.is_empty() || q.is_unsatisfiable() {
+                return None;
+            }
+            let rank = view.rank();
+            let mut lo = b.lo_corner(view.bounds());
+            let axis = (st.history.tightest(q))
+                .and_then(|p| rank.attrs().iter().position(|&a| a == p.attr))
+                .unwrap_or_else(|| steepest_axis(view, &b, &mut lo));
+            let hi = b.hi(axis, view.bounds());
+            let best = st.history.lowest(q.into(), &**rank, axis, &mut lo, hi);
+            best.map(|(t, s)| (t.id, s.to_bits()))
+        };
+        let (mut reads, mut found, mut probes, mut hits, mut planes) = (0, 0, 0, 0, 0);
+        for schedule in 0..env("QRS_FUZZ_ITERS", 12) {
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(schedule));
+            let width = [1, 2, 3, 4, 6][rng.random_range(0..5usize)];
+            let value = |rng: &mut StdRng| match rng.random_range(0..12u32) {
+                0 => specials[rng.random_range(0..specials.len())],
+                1..=5 => f64::from(rng.random_range(0..9u32)) / 8.0,
+                _ => rng.random::<f64>(),
+            };
+            let interval = |rng: &mut StdRng| {
+                let (a, b) = (value(rng), value(rng));
+                let (a, b) = if a.total_cmp(&b).is_gt() {
+                    (b, a)
+                } else {
+                    (a, b)
+                };
+                match rng.random_range(0..6u32) {
+                    0 => Interval::point(a),
+                    1 => Interval::open(a, b),
+                    2 => Interval::closed_open(a, b),
+                    3 => Interval::at_least(a),
+                    4 => Interval::less_than(b),
+                    _ => Interval::closed(a, b),
+                }
+            };
+            let selection = |rng: &mut StdRng| {
+                let mut q = Query::all();
+                for _ in 0..rng.random_range(0..3u32) {
+                    q.add_range(AttrId(rng.random_range(0..width)), interval(rng));
+                }
+                if rng.random_range(0..3u32) == 0 {
+                    let codes = vec![rng.random_range(0..4u32), rng.random_range(0..4u32)];
+                    q.add_cat(CatPredicate::one_of(CatId(0), codes));
+                }
+                q
+            };
+            let schema = Schema::new(
+                (0..width)
+                    .map(|a| OrdinalAttr::new(format!("a{a}"), 0.0, 1.0))
+                    .collect(),
+                vec![qrs_types::CatAttr::new("c", 4)],
+            );
+            let params = crate::params::RerankParams::paper_defaults(2000, 5);
+            let mut st = SharedState::new(&schema, params);
+            for i in 0..rng.random_range(1..1200u32) {
+                let vals = (0..width).map(|_| value(&mut rng)).collect();
+                let cats = vec![rng.random_range(0..4u32)];
+                st.history
+                    .record(&Arc::new(Tuple::new(TupleId(i), vals, cats)));
+            }
+            // Regions a fraction of the domain wide on one or two
+            // attributes.
+            for _ in 0..rng.random_range(0..30u32) {
+                let mut region = Query::all();
+                for _ in 0..rng.random_range(1..3u32) {
+                    let x = rng.random::<f64>();
+                    let iv = Interval::closed(x, x + 0.5 * rng.random::<f64>());
+                    region.add_range(AttrId(rng.random_range(0..width)), iv);
+                }
+                st.complete.insert(&region);
+            }
+            for _ in 0..4 {
+                // One to four ranking attributes, mixed directions; one
+                // ranking in six names an attribute twice.
+                let mut free: Vec<usize> = (0..width).collect();
+                let m = rng.random_range(1..=width.min(4));
+                let mut terms: Vec<(AttrId, Direction, f64)> = (0..m)
+                    .map(|_| {
+                        let a = free.swap_remove(rng.random_range(0..free.len()));
+                        let dir = [Direction::Asc, Direction::Desc][rng.random_range(0..2usize)];
+                        (AttrId(a), dir, [1.0, 2.0, 0.5][rng.random_range(0..3usize)])
+                    })
+                    .collect();
+                let twice = rng.random_range(0..6u32) == 0;
+                if twice {
+                    let mut again = terms[rng.random_range(0..m)];
+                    again.1 = [Direction::Asc, Direction::Desc][rng.random_range(0..2usize)];
+                    terms.push(again);
+                }
+                let rank: Arc<dyn RankFn> = match rng.random::<bool>() && !twice {
+                    true => Arc::new(LinearRank::new(terms)),
+                    false => {
+                        let attrs = terms.iter().map(|t| t.0).collect();
+                        let dirs = terms.iter().map(|t| t.1).collect();
+                        let weights = terms.iter().map(|t| t.2).collect();
+                        let ideal = vec![-1.0; terms.len()];
+                        Arc::new(ChebyshevRank::new(attrs, dirs, weights, ideal))
+                    }
+                };
+                let view = NormView::new(rank, &schema);
+                let (mut pairs, mut buf): (Vec<(NormBox, Query, bool)>, _) =
+                    (Vec::new(), Vec::new());
+                for _ in 0..24 {
+                    let sel = selection(&mut rng);
+                    let mut b = view.initial_box(&sel);
+                    let bounds = view.bounds();
+                    for _ in 0..rng.random_range(1..4u32) {
+                        let d = rng.random_range(0..b.dims.len());
+                        let v = bounds.lo[d] + (bounds.hi[d] - bounds.lo[d]) * value(&mut rng);
+                        let side = match rng.random_range(0..4u32) {
+                            0 => Interval::less_than(v),
+                            1 => Interval::greater_than(v),
+                            2 => Interval::point(v),
+                            _ => Interval::closed(v, v + rng.random::<f64>()),
+                        };
+                        b = b.with_dim(d, side);
+                    }
+                    if !twice && !b.is_empty() && rng.random::<bool>() {
+                        let lo = b.lo_corner(view.bounds());
+                        let s = view.rank().score_norm(&lo) + rng.random::<f64>();
+                        if !shrink(&view, &mut b, &lo, s) {
+                            continue;
+                        }
+                    }
+                    // A plane: the pinned sides alone, no selection.
+                    let plane = rng.random_range(0..6u32) == 0;
+                    if plane {
+                        for iv in b.dims.iter_mut().filter(|iv| !iv.is_point()) {
+                            *iv = Interval::all();
+                        }
+                    }
+                    let sel = if plane { Query::all() } else { sel };
+                    // Regions that hold some of these boxes: the box itself.
+                    if rng.random_range(0..4u32) == 0 {
+                        st.complete.insert(&view.to_query(&b, &sel));
+                    }
+                    pairs.push((b, sel, plane || twice));
+                }
+                for (b, sel, only_predicates) in &pairs {
+                    let (q, bq) = (view.to_query(b, sel), view.box_query(b, sel, &mut buf));
+                    let log = format!("schedule {schedule}: {b:?} ∧ {q}");
+                    let want = q.ranges().iter().map(|&p| bits(p));
+                    assert!(
+                        bq.ranges().iter().map(|&p| bits(p)).eq(want),
+                        "{log}: ranges"
+                    );
+                    assert_eq!(bq.cats(), q.cats(), "{log}: cats");
+                    let unsat = bq.is_unsatisfiable();
+                    assert_eq!(unsat, q.is_unsatisfiable(), "{log}");
+                    let ids = |c: &mut dyn Iterator<Item = &Arc<Tuple>>| {
+                        c.map(|t| t.id).collect::<Vec<_>>()
+                    };
+                    let matches = ids(&mut st.history.candidates(&q));
+                    assert_eq!(ids(&mut st.history.candidates(bq)), matches, "{log}");
+                    for n in [0, 1, 5] {
+                        let more = st.history.holds_more_than(bq, n);
+                        assert_eq!(more, matches.len() > n, "{log}: more than {n}");
+                    }
+                    let region = st.complete.covering(bq);
+                    assert!(region == st.complete.covering(&q), "{log}: region");
+                    probes += usize::from(!unsat);
+                    hits += usize::from(!unsat && region.is_some());
+                    planes += usize::from(*only_predicates);
+                    if !only_predicates {
+                        let rd = &mut BoxReader::new(view.clone(), sel.clone());
+                        let got = history_best(&st, rd, b).map(|(t, s)| (t.id, s.to_bits()));
+                        let want = query_read(&st, &view, &q);
+                        assert_eq!(got, want, "{log}: history_best");
+                        reads += 1;
+                        found += usize::from(want.is_some());
+                    }
+                }
+            }
+        }
+        assert!(
+            found * 4 >= reads,
+            "vacuous: {found} of {reads} reads found a tuple"
+        );
+        assert!(
+            hits * 8 >= probes && hits * 20 <= 19 * probes,
+            "vacuous: {hits} of {probes} satisfiable probes found a region"
+        );
+        assert!(
+            planes * 20 >= probes,
+            "vacuous: {planes} planes of {probes}"
         );
     }
 

@@ -86,7 +86,7 @@
 use crate::crawl::crawl_region;
 use crate::ctx::{Purpose, SharedState};
 use crate::history::History;
-use crate::md::top1::{history_best, md_top1, shrink, width_share, Best, MdOptions};
+use crate::md::top1::{history_best, md_top1, shrink, width_share, Best, BoxReader, MdOptions};
 use crate::norm::{NormBox, NormView};
 use qrs_ranking::RankFn;
 use qrs_server::SearchInterface;
@@ -120,8 +120,8 @@ struct Subspace {
     top: TopState,
     /// Ids emitted from this subspace — non-empty only for a tie slab.
     emitted: HashSet<TupleId>,
-    /// This call's history best of `bbox ∧ sel`, uncapped, with the
-    /// history length it was read at ([`Subspace::history_best`]).
+    /// This call's history best of `bbox ∧ sel`, with the history length
+    /// it was read at ([`Subspace::history_best`]).
     read: Option<(usize, Best)>,
 }
 
@@ -151,19 +151,19 @@ impl Subspace {
         }
     }
 
-    /// The best tuple history holds in `bbox ∧ sel` now, uncapped. A read
-    /// is reused while history holds no tuple it did not hold then, and
-    /// lives no longer than its call (`MdCursor::next` drops every read
-    /// first); debug builds check that a reused read is what history holds.
-    fn history_best(&mut self, st: &SharedState, view: &NormView, sel: &Query) -> Best {
-        let read = || history_best(st, view, &view.to_query(&self.bbox, sel), f64::INFINITY);
+    /// The best tuple history holds in `bbox ∧ sel` now. A read is reused
+    /// while history holds no tuple it did not hold then, and lives no
+    /// longer than its call (`MdCursor::next` drops every read first);
+    /// debug builds check that a reused read is what history holds.
+    fn history_best(&mut self, st: &SharedState, rd: &mut BoxReader) -> Best {
         let key = |b: &Best| b.as_ref().map(|(t, s)| (t.id, s.to_bits()));
         let len = st.history.len();
         if let Some((_, best)) = self.read.as_ref().filter(|(at, _)| *at == len) {
-            debug_assert_eq!(key(best), key(&read()), "a stale history read");
+            let mut now = || history_best(st, rd, &self.bbox);
+            debug_assert_eq!(key(best), key(&now()), "a stale history read");
             return best.clone();
         }
-        let best = read();
+        let best = history_best(st, rd, &self.bbox);
         self.read = Some((len, best.clone()));
         best
     }
@@ -171,8 +171,9 @@ impl Subspace {
 
 /// Streaming Get-Next over an arbitrary monotonic ranking function.
 pub struct MdCursor {
-    view: NormView,
-    sel: Query,
+    /// The ranking view and selection, with the buffers every box read
+    /// reuses.
+    rd: BoxReader,
     opts: MdOptions,
     subs: Vec<Subspace>,
     /// The last emission's host when it split into two side children, which
@@ -187,8 +188,7 @@ impl MdCursor {
         let view = NormView::new(rank, schema);
         let b0 = view.initial_box(&sel);
         MdCursor {
-            view,
-            sel,
+            rd: BoxReader::new(view, sel),
             opts,
             subs: vec![Subspace::new(b0)],
             merge: None,
@@ -218,10 +218,10 @@ impl MdCursor {
                     self.merge = Some(host);
                     return Err(e);
                 }
-                let (view, sel, at) = (&self.view, &self.sel, self.subs.len() - 3);
+                let (rd, at) = (&mut self.rd, self.subs.len() - 3);
                 for sub in &mut self.subs[at..at + 2] {
-                    let best = sub.history_best(st, view, sel);
-                    if let Ok(top) = certify(st, view, sel, &sub.bbox, f64::INFINITY, best) {
+                    let best = sub.history_best(st, rd);
+                    if let Ok(top) = certify(st, rd, &sub.bbox, f64::INFINITY, best) {
                         sub.top = top;
                     }
                 }
@@ -240,16 +240,15 @@ impl MdCursor {
             .fold(f64::INFINITY, f64::min);
         let mut i = 0;
         while i < self.subs.len() {
-            let (view, sel) = (&self.view, &self.sel);
-            let sub = &mut self.subs[i];
+            let (rd, sub) = (&mut self.rd, &mut self.subs[i]);
             if !sub.is_due(frontier) {
                 i += 1;
                 continue;
             }
             let top = if sub.is_tie_slab() {
-                match certify_slab(st, view, sel, sub, frontier) {
+                match certify_slab(st, rd, sub, frontier) {
                     Some(top) => top,
-                    None => match tie_top(server, st, view, sel, &sub.bbox, &sub.emitted)? {
+                    None => match tie_top(server, st, rd, &sub.bbox, &sub.emitted)? {
                         TieTop::Known(top) => top,
                         TieTop::Refine(d, v) => {
                             let (sides, slab) = split_at(&sub.bbox, d, v);
@@ -260,12 +259,14 @@ impl MdCursor {
                     },
                 }
             } else {
-                let best = sub.history_best(st, view, sel);
-                match certify(st, view, sel, &sub.bbox, frontier, best) {
+                let best = sub.history_best(st, rd);
+                match certify(st, rd, &sub.bbox, frontier, best) {
                     Ok(top) => top,
-                    Err(best) => TopState::resolved(md_top1(
-                        server, st, view, sel, &sub.bbox, self.opts, best,
-                    )?),
+                    Err((best, why)) => {
+                        let uncovered = why == NoBound::Uncovered;
+                        let top1 = md_top1(server, st, rd, &sub.bbox, self.opts, best, uncovered);
+                        TopState::resolved(top1?)
+                    }
                 }
             };
             if let TopState::Known(_, s) = top {
@@ -302,8 +303,8 @@ impl MdCursor {
             // choice reads history only: nothing is asked between taking
             // the host out and putting its children in.
             let host = self.subs.swap_remove(best_idx);
-            let c = self.view.norm_coords(&t);
-            let d = split_axis(&self.view, &st.history, &host.bbox, &c);
+            let c = self.rd.view.norm_coords(&t);
+            let d = split_axis(&mut self.rd, &st.history, &host.bbox, &c);
             let (sides, slab) = split_at(&host.bbox, d, c[d]);
             let both = sides.len() == 2;
             self.subs.extend(sides.into_iter().map(Subspace::new));
@@ -319,38 +320,53 @@ impl MdCursor {
     /// The merged probe over `host`, whose two side children sit just before
     /// its tie slab: `host ∧ sel` shrunk at the larger of their history-best
     /// scores, which holds both children's own shrunk first queries. `None`
-    /// when one of the three gates (module docs) closes it.
+    /// when one of the three gates (module docs) closes it; the query is
+    /// built only once all three open.
     fn merged_probe(
         &mut self,
         server: &dyn SearchInterface,
         st: &SharedState,
         host: &NormBox,
     ) -> Option<Query> {
-        let (view, sel) = (&self.view, &self.sel);
-        let at = self.subs.len() - 3;
-        let [Some((_, s0)), Some((_, s1))] =
-            [at, at + 1].map(|i| self.subs[i].history_best(st, view, sel))
+        let (rd, subs) = (&mut self.rd, &mut self.subs);
+        let at = subs.len() - 3;
+        let [Some((_, s0)), Some((_, s1))] = [at, at + 1].map(|i| subs[i].history_best(st, rd))
         else {
             return None;
         };
-        let shrunk = shrink(view, host, Some(s0.max(s1)))?;
-        let merged = view.to_query(&shrunk, sel);
-        let e = st.params.n * width_share(view, server.schema(), sel, &shrunk, None);
-        if merged.is_unsatisfiable() || e + e.sqrt() > server.k() as f64 {
+        let BoxReader {
+            view,
+            sel,
+            ranges,
+            lo,
+            shrunk,
+            merged,
+        } = rd;
+        merged.clone_from(host);
+        host.lo_corner_into(view.bounds(), lo);
+        if !shrink(view, merged, lo, s0.max(s1)) {
+            return None;
+        }
+        let (merged, q) = (&*merged, view.box_query(merged, sel, ranges));
+        let e = st.params.n * width_share(view, server.schema(), sel, merged, None);
+        if q.is_unsatisfiable() || e + e.sqrt() > server.k() as f64 {
             return None; // gate 1: more than a page, give or take one σ
         }
-        if st.history.holds_more_than(&merged, server.k()) {
+        if st.history.holds_more_than(q, server.k()) {
             return None; // gate 2: it would overflow on what history holds
         }
         // Gate 3: merging saves a query only where both children would pay
         // their own first query.
-        let paid = |i: usize, s: f64| {
-            shrink(view, &self.subs[i].bbox, Some(s)).is_some_and(|b| {
-                let q = view.to_query(&b, sel);
-                !q.is_unsatisfiable() && !st.complete.covers(&q)
-            })
+        let mut paid = |b: &NormBox, s: f64| {
+            shrunk.clone_from(b);
+            b.lo_corner_into(view.bounds(), lo);
+            shrink(view, shrunk, lo, s) && {
+                let q = view.box_query(shrunk, sel, ranges);
+                !q.is_unsatisfiable() && !st.complete.covers(q)
+            }
         };
-        (paid(at, s0) && paid(at + 1, s1)).then_some(merged)
+        (paid(&subs[at].bbox, s0) && paid(&subs[at + 1].bbox, s1))
+            .then(|| view.to_query(merged, sel))
     }
 }
 
@@ -365,33 +381,42 @@ fn first_free(b: &NormBox) -> Option<usize> {
 /// low corner, lowest index on ties, or `h`'s first free dimension where
 /// history already holds more than one tuple on the plane pinning that
 /// dimension alone at `c`.
-fn split_axis(view: &NormView, history: &History, h: &NormBox, c: &[f64]) -> usize {
+fn split_axis(rd: &mut BoxReader, history: &History, h: &NormBox, c: &[f64]) -> usize {
+    let BoxReader {
+        view,
+        ranges,
+        lo,
+        shrunk: pinned,
+        ..
+    } = rd;
     let first = first_free(h).expect("a box that is not a cell has a free dimension");
-    let mut lo = h.lo_corner(view.bounds());
-    let base = view.rank().score_norm(&lo);
+    h.lo_corner_into(view.bounds(), lo);
+    let base = view.rank().score_norm(lo);
     let (mut d, mut most) = (first, f64::NEG_INFINITY);
     for j in (0..c.len()).filter(|&j| !h.dims[j].is_point()) {
-        let climb = view.score_moved(&mut lo, j, c[j]) - base;
+        let climb = view.score_moved(lo, j, c[j]) - base;
         if climb > most {
             (d, most) = (j, climb);
         }
     }
-    let pinned = NormBox::full(view.bounds()).with_dim(d, Interval::point(c[d]));
-    if history.holds_more_than(&plane(view, &pinned), 1) {
+    pinned.set_full(view.bounds());
+    pinned.dims[d] = pinned.dims[d].intersect(&Interval::point(c[d]));
+    to_plane(pinned);
+    let all = Query::all();
+    if history.holds_more_than(view.box_query(pinned, &all, ranges), 1) {
         first
     } else {
         d
     }
 }
 
-/// A slab's *plane*: its pinned ranking values as point predicates, no
-/// selection, nothing else.
-fn plane(view: &NormView, slab: &NormBox) -> Query {
-    let mut plane = slab.clone();
-    for iv in plane.dims.iter_mut().filter(|iv| !iv.is_point()) {
+/// Turn a slab into its *plane*, in place: its pinned ranking values as
+/// point predicates, no selection (read it over `Query::all()`), nothing
+/// else.
+fn to_plane(slab: &mut NormBox) {
+    for iv in slab.dims.iter_mut().filter(|iv| !iv.is_point()) {
         *iv = Interval::all();
     }
-    view.to_query(&plane, &Query::all())
 }
 
 /// Split `b` on dimension `d` at `v`: the non-empty `< v` and `> v`
@@ -407,68 +432,87 @@ fn split_at(b: &NormBox, d: usize, v: f64) -> (Vec<NormBox>, NormBox) {
 
 /// The top of `b ∧ sel` from history alone, given `best`, its history best
 /// now, scoring `s`, and `f`, the lowest known top (module docs, "Lazy
-/// resolution"): `Known`, or `Above(y)` with `y ≥ f`; `Err(best)` where no
-/// complete region covers `b`'s part below `min(f, s)`.
+/// resolution"): `Known`, or `Above(y)` with `y ≥ f`; `Err` with `best`
+/// and why where no complete region bounds `b`'s part below `min(f, s)`.
 fn certify(
     st: &SharedState,
-    view: &NormView,
-    sel: &Query,
+    rd: &mut BoxReader,
     b: &NormBox,
     f: f64,
     best: Best,
-) -> Result<TopState, Best> {
+) -> Result<TopState, (Best, NoBound)> {
     let s = best.as_ref().map_or(f64::INFINITY, |(_, s)| *s);
-    let Some(y) = complete_below(st, view, sel, b, f.min(s)) else {
-        return Err(best);
-    };
-    Ok(match best {
-        Some((t, s)) if s <= y => TopState::Known(t, s),
-        _ => TopState::Above(y),
-    })
+    match complete_below(st, rd, b, f.min(s)) {
+        Err(why) => Err((best, why)),
+        Ok(y) => Ok(match best {
+            Some((t, s)) if s <= y => TopState::Known(t, s),
+            _ => TopState::Above(y),
+        }),
+    }
 }
 
 /// [`certify`] for a tie slab: `Above(y)` where history holds every tuple
 /// of `sub ∧ sel` below `y` and each is emitted; `None` where it must be
 /// resolved by [`tie_top`]. A tie slab emits only through `tie_top`, or its
 /// emitted tuples could part on its next free dimension.
-fn certify_slab(
-    st: &SharedState,
-    view: &NormView,
-    sel: &Query,
-    sub: &Subspace,
-    f: f64,
-) -> Option<TopState> {
-    let y = complete_below(st, view, sel, &sub.bbox, f)?;
-    let q = view.to_query(&sub.bbox, sel);
+fn certify_slab(st: &SharedState, rd: &mut BoxReader, sub: &Subspace, f: f64) -> Option<TopState> {
+    let y = complete_below(st, rd, &sub.bbox, f).ok()?;
+    let view = &rd.view;
+    let q = view.box_query(&sub.bbox, &rd.sel, &mut rd.ranges);
     let pending =
-        (st.history.candidates(&q)).any(|t| !sub.emitted.contains(&t.id) && view.score(t) < y);
+        (st.history.candidates(q)).any(|t| !sub.emitted.contains(&t.id) && view.score(t) < y);
     (!pending).then_some(TopState::Above(y))
+}
+
+/// Why [`complete_below`] read no bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NoBound {
+    /// The region walk ran over `shrink(b, f) ∧ sel` and no complete region
+    /// covers that box, so none covers a box that holds it either: the
+    /// first query `md_top1` asks for `b`, shrunk at a score of at least
+    /// `f`, is paid for without walking again.
+    Uncovered,
+    /// The shrunk box is empty, or the region that covers it has no finite
+    /// upper end on an axis it does not span.
+    Other,
 }
 
 /// A score `y ≥ f` below which history holds every tuple of `b ∧ sel`, read
 /// from a complete region that covers `b`'s part below `f` (module docs,
-/// "Lazy resolution"); `None` where no region does.
+/// "Lazy resolution"); `Err` where no region does, or where the one that
+/// does bounds nothing.
 fn complete_below(
     st: &SharedState,
-    view: &NormView,
-    sel: &Query,
+    rd: &mut BoxReader,
     b: &NormBox,
     f: f64,
-) -> Option<f64> {
+) -> Result<f64, NoBound> {
+    let BoxReader {
+        view,
+        sel,
+        ranges,
+        lo,
+        shrunk: below,
+        ..
+    } = rd;
     let rank = view.rank();
-    let mut lo = b.lo_corner(view.bounds());
-    let base = rank.score_norm(&lo);
+    b.lo_corner_into(view.bounds(), lo);
+    let base = rank.score_norm(lo);
     if base >= f {
-        return Some(base); // nothing in `b` scores below its low corner
+        return Ok(base); // nothing in `b` scores below its low corner
     }
-    let below = view.to_query(&shrink(view, b, (f < f64::INFINITY).then_some(f))?, sel);
-    if below.is_unsatisfiable() {
-        return Some(f);
+    below.clone_from(b);
+    if f < f64::INFINITY && !shrink(view, below, lo, f) {
+        return Err(NoBound::Other);
+    }
+    let q = view.box_query(below, sel, ranges);
+    if q.is_unsatisfiable() {
+        return Ok(f);
     }
     // A tuple of `b ∧ sel` scoring below `y` lies in `region`: on an axis
     // the region does not span, it sits below the region's upper end, or
     // the low corner moved there alone would already score `y` or more.
-    let region = st.complete.covering(&below)?;
+    let region = st.complete.covering(q).ok_or(NoBound::Uncovered)?;
     let mut y = f64::INFINITY;
     for (j, (&attr, dir)) in rank.attrs().iter().zip(rank.directions()).enumerate() {
         let iv = match dir {
@@ -476,10 +520,11 @@ fn complete_below(
             Direction::Desc => region.interval(attr).negate(),
         };
         if !b.dims[j].is_subset_of(&iv) {
-            y = y.min(view.score_moved(&mut lo, j, iv.hi.value()?));
+            let hi = iv.hi.value().ok_or(NoBound::Other)?;
+            y = y.min(view.score_moved(lo, j, hi));
         }
     }
-    Some(y.max(f))
+    Ok(y.max(f))
 }
 
 /// What resolving a tie slab found.
@@ -498,20 +543,30 @@ enum TieTop {
 fn tie_top(
     server: &dyn SearchInterface,
     st: &mut SharedState,
-    view: &NormView,
-    sel: &Query,
+    rd: &mut BoxReader,
     slab: &NormBox,
     emitted: &HashSet<TupleId>,
 ) -> Result<TieTop, RerankError> {
-    let q = view.to_query(slab, sel);
+    let BoxReader {
+        view,
+        sel,
+        ranges,
+        shrunk: plane,
+        ..
+    } = rd;
+    let mut q = view.box_query(slab, sel, ranges);
     if q.is_unsatisfiable() {
         return Ok(TieTop::Known(TopState::Above(f64::INFINITY)));
     }
-    if !st.complete.covers(&q) {
-        let plane = plane(view, slab);
+    if !st.complete.covers(q) {
+        plane.clone_from(slab);
+        to_plane(plane);
+        let all = Query::all();
         // More than `k` known on the plane: asking it would only overflow.
-        let crowded = st.history.holds_more_than(&plane, server.k());
-        if crowded || st.ask(server, &plane, Purpose::MdTiePlane)?.is_overflow() {
+        let crowded = (st.history).holds_more_than(view.box_query(plane, &all, ranges), server.k());
+        if crowded
+            || (st.ask(server, &view.to_query(plane, &all), Purpose::MdTiePlane)?).is_overflow()
+        {
             let refine_at = first_free(slab).and_then(|d| {
                 let mut vs = emitted
                     .iter()
@@ -525,10 +580,12 @@ fn tie_top(
             // A cell — more than `k` tuples at one ranking point — told
             // apart by the remaining attributes (or, after lost coverage, a
             // slab whose emitted tuples part on its next free dimension).
-            crawl_region(server, st, &q)?;
+            crawl_region(server, st, &view.to_query(slab, sel))?;
         }
+        // The plane's predicates took the buffer.
+        q = view.box_query(slab, sel, ranges);
     }
-    let top = (st.history.candidates(&q))
+    let top = (st.history.candidates(q))
         .filter(|t| !emitted.contains(&t.id))
         .map(|t| (view.score(t), t))
         .min_by(|a, b| cmp_f64(a.0, b.0).then(a.1.id.cmp(&b.1.id)));
@@ -708,26 +765,26 @@ mod tests {
             (AttrId(1), Direction::Desc, 0.5),
             (AttrId(2), Direction::Asc, 0.9),
         ]);
-        let view = NormView::new(Arc::new(rank), &schema);
+        let rd = &mut BoxReader::new(NormView::new(Arc::new(rank), &schema), Query::all());
         let tuple = |id, ords: [f64; 3]| Arc::new(Tuple::new(TupleId(id), ords.to_vec(), vec![]));
         let t = tuple(0, [0.5, 0.2, 0.4]);
-        let c = view.norm_coords(&t);
-        let full = NormBox::full(view.bounds());
+        let c = rd.view.norm_coords(&t);
+        let full = NormBox::full(rd.view.bounds());
         let mut history = History::new(3);
         history.record(&t);
         // Climbs 0.025, 0.4 and 0.36: axis 1, though axis 2 weighs most.
-        assert_eq!(split_axis(&view, &history, &full, &c), 1);
+        assert_eq!(split_axis(rd, &history, &full, &c), 1);
         // With axis 1 pinned, axis 2 climbs most among the free ones.
         let pinned = full.with_dim(1, Interval::point(c[1]));
-        assert_eq!(split_axis(&view, &history, &pinned, &c), 2);
+        assert_eq!(split_axis(rd, &history, &pinned, &c), 2);
         // A tuple off that plane changes nothing.
         history.record(&tuple(1, [0.1, 0.3, 0.9]));
-        assert_eq!(split_axis(&view, &history, &full, &c), 1);
+        assert_eq!(split_axis(rd, &history, &full, &c), 1);
         // A second tuple on it: the first free axis.
         history.record(&tuple(2, [0.9, 0.2, 0.9]));
-        assert_eq!(split_axis(&view, &history, &full, &c), 0);
+        assert_eq!(split_axis(rd, &history, &full, &c), 0);
         assert_eq!(
-            split_axis(&view, &history, &full.with_dim(0, Interval::point(0.5)), &c),
+            split_axis(rd, &history, &full.with_dim(0, Interval::point(0.5)), &c),
             1
         );
     }
@@ -895,8 +952,8 @@ mod tests {
                     None => Vec::new(),
                     Some(_) => (cur.subs.len() - 3..cur.subs.len() - 1)
                         .map(|i| {
-                            let q = cur.view.to_query(&cur.subs[i].bbox, &cur.sel);
-                            let best = history_best(&st, &cur.view, &q, f64::INFINITY);
+                            let q = cur.rd.view.to_query(&cur.subs[i].bbox, &cur.rd.sel);
+                            let best = history_best(&st, &mut cur.rd, &cur.subs[i].bbox);
                             (q, best.map_or(f64::INFINITY, |(_, s)| s))
                         })
                         .collect(),
@@ -909,7 +966,7 @@ mod tests {
                 let planes = server.1.lock().unwrap();
                 landed += (children.iter())
                     .filter(|(q, s)| {
-                        (planes.iter()).any(|u| q.matches(u) && cur.view.score(u) < *s)
+                        (planes.iter()).any(|u| q.matches(u) && cur.rd.view.score(u) < *s)
                     })
                     .count();
                 for sub in &cur.subs {
@@ -917,9 +974,9 @@ mod tests {
                         TopState::Unknown => continue,
                         TopState::Known(_, s) | TopState::Above(s) => *s,
                     };
-                    let q = cur.view.to_query(&sub.bbox, &cur.sel);
+                    let q = cur.rd.view.to_query(&sub.bbox, &cur.rd.sel);
                     let beaten = (st.history.candidates(&q))
-                        .find(|u| !sub.emitted.contains(&u.id) && cur.view.score(u) < bound);
+                        .find(|u| !sub.emitted.contains(&u.id) && cur.rd.view.score(u) < bound);
                     assert!(beaten.is_none(), "{:?} beats {:?}", beaten, sub.top);
                 }
             }
@@ -947,13 +1004,14 @@ mod tests {
         let tuple = |id, a: f64, b: f64| Arc::new(Tuple::new(TupleId(id), vec![a, b], vec![]));
         let full = NormBox::full(view.bounds());
         let f = 0.5;
-        let (sel, score) = (Query::all(), |u: [f64; 2]| rank.score_norm(&u));
+        let rd = &mut BoxReader::new(view, Query::all());
+        let score = |u: [f64; 2]| rank.score_norm(&u);
         // `certify` over the whole box, given its history best now.
-        let certified = |st: &SharedState| {
-            let best = history_best(st, &view, &view.to_query(&full, &sel), f64::INFINITY);
-            certify(st, &view, &sel, &full, f, best)
+        let certified = |st: &SharedState, rd: &mut BoxReader| {
+            let best = history_best(st, rd, &full);
+            certify(st, rd, &full, f, best)
         };
-        let known = |got: Result<TopState, Best>, id, s: f64| matches!(got, Ok(TopState::Known(t, got)) if t.id == TupleId(id) && got == s);
+        let known = |got: Result<TopState, (Best, NoBound)>, id, s: f64| matches!(got, Ok(TopState::Known(t, got)) if t.id == TupleId(id) && got == s);
 
         // The part below `f` is `a0 < 0.5, a1 < 0.5`; a region holding it
         // that stops at `a0 ≤ 0.8` proves nothing below `y = S(0.8, 0)`.
@@ -962,29 +1020,34 @@ mod tests {
             .insert(&Query::all().and_range(AttrId(0), Interval::closed(0.0, 0.8)));
         st.history.record(&tuple(0, 0.9, 0.0)); // outside the region, above `y`
         let y = score([0.8, 0.0]);
-        assert!(matches!(certified(&st), Ok(TopState::Above(got)) if got == y));
+        assert!(matches!(certified(&st, rd), Ok(TopState::Above(got)) if got == y));
         // A match exactly at `y` is the top: every tuple outside history
         // scores `y` or more, and order among equal scores is free.
         st.history.record(&tuple(5, 0.8, 0.0));
-        assert!(known(certified(&st), 5, y));
+        assert!(known(certified(&st, rd), 5, y));
         // A match in history between `f` and `y` is the subspace's top.
         st.history.record(&tuple(1, 0.3, 0.4));
-        assert!(known(certified(&st), 1, score([0.3, 0.4])));
+        assert!(known(certified(&st, rd), 1, score([0.3, 0.4])));
         // One below `f` is the top too: the region holds its part below it.
         st.history.record(&tuple(2, 0.1, 0.1));
-        assert!(known(certified(&st), 2, score([0.1, 0.1])));
+        assert!(known(certified(&st, rd), 2, score([0.1, 0.1])));
         // So does a region that holds the part below that best alone, not
         // the part below `f`: no `md_top1` for it.
         let mut st = SharedState::new(&Arc::new(schema.clone()), params);
         st.complete
             .insert(&Query::all().and_range(AttrId(0), Interval::closed(0.0, 0.25)));
         st.history.record(&tuple(2, 0.1, 0.1));
-        assert!(complete_below(&st, &view, &sel, &full, f).is_none());
-        assert!(known(certified(&st), 2, score([0.1, 0.1])));
-        // No region holds it: resolved, from that history best.
+        let missed = Err(NoBound::Uncovered);
+        assert_eq!(complete_below(&st, rd, &full, f), missed);
+        assert!(known(certified(&st, rd), 2, score([0.1, 0.1])));
+        // No region holds it: resolved, from that history best, and the
+        // walk's miss is handed on.
         let mut bare = SharedState::new(&Arc::new(schema.clone()), params);
         bare.history.record(&tuple(2, 0.1, 0.1));
-        assert!(matches!(certified(&bare), Err(Some((t, _))) if t.id == TupleId(2)));
+        assert!(matches!(
+            certified(&bare, rd),
+            Err((Some((t, _)), NoBound::Uncovered)) if t.id == TupleId(2)
+        ));
 
         // A tie slab at `a0 = 0.3` under a region stopping at `a1 ≤ 0.4`:
         // `y = S(0.3, 0.4)`. Done below `y` while every tuple there is
@@ -999,11 +1062,11 @@ mod tests {
         };
         let y = score([0.3, 0.4]);
         assert!(matches!(
-            certify_slab(&st, &view, &sel, &slab, f),
+            certify_slab(&st, rd, &slab, f),
             Some(TopState::Above(got)) if got == y
         ));
         st.history.record(&tuple(4, 0.3, 0.3));
-        assert!(certify_slab(&st, &view, &sel, &slab, f).is_none());
+        assert!(certify_slab(&st, rd, &slab, f).is_none());
     }
 
     /// `certify` checked against the whole dataset, not just history, on a
@@ -1017,8 +1080,8 @@ mod tests {
         let seed = test_seed();
         let mut rng = StdRng::seed_from_u64(43 ^ seed);
         let key = |b: &Best| b.as_ref().map(|(t, s)| (t.id, s.to_bits()));
-        // Known, Known at its bound `y`, Above, Err.
-        let mut seen = [0usize; 4];
+        // Known, Known at its bound `y`, Above, Err, Err after a miss.
+        let mut seen = [0usize; 5];
         for (data, steps) in [
             (uniform(600, 3, 1, 47 ^ seed), None),
             (discrete_grid(600, 3, 8, 53 ^ seed), Some(7u32)),
@@ -1094,37 +1157,154 @@ mod tests {
                         lo + (hi - lo) * rng.random::<f64>()
                     }
                 };
-                let best = history_best(&st, &view, &q, f64::INFINITY);
-                match certify(&st, &view, &sel, &b, f, best.clone()) {
+                let rd = &mut BoxReader::new(view.clone(), sel.clone());
+                let best = history_best(&st, rd, &b);
+                match certify(&st, rd, &b, f, best.clone()) {
                     Ok(TopState::Known(t, s)) => {
                         assert!(
                             q.matches(&t) && view.score(&t) == s,
                             "{t:?} at {s} under {q}"
                         );
                         assert!(least >= s, "{least} below the top {s} under {q}");
-                        let y = complete_below(&st, &view, &sel, &b, f.min(s));
-                        seen[if y == Some(s) { 1 } else { 0 }] += 1;
+                        let y = complete_below(&st, rd, &b, f.min(s));
+                        seen[if y == Ok(s) { 1 } else { 0 }] += 1;
                     }
                     Ok(TopState::Above(y)) => {
                         assert!(y >= f && least >= y, "{least} below {y} under {q}, f {f}");
                         seen[2] += 1;
                     }
                     Ok(TopState::Unknown) => panic!("certify left {q} unknown"),
-                    Err(got) => {
-                        let now = history_best(&st, &view, &q, f64::INFINITY);
+                    Err((got, why)) => {
+                        let now = history_best(&st, rd, &b);
                         assert_eq!(key(&got), key(&now), "under {q}");
                         seen[3] += 1;
+                        if why != NoBound::Uncovered {
+                            continue;
+                        }
+                        // `md_top1` pays its first query without a walk:
+                        // `b` shrunk at the best's score is not covered.
+                        let mut first = b.clone();
+                        let lo = b.lo_corner(view.bounds());
+                        let s = got.map_or(f64::INFINITY, |(_, s)| s);
+                        if s == f64::INFINITY || shrink(&view, &mut first, &lo, s) {
+                            let q = view.to_query(&first, &sel);
+                            assert!(q.is_unsatisfiable() || !st.complete.covers(&q), "{q}");
+                            seen[4] += 1;
+                        }
                     }
                 }
             }
         }
         assert!(
             seen.iter().all(|&n| n > 0),
-            "vacuous: Known {}, Known at y {}, Above {}, Err {}",
+            "vacuous: Known {}, Known at y {}, Above {}, Err {} ({} after a walk's miss)",
             seen[0],
             seen[1],
             seen[2],
-            seen[3]
+            seen[3],
+            seen[4]
+        );
+    }
+
+    /// The walk `md_top1` skips: where `complete_below` walked the complete
+    /// regions for `b` shrunk at `min(f, s)` and met none that covers it
+    /// (`NoBound::Uncovered`), none covers `b` shrunk at `s`, the first box
+    /// `md_top1` asks from a history best scoring `s`. That box holds the
+    /// walked one side by side (`ℓ` only grows with the score), so a region
+    /// covering it would cover the walked box too. Checked over random
+    /// boxes, selections, scores and frontiers on a state warmed by cursor
+    /// pulls, beside regions made of shrunk boxes so walks also hit.
+    #[test]
+    fn a_miss_below_the_frontier_is_a_miss_at_the_best_score() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let seed = test_seed();
+        let mut rng = StdRng::seed_from_u64(67 ^ seed);
+        let data = uniform(600, 3, 1, 71 ^ seed);
+        let server = SimServer::new(data.clone(), SystemRank::pseudo_random(73 ^ seed), 5);
+        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(600, 5));
+        let rank = |rng: &mut StdRng| {
+            let term = |a| {
+                let dir = [Direction::Asc, Direction::Desc][rng.random_range(0..2usize)];
+                (AttrId(a), dir, [1.0, 2.0, 0.5][rng.random_range(0..3usize)])
+            };
+            LinearRank::new((0..3).map(term).collect())
+        };
+        for _ in 0..2 {
+            let rank = Arc::new(rank(&mut rng));
+            let mut cur = MdCursor::new(rank, Query::all(), MdOptions::rerank(), data.schema());
+            pull(&mut cur, &server, &mut st, rng.random_range(5..20)).unwrap();
+        }
+        // A random box of the view's domain, its low and high scores.
+        let draw = |rng: &mut StdRng, view: &NormView| {
+            let mut b = NormBox::full(view.bounds());
+            for (d, side) in b.dims.iter_mut().enumerate() {
+                let (lo, hi) = (view.bounds().lo[d], view.bounds().hi[d]);
+                let x = lo + (hi - lo) * rng.random::<f64>();
+                let y = x + (hi - x) * rng.random::<f64>();
+                *side = match rng.random_range(0..4u32) {
+                    0 => Interval::closed(x, y),
+                    1 => Interval::greater_than(x),
+                    2 => Interval::at_most(y),
+                    _ => *side,
+                }
+                .intersect(side);
+            }
+            let score = |c: Vec<f64>| view.rank().score_norm(&c);
+            let (lo, hi) = (
+                score(b.lo_corner(view.bounds())),
+                score(b.hi_corner(view.bounds())),
+            );
+            (b, lo, hi)
+        };
+        let sel = |rng: &mut StdRng| match rng.random_range(0..3u32) {
+            0 => Query::all().and_cat(qrs_types::CatPredicate::eq(qrs_types::CatId(0), 1)),
+            _ => Query::all(),
+        };
+        // `b` shrunk at `s` (`b` itself at `s = ∞`), if anything is left.
+        let shrunk = |view: &NormView, b: &NormBox, s: f64| {
+            let (mut out, lo) = (b.clone(), b.lo_corner(view.bounds()));
+            (s == f64::INFINITY || shrink(view, &mut out, &lo, s)).then_some(out)
+        };
+        let (mut missed, mut below, mut covered, mut hit) = (0, 0, 0, 0);
+        for _ in 0..3000 {
+            let view = NormView::new(Arc::new(rank(&mut rng)), data.schema());
+            let (b, lo, hi) = draw(&mut rng, &view);
+            let sel = sel(&mut rng);
+            let mut at = || match rng.random_range(0..4u32) {
+                0 => f64::INFINITY,
+                _ => lo + (hi - lo) * rng.random::<f64>(),
+            };
+            let (s, f) = (at(), at());
+            if rng.random_range(0..4u32) == 0 {
+                // A region some later box may sit in: the low part of this one.
+                if let Some(r) = shrunk(&view, &b, lo + (hi - lo) * 0.3 * rng.random::<f64>()) {
+                    st.complete.insert(&view.to_query(&r, &sel));
+                }
+                continue;
+            }
+            let rd = &mut BoxReader::new(view.clone(), sel.clone());
+            let Some(first) = shrunk(&view, &b, s).filter(|_| lo < f.min(s)) else {
+                continue; // no walk: nothing of `b` scores below `min(f, s)`
+            };
+            let q = view.to_query(&first, &sel);
+            let first_covered = !q.is_unsatisfiable() && st.complete.covers(&q);
+            covered += usize::from(first_covered);
+            match complete_below(&st, rd, &b, f.min(s)) {
+                Err(NoBound::Uncovered) => {
+                    assert!(
+                        !first_covered,
+                        "{b:?} ∧ {sel} at f {f}, s {s}: {q} is covered"
+                    );
+                    missed += 1;
+                    below += usize::from(f < s);
+                }
+                Ok(_) => hit += 1,
+                Err(NoBound::Other) => {}
+            }
+        }
+        assert!(
+            below * 4 >= missed && missed * 4 >= hit && hit * 4 >= missed && covered * 4 >= hit,
+            "vacuous: {missed} misses ({below} below `s`), {hit} bounds, {covered} first boxes covered"
         );
     }
 

@@ -53,7 +53,7 @@ use crate::md::split::{prefix_split, split_excluding};
 use crate::norm::{NormBox, NormView};
 use qrs_server::SearchInterface;
 use qrs_types::value::OrdF64;
-use qrs_types::{Interval, Query, RerankError, Schema, Tuple};
+use qrs_types::{Interval, Query, RangePredicate, RerankError, Schema, Tuple};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -89,6 +89,45 @@ impl MdOptions {
 /// The best `(tuple, score)` found so far, if any.
 pub(crate) type Best = Option<(Arc<Tuple>, f64)>;
 
+/// An MD search's ranking view and selection, with the buffers its reads
+/// reuse: every box `b` it reads against history or the complete regions is
+/// read as `b ∧ sel` through a predicate buffer ([`NormView::box_query`]),
+/// and its low corner and shrunk copies go into buffers too, so such a read
+/// builds no query and allocates nothing once the buffers have grown. A
+/// query is built only where the site is asked (or [`SharedState::ask`]
+/// answers it free from history).
+#[derive(Debug)]
+pub(crate) struct BoxReader {
+    pub(crate) view: NormView,
+    pub(crate) sel: Query,
+    /// The range predicates of the box read last.
+    pub(crate) ranges: Vec<RangePredicate>,
+    /// A low corner.
+    pub(crate) lo: Vec<f64>,
+    /// A box shrunk at a score, or a plane.
+    pub(crate) shrunk: NormBox,
+    /// The merged probe's box, read beside `shrunk`.
+    pub(crate) merged: NormBox,
+}
+
+impl BoxReader {
+    /// A reader of boxes of `view`'s space ANDed onto `sel`.
+    pub(crate) fn new(view: NormView, sel: Query) -> Self {
+        let m = view.dims();
+        let blank = || NormBox {
+            dims: Vec::with_capacity(m),
+        };
+        BoxReader {
+            ranges: Vec::with_capacity(sel.ranges().len() + m),
+            lo: Vec::with_capacity(m),
+            shrunk: blank(),
+            merged: blank(),
+            view,
+            sel,
+        }
+    }
+}
+
 /// Keep `t` at `score` where it comes before `best` in `(score, id)` order.
 fn consider(best: &mut Best, t: &Arc<Tuple>, score: f64) {
     if (best.as_ref()).is_none_or(|(bt, bs)| score < *bs || (score == *bs && t.id < bt.id)) {
@@ -101,35 +140,52 @@ fn consider(best: &mut Best, t: &Arc<Tuple>, score: f64) {
 /// cursor's tie slabs).
 ///
 /// The search starts from `best`, which must be what history holds in the
-/// box now ([`history_best`] of `b0 ∧ sel`, uncapped): its score shrinks the
-/// first query. The MD cursor passes the read its certificate just took.
+/// box now ([`history_best`] of `b0 ∧ sel`): its score shrinks the first
+/// query. The MD cursor passes the read its certificate just took. With
+/// `uncovered`, the caller has just walked the complete regions for a box
+/// the first query holds and found none that covers it, so none covers the
+/// first query either: it is paid for without walking them again.
 pub(crate) fn md_top1(
     server: &dyn SearchInterface,
     st: &mut SharedState,
-    view: &NormView,
-    sel: &Query,
+    rd: &mut BoxReader,
     b0: &NormBox,
     opts: MdOptions,
     mut best: Best,
+    mut uncovered: bool,
 ) -> Result<Best, RerankError> {
+    let BoxReader { view, sel, lo, .. } = rd;
     let mut queue: VecDeque<NormBox> = VecDeque::new();
     queue.push_back(b0.clone());
 
-    while let Some(b) = queue.pop_front() {
+    while let Some(mut b) = queue.pop_front() {
+        let walked = std::mem::take(&mut uncovered);
         if b.is_empty() {
             continue;
         }
         // Shrink by the ℓ(Ai) caps of the current threshold; may prove the
-        // whole box prunable.
-        let b = match shrink(view, &b, best.as_ref().map(|(_, s)| *s)) {
-            None => continue,
-            Some(x) => x,
-        };
+        // whole box prunable. Shrinking moves only upper ends, so `lo`
+        // stays the box's low corner.
+        b.lo_corner_into(view.bounds(), lo);
+        if best
+            .as_ref()
+            .is_some_and(|(_, s)| !shrink(view, &mut b, lo, *s))
+        {
+            continue;
+        }
         let q = view.to_query(&b, sel);
         if q.is_unsatisfiable() {
             continue;
         }
-        let resp = st.ask(server, &q, Purpose::MdBox)?;
+        let resp = if walked {
+            debug_assert!(
+                !st.complete.covers(&q),
+                "a skipped walk would have hit: {q}"
+            );
+            st.pay(server, &q, Purpose::MdBox)?
+        } else {
+            st.ask(server, &q, Purpose::MdBox)?
+        };
         match resp.outcome {
             qrs_types::QueryOutcome::Underflow => continue,
             qrs_types::QueryOutcome::Valid => {
@@ -151,19 +207,19 @@ pub(crate) fn md_top1(
                     .clone();
                 consider(&mut best, &w, view.score(&w));
                 let target = best.as_ref().map(|(_, s)| *s).expect("best set by witness");
-                let lo = b.lo_corner(view.bounds());
+                let lo: &[f64] = lo;
                 let wc = view.norm_coords(&w);
                 // The virtual pivot only where it is priced to pay (module
                 // docs, "Pricing the pivot").
                 let priced = || {
                     let estimate =
                         |at| st.params.n * width_share(view, server.schema(), sel, &b, at);
-                    let (e_box, e_left) = (estimate(None), estimate(Some((&lo, target))));
+                    let (e_box, e_left) = (estimate(None), estimate(Some((lo, target))));
                     virtual_pivot_pays(e_box, e_left, server.k(), view.dims())
                 };
                 let pivot = if opts.virtual_tuples && priced() {
                     view.rank()
-                        .contour_point(&lo, &b.hi_corner(view.bounds()), target)
+                        .contour_point(lo, &b.hi_corner(view.bounds()), target)
                 } else {
                     None
                 };
@@ -176,11 +232,11 @@ pub(crate) fn md_top1(
                         queue.extend(split_excluding(view, &b, &p, &wc, target));
                     }
                     None => {
-                        if view.rank().score_norm(&lo) >= target {
+                        if view.rank().score_norm(lo) >= target {
                             continue; // whole box at/above the threshold
                         }
                         // MD-BASELINE path: corner split around the witness.
-                        let corner = view.rank().corner(&wc, target, &lo);
+                        let corner = view.rank().corner(&wc, target, lo);
                         queue.extend(prefix_split(&b, &corner));
                     }
                 }
@@ -217,29 +273,39 @@ fn probe_dominated(
     Ok(())
 }
 
-/// Best known tuple matching `q` — a box's `NormView::to_query` — from
-/// history alone: the exact `(score, id)` minimum over every observed match,
-/// or `None` when no match scores below `cap` (pass `f64::INFINITY` for no
-/// cap; a match at or above a finite cap may still be returned).
+/// Best known tuple of `b ∧ sel` (`sel` the reader's) from history alone:
+/// the exact `(score, id)` minimum over every observed match.
+///
+/// `b` lies in `view.initial_box(sel)`, narrowed from it by intersections
+/// as every box of the MD search is, so `b` is the box of `b ∧ sel`: the
+/// read is the one of `view.to_query(b, sel)`, taken from `b` itself
+/// without building that query and turning it back into a box.
 ///
 /// History's threshold walk ([`History::lowest`](crate::history::History::lowest))
-/// along one ranking axis of `q`'s box. The axis is the attribute of `q`'s
+/// along one ranking axis of `b`. The axis is the attribute of `b ∧ sel`'s
 /// [`History::tightest`](crate::history::History::tightest) predicate when
 /// it ranks; otherwise the one along which the score climbs most across the
 /// box (`score_norm` of the low corner with that coordinate raised to the
 /// high side).
-pub(crate) fn history_best(st: &SharedState, view: &NormView, q: &Query, cap: f64) -> Best {
-    let b = view.initial_box(q);
+pub(crate) fn history_best(st: &SharedState, rd: &mut BoxReader, b: &NormBox) -> Best {
+    let BoxReader {
+        view,
+        sel,
+        ranges,
+        lo,
+        ..
+    } = rd;
+    let q = view.box_query(b, sel, ranges);
     if b.is_empty() || q.is_unsatisfiable() {
         return None; // nothing matches, and the box has no corners
     }
     let rank = view.rank();
-    let mut lo = b.lo_corner(view.bounds());
+    b.lo_corner_into(view.bounds(), lo);
     let axis = (st.history.tightest(q))
         .and_then(|p| rank.attrs().iter().position(|&a| a == p.attr))
-        .unwrap_or_else(|| steepest_axis(view, &b, &mut lo));
+        .unwrap_or_else(|| steepest_axis(view, b, lo));
     let hi = b.hi(axis, view.bounds());
-    let (t, s) = st.history.lowest(q, &**rank, axis, lo, hi, cap)?;
+    let (t, s) = st.history.lowest(q, &**rank, axis, lo, hi)?;
     Some((Arc::clone(t), s))
 }
 
@@ -314,27 +380,21 @@ pub(crate) fn width_share(
     others.chain(dims).product()
 }
 
-/// Cap each axis at its `ℓ(Ai)` intercept for the threshold; `None` when the
-/// whole box is provably at/above the threshold.
-pub(crate) fn shrink(view: &NormView, b: &NormBox, threshold: Option<f64>) -> Option<NormBox> {
-    let Some(target) = threshold else {
-        return Some(b.clone());
-    };
-    let lo = b.lo_corner(view.bounds());
-    if view.rank().score_norm(&lo) >= target {
-        return None;
+/// Cap each axis of `b`, whose low corner is `lo`, at its `ℓ(Ai)`
+/// intercept for `target`, in place; false where the whole box is provably
+/// at/above `target` (its low corner scores that much, or a capped side is
+/// empty). Only upper ends move, so `lo` stays the low corner.
+pub(crate) fn shrink(view: &NormView, b: &mut NormBox, lo: &[f64], target: f64) -> bool {
+    if view.rank().score_norm(lo) >= target {
+        return false;
     }
-    let mut out = b.clone();
     for j in 0..b.dims.len() {
-        if let Some(e) = view.rank().ell(j, target, &lo, b.hi(j, view.bounds())) {
-            out.dims[j] = out.dims[j].intersect(&Interval::less_than(e));
+        // Side `j` is still as it was: each step moves only its own.
+        if let Some(e) = view.rank().ell(j, target, lo, b.hi(j, view.bounds())) {
+            b.dims[j] = b.dims[j].intersect(&Interval::less_than(e));
         }
     }
-    if out.is_empty() {
-        None
-    } else {
-        Some(out)
-    }
+    !b.is_empty()
 }
 
 #[cfg(test)]
@@ -375,7 +435,8 @@ mod tests {
             let server = SimServer::new(data.clone(), sys.clone(), k);
             let view = NormView::new(Arc::new(rank.clone()), server.schema());
             let b0 = view.initial_box(&sel);
-            let got = md_top1(&server, &mut st, &view, &sel, &b0, opts, None).unwrap();
+            let rd = &mut BoxReader::new(view, sel.clone());
+            let got = md_top1(&server, &mut st, rd, &b0, opts, None, false).unwrap();
             assert_eq!(got.map(|(_, s)| s), truth, "algo {name}");
         }
     }
@@ -493,13 +554,14 @@ mod tests {
             let lo = b.lo_corner(view.bounds());
             let s = view.rank().score_norm(&lo) + 1.5 * rng.random::<f64>() - 0.2;
             let in_place = width_share(&view, schema, &sel, &b, Some((&lo, s)));
-            match shrink(&view, &b, Some(s)) {
-                Some(shrunk) => {
+            let mut shrunk = b.clone();
+            match shrink(&view, &mut shrunk, &lo, s) {
+                true => {
                     let built = width_share(&view, schema, &sel, &shrunk, None);
                     assert_eq!(in_place.to_bits(), built.to_bits(), "{b:?} at {s}");
                     full += 1;
                 }
-                None => {
+                false => {
                     assert_eq!(in_place, 0.0, "{b:?} at {s}");
                     empty += 1;
                 }
@@ -539,16 +601,8 @@ mod tests {
         let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
         let view = NormView::new(Arc::new(rank), server.schema());
         let b0 = view.initial_box(&sel);
-        assert!(md_top1(
-            &server,
-            &mut st,
-            &view,
-            &sel,
-            &b0,
-            MdOptions::rerank(),
-            None
-        )
-        .unwrap()
-        .is_none());
+        let rd = &mut BoxReader::new(view, sel);
+        let got = md_top1(&server, &mut st, rd, &b0, MdOptions::rerank(), None, false);
+        assert!(got.unwrap().is_none());
     }
 }

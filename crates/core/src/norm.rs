@@ -5,10 +5,13 @@
 //! (smaller = better on every axis). The MD algorithms reason exclusively in
 //! normalized space and call [`NormView::to_query`] to translate a box into
 //! the real conjunctive predicates the server understands — including the
-//! endpoint flip for descending-preference attributes.
+//! endpoint flip for descending-preference attributes. A box they only read
+//! against history or the complete regions is not built into a query:
+//! [`NormView::box_query`] writes the same predicates into a buffer the
+//! caller keeps.
 
 use qrs_ranking::{NormBounds, RankFn};
-use qrs_types::{Direction, Interval, Query, Schema, Tuple};
+use qrs_types::{AttrId, Conjunction, Direction, Interval, Query, RangePredicate, Schema, Tuple};
 use std::sync::Arc;
 
 /// A ranking function viewed over a concrete schema.
@@ -76,19 +79,50 @@ impl NormView {
     }
 
     /// Translate a normalized box into server predicates, ANDed onto `sel`.
+    /// A query that is only read, not asked, is read in place instead
+    /// ([`Self::box_query`]).
     pub fn to_query(&self, b: &NormBox, sel: &Query) -> Query {
         let mut q = sel.clone();
-        for (i, iv) in b.dims.iter().enumerate() {
-            if *iv == Interval::all() {
-                continue;
-            }
-            let raw = match self.rank.directions()[i] {
-                Direction::Asc => *iv,
-                Direction::Desc => iv.negate(),
-            };
-            q.add_range(self.rank.attrs()[i], raw);
+        for (attr, raw) in self.sides(b) {
+            q.add_range(attr, raw);
         }
         q
+    }
+
+    /// `b`'s sides as raw predicates, one per ranking dimension whose side
+    /// is not the whole line.
+    fn sides<'a>(&'a self, b: &'a NormBox) -> impl Iterator<Item = (AttrId, Interval)> + 'a {
+        let terms = self.rank.attrs().iter().zip(self.rank.directions());
+        (terms.zip(&b.dims))
+            .filter(|(_, iv)| **iv != Interval::all())
+            .map(|((&attr, dir), iv)| {
+                let raw = match dir {
+                    Direction::Asc => *iv,
+                    Direction::Desc => iv.negate(),
+                };
+                (attr, raw)
+            })
+    }
+
+    /// `b ∧ sel` without building a query: [`Self::to_query`]'s range
+    /// predicates, written over `ranges` (a buffer the caller keeps), and
+    /// `sel`'s categorical ones.
+    pub fn box_query<'a>(
+        &self,
+        b: &NormBox,
+        sel: &'a Query,
+        ranges: &'a mut Vec<RangePredicate>,
+    ) -> Conjunction<'a> {
+        ranges.clear();
+        ranges.extend_from_slice(sel.ranges());
+        for (attr, raw) in self.sides(b) {
+            // `Query::add_range`: intersect, or append.
+            match ranges.iter_mut().find(|p| p.attr == attr) {
+                Some(p) => p.interval = p.interval.intersect(&raw),
+                None => ranges.push(RangePredicate::new(attr, raw)),
+            }
+        }
+        Conjunction::new(ranges, sel.cats())
     }
 
     /// The initial search box for a user query: the full normalized domain
@@ -129,14 +163,17 @@ pub struct NormBox {
 impl NormBox {
     /// The closed box `[lo, hi]` over the whole normalized domain.
     pub fn full(bounds: &NormBounds) -> Self {
-        NormBox {
-            dims: bounds
-                .lo
-                .iter()
-                .zip(&bounds.hi)
-                .map(|(&l, &h)| Interval::closed(l, h))
-                .collect(),
-        }
+        let mut b = NormBox { dims: Vec::new() };
+        b.set_full(bounds);
+        b
+    }
+
+    /// Make this box [`Self::full`], in place.
+    pub(crate) fn set_full(&mut self, bounds: &NormBounds) {
+        self.dims.clear();
+        let sides = bounds.lo.iter().zip(&bounds.hi);
+        self.dims
+            .extend(sides.map(|(&l, &h)| Interval::closed(l, h)));
     }
 
     /// True when any dimension's interval is empty (the box contains no
@@ -155,11 +192,18 @@ impl NormBox {
     /// Greatest finite lower corner (clamped to the domain bounds) — the
     /// box's *ideal* point, where the score is minimal.
     pub fn lo_corner(&self, bounds: &NormBounds) -> Vec<f64> {
-        self.dims
-            .iter()
-            .enumerate()
-            .map(|(i, iv)| iv.lo.value().map_or(bounds.lo[i], |v| v.max(bounds.lo[i])))
-            .collect()
+        let mut lo = Vec::new();
+        self.lo_corner_into(bounds, &mut lo);
+        lo
+    }
+
+    /// [`Self::lo_corner`], written over `lo`.
+    pub(crate) fn lo_corner_into(&self, bounds: &NormBounds, lo: &mut Vec<f64>) {
+        lo.clear();
+        lo.extend((self.dims.iter().enumerate()).map(|(i, iv)| {
+            let min = bounds.lo[i];
+            iv.lo.value().map_or(min, |v| v.max(min))
+        }));
     }
 
     /// Least finite upper corner (clamped to the domain bounds).

@@ -58,7 +58,7 @@ pub use error::{Capability, RerankError, ServerError, TypeError};
 pub use interval::{Endpoint, Interval};
 pub use mutation::{Mutation, MutationKind, MutationLog};
 pub use predicate::{CatPredicate, RangePredicate};
-pub use query::Query;
+pub use query::{Conjunction, Query};
 pub use region::{Region, RegionIndex};
 pub use response::{QueryOutcome, QueryResponse};
 pub use retry::RetryPolicy;

@@ -72,11 +72,7 @@ impl Query {
 
     /// The interval constraining `attr` (`Interval::all()` if unconstrained).
     pub fn interval(&self, attr: AttrId) -> Interval {
-        self.ranges
-            .iter()
-            .find(|p| p.attr == attr)
-            .map(|p| p.interval)
-            .unwrap_or_else(Interval::all)
+        Conjunction::from(self).interval(attr)
     }
 
     /// All range predicates.
@@ -114,13 +110,12 @@ impl Query {
 
     /// Does the query match a tuple? (Membership in the paper's `R(q)`.)
     pub fn matches(&self, t: &Tuple) -> bool {
-        self.ranges.iter().all(|p| p.matches(t)) && self.cats.iter().all(|p| p.matches(t))
+        Conjunction::from(self).matches(t)
     }
 
     /// Is the query certainly unsatisfiable (some predicate is empty)?
     pub fn is_unsatisfiable(&self) -> bool {
-        self.ranges.iter().any(|p| p.interval.is_empty())
-            || self.cats.iter().any(|p| p.is_unsatisfiable())
+        Conjunction::from(self).is_unsatisfiable()
     }
 
     /// Is every range predicate of `self` contained in the corresponding
@@ -132,22 +127,7 @@ impl Query {
                 return false;
             }
         }
-        self.cats_within(&outer.cats)
-    }
-
-    /// The categorical half of [`Query::is_subsumed_by`]: does `self` carry,
-    /// for every predicate in `outer`, one on the same attribute accepting
-    /// no code `outer`'s rejects?
-    pub(crate) fn cats_within(&self, outer: &[CatPredicate]) -> bool {
-        outer.iter().all(|p| {
-            self.cats
-                .iter()
-                .find(|c| c.attr == p.attr)
-                .is_some_and(|mine| {
-                    let inside = |c| p.codes().binary_search(c).is_ok();
-                    mine.codes().iter().all(inside)
-                })
-        })
+        cats_within(&self.cats, &outer.cats)
     }
 
     /// Number of predicates (for workload statistics).
@@ -187,6 +167,82 @@ impl Query {
         match self.cats.iter().find(|p| p.attr.0 >= m) {
             Some(p) => Err(outside("categorical", p.attr.0, m)),
             None => Ok(()),
+        }
+    }
+}
+
+/// The categorical half of [`Query::is_subsumed_by`]: do the predicates
+/// `mine` carry, for every predicate in `outer`, one on the same attribute
+/// accepting no code `outer`'s rejects?
+pub(crate) fn cats_within(mine: &[CatPredicate], outer: &[CatPredicate]) -> bool {
+    outer.iter().all(|p| {
+        mine.iter().find(|c| c.attr == p.attr).is_some_and(|mine| {
+            let inside = |c| p.codes().binary_search(c).is_ok();
+            mine.codes().iter().all(inside)
+        })
+    })
+}
+
+/// A conjunction of range and categorical predicates, borrowed where they
+/// lie: a [`Query`]'s own, or predicates a caller wrote into a buffer of
+/// its own instead of building a query (the MD cursor reads each box of its
+/// search space ANDed onto its selection this way).
+/// [`RegionIndex::covering`] and the history's reads take one.
+///
+/// [`RegionIndex::covering`]: crate::RegionIndex::covering
+#[derive(Debug, Clone, Copy)]
+pub struct Conjunction<'a> {
+    ranges: &'a [RangePredicate],
+    cats: &'a [CatPredicate],
+}
+
+impl<'a> Conjunction<'a> {
+    /// The conjunction of `ranges` and `cats`, each with at most one
+    /// predicate per attribute, as a [`Query`] holds them.
+    pub fn new(ranges: &'a [RangePredicate], cats: &'a [CatPredicate]) -> Self {
+        debug_assert!(
+            (ranges.iter().enumerate()).all(|(i, p)| ranges[..i].iter().all(|o| o.attr != p.attr)),
+            "two range predicates on one attribute"
+        );
+        Conjunction { ranges, cats }
+    }
+
+    /// All range predicates.
+    #[inline]
+    pub fn ranges(&self) -> &'a [RangePredicate] {
+        self.ranges
+    }
+
+    /// All categorical predicates.
+    #[inline]
+    pub fn cats(&self) -> &'a [CatPredicate] {
+        self.cats
+    }
+
+    /// The interval constraining `attr` (`Interval::all()` if
+    /// unconstrained).
+    pub fn interval(&self, attr: AttrId) -> Interval {
+        (self.ranges.iter().find(|p| p.attr == attr)).map_or_else(Interval::all, |p| p.interval)
+    }
+
+    /// Does the conjunction match a tuple?
+    pub fn matches(&self, t: &Tuple) -> bool {
+        self.ranges.iter().all(|p| p.matches(t)) && self.cats.iter().all(|p| p.matches(t))
+    }
+
+    /// Is the conjunction certainly unsatisfiable (some predicate is
+    /// empty)?
+    pub fn is_unsatisfiable(&self) -> bool {
+        self.ranges.iter().any(|p| p.interval.is_empty())
+            || self.cats.iter().any(CatPredicate::is_unsatisfiable)
+    }
+}
+
+impl<'a> From<&'a Query> for Conjunction<'a> {
+    fn from(q: &'a Query) -> Self {
+        Conjunction {
+            ranges: &q.ranges,
+            cats: &q.cats,
         }
     }
 }

@@ -45,8 +45,8 @@
 //! `tests/golden/region_walk.txt` pins the answer probe for probe.
 
 use crate::interval::{Endpoint, Interval};
-use crate::predicate::CatPredicate;
-use crate::query::Query;
+use crate::predicate::{CatPredicate, RangePredicate};
+use crate::query::{cats_within, Conjunction, Query};
 use crate::schema::Schema;
 use crate::value::{from_order_key, order_key};
 use crate::AttrId;
@@ -125,12 +125,12 @@ fn keys(iv: &Interval) -> [u128; 2] {
     [lo, !hi]
 }
 
-/// Write the point of `q` over the attributes `row` (all zeros) spans. A
-/// `probe`'s empty interval is inside every region's, whatever its
-/// endpoints say.
-fn fill(row: &mut [u128], q: &Query, probe: bool) {
+/// Write the point of the range predicates `ranges` over the attributes
+/// `row` (all zeros) spans. A `probe`'s empty interval is inside every
+/// region's, whatever its endpoints say.
+fn fill(row: &mut [u128], ranges: &[RangePredicate], probe: bool) {
     let dims = row.len() / 2;
-    for r in q.ranges().iter().filter(|r| r.attr.0 < dims) {
+    for r in ranges.iter().filter(|r| r.attr.0 < dims) {
         let k = match probe && r.interval.is_empty() {
             true => [u128::MAX; 2],
             false => keys(&r.interval),
@@ -160,9 +160,17 @@ fn interval(k: &[u128]) -> Interval {
 }
 
 /// A live region found by [`RegionIndex::covering`], read back from its
-/// stored point.
+/// stored point. Two are equal when they are the same stored region.
 #[derive(Debug, Clone, Copy)]
 pub struct Region<'a>(&'a [u128]);
+
+impl PartialEq for Region<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for Region<'_> {}
 
 impl Region<'_> {
     /// The region's interval on ordinal attribute `attr`
@@ -309,7 +317,7 @@ impl RegionIndex {
         }
         let row = self.keys.len();
         self.keys.resize(row + self.stride, 0);
-        fill(&mut self.keys[row..], region, false);
+        fill(&mut self.keys[row..], region.ranges(), false);
         self.slots.push(Slot {
             sig: self.signature(&self.keys[row..]),
             cats: region.cats().into(),
@@ -319,34 +327,36 @@ impl RegionIndex {
         }
     }
 
-    /// Is slot `s` live and does it subsume `q`, whose probe key is `p`?
-    /// The exact test, for a slot whose signature fits.
+    /// Is slot `s` live and does it subsume a probe whose key is `p` and
+    /// whose categorical predicates are `cats`? The exact test, for a slot
+    /// whose signature fits.
     /// Always inlined: [`covers`](Self::covers) calls it once per
     /// candidate slot of every history lookup, and left to the inliner,
     /// whether it is inlined depends on how the calling crate happens to
     /// be split into codegen units.
     #[inline(always)]
-    fn hit(&self, s: usize, p: &[u128], q: &Query) -> bool {
+    fn hit(&self, s: usize, p: &[u128], cats: &[CatPredicate]) -> bool {
         let w = p.len();
         let inside = self.row(s)[..w].iter().zip(p).all(|(c, p)| c <= p);
-        s >= self.head && inside && q.cats_within(&self.slots[s].cats)
+        s >= self.head && inside && cats_within(cats, &self.slots[s].cats)
     }
 
     /// Does some live region `r` subsume `q` (`q.is_subsumed_by(r)`)?
     #[inline]
-    pub fn covers(&self, q: &Query) -> bool {
+    pub fn covers<'q>(&self, q: impl Into<Conjunction<'q>>) -> bool {
         self.covering(q).is_some()
     }
 
-    /// A live region that subsumes `q`, if one does: the first the walk
-    /// meets, newest tail first.
-    pub fn covering(&self, q: &Query) -> Option<Region<'_>> {
-        let w = 2 * self.dims;
+    /// A live region that subsumes `q` (a [`Query`], or predicates a caller
+    /// holds without building one), if one does: the first the walk meets,
+    /// newest tail first.
+    pub fn covering<'q>(&self, q: impl Into<Conjunction<'q>>) -> Option<Region<'_>> {
+        let (q, w) = (q.into(), 2 * self.dims);
         let slot = PROBE.with_borrow_mut(|p| {
             p.clear();
             p.resize(w, 0);
-            fill(p, q, true);
-            self.walk(p, self.signature(p), q)
+            fill(p, q.ranges(), true);
+            self.walk(p, self.signature(p), q.cats())
         });
         slot.map(|s| Region(&self.row(s)[..w]))
     }
@@ -357,12 +367,13 @@ impl RegionIndex {
         &self.keys[s * self.stride..][..self.stride]
     }
 
-    /// [`Self::covering`]'s walk for `q`, whose probe key is `p` and
-    /// signature `sig`: the slot of the first subsuming region.
-    fn walk(&self, p: &[u128], sig: u64, q: &Query) -> Option<usize> {
+    /// [`Self::covering`]'s walk for a probe whose key is `p`, signature
+    /// `sig` and categorical predicates `cats`: the slot of the first
+    /// subsuming region.
+    fn walk(&self, p: &[u128], sig: u64, cats: &[CatPredicate]) -> Option<usize> {
         // The word test is spelled out in each `find`: folded into `hit`,
         // one closure for both, the walk measured 6 % slower end to end.
-        let (w, hit) = (p.len(), |s: usize| self.hit(s, p, q));
+        let (w, hit) = (p.len(), |s: usize| self.hit(s, p, cats));
         let mut tail = (self.built..self.slots.len()).rev();
         if let Some(s) = tail.find(|&s| fits(self.slots[s].sig, sig) && hit(s)) {
             return Some(s);
