@@ -975,7 +975,7 @@ mod tests {
         }
 
         /// `history_best` as it walked the map.
-        fn history_best(&self, view: &NormView, q: &Query) -> Option<(TupleId, u64)> {
+        fn best(&self, view: &NormView, q: &Query) -> Option<(TupleId, u64)> {
             use crate::md::top1::steepest_axis;
             let b = view.initial_box(q);
             if b.is_empty() || q.is_unsatisfiable() {
@@ -1206,7 +1206,7 @@ mod tests {
                     }
                     let sel = query(&mut rng);
                     let q = view.to_query(&b, &sel);
-                    let want = reference.history_best(&view, &q);
+                    let want = reference.best(&view, &q);
                     // The box of `b ∧ sel`, whose query is `q` again.
                     let b = view.initial_box(&q);
                     let got = history_best(&st, &mut BoxReader::new(view, sel), &b);

@@ -11,6 +11,7 @@
 //! caller keeps.
 
 use qrs_ranking::{NormBounds, RankFn};
+use qrs_types::query::conjoin_range;
 use qrs_types::{AttrId, Conjunction, Direction, Interval, Query, RangePredicate, Schema, Tuple};
 use std::sync::Arc;
 
@@ -116,11 +117,7 @@ impl NormView {
         ranges.clear();
         ranges.extend_from_slice(sel.ranges());
         for (attr, raw) in self.sides(b) {
-            // `Query::add_range`: intersect, or append.
-            match ranges.iter_mut().find(|p| p.attr == attr) {
-                Some(p) => p.interval = p.interval.intersect(&raw),
-                None => ranges.push(RangePredicate::new(attr, raw)),
-            }
+            conjoin_range(ranges, attr, raw);
         }
         Conjunction::new(ranges, sel.cats())
     }

@@ -37,11 +37,7 @@ impl Query {
 
     /// In-place version of [`Query::and_range`].
     pub fn add_range(&mut self, attr: AttrId, interval: Interval) {
-        if let Some(p) = self.ranges.iter_mut().find(|p| p.attr == attr) {
-            p.interval = p.interval.intersect(&interval);
-        } else {
-            self.ranges.push(RangePredicate::new(attr, interval));
-        }
+        conjoin_range(&mut self.ranges, attr, interval);
     }
 
     /// Add (AND) a categorical predicate; intersects code sets per attribute.
@@ -168,6 +164,16 @@ impl Query {
             Some(p) => Err(outside("categorical", p.attr.0, m)),
             None => Ok(()),
         }
+    }
+}
+
+/// AND `attr ∈ interval` onto `ranges`, which hold at most one predicate
+/// per attribute, as [`Query::add_range`] does: intersect with the one on
+/// `attr`, or append.
+pub fn conjoin_range(ranges: &mut Vec<RangePredicate>, attr: AttrId, interval: Interval) {
+    match ranges.iter_mut().find(|p| p.attr == attr) {
+        Some(p) => p.interval = p.interval.intersect(&interval),
+        None => ranges.push(RangePredicate::new(attr, interval)),
     }
 }
 
