@@ -104,7 +104,7 @@ pub(crate) struct BoxReader {
     pub(crate) ranges: Vec<RangePredicate>,
     /// A low corner.
     pub(crate) lo: Vec<f64>,
-    /// A box shrunk at a score, or a plane.
+    /// A box shrunk at a score, a plane, or `md_top1`'s box at hand.
     pub(crate) shrunk: NormBox,
     /// The merged probe's box, read beside `shrunk`.
     pub(crate) merged: NormBox,
@@ -154,93 +154,101 @@ pub(crate) fn md_top1(
     mut best: Best,
     mut uncovered: bool,
 ) -> Result<Best, RerankError> {
-    let BoxReader { view, sel, lo, .. } = rd;
+    // The box at hand is the reader's: only split children are queued.
+    let BoxReader {
+        view,
+        sel,
+        lo,
+        shrunk: b,
+        ..
+    } = rd;
+    b.clone_from(b0);
     let mut queue: VecDeque<NormBox> = VecDeque::new();
-    queue.push_back(b0.clone());
-
-    while let Some(mut b) = queue.pop_front() {
+    loop {
         let walked = std::mem::take(&mut uncovered);
-        if b.is_empty() {
-            continue;
-        }
-        // Shrink by the ℓ(Ai) caps of the current threshold; may prove the
-        // whole box prunable. Shrinking moves only upper ends, so `lo`
-        // stays the box's low corner.
-        b.lo_corner_into(view.bounds(), lo);
-        if best
-            .as_ref()
-            .is_some_and(|(_, s)| !shrink(view, &mut b, lo, *s))
-        {
-            continue;
-        }
-        let q = view.to_query(&b, sel);
-        if q.is_unsatisfiable() {
-            continue;
-        }
-        let resp = if walked {
-            debug_assert!(
-                !st.complete.covers(&q),
-                "a skipped walk would have hit: {q}"
-            );
-            st.pay(server, &q, Purpose::MdBox)?
-        } else {
-            st.ask(server, &q, Purpose::MdBox)?
-        };
-        match resp.outcome {
-            qrs_types::QueryOutcome::Underflow => continue,
-            qrs_types::QueryOutcome::Valid => {
-                for t in &resp.tuples {
-                    consider(&mut best, t, view.score(t));
-                }
-                continue;
+        'ask: {
+            if b.is_empty() {
+                break 'ask;
             }
-            qrs_types::QueryOutcome::Overflow => {
-                // Witness: best returned tuple (all returned lie in b ∧ sel).
-                let w = resp
-                    .tuples
-                    .iter()
-                    .min_by(|a, c| {
-                        qrs_types::value::cmp_f64(view.score(a), view.score(c))
-                            .then(a.id.cmp(&c.id))
-                    })
-                    .expect("overflow responses are non-empty")
-                    .clone();
-                consider(&mut best, &w, view.score(&w));
-                let target = best.as_ref().map(|(_, s)| *s).expect("best set by witness");
-                let lo: &[f64] = lo;
-                let wc = view.norm_coords(&w);
-                // The virtual pivot only where it is priced to pay (module
-                // docs, "Pricing the pivot").
-                let priced = || {
-                    let estimate =
-                        |at| st.params.n * width_share(view, server.schema(), sel, &b, at);
-                    let (e_box, e_left) = (estimate(None), estimate(Some((lo, target))));
-                    virtual_pivot_pays(e_box, e_left, server.k(), view.dims())
-                };
-                let pivot = if opts.virtual_tuples && priced() {
-                    view.rank()
-                        .contour_point(lo, &b.hi_corner(view.bounds()), target)
-                } else {
-                    None
-                };
-                match pivot {
-                    Some(p) => {
-                        if opts.domination {
-                            probe_dominated(server, st, view, &b, &p, sel, &mut best)?;
-                        }
-                        let target = best.as_ref().map(|(_, s)| *s).unwrap();
-                        queue.extend(split_excluding(view, &b, &p, &wc, target));
+            // Shrink by the ℓ(Ai) caps of the current threshold; may prove
+            // the whole box prunable. Shrinking moves only upper ends, so
+            // `lo` stays the box's low corner.
+            b.lo_corner_into(view.bounds(), lo);
+            if (best.as_ref()).is_some_and(|(_, s)| !shrink(view, b, lo, *s)) {
+                break 'ask;
+            }
+            let q = view.to_query(b, sel);
+            if q.is_unsatisfiable() {
+                break 'ask;
+            }
+            let resp = if walked {
+                debug_assert!(
+                    !st.complete.covers(&q),
+                    "a skipped walk would have hit: {q}"
+                );
+                st.pay(server, &q, Purpose::MdBox)?
+            } else {
+                st.ask(server, &q, Purpose::MdBox)?
+            };
+            match resp.outcome {
+                qrs_types::QueryOutcome::Underflow => {}
+                qrs_types::QueryOutcome::Valid => {
+                    for t in &resp.tuples {
+                        consider(&mut best, t, view.score(t));
                     }
-                    None => {
-                        if view.rank().score_norm(lo) >= target {
-                            continue; // whole box at/above the threshold
+                }
+                qrs_types::QueryOutcome::Overflow => {
+                    // Witness: best returned tuple (all returned lie in b ∧ sel).
+                    let w = resp
+                        .tuples
+                        .iter()
+                        .min_by(|a, c| {
+                            qrs_types::value::cmp_f64(view.score(a), view.score(c))
+                                .then(a.id.cmp(&c.id))
+                        })
+                        .expect("overflow responses are non-empty")
+                        .clone();
+                    consider(&mut best, &w, view.score(&w));
+                    let target = best.as_ref().map(|(_, s)| *s).expect("best set by witness");
+                    let (b, lo): (&NormBox, &[f64]) = (b, lo);
+                    let wc = view.norm_coords(&w);
+                    // The virtual pivot only where it is priced to pay
+                    // (module docs, "Pricing the pivot").
+                    let priced = || {
+                        let estimate =
+                            |at| st.params.n * width_share(view, server.schema(), sel, b, at);
+                        let (e_box, e_left) = (estimate(None), estimate(Some((lo, target))));
+                        virtual_pivot_pays(e_box, e_left, server.k(), view.dims())
+                    };
+                    let pivot = if opts.virtual_tuples && priced() {
+                        view.rank()
+                            .contour_point(lo, &b.hi_corner(view.bounds()), target)
+                    } else {
+                        None
+                    };
+                    match pivot {
+                        Some(p) => {
+                            if opts.domination {
+                                probe_dominated(server, st, view, b, &p, sel, &mut best)?;
+                            }
+                            let target = best.as_ref().map(|(_, s)| *s).unwrap();
+                            queue.extend(split_excluding(view, b, &p, &wc, target));
                         }
-                        // MD-BASELINE path: corner split around the witness.
-                        let corner = view.rank().corner(&wc, target, lo);
-                        queue.extend(prefix_split(&b, &corner));
+                        None => {
+                            if view.rank().score_norm(lo) >= target {
+                                break 'ask; // whole box at/above the threshold
+                            }
+                            // MD-BASELINE path: corner split around the witness.
+                            let corner = view.rank().corner(&wc, target, lo);
+                            queue.extend(prefix_split(b, &corner));
+                        }
                     }
                 }
             }
+        }
+        match queue.pop_front() {
+            Some(next) => *b = next,
+            None => break,
         }
     }
     Ok(best)

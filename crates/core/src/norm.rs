@@ -151,10 +151,24 @@ impl std::fmt::Debug for NormView {
 }
 
 /// An axis-aligned box in normalized space (one interval per ranking dim).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct NormBox {
     /// One normalized interval per ranking dimension.
     pub dims: Vec<Interval>,
+}
+
+impl Clone for NormBox {
+    fn clone(&self) -> Self {
+        NormBox {
+            dims: self.dims.clone(),
+        }
+    }
+
+    /// Copies into the box's own memory: the MD cursor copies boxes into
+    /// buffers it keeps (a derived `clone_from` would allocate anew).
+    fn clone_from(&mut self, source: &Self) {
+        self.dims.clone_from(&source.dims);
+    }
 }
 
 impl NormBox {

@@ -26,8 +26,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 /// Allocations per emitted tuple this request may make: the measured
-/// debug-profile value, 24.2 (606 for the 25 tuples), plus 25 %.
-const BUDGET_PER_TUPLE: f64 = 30.3;
+/// debug-profile value, 17.8 (446 for the 25 tuples), plus 25 %.
+const BUDGET_PER_TUPLE: f64 = 22.3;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
