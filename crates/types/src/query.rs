@@ -170,6 +170,7 @@ impl Query {
 /// AND `attr ∈ interval` onto `ranges`, which hold at most one predicate
 /// per attribute, as [`Query::add_range`] does: intersect with the one on
 /// `attr`, or append.
+#[inline]
 pub fn conjoin_range(ranges: &mut Vec<RangePredicate>, attr: AttrId, interval: Interval) {
     match ranges.iter_mut().find(|p| p.attr == attr) {
         Some(p) => p.interval = p.interval.intersect(&interval),
@@ -227,17 +228,20 @@ impl<'a> Conjunction<'a> {
 
     /// The interval constraining `attr` (`Interval::all()` if
     /// unconstrained).
+    #[inline]
     pub fn interval(&self, attr: AttrId) -> Interval {
         (self.ranges.iter().find(|p| p.attr == attr)).map_or_else(Interval::all, |p| p.interval)
     }
 
     /// Does the conjunction match a tuple?
+    #[inline]
     pub fn matches(&self, t: &Tuple) -> bool {
         self.ranges.iter().all(|p| p.matches(t)) && self.cats.iter().all(|p| p.matches(t))
     }
 
     /// Is the conjunction certainly unsatisfiable (some predicate is
     /// empty)?
+    #[inline]
     pub fn is_unsatisfiable(&self) -> bool {
         self.ranges.iter().any(|p| p.interval.is_empty())
             || self.cats.iter().any(CatPredicate::is_unsatisfiable)
