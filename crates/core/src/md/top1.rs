@@ -111,19 +111,18 @@ pub(crate) struct BoxReader {
 }
 
 impl BoxReader {
-    /// A reader of boxes of `view`'s space ANDed onto `sel`.
+    /// A reader of boxes of `view`'s space ANDed onto `sel`. Its buffers
+    /// start empty and grow at their first read: a cursor that never reads
+    /// (a session replayed from the knowledge plane) allocates none.
     pub(crate) fn new(view: NormView, sel: Query) -> Self {
-        let m = view.dims();
-        let blank = || NormBox {
-            dims: Vec::with_capacity(m),
-        };
+        let blank = || NormBox { dims: Vec::new() };
         BoxReader {
-            ranges: Vec::with_capacity(sel.ranges().len() + m),
-            lo: Vec::with_capacity(m),
-            shrunk: blank(),
-            merged: blank(),
             view,
             sel,
+            ranges: Vec::new(),
+            lo: Vec::new(),
+            shrunk: blank(),
+            merged: blank(),
         }
     }
 }
