@@ -9,8 +9,6 @@
 use crate::error::ServerError;
 use crate::interval::Interval;
 use crate::predicate::{CatPredicate, RangePredicate};
-#[cfg(test)]
-use crate::schema::CatId;
 use crate::schema::{AttrId, Schema};
 use crate::tuple::Tuple;
 use std::fmt;
@@ -284,6 +282,7 @@ impl fmt::Display for Query {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::CatId;
     use crate::tuple::TupleId;
 
     fn t(ord: Vec<f64>, cat: Vec<u32>) -> Tuple {
