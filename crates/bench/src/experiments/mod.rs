@@ -51,10 +51,7 @@ const ONE_D_RERANK: Algorithm = Algorithm::OneD(OneDStrategy::Rerank);
 /// MD-RERANK (§4.3's MD-BINARY over the shared state).
 const MD_RERANK: Algorithm = Algorithm::Md(MdOptions::rerank());
 /// The paper's §4.1 comparator: TA over 1D-RERANK streams.
-const TA_OVER_1D: Row = (
-    "TA over 1D-RERANK",
-    Algorithm::Ta(SortedAccess::OneD(OneDStrategy::Rerank)),
-);
+const TA_OVER_1D: Row = ("TA over 1D-RERANK", Algorithm::Ta(SortedAccess::OneD));
 
 /// The 1-D algorithms of Figs 6/7 and 11/12 (§3).
 const ONE_D: [Row; 2] = [

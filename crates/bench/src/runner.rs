@@ -186,7 +186,7 @@ mod tests {
         assert!(run.curve.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!((run.at(1), run.at(5)), (run.curve[0], run.cost()));
         for algorithm in [
-            Algorithm::Ta(SortedAccess::OneD(OneDStrategy::Rerank)),
+            Algorithm::Ta(SortedAccess::OneD),
             Algorithm::Md(MdOptions::baseline()),
             Algorithm::Md(MdOptions::rerank()),
         ] {

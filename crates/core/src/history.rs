@@ -28,10 +28,11 @@
 //! attribute in `(value, id)` order, and over every row in recording order,
 //! so two histories recorded alike answer alike, order included.
 //!
-//! Every read takes its predicates as a [`Conjunction`]: a [`Query`]'s, or
-//! the MD search's box ANDed onto its selection, written into a buffer the
-//! search keeps ([`NormView::box_query`](crate::norm::NormView::box_query)),
-//! so a read of a box builds no query. The MD search's history read,
+//! Every read takes its predicates as a [`Conjunction`]: a
+//! [`Query`](qrs_types::Query)'s, or the MD search's box ANDed onto its
+//! selection, written into a buffer the search keeps
+//! ([`NormView::box_query`](crate::norm::NormView::box_query)), so a read
+//! of a box builds no query. The MD search's history read,
 //! `md::top1::history_best`, asks for the lowest-scoring known tuple in a
 //! box, so it walks a ranking axis in score order instead
 //! (`History::lowest`): the tightest predicate's
@@ -47,8 +48,7 @@
 use qrs_ranking::RankFn;
 use qrs_types::value::{from_order_key, order_key, OrdF64};
 use qrs_types::{
-    AttrId, Conjunction, Direction, Endpoint, Interval, Query, QueryResponse, RangePredicate,
-    Tuple, TupleId,
+    AttrId, Conjunction, Direction, Interval, QueryResponse, RangePredicate, Tuple, TupleId,
 };
 use std::collections::hash_map::{Entry as Slot, HashMap};
 use std::sync::Arc;
@@ -169,16 +169,6 @@ impl History {
         within.into_iter().flatten()
     }
 
-    /// Tuples whose raw `attr` value lies in `iv`, in ascending
-    /// `(value, id)` order — from either end.
-    pub fn in_range(
-        &self,
-        attr: AttrId,
-        iv: Interval,
-    ) -> impl DoubleEndedIterator<Item = &Arc<Tuple>> + '_ {
-        self.span(attr, iv).map(|e| &self.tuples[e.row as usize])
-    }
-
     /// `q` compiled against the rows, leaving out its predicate on
     /// `spanned`, whose index range the caller walks; `None` when one of
     /// its ranges admits no value.
@@ -200,38 +190,15 @@ impl History {
         Some(m)
     }
 
-    /// The matching tuple ranked first along `attr` in direction `dir` whose
-    /// *normalized* value is strictly greater than `after_norm` (pass
-    /// `f64::NEG_INFINITY` for "the minimum"), optionally capped strictly
-    /// below `upto_norm`.
-    pub fn next_norm_above(
-        &self,
-        attr: AttrId,
-        dir: Direction,
-        after_norm: f64,
-        upto_norm: Option<f64>,
-        q: &Query,
-    ) -> Option<&Arc<Tuple>> {
-        let norm_iv = Interval {
-            lo: if after_norm == f64::NEG_INFINITY {
-                Endpoint::Unbounded
-            } else {
-                Endpoint::Open(after_norm)
-            },
-            hi: upto_norm.map_or(Endpoint::Unbounded, Endpoint::Open),
-        };
-        self.first_norm_in(attr, dir, norm_iv, q)
-    }
-
     /// The tuple matching `q` with the least (normalized value, id) along
     /// `attr` in direction `dir` among those whose normalized value lies in
     /// `norm_iv`; `None` for an empty interval.
-    pub fn first_norm_in(
+    pub fn first_norm_in<'q>(
         &self,
         attr: AttrId,
         dir: Direction,
         norm_iv: Interval,
-        q: &Query,
+        q: impl Into<Conjunction<'q>>,
     ) -> Option<&Arc<Tuple>> {
         let m = self.compile(q.into(), None)?;
         let found = match dir {
@@ -465,7 +432,7 @@ impl Matcher<'_> {
 mod tests {
     use super::*;
     use crate::norm::NormView;
-    use qrs_types::QueryOutcome;
+    use qrs_types::{Endpoint, Query, QueryOutcome};
     use std::collections::BTreeMap;
 
     fn t(id: u32, vals: Vec<f64>) -> Arc<Tuple> {
@@ -504,60 +471,62 @@ mod tests {
         assert_eq!(h.len(), 2);
     }
 
-    #[test]
-    fn range_respects_open_bounds() {
-        let h = hist();
-        let ids: Vec<u32> = h
-            .in_range(AttrId(0), Interval::open(1.0, 5.0))
-            .map(|t| t.id.0)
-            .collect();
-        assert_eq!(ids, vec![1, 2]); // the two x=2 tuples, id order within key
+    /// The ids `candidates` hands out for one range predicate on `attr`.
+    fn along(h: &History, attr: AttrId, iv: Interval) -> Vec<u32> {
+        let q = Query::all().and_range(attr, iv);
+        h.candidates(&q).map(|t| t.id.0).collect()
     }
 
     #[test]
-    fn next_norm_above_asc_and_desc() {
+    fn range_respects_open_bounds() {
+        // The two x=2 tuples, id order within key.
+        assert_eq!(along(&hist(), AttrId(0), Interval::open(1.0, 5.0)), [1, 2]);
+    }
+
+    #[test]
+    fn first_norm_in_open_intervals_asc_and_desc() {
         let h = hist();
         let q = Query::all();
         // Ascending on attr0 after 1.0 → the smallest id at value 2.0.
         let n = h
-            .next_norm_above(AttrId(0), Direction::Asc, 1.0, None, &q)
+            .first_norm_in(AttrId(0), Direction::Asc, Interval::greater_than(1.0), &q)
             .unwrap();
         assert_eq!(n.ord(AttrId(0)), 2.0);
         // Descending on attr0: normalized value = -x; after -5.0 means x < 5.
         let d = h
-            .next_norm_above(AttrId(0), Direction::Desc, -5.0, None, &q)
+            .first_norm_in(AttrId(0), Direction::Desc, Interval::greater_than(-5.0), &q)
             .unwrap();
         assert_eq!(d.ord(AttrId(0)), 2.0);
         // From the very start.
         let first = h
-            .next_norm_above(AttrId(0), Direction::Asc, f64::NEG_INFINITY, None, &q)
+            .first_norm_in(AttrId(0), Direction::Asc, Interval::all(), &q)
             .unwrap();
         assert_eq!(first.ord(AttrId(0)), 1.0);
     }
 
     #[test]
-    fn next_norm_above_respects_upto_and_filter() {
+    fn first_norm_in_respects_an_open_upper_end_and_the_filter() {
         let h = hist();
         let q = Query::all().and_range(AttrId(1), Interval::at_most(8.0));
         // after 1, upto 5 (exclusive), filtered to attr1 <= 8 → x = 2 rows.
         let n = h
-            .next_norm_above(AttrId(0), Direction::Asc, 1.0, Some(5.0), &q)
+            .first_norm_in(AttrId(0), Direction::Asc, Interval::open(1.0, 5.0), &q)
             .unwrap();
         assert_eq!(n.ord(AttrId(0)), 2.0);
         // upto 2 (exclusive) excludes them.
         assert!(h
-            .next_norm_above(AttrId(0), Direction::Asc, 1.0, Some(2.0), &q)
+            .first_norm_in(AttrId(0), Direction::Asc, Interval::open(1.0, 2.0), &q)
             .is_none());
     }
 
     /// Inverted and equal-and-excluded bounds are empty ranges, not panics.
     #[test]
-    fn next_norm_above_finds_an_empty_range_empty() {
+    fn first_norm_in_finds_an_empty_open_interval_empty() {
         let h = hist();
         let q = Query::all();
         for dir in [Direction::Asc, Direction::Desc] {
             for (after, upto) in [(2.0, 2.0), (5.0, 1.0), (-2.0, -2.0), (-1.0, -5.0)] {
-                let found = h.next_norm_above(AttrId(0), dir, after, Some(upto), &q);
+                let found = h.first_norm_in(AttrId(0), dir, Interval::open(after, upto), &q);
                 assert!(found.is_none(), "{dir:?} ({after}, {upto})");
             }
         }
@@ -891,7 +860,7 @@ mod tests {
             }
         }
 
-        fn in_range(&self, attr: AttrId, iv: Interval) -> Vec<&Arc<Tuple>> {
+        fn span(&self, attr: AttrId, iv: Interval) -> Vec<&Arc<Tuple>> {
             use std::ops::Bound;
             if iv.is_empty() {
                 return Vec::new(); // `BTreeMap::range` panics on inverted bounds
@@ -920,8 +889,8 @@ mod tests {
             q: &Query,
         ) -> Option<&Arc<Tuple>> {
             let range = match dir {
-                Direction::Asc => self.in_range(attr, norm_iv),
-                Direction::Desc => self.in_range(attr, norm_iv.negate()),
+                Direction::Asc => self.span(attr, norm_iv),
+                Direction::Desc => self.span(attr, norm_iv.negate()),
             };
             match dir {
                 Direction::Asc => range.into_iter().find(|t| q.matches(t)),
@@ -964,7 +933,7 @@ mod tests {
         /// `(value, id)` order, or every match in recording order.
         fn candidates(&self, q: &Query) -> Vec<TupleId> {
             let along = match self.tightest(q) {
-                Some(p) => self.in_range(p.attr, p.interval),
+                Some(p) => self.span(p.attr, p.interval),
                 None => self.tuples.iter().collect(),
             };
             along
@@ -988,7 +957,7 @@ mod tests {
                 .unwrap_or_else(|| steepest_axis(view, &b, &mut at));
             let (attr, dir) = (rank.attrs()[axis], rank.directions()[axis]);
             let (lo, hi) = (at[axis], b.hi(axis, view.bounds()));
-            let mut range = self.in_range(attr, q.interval(attr));
+            let mut range = self.span(attr, q.interval(attr));
             if dir == Direction::Desc {
                 range.reverse();
             }
@@ -1021,8 +990,8 @@ mod tests {
     /// Every history read equals what the `BTreeMap` index it replaced
     /// answered, on random record schedules long enough to cut each
     /// attribute's index into several runs, over values that repeat, both
-    /// zeros, both NaN signs, both infinities and subnormals: `in_range`
-    /// from both ends, `first_norm_in` both ways, `holds_more_than`,
+    /// zeros, both NaN signs, both infinities and subnormals: `candidates`
+    /// of one range predicate, `first_norm_in` both ways, `holds_more_than`,
     /// `matching`, `candidates` (matches and order) and `history_best`,
     /// tuple and score bits. `QRS_TEST_SEED` picks the schedules,
     /// `QRS_FUZZ_ITERS` how many.
@@ -1137,14 +1106,15 @@ mod tests {
                 let runs = h.by_attr.iter().map(Vec::len).max();
                 multi_run += usize::from(i == records && runs > Some(1));
                 let log = format!("schedule {schedule} at {i} records");
-                let ids = |v: Vec<&Arc<Tuple>>| v.into_iter().map(|t| t.id).collect::<Vec<_>>();
                 for _ in 0..24 {
                     let attr = AttrId(rng.random_range(0..width));
                     let iv = interval(&mut rng);
-                    let want = ids(reference.in_range(attr, iv));
-                    assert_eq!(ids(h.in_range(attr, iv).collect()), want, "{log}: {iv}");
-                    let back = ids(h.in_range(attr, iv).rev().collect());
-                    assert!(back.iter().rev().eq(&want), "{log}: {iv} from the top");
+                    // One range predicate: its span of the index, in
+                    // `(value, id)` order (every row, recording order, when
+                    // it admits everything).
+                    let one = Query::all().and_range(attr, iv);
+                    let got: Vec<TupleId> = h.candidates(&one).map(|t| t.id).collect();
+                    assert_eq!(got, reference.candidates(&one), "{log}: {iv}");
                     let q = query(&mut rng);
                     for dir in [Direction::Asc, Direction::Desc] {
                         let got = h.first_norm_in(attr, dir, iv, &q).map(|t| t.id);
@@ -1468,17 +1438,10 @@ mod tests {
 
     #[test]
     fn endpoint_bound_translation_includes_closed() {
-        let h = hist();
-        let ids: Vec<u32> = h
-            .in_range(
-                AttrId(0),
-                Interval {
-                    lo: Endpoint::Closed(2.0),
-                    hi: Endpoint::Closed(5.0),
-                },
-            )
-            .map(|t| t.id.0)
-            .collect();
-        assert_eq!(ids, vec![1, 2, 3]);
+        let iv = Interval {
+            lo: Endpoint::Closed(2.0),
+            hi: Endpoint::Closed(5.0),
+        };
+        assert_eq!(along(&hist(), AttrId(0), iv), [1, 2, 3]);
     }
 }

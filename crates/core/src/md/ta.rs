@@ -2,12 +2,13 @@
 //! driven by Get-Next sorted access.
 //!
 //! Each ranking attribute gets a sorted-access stream: a 1D-RERANK
-//! [`OneDCursor`] by default, or — when the server publicly offers `ORDER
-//! BY` on the attribute (§5 "Multiple/Known System Ranking Functions") — a
-//! cheap paged [`SortedAccess::PublicOrderBy`] stream. Random access is free
-//! in this setting (the interface returns whole tuples), so TA reduces to:
-//! pull streams round-robin, maintain the threshold `τ = S(frontier)`, emit
-//! a candidate once its score is at most `τ`.
+//! [`OneDCursor`] ([`SortedAccess::OneD`]), or — when the server publicly
+//! offers `ORDER BY` on the attribute (§5 "Multiple/Known System Ranking
+//! Functions") — a cheap paged [`SortedAccess::PublicOrderBy`] stream.
+//! Random access is free in this setting (the interface returns whole
+//! tuples), so TA reduces to: pull streams round-robin, maintain the
+//! threshold `τ = S(frontier)`, emit a candidate once its score is at most
+//! `τ`.
 //!
 //! The paper uses this as the comparator that *fails to exploit
 //! multi-predicate queries*: its cost explodes when many tuples have extreme
@@ -27,8 +28,8 @@ use std::sync::Arc;
 /// How sorted access per attribute is realized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SortedAccess {
-    /// Get-Next via the given 1D strategy (the paper's default: 1D-RERANK).
-    OneD(OneDStrategy),
+    /// Get-Next via 1D-RERANK: §4.1's TA over 1D-RERANK.
+    OneD,
     /// Page through the server's public `ORDER BY` (§5); falls back to
     /// 1D-RERANK on attributes the server does not offer.
     PublicOrderBy,
@@ -127,10 +128,7 @@ impl TaCursor {
                             done: false,
                         }
                     }
-                    SortedAccess::PublicOrderBy => {
-                        Stream::Cursor(OneDCursor::new(spec, OneDStrategy::Rerank))
-                    }
-                    SortedAccess::OneD(s) => Stream::Cursor(OneDCursor::new(spec, s)),
+                    _ => Stream::Cursor(OneDCursor::new(spec, OneDStrategy::Rerank)),
                 }
             })
             .collect();
@@ -245,7 +243,7 @@ mod tests {
         let mut ta = TaCursor::new(
             Arc::new(rank.clone()),
             Query::all(),
-            SortedAccess::OneD(OneDStrategy::Rerank),
+            SortedAccess::OneD,
             server.schema(),
             &Capabilities::none(),
         );
@@ -267,7 +265,7 @@ mod tests {
         let mut ta = TaCursor::new(
             Arc::new(rank.clone()),
             sel.clone(),
-            SortedAccess::OneD(OneDStrategy::Rerank),
+            SortedAccess::OneD,
             server.schema(),
             &Capabilities::none(),
         );
@@ -310,7 +308,7 @@ mod tests {
         let mut ta = TaCursor::new(
             Arc::new(rank),
             Query::all(),
-            SortedAccess::OneD(OneDStrategy::Rerank),
+            SortedAccess::OneD,
             server.schema(),
             &Capabilities::none(),
         );

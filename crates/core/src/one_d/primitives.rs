@@ -2,8 +2,11 @@
 //!
 //! Everything works in *normalized* values (`dir.normalize(raw)`, smaller =
 //! better): find a matching tuple with the smallest normalized value strictly
-//! greater than `after`, optionally strictly below `upto`. The two
-//! strategies differ only in how they shrink the uncertainty interval:
+//! greater than `after`, optionally strictly below `upto`. Both strategies
+//! start from history's best such tuple, read over the open interval
+//! `(after, upto)` their probes ask the site
+//! ([`History::first_norm_in`](crate::history::History::first_norm_in)),
+//! and differ only in how they shrink the uncertainty interval:
 //! 1D-BASELINE (Algorithm 1) cuts it to the best value each answer returns,
 //! 1D-RERANK bisects it ([`narrow`], Algorithm 2's 1D-BINARY over the
 //! shared state; §3.2.2's dense-region index is not built, README "Named
@@ -151,9 +154,10 @@ fn baseline(
     after: f64,
     upto: Option<f64>,
 ) -> Result<Option<Arc<Tuple>>, RerankError> {
-    let mut cur: Option<Arc<Tuple>> = st
+    let iv = open_interval(after, upto.unwrap_or(f64::INFINITY));
+    let mut cur = st
         .history
-        .next_norm_above(spec.attr, spec.dir, after, upto, &spec.sel)
+        .first_norm_in(spec.attr, spec.dir, iv, &spec.sel)
         .cloned();
     loop {
         let hi = effective_hi(cur.as_ref().map(|t| spec.nval(t)), upto);
@@ -203,9 +207,10 @@ pub fn narrow(
     upto: Option<f64>,
     step: &mut Step,
 ) -> Result<Option<Arc<Tuple>>, RerankError> {
-    let mut cur: Option<Arc<Tuple>> = st
+    let iv = open_interval(after, upto.unwrap_or(f64::INFINITY));
+    let mut cur = st
         .history
-        .next_norm_above(spec.attr, spec.dir, after, upto, &spec.sel)
+        .first_norm_in(spec.attr, spec.dir, iv, &spec.sel)
         .cloned();
     let o = server.schema().ordinal(spec.attr);
     let domain = o.domain_width();

@@ -126,7 +126,10 @@ mod tests {
     fn uniform_covers_space() {
         let d = uniform(2000, 2, 1, 3);
         assert_eq!(d.len(), 2000);
-        let (lo, hi) = d.attr_extent(AttrId(0)).unwrap();
+        let vals = d.tuples().iter().map(|t| t.ord(AttrId(0)));
+        let (lo, hi) = vals.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+            (lo.min(v), hi.max(v))
+        });
         assert!(lo < 0.05 && hi > 0.95);
     }
 

@@ -95,24 +95,6 @@ impl Executor {
         Executor { shared, workers }
     }
 
-    /// Build from the `QRS_EXEC_THREADS` environment variable: a pool of
-    /// that many workers (`0` clamps to one, as in [`Executor::pool`]);
-    /// unset/unparsable falls back to the machine's available parallelism
-    /// (capped at 16 — the backends saturate long before that).
-    pub fn from_env() -> Executor {
-        Executor::pool(
-            std::env::var("QRS_EXEC_THREADS")
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(4)
-                        .min(16)
-                }),
-        )
-    }
-
     /// Worker count.
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -490,11 +472,8 @@ mod tests {
     }
 
     #[test]
-    fn from_env_honors_the_thread_knob() {
-        // Constructors only — the env var itself belongs to CI.
-        assert_eq!(Executor::pool(0).workers(), 1, "pool size clamps to 1");
-        let e = Executor::from_env();
-        assert!(e.workers() >= 1);
+    fn pool_width_clamps_to_one() {
+        assert_eq!(Executor::pool(0).workers(), 1);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! cycles.
 //!
 //! * [`Executor`] — the one entry point: a fixed-size thread pool
-//!   ([`Executor::pool`]). [`Executor::from_env`] reads `QRS_EXEC_THREADS`
-//!   as the pool width, giving CI a one-knob scheduling matrix.
+//!   ([`Executor::pool`]) whose width its caller picks. The crate reads no
+//!   environment variable.
 //! * [`Executor::scope`] — structured spawn/join in the shape of
 //!   `std::thread::scope`: tasks may borrow from the enclosing frame
 //!   (including disjoint `&mut`s), and the scope does not return until

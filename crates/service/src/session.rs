@@ -711,9 +711,7 @@ mod tests {
         // the top-k request class it actually issues, not as ORDER BY.
         let plan = svc
             .session(Query::all(), rank2())
-            .algorithm(Algorithm::Ta(qrs_core::md::ta::SortedAccess::OneD(
-                qrs_core::OneDStrategy::Rerank,
-            )))
+            .algorithm(Algorithm::Ta(qrs_core::md::ta::SortedAccess::OneD))
             .plan()
             .unwrap();
         assert_eq!(plan.candidates[0].name, "ta-over-1d");

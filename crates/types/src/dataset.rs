@@ -7,9 +7,9 @@
 
 use crate::error::TypeError;
 use crate::query::Query;
-use crate::schema::{AttrId, Schema};
+use crate::schema::Schema;
 use crate::tuple::{Tuple, TupleId};
-use crate::value::{cmp_f64, OrdF64};
+use crate::value::OrdF64;
 use std::sync::Arc;
 
 /// A schema plus tuples, shared immutably (`Arc`) between server and tests.
@@ -135,31 +135,13 @@ impl Dataset {
         v.sort_by_cached_key(|t| (OrdF64(score(t)), t.id));
         v
     }
-
-    /// Observed min/max of an attribute over the whole dataset.
-    pub fn attr_extent(&self, a: AttrId) -> Option<(f64, f64)> {
-        let mut it = self.tuples.iter();
-        let first = it.next()?.ord(a);
-        let mut lo = first;
-        let mut hi = first;
-        for t in it {
-            let v = t.ord(a);
-            if cmp_f64(v, lo) == std::cmp::Ordering::Less {
-                lo = v;
-            }
-            if cmp_f64(v, hi) == std::cmp::Ordering::Greater {
-                hi = v;
-            }
-        }
-        Some((lo, hi))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interval::Interval;
-    use crate::schema::{CatAttr, OrdinalAttr};
+    use crate::schema::{AttrId, CatAttr, OrdinalAttr};
 
     fn mini() -> Dataset {
         let schema = Schema::new(
@@ -217,9 +199,8 @@ mod tests {
     }
 
     #[test]
-    fn extent_and_lookup() {
+    fn lookup_by_id() {
         let d = mini();
-        assert_eq!(d.attr_extent(AttrId(0)), Some((1.0, 9.0)));
         assert_eq!(d.get(TupleId(1)).unwrap().ord(AttrId(0)), 5.0);
     }
 }

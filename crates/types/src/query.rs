@@ -53,17 +53,6 @@ impl Query {
         }
     }
 
-    /// Conjunction of two queries.
-    pub fn and(mut self, other: &Query) -> Self {
-        for p in &other.ranges {
-            self.add_range(p.attr, p.interval);
-        }
-        for p in &other.cats {
-            self.add_cat(p.clone());
-        }
-        self
-    }
-
     /// The interval constraining `attr` (`Interval::all()` if unconstrained).
     pub fn interval(&self, attr: AttrId) -> Interval {
         Conjunction::from(self).interval(attr)
@@ -79,27 +68,6 @@ impl Query {
     #[inline]
     pub fn cats(&self) -> &[CatPredicate] {
         &self.cats
-    }
-
-    /// Strip every range predicate, keeping categorical ones.
-    ///
-    /// The on-the-fly index deliberately crawls *without* inheriting `Sel(q)`
-    /// (§3.2.2) so the index serves future queries too; it still needs the
-    /// pure selection part sometimes, hence this helper and its dual
-    /// [`Query::only_ranges`].
-    pub fn only_cats(&self) -> Query {
-        Query {
-            ranges: Vec::new(),
-            cats: self.cats.clone(),
-        }
-    }
-
-    /// Strip categorical predicates, keeping ranges.
-    pub fn only_ranges(&self) -> Query {
-        Query {
-            ranges: self.ranges.clone(),
-            cats: Vec::new(),
-        }
     }
 
     /// Does the query match a tuple? (Membership in the paper's `R(q)`.)
@@ -382,15 +350,5 @@ mod tests {
         assert!(!Interval::all().has_nan());
         assert!(!Interval::open(0.0, 1.0).has_nan());
         assert!(!Interval::greater_than(f64::INFINITY).has_nan());
-    }
-
-    #[test]
-    fn strip_helpers() {
-        let q = Query::all()
-            .and_range(AttrId(0), Interval::open(0.0, 1.0))
-            .and_cat(CatPredicate::eq(CatId(0), 7));
-        assert!(q.only_cats().ranges().is_empty());
-        assert_eq!(q.only_cats().cats().len(), 1);
-        assert!(q.only_ranges().cats().is_empty());
     }
 }

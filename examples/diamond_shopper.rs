@@ -47,12 +47,7 @@ fn main() {
     ] {
         for (algo_label, algo) in [
             ("MD-RERANK", Algorithm::Md(MdOptions::rerank())),
-            (
-                "TA over 1D-RERANK",
-                Algorithm::Ta(SortedAccess::OneD(
-                    query_reranking::core::OneDStrategy::Rerank,
-                )),
-            ),
+            ("TA over 1D-RERANK", Algorithm::Ta(SortedAccess::OneD)),
         ] {
             let mut s = service
                 .session(sel.clone(), Arc::clone(&rank))

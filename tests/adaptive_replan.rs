@@ -9,8 +9,7 @@
 //! none, a cold plane, and a plane already holding an unsealed prefix of
 //! the planned strategy's stream (replayed, then re-derived at cold cost:
 //! the plane replays streams, not requests). Datasets derive from
-//! `QRS_TEST_SEED` and the service layer honors `QRS_EXEC_THREADS`, so CI
-//! sweeps both.
+//! `QRS_TEST_SEED`, so CI sweeps both seeds.
 
 use query_reranking::core::md::ta::SortedAccess;
 use query_reranking::datagen::synthetic::uniform;

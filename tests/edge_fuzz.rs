@@ -26,13 +26,15 @@
 //! default 48 iterations keep the tier-1 run fast; CI's sweep deepens it
 //! via `QRS_FUZZ_ITERS`.
 
+mod common;
+
+use common::exec_from_env;
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::edge::http::{read_request, read_response, Request, Response};
 use query_reranking::edge::{
     parse, wire, EdgeClient, EdgeConfig, EdgeHandle, EdgeServer, HttpSiteAdapter, WireBatchReply,
 };
 use query_reranking::edge::{Json, ParseError};
-use query_reranking::exec::Executor;
 use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
 use query_reranking::service::RerankService;
 use query_reranking::types::{
@@ -322,7 +324,7 @@ impl Harness {
             max_inflight: 1,
             ..EdgeConfig::default()
         };
-        let exec = Arc::new(Executor::from_env());
+        let exec = Arc::new(exec_from_env());
         let handle = EdgeServer::serve(Arc::clone(&svc), exec, config).expect("bind");
         // The probe, and the answer it must keep getting.
         let probe = EdgeClient::new(handle.addr(), "probe");
@@ -561,7 +563,7 @@ fn mutated_responses_decode_or_fail_typed() {
         max_inflight: 0,
         ..EdgeConfig::default()
     };
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let handle = EdgeServer::serve(svc, exec, config).expect("bind");
     let all = Json::obj(vec![("query", wire::query_to_json(&Query::all()))]).encode();
     let capabilities = capture(handle.addr(), "GET /site/capabilities HTTP/1.1", b"");

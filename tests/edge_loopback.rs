@@ -34,9 +34,12 @@
 //! * the front door: `/v1/rerank` via [`EdgeClient`] versus an in-process
 //!   `serve_batch`, outcome for outcome.
 //!
-//! Suites run on `Executor::from_env`, so CI's seed × `QRS_EXEC_THREADS`
-//! matrix sweeps pool shapes over the same wire.
+//! Suites run on `common::exec_from_env`'s pool, so CI's seed ×
+//! `QRS_EXEC_THREADS` matrix sweeps pool shapes over the same wire.
 
+mod common;
+
+use common::exec_from_env;
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::edge::http::{read_request, read_response, write_request};
 use query_reranking::edge::{
@@ -103,7 +106,7 @@ fn loopback(
 /// the adapter's mirrors.
 #[test]
 fn loopback_streams_are_byte_identical_and_ledgers_reconcile() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(150, 2, 1, test_seed());
     let ranks: Vec<(&str, Arc<dyn RankFn>)> = vec![
         ("1d", Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0)]))),
@@ -155,7 +158,7 @@ fn loopback_streams_are_byte_identical_and_ledgers_reconcile() {
 /// absorbs them on a mock clock, and refusals charge nothing.
 #[test]
 fn rate_limit_storm_crosses_the_wire_as_typed_hints() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(150, 2, 1, test_seed() ^ 0x429);
     let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0)]));
 
@@ -386,7 +389,7 @@ fn proxy_conn(
 /// included) were destroyed in transit.
 #[test]
 fn transport_faults_retry_transparently_and_ledgers_absorb_the_loss() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(150, 2, 1, test_seed() ^ 0xD707);
     let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0)]));
 
@@ -453,7 +456,7 @@ fn transport_faults_retry_transparently_and_ledgers_absorb_the_loss() {
 /// three-way ledgers as in the clean loopback.
 #[test]
 fn many_calls_ride_one_connection_each() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(150, 2, 1, test_seed() ^ 0x0C01);
     let local = anti_server(&data, 3);
     let remote = Arc::new(anti_server(&data, 3));
@@ -501,7 +504,7 @@ fn many_calls_ride_one_connection_each() {
 /// what the same session streams in-process.
 #[test]
 fn a_plane_over_a_remote_site_polls_the_feed_once_per_session() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(150, 2, 1, test_seed() ^ 0x5E9);
     let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
     let local = RerankService::new(Arc::new(anti_server(&data, 3)), data.len());
@@ -653,7 +656,7 @@ fn a_stalled_request_is_cut_at_the_deadline_and_frees_its_worker() {
 /// bytes × gap (7 s here) and then answer it.
 #[test]
 fn a_dripped_request_has_one_deadline_for_all_its_bytes() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(80, 2, 1, test_seed() ^ 0xD219);
     let local = anti_server(&data, 3);
     let remote = Arc::new(anti_server(&data, 3));
@@ -876,7 +879,7 @@ impl SearchInterface for ShortTupleSite {
 /// failure, and a session over the adapter gets that error, not a panic.
 #[test]
 fn a_remote_tuple_that_does_not_fit_the_schema_is_a_typed_error_not_a_panic() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(20, 2, 1, test_seed() ^ 0xA217);
     let (handle, adapter) = loopback(Arc::new(ShortTupleSite(data)), 20, &exec);
     let refused = adapter.query(&Query::all());
@@ -897,7 +900,7 @@ fn a_remote_tuple_that_does_not_fit_the_schema_is_a_typed_error_not_a_panic() {
 /// the site ledger nor the tenant ledger.
 #[test]
 fn admission_refusals_are_typed_uncharged_429s() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(60, 2, 1, test_seed() ^ 0xADA);
     let sel = Query::all();
 
@@ -986,7 +989,7 @@ fn admission_refusals_are_typed_uncharged_429s() {
 /// issued, and another tenant is still served.
 #[test]
 fn a_tenant_over_its_cost_budget_is_refused_before_any_query() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(60, 2, 1, test_seed() ^ 0xC057);
     let remote = Arc::new(anti_server(&data, 3));
     let svc = Arc::new(RerankService::new(
@@ -1061,7 +1064,7 @@ fn a_tenant_over_its_cost_budget_is_refused_before_any_query() {
 /// query the site was actually asked).
 #[test]
 fn front_door_batches_match_in_process_serve_batch() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(150, 2, 1, test_seed() ^ 0xF00D);
     let sel = Query::all();
     let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
@@ -1137,7 +1140,7 @@ fn front_door_batches_match_in_process_serve_batch() {
 /// — already-paid-for results are preserved, not discarded.
 #[test]
 fn budget_exhaustion_crosses_the_wire_with_partial_results() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(150, 2, 1, test_seed() ^ 0xB4D6);
     let sel = Query::all();
     let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
@@ -1196,7 +1199,7 @@ fn budget_exhaustion_crosses_the_wire_with_partial_results() {
 /// typed `400` before anything is charged.
 #[test]
 fn wire_knobs_reach_the_session_and_bad_requests_are_uncharged_400s() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(80, 2, 1, test_seed() ^ 0x71E);
     let sel = Query::all();
     let remote = Arc::new(anti_server(&data, 3));
@@ -1262,7 +1265,7 @@ fn deeply_nested_body_is_a_typed_uncharged_400_and_frees_its_slot() {
         max_inflight: 1,
         ..EdgeConfig::default()
     };
-    let handle = EdgeServer::serve(svc, Arc::new(Executor::from_env()), config).unwrap();
+    let handle = EdgeServer::serve(svc, Arc::new(exec_from_env()), config).unwrap();
 
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
     let headers = [("x-tenant".to_string(), "tenant-a".to_string())];
@@ -1307,7 +1310,7 @@ fn a_request_framed_two_ways_is_an_uncharged_400_that_closes_its_connection() {
         Arc::clone(&remote) as Arc<dyn SearchInterface>,
         data.len(),
     ));
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let handle = EdgeServer::serve(svc, exec, EdgeConfig::default()).unwrap();
     let rank = [(0usize, Direction::Asc, 1.0)];
     let request = || EdgeClient::request(&Query::all(), &rank, 3, None, None, None);
@@ -1369,7 +1372,7 @@ fn a_request_framed_two_ways_is_an_uncharged_400_that_closes_its_connection() {
 /// served as before — and neither refusal moves the site ledger.
 #[test]
 fn tenant_names_are_checked_and_the_tenant_table_is_bounded() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(60, 2, 1, test_seed() ^ 0x7E4A);
     let remote = Arc::new(anti_server(&data, 3));
     let svc = Arc::new(RerankService::new(
@@ -1429,7 +1432,7 @@ fn tenant_names_are_checked_and_the_tenant_table_is_bounded() {
 /// the table holds, a new tenant is still served, and charged.
 #[test]
 fn a_refused_request_leaves_no_tenant_on_the_books() {
-    let exec = Arc::new(Executor::from_env());
+    let exec = Arc::new(exec_from_env());
     let data = uniform(60, 2, 1, test_seed() ^ 0x7E4B);
     let remote = Arc::new(anti_server(&data, 3));
     let svc = Arc::new(RerankService::new(

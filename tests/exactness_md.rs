@@ -5,7 +5,7 @@
 
 use query_reranking::core::md::ta::{SortedAccess, TaCursor};
 use query_reranking::core::strategy::pull;
-use query_reranking::core::{MdCursor, MdOptions, OneDStrategy, RerankParams, SharedState};
+use query_reranking::core::{MdCursor, MdOptions, RerankParams, SharedState};
 use query_reranking::datagen::synthetic::{correlated, discrete_grid, uniform};
 use query_reranking::ranking::{ChebyshevRank, LinearRank, LpRank, RankFn, RatioRank};
 use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
@@ -95,7 +95,7 @@ fn check_all_algos(
     let mut ta = TaCursor::new(
         Arc::clone(&rank),
         sel,
-        SortedAccess::OneD(OneDStrategy::Rerank),
+        SortedAccess::OneD,
         server.schema(),
         &Capabilities::none(),
     );

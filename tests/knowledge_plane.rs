@@ -5,11 +5,13 @@
 //! it must never cost correctness.
 //!
 //! Seeds honor `QRS_TEST_SEED` and the batch test drives `qrs-exec` pools
-//! via `Executor::from_env`, so CI's seed × `QRS_EXEC_THREADS` matrix
+//! via `common::exec_from_env`, so CI's seed × `QRS_EXEC_THREADS` matrix
 //! sweeps both the schedule and the workload.
 
+mod common;
+
+use common::exec_from_env;
 use query_reranking::datagen::synthetic::{discrete_grid, uniform};
-use query_reranking::exec::Executor;
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
 use query_reranking::service::batch::BatchRequest;
@@ -150,7 +152,7 @@ fn serve_batch_over_a_warm_plane_replays_for_free() {
 
     let plane = Arc::new(KnowledgePlane::new());
     let svc = service(&data, Some(&plane));
-    let exec = Executor::from_env();
+    let exec = exec_from_env();
     let reqs = |top_full: bool| -> Vec<BatchRequest> {
         pool.iter()
             .enumerate()

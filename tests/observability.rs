@@ -6,15 +6,17 @@
 //! byte-identically to one that was never wired for observability at all.
 //!
 //! Seeds honor `QRS_TEST_SEED`; the batch leg drives `qrs-exec` pools via
-//! `Executor::from_env`, so CI's seed × `QRS_EXEC_THREADS` matrix sweeps
-//! both the schedule and the workload.
+//! `common::exec_from_env`, so CI's seed × `QRS_EXEC_THREADS` matrix
+//! sweeps both the schedule and the workload.
 
+mod common;
+
+use common::exec_from_env;
 use query_reranking::core::strategy::pull;
 use query_reranking::core::{
     MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, Purpose, RerankParams, SharedState,
 };
 use query_reranking::datagen::synthetic::{discrete_grid, uniform};
-use query_reranking::exec::Executor;
 use query_reranking::obs::{EventKind, MonitorReport, ObsHandle, Recorder};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{
@@ -173,7 +175,7 @@ fn monitor_reconciles_exactly_with_ledgers() {
 /// The atomic counters under real contention: many threads, each running
 /// whole sessions, must leave `ServiceStats` and the fleet monitor
 /// agreeing with the per-session ledger sums to the last unit. The batch
-/// leg runs on `Executor::from_env`, so `QRS_EXEC_THREADS={1,8}` sweeps
+/// leg runs on `common::exec_from_env`, so `QRS_EXEC_THREADS={1,8}` sweeps
 /// single-worker and wide schedules.
 #[test]
 fn shared_counters_match_ledger_sums_under_threads() {
@@ -205,7 +207,7 @@ fn shared_counters_match_ledger_sums_under_threads() {
     });
 
     // Leg 2: the batch front-end on the env-configured executor.
-    let exec = Executor::from_env();
+    let exec = exec_from_env();
     let reqs: Vec<BatchRequest> = (0..8)
         .map(|i| BatchRequest::new(sels[i % sels.len()].clone(), rank(), 4))
         .collect();
@@ -272,7 +274,7 @@ fn recorded_stream_counts_sessions_retries_and_sleeps_under_a_storm() {
     let reqs: Vec<BatchRequest> = (0..8)
         .map(|i| BatchRequest::new(sels[i % sels.len()].clone(), rank(), 4))
         .collect();
-    svc.serve_batch(&Executor::from_env(), reqs);
+    svc.serve_batch(&exec_from_env(), reqs);
 
     let (mut opens, mut closes, mut retries, mut slept, mut batches) = (0u64, 0, 0, 0, 0);
     for e in recorder.events() {

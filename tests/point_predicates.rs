@@ -58,7 +58,7 @@ fn md_rank_over_point_only_attribute_via_ta() {
     let mut ta = TaCursor::new(
         Arc::clone(&rank),
         Query::all(),
-        SortedAccess::OneD(OneDStrategy::Rerank),
+        SortedAccess::OneD,
         server.schema(),
         &Capabilities::none(),
     );

@@ -196,7 +196,7 @@ fn ta_matches_bruteforce() {
         let mut ta = TaCursor::new(
             Arc::clone(&rank),
             Query::all(),
-            SortedAccess::OneD(OneDStrategy::Rerank),
+            SortedAccess::OneD,
             server.schema(),
             &Capabilities::none(),
         );

@@ -209,7 +209,7 @@ fn ta_strategy_is_byte_identical_to_the_cursor() {
     // access probes the top-k interface. Both consume streams by depth.
     let accesses = [
         (SortedAccess::PublicOrderBy, RequestKind::Ordered),
-        (SortedAccess::OneD(OneDStrategy::Rerank), RequestKind::TopK),
+        (SortedAccess::OneD, RequestKind::TopK),
     ];
     for (access, kind) in accesses {
         for (n, k) in [(60, 3), (150, 5)] {
