@@ -21,6 +21,12 @@
 //! Both sides refuse text that is not JSON with the same [`ParseError`],
 //! and on JSON both accept with equal values or both refuse. The default
 //! iteration count keeps the tier-1 run fast; `QRS_FUZZ_ITERS` deepens it.
+//!
+//! Apart from the tree, `tests/golden/reader_verdicts.txt` records what
+//! `parse` and each reader made of a fixed corpus (the recorded bodies, the
+//! corners, and fixed-seed mutations of the per-call bodies) before the
+//! reader was rewritten for speed; every reader must keep those verdicts
+//! byte for byte.
 
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::edge::json::{parse, Json, ParseError};
@@ -33,6 +39,7 @@ use query_reranking::service::RerankService;
 use query_reranking::types::{
     AttrId, CatId, CatPredicate, Direction, Interval, Query, QueryResponse,
 };
+use std::fmt::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
@@ -165,6 +172,9 @@ const CORNERS: &[&str] = &[
     r#"{"outcomes": [{"hits": [{"rank": 1, "score": 2, "tuple": {"id": 1, "ords": [], "cats": []}}], "stats": {}, "error": {"code": "budget_exhausted"}, "error": {"message": "x"}}], "tenant": {"queries": 0, "cost_units": 0}}"#,
     r#"{"outcomes": {}, "tenant": {"queries": 0, "cost_units": 0}}"#,
     r#"{"outcomes": [], "tenant": {"queries": 0, "cost_units": -1}}"#,
+    r#"{"\u0071uery": {"ranges": [], "cat\u0073": [{"attr": 1, "\u0063odes": [2]}]}, "p\u0061ge": 3, "dir": "\u0061sc"}"#,
+    r#"{"ledger": {"qu\u0065ries": 1, "cost_units": 2}, "respons\u0065": {"outcome": "v\u0061lid", "tuples": [{"\u0069d": 7, "ords": [1], "cats": []}]}}"#,
+    r#"{"outcom\u0065s": [{"hits": [], "st\u0061ts": {"queries_spent": 4}, "error": {"cod\u0065": "x\ny"}}], "tenant": {"queries": 0, "cost_units": 0}}"#,
 ];
 
 /// The hidden site behind the edge whose replies are captured.
@@ -469,5 +479,109 @@ fn mutated_replies_read_as_the_tree_reads_them() {
         let mutated = mutate(&mut rng, base, other);
         let context = format!("QRS_TEST_SEED={} case {case}", env_seed());
         check("reply", &mutated, reply_parity, &context);
+    }
+}
+
+/// The bodies of `tests/golden/wire_bodies.txt` that are `/v1/rerank` and
+/// `/site/*` requests and replies: what the verdict corpus mutates.
+const PER_CALL: [&str; 5] = [
+    "site_request",
+    "rerank_body",
+    "site_response_reply",
+    "site_page_reply",
+    "rerank_reply",
+];
+
+/// Mutated bodies in the verdict corpus.
+const MUTATED: usize = 240;
+
+/// `text` on one line: backslashes doubled, control characters escaped.
+fn one_line(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            c if c.is_control() => out.extend(c.escape_default()),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// What `parse` and every in-place reader make of each body of a fixed
+/// corpus: every body of `tests/golden/wire_bodies.txt`, the grammar's
+/// corners, and bodies of the per-call kinds mutated by a fixed-seed
+/// stream. For each, `parse`'s re-encoding (`= body` when it is the body
+/// itself) or its error, and each reader's decoded value (`{:?}`, which
+/// spells every `f64` bit for bit) or refusal.
+fn verdicts() -> String {
+    let recorded = include_str!("golden/wire_bodies.txt").lines();
+    let recorded: Vec<(&str, &str)> = recorded.map(|l| l.split_once(' ').unwrap()).collect();
+    let mut bodies: Vec<(&str, Vec<u8>)> = recorded
+        .iter()
+        .map(|(kind, body)| (*kind, body.as_bytes().to_vec()))
+        .collect();
+    bodies.extend(CORNERS.iter().map(|c| ("corner", c.as_bytes().to_vec())));
+    for depth in [63, 64, 65] {
+        let deep = "[".repeat(depth) + &"]".repeat(depth);
+        let text = format!(r#"{{"query": {{"ranges": [], "cats": []}}, "x": {deep}}}"#);
+        bodies.push(("deep", text.into_bytes()));
+    }
+    let bases: Vec<&[u8]> = (recorded.iter())
+        .filter(|(kind, _)| PER_CALL.contains(kind))
+        .map(|(_, body)| body.as_bytes())
+        .collect();
+    let mut rng = Rng(0x7E4D_1C75);
+    for _ in 0..MUTATED {
+        let (base, other) = (bases[rng.below(bases.len())], bases[rng.below(bases.len())]);
+        bodies.push(("mutated", mutate(&mut rng, base, other)));
+    }
+    let mut out = String::new();
+    for (i, (source, bytes)) in bodies.iter().enumerate() {
+        writeln!(out, "# {i} {source}").unwrap();
+        let Ok(text) = std::str::from_utf8(bytes) else {
+            let lossy = one_line(&String::from_utf8_lossy(bytes));
+            writeln!(out, "body (not UTF-8, read by nothing) {lossy}").unwrap();
+            continue;
+        };
+        writeln!(out, "body {}", one_line(text)).unwrap();
+        match parse(text) {
+            Ok(tree) if tree.encode() == text => writeln!(out, "parse = body"),
+            Ok(tree) => writeln!(out, "parse {}", one_line(&tree.encode())),
+            Err(e) => writeln!(out, "parse refused: {e}"),
+        }
+        .unwrap();
+        writeln!(out, "read_site_request {:?}", wire::read_site_request(text)).unwrap();
+        writeln!(
+            out,
+            "read_response_reply {:?}",
+            wire::read_response_reply(text)
+        )
+        .unwrap();
+        writeln!(out, "read_page_reply {:?}", wire::read_page_reply(text)).unwrap();
+        writeln!(out, "read_rerank_reply {:?}", wire::read_rerank_reply(text)).unwrap();
+    }
+    out
+}
+
+/// `parse` and the in-place readers keep the verdicts recorded in
+/// `tests/golden/reader_verdicts.txt`: the same values, the same refusals,
+/// the same error messages at the same byte offsets. The corpus does not
+/// depend on `QRS_TEST_SEED`.
+#[test]
+fn readers_keep_their_recorded_verdicts() {
+    let fresh = verdicts();
+    let recorded = include_str!("golden/reader_verdicts.txt");
+    if fresh != recorded {
+        let at = fresh
+            .lines()
+            .zip(recorded.lines())
+            .position(|(a, b)| a != b);
+        panic!(
+            "the readers no longer read as tests/golden/reader_verdicts.txt records \
+             (first difference at line {at:?}); if the change means to move a verdict, \
+             replace the file with the document between the markers:\n\
+             -----BEGIN-----\n{fresh}-----END-----"
+        );
     }
 }
