@@ -65,7 +65,10 @@ const EXACT: f64 = 9.007_199_254_740_992e15;
 
 /// `n` as a counter: a non-negative integer no larger than 2^53.
 fn exact_u64(n: f64) -> Option<u64> {
-    (n >= 0.0 && n.fract() == 0.0 && n <= EXACT).then_some(n as u64)
+    // Below 2^53 the integer part converts back exactly: `n` is whole iff
+    // it equals it (a test with no call to `trunc`, which baseline x86-64
+    // makes a library call).
+    ((0.0..=EXACT).contains(&n) && (n as u64) as f64 == n).then_some(n as u64)
 }
 
 impl Json {
@@ -363,6 +366,44 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     Reader::read(input, Reader::value)
 }
 
+/// A [`Reader`] step found that the text is not JSON. The reader keeps
+/// what went wrong and where; [`Reader::read`] hands it out as the
+/// [`ParseError`]. A step's `Result` is thus a tag, not a 32-byte error
+/// copied up through every level of the walk.
+#[derive(Debug)]
+pub(crate) struct Stop;
+
+/// What a [`Reader`] step returns.
+pub(crate) type Step<T> = Result<T, Stop>;
+
+/// The exact powers of ten an `f64` holds: `10^22` is the last.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// The offset of the first `"` or `\\` in `bytes`, tested eight bytes at
+/// a time: a byte of `word ^ pattern` is zero where `word` holds the
+/// pattern's byte, and the lowest byte the zero test flags is a true zero.
+#[inline(always)]
+fn quote_or_backslash(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    let zero = |x: u64| x.wrapping_sub(ONES) & !x & (ONES << 7);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let hits = zero(word ^ (ONES * u64::from(b'"'))) | zero(word ^ (ONES * u64::from(b'\\')));
+        if hits != 0 {
+            return Some(8 * i + hits.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words
+        .remainder()
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\');
+    tail.map(|at| bytes.len() - words.remainder().len() + at)
+}
+
 /// A pull reader over one JSON document. The caller asks for the value it
 /// expects next; the reader checks the text on the way and builds nothing
 /// it is not asked for. A value of another kind than the one asked for is
@@ -375,16 +416,21 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 /// is written once. A caller that keeps a later duplicate member over an
 /// earlier one and skips members it does not know reads what the tree
 /// holds.
+///
+/// Each step is a few byte tests on the text; its result is a value or
+/// [`Stop`], and the error behind a `Stop` is built once, off the hot path,
+/// where it is met. A number whose digits are exact in an `f64` is read
+/// from them ([`Reader::number`]); any other goes to `str::parse`.
 pub(crate) struct Reader<'a> {
     text: &'a str,
-    /// `text`, as the bytes the reader steps through.
-    bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
     depth: usize,
     /// An array or object was just opened: the next [`Reader::item`] or
     /// [`Reader::key`] looks for its first member, not for a comma.
     fresh: bool,
+    /// Why the text is not JSON, once a step has found that it is not.
+    error: Option<ParseError>,
 }
 
 impl<'a> Reader<'a> {
@@ -392,63 +438,78 @@ impl<'a> Reader<'a> {
     /// follows it may only be whitespace.
     pub(crate) fn read<T>(
         text: &'a str,
-        read: impl FnOnce(&mut Reader<'a>) -> Result<T, ParseError>,
+        read: impl FnOnce(&mut Reader<'a>) -> Step<T>,
     ) -> Result<T, ParseError> {
         let mut r = Reader {
             text,
-            bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
             fresh: false,
+            error: None,
         };
-        let value = read(&mut r)?;
-        r.skip_ws();
-        if r.pos != r.bytes.len() {
-            return Err(r.err("trailing characters after JSON value"));
-        }
-        Ok(value)
+        let value = read(&mut r).and_then(|value| {
+            r.skip_ws();
+            if r.pos == text.len() {
+                Ok(value)
+            } else {
+                Err(r.fail("trailing characters after JSON value"))
+            }
+        });
+        value.map_err(|Stop| r.error.take().expect("a stop records its error"))
     }
 
-    fn err(&self, message: &str) -> ParseError {
-        ParseError {
+    /// Record that the text is not JSON at `pos`, for `message`.
+    #[cold]
+    #[inline(never)]
+    fn fail(&mut self, message: &str) -> Stop {
+        self.error = Some(ParseError {
             message: message.to_string(),
             at: self.pos,
-        }
+        });
+        Stop
     }
 
+    #[cold]
+    fn too_deep(&mut self) -> Stop {
+        self.fail(&format!("nesting deeper than {MAX_DEPTH}"))
+    }
+
+    #[inline]
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
+    /// The byte after whitespace: the first of the next value, if it is
+    /// one. A reader that asks for a kind of value takes it from here, and
+    /// hands any other byte to [`Reader::skip`], which checks it.
+    #[inline]
+    fn next(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.peek()
     }
 
     /// The first byte of the next value, past whitespace.
-    fn start(&mut self) -> Result<u8, ParseError> {
-        self.skip_ws();
-        match self.peek() {
+    #[inline]
+    fn start(&mut self) -> Step<u8> {
+        match self.next() {
             Some(b @ (b'n' | b't' | b'f' | b'"' | b'[' | b'{' | b'-' | b'0'..=b'9')) => Ok(b),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
+            Some(_) => Err(self.fail("unexpected character")),
+            None => Err(self.fail("unexpected end of input")),
         }
     }
 
     /// Step into the array or object at `pos`.
-    fn open(&mut self) -> Result<(), ParseError> {
+    #[inline]
+    fn open(&mut self) -> Step<()> {
         if self.depth == MAX_DEPTH {
-            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+            return Err(self.too_deep());
         }
         self.depth += 1;
         self.pos += 1;
@@ -457,6 +518,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Step out past the closing bracket at `pos`.
+    #[inline]
     fn close(&mut self) {
         self.depth -= 1;
         self.pos += 1;
@@ -464,55 +526,55 @@ impl<'a> Reader<'a> {
 
     /// If the next value is an object, open it for [`Reader::key`] and
     /// return true; otherwise skip it and return false.
-    pub(crate) fn object(&mut self) -> Result<bool, ParseError> {
-        if self.start()? == b'{' {
-            self.open().map(|()| true)
-        } else {
-            self.skip().map(|()| false)
+    #[inline]
+    pub(crate) fn object(&mut self) -> Step<bool> {
+        match self.next() {
+            Some(b'{') => self.open().map(|()| true),
+            _ => self.skip().map(|()| false),
         }
     }
 
     /// The next key of the object opened last, its `:` consumed so that
     /// the caller reads its value next; `None` once the object is closed.
-    pub(crate) fn key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+    #[inline(always)]
+    pub(crate) fn key(&mut self) -> Step<Option<Cow<'a, str>>> {
         self.skip_ws();
-        if std::mem::take(&mut self.fresh) {
-            if self.peek() == Some(b'}') {
+        let fresh = std::mem::take(&mut self.fresh);
+        match self.peek() {
+            Some(b'}') => {
                 self.close();
                 return Ok(None);
             }
-        } else {
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                    self.skip_ws();
-                }
-                Some(b'}') => {
-                    self.close();
-                    return Ok(None);
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
+            _ if fresh => {}
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
             }
+            _ => return Err(self.fail("expected ',' or '}'")),
         }
         let key = self.string()?;
         self.skip_ws();
-        self.expect(b':')?;
+        if self.peek() != Some(b':') {
+            return Err(self.fail("expected ':'"));
+        }
+        self.pos += 1;
         Ok(Some(key))
     }
 
     /// If the next value is an array, open it for [`Reader::item`] and
     /// return true; otherwise skip it and return false.
-    pub(crate) fn array(&mut self) -> Result<bool, ParseError> {
-        if self.start()? == b'[' {
-            self.open().map(|()| true)
-        } else {
-            self.skip().map(|()| false)
+    #[inline]
+    pub(crate) fn array(&mut self) -> Step<bool> {
+        match self.next() {
+            Some(b'[') => self.open().map(|()| true),
+            _ => self.skip().map(|()| false),
         }
     }
 
     /// Whether the array opened last has another item, which the caller
     /// then reads; false once the array is closed.
-    pub(crate) fn item(&mut self) -> Result<bool, ParseError> {
+    #[inline]
+    pub(crate) fn item(&mut self) -> Step<bool> {
         self.skip_ws();
         let fresh = std::mem::take(&mut self.fresh);
         match self.peek() {
@@ -525,44 +587,47 @@ impl<'a> Reader<'a> {
                 self.pos += 1;
                 Ok(true)
             }
-            _ => Err(self.err("expected ',' or ']'")),
+            _ => Err(self.fail("expected ',' or ']'")),
         }
     }
 
     /// The next value if it is a number, else skip it: `None`.
-    pub(crate) fn f64(&mut self) -> Result<Option<f64>, ParseError> {
-        match self.start()? {
-            b'-' | b'0'..=b'9' => self.number().map(Some),
+    #[inline]
+    pub(crate) fn f64(&mut self) -> Step<Option<f64>> {
+        match self.next() {
+            Some(b'-' | b'0'..=b'9') => self.number().map(Some),
             _ => self.skip().map(|()| None),
         }
     }
 
     /// The next value if it is a counter, as [`Json::as_u64`] reads one,
     /// else skip it: `None`.
-    pub(crate) fn u64(&mut self) -> Result<Option<u64>, ParseError> {
+    #[inline]
+    pub(crate) fn u64(&mut self) -> Step<Option<u64>> {
         Ok(self.f64()?.and_then(exact_u64))
     }
 
     /// The next value if it is a string, else skip it: `None`. Borrowed
     /// from the text unless it holds an escape.
-    pub(crate) fn str(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
-        match self.start()? {
-            b'"' => self.string().map(Some),
+    #[inline]
+    pub(crate) fn str(&mut self) -> Step<Option<Cow<'a, str>>> {
+        match self.next() {
+            Some(b'"') => self.string().map(Some),
             _ => self.skip().map(|()| None),
         }
     }
 
     /// The next value if it is `true` or `false`, else skip it: `None`.
-    pub(crate) fn bool(&mut self) -> Result<Option<bool>, ParseError> {
-        match self.start()? {
-            b't' => self.literal("true").map(|()| Some(true)),
-            b'f' => self.literal("false").map(|()| Some(false)),
+    pub(crate) fn bool(&mut self) -> Step<Option<bool>> {
+        match self.next() {
+            Some(b't') => self.literal("true").map(|()| Some(true)),
+            Some(b'f') => self.literal("false").map(|()| Some(false)),
             _ => self.skip().map(|()| None),
         }
     }
 
     /// Check the next value and move past it.
-    pub(crate) fn skip(&mut self) -> Result<(), ParseError> {
+    pub(crate) fn skip(&mut self) -> Step<()> {
         match self.start()? {
             b'n' => self.literal("null"),
             b't' => self.literal("true"),
@@ -587,7 +652,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next value, as a tree.
-    pub(crate) fn value(&mut self) -> Result<Json, ParseError> {
+    pub(crate) fn value(&mut self) -> Step<Json> {
         match self.start()? {
             b'n' => self.literal("null").map(|()| Json::Null),
             b't' => self.literal("true").map(|()| Json::Bool(true)),
@@ -614,17 +679,25 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str) -> Result<(), ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &'static str) -> Step<()> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(())
         } else {
-            Err(self.err(&format!("expected '{word}'")))
+            Err(self.fail(match word {
+                "null" => "expected 'null'",
+                "true" => "expected 'true'",
+                _ => "expected 'false'",
+            }))
         }
     }
 
-    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
-        self.expect(b'"')?;
+    #[inline(always)]
+    fn string(&mut self) -> Step<Cow<'a, str>> {
+        if self.peek() != Some(b'"') {
+            return Err(self.fail("expected '\"'"));
+        }
+        self.pos += 1;
         // Only a string with an escape in it is copied.
         let mut owned: Option<String> = None;
         loop {
@@ -632,14 +705,12 @@ impl<'a> Reader<'a> {
             // Both are ASCII, so the run starts and ends on a character
             // boundary of the `&str` being read, and a string costs its
             // own length, not the input's.
-            let rest = &self.bytes[self.pos..];
-            let stop = rest.iter().position(|b| matches!(b, b'"' | b'\\'));
-            let end = self.pos + stop.unwrap_or(rest.len());
-            let run = self.text.get(self.pos..end);
-            let run = run.ok_or_else(|| self.err("bad utf-8"))?;
-            self.pos = end;
+            let (text, start) = (self.text, self.pos);
+            let rest = &text.as_bytes()[start..];
+            self.pos = start + quote_or_backslash(rest).unwrap_or(rest.len());
+            let run = &text[start..self.pos];
             match self.peek() {
-                None => return Err(self.err("unterminated string")),
+                None => return Err(self.fail("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(match owned {
@@ -660,90 +731,113 @@ impl<'a> Reader<'a> {
     }
 
     /// Decode the escape at `pos` (its backslash) onto `s`.
-    fn escape(&mut self, s: &mut String) -> Result<(), ParseError> {
+    #[inline(never)]
+    fn escape(&mut self, s: &mut String) -> Step<()> {
         self.pos += 1;
-        match self.peek() {
-            Some(b'"') => s.push('"'),
-            Some(b'\\') => s.push('\\'),
-            Some(b'/') => s.push('/'),
-            Some(b'b') => s.push('\u{8}'),
-            Some(b'f') => s.push('\u{c}'),
-            Some(b'n') => s.push('\n'),
-            Some(b'r') => s.push('\r'),
-            Some(b't') => s.push('\t'),
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
             Some(b'u') => {
                 self.pos += 1;
-                let cp = self.hex4()?;
-                // Surrogate pairs: a high surrogate must be followed by an
-                // escaped low surrogate.
-                let c = if (0xD800..0xDC00).contains(&cp) {
-                    if self.bytes[self.pos..].starts_with(b"\\u") {
-                        self.pos += 2;
-                        let lo = self.hex4()?;
-                        if !(0xDC00..0xE000).contains(&lo) {
-                            return Err(self.err("invalid low surrogate"));
-                        }
-                        let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                        char::from_u32(c)
-                    } else {
-                        return Err(self.err("unpaired high surrogate"));
-                    }
-                } else {
-                    char::from_u32(cp)
-                };
-                match c {
-                    Some(c) => s.push(c),
-                    None => return Err(self.err("invalid unicode escape")),
-                }
-                // hex4 advanced pos past the digits; undo the shared
-                // increment below.
-                self.pos -= 1;
+                s.push(self.unicode()?);
+                return Ok(());
             }
-            _ => return Err(self.err("invalid escape")),
-        }
+            _ => return Err(self.fail("invalid escape")),
+        };
+        s.push(c);
         self.pos += 1;
         Ok(())
     }
 
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated unicode escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("bad unicode escape"))?;
-        let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad unicode escape"))?;
-        self.pos = end;
+    /// The character of the `\u` escape whose hex digits start at `pos`.
+    /// Surrogate pairs: a high surrogate must be followed by an escaped low
+    /// surrogate.
+    fn unicode(&mut self) -> Step<char> {
+        let cp = self.hex4()?;
+        let c = if (0xD800..0xDC00).contains(&cp) {
+            if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
+                return Err(self.fail("unpaired high surrogate"));
+            }
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(self.fail("invalid low surrogate"));
+            }
+            char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+        } else {
+            char::from_u32(cp)
+        };
+        c.ok_or_else(|| self.fail("invalid unicode escape"))
+    }
+
+    fn hex4(&mut self) -> Step<u32> {
+        let Some(hex) = self.text.as_bytes().get(self.pos..self.pos + 4) else {
+            return Err(self.fail("truncated unicode escape"));
+        };
+        let hex = std::str::from_utf8(hex).ok();
+        let cp = hex.and_then(|hex| u32::from_str_radix(hex, 16).ok());
+        let cp = cp.ok_or_else(|| self.fail("bad unicode escape"))?;
+        self.pos += 4;
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<f64, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+    /// The number at `pos`: `-`, digits, `.` and digits, then `e` or `E`
+    /// with a sign and digits, each part optional, read as `str::parse`
+    /// reads it. Its digits are gathered on the way; when there are some,
+    /// no exponent, and both the digits as an integer and the power of ten
+    /// they are divided by are exact in an `f64`, the one rounding of that
+    /// division is the correctly rounded value `str::parse` returns, and the
+    /// text is not read twice.
+    #[inline]
+    fn number(&mut self) -> Step<f64> {
+        let (bytes, start) = (self.text.as_bytes(), self.pos);
+        let negative = bytes[start] == b'-';
+        let mut at = start + usize::from(negative);
+        // The digits as an integer: exact while there are fewer than 20.
+        let mut digits = 0u64;
+        let mut run = |at: &mut usize| {
+            let from = *at;
+            while let Some(&b @ b'0'..=b'9') = bytes.get(*at) {
+                digits = digits.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+                *at += 1;
+            }
+            *at - from
+        };
+        let mut count = run(&mut at);
+        let mut scale = 0;
+        if bytes.get(at) == Some(&b'.') {
+            at += 1;
+            scale = run(&mut at);
+            count += scale;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+        let exponent = matches!(bytes.get(at), Some(b'e' | b'E'));
+        if exponent {
+            at += 1;
+            if let Some(b'+' | b'-') = bytes.get(at) {
+                at += 1;
+            }
+            while let Some(b'0'..=b'9') = bytes.get(at) {
+                at += 1;
             }
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+        self.pos = at;
+        if !exponent && (1..20).contains(&count) && digits <= 1 << 53 && scale < POW10.len() {
+            let n = match scale {
+                0 => digits as f64,
+                _ => digits as f64 / POW10[scale],
+            };
+            return Ok(if negative { -n } else { n });
         }
         // Every byte stepped over is ASCII: the slice of the `&str` needs no
         // second UTF-8 check.
-        let text = &self.text[start..self.pos];
-        text.parse::<f64>().map_err(|_| self.err("bad number"))
+        let text = &self.text[start..at];
+        text.parse::<f64>().map_err(|_| self.fail("bad number"))
     }
 }
 
@@ -1008,6 +1102,112 @@ mod tests {
             if out != n.to_string() {
                 panic!("QRS_TEST_SEED={seed} draw {draw}: {n:?} (bits {bits:#018x}) written {out}");
             }
+        }
+    }
+
+    /// What the reader makes of `text`, a number token, against
+    /// `str::parse`: the same bits, or a refusal at the token's end.
+    fn read_as_str_parse(text: &str, context: impl FnOnce() -> String) {
+        let read = Reader::read(text, Reader::f64);
+        let same = match (&read, text.parse::<f64>()) {
+            (Ok(Some(got)), Ok(want)) => got.to_bits() == want.to_bits(),
+            (Err(e), Err(_)) => e.message == "bad number" && e.at == text.len(),
+            _ => false,
+        };
+        assert!(same, "{}: {text:?} read as {read:?}", context());
+    }
+
+    /// The reader's number path against `str::parse`: every number
+    /// `write_num` writes reads back to its own bits, and random digit
+    /// strings — 15- to 20-digit mantissas among them, fractions of every
+    /// length, leading zeros, exponents and `-0` — read as `str::parse`
+    /// reads them, refusals included. `QRS_TEST_SEED` picks the draws and
+    /// `QRS_FUZZ_ITERS` scales them: 1 000 draws an iteration, 48
+    /// iterations unset. CI runs 10^7 draws a seed in release.
+    #[test]
+    fn numbers_read_as_str_parse_reads_them() {
+        let env = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok());
+        let seed = env("QRS_TEST_SEED").unwrap_or(0);
+        let draws = 1000 * env("QRS_FUZZ_ITERS").unwrap_or(48);
+        // SplitMix64.
+        let mut state = seed ^ 0x2F6E_A1D4_5B38_C907;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // Past 19 digits the digits wrap a `u64`: 2^64 + 1 wraps to 1.
+        let corners = [
+            "0", "-0", "-0.0", "0.", "-", "-.", "-.5", "1e", "1e+", "-e5", "00.5e-0",
+        ];
+        let wraps = ["18446744073709551617", "-1844674407370955161.7"];
+        for text in corners.into_iter().chain(wraps) {
+            read_as_str_parse(text, || "corner".into());
+        }
+        let (mut written, mut token) = (String::new(), String::new());
+        for draw in 0..draws {
+            let context = || format!("QRS_TEST_SEED={seed} draw {draw}");
+            // What `write_num` writes: uniform bits, a mantissa of few
+            // significant bits at a random exponent, or a uniform draw from
+            // `[0, 1)` scaled as a site's values and scores are.
+            let r = next();
+            let n = match draw % 3 {
+                0 => f64::from_bits(r),
+                1 => {
+                    f64::from_bits((r & (0xfff << 52)) | (((r | 1) << (r >> 58)) & ((1 << 52) - 1)))
+                }
+                _ => {
+                    (r >> 11) as f64 / (1u64 << 53) as f64
+                        * [1e-3, 1.0, 250.0, 1e6][(r & 3) as usize]
+                }
+            };
+            let bits = n.to_bits();
+            if n.is_finite() {
+                written.clear();
+                write_num(&mut written, n);
+                read_as_str_parse(&written, context);
+                let back = Reader::read(&written, Reader::f64).map(|n| n.map(f64::to_bits));
+                assert_eq!(back, Ok(Some(bits)), "{}: {written}", context());
+            }
+            // A random token: a sign, then digits split around a point,
+            // then an exponent.
+            let r = next();
+            let digits = [1, 2, 3, 7, 15, 16, 17, 18, 19, 20, 23, 0][(r % 12) as usize];
+            let negative = r >> 8 & 1 == 1;
+            let point = r >> 9 & 3 != 0;
+            let before = match point {
+                true => (r >> 16) as usize % (digits + 1),
+                false => digits,
+            };
+            let before = if negative { before } else { before.max(1) };
+            token.clear();
+            if negative {
+                token.push('-');
+            }
+            let mut d = next();
+            for i in 0..digits.max(before) {
+                if i == before {
+                    token.push('.');
+                }
+                // Zeros one time in four: leading, trailing and `-0`.
+                let digit = if d & 3 == 0 { 0 } else { (d >> 2) % 10 };
+                token.push(char::from(b'0' + digit as u8));
+                d = d.rotate_right(7) ^ r;
+            }
+            if point && before == digits {
+                token.push('.');
+            }
+            if r >> 11 & 3 == 0 {
+                token.push(if r >> 13 & 1 == 0 { 'e' } else { 'E' });
+                token.push_str(["", "+", "-"][(r >> 14) as usize % 3]);
+                for _ in 0..(r >> 20) % 4 {
+                    token.push(char::from(b'0' + (d % 10) as u8));
+                    d /= 10;
+                }
+            }
+            read_as_str_parse(&token, context);
         }
     }
 

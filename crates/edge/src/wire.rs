@@ -33,7 +33,7 @@
 use crate::http::Response;
 use crate::json::{
     object, parse, write_arr, write_bool, write_num, write_obj, write_str, write_u64, Json,
-    ParseError, Reader,
+    ParseError, Reader, Step,
 };
 use qrs_server::{Capabilities, OrderedPage};
 use qrs_service::{BatchOutcome, SessionStats};
@@ -644,6 +644,9 @@ pub fn rerank_error_code(e: &RerankError) -> &'static str {
 /// decoded value or, as [`WireResult`], why its meaning is refused.
 pub type Read<T> = Result<WireResult<T>, ParseError>;
 
+/// A [`Read`] on its way: a [`Reader`] step that reads one value.
+type Reading<T> = Step<WireResult<T>>;
+
 /// A member as the last of its occurrences left it: `None` if it never
 /// came, `Some(None)` if it was not of the kind (`a string`, …) expected.
 fn want_kind<T>(slot: Option<Option<T>>, key: &str, kind: &str) -> WireResult<T> {
@@ -667,9 +670,9 @@ fn want_read<T>(slot: Option<WireResult<T>>, key: &str) -> WireResult<T> {
 fn read_items<'a, T>(
     r: &mut Reader<'a>,
     key: &str,
-    mut each: impl FnMut(&mut Reader<'a>) -> Read<T>,
+    mut each: impl FnMut(&mut Reader<'a>) -> Reading<T>,
     mut keep: impl FnMut(T),
-) -> Read<()> {
+) -> Reading<()> {
     if !r.array()? {
         return Ok(Err(format!("member '{key}' is not an array")));
     }
@@ -688,8 +691,8 @@ fn read_items<'a, T>(
 fn read_vec<'a, T>(
     r: &mut Reader<'a>,
     key: &str,
-    each: impl FnMut(&mut Reader<'a>) -> Read<T>,
-) -> Read<Vec<T>> {
+    each: impl FnMut(&mut Reader<'a>) -> Reading<T>,
+) -> Reading<Vec<T>> {
     let mut items = Vec::new();
     Ok(read_items(r, key, each, |item| items.push(item))?.map(|()| items))
 }
@@ -701,8 +704,8 @@ fn read_vec<'a, T>(
 fn read_exact_size<'a, T: Copy + Default>(
     r: &mut Reader<'a>,
     key: &str,
-    each: impl FnMut(&mut Reader<'a>) -> Read<T>,
-) -> Read<Vec<T>> {
+    each: impl FnMut(&mut Reader<'a>) -> Reading<T>,
+) -> Reading<Vec<T>> {
     /// Items held on the stack; a longer array spills to a growing `Vec`.
     const STACK: usize = 16;
     let (mut stack, mut len, mut spill) = ([T::default(); STACK], 0, Vec::new());
@@ -726,7 +729,7 @@ fn read_exact_size<'a, T: Copy + Default>(
     }))
 }
 
-fn read_code(r: &mut Reader) -> Read<u32> {
+fn read_code(r: &mut Reader) -> Reading<u32> {
     let code = r.u64()?.filter(|c| *c <= u32::MAX as u64);
     Ok(code
         .map(|c| c as u32)
@@ -744,7 +747,7 @@ pub(crate) fn write_ledger(out: &mut String, (queries, cost_units): (u64, u64)) 
     })
 }
 
-fn read_ledger(r: &mut Reader) -> Read<(u64, u64)> {
+fn read_ledger(r: &mut Reader) -> Reading<(u64, u64)> {
     let (mut queries, mut cost_units) = (None, None);
     if r.object()? {
         while let Some(key) = r.key()? {
@@ -769,7 +772,7 @@ fn write_tuple(out: &mut String, t: &Tuple) {
     })
 }
 
-fn read_tuple(r: &mut Reader) -> Read<Tuple> {
+fn read_tuple(r: &mut Reader) -> Reading<Tuple> {
     let (mut id, mut ords, mut cats) = (None, None, None);
     if r.object()? {
         while let Some(key) = r.key()? {
@@ -795,7 +798,7 @@ fn read_tuple(r: &mut Reader) -> Read<Tuple> {
     })())
 }
 
-fn read_tuples(r: &mut Reader) -> Read<Vec<Arc<Tuple>>> {
+fn read_tuples(r: &mut Reader) -> Reading<Vec<Arc<Tuple>>> {
     read_vec(r, "tuples", |r| Ok(read_tuple(r)?.map(Arc::new)))
 }
 
@@ -813,7 +816,7 @@ fn write_endpoint(out: &mut String, e: Endpoint) {
     })
 }
 
-fn read_endpoint(r: &mut Reader) -> Read<Endpoint> {
+fn read_endpoint(r: &mut Reader) -> Reading<Endpoint> {
     let (mut kind, mut v) = (None, None);
     if r.object()? {
         while let Some(key) = r.key()? {
@@ -852,7 +855,7 @@ pub(crate) fn write_query(out: &mut String, q: &Query) {
     })
 }
 
-fn read_range(r: &mut Reader) -> Read<(AttrId, Interval)> {
+fn read_range(r: &mut Reader) -> Reading<(AttrId, Interval)> {
     let (mut attr, mut lo, mut hi) = (None, None, None);
     if r.object()? {
         while let Some(key) = r.key()? {
@@ -871,7 +874,7 @@ fn read_range(r: &mut Reader) -> Read<(AttrId, Interval)> {
     })())
 }
 
-fn read_cat(r: &mut Reader) -> Read<CatPredicate> {
+fn read_cat(r: &mut Reader) -> Reading<CatPredicate> {
     let (mut attr, mut codes) = (None, None);
     if r.object()? {
         while let Some(key) = r.key()? {
@@ -889,7 +892,7 @@ fn read_cat(r: &mut Reader) -> Read<CatPredicate> {
 }
 
 /// Read a conjunctive query, as [`query_from_json`] decodes one.
-fn read_query(r: &mut Reader) -> Read<Query> {
+fn read_query(r: &mut Reader) -> Reading<Query> {
     let (mut ranges, mut cats) = (None, None);
     if r.object()? {
         while let Some(key) = r.key()? {
@@ -976,7 +979,7 @@ fn write_response(out: &mut String, r: &QueryResponse) {
 }
 
 /// Read a top-k response, as [`response_from_json`] decodes one.
-fn read_response(r: &mut Reader) -> Read<QueryResponse> {
+fn read_response(r: &mut Reader) -> Reading<QueryResponse> {
     let (mut tuples, mut outcome) = (None, None);
     if r.object()? {
         while let Some(key) = r.key()? {
@@ -995,7 +998,7 @@ fn read_response(r: &mut Reader) -> Read<QueryResponse> {
 }
 
 /// Read an `ORDER BY` page: `{tuples, has_more}`.
-fn read_ordered_page(r: &mut Reader) -> Read<OrderedPage> {
+fn read_ordered_page(r: &mut Reader) -> Reading<OrderedPage> {
     let (mut tuples, mut has_more) = (None, None);
     if r.object()? {
         while let Some(key) = r.key()? {
@@ -1066,7 +1069,7 @@ pub fn read_page_reply(text: &str) -> Result<SiteReply<OrderedPage>, ParseError>
 fn read_site_reply<'a, T>(
     text: &'a str,
     key: &str,
-    read: fn(&mut Reader<'a>) -> Read<T>,
+    read: fn(&mut Reader<'a>) -> Reading<T>,
 ) -> Result<SiteReply<T>, ParseError> {
     Reader::read(text, |r| {
         let (mut ledger, mut body) = (None, None);
@@ -1173,7 +1176,7 @@ pub fn rerank_reply(outcomes: &[BatchOutcome], tenant: (u64, u64)) -> String {
     })
 }
 
-fn read_hit(r: &mut Reader) -> Read<(usize, f64, Tuple)> {
+fn read_hit(r: &mut Reader) -> Reading<(usize, f64, Tuple)> {
     let (mut rank, mut score, mut tuple) = (None, None, None);
     if r.object()? {
         while let Some(key) = r.key()? {
@@ -1193,7 +1196,7 @@ fn read_hit(r: &mut Reader) -> Read<(usize, f64, Tuple)> {
 }
 
 /// `stats`' three counters a client keeps, `0` for any it does not find.
-fn read_stats(r: &mut Reader) -> Result<[u64; 3], ParseError> {
+fn read_stats(r: &mut Reader) -> Step<[u64; 3]> {
     let mut counters = [0; 3];
     if r.object()? {
         while let Some(key) = r.key()? {
@@ -1210,7 +1213,7 @@ fn read_stats(r: &mut Reader) -> Result<[u64; 3], ParseError> {
 }
 
 /// An outcome's `error.code`, if it has one that is a string.
-fn read_error_code(r: &mut Reader) -> Result<Option<String>, ParseError> {
+fn read_error_code(r: &mut Reader) -> Step<Option<String>> {
     let mut code = None;
     if r.object()? {
         while let Some(key) = r.key()? {
@@ -1223,7 +1226,7 @@ fn read_error_code(r: &mut Reader) -> Result<Option<String>, ParseError> {
     Ok(code)
 }
 
-fn read_outcome(r: &mut Reader) -> Read<WireOutcome> {
+fn read_outcome(r: &mut Reader) -> Reading<WireOutcome> {
     let (mut hits, mut stats, mut error_code) = (None, None, None);
     if r.object()? {
         while let Some(key) = r.key()? {
