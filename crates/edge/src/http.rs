@@ -410,11 +410,31 @@ pub fn write_response<W: Write>(mut stream: W, response: &Response) -> Result<()
 
 /// A socket whose reads and writes all draw on one budget. A timeout set
 /// once on the socket bounds each `read`, so a peer sending a byte just
-/// inside it holds the reader for as long as it likes; here what is left
-/// of the budget is worked out again before every call.
+/// inside it holds the reader for as long as it likes; here the timeout is
+/// armed again before every call.
+///
+/// The arming rule: the first call under a budget [`Conn::within`] set
+/// arms the whole budget, and every later call what is left of it. The
+/// socket keeps the read and the write timeout last armed, so a call whose
+/// timeout the socket already holds makes no `setsockopt`: on a connection
+/// in step, where a message is one read or one write, every budget is the
+/// same as the last and no call re-arms at all. A message may therefore
+/// overrun its deadline by the time between `within` and its first call,
+/// never by more.
 pub(crate) struct Timed {
     stream: TcpStream,
     deadline: Instant,
+    /// The budget `within` set, until the first call under it arms it.
+    budget: Option<Duration>,
+    /// The read and the write timeout the socket holds.
+    held: [Option<Duration>; 2],
+}
+
+/// Which of the socket's two timeouts a call arms.
+#[derive(Clone, Copy)]
+enum Way {
+    Read,
+    Write,
 }
 
 impl Timed {
@@ -425,18 +445,35 @@ impl Timed {
         }
         Ok(left)
     }
+
+    /// Arm the timeout of `way` for one call, as the arming rule says.
+    fn arm(&mut self, way: Way) -> io::Result<()> {
+        let timeout = match self.budget.take() {
+            Some(budget) if !budget.is_zero() => budget,
+            _ => self.left()?,
+        };
+        let held = &mut self.held[way as usize];
+        if *held != Some(timeout) {
+            match way {
+                Way::Read => self.stream.set_read_timeout(Some(timeout))?,
+                Way::Write => self.stream.set_write_timeout(Some(timeout))?,
+            }
+            *held = Some(timeout);
+        }
+        Ok(())
+    }
 }
 
 impl Read for Timed {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.stream.set_read_timeout(Some(self.left()?))?;
+        self.arm(Way::Read)?;
         self.stream.read(buf)
     }
 }
 
 impl Write for Timed {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.stream.set_write_timeout(Some(self.left()?))?;
+        self.arm(Way::Write)?;
         self.stream.write(buf)
     }
 
@@ -453,14 +490,19 @@ pub(crate) struct Conn(BufReader<Timed>);
 impl Conn {
     pub(crate) fn new(stream: TcpStream) -> io::Result<Conn> {
         stream.set_nodelay(true)?;
-        let deadline = Instant::now();
-        Ok(Conn(BufReader::new(Timed { stream, deadline })))
+        Ok(Conn(BufReader::new(Timed {
+            stream,
+            deadline: Instant::now(),
+            budget: None,
+            held: [None; 2],
+        })))
     }
 
     /// The reader, with `budget` to spend on everything read through it
-    /// until the next budget is set.
+    /// until the next budget is set ([`Timed`]'s arming rule).
     pub(crate) fn within(&mut self, budget: Duration) -> &mut BufReader<Timed> {
-        self.0.get_mut().deadline = Instant::now() + budget;
+        let timed = self.0.get_mut();
+        (timed.deadline, timed.budget) = (Instant::now() + budget, Some(budget));
         &mut self.0
     }
 
