@@ -736,7 +736,10 @@ fn rerank_admitted(req: &Request, shared: &Shared, tenant: &str) -> Response {
         drop(tenants);
         return admission_reject(shared, (0, 0), "tenant_table_full");
     }
-    tenants.entry(tenant.to_string()).or_default();
+    // The name is copied only when the tenant is new.
+    if !tenants.contains_key(tenant) {
+        tenants.insert(tenant.to_string(), (0, 0));
+    }
     drop(tenants);
     shared.admitted.fetch_add(1, Ordering::Relaxed);
     let obs = shared.svc.observer();
@@ -759,7 +762,8 @@ fn rerank_admitted(req: &Request, shared: &Shared, tenant: &str) -> Response {
     });
     let after = {
         let mut tenants = shared.tenants.lock();
-        let ledger = tenants.entry(tenant.to_string()).or_default();
+        // Booked above, and the table never drops a tenant.
+        let ledger = tenants.get_mut(tenant).expect("booked at admission");
         *ledger = (ledger.0 + queries, ledger.1 + cost_units);
         *ledger
     };
