@@ -251,8 +251,8 @@ impl MdCursor {
                     None => match tie_top(server, st, rd, &sub.bbox, &sub.emitted)? {
                         TieTop::Known(top) => top,
                         TieTop::Refine(d, v) => {
-                            let (sides, slab) = split_at(&sub.bbox, d, v);
-                            (sub.bbox, sub.top, sub.read) = (slab, TopState::Unknown, None);
+                            let sides = split_at(&mut sub.bbox, d, v);
+                            (sub.top, sub.read) = (TopState::Unknown, None);
                             self.subs.extend(sides.into_iter().map(Subspace::new));
                             continue;
                         }
@@ -305,14 +305,20 @@ impl MdCursor {
             let host = self.subs.swap_remove(best_idx);
             let c = self.rd.view.norm_coords(&t);
             let d = split_axis(&mut self.rd, &st.history, &host.bbox, &c);
-            let (sides, slab) = split_at(&host.bbox, d, c[d]);
-            let both = sides.len() == 2;
+            let (whole, mut slab) = (host.bbox.dims[d], host.bbox);
+            let sides = split_at(&mut slab, d, c[d]);
+            // Only a host split on both sides outlives the split, as the
+            // merged probe's: its box is the slab's off dimension `d`.
+            self.merge = (sides.len() == 2).then(|| {
+                let mut host = slab.clone();
+                host.dims[d] = whole;
+                host
+            });
             self.subs.extend(sides.into_iter().map(Subspace::new));
             self.subs.push(Subspace {
                 emitted: HashSet::from([t.id]),
                 ..Subspace::new(slab)
             });
-            self.merge = both.then_some(host.bbox);
         }
         Ok(Some(t))
     }
@@ -420,14 +426,16 @@ fn to_plane(slab: &mut NormBox) {
 }
 
 /// Split `b` on dimension `d` at `v`: the non-empty `< v` and `> v`
-/// children, and the `= v` tie slab.
-fn split_at(b: &NormBox, d: usize, v: f64) -> (Vec<NormBox>, NormBox) {
+/// children, returned, and the `= v` tie slab, which `b` becomes in place
+/// (its host is not kept, so the slab takes the host's own box).
+fn split_at(b: &mut NormBox, d: usize, v: f64) -> Vec<NormBox> {
     let sides = [Interval::less_than(v), Interval::greater_than(v)]
         .into_iter()
         .map(|side| b.with_dim(d, side))
         .filter(|child| !child.is_empty())
         .collect();
-    (sides, b.with_dim(d, Interval::point(v)))
+    b.dims[d] = b.dims[d].intersect(&Interval::point(v));
+    sides
 }
 
 /// The top of `b ∧ sel` from history alone, given `best`, its history best
