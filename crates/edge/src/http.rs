@@ -426,15 +426,8 @@ pub(crate) struct Timed {
     deadline: Instant,
     /// The budget `within` set, until the first call under it arms it.
     budget: Option<Duration>,
-    /// The read and the write timeout the socket holds.
+    /// The read (`0`) and the write (`1`) timeout the socket holds.
     held: [Option<Duration>; 2],
-}
-
-/// Which of the socket's two timeouts a call arms.
-#[derive(Clone, Copy)]
-enum Way {
-    Read,
-    Write,
 }
 
 impl Timed {
@@ -446,19 +439,20 @@ impl Timed {
         Ok(left)
     }
 
-    /// Arm the timeout of `way` for one call, as the arming rule says.
-    fn arm(&mut self, way: Way) -> io::Result<()> {
+    /// Arm timeout `way` of `held` for one call, as the arming rule says,
+    /// setting it through `set` only if the socket holds another.
+    fn arm(
+        &mut self,
+        way: usize,
+        set: fn(&TcpStream, Option<Duration>) -> io::Result<()>,
+    ) -> io::Result<()> {
         let timeout = match self.budget.take() {
             Some(budget) if !budget.is_zero() => budget,
             _ => self.left()?,
         };
-        let held = &mut self.held[way as usize];
-        if *held != Some(timeout) {
-            match way {
-                Way::Read => self.stream.set_read_timeout(Some(timeout))?,
-                Way::Write => self.stream.set_write_timeout(Some(timeout))?,
-            }
-            *held = Some(timeout);
+        if self.held[way] != Some(timeout) {
+            set(&self.stream, Some(timeout))?;
+            self.held[way] = Some(timeout);
         }
         Ok(())
     }
@@ -466,14 +460,14 @@ impl Timed {
 
 impl Read for Timed {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.arm(Way::Read)?;
+        self.arm(0, TcpStream::set_read_timeout)?;
         self.stream.read(buf)
     }
 }
 
 impl Write for Timed {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.arm(Way::Write)?;
+        self.arm(1, TcpStream::set_write_timeout)?;
         self.stream.write(buf)
     }
 
@@ -654,6 +648,21 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
         drop(conn);
         drip.join().unwrap();
+    }
+
+    /// A connection in step re-arms nothing: each message is one read or
+    /// one write under the budget the socket already holds.
+    #[test]
+    fn a_connection_in_step_arms_each_timeout_once() {
+        let second = Duration::from_secs(1);
+        let (mut conn, mut peer) = pair();
+        for _ in 0..3 {
+            let frame = request_frame("GET", "/a", &[], b"", false);
+            peer.write_all(&frame).unwrap();
+            request_from(conn.within(second)).unwrap().unwrap();
+            conn.send(second, b"x").unwrap();
+            assert_eq!(conn.0.get_ref().held, [Some(second); 2]);
+        }
     }
 
     #[test]
