@@ -42,7 +42,7 @@
 //! `tests/golden/reader_verdicts.txt` holds every reader's verdicts on a
 //! fixed corpus to what they were before the reader was made cheap. The
 //! client's read of an `edge_front` reply (25 hits) fell from about 19 to
-//! about 13 µs (README, "Where `edge_front`'s time goes").
+//! about 12 µs (README, "Where `edge_front`'s time goes").
 //!
 //! Non-finite numbers have no JSON spelling; the encoder writes `null` and
 //! the domain layer (`crate::wire`) keeps them out of the protocol.
@@ -501,6 +501,22 @@ impl<'a> Reader<'a> {
         self.fail(&format!("nesting deeper than {MAX_DEPTH}"))
     }
 
+    /// The byte at `pos` is not `b`, or the text there does not spell the
+    /// literal `b`.
+    #[cold]
+    fn expected(&mut self, b: impl fmt::Display) -> Stop {
+        self.fail(&format!("expected '{b}'"))
+    }
+
+    #[inline]
+    fn expect(&mut self, b: u8) -> Step<()> {
+        if self.peek() != Some(b) {
+            return Err(self.expected(char::from(b)));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
     #[inline]
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
@@ -581,10 +597,7 @@ impl<'a> Reader<'a> {
         }
         let key = self.string()?;
         self.skip_ws();
-        if self.peek() != Some(b':') {
-            return Err(self.fail("expected ':'"));
-        }
-        self.pos += 1;
+        self.expect(b':')?;
         Ok(Some(key))
     }
 
@@ -706,25 +719,18 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn literal(&mut self, word: &'static str) -> Step<()> {
+    fn literal(&mut self, word: &str) -> Step<()> {
         if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(())
         } else {
-            Err(self.fail(match word {
-                "null" => "expected 'null'",
-                "true" => "expected 'true'",
-                _ => "expected 'false'",
-            }))
+            Err(self.expected(word))
         }
     }
 
     #[inline(always)]
     fn string(&mut self) -> Step<Cow<'a, str>> {
-        if self.peek() != Some(b'"') {
-            return Err(self.fail("expected '\"'"));
-        }
-        self.pos += 1;
+        self.expect(b'"')?;
         // Only a string with an escape in it is copied.
         let mut owned: Option<String> = None;
         loop {
