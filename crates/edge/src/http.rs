@@ -651,17 +651,27 @@ mod tests {
     }
 
     /// A connection in step re-arms nothing: each message is one read or
-    /// one write under the budget the socket already holds.
+    /// one write under the budget the socket already holds, so timeouts set
+    /// on the socket behind `Timed`'s back survive every exchange after the
+    /// first.
     #[test]
     fn a_connection_in_step_arms_each_timeout_once() {
-        let second = Duration::from_secs(1);
+        let (second, marker) = (Duration::from_secs(1), Some(Duration::from_secs(7)));
         let (mut conn, mut peer) = pair();
-        for _ in 0..3 {
+        for exchange in 0..3 {
             let frame = request_frame("GET", "/a", &[], b"", false);
             peer.write_all(&frame).unwrap();
             request_from(conn.within(second)).unwrap().unwrap();
             conn.send(second, b"x").unwrap();
-            assert_eq!(conn.0.get_ref().held, [Some(second); 2]);
+            let stream = &conn.0.get_ref().stream;
+            let held = (
+                stream.read_timeout().unwrap(),
+                stream.write_timeout().unwrap(),
+            );
+            let want = if exchange == 0 { Some(second) } else { marker };
+            assert_eq!(held, (want, want), "exchange {exchange}");
+            stream.set_read_timeout(marker).unwrap();
+            stream.set_write_timeout(marker).unwrap();
         }
     }
 
