@@ -30,15 +30,17 @@
 //! (`write_num_is_display_over_random_bits`).
 //!
 //! The reader costs a few byte tests a step. A step returns its value or a
-//! one-byte `Stop`; the `ParseError` behind it is built once, in a cold
-//! function, and kept in the reader until `Reader::read` returns it. Keys
-//! and strings are scanned eight bytes at a time and borrowed from the text
-//! unless they hold an escape; a number's digits are read eight at a time
-//! too. A number whose digits, read as an integer, and whose power of ten
-//! are both exact in an `f64` is that one division, correctly rounded as
-//! `str::parse` rounds it; any other number goes to `str::parse`. A
-//! release-mode sweep holds that path to `str::parse`
-//! (`numbers_read_as_str_parse_reads_them`), and
+//! zero-sized `Stop` tag; the `ParseError` behind it is built once, in a
+//! cold function, and kept in the reader until `Reader::read` returns it.
+//! Keys and strings are borrowed from the text unless they hold an escape.
+//! A number's digits are read eight at a time, and a number whose digits,
+//! read as an integer, and whose power of ten are both exact in an `f64`
+//! is that one division, correctly rounded as `str::parse` rounds it; any
+//! other number goes to `str::parse`. About three numbers in four that the
+//! `edge_front` and `remote_site` benchmarks read take the division. Two
+//! release-mode sweeps hold the number path to `str::parse`
+//! (`write_num_is_display_over_random_bits` reads back what the writer
+//! writes, `numbers_read_as_str_parse_reads_them` random digit strings), and
 //! `tests/golden/reader_verdicts.txt` holds every reader's verdicts on a
 //! fixed corpus to what they were before the reader was made cheap. The
 //! client's read of an `edge_front` reply (25 hits) fell from about 19 to
@@ -397,28 +399,6 @@ const POW10: [f64; 23] = [
     1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 ];
 
-/// The offset of the first `"` or `\` in `bytes`, tested eight bytes at
-/// a time: a byte of `word ^ pattern` is zero where `word` holds the
-/// pattern's byte, and the lowest byte the zero test flags is a true zero.
-#[inline(always)]
-fn quote_or_backslash(bytes: &[u8]) -> Option<usize> {
-    const ONES: u64 = u64::from_le_bytes([1; 8]);
-    let zero = |x: u64| x.wrapping_sub(ONES) & !x & (ONES << 7);
-    let mut words = bytes.chunks_exact(8);
-    for (i, word) in (&mut words).enumerate() {
-        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-        let hits = zero(word ^ (ONES * u64::from(b'"'))) | zero(word ^ (ONES * u64::from(b'\\')));
-        if hits != 0 {
-            return Some(8 * i + hits.trailing_zeros() as usize / 8);
-        }
-    }
-    let tail = words
-        .remainder()
-        .iter()
-        .position(|&b| b == b'"' || b == b'\\');
-    tail.map(|at| bytes.len() - words.remainder().len() + at)
-}
-
 /// The value of the eight bytes at the start of `bytes`, if they are all
 /// ASCII digits: tested and summed as one word, the most significant digit
 /// first in memory (the SWAR digit parse of fast float readers).
@@ -740,7 +720,8 @@ impl<'a> Reader<'a> {
             // own length, not the input's.
             let (text, start) = (self.text, self.pos);
             let rest = &text.as_bytes()[start..];
-            self.pos = start + quote_or_backslash(rest).unwrap_or(rest.len());
+            let stop = rest.iter().position(|&b| b == b'"' || b == b'\\');
+            self.pos = start + stop.unwrap_or(rest.len());
             let run = &text[start..self.pos];
             match self.peek() {
                 None => return Err(self.fail("unterminated string")),
@@ -1099,26 +1080,33 @@ mod tests {
         }
     }
 
-    /// `write_num` against `Display` over random draws: half uniform bit
-    /// patterns, half a mantissa of few significant bits at a random
-    /// exponent, where exact halfway cases and exact interval ends live.
-    /// `QRS_TEST_SEED` picks the draws and `QRS_FUZZ_ITERS` scales them:
-    /// 1 000 draws an iteration, 48 iterations unset. CI runs 10^7 draws a
-    /// seed in release.
-    #[test]
-    fn write_num_is_display_over_random_bits() {
+    /// SplitMix64 seeded by `QRS_TEST_SEED` (0 unset) and `salt`, and the
+    /// draws `QRS_FUZZ_ITERS` asks for: 1 000 an iteration, 48 iterations
+    /// unset. CI runs 10^7 draws a seed in release.
+    fn sweep(salt: u64) -> (u64, u64, impl FnMut() -> u64) {
         let env = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok());
         let seed = env("QRS_TEST_SEED").unwrap_or(0);
         let draws = 1000 * env("QRS_FUZZ_ITERS").unwrap_or(48);
-        // SplitMix64.
-        let mut state = seed ^ 0x7F4A_7C15_F39C_C060;
-        let mut next = move || {
+        let mut state = seed ^ salt;
+        let next = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
+        (seed, draws, next)
+    }
+
+    /// `write_num` against `Display` over random draws ([`sweep`]): half
+    /// uniform bit patterns, half a mantissa of few significant bits at a
+    /// random exponent, where exact halfway cases and exact interval ends
+    /// live, each beside a uniform draw from `[0, 1)` scaled as a site's
+    /// values and scores are. Every number written reads back to its own
+    /// bits, the read half of the round trip the loopback proof leans on.
+    #[test]
+    fn write_num_is_display_over_random_bits() {
+        let (seed, draws, mut next) = sweep(0x7F4A_7C15_F39C_C060);
         let mut out = String::new();
         for draw in 0..draws {
             let r = next();
@@ -1130,14 +1118,21 @@ mod tests {
                 let mantissa = ((r | 1) << (r >> 58)) & ((1 << 52) - 1);
                 (r & (0xfff << 52)) | mantissa
             };
-            let n = f64::from_bits(bits);
-            if !n.is_finite() {
-                continue;
-            }
-            out.clear();
-            write_num(&mut out, n);
-            if out != n.to_string() {
-                panic!("QRS_TEST_SEED={seed} draw {draw}: {n:?} (bits {bits:#018x}) written {out}");
+            let scaled =
+                (r >> 11) as f64 / (1u64 << 53) as f64 * [1e-3, 1.0, 250.0, 1e6][(r & 3) as usize];
+            for n in [f64::from_bits(bits), scaled] {
+                if !n.is_finite() {
+                    continue;
+                }
+                out.clear();
+                write_num(&mut out, n);
+                let back = Reader::read(&out, Reader::f64).map(|n| n.map(f64::to_bits));
+                if out != n.to_string() || back != Ok(Some(n.to_bits())) {
+                    panic!(
+                        "QRS_TEST_SEED={seed} draw {draw}: {n:?} (bits {:#018x}) written {out}, read back {back:?}",
+                        n.to_bits()
+                    );
+                }
             }
         }
     }
@@ -1154,27 +1149,14 @@ mod tests {
         assert!(same, "{}: {text:?} read as {read:?}", context());
     }
 
-    /// The reader's number path against `str::parse`: every number
-    /// `write_num` writes reads back to its own bits, and random digit
-    /// strings — 15- to 20-digit mantissas among them, fractions of every
-    /// length, leading zeros, exponents and `-0` — read as `str::parse`
-    /// reads them, refusals included. `QRS_TEST_SEED` picks the draws and
-    /// `QRS_FUZZ_ITERS` scales them: 1 000 draws an iteration, 48
-    /// iterations unset. CI runs 10^7 draws a seed in release.
+    /// The reader's number path against `str::parse` over random digit
+    /// strings ([`sweep`]) — 15- to 23-digit mantissas among them,
+    /// fractions of every length, leading zeros, exponents and `-0` — read
+    /// as `str::parse` reads them, refusals included. What `write_num`
+    /// writes is read back in `write_num_is_display_over_random_bits`.
     #[test]
     fn numbers_read_as_str_parse_reads_them() {
-        let env = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok());
-        let seed = env("QRS_TEST_SEED").unwrap_or(0);
-        let draws = 1000 * env("QRS_FUZZ_ITERS").unwrap_or(48);
-        // SplitMix64.
-        let mut state = seed ^ 0x2F6E_A1D4_5B38_C907;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let (seed, draws, mut next) = sweep(0x2F6E_A1D4_5B38_C907);
         // Past 19 digits the digits wrap a `u64`: 2^64 + 1 wraps to 1.
         let corners = [
             "0", "-0", "-0.0", "0.", "-", "-.", "-.5", "1e", "1e+", "-e5", "00.5e-0",
@@ -1183,33 +1165,10 @@ mod tests {
         for text in corners.into_iter().chain(wraps) {
             read_as_str_parse(text, || "corner".into());
         }
-        let (mut written, mut token) = (String::new(), String::new());
+        let mut token = String::new();
         for draw in 0..draws {
             let context = || format!("QRS_TEST_SEED={seed} draw {draw}");
-            // What `write_num` writes: uniform bits, a mantissa of few
-            // significant bits at a random exponent, or a uniform draw from
-            // `[0, 1)` scaled as a site's values and scores are.
-            let r = next();
-            let n = match draw % 3 {
-                0 => f64::from_bits(r),
-                1 => {
-                    f64::from_bits((r & (0xfff << 52)) | (((r | 1) << (r >> 58)) & ((1 << 52) - 1)))
-                }
-                _ => {
-                    (r >> 11) as f64 / (1u64 << 53) as f64
-                        * [1e-3, 1.0, 250.0, 1e6][(r & 3) as usize]
-                }
-            };
-            let bits = n.to_bits();
-            if n.is_finite() {
-                written.clear();
-                write_num(&mut written, n);
-                read_as_str_parse(&written, context);
-                let back = Reader::read(&written, Reader::f64).map(|n| n.map(f64::to_bits));
-                assert_eq!(back, Ok(Some(bits)), "{}: {written}", context());
-            }
-            // A random token: a sign, then digits split around a point,
-            // then an exponent.
+            // A sign, then digits split around a point, then an exponent.
             let r = next();
             let digits = [1, 2, 3, 7, 15, 16, 17, 18, 19, 20, 23, 0][(r % 12) as usize];
             let negative = r >> 8 & 1 == 1;
