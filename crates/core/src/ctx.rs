@@ -10,12 +10,34 @@
 //! where a top-k query is either answered from them — read off the
 //! history's rows — or paid for. Every paid query is counted under the
 //! [`Purpose`] its caller names.
+//!
+//! **Data change.** The state outlives a change to the site's data: a
+//! service that reads the site's mutation feed patches it with
+//! [`SharedState::apply`] instead of starting again. The state's
+//! invariant, which every exact answer it gives rests on, is that history
+//! holds only live tuples, each with the site's current values, and that
+//! every live tuple a complete region matches is in history. The patch
+//! keeps it. Before a run of deltas, history holds every live tuple each
+//! region matches; the patch removes each deleted tuple, records each
+//! inserted one, and removes then records each updated one. So history
+//! ends holding the live tuples it held before, at their new values, plus
+//! every tuple the feed added. A tuple a region matches afterwards was
+//! either live before and untouched (in history before, still there),
+//! or touched by the feed (recorded as its last delta left it), so every
+//! region is still complete and stays. Deltas are applied in feed order and
+//! each leaves the id as that delta says, so a tuple history learned from
+//! an answer given between two deltas ends the same. Interrupted crawls
+//! are dropped: their pending pieces were planned against the old data.
+//! A log with a gap cannot be replayed this way, and a caller rebuilds
+//! the state empty instead.
 
 use crate::crawl::PendingCrawls;
 use crate::history::History;
 use crate::params::RerankParams;
 use qrs_server::SearchInterface;
-use qrs_types::{Query, QueryResponse, RegionIndex, RerankError, Schema};
+use qrs_types::{
+    MutationKind, MutationLog, Query, QueryResponse, RegionIndex, RerankError, Schema,
+};
 
 /// Regions [`SharedState::complete`] remembers before it forgets the
 /// oldest: dropping one only costs future queries, never correctness.
@@ -59,8 +81,9 @@ impl Purpose {
 /// History + complete-region registry + interrupted crawls + parameters.
 #[derive(Debug)]
 pub struct SharedState {
-    /// Every tuple ever observed in a server response: one row each,
-    /// indexed per ordinal attribute by sorted runs.
+    /// Every live tuple observed in a server response or reported by the
+    /// site's mutation feed, at its current values: one row each, indexed
+    /// per ordinal attribute by sorted runs.
     pub history: History,
     /// Regions proven complete (query answered without overflow, or
     /// crawled to the end): every tuple one of them matches is in
@@ -136,6 +159,27 @@ impl SharedState {
     /// transit is not either.
     pub fn paid(&self, purpose: Purpose) -> u64 {
         self.paid[purpose as usize]
+    }
+
+    /// Patch the state for the site's data changes in `log`, the feed's
+    /// deltas after the sequence number the state is exact as of, with no
+    /// gap (module docs, "Data change"): history forgets each deleted
+    /// tuple, records each inserted one, and replaces each updated one;
+    /// the complete regions stay; interrupted crawls are dropped. Costs a
+    /// binary search and a bounded move per attribute per delta.
+    pub fn apply(&mut self, log: &MutationLog) {
+        assert!(!log.gap, "a log with a gap cannot be replayed");
+        for m in &log.deltas {
+            match &m.kind {
+                MutationKind::Insert(t) => self.history.record(t),
+                MutationKind::Delete(id) => drop(self.history.remove(*id)),
+                MutationKind::Update(t) => {
+                    self.history.remove(t.id);
+                    self.history.record(t);
+                }
+            }
+        }
+        self.pending_crawls = PendingCrawls::default();
     }
 
     /// Drop the complete-region registry (emptiness proofs), keeping tuples.

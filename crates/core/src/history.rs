@@ -1,9 +1,10 @@
 //! Query-answer history (§3.1.1 "Leveraging History").
 //!
-//! Every tuple the server ever returns is retained and indexed per attribute;
-//! all algorithms consult the history before spending a query, and the
-//! sharing happens *across user queries* — the paper's point being that the
-//! more the service is used, the cheaper each rerank becomes.
+//! Every tuple the server returns is retained, until the site's mutation
+//! feed deletes or changes it, and indexed per attribute; all algorithms
+//! consult the history before spending a query, and the sharing happens
+//! *across user queries* — the paper's point being that the more the
+//! service is used, the cheaper each rerank becomes.
 //!
 //! Its companion, [`SharedState::complete`](crate::SharedState::complete),
 //! remembers queries whose answer was *complete* (valid or underflow
@@ -17,7 +18,8 @@
 //! **Layout.** A tuple is stored once, as a *row*: its `Arc<Tuple>`, its
 //! ordinal values row-major, and one [`order_key`] per value. Each ordinal
 //! attribute is indexed by `(key, id, row)` entries in `(value, id)` order,
-//! cut into sorted runs of at most 1 024 entries, so recording a tuple
+//! cut into sorted runs of at most 1 024 entries, so recording a tuple,
+//! or removing one the site deleted or changed ([`History::remove`]),
 //! costs a binary search and a bounded move per attribute however much
 //! history holds. A read compiles the query's range predicates once into
 //! inclusive key bounds ([`Interval::key_bounds`]), so a row matches by
@@ -25,8 +27,10 @@
 //! [`RankFn::score_norm`], which gives `score`'s bits by `RankFn`'s
 //! contract. A read never follows a row's `Arc` except to return it, or to
 //! test a categorical predicate. Iteration is deterministic: along an
-//! attribute in `(value, id)` order, and over every row in recording order,
-//! so two histories recorded alike answer alike, order included.
+//! attribute in `(value, id)` order, and over every row in row order —
+//! recording order, except that a removal moves the last row into the
+//! removed one's place — so two histories recorded and removed from alike
+//! answer alike, order included.
 //!
 //! Every read takes its predicates as a [`Conjunction`]: a
 //! [`Query`](qrs_types::Query)'s, or the MD search's box ANDed onto its
@@ -84,7 +88,7 @@ impl Entry {
 pub struct History {
     /// Ordinal attributes per row.
     width: usize,
-    /// Row `r`'s tuple, rows in recording order.
+    /// Row `r`'s tuple, in row order (module docs).
     tuples: Vec<Arc<Tuple>>,
     /// Row `r`'s ordinal values, `vals[r * width..][..width]`.
     vals: Vec<f64>,
@@ -128,8 +132,11 @@ impl History {
         self.rows.get(&id).map(|&r| &self.tuples[r as usize])
     }
 
-    /// Record one tuple. An id is recorded once: within one site epoch it
-    /// names one tuple, so a later tuple with a recorded id is ignored.
+    /// Record one tuple. An id is recorded once: until the site's
+    /// mutation feed says it changed, it names one tuple, so a later tuple
+    /// with a recorded id is ignored. A changed tuple is
+    /// [`removed`](Self::remove) and recorded again
+    /// ([`SharedState::apply`](crate::SharedState::apply)).
     pub fn record(&mut self, t: &Arc<Tuple>) {
         // Fits: every row holds a distinct `u32` id, this one new.
         let row = self.tuples.len() as u32;
@@ -146,6 +153,39 @@ impl History {
             let id = t.id;
             insert(runs, Entry { key, id, row });
         }
+    }
+
+    /// Forget the tuple with this id, and return it; `None` when it was
+    /// never recorded. Its entry leaves each attribute's runs (a run it
+    /// empties goes with it) and the last row moves into its row, so every
+    /// row stays a live tuple and no read tests one for liveness. Costs a
+    /// binary search and a bounded move per attribute, twice: once for the
+    /// removed row's entries, once to re-point the moved row's. The moved
+    /// row takes the removed one's place in row order, the order a read
+    /// with no range predicate walks (module docs).
+    pub fn remove(&mut self, id: TupleId) -> Option<Arc<Tuple>> {
+        let row = self.rows.remove(&id)?;
+        let (w, r, last) = (self.width, row as usize, self.tuples.len() - 1);
+        for (a, runs) in self.by_attr.iter_mut().enumerate() {
+            let (i, j) = locate(runs, (self.keys[r * w + a], id));
+            runs[i].remove(j);
+            if runs[i].is_empty() {
+                runs.remove(i);
+            }
+        }
+        if r != last {
+            let moved = self.tuples[last].id;
+            for (a, runs) in self.by_attr.iter_mut().enumerate() {
+                let (i, j) = locate(runs, (self.keys[last * w + a], moved));
+                runs[i][j].row = row;
+            }
+            self.rows.insert(moved, row);
+            self.vals.copy_within(last * w..(last + 1) * w, r * w);
+            self.keys.copy_within(last * w..(last + 1) * w, r * w);
+        }
+        self.vals.truncate(last * w);
+        self.keys.truncate(last * w);
+        Some(self.tuples.swap_remove(r))
     }
 
     /// Record every tuple of a response.
@@ -253,8 +293,8 @@ impl History {
     }
 
     /// The observed tuples matching `q`: along its tightest range
-    /// predicate's attribute in `(value, id)` order, or every row in
-    /// recording order when it has none.
+    /// predicate's attribute in `(value, id)` order, or every row in row
+    /// order (module docs) when it has none.
     pub fn candidates<'a>(
         &'a self,
         q: impl Into<Conjunction<'a>>,
@@ -337,6 +377,17 @@ fn insert(runs: &mut Vec<Vec<Entry>>, e: Entry) {
     }
     let run = &mut runs[i];
     run.insert(run.partition_point(|x| x.at() < e.at()), e);
+}
+
+/// The run and the index within it of the entry at `at`, which the runs
+/// hold.
+fn locate(runs: &[Vec<Entry>], at: (u64, TupleId)) -> (usize, usize) {
+    let i = runs.partition_point(|r| r[0].at() <= at) - 1;
+    let j = runs[i].binary_search_by(|e| e.at().cmp(&at));
+    (
+        i,
+        j.expect("a recorded row has an entry on every attribute"),
+    )
 }
 
 /// A ranking's attributes and directions, read once per walk.
@@ -860,6 +911,18 @@ mod tests {
             }
         }
 
+        /// Forget a recorded tuple: the last tuple takes its place in
+        /// recording order, the history's row-order rule.
+        fn remove(&mut self, id: TupleId) {
+            if self.ids.remove(&id) {
+                let at = self.tuples.iter().position(|t| t.id == id);
+                let t = self.tuples.swap_remove(at.expect("recorded"));
+                for (i, idx) in self.by_attr.iter_mut().enumerate() {
+                    idx.remove(&(OrdF64(t.ord(AttrId(i))), id));
+                }
+            }
+        }
+
         fn span(&self, attr: AttrId, iv: Interval) -> Vec<&Arc<Tuple>> {
             use std::ops::Bound;
             if iv.is_empty() {
@@ -993,8 +1056,11 @@ mod tests {
     /// zeros, both NaN signs, both infinities and subnormals: `candidates`
     /// of one range predicate, `first_norm_in` both ways, `holds_more_than`,
     /// `matching`, `candidates` (matches and order) and `history_best`,
-    /// tuple and score bits. `QRS_TEST_SEED` picks the schedules,
-    /// `QRS_FUZZ_ITERS` how many.
+    /// tuple and score bits. The schedules also remove tuples, record
+    /// removed ids again under new values (a site's update), and remove
+    /// the lower part of one attribute's order at once, which empties whole
+    /// runs (or all of history), against a reference that removes too.
+    /// `QRS_TEST_SEED` picks the schedules, `QRS_FUZZ_ITERS` how many.
     #[test]
     fn history_reads_match_the_btreemap_reference() {
         use crate::md::top1::{history_best, BoxReader};
@@ -1013,6 +1079,7 @@ mod tests {
             .chain([f64::NEG_INFINITY, sub, -sub, f64::MIN_POSITIVE / 4.0]);
         let specials: Vec<f64> = specials.collect();
         let (mut multi_run, mut found, mut best_found, mut checked) = (0, 0, 0, 0);
+        let mut emptied = 0;
         for schedule in 0..env("QRS_FUZZ_ITERS", 12) {
             let mut rng = StdRng::seed_from_u64(seed.wrapping_add(schedule));
             // Ten attributes compile more ranges, and score more
@@ -1076,27 +1143,70 @@ mod tests {
                 0 => rng.random_range(1..300usize),
                 _ => rng.random_range(1100..3000usize),
             };
-            let mut recorded: Vec<Arc<Tuple>> = Vec::new();
+            // Steps in twenty that remove a live tuple, half of them
+            // recording it again under new values (an update).
+            let churn = [0, 1, 3][rng.random_range(0..3usize)];
+            // Every long schedule, and every other short one, removes at
+            // three quarters the lower three quarters of one attribute's
+            // order (or, one time in four, everything): whole runs go.
+            let purge = (records > 1000 || rng.random::<bool>()).then(|| {
+                let share = [3, 3, 3, 4][rng.random_range(0..4usize)];
+                (records * 3 / 4, AttrId(rng.random_range(0..width)), share)
+            });
+            let (mut live, mut cut): (Vec<Arc<Tuple>>, _) = (Vec::new(), false);
             let checkpoints = [records / 7, records / 2, records];
             let mut next = 0;
             for i in 1..=records {
-                let t = match rng.random_range(0..20u32) {
-                    0 if !recorded.is_empty() => {
-                        Arc::clone(&recorded[rng.random_range(0..recorded.len())])
+                let mut remove = |st: &mut SharedState, reference: &mut Reference, id| {
+                    let runs = |h: &History| h.by_attr.iter().map(Vec::len).sum::<usize>();
+                    let before = runs(&st.history);
+                    let gone = st.history.remove(id).map(|t| t.id);
+                    assert_eq!(gone, Some(id), "schedule {schedule}: removed a live id");
+                    emptied += usize::from(runs(&st.history) < before);
+                    reference.remove(id);
+                };
+                if let Some((_, attr, share)) = purge.filter(|p| p.0 == i) {
+                    let mut order: Vec<_> =
+                        live.iter().map(|t| (OrdF64(t.ord(attr)), t.id)).collect();
+                    order.sort();
+                    for &(_, id) in &order[..order.len() * share / 4] {
+                        remove(&mut st, &mut reference, id);
+                    }
+                    live.retain(|t| st.history.contains(t.id));
+                }
+                let step = rng.random_range(0..20u32);
+                let t = match step {
+                    _ if step < churn && !live.is_empty() => {
+                        let gone = live.swap_remove(rng.random_range(0..live.len()));
+                        remove(&mut st, &mut reference, gone.id);
+                        let vals = (0..width).map(|_| value(&mut rng)).collect();
+                        let t = Tuple::new(gone.id, vals, gone.cats().to_vec());
+                        (step % 2 == 0).then(|| Arc::new(t))
+                    }
+                    // Recorded already: nothing changes.
+                    19 if !live.is_empty() => {
+                        Some(Arc::clone(&live[rng.random_range(0..live.len())]))
                     }
                     _ => {
                         let id = TupleId(rng.random_range(0..1u32 << 20));
                         let vals = (0..width).map(|_| value(&mut rng)).collect();
                         let t = Arc::new(Tuple::new(id, vals, vec![rng.random_range(0..4u32)]));
-                        match reference.ids.contains(&id) {
-                            true => continue, // one id, one tuple
-                            false => t,
-                        }
+                        // One id, one tuple.
+                        (!reference.ids.contains(&id)).then_some(t)
                     }
                 };
-                st.history.record(&t);
-                reference.record(&t);
-                recorded.push(t);
+                if let Some(t) = t {
+                    let fresh = !st.history.contains(t.id);
+                    st.history.record(&t);
+                    reference.record(&t);
+                    if fresh {
+                        live.push(t);
+                    }
+                }
+                assert!(
+                    st.history.remove(TupleId(1 << 20)).is_none(),
+                    "never recorded"
+                );
                 if i < checkpoints[next] {
                     continue;
                 }
@@ -1104,14 +1214,14 @@ mod tests {
                 let h = &st.history;
                 assert_eq!(h.len(), reference.tuples.len());
                 let runs = h.by_attr.iter().map(Vec::len).max();
-                multi_run += usize::from(i == records && runs > Some(1));
-                let log = format!("schedule {schedule} at {i} records");
+                cut |= runs > Some(1);
+                let log = format!("schedule {schedule} at step {i}");
                 for _ in 0..24 {
                     let attr = AttrId(rng.random_range(0..width));
                     let iv = interval(&mut rng);
                     // One range predicate: its span of the index, in
-                    // `(value, id)` order (every row, recording order, when
-                    // it admits everything).
+                    // `(value, id)` order (every row, in row order, when it
+                    // admits everything).
                     let one = Query::all().and_range(attr, iv);
                     let got: Vec<TupleId> = h.candidates(&one).map(|t| t.id).collect();
                     assert_eq!(got, reference.candidates(&one), "{log}: {iv}");
@@ -1185,11 +1295,16 @@ mod tests {
                     best_found += usize::from(want.is_some());
                 }
             }
+            multi_run += usize::from(cut);
         }
         let schedules = env("QRS_FUZZ_ITERS", 12) as usize;
         assert!(
             multi_run * 3 >= schedules,
-            "vacuous: {multi_run} of {schedules} schedules cut an index into runs"
+            "vacuous: {multi_run} of {schedules} schedules read an index cut into runs"
+        );
+        assert!(
+            emptied * 12 >= schedules,
+            "vacuous: {emptied} removals emptied a run in {schedules} schedules"
         );
         assert!(
             found * 5 >= checked,

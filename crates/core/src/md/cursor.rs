@@ -153,8 +153,10 @@ impl Subspace {
 
     /// The best tuple history holds in `bbox ∧ sel` now. A read is reused
     /// while history holds no tuple it did not hold then, and lives no
-    /// longer than its call (`MdCursor::next` drops every read first);
-    /// debug builds check that a reused read is what history holds.
+    /// longer than its call (`MdCursor::next` drops every read first), in
+    /// which history only grows, so its length tells: removals come only
+    /// from `SharedState::apply`, between calls. Debug builds check that a
+    /// reused read is what history holds.
     fn history_best(&mut self, st: &SharedState, rd: &mut BoxReader) -> Best {
         let key = |b: &Best| b.as_ref().map(|(t, s)| (t.id, s.to_bits()));
         let len = st.history.len();

@@ -196,13 +196,15 @@ impl Json {
 /// straight from the integer; anything else goes through the
 /// shortest-digit kernel. `-0.0` is `-0`.
 pub(crate) fn write_num(out: &mut String, n: f64) {
+    let a = n.abs();
     if !n.is_finite() {
         out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() < EXACT && !(n == 0.0 && n.is_sign_negative()) {
+    } else if a < EXACT && (a as u64) as f64 == a && !(n == 0.0 && n.is_sign_negative()) {
+        // Whole by the round trip `exact_u64` tests, with no `trunc` call.
         if n < 0.0 {
             out.push('-');
         }
-        write_digits(out, n.abs() as u64);
+        write_digits(out, a as u64);
     } else {
         shortest::write_shortest(out, n);
     }

@@ -86,8 +86,11 @@ impl KnowledgePlane {
         self.shards.read().get(source).cloned()
     }
 
-    /// Bump `source`'s epoch, invalidating all knowledge recorded about it.
-    /// A no-op (returning `None`) when the source has no shard yet.
+    /// Bump `source`'s epoch, invalidating all knowledge recorded about it,
+    /// as a manual bump ([`SourceShard::invalidations`]): every service
+    /// attached to the source starts its own shared state again at its
+    /// next session. A no-op (returning `None`) when the source has no
+    /// shard yet.
     pub fn invalidate(&self, source: &str) -> Option<u64> {
         self.get(source).map(|s| s.invalidate())
     }

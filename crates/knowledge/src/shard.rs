@@ -16,6 +16,13 @@
 //! under the new epoch (or [`SourceShard::purge_stale`]) clears the dead
 //! epoch wholesale, so the shard never holds more than one epoch's worth.
 //!
+//! The epoch moves for two reasons, and the shard tells them apart: a
+//! feed advance ([`SourceShard::observe_watermark`]) moves the watermark
+//! with it, while a manual [`SourceShard::invalidate`] (the site changed
+//! and has no feed to say how) also counts itself in
+//! [`SourceShard::invalidations`]. A service patches its own state from
+//! the feed after the first, and must start it again after the second.
+//!
 //! The shard also keeps a map of exact top-`k` responses
 //! ([`SourceShard::record_response`] / [`SourceShard::lookup_response`])
 //! under the same epoch. No request path reads or writes it; it is kept
@@ -87,6 +94,8 @@ pub struct SourceShard {
     /// Advancing it bumps the epoch — data change invalidates knowledge
     /// automatically, no manual `invalidate` call required.
     watermark: AtomicU64,
+    /// Manual [`SourceShard::invalidate`] calls so far.
+    invalidations: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     result_hits: AtomicU64,
@@ -107,10 +116,26 @@ impl SourceShard {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Bump the epoch, atomically invalidating every entry recorded so far.
-    /// O(1): lookups miss from now on, and the next write reclaims the lot.
-    /// Kept for the benchmark, which times it.
+    /// Bump the epoch, atomically invalidating every entry recorded so far,
+    /// and count the call in [`SourceShard::invalidations`]: the source
+    /// changed in a way its feed did not report. O(1): lookups miss from
+    /// now on, and the next write reclaims the lot. Returns the new epoch.
     pub fn invalidate(&self) -> u64 {
+        self.invalidations.fetch_add(1, Ordering::AcqRel);
+        self.bump()
+    }
+
+    /// Manual [`SourceShard::invalidate`] calls so far; a feed advance
+    /// bumps the epoch without moving this count. A consumer that patches
+    /// derived state from the feed rebuilds it when this count moves past
+    /// the one it derived under.
+    #[inline]
+    pub fn invalidations(&self) -> u64 {
+        self.invalidations.load(Ordering::Acquire)
+    }
+
+    /// Bump the epoch; returns the new one.
+    fn bump(&self) -> u64 {
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
@@ -165,7 +190,7 @@ impl SourceShard {
             })
             .is_ok();
         if advanced {
-            self.invalidate();
+            self.bump();
         }
         advanced
     }
@@ -385,6 +410,11 @@ mod tests {
         assert!(s.lookup_response(&key, &q, 2).is_none());
         let st = s.stats();
         assert_eq!(st.watermark, 3);
+        assert_eq!(s.invalidations(), 0, "a feed advance is not a manual bump");
+        s.invalidate();
+        assert_eq!((s.epoch(), s.invalidations()), (2, 1));
+        s.observe_watermark(4);
+        assert_eq!((s.epoch(), s.invalidations()), (3, 1));
 
         // Many threads racing the same advance bump the epoch exactly once.
         let s = std::sync::Arc::new(SourceShard::new());

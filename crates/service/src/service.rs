@@ -125,12 +125,14 @@ pub struct RerankService {
     /// The observability plane (disabled by default: one branch per
     /// emission site, nothing constructed).
     obs: ObsHandle,
-    /// The staleness stamp the shared state was built against: the
-    /// knowledge shard's epoch with a plane attached, else the server's
-    /// mutation sequence number. When the stamp moves past it, the history
-    /// and complete regions describe an older snapshot and are rebuilt
-    /// empty at the next open.
-    state_watermark: AtomicU64,
+    /// The feed sequence number the shared state is exact as of: the
+    /// next open patches it with the deltas after this one
+    /// ([`RerankService::sync_state`]). Written under the state lock.
+    state_seq: AtomicU64,
+    /// The knowledge shard's manual invalidations the shared state was
+    /// built after ([`SourceShard::invalidations`]); 0 without a plane.
+    /// Written under the state lock.
+    state_invalidations: AtomicU64,
 }
 
 impl RerankService {
@@ -139,7 +141,7 @@ impl RerankService {
     pub fn new(server: Arc<dyn SearchInterface>, n_estimate: usize) -> Self {
         let params = RerankParams::paper_defaults(n_estimate, server.k());
         let state = SharedState::new(server.schema(), params);
-        let state_watermark = AtomicU64::new(server.mutation_seq());
+        let state_seq = AtomicU64::new(server.mutation_seq());
         RerankService {
             server,
             params,
@@ -150,37 +152,59 @@ impl RerankService {
             clock: Arc::new(SystemClock::new()),
             kplane: None,
             obs: ObsHandle::disabled(),
-            state_watermark,
+            state_seq,
+            state_invalidations: AtomicU64::new(0),
         }
     }
 
-    /// Rebuild the shared state empty if the site changed since it was
-    /// built: the history tuples and completeness proofs both describe
-    /// the older snapshot, and an algorithm trusting them
-    /// after a delete would emit vanished tuples. This is the one place
-    /// the mutation feed is read, once per [`SessionBuilder::open`]. With a
-    /// plane attached the reading goes to the shard first — a feed
-    /// advance bumps its epoch — and the shard's epoch is the staleness
-    /// stamp, so a manual [`KnowledgePlane::invalidate`] on a feed-less
-    /// site forgets here too; otherwise the stamp is the server's mutation
-    /// sequence number (0 forever on a feed-less site). Stamps only ever
-    /// advance the state: a reading that goes backwards (an HTTP adapter's
-    /// transport fault) is ignored.
+    /// Bring the shared state up to date with the site before a session
+    /// trusts it: history and completeness proofs that describe an older
+    /// snapshot would make an algorithm emit a vanished tuple after a
+    /// delete. This is the one place the mutation feed is read, once per
+    /// [`SessionBuilder::open`]. With a plane attached the sequence number
+    /// goes to the shard first, so a feed advance drops its sealed streams.
+    ///
+    /// When the sequence number has moved past the one the state is exact
+    /// as of, the deltas since are read once, under the state lock, and
+    /// patched in ([`SharedState::apply`]): the history and complete
+    /// regions learned before the change stay. The state is rebuilt empty
+    /// instead when the deltas cannot say what changed: the log has a gap,
+    /// the feed read fails or is unsupported, or the source was invalidated
+    /// by hand ([`KnowledgePlane::invalidate`], which the shard counts apart
+    /// from feed advances, so it reaches this state on a feed-less site
+    /// too). A reading that goes backwards (an HTTP adapter's transport
+    /// fault) is ignored.
     pub(crate) fn sync_state(&self) {
         let seq = self.server.mutation_seq();
-        let stamp = match self.knowledge_shard() {
-            Some(shard) => {
-                shard.observe_watermark(seq);
-                shard.epoch()
+        let invalidations = self.knowledge_shard().map_or(0, |shard| {
+            shard.observe_watermark(seq);
+            shard.invalidations()
+        });
+        let (since, built) = (&self.state_seq, &self.state_invalidations);
+        let stale =
+            || seq > since.load(Ordering::Acquire) || invalidations > built.load(Ordering::Acquire);
+        if !stale() {
+            return;
+        }
+        let mut st = self.state.lock();
+        // Re-check under the lock: a racing open may have caught up.
+        if !stale() {
+            return;
+        }
+        let from = since.load(Ordering::Acquire);
+        let log = (invalidations == built.load(Ordering::Acquire))
+            .then(|| self.server.mutations_since(from).ok())
+            .flatten()
+            .filter(|log| !log.gap);
+        match log {
+            Some(log) => {
+                st.apply(&log);
+                since.store(log.max_seq().unwrap_or(from), Ordering::Release);
             }
-            None => seq,
-        };
-        if stamp > self.state_watermark.load(Ordering::Acquire) {
-            let mut st = self.state.lock();
-            // Re-check under the lock: a racing open may have rebuilt.
-            if stamp > self.state_watermark.load(Ordering::Acquire) {
+            None => {
                 *st = SharedState::new(self.server.schema(), self.params);
-                self.state_watermark.store(stamp, Ordering::Release);
+                since.store(seq, Ordering::Release);
+                built.store(invalidations, Ordering::Release);
             }
         }
     }
@@ -200,7 +224,9 @@ impl RerankService {
     /// [`Capability::MutationFeed`] handle it automatically: every session
     /// open reads the feed's sequence number, and the shard's epoch bumps
     /// the moment the watermark advances — no manual call, and sealed
-    /// result streams are never replayed across a data change. For servers
+    /// result streams are never replayed across a data change — while this
+    /// service patches its shared state from the feed's deltas and keeps
+    /// what it learned ([`SharedState::apply`]). For servers
     /// *without* a feed the old contract stands: when the underlying site
     /// is known to have changed, call [`KnowledgePlane::invalidate`] for the
     /// source (one atomic epoch bump) and every cached stream is re-earned
@@ -208,8 +234,8 @@ impl RerankService {
     /// from an empty history.
     pub fn with_knowledge(mut self, plane: Arc<KnowledgePlane>, source: impl Into<String>) -> Self {
         let shard = plane.shard(&source.into());
-        // From here on the shard's epoch is the staleness stamp.
-        self.state_watermark = AtomicU64::new(shard.epoch());
+        // Invalidations before this service joined say nothing of its state.
+        self.state_invalidations = AtomicU64::new(shard.invalidations());
         self.kplane = Some(KnowledgeHandle { plane, shard });
         self
     }
@@ -370,7 +396,15 @@ impl RerankService {
     /// Size of the shared knowledge accumulated so far: the tuples in
     /// history.
     pub fn knowledge(&self) -> usize {
-        self.state.lock().history.len()
+        self.with_state(|st| st.history.len())
+    }
+
+    /// Read the shared state under its lock: the history and complete
+    /// regions as the last session left them, or as the last open patched
+    /// them. For diagnostics and tests; every session of this service
+    /// waits while `read` runs.
+    pub fn with_state<R>(&self, read: impl FnOnce(&SharedState) -> R) -> R {
+        read(&self.state.lock())
     }
 }
 
@@ -650,7 +684,8 @@ impl<'a> SessionBuilder<'a> {
     ///   have; nothing was sent or charged.
     pub fn open(mut self) -> Result<Session<'a>, RerankError> {
         // Catch up with the site before anything trusts cached knowledge:
-        // a stale shared state is rebuilt empty here, and the shard has
+        // a stale shared state is patched from the feed here (or rebuilt
+        // empty when the feed cannot say what changed), and the shard has
         // observed the feed first, so the result-stream lookup below
         // rejects anything recorded against an older snapshot.
         self.svc.sync_state();
