@@ -194,7 +194,7 @@ fn run_cell(p: &Params, profile: &SiteProfile, n: usize, w: &Workload, seed: u64
                 profile: profile.name,
                 n,
                 workload: w.name,
-                candidate: c.name.clone(),
+                candidate: c.name.to_string(),
                 chosen: i == 0,
                 predicted_cost: c.estimate.cost_units,
                 predicted_queries: c.estimate.queries,

@@ -81,6 +81,11 @@ pub enum StrategyStep {
 
 /// Planner-time context for [`RerankStrategy::estimate`]: everything known
 /// about the site and the request before any query is spent.
+///
+/// The planner builds one per plan and prices every candidate in it: it
+/// holds the user's selection, and a candidate that relaxes a predicate
+/// has its own relaxed query swapped into `server_query` while it is
+/// priced. An estimate reads the context and keeps nothing of it.
 #[derive(Debug, Clone)]
 pub struct PlanContext {
     /// The site model the server advertised (including its [`CostModel`]).
@@ -93,8 +98,9 @@ pub struct PlanContext {
     pub n_estimate: usize,
     /// How many tuples the caller expects to pull (the `h` of top-`h`).
     pub horizon: usize,
-    /// The selection as it will be sent to the server (inexpressible
-    /// predicates already relaxed away by the planner).
+    /// The selection as it will be sent to the server by the strategy
+    /// being priced (inexpressible predicates already relaxed away by the
+    /// planner).
     pub server_query: Query,
     /// Attributes of the user ranking function, in rank order.
     pub rank_attrs: Vec<AttrId>,

@@ -39,10 +39,15 @@ use std::sync::Arc;
 /// emission order; `exhausted` records that the stream ended after
 /// `items.len()` emissions (so a replay can report exhaustion without
 /// re-running the strategy).
+///
+/// The stream sits behind an `Arc`, so what [`SourceShard::lookup_result`]
+/// hands out is a snapshot that copies no tuple: the shard and the readers
+/// share one `Vec` until the shard next extends a stream some reader
+/// still holds, which copies it once, for the shard (copy on write).
 #[derive(Debug, Clone, Default)]
 pub struct ResultEntry {
     /// Emitted tuples with the bit pattern of their score, in order.
-    pub items: Vec<(Arc<Tuple>, u64)>,
+    pub items: Arc<Vec<(Arc<Tuple>, u64)>>,
     /// The stream is known to end after `items.len()` tuples.
     pub exhausted: bool,
     /// Queries the sealing run paid end to end — what a session replaying
@@ -235,7 +240,8 @@ impl SourceShard {
     }
 
     /// Look up a cached exact result stream recorded under the current
-    /// epoch. Returns a clone (tuples are `Arc`-shared, so this is cheap).
+    /// epoch. Returns a snapshot of the entry: the stream itself is shared,
+    /// not copied.
     pub fn lookup_result(&self, key: &ResultKey) -> Option<ResultEntry> {
         let inner = self.live()?;
         let e = inner.results.get(key)?;
@@ -270,7 +276,7 @@ impl SourceShard {
         let e = inner.results.entry(key.clone()).or_default();
         let held = e.items.iter().any(|(t, _)| t.id == tuple.id);
         if !e.exhausted && e.items.len() == index && !held {
-            e.items.push((tuple, score_bits));
+            Arc::make_mut(&mut e.items).push((tuple, score_bits));
         }
     }
 

@@ -78,7 +78,7 @@ impl RankFn for ChebyshevRank {
 
     /// Full-bit weights and ideal point — the label carries neither.
     fn fingerprint(&self) -> String {
-        let params: Vec<f64> = self.weights.iter().chain(&self.ideal).copied().collect();
+        let params: [&[f64]; 2] = [&self.weights, &self.ideal];
         crate::rankfn::fingerprint_with_params("chebyshev", &self.attrs, &self.dirs, &params)
     }
 }

@@ -7,7 +7,7 @@
 //! "summation of depth and table percent" (unit weights) and any
 //! `maximize`/`minimize` single attribute (one weight).
 
-use crate::rankfn::{diagonal_point, normalized, snap_to_contour, RankFn};
+use crate::rankfn::{canonical_nan, diagonal_point, normalized, snap_to_contour, RankFn};
 use qrs_types::{AttrId, Direction, Tuple};
 
 /// `S(u) = Σ wᵢ·uᵢ` in normalized space, `wᵢ > 0`.
@@ -156,7 +156,7 @@ impl RankFn for LinearRank {
     /// Full-bit weights — the display label rounds to two decimals, which
     /// would alias nearby weight vectors.
     fn fingerprint(&self) -> String {
-        crate::rankfn::fingerprint_with_params("linear", &self.attrs, &self.dirs, &self.weights)
+        crate::rankfn::fingerprint_with_params("linear", &self.attrs, &self.dirs, &[&self.weights])
     }
 
     /// Closed-form `ℓ`, made exact: `ell_linear` over this function's
@@ -205,10 +205,11 @@ pub(crate) fn ell_linear(
     })
 }
 
-/// `Σ wᵢ·uᵢ`, the one summation order every linear score and solver uses.
+/// `Σ wᵢ·uᵢ`, the one summation order every linear score and solver uses,
+/// with one NaN for every NaN sum ([`canonical_nan`]).
 #[inline]
 pub(crate) fn dot(weights: &[f64], u: impl IntoIterator<Item = f64>) -> f64 {
-    weights.iter().zip(u).map(|(w, v)| w * v).sum()
+    canonical_nan(weights.iter().zip(u).map(|(w, v)| w * v).sum())
 }
 
 #[cfg(test)]

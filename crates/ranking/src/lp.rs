@@ -7,7 +7,7 @@
 //! a stress test that the default bisection machinery is sufficient for
 //! non-linear monotone functions.
 
-use crate::rankfn::{normalized, RankFn};
+use crate::rankfn::{canonical_nan, normalized, RankFn};
 use qrs_types::{AttrId, Direction, Tuple};
 
 /// `S(u) = Σ wᵢ·max(0, uᵢ - idealᵢ)^p`.
@@ -55,10 +55,12 @@ impl LpRank {
     /// `Σ wᵢ·max(uᵢ − idealᵢ, 0)^p` over normalized coordinates, for
     /// `score` and `score_norm` alike.
     fn eval(&self, u: impl Iterator<Item = f64>) -> f64 {
-        u.zip(&self.ideal)
-            .zip(&self.weights)
-            .map(|((v, &i), &w)| w * (v - i).max(0.0).powf(self.p))
-            .sum()
+        let terms = u.zip(&self.ideal).zip(&self.weights);
+        canonical_nan(
+            terms
+                .map(|((v, &i), &w)| w * (v - i).max(0.0).powf(self.p))
+                .sum(),
+        )
     }
 }
 
@@ -85,10 +87,7 @@ impl RankFn for LpRank {
 
     /// Full-bit `p`, weights and ideal point — the label carries only `p`.
     fn fingerprint(&self) -> String {
-        let params: Vec<f64> = std::iter::once(self.p)
-            .chain(self.weights.iter().copied())
-            .chain(self.ideal.iter().copied())
-            .collect();
+        let params: [&[f64]; 3] = [&[self.p], &self.weights, &self.ideal];
         crate::rankfn::fingerprint_with_params("lp", &self.attrs, &self.dirs, &params)
     }
 }

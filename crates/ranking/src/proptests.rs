@@ -349,3 +349,107 @@ fn score_is_score_norm_of_norm_coords_bit_for_bit() {
         "vacuous: {inside} cuts inside the edge"
     );
 }
+
+/// A float drawn by its bits, of random sign: one time in six each a zero,
+/// a NaN with a random payload, an infinity and a subnormal; otherwise any
+/// bit pattern.
+fn any_bits(rng: &mut StdRng) -> f64 {
+    let sign = rng.random::<u64>() & 1 << 63;
+    let mantissa = rng.random::<u64>() & ((1 << 52) - 1);
+    let bits = match rng.random_range(0..6u32) {
+        0 => 0,
+        1 => 0x7ff0_0000_0000_0000 | mantissa.max(1),
+        2 => 0x7ff0_0000_0000_0000,
+        3 => mantissa.max(1),
+        _ => rng.random::<u64>(),
+    };
+    f64::from_bits(sign | bits)
+}
+
+/// A weight the families accept: finite and above zero, subnormals and
+/// the largest doubles included (one time in 32: `LinearRank`'s label
+/// prints a weight's integer digits, all 309 of the largest).
+fn any_weight(rng: &mut StdRng) -> f64 {
+    let bits = match rng.random_range(0..32u32) {
+        0 => rng.random_range(1..0x7ff0_0000_0000_0000u64),
+        _ => rng.random_range(1..0x43f0_0000_0000_0000u64),
+    };
+    f64::from_bits(bits)
+}
+
+/// The built-in fingerprints are the bytes the `format!`-based renderer
+/// they replaced wrote, over 10^5 seeded draws of `m` distinct attribute
+/// ids (small and up to `usize::MAX`), directions, weights of any finite
+/// positive bit pattern, ideal points of any bit pattern (both zeros,
+/// NaN payloads, infinities, subnormals) and exponents from 1 to infinity.
+/// `QRS_TEST_SEED` picks the draws.
+#[test]
+fn fingerprints_are_what_format_wrote() {
+    use crate::{ChebyshevRank, RatioRank};
+    fn reference(family: &str, attrs: &[AttrId], dirs: &[Direction], params: &[f64]) -> String {
+        let mut out = format!("{family}|");
+        for (a, d) in attrs.iter().zip(dirs) {
+            out.push_str(&a.0.to_string());
+            out.push(if *d == Direction::Asc { 'a' } else { 'd' });
+        }
+        out.push('|');
+        for p in params {
+            out.push_str(&format!("{:016x};", p.to_bits()));
+        }
+        out
+    }
+    let seed = std::env::var("QRS_TEST_SEED").ok();
+    let seed = seed.and_then(|s| s.parse::<u64>().ok()).unwrap_or(0);
+    let mut rng = StdRng::seed_from_u64(0xF1A6 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    for _ in 0..100_000 {
+        let m = rng.random_range(1..5usize);
+        let mut attrs: Vec<AttrId> = Vec::new();
+        while attrs.len() < m {
+            let a = match rng.random_range(0..2u32) {
+                0 => AttrId(rng.random_range(0..12usize)),
+                _ => AttrId(rng.random::<u64>() as usize),
+            };
+            if !attrs.contains(&a) {
+                attrs.push(a);
+            }
+        }
+        let dirs: Vec<Direction> = (0..m)
+            .map(|_| [Direction::Asc, Direction::Desc][rng.random_range(0..2usize)])
+            .collect();
+        let weights: Vec<f64> = (0..m).map(|_| any_weight(&mut rng)).collect();
+        let ideal: Vec<f64> = (0..m).map(|_| any_bits(&mut rng)).collect();
+        let p = match rng.random_range(0..4u32) {
+            0 => f64::INFINITY,
+            _ => 1.0 + any_weight(&mut rng),
+        };
+        let terms = attrs.iter().zip(&dirs).zip(&weights);
+        let linear = LinearRank::new(terms.map(|((&a, &d), &w)| (a, d, w)).collect());
+        assert_eq!(
+            linear.fingerprint(),
+            reference("linear", &attrs, &dirs, &weights)
+        );
+        let chebyshev =
+            ChebyshevRank::new(attrs.clone(), dirs.clone(), weights.clone(), ideal.clone());
+        let params: Vec<f64> = weights.iter().chain(&ideal).copied().collect();
+        assert_eq!(
+            chebyshev.fingerprint(),
+            reference("chebyshev", &attrs, &dirs, &params)
+        );
+        let lp = LpRank::new(
+            attrs.clone(),
+            dirs.clone(),
+            weights.clone(),
+            ideal.clone(),
+            p,
+        );
+        let params: Vec<f64> = std::iter::once(p).chain(params).collect();
+        assert_eq!(lp.fingerprint(), reference("lp", &attrs, &dirs, &params));
+        if m >= 2 {
+            let ratio = RatioRank::minimize(attrs[0], attrs[1]);
+            let dirs = [Direction::Asc, Direction::Desc];
+            // The default fingerprint: label and coordinates, no parameters.
+            let want = reference(&ratio.label(), &attrs[..2], &dirs, &[]);
+            assert_eq!(Some(ratio.fingerprint().as_str()), want.strip_suffix('|'));
+        }
+    }
+}

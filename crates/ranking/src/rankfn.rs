@@ -34,6 +34,7 @@
 //! unnecessary.
 
 use crate::solvers::{partition_point_f64, partition_point_near};
+use qrs_types::digits::{push_decimal, push_hex16};
 use qrs_types::{AttrId, Direction, Tuple};
 
 /// Per-dimension bounds of the normalized search space (derived from the
@@ -91,7 +92,7 @@ pub trait RankFn: Send + Sync {
         let mut out = self.label();
         out.push('|');
         for (a, d) in self.attrs().iter().zip(self.directions()) {
-            out.push_str(&a.0.to_string());
+            push_decimal(&mut out, a.0 as u64);
             out.push(match d {
                 Direction::Asc => 'a',
                 Direction::Desc => 'd',
@@ -222,28 +223,50 @@ pub(crate) fn normalized<'a>(
     attrs.iter().zip(dirs).map(|(&a, &d)| d.normalize(t.ord(a)))
 }
 
+/// `s`, or the one quiet NaN [`f64::NAN`] when `s` is a NaN of any sign
+/// or payload. Rust leaves the sign of a NaN that arithmetic produces
+/// unspecified, so two evaluation orders of one sum can disagree on it (in
+/// release builds `score` and `score_norm` did), and `total_cmp` — which
+/// the history's keys and the sorts order scores by — puts a negative NaN
+/// below every number and a positive one above. The linear, Lp and ratio
+/// families end `score` and `score_norm` here, so a NaN score ranks in one
+/// place whichever path computed it (a Chebyshev score is never NaN: its
+/// `max` skips NaN terms).
+#[inline]
+pub(crate) fn canonical_nan(s: f64) -> f64 {
+    if s.is_nan() {
+        f64::NAN
+    } else {
+        s
+    }
+}
+
 /// Shared fingerprint renderer for the built-in families: family tag, then
 /// per-coordinate `attr`/`direction`, then every numeric parameter as its
-/// raw bit pattern (injective where `Display` rounding is not).
+/// raw bit pattern (injective where `Display` rounding is not), taken from
+/// each slice of `params` in turn. Every digit is written in place, into
+/// one `String` sized for attribute ids below 1 000.
 pub(crate) fn fingerprint_with_params(
     family: &str,
     attrs: &[AttrId],
     dirs: &[Direction],
-    params: &[f64],
+    params: &[&[f64]],
 ) -> String {
-    let mut out = String::with_capacity(family.len() + 4 * attrs.len() + 17 * params.len());
+    let count: usize = params.iter().map(|p| p.len()).sum();
+    let mut out = String::with_capacity(family.len() + 2 + 4 * attrs.len() + 17 * count);
     out.push_str(family);
     out.push('|');
     for (a, d) in attrs.iter().zip(dirs) {
-        out.push_str(&a.0.to_string());
+        push_decimal(&mut out, a.0 as u64);
         out.push(match d {
             Direction::Asc => 'a',
             Direction::Desc => 'd',
         });
     }
     out.push('|');
-    for p in params {
-        out.push_str(&format!("{:016x};", p.to_bits()));
+    for p in params.iter().flat_map(|p| p.iter()) {
+        push_hex16(&mut out, p.to_bits());
+        out.push(';');
     }
     out
 }

@@ -7,7 +7,7 @@
 //! `u = (num, -den)` the score `u₀ / (-u₁)` is monotone non-decreasing in
 //! both coordinates provided the raw domains satisfy `num ≥ 0`, `den > 0`.
 
-use crate::rankfn::{normalized, RankFn};
+use crate::rankfn::{canonical_nan, normalized, RankFn};
 use qrs_types::{AttrId, Direction, Tuple};
 
 /// `S(t) = t[num] / t[den]`, minimized. Requires `num ≥ 0` and `den > 0`
@@ -65,7 +65,7 @@ fn eval(mut u: impl Iterator<Item = f64>) -> f64 {
         // monotonicity — increasing u₁ further keeps it at +inf.
         return f64::INFINITY;
     }
-    num / den
+    canonical_nan(num / den)
 }
 
 #[cfg(test)]

@@ -32,10 +32,11 @@
 //! under the site's advertised [`qrs_types::CostModel`] (its own
 //! [`qrs_core::RerankStrategy::estimate`] heuristic, priced by the same
 //! model the server's ledger charges by) and the cheapest wins.
-//! [`Plan::candidates`] reports the full ranking; equal-cost ties keep the
-//! paper's order (cursor, then TA, then page-down). The `planner_cost`
-//! experiment in `qrs-bench` sweeps this choice against actually-charged
-//! ledgers across the site-profile catalog.
+//! [`Plan::candidates`] reports the full ranking and [`Plan::rationale`]
+//! explains it; equal-cost ties keep the paper's order (cursor, then TA,
+//! then page-down). The `planner_cost` experiment in `qrs-bench` sweeps
+//! this choice against actually-charged ledgers across the site-profile
+//! catalog.
 
 use crate::service::Algorithm;
 use qrs_core::baselines::PageDownCursor;
@@ -44,8 +45,8 @@ use qrs_core::strategy::{names, CostEstimate, PlanContext, RerankStrategy};
 use qrs_core::{MdCursor, MdOptions, OneDCursor, OneDStrategy, TaCursor};
 use qrs_ranking::RankFn;
 use qrs_server::Capabilities;
-use qrs_types::{AttrId, Capability, Query, RerankError, Schema};
-use std::collections::{BTreeMap, BTreeSet};
+use qrs_types::{AttrId, Capability, Query, RangePredicate, RerankError, Schema};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -55,8 +56,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct RankedCandidate {
     /// Stable candidate name (`"1d-rerank"`, `"ta-order-by"`, …; a custom
-    /// strategy's own name when one was registered).
-    pub name: String,
+    /// strategy's own name when one was registered). Borrowed for the
+    /// built-in candidates, so ranking them allocates no name.
+    pub name: Cow<'static, str>,
     /// The algorithm this candidate runs.
     pub algorithm: Algorithm,
     /// Predicted spend to the plan horizon, priced under the advertised
@@ -73,7 +75,10 @@ pub struct RankedCandidate {
 /// A planned session: which algorithm runs, what the server sees, and what
 /// the session re-checks client-side.
 ///
-/// Every plan is exact by construction — see the module docs.
+/// Every plan is exact by construction — see the module docs. A plan keeps
+/// what it was decided from (the ranked candidates, and what each
+/// infeasible one lacked) and writes its prose only when asked:
+/// [`Plan::rationale`].
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// The algorithm the planner selected — the cheapest feasible
@@ -93,15 +98,26 @@ pub struct Plan {
     /// [`crate::SessionBuilder::algorithm`] overrides and custom
     /// strategies produce a single-entry list.
     pub candidates: Vec<RankedCandidate>,
-    /// One verdict per considered candidate — the cost ranking of the
-    /// feasible ones, and why each infeasible one was rejected.
-    pub rationale: String,
+    /// How the choice was made.
+    decided: Decided,
+}
+
+/// How a [`Plan`]'s algorithm was chosen.
+#[derive(Debug, Clone)]
+enum Decided {
+    /// Ranked by the planner. Each capability an infeasible candidate
+    /// lacks, in candidate order.
+    Ranked(Vec<(&'static str, Capability)>),
+    /// An explicit algorithm choice bypassed the planner.
+    Explicit,
+    /// A registered custom strategy bypassed the planner.
+    Custom,
 }
 
 impl Plan {
     /// A plan over its feasible candidates, ranked cheapest-first: the
     /// first one is chosen.
-    fn cheapest_of(candidates: Vec<RankedCandidate>, rationale: String) -> Plan {
+    fn cheapest_of(candidates: Vec<RankedCandidate>, decided: Decided) -> Plan {
         let chosen = &candidates[0];
         Plan {
             algorithm: chosen.algorithm,
@@ -109,7 +125,7 @@ impl Plan {
             residual: chosen.residual.clone(),
             estimate: chosen.estimate,
             candidates,
-            rationale,
+            decided,
         }
     }
 
@@ -122,17 +138,58 @@ impl Plan {
         algorithm: Algorithm,
         strategy: &dyn RerankStrategy,
         ctx: PlanContext,
-        rationale: String,
     ) -> Plan {
         let estimate = strategy.estimate(&ctx);
         let only = RankedCandidate {
-            name: strategy.name().to_string(),
+            name: Cow::Owned(strategy.name().to_string()),
             algorithm,
             estimate,
             server_query: ctx.server_query,
             residual: None,
         };
-        Plan::cheapest_of(vec![only], rationale)
+        let decided = match algorithm {
+            Algorithm::Custom => Decided::Custom,
+            _ => Decided::Explicit,
+        };
+        Plan::cheapest_of(vec![only], decided)
+    }
+
+    /// One verdict per considered candidate — the cost ranking of the
+    /// feasible ones, and why each infeasible one was rejected — or why
+    /// the planner was bypassed.
+    pub fn rationale(&self) -> String {
+        let chosen = &self.candidates[0];
+        let rejected = match &self.decided {
+            Decided::Ranked(rejected) => rejected,
+            Decided::Explicit => {
+                return "explicit algorithm choice: planner bypassed, the caller takes \
+                        responsibility; hard requirements preflighted"
+                    .to_string()
+            }
+            Decided::Custom => {
+                return format!(
+                    "user-registered strategy `{}`: planner bypassed, the caller \
+                     takes responsibility for exactness",
+                    chosen.name
+                )
+            }
+        };
+        let mut out = format!("{}: cheapest feasible at {}", chosen.name, chosen.estimate);
+        if let Some(r) = &chosen.residual {
+            let _ = write!(out, " (relaxed `{r}` server-side; re-applied client-side)");
+        }
+        if self.candidates.len() > 1 {
+            out.push_str("; ranked");
+            for f in &self.candidates {
+                let _ = write!(out, " {} {},", f.name, f.estimate);
+            }
+            out.pop();
+        }
+        for (candidate, missing) in by_candidate(rejected) {
+            let _ = write!(out, "; rejected {candidate}: ");
+            push_caps(&mut out, missing);
+        }
+        out
     }
 }
 
@@ -181,12 +238,6 @@ pub struct Planner {
     /// Tuples the caller expects to pull — the horizon cost estimates are
     /// computed for. Defaults to `k` (one page of answers).
     horizon: usize,
-}
-
-/// Why one candidate algorithm cannot run, for the rationale trace.
-struct Rejection {
-    candidate: &'static str,
-    missing: Vec<Capability>,
 }
 
 impl Planner {
@@ -255,45 +306,62 @@ impl Planner {
     /// chosen ([`Plan::candidates`] carries the full ranking). Ties keep
     /// the paper's preference order (cursor, then TA, then page-down).
     ///
+    /// Every candidate is priced in one [`PlanContext`] over the full
+    /// selection; a candidate that relaxes a predicate is priced over its
+    /// own relaxed query, swapped in for its estimate only.
+    ///
     /// # Errors
     /// [`RerankError::Unplannable`] when no candidate algorithm fits,
     /// carrying the deduplicated missing capabilities in candidate order.
     pub fn plan(&self, sel: &Query, rank: &dyn RankFn) -> Result<Plan, RerankError> {
+        let mut ctx = self.plan_context(sel.clone(), rank.attrs().to_vec());
         let mut feasible: Vec<RankedCandidate> = Vec::new();
-        let mut rejections: Vec<Rejection> = Vec::new();
+        let mut rejected: Vec<(&'static str, Capability)> = Vec::new();
 
         for candidate in self.candidates(rank) {
-            match self.try_candidate(&candidate, sel) {
-                Ok((server_query, residual)) => {
-                    let ctx = self.plan_context(server_query.clone(), rank.attrs().to_vec());
-                    feasible.push(RankedCandidate {
-                        name: candidate.name.to_string(),
-                        algorithm: candidate.algorithm,
-                        estimate: (candidate.estimate)(&ctx),
-                        server_query,
-                        residual,
-                    });
-                }
-                Err(missing) => rejections.push(Rejection {
-                    candidate: candidate.name,
-                    missing,
-                }),
+            let known = rejected.len();
+            self.lacks(&candidate, rank.attrs(), &mut rejected);
+            if rejected.len() > known {
+                continue;
             }
+            let (estimate, server_query, residual) = match self.relax(&candidate, sel) {
+                Err(arity) => {
+                    rejected.push((candidate.name, arity));
+                    continue;
+                }
+                Ok(None) => ((candidate.estimate)(&ctx), ctx.server_query.clone(), None),
+                Ok(Some((relaxed, residual))) => {
+                    let full = std::mem::replace(&mut ctx.server_query, relaxed);
+                    let estimate = (candidate.estimate)(&ctx);
+                    (
+                        estimate,
+                        std::mem::replace(&mut ctx.server_query, full),
+                        residual,
+                    )
+                }
+            };
+            feasible.push(RankedCandidate {
+                name: Cow::Borrowed(candidate.name),
+                algorithm: candidate.algorithm,
+                estimate,
+                server_query,
+                residual,
+            });
         }
 
         if feasible.is_empty() {
             let mut reason = String::new();
-            let mut missing: Vec<Capability> = Vec::new();
-            for (i, r) in rejections.iter().enumerate() {
+            for (i, (candidate, missing)) in by_candidate(&rejected).enumerate() {
                 if i > 0 {
                     reason.push_str("; ");
                 }
-                let _ = write!(reason, "{} needs ", r.candidate);
-                push_caps(&mut reason, &r.missing);
-                for c in &r.missing {
-                    if !missing.contains(c) {
-                        missing.push(*c);
-                    }
+                let _ = write!(reason, "{candidate} needs ");
+                push_caps(&mut reason, missing);
+            }
+            let mut missing: Vec<Capability> = Vec::new();
+            for &(_, c) in &rejected {
+                if !missing.contains(&c) {
+                    missing.push(c);
                 }
             }
             return Err(RerankError::unplannable(missing, reason));
@@ -302,134 +370,146 @@ impl Planner {
         // Cheapest predicted cost wins; the sort is stable, so equal-cost
         // candidates keep the paper's preference order.
         feasible.sort_by_key(|f| f.estimate.cost_units);
-
-        let mut rationale = String::new();
-        let _ = write!(
-            rationale,
-            "{}: cheapest feasible at {}{}",
-            feasible[0].name,
-            feasible[0].estimate,
-            match &feasible[0].residual {
-                Some(r) => format!(" (relaxed `{r}` server-side; re-applied client-side)"),
-                None => String::new(),
-            }
-        );
-        if feasible.len() > 1 {
-            rationale.push_str("; ranked");
-            for f in &feasible {
-                let _ = write!(rationale, " {} {},", f.name, f.estimate);
-            }
-            rationale.pop();
-        }
-        for r in &rejections {
-            let _ = write!(rationale, "; rejected {}: ", r.candidate);
-            push_caps(&mut rationale, &r.missing);
-        }
-
-        Ok(Plan::cheapest_of(feasible, rationale))
+        Ok(Plan::cheapest_of(feasible, Decided::Ranked(rejected)))
     }
 
     /// The candidate algorithms for this ranking arity, most query-efficient
     /// first.
-    fn candidates(&self, rank: &dyn RankFn) -> Vec<Candidate> {
-        let rank_attrs: Vec<AttrId> = rank.attrs().to_vec();
-        let all_attrs = || self.schema.attr_ids().map(|a| (a, self.filter_req(a)));
-        let mut out = Vec::new();
-        if rank.dims() == 1 {
-            // A value slab may be sub-crawled over the other attributes, so
-            // the cursor conservatively needs filters on all of them.
-            out.push(Candidate {
+    fn candidates(&self, rank: &dyn RankFn) -> [Candidate; 3] {
+        // The §3/§4 cursor. A value slab may be sub-crawled over the other
+        // attributes, so the 1D cursor conservatively needs filters on all
+        // of them. The MD cursor box-partitions the ranking space — ranges
+        // on every ranking attribute, point-only or not — and, for exact
+        // duplicate handling, may sub-crawl cells over the remaining
+        // attributes: conservatively all of them.
+        let cursor = if rank.dims() == 1 {
+            Candidate {
                 name: names::ONE_D,
                 algorithm: Algorithm::OneD(OneDStrategy::Rerank),
                 estimate: OneDCursor::estimate_in,
-                constrained: all_attrs().collect(),
-                order_by: Vec::new(),
+                constrains: true,
+                ranges_on_ranked: false,
+                order_by: false,
                 paging: false,
                 drains: false,
-            });
-        } else {
-            // The MD cursor box-partitions the ranking space — ranges on
-            // every ranking attribute, point-only or not — and, for exact
-            // duplicate handling, may sub-crawl cells over the remaining
-            // attributes: conservatively all of them.
-            let mut constrained: BTreeMap<_, _> = all_attrs().collect();
-            for &a in &rank_attrs {
-                constrained.insert(a, Capability::RangeFilter(a));
             }
-            out.push(Candidate {
+        } else {
+            Candidate {
                 name: names::MD,
                 algorithm: Algorithm::Md(MdOptions::rerank()),
                 estimate: MdCursor::estimate_in,
-                constrained,
-                order_by: Vec::new(),
+                constrains: true,
+                ranges_on_ranked: true,
+                order_by: false,
                 paging: false,
                 drains: false,
-            });
-        }
+            }
+        };
         // TA pages via public ORDER BY, which the depth cap also governs
         // (the `paging` flag itself does not: ORDER BY paging is a separate
         // site feature).
-        out.push(Candidate {
+        let ta = Candidate {
             name: names::TA_ORDER_BY,
             algorithm: Algorithm::Ta(SortedAccess::PublicOrderBy),
             estimate: TaCursor::estimate_in,
-            constrained: BTreeMap::new(),
-            order_by: rank_attrs,
+            constrains: false,
+            ranges_on_ranked: false,
+            order_by: true,
             paging: false,
             drains: true,
-        });
-        out.push(Candidate {
+        };
+        let page_down = Candidate {
             name: names::PAGE_DOWN,
             algorithm: Algorithm::PageDown {
                 max_pages: self.caps.max_pages.unwrap_or(usize::MAX),
             },
             estimate: PageDownCursor::estimate_in,
-            constrained: BTreeMap::new(),
-            order_by: Vec::new(),
+            constrains: false,
+            ranges_on_ranked: false,
+            order_by: false,
             paging: true,
             drains: true,
-        });
-        out
+        };
+        [cursor, ta, page_down]
     }
 
-    /// Check one candidate: collect its missing capabilities, or shape the
-    /// selection it will run with (server-side query + client-side
-    /// residual).
-    #[allow(clippy::type_complexity)]
-    fn try_candidate(
+    /// Push each capability candidate `c` leans on that the site lacks to
+    /// `rejected`, in a fixed order: paging, `ORDER BY`, then filters by
+    /// attribute.
+    fn lacks(
         &self,
         c: &Candidate,
-        sel: &Query,
-    ) -> Result<(Query, Option<Query>), Vec<Capability>> {
-        let mut missing = Vec::new();
-
+        rank_attrs: &[AttrId],
+        rejected: &mut Vec<(&'static str, Capability)>,
+    ) {
+        let mut lack = |cap| rejected.push((c.name, cap));
         // Paging-driven candidates (TA streams, page-down) must be able to
         // drain a worst-case result within the advertised page depth —
         // otherwise they would fail (typed, but mid-stream) or go inexact.
         let depth = self.depth_to_drain();
         if c.paging && !self.caps.paging {
-            missing.push(Capability::Paging);
+            lack(Capability::Paging);
         } else if c.drains && self.caps.admit_depth(depth).is_err() {
-            missing.push(Capability::PageDepth(depth));
+            lack(Capability::PageDepth(depth));
         }
-        for &a in &c.order_by {
-            if !self.caps.supports(Capability::OrderBy(a)) {
-                missing.push(Capability::OrderBy(a));
+        if c.order_by {
+            for &a in rank_attrs {
+                if !self.caps.supports(Capability::OrderBy(a)) {
+                    lack(Capability::OrderBy(a));
+                }
             }
         }
         // Filters on every attribute the cursor itself constrains.
-        for &req in c.constrained.values() {
-            if !self.caps.supports(req) {
-                missing.push(req);
+        if c.constrains {
+            for a in self.schema.attr_ids() {
+                let req = if c.ranges_on_ranked && rank_attrs.contains(&a) {
+                    Capability::RangeFilter(a)
+                } else {
+                    self.filter_req(a)
+                };
+                if !self.caps.supports(req) {
+                    lack(req);
+                }
             }
         }
-        if !missing.is_empty() {
-            return Err(missing);
+    }
+
+    /// Shape the selection a supported candidate runs with: `None` when the
+    /// site takes `sel` as it is, else the server-side query and the
+    /// residual the client re-applies (if any predicate was relaxed), or
+    /// the arity the candidate cannot get under the site's cap.
+    #[allow(clippy::type_complexity)]
+    fn relax(
+        &self,
+        c: &Candidate,
+        sel: &Query,
+    ) -> Result<Option<(Query, Option<Query>)>, Capability> {
+        // The cursor constrains every ordinal attribute or none.
+        let constrained = |a: AttrId| c.constrains && a.0 < self.schema.num_ordinal();
+        let intrinsic = if c.constrains {
+            self.schema.num_ordinal()
+        } else {
+            0
+        };
+        // Conjunct arity: the cursor's own predicates plus whatever of the
+        // selection survived (a query holds one predicate per attribute).
+        let arity = |q: &Query| {
+            let extra = q.ranges().iter().filter(|p| !constrained(p.attr)).count();
+            intrinsic + extra + q.cats().len()
+        };
+        let cap = self.caps.max_predicates;
+        if cap.is_some_and(|cap| intrinsic > cap) {
+            return Err(Capability::PredicateArity(intrinsic));
+        }
+        let evaluable = |p: &RangePredicate| {
+            !p.interval.is_all() && self.caps.filter_support(p.attr).admits(&p.interval)
+        };
+        if sel.ranges().iter().all(evaluable) && cap.is_none_or(|cap| arity(sel) <= cap) {
+            return Ok(None);
         }
 
-        // Shape the selection: relax predicates the site cannot evaluate
-        // (wrong filter level) or will not accept (arity cap), re-applied
-        // client-side.
+        // Relax predicates the site cannot evaluate (wrong filter level) or
+        // will not accept (arity cap), re-applied client-side.
         let mut server_query = Query::all();
         let mut residual = Query::all();
         let mut relaxed = false;
@@ -448,32 +528,16 @@ impl Planner {
             server_query.add_cat(p.clone());
         }
 
-        // Conjunct arity: the cursor's own predicates plus whatever of the
-        // selection survived. Relax optional selection predicates (those
-        // not on cursor-constrained attributes) until the worst-case query
-        // fits; if the cursor's intrinsic arity alone exceeds the cap, the
-        // candidate cannot run.
-        if let Some(cap) = self.caps.max_predicates {
-            let intrinsic = c.constrained.len();
-            if intrinsic > cap {
-                return Err(vec![Capability::PredicateArity(intrinsic)]);
-            }
-            let arity = |q: &Query| -> usize {
-                let attrs: BTreeSet<AttrId> = q
-                    .ranges()
-                    .iter()
-                    .map(|p| p.attr)
-                    .chain(c.constrained.keys().copied())
-                    .collect();
-                attrs.len() + q.cats().len()
-            };
+        // Relax optional selection predicates (those not on
+        // cursor-constrained attributes) until the worst-case query fits.
+        if let Some(cap) = cap {
             while arity(&server_query) > cap {
                 // Prefer relaxing a range predicate on an attribute the
                 // cursor does not need, then categorical predicates.
                 let victim = server_query
                     .ranges()
                     .iter()
-                    .find(|p| !c.constrained.contains_key(&p.attr))
+                    .find(|p| !constrained(p.attr))
                     .map(|p| (p.attr, p.interval));
                 if let Some((attr, iv)) = victim {
                     residual.add_range(attr, iv);
@@ -486,12 +550,12 @@ impl Planner {
                 } else {
                     // Nothing left to relax: the cursor's own predicates
                     // plus mandatory selection predicates exceed the cap.
-                    return Err(vec![Capability::PredicateArity(arity(&server_query))]);
+                    return Err(Capability::PredicateArity(arity(&server_query)));
                 }
             }
         }
 
-        Ok((server_query, relaxed.then_some(residual)))
+        Ok(Some((server_query, relaxed.then_some(residual))))
     }
 }
 
@@ -503,16 +567,26 @@ struct Candidate {
     /// [`qrs_core::RerankStrategy::estimate`] answers with on the
     /// constructed object.
     estimate: fn(&PlanContext) -> CostEstimate,
-    /// Ordinal attributes the cursor itself will put predicates on, each
-    /// with the filter capability those predicates need.
-    constrained: BTreeMap<AttrId, Capability>,
-    /// Attributes that must be publicly `ORDER BY`-able.
-    order_by: Vec<AttrId>,
+    /// The cursor puts predicates on every ordinal attribute, each needing
+    /// its own filter level ([`Planner::filter_req`]) …
+    constrains: bool,
+    /// … except the ranking attributes, which need ranges.
+    ranges_on_ranked: bool,
+    /// Every ranking attribute must be publicly `ORDER BY`-able.
+    order_by: bool,
     /// Turns pages of the *system* ranking, so the site must page at all.
     paging: bool,
     /// Pages to the end of a worst-case result, so the advertised page
     /// depth must cover [`Planner::depth_to_drain`].
     drains: bool,
+}
+
+/// The capabilities each rejected candidate lacks, one group per
+/// candidate, in candidate order.
+fn by_candidate<'a>(
+    rejected: &'a [(&'static str, Capability)],
+) -> impl Iterator<Item = (&'static str, &'a [(&'static str, Capability)])> {
+    rejected.chunk_by(|a, b| a.0 == b.0).map(|g| (g[0].0, g))
 }
 
 /// Rebuild `q` without its range predicate on `attr`.
@@ -544,8 +618,8 @@ fn strip_cat(q: &Query, attr: qrs_types::CatId) -> Query {
 }
 
 /// Append a human-readable capability list.
-fn push_caps(buf: &mut String, caps: &[Capability]) {
-    for (i, cap) in caps.iter().enumerate() {
+fn push_caps(buf: &mut String, caps: &[(&'static str, Capability)]) {
+    for (i, (_, cap)) in caps.iter().enumerate() {
         if i > 0 {
             buf.push_str(", ");
         }
@@ -604,7 +678,7 @@ mod tests {
                 max_pages: usize::MAX
             }
         ));
-        assert!(plan.rationale.contains("rejected md-rerank"));
+        assert!(plan.rationale().contains("rejected md-rerank"));
     }
 
     /// A dropdown ranking attribute: 1D enumerates its values with point
@@ -636,7 +710,7 @@ mod tests {
             .plan(&Query::all(), &rank2())
             .unwrap();
         assert!(matches!(plan.algorithm, Algorithm::PageDown { .. }));
-        assert!(plan.rationale.contains("rejected md-rerank"));
+        assert!(plan.rationale().contains("rejected md-rerank"));
         let plan = planner(caps).plan(&Query::all(), &rank1()).unwrap();
         assert!(matches!(plan.algorithm, Algorithm::OneD(_)));
     }
@@ -733,6 +807,6 @@ mod tests {
         let p = Planner::new(caps, schema2(), 5, 100);
         let plan = p.plan(&Query::all(), &rank2()).unwrap();
         assert!(matches!(plan.algorithm, Algorithm::PageDown { .. }));
-        assert!(plan.rationale.contains("rejected md-rerank"));
+        assert!(plan.rationale().contains("rejected md-rerank"));
     }
 }

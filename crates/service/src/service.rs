@@ -25,7 +25,6 @@ use qrs_obs::{EventKind, MonitorReport, ObsHandle};
 use qrs_ranking::RankFn;
 use qrs_server::{Clock, SearchInterface, SystemClock};
 use qrs_types::{Capability, Query, RerankError, RetryPolicy, ServerError};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -593,12 +592,7 @@ impl<'a> SessionBuilder<'a> {
         }
         let ctx = || planner.plan_context(self.sel.clone(), self.rank.attrs().to_vec());
         if let Some(custom) = &self.custom {
-            let why = format!(
-                "user-registered strategy `{}`: planner bypassed, the caller \
-                 takes responsibility for exactness",
-                custom.name()
-            );
-            let plan = Plan::single(Algorithm::Custom, custom.as_ref(), ctx(), why);
+            let plan = Plan::single(Algorithm::Custom, custom.as_ref(), ctx());
             return Ok((plan, None));
         }
         match self.spec.algo {
@@ -609,9 +603,7 @@ impl<'a> SessionBuilder<'a> {
             explicit => {
                 self.preflight(explicit)?;
                 let built = self.build_strategy(explicit, self.sel.clone());
-                let why = "explicit algorithm choice: planner bypassed, the caller \
-                           takes responsibility; hard requirements preflighted";
-                let plan = Plan::single(explicit, built.as_ref(), ctx(), why.to_string());
+                let plan = Plan::single(explicit, built.as_ref(), ctx());
                 Ok((plan, Some(built)))
             }
         }
@@ -690,7 +682,7 @@ impl<'a> SessionBuilder<'a> {
         // rejects anything recorded against an older snapshot.
         self.svc.sync_state();
         let planner = self.planner();
-        let (plan, built) = self.resolve(&planner)?;
+        let (mut plan, built) = self.resolve(&planner)?;
         // Defense in depth: planner-produced algorithms satisfy these by
         // construction, but the check is cheap and keeps the invariant
         // local.
@@ -698,7 +690,7 @@ impl<'a> SessionBuilder<'a> {
         // The object the plan was read from, or the planner's choice.
         let strategy = match self.custom.take().or(built) {
             Some(obj) => obj,
-            None => self.build_strategy(plan.algorithm, plan.server_query.clone()),
+            None => self.build_strategy(plan.algorithm, std::mem::take(&mut plan.server_query)),
         };
         // Decorrelate jitter across sessions: every session cloning the
         // same policy would otherwise draw identical jitter sequences and
@@ -723,24 +715,14 @@ impl<'a> SessionBuilder<'a> {
                         rank: self.rank.fingerprint(),
                         strategy: strategy.name().to_string(),
                     });
-                let (replay, replay_exhausted, full_ledger) =
-                    match result_key.as_ref().and_then(|key| shard.lookup_result(key)) {
-                        Some(entry) => (
-                            VecDeque::from(entry.items),
-                            entry.exhausted,
-                            (entry.queries_full, entry.cost_units_full),
-                        ),
-                        None => (VecDeque::new(), false, (0, 0)),
-                    };
+                let replay = result_key.as_ref().and_then(|key| shard.lookup_result(key));
                 SessionKnowledge {
                     shard: Arc::clone(shard),
                     epoch,
                     result_key,
-                    // A sealed stream never hands over to the strategy.
-                    rederive: Vec::with_capacity(if replay_exhausted { 0 } else { replay.len() }),
                     replay,
-                    replay_exhausted,
-                    full_ledger,
+                    replayed: 0,
+                    rederive: Vec::new(),
                     credited: false,
                 }
             })

@@ -27,11 +27,10 @@
 use crate::retry::RetryRunner;
 use crate::service::RerankService;
 use qrs_core::strategy::{RerankStrategy, StrategyIo, StrategyStep};
-use qrs_knowledge::{ResultKey, SourceShard};
+use qrs_knowledge::{ResultEntry, ResultKey, SourceShard};
 use qrs_obs::{BudgetScope, EventKind, QueryClass};
 use qrs_ranking::RankFn;
 use qrs_types::{Query, RequestKind, RerankError, Tuple, TupleId};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Per-session view of the knowledge plane, built at open time by
@@ -40,11 +39,12 @@ use std::sync::Arc;
 ///
 /// The plane touches a session twice and never in between: at open, a
 /// cached exact output stream for this `(selection, rank, strategy)` is
-/// looked up and emitted directly (`replay`), after which the strategy
-/// resumes from scratch — paying the site like any session — with the
-/// session swallowing its re-derivation of the replayed tuples
-/// (`rederive`); and at each emission, the tuple is appended to the
-/// shard's stream for later sessions.
+/// looked up — a snapshot that shares the shard's stream, copying no
+/// tuple — and emitted directly by index (`replay`, `replayed`); if the
+/// stream is not sealed, the strategy then resumes from scratch — paying
+/// the site like any session — with the session swallowing its
+/// re-derivation of the replayed tuples (`rederive`); and at each emission,
+/// the tuple is appended to the shard's stream for later sessions.
 pub(crate) struct SessionKnowledge {
     /// The service's source shard.
     pub(crate) shard: Arc<SourceShard>,
@@ -56,20 +56,18 @@ pub(crate) struct SessionKnowledge {
     /// cache; `None` for custom strategies (their exactness is the
     /// author's promise, so their streams are never cached or replayed).
     pub(crate) result_key: Option<ResultKey>,
-    /// Cached `(tuple, score bits)` prefix still to emit.
-    pub(crate) replay: VecDeque<(Arc<Tuple>, u64)>,
-    /// Replayed tuples the strategy has yet to re-derive (none once the
-    /// stream is complete: the strategy never runs). Matched by id, not by
-    /// position: a richer history can order a tie group differently the
-    /// second time.
+    /// The cached stream found at open, emitted first; dropped when the
+    /// session hands over to its strategy, so the session's own appends
+    /// extend the shard's stream in place.
+    pub(crate) replay: Option<ResultEntry>,
+    /// Tuples of `replay` emitted so far.
+    pub(crate) replayed: usize,
+    /// Replayed tuples the strategy has yet to re-derive, listed from the
+    /// replayed prefix when the session hands over to the strategy (a
+    /// sealed stream never does). Matched by id, not by position: a richer
+    /// history can order a tie group differently the second time.
     pub(crate) rederive: Vec<TupleId>,
-    /// The cached stream is known complete: once `replay` drains, the
-    /// session is exhausted without ever driving the strategy.
-    pub(crate) replay_exhausted: bool,
-    /// `(queries, cost_units)` the sealing run paid end to end — credited
-    /// to the saved ledger when a complete replay finishes.
-    pub(crate) full_ledger: (u64, u64),
-    /// One-shot latch for that credit.
+    /// One-shot latch for the full-replay credit.
     pub(crate) credited: bool,
 }
 
@@ -267,21 +265,26 @@ impl<'a> Session<'a> {
     /// driving it.
     fn replay_next(&mut self) -> Option<Option<RankedTuple>> {
         let k = self.knowledge.as_mut()?;
-        let hit = match k.replay.pop_front() {
+        let entry = k.replay.as_ref()?;
+        let hit = match entry.items.get(k.replayed) {
             Some((tuple, bits)) => {
-                if !k.replay_exhausted {
-                    k.rederive.push(tuple.id);
-                }
+                k.replayed += 1;
                 self.ledger.emitted += 1;
                 self.svc.stats_ref().on_emit();
                 Some(RankedTuple {
                     rank: self.ledger.emitted,
-                    score: f64::from_bits(bits),
-                    tuple,
+                    score: f64::from_bits(*bits),
+                    tuple: Arc::clone(tuple),
                 })
             }
-            None if k.replay_exhausted => None,
-            None => return None,
+            None if entry.exhausted => None,
+            None => {
+                // Hand over: the strategy re-derives the replayed prefix
+                // before it reaches anything new.
+                k.rederive = entry.items.iter().map(|(t, _)| t.id).collect();
+                k.replay = None;
+                return None;
+            }
         };
         self.credit_full_replay();
         Some(hit)
@@ -293,11 +296,12 @@ impl<'a> Session<'a> {
     /// column.
     fn credit_full_replay(&mut self) {
         let Some(k) = &mut self.knowledge else { return };
-        if k.credited || !k.replay_exhausted || !k.replay.is_empty() {
+        let Some(entry) = &k.replay else { return };
+        if k.credited || !entry.exhausted || k.replayed < entry.items.len() {
             return;
         }
         k.credited = true;
-        let (queries, cost_units) = k.full_ledger;
+        let (queries, cost_units) = (entry.queries_full, entry.cost_units_full);
         self.ledger.queries_saved += queries;
         self.ledger.cost_units_saved += cost_units;
         self.svc.stats_ref().on_saved(queries, cost_units);
@@ -698,7 +702,7 @@ mod tests {
         let plan = builder.plan().unwrap();
         assert!(matches!(plan.algorithm, Algorithm::Md(_)));
         assert!(plan.residual.is_none());
-        assert!(plan.rationale.contains("explicit"));
+        assert!(plan.rationale().contains("explicit"));
         // And plan() fails exactly where open() would: an explicit TA over
         // public ORDER BY on a server that lacks it.
         let err = svc

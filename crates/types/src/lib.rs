@@ -37,6 +37,7 @@
 pub mod capability;
 pub mod cost;
 pub mod dataset;
+pub mod digits;
 pub mod direction;
 pub mod error;
 pub mod interval;

@@ -113,7 +113,7 @@ fn classifieds_point_only_falls_back_to_exact_page_down() {
         "expected page-down, planned {:?}",
         plan.algorithm
     );
-    assert!(plan.rationale.contains("rejected md-rerank"));
+    assert!(plan.rationale().contains("rejected md-rerank"));
     let mut session = builder.open().unwrap();
     let (hits, err) = session.top(TOP_H);
     assert!(err.is_none(), "{err:?}");
@@ -157,7 +157,7 @@ fn storefront_deep_inventory_fails_fast_naming_page_depth() {
     let builder = svc.session(Query::all(), rank2());
     let plan = builder.plan().unwrap();
     assert!(matches!(plan.algorithm, Algorithm::PageDown { .. }));
-    let names: Vec<&str> = plan.candidates.iter().map(|c| c.name.as_str()).collect();
+    let names: Vec<&str> = plan.candidates.iter().map(|c| c.name.as_ref()).collect();
     assert_eq!(names, vec!["page-down", "ta-order-by"]);
     assert!(plan.candidates[0].estimate.cost_units <= plan.candidates[1].estimate.cost_units);
     let mut session = builder.open().unwrap();

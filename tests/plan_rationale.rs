@@ -17,11 +17,11 @@ use query_reranking::datagen::synthetic::uniform;
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{SearchInterface, SiteProfile, SystemRank};
 use query_reranking::service::{
-    Algorithm, CostEstimate, Plan, PlanContext, RerankService, RerankStrategy, SessionBuilder,
+    Algorithm, CostEstimate, PlanContext, RerankService, RerankStrategy, SessionBuilder,
     StrategyIo, StrategyStep,
 };
 use query_reranking::types::{
-    AttrId, CatId, CatPredicate, Direction, Interval, Query, RerankError, RequestKind,
+    AttrId, CatId, CatPredicate, Direction, Interval, Query, RequestKind, RerankError,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -63,16 +63,12 @@ fn service(profile: &SiteProfile, n_estimate: usize) -> RerankService {
 /// One corpus line: the case, then the plan's rationale or the refusal.
 fn line(out: &mut String, case: &str, builder: SessionBuilder<'_>) {
     let _ = match builder.plan() {
-        Ok(plan) => writeln!(out, "{case}\n  plan: {}", rationale(&plan)),
+        Ok(plan) => writeln!(out, "{case}\n  plan: {}", plan.rationale()),
         Err(RerankError::Unplannable { reason, .. }) => {
             writeln!(out, "{case}\n  unplannable: {reason}")
         }
         Err(other) => panic!("{case}: planning may only refuse Unplannable, got {other}"),
     };
-}
-
-fn rationale(plan: &Plan) -> &str {
-    &plan.rationale
 }
 
 fn corpus() -> String {

@@ -226,7 +226,7 @@ fn plan_is_total_over_random_site_models() {
                         .all(|p| p[0].estimate.cost_units <= p[1].estimate.cost_units),
                     "case {case}: candidates must rank cheapest-first"
                 );
-                assert!(!plan.rationale.is_empty());
+                assert!(!plan.rationale().is_empty());
             }
             Err(RerankError::Unplannable { missing, reason }) => {
                 assert!(
