@@ -448,7 +448,9 @@ mod tests {
         s.extend_result(&rk, 0, 0, t(1, 1.0), 10);
         s.extend_result(&rk, 0, 2, t(9, 9.0), 90); // gap: dropped
         s.extend_result(&rk, 0, 1, t(1, 1.0), 10); // already held: dropped
+        let held = s.lookup_result(&rk).expect("live");
         s.extend_result(&rk, 0, 1, t(2, 2.0), 20);
+        assert_eq!(held.items.len(), 1, "a snapshot handed out does not grow");
         let e = s.lookup_result(&rk).expect("live");
         assert_eq!(e.items.len(), 2);
         assert_eq!(e.items[1].0.id, TupleId(2));
