@@ -82,16 +82,18 @@ pub enum StrategyStep {
 /// Planner-time context for [`RerankStrategy::estimate`]: everything known
 /// about the site and the request before any query is spent.
 ///
-/// The planner builds one per plan and prices every candidate in it: it
-/// holds the user's selection, and a candidate that relaxes a predicate
-/// has its own relaxed query swapped into `server_query` while it is
-/// priced. An estimate reads the context and keeps nothing of it.
-#[derive(Debug, Clone)]
-pub struct PlanContext {
+/// The context borrows all of it — the planner's site model, the caller's
+/// selection and ranking attributes — so building one copies nothing. The
+/// planner prices every candidate in one context over the user's selection;
+/// a candidate that relaxes a predicate is priced in a copy that borrows
+/// its own relaxed query instead. An estimate reads the context and keeps
+/// nothing of it.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanContext<'a> {
     /// The site model the server advertised (including its [`CostModel`]).
-    pub caps: Capabilities,
+    pub caps: &'a Capabilities,
     /// Schema of the hidden database.
-    pub schema: Arc<Schema>,
+    pub schema: &'a Schema,
     /// The interface page size `k`.
     pub k: usize,
     /// Estimated database size `|D|`.
@@ -101,12 +103,12 @@ pub struct PlanContext {
     /// The selection as it will be sent to the server by the strategy
     /// being priced (inexpressible predicates already relaxed away by the
     /// planner).
-    pub server_query: Query,
+    pub server_query: &'a Query,
     /// Attributes of the user ranking function, in rank order.
-    pub rank_attrs: Vec<AttrId>,
+    pub rank_attrs: &'a [AttrId],
 }
 
-impl PlanContext {
+impl PlanContext<'_> {
     /// `max(1, ceil(h / k))`: result pages the horizon spans.
     pub fn horizon_pages(&self) -> u64 {
         (self.horizon.max(1) as u64).div_ceil(self.k.max(1) as u64)
@@ -367,14 +369,38 @@ fn pricing_predicate(schema: &Schema, attr: AttrId) -> Interval {
     }
 }
 
-/// A range-filtered top-`k` on the first ranking attribute: the probe the
-/// 1D cursor sends, priced.
-fn one_d_probe_shape(ctx: &PlanContext) -> Query {
-    let mut shape = ctx.server_query.clone();
-    if let Some(&attr) = ctx.rank_attrs.first() {
-        shape.add_range(attr, pricing_predicate(&ctx.schema, attr));
+/// `queries` top-`k` requests shaped as `ctx.server_query` with the pricing
+/// predicate of every attribute `probed` says yes to conjoined onto it, as
+/// [`Query::add_range`] would conjoin it — priced over the borrowed
+/// predicates, without building the shape.
+fn priced_probes(ctx: &PlanContext, queries: u64, probed: impl Fn(AttrId) -> bool) -> CostEstimate {
+    let sel = ctx.server_query;
+    let conjoined = sel.ranges().iter().map(|p| {
+        let probe = probed(p.attr).then(|| pricing_predicate(ctx.schema, p.attr));
+        (
+            p.attr,
+            probe.map_or(p.interval, |probe| p.interval.intersect(&probe)),
+        )
+    });
+    let added = (ctx.schema.attr_ids())
+        .filter(|&a| probed(a) && sel.ranges().iter().all(|p| p.attr != a))
+        .map(|a| (a, pricing_predicate(ctx.schema, a)));
+    let units = (ctx.caps.cost).charge_predicates(
+        conjoined.chain(added),
+        sel.cats().len(),
+        RequestKind::TopK,
+    );
+    CostEstimate {
+        queries,
+        cost_units: queries.saturating_mul(units),
     }
-    shape
+}
+
+/// `queries` range-filtered top-`k` probes on the first ranking attribute:
+/// what the 1D cursor sends, priced.
+fn one_d_probes(ctx: &PlanContext, queries: u64) -> CostEstimate {
+    let first = ctx.rank_attrs.first().copied();
+    priced_probes(ctx, queries, |a| Some(a) == first)
 }
 
 impl OneDCursor {
@@ -385,8 +411,7 @@ impl OneDCursor {
     /// the ranking attribute.
     pub fn estimate_in(ctx: &PlanContext) -> CostEstimate {
         let queries = ctx.horizon.max(1) as u64 + log2_ceil(ctx.n_estimate as u64);
-        let shape = one_d_probe_shape(ctx);
-        CostEstimate::priced(queries, &ctx.caps.cost, &shape, RequestKind::TopK)
+        one_d_probes(ctx, queries)
     }
 }
 
@@ -453,11 +478,7 @@ impl MdCursor {
         let n = ctx.n_estimate.max(1) as u64;
         let m = ctx.rank_attrs.len().max(1) as u64;
         let queries = h + m * (1 + ctx.horizon_pages()) * log2_ceil(n);
-        let mut shape = ctx.server_query.clone();
-        for attr in ctx.schema.attr_ids() {
-            shape.add_range(attr, pricing_predicate(&ctx.schema, attr));
-        }
-        CostEstimate::priced(queries, &ctx.caps.cost, &shape, RequestKind::TopK)
+        priced_probes(ctx, queries, |_| true)
     }
 }
 
@@ -514,11 +535,10 @@ fn ta_estimate(ctx: &PlanContext, public_order_by: bool) -> CostEstimate {
         .clamp(1, n);
     if public_order_by {
         let pages = m * depth.div_ceil(k).clamp(1, ctx.drain_pages());
-        let sel = &ctx.server_query;
+        let sel = ctx.server_query;
         CostEstimate::priced(pages, &ctx.caps.cost, sel, RequestKind::Ordered)
     } else {
-        let (probes, shape) = (m * (depth + log2_ceil(n)), one_d_probe_shape(ctx));
-        CostEstimate::priced(probes, &ctx.caps.cost, &shape, RequestKind::TopK)
+        one_d_probes(ctx, m * (depth + log2_ceil(n)))
     }
 }
 
@@ -568,7 +588,7 @@ impl PageDownCursor {
         CostEstimate::priced(
             ctx.drain_pages(),
             &ctx.caps.cost,
-            &ctx.server_query,
+            ctx.server_query,
             RequestKind::Page,
         )
     }
@@ -610,51 +630,76 @@ mod tests {
     use qrs_datagen::synthetic::uniform;
     use qrs_server::{SimServer, SystemRank};
 
-    fn ctx(n: usize, k: usize, horizon: usize, dims: usize, cost: CostModel) -> PlanContext {
+    /// What a [`PlanContext`] borrows.
+    struct Site {
+        caps: Capabilities,
+        schema: Arc<Schema>,
+        sel: Query,
+        rank_attrs: Vec<AttrId>,
+        k: usize,
+        n: usize,
+        horizon: usize,
+    }
+
+    impl Site {
+        fn ctx(&self) -> PlanContext<'_> {
+            PlanContext {
+                caps: &self.caps,
+                schema: &self.schema,
+                k: self.k,
+                n_estimate: self.n,
+                horizon: self.horizon,
+                server_query: &self.sel,
+                rank_attrs: &self.rank_attrs,
+            }
+        }
+    }
+
+    fn site(n: usize, k: usize, horizon: usize, dims: usize, cost: CostModel) -> Site {
         let data = uniform(16, 2, 1, 1);
-        PlanContext {
+        Site {
             caps: Capabilities::none().with_cost_model(cost),
             schema: Arc::clone(data.schema()),
-            k,
-            n_estimate: n,
-            horizon,
-            server_query: Query::all(),
+            sel: Query::all(),
             rank_attrs: (0..dims).map(AttrId).collect(),
+            k,
+            n,
+            horizon,
         }
     }
 
     #[test]
     fn page_down_estimate_is_the_exact_drain() {
-        let c = ctx(100, 5, 8, 2, CostModel::flat());
-        let e = PageDownCursor::estimate_in(&c);
+        let c = site(100, 5, 8, 2, CostModel::flat());
+        let e = PageDownCursor::estimate_in(&c.ctx());
         assert_eq!(e.queries, 20);
         assert_eq!(e.cost_units, 20);
         // A paged surcharge prices every turn.
-        let c = ctx(100, 5, 8, 2, CostModel::flat().with_paged_cost(3));
-        assert_eq!(PageDownCursor::estimate_in(&c).cost_units, 80);
+        let c = site(100, 5, 8, 2, CostModel::flat().with_paged_cost(3));
+        assert_eq!(PageDownCursor::estimate_in(&c.ctx()).cost_units, 80);
     }
 
     #[test]
     fn estimates_order_cursors_before_drains_on_deep_databases() {
-        let c = ctx(10_000, 5, 5, 1, CostModel::flat());
-        let one_d = OneDCursor::estimate_in(&c);
-        let drain = PageDownCursor::estimate_in(&c);
+        let c = site(10_000, 5, 5, 1, CostModel::flat());
+        let one_d = OneDCursor::estimate_in(&c.ctx());
+        let drain = PageDownCursor::estimate_in(&c.ctx());
         assert!(
             one_d.cost_units < drain.cost_units,
             "1d {one_d} vs drain {drain}"
         );
-        let c = ctx(10_000, 5, 5, 2, CostModel::flat());
-        let md = MdCursor::estimate_in(&c);
-        assert!(md.cost_units < PageDownCursor::estimate_in(&c).cost_units);
+        let c = site(10_000, 5, 5, 2, CostModel::flat());
+        let md = MdCursor::estimate_in(&c.ctx());
+        assert!(md.cost_units < PageDownCursor::estimate_in(&c.ctx()).cost_units);
         // Estimates grow with the horizon.
-        let deep = ctx(10_000, 5, 50, 2, CostModel::flat());
-        assert!(MdCursor::estimate_in(&deep).cost_units > md.cost_units);
+        let deep = site(10_000, 5, 50, 2, CostModel::flat());
+        assert!(MdCursor::estimate_in(&deep.ctx()).cost_units > md.cost_units);
     }
 
     #[test]
     fn cost_model_reprices_without_changing_query_counts() {
-        let flat = ctx(1_000, 5, 5, 2, CostModel::flat());
-        let metered = ctx(
+        let flat = site(1_000, 5, 5, 2, CostModel::flat());
+        let metered = site(
             1_000,
             5,
             5,
@@ -662,18 +707,78 @@ mod tests {
             CostModel::flat().with_range_cost(1).with_ordered_cost(2),
         );
         let (f, m) = (
-            MdCursor::estimate_in(&flat),
-            MdCursor::estimate_in(&metered),
+            MdCursor::estimate_in(&flat.ctx()),
+            MdCursor::estimate_in(&metered.ctx()),
         );
         assert_eq!(f.queries, m.queries);
         // Two range predicates at +1 each: 3 units per query.
         assert_eq!(m.cost_units, 3 * m.queries);
         let (f, m) = (
-            TaCursor::estimate_in(&flat),
-            TaCursor::estimate_in(&metered),
+            TaCursor::estimate_in(&flat.ctx()),
+            TaCursor::estimate_in(&metered.ctx()),
         );
         assert_eq!(f.queries, m.queries);
         assert_eq!(m.cost_units, 3 * f.cost_units);
+    }
+
+    /// Pricing over borrowed predicates charges what pricing the built
+    /// shape charged: the server query with each probed attribute's pricing
+    /// predicate conjoined by `add_range`.
+    #[test]
+    fn borrowed_pricing_charges_the_built_shape() {
+        use qrs_types::{CatId, CatPredicate, OrdinalAttr};
+        let schema = Arc::new(Schema::new(
+            vec![
+                OrdinalAttr::new("x", 0.0, 10.0),
+                OrdinalAttr::point_only("grade", vec![1.0, 2.0, 3.0]),
+                OrdinalAttr::new("z", -5.0, 5.0),
+            ],
+            vec![qrs_types::CatAttr::new("color", 4)],
+        ));
+        let model = CostModel::flat()
+            .with_point_cost(2)
+            .with_range_cost(3)
+            .with_attr_surcharge(AttrId(1), 7)
+            .with_attr_surcharge(AttrId(2), 11);
+        let sels = [
+            Query::all(),
+            Query::all().and_range(AttrId(0), Interval::open(1.0, 9.0)),
+            Query::all().and_range(AttrId(0), Interval::point(4.0)),
+            Query::all().and_range(AttrId(0), Interval::closed(20.0, 30.0)),
+            Query::all()
+                .and_range(AttrId(2), Interval::at_most(0.0))
+                .and_range(AttrId(1), Interval::point(2.0))
+                .and_cat(CatPredicate::eq(CatId(0), 1)),
+        ];
+        for sel in &sels {
+            for rank_attrs in [vec![AttrId(0)], vec![AttrId(2), AttrId(0)], vec![]] {
+                let s = Site {
+                    caps: Capabilities::none().with_cost_model(model.clone()),
+                    schema: Arc::clone(&schema),
+                    sel: sel.clone(),
+                    rank_attrs,
+                    k: 5,
+                    n: 500,
+                    horizon: 10,
+                };
+                let c = s.ctx();
+                let built = |attrs: &[AttrId]| {
+                    let mut shape = sel.clone();
+                    for &a in attrs {
+                        shape.add_range(a, pricing_predicate(&schema, a));
+                    }
+                    model.charge(&shape, RequestKind::TopK)
+                };
+                let first: Vec<AttrId> = s.rank_attrs.first().copied().into_iter().collect();
+                let all: Vec<AttrId> = schema.attr_ids().collect();
+                assert_eq!(one_d_probes(&c, 3).cost_units, 3 * built(&first), "{sel}");
+                assert_eq!(
+                    priced_probes(&c, 3, |_| true).cost_units,
+                    3 * built(&all),
+                    "{sel}"
+                );
+            }
+        }
     }
 
     #[test]

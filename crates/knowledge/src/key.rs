@@ -11,6 +11,8 @@
 
 use qrs_types::digits::{push_decimal, push_hex16};
 use qrs_types::{Endpoint, Query};
+use std::borrow::Borrow;
+use std::cell::RefCell;
 
 /// Render one interval endpoint with full bit fidelity.
 ///
@@ -61,25 +63,31 @@ fn by_attr<T>(items: &[T], attr: impl Fn(&T) -> usize) -> impl Iterator<Item = &
 pub fn query_key(q: &Query) -> String {
     let codes: usize = q.cats().iter().map(|p| p.codes().len()).sum();
     let mut out = String::with_capacity(40 * q.ranges().len() + 8 * q.cats().len() + 11 * codes);
+    push_query_key(&mut out, q);
+    out
+}
+
+/// Append [`query_key`]'s bytes for `q` to `out`. They never hold a
+/// newline.
+fn push_query_key(out: &mut String, q: &Query) {
     for p in by_attr(q.ranges(), |p| p.attr.0) {
         out.push('r');
-        push_decimal(&mut out, p.attr.0 as u64);
+        push_decimal(out, p.attr.0 as u64);
         out.push(':');
-        endpoint_key(&p.interval.lo, &mut out);
-        endpoint_key(&p.interval.hi, &mut out);
+        endpoint_key(&p.interval.lo, out);
+        endpoint_key(&p.interval.hi, out);
         out.push(';');
     }
     for p in by_attr(q.cats(), |p| p.attr.0) {
         out.push('k');
-        push_decimal(&mut out, p.attr.0 as u64);
+        push_decimal(out, p.attr.0 as u64);
         out.push(':');
         for &c in p.codes() {
-            push_decimal(&mut out, u64::from(c));
+            push_decimal(out, u64::from(c));
             out.push(',');
         }
         out.push(';');
     }
-    out
 }
 
 /// A top-`k` request in canonical form — the key of the shard's response
@@ -109,15 +117,69 @@ impl RequestKey {
 /// with the very same state machine, ties in the same order) and keeps
 /// user-registered strategies — whose exactness is their author's promise,
 /// not ours — from poisoning the built-ins' entries.
+///
+/// The three parts are one string ([`ResultKey::as_str`]): the selection's
+/// [`query_key`], a newline, the strategy name's length in decimal, `:`,
+/// the name, then the ranking function's injective fingerprint
+/// (`RankFn::fingerprint` in `qrs-ranking`). The selection never holds a
+/// newline and the length says where the name ends, so the string is
+/// injective too. It hashes as a `str`, so the shard is searched by
+/// borrowed bytes: [`crate::SourceShard::lookup_stream`] writes them into
+/// a buffer its thread reuses, and builds no key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ResultKey {
-    /// Canonical selection ([`query_key`]).
-    pub sel: String,
-    /// The ranking function's injective fingerprint
-    /// (`RankFn::fingerprint` in `qrs-ranking`).
-    pub rank: String,
-    /// `RerankStrategy::name` of the emitting strategy.
-    pub strategy: String,
+pub struct ResultKey(String);
+
+thread_local! {
+    /// The buffer [`key_bytes`] writes keys into on this thread: it keeps
+    /// the capacity of the longest key written so far, so writing another
+    /// allocates nothing.
+    static KEY_BYTES: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Run `read` over the bytes of the key of the stream `strategy` emits for
+/// `sel` under the ranking whose fingerprint `rank` writes, written into
+/// this thread's key buffer.
+pub(crate) fn key_bytes<R>(
+    sel: &Query,
+    strategy: &str,
+    rank: impl FnOnce(&mut String),
+    read: impl FnOnce(&str) -> R,
+) -> R {
+    let write = |out: &mut String| {
+        out.clear();
+        push_query_key(out, sel);
+        out.push('\n');
+        push_decimal(out, strategy.len() as u64);
+        out.push(':');
+        out.push_str(strategy);
+        rank(out);
+        read(out)
+    };
+    KEY_BYTES.with(|buf| match buf.try_borrow_mut() {
+        Ok(mut buf) => write(&mut buf),
+        // Only a fingerprint writer that looks up a stream itself gets here.
+        Err(_) => write(&mut String::new()),
+    })
+}
+
+impl ResultKey {
+    /// The key of the stream `strategy` emits for selection `sel` under
+    /// the ranking whose fingerprint `rank` appends to the buffer it is
+    /// handed (`|out| rank_fn.write_fingerprint(out)`).
+    pub fn new(sel: &Query, strategy: &str, rank: impl FnOnce(&mut String)) -> Self {
+        key_bytes(sel, strategy, rank, |bytes| ResultKey(bytes.to_owned()))
+    }
+
+    /// The key's canonical bytes.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for ResultKey {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
 }
 
 #[cfg(test)]
@@ -241,6 +303,27 @@ mod tests {
             }
             assert_eq!(query_key(&q), reference(&q), "{q:?}");
         }
+    }
+
+    /// The key's parts are recoverable from its bytes, so keys of different
+    /// parts differ even where the parts' concatenations agree.
+    #[test]
+    fn result_keys_split_their_parts() {
+        let sel = Query::all().and_range(AttrId(0), Interval::open(1.0, 5.0));
+        let key = |sel: &Query, strategy: &str, rank: &str| {
+            ResultKey::new(sel, strategy, |out| out.push_str(rank))
+        };
+        let k = key(&sel, "md-rerank", "linear|0a|");
+        assert_eq!(
+            k.as_str(),
+            format!("{}\n9:md-rerank{}", query_key(&sel), "linear|0a|")
+        );
+        assert_ne!(key(&sel, "ab", "c"), key(&sel, "a", "bc"));
+        assert_ne!(key(&sel, "a", "1:b"), key(&sel, "a1:", "b"));
+        assert_ne!(key(&Query::all(), "a", ""), key(&sel, "a", ""));
+        assert_eq!(key(&sel, "a", "r"), key(&sel, "a", "r"));
+        // The buffer is reused, not appended to.
+        assert_eq!(key(&Query::all(), "", "").as_str(), "\n0:");
     }
 
     #[test]

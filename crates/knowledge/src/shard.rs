@@ -2,7 +2,7 @@
 //! attached to the source have emitted, replayed to later sessions.
 //!
 //! A [`SourceShard`] is touched twice per session and never in between:
-//! once when the session opens (one [`SourceShard::lookup_result`]), and
+//! once when the session opens (one [`SourceShard::lookup_stream`]), and
 //! once per tuple it emits ([`SourceShard::extend_result`]), plus a seal
 //! when its stream ends. What a session asks the site on the way is the
 //! service's own business — its `SharedState` in `qrs-core` — and never
@@ -28,7 +28,7 @@
 //! under the same epoch. No request path reads or writes it; it is kept
 //! for the benchmark, which times the shard on its own.
 
-use crate::key::{RequestKey, ResultKey};
+use crate::key::{key_bytes, RequestKey, ResultKey};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use qrs_types::{Query, QueryResponse, Tuple};
 use std::collections::HashMap;
@@ -243,6 +243,23 @@ impl SourceShard {
     /// epoch. Returns a snapshot of the entry: the stream itself is shared,
     /// not copied.
     pub fn lookup_result(&self, key: &ResultKey) -> Option<ResultEntry> {
+        self.lookup_bytes(key.as_str())
+    }
+
+    /// [`SourceShard::lookup_result`] for the stream `strategy` emits for
+    /// `sel` under the ranking whose fingerprint `rank` writes (`|out|
+    /// rank_fn.write_fingerprint(out)`). The key's bytes are written into
+    /// a buffer this thread reuses and looked up borrowed: no key is built.
+    pub fn lookup_stream(
+        &self,
+        sel: &Query,
+        strategy: &str,
+        rank: impl FnOnce(&mut String),
+    ) -> Option<ResultEntry> {
+        key_bytes(sel, strategy, rank, |bytes| self.lookup_bytes(bytes))
+    }
+
+    fn lookup_bytes(&self, key: &str) -> Option<ResultEntry> {
         let inner = self.live()?;
         let e = inner.results.get(key)?;
         if e.items.is_empty() && !e.exhausted {
@@ -273,7 +290,7 @@ impl SourceShard {
         let Some(mut inner) = self.current_at(epoch) else {
             return;
         };
-        let e = inner.results.entry(key.clone()).or_default();
+        let e = stream(&mut inner.results, key);
         let held = e.items.iter().any(|(t, _)| t.id == tuple.id);
         if !e.exhausted && e.items.len() == index && !held {
             Arc::make_mut(&mut e.items).push((tuple, score_bits));
@@ -298,7 +315,7 @@ impl SourceShard {
         let Some(mut inner) = self.current_at(epoch) else {
             return;
         };
-        let e = inner.results.entry(key.clone()).or_default();
+        let e = stream(&mut inner.results, key);
         if e.items.len() == len {
             e.exhausted = true;
             e.queries_full = queries_full;
@@ -329,6 +346,18 @@ impl SourceShard {
             results: live(inner.results.len()),
         }
     }
+}
+
+/// The entry of `key`, inserted empty if there is none: the key is cloned
+/// only then, not on every append to a stream the map already holds.
+fn stream<'m>(
+    results: &'m mut HashMap<ResultKey, ResultEntry>,
+    key: &ResultKey,
+) -> &'m mut ResultEntry {
+    if !results.contains_key(key) {
+        results.insert(key.clone(), ResultEntry::default());
+    }
+    results.get_mut(key).expect("the entry was just inserted")
 }
 
 #[cfg(test)]
@@ -378,11 +407,7 @@ mod tests {
         let q = sel(0.0, 10.0);
         let key = RequestKey::top_k(&q);
         s.record_response(key.clone(), &q, 2, &[t(1, 1.0)], false);
-        let rk = ResultKey {
-            sel: "s".into(),
-            rank: "r".into(),
-            strategy: "a".into(),
-        };
+        let rk = ResultKey::new(&sel(0.0, 1.0), "a", |out| out.push('r'));
         s.extend_result(&rk, 0, 0, t(1, 1.0), 0);
         assert!(s.lookup_response(&key, &q, 2).is_some());
         assert!(s.lookup_result(&rk).is_some());
@@ -440,11 +465,7 @@ mod tests {
     #[test]
     fn result_stream_appends_are_contiguous_and_distinct_only() {
         let s = SourceShard::new();
-        let rk = ResultKey {
-            sel: "s".into(),
-            rank: "r".into(),
-            strategy: "a".into(),
-        };
+        let rk = ResultKey::new(&sel(0.0, 1.0), "a", |out| out.push('r'));
         s.extend_result(&rk, 0, 0, t(1, 1.0), 10);
         s.extend_result(&rk, 0, 2, t(9, 9.0), 90); // gap: dropped
         s.extend_result(&rk, 0, 1, t(1, 1.0), 10); // already held: dropped
@@ -465,6 +486,15 @@ mod tests {
         // Sealed streams reject further appends.
         s.extend_result(&rk, 0, 2, t(3, 3.0), 30);
         assert_eq!(s.lookup_result(&rk).unwrap().items.len(), 2);
+        // The stream is found by its parts, written in place, and only by
+        // its own.
+        let found = |q: &Query, strategy: &str, rank: char| {
+            (s.lookup_stream(q, strategy, |out| out.push(rank))).map(|e| e.items.len())
+        };
+        assert_eq!(found(&sel(0.0, 1.0), "a", 'r'), Some(2));
+        assert_eq!(found(&sel(0.0, 2.0), "a", 'r'), None);
+        assert_eq!(found(&sel(0.0, 1.0), "b", 'r'), None);
+        assert_eq!(found(&sel(0.0, 1.0), "a", 's'), None);
     }
 
     #[test]
@@ -472,11 +502,7 @@ mod tests {
         // A session opened under epoch 0 keeps deriving after the data
         // changed: nothing it records may seed epoch 1.
         let s = SourceShard::new();
-        let rk = ResultKey {
-            sel: "s".into(),
-            rank: "r".into(),
-            strategy: "a".into(),
-        };
+        let rk = ResultKey::new(&sel(0.0, 1.0), "a", |out| out.push('r'));
         s.extend_result(&rk, 0, 0, t(1, 1.0), 10);
         s.invalidate();
         s.extend_result(&rk, 0, 0, t(1, 1.0), 10);

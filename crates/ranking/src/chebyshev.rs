@@ -81,6 +81,11 @@ impl RankFn for ChebyshevRank {
         let params: [&[f64]; 2] = [&self.weights, &self.ideal];
         crate::rankfn::fingerprint_with_params("chebyshev", &self.attrs, &self.dirs, &params)
     }
+
+    fn write_fingerprint(&self, out: &mut String) {
+        let params: [&[f64]; 2] = [&self.weights, &self.ideal];
+        crate::rankfn::push_fingerprint(out, "chebyshev", &self.attrs, &self.dirs, &params);
+    }
 }
 
 #[cfg(test)]

@@ -159,6 +159,11 @@ impl RankFn for LinearRank {
         crate::rankfn::fingerprint_with_params("linear", &self.attrs, &self.dirs, &[&self.weights])
     }
 
+    fn write_fingerprint(&self, out: &mut String) {
+        let params: [&[f64]; 1] = [&self.weights];
+        crate::rankfn::push_fingerprint(out, "linear", &self.attrs, &self.dirs, &params);
+    }
+
     /// Closed-form `ℓ`, made exact: `ell_linear` over this function's
     /// weights.
     fn ell(&self, dim: usize, target: f64, base: &[f64], hi: f64) -> Option<f64> {

@@ -90,6 +90,11 @@ impl RankFn for LpRank {
         let params: [&[f64]; 3] = [&[self.p], &self.weights, &self.ideal];
         crate::rankfn::fingerprint_with_params("lp", &self.attrs, &self.dirs, &params)
     }
+
+    fn write_fingerprint(&self, out: &mut String) {
+        let params: [&[f64]; 3] = [&[self.p], &self.weights, &self.ideal];
+        crate::rankfn::push_fingerprint(out, "lp", &self.attrs, &self.dirs, &params);
+    }
 }
 
 #[cfg(test)]

@@ -381,8 +381,9 @@ fn any_weight(rng: &mut StdRng) -> f64 {
 /// they replaced wrote, over 10^5 seeded draws of `m` distinct attribute
 /// ids (small and up to `usize::MAX`), directions, weights of any finite
 /// positive bit pattern, ideal points of any bit pattern (both zeros,
-/// NaN payloads, infinities, subnormals) and exponents from 1 to infinity.
-/// `QRS_TEST_SEED` picks the draws.
+/// NaN payloads, infinities, subnormals) and exponents from 1 to infinity;
+/// `write_fingerprint` appends the same bytes to a buffer. `QRS_TEST_SEED`
+/// picks the draws.
 #[test]
 fn fingerprints_are_what_format_wrote() {
     use crate::{ChebyshevRank, RatioRank};
@@ -444,12 +445,23 @@ fn fingerprints_are_what_format_wrote() {
         );
         let params: Vec<f64> = std::iter::once(p).chain(params).collect();
         assert_eq!(lp.fingerprint(), reference("lp", &attrs, &dirs, &params));
+        // Written into a buffer that already holds a prefix, each appends
+        // the bytes it renders.
+        let fns: [&dyn RankFn; 3] = [&linear, &chebyshev, &lp];
+        for f in fns {
+            let mut buf = String::from("prefix|");
+            f.write_fingerprint(&mut buf);
+            assert_eq!(buf.strip_prefix("prefix|"), Some(f.fingerprint().as_str()));
+        }
         if m >= 2 {
             let ratio = RatioRank::minimize(attrs[0], attrs[1]);
             let dirs = [Direction::Asc, Direction::Desc];
             // The default fingerprint: label and coordinates, no parameters.
             let want = reference(&ratio.label(), &attrs[..2], &dirs, &[]);
             assert_eq!(Some(ratio.fingerprint().as_str()), want.strip_suffix('|'));
+            let mut buf = String::new();
+            ratio.write_fingerprint(&mut buf);
+            assert_eq!(buf, ratio.fingerprint());
         }
     }
 }

@@ -101,6 +101,15 @@ pub trait RankFn: Send + Sync {
         out
     }
 
+    /// Append [`RankFn::fingerprint`] to `out`: the same bytes, for a
+    /// caller that writes a key of several parts into one buffer. The
+    /// default appends the owned fingerprint; the built-in families write
+    /// theirs in place and allocate nothing. A family that overrides
+    /// `fingerprint` need not override this.
+    fn write_fingerprint(&self, out: &mut String) {
+        out.push_str(&self.fingerprint());
+    }
+
     /// Number of ranking dimensions `m`.
     fn dims(&self) -> usize {
         self.attrs().len()
@@ -244,8 +253,8 @@ pub(crate) fn canonical_nan(s: f64) -> f64 {
 /// Shared fingerprint renderer for the built-in families: family tag, then
 /// per-coordinate `attr`/`direction`, then every numeric parameter as its
 /// raw bit pattern (injective where `Display` rounding is not), taken from
-/// each slice of `params` in turn. Every digit is written in place, into
-/// one `String` sized for attribute ids below 1 000.
+/// each slice of `params` in turn. Written by [`push_fingerprint`] into one
+/// `String` sized for attribute ids below 1 000.
 pub(crate) fn fingerprint_with_params(
     family: &str,
     attrs: &[AttrId],
@@ -254,10 +263,23 @@ pub(crate) fn fingerprint_with_params(
 ) -> String {
     let count: usize = params.iter().map(|p| p.len()).sum();
     let mut out = String::with_capacity(family.len() + 2 + 4 * attrs.len() + 17 * count);
+    push_fingerprint(&mut out, family, attrs, dirs, params);
+    out
+}
+
+/// Append the bytes [`fingerprint_with_params`] renders to `out`, every
+/// digit written in place.
+pub(crate) fn push_fingerprint(
+    out: &mut String,
+    family: &str,
+    attrs: &[AttrId],
+    dirs: &[Direction],
+    params: &[&[f64]],
+) {
     out.push_str(family);
     out.push('|');
     for (a, d) in attrs.iter().zip(dirs) {
-        push_decimal(&mut out, a.0 as u64);
+        push_decimal(out, a.0 as u64);
         out.push(match d {
             Direction::Asc => 'a',
             Direction::Desc => 'd',
@@ -265,10 +287,9 @@ pub(crate) fn fingerprint_with_params(
     }
     out.push('|');
     for p in params.iter().flat_map(|p| p.iter()) {
-        push_hex16(&mut out, p.to_bits());
+        push_hex16(out, p.to_bits());
         out.push(';');
     }
-    out
 }
 
 /// Exactify a candidate contour point: pull `p` back toward `lo` along the

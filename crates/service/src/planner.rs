@@ -41,7 +41,7 @@
 use crate::service::Algorithm;
 use qrs_core::baselines::PageDownCursor;
 use qrs_core::md::ta::SortedAccess;
-use qrs_core::strategy::{names, CostEstimate, PlanContext, RerankStrategy};
+use qrs_core::strategy::{names, CostEstimate, PlanContext};
 use qrs_core::{MdCursor, MdOptions, OneDCursor, OneDStrategy, TaCursor};
 use qrs_ranking::RankFn;
 use qrs_server::Capabilities;
@@ -131,20 +131,20 @@ impl Plan {
 
     /// The single-candidate plan of a session that bypasses the planner (an
     /// explicit algorithm choice or a registered custom strategy), written
-    /// by asking the strategy object it will drive: its own name, its own
-    /// estimate in `ctx`. The full selection (`ctx.server_query`) goes
-    /// server-side and nothing is relaxed.
+    /// from the strategy object it will drive: its own `name`, its own
+    /// `estimate`. The full selection goes server-side and nothing is
+    /// relaxed.
     pub(crate) fn single(
         algorithm: Algorithm,
-        strategy: &dyn RerankStrategy,
-        ctx: PlanContext,
+        name: &str,
+        estimate: CostEstimate,
+        server_query: Query,
     ) -> Plan {
-        let estimate = strategy.estimate(&ctx);
         let only = RankedCandidate {
-            name: Cow::Owned(strategy.name().to_string()),
+            name: Cow::Owned(name.to_string()),
             algorithm,
             estimate,
-            server_query: ctx.server_query,
+            server_query,
             residual: None,
         };
         let decided = match algorithm {
@@ -288,10 +288,15 @@ impl Planner {
     /// The [`PlanContext`] cost estimates run in, for the given (possibly
     /// relaxed) server-side query shape — the planner's own candidates and
     /// the objects of sessions that bypass it are priced in the same one.
-    pub(crate) fn plan_context(&self, server_query: Query, rank_attrs: Vec<AttrId>) -> PlanContext {
+    /// It borrows the planner's site model and the caller's request.
+    pub(crate) fn plan_context<'a>(
+        &'a self,
+        server_query: &'a Query,
+        rank_attrs: &'a [AttrId],
+    ) -> PlanContext<'a> {
         PlanContext {
-            caps: self.caps.clone(),
-            schema: Arc::clone(&self.schema),
+            caps: &self.caps,
+            schema: &self.schema,
             k: self.k,
             n_estimate: self.n_estimate,
             horizon: self.horizon,
@@ -306,48 +311,27 @@ impl Planner {
     /// chosen ([`Plan::candidates`] carries the full ranking). Ties keep
     /// the paper's preference order (cursor, then TA, then page-down).
     ///
-    /// Every candidate is priced in one [`PlanContext`] over the full
-    /// selection; a candidate that relaxes a predicate is priced over its
-    /// own relaxed query, swapped in for its estimate only.
-    ///
     /// # Errors
     /// [`RerankError::Unplannable`] when no candidate algorithm fits,
     /// carrying the deduplicated missing capabilities in candidate order.
     pub fn plan(&self, sel: &Query, rank: &dyn RankFn) -> Result<Plan, RerankError> {
-        let mut ctx = self.plan_context(sel.clone(), rank.attrs().to_vec());
         let mut feasible: Vec<RankedCandidate> = Vec::new();
         let mut rejected: Vec<(&'static str, Capability)> = Vec::new();
-
-        for candidate in self.candidates(rank) {
-            let known = rejected.len();
-            self.lacks(&candidate, rank.attrs(), &mut rejected);
-            if rejected.len() > known {
-                continue;
-            }
-            let (estimate, server_query, residual) = match self.relax(&candidate, sel) {
-                Err(arity) => {
-                    rejected.push((candidate.name, arity));
-                    continue;
-                }
-                Ok(None) => ((candidate.estimate)(&ctx), ctx.server_query.clone(), None),
-                Ok(Some((relaxed, residual))) => {
-                    let full = std::mem::replace(&mut ctx.server_query, relaxed);
-                    let estimate = (candidate.estimate)(&ctx);
-                    (
-                        estimate,
-                        std::mem::replace(&mut ctx.server_query, full),
-                        residual,
-                    )
-                }
-            };
-            feasible.push(RankedCandidate {
-                name: Cow::Borrowed(candidate.name),
-                algorithm: candidate.algorithm,
-                estimate,
-                server_query,
-                residual,
-            });
-        }
+        self.price_each(
+            sel,
+            rank,
+            |p| {
+                let (server_query, residual) = p.shaped.unwrap_or_else(|| (sel.clone(), None));
+                feasible.push(RankedCandidate {
+                    name: Cow::Borrowed(p.name),
+                    algorithm: p.algorithm,
+                    estimate: p.estimate,
+                    server_query,
+                    residual,
+                });
+            },
+            |candidate, cap| rejected.push((candidate, cap)),
+        );
 
         if feasible.is_empty() {
             let mut reason = String::new();
@@ -371,6 +355,74 @@ impl Planner {
         // candidates keep the paper's preference order.
         feasible.sort_by_key(|f| f.estimate.cost_units);
         Ok(Plan::cheapest_of(feasible, Decided::Ranked(rejected)))
+    }
+
+    /// The choice [`Planner::plan`] makes, and nothing else: the cheapest
+    /// feasible candidate — the first one priced lowest — without the
+    /// ranking or the rejections, which only the plan's rationale prints.
+    /// What `SessionBuilder::open` runs.
+    ///
+    /// # Errors
+    /// [`Planner::plan`]'s, when no candidate fits.
+    pub(crate) fn decide(&self, sel: &Query, rank: &dyn RankFn) -> Result<Priced, RerankError> {
+        let mut best: Option<Priced> = None;
+        self.price_each(
+            sel,
+            rank,
+            |p| {
+                if best
+                    .as_ref()
+                    .is_none_or(|b| p.estimate.cost_units < b.estimate.cost_units)
+                {
+                    best = Some(p);
+                }
+            },
+            |_, _| {},
+        );
+        // With nothing feasible, the full plan says what each candidate lacks.
+        best.ok_or_else(|| self.plan(sel, rank).expect_err("no candidate is feasible"))
+    }
+
+    /// The one pricing loop behind [`Planner::plan`] and
+    /// [`Planner::decide`]. Walks the candidates in the paper's order and
+    /// hands each feasible one, priced, to `feasible`, and each capability
+    /// an infeasible one lacks to `rejected`. Every candidate is priced in
+    /// one [`PlanContext`] over the selection; a candidate that relaxes it
+    /// is priced over its own relaxed query instead.
+    fn price_each(
+        &self,
+        sel: &Query,
+        rank: &dyn RankFn,
+        mut feasible: impl FnMut(Priced),
+        mut rejected: impl FnMut(&'static str, Capability),
+    ) {
+        let ctx = self.plan_context(sel, rank.attrs());
+        for candidate in self.candidates(rank) {
+            let mut lacking = false;
+            self.lacks(&candidate, rank.attrs(), |cap| {
+                lacking = true;
+                rejected(candidate.name, cap);
+            });
+            if lacking {
+                continue;
+            }
+            match self.relax(&candidate, sel) {
+                Err(arity) => rejected(candidate.name, arity),
+                Ok(shaped) => {
+                    let server_query = shaped.as_ref().map_or(sel, |(q, _)| q);
+                    let estimate = (candidate.estimate)(&PlanContext {
+                        server_query,
+                        ..ctx
+                    });
+                    feasible(Priced {
+                        name: candidate.name,
+                        algorithm: candidate.algorithm,
+                        estimate,
+                        shaped,
+                    });
+                }
+            }
+        }
     }
 
     /// The candidate algorithms for this ranking arity, most query-efficient
@@ -433,16 +485,10 @@ impl Planner {
         [cursor, ta, page_down]
     }
 
-    /// Push each capability candidate `c` leans on that the site lacks to
-    /// `rejected`, in a fixed order: paging, `ORDER BY`, then filters by
+    /// Hand each capability candidate `c` leans on that the site lacks to
+    /// `lack`, in a fixed order: paging, `ORDER BY`, then filters by
     /// attribute.
-    fn lacks(
-        &self,
-        c: &Candidate,
-        rank_attrs: &[AttrId],
-        rejected: &mut Vec<(&'static str, Capability)>,
-    ) {
-        let mut lack = |cap| rejected.push((c.name, cap));
+    fn lacks(&self, c: &Candidate, rank_attrs: &[AttrId], mut lack: impl FnMut(Capability)) {
         // Paging-driven candidates (TA streams, page-down) must be able to
         // drain a worst-case result within the advertised page depth —
         // otherwise they would fail (typed, but mid-stream) or go inexact.
@@ -557,6 +603,24 @@ impl Planner {
 
         Ok(Some((server_query, relaxed.then_some(residual))))
     }
+}
+
+/// One feasible candidate, priced: all [`SessionBuilder::open`] keeps of
+/// the planner's decision.
+///
+/// [`SessionBuilder::open`]: crate::SessionBuilder::open
+#[derive(Debug)]
+pub(crate) struct Priced {
+    /// The candidate's name.
+    pub(crate) name: &'static str,
+    /// The algorithm it runs.
+    pub(crate) algorithm: Algorithm,
+    /// Its predicted spend.
+    pub(crate) estimate: CostEstimate,
+    /// The server-side query and the residual the client re-applies, where
+    /// the candidate reshaped the selection; `None` where the site takes it
+    /// as it is.
+    pub(crate) shaped: Option<(Query, Option<Query>)>,
 }
 
 /// One candidate algorithm and the capabilities it leans on.

@@ -11,20 +11,21 @@ use crate::budget::QueryBudget;
 use crate::maintained::MaintainedSession;
 use crate::planner::{Plan, Planner};
 use crate::retry::RetryRunner;
-use crate::session::{Session, SessionKnowledge};
+use crate::session::{Driver, Session, SessionKnowledge};
 use crate::stats::ServiceStats;
 use parking_lot::Mutex;
 use qrs_core::baselines::PageDownCursor;
 use qrs_core::md::ta::SortedAccess;
-use qrs_core::strategy::RerankStrategy;
+use qrs_core::strategy::CostEstimate;
+use qrs_core::strategy::{names, RerankStrategy};
 use qrs_core::{
     MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, RerankParams, SharedState, TaCursor,
 };
-use qrs_knowledge::{query_key, KnowledgePlane, ResultKey, SourceShard};
+use qrs_knowledge::{KnowledgePlane, SourceShard};
 use qrs_obs::{EventKind, MonitorReport, ObsHandle};
 use qrs_ranking::RankFn;
 use qrs_server::{Clock, SearchInterface, SystemClock};
-use qrs_types::{Capability, Query, RerankError, RetryPolicy, ServerError};
+use qrs_types::{Capability, Query, RequestKind, RerankError, RetryPolicy, ServerError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -98,6 +99,43 @@ impl Algorithm {
             }
             Algorithm::Auto | Algorithm::Custom => return None,
         })
+    }
+
+    /// The [`RerankStrategy::name`] of the object
+    /// [`Algorithm::strategy`] builds, known without building it. `None`
+    /// for [`Algorithm::Auto`] and [`Algorithm::Custom`], which build none.
+    pub fn name(self) -> Option<&'static str> {
+        Some(match self {
+            Algorithm::OneD(_) => names::ONE_D,
+            Algorithm::Md(_) => names::MD,
+            Algorithm::Ta(SortedAccess::PublicOrderBy) => names::TA_ORDER_BY,
+            Algorithm::Ta(SortedAccess::OneD) => names::TA_OVER_1D,
+            Algorithm::PageDown { .. } => names::PAGE_DOWN,
+            Algorithm::Auto | Algorithm::Custom => return None,
+        })
+    }
+
+    /// The [`RerankStrategy::request_kind`] of the object
+    /// [`Algorithm::strategy`] builds: `ORDER BY` pages for TA over public
+    /// `ORDER BY`, page turns for page-down, top-`k` queries otherwise.
+    /// `None` for [`Algorithm::Auto`] and [`Algorithm::Custom`].
+    pub fn request_kind(self) -> Option<RequestKind> {
+        Some(match self {
+            Algorithm::OneD(_) | Algorithm::Md(_) | Algorithm::Ta(SortedAccess::OneD) => {
+                RequestKind::TopK
+            }
+            Algorithm::Ta(SortedAccess::PublicOrderBy) => RequestKind::Ordered,
+            Algorithm::PageDown { .. } => RequestKind::Page,
+            Algorithm::Auto | Algorithm::Custom => return None,
+        })
+    }
+
+    /// The [`RerankStrategy::positional`] flag of the object
+    /// [`Algorithm::strategy`] builds: TA reads its streams by depth and
+    /// page-down by page number. `false` for [`Algorithm::Auto`] and
+    /// [`Algorithm::Custom`].
+    pub fn positional(self) -> bool {
+        matches!(self, Algorithm::Ta(_) | Algorithm::PageDown { .. })
     }
 }
 
@@ -444,6 +482,15 @@ impl Default for SessionSpec {
     }
 }
 
+/// A session that bypasses the planner: its algorithm, its object's
+/// estimate, and the object where one had to be built to ask (an explicit
+/// choice; `open` then drives that very object).
+struct Bypass {
+    algorithm: Algorithm,
+    estimate: CostEstimate,
+    built: Option<Box<dyn RerankStrategy>>,
+}
+
 /// Configures and preflights one Get-Next session.
 ///
 /// Defaults: [`Algorithm::Auto`], no per-session budget (the service-wide
@@ -561,20 +608,22 @@ impl<'a> SessionBuilder<'a> {
     /// [`SessionBuilder::strategy`] reports [`Algorithm::Custom`] with the
     /// strategy's own estimate.
     pub fn plan(&self) -> Result<Plan, RerankError> {
-        Ok(self.resolve(&self.planner())?.0)
+        let planner = self.planner();
+        let Some(bypass) = self.bypass(&planner)? else {
+            return planner.plan(&self.sel, self.rank.as_ref());
+        };
+        let object = (bypass.built.as_deref()).or(self.custom.as_deref());
+        let name = object.expect("a bypass drives an object").name();
+        let sel = self.sel.clone();
+        Ok(Plan::single(bypass.algorithm, name, bypass.estimate, sel))
     }
 
-    /// Behind [`SessionBuilder::plan`] and [`SessionBuilder::open`]: the
-    /// plan, and the strategy object when one had to be built to write it
-    /// (`open` then drives that very object).
-    ///
-    /// A session that bypasses the planner — an explicit algorithm or a
-    /// registered custom strategy — is planned by asking its object: the
-    /// name and estimate in the plan are the running strategy's own.
-    fn resolve(
-        &self,
-        planner: &Planner,
-    ) -> Result<(Plan, Option<Box<dyn RerankStrategy>>), RerankError> {
+    /// Validate the request, and answer for a session that bypasses the
+    /// planner — an explicit algorithm or a registered custom strategy —
+    /// by asking its object, so the name and estimate reported are the
+    /// running strategy's own. `None` under [`Algorithm::Auto`], which the
+    /// planner decides.
+    fn bypass(&self, planner: &Planner) -> Result<Option<Bypass>, RerankError> {
         // NaN range endpoints poison every comparison downstream (a
         // predicate that matches nothing, region arithmetic that never
         // converges) and an attribute outside the schema indexes past every
@@ -590,21 +639,26 @@ impl<'a> SessionBuilder<'a> {
             );
             return Err(ServerError::invalid_query(reason).into());
         }
-        let ctx = || planner.plan_context(self.sel.clone(), self.rank.attrs().to_vec());
+        let ctx = planner.plan_context(&self.sel, self.rank.attrs());
         if let Some(custom) = &self.custom {
-            let plan = Plan::single(Algorithm::Custom, custom.as_ref(), ctx());
-            return Ok((plan, None));
+            let estimate = custom.estimate(&ctx);
+            return Ok(Some(Bypass {
+                algorithm: Algorithm::Custom,
+                estimate,
+                built: None,
+            }));
         }
         match self.spec.algo {
-            Algorithm::Auto => {
-                let plan = planner.plan(&self.sel, self.rank.as_ref())?;
-                Ok((plan, None))
-            }
+            Algorithm::Auto => Ok(None),
             explicit => {
                 self.preflight(explicit)?;
                 let built = self.build_strategy(explicit, self.sel.clone());
-                let plan = Plan::single(explicit, built.as_ref(), ctx());
-                Ok((plan, Some(built)))
+                let estimate = built.estimate(&ctx);
+                Ok(Some(Bypass {
+                    algorithm: explicit,
+                    estimate,
+                    built: Some(built),
+                }))
             }
         }
     }
@@ -682,15 +736,24 @@ impl<'a> SessionBuilder<'a> {
         // rejects anything recorded against an older snapshot.
         self.svc.sync_state();
         let planner = self.planner();
-        let (mut plan, built) = self.resolve(&planner)?;
+        // Under `Auto`, only the planner's choice is kept; its object is
+        // built at the session's first step, which a replay never takes.
+        let (algorithm, estimate, shaped, built) = match self.bypass(&planner)? {
+            Some(b) => (b.algorithm, b.estimate, None, b.built),
+            None => {
+                let p = planner.decide(&self.sel, self.rank.as_ref())?;
+                (p.algorithm, p.estimate, p.shaped, None)
+            }
+        };
         // Defense in depth: planner-produced algorithms satisfy these by
         // construction, but the check is cheap and keeps the invariant
         // local.
-        self.preflight(plan.algorithm)?;
-        // The object the plan was read from, or the planner's choice.
-        let strategy = match self.custom.take().or(built) {
-            Some(obj) => obj,
-            None => self.build_strategy(plan.algorithm, std::mem::take(&mut plan.server_query)),
+        self.preflight(algorithm)?;
+        let (shaped, residual) = shaped.map_or((None, None), |(q, r)| (Some(q), r));
+        // The object the choice was priced by, or the planner's choice.
+        let driver = match built.or(self.custom.take()) {
+            Some(obj) => Driver::Built(obj),
+            None => Driver::Planned { algorithm, shaped },
         };
         // Decorrelate jitter across sessions: every session cloning the
         // same policy would otherwise draw identical jitter sequences and
@@ -701,34 +764,27 @@ impl<'a> SessionBuilder<'a> {
         let nonce = self.svc.stats_ref().on_session();
         let mut retry = self.svc.retry_policy.clone();
         retry.seed ^= nonce.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let knowledge = if self.spec.use_knowledge {
-            self.svc.knowledge_shard().map(|shard| {
-                // Read before the lookup: a stream recorded under a later
-                // epoch replays as it is, and this session records nothing.
-                let epoch = shard.epoch();
-                // Custom strategies never key the result cache: their
-                // exactness is the author's promise, so their streams are
-                // neither recorded nor replayed.
-                let result_key =
-                    (!matches!(plan.algorithm, Algorithm::Custom)).then(|| ResultKey {
-                        sel: query_key(&self.sel),
-                        rank: self.rank.fingerprint(),
-                        strategy: strategy.name().to_string(),
-                    });
-                let replay = result_key.as_ref().and_then(|key| shard.lookup_result(key));
-                SessionKnowledge {
-                    shard: Arc::clone(shard),
-                    epoch,
-                    result_key,
-                    replay,
-                    replayed: 0,
-                    rederive: Vec::new(),
-                    credited: false,
-                }
-            })
-        } else {
-            None
-        };
+        // Custom strategies never key the result cache: their exactness is
+        // the author's promise, so their streams are neither recorded nor
+        // replayed.
+        let keyed = self.spec.use_knowledge && algorithm != Algorithm::Custom;
+        let knowledge = (self.svc.knowledge_shard()).filter(|_| keyed).map(|shard| {
+            // Read before the lookup: a stream recorded under a later
+            // epoch replays as it is, and this session records nothing.
+            let epoch = shard.epoch();
+            let rank = &self.rank;
+            let replay =
+                shard.lookup_stream(&self.sel, driver.name(), |out| rank.write_fingerprint(out));
+            SessionKnowledge {
+                shard: Arc::clone(shard),
+                epoch,
+                result_key: None,
+                replay,
+                replayed: 0,
+                rederive: Vec::new(),
+                credited: false,
+            }
+        });
         // Announce the session on the observability plane. The ordinal is
         // allocated here (0 when disabled) and travels on every event the
         // session emits, and the open event carries the plan-time estimate
@@ -740,19 +796,20 @@ impl<'a> SessionBuilder<'a> {
                 now,
                 obs_id,
                 EventKind::SessionOpen {
-                    strategy: strategy.name().to_string(),
-                    predicted_queries: plan.estimate.queries,
-                    predicted_cost_units: plan.estimate.cost_units,
+                    strategy: driver.name().to_string(),
+                    predicted_queries: estimate.queries,
+                    predicted_cost_units: estimate.cost_units,
                 },
             );
         }
         Ok(Session::new(
             self.svc,
             self.rank,
-            strategy,
+            self.sel,
+            driver,
             self.spec.budget,
             RetryRunner::new(retry),
-            plan.residual,
+            residual,
             knowledge,
             obs_id,
         ))
@@ -825,5 +882,44 @@ mod tests {
             drop(held);
             assert_eq!(planned, Ok(true), "plan() queued behind the state lock");
         });
+    }
+
+    /// Every built-in algorithm answers for its object before building it:
+    /// the name, request class and positional flag it reports are the
+    /// built object's.
+    #[test]
+    fn algorithms_describe_their_objects() {
+        let server = SimServer::new(uniform(50, 2, 1, 13), SystemRank::pseudo_random(3), 5);
+        let rank1: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0)]));
+        let rank2: Arc<dyn RankFn> =
+            Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
+        let built_in = [
+            (Algorithm::OneD(OneDStrategy::Rerank), &rank1),
+            (Algorithm::OneD(OneDStrategy::Baseline), &rank1),
+            (Algorithm::Md(MdOptions::rerank()), &rank2),
+            (Algorithm::Md(MdOptions::baseline()), &rank2),
+            (Algorithm::Ta(SortedAccess::OneD), &rank2),
+            (Algorithm::Ta(SortedAccess::PublicOrderBy), &rank2),
+            (Algorithm::PageDown { max_pages: 20 }, &rank2),
+            (
+                Algorithm::PageDown {
+                    max_pages: usize::MAX,
+                },
+                &rank1,
+            ),
+        ];
+        for (algorithm, rank) in built_in {
+            let object = (algorithm.strategy(Arc::clone(rank), Query::all(), &server))
+                .expect("a built-in algorithm builds");
+            assert_eq!(algorithm.name(), Some(object.name()), "{algorithm:?}");
+            let described = (algorithm.request_kind(), algorithm.positional());
+            let own = (object.request_kind(), object.positional());
+            assert_eq!(described, own, "{algorithm:?}");
+        }
+        for algorithm in [Algorithm::Auto, Algorithm::Custom] {
+            assert_eq!(algorithm.name(), None);
+            assert_eq!(algorithm.request_kind(), None);
+            assert!(!algorithm.positional());
+        }
     }
 }

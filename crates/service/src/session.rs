@@ -25,7 +25,7 @@
 //! attribution stays exact even for steps that ultimately fail.
 
 use crate::retry::RetryRunner;
-use crate::service::RerankService;
+use crate::service::{Algorithm, RerankService};
 use qrs_core::strategy::{RerankStrategy, StrategyIo, StrategyStep};
 use qrs_knowledge::{ResultEntry, ResultKey, SourceShard};
 use qrs_obs::{BudgetScope, EventKind, QueryClass};
@@ -34,8 +34,10 @@ use qrs_types::{Query, RequestKind, RerankError, Tuple, TupleId};
 use std::sync::Arc;
 
 /// Per-session view of the knowledge plane, built at open time by
-/// `SessionBuilder` when the service carries a plane and the session did
-/// not opt out.
+/// `SessionBuilder` when the service carries a plane, the session did not
+/// opt out and its strategy is a built-in one (a custom strategy's
+/// exactness is its author's promise, so its stream is neither recorded
+/// nor replayed).
 ///
 /// The plane touches a session twice and never in between: at open, a
 /// cached exact output stream for this `(selection, rank, strategy)` is
@@ -53,8 +55,9 @@ pub(crate) struct SessionKnowledge {
     /// what the strategy learned before it may no longer hold.
     pub(crate) epoch: u64,
     /// Key of this session's exact output stream in the shard's result
-    /// cache; `None` for custom strategies (their exactness is the
-    /// author's promise, so their streams are never cached or replayed).
+    /// cache, built when the session first steps its strategy — the first
+    /// moment it can record. A replay never builds it: `open` looks the
+    /// stream up by the key's bytes, written in place.
     pub(crate) result_key: Option<ResultKey>,
     /// The cached stream found at open, emitted first; dropped when the
     /// session hands over to its strategy, so the session's own appends
@@ -128,15 +131,60 @@ impl SessionStats {
     }
 }
 
+/// The pull state machine a session drives — a built-in cursor or a
+/// user-registered custom strategy; the session loop is oblivious to
+/// which — or, until the session first steps it, what to build it from.
+pub(crate) enum Driver {
+    /// The planner's choice, not built yet: a replay that never hands over
+    /// never builds it. Its name, request class and positional flag are the
+    /// algorithm's ([`Algorithm::name`]), which are its object's.
+    Planned {
+        /// A built-in algorithm.
+        algorithm: Algorithm,
+        /// The server-side query, where the planner reshaped the
+        /// selection; `None` builds the strategy over the session's own.
+        shaped: Option<Query>,
+    },
+    /// The object: built at the first step, or at open for an explicit or
+    /// custom choice, which is planned by asking it.
+    Built(Box<dyn RerankStrategy>),
+}
+
+impl Driver {
+    /// The strategy's name — the planned algorithm's, or the object's.
+    pub(crate) fn name(&self) -> &str {
+        match self {
+            Driver::Planned { algorithm, .. } => algorithm.name().expect("planned built-in"),
+            Driver::Built(strategy) => strategy.name(),
+        }
+    }
+
+    fn request_kind(&self) -> Option<RequestKind> {
+        match self {
+            Driver::Planned { algorithm, .. } => algorithm.request_kind(),
+            Driver::Built(strategy) => strategy.request_kind(),
+        }
+    }
+
+    fn positional(&self) -> bool {
+        match self {
+            Driver::Planned { algorithm, .. } => algorithm.positional(),
+            Driver::Built(strategy) => strategy.positional(),
+        }
+    }
+}
+
 /// A user's incremental reranked query. Built by
 /// [`crate::service::SessionBuilder::open`].
 pub struct Session<'a> {
     svc: &'a RerankService,
     rank: Arc<dyn RankFn>,
-    /// The pull state machine this session drives — a built-in cursor or
-    /// a user-registered custom strategy; the session loop is oblivious to
-    /// which.
-    strategy: Box<dyn RerankStrategy>,
+    /// The user's selection: the result key is written from it, and a
+    /// planned strategy the planner did not reshape it for is built over
+    /// it (which takes it).
+    sel: Query,
+    /// What this session drives.
+    driver: Driver,
     /// The running ledger [`Session::stats`] reports. Every spend counter
     /// in it moves under the shared-state lock around this session's own
     /// strategy steps, so interleaved queries from concurrent sessions are
@@ -161,7 +209,8 @@ impl<'a> Session<'a> {
     pub(crate) fn new(
         svc: &'a RerankService,
         rank: Arc<dyn RankFn>,
-        strategy: Box<dyn RerankStrategy>,
+        sel: Query,
+        driver: Driver,
         budget_limit: Option<u64>,
         retry: RetryRunner,
         residual: Option<Query>,
@@ -171,7 +220,8 @@ impl<'a> Session<'a> {
         Session {
             svc,
             rank,
-            strategy,
+            sel,
+            driver,
             ledger: SessionStats::zero(budget_limit),
             retry,
             residual,
@@ -196,7 +246,7 @@ impl<'a> Session<'a> {
     /// its strategy says it issues. A mix (a custom strategy that does not
     /// say) gets its own.
     fn class(&self) -> QueryClass {
-        match self.strategy.request_kind() {
+        match self.driver.request_kind() {
             Some(RequestKind::TopK) => QueryClass::TopK,
             Some(RequestKind::Page) => QueryClass::Page,
             Some(RequestKind::Ordered) => QueryClass::Ordered,
@@ -207,7 +257,7 @@ impl<'a> Session<'a> {
     /// Whether this session's strategy is positional
     /// ([`RerankStrategy::positional`]).
     pub(crate) fn positional(&self) -> bool {
-        self.strategy.positional()
+        self.driver.positional()
     }
 
     /// The next tuple under the user ranking, or `Ok(None)` when exhausted.
@@ -270,7 +320,7 @@ impl<'a> Session<'a> {
             Some((tuple, bits)) => {
                 k.replayed += 1;
                 self.ledger.emitted += 1;
-                self.svc.stats_ref().on_emit();
+                self.svc.stats_ref().on_emit(1);
                 Some(RankedTuple {
                     rank: self.ledger.emitted,
                     score: f64::from_bits(*bits),
@@ -398,7 +448,7 @@ impl<'a> Session<'a> {
             shard.extend_result(key, epoch, idx, Arc::clone(&tuple), score.to_bits());
         }
         self.ledger.emitted += 1;
-        self.svc.stats_ref().on_emit();
+        self.svc.stats_ref().on_emit(1);
         Some(RankedTuple {
             rank: self.ledger.emitted,
             score,
@@ -442,13 +492,17 @@ impl<'a> Session<'a> {
     /// queries (e.g. a page truncated in transit) still charges this
     /// session.
     fn step(&mut self) -> Result<StrategyStep, RerankError> {
+        self.start();
+        let Driver::Built(strategy) = &mut self.driver else {
+            unreachable!("started above")
+        };
         let server = self.svc.server();
         let mut st = self.svc.state().lock();
         let before = server.queries_issued();
         let before_cost = server.cost_units_issued();
         let t = {
             let mut io = StrategyIo::new(server.as_ref(), &mut st);
-            self.strategy.next_step(&mut io)
+            strategy.next_step(&mut io)
         };
         self.ledger.attempts_made += 1;
         let dq = server.queries_issued() - before;
@@ -471,13 +525,40 @@ impl<'a> Session<'a> {
         t
     }
 
+    /// What the first step needs and a replay does not: the result key,
+    /// and the strategy object built from the planner's choice. Written
+    /// before the object is built, which may take the selection.
+    fn start(&mut self) {
+        if let Some(k) = self.knowledge.as_mut().filter(|k| k.result_key.is_none()) {
+            let rank = &self.rank;
+            let key = ResultKey::new(&self.sel, self.driver.name(), |out| {
+                rank.write_fingerprint(out)
+            });
+            k.result_key = Some(key);
+        }
+        if let Driver::Planned { algorithm, shaped } = &mut self.driver {
+            let query = shaped
+                .take()
+                .unwrap_or_else(|| std::mem::take(&mut self.sel));
+            let server = self.svc.server().as_ref();
+            let built = (algorithm.strategy(Arc::clone(&self.rank), query, server))
+                .expect("a planned algorithm is built in");
+            self.driver = Driver::Built(built);
+        }
+    }
+
     /// Fetch the next `h` tuples (shorter if `R(q)` is exhausted).
     ///
     /// Partial results survive failure: if the budget trips or the server
     /// errors mid-batch, the tuples already fetched — and paid for — are
     /// returned together with the error instead of being dropped.
+    ///
+    /// A cached stream's prefix is handed out in one pass, and the output
+    /// is sized by what that prefix holds, never by `h`, which may be a
+    /// caller's "everything" (`usize::MAX`).
     pub fn top(&mut self, h: usize) -> (Vec<RankedTuple>, Option<RerankError>) {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(h.min(self.replayable()));
+        self.replay_into(&mut out, h);
         while out.len() < h {
             match self.next() {
                 Ok(Some(r)) => out.push(r),
@@ -486,6 +567,48 @@ impl<'a> Session<'a> {
             }
         }
         (out, None)
+    }
+
+    /// Tuples of the cached stream not replayed yet.
+    fn replayable(&self) -> usize {
+        let k = self.knowledge.as_ref();
+        k.and_then(|k| Some(k.replay.as_ref()?.items.len() - k.replayed))
+            .unwrap_or(0)
+    }
+
+    /// Stage 1 for a batch: replay the cached stream into `out` until it
+    /// holds `h` tuples or the stream's prefix runs out, as that many
+    /// [`Session::next`] calls would — one `RequestIssued` a tuple, in
+    /// order, then the full-replay credit if the last one ended a complete
+    /// stream — with the service's emit counter moved once. The hand-over
+    /// and an empty stream's exhaustion are left to `next`.
+    fn replay_into(&mut self, out: &mut Vec<RankedTuple>, h: usize) {
+        let obs = self.svc.obs();
+        let class = obs.enabled().then(|| self.class());
+        let Some(k) = self.knowledge.as_mut() else {
+            return;
+        };
+        let Some(entry) = &k.replay else { return };
+        let prefix = &entry.items[k.replayed..];
+        let prefix = &prefix[..prefix.len().min(h.saturating_sub(out.len()))];
+        if prefix.is_empty() {
+            return;
+        }
+        for (tuple, bits) in prefix {
+            if let Some(class) = class {
+                let now = self.svc.clock().now_ms();
+                obs.emit(now, self.obs_id, EventKind::RequestIssued { class });
+            }
+            self.ledger.emitted += 1;
+            out.push(RankedTuple {
+                rank: self.ledger.emitted,
+                score: f64::from_bits(*bits),
+                tuple: Arc::clone(tuple),
+            });
+        }
+        k.replayed += prefix.len();
+        self.svc.stats_ref().on_emit(prefix.len() as u64);
+        self.credit_full_replay();
     }
 
     /// Like [`Session::top`] but all-or-error: partial results are dropped.
@@ -537,9 +660,10 @@ impl<'a> Session<'a> {
         self.ledger.retries_spent
     }
 
-    /// The strategy driving this session.
+    /// The strategy driving this session (the planner's choice is named
+    /// before it is built, by the name its object will carry).
     pub fn strategy_name(&self) -> &str {
-        self.strategy.name()
+        self.driver.name()
     }
 
     /// Full accounting snapshot. Exact even when the last `top` returned
@@ -568,7 +692,7 @@ impl Drop for Session<'_> {
 impl std::fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("strategy", &self.strategy.name())
+            .field("strategy", &self.driver.name())
             .field("ledger", &self.ledger)
             .finish()
     }
@@ -577,7 +701,9 @@ impl std::fmt::Debug for Session<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::Algorithm;
+    use crate::service::SessionBuilder;
+    use qrs_core::strategy::{CostEstimate, PlanContext};
+    use qrs_core::MdOptions;
     use qrs_datagen::synthetic::uniform;
     use qrs_ranking::LinearRank;
     use qrs_server::{SimServer, SystemRank};
@@ -927,5 +1053,120 @@ mod tests {
             .map(|t| rank.score(t).to_bits())
             .collect();
         assert_eq!(got, want);
+    }
+
+    /// A custom strategy that prices one page of the server query.
+    struct Registered;
+
+    impl RerankStrategy for Registered {
+        fn name(&self) -> &str {
+            "registered-scan"
+        }
+
+        fn estimate(&self, ctx: &PlanContext) -> CostEstimate {
+            let cost = &ctx.caps.cost;
+            CostEstimate::priced(1, cost, ctx.server_query, RequestKind::Page)
+        }
+
+        fn next_step(&mut self, _io: &mut StrategyIo<'_>) -> Result<StrategyStep, RerankError> {
+            Ok(StrategyStep::Exhausted)
+        }
+    }
+
+    /// Open `builder()` and check it runs the plan `builder().plan()`
+    /// reports, reading the open event's estimate off `recorder`;
+    /// `bypassed` is the algorithm of a session the planner does not
+    /// decide.
+    fn agree<'s>(
+        recorder: &qrs_obs::Recorder,
+        case: &str,
+        bypassed: Option<Algorithm>,
+        builder: &dyn Fn() -> SessionBuilder<'s>,
+    ) {
+        let plan = match builder().plan() {
+            Ok(plan) => plan,
+            Err(refused) => {
+                assert_eq!(builder().open().unwrap_err(), refused, "{case}");
+                return;
+            }
+        };
+        let session = builder().open().unwrap();
+        let opened = recorder.drain().into_iter().find_map(|e| match e.kind {
+            EventKind::SessionOpen {
+                predicted_queries,
+                predicted_cost_units,
+                ..
+            } => Some((predicted_queries, predicted_cost_units)),
+            _ => None,
+        });
+        let estimate = (plan.estimate.queries, plan.estimate.cost_units);
+        assert_eq!(opened, Some(estimate), "{case}");
+        assert_eq!(session.strategy_name(), plan.candidates[0].name, "{case}");
+        assert_eq!(session.residual, plan.residual, "{case}");
+        match &session.driver {
+            Driver::Planned { algorithm, shaped } => {
+                assert_eq!(*algorithm, plan.algorithm, "{case}");
+                let server_query = shaped.as_ref().unwrap_or(&session.sel);
+                assert_eq!(*server_query, plan.server_query, "{case}");
+            }
+            Driver::Built(object) => {
+                assert_eq!(Some(plan.algorithm), bypassed, "{case}");
+                assert_eq!(object.name(), plan.candidates[0].name, "{case}");
+                assert_eq!(session.sel, plan.server_query, "{case}");
+            }
+        }
+    }
+
+    /// `open` runs what `plan()` reports, over every catalog profile and
+    /// the requests `tests/plan_rationale.rs` pins (two database sizes,
+    /// 1- to 3-attribute rankings, three selections, an explicit choice
+    /// and a custom strategy): the same algorithm, server query, residual
+    /// and strategy name, and the same estimate on the open event — or the
+    /// same refusal.
+    #[test]
+    fn open_runs_what_plan_reports() {
+        use qrs_obs::{ObsHandle, Recorder};
+        use qrs_server::SiteProfile;
+        use qrs_types::{CatId, CatPredicate, Direction, Interval};
+        let rank = |m: usize| -> Arc<dyn RankFn> {
+            let terms = [
+                (AttrId(0), Direction::Asc, 0.5),
+                (AttrId(1), Direction::Desc, 0.3),
+                (AttrId(2), Direction::Asc, 0.2),
+            ];
+            Arc::new(LinearRank::new(terms[..m].to_vec()))
+        };
+        let range = Query::all().and_range(AttrId(0), Interval::open(0.2, 0.9));
+        let both = range.clone().and_cat(CatPredicate::eq(CatId(0), 1));
+        let sels = [Query::all(), range, both];
+        let recorder = Arc::new(Recorder::with_capacity(1 << 12));
+        let service = |profile: &SiteProfile, n: usize| {
+            let server = profile.build(uniform(40, 3, 1, 5), SystemRank::pseudo_random(9));
+            let obs = ObsHandle::builder("agree")
+                .subscriber(Arc::clone(&recorder) as _)
+                .build();
+            RerankService::new(Arc::new(server), n).with_observer(obs)
+        };
+        for profile in SiteProfile::catalog(10) {
+            for n in [150, 2_000] {
+                let svc = service(&profile, n);
+                for m in 1..=3 {
+                    for sel in &sels {
+                        let case = format!("{} n={n} m={m} sel={sel}", profile.name);
+                        agree(&recorder, &case, None, &|| {
+                            svc.session(sel.clone(), rank(m))
+                        });
+                    }
+                }
+            }
+        }
+        let svc = service(&SiteProfile::open_site(10), 2_000);
+        let md = Algorithm::Md(MdOptions::rerank());
+        agree(&recorder, "explicit md", Some(md), &|| {
+            svc.session(Query::all(), rank(2)).algorithm(md)
+        });
+        agree(&recorder, "custom", Some(Algorithm::Custom), &|| {
+            (svc.session(Query::all(), rank(2))).strategy(Box::new(Registered))
+        });
     }
 }

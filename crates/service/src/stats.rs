@@ -80,8 +80,8 @@ impl ServiceStats {
         self.sessions_started.incr()
     }
 
-    pub(crate) fn on_emit(&self) {
-        self.tuples_emitted.incr();
+    pub(crate) fn on_emit(&self, tuples: u64) {
+        self.tuples_emitted.add(tuples);
     }
 
     pub(crate) fn on_spend(&self, queries: u64, cost_units: u64) {
@@ -131,8 +131,8 @@ mod tests {
     fn counters_accumulate() {
         let s = ServiceStats::default();
         s.on_session();
-        s.on_emit();
-        s.on_emit();
+        s.on_emit(1);
+        s.on_emit(1);
         s.on_spend(4, 9);
         s.on_spend(1, 1);
         s.on_saved(2, 6);

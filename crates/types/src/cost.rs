@@ -14,6 +14,7 @@
 //! The default model is [`CostModel::flat`]: every charged query costs one
 //! unit, making weighted cost identical to the paper's raw query count.
 
+use crate::interval::Interval;
 use crate::query::Query;
 use crate::schema::AttrId;
 use std::fmt;
@@ -170,19 +171,33 @@ impl CostModel {
     /// ledgers by it and planners predict with it, so the two never
     /// disagree on the currency.
     pub fn charge(&self, q: &Query, kind: RequestKind) -> u64 {
+        let ranges = q.ranges().iter().map(|p| (p.attr, p.interval));
+        self.charge_predicates(ranges, q.cats().len(), kind)
+    }
+
+    /// [`CostModel::charge`] over borrowed predicates: a query's range
+    /// predicates as `(attribute, interval)` pairs, at most one per
+    /// attribute and in any order, and its number of categorical
+    /// predicates. A planner prices a query shape it never builds with it.
+    pub fn charge_predicates(
+        &self,
+        ranges: impl IntoIterator<Item = (AttrId, Interval)>,
+        cats: usize,
+        kind: RequestKind,
+    ) -> u64 {
         let mut units = self.base;
-        for p in q.ranges() {
-            if p.interval.is_all() {
+        for (attr, interval) in ranges {
+            if interval.is_all() {
                 continue;
             }
-            units = units.saturating_add(if p.interval.is_point() {
+            units = units.saturating_add(if interval.is_point() {
                 self.point_predicate
             } else {
                 self.range_predicate
             });
-            units = units.saturating_add(self.attr_surcharge(p.attr));
+            units = units.saturating_add(self.attr_surcharge(attr));
         }
-        for _ in q.cats() {
+        for _ in 0..cats {
             units = units.saturating_add(self.point_predicate);
         }
         units = units.saturating_add(match kind {
@@ -214,7 +229,6 @@ impl fmt::Display for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::Interval;
     use crate::predicate::CatPredicate;
     use crate::schema::CatId;
 

@@ -13,7 +13,7 @@
 
 use query_reranking::core::md::ta::SortedAccess;
 use query_reranking::datagen::synthetic::uniform;
-use query_reranking::knowledge::{query_key, ResultKey};
+use query_reranking::knowledge::ResultKey;
 use query_reranking::obs::{EventKind, ObsHandle, QueryClass, Recorder};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
@@ -105,11 +105,9 @@ fn drifted_service(
 
 /// The result-cache key of the test request's stream under `strategy`.
 fn stream_key(strategy: &str) -> ResultKey {
-    ResultKey {
-        sel: query_key(&Query::all()),
-        rank: rank2().fingerprint(),
-        strategy: strategy.to_string(),
-    }
+    ResultKey::new(&Query::all(), strategy, |out| {
+        rank2().write_fingerprint(out)
+    })
 }
 
 /// Dense oracle: the top-`h` (id, score-bits) stream for `sel` under `rank`.

@@ -32,7 +32,8 @@
 //!   `429`s with `Retry-After` that charge **neither** ledger, and a
 //!   tenant cost budget admits and charges up to the cap, then refuses,
 //! * the front door: `/v1/rerank` via [`EdgeClient`] versus an in-process
-//!   `serve_batch`, outcome for outcome.
+//!   `serve_batch`, outcome for outcome, and a `top` of 2^53 replaying a
+//!   sealed stream without sizing anything by it.
 //!
 //! Suites run on `common::exec_from_env`'s pool, so CI's seed ×
 //! `QRS_EXEC_THREADS` matrix sweeps pool shapes over the same wire.
@@ -1130,6 +1131,61 @@ fn front_door_batches_match_in_process_serve_batch() {
             .and_then(|v| v.as_u64()),
         Some(1)
     );
+    handle.shutdown();
+}
+
+/// `top` is the caller's to state, up to 2^53 (the largest integer the
+/// wire reads exactly). Against a sealed stream such a request is a replay
+/// whose reply must be sized by the stream, never by `top`: the whole
+/// stream comes back with a 200, for nothing spent, and the connection it
+/// came on serves the next request.
+#[test]
+fn an_unbounded_top_replays_a_sealed_stream_and_keeps_its_connection() {
+    let exec = Arc::new(exec_from_env());
+    let data = uniform(80, 2, 1, test_seed() ^ 0x2053);
+    let remote = Arc::new(anti_server(&data, 3));
+    let plane = Arc::new(KnowledgePlane::new());
+    let svc = Arc::new(
+        RerankService::new(Arc::clone(&remote) as Arc<dyn SearchInterface>, data.len())
+            .with_knowledge(plane, "site"),
+    );
+    let sel = Query::all();
+    let wire_rank = [
+        (0usize, Direction::Asc, 1.0),
+        (1usize, Direction::Desc, 0.5),
+    ];
+    let rank: Arc<dyn RankFn> = Arc::new(LinearRank::new(vec![
+        (AttrId(0), Direction::Asc, 1.0),
+        (AttrId(1), Direction::Desc, 0.5),
+    ]));
+    // Drained in process, so the plane holds the stream sealed.
+    let mut drain = svc.session(sel.clone(), rank).open().unwrap();
+    let sealed = fingerprint(&drain.try_top(usize::MAX).unwrap());
+    assert_eq!(sealed.len(), data.len());
+    drop(drain);
+    let paid = remote.queries_issued();
+
+    let handle =
+        EdgeServer::serve(Arc::clone(&svc), Arc::clone(&exec), EdgeConfig::default()).unwrap();
+    let client = EdgeClient::new(handle.addr(), "tenant-a");
+    let unbounded = EdgeClient::request(&sel, &wire_rank, 1 << 53, None, None, None);
+    let reply = client.rerank(vec![unbounded]).expect("a 200");
+    let outcome = &reply.outcomes[0];
+    assert_eq!(outcome.error_code, None);
+    let got: Vec<(u32, u64)> = (outcome.hits.iter())
+        .map(|(_, score, t)| (t.id.0, score.to_bits()))
+        .collect();
+    assert_eq!(got, sealed, "the sealed stream, whole");
+    assert_eq!(outcome.queries_spent, 0);
+    assert!(outcome.queries_saved > 0, "a sealed replay is credited");
+    assert_eq!(remote.queries_issued(), paid);
+
+    let next = EdgeClient::request(&sel, &wire_rank, 3, None, None, None);
+    let reply = client
+        .rerank(vec![next])
+        .expect("the next request is served");
+    assert_eq!(reply.outcomes[0].hits.len(), 3);
+    assert_eq!((handle.requests(), handle.connections()), (2, 1));
     handle.shutdown();
 }
 

@@ -36,7 +36,7 @@ impl RerankStrategy for Registered {
     }
 
     fn estimate(&self, ctx: &PlanContext) -> CostEstimate {
-        CostEstimate::priced(1, &ctx.caps.cost, &ctx.server_query, RequestKind::Page)
+        CostEstimate::priced(1, &ctx.caps.cost, ctx.server_query, RequestKind::Page)
     }
 
     fn next_step(&mut self, _io: &mut StrategyIo<'_>) -> Result<StrategyStep, RerankError> {

@@ -107,14 +107,15 @@ fn assert_equivalent(
         .unwrap();
     // One page of answers on the site as advertised: what an explicit
     // choice without a horizon hint is priced in.
+    let caps = session_server.capabilities();
     let ctx = PlanContext {
-        caps: session_server.capabilities(),
-        schema: Arc::clone(session_server.schema()),
+        caps: &caps,
+        schema: session_server.schema(),
         k: session_server.k(),
         n_estimate: n,
         horizon: session_server.k(),
-        server_query: Query::all(),
-        rank_attrs: rank.attrs().to_vec(),
+        server_query: &Query::all(),
+        rank_attrs: rank.attrs(),
     };
     assert_eq!(sess.strategy_name(), object.name());
     assert_eq!(plan.candidates[0].name, object.name());

@@ -71,7 +71,7 @@ impl RerankStrategy for NaivePager {
         CostEstimate::priced(
             ctx.drain_pages(),
             &ctx.caps.cost,
-            &ctx.server_query,
+            ctx.server_query,
             RequestKind::Page,
         )
     }
@@ -107,7 +107,7 @@ impl RerankStrategy for OrderByDemander {
         "order-by-demander"
     }
     fn estimate(&self, ctx: &PlanContext) -> CostEstimate {
-        CostEstimate::priced(1, &ctx.caps.cost, &ctx.server_query, RequestKind::Ordered)
+        CostEstimate::priced(1, &ctx.caps.cost, ctx.server_query, RequestKind::Ordered)
     }
     fn next_step(&mut self, io: &mut StrategyIo<'_>) -> Result<StrategyStep, RerankError> {
         io.ordered(
