@@ -40,7 +40,7 @@ use std::sync::Arc;
 /// `items.len()` emissions (so a replay can report exhaustion without
 /// re-running the strategy).
 ///
-/// The stream sits behind an `Arc`, so what [`SourceShard::lookup_result`]
+/// The stream sits behind an `Arc`, so what [`SourceShard::lookup_stream`]
 /// hands out is a snapshot that copies no tuple: the shard and the readers
 /// share one `Vec` until the shard next extends a stream some reader
 /// still holds, which copies it once, for the shard (copy on write).
@@ -239,34 +239,27 @@ impl SourceShard {
         self.current().responses.insert(key, resp);
     }
 
-    /// Look up a cached exact result stream recorded under the current
-    /// epoch. Returns a snapshot of the entry: the stream itself is shared,
-    /// not copied.
-    pub fn lookup_result(&self, key: &ResultKey) -> Option<ResultEntry> {
-        self.lookup_bytes(key.as_str())
-    }
-
-    /// [`SourceShard::lookup_result`] for the stream `strategy` emits for
-    /// `sel` under the ranking whose fingerprint `rank` writes (`|out|
-    /// rank_fn.write_fingerprint(out)`). The key's bytes are written into
-    /// a buffer this thread reuses and looked up borrowed: no key is built.
+    /// Look up the cached exact result stream `strategy` emits for `sel`
+    /// under the ranking whose fingerprint `rank` writes (`|out|
+    /// rank_fn.write_fingerprint(out)`), recorded under the current epoch.
+    /// The key's bytes ([`ResultKey`]) are written into a buffer this
+    /// thread reuses and looked up borrowed: no key is built. Returns a
+    /// snapshot of the entry: the stream itself is shared, not copied.
     pub fn lookup_stream(
         &self,
         sel: &Query,
         strategy: &str,
         rank: impl FnOnce(&mut String),
     ) -> Option<ResultEntry> {
-        key_bytes(sel, strategy, rank, |bytes| self.lookup_bytes(bytes))
-    }
-
-    fn lookup_bytes(&self, key: &str) -> Option<ResultEntry> {
-        let inner = self.live()?;
-        let e = inner.results.get(key)?;
-        if e.items.is_empty() && !e.exhausted {
-            return None;
-        }
-        self.result_hits.fetch_add(1, Ordering::Relaxed);
-        Some(e.clone())
+        key_bytes(sel, strategy, rank, |key| {
+            let inner = self.live()?;
+            let e = inner.results.get(key)?;
+            if e.items.is_empty() && !e.exhausted {
+                return None;
+            }
+            self.result_hits.fetch_add(1, Ordering::Relaxed);
+            Some(e.clone())
+        })
     }
 
     /// Append the `index`-th emission of a result stream derived by a
@@ -373,6 +366,16 @@ mod tests {
         Query::all().and_range(AttrId(0), Interval::closed(lo, hi))
     }
 
+    /// The key of the stream the tests record, and the stream as a lookup
+    /// by its parts finds it.
+    fn stream_key() -> ResultKey {
+        ResultKey::new(&sel(0.0, 1.0), "a", |out| out.push('r'))
+    }
+
+    fn recorded(s: &SourceShard) -> Option<ResultEntry> {
+        s.lookup_stream(&sel(0.0, 1.0), "a", |out| out.push('r'))
+    }
+
     #[test]
     fn exact_replay_roundtrips() {
         let s = SourceShard::new();
@@ -407,15 +410,15 @@ mod tests {
         let q = sel(0.0, 10.0);
         let key = RequestKey::top_k(&q);
         s.record_response(key.clone(), &q, 2, &[t(1, 1.0)], false);
-        let rk = ResultKey::new(&sel(0.0, 1.0), "a", |out| out.push('r'));
+        let rk = stream_key();
         s.extend_result(&rk, 0, 0, t(1, 1.0), 0);
         assert!(s.lookup_response(&key, &q, 2).is_some());
-        assert!(s.lookup_result(&rk).is_some());
+        assert!(recorded(&s).is_some());
         let e = s.invalidate();
         assert_eq!(e, 1);
         assert_eq!(s.epoch(), 1);
         assert!(s.lookup_response(&key, &q, 2).is_none());
-        assert!(s.lookup_result(&rk).is_none());
+        assert!(recorded(&s).is_none());
         s.purge_stale();
         let st = s.stats();
         assert_eq!(st.responses, 0);
@@ -465,27 +468,27 @@ mod tests {
     #[test]
     fn result_stream_appends_are_contiguous_and_distinct_only() {
         let s = SourceShard::new();
-        let rk = ResultKey::new(&sel(0.0, 1.0), "a", |out| out.push('r'));
+        let rk = stream_key();
         s.extend_result(&rk, 0, 0, t(1, 1.0), 10);
         s.extend_result(&rk, 0, 2, t(9, 9.0), 90); // gap: dropped
         s.extend_result(&rk, 0, 1, t(1, 1.0), 10); // already held: dropped
-        let held = s.lookup_result(&rk).expect("live");
+        let held = recorded(&s).expect("live");
         s.extend_result(&rk, 0, 1, t(2, 2.0), 20);
         assert_eq!(held.items.len(), 1, "a snapshot handed out does not grow");
-        let e = s.lookup_result(&rk).expect("live");
+        let e = recorded(&s).expect("live");
         assert_eq!(e.items.len(), 2);
         assert_eq!(e.items[1].0.id, TupleId(2));
         assert!(!e.exhausted);
         s.mark_result_exhausted(&rk, 0, 1, 7, 7); // wrong length: ignored
-        assert!(!s.lookup_result(&rk).unwrap().exhausted);
+        assert!(!recorded(&s).unwrap().exhausted);
         s.mark_result_exhausted(&rk, 0, 2, 7, 9);
-        let sealed = s.lookup_result(&rk).unwrap();
+        let sealed = recorded(&s).unwrap();
         assert!(sealed.exhausted);
         assert_eq!(sealed.queries_full, 7);
         assert_eq!(sealed.cost_units_full, 9);
         // Sealed streams reject further appends.
         s.extend_result(&rk, 0, 2, t(3, 3.0), 30);
-        assert_eq!(s.lookup_result(&rk).unwrap().items.len(), 2);
+        assert_eq!(recorded(&s).unwrap().items.len(), 2);
         // The stream is found by its parts, written in place, and only by
         // its own.
         let found = |q: &Query, strategy: &str, rank: char| {
@@ -502,16 +505,13 @@ mod tests {
         // A session opened under epoch 0 keeps deriving after the data
         // changed: nothing it records may seed epoch 1.
         let s = SourceShard::new();
-        let rk = ResultKey::new(&sel(0.0, 1.0), "a", |out| out.push('r'));
+        let rk = stream_key();
         s.extend_result(&rk, 0, 0, t(1, 1.0), 10);
         s.invalidate();
         s.extend_result(&rk, 0, 0, t(1, 1.0), 10);
         s.mark_result_exhausted(&rk, 0, 0, 1, 1);
-        assert!(s.lookup_result(&rk).is_none());
+        assert!(recorded(&s).is_none());
         s.extend_result(&rk, 1, 0, t(2, 2.0), 20);
-        assert_eq!(
-            s.lookup_result(&rk).expect("live").items[0].0.id,
-            TupleId(2)
-        );
+        assert_eq!(recorded(&s).expect("live").items[0].0.id, TupleId(2));
     }
 }

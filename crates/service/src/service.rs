@@ -16,8 +16,7 @@ use crate::stats::ServiceStats;
 use parking_lot::Mutex;
 use qrs_core::baselines::PageDownCursor;
 use qrs_core::md::ta::SortedAccess;
-use qrs_core::strategy::CostEstimate;
-use qrs_core::strategy::{names, RerankStrategy};
+use qrs_core::strategy::{names, CostEstimate, RerankStrategy};
 use qrs_core::{
     MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, RerankParams, SharedState, TaCursor,
 };
@@ -70,11 +69,12 @@ pub enum Algorithm {
 impl Algorithm {
     /// The strategy object running this algorithm over `sel` (the possibly
     /// relaxed server-side query) ranked by `rank` on `server` — the one
-    /// place an [`Algorithm`] value becomes an object. Everything else
-    /// about the algorithm — its name, its estimate, its request class,
-    /// whether it is positional — is then asked of the object. `None` for
-    /// [`Algorithm::Auto`], which the planner resolves first, and
-    /// [`Algorithm::Custom`], whose object the caller supplies.
+    /// place an [`Algorithm`] value becomes an object. Its name, request
+    /// class and positional flag are known before it is built
+    /// ([`Algorithm::name`], [`Algorithm::request_kind`],
+    /// [`Algorithm::positional`]); its estimate is asked of the object.
+    /// `None` for [`Algorithm::Auto`], which the planner resolves first,
+    /// and [`Algorithm::Custom`], whose object the caller supplies.
     pub fn strategy(
         self,
         rank: Arc<dyn RankFn>,
@@ -745,10 +745,12 @@ impl<'a> SessionBuilder<'a> {
                 (p.algorithm, p.estimate, p.shaped, None)
             }
         };
-        // Defense in depth: planner-produced algorithms satisfy these by
-        // construction, but the check is cheap and keeps the invariant
-        // local.
-        self.preflight(algorithm)?;
+        // The planner's candidates satisfy the preflights by construction
+        // (`Planner::lacks` checks the same capabilities), and `bypass`
+        // ran them for every other choice. Checked again in debug builds
+        // only: on a site that pages or sorts, each run reads the
+        // capabilities anew, a copy of the site model per open.
+        debug_assert_eq!(self.preflight(algorithm), Ok(()), "{algorithm:?}");
         let (shaped, residual) = shaped.map_or((None, None), |(q, r)| (Some(q), r));
         // The object the choice was priced by, or the planner's choice.
         let driver = match built.or(self.custom.take()) {

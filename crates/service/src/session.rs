@@ -1055,6 +1055,59 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// A sealed stream handed out by `top` in one pass reads, to an
+    /// observer and to the books, as that many `next` calls: one
+    /// `RequestIssued` a tuple, in order, then the full-replay credit with
+    /// the last one — also when `top` asks for exactly the stream and so
+    /// never pulls past it.
+    #[test]
+    fn a_replay_in_one_pass_reads_as_single_pulls() {
+        use qrs_knowledge::KnowledgePlane;
+        use qrs_obs::{ObsHandle, Recorder};
+        use qrs_types::Interval;
+        let recorder = Arc::new(Recorder::with_capacity(1 << 10));
+        let obs = ObsHandle::builder("one-pass")
+            .subscriber(Arc::clone(&recorder) as _)
+            .build();
+        let svc = service(60, 5)
+            .with_knowledge(Arc::new(KnowledgePlane::new()), "site")
+            .with_observer(obs);
+        let sel = Query::all().and_range(AttrId(0), Interval::closed(0.0, 0.3));
+        let sealed = (svc.session(sel.clone(), rank2()).open().unwrap())
+            .try_top(usize::MAX)
+            .unwrap();
+        assert!(sealed.len() > 1, "{} tuples", sealed.len());
+        recorder.drain();
+        // What the books and the observer see of one replay.
+        let replay = |pull: &dyn Fn(&mut Session<'_>) -> Vec<RankedTuple>| {
+            let before = svc.stats();
+            let mut session = svc.session(sel.clone(), rank2()).open().unwrap();
+            let rows = pull(&mut session);
+            let saved = session.queries_saved();
+            drop(session);
+            let after = svc.stats();
+            let kinds: Vec<EventKind> = recorder.drain().into_iter().map(|e| e.kind).collect();
+            let scores: Vec<u64> = rows.iter().map(|r| r.score.to_bits()).collect();
+            let moved = (
+                after.tuples_emitted - before.tuples_emitted,
+                after.queries_saved - before.queries_saved,
+            );
+            (scores, saved, moved, kinds)
+        };
+        let n = sealed.len();
+        let singles = replay(&|s| (0..n).map(|_| s.next().unwrap().unwrap()).collect());
+        let batch = replay(&|s| s.try_top(n).unwrap());
+        assert!(singles.1 > 0, "a whole sealed stream is credited");
+        assert_eq!(batch, singles);
+        let issued = |kinds: &[EventKind]| {
+            (kinds.iter())
+                .filter(|k| matches!(k, EventKind::RequestIssued { .. }))
+                .count()
+        };
+        assert_eq!(issued(&batch.3), n);
+        assert!(matches!(batch.3[n + 1], EventKind::KnowledgeHit { .. }));
+    }
+
     /// A custom strategy that prices one page of the server query.
     struct Registered;
 
@@ -1120,9 +1173,9 @@ mod tests {
     /// `open` runs what `plan()` reports, over every catalog profile and
     /// the requests `tests/plan_rationale.rs` pins (two database sizes,
     /// 1- to 3-attribute rankings, three selections, an explicit choice
-    /// and a custom strategy): the same algorithm, server query, residual
-    /// and strategy name, and the same estimate on the open event — or the
-    /// same refusal.
+    /// and a custom strategy) and one tie between candidates: the same
+    /// algorithm, server query, residual and strategy name, and the same
+    /// estimate on the open event — or the same refusal.
     #[test]
     fn open_runs_what_plan_reports() {
         use qrs_obs::{ObsHandle, Recorder};
@@ -1160,6 +1213,14 @@ mod tests {
                 }
             }
         }
+        // A tie: at n = 80 and a horizon of one tuple the 1-D cursor and
+        // page-down are priced alike, and both take the first in the
+        // paper's order.
+        let svc = service(&SiteProfile::open_site(10), 80);
+        let tied = || svc.session(Query::all(), rank(1)).horizon(1);
+        let ranked = tied().plan().unwrap().candidates;
+        assert_eq!(ranked[0].estimate, ranked[1].estimate, "no tie to break");
+        agree(&recorder, "open_site n=80 m=1 h=1", None, &tied);
         let svc = service(&SiteProfile::open_site(10), 2_000);
         let md = Algorithm::Md(MdOptions::rerank());
         agree(&recorder, "explicit md", Some(md), &|| {

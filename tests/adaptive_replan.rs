@@ -13,7 +13,7 @@
 
 use query_reranking::core::md::ta::SortedAccess;
 use query_reranking::datagen::synthetic::uniform;
-use query_reranking::knowledge::ResultKey;
+use query_reranking::knowledge::{ResultEntry, SourceShard};
 use query_reranking::obs::{EventKind, ObsHandle, QueryClass, Recorder};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{Capabilities, SearchInterface, SimServer, SystemRank};
@@ -103,9 +103,9 @@ fn drifted_service(
     (svc, server, plane)
 }
 
-/// The result-cache key of the test request's stream under `strategy`.
-fn stream_key(strategy: &str) -> ResultKey {
-    ResultKey::new(&Query::all(), strategy, |out| {
+/// The test request's stream under `strategy`, as `shard` holds it.
+fn stream(shard: &SourceShard, strategy: &str) -> Option<ResultEntry> {
+    shard.lookup_stream(&Query::all(), strategy, |out| {
         rank2().write_fingerprint(out)
     })
 }
@@ -174,12 +174,10 @@ fn divergence_switch_is_byte_identical_to_oracle_and_priced_like_cold() {
             let shard = plane
                 .get(SOURCE)
                 .expect("the service registered its source");
-            let sealed = shard
-                .lookup_result(&stream_key("ta-order-by"))
-                .expect("ta-order-by recorded its emissions");
+            let sealed = stream(&shard, "ta-order-by").expect("ta-order-by recorded its emissions");
             assert!(sealed.exhausted, "{input:?}: drained stream not sealed");
             assert_eq!(sealed.items.len(), N, "{input:?}");
-            assert!(shard.lookup_result(&stream_key("md-rerank")).is_none());
+            assert!(stream(&shard, "md-rerank").is_none());
         }
         let report = svc.monitor_report();
         assert_eq!(report.rows.len(), 1, "{input:?}: one strategy row");
