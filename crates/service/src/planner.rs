@@ -41,7 +41,7 @@
 use crate::service::Algorithm;
 use qrs_core::baselines::PageDownCursor;
 use qrs_core::md::ta::SortedAccess;
-use qrs_core::strategy::{names, CostEstimate, PlanContext};
+use qrs_core::strategy::{CostEstimate, PlanContext};
 use qrs_core::{MdCursor, MdOptions, OneDCursor, OneDStrategy, TaCursor};
 use qrs_ranking::RankFn;
 use qrs_server::Capabilities;
@@ -323,7 +323,7 @@ impl Planner {
             |p| {
                 let (server_query, residual) = p.shaped.unwrap_or_else(|| (sel.clone(), None));
                 feasible.push(RankedCandidate {
-                    name: Cow::Borrowed(p.name),
+                    name: Cow::Borrowed(name_of(p.algorithm)),
                     algorithm: p.algorithm,
                     estimate: p.estimate,
                     server_query,
@@ -398,16 +398,17 @@ impl Planner {
     ) {
         let ctx = self.plan_context(sel, rank.attrs());
         for candidate in self.candidates(rank) {
+            let name = name_of(candidate.algorithm);
             let mut lacking = false;
             self.lacks(&candidate, rank.attrs(), |cap| {
                 lacking = true;
-                rejected(candidate.name, cap);
+                rejected(name, cap);
             });
             if lacking {
                 continue;
             }
             match self.relax(&candidate, sel) {
-                Err(arity) => rejected(candidate.name, arity),
+                Err(arity) => rejected(name, arity),
                 Ok(shaped) => {
                     let server_query = shaped.as_ref().map_or(sel, |(q, _)| q);
                     let estimate = (candidate.estimate)(&PlanContext {
@@ -415,7 +416,6 @@ impl Planner {
                         ..ctx
                     });
                     feasible(Priced {
-                        name: candidate.name,
                         algorithm: candidate.algorithm,
                         estimate,
                         shaped,
@@ -436,7 +436,6 @@ impl Planner {
         // attributes: conservatively all of them.
         let cursor = if rank.dims() == 1 {
             Candidate {
-                name: names::ONE_D,
                 algorithm: Algorithm::OneD(OneDStrategy::Rerank),
                 estimate: OneDCursor::estimate_in,
                 constrains: true,
@@ -447,7 +446,6 @@ impl Planner {
             }
         } else {
             Candidate {
-                name: names::MD,
                 algorithm: Algorithm::Md(MdOptions::rerank()),
                 estimate: MdCursor::estimate_in,
                 constrains: true,
@@ -461,7 +459,6 @@ impl Planner {
         // (the `paging` flag itself does not: ORDER BY paging is a separate
         // site feature).
         let ta = Candidate {
-            name: names::TA_ORDER_BY,
             algorithm: Algorithm::Ta(SortedAccess::PublicOrderBy),
             estimate: TaCursor::estimate_in,
             constrains: false,
@@ -471,7 +468,6 @@ impl Planner {
             drains: true,
         };
         let page_down = Candidate {
-            name: names::PAGE_DOWN,
             algorithm: Algorithm::PageDown {
                 max_pages: self.caps.max_pages.unwrap_or(usize::MAX),
             },
@@ -605,14 +601,16 @@ impl Planner {
     }
 }
 
+/// A planner candidate's name: its algorithm's, which is built in.
+fn name_of(algorithm: Algorithm) -> &'static str {
+    algorithm.name().expect("a planner candidate is built in")
+}
+
 /// One feasible candidate, priced: all [`SessionBuilder::open`] keeps of
 /// the planner's decision.
 ///
 /// [`SessionBuilder::open`]: crate::SessionBuilder::open
-#[derive(Debug)]
 pub(crate) struct Priced {
-    /// The candidate's name.
-    pub(crate) name: &'static str,
     /// The algorithm it runs.
     pub(crate) algorithm: Algorithm,
     /// Its predicted spend.
@@ -625,7 +623,7 @@ pub(crate) struct Priced {
 
 /// One candidate algorithm and the capabilities it leans on.
 struct Candidate {
-    name: &'static str,
+    /// A built-in algorithm, named by [`Algorithm::name`].
     algorithm: Algorithm,
     /// The family's plan-time cost heuristic — the one
     /// [`qrs_core::RerankStrategy::estimate`] answers with on the
