@@ -129,13 +129,9 @@ fn an_md_request_allocates_within_its_budget() {
 const REPLAY_OPEN_BUDGET: u64 = 0;
 const REPLAY_PULL_BUDGET: u64 = 1;
 
-/// The site and request every replay test asks: a plane-backed service
-/// over the open site, a range selection and a three-attribute ranking.
-fn replay_world() -> (RerankService, Query, Arc<dyn RankFn>) {
-    let plane = Arc::new(KnowledgePlane::new());
-    (plane_service(&plane), replay_sel(), replay_rank())
-}
-
+/// The site and request every replay test asks: a service over the open
+/// site that records into and replays from `plane`, a range selection and
+/// a three-attribute ranking.
 fn plane_service(plane: &Arc<KnowledgePlane>) -> RerankService {
     const N: usize = 2000;
     let site = SiteProfile::open_site(10).build(uniform(N, 3, 1, 7), SystemRank::pseudo_random(7));
@@ -161,7 +157,8 @@ fn ids(rows: &[RankedTuple]) -> Vec<TupleId> {
 #[test]
 fn a_replay_allocates_within_its_budget() {
     const TOP: usize = 25;
-    let (service, sel, rank) = replay_world();
+    let service = plane_service(&Arc::new(KnowledgePlane::new()));
+    let (sel, rank) = (replay_sel(), replay_rank());
     // The first run pays the site and records its 25 tuples in the plane.
     let mut first = service.session(sel.clone(), rank.clone()).open().unwrap();
     let recorded = first.try_top(TOP).expect("the first run is served");
@@ -249,7 +246,10 @@ fn a_partial_hit_builds_its_strategy_once_at_hand_over() {
 /// stream, not by the request: one allocation, and the whole stream.
 #[test]
 fn an_unbounded_replay_allocates_its_output_once() {
-    let (service, _, rank) = replay_world();
+    let (service, rank) = (
+        plane_service(&Arc::new(KnowledgePlane::new())),
+        replay_rank(),
+    );
     // About 20 tuples: the first run drains the range and seals it.
     let sel = Query::all().and_range(AttrId(0), Interval::closed(0.25, 0.26));
     let mut first = service.session(sel.clone(), rank.clone()).open().unwrap();
