@@ -89,7 +89,8 @@ pub fn measure(
     algorithm: Algorithm,
     h: usize,
 ) -> Run {
-    let mut strategy = (algorithm.strategy(Arc::clone(&uq.rank), uq.sel.clone(), server))
+    let (rank, sel, caps) = (Arc::clone(&uq.rank), uq.sel.clone(), server.capabilities());
+    let mut strategy = (algorithm.strategy(rank, sel, server.schema(), &caps))
         .expect("the figures run built-in algorithms");
     measure_strategy(server, st, uq, strategy.as_mut(), h)
 }

@@ -93,9 +93,9 @@ pub struct TaCursor {
     seen: HashSet<TupleId>,
     all_known: bool,
     rr: usize,
-    /// Built for public `ORDER BY` sorted access: names and prices the
-    /// cursor as a strategy.
-    pub(crate) public: bool,
+    /// The sorted access it was built for: names and prices the cursor as
+    /// a strategy.
+    pub(crate) access: SortedAccess,
 }
 
 impl TaCursor {
@@ -143,7 +143,7 @@ impl TaCursor {
             seen: HashSet::new(),
             all_known: false,
             rr: 0,
-            public: access == SortedAccess::PublicOrderBy,
+            access,
         }
     }
 

@@ -39,7 +39,7 @@
 use crate::baselines::PageDownCursor;
 use crate::ctx::SharedState;
 use crate::md::cursor::MdCursor;
-use crate::md::ta::TaCursor;
+use crate::md::ta::{SortedAccess, TaCursor};
 use crate::one_d::cursor::{OneDCursor, TiePolicy};
 use crate::one_d::primitives::OneDSpec;
 use crate::one_d::OneDStrategy;
@@ -505,54 +505,45 @@ impl RerankStrategy for MdCursor {
 pub type TaCursorStrategy = TaCursor;
 
 impl TaCursor {
-    /// TA's cost heuristic under public-`ORDER BY` sorted access, the
-    /// planner's TA candidate: `⌈depth/k⌉` ordered pages per ranking
-    /// attribute, where `depth ≈ (h · n^(m-1))^(1/m)` is how far the
-    /// threshold reads each stream. A built cursor prices the access it
-    /// was built with.
-    pub fn estimate_in(ctx: &PlanContext) -> CostEstimate {
-        ta_estimate(ctx, true)
-    }
-}
-
-/// TA's cost heuristic: the threshold stops once each of the `m` streams
-/// has drained `≈ (h · n^(m-1))^(1/m)` tuples (for `m = 1` the single
-/// ordered stream *is* the answer order: depth `h`; for `m = 2` the classic
-/// `sqrt(h·n)`). With public `ORDER BY` access that is `⌈depth/k⌉` ordered
-/// pages per stream, priced as `ORDER BY` pages of the server query; with
-/// 1D-RERANK sorted access each stream instead issues range-filtered
-/// top-`k` probes — roughly one per drained tuple plus one binary-search
-/// descent — priced in *that* request class, since the server never sees
-/// an `ORDER BY`.
-fn ta_estimate(ctx: &PlanContext, public_order_by: bool) -> CostEstimate {
-    let h = ctx.horizon.max(1) as u64;
-    let n = ctx.n_estimate.max(1) as u64;
-    let m = ctx.rank_attrs.len().max(1) as u64;
-    let k = ctx.k.max(1) as u64;
-    let depth = (((h as f64) * (n as f64).powi(m as i32 - 1))
-        .powf(1.0 / m as f64)
-        .ceil() as u64)
-        .clamp(1, n);
-    if public_order_by {
-        let pages = m * depth.div_ceil(k).clamp(1, ctx.drain_pages());
-        let sel = ctx.server_query;
-        CostEstimate::priced(pages, &ctx.caps.cost, sel, RequestKind::Ordered)
-    } else {
-        one_d_probes(ctx, m * (depth + log2_ceil(n)))
+    /// TA's cost heuristic under `access`: the threshold stops once each of
+    /// the `m` streams has drained `≈ (h · n^(m-1))^(1/m)` tuples (for
+    /// `m = 1` the single ordered stream *is* the answer order: depth `h`;
+    /// for `m = 2` the classic `sqrt(h·n)`). With public `ORDER BY` access
+    /// that is `⌈depth/k⌉` ordered pages per stream, priced as `ORDER BY`
+    /// pages of the server query; with 1D-RERANK sorted access each stream
+    /// instead issues range-filtered top-`k` probes — roughly one per
+    /// drained tuple plus one binary-search descent — priced in *that*
+    /// request class, since the server never sees an `ORDER BY`.
+    pub fn estimate_in(ctx: &PlanContext, access: SortedAccess) -> CostEstimate {
+        let h = ctx.horizon.max(1) as u64;
+        let n = ctx.n_estimate.max(1) as u64;
+        let m = ctx.rank_attrs.len().max(1) as u64;
+        let k = ctx.k.max(1) as u64;
+        let depth = (((h as f64) * (n as f64).powi(m as i32 - 1))
+            .powf(1.0 / m as f64)
+            .ceil() as u64)
+            .clamp(1, n);
+        match access {
+            SortedAccess::PublicOrderBy => {
+                let pages = m * depth.div_ceil(k).clamp(1, ctx.drain_pages());
+                let sel = ctx.server_query;
+                CostEstimate::priced(pages, &ctx.caps.cost, sel, RequestKind::Ordered)
+            }
+            SortedAccess::OneD => one_d_probes(ctx, m * (depth + log2_ceil(n))),
+        }
     }
 }
 
 impl RerankStrategy for TaCursor {
     fn name(&self) -> &str {
-        if self.public {
-            names::TA_ORDER_BY
-        } else {
-            names::TA_OVER_1D
+        match self.access {
+            SortedAccess::PublicOrderBy => names::TA_ORDER_BY,
+            SortedAccess::OneD => names::TA_OVER_1D,
         }
     }
 
     fn estimate(&self, ctx: &PlanContext) -> CostEstimate {
-        ta_estimate(ctx, self.public)
+        Self::estimate_in(ctx, self.access)
     }
 
     fn next_step(&mut self, io: &mut StrategyIo<'_>) -> Result<StrategyStep, RerankError> {
@@ -563,10 +554,9 @@ impl RerankStrategy for TaCursor {
     /// `ORDER BY` pages under public sorted access; under 1D-RERANK sorted
     /// access the server only ever sees range-filtered top-`k` probes.
     fn request_kind(&self) -> Option<RequestKind> {
-        Some(if self.public {
-            RequestKind::Ordered
-        } else {
-            RequestKind::TopK
+        Some(match self.access {
+            SortedAccess::PublicOrderBy => RequestKind::Ordered,
+            SortedAccess::OneD => RequestKind::TopK,
         })
     }
 
@@ -713,9 +703,10 @@ mod tests {
         assert_eq!(f.queries, m.queries);
         // Two range predicates at +1 each: 3 units per query.
         assert_eq!(m.cost_units, 3 * m.queries);
+        let access = SortedAccess::PublicOrderBy;
         let (f, m) = (
-            TaCursor::estimate_in(&flat.ctx()),
-            TaCursor::estimate_in(&metered.ctx()),
+            TaCursor::estimate_in(&flat.ctx(), access),
+            TaCursor::estimate_in(&metered.ctx(), access),
         );
         assert_eq!(f.queries, m.queries);
         assert_eq!(m.cost_units, 3 * f.cost_units);

@@ -209,6 +209,10 @@ pub trait SearchInterface: Send + Sync {
 
     /// The optional features this interface offers. Defaults to
     /// [`Capabilities::none`] — a bare top-k interface.
+    ///
+    /// A reranking service reads it once, when it is built, and plans
+    /// every session against that copy: a site whose model changes is
+    /// fronted by a new service.
     fn capabilities(&self) -> Capabilities {
         Capabilities::none()
     }

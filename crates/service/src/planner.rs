@@ -29,8 +29,9 @@
 //! Among the *feasible* candidates — the §3/§4 cursor for the ranking
 //! arity, TA over public `ORDER BY`, strict page-down — the planner does
 //! not follow a fixed preference order: each candidate is cost-estimated
-//! under the site's advertised [`qrs_types::CostModel`] (its own
-//! [`qrs_core::RerankStrategy::estimate`] heuristic, priced by the same
+//! under the site's advertised [`qrs_types::CostModel`]
+//! ([`Algorithm::estimate`], the heuristic its object's
+//! [`qrs_core::RerankStrategy::estimate`] answers with, priced by the same
 //! model the server's ledger charges by) and the cheapest wins.
 //! [`Plan::candidates`] reports the full ranking and [`Plan::rationale`]
 //! explains it; equal-cost ties keep the paper's order (cursor, then TA,
@@ -39,10 +40,9 @@
 //! catalog.
 
 use crate::service::Algorithm;
-use qrs_core::baselines::PageDownCursor;
 use qrs_core::md::ta::SortedAccess;
-use qrs_core::strategy::{CostEstimate, PlanContext};
-use qrs_core::{MdCursor, MdOptions, OneDCursor, OneDStrategy, TaCursor};
+use qrs_core::strategy::{CostEstimate, PlanContext, RerankStrategy};
+use qrs_core::{MdOptions, OneDStrategy};
 use qrs_ranking::RankFn;
 use qrs_server::Capabilities;
 use qrs_types::{AttrId, Capability, Query, RangePredicate, RerankError, Schema};
@@ -130,24 +130,26 @@ impl Plan {
     }
 
     /// The single-candidate plan of a session that bypasses the planner (an
-    /// explicit algorithm choice or a registered custom strategy), written
-    /// from the strategy object it will drive: its own `name`, its own
-    /// `estimate`. The full selection goes server-side and nothing is
-    /// relaxed.
+    /// explicit algorithm choice, or the registered `custom` strategy),
+    /// priced: a built-in's name is borrowed, a custom object's copied. The
+    /// full selection goes server-side and nothing is relaxed.
     pub(crate) fn single(
-        algorithm: Algorithm,
-        name: &str,
-        estimate: CostEstimate,
+        priced: Priced,
+        custom: Option<&dyn RerankStrategy>,
         server_query: Query,
     ) -> Plan {
+        let name = match custom {
+            Some(custom) => Cow::Owned(custom.name().to_string()),
+            None => Cow::Borrowed(name_of(priced.algorithm)),
+        };
         let only = RankedCandidate {
-            name: Cow::Owned(name.to_string()),
-            algorithm,
-            estimate,
+            name,
+            algorithm: priced.algorithm,
+            estimate: priced.estimate,
             server_query,
             residual: None,
         };
-        let decided = match algorithm {
+        let decided = match priced.algorithm {
             Algorithm::Custom => Decided::Custom,
             _ => Decided::Explicit,
         };
@@ -231,7 +233,8 @@ impl Plan {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Planner {
-    caps: Capabilities,
+    /// The site model, shared by every copy of the planner.
+    caps: Arc<Capabilities>,
     schema: Arc<Schema>,
     k: usize,
     n_estimate: usize,
@@ -250,7 +253,7 @@ impl Planner {
     /// silent, mid-stream `PageDepth` refusal).
     pub fn new(caps: Capabilities, schema: Arc<Schema>, k: usize, n_estimate: usize) -> Self {
         Planner {
-            caps,
+            caps: Arc::new(caps),
             schema,
             k: k.max(1),
             n_estimate: n_estimate.max(1),
@@ -266,6 +269,11 @@ impl Planner {
     pub fn with_horizon(mut self, h: usize) -> Self {
         self.horizon = h.max(1);
         self
+    }
+
+    /// The site model this planner plans against.
+    pub(crate) fn capabilities(&self) -> &Capabilities {
+        &self.caps
     }
 
     /// The filter capability an algorithm needs to constrain `attr` outside
@@ -287,7 +295,7 @@ impl Planner {
 
     /// The [`PlanContext`] cost estimates run in, for the given (possibly
     /// relaxed) server-side query shape — the planner's own candidates and
-    /// the objects of sessions that bypass it are priced in the same one.
+    /// the sessions that bypass it are priced in the same one.
     /// It borrows the planner's site model and the caller's request.
     pub(crate) fn plan_context<'a>(
         &'a self,
@@ -411,10 +419,12 @@ impl Planner {
                 Err(arity) => rejected(name, arity),
                 Ok(shaped) => {
                     let server_query = shaped.as_ref().map_or(sel, |(q, _)| q);
-                    let estimate = (candidate.estimate)(&PlanContext {
-                        server_query,
-                        ..ctx
-                    });
+                    let estimate = (candidate.algorithm)
+                        .estimate(&PlanContext {
+                            server_query,
+                            ..ctx
+                        })
+                        .expect("a planner candidate is built in");
                     feasible(Priced {
                         algorithm: candidate.algorithm,
                         estimate,
@@ -437,7 +447,6 @@ impl Planner {
         let cursor = if rank.dims() == 1 {
             Candidate {
                 algorithm: Algorithm::OneD(OneDStrategy::Rerank),
-                estimate: OneDCursor::estimate_in,
                 constrains: true,
                 ranges_on_ranked: false,
                 order_by: false,
@@ -447,7 +456,6 @@ impl Planner {
         } else {
             Candidate {
                 algorithm: Algorithm::Md(MdOptions::rerank()),
-                estimate: MdCursor::estimate_in,
                 constrains: true,
                 ranges_on_ranked: true,
                 order_by: false,
@@ -460,7 +468,6 @@ impl Planner {
         // site feature).
         let ta = Candidate {
             algorithm: Algorithm::Ta(SortedAccess::PublicOrderBy),
-            estimate: TaCursor::estimate_in,
             constrains: false,
             ranges_on_ranked: false,
             order_by: true,
@@ -471,7 +478,6 @@ impl Planner {
             algorithm: Algorithm::PageDown {
                 max_pages: self.caps.max_pages.unwrap_or(usize::MAX),
             },
-            estimate: PageDownCursor::estimate_in,
             constrains: false,
             ranges_on_ranked: false,
             order_by: false,
@@ -606,8 +612,8 @@ fn name_of(algorithm: Algorithm) -> &'static str {
     algorithm.name().expect("a planner candidate is built in")
 }
 
-/// One feasible candidate, priced: all [`SessionBuilder::open`] keeps of
-/// the planner's decision.
+/// One choice, priced: all [`SessionBuilder::open`] keeps of the planner's
+/// decision, or of a session that bypasses the planner.
 ///
 /// [`SessionBuilder::open`]: crate::SessionBuilder::open
 pub(crate) struct Priced {
@@ -623,12 +629,9 @@ pub(crate) struct Priced {
 
 /// One candidate algorithm and the capabilities it leans on.
 struct Candidate {
-    /// A built-in algorithm, named by [`Algorithm::name`].
+    /// A built-in algorithm, named by [`Algorithm::name`] and priced by
+    /// [`Algorithm::estimate`].
     algorithm: Algorithm,
-    /// The family's plan-time cost heuristic — the one
-    /// [`qrs_core::RerankStrategy::estimate`] answers with on the
-    /// constructed object.
-    estimate: fn(&PlanContext) -> CostEstimate,
     /// The cursor puts predicates on every ordinal attribute, each needing
     /// its own filter level ([`Planner::filter_req`]) …
     constrains: bool,

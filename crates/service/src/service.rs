@@ -9,22 +9,22 @@
 
 use crate::budget::QueryBudget;
 use crate::maintained::MaintainedSession;
-use crate::planner::{Plan, Planner};
+use crate::planner::{Plan, Planner, Priced};
 use crate::retry::RetryRunner;
 use crate::session::{Driver, Session, SessionKnowledge};
 use crate::stats::ServiceStats;
 use parking_lot::Mutex;
 use qrs_core::baselines::PageDownCursor;
 use qrs_core::md::ta::SortedAccess;
-use qrs_core::strategy::{names, CostEstimate, RerankStrategy};
+use qrs_core::strategy::{names, CostEstimate, PlanContext, RerankStrategy};
 use qrs_core::{
     MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, RerankParams, SharedState, TaCursor,
 };
 use qrs_knowledge::{KnowledgePlane, SourceShard};
 use qrs_obs::{EventKind, MonitorReport, ObsHandle};
 use qrs_ranking::RankFn;
-use qrs_server::{Clock, SearchInterface, SystemClock};
-use qrs_types::{Capability, Query, RequestKind, RerankError, RetryPolicy, ServerError};
+use qrs_server::{Capabilities, Clock, SearchInterface, SystemClock};
+use qrs_types::{Capability, Query, RequestKind, RerankError, RetryPolicy, Schema, ServerError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -68,32 +68,28 @@ pub enum Algorithm {
 
 impl Algorithm {
     /// The strategy object running this algorithm over `sel` (the possibly
-    /// relaxed server-side query) ranked by `rank` on `server` — the one
-    /// place an [`Algorithm`] value becomes an object. Its name, request
-    /// class and positional flag are known before it is built
-    /// ([`Algorithm::name`], [`Algorithm::request_kind`],
-    /// [`Algorithm::positional`]); its estimate is asked of the object.
-    /// `None` for [`Algorithm::Auto`], which the planner resolves first,
-    /// and [`Algorithm::Custom`], whose object the caller supplies.
+    /// relaxed server-side query) ranked by `rank`, on a site with `schema`
+    /// advertising `caps` — the one place an [`Algorithm`] value becomes an
+    /// object. Its name, request class, positional flag and estimate are
+    /// known before it is built ([`Algorithm::name`],
+    /// [`Algorithm::request_kind`], [`Algorithm::positional`],
+    /// [`Algorithm::estimate`]). `None` for [`Algorithm::Auto`], which the
+    /// planner resolves first, and [`Algorithm::Custom`], whose object the
+    /// caller supplies.
     pub fn strategy(
         self,
         rank: Arc<dyn RankFn>,
         sel: Query,
-        server: &dyn SearchInterface,
+        schema: &Schema,
+        caps: &Capabilities,
     ) -> Option<Box<dyn RerankStrategy>> {
         Some(match self {
             Algorithm::OneD(strategy) => Box::new(OneDCursor::new(
                 OneDSpec::new(rank.attrs()[0], rank.directions()[0], sel),
                 strategy,
             )),
-            Algorithm::Md(opts) => Box::new(MdCursor::new(rank, sel, opts, server.schema())),
-            Algorithm::Ta(access) => Box::new(TaCursor::new(
-                rank,
-                sel,
-                access,
-                server.schema(),
-                &server.capabilities(),
-            )),
+            Algorithm::Md(opts) => Box::new(MdCursor::new(rank, sel, opts, schema)),
+            Algorithm::Ta(access) => Box::new(TaCursor::new(rank, sel, access, schema, caps)),
             Algorithm::PageDown { max_pages } => {
                 Box::new(PageDownCursor::new(sel, rank, max_pages))
             }
@@ -111,6 +107,21 @@ impl Algorithm {
             Algorithm::Ta(SortedAccess::PublicOrderBy) => names::TA_ORDER_BY,
             Algorithm::Ta(SortedAccess::OneD) => names::TA_OVER_1D,
             Algorithm::PageDown { .. } => names::PAGE_DOWN,
+            Algorithm::Auto | Algorithm::Custom => return None,
+        })
+    }
+
+    /// The [`RerankStrategy::estimate`] of the object
+    /// [`Algorithm::strategy`] builds, priced in `ctx` without building it:
+    /// the family's plan-time heuristic, the one the planner ranks its
+    /// candidates by. `None` for [`Algorithm::Auto`] and
+    /// [`Algorithm::Custom`].
+    pub fn estimate(self, ctx: &PlanContext) -> Option<CostEstimate> {
+        Some(match self {
+            Algorithm::OneD(_) => OneDCursor::estimate_in(ctx),
+            Algorithm::Md(_) => MdCursor::estimate_in(ctx),
+            Algorithm::Ta(access) => TaCursor::estimate_in(ctx, access),
+            Algorithm::PageDown { .. } => PageDownCursor::estimate_in(ctx),
             Algorithm::Auto | Algorithm::Custom => return None,
         })
     }
@@ -147,9 +158,11 @@ impl Algorithm {
 pub struct RerankService {
     server: Arc<dyn SearchInterface>,
     /// The parameters every (re)built [`SharedState`] gets.
-    /// Fixed at construction and kept outside the mutex, so planning reads
-    /// the size estimate without queueing behind a session's site calls.
     params: RerankParams,
+    /// The planner over the site model, read once at construction, and the
+    /// size estimate; kept outside the mutex, so planning never queues
+    /// behind a session's site calls.
+    planner: Planner,
     state: Mutex<SharedState>,
     stats: ServiceStats,
     budget: QueryBudget,
@@ -179,9 +192,13 @@ impl RerankService {
         let params = RerankParams::paper_defaults(n_estimate, server.k());
         let state = SharedState::new(server.schema(), params);
         let state_seq = AtomicU64::new(server.mutation_seq());
+        // The one read of the site model; sized by the service's estimate.
+        let (caps, schema) = (server.capabilities(), Arc::clone(server.schema()));
+        let planner = Planner::new(caps, schema, server.k(), params.n as usize);
         RerankService {
             server,
             params,
+            planner,
             state: Mutex::new(state),
             stats: ServiceStats::default(),
             budget: QueryBudget::unlimited(),
@@ -387,15 +404,15 @@ impl RerankService {
     /// A capability-aware [`Planner`] for this service's server: preflight
     /// query shapes against the site model without opening a session.
     /// [`SessionBuilder::open`] runs the same planner for
-    /// [`Algorithm::Auto`] sessions.
+    /// [`Algorithm::Auto`] sessions. The site model is the one the service
+    /// read when it was built; the copy shares it.
     pub fn planner(&self) -> Planner {
-        Planner::new(
-            self.server.capabilities(),
-            Arc::clone(self.server.schema()),
-            self.server.k(),
-            // The size estimate the service was built with.
-            self.params.n as usize,
-        )
+        self.planner.clone()
+    }
+
+    /// The site model the service read when it was built.
+    pub(crate) fn capabilities(&self) -> &Capabilities {
+        self.planner.capabilities()
     }
 
     /// The service-wide query budget — inspect spend or open a new
@@ -480,15 +497,6 @@ impl Default for SessionSpec {
             use_knowledge: true,
         }
     }
-}
-
-/// A session that bypasses the planner: its algorithm, its object's
-/// estimate, and the object where one had to be built to ask (an explicit
-/// choice; `open` then drives that very object).
-struct Bypass {
-    algorithm: Algorithm,
-    estimate: CostEstimate,
-    built: Option<Box<dyn RerankStrategy>>,
 }
 
 /// Configures and preflights one Get-Next session.
@@ -612,18 +620,16 @@ impl<'a> SessionBuilder<'a> {
         let Some(bypass) = self.bypass(&planner)? else {
             return planner.plan(&self.sel, self.rank.as_ref());
         };
-        let object = (bypass.built.as_deref()).or(self.custom.as_deref());
-        let name = object.expect("a bypass drives an object").name();
-        let sel = self.sel.clone();
-        Ok(Plan::single(bypass.algorithm, name, bypass.estimate, sel))
+        let custom = self.custom.as_deref();
+        Ok(Plan::single(bypass, custom, self.sel.clone()))
     }
 
-    /// Validate the request, and answer for a session that bypasses the
-    /// planner — an explicit algorithm or a registered custom strategy —
-    /// by asking its object, so the name and estimate reported are the
-    /// running strategy's own. `None` under [`Algorithm::Auto`], which the
-    /// planner decides.
-    fn bypass(&self, planner: &Planner) -> Result<Option<Bypass>, RerankError> {
+    /// Validate the request, and price a session that bypasses the planner:
+    /// an explicit algorithm by [`Algorithm::estimate`], which builds
+    /// nothing, and a registered custom strategy by asking its object. The
+    /// full selection goes server-side. `None` under [`Algorithm::Auto`],
+    /// which the planner decides.
+    fn bypass(&self, planner: &Planner) -> Result<Option<Priced>, RerankError> {
         // NaN range endpoints poison every comparison downstream (a
         // predicate that matches nothing, region arithmetic that never
         // converges) and an attribute outside the schema indexes past every
@@ -640,27 +646,23 @@ impl<'a> SessionBuilder<'a> {
             return Err(ServerError::invalid_query(reason).into());
         }
         let ctx = planner.plan_context(&self.sel, self.rank.attrs());
-        if let Some(custom) = &self.custom {
-            let estimate = custom.estimate(&ctx);
-            return Ok(Some(Bypass {
-                algorithm: Algorithm::Custom,
-                estimate,
-                built: None,
-            }));
-        }
-        match self.spec.algo {
-            Algorithm::Auto => Ok(None),
-            explicit => {
+        let (algorithm, estimate) = match (&self.custom, self.spec.algo) {
+            (Some(custom), _) => (Algorithm::Custom, custom.estimate(&ctx)),
+            (None, Algorithm::Auto) => return Ok(None),
+            (None, explicit) => {
                 self.preflight(explicit)?;
-                let built = self.build_strategy(explicit, self.sel.clone());
-                let estimate = built.estimate(&ctx);
-                Ok(Some(Bypass {
-                    algorithm: explicit,
-                    estimate,
-                    built: Some(built),
-                }))
+                let estimate = explicit.estimate(&ctx);
+                (
+                    explicit,
+                    estimate.expect("a preflighted choice is built in"),
+                )
             }
-        }
+        };
+        Ok(Some(Priced {
+            algorithm,
+            estimate,
+            shaped: None,
+        }))
     }
 
     /// The classic hard-requirement preflights, run for every session
@@ -679,28 +681,16 @@ impl<'a> SessionBuilder<'a> {
                  via SessionBuilder::strategy",
             ));
         }
+        let caps = self.svc.capabilities();
         if let Algorithm::Ta(SortedAccess::PublicOrderBy) = algo {
-            let caps = self.svc.server().capabilities();
             for &a in self.rank.attrs() {
                 caps.require(Capability::OrderBy(a))?;
             }
         }
         if let Algorithm::PageDown { .. } = algo {
-            self.svc
-                .server()
-                .capabilities()
-                .require(Capability::Paging)?;
+            caps.require(Capability::Paging)?;
         }
         Ok(())
-    }
-
-    /// The strategy object driving `algorithm` over `sel`, the (possibly
-    /// relaxed) server-side query. Preflight and the planner only let
-    /// built-in algorithms through.
-    fn build_strategy(&self, algorithm: Algorithm, sel: Query) -> Box<dyn RerankStrategy> {
-        let server = self.svc.server().as_ref();
-        (algorithm.strategy(Arc::clone(&self.rank), sel, server))
-            .expect("a resolved algorithm is built in")
     }
 
     /// Validate the request and open the session.
@@ -736,24 +726,23 @@ impl<'a> SessionBuilder<'a> {
         // rejects anything recorded against an older snapshot.
         self.svc.sync_state();
         let planner = self.planner();
-        // Under `Auto`, only the planner's choice is kept; its object is
-        // built at the session's first step, which a replay never takes.
-        let (algorithm, estimate, shaped, built) = match self.bypass(&planner)? {
-            Some(b) => (b.algorithm, b.estimate, None, b.built),
-            None => {
-                let p = planner.decide(&self.sel, self.rank.as_ref())?;
-                (p.algorithm, p.estimate, p.shaped, None)
-            }
+        // Only the choice is kept, priced; a built-in's object is built at
+        // the session's first step, which a replay never takes.
+        let Priced {
+            algorithm,
+            estimate,
+            shaped,
+        } = match self.bypass(&planner)? {
+            Some(priced) => priced,
+            None => planner.decide(&self.sel, self.rank.as_ref())?,
         };
         // The planner's candidates satisfy the preflights by construction
         // (`Planner::lacks` checks the same capabilities), and `bypass`
-        // ran them for every other choice. Checked again in debug builds
-        // only: on a site that pages or sorts, each run reads the
-        // capabilities anew, a copy of the site model per open.
+        // ran them for every other choice; checked again in debug builds.
         debug_assert_eq!(self.preflight(algorithm), Ok(()), "{algorithm:?}");
         let (shaped, residual) = shaped.map_or((None, None), |(q, r)| (Some(q), r));
-        // The object the choice was priced by, or the planner's choice.
-        let driver = match built.or(self.custom.take()) {
+        // Only a registered custom object is driven from here.
+        let driver = match self.custom.take() {
             Some(obj) => Driver::Built(obj),
             None => Driver::Planned { algorithm, shaped },
         };
@@ -833,10 +822,7 @@ impl<'a> SessionBuilder<'a> {
     /// * Anything [`SessionBuilder::open`] can return — the same plan
     ///   preflights run underneath.
     pub fn open_maintained(self, horizon: usize) -> Result<MaintainedSession<'a>, RerankError> {
-        self.svc
-            .server()
-            .capabilities()
-            .require(Capability::MutationFeed)?;
+        self.svc.capabilities().require(Capability::MutationFeed)?;
         if self.custom.is_some() {
             return Err(RerankError::invalid_algorithm(
                 "maintained sessions drive built-in strategies only: the \
@@ -887,22 +873,26 @@ mod tests {
     }
 
     /// Every built-in algorithm answers for its object before building it:
-    /// the name, request class and positional flag it reports are the
-    /// built object's.
+    /// the name, request class, positional flag and estimate it reports
+    /// are the built object's — the estimate on every catalog site model,
+    /// at horizons of one tuple, one page and 100, over the whole relation,
+    /// a selection, and a server query the planner relaxed.
     #[test]
     fn algorithms_describe_their_objects() {
-        let server = SimServer::new(uniform(50, 2, 1, 13), SystemRank::pseudo_random(3), 5);
-        let rank1: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0)]));
-        let rank2: Arc<dyn RankFn> =
-            Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
+        use qrs_server::SiteProfile;
+        use qrs_types::{CatId, CatPredicate, Interval};
+        let rank = |m: usize| -> Arc<dyn RankFn> {
+            Arc::new(LinearRank::asc((0..m).map(|a| (AttrId(a), 1.0)).collect()))
+        };
+        let (rank1, rank3) = (rank(1), rank(3));
         let built_in = [
             (Algorithm::OneD(OneDStrategy::Rerank), &rank1),
             (Algorithm::OneD(OneDStrategy::Baseline), &rank1),
-            (Algorithm::Md(MdOptions::rerank()), &rank2),
-            (Algorithm::Md(MdOptions::baseline()), &rank2),
-            (Algorithm::Ta(SortedAccess::OneD), &rank2),
-            (Algorithm::Ta(SortedAccess::PublicOrderBy), &rank2),
-            (Algorithm::PageDown { max_pages: 20 }, &rank2),
+            (Algorithm::Md(MdOptions::rerank()), &rank3),
+            (Algorithm::Md(MdOptions::baseline()), &rank3),
+            (Algorithm::Ta(SortedAccess::OneD), &rank3),
+            (Algorithm::Ta(SortedAccess::PublicOrderBy), &rank3),
+            (Algorithm::PageDown { max_pages: 20 }, &rank3),
             (
                 Algorithm::PageDown {
                     max_pages: usize::MAX,
@@ -910,18 +900,44 @@ mod tests {
                 &rank1,
             ),
         ];
-        for (algorithm, rank) in built_in {
-            let object = (algorithm.strategy(Arc::clone(rank), Query::all(), &server))
-                .expect("a built-in algorithm builds");
-            assert_eq!(algorithm.name(), Some(object.name()), "{algorithm:?}");
-            let described = (algorithm.request_kind(), algorithm.positional());
-            let own = (object.request_kind(), object.positional());
-            assert_eq!(described, own, "{algorithm:?}");
+        let data = uniform(50, 3, 1, 13);
+        let service = |profile: &SiteProfile| {
+            let server = profile.build(data.clone(), SystemRank::pseudo_random(3));
+            RerankService::new(Arc::new(server), 500)
+        };
+        // The flight site takes three criteria: the MD box on three
+        // attributes leaves no room for `B1 = 1`, which is relaxed.
+        let sel = (Query::all().and_range(AttrId(0), Interval::open(0.2, 0.9)))
+            .and_cat(CatPredicate::eq(CatId(0), 1));
+        let flights = service(&SiteProfile::flight_site(10)).planner();
+        let relaxed = flights.plan(&sel, rank3.as_ref()).unwrap();
+        assert!(relaxed.residual.is_some(), "nothing was relaxed");
+        let queries = [Query::all(), sel, relaxed.server_query];
+        for profile in SiteProfile::catalog(10) {
+            let svc = service(&profile);
+            let (schema, caps) = (svc.server().schema(), svc.capabilities());
+            for (q, (algorithm, rank)) in queries.iter().flat_map(|q| built_in.map(|b| (q, b))) {
+                let object = (algorithm.strategy(Arc::clone(rank), q.clone(), schema, caps))
+                    .expect("a built-in algorithm builds");
+                let case = format!("{} q={q} {algorithm:?}", profile.name);
+                assert_eq!(algorithm.name(), Some(object.name()), "{case}");
+                let described = (algorithm.request_kind(), algorithm.positional());
+                let own = (object.request_kind(), object.positional());
+                assert_eq!(described, own, "{case}");
+                for h in [1, profile.k, 100] {
+                    let planner = svc.planner().with_horizon(h);
+                    let ctx = planner.plan_context(q, rank.attrs());
+                    let own = object.estimate(&ctx);
+                    assert_eq!(algorithm.estimate(&ctx), Some(own), "{case} h={h}");
+                }
+            }
         }
+        let ctx = flights.plan_context(&queries[0], rank3.attrs());
         for algorithm in [Algorithm::Auto, Algorithm::Custom] {
             assert_eq!(algorithm.name(), None);
             assert_eq!(algorithm.request_kind(), None);
             assert!(!algorithm.positional());
+            assert_eq!(algorithm.estimate(&ctx), None);
         }
     }
 }

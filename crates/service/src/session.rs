@@ -135,9 +135,10 @@ impl SessionStats {
 /// user-registered custom strategy; the session loop is oblivious to
 /// which — or, until the session first steps it, what to build it from.
 pub(crate) enum Driver {
-    /// The planner's choice, not built yet: a replay that never hands over
-    /// never builds it. Its name, request class and positional flag are the
-    /// algorithm's ([`Algorithm::name`]), which are its object's.
+    /// A built-in algorithm, the planner's or the caller's choice, not
+    /// built yet: a replay that never hands over never builds it. Its name,
+    /// request class and positional flag are the algorithm's
+    /// ([`Algorithm::name`]), which are its object's.
     Planned {
         /// A built-in algorithm.
         algorithm: Algorithm,
@@ -145,8 +146,8 @@ pub(crate) enum Driver {
         /// selection; `None` builds the strategy over the session's own.
         shaped: Option<Query>,
     },
-    /// The object: built at the first step, or at open for an explicit or
-    /// custom choice, which is planned by asking it.
+    /// The object: a built-in one from the first step on, or a registered
+    /// custom strategy from open.
     Built(Box<dyn RerankStrategy>),
 }
 
@@ -275,19 +276,28 @@ impl<'a> Session<'a> {
     /// slept on — only a caller-side window reset can clear them.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<RankedTuple>, RerankError> {
+        let mut hit = None;
+        if self.replay(1, |r| hit = Some(r)) > 0 {
+            return Ok(hit);
+        }
         // With no plane attached `emit_obs` is one branch that constructs
         // nothing, so the uninstrumented hot path is preserved bit for bit.
         self.emit_obs(|| EventKind::RequestIssued {
             class: self.class(),
         });
-        self.next_pull()
-    }
-
-    /// The actual pull behind [`Session::next`]: replay → drive → admit,
-    /// sealing the result stream when the strategy runs dry.
-    fn next_pull(&mut self) -> Result<Option<RankedTuple>, RerankError> {
-        if let Some(out) = self.replay_next() {
-            return Ok(out);
+        // The cached stream's prefix is spent: a complete stream ends the
+        // session without ever driving the strategy (credited at once when
+        // it was empty); otherwise hand over — the strategy re-derives the
+        // replayed prefix before it reaches anything new.
+        if let Some(k) = &mut self.knowledge {
+            if let Some(entry) = &k.replay {
+                if entry.exhausted {
+                    self.credit_full_replay();
+                    return Ok(None);
+                }
+                k.rederive = entry.items.iter().map(|(t, _)| t.id).collect();
+                k.replay = None;
+            }
         }
         loop {
             match self.drive_step()? {
@@ -308,36 +318,43 @@ impl<'a> Session<'a> {
     }
 
     /// Stage 1 — serve the cached result stream: zero server traffic, no
-    /// shared-state lock. Scores replay from their recorded bit patterns,
-    /// so a warm stream is byte-identical to the cold one. `None` hands
-    /// over to the strategy; `Some(None)` means the cached stream was
-    /// complete (possibly empty), so the session is exhausted without ever
-    /// driving it.
-    fn replay_next(&mut self) -> Option<Option<RankedTuple>> {
-        let k = self.knowledge.as_mut()?;
-        let entry = k.replay.as_ref()?;
-        let hit = match entry.items.get(k.replayed) {
-            Some((tuple, bits)) => {
-                k.replayed += 1;
-                self.ledger.emitted += 1;
-                self.svc.stats_ref().on_emit(1);
-                Some(RankedTuple {
-                    rank: self.ledger.emitted,
-                    score: f64::from_bits(*bits),
-                    tuple: Arc::clone(tuple),
-                })
-            }
-            None if entry.exhausted => None,
-            None => {
-                // Hand over: the strategy re-derives the replayed prefix
-                // before it reaches anything new.
-                k.rederive = entry.items.iter().map(|(t, _)| t.id).collect();
-                k.replay = None;
-                return None;
-            }
+    /// shared-state lock. Hands `emit` up to `h` tuples of the stream's
+    /// prefix — one `RequestIssued` a tuple, in order, then the full-replay
+    /// credit if the last one ended a complete stream — with the service's
+    /// emit counter moved once, and returns how many; [`Session::next`]
+    /// asks for one, [`Session::top`] for its whole batch. Scores replay
+    /// from their recorded bit patterns, so a warm stream is byte-identical
+    /// to the cold one. The hand-over and a complete stream's end are
+    /// `next`'s.
+    fn replay(&mut self, h: usize, mut emit: impl FnMut(RankedTuple)) -> usize {
+        let obs = self.svc.obs();
+        let class = obs.enabled().then(|| self.class());
+        let Some(k) = self.knowledge.as_mut() else {
+            return 0;
         };
+        let Some(entry) = &k.replay else { return 0 };
+        let prefix = &entry.items[k.replayed..];
+        let prefix = &prefix[..prefix.len().min(h)];
+        if prefix.is_empty() {
+            return 0;
+        }
+        for (tuple, bits) in prefix {
+            if let Some(class) = class {
+                let now = self.svc.clock().now_ms();
+                obs.emit(now, self.obs_id, EventKind::RequestIssued { class });
+            }
+            self.ledger.emitted += 1;
+            emit(RankedTuple {
+                rank: self.ledger.emitted,
+                score: f64::from_bits(*bits),
+                tuple: Arc::clone(tuple),
+            });
+        }
+        let n = prefix.len();
+        k.replayed += n;
+        self.svc.stats_ref().on_emit(n as u64);
         self.credit_full_replay();
-        Some(hit)
+        n
     }
 
     /// The one-shot full-replay credit: the moment a *complete* cached
@@ -526,7 +543,7 @@ impl<'a> Session<'a> {
     }
 
     /// What the first step needs and a replay does not: the result key,
-    /// and the strategy object built from the planner's choice. Written
+    /// and the strategy object built from the built-in choice. Written
     /// before the object is built, which may take the selection.
     fn start(&mut self) {
         if let Some(k) = self.knowledge.as_mut().filter(|k| k.result_key.is_none()) {
@@ -540,8 +557,8 @@ impl<'a> Session<'a> {
             let query = shaped
                 .take()
                 .unwrap_or_else(|| std::mem::take(&mut self.sel));
-            let server = self.svc.server().as_ref();
-            let built = (algorithm.strategy(Arc::clone(&self.rank), query, server))
+            let (schema, caps) = (self.svc.server().schema(), self.svc.capabilities());
+            let built = (algorithm.strategy(Arc::clone(&self.rank), query, schema, caps))
                 .expect("a planned algorithm is built in");
             self.driver = Driver::Built(built);
         }
@@ -558,7 +575,7 @@ impl<'a> Session<'a> {
     /// caller's "everything" (`usize::MAX`).
     pub fn top(&mut self, h: usize) -> (Vec<RankedTuple>, Option<RerankError>) {
         let mut out = Vec::with_capacity(h.min(self.replayable()));
-        self.replay_into(&mut out, h);
+        self.replay(h, |r| out.push(r));
         while out.len() < h {
             match self.next() {
                 Ok(Some(r)) => out.push(r),
@@ -574,41 +591,6 @@ impl<'a> Session<'a> {
         let k = self.knowledge.as_ref();
         k.and_then(|k| Some(k.replay.as_ref()?.items.len() - k.replayed))
             .unwrap_or(0)
-    }
-
-    /// Stage 1 for a batch: replay the cached stream into `out` until it
-    /// holds `h` tuples or the stream's prefix runs out, as that many
-    /// [`Session::next`] calls would — one `RequestIssued` a tuple, in
-    /// order, then the full-replay credit if the last one ended a complete
-    /// stream — with the service's emit counter moved once. The hand-over
-    /// and an empty stream's exhaustion are left to `next`.
-    fn replay_into(&mut self, out: &mut Vec<RankedTuple>, h: usize) {
-        let obs = self.svc.obs();
-        let class = obs.enabled().then(|| self.class());
-        let Some(k) = self.knowledge.as_mut() else {
-            return;
-        };
-        let Some(entry) = &k.replay else { return };
-        let prefix = &entry.items[k.replayed..];
-        let prefix = &prefix[..prefix.len().min(h.saturating_sub(out.len()))];
-        if prefix.is_empty() {
-            return;
-        }
-        for (tuple, bits) in prefix {
-            if let Some(class) = class {
-                let now = self.svc.clock().now_ms();
-                obs.emit(now, self.obs_id, EventKind::RequestIssued { class });
-            }
-            self.ledger.emitted += 1;
-            out.push(RankedTuple {
-                rank: self.ledger.emitted,
-                score: f64::from_bits(*bits),
-                tuple: Arc::clone(tuple),
-            });
-        }
-        k.replayed += prefix.len();
-        self.svc.stats_ref().on_emit(prefix.len() as u64);
-        self.credit_full_replay();
     }
 
     /// Like [`Session::top`] but all-or-error: partial results are dropped.
@@ -1128,8 +1110,8 @@ mod tests {
 
     /// Open `builder()` and check it runs the plan `builder().plan()`
     /// reports, reading the open event's estimate off `recorder`;
-    /// `bypassed` is the algorithm of a session the planner does not
-    /// decide.
+    /// `bypassed` is the algorithm of a session that drives an object from
+    /// open, a custom one.
     fn agree<'s>(
         recorder: &qrs_obs::Recorder,
         case: &str,
@@ -1173,11 +1155,14 @@ mod tests {
     /// `open` runs what `plan()` reports, over every catalog profile and
     /// the requests `tests/plan_rationale.rs` pins (two database sizes,
     /// 1- to 3-attribute rankings, three selections, an explicit choice
-    /// and a custom strategy) and one tie between candidates: the same
+    /// and a custom strategy), every built-in algorithm as an explicit
+    /// choice on every profile, and one tie between candidates: the same
     /// algorithm, server query, residual and strategy name, and the same
     /// estimate on the open event — or the same refusal.
     #[test]
     fn open_runs_what_plan_reports() {
+        use qrs_core::md::ta::SortedAccess;
+        use qrs_core::OneDStrategy;
         use qrs_obs::{ObsHandle, Recorder};
         use qrs_server::SiteProfile;
         use qrs_types::{CatId, CatPredicate, Direction, Interval};
@@ -1200,6 +1185,22 @@ mod tests {
                 .build();
             RerankService::new(Arc::new(server), n).with_observer(obs)
         };
+        // Every built-in algorithm, with a ranking of an arity it takes.
+        let explicit = [
+            (Algorithm::OneD(OneDStrategy::Rerank), 1),
+            (Algorithm::OneD(OneDStrategy::Baseline), 1),
+            (Algorithm::Md(MdOptions::rerank()), 2),
+            (Algorithm::Md(MdOptions::baseline()), 3),
+            (Algorithm::Ta(SortedAccess::OneD), 2),
+            (Algorithm::Ta(SortedAccess::PublicOrderBy), 2),
+            (Algorithm::PageDown { max_pages: 20 }, 2),
+            (
+                Algorithm::PageDown {
+                    max_pages: usize::MAX,
+                },
+                1,
+            ),
+        ];
         for profile in SiteProfile::catalog(10) {
             for n in [150, 2_000] {
                 let svc = service(&profile, n);
@@ -1212,6 +1213,13 @@ mod tests {
                     }
                 }
             }
+            let svc = service(&profile, 2_000);
+            for (algorithm, m) in explicit {
+                let case = format!("{} explicit {algorithm:?}", profile.name);
+                agree(&recorder, &case, None, &|| {
+                    svc.session(sels[1].clone(), rank(m)).algorithm(algorithm)
+                });
+            }
         }
         // A tie: at n = 80 and a horizon of one tuple the 1-D cursor and
         // page-down are priced alike, and both take the first in the
@@ -1222,10 +1230,6 @@ mod tests {
         assert_eq!(ranked[0].estimate, ranked[1].estimate, "no tie to break");
         agree(&recorder, "open_site n=80 m=1 h=1", None, &tied);
         let svc = service(&SiteProfile::open_site(10), 2_000);
-        let md = Algorithm::Md(MdOptions::rerank());
-        agree(&recorder, "explicit md", Some(md), &|| {
-            svc.session(Query::all(), rank(2)).algorithm(md)
-        });
         agree(&recorder, "custom", Some(Algorithm::Custom), &|| {
             (svc.session(Query::all(), rank(2))).strategy(Box::new(Registered))
         });

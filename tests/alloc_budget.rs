@@ -133,8 +133,13 @@ const REPLAY_PULL_BUDGET: u64 = 1;
 /// site that records into and replays from `plane`, a range selection and
 /// a three-attribute ranking.
 fn plane_service(plane: &Arc<KnowledgePlane>) -> RerankService {
+    site_service(&SiteProfile::open_site(10), plane)
+}
+
+/// [`plane_service`] over the site `profile` builds.
+fn site_service(profile: &SiteProfile, plane: &Arc<KnowledgePlane>) -> RerankService {
     const N: usize = 2000;
-    let site = SiteProfile::open_site(10).build(uniform(N, 3, 1, 7), SystemRank::pseudo_random(7));
+    let site = profile.build(uniform(N, 3, 1, 7), SystemRank::pseudo_random(7));
     RerankService::new(Arc::new(site), N).with_knowledge(Arc::clone(plane), "site")
 }
 
@@ -154,32 +159,53 @@ fn ids(rows: &[RankedTuple]) -> Vec<TupleId> {
     rows.iter().map(|r| r.tuple.id).collect()
 }
 
+/// The planner's choice and an explicit one are opened alike, priced
+/// without building anything, over a site model the service read once: on
+/// the open site and on the aggregator, whose model holds `ORDER BY`
+/// columns and a cost surcharge a copy would allocate.
 #[test]
 fn a_replay_allocates_within_its_budget() {
     const TOP: usize = 25;
-    let service = plane_service(&Arc::new(KnowledgePlane::new()));
-    let (sel, rank) = (replay_sel(), replay_rank());
-    // The first run pays the site and records its 25 tuples in the plane.
-    let mut first = service.session(sel.clone(), rank.clone()).open().unwrap();
-    let recorded = first.try_top(TOP).expect("the first run is served");
-    assert!(first.queries_spent() > 0);
-    drop(first);
+    let md = Algorithm::Md(MdOptions::rerank());
+    for (profile, algorithm) in [
+        (SiteProfile::open_site(10), Algorithm::Auto),
+        (SiteProfile::open_site(10), md),
+        (SiteProfile::aggregator(10), md),
+    ] {
+        let case = format!("{} {algorithm:?}", profile.name);
+        let service = site_service(&profile, &Arc::new(KnowledgePlane::new()));
+        let (sel, rank) = (replay_sel(), replay_rank());
+        // The first run pays the site and records its 25 tuples in the plane.
+        let first = service.session(sel.clone(), rank.clone());
+        let mut first = first.algorithm(algorithm).open().unwrap();
+        let recorded = first.try_top(TOP).expect("the first run is served");
+        assert!(first.queries_spent() > 0, "{case}");
+        drop(first);
 
-    let before = allocations();
-    let mut session = service.session(sel, rank).open().expect("the replay opens");
-    let opened = allocations();
-    let rows = session.try_top(TOP).expect("a replay is served");
-    let pulled = allocations();
-    assert_eq!(ids(&rows), ids(&recorded));
-    assert_eq!(session.queries_spent(), 0, "a replay asks the site nothing");
-    let (open, pull) = (opened - before, pulled - opened);
-    println!(
-        "a replay: {open} allocations to open (budget {REPLAY_OPEN_BUDGET}), \
-         {pull} to pull {TOP} tuples (budget {REPLAY_PULL_BUDGET})"
-    );
-    // A budget of 0 cannot be undercut: `<=` is `==`.
-    assert_eq!(open, REPLAY_OPEN_BUDGET, "allocations to open");
-    assert!(pull <= REPLAY_PULL_BUDGET, "{pull} allocations to pull");
+        let before = allocations();
+        let session = service.session(sel, rank).algorithm(algorithm);
+        let mut session = session.open().expect("the replay opens");
+        let opened = allocations();
+        let rows = session.try_top(TOP).expect("a replay is served");
+        let pulled = allocations();
+        assert_eq!(ids(&rows), ids(&recorded), "{case}");
+        assert_eq!(
+            session.queries_spent(),
+            0,
+            "{case}: a replay asks the site nothing"
+        );
+        let (open, pull) = (opened - before, pulled - opened);
+        println!(
+            "a replay ({case}): {open} allocations to open (budget {REPLAY_OPEN_BUDGET}), \
+             {pull} to pull {TOP} tuples (budget {REPLAY_PULL_BUDGET})"
+        );
+        // A budget of 0 cannot be undercut: `<=` is `==`.
+        assert_eq!(open, REPLAY_OPEN_BUDGET, "{case}: allocations to open");
+        assert!(
+            pull <= REPLAY_PULL_BUDGET,
+            "{case}: {pull} allocations to pull"
+        );
+    }
 }
 
 /// A recorded top-10 prefix asked for 25, on a second service that shares

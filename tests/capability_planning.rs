@@ -5,16 +5,19 @@
 //! panic, never a silent wrong answer, never a query spent on a doomed
 //! session.
 
+use query_reranking::core::md::ta::SortedAccess;
 use query_reranking::core::MdOptions;
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::exec::Executor;
 use query_reranking::ranking::{LinearRank, RankFn};
+use query_reranking::server::OrderedPage;
 use query_reranking::server::{Capabilities, SearchInterface, SimServer, SiteProfile, SystemRank};
 use query_reranking::service::{Algorithm, BatchRequest, RerankService};
 use query_reranking::types::{
-    AttrId, Capability, CatId, CatPredicate, FilterSupport, Interval, Query, RerankError,
-    ServerError,
+    AttrId, Capability, CatId, CatPredicate, Direction, FilterSupport, Interval, MutationLog,
+    Query, QueryResponse, RerankError, Schema, ServerError,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const N: usize = 300;
@@ -417,4 +420,94 @@ fn hand_rolled_restrictions_match_profile_behavior() {
             .unwrap_err(),
         query_reranking::types::ServerError::Unsupported(Capability::RangeFilter(AttrId(0)))
     );
+}
+
+/// A site that counts how often its site model is read.
+struct CountsCapabilities {
+    inner: SimServer,
+    reads: AtomicUsize,
+}
+
+impl SearchInterface for CountsCapabilities {
+    fn schema(&self) -> &Arc<Schema> {
+        self.inner.schema()
+    }
+    fn k(&self) -> usize {
+        self.inner.k()
+    }
+    fn capabilities(&self) -> Capabilities {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.capabilities()
+    }
+    fn query(&self, q: &Query) -> Result<QueryResponse, ServerError> {
+        self.inner.query(q)
+    }
+    fn queries_issued(&self) -> u64 {
+        self.inner.queries_issued()
+    }
+    fn cost_units_issued(&self) -> u64 {
+        self.inner.cost_units_issued()
+    }
+    fn query_page(&self, q: &Query, page: usize) -> Result<QueryResponse, ServerError> {
+        self.inner.query_page(q, page)
+    }
+    fn query_ordered(
+        &self,
+        q: &Query,
+        attr: AttrId,
+        dir: Direction,
+        page: usize,
+    ) -> Result<OrderedPage, ServerError> {
+        self.inner.query_ordered(q, attr, dir, page)
+    }
+    fn mutation_seq(&self) -> u64 {
+        self.inner.mutation_seq()
+    }
+    fn mutations_since(&self, since: u64) -> Result<MutationLog, ServerError> {
+        self.inner.mutations_since(since)
+    }
+}
+
+/// A service reads its site's model once, when it is built: planning,
+/// opening (`Auto` or an explicit choice the preflights check against the
+/// model), driving a TA cursor that negotiates its sorted access, and
+/// opening a maintained session all read that copy.
+#[test]
+fn a_service_reads_the_site_model_once() {
+    let data = uniform(N, 2, 1, 41);
+    let caps = Capabilities::none()
+        .with_paging()
+        .with_order_by(vec![AttrId(0), AttrId(1)]);
+    let site = Arc::new(CountsCapabilities {
+        inner: SimServer::new(data, SystemRank::pseudo_random(41), K).with_capabilities(caps),
+        reads: AtomicUsize::new(0),
+    });
+    let svc = RerankService::new(Arc::clone(&site) as Arc<dyn SearchInterface>, N);
+    let sel = Query::all().and_range(AttrId(0), Interval::open(0.1, 0.9));
+    let session = || svc.session(sel.clone(), rank2());
+    for _ in 0..2 {
+        let plan = session().plan().expect("the open site plans");
+        let mut auto = session().open().expect("Auto opens");
+        assert_eq!(auto.strategy_name(), plan.candidates[0].name);
+        assert_eq!(auto.try_top(TOP_H).unwrap().len(), TOP_H);
+        for algorithm in [
+            Algorithm::Ta(SortedAccess::PublicOrderBy),
+            Algorithm::PageDown {
+                max_pages: usize::MAX,
+            },
+        ] {
+            let builder = || session().algorithm(algorithm);
+            assert!(builder().plan().is_ok(), "{algorithm:?}");
+            let mut explicit = builder().open().expect("the site sorts and pages");
+            let got: Vec<u32> = (explicit.try_top(TOP_H).unwrap().iter())
+                .map(|h| h.tuple.id.0)
+                .collect();
+            assert_eq!(got, oracle(N, 41, &sel, &rank2(), TOP_H), "{algorithm:?}");
+        }
+        let maintained = session()
+            .open_maintained(TOP_H)
+            .expect("the site has a feed");
+        assert_eq!(maintained.top().len(), TOP_H);
+    }
+    assert_eq!(site.reads.load(Ordering::Relaxed), 1);
 }
